@@ -136,6 +136,7 @@ impl Agent {
             }
         }
         self.metrics.edges = self.out_pos.len() as u64;
+        self.invalidate_worklists();
     }
 
     /// CKPT_META: apply restored primary meta. Mirrors `on_mig_meta`
@@ -179,5 +180,6 @@ impl Agent {
                 e.has_residual = true;
             }
         }
+        self.invalidate_worklists();
     }
 }

@@ -175,6 +175,9 @@ impl Agent {
         total
     }
 
+    /// Send a READY for `(run, step, phase)`. The primary count rides
+    /// every report from the run's cache (0 outside a run, or before
+    /// the first count).
     pub(super) fn send_ready(
         &mut self,
         run: u64,
@@ -182,15 +185,8 @@ impl Agent {
         phase: Phase,
         active: u64,
         contrib: f64,
-        n_primary: u64,
     ) {
-        // The report's counters claim these records as sent; make it
-        // true before the directory can act on it.
-        self.flush_outboxes();
-        self.reported = Some((run, step, phase));
-        self.reported_counters = Some(self.counters);
-        self.ready_seq += 1;
-        let rep = ReadyReport {
+        self.push_ready(ReadyReport {
             agent: self.id,
             run,
             step,
@@ -198,28 +194,34 @@ impl Agent {
             counters: self.counters,
             active,
             global_contrib: contrib,
-            n_primary,
-            seq: self.ready_seq,
-            epoch: self.view.epoch,
-        };
-        let _ = self.dir_push.send(msg::encode_ready(&rep));
+            n_primary: self.run.as_ref().and_then(|r| r.n_primary).unwrap_or(0),
+            seq: 0,
+            epoch: 0,
+        });
     }
 
     /// Re-send the last READY with fresh counters after processing a
     /// late message (the directory replaces the old report and
-    /// re-evaluates its barrier).
+    /// re-evaluates its barrier). The summary fields are repeated as
+    /// sent: nothing a late frame can do changes them.
     pub(super) fn re_report(&mut self) {
-        if let Some((run, step, phase)) = self.reported {
-            let (active, contrib, n_primary) = if phase == Phase::Apply {
-                self.apply_summary()
-            } else if phase == Phase::Scatter {
-                let (c, n) = self.scatter_summary();
-                (0, c, n)
-            } else {
-                (0, 0.0, 0)
-            };
-            self.send_ready(run, step, phase, active, contrib, n_primary);
+        if let Some(rep) = self.reported {
+            self.push_ready(rep);
         }
+    }
+
+    /// Stamp `rep` with the current counters, sequence and epoch, and
+    /// push it to the directory.
+    fn push_ready(&mut self, mut rep: ReadyReport) {
+        // The report's counters claim these records as sent; make it
+        // true before the directory can act on it.
+        self.flush_outboxes();
+        self.ready_seq += 1;
+        rep.counters = self.counters;
+        rep.seq = self.ready_seq;
+        rep.epoch = self.view.epoch;
+        self.reported = Some(rep);
+        let _ = self.dir_push.send(msg::encode_ready(&rep));
     }
 
     // ------------------------------------------------------------------

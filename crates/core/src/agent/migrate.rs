@@ -68,6 +68,9 @@ impl Agent {
             }
         }
         self.migrated_epoch = epoch;
+        // Placement moved: entries leave and arrive in bulk, and the
+        // set of primaries changes with them.
+        self.invalidate_worklists();
         self.migrate(epoch, filter);
     }
 
@@ -300,7 +303,14 @@ impl Agent {
         } else {
             0.0
         };
-        self.send_ready(0, epoch as u32, Phase::Migrate, 0, contrib, 0);
+        if self.departing {
+            // The lead folds a departer's last metrics report into the
+            // cluster totals when the barrier releases it; make that
+            // report include the sends above. Same push channel as the
+            // READY, so it arrives first.
+            self.flush_metrics(true);
+        }
+        self.send_ready(0, epoch as u32, Phase::Migrate, 0, contrib);
     }
 
     pub(super) fn on_mig_edges(&mut self, frame: Frame) {
@@ -349,6 +359,7 @@ impl Agent {
             }
         }
         self.metrics.edges = self.out_pos.len() as u64;
+        self.invalidate_worklists();
         self.re_report();
     }
 
@@ -374,7 +385,7 @@ impl Agent {
             .clone()
             .or_else(|| self.delta_seed.as_ref().map(|s| Arc::clone(&s.program)));
         for m in metas {
-            let e = self.vertices.entry_or_default(m.vertex);
+            let (e, lists) = self.vertices.entry_and_lists(m.vertex);
             if m.has_meta {
                 e.g_out += m.out_degree as i64;
                 e.is_meta = true;
@@ -399,6 +410,7 @@ impl Agent {
                 } else {
                     e.ppartial = m.ppartial;
                     e.has_ppartial = true;
+                    lists.apply.push(m.vertex);
                 }
                 e.wait_recv += m.wait_recv;
             }
@@ -421,6 +433,7 @@ impl Agent {
                 e.has_snap = true;
             }
         }
+        self.invalidate_worklists();
         self.re_report();
     }
 }

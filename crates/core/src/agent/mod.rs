@@ -53,7 +53,7 @@ use crate::msg::{
     StateRecord,
 };
 use crate::program::{DeltaKind, ProgramSpec, VertexCtx, VertexProgram};
-use crate::store::{Shard, VertexStore, SHARDS};
+use crate::store::{Shard, VertexStore, Worklists, SHARDS};
 use elga_graph::types::{Action, EdgeChange, VertexId};
 use elga_hash::{AgentId, EdgeLocator, FxHashMap, FxHashSet, OwnerCache};
 use elga_net::{
@@ -159,6 +159,10 @@ struct AgentRun {
     phase: Phase,
     n_vertices: u64,
     global: f64,
+    /// Vertices this agent is primary for, as every Scatter READY
+    /// reports. Constant while membership holds, so it is counted once
+    /// (`None` = not yet, or invalidated by a bulk write) and cached.
+    n_primary: Option<u64>,
     /// Async event-driven mode entered.
     async_live: bool,
     /// Async execution is paused for a mid-run view change: idle
@@ -223,6 +227,13 @@ pub struct Agent {
     counters: Counters,
     metrics: AgentMetrics,
     run: Option<AgentRun>,
+    /// The scatter worklists cannot be trusted: a run is starting
+    /// (stale `active` flags may survive from one that ended at
+    /// `max_steps`), or entries were bulk-written outside the flag
+    /// handlers (migration, restore, reset). The next scatter kernel
+    /// sweeps every entry, which re-establishes the worklist invariant
+    /// and clears this.
+    needs_sweep: bool,
     /// Armed by `begin_run` for residual-kind programs and kept after
     /// the run finishes: between runs, ingest uses it to turn edge
     /// changes into residual corrections (§ DESIGN.md "Incremental
@@ -251,12 +262,11 @@ pub struct Agent {
     /// Future-phase frames ("If it is for an iteration in the future,
     /// the packet is stored").
     buffered_frames: Vec<Frame>,
-    /// Last READY context reported, for re-reporting on late arrivals.
-    reported: Option<(u64, u32, Phase)>,
-    /// Counters snapshot at the last READY send. Sync re-reports are
-    /// debounced to the post-drain idle point and only fire when the
-    /// counters moved, so a burst of late frames costs one READY.
-    reported_counters: Option<Counters>,
+    /// The last READY sent, for re-reporting on late arrivals. Sync
+    /// re-reports are debounced to the post-drain idle point and only
+    /// fire when the counters moved since, so a burst of late frames
+    /// costs one READY.
+    reported: Option<ReadyReport>,
     /// Counter snapshot at the last async idle report.
     last_idle_counters: Option<Counters>,
     departing: bool,
@@ -384,6 +394,7 @@ impl Agent {
                 ..Default::default()
             },
             run: None,
+            needs_sweep: true,
             delta_seed: None,
             delta_hot: FxHashSet::default(),
             dangling_acc: 0.0,
@@ -391,7 +402,6 @@ impl Agent {
             buffered_changes: Vec::new(),
             buffered_frames: Vec::new(),
             reported: None,
-            reported_counters: None,
             last_idle_counters: None,
             departing: false,
             migrated_epoch: 0,
@@ -613,25 +623,12 @@ impl Agent {
         self.locator.ring().owner(v) == Some(self.id)
     }
 
-    /// (active, contrib, n_primary) as reported at Apply barriers.
-    fn apply_summary(&self) -> (u64, f64, u64) {
-        let mut active = 0;
-        let mut n_primary = 0;
-        for (&v, e) in self.vertices.iter() {
-            if e.is_meta && self.is_primary(v) {
-                n_primary += 1;
-                if e.active {
-                    active += 1;
-                }
-            }
-        }
-        (active, 0.0, n_primary)
-    }
-
-    /// (contrib, n_primary) as reported at Scatter barriers.
-    fn scatter_summary(&self) -> (f64, u64) {
+    /// Sweep the primaries: cache their count on the run and return
+    /// the sum of the program's `global_contrib` over them (0 on delta
+    /// runs, which report the *change* in dangling mass instead).
+    fn primary_summary(&mut self) -> f64 {
         let Some(run) = self.run.as_ref() else {
-            return (0.0, 0);
+            return 0.0;
         };
         // Folded in shard order (VertexStore iteration), so the f64 sum
         // is identical for any worker count.
@@ -640,9 +637,6 @@ impl Agent {
         for (&v, e) in self.vertices.iter() {
             if e.is_meta && self.is_primary(v) {
                 n_primary += 1;
-                // Full runs recompute the global term (PageRank's
-                // dangling mass) from scratch each step; delta runs
-                // report the *change* below instead.
                 if e.has_state && !run.info.delta {
                     let ctx = VertexCtx {
                         out_degree: e.g_out.max(0) as u64,
@@ -655,17 +649,21 @@ impl Agent {
                 }
             }
         }
-        if run.info.delta {
-            // Delta runs report the accumulated change in locally-held
-            // dangling mass (ingest rescales/vanishes plus apply-time
-            // folds at sinks); the lead's Scatter reduce sums it into
-            // the step's global for uniform redistribution. Read
-            // non-destructively — a re-report must replace the lead's
-            // copy with the same value — and cleared when the Combine
-            // advance confirms the reduce absorbed it.
-            contrib = self.dangling_acc;
+        self.metrics.kernel_visits += self.vertices.len() as u64;
+        if let Some(run) = self.run.as_mut() {
+            run.n_primary = Some(n_primary);
         }
-        (contrib, n_primary)
+        contrib
+    }
+
+    /// Entries were bulk-written outside the flag handlers: the scatter
+    /// worklists and the cached primary count are stale until the next
+    /// scatter sweeps.
+    fn invalidate_worklists(&mut self) {
+        self.needs_sweep = true;
+        if let Some(run) = self.run.as_mut() {
+            run.n_primary = None;
+        }
     }
 
     /// Cumulative dangling-mass report for async delta runs: fold the
@@ -942,7 +940,8 @@ impl Agent {
         } else {
             None
         };
-        self.vertices.clear_partial_dirty();
+        self.vertices.clear_worklists();
+        self.needs_sweep = true;
         self.delta_hot.clear();
         self.buffered_frames.clear();
         self.run = Some(AgentRun {
@@ -952,12 +951,12 @@ impl Agent {
             phase: Phase::Scatter,
             n_vertices: self.view.n_vertices,
             global: 0.0,
+            n_primary: None,
             async_live: false,
             paused: false,
             dangling_round: 0,
         });
         self.reported = None;
-        self.reported_counters = None;
         self.last_idle_counters = None;
     }
 
@@ -1004,7 +1003,7 @@ impl Agent {
                 // report, so no fold's mass can slip past termination).
                 let delta = run.info.delta;
                 let contrib = if delta { self.dangling_report() } else { 0.0 };
-                self.send_ready(adv.run, adv.step, Phase::Combine, 0, contrib, 0);
+                self.send_ready(adv.run, adv.step, Phase::Combine, 0, contrib);
             }
             return;
         }
@@ -1063,6 +1062,14 @@ impl Agent {
     }
 
     fn finish_run(&mut self) {
+        // A sync run that got past its first scatter sweep must end
+        // with complete worklists (async runs never establish them).
+        #[cfg(debug_assertions)]
+        if !self.needs_sweep {
+            for shard in self.vertices.shards() {
+                shard.assert_worklists_complete();
+            }
+        }
         // Flip the serving snapshot and notify subscribers before the
         // run is dropped (the sweep needs its id and program context).
         self.snapshot_states();
@@ -1077,7 +1084,6 @@ impl Agent {
         self.run = None;
         self.delta_hot.clear();
         self.reported = None;
-        self.reported_counters = None;
         // Apply the changes that were buffered during the run. Their
         // receives were counted when they arrived; decode and apply
         // directly so they are not counted twice.

@@ -57,7 +57,6 @@ impl Agent {
         self.dangling_acc = 0.0;
         self.dangling_cum = 0.0;
         self.reported = None;
-        self.reported_counters = None;
         self.last_idle_counters = None;
         // The serving snapshots died with the vertex entries; the tag
         // must not claim a run whose values are gone. (A checkpoint
@@ -68,7 +67,7 @@ impl Agent {
         self.view = rec.view;
         self.locator = self.view.locator();
         self.migrated_epoch = epoch;
-        self.send_ready(0, epoch as u32, Phase::Migrate, 0, 0.0, 0);
+        self.send_ready(0, epoch as u32, Phase::Migrate, 0, 0.0);
         true
     }
 }

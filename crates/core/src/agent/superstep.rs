@@ -4,30 +4,38 @@
 
 use super::*;
 
-/// Reusable per-superstep buffers. The kernels write per-shard batch
-/// maps which are merged (in shard order, for determinism) into the
-/// `merged` maps before encoding; all inner `Vec`s are cleared but
-/// never dropped, so steady-state supersteps allocate nothing.
+/// One shard's kernel output. The batch maps are merged (in shard
+/// order, for determinism) before encoding; all inner `Vec`s are
+/// cleared but never dropped, so steady-state supersteps allocate
+/// nothing.
+#[derive(Default)]
+struct ShardOut {
+    /// `(vertex, value)` batches (scatter vmsgs, combine partials).
+    msgs: FxHashMap<AgentId, Vec<(VertexId, u64)>>,
+    /// State broadcasts (apply).
+    states: FxHashMap<AgentId, Vec<StateRecord>>,
+    /// Dangling-mass change from this step's folds (delta apply);
+    /// summed in shard order for determinism.
+    dangling: f64,
+    /// Primaries the apply kernel left active for the next scatter.
+    active: u64,
+    /// Entries the kernel visited (map length on a sweep, worklist
+    /// length otherwise).
+    visits: u64,
+}
+
+/// Reusable per-superstep buffers, indexed like the vertex shards.
 #[derive(Default)]
 pub(super) struct StepScratch {
-    /// Per-shard `(vertex, value)` batches (scatter vmsgs, combine
-    /// partials). Indexed like the vertex shards.
-    per_shard: Vec<FxHashMap<AgentId, Vec<(VertexId, u64)>>>,
+    per_shard: Vec<ShardOut>,
     merged: FxHashMap<AgentId, Vec<(VertexId, u64)>>,
-    /// Per-shard state broadcasts (apply).
-    per_shard_states: Vec<FxHashMap<AgentId, Vec<StateRecord>>>,
     merged_states: FxHashMap<AgentId, Vec<StateRecord>>,
-    /// Per-shard dangling-mass change from this step's folds (delta
-    /// apply); summed in shard order for determinism.
-    per_shard_dangling: Vec<f64>,
 }
 
 impl StepScratch {
     pub(super) fn new() -> Self {
         StepScratch {
-            per_shard: (0..SHARDS).map(|_| FxHashMap::default()).collect(),
-            per_shard_states: (0..SHARDS).map(|_| FxHashMap::default()).collect(),
-            per_shard_dangling: vec![0.0; SHARDS],
+            per_shard: (0..SHARDS).map(|_| ShardOut::default()).collect(),
             ..Default::default()
         }
     }
@@ -42,6 +50,9 @@ pub(super) struct KernelCtx<'a> {
     my_id: AgentId,
     n_vertices: u64,
     step: u32,
+    /// Visit every entry of the shard instead of draining its
+    /// worklist (see [`Agent::run_kernel`]).
+    sweep: bool,
     scatter_all: bool,
     reuse: bool,
     global: f64,
@@ -64,45 +75,79 @@ impl Agent {
 
     pub(super) fn phase_scatter(&mut self) {
         let run = self.run.as_ref().expect("scatter without run");
-        let run_id = run.info.run_id;
-        let step = run.step;
-        if step == 0 {
-            // Step 0 is preparation: report the primary vertex count so
-            // the directory can hand `n` to initialization.
-            let (contrib, n_primary) = self.scatter_summary();
-            self.send_ready(run_id, 0, Phase::Scatter, 0, contrib, n_primary);
-            return;
+        let (run_id, step, delta) = (run.info.run_id, run.step, run.info.delta);
+        // The list is complete only once a sweep has cleared every
+        // stale flag (`needs_sweep`); `scatter_all` programs visit
+        // every vertex by definition (delta runs scatter pending
+        // deltas, never full states, so the hint does not apply).
+        let sweep = self.needs_sweep || (!delta && run.program.scatter_all());
+        // Step 0 is preparation: it only reports the primary vertex
+        // count so the directory can hand `n` to initialization.
+        if step > 0 {
+            self.run_kernel(Phase::Scatter, sweep);
+            if sweep {
+                self.needs_sweep = false;
+            }
         }
-        self.run_kernel(Phase::Scatter);
-        let (contrib, n_primary) = self.scatter_summary();
-        self.send_ready(run_id, step, Phase::Scatter, 0, contrib, n_primary);
+        // Full runs recompute the global term (PageRank's dangling
+        // mass) from scratch on every step that sweeps anyway; the
+        // primary count rides the same pass and is otherwise cached.
+        let counted = self.run.as_ref().is_some_and(|r| r.n_primary.is_some());
+        let reduced = if !counted || (!delta && (step == 0 || sweep)) {
+            self.primary_summary()
+        } else {
+            0.0
+        };
+        // Delta runs report the accumulated change in locally-held
+        // dangling mass instead (ingest rescales/vanishes plus
+        // apply-time folds at sinks); the lead's Scatter reduce sums it
+        // into the step's global for uniform redistribution. Read
+        // non-destructively — a re-report repeats the same value — and
+        // cleared when the Combine advance confirms the reduce absorbed
+        // it.
+        let contrib = if delta { self.dangling_acc } else { reduced };
+        self.send_ready(run_id, step, Phase::Scatter, 0, contrib);
     }
 
     pub(super) fn phase_combine(&mut self) {
         let run = self.run.as_ref().expect("combine without run");
         let run_id = run.info.run_id;
         let step = run.step;
-        self.run_kernel(Phase::Combine);
-        self.send_ready(run_id, step, Phase::Combine, 0, 0.0, 0);
+        self.run_kernel(Phase::Combine, false);
+        self.send_ready(run_id, step, Phase::Combine, 0, 0.0);
     }
 
     pub(super) fn phase_apply(&mut self) {
         let run = self.run.as_ref().expect("apply without run");
         let run_id = run.info.run_id;
         let step = run.step;
-        self.run_kernel(Phase::Apply);
-        let (active, contrib, n_primary) = self.apply_summary();
-        self.send_ready(run_id, step, Phase::Apply, active, contrib, n_primary);
+        // Every primary really participates at step 0 (initialisation,
+        // activation, reseed), when a full run's program applies
+        // without messages, and when a delta step redistributes a
+        // dangling-mass change uniformly; otherwise only message
+        // receivers do.
+        let sweep = step == 0
+            || self.needs_sweep
+            || if run.info.delta {
+                run.global != 0.0
+            } else {
+                run.program.applies_without_messages()
+            };
+        let active = self.run_kernel(Phase::Apply, sweep);
+        self.send_ready(run_id, step, Phase::Apply, active, 0.0);
     }
 
     /// Run one superstep kernel over all vertex shards on the worker
-    /// pool, then merge and send the per-shard batches.
+    /// pool, then merge and send the per-shard batches. With `sweep`
+    /// the kernel visits every entry; otherwise it drains the phase's
+    /// worklist, so the step costs O(frontier). Returns the number of
+    /// primaries an apply kernel left active.
     ///
     /// Determinism: the shard count is fixed (independent of the worker
     /// count), each shard is processed by exactly one worker, and the
     /// per-shard batches are merged in shard index order — so the
     /// per-destination byte streams are identical for any worker count.
-    fn run_kernel(&mut self, phase: Phase) {
+    fn run_kernel(&mut self, phase: Phase, sweep: bool) -> u64 {
         let run = self.run.as_ref().expect("kernel without run");
         let program = run.program.clone();
         let run_id = run.info.run_id;
@@ -114,6 +159,7 @@ impl Agent {
             my_id: self.id,
             n_vertices: run.n_vertices,
             step,
+            sweep,
             scatter_all: program.scatter_all(),
             reuse: run.info.reuse_state,
             global: run.global,
@@ -125,11 +171,17 @@ impl Agent {
         for c in &mut self.worker_caches {
             c.ensure_epoch(epoch);
         }
-        self.scratch.per_shard_dangling.fill(0.0);
-        // Tiny stores run serially: thread-spawn overhead would dwarf
+        // Worker choice follows the work: a small frontier on a large
+        // store runs serially, since thread-spawn overhead would dwarf
         // the kernel. Harmless for determinism — output bytes do not
         // depend on the worker count.
-        let workers = if self.vertices.len() < 1024 {
+        let work = if sweep {
+            self.vertices.len()
+        } else {
+            let shards = self.vertices.shards().iter();
+            shards.map(|s| worklist_len(phase, &s.lists)).sum()
+        };
+        let workers = if work < 1024 {
             1
         } else {
             self.workers.clamp(1, SHARDS)
@@ -137,58 +189,40 @@ impl Agent {
         let chunk = SHARDS.div_ceil(workers);
         {
             let shards = self.vertices.shards_mut();
-            let scratch = &mut self.scratch.per_shard;
-            let scratch_states = &mut self.scratch.per_shard_states;
-            let scratch_dangling = &mut self.scratch.per_shard_dangling;
+            let outs = &mut self.scratch.per_shard;
             let caches = &mut self.worker_caches;
             if workers == 1 {
                 // Serial fast path: no thread spawn overhead.
                 let cache = &mut caches[0];
-                for (i, shard) in shards.iter_mut().enumerate() {
-                    kernel_shard(
-                        phase,
-                        ctx,
-                        cache,
-                        shard,
-                        &mut scratch[i],
-                        &mut scratch_states[i],
-                        &mut scratch_dangling[i],
-                    );
+                for (shard, out) in shards.iter_mut().zip(outs.iter_mut()) {
+                    kernel_shard(phase, ctx, cache, shard, out);
                 }
             } else {
                 std::thread::scope(|scope| {
                     let work = shards
                         .chunks_mut(chunk)
-                        .zip(scratch.chunks_mut(chunk))
-                        .zip(scratch_states.chunks_mut(chunk))
-                        .zip(scratch_dangling.chunks_mut(chunk))
+                        .zip(outs.chunks_mut(chunk))
                         .zip(caches.iter_mut());
-                    for ((((sh, sc), scs), scd), cache) in work {
+                    for ((sh, outs), cache) in work {
                         scope.spawn(move || {
-                            for (((shard, out), out_states), out_dangling) in sh
-                                .iter_mut()
-                                .zip(sc.iter_mut())
-                                .zip(scs.iter_mut())
-                                .zip(scd.iter_mut())
-                            {
-                                kernel_shard(
-                                    phase,
-                                    ctx,
-                                    cache,
-                                    shard,
-                                    out,
-                                    out_states,
-                                    out_dangling,
-                                );
+                            for (shard, out) in sh.iter_mut().zip(outs.iter_mut()) {
+                                kernel_shard(phase, ctx, cache, shard, out);
                             }
                         });
                     }
                 });
             }
         }
+        // Shard-order sums: deterministic for any worker count.
+        let mut active = 0;
+        let mut dangling = 0.0;
+        for out in &mut self.scratch.per_shard {
+            self.metrics.kernel_visits += std::mem::take(&mut out.visits);
+            active += std::mem::take(&mut out.active);
+            dangling += std::mem::take(&mut out.dangling);
+        }
         if phase == Phase::Apply {
-            // Shard-order sum: deterministic for any worker count.
-            self.dangling_acc += self.scratch.per_shard_dangling.iter().sum::<f64>();
+            self.dangling_acc += dangling;
         }
         // Merge per-shard batches in shard index order: each
         // destination's messages end up in the same order no matter how
@@ -200,8 +234,8 @@ impl Agent {
         match phase {
             Phase::Apply => {
                 let mut merged = std::mem::take(&mut self.scratch.merged_states);
-                for shard_states in &mut self.scratch.per_shard_states {
-                    for (&agent, recs) in shard_states.iter_mut() {
+                for out in &mut self.scratch.per_shard {
+                    for (&agent, recs) in out.states.iter_mut() {
                         if !recs.is_empty() {
                             merged.entry(agent).or_default().append(recs);
                         }
@@ -231,8 +265,8 @@ impl Agent {
             }
             _ => {
                 let mut merged = std::mem::take(&mut self.scratch.merged);
-                for shard_batches in &mut self.scratch.per_shard {
-                    for (&agent, msgs) in shard_batches.iter_mut() {
+                for out in &mut self.scratch.per_shard {
+                    for (&agent, msgs) in out.msgs.iter_mut() {
                         if !msgs.is_empty() {
                             merged.entry(agent).or_default().append(msgs);
                         }
@@ -273,6 +307,7 @@ impl Agent {
                 self.scratch.merged = merged;
             }
         }
+        active
     }
 
     // ------------------------------------------------------------------
@@ -295,7 +330,6 @@ impl Agent {
                 for (v, value) in view.records {
                     self.async_apply(v, value);
                 }
-                self.re_report_async();
             }
             Some((cur_run, cur_step, cur_phase, false))
                 if cur_run == run_id && cur_step == step && cur_phase == Phase::Scatter =>
@@ -304,7 +338,7 @@ impl Agent {
                 self.metrics.vmsgs += view.records.len() as u64;
                 let program = self.run.as_ref().expect("run").program.clone();
                 for (v, value) in view.records {
-                    let (e, dirty) = self.vertices.entry_and_dirty(v);
+                    let (e, lists) = self.vertices.entry_and_lists(v);
                     if e.has_partial {
                         e.partial = program.combine(e.partial, value);
                     } else {
@@ -312,7 +346,7 @@ impl Agent {
                         e.has_partial = true;
                         // First partial since the last combine: record
                         // it so phase_combine only walks receivers.
-                        dirty.push(v);
+                        lists.partial_dirty.push(v);
                     }
                 }
                 // Late-arrival re-report happens from on_idle, once
@@ -342,12 +376,13 @@ impl Agent {
                 self.counters.part_recv += view.records.len() as u64;
                 let program = self.run.as_ref().expect("run").program.clone();
                 for (v, value) in view.records {
-                    let e = self.vertices.entry_or_default(v);
+                    let (e, lists) = self.vertices.entry_and_lists(v);
                     if e.has_ppartial {
                         e.ppartial = program.combine(e.ppartial, value);
                     } else {
                         e.ppartial = value;
                         e.has_ppartial = true;
+                        lists.apply.push(v);
                     }
                 }
             }
@@ -384,7 +419,6 @@ impl Agent {
                         self.scatter_one(rec.vertex);
                     }
                 }
-                self.re_report_async();
             }
             Some((cur_run, cur_step, cur_phase, false))
                 if cur_run == run_id && cur_step == step && cur_phase == Phase::Apply =>
@@ -392,7 +426,8 @@ impl Agent {
                 self.counters.state_recv += view.records.len() as u64;
                 let delta_run = self.run.as_ref().is_some_and(|r| r.info.delta);
                 for rec in view.records {
-                    let e = self.vertices.entry_or_default(rec.vertex);
+                    let (e, lists) = self.vertices.entry_and_lists(rec.vertex);
+                    let listed = e.active || e.has_pending_delta;
                     e.state = rec.state;
                     e.has_state = true;
                     e.rep_out_degree = rec.out_degree;
@@ -401,6 +436,9 @@ impl Agent {
                         // Scattered at the next Scatter phase.
                         e.pending_delta = rec.aux;
                         e.has_pending_delta = true;
+                    }
+                    if !listed && (e.active || e.has_pending_delta) {
+                        lists.scatter.push(rec.vertex);
                     }
                 }
             }
@@ -433,7 +471,6 @@ impl Agent {
                 }
                 self.scatter_delta_one(v, delta);
             }
-            self.re_report_async();
             return;
         }
         let actives: Vec<VertexId> = self
@@ -445,7 +482,6 @@ impl Agent {
         for v in actives {
             self.scatter_one(v);
         }
-        self.re_report_async();
     }
 
     /// Resume after a mid-run view change: every primary re-broadcasts
@@ -919,12 +955,6 @@ impl Agent {
         }
     }
 
-    /// Push an idle report when the async counters moved.
-    pub(super) fn re_report_async(&mut self) {
-        // Reports are sent from on_idle; nothing to do here (counters
-        // will differ from the last idle snapshot).
-    }
-
     pub(super) fn on_idle(&mut self) {
         // Fold the residuals that accumulated while the mailbox was
         // busy. Must precede the flush and the idle report: the folds
@@ -947,11 +977,14 @@ impl Agent {
             // re-send it once now that the mailbox drained. Doing this
             // here instead of per-frame keeps the barrier live without
             // flooding the directory under chaos.
-            if self.reported.is_some() && self.reported_counters != Some(self.counters) {
+            if self.reported.is_some_and(|r| r.counters != self.counters) {
                 self.re_report();
             }
             return;
         }
+        // Async handlers never report per frame: the counters they
+        // moved differ from the last idle snapshot, and that difference
+        // is what triggers the one report per drain below.
         if self.last_idle_counters == Some(self.counters) {
             return;
         }
@@ -978,81 +1011,102 @@ impl Agent {
     }
 }
 
+/// Length of the worklist `phase`'s kernel drains.
+fn worklist_len(phase: Phase, lists: &Worklists) -> usize {
+    match phase {
+        Phase::Scatter => lists.scatter.len(),
+        Phase::Combine => lists.partial_dirty.len(),
+        Phase::Apply => lists.apply.len(),
+        Phase::Migrate => 0,
+    }
+}
+
 /// Dispatch one shard through the kernel for `phase`. Runs on a worker
-/// thread; touches only its own shard, scratch maps, and owner cache.
+/// thread; touches only its own shard, output slot, and owner cache.
 fn kernel_shard(
     phase: Phase,
     ctx: KernelCtx<'_>,
     cache: &mut OwnerCache,
     shard: &mut Shard,
-    out: &mut FxHashMap<AgentId, Vec<(VertexId, u64)>>,
-    out_states: &mut FxHashMap<AgentId, Vec<StateRecord>>,
-    out_dangling: &mut f64,
+    out: &mut ShardOut,
 ) {
+    // A list-driven scatter or apply is exact only if the lists are
+    // complete; debug builds (the whole test suite) prove it each time.
+    #[cfg(debug_assertions)]
+    if !ctx.sweep && phase != Phase::Combine {
+        shard.assert_worklists_complete();
+    }
     match phase {
         Phase::Scatter => scatter_shard(ctx, cache, shard, out),
-        Phase::Combine => combine_shard(ctx, cache, shard, out),
-        Phase::Apply => apply_shard(ctx, cache, shard, out_states, out_dangling),
+        Phase::Combine => combine_shard(ctx, cache, shard, &mut out.msgs),
+        Phase::Apply => apply_shard(ctx, cache, shard, out),
         Phase::Migrate => {}
     }
 }
 
-/// Scatter messages for one shard's eligible vertices, routing each to
-/// the target's aggregation replica via the owner cache.
+/// Scatter messages for one shard's eligible vertices: every entry on
+/// a sweep, the sorted scatter worklist otherwise.
 fn scatter_shard(
     ctx: KernelCtx<'_>,
     cache: &mut OwnerCache,
     shard: &mut Shard,
+    out: &mut ShardOut,
+) {
+    let Shard { map, lists } = shard;
+    if ctx.sweep {
+        // The sweep clears every flag the list mirrors.
+        lists.scatter.clear();
+        out.visits += map.len() as u64;
+        for (&v, e) in map.iter_mut() {
+            scatter_vertex(ctx, cache, v, e, &mut out.msgs);
+        }
+        return;
+    }
+    let mut list = std::mem::take(&mut lists.scatter);
+    list.sort_unstable();
+    list.dedup();
+    out.visits += list.len() as u64;
+    for v in list.drain(..) {
+        if let Some(e) = map.get_mut(&v) {
+            scatter_vertex(ctx, cache, v, e, &mut out.msgs);
+        }
+    }
+    // Hand the (drained) buffer back so its capacity is reused.
+    lists.scatter = list;
+}
+
+/// Scatter one vertex if it is eligible, routing each message to the
+/// target's aggregation replica via the owner cache, and clear the
+/// flags that made it eligible (they are re-armed by STATE broadcasts
+/// at the next apply).
+fn scatter_vertex(
+    ctx: KernelCtx<'_>,
+    cache: &mut OwnerCache,
+    v: VertexId,
+    e: &mut VertexEntry,
     out: &mut FxHashMap<AgentId, Vec<(VertexId, u64)>>,
 ) {
     let program = ctx.program;
+    let vctx = VertexCtx {
+        out_degree: e.rep_out_degree,
+        in_degree: 0,
+        n_vertices: ctx.n_vertices,
+        step: ctx.step,
+        global: 0.0,
+    };
+    let fire = e.has_state && (e.active || ctx.scatter_all);
+    e.active = false;
     if ctx.delta {
         // Delta runs scatter the applied delta the primary broadcast
         // last apply, not the full state, and only along out-edges —
         // the residual invariant is directed.
-        for (&v, e) in shard.map.iter_mut() {
-            e.active = false;
-            if !e.has_pending_delta {
-                continue;
-            }
-            let delta = e.pending_delta;
-            e.pending_delta = 0;
-            e.has_pending_delta = false;
-            let vctx = VertexCtx {
-                out_degree: e.rep_out_degree,
-                in_degree: 0,
-                n_vertices: ctx.n_vertices,
-                step: ctx.step,
-                global: 0.0,
-            };
-            if let Some(val) = program.scatter_delta(v, e.state, delta, &vctx) {
-                for &w in &e.out {
-                    let vv = program.along_edge(v, w, val);
-                    if let Some(owner) =
-                        cache.owner_of_edge(ctx.locator, w, v, || ctx.sketch.estimate(w))
-                    {
-                        out.entry(owner).or_default().push((w, vv));
-                    }
-                }
-            }
+        if !e.has_pending_delta {
+            return;
         }
-        return;
-    }
-    for (&v, e) in shard.map.iter_mut() {
-        if !(e.has_state && (e.active || ctx.scatter_all)) {
-            // Scatter clears active flags unconditionally (they are
-            // re-armed by STATE broadcasts at the next apply).
-            e.active = false;
-            continue;
-        }
-        let vctx = VertexCtx {
-            out_degree: e.rep_out_degree,
-            in_degree: 0,
-            n_vertices: ctx.n_vertices,
-            step: ctx.step,
-            global: 0.0,
-        };
-        if let Some(val) = program.scatter_out(v, e.state, &vctx) {
+        let delta = e.pending_delta;
+        e.pending_delta = 0;
+        e.has_pending_delta = false;
+        if let Some(val) = program.scatter_delta(v, e.state, delta, &vctx) {
             for &w in &e.out {
                 let vv = program.along_edge(v, w, val);
                 if let Some(owner) =
@@ -1062,17 +1116,26 @@ fn scatter_shard(
                 }
             }
         }
-        if let Some(val) = program.scatter_in(v, e.state, &vctx) {
-            for &u in &e.inn {
-                let vv = program.along_edge(v, u, val);
-                if let Some(owner) =
-                    cache.owner_of_edge(ctx.locator, u, v, || ctx.sketch.estimate(u))
-                {
-                    out.entry(owner).or_default().push((u, vv));
-                }
+        return;
+    }
+    if !fire {
+        return;
+    }
+    if let Some(val) = program.scatter_out(v, e.state, &vctx) {
+        for &w in &e.out {
+            let vv = program.along_edge(v, w, val);
+            if let Some(owner) = cache.owner_of_edge(ctx.locator, w, v, || ctx.sketch.estimate(w)) {
+                out.entry(owner).or_default().push((w, vv));
             }
         }
-        e.active = false;
+    }
+    if let Some(val) = program.scatter_in(v, e.state, &vctx) {
+        for &u in &e.inn {
+            let vv = program.along_edge(v, u, val);
+            if let Some(owner) = cache.owner_of_edge(ctx.locator, u, v, || ctx.sketch.estimate(u)) {
+                out.entry(owner).or_default().push((u, vv));
+            }
+        }
     }
 }
 
@@ -1086,7 +1149,7 @@ fn combine_shard(
     shard: &mut Shard,
     out: &mut FxHashMap<AgentId, Vec<(VertexId, u64)>>,
 ) {
-    let mut dirty = std::mem::take(&mut shard.partial_dirty);
+    let mut dirty = std::mem::take(&mut shard.lists.partial_dirty);
     dirty.sort_unstable();
     for v in dirty.drain(..) {
         let Some(e) = shard.map.get_mut(&v) else {
@@ -1102,154 +1165,402 @@ fn combine_shard(
         e.partial = 0;
     }
     // Hand the (drained) buffer back so its capacity is reused.
-    shard.partial_dirty = dirty;
+    shard.lists.partial_dirty = dirty;
 }
 
 /// Apply one shard's primaries and queue state broadcasts to their
-/// replica sets.
-fn apply_shard(
+/// replica sets: every entry on a sweep, the sorted apply worklist
+/// (the vertices that received partials) otherwise.
+fn apply_shard(ctx: KernelCtx<'_>, cache: &mut OwnerCache, shard: &mut Shard, out: &mut ShardOut) {
+    let Shard { map, lists } = shard;
+    if ctx.sweep {
+        // The sweep consumes every `has_ppartial` the list mirrors.
+        lists.apply.clear();
+        out.visits += map.len() as u64;
+        for (&v, e) in map.iter_mut() {
+            apply_vertex(ctx, cache, v, e, lists, out);
+        }
+        return;
+    }
+    lists.apply.sort_unstable();
+    lists.apply.dedup();
+    // `apply_vertex` may re-list a vertex behind the drained prefix.
+    let n = lists.apply.len();
+    out.visits += n as u64;
+    for i in 0..n {
+        let v = lists.apply[i];
+        if let Some(e) = map.get_mut(&v) {
+            apply_vertex(ctx, cache, v, e, lists, out);
+        }
+    }
+    lists.apply.drain(..n);
+}
+
+/// Apply one vertex if this agent is its primary. Skipping a primary
+/// that is not on the apply list is exact at step >= 1: a delta-run
+/// primary with a parked residual and no new partial folds to `None`
+/// again (same residual, same tolerance), and a monotone-run primary
+/// without messages would only clear an `active` flag the scatter
+/// already cleared.
+fn apply_vertex(
     ctx: KernelCtx<'_>,
     cache: &mut OwnerCache,
-    shard: &mut Shard,
-    out: &mut FxHashMap<AgentId, Vec<StateRecord>>,
-    out_dangling: &mut f64,
+    v: VertexId,
+    e: &mut VertexEntry,
+    lists: &mut Worklists,
+    out: &mut ShardOut,
 ) {
     let program = ctx.program;
-    for (&v, e) in shard.map.iter_mut() {
-        if !(e.is_meta || e.has_ppartial) {
-            continue;
+    if !(e.is_meta || e.has_ppartial) {
+        return;
+    }
+    if cache.primary(ctx.locator, v, || ctx.sketch.estimate(v)) != Some(ctx.my_id) {
+        if e.has_ppartial {
+            // Not ours to apply; the partial stays parked (it moves
+            // with the next migration), so it stays listed.
+            lists.apply.push(v);
         }
-        if cache.primary(ctx.locator, v, || ctx.sketch.estimate(v)) != Some(ctx.my_id) {
-            continue;
+        return;
+    }
+    let listed = e.active || e.has_pending_delta;
+    let vctx = VertexCtx {
+        out_degree: e.g_out.max(0) as u64,
+        in_degree: e.g_in.max(0) as u64,
+        n_vertices: ctx.n_vertices,
+        step: ctx.step,
+        global: ctx.global,
+    };
+    let mut broadcast = false;
+    let mut aux = 0u64;
+    if ctx.delta {
+        // Residual formulation: the frontier is whatever carries an
+        // above-tolerance residual, regardless of step. Step 0
+        // additionally folds in new-vertex seeds and the teleport
+        // reseed; later steps merge the combined pushed deltas.
+        let mut residual = e.has_residual.then_some(e.residual);
+        // The global reduce carries this step's reported
+        // dangling-mass change; every primary owes/receives its
+        // uniform share as a residual correction.
+        if ctx.global != 0.0 {
+            if let Some(adj) = program.dangling_residual(&vctx) {
+                residual = Some(match residual {
+                    Some(r) => program.merge_residual(r, adj),
+                    None => adj,
+                });
+            }
         }
-        let vctx = VertexCtx {
-            out_degree: e.g_out.max(0) as u64,
-            in_degree: e.g_in.max(0) as u64,
-            n_vertices: ctx.n_vertices,
-            step: ctx.step,
-            global: ctx.global,
-        };
-        let mut broadcast = false;
-        let mut aux = 0u64;
-        if ctx.delta {
-            // Residual formulation: the frontier is whatever carries an
-            // above-tolerance residual, regardless of step. Step 0
-            // additionally folds in new-vertex seeds and the teleport
-            // reseed; later steps merge the combined pushed deltas.
-            let mut residual = e.has_residual.then_some(e.residual);
-            // The global reduce carries this step's reported
-            // dangling-mass change; every primary owes/receives its
-            // uniform share as a residual correction.
-            if ctx.global != 0.0 {
-                if let Some(adj) = program.dangling_residual(&vctx) {
+        if ctx.step == 0 {
+            let fresh = !e.has_state;
+            if fresh {
+                let (s, mut r0) = program.delta_init(v, &vctx);
+                // A newcomer never baked the pre-run d·S/n term
+                // into its state; hand it the equivalent residual.
+                if let Some(seed) = program.dangling_seed_residual(ctx.dangling_base, &vctx) {
+                    r0 = program.merge_residual(r0, seed);
+                }
+                e.state = s;
+                e.has_state = true;
+                residual = Some(match residual {
+                    Some(r) => program.merge_residual(r0, r),
+                    None => r0,
+                });
+            }
+            // The teleport reseed corrects *carried* state; a vertex
+            // just seeded by `delta_init` already used the new n.
+            if ctx.prev_n != 0 && !fresh {
+                if let Some(adj) = program.reseed_residual(ctx.prev_n, &vctx) {
                     residual = Some(match residual {
                         Some(r) => program.merge_residual(r, adj),
                         None => adj,
                     });
                 }
             }
-            if ctx.step == 0 {
-                let fresh = !e.has_state;
-                if fresh {
-                    let (s, mut r0) = program.delta_init(v, &vctx);
-                    // A newcomer never baked the pre-run d·S/n term
-                    // into its state; hand it the equivalent residual.
-                    if let Some(seed) = program.dangling_seed_residual(ctx.dangling_base, &vctx) {
-                        r0 = program.merge_residual(r0, seed);
-                    }
-                    e.state = s;
-                    e.has_state = true;
-                    residual = Some(match residual {
-                        Some(r) => program.merge_residual(r0, r),
-                        None => r0,
-                    });
-                }
-                // The teleport reseed corrects *carried* state; a vertex
-                // just seeded by `delta_init` already used the new n.
-                if ctx.prev_n != 0 && !fresh {
-                    if let Some(adj) = program.reseed_residual(ctx.prev_n, &vctx) {
-                        residual = Some(match residual {
-                            Some(r) => program.merge_residual(r, adj),
-                            None => adj,
-                        });
-                    }
-                }
-                // Dirty flags seed the monotone path, not this one.
-                e.dirty = false;
-            } else if e.has_ppartial {
-                let agg = e.ppartial;
-                residual = Some(match residual {
-                    Some(r) => program.merge_residual(r, agg),
-                    None => agg,
-                });
-            }
-            match residual {
-                Some(r) => match program.fold_residual(v, e.state, r, &vctx) {
-                    Some((new, applied)) => {
-                        // A fold at a sink changes the global dangling
-                        // mass; the change reports at the next scatter.
-                        let g_out = e.g_out.max(0) as u64;
-                        *out_dangling += program.dangling_mass(new, g_out)
-                            - program.dangling_mass(e.state, g_out);
-                        e.state = new;
-                        e.has_state = true;
-                        e.residual = 0;
-                        e.has_residual = false;
-                        e.active = true;
-                        broadcast = true;
-                        aux = applied;
-                    }
-                    None => {
-                        // Below tolerance: park it for the next batch.
-                        e.residual = r;
-                        e.has_residual = true;
-                        e.active = false;
-                    }
-                },
-                None => e.active = false,
-            }
-        } else if ctx.step == 0 {
-            // Initialization (fresh) / activation (incremental).
-            if !e.has_state {
-                e.state = program.init(v, &vctx);
-                e.has_state = true;
-                e.active = if ctx.reuse {
-                    true // newly appeared vertex in an incremental run
-                } else {
-                    program.initially_active_ctx(v, &vctx)
-                };
-                broadcast = true;
-            } else if ctx.reuse {
-                e.active = e.dirty;
-                broadcast = e.dirty;
-            }
+            // Dirty flags seed the monotone path, not this one.
             e.dirty = false;
-        } else {
-            let has_msgs = e.has_ppartial;
-            if has_msgs || program.applies_without_messages() {
-                let agg = has_msgs.then_some(e.ppartial);
-                let old = e.state;
-                let (new, changed) = program.apply(v, e.state, agg, &vctx);
-                e.state = new;
-                e.has_state = true;
-                e.active = changed;
-                broadcast = changed || new != old || program.scatter_all();
+        } else if e.has_ppartial {
+            let agg = e.ppartial;
+            residual = Some(match residual {
+                Some(r) => program.merge_residual(r, agg),
+                None => agg,
+            });
+        }
+        match residual {
+            Some(r) => match program.fold_residual(v, e.state, r, &vctx) {
+                Some((new, applied)) => {
+                    // A fold at a sink changes the global dangling
+                    // mass; the change reports at the next scatter.
+                    let g_out = e.g_out.max(0) as u64;
+                    out.dangling +=
+                        program.dangling_mass(new, g_out) - program.dangling_mass(e.state, g_out);
+                    e.state = new;
+                    e.has_state = true;
+                    e.residual = 0;
+                    e.has_residual = false;
+                    e.active = true;
+                    broadcast = true;
+                    aux = applied;
+                }
+                None => {
+                    // Below tolerance: park it for the next batch.
+                    e.residual = r;
+                    e.has_residual = true;
+                    e.active = false;
+                }
+            },
+            None => e.active = false,
+        }
+    } else if ctx.step == 0 {
+        // Initialization (fresh) / activation (incremental).
+        if !e.has_state {
+            e.state = program.init(v, &vctx);
+            e.has_state = true;
+            e.active = if ctx.reuse {
+                true // newly appeared vertex in an incremental run
             } else {
-                e.active = false;
+                program.initially_active_ctx(v, &vctx)
+            };
+            broadcast = true;
+        } else if ctx.reuse {
+            e.active = e.dirty;
+            broadcast = e.dirty;
+        }
+        e.dirty = false;
+    } else {
+        let has_msgs = e.has_ppartial;
+        if has_msgs || program.applies_without_messages() {
+            let agg = has_msgs.then_some(e.ppartial);
+            let old = e.state;
+            let (new, changed) = program.apply(v, e.state, agg, &vctx);
+            e.state = new;
+            e.has_state = true;
+            e.active = changed;
+            broadcast = changed || new != old || program.scatter_all();
+        } else {
+            e.active = false;
+        }
+    }
+    e.has_ppartial = false;
+    e.ppartial = 0;
+    if broadcast {
+        let rec = StateRecord {
+            vertex: v,
+            state: e.state,
+            out_degree: e.g_out.max(0) as u64,
+            aux,
+            active: e.active,
+        };
+        for &replica in cache.replicas(ctx.locator, v, || ctx.sketch.estimate(v)) {
+            out.states.entry(replica).or_default().push(rec);
+        }
+    }
+    if e.active {
+        // The self-addressed STATE record repeats this flag; listing
+        // the vertex here keeps the invariant independent of it.
+        if !listed {
+            lists.scatter.push(v);
+        }
+        // Non-meta primaries are not counted, as in the vertex count.
+        out.active += u64::from(e.is_meta);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::algorithms::{PageRank, Wcc};
+    use elga_hash::{HashKind, LocatorConfig, Ring};
+
+    const N: u64 = 600;
+    const ME: AgentId = 1;
+    const TOL: f64 = 1e-6;
+
+    /// Deterministic pseudo-random stream (splitmix64).
+    fn next(x: &mut u64) -> u64 {
+        *x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *x;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A store as a mid-run superstep finds it before `phase`'s kernel:
+    /// pseudo-random edges and states, the phase's flags on about a
+    /// third of the entries, and worklists that hold every flagged
+    /// vertex plus what the invariant tolerates — unflagged, repeated
+    /// and absent ids.
+    fn flagged_store(phase: Phase, delta: bool) -> VertexStore {
+        let mut rng = 7u64;
+        let mut store = VertexStore::default();
+        for v in 0..N {
+            let pick = next(&mut rng).is_multiple_of(3);
+            let (e, lists) = store.entry_and_lists(v);
+            e.out = (0..next(&mut rng) % 4)
+                .map(|_| next(&mut rng) % N)
+                .collect();
+            e.inn = (0..next(&mut rng) % 3)
+                .map(|_| next(&mut rng) % N)
+                .collect();
+            e.is_meta = v % 11 != 0;
+            e.g_out = e.out.len() as i64;
+            e.g_in = 1 + e.inn.len() as i64;
+            e.rep_out_degree = e.out.len() as u64;
+            e.has_state = v % 13 != 0;
+            e.state = if delta {
+                (1.0 / N as f64).to_bits()
+            } else {
+                next(&mut rng) % N
+            };
+            if delta && v % 5 == 0 {
+                // Parked below tolerance by an earlier step.
+                e.residual = (TOL / 2.0).to_bits();
+                e.has_residual = true;
+            }
+            // Above and below the fold tolerance, either sign.
+            let push = ((next(&mut rng) % 2000) as f64 - 1000.0) * TOL / 250.0;
+            let noise = next(&mut rng).is_multiple_of(4);
+            match phase {
+                Phase::Scatter => {
+                    e.active = pick;
+                    if delta && next(&mut rng).is_multiple_of(3) {
+                        e.pending_delta = push.to_bits();
+                        e.has_pending_delta = true;
+                    }
+                    if e.active || e.has_pending_delta || noise {
+                        lists.scatter.push(v);
+                    }
+                    if noise {
+                        lists.scatter.extend([v, N + v]);
+                    }
+                }
+                _ => {
+                    if pick {
+                        e.has_ppartial = true;
+                        e.ppartial = if delta {
+                            push.to_bits()
+                        } else {
+                            next(&mut rng) % N
+                        };
+                    }
+                    if e.has_ppartial || noise {
+                        lists.apply.push(v);
+                    }
+                    if noise {
+                        lists.apply.extend([v, N + v]);
+                    }
+                }
             }
         }
-        e.has_ppartial = false;
-        e.ppartial = 0;
-        if broadcast {
-            let rec = StateRecord {
-                vertex: v,
-                state: e.state,
-                out_degree: e.g_out.max(0) as u64,
-                aux,
-                active: e.active,
-            };
-            for &replica in cache.replicas(ctx.locator, v, || ctx.sketch.estimate(v)) {
-                out.entry(replica).or_default().push(rec);
+        store
+    }
+
+    type Msgs = Vec<(AgentId, VertexId, u64)>;
+    type States = Vec<(AgentId, VertexId, u64, u64, u64, bool)>;
+
+    /// Run `phase`'s kernel over every shard; return what it emitted as
+    /// sorted sets, the active count, and the visit count.
+    fn run(
+        phase: Phase,
+        sweep: bool,
+        program: &dyn VertexProgram,
+        store: &mut VertexStore,
+    ) -> (Msgs, States, u64, u64) {
+        let locator = EdgeLocator::new(
+            Ring::from_agents(HashKind::Wang, 8, [ME, 2]),
+            LocatorConfig::default(),
+        );
+        let sketch = CountMinSketch::new(64, 2);
+        let delta = program.delta_kind() == DeltaKind::Residual;
+        let ctx = KernelCtx {
+            program,
+            locator: &locator,
+            sketch: &sketch,
+            my_id: ME,
+            n_vertices: N,
+            step: 3,
+            sweep,
+            scatter_all: program.scatter_all(),
+            reuse: true,
+            global: 0.0,
+            delta,
+            prev_n: N,
+            dangling_base: 0.0,
+        };
+        let mut cache = OwnerCache::new();
+        let (mut msgs, mut states) = (Msgs::new(), States::new());
+        let (mut active, mut visits) = (0, 0);
+        for shard in store.shards_mut() {
+            let mut out = ShardOut::default();
+            kernel_shard(phase, ctx, &mut cache, shard, &mut out);
+            for (agent, recs) in out.msgs {
+                msgs.extend(recs.into_iter().map(|(v, x)| (agent, v, x)));
+            }
+            for (agent, recs) in out.states {
+                states.extend(
+                    recs.into_iter()
+                        .map(|r| (agent, r.vertex, r.state, r.out_degree, r.aux, r.active)),
+                );
+            }
+            active += out.active;
+            visits += out.visits;
+        }
+        msgs.sort_unstable();
+        states.sort_unstable();
+        (msgs, states, active, visits)
+    }
+
+    /// Everything a later kernel could observe of an entry.
+    fn entries(store: &VertexStore) -> Vec<(VertexId, [u64; 4], [bool; 6])> {
+        let mut all: Vec<_> = store
+            .iter()
+            .map(|(&v, e)| {
+                (
+                    v,
+                    [e.state, e.residual, e.pending_delta, e.ppartial],
+                    [
+                        e.has_state,
+                        e.active,
+                        e.has_residual,
+                        e.has_pending_delta,
+                        e.has_ppartial,
+                        e.dirty,
+                    ],
+                )
+            })
+            .collect();
+        all.sort_unstable();
+        all
+    }
+
+    #[test]
+    fn list_and_sweep_kernels_emit_the_same_records() {
+        let wcc = Wcc::new();
+        let pagerank = PageRank::new(0.85).with_tolerance(TOL);
+        let programs: [&dyn VertexProgram; 2] = [&wcc, &pagerank];
+        for program in programs {
+            let delta = program.delta_kind() == DeltaKind::Residual;
+            for phase in [Phase::Scatter, Phase::Apply] {
+                let mut swept = flagged_store(phase, delta);
+                let mut listed = flagged_store(phase, delta);
+                let by_sweep = run(phase, true, program, &mut swept);
+                let by_list = run(phase, false, program, &mut listed);
+                let what = format!("{} {phase:?}", program.name());
+                assert!(
+                    !by_sweep.0.is_empty() || !by_sweep.1.is_empty(),
+                    "{what}: the kernel emitted nothing"
+                );
+                assert_eq!(by_sweep.0, by_list.0, "{what}: messages differ");
+                assert_eq!(by_sweep.1, by_list.1, "{what}: state broadcasts differ");
+                assert_eq!(by_sweep.2, by_list.2, "{what}: active counts differ");
+                assert_eq!(entries(&swept), entries(&listed), "{what}: entries differ");
+                // The sweep visited the store, the list only its frontier.
+                assert_eq!(by_sweep.3, N, "{what}");
+                assert!(by_list.3 < N, "{what}: {} visits", by_list.3);
+                // Both leave the invariant behind them.
+                for store in [&swept, &listed] {
+                    for shard in store.shards() {
+                        shard.assert_worklists_complete();
+                    }
+                }
             }
         }
     }

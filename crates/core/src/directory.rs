@@ -74,6 +74,9 @@ struct Lead {
     transport: Arc<dyn Transport>,
     reports: HashMap<AgentId, ReadyReport>,
     metrics: HashMap<AgentId, AgentMetrics>,
+    /// Counters of agents that departed or were evicted, folded from
+    /// their last reports so cluster totals never go down.
+    departed_metrics: ClusterMetrics,
     run: Option<Run>,
     next_run_id: u64,
     pending_joins: Vec<AgentInfo>,
@@ -146,6 +149,7 @@ impl Lead {
             transport,
             reports: HashMap::new(),
             metrics: HashMap::new(),
+            departed_metrics: ClusterMetrics::default(),
             run: None,
             next_run_id: 1,
             pending_joins: Vec::new(),
@@ -303,7 +307,9 @@ impl Lead {
                     _ => self.dangling_carry += rep.global_contrib,
                 }
             }
-            self.metrics.remove(&id);
+            if let Some(m) = self.metrics.remove(&id) {
+                self.departed_metrics.absorb_departed(&m);
+            }
             // The agent's mailbox address is conventional.
             if let Some(addr) = agent_addr_from_reports(id, &self.view) {
                 if let Ok(out) = self.transport.sender(&addr) {
@@ -354,7 +360,9 @@ impl Lead {
         self.departing.clear();
         self.view.agents.retain(|a| a.id != dead);
         self.last_seen.remove(&dead);
-        self.metrics.remove(&dead);
+        if let Some(m) = self.metrics.remove(&dead) {
+            self.departed_metrics.absorb_departed(&m);
+        }
         // Queued sketch deltas describe batches that were already
         // routed; the replayed edges must see the same estimates.
         for s in self.pending_sketch.drain(..) {
@@ -1218,14 +1226,21 @@ fn lead_loop(
             packet::METRICS => {
                 if let Some(m) = AgentMetrics::decode(&d.frame) {
                     lead.saw(m.agent);
-                    lead.metrics.insert(m.agent, m);
+                    // A straggler from an agent that already left must
+                    // not re-enter the map: its report is in the
+                    // departed totals.
+                    if lead.view.agents.iter().any(|a| a.id == m.agent)
+                        || lead.departing.contains(&m.agent)
+                    {
+                        lead.metrics.insert(m.agent, m);
+                    }
                 }
             }
             packet::GET_METRICS => {
                 let mut agg = ClusterMetrics {
                     agents: lead.view.agents.len() as u64,
                     agents_recovered: lead.agents_recovered,
-                    ..Default::default()
+                    ..lead.departed_metrics
                 };
                 for m in lead.metrics.values() {
                     agg.absorb(m);

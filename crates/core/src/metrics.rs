@@ -258,6 +258,11 @@ pub struct AgentMetrics {
     pub subscriptions: u64,
     /// Subscription value-delta records pushed after completed runs.
     pub sub_pushes: u64,
+    /// Vertex entries visited by the scatter/apply kernels and the
+    /// primary-summary sweeps: the superstep "work" signal. A sweep
+    /// adds the store size, a list-driven kernel its worklist length,
+    /// so a delta run's growth is proportional to its frontier.
+    pub kernel_visits: u64,
     /// Comms-plane traffic and coalescer flush counters.
     pub comms: CommsMetrics,
 }
@@ -285,7 +290,8 @@ impl AgentMetrics {
             .u64(self.ckpt_bytes)
             .u64(self.query_batches)
             .u64(self.subscriptions)
-            .u64(self.sub_pushes);
+            .u64(self.sub_pushes)
+            .u64(self.kernel_visits);
         self.comms.encode_into(b).finish()
     }
 
@@ -316,6 +322,7 @@ impl AgentMetrics {
             query_batches: r.u64()?,
             subscriptions: r.u64()?,
             sub_pushes: r.u64()?,
+            kernel_visits: r.u64()?,
             comms: CommsMetrics::decode(&mut r)?,
         })
     }
@@ -394,6 +401,9 @@ pub struct ClusterMetrics {
     pub subscriptions: u64,
     /// Subscription value-delta records pushed across agents.
     pub sub_pushes: u64,
+    /// Total vertex entries visited by superstep kernels and summary
+    /// sweeps across agents (see [`AgentMetrics::kernel_visits`]).
+    pub kernel_visits: u64,
     /// Summed comms-plane traffic and coalescer counters.
     pub comms: CommsMetrics,
 }
@@ -420,7 +430,21 @@ impl ClusterMetrics {
         self.query_batches += m.query_batches;
         self.subscriptions += m.subscriptions;
         self.sub_pushes += m.sub_pushes;
+        self.kernel_visits += m.kernel_visits;
         self.comms.absorb(&m.comms);
+    }
+
+    /// Fold in the final report of an agent that left the cluster or
+    /// was evicted: its counters stay in the cumulative totals, its
+    /// gauges (`edges`, `subscriptions`, `last_step_nanos`) left with
+    /// it.
+    pub fn absorb_departed(&mut self, m: &AgentMetrics) {
+        self.absorb(&AgentMetrics {
+            edges: 0,
+            subscriptions: 0,
+            last_step_nanos: 0,
+            ..*m
+        });
     }
 
     /// Fraction of owner lookups served from cache, in `[0, 1]`; 0 when
@@ -466,7 +490,8 @@ impl ClusterMetrics {
             .u64(self.replayed_records)
             .u64(self.query_batches)
             .u64(self.subscriptions)
-            .u64(self.sub_pushes);
+            .u64(self.sub_pushes)
+            .u64(self.kernel_visits);
         self.comms.encode_into(b).finish()
     }
 
@@ -583,6 +608,12 @@ impl ClusterMetrics {
             "counter",
             "Apply-kernel wall time (ns).",
             self.apply_nanos,
+        );
+        metric(
+            "kernel_visits_total",
+            "counter",
+            "Vertex entries visited by superstep kernels and summaries.",
+            self.kernel_visits,
         );
         metric(
             "decode_nanos_total",
@@ -749,6 +780,7 @@ impl ClusterMetrics {
             query_batches: r.u64()?,
             subscriptions: r.u64()?,
             sub_pushes: r.u64()?,
+            kernel_visits: r.u64()?,
             comms: CommsMetrics::decode(&mut r)?,
         })
     }
@@ -781,6 +813,7 @@ mod tests {
             query_batches: 160,
             subscriptions: 170,
             sub_pushes: 180,
+            kernel_visits: 190,
             comms: CommsMetrics {
                 vmsg: PacketStat {
                     frames_sent: 1,
@@ -823,6 +856,7 @@ mod tests {
             query_batches: 2,
             subscriptions: 1,
             sub_pushes: 4,
+            kernel_visits: 50,
             comms: CommsMetrics {
                 count_flushes: 4,
                 ..Default::default()
@@ -849,6 +883,7 @@ mod tests {
             query_batches: 3,
             subscriptions: 2,
             sub_pushes: 6,
+            kernel_visits: 25,
             comms: CommsMetrics {
                 count_flushes: 5,
                 ..Default::default()
@@ -876,6 +911,23 @@ mod tests {
             (3, 30, 300)
         );
         assert_eq!(c.comms.count_flushes, 9);
+        assert_eq!(c.kernel_visits, 75);
+        // A departed agent keeps its counters in the totals; its
+        // gauges leave with it.
+        let before = c;
+        c.absorb_departed(&AgentMetrics {
+            agent: 3,
+            vmsgs: 10,
+            edges: 99,
+            subscriptions: 9,
+            last_step_nanos: 1_000_000,
+            ..Default::default()
+        });
+        assert_eq!(c.vmsgs, before.vmsgs + 10);
+        assert_eq!(
+            (c.edges, c.subscriptions, c.max_step_nanos),
+            (before.edges, before.subscriptions, before.max_step_nanos)
+        );
         // Driver-side recovery fields survive the wire roundtrip too.
         c.recoveries = 2;
         c.recovery_nanos = 123;
@@ -908,6 +960,7 @@ mod tests {
             partial: true,
             queries: 12,
             stale_frames: 5,
+            kernel_visits: 77,
             ckpt_writes: 6,
             recoveries: 2,
             ckpt_fallbacks: 1,
@@ -929,6 +982,7 @@ mod tests {
         assert!(text.contains("elga_metrics_partial 1\n"));
         assert!(text.contains("elga_queries_total 12\n"));
         assert!(text.contains("elga_stale_frames_total 5\n"));
+        assert!(text.contains("elga_kernel_visits_total 77\n"));
         assert!(text.contains("elga_ckpt_writes_total 6\n"));
         assert!(text.contains("elga_recoveries_total 2\n"));
         assert!(text.contains("elga_ckpt_fallbacks_total 1\n"));

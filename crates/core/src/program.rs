@@ -123,7 +123,10 @@ pub trait VertexProgram: Send + Sync {
     }
 
     /// Per-vertex contribution to the global reduce, evaluated at
-    /// scatter time (e.g. PageRank dangling mass).
+    /// scatter time (e.g. PageRank dangling mass). The reduce rides the
+    /// steps whose scatter visits every vertex — all of them for a
+    /// [`VertexProgram::scatter_all`] program, which a program with a
+    /// global term is; a frontier-driven step reports zero.
     fn global_contrib(&self, _v: VertexId, _state: u64, _ctx: &VertexCtx) -> f64 {
         0.0
     }

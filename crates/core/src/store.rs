@@ -12,10 +12,11 @@
 //! matter how many workers ran — the property the determinism tests
 //! pin down.
 //!
-//! Each shard also carries a *partial dirty list*: vertices whose
-//! `has_partial` flipped on since the last combine. `phase_combine`
-//! then touches only vertices that actually received messages instead
-//! of scanning the whole map.
+//! Each shard also carries three *worklists* ([`Worklists`]), one per
+//! kernel: the vertices whose flag for that kernel flipped on since the
+//! kernel last ran. Handlers push on the false→true flip; the kernels
+//! drain the sorted lists, so a superstep touches only the frontier
+//! instead of scanning the whole map (DESIGN.md "Worklists").
 
 use crate::agent::VertexEntry;
 use elga_graph::types::VertexId;
@@ -34,14 +35,49 @@ pub(crate) fn shard_of(v: VertexId) -> usize {
     (wang64(v) as usize) & (SHARDS - 1)
 }
 
-/// One shard: a slice of the vertex map plus its combine dirty list.
+/// Per-kernel worklists of one shard. Each is a superset of the
+/// entries that carry the kernel's flag: pushed once per false→true
+/// flip, never pruned when a flag is cleared elsewhere (the kernels
+/// re-check the flag), drained and sorted by the kernel.
+#[derive(Debug, Default)]
+pub(crate) struct Worklists {
+    /// Vertices with `has_partial` set (combine).
+    pub partial_dirty: Vec<VertexId>,
+    /// Vertices with `active` or `has_pending_delta` set (scatter).
+    /// Complete only between a run's first scatter sweep and its end.
+    pub scatter: Vec<VertexId>,
+    /// Vertices with `has_ppartial` set (apply).
+    pub apply: Vec<VertexId>,
+}
+
+/// One shard: a slice of the vertex map plus its worklists.
 #[derive(Debug, Default)]
 pub(crate) struct Shard {
     pub map: FxHashMap<VertexId, VertexEntry>,
-    /// Vertices in this shard with `has_partial` set. Pushed exactly
-    /// once per flip (guarded by the `has_partial` transition), drained
-    /// and sorted by `phase_combine`.
-    pub partial_dirty: Vec<VertexId>,
+    pub lists: Worklists,
+}
+
+impl Shard {
+    /// The worklist invariant, checked by debug builds and tests: no
+    /// entry outside the scatter list carries `active` /
+    /// `has_pending_delta` and none outside the apply list carries
+    /// `has_ppartial`.
+    #[cfg(any(debug_assertions, test))]
+    pub fn assert_worklists_complete(&self) {
+        use elga_hash::FxHashSet;
+        let scatter: FxHashSet<VertexId> = self.lists.scatter.iter().copied().collect();
+        let apply: FxHashSet<VertexId> = self.lists.apply.iter().copied().collect();
+        for (v, e) in &self.map {
+            assert!(
+                !(e.active || e.has_pending_delta) || scatter.contains(v),
+                "vertex {v} is active/pending but not on the scatter list"
+            );
+            assert!(
+                !e.has_ppartial || apply.contains(v),
+                "vertex {v} has a ppartial but is not on the apply list"
+            );
+        }
+    }
 }
 
 /// The agent's vertex map, split into [`SHARDS`] fixed shards.
@@ -86,15 +122,15 @@ impl VertexStore {
         self.shards[idx].map.entry(v).or_default()
     }
 
-    /// Entry-or-default plus the shard's partial dirty list, for
-    /// handlers that flip `has_partial` and must record the flip.
-    pub fn entry_and_dirty(&mut self, v: VertexId) -> (&mut VertexEntry, &mut Vec<VertexId>) {
+    /// Entry-or-default plus the shard's worklists, for handlers that
+    /// flip a kernel flag and must record the flip.
+    pub fn entry_and_lists(&mut self, v: VertexId) -> (&mut VertexEntry, &mut Worklists) {
         let idx = shard_of(v);
         if !self.shards[idx].map.contains_key(&v) {
             self.len += 1;
         }
         let shard = &mut self.shards[idx];
-        (shard.map.entry(v).or_default(), &mut shard.partial_dirty)
+        (shard.map.entry(v).or_default(), &mut shard.lists)
     }
 
     pub fn remove(&mut self, v: &VertexId) -> Option<VertexEntry> {
@@ -108,16 +144,18 @@ impl VertexStore {
     pub fn clear(&mut self) {
         for s in &mut self.shards {
             s.map.clear();
-            s.partial_dirty.clear();
         }
+        self.clear_worklists();
         self.len = 0;
     }
 
-    /// Drop all combine dirty lists (run start / recovery reset the
-    /// `has_partial` flags they mirror).
-    pub fn clear_partial_dirty(&mut self) {
+    /// Drop all worklists (run start resets the flags they mirror, or
+    /// schedules the sweep that re-establishes them).
+    pub fn clear_worklists(&mut self) {
         for s in &mut self.shards {
-            s.partial_dirty.clear();
+            s.lists.partial_dirty.clear();
+            s.lists.scatter.clear();
+            s.lists.apply.clear();
         }
     }
 
@@ -140,6 +178,10 @@ impl VertexStore {
     /// The shards themselves, in index order, for the parallel kernels.
     pub fn shards_mut(&mut self) -> &mut [Shard] {
         &mut self.shards
+    }
+
+    pub fn shards(&self) -> &[Shard] {
+        &self.shards
     }
 }
 
@@ -187,13 +229,22 @@ mod tests {
     }
 
     #[test]
-    fn dirty_list_lives_with_the_entry_shard() {
+    fn worklists_live_with_the_entry_shard() {
         let mut store = VertexStore::default();
-        let (e, dirty) = store.entry_and_dirty(77);
+        let (e, lists) = store.entry_and_lists(77);
         e.has_partial = true;
-        dirty.push(77);
-        assert_eq!(store.shards_mut()[shard_of(77)].partial_dirty, vec![77]);
-        store.clear_partial_dirty();
-        assert!(store.shards_mut()[shard_of(77)].partial_dirty.is_empty());
+        lists.partial_dirty.push(77);
+        e.active = true;
+        lists.scatter.push(77);
+        e.has_ppartial = true;
+        lists.apply.push(77);
+        let lists = &store.shards()[shard_of(77)].lists;
+        assert_eq!(lists.partial_dirty, vec![77]);
+        assert_eq!(lists.scatter, vec![77]);
+        assert_eq!(lists.apply, vec![77]);
+        store.clear_worklists();
+        let lists = &store.shards()[shard_of(77)].lists;
+        assert!(lists.partial_dirty.is_empty() && lists.scatter.is_empty());
+        assert!(lists.apply.is_empty());
     }
 }

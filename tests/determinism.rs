@@ -98,6 +98,48 @@ fn single_agent_pagerank_bit_identical_across_worker_counts() {
     );
 }
 
+/// The frontier-driven kernels drain *sorted* worklists, so a delta
+/// run's bytes must not depend on the worker count either. One agent
+/// (bit-exactness needs a fixed arrival order, see above) holding 8192
+/// vertices; the batch is small, but its frontier grows past the
+/// serial threshold within a few hops while pushes are still far above
+/// the tolerance, so the list path runs both serially and in parallel.
+#[test]
+fn delta_pagerank_bit_identical_across_worker_counts() {
+    let n = 8192;
+    let edges = big_graph(n);
+    let batch: Vec<EdgeChange> = (0..64)
+        .map(|i| EdgeChange::insert(i * 127 + 1, (i * 5003 + 17) % n))
+        .collect();
+    let run = |workers: usize| {
+        let pr = PageRank::new(0.85)
+            .with_max_iters(300)
+            .with_tolerance(1e-10);
+        let mut cluster = Cluster::builder().agents(1).workers(workers).build();
+        cluster.ingest_edges(edges.iter().copied());
+        cluster.run(pr).expect("initial run");
+        cluster.ingest(batch.iter().copied());
+        let opts = RunOptions {
+            reuse_state: true,
+            mode: ExecutionMode::Sync,
+        };
+        let stats = cluster.run_with(pr, opts).expect("delta run");
+        let visits = cluster.metrics().kernel_visits;
+        let states = cluster.dump_states();
+        cluster.shutdown();
+        (states, stats.steps, visits)
+    };
+    let (w1, steps1, visits1) = run(1);
+    let (w4, steps4, visits4) = run(4);
+    assert_eq!(w1.len(), n as usize);
+    assert!(
+        steps1 > 10,
+        "delta run too short to leave the sweeps: {steps1}"
+    );
+    assert_eq!((steps1, visits1), (steps4, visits4), "same work either way");
+    assert_eq!(w1, w4, "delta PageRank must be bit-exact across workers");
+}
+
 #[test]
 fn multi_agent_pagerank_agrees_across_worker_counts() {
     let edges = big_graph(6000);

@@ -9,6 +9,7 @@
 //! floats in scheduling-dependent arrival order, so it pins the usual
 //! 1e-9 agreement.
 
+use elga::core::metrics::ClusterMetrics;
 use elga::core::program::RunOptions;
 use elga::net::SendPolicy;
 use elga::prelude::*;
@@ -237,6 +238,53 @@ fn metrics_reports_partial_when_drain_target_unreachable() {
         "an unreachable DRAIN target must mark the aggregate partial"
     );
     assert_eq!(m.agents_drained, 3, "three of four reports landed");
+    cluster.shutdown();
+}
+
+/// Cluster counters are cumulative: an agent that leaves takes its
+/// gauges with it, not the work it did. The lead folds a departer's
+/// last report into the totals, so no counter goes down across
+/// add → run → remove.
+#[test]
+fn cluster_counters_survive_departures() {
+    let mut cluster = Cluster::builder().agents(2).build();
+    cluster.ingest_edges(chain_graph(600).iter().copied());
+    cluster.run(Wcc::new()).expect("wcc at 2 agents");
+
+    let counters = |m: &ClusterMetrics| {
+        [
+            m.vmsgs,
+            m.changes,
+            m.comms.migration.frames_sent,
+            m.comms.migration.frames_recv,
+            m.kernel_visits,
+        ]
+    };
+    // Scrape, check against the previous scrape, return the new one.
+    let check = |cluster: &Cluster, last: &ClusterMetrics, what: &str| {
+        let now = cluster.metrics();
+        for (i, (a, b)) in counters(last).into_iter().zip(counters(&now)).enumerate() {
+            assert!(b >= a, "counter {i} went down after {what}: {a} -> {b}");
+        }
+        now
+    };
+    let start = cluster.metrics();
+    assert!(start.vmsgs > 0 && start.changes > 0);
+
+    cluster.add_agents(2);
+    let joined = check(&cluster, &start, "the join");
+    cluster.run(Wcc::new()).expect("wcc at 4 agents");
+    let ran = check(&cluster, &joined, "the run");
+    // Both newcomers and one founder leave: the departers did a share
+    // of the run's messages and all of the outbound migration.
+    let removed = cluster.remove_agents(3);
+    assert_eq!(removed.len(), 3);
+    let left = check(&cluster, &ran, "the leave");
+    assert!(
+        left.comms.migration.frames_sent > ran.comms.migration.frames_sent,
+        "the departers' own migration sends must be in the totals"
+    );
+    assert_eq!(left.edges, ran.edges, "gauges follow the live agents");
     cluster.shutdown();
 }
 

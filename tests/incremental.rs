@@ -386,12 +386,13 @@ fn incremental_sssp_matches_full_recompute_bit_exact() {
     );
 }
 
-#[test]
-fn delta_pagerank_survives_mid_run_view_change() {
-    let n = 800;
+/// Start an incremental run over `batches` on `base_graph(n)` and land
+/// a join and a batched leave inside it: parked residuals and in-flight
+/// pending deltas must migrate with their vertices, and the agents'
+/// worklists — bulk-written by the migration — must be re-established
+/// by a sweep before the kernels trust them again.
+fn mid_run_view_change(n: u64, batches: &[Vec<EdgeChange>], what: &str) {
     let base = base_graph(n);
-    let batches = change_batches(n);
-
     let cfg = SystemConfig {
         quiesce_deadline: Duration::from_secs(60),
         run_deadline: Duration::from_secs(120),
@@ -402,8 +403,6 @@ fn delta_pagerank_survives_mid_run_view_change() {
     cluster.run(pagerank()).expect("initial pagerank");
     cluster.ingest(batches.iter().flatten().copied());
 
-    // Scale events land mid-incremental-run: parked residuals and
-    // in-flight pending deltas must migrate with their vertices.
     let handle = cluster
         .start_run(
             pagerank(),
@@ -423,8 +422,80 @@ fn delta_pagerank_survives_mid_run_view_change() {
     let got = cluster.dump_states();
     cluster.shutdown();
 
-    let want = full_recompute(3, &final_edges(&base, &batches));
-    assert_ranks_agree(&got, &want, "delta run across a mid-run view change");
+    let want = full_recompute(3, &final_edges(&base, batches));
+    assert_ranks_agree(&got, &want, what);
+}
+
+#[test]
+fn delta_pagerank_survives_mid_run_view_change() {
+    let n = 800;
+    mid_run_view_change(
+        n,
+        &change_batches(n),
+        "delta run across a mid-run view change",
+    );
+}
+
+/// The same with a frontier of a few vertices on a larger ring: the
+/// run is long and list-driven, so the view changes land between
+/// supersteps that never visit most of the store.
+#[test]
+fn sparse_delta_run_survives_mid_run_view_change() {
+    let batch = vec![
+        EdgeChange::insert(17, 1200),
+        EdgeChange::insert(2100, 40),
+        EdgeChange::delete(300, 2103),
+    ];
+    mid_run_view_change(
+        3000,
+        &[batch],
+        "sparse delta run across a mid-run view change",
+    );
+}
+
+/// ROADMAP item 1(a): a batch costs work proportional to what it
+/// touches. `kernel_visits` counts the entries the scatter/apply
+/// kernels and summary sweeps visit; a delta run pays a fixed handful
+/// of sweeps (step 0 and the first scatter) plus its frontier, where
+/// sweeping kernels paid five times the store per superstep.
+#[test]
+fn delta_run_work_is_proportional_to_the_frontier() {
+    let n = 4096;
+    let base = base_graph(n);
+    let batch = vec![EdgeChange::insert(5, 2000)];
+    // A tolerance that stops the pushes a few dozen hops out, so the
+    // frontier stays a small share of the ring.
+    let pagerank = || PageRank::new(0.85).with_max_iters(300).with_tolerance(1e-7);
+
+    let mut cluster = Cluster::builder().agents(2).build();
+    cluster.ingest_edges(base.iter().copied());
+    cluster.run(pagerank()).expect("initial pagerank");
+    let before = cluster.metrics().kernel_visits;
+    cluster.ingest(batch.iter().copied());
+    let stats = cluster
+        .run_with(
+            pagerank(),
+            RunOptions {
+                reuse_state: true,
+                mode: ExecutionMode::Sync,
+            },
+        )
+        .expect("incremental pagerank");
+    let visits = cluster.metrics().kernel_visits - before;
+    let got = cluster.dump_states();
+    cluster.shutdown();
+
+    // Three sweeps of the n entries (step-0 summary, step-0 apply, the
+    // first scatter) plus the frontier; steps × 5 × n at sweeping
+    // kernels.
+    assert!(stats.steps >= 15, "run too short to tell: {}", stats.steps);
+    assert!(
+        visits < 5 * n,
+        "{visits} entries visited in {} steps over {n} vertices",
+        stats.steps
+    );
+    let want = full_recompute(2, &final_edges(&base, &[batch]));
+    assert_ranks_agree(&got, &want, "one-edge delta run");
 }
 
 #[test]
