@@ -100,8 +100,8 @@ impl Agent {
         records
     }
 
-    /// CKPT_EDGES: apply restored edge groups. Mirrors `on_mig_edges`
-    /// minus the migration counters and READY re-report.
+    /// CKPT_EDGES: apply restored edge groups. Mirrors `on_mig_states`
+    /// and `on_mig_edges` minus the migration counters.
     pub(super) fn on_ckpt_edges(&mut self, frame: Frame) {
         let Some(groups) = msg::decode_ckpt_edges(&frame) else {
             return;
@@ -140,7 +140,7 @@ impl Agent {
     }
 
     /// CKPT_META: apply restored primary meta. Mirrors `on_mig_meta`
-    /// minus counters/re-report; degrees *accumulate* because exactly
+    /// minus the counters; degrees *accumulate* because exactly
     /// one shard carried each vertex's meta entry, while flags combine
     /// monotonically (`|=`) so replica-side records can't erase them.
     pub(super) fn on_ckpt_meta(&mut self, frame: Frame) {

@@ -200,10 +200,9 @@ impl Agent {
         });
     }
 
-    /// Re-send the last READY with fresh counters after processing a
-    /// late message (the directory replaces the old report and
-    /// re-evaluates its barrier). The summary fields are repeated as
-    /// sent: nothing a late frame can do changes them.
+    /// Re-send the last READY with fresh counters ([`Agent::on_idle`]
+    /// says when). The summary fields are repeated as sent: nothing a
+    /// late frame can do changes them.
     pub(super) fn re_report(&mut self) {
         if let Some(rep) = self.reported {
             self.push_ready(rep);

@@ -228,7 +228,6 @@ impl Agent {
             }
         }
         self.metrics.edges = self.out_pos.len() as u64;
-        self.re_report();
     }
 
     /// Merge residual corrections into their vertices (at the
@@ -253,22 +252,17 @@ impl Agent {
     }
 
     pub(super) fn on_residual(&mut self, frame: Frame) {
-        let n = match msg::decode_residuals(&frame) {
-            Some(recs) => recs.len() as u64,
-            None => return,
+        let Some(recs) = msg::decode_residuals(&frame) else {
+            return;
         };
         // Counted on arrival even when buffered, like edge changes:
         // the sender's chg_sent is already in the barrier sums.
-        self.counters.chg_recv += n;
+        self.counters.chg_recv += recs.len() as u64;
         if self.run.is_some() {
             self.buffered_changes.push(frame);
             return;
         }
-        let Some(recs) = msg::decode_residuals(&frame) else {
-            return;
-        };
         self.apply_residuals(recs);
-        self.re_report();
     }
 
     pub(super) fn on_deg_delta(&mut self, frame: Frame) {
@@ -328,7 +322,6 @@ impl Agent {
             }
         }
         self.dangling_acc += dangling;
-        self.re_report();
     }
 
     pub(super) fn on_reset_labels(&mut self, frame: Frame) {

@@ -2,13 +2,14 @@
 
 use super::*;
 
-/// Edges grouped by destination agent during migration.
-type MovedEdges = FxHashMap<AgentId, Vec<(VertexId, VertexId)>>;
-
-/// One migration bundle entry: placement side, the sender's replica
-/// snapshot of the vertex (plus whether the state is initialized), and
-/// the edges moving with it.
-type VertexEdgeBundle = (Side, StateRecord, bool, Vec<(VertexId, VertexId)>);
+/// What one view change ships to one destination: each record kind is
+/// its own packed stream.
+#[derive(Default)]
+struct Bundle {
+    states: Vec<MigState>,
+    edges: Vec<MigEdge>,
+    metas: Vec<MetaRecord>,
+}
 
 impl Agent {
     pub(super) fn on_view(&mut self, view: DirectoryView) {
@@ -80,12 +81,9 @@ impl Agent {
     /// are re-evaluated (sketch-only view changes) and primary meta
     /// never moves (the ring is unchanged).
     pub(super) fn migrate(&mut self, epoch: u64, filter: Option<FxHashSet<VertexId>>) {
-        #[derive(Default)]
-        struct Bundle {
-            metas: Vec<MetaRecord>,
-            vertex_edges: Vec<VertexEdgeBundle>,
-        }
         let mut bundles: FxHashMap<AgentId, Bundle> = FxHashMap::default();
+        // Destinations of the vertex at hand (a handful at most).
+        let mut dests: Vec<AgentId> = Vec::new();
 
         let verts: Vec<VertexId> = match &filter {
             Some(set) => set.iter().copied().collect(),
@@ -104,18 +102,26 @@ impl Agent {
             // hash through the same (k, replica-set), so the cache does
             // the ring walk a single time and the per-edge work is one
             // second-hash lookup.
-            let (mut moved_out, mut moved_in): (MovedEdges, MovedEdges) =
-                (MovedEdges::default(), MovedEdges::default());
+            dests.clear();
             let rebuild = {
                 let locator = &self.locator;
                 let placement = self.route_cache.placement(locator, v, || est);
                 let my_id = self.id;
+                let (out_pos, in_pos) = (&mut self.out_pos, &mut self.in_pos);
                 let e = self.vertices.get_mut(&v).expect("exists");
                 let before = (e.out.len(), e.inn.len());
+                let mut moved = |owner: AgentId, side: Side, src: VertexId, dst: VertexId| {
+                    if !dests.contains(&owner) {
+                        dests.push(owner);
+                    }
+                    let edge = MigEdge { side, src, dst };
+                    bundles.entry(owner).or_default().edges.push(edge);
+                };
                 e.out
                     .retain(|&w| match locator.owner_from_placement(placement, w) {
                         Some(owner) if owner != my_id => {
-                            moved_out.entry(owner).or_default().push((v, w));
+                            out_pos.remove(&(v, w));
+                            moved(owner, Side::Out, v, w);
                             false
                         }
                         _ => true,
@@ -123,7 +129,8 @@ impl Agent {
                 e.inn
                     .retain(|&u| match locator.owner_from_placement(placement, u) {
                         Some(owner) if owner != my_id => {
-                            moved_in.entry(owner).or_default().push((u, v));
+                            in_pos.remove(&(u, v));
+                            moved(owner, Side::In, u, v);
                             false
                         }
                         _ => true,
@@ -145,10 +152,12 @@ impl Agent {
                     }
                 }
             }
-            let snapshot = {
+            if !dests.is_empty() {
+                // The replica snapshot travels once per destination,
+                // whichever sides moved there.
                 let e = self.vertices.get(&v).expect("exists");
-                (
-                    StateRecord {
+                let snapshot = MigState {
+                    rec: StateRecord {
                         vertex: v,
                         state: e.state,
                         out_degree: e.rep_out_degree,
@@ -162,30 +171,11 @@ impl Agent {
                         },
                         active: e.active,
                     },
-                    e.has_state,
-                )
-            };
-            for (agent, edges) in moved_out {
-                for &(a, b) in &edges {
-                    self.out_pos.remove(&(a, b));
+                    has_state: e.has_state,
+                };
+                for agent in &dests {
+                    bundles.entry(*agent).or_default().states.push(snapshot);
                 }
-                bundles.entry(agent).or_default().vertex_edges.push((
-                    Side::Out,
-                    snapshot.0,
-                    snapshot.1,
-                    edges,
-                ));
-            }
-            for (agent, edges) in moved_in {
-                for &(a, b) in &edges {
-                    self.in_pos.remove(&(a, b));
-                }
-                bundles.entry(agent).or_default().vertex_edges.push((
-                    Side::In,
-                    snapshot.0,
-                    snapshot.1,
-                    edges,
-                ));
             }
             // Primary meta handoff (never needed on sketch-only
             // changes: the ring did not move).
@@ -209,6 +199,7 @@ impl Agent {
                     vertex: v,
                     state: e.state,
                     out_degree: e.g_out.max(0) as u64,
+                    in_degree: e.g_in.max(0) as u64,
                     active: e.active,
                     dirty: e.dirty,
                     has_state: e.has_state,
@@ -221,29 +212,8 @@ impl Agent {
                     snap: e.snap,
                     has_snap: e.has_snap,
                 };
-                // g_in travels via a degree delta piggybacked in the
-                // meta record's move: encode as a second meta with the
-                // in-degree is ugly; instead extend: reuse out_degree
-                // for out and send g_in through a deg delta.
                 if let Some(new_primary) = self.locator.ring().owner(v) {
-                    let b = bundles.entry(new_primary).or_default();
-                    b.metas.push(meta);
-                    // Move the in-degree alongside.
-                    let g_in = e.g_in;
-                    if g_in != 0 {
-                        b.vertex_edges.push((
-                            Side::Out,
-                            StateRecord {
-                                vertex: v,
-                                state: g_in as u64,
-                                out_degree: 0,
-                                aux: 0,
-                                active: false,
-                            },
-                            false,
-                            Vec::new(),
-                        ));
-                    }
+                    bundles.entry(new_primary).or_default().metas.push(meta);
                 }
                 e.is_meta = false;
                 e.g_out = 0;
@@ -259,31 +229,16 @@ impl Agent {
                 self.vertices.remove(&v);
             }
         }
-        // Ship the bundles. Migration frames are one-shot encodes, not
-        // record-coalesced; they still leave through the coalescing
-        // outboxes so ordering against in-flight appends holds.
+        // Ship the bundles: per destination, snapshots ahead of the
+        // edges they describe, primary meta last. Whatever the size
+        // threshold left open leaves with the migrate READY below.
+        let (snap_run, snap_watermark) = (self.snap_run, self.snap_watermark);
         for (agent, bundle) in bundles {
-            if self.tracer.enabled() {
-                let records = bundle.metas.len() as u64
-                    + bundle
-                        .vertex_edges
-                        .iter()
-                        .map(|(_, _, _, edges)| edges.len() as u64 + 1)
-                        .sum::<u64>();
-                self.tracer.instant(EventKind::MigrateSend, agent, records);
-            }
-            if !bundle.metas.is_empty() {
-                for chunk in bundle.metas.chunks(BATCH) {
-                    self.counters.mig_sent += chunk.len() as u64;
-                    let frame = msg::encode_mig_meta(chunk, self.snap_run, self.snap_watermark);
-                    self.push_to(agent, frame);
-                }
-            }
-            for (side, snap, has_state, edges) in bundle.vertex_edges {
-                self.counters.mig_sent += edges.len() as u64 + 1;
-                let frame = encode_mig_edges(side, &snap, has_state, &edges);
-                self.push_to(agent, frame);
-            }
+            self.send_mig(agent, &bundle.states, msg::append_mig_state);
+            self.send_mig(agent, &bundle.edges, msg::append_mig_edge);
+            self.send_mig(agent, &bundle.metas, |out, m| {
+                msg::append_mig_meta(out, snap_run, snap_watermark, m)
+            });
         }
         self.metrics.edges = self.out_pos.len() as u64;
         // Dangling-mass handoff (delta engine): while an async delta
@@ -313,54 +268,85 @@ impl Agent {
         self.send_ready(0, epoch as u32, Phase::Migrate, 0, contrib);
     }
 
-    pub(super) fn on_mig_edges(&mut self, frame: Frame) {
-        let Some((side, snap, has_state, g_in_delta, edges)) = decode_mig_edges(&frame) else {
+    /// Append `recs` to `agent`'s migration stream, counted as sent,
+    /// and close the stream's last frame (the next record kind or the
+    /// READY would anyway) so tracing can report every frame that left
+    /// with the records it held.
+    fn send_mig<T>(
+        &mut self,
+        agent: AgentId,
+        recs: &[T],
+        append: impl Fn(&mut CoalescingOutbox, &T),
+    ) {
+        self.counters.mig_sent += recs.len() as u64;
+        let tracer = Arc::clone(&self.tracer);
+        self.with_outbox(agent, |out| {
+            let mut in_frame = 0;
+            for r in recs {
+                append(out, r);
+                in_frame += 1;
+                if out.pending_records() == 0 {
+                    tracer.instant(EventKind::MigrateSend, agent, in_frame);
+                    in_frame = 0;
+                }
+            }
+            if in_frame > 0 {
+                out.flush();
+                tracer.instant(EventKind::MigrateSend, agent, in_frame);
+            }
+        });
+    }
+
+    /// Count a migration frame's records as received.
+    fn note_mig_recv(&mut self, records: usize) {
+        self.counters.mig_recv += records as u64;
+        self.tracer
+            .instant(EventKind::MigrateRecv, records as u64, 0);
+    }
+
+    pub(super) fn on_mig_states(&mut self, frame: Frame) {
+        let Some(snaps) = msg::decode_mig_states(&frame) else {
             return;
         };
-        self.counters.mig_recv += edges.len() as u64 + 1;
-        self.tracer
-            .instant(EventKind::MigrateRecv, edges.len() as u64 + 1, 0);
-        let v = snap.vertex;
-        let e = self.vertices.entry_or_default(v);
-        if g_in_delta != 0 {
-            // In-degree handoff piggybacking a meta move.
-            e.g_in += g_in_delta;
-            e.is_meta = e.g_out > 0 || e.g_in > 0;
-        }
-        if has_state && !e.has_state {
-            e.state = snap.state;
-            e.has_state = true;
-            e.active = e.active || snap.active;
-        }
-        if has_state {
-            // The snapshot's out-degree is the vertex's global
-            // out-degree; adopt it even when the state itself arrived
-            // first through a MIG_META (scatter shares divide by it).
-            e.rep_out_degree = e.rep_out_degree.max(snap.out_degree);
-        }
-        if snap.aux != 0 && !e.has_pending_delta {
-            // Un-scattered delta moving with the edge slice. If we
-            // already hold the same broadcast (has_pending_delta), our
-            // copy covers the migrated-in edges too — adopting again
-            // would double-push.
-            e.pending_delta = snap.aux;
-            e.has_pending_delta = true;
-        }
-        match side {
-            Side::Out => {
-                for (a, b) in edges {
-                    self.insert_out_edge(a, b);
-                }
+        self.note_mig_recv(snaps.len());
+        for MigState { rec, has_state } in snaps {
+            let e = self.vertices.entry_or_default(rec.vertex);
+            if has_state && !e.has_state {
+                e.state = rec.state;
+                e.has_state = true;
+                e.active = e.active || rec.active;
             }
-            Side::In => {
-                for (a, b) in edges {
-                    self.insert_in_edge(a, b);
-                }
+            if has_state {
+                // The snapshot's out-degree is the vertex's global
+                // out-degree; adopt it even when the state itself arrived
+                // first through a MIG_META (scatter shares divide by it).
+                e.rep_out_degree = e.rep_out_degree.max(rec.out_degree);
             }
+            if rec.aux != 0 && !e.has_pending_delta {
+                // Un-scattered delta moving with the edge slice. If we
+                // already hold the same broadcast (has_pending_delta), our
+                // copy covers the migrated-in edges too — adopting again
+                // would double-push.
+                e.pending_delta = rec.aux;
+                e.has_pending_delta = true;
+            }
+        }
+        self.invalidate_worklists();
+    }
+
+    pub(super) fn on_mig_edges(&mut self, frame: Frame) {
+        let Some(edges) = msg::decode_mig_edges(&frame) else {
+            return;
+        };
+        self.note_mig_recv(edges.len());
+        for MigEdge { side, src, dst } in edges {
+            match side {
+                Side::Out => self.insert_out_edge(src, dst),
+                Side::In => self.insert_in_edge(src, dst),
+            };
         }
         self.metrics.edges = self.out_pos.len() as u64;
         self.invalidate_worklists();
-        self.re_report();
     }
 
     pub(super) fn on_mig_meta(&mut self, frame: Frame) {
@@ -375,9 +361,7 @@ impl Agent {
             self.snap_run = snap_run;
             self.snap_watermark = snap_watermark;
         }
-        self.counters.mig_recv += metas.len() as u64;
-        self.tracer
-            .instant(EventKind::MigrateRecv, metas.len() as u64, 0);
+        self.note_mig_recv(metas.len());
         let program = self.run.as_ref().map(|r| r.program.clone());
         // Residuals merge with the residual program's own rule; the
         // armed delta seed covers the between-runs window.
@@ -388,6 +372,7 @@ impl Agent {
             let (e, lists) = self.vertices.entry_and_lists(m.vertex);
             if m.has_meta {
                 e.g_out += m.out_degree as i64;
+                e.g_in += m.in_degree as i64;
                 e.is_meta = true;
                 e.dirty = e.dirty || m.dirty;
             }
@@ -434,117 +419,12 @@ impl Agent {
             }
         }
         self.invalidate_worklists();
-        self.re_report();
     }
-}
-
-/// MIG_EDGES wire format: side, vertex snapshot (with optional state),
-/// a piggybacked in-degree delta for meta moves, and the edges.
-fn encode_mig_edges(
-    side: Side,
-    snap: &StateRecord,
-    has_state: bool,
-    edges: &[(VertexId, VertexId)],
-) -> Frame {
-    let mut b = Frame::builder(packet::MIG_EDGES)
-        .u8(match side {
-            Side::Out => 0,
-            Side::In => 1,
-        })
-        .u64(snap.vertex)
-        .u64(snap.state)
-        .u64(snap.out_degree)
-        .u64(snap.aux)
-        .u8(snap.active as u8)
-        .u8(has_state as u8)
-        .u64(if edges.is_empty() && !has_state {
-            // The "g_in handoff" encoding: state field carries the
-            // delta; flag it via this marker.
-            snap.state
-        } else {
-            0
-        })
-        .u32(edges.len() as u32);
-    for &(x, y) in edges {
-        b = b.u64(x).u64(y);
-    }
-    b.finish()
-}
-
-type DecodedMigEdges = (Side, StateRecord, bool, i64, Vec<(VertexId, VertexId)>);
-
-fn decode_mig_edges(frame: &Frame) -> Option<DecodedMigEdges> {
-    let mut r = frame.reader();
-    let side = match r.u8()? {
-        0 => Side::Out,
-        1 => Side::In,
-        _ => return None,
-    };
-    let vertex = r.u64()?;
-    let state = r.u64()?;
-    let out_degree = r.u64()?;
-    let aux = r.u64()?;
-    let active = r.u8()? != 0;
-    let has_state = r.u8()? != 0;
-    let g_in_delta = r.u64()? as i64;
-    let n = r.u32()? as usize;
-    let mut edges = Vec::with_capacity(n.min(r.remaining() / 16));
-    for _ in 0..n {
-        edges.push((r.u64()?, r.u64()?));
-    }
-    Some((
-        side,
-        StateRecord {
-            vertex,
-            state,
-            out_degree,
-            aux,
-            active,
-        },
-        has_state,
-        g_in_delta,
-        edges,
-    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mig_edges_roundtrip() {
-        let snap = StateRecord {
-            vertex: 5,
-            state: 42,
-            out_degree: 3,
-            aux: 0.25f64.to_bits(),
-            active: true,
-        };
-        let edges = vec![(5u64, 6u64), (5, 7)];
-        let f = encode_mig_edges(Side::Out, &snap, true, &edges);
-        let (side, s2, has_state, g_in, e2) = decode_mig_edges(&f).unwrap();
-        assert_eq!(side, Side::Out);
-        assert_eq!(s2, snap);
-        assert!(has_state);
-        assert_eq!(g_in, 0);
-        assert_eq!(e2, edges);
-    }
-
-    #[test]
-    fn mig_edges_g_in_handoff() {
-        let snap = StateRecord {
-            vertex: 9,
-            state: 7, // the in-degree delta
-            out_degree: 0,
-            aux: 0,
-            active: false,
-        };
-        let f = encode_mig_edges(Side::Out, &snap, false, &[]);
-        let (_, _, has_state, g_in, edges) = decode_mig_edges(&f).unwrap();
-        assert!(!has_state);
-        assert_eq!(g_in, 7);
-        assert!(edges.is_empty());
-    }
 
     #[test]
     fn vertex_entry_emptiness() {

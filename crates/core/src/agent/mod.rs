@@ -49,8 +49,8 @@ use crate::config::SystemConfig;
 use crate::directory::{agent_addr, bus_addr};
 use crate::metrics::{AgentMetrics, CommsMetrics};
 use crate::msg::{
-    self, packet, Counters, DirectoryView, MetaRecord, Phase, ReadyReport, RunInfo, Side,
-    StateRecord,
+    self, packet, Counters, DirectoryView, MetaRecord, MigEdge, MigState, Phase, ReadyReport,
+    RunInfo, Side, StateRecord,
 };
 use crate::program::{DeltaKind, ProgramSpec, VertexCtx, VertexProgram};
 use crate::store::{Shard, VertexStore, Worklists, SHARDS};
@@ -262,10 +262,8 @@ pub struct Agent {
     /// Future-phase frames ("If it is for an iteration in the future,
     /// the packet is stored").
     buffered_frames: Vec<Frame>,
-    /// The last READY sent, for re-reporting on late arrivals. Sync
-    /// re-reports are debounced to the post-drain idle point and only
-    /// fire when the counters moved since, so a burst of late frames
-    /// costs one READY.
+    /// The last READY sent; [`Agent::on_idle`] re-sends it when late
+    /// counted frames moved the counters since.
     reported: Option<ReadyReport>,
     /// Counter snapshot at the last async idle report.
     last_idle_counters: Option<Counters>,
@@ -494,6 +492,7 @@ impl Agent {
             packet::EDGE_CHANGES => self.timed_data_plane(frame, Self::on_changes),
             packet::DEG_DELTA => self.timed_data_plane(frame, Self::on_deg_delta),
             packet::RESIDUAL => self.timed_data_plane(frame, Self::on_residual),
+            packet::MIG_STATE => self.on_mig_states(frame),
             packet::MIG_EDGES => self.on_mig_edges(frame),
             packet::MIG_META => self.on_mig_meta(frame),
             packet::CKPT_SAVE => self.on_ckpt_save(&frame, d.reply),

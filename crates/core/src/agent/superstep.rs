@@ -349,8 +349,6 @@ impl Agent {
                         lists.partial_dirty.push(v);
                     }
                 }
-                // Late-arrival re-report happens from on_idle, once
-                // per drain batch, not once per frame.
             }
             Some((cur_run, _, _, _)) if cur_run == run_id => {
                 // Future step or wrong phase: store until we catch up.
@@ -966,25 +964,23 @@ impl Agent {
         // cannot make progress on records parked in open frames. A
         // no-op when nothing is open.
         self.flush_outboxes();
-        let Some(run) = self.run.as_ref() else {
-            return;
-        };
-        if !run.async_live || run.paused {
-            // Sync mode — or an async run paused for a mid-run view
-            // change, where the migrate barrier is the one consuming
-            // READYs: late counted frames (retransmits, delayed
-            // deliveries) moved the counters since the last READY, so
-            // re-send it once now that the mailbox drained. Doing this
-            // here instead of per-frame keeps the barrier live without
-            // flooding the directory under chaos.
+        let Some(run) = self.run.as_ref().filter(|r| r.async_live && !r.paused) else {
+            // The one rule for late counted frames (a migration stream,
+            // a forwarded change, a retransmit): handlers only move the
+            // counters, and the last READY is re-sent here, once per
+            // mailbox drain, whenever they differ from what it claimed
+            // — between runs, in a sync run, or in an async run paused
+            // for a view change alike. The lead replaces the old report
+            // and re-evaluates its barrier, so a barrier stays live on
+            // O(drains) READYs however many frames a drain held.
             if self.reported.is_some_and(|r| r.counters != self.counters) {
                 self.re_report();
             }
             return;
-        }
-        // Async handlers never report per frame: the counters they
-        // moved differ from the last idle snapshot, and that difference
-        // is what triggers the one report per drain below.
+        };
+        // A live async run answers with idle reports instead: the
+        // counters differ from the last idle snapshot, and that
+        // difference triggers the one report per drain below.
         if self.last_idle_counters == Some(self.counters) {
             return;
         }

@@ -70,7 +70,7 @@ pub struct CommsMetrics {
     pub edge_changes: PacketStat,
     /// Degree deltas (DEG_DELTA).
     pub deg_delta: PacketStat,
-    /// Migration traffic (MIG_EDGES + MIG_META combined).
+    /// Migration traffic (MIG_STATE + MIG_EDGES + MIG_META combined).
     pub migration: PacketStat,
     /// Coalescer flushes triggered by the byte threshold.
     pub size_flushes: u64,
@@ -94,7 +94,8 @@ impl CommsMetrics {
     /// Snapshot the data-plane packet types out of an agent-local
     /// [`NetStats`] and merge in its aggregated coalescer counters.
     pub fn snapshot(net: &NetStats, coalesce: &CoalesceStats) -> CommsMetrics {
-        let mut migration = PacketStat::from_net(net, packet::MIG_EDGES);
+        let mut migration = PacketStat::from_net(net, packet::MIG_STATE);
+        migration.absorb(&PacketStat::from_net(net, packet::MIG_EDGES));
         migration.absorb(&PacketStat::from_net(net, packet::MIG_META));
         let (rx_pool_hits, rx_pool_misses) = net.rx_pool();
         CommsMetrics {
@@ -1005,6 +1006,7 @@ mod tests {
         net.record_sent(packet::VMSG, 100);
         net.record_sent(packet::VMSG, 50);
         net.record_recv(packet::STATE, 25);
+        net.record_sent(packet::MIG_STATE, 5);
         net.record_sent(packet::MIG_EDGES, 10);
         net.record_sent(packet::MIG_META, 20);
         let coalesce = CoalesceStats {
@@ -1017,11 +1019,11 @@ mod tests {
         assert_eq!(comms.vmsg.bytes_sent, 150);
         assert_eq!(comms.state.frames_recv, 1);
         assert_eq!(comms.state.bytes_recv, 25);
-        assert_eq!(comms.migration.frames_sent, 2);
-        assert_eq!(comms.migration.bytes_sent, 30);
+        assert_eq!(comms.migration.frames_sent, 3);
+        assert_eq!(comms.migration.bytes_sent, 35);
         assert_eq!(comms.size_flushes, 1);
         assert_eq!(comms.explicit_flushes, 2);
-        assert_eq!(comms.frames_sent(), 4);
-        assert_eq!(comms.bytes_sent(), 180);
+        assert_eq!(comms.frames_sent(), 5);
+        assert_eq!(comms.bytes_sent(), 185);
     }
 }

@@ -37,9 +37,11 @@ pub mod packet {
     pub const ADVANCE: u8 = 10;
     /// Algorithm start (PUB topic).
     pub const START: u8 = 11;
-    /// Migrated edges (push, Agent → Agent).
+    /// Migrated edges (push, Agent → Agent): packed
+    /// [`super::MigEdge`] records.
     pub const MIG_EDGES: u8 = 12;
-    /// Migrated vertex metadata (push, Agent → Agent).
+    /// Migrated primary metadata (push, Agent → Agent): packed
+    /// [`super::MetaRecord`] records.
     pub const MIG_META: u8 = 13;
     /// Vertex query (REQ to an Agent).
     pub const QUERY: u8 = 14;
@@ -145,6 +147,10 @@ pub mod packet {
     /// agents' unreported accumulators died with them; the driver
     /// recomputes the difference from the restored shards).
     pub const DANGLING_SET: u8 = 47;
+    /// Agent → Agent: replica snapshots of vertices whose edges are
+    /// migrating (packed [`super::MigState`] records), sent ahead of
+    /// the MIG_EDGES that move the edges themselves.
+    pub const MIG_STATE: u8 = 48;
 }
 
 /// Superstep phases (see crate docs). `Migrate` barriers elastic
@@ -429,6 +435,14 @@ pub trait WireRecord: Sized {
     fn parse(chunk: &[u8]) -> Self;
 }
 
+/// Decode a frame that is nothing but packet type `ty`, a `u32` record
+/// count and that many packed records, into a borrowed view.
+fn decode_records<T: WireRecord>(frame: &Frame, ty: u8) -> Option<Records<'_, T>> {
+    let mut r = expect(frame, ty)?;
+    let n = r.u32()? as usize;
+    Records::new(r.rest(), n)
+}
+
 #[inline]
 fn le_u64(chunk: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(chunk[at..at + 8].try_into().unwrap())
@@ -683,13 +697,18 @@ pub enum Side {
     In,
 }
 
+/// Wire code of a placement side.
+fn side_byte(side: Side) -> u8 {
+    match side {
+        Side::Out => 0,
+        Side::In => 1,
+    }
+}
+
 /// Encode a batch of edge changes for one placement side.
 pub fn encode_edge_changes(side: Side, hop: u8, changes: &[EdgeChange]) -> Frame {
     let mut b = Frame::builder(packet::EDGE_CHANGES)
-        .u8(match side {
-            Side::Out => 0,
-            Side::In => 1,
-        })
+        .u8(side_byte(side))
         .u8(hop)
         .u32(changes.len() as u32);
     for c in changes {
@@ -960,63 +979,186 @@ pub fn decode_advance(frame: &Frame) -> Option<Advance> {
     })
 }
 
-/// Encode one migrated vertex-metadata record batch. The header
-/// carries the sender's serving-snapshot tag `(snap_run,
+// ---------------------------------------------------------------------
+// Migration record streams
+//
+// A view change moves three kinds of fixed-stride records, each a
+// packed stream like every other data-plane packet: the sender
+// appends records to the destination's open coalescing frame
+// (`append_mig_*`), frames leave by size or at the migrate READY, and
+// the receiver walks a borrowed [`Records`] view (`decode_mig_*`).
+
+/// One migrating edge: MIG_EDGES record, 17 bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MigEdge {
+    /// Which placement of the edge moves ([`Side::Out`]: the out-edge
+    /// stored on `src`; [`Side::In`]: the in-edge stored on `dst`).
+    pub side: Side,
+    /// Edge source.
+    pub src: VertexId,
+    /// Edge destination.
+    pub dst: VertexId,
+}
+
+impl WireRecord for MigEdge {
+    const STRIDE: usize = 17;
+
+    #[inline]
+    fn validate(chunk: &[u8]) -> bool {
+        chunk[0] <= 1
+    }
+
+    #[inline]
+    fn parse(chunk: &[u8]) -> Self {
+        MigEdge {
+            side: if chunk[0] == 0 { Side::Out } else { Side::In },
+            src: le_u64(chunk, 1),
+            dst: le_u64(chunk, 9),
+        }
+    }
+}
+
+/// The sender's replica copy of a vertex whose edges are moving:
+/// MIG_STATE record, 34 bytes — a [`StateRecord`] (`aux` carries a
+/// delta run's un-scattered pending delta, zero for none) plus whether
+/// the state is initialized. Sent once per (vertex, destination),
+/// ahead of the vertex's edges.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MigState {
+    /// The replica snapshot.
+    pub rec: StateRecord,
+    /// Whether `rec.state` is initialized.
+    pub has_state: bool,
+}
+
+impl WireRecord for MigState {
+    const STRIDE: usize = StateRecord::STRIDE + 1;
+
+    #[inline]
+    fn parse(chunk: &[u8]) -> Self {
+        MigState {
+            rec: StateRecord::parse(&chunk[..StateRecord::STRIDE]),
+            has_state: chunk[StateRecord::STRIDE] != 0,
+        }
+    }
+}
+
+/// MIG_META record: 71 bytes, fields in declaration order, flags one
+/// byte each.
+impl WireRecord for MetaRecord {
+    const STRIDE: usize = 71;
+
+    #[inline]
+    fn parse(chunk: &[u8]) -> Self {
+        MetaRecord {
+            vertex: le_u64(chunk, 0),
+            state: le_u64(chunk, 8),
+            out_degree: le_u64(chunk, 16),
+            in_degree: le_u64(chunk, 24),
+            active: chunk[32] != 0,
+            dirty: chunk[33] != 0,
+            has_state: chunk[34] != 0,
+            has_meta: chunk[35] != 0,
+            ppartial: le_u64(chunk, 36),
+            has_ppartial: chunk[44] != 0,
+            wait_recv: le_u64(chunk, 45),
+            residual: le_u64(chunk, 53),
+            has_residual: chunk[61] != 0,
+            snap: le_u64(chunk, 62),
+            has_snap: chunk[70] != 0,
+        }
+    }
+}
+
+/// Append one migrating edge to `out`'s open MIG_EDGES frame.
+pub fn append_mig_edge(out: &mut elga_net::CoalescingOutbox, edge: &MigEdge) {
+    let edge = *edge;
+    out.append(
+        packet::MIG_EDGES,
+        0,
+        |_| {},
+        move |b| {
+            b.extend_from_slice(&[side_byte(edge.side)]);
+            b.extend_from_slice(&edge.src.to_le_bytes());
+            b.extend_from_slice(&edge.dst.to_le_bytes());
+        },
+    );
+}
+
+/// Decode a MIG_EDGES frame into a borrowed record view.
+pub fn decode_mig_edges(frame: &Frame) -> Option<Records<'_, MigEdge>> {
+    decode_records(frame, packet::MIG_EDGES)
+}
+
+/// Append one replica snapshot to `out`'s open MIG_STATE frame.
+pub fn append_mig_state(out: &mut elga_net::CoalescingOutbox, snap: &MigState) {
+    let snap = *snap;
+    out.append(
+        packet::MIG_STATE,
+        0,
+        |_| {},
+        move |b| {
+            write_state_record(b, &snap.rec);
+            b.extend_from_slice(&[snap.has_state as u8]);
+        },
+    );
+}
+
+/// Decode a MIG_STATE frame into a borrowed record view.
+pub fn decode_mig_states(frame: &Frame) -> Option<Records<'_, MigState>> {
+    decode_records(frame, packet::MIG_STATE)
+}
+
+/// Append one primary meta record to `out`'s open MIG_META frame. The
+/// header carries the sender's serving-snapshot tag `(snap_run,
 /// snap_watermark)` so a joining agent adopting migrated snaps also
 /// adopts the tag they belong to — otherwise it would serve correct
 /// values under run 0 and look checkpoint-restored to clients.
-pub fn encode_mig_meta(recs: &[MetaRecord], snap_run: u64, snap_watermark: u64) -> Frame {
-    let mut b = Frame::builder(packet::MIG_META)
-        .u64(snap_run)
-        .u64(snap_watermark)
-        .u32(recs.len() as u32);
-    for m in recs {
-        b = b
-            .u64(m.vertex)
-            .u64(m.state)
-            .u64(m.out_degree)
-            .u8(m.active as u8)
-            .u8(m.dirty as u8)
-            .u8(m.has_state as u8)
-            .u8(m.has_meta as u8)
-            .u64(m.ppartial)
-            .u8(m.has_ppartial as u8)
-            .u64(m.wait_recv)
-            .u64(m.residual)
-            .u8(m.has_residual as u8)
-            .u64(m.snap)
-            .u8(m.has_snap as u8);
-    }
-    b.finish()
+pub fn append_mig_meta(
+    out: &mut elga_net::CoalescingOutbox,
+    snap_run: u64,
+    snap_watermark: u64,
+    m: &MetaRecord,
+) {
+    let m = *m;
+    out.append(
+        packet::MIG_META,
+        // Small counters both: packed side by side they cannot
+        // collide in practice (as `run_step_key`).
+        snap_run.rotate_left(32) ^ snap_watermark,
+        |b| {
+            b.extend_from_slice(&snap_run.to_le_bytes());
+            b.extend_from_slice(&snap_watermark.to_le_bytes());
+        },
+        move |b| {
+            b.extend_from_slice(&m.vertex.to_le_bytes());
+            b.extend_from_slice(&m.state.to_le_bytes());
+            b.extend_from_slice(&m.out_degree.to_le_bytes());
+            b.extend_from_slice(&m.in_degree.to_le_bytes());
+            b.extend_from_slice(&[
+                m.active as u8,
+                m.dirty as u8,
+                m.has_state as u8,
+                m.has_meta as u8,
+            ]);
+            b.extend_from_slice(&m.ppartial.to_le_bytes());
+            b.extend_from_slice(&[m.has_ppartial as u8]);
+            b.extend_from_slice(&m.wait_recv.to_le_bytes());
+            b.extend_from_slice(&m.residual.to_le_bytes());
+            b.extend_from_slice(&[m.has_residual as u8]);
+            b.extend_from_slice(&m.snap.to_le_bytes());
+            b.extend_from_slice(&[m.has_snap as u8]);
+        },
+    );
 }
 
-/// Decode a MIG_META frame: the sender's `(snap_run, snap_watermark)`
-/// serving tag plus the metadata records.
-pub fn decode_mig_meta(frame: &Frame) -> Option<(u64, u64, Vec<MetaRecord>)> {
+/// Decode a MIG_META frame into `(snap_run, snap_watermark, records)`:
+/// the sender's serving-snapshot tag and a borrowed record view.
+pub fn decode_mig_meta(frame: &Frame) -> Option<(u64, u64, Records<'_, MetaRecord>)> {
     let mut r = expect(frame, packet::MIG_META)?;
-    let snap_run = r.u64()?;
-    let snap_watermark = r.u64()?;
+    let (snap_run, snap_watermark) = (r.u64()?, r.u64()?);
     let n = r.u32()? as usize;
-    let mut recs = Vec::with_capacity(n.min(r.remaining() / 63));
-    for _ in 0..n {
-        recs.push(MetaRecord {
-            vertex: r.u64()?,
-            state: r.u64()?,
-            out_degree: r.u64()?,
-            active: r.u8()? != 0,
-            dirty: r.u8()? != 0,
-            has_state: r.u8()? != 0,
-            has_meta: r.u8()? != 0,
-            ppartial: r.u64()?,
-            has_ppartial: r.u8()? != 0,
-            wait_recv: r.u64()?,
-            residual: r.u64()?,
-            has_residual: r.u8()? != 0,
-            snap: r.u64()?,
-            has_snap: r.u8()? != 0,
-        });
-    }
-    Some((snap_run, snap_watermark, recs))
+    Some((snap_run, snap_watermark, Records::new(r.rest(), n)?))
 }
 
 /// Primary-side vertex metadata moved during migration.
@@ -1035,13 +1177,15 @@ pub struct MetaRecord {
     pub state: u64,
     /// Global out-degree accumulated at the primary.
     pub out_degree: u64,
+    /// Global in-degree accumulated at the primary.
+    pub in_degree: u64,
     /// Active flag.
     pub active: bool,
     /// Touched by changes since the last run.
     pub dirty: bool,
     /// Whether `state` is initialized.
     pub has_state: bool,
-    /// Whether this record carries primary metadata (`out_degree`,
+    /// Whether this record carries primary metadata (the degrees,
     /// existence). False for records shipped solely to hand off async
     /// run state for a vertex whose meta lives elsewhere.
     pub has_meta: bool,
@@ -1080,9 +1224,7 @@ pub fn encode_deg_deltas(deltas: &[(VertexId, i64, i64)]) -> Frame {
 
 /// Decode a DEG_DELTA frame into a borrowed record view.
 pub fn decode_deg_deltas(frame: &Frame) -> Option<Records<'_, (VertexId, i64, i64)>> {
-    let mut r = expect(frame, packet::DEG_DELTA)?;
-    let n = r.u32()? as usize;
-    Records::new(r.rest(), n)
+    decode_records(frame, packet::DEG_DELTA)
 }
 
 /// Encode residual corrections: `[(vertex, delta)]` sent to each
@@ -1100,9 +1242,7 @@ pub fn encode_residuals(residuals: &[(VertexId, u64)]) -> Frame {
 
 /// Decode a RESIDUAL frame into a borrowed record view.
 pub fn decode_residuals(frame: &Frame) -> Option<Records<'_, (VertexId, u64)>> {
-    let mut r = expect(frame, packet::RESIDUAL)?;
-    let n = r.u32()? as usize;
-    Records::new(r.rest(), n)
+    decode_records(frame, packet::RESIDUAL)
 }
 
 /// Encode a QUERY_BATCH request: point-lookup `vertices` in one frame.
@@ -1116,9 +1256,7 @@ pub fn encode_query_batch(vertices: &[VertexId]) -> Frame {
 
 /// Decode a QUERY_BATCH request into a borrowed record view.
 pub fn decode_query_batch(frame: &Frame) -> Option<Records<'_, VertexId>> {
-    let mut r = expect(frame, packet::QUERY_BATCH)?;
-    let n = r.u32()? as usize;
-    Records::new(r.rest(), n)
+    decode_records(frame, packet::QUERY_BATCH)
 }
 
 /// Encode a QUERY_BATCH reply: per-vertex answers tagged with the
@@ -1398,10 +1536,9 @@ pub fn decode_ckpt_edges(frame: &Frame) -> Option<Vec<CkptEdgeGroup>> {
 
 /// Primary-side vertex metadata restored from a checkpoint.
 ///
-/// Unlike [`MetaRecord`] this carries *both* global degrees — a
-/// checkpoint payload has no migration-style piggyback path for
-/// `g_in` — and no async run state: checkpoints are taken only at
-/// quiesced batch boundaries, where no run is in flight.
+/// Unlike [`MetaRecord`] this carries the global degrees signed and
+/// no async run state: checkpoints are taken only at quiesced batch
+/// boundaries, where no run is in flight.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CkptMetaRecord {
     /// The vertex.
@@ -1543,14 +1680,17 @@ pub fn append_state(out: &mut elga_net::CoalescingOutbox, run: u64, step: u32, r
             b.extend_from_slice(&run.to_le_bytes());
             b.extend_from_slice(&step.to_le_bytes());
         },
-        move |b| {
-            b.extend_from_slice(&rec.vertex.to_le_bytes());
-            b.extend_from_slice(&rec.state.to_le_bytes());
-            b.extend_from_slice(&rec.out_degree.to_le_bytes());
-            b.extend_from_slice(&rec.aux.to_le_bytes());
-            b.extend_from_slice(&[rec.active as u8]);
-        },
+        move |b| write_state_record(b, &rec),
     );
+}
+
+/// Write one [`StateRecord`] in its 33-byte wire layout.
+fn write_state_record(b: &mut bytes::BytesMut, rec: &StateRecord) {
+    b.extend_from_slice(&rec.vertex.to_le_bytes());
+    b.extend_from_slice(&rec.state.to_le_bytes());
+    b.extend_from_slice(&rec.out_degree.to_le_bytes());
+    b.extend_from_slice(&rec.aux.to_le_bytes());
+    b.extend_from_slice(&[rec.active as u8]);
 }
 
 /// Append one residual correction (`target`, signed-encoded `delta`) to
@@ -1575,10 +1715,7 @@ pub fn append_edge_change(
     hop: u8,
     change: &EdgeChange,
 ) {
-    let side_byte: u8 = match side {
-        Side::Out => 0,
-        Side::In => 1,
-    };
+    let side_byte = side_byte(side);
     let change = *change;
     out.append(
         packet::EDGE_CHANGES,
@@ -2103,13 +2240,13 @@ mod tests {
         assert!(Counters::default().settled());
     }
 
-    #[test]
-    fn mig_meta_roundtrip() {
-        let recs = vec![
+    fn sample_metas() -> Vec<MetaRecord> {
+        vec![
             MetaRecord {
                 vertex: 3,
                 state: 99,
                 out_degree: 4,
+                in_degree: 6,
                 active: true,
                 dirty: false,
                 has_state: true,
@@ -2128,8 +2265,9 @@ mod tests {
                 vertex: 7,
                 state: 0,
                 out_degree: 0,
+                in_degree: 0,
                 active: false,
-                dirty: false,
+                dirty: true,
                 has_state: false,
                 has_meta: false,
                 ppartial: 41,
@@ -2140,11 +2278,169 @@ mod tests {
                 snap: 0,
                 has_snap: false,
             },
-        ];
-        assert_eq!(
-            decode_mig_meta(&encode_mig_meta(&recs, 6, 11)).unwrap(),
-            (6, 11, recs)
-        );
+        ]
+    }
+
+    fn sample_mig_states() -> Vec<MigState> {
+        vec![
+            MigState {
+                rec: StateRecord {
+                    vertex: 5,
+                    state: 42,
+                    out_degree: 3,
+                    aux: 0.25f64.to_bits(),
+                    active: true,
+                },
+                has_state: true,
+            },
+            MigState {
+                rec: StateRecord {
+                    vertex: 9,
+                    state: 0,
+                    out_degree: 0,
+                    aux: 0,
+                    active: false,
+                },
+                has_state: false,
+            },
+        ]
+    }
+
+    fn sample_mig_edges() -> Vec<MigEdge> {
+        let edge = |side, src, dst| MigEdge { side, src, dst };
+        vec![
+            edge(Side::Out, 5, 6),
+            edge(Side::In, 1 << 40, 5),
+            edge(Side::Out, 5, 7),
+        ]
+    }
+
+    // The migration streams have no batch encoder in the library (the
+    // coalescer is the one encode path); these state the layout a
+    // second time, field by field, so the test pins the wire format.
+    fn batch_mig_states(recs: &[MigState]) -> Frame {
+        let mut b = Frame::builder(packet::MIG_STATE).u32(recs.len() as u32);
+        for s in recs {
+            b = b
+                .u64(s.rec.vertex)
+                .u64(s.rec.state)
+                .u64(s.rec.out_degree)
+                .u64(s.rec.aux)
+                .u8(s.rec.active as u8)
+                .u8(s.has_state as u8);
+        }
+        b.finish()
+    }
+
+    fn batch_mig_edges(recs: &[MigEdge]) -> Frame {
+        let mut b = Frame::builder(packet::MIG_EDGES).u32(recs.len() as u32);
+        for e in recs {
+            b = b.u8(side_byte(e.side)).u64(e.src).u64(e.dst);
+        }
+        b.finish()
+    }
+
+    fn batch_mig_meta(recs: &[MetaRecord], snap_run: u64, snap_watermark: u64) -> Frame {
+        let mut b = Frame::builder(packet::MIG_META)
+            .u64(snap_run)
+            .u64(snap_watermark)
+            .u32(recs.len() as u32);
+        for m in recs {
+            b = b
+                .u64(m.vertex)
+                .u64(m.state)
+                .u64(m.out_degree)
+                .u64(m.in_degree)
+                .u8(m.active as u8)
+                .u8(m.dirty as u8)
+                .u8(m.has_state as u8)
+                .u8(m.has_meta as u8)
+                .u64(m.ppartial)
+                .u8(m.has_ppartial as u8)
+                .u64(m.wait_recv)
+                .u64(m.residual)
+                .u8(m.has_residual as u8)
+                .u64(m.snap)
+                .u8(m.has_snap as u8);
+        }
+        b.finish()
+    }
+
+    #[test]
+    fn mig_streams_match_batch_layout_and_roundtrip() {
+        let states = sample_mig_states();
+        let f = coalesced(|c| states.iter().for_each(|s| append_mig_state(c, s)));
+        assert_eq!(f.as_bytes(), batch_mig_states(&states).as_bytes());
+        assert_eq!(f.len(), 1 + 4 + states.len() * MigState::STRIDE);
+        assert_eq!(decode_mig_states(&f).unwrap().to_vec(), states);
+
+        let edges = sample_mig_edges();
+        let f = coalesced(|c| edges.iter().for_each(|e| append_mig_edge(c, e)));
+        assert_eq!(f.as_bytes(), batch_mig_edges(&edges).as_bytes());
+        assert_eq!(f.len(), 1 + 4 + edges.len() * MigEdge::STRIDE);
+        assert_eq!(decode_mig_edges(&f).unwrap().to_vec(), edges);
+
+        let metas = sample_metas();
+        let f = coalesced(|c| metas.iter().for_each(|m| append_mig_meta(c, 6, 11, m)));
+        assert_eq!(f.as_bytes(), batch_mig_meta(&metas, 6, 11).as_bytes());
+        assert_eq!(f.len(), 1 + 16 + 4 + metas.len() * MetaRecord::STRIDE);
+        let (snap_run, snap_watermark, recs) = decode_mig_meta(&f).unwrap();
+        assert_eq!((snap_run, snap_watermark), (6, 11));
+        assert_eq!(recs.to_vec(), metas);
+    }
+
+    #[test]
+    fn mig_frames_reject_wrong_type_truncation_and_bad_side() {
+        let states = batch_mig_states(&sample_mig_states());
+        let edges = batch_mig_edges(&sample_mig_edges());
+        let metas = batch_mig_meta(&sample_metas(), 6, 11);
+        // Each decoder takes its own packet type only.
+        for f in [&edges, &metas] {
+            assert!(decode_mig_states(f).is_none());
+        }
+        for f in [&states, &metas] {
+            assert!(decode_mig_edges(f).is_none());
+        }
+        for f in [&states, &edges] {
+            assert!(decode_mig_meta(f).is_none());
+        }
+        // One byte short, or one byte over: the count no longer matches
+        // the record region.
+        let resized = |f: &Frame, by: isize| {
+            let mut bytes = f.as_bytes().to_vec();
+            bytes.resize((bytes.len() as isize + by) as usize, 0);
+            Frame::from_bytes(bytes.into())
+        };
+        for by in [-1, 1] {
+            assert!(decode_mig_states(&resized(&states, by)).is_none());
+            assert!(decode_mig_edges(&resized(&edges, by)).is_none());
+            assert!(decode_mig_meta(&resized(&metas, by)).is_none());
+        }
+        // A side byte other than 0 / 1 fails validation up front.
+        let mut bytes = edges.as_bytes().to_vec();
+        bytes[1 + 4] = 2;
+        assert!(decode_mig_edges(&Frame::from_bytes(bytes.into())).is_none());
+    }
+
+    #[test]
+    fn mig_meta_tag_change_opens_a_new_frame() {
+        // A newer serving-snapshot tag must not ride under the header
+        // of an open frame.
+        use elga_net::{CoalesceConfig, CoalescingOutbox, InProcTransport, Transport};
+        let t = InProcTransport::new();
+        let addr = Addr::inproc("msg-mig-meta-tag");
+        let mb = t.bind(&addr).unwrap();
+        let mut c = CoalescingOutbox::new(t.sender(&addr).unwrap(), CoalesceConfig::default());
+        let metas = sample_metas();
+        append_mig_meta(&mut c, 6, 11, &metas[0]);
+        append_mig_meta(&mut c, 7, 12, &metas[1]);
+        c.flush();
+        for (tag, m) in [(6, 11), (7, 12)].into_iter().zip(&metas) {
+            let f = mb.recv().unwrap().frame;
+            let (snap_run, snap_watermark, recs) = decode_mig_meta(&f).unwrap();
+            assert_eq!((snap_run, snap_watermark), tag);
+            assert_eq!(recs.to_vec(), vec![*m]);
+        }
     }
 
     #[test]
@@ -2273,6 +2569,8 @@ mod tests {
         assert!(decode_ready(&junk).is_none());
         assert!(decode_advance(&junk).is_none());
         assert!(decode_mig_meta(&junk).is_none());
+        assert!(decode_mig_edges(&junk).is_none());
+        assert!(decode_mig_states(&junk).is_none());
         assert!(decode_deg_deltas(&junk).is_none());
         assert!(decode_join_reply(&junk).is_none());
         assert!(decode_start(&junk).is_none());

@@ -11,8 +11,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use elga_core::msg::{self, StateRecord};
+use elga_core::msg::{self, MetaRecord, MigEdge, MigState, StateRecord};
 use elga_graph::types::EdgeChange;
+use elga_net::{CoalesceConfig, CoalescingOutbox, Frame, InProcTransport, Transport};
 
 struct CountingAlloc;
 
@@ -60,6 +61,63 @@ fn min_allocations(runs: usize, mut f: impl FnMut()) -> u64 {
     (0..runs).map(|_| allocations_in(&mut f)).min().unwrap()
 }
 
+/// `n` records of each migration kind as the frames a sender's
+/// coalescing outbox builds (MIG_STATE, MIG_EDGES, MIG_META).
+fn mig_frames(n: u64) -> [Frame; 3] {
+    let t = InProcTransport::new();
+    let addr = elga_net::Addr::inproc("alloc-mig");
+    let mb = t.bind(&addr).unwrap();
+    let cfg = CoalesceConfig {
+        // One frame per kind, whatever `n`.
+        max_bytes: usize::MAX,
+        max_records: u32::MAX,
+        ..CoalesceConfig::default()
+    };
+    let mut c = CoalescingOutbox::new(t.sender(&addr).unwrap(), cfg);
+    for i in 0..n {
+        let rec = StateRecord {
+            vertex: i,
+            state: i ^ 0xbeef,
+            out_degree: i % 13,
+            aux: i,
+            active: i % 2 == 0,
+        };
+        let has_state = i % 5 != 0;
+        msg::append_mig_state(&mut c, &MigState { rec, has_state });
+    }
+    for i in 0..n {
+        let side = if i % 2 == 0 {
+            msg::Side::Out
+        } else {
+            msg::Side::In
+        };
+        let (src, dst) = (i, i + 1);
+        msg::append_mig_edge(&mut c, &MigEdge { side, src, dst });
+    }
+    for i in 0..n {
+        let m = MetaRecord {
+            vertex: i,
+            state: i ^ 0xcafe,
+            out_degree: i % 7,
+            in_degree: i % 11,
+            active: i % 2 == 0,
+            dirty: i % 3 == 0,
+            has_state: true,
+            has_meta: true,
+            ppartial: i,
+            has_ppartial: i % 4 == 0,
+            wait_recv: i % 2,
+            residual: i,
+            has_residual: i % 5 == 0,
+            snap: i,
+            has_snap: true,
+        };
+        msg::append_mig_meta(&mut c, 7, 3, &m);
+    }
+    c.flush();
+    [(); 3].map(|_| mb.recv().unwrap().frame)
+}
+
 #[test]
 fn decode_and_iterate_allocates_nothing() {
     const N: usize = 1024;
@@ -90,6 +148,7 @@ fn decode_and_iterate_allocates_nothing() {
     let st = msg::encode_states(7, 3, &states);
     let ec = msg::encode_edge_changes(msg::Side::Out, 1, &changes);
     let dd = msg::encode_deg_deltas(&deltas);
+    let [ms, me, mm] = mig_frames(N as u64);
 
     // Warm up once so any lazy one-time setup isn't billed to decode.
     let mut sum = 0u64;
@@ -123,6 +182,17 @@ fn decode_and_iterate_allocates_nothing() {
                 .wrapping_add(v)
                 .wrapping_add(dout as u64)
                 .wrapping_add(din as u64);
+        }
+        for s in msg::decode_mig_states(&ms).unwrap() {
+            acc = acc.wrapping_add(s.rec.vertex ^ s.rec.aux ^ s.has_state as u64);
+        }
+        for e in msg::decode_mig_edges(&me).unwrap() {
+            acc = acc.wrapping_add(e.src ^ e.dst ^ (e.side == msg::Side::In) as u64);
+        }
+        let (snap_run, snap_watermark, metas) = msg::decode_mig_meta(&mm).unwrap();
+        acc = acc.wrapping_add(snap_run ^ snap_watermark);
+        for m in metas {
+            acc = acc.wrapping_add(m.vertex ^ m.in_degree ^ m.residual ^ m.has_snap as u64);
         }
         black_box(acc);
     });

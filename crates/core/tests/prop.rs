@@ -2,10 +2,75 @@
 
 use elga_core::autoscale::{Autoscaler, EmaAutoscaler};
 use elga_core::metrics::{AgentMetrics, ClusterMetrics};
-use elga_core::msg::{self, Counters, Phase, ReadyReport, StateRecord};
-use elga_net::Frame;
+use elga_core::msg::{
+    self, Counters, MetaRecord, MigEdge, MigState, Phase, ReadyReport, StateRecord,
+};
+use elga_net::{CoalesceConfig, CoalescingOutbox, Frame, InProcTransport, Transport};
 use proptest::prelude::*;
 use std::time::{Duration, Instant};
+
+/// The three migration frames (MIG_STATE, MIG_EDGES, MIG_META) that
+/// carry records derived from `msgs`, built the only way the library
+/// builds them: appended through a coalescing outbox.
+fn mig_frames(msgs: &[(u64, u64)]) -> (Vec<MigState>, Vec<MigEdge>, Vec<MetaRecord>, [Frame; 3]) {
+    let states: Vec<MigState> = msgs
+        .iter()
+        .map(|&(v, x)| MigState {
+            rec: StateRecord {
+                vertex: v,
+                state: x,
+                out_degree: v ^ x,
+                aux: x.rotate_left(7),
+                active: x % 2 == 0,
+            },
+            has_state: v % 2 == 0,
+        })
+        .collect();
+    let edges: Vec<MigEdge> = msgs
+        .iter()
+        .map(|&(src, dst)| MigEdge {
+            side: if dst % 2 == 0 {
+                msg::Side::Out
+            } else {
+                msg::Side::In
+            },
+            src,
+            dst,
+        })
+        .collect();
+    let metas: Vec<MetaRecord> = msgs
+        .iter()
+        .map(|&(v, x)| MetaRecord {
+            vertex: v,
+            state: x,
+            out_degree: v % 97,
+            in_degree: x % 89,
+            active: x & 1 != 0,
+            dirty: x & 2 != 0,
+            has_state: x & 4 != 0,
+            has_meta: x & 8 != 0,
+            ppartial: v.wrapping_mul(x),
+            has_ppartial: x & 16 != 0,
+            wait_recv: v % 5,
+            residual: x.rotate_left(13),
+            has_residual: x & 32 != 0,
+            snap: v.rotate_left(29),
+            has_snap: x & 64 != 0,
+        })
+        .collect();
+    let t = InProcTransport::new();
+    let addr = elga_net::Addr::inproc("prop-mig");
+    let mb = t.bind(&addr).unwrap();
+    let mut c = CoalescingOutbox::new(t.sender(&addr).unwrap(), CoalesceConfig::default());
+    states.iter().for_each(|s| msg::append_mig_state(&mut c, s));
+    edges.iter().for_each(|e| msg::append_mig_edge(&mut c, e));
+    metas
+        .iter()
+        .for_each(|m| msg::append_mig_meta(&mut c, 3, 9, m));
+    c.flush();
+    let frames = [(); 3].map(|_| mb.recv().unwrap().frame);
+    (states, edges, metas, frames)
+}
 
 proptest! {
     /// No decoder may panic on arbitrary bytes — a malformed or
@@ -22,6 +87,8 @@ proptest! {
         let _ = msg::decode_ready(&frame);
         let _ = msg::decode_advance(&frame);
         let _ = msg::decode_mig_meta(&frame);
+        let _ = msg::decode_mig_edges(&frame);
+        let _ = msg::decode_mig_states(&frame);
         let _ = msg::decode_deg_deltas(&frame);
         let _ = msg::decode_join_reply(&frame);
         let _ = msg::decode_start(&frame);
@@ -62,6 +129,19 @@ proptest! {
             prop_assert!(msg::decode_ready(frame).is_none());
             prop_assert!(msg::decode_advance(frame).is_none());
         }
+        // MIG_EDGES shares EDGE_CHANGES' 17-byte stride; only the type
+        // byte tells the two apart.
+        let (_, _, _, [ms, me, mm]) = mig_frames(&[(v, val)]);
+        for frame in [&vm, &ec, &me, &mm] {
+            prop_assert!(msg::decode_mig_states(frame).is_none());
+        }
+        for frame in [&vm, &ec, &ms, &mm] {
+            prop_assert!(msg::decode_mig_edges(frame).is_none());
+        }
+        for frame in [&vm, &ec, &ms, &me] {
+            prop_assert!(msg::decode_mig_meta(frame).is_none());
+        }
+        prop_assert!(msg::decode_edge_changes(&me).is_none());
     }
 
     /// Every strict prefix of a valid record-bearing frame must decode
@@ -93,6 +173,10 @@ proptest! {
             msgs.iter().map(|&(v, d)| (v, d as i64, 1)).collect();
         let dd = msg::encode_deg_deltas(&deltas);
         prop_assert!(msg::decode_deg_deltas(&cut(&dd)).is_none());
+        let (_, _, _, [ms, me, mm]) = mig_frames(&msgs);
+        prop_assert!(msg::decode_mig_states(&cut(&ms)).is_none());
+        prop_assert!(msg::decode_mig_edges(&cut(&me)).is_none());
+        prop_assert!(msg::decode_mig_meta(&cut(&mm)).is_none());
     }
 
     /// A record region that is not an exact multiple of the stride is
@@ -112,7 +196,8 @@ proptest! {
             bytes.extend_from_slice(&pad[..n]);
             Frame::from_bytes(bytes.into())
         };
-        // Strides: vmsg/partial 16, edge-change 17, deg-delta 24.
+        // Strides: vmsg/partial 16, edge-change and mig-edge 17,
+        // deg-delta 24, mig-state 34, mig-meta 71.
         let vm = msg::encode_vmsgs(run, step, &msgs);
         prop_assert!(msg::decode_vmsgs(&extend(&vm, pad.len())).is_none());
         let pt = msg::encode_partials(run, step, &msgs);
@@ -125,6 +210,10 @@ proptest! {
             msgs.iter().map(|&(v, d)| (v, d as i64, -1)).collect();
         let dd = msg::encode_deg_deltas(&deltas);
         prop_assert!(msg::decode_deg_deltas(&extend(&dd, pad.len())).is_none());
+        let (_, _, _, [ms, me, mm]) = mig_frames(&msgs);
+        prop_assert!(msg::decode_mig_states(&extend(&ms, pad.len())).is_none());
+        prop_assert!(msg::decode_mig_edges(&extend(&me, pad.len())).is_none());
+        prop_assert!(msg::decode_mig_meta(&extend(&mm, pad.len())).is_none());
     }
 
     /// Borrowed views round-trip: iterating a decoded view yields the
@@ -159,6 +248,14 @@ proptest! {
             .collect();
         let dd = msg::encode_deg_deltas(&deltas);
         prop_assert_eq!(msg::decode_deg_deltas(&dd).unwrap().to_vec(), deltas);
+        if !msgs.is_empty() {
+            let (states, edges, metas, [ms, me, mm]) = mig_frames(&msgs);
+            prop_assert_eq!(msg::decode_mig_states(&ms).unwrap().to_vec(), states);
+            prop_assert_eq!(msg::decode_mig_edges(&me).unwrap().to_vec(), edges);
+            let (snap_run, snap_watermark, recs) = msg::decode_mig_meta(&mm).unwrap();
+            prop_assert_eq!((snap_run, snap_watermark), (3, 9));
+            prop_assert_eq!(recs.to_vec(), metas);
+        }
     }
 
     /// READY reports round-trip exactly for arbitrary field values.

@@ -69,8 +69,8 @@ pub enum EventKind {
     /// Outboxes retired on a membership change (`a` = epoch,
     /// `b` = outboxes retired).
     ViewRetire = 4,
-    /// A migration bundle left for a peer (`a` = destination agent,
-    /// `b` = records in the bundle).
+    /// A migration frame left for a peer (`a` = destination agent,
+    /// `b` = records in the frame).
     MigrateSend = 5,
     /// A migration frame arrived (`a` = records received).
     MigrateRecv = 6,

@@ -1,0 +1,123 @@
+//! What a view change costs and what it must preserve: migration is a
+//! few large frames and a handful of READYs whatever the number of
+//! vertices, and the cluster holds afterwards exactly what it held
+//! before.
+//!
+//! A test binary of its own: two 6k-vertex view changes beside
+//! `tests/elastic.rs` took its load-sensitive async storm test
+//! (ROADMAP item 2) from failing one run in five to one in two.
+
+use elga::ckpt::CheckpointStore;
+use elga::core::ckpt_codec;
+use elga::core::msg::packet;
+use elga::net::CoalesceConfig;
+use elga::prelude::*;
+use std::collections::BTreeMap;
+
+/// Everything the cluster holds, independent of which agent holds it:
+/// both placements' edge multisets and every primary's
+/// `(g_out, g_in, state, snap)`.
+#[derive(Debug, PartialEq)]
+struct Holdings {
+    out_edges: Vec<(u64, u64)>,
+    in_edges: Vec<(u64, u64)>,
+    primaries: BTreeMap<u64, (i64, i64, Option<u64>, Option<u64>)>,
+}
+
+/// Read the cluster's holdings back through a checkpoint (every
+/// agent's whole partition, edge lists and primary meta included) and
+/// the serving snapshot (one batched query over the primaries).
+fn holdings(cluster: &mut Cluster) -> Holdings {
+    let report = cluster.checkpoint().expect("checkpoint");
+    assert!(report.committed, "checkpoint must commit");
+    let dir = cluster.config().checkpoint_dir.clone().expect("dir");
+    let store = CheckpointStore::open(dir).expect("open store");
+    let mut h = Holdings {
+        out_edges: Vec::new(),
+        in_edges: Vec::new(),
+        primaries: BTreeMap::new(),
+    };
+    for agent in cluster.agent_ids() {
+        let (_, payload) = store
+            .read_shard(report.generation, agent)
+            .expect("read shard");
+        for r in ckpt_codec::decode_payload(&payload).expect("decode shard") {
+            h.out_edges.extend(r.out.iter().map(|&w| (r.vertex, w)));
+            h.in_edges.extend(r.inn.iter().map(|&u| (u, r.vertex)));
+            if r.is_meta {
+                let state = r.has_state.then_some(r.state);
+                let dup = h.primaries.insert(r.vertex, (r.g_out, r.g_in, state, None));
+                assert!(dup.is_none(), "two primaries hold v{}", r.vertex);
+            }
+        }
+    }
+    h.out_edges.sort_unstable();
+    h.in_edges.sort_unstable();
+    let client = QueryClient::connect(
+        cluster.transport(),
+        cluster.config().clone(),
+        cluster.lead_directory(),
+    )
+    .expect("query client");
+    let vertices: Vec<u64> = h.primaries.keys().copied().collect();
+    let snaps = client.query_batch(&vertices);
+    for (p, snap) in h.primaries.values_mut().zip(snaps) {
+        p.3 = snap.map(|s| s.state);
+    }
+    h
+}
+
+#[test]
+fn view_change_frames_follow_bytes_not_vertices() {
+    let edges = elga::gen::power_law(6_000, 24_000, 2.2, 7);
+    let dir = std::env::temp_dir().join(format!("elga-view-change-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut cluster = Cluster::builder().agents(3).checkpoints(&dir).build();
+    cluster.ingest_edges(edges.iter().copied());
+    cluster.run(Wcc::new()).expect("wcc");
+
+    // The undisturbed cluster is this one, before anything moves.
+    let want = holdings(&mut cluster);
+    assert!(want.primaries.len() >= 5_000 && want.out_edges.len() >= 15_000);
+    assert!(
+        want.primaries.values().all(|p| p.2.is_some() && p.2 == p.3),
+        "every primary holds its label and serves it"
+    );
+    assert_eq!(
+        want.out_edges, want.in_edges,
+        "both placements hold every edge"
+    );
+
+    let net = cluster.transport().net_stats().expect("in-process stats");
+    let max_bytes = CoalesceConfig::default().max_bytes as u64;
+    let check = |cluster: &mut Cluster, what: &str, change: &dyn Fn(&mut Cluster)| {
+        let before = cluster.metrics().comms.migration;
+        let (readys_before, _) = net.sent(packet::READY);
+        let agents = cluster.agent_count() as u64;
+        change(cluster);
+        cluster.quiesce().expect("quiesce");
+        let agents = agents.max(cluster.agent_count() as u64);
+        let readys = net.sent(packet::READY).0 - readys_before;
+        let after = cluster.metrics().comms.migration;
+        let frames = after.frames_sent - before.frames_sent;
+        let bytes = after.bytes_sent - before.bytes_sent;
+        assert!(bytes > 100_000, "{what}: only {bytes} B migrated");
+        assert!(
+            frames <= bytes / max_bytes + 4 * agents,
+            "{what}: {frames} migration frames for {bytes} B among {agents} agents"
+        );
+        assert!(
+            readys < 64 * agents,
+            "{what}: {readys} READY frames from {agents} agents"
+        );
+        assert_eq!(holdings(cluster), want, "{what}: holdings differ");
+    };
+    check(&mut cluster, "join", &|c| {
+        c.add_agents(1);
+    });
+    check(&mut cluster, "leave", &|c| {
+        c.remove_agents(1);
+    });
+    cluster.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
