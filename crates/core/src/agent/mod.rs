@@ -62,6 +62,7 @@ use elga_net::{
 };
 use elga_sketch::CountMinSketch;
 use elga_trace::{EventKind, Tracer};
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -69,6 +70,10 @@ use superstep::StepScratch;
 
 /// Records per frame on the eager (non-coalescing) ablation path.
 const BATCH: usize = 4096;
+
+/// Most deliveries [`Agent::serve_reads`] parks before it stops looking
+/// at the mailbox: at full ~60 KiB frames, one sender's 16 MiB credit.
+const MAX_PARKED: usize = 256;
 
 /// Forwarding hop cap (views converge long before this).
 const MAX_HOPS: u8 = 64;
@@ -262,6 +267,9 @@ pub struct Agent {
     /// Future-phase frames ("If it is for an iteration in the future,
     /// the packet is stored").
     buffered_frames: Vec<Frame>,
+    /// Deliveries taken off the mailbox by [`Agent::serve_reads`] while
+    /// it looked for reads mid-superstep, oldest first.
+    parked: VecDeque<Delivery>,
     /// The last READY sent; [`Agent::on_idle`] re-sends it when late
     /// counted frames moved the counters since.
     reported: Option<ReadyReport>,
@@ -399,6 +407,7 @@ impl Agent {
             dangling_cum: 0.0,
             buffered_changes: Vec::new(),
             buffered_frames: Vec::new(),
+            parked: VecDeque::new(),
             reported: None,
             last_idle_counters: None,
             departing: false,
@@ -429,7 +438,13 @@ impl Agent {
 
     fn run_loop(mut self) {
         loop {
-            match self.mailbox.recv_timeout(Duration::from_millis(20)) {
+            // Frames parked by `serve_reads` arrived before anything
+            // still in the mailbox.
+            let first = match self.parked.pop_front() {
+                Some(d) => Ok(d),
+                None => self.mailbox.recv_timeout(Duration::from_millis(20)),
+            };
+            match first {
                 Ok(d) => {
                     if !self.handle(d) {
                         break;
@@ -437,7 +452,11 @@ impl Agent {
                     // Drain opportunistically so idle detection sees a
                     // truly empty mailbox.
                     loop {
-                        match self.mailbox.try_recv() {
+                        let next = match self.parked.pop_front() {
+                            Some(d) => Ok(Some(d)),
+                            None => self.mailbox.try_recv(),
+                        };
+                        match next {
                             Ok(Some(d)) => {
                                 if !self.handle(d) {
                                     return;
@@ -499,36 +518,7 @@ impl Agent {
             packet::CKPT_EDGES => self.on_ckpt_edges(frame),
             packet::CKPT_META => self.on_ckpt_meta(frame),
             packet::RESET_LABELS => self.on_reset_labels(frame),
-            packet::QUERY => {
-                if let Some(reply) = d.reply {
-                    let v = frame.reader().u64().unwrap_or(0);
-                    self.metrics.queries += 1;
-                    let a = self.answer_query(v);
-                    let _ = reply.send(
-                        Frame::builder(packet::QUERY_REP)
-                            .u8(a.found)
-                            .u64(a.state)
-                            .u64(self.snap_watermark)
-                            .u64(self.snap_run)
-                            .finish(),
-                    );
-                }
-            }
-            packet::QUERY_BATCH => {
-                if let Some(reply) = d.reply {
-                    if let Some(recs) = msg::decode_query_batch(&frame) {
-                        self.metrics.queries += recs.len() as u64;
-                        self.metrics.query_batches += 1;
-                        let answers: Vec<msg::QueryAnswer> =
-                            recs.iter().map(|v| self.answer_query(v)).collect();
-                        let _ = reply.send(msg::encode_query_batch_rep(
-                            self.snap_run,
-                            self.snap_watermark,
-                            &answers,
-                        ));
-                    }
-                }
-            }
+            packet::QUERY | packet::QUERY_BATCH => self.answer_read(&frame, d.reply),
             packet::SUB_REG => {
                 if let Some((addr, sub, recs)) = msg::decode_sub_reg(&frame) {
                     self.on_sub_reg(addr, sub, recs.iter().collect());
@@ -742,6 +732,65 @@ impl Agent {
                     msg::ANSWER_MISS
                 },
             },
+        }
+    }
+
+    /// Answer a QUERY or QUERY_BATCH request from the snapshot buffer.
+    fn answer_read(&mut self, frame: &Frame, reply: Option<ReplyHandle>) {
+        let Some(reply) = reply else {
+            return;
+        };
+        if frame.packet_type() == packet::QUERY {
+            let v = frame.reader().u64().unwrap_or(0);
+            self.metrics.queries += 1;
+            let a = self.answer_query(v);
+            let _ = reply.send(
+                Frame::builder(packet::QUERY_REP)
+                    .u8(a.found)
+                    .u64(a.state)
+                    .u64(self.snap_watermark)
+                    .u64(self.snap_run)
+                    .finish(),
+            );
+        } else if let Some(recs) = msg::decode_query_batch(frame) {
+            self.metrics.queries += recs.len() as u64;
+            self.metrics.query_batches += 1;
+            let answers: Vec<msg::QueryAnswer> =
+                recs.iter().map(|v| self.answer_query(v)).collect();
+            let _ = reply.send(msg::encode_query_batch_rep(
+                self.snap_run,
+                self.snap_watermark,
+                &answers,
+            ));
+        }
+    }
+
+    /// Look at the mailbox from inside a superstep: answer the reads
+    /// that are waiting and park everything else, in arrival order, for
+    /// [`Agent::run_loop`] to handle before it takes anything newer.
+    ///
+    /// Safe at any point of a run: answers come from the snapshot
+    /// buffer and its tag, which nothing writes between one
+    /// `finish_run` and the next, and a read moves no barrier counter.
+    /// Called where a step used to wait at a barrier (between chained
+    /// phases) and inside the loops that can run long — so a chained
+    /// step does not starve the serving plane.
+    fn serve_reads(&mut self) {
+        // Parked frames no longer count against their senders' credit
+        // ([`CoalescingOutbox`] watches the queue depth); stop looking
+        // before a kernel's worth of parking can outgrow one sender's
+        // in-flight budget.
+        while self.parked.len() < MAX_PARKED {
+            let Ok(Some(d)) = self.mailbox.try_recv() else {
+                return;
+            };
+            match d.frame.packet_type() {
+                packet::QUERY | packet::QUERY_BATCH => {
+                    self.net.record_recv(d.frame.packet_type(), d.frame.len());
+                    self.answer_read(&d.frame, d.reply);
+                }
+                _ => self.parked.push_back(d),
+            }
         }
     }
 
@@ -1030,34 +1079,7 @@ impl Agent {
             self.replay_buffered();
             return;
         }
-        let t0 = Instant::now();
-        match adv.phase {
-            Phase::Scatter => self.phase_scatter(),
-            Phase::Combine => self.phase_combine(),
-            Phase::Apply => self.phase_apply(),
-            Phase::Migrate => {}
-        }
-        let nanos = t0.elapsed().as_nanos() as u64;
-        self.metrics.last_step_nanos = nanos;
-        let span_kind = match adv.phase {
-            Phase::Scatter => {
-                self.metrics.scatter_nanos += nanos;
-                Some(EventKind::PhaseScatter)
-            }
-            Phase::Combine => {
-                self.metrics.combine_nanos += nanos;
-                Some(EventKind::PhaseCombine)
-            }
-            Phase::Apply => {
-                self.metrics.apply_nanos += nanos;
-                Some(EventKind::PhaseApply)
-            }
-            Phase::Migrate => None,
-        };
-        if let Some(kind) = span_kind {
-            self.tracer.span(kind, t0, adv.run, u64::from(adv.step));
-        }
-        self.replay_buffered();
+        self.run_phases(&adv);
     }
 
     fn finish_run(&mut self) {

@@ -24,6 +24,10 @@ struct ShardOut {
     visits: u64,
 }
 
+/// Records handled between two looks at the mailbox for reads, in the
+/// loops that can run long without returning to `run_loop`.
+const READ_YIELD: usize = 1024;
+
 /// Reusable per-superstep buffers, indexed like the vertex shards.
 #[derive(Default)]
 pub(super) struct StepScratch {
@@ -73,9 +77,11 @@ impl Agent {
     // Sync phases
     // ------------------------------------------------------------------
 
-    pub(super) fn phase_scatter(&mut self) {
+    /// Scatter the current step and return the Scatter report's
+    /// `global_contrib`.
+    fn phase_scatter(&mut self) -> f64 {
         let run = self.run.as_ref().expect("scatter without run");
-        let (run_id, step, delta) = (run.info.run_id, run.step, run.info.delta);
+        let (step, delta) = (run.step, run.info.delta);
         // The list is complete only once a sweep has cleared every
         // stale flag (`needs_sweep`); `scatter_all` programs visit
         // every vertex by definition (delta runs scatter pending
@@ -105,36 +111,95 @@ impl Agent {
         // non-destructively — a re-report repeats the same value — and
         // cleared when the Combine advance confirms the reduce absorbed
         // it.
-        let contrib = if delta { self.dangling_acc } else { reduced };
-        self.send_ready(run_id, step, Phase::Scatter, 0, contrib);
+        if delta {
+            self.dangling_acc
+        } else {
+            reduced
+        }
     }
 
-    pub(super) fn phase_combine(&mut self) {
-        let run = self.run.as_ref().expect("combine without run");
-        let run_id = run.info.run_id;
-        let step = run.step;
-        self.run_kernel(Phase::Combine, false);
-        self.send_ready(run_id, step, Phase::Combine, 0, 0.0);
-    }
-
-    pub(super) fn phase_apply(&mut self) {
+    /// Apply the current step and return the number of primaries left
+    /// active, which the step's verdict sums.
+    fn phase_apply(&mut self) -> u64 {
         let run = self.run.as_ref().expect("apply without run");
-        let run_id = run.info.run_id;
-        let step = run.step;
         // Every primary really participates at step 0 (initialisation,
         // activation, reseed), when a full run's program applies
         // without messages, and when a delta step redistributes a
         // dangling-mass change uniformly; otherwise only message
         // receivers do.
-        let sweep = step == 0
+        let sweep = run.step == 0
             || self.needs_sweep
             || if run.info.delta {
                 run.global != 0.0
             } else {
                 run.program.applies_without_messages()
             };
-        let active = self.run_kernel(Phase::Apply, sweep);
-        self.send_ready(run_id, step, Phase::Apply, active, 0.0);
+        self.run_kernel(Phase::Apply, sweep)
+    }
+
+    /// Run `phase` of the current step under its clock: the phase's
+    /// `metrics.*_nanos` and trace span cover exactly this call, inside
+    /// a chain as in a three-barrier step. Returns `(active,
+    /// global_contrib)` for the READY that reports the phase.
+    fn timed_phase(&mut self, phase: Phase) -> (u64, f64) {
+        let run = self.run.as_mut().expect("phase without run");
+        run.phase = phase;
+        let (run_id, step) = (run.info.run_id, run.step);
+        let t0 = Instant::now();
+        let (out, kind) = match phase {
+            Phase::Scatter => ((0, self.phase_scatter()), EventKind::PhaseScatter),
+            Phase::Combine => {
+                self.run_kernel(Phase::Combine, false);
+                ((0, 0.0), EventKind::PhaseCombine)
+            }
+            Phase::Apply => ((self.phase_apply(), 0.0), EventKind::PhaseApply),
+            Phase::Migrate => return (0, 0.0),
+        };
+        let nanos = t0.elapsed().as_nanos() as u64;
+        match phase {
+            Phase::Scatter => self.metrics.scatter_nanos += nanos,
+            Phase::Combine => self.metrics.combine_nanos += nanos,
+            _ => self.metrics.apply_nanos += nanos,
+        }
+        self.tracer.span(kind, t0, run_id, u64::from(step));
+        out
+    }
+
+    /// Execute a sync ADVANCE (the run's step, vertex count and global
+    /// are already adopted) and answer it with exactly one READY.
+    ///
+    /// A plain advance runs its one phase. A chained `Combine` advance
+    /// — the lead saw that no vertex can be split, so Combine and Apply
+    /// exchange nothing between agents — runs combine → apply → the
+    /// next step's scatter back to back and reports `(step + 1,
+    /// Scatter)`, with the apply's `active` beside the scatter's
+    /// contribution: the one barrier of the step. Reads are served
+    /// between the phases, which used to be barrier waits.
+    pub(super) fn run_phases(&mut self, adv: &msg::Advance) {
+        let t0 = Instant::now();
+        let replica_sent = (self.counters.part_sent, self.counters.state_sent);
+        let (mut active, mut contrib) = self.timed_phase(adv.phase);
+        if adv.chain {
+            self.serve_reads();
+            active = self.timed_phase(Phase::Apply).0;
+            // The promise the chain rests on: every PARTIAL and STATE
+            // of the step was this agent's own, delivered in place.
+            debug_assert_eq!(
+                replica_sent,
+                (self.counters.part_sent, self.counters.state_sent),
+                "a chained step put PARTIAL/STATE records on the wire"
+            );
+            self.serve_reads();
+            self.run.as_mut().expect("run").step = adv.step + 1;
+            contrib = self.timed_phase(Phase::Scatter).1;
+        }
+        // Frames that ran ahead of this advance — a fast peer's
+        // `VMSG(step + 1)` — are counted before the report is built,
+        // not after it by an idle re-report ([`Agent::on_idle`]).
+        self.replay_buffered();
+        self.metrics.last_step_nanos = t0.elapsed().as_nanos() as u64;
+        let run = self.run.as_ref().expect("run");
+        self.send_ready(run.info.run_id, run.step, run.phase, active, contrib);
     }
 
     /// Run one superstep kernel over all vertex shards on the worker
@@ -152,21 +217,32 @@ impl Agent {
         let program = run.program.clone();
         let run_id = run.info.run_id;
         let step = run.step;
-        let ctx = KernelCtx {
-            program: &*program,
-            locator: &self.locator,
-            sketch: &self.view.sketch,
-            my_id: self.id,
-            n_vertices: run.n_vertices,
-            step,
-            sweep,
-            scatter_all: program.scatter_all(),
-            reuse: run.info.reuse_state,
-            global: run.global,
-            delta: run.info.delta,
-            prev_n: self.delta_seed.as_ref().map_or(0, |s| s.n),
-            dangling_base: run.info.dangling_base,
-        };
+        let (n_vertices, global) = (run.n_vertices, run.global);
+        let (reuse, delta, dangling_base) =
+            (run.info.reuse_state, run.info.delta, run.info.dangling_base);
+        let (my_id, scatter_all) = (self.id, program.scatter_all());
+        let prev_n = self.delta_seed.as_ref().map_or(0, |s| s.n);
+        // Built where it is used, not held: the serial path hands
+        // `self` to the read server between shards.
+        macro_rules! ctx {
+            () => {
+                KernelCtx {
+                    program: &*program,
+                    locator: &self.locator,
+                    sketch: &self.view.sketch,
+                    my_id,
+                    n_vertices,
+                    step,
+                    sweep,
+                    scatter_all,
+                    reuse,
+                    global,
+                    delta,
+                    prev_n,
+                    dangling_base,
+                }
+            };
+        }
         let epoch = self.view.epoch;
         for c in &mut self.worker_caches {
             c.ensure_epoch(epoch);
@@ -186,32 +262,38 @@ impl Agent {
         } else {
             self.workers.clamp(1, SHARDS)
         };
-        let chunk = SHARDS.div_ceil(workers);
-        {
+        if workers == 1 {
+            // Serial fast path: no thread spawn overhead. Reads are
+            // served after every shard that had work (DESIGN.md "Reads
+            // inside kernels").
+            for i in 0..SHARDS {
+                let shard = &mut self.vertices.shards_mut()[i];
+                let busy = sweep || worklist_len(phase, &shard.lists) > 0;
+                let (cache, out) = (&mut self.worker_caches[0], &mut self.scratch.per_shard[i]);
+                kernel_shard(phase, ctx!(), cache, shard, out);
+                if busy {
+                    self.serve_reads();
+                }
+            }
+        } else {
+            let ctx = ctx!();
+            let chunk = SHARDS.div_ceil(workers);
             let shards = self.vertices.shards_mut();
             let outs = &mut self.scratch.per_shard;
             let caches = &mut self.worker_caches;
-            if workers == 1 {
-                // Serial fast path: no thread spawn overhead.
-                let cache = &mut caches[0];
-                for (shard, out) in shards.iter_mut().zip(outs.iter_mut()) {
-                    kernel_shard(phase, ctx, cache, shard, out);
+            std::thread::scope(|scope| {
+                let work = shards
+                    .chunks_mut(chunk)
+                    .zip(outs.chunks_mut(chunk))
+                    .zip(caches.iter_mut());
+                for ((sh, outs), cache) in work {
+                    scope.spawn(move || {
+                        for (shard, out) in sh.iter_mut().zip(outs.iter_mut()) {
+                            kernel_shard(phase, ctx, cache, shard, out);
+                        }
+                    });
                 }
-            } else {
-                std::thread::scope(|scope| {
-                    let work = shards
-                        .chunks_mut(chunk)
-                        .zip(outs.chunks_mut(chunk))
-                        .zip(caches.iter_mut());
-                    for ((sh, outs), cache) in work {
-                        scope.spawn(move || {
-                            for (shard, out) in sh.iter_mut().zip(outs.iter_mut()) {
-                                kernel_shard(phase, ctx, cache, shard, out);
-                            }
-                        });
-                    }
-                });
-            }
+            });
         }
         // Shard-order sums: deterministic for any worker count.
         let mut active = 0;
@@ -247,12 +329,14 @@ impl Agent {
                     }
                     self.counters.state_sent += recs.len() as u64;
                     if coalescing {
-                        let recs = &recs[..];
-                        self.with_outbox(agent, |out| {
-                            for rec in recs {
-                                msg::append_state(out, run_id, step, rec);
-                            }
-                        });
+                        for recs in recs.chunks(READ_YIELD) {
+                            self.with_outbox(agent, |out| {
+                                for rec in recs {
+                                    msg::append_state(out, run_id, step, rec);
+                                }
+                            });
+                            self.serve_reads();
+                        }
                     } else {
                         for chunk in recs.chunks(BATCH) {
                             let frame = msg::encode_states(run_id, step, chunk);
@@ -282,16 +366,18 @@ impl Agent {
                         self.counters.part_sent += msgs.len() as u64;
                     }
                     if coalescing {
-                        let msgs = &msgs[..];
-                        self.with_outbox(agent, |out| {
-                            for &(v, value) in msgs {
-                                if phase == Phase::Scatter {
-                                    msg::append_vmsg(out, run_id, step, v, value);
-                                } else {
-                                    msg::append_partial(out, run_id, step, v, value);
+                        for msgs in msgs.chunks(READ_YIELD) {
+                            self.with_outbox(agent, |out| {
+                                for &(v, value) in msgs {
+                                    if phase == Phase::Scatter {
+                                        msg::append_vmsg(out, run_id, step, v, value);
+                                    } else {
+                                        msg::append_partial(out, run_id, step, v, value);
+                                    }
                                 }
-                            }
-                        });
+                            });
+                            self.serve_reads();
+                        }
                     } else {
                         for chunk in msgs.chunks(BATCH) {
                             let frame = if phase == Phase::Scatter {
@@ -337,7 +423,10 @@ impl Agent {
                 self.counters.vmsg_recv += view.records.len() as u64;
                 self.metrics.vmsgs += view.records.len() as u64;
                 let program = self.run.as_ref().expect("run").program.clone();
-                for (v, value) in view.records {
+                for (i, (v, value)) in view.records.iter().enumerate() {
+                    if i % READ_YIELD == READ_YIELD - 1 {
+                        self.serve_reads();
+                    }
                     let (e, lists) = self.vertices.entry_and_lists(v);
                     if e.has_partial {
                         e.partial = program.combine(e.partial, value);
@@ -345,7 +434,7 @@ impl Agent {
                         e.partial = value;
                         e.has_partial = true;
                         // First partial since the last combine: record
-                        // it so phase_combine only walks receivers.
+                        // it so the combine kernel only walks receivers.
                         lists.partial_dirty.push(v);
                     }
                 }
@@ -973,6 +1062,12 @@ impl Agent {
             // for a view change alike. The lead replaces the old report
             // and re-evaluates its barrier, so a barrier stays live on
             // O(drains) READYs however many frames a drain held.
+            //
+            // Its complement for *early* frames (a fast peer's
+            // `VMSG(n + 1)` ahead of this agent's `ADVANCE(n)`): they
+            // are buffered uncounted and `run_phases` replays them
+            // before it builds the READY, so they ride the first report
+            // of the step instead of costing a second one here.
             if self.reported.is_some_and(|r| r.counters != self.counters) {
                 self.re_report();
             }
@@ -1145,23 +1240,38 @@ fn combine_shard(
     shard: &mut Shard,
     out: &mut FxHashMap<AgentId, Vec<(VertexId, u64)>>,
 ) {
-    let mut dirty = std::mem::take(&mut shard.lists.partial_dirty);
+    let Shard { map, lists } = shard;
+    let mut dirty = std::mem::take(&mut lists.partial_dirty);
     dirty.sort_unstable();
     for v in dirty.drain(..) {
-        let Some(e) = shard.map.get_mut(&v) else {
+        let Some(e) = map.get_mut(&v) else {
             continue;
         };
         if !e.has_partial {
             continue;
         }
-        if let Some(primary) = cache.primary(ctx.locator, v, || ctx.sketch.estimate(v)) {
-            out.entry(primary).or_default().push((v, e.partial));
-        }
+        let partial = std::mem::take(&mut e.partial);
         e.has_partial = false;
-        e.partial = 0;
+        match cache.primary(ctx.locator, v, || ctx.sketch.estimate(v)) {
+            // This agent is the primary (always, for a vertex that is
+            // not split): the partial is delivered in place, as
+            // `on_partial` would on receipt, and is no PARTIAL record —
+            // uncounted on both sides of the barrier sums.
+            Some(primary) if primary == ctx.my_id => {
+                if e.has_ppartial {
+                    e.ppartial = ctx.program.combine(e.ppartial, partial);
+                } else {
+                    e.ppartial = partial;
+                    e.has_ppartial = true;
+                    lists.apply.push(v);
+                }
+            }
+            Some(primary) => out.entry(primary).or_default().push((v, partial)),
+            None => {}
+        }
     }
     // Hand the (drained) buffer back so its capacity is reused.
-    shard.lists.partial_dirty = dirty;
+    lists.partial_dirty = dirty;
 }
 
 /// Apply one shard's primaries and queue state broadcasts to their
@@ -1346,18 +1456,27 @@ fn apply_vertex(
             active: e.active,
         };
         for &replica in cache.replicas(ctx.locator, v, || ctx.sketch.estimate(v)) {
-            out.states.entry(replica).or_default().push(rec);
+            if replica == ctx.my_id {
+                // The primary's own replica copy is this entry: what
+                // `on_state` would adopt from the record is written in
+                // place (`state` and `active` already are), and no
+                // STATE record is counted or sent.
+                e.rep_out_degree = rec.out_degree;
+                if ctx.delta {
+                    // Scattered at the next Scatter phase.
+                    e.pending_delta = aux;
+                    e.has_pending_delta = true;
+                }
+            } else {
+                out.states.entry(replica).or_default().push(rec);
+            }
         }
     }
-    if e.active {
-        // The self-addressed STATE record repeats this flag; listing
-        // the vertex here keeps the invariant independent of it.
-        if !listed {
-            lists.scatter.push(v);
-        }
-        // Non-meta primaries are not counted, as in the vertex count.
-        out.active += u64::from(e.is_meta);
+    if !listed && (e.active || e.has_pending_delta) {
+        lists.scatter.push(v);
     }
+    // Non-meta primaries are not counted, as in the vertex count.
+    out.active += u64::from(e.active && e.is_meta);
 }
 
 #[cfg(test)]
@@ -1460,11 +1579,20 @@ mod tests {
         program: &dyn VertexProgram,
         store: &mut VertexStore,
     ) -> (Msgs, States, u64, u64) {
+        // Every seventh vertex is split over both agents; the rest
+        // (sketch collisions aside) live whole on their primary, whose
+        // PARTIAL and STATE records are delivered in place.
         let locator = EdgeLocator::new(
             Ring::from_agents(HashKind::Wang, 8, [ME, 2]),
-            LocatorConfig::default(),
+            LocatorConfig {
+                replication_threshold: 4,
+                max_replicas: 2,
+            },
         );
-        let sketch = CountMinSketch::new(64, 2);
+        let mut sketch = CountMinSketch::new(64, 2);
+        for v in (0..N).step_by(7) {
+            sketch.add(v, 10);
+        }
         let delta = program.delta_kind() == DeltaKind::Residual;
         let ctx = KernelCtx {
             program,
@@ -1505,13 +1633,19 @@ mod tests {
     }
 
     /// Everything a later kernel could observe of an entry.
-    fn entries(store: &VertexStore) -> Vec<(VertexId, [u64; 4], [bool; 6])> {
+    fn entries(store: &VertexStore) -> Vec<(VertexId, [u64; 5], [bool; 6])> {
         let mut all: Vec<_> = store
             .iter()
             .map(|(&v, e)| {
                 (
                     v,
-                    [e.state, e.residual, e.pending_delta, e.ppartial],
+                    [
+                        e.state,
+                        e.residual,
+                        e.pending_delta,
+                        e.ppartial,
+                        e.rep_out_degree,
+                    ],
                     [
                         e.has_state,
                         e.active,
@@ -1557,7 +1691,55 @@ mod tests {
                         shard.assert_worklists_complete();
                     }
                 }
+                // No record is addressed to the agent that ran the
+                // kernel: its own copies were written in place.
+                assert!(by_list
+                    .0
+                    .iter()
+                    .all(|m| phase == Phase::Scatter || m.0 != ME));
+                assert!(by_list.1.iter().all(|s| s.0 != ME), "{what}");
             }
+        }
+    }
+
+    /// What a self-addressed PARTIAL used to do on receipt, the combine
+    /// kernel does on the spot: fold into `ppartial` (combining with
+    /// one a peer's PARTIAL left there), list the vertex for apply, and
+    /// emit records only toward other primaries.
+    #[test]
+    fn combine_folds_own_partials_in_place() {
+        let wcc = Wcc::new();
+        let mut store = VertexStore::default();
+        for v in 0..N {
+            let (e, lists) = store.entry_and_lists(v);
+            e.partial = v + 100;
+            e.has_partial = true;
+            lists.partial_dirty.push(v);
+            if v % 3 == 0 {
+                // A peer replica's PARTIAL got here first.
+                e.ppartial = v + 50;
+                e.has_ppartial = true;
+                lists.apply.push(v);
+            }
+        }
+        let (sent, _, _, _) = run(Phase::Combine, false, &wcc, &mut store);
+        assert!(!sent.is_empty(), "some primaries live on agent 2");
+        assert!(sent.iter().all(|&(to, v, x)| to == 2 && x == v + 100));
+        let remote: FxHashSet<VertexId> = sent.iter().map(|m| m.1).collect();
+        assert!(remote.len() < N as usize, "some primaries live here");
+        for (&v, e) in store.iter() {
+            assert!(!e.has_partial && e.partial == 0, "{v}: partial consumed");
+            let peer = (v % 3 == 0).then_some(v + 50);
+            let want = if remote.contains(&v) {
+                peer
+            } else {
+                Some(peer.map_or(v + 100, |p| wcc.combine(p, v + 100)))
+            };
+            assert_eq!(e.has_ppartial.then_some(e.ppartial), want, "vertex {v}");
+        }
+        for shard in store.shards() {
+            shard.assert_worklists_complete();
+            assert!(shard.lists.partial_dirty.is_empty());
         }
     }
 }

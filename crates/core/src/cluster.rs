@@ -543,6 +543,10 @@ impl Cluster {
     pub fn quiesce(&self) -> Result<(), NetError> {
         let deadline = Instant::now() + self.cfg.quiesce_deadline;
         let mut last: Option<Counters> = None;
+        // The view is read for the agents' addresses only, and carries
+        // the whole sketch: fetched once, and again only after a round
+        // that saw the system moving (a join or leave may be why).
+        let mut view: Option<DirectoryView> = None;
         loop {
             if Instant::now() >= deadline {
                 return Err(NetError::Timeout);
@@ -554,10 +558,11 @@ impl Cluster {
                 .and_then(|f| msg::decode_run_status(&f))
                 .is_some_and(|s| s.migrating);
             if migrating {
+                view = None;
                 std::thread::sleep(Duration::from_micros(200));
                 continue;
             }
-            let view = self.view();
+            let agents = &view.get_or_insert_with(|| self.view()).agents;
             // Departed agents' final totals (kept by the lead) balance
             // the sums of the survivors.
             let mut sum = self
@@ -566,7 +571,7 @@ impl Cluster {
                 .and_then(|f| decode_counters_frame(&f))
                 .unwrap_or_default();
             let mut ok = true;
-            for a in &view.agents {
+            for a in agents {
                 match self.request_agent(&a.addr, Frame::signal(packet::DRAIN)) {
                     Ok(rep) => match decode_counters_frame(&rep) {
                         Some(c) => sum = sum.add(&c),
@@ -575,8 +580,12 @@ impl Cluster {
                     Err(_) => ok = false,
                 }
             }
-            if ok && sum.settled() && last == Some(sum) {
+            let settled = ok && sum.settled();
+            if settled && last == Some(sum) {
                 return Ok(());
+            }
+            if !settled {
+                view = None;
             }
             last = ok.then_some(sum);
             std::thread::sleep(Duration::from_micros(200));

@@ -64,6 +64,10 @@ struct Run {
     dangling_round: u32,
     /// Threshold below which redistribution stops (from the program).
     dangling_eps: f64,
+    /// The outstanding `(step, Scatter)` barrier was reached through a
+    /// chained advance: its reports carry apply(`step − 1`)'s `active`,
+    /// and settling it is that step's Apply verdict first.
+    chained: bool,
 }
 
 /// The lead directory's full coordination state. Separated from the
@@ -129,6 +133,9 @@ struct Lead {
     /// Event recorder (view changes, heartbeat misses, recoveries);
     /// disabled unless `cfg.tracing`.
     tracer: Arc<Tracer>,
+    /// [`DirectoryView::may_split`] of the current view: one pass over
+    /// the sketch per view epoch, read once per superstep.
+    may_split: bool,
 }
 
 impl Lead {
@@ -170,6 +177,7 @@ impl Lead {
             dangling_mass: 0.0,
             dangling_n: 0,
             tracer: Arc::new(Tracer::from_flag(cfg.tracing)),
+            may_split: false,
         }
     }
 
@@ -247,13 +255,44 @@ impl Lead {
         self.view.agents.iter().map(|a| a.id).collect()
     }
 
+    /// The view's membership or sketch changed: open its next epoch and
+    /// re-read what the lead keeps per epoch.
+    fn next_epoch(&mut self) {
+        self.view.epoch += 1;
+        self.may_split = self.view.may_split();
+    }
+
+    /// A join, leave or sketch delta is queued behind the run.
+    fn membership_pending(&self) -> bool {
+        !self.pending_joins.is_empty()
+            || !self.pending_leaves.is_empty()
+            || !self.pending_sketch.is_empty()
+    }
+
+    /// Whether the step whose Scatter barrier just settled may run its
+    /// Combine and Apply without barriers of their own (DESIGN.md "One
+    /// barrier when nothing is split"). Decided per step from state the
+    /// lead already holds; any `false` falls back to three barriers for
+    /// that step only.
+    fn can_chain(&self) -> bool {
+        let run = self.run.as_ref().expect("run");
+        // Async handlers and the idle protocol have no phases to chain.
+        !run.info.asynchronous
+            // The last step's verdict ends the run: a chained scatter
+            // of step `max + 1` would be thrown away.
+            && run.max_steps.is_none_or(|m| run.step < m)
+            // A view change must land on a clean Apply boundary, before
+            // the next step's messages exist.
+            && !self.membership_pending()
+            // With a vertex split across agents, PARTIAL and STATE
+            // records cross the wire and need their own barriers.
+            && !self.may_split
+    }
+
     /// Apply queued membership and sketch changes: bump the epoch,
     /// broadcast the view, and open a migrate barrier.
     fn apply_membership(&mut self) {
-        if self.pending_joins.is_empty()
-            && self.pending_leaves.is_empty()
-            && self.pending_sketch.is_empty()
-        {
+        if !self.membership_pending() {
             return;
         }
         for j in self.pending_joins.drain(..) {
@@ -272,7 +311,7 @@ impl Lead {
             // poisoning the view.
             let _ = self.view.sketch.merge(&s);
         }
-        self.view.epoch += 1;
+        self.next_epoch();
         self.tracer.instant(
             EventKind::ViewAdopt,
             self.view.epoch,
@@ -396,7 +435,7 @@ impl Lead {
                 n_vertices: self.view.n_vertices,
             };
         }
-        self.view.epoch += 1;
+        self.next_epoch();
         self.tracer
             .instant(EventKind::RecoveryTrigger, self.view.epoch, dead);
         self.migrate_epoch = Some(self.view.epoch);
@@ -486,6 +525,20 @@ impl Lead {
         let phase = self.run.as_ref().expect("run").phase;
         match phase {
             Phase::Scatter => {
+                // Reached through a chain, this barrier is the previous
+                // step's Apply verdict before it is anything else.
+                if std::mem::take(&mut self.run.as_mut().expect("run").chained)
+                    && self.step_verdict(&members)
+                {
+                    let run = self.run.as_mut().expect("run");
+                    // The agents scattered `step` already — nothing, as
+                    // no vertex was left active — but the run ended at
+                    // the step the verdict is for.
+                    run.step -= 1;
+                    run.phase = Phase::Apply;
+                    self.finish_run();
+                    return;
+                }
                 let mut n = 0;
                 let mut global = 0.0;
                 for id in &members {
@@ -515,10 +568,10 @@ impl Lead {
                     self.dangling_mass += delta_s;
                 }
                 self.view.n_vertices = n;
+                let chain = self.can_chain();
                 let run = self.run.as_mut().expect("run");
                 run.n_vertices = n;
                 run.global = global;
-                run.phase = Phase::Combine;
                 let adv = Advance {
                     run: run.info.run_id,
                     step: run.step,
@@ -526,7 +579,16 @@ impl Lead {
                     n_vertices: n,
                     global,
                     done: false,
+                    chain,
                 };
+                if chain {
+                    // One handler call runs combine → apply → the next
+                    // scatter; the next report is `(step + 1, Scatter)`.
+                    run.step += 1;
+                    run.chained = true;
+                } else {
+                    run.phase = Phase::Combine;
+                }
                 self.publish(msg::encode_advance(&adv));
             }
             Phase::Combine => {
@@ -539,32 +601,26 @@ impl Lead {
                     n_vertices: run.n_vertices,
                     global: run.global,
                     done: false,
+                    chain: false,
                 };
                 self.publish(msg::encode_advance(&adv));
             }
             Phase::Apply => {
-                let active: u64 = members.iter().map(|id| self.reports[id].active).sum();
-                let (max_reached, converged, next) = {
-                    let run = self.run.as_mut().expect("run");
-                    run.step_nanos
-                        .push(run.step_started.elapsed().as_nanos() as u64);
-                    run.step_started = Instant::now();
-                    let max_reached = run.max_steps.is_some_and(|m| run.step >= m);
-                    let converged = active == 0;
-                    let next = Advance {
-                        run: run.info.run_id,
-                        step: run.step + 1,
-                        phase: Phase::Scatter,
-                        n_vertices: run.n_vertices,
-                        global: 0.0,
-                        done: false,
-                    };
-                    (max_reached, converged, next)
-                };
-                if max_reached || converged {
+                let converged = self.step_verdict(&members);
+                let run = self.run.as_ref().expect("run");
+                if converged || run.max_steps.is_some_and(|m| run.step >= m) {
                     self.finish_run();
                     return;
                 }
+                let next = Advance {
+                    run: run.info.run_id,
+                    step: run.step + 1,
+                    phase: Phase::Scatter,
+                    n_vertices: run.n_vertices,
+                    global: 0.0,
+                    done: false,
+                    chain: false,
+                };
                 // Elastic scaling happens at superstep boundaries: if
                 // membership changed mid-run, migrate first and resume
                 // after (§3.4.3 / Figure 17). Checked before the async
@@ -573,10 +629,7 @@ impl Lead {
                 // as the async release (`next` is exactly the step-1
                 // scatter advance, and the resume path re-arms
                 // `async_live`).
-                if !self.pending_joins.is_empty()
-                    || !self.pending_leaves.is_empty()
-                    || !self.pending_sketch.is_empty()
-                {
+                if self.membership_pending() {
                     self.resume = Some(next);
                     self.apply_membership();
                     return;
@@ -595,6 +648,7 @@ impl Lead {
                         n_vertices: run.n_vertices,
                         global: 0.0,
                         done: false,
+                        chain: false,
                     };
                     self.publish(msg::encode_advance(&adv));
                     return;
@@ -608,6 +662,19 @@ impl Lead {
         }
     }
 
+    /// Close a superstep's books at its Apply verdict — reached as an
+    /// Apply barrier or riding a chained Scatter barrier: one
+    /// `step_nanos` entry, and whether the step converged (no member
+    /// left a vertex active).
+    fn step_verdict(&mut self, members: &[AgentId]) -> bool {
+        let active: u64 = members.iter().map(|id| self.reports[id].active).sum();
+        let run = self.run.as_mut().expect("run");
+        run.step_nanos
+            .push(run.step_started.elapsed().as_nanos() as u64);
+        run.step_started = Instant::now();
+        active == 0
+    }
+
     /// Async termination: all agents idle with settled counters twice
     /// in a row. Returns true when it made progress.
     fn evaluate_async(&mut self) -> bool {
@@ -617,10 +684,7 @@ impl Lead {
         // probe state resets; once the barrier settles, the resume
         // advance re-releases the agents and termination detection
         // starts over.
-        if !self.pending_joins.is_empty()
-            || !self.pending_leaves.is_empty()
-            || !self.pending_sketch.is_empty()
-        {
+        if self.membership_pending() {
             let resume = {
                 let run = self.run.as_mut().expect("run");
                 run.probe = 0;
@@ -632,6 +696,7 @@ impl Lead {
                     n_vertices: run.n_vertices,
                     global: 0.0,
                     done: false,
+                    chain: false,
                 }
             };
             self.resume = Some(resume);
@@ -659,6 +724,7 @@ impl Lead {
                     n_vertices: run.n_vertices,
                     global: pending,
                     done: false,
+                    chain: false,
                 };
                 self.reports.clear();
                 self.publish(msg::encode_advance(&adv));
@@ -702,6 +768,7 @@ impl Lead {
                 n_vertices,
                 global: 0.0,
                 done: false,
+                chain: false,
             };
             self.publish(msg::encode_advance(&adv));
             // Progress was made, but re-evaluating immediately cannot
@@ -736,6 +803,7 @@ impl Lead {
             n_vertices,
             global: 0.0,
             done: false,
+            chain: false,
         };
         self.publish(msg::encode_advance(&adv));
         false
@@ -760,6 +828,7 @@ impl Lead {
             n_vertices: run.n_vertices,
             global: 0.0,
             done: false,
+            chain: false,
         };
         self.publish(msg::encode_advance(&adv));
     }
@@ -782,6 +851,7 @@ impl Lead {
             n_vertices: run.n_vertices,
             global: 0.0,
             done: true,
+            chain: false,
         };
         self.publish(msg::encode_advance(&adv));
         self.last_status = RunStatus {
@@ -855,6 +925,7 @@ impl Lead {
             dangling_seen: HashMap::new(),
             dangling_round: 0,
             dangling_eps,
+            chained: false,
         });
         self.last_status = RunStatus {
             run_id,
@@ -873,6 +944,7 @@ impl Lead {
             n_vertices: self.view.n_vertices,
             global: 0.0,
             done: false,
+            chain: false,
         };
         self.publish(msg::encode_advance(&adv));
         self.evaluate();
@@ -892,9 +964,7 @@ impl Lead {
             None => self.last_status.clone(),
         };
         status.migrating = self.migrate_epoch.is_some()
-            || !self.pending_joins.is_empty()
-            || !self.pending_leaves.is_empty()
-            || !self.pending_sketch.is_empty()
+            || self.membership_pending()
             || self.pending_start.is_some();
         status
     }
@@ -1406,6 +1476,241 @@ mod tests {
             !lead.barrier_met(&members, 7, 2, Phase::Combine),
             "wrong phase"
         );
+    }
+
+    /// A lead with agents 1 and 2 joined and migrated, a sync run of
+    /// the given program started, and a subscription that sees every
+    /// ADVANCE it publishes.
+    fn lead_mid_run(tag: u8, params: [u64; 3], asynchronous: bool) -> (Lead, Mailbox, u64) {
+        lead_mid_run_on(test_lead(), tag, params, asynchronous)
+    }
+
+    /// [`lead_mid_run`] on a lead that may have changes queued for its
+    /// first view.
+    fn lead_mid_run_on(
+        mut lead: Lead,
+        tag: u8,
+        params: [u64; 3],
+        asynchronous: bool,
+    ) -> (Lead, Mailbox, u64) {
+        let bus = lead
+            .transport
+            .subscribe(&Addr::inproc("test-bus"), &[packet::ADVANCE]);
+        for id in [1, 2] {
+            lead.pending_joins.push(AgentInfo {
+                id,
+                addr: agent_addr(id),
+            });
+        }
+        lead.apply_membership();
+        let epoch = lead.view.epoch as u32;
+        report_all(&mut lead, 0, epoch, Phase::Migrate, 0);
+        assert_eq!(lead.migrate_epoch, None);
+        let run_id = lead.start_run(RunInfo {
+            run_id: 0,
+            tag,
+            params,
+            reuse_state: false,
+            asynchronous,
+            delta: false,
+            dangling_base: 0.0,
+        });
+        (lead, bus.unwrap(), run_id)
+    }
+
+    const WCC: (u8, [u64; 3]) = (1, [0, 0, 0]);
+
+    /// Both agents report `(run, step, phase)` with settled counters
+    /// and `active` vertices each; the lead evaluates after each.
+    fn report_all(lead: &mut Lead, run: u64, step: u32, phase: Phase, active: u64) {
+        for id in [1, 2] {
+            let mut rep = ready(id, run, step, phase, Counters::default());
+            rep.active = active;
+            lead.reports.insert(id, rep);
+            lead.evaluate();
+        }
+    }
+
+    /// The ADVANCE frames published since the last call.
+    fn advances(bus: &Mailbox) -> Vec<Advance> {
+        let mut all = Vec::new();
+        while let Ok(Some(d)) = bus.try_recv() {
+            all.extend(msg::decode_advance(&d.frame));
+        }
+        all
+    }
+
+    /// `(step, phase, chained)` the lead waits for.
+    fn expects(lead: &Lead) -> (u32, Phase, bool) {
+        let run = lead.run.as_ref().expect("run");
+        (run.step, run.phase, run.chained)
+    }
+
+    #[test]
+    fn settled_scatter_barrier_chains_when_nothing_can_split() {
+        let (mut lead, bus, run) = lead_mid_run(WCC.0, WCC.1, false);
+        assert_eq!(advances(&bus).len(), 1, "the launch advance");
+        report_all(&mut lead, run, 0, Phase::Scatter, 0);
+        let adv = advances(&bus);
+        assert_eq!(adv.len(), 1);
+        assert_eq!((adv[0].step, adv[0].phase), (0, Phase::Combine));
+        assert!(adv[0].chain && !adv[0].done);
+        assert_eq!(expects(&lead), (1, Phase::Scatter, true));
+        // The next report is the chain's one READY: apply(0)'s active
+        // count on a `(1, Scatter)` report. Not converged: step 1 is
+        // chained the same way, with one `step_nanos` entry behind it.
+        report_all(&mut lead, run, 1, Phase::Scatter, 3);
+        let adv = advances(&bus);
+        assert_eq!(adv.len(), 1);
+        assert_eq!((adv[0].step, adv[0].phase), (1, Phase::Combine));
+        assert!(adv[0].chain);
+        assert_eq!(expects(&lead), (2, Phase::Scatter, true));
+        assert_eq!(lead.run.as_ref().unwrap().step_nanos.len(), 1);
+    }
+
+    #[test]
+    fn chained_barrier_with_nothing_active_finishes_at_the_applied_step() {
+        let (mut lead, bus, run) = lead_mid_run(WCC.0, WCC.1, false);
+        report_all(&mut lead, run, 0, Phase::Scatter, 0);
+        report_all(&mut lead, run, 1, Phase::Scatter, 2);
+        report_all(&mut lead, run, 2, Phase::Scatter, 4);
+        assert_eq!(expects(&lead), (3, Phase::Scatter, true));
+        advances(&bus);
+        // apply(2) left nothing active: the run is over at step 2,
+        // whatever step the agents' (empty) scatter was for.
+        report_all(&mut lead, run, 3, Phase::Scatter, 0);
+        assert!(lead.run.is_none());
+        let st = lead.status();
+        assert!(st.done && !st.running);
+        assert_eq!(st.steps, 2);
+        assert_eq!(st.step_nanos.len(), 3, "one entry per superstep 0..=2");
+        let adv = advances(&bus);
+        assert_eq!(adv.len(), 1);
+        assert!(adv[0].done && !adv[0].chain);
+        assert_eq!((adv[0].step, adv[0].phase), (2, Phase::Apply));
+    }
+
+    /// Each fall-back condition, alone, gets the step three barriers.
+    #[test]
+    fn no_chain_when_chaining_would_be_wrong() {
+        let unchained = |lead: &mut Lead, bus: &Mailbox, run: u64, step: u32, why: &str| {
+            advances(bus);
+            report_all(lead, run, step, Phase::Scatter, 1);
+            let adv = advances(bus);
+            assert_eq!(adv.len(), 1, "{why}");
+            assert_eq!((adv[0].step, adv[0].phase), (step, Phase::Combine));
+            assert!(!adv[0].chain, "{why}: chained");
+            assert_eq!(expects(lead), (step, Phase::Combine, false), "{why}");
+        };
+        let joiner = AgentInfo {
+            id: 3,
+            addr: agent_addr(3),
+        };
+
+        let (mut lead, bus, run) = lead_mid_run(WCC.0, WCC.1, false);
+        lead.pending_joins.push(joiner.clone());
+        unchained(&mut lead, &bus, run, 0, "join pending");
+        // The change then lands on the step's Apply boundary, as ever.
+        report_all(&mut lead, run, 0, Phase::Combine, 0);
+        report_all(&mut lead, run, 0, Phase::Apply, 1);
+        assert!(lead.migrate_epoch.is_some() && lead.resume.is_some());
+
+        let (mut lead, bus, run) = lead_mid_run(WCC.0, WCC.1, false);
+        lead.pending_leaves.push(2);
+        unchained(&mut lead, &bus, run, 0, "leave pending");
+
+        let (mut lead, bus, run) = lead_mid_run(WCC.0, WCC.1, false);
+        lead.pending_sketch.push(lead.view.sketch.clone());
+        unchained(&mut lead, &bus, run, 0, "sketch delta pending");
+
+        // A membership change queued *during* a chained step waits one
+        // step: the barrier it arrives at is not a clean boundary.
+        let (mut lead, bus, run) = lead_mid_run(WCC.0, WCC.1, false);
+        report_all(&mut lead, run, 0, Phase::Scatter, 0);
+        assert_eq!(expects(&lead), (1, Phase::Scatter, true));
+        lead.pending_joins.push(joiner);
+        unchained(&mut lead, &bus, run, 1, "join arrived mid-chain");
+        assert!(lead.migrate_epoch.is_none());
+
+        // PageRank, two iterations: step 1 chains, step 2 is the last.
+        let pagerank = [0.85f64.to_bits(), 2, 0f64.to_bits()];
+        let (mut lead, bus, run) = lead_mid_run(0, pagerank, false);
+        report_all(&mut lead, run, 0, Phase::Scatter, 0);
+        report_all(&mut lead, run, 1, Phase::Scatter, 5);
+        assert_eq!(expects(&lead), (2, Phase::Scatter, true));
+        unchained(&mut lead, &bus, run, 2, "step == max_steps");
+        report_all(&mut lead, run, 2, Phase::Combine, 0);
+        report_all(&mut lead, run, 2, Phase::Apply, 5);
+        assert_eq!(lead.status().steps, 2);
+        assert!(lead.status().done);
+
+        let (mut lead, bus, run) = lead_mid_run(WCC.0, WCC.1, true);
+        unchained(&mut lead, &bus, run, 0, "async run");
+
+        // One estimate over the threshold is enough; which vertex it
+        // belongs to is never looked up. The sketch reaches the view
+        // the way a streamer's does, as a delta, and the lead reads
+        // the bound once for the epoch.
+        let hub = |count: u32| {
+            let mut lead = test_lead();
+            let mut delta = lead.view.sketch.clone();
+            delta.add(77, count);
+            lead.pending_sketch.push(delta);
+            lead
+        };
+        let threshold = test_lead().view.replication_threshold as u32;
+        let (mut lead, bus, run) = lead_mid_run_on(hub(threshold), WCC.0, WCC.1, false);
+        assert!(!lead.view.may_split(), "at the threshold k is still 1");
+        report_all(&mut lead, run, 0, Phase::Scatter, 1);
+        assert!(advances(&bus).last().unwrap().chain);
+        let (mut lead, bus, run) = lead_mid_run_on(hub(threshold + 1), WCC.0, WCC.1, false);
+        assert!(lead.view.may_split());
+        unchained(&mut lead, &bus, run, 0, "sketch bound over the threshold");
+        // Capped at one replica, the same sketch splits nothing.
+        lead.view.max_replicas = 1;
+        assert!(!lead.view.may_split());
+    }
+
+    #[test]
+    fn resent_ready_reevaluates_a_chained_barrier_exactly_once() {
+        let (mut lead, bus, run) = lead_mid_run(WCC.0, WCC.1, false);
+        report_all(&mut lead, run, 0, Phase::Scatter, 0);
+        advances(&bus);
+        let sent = Counters {
+            vmsg_sent: 5,
+            ..Default::default()
+        };
+        let mut a = ready(1, run, 1, Phase::Scatter, sent);
+        a.active = 1;
+        lead.reports.insert(1, a);
+        lead.evaluate();
+        let recv = |n| Counters {
+            vmsg_recv: n,
+            ..Default::default()
+        };
+        // Agent 2 built its READY before two of the five arrived.
+        lead.reports
+            .insert(2, ready(2, run, 1, Phase::Scatter, recv(3)));
+        lead.evaluate();
+        assert!(advances(&bus).is_empty(), "in-flight messages");
+        assert_eq!(expects(&lead), (1, Phase::Scatter, true));
+        assert!(lead.run.as_ref().unwrap().step_nanos.is_empty());
+        // Its idle re-report replaces the old one and settles the sums:
+        // verdict of step 0 and reduce of step 1, once.
+        lead.reports
+            .insert(2, ready(2, run, 1, Phase::Scatter, recv(5)));
+        lead.evaluate();
+        assert_eq!(advances(&bus).len(), 1);
+        assert_eq!(expects(&lead), (2, Phase::Scatter, true));
+        assert_eq!(lead.run.as_ref().unwrap().step_nanos.len(), 1);
+        // A straggling copy of the same report is for a barrier that is
+        // gone.
+        lead.reports
+            .insert(2, ready(2, run, 1, Phase::Scatter, recv(5)));
+        lead.evaluate();
+        assert!(advances(&bus).is_empty());
+        assert_eq!(expects(&lead), (2, Phase::Scatter, true));
+        assert_eq!(lead.run.as_ref().unwrap().step_nanos.len(), 1);
     }
 
     #[test]

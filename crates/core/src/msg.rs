@@ -304,13 +304,26 @@ impl DirectoryView {
             self.virtual_agents,
             self.agents.iter().map(|a| a.id),
         );
-        EdgeLocator::new(
-            ring,
-            LocatorConfig {
-                replication_threshold: self.replication_threshold,
-                max_replicas: self.max_replicas,
-            },
-        )
+        EdgeLocator::new(ring, self.locator_config())
+    }
+
+    fn locator_config(&self) -> LocatorConfig {
+        LocatorConfig {
+            replication_threshold: self.replication_threshold,
+            max_replicas: self.max_replicas,
+        }
+    }
+
+    /// Whether any vertex *can* be split over several agents (`k > 1`)
+    /// under this view. A property of the view, not of a vertex sweep:
+    /// `k(v) > 1` needs `estimate(v)` over the replication threshold,
+    /// and the sketch's smallest row maximum bounds every estimate. The
+    /// bound is conservative — `true` promises nothing, `false` does.
+    pub fn may_split(&self) -> bool {
+        let bound = self.sketch.estimate_bound();
+        self.locator_config()
+            .replication_factor(bound, self.agents.len())
+            > 1
     }
 
     /// Address of an agent by id.
@@ -337,18 +350,7 @@ impl DirectoryView {
         for a in &self.agents {
             b = b.u64(a.id).bytes(a.addr.to_string().as_bytes());
         }
-        b = b
-            .u32(self.sketch.width() as u32)
-            .u32(self.sketch.depth() as u32)
-            .u64(self.sketch.items());
-        // Counter table, delta-friendly raw dump.
-        let mut raw = Vec::with_capacity(self.sketch.width() * self.sketch.depth() * 4);
-        for row in 0..self.sketch.depth() {
-            for col in 0..self.sketch.width() {
-                raw.extend_from_slice(&self.sketch.cell(row, col).to_le_bytes());
-            }
-        }
-        b.bytes(&raw).finish()
+        write_sketch(b, &self.sketch).finish()
     }
 
     /// Decode a VIEW frame.
@@ -381,19 +383,7 @@ impl DirectoryView {
             let addr = Addr::parse(std::str::from_utf8(r.bytes()?).ok()?).ok()?;
             agents.push(AgentInfo { id, addr });
         }
-        let width = r.u32()? as usize;
-        let depth = r.u32()? as usize;
-        let items = r.u64()?;
-        let raw = r.bytes()?;
-        let expected = width.checked_mul(depth).and_then(|x| x.checked_mul(4))?;
-        if raw.len() != expected {
-            return None;
-        }
-        let cells: Vec<u32> = raw
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        let sketch = CountMinSketch::from_parts(width, depth, cells, items)?;
+        let sketch = read_sketch(&mut r)?;
         Some(DirectoryView {
             epoch,
             batch_id,
@@ -406,6 +396,44 @@ impl DirectoryView {
             max_replicas,
         })
     }
+}
+
+/// Append a sketch: `width, depth, items`, then the counter table as
+/// one length-prefixed little-endian dump (delta-friendly), copied out
+/// a row at a time.
+fn write_sketch(
+    b: elga_net::frame::FrameBuilder,
+    sketch: &CountMinSketch,
+) -> elga_net::frame::FrameBuilder {
+    let mut raw = vec![0u8; sketch.table_bytes()];
+    let rows = raw.chunks_exact_mut(sketch.width() * 4);
+    for (row, dst) in rows.enumerate() {
+        for (cell, bytes) in sketch.row(row).iter().zip(dst.chunks_exact_mut(4)) {
+            bytes.copy_from_slice(&cell.to_le_bytes());
+        }
+    }
+    b.u32(sketch.width() as u32)
+        .u32(sketch.depth() as u32)
+        .u64(sketch.items())
+        .bytes(&raw)
+}
+
+/// Read what [`write_sketch`] wrote; `None` when the table length does
+/// not match the dimensions.
+fn read_sketch(r: &mut FrameReader<'_>) -> Option<CountMinSketch> {
+    let width = r.u32()? as usize;
+    let depth = r.u32()? as usize;
+    let items = r.u64()?;
+    let raw = r.bytes()?;
+    let expected = width.checked_mul(depth).and_then(|x| x.checked_mul(4))?;
+    if raw.len() != expected {
+        return None;
+    }
+    let cells: Vec<u32> = raw
+        .chunks_exact(4)
+        .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
+        .collect();
+    CountMinSketch::from_parts(width, depth, cells, items)
 }
 
 /// Reader over `frame`'s payload, or `None` when the packet type is
@@ -952,30 +980,46 @@ pub struct Advance {
     pub global: f64,
     /// When set, the run is complete; `step`/`phase` are final.
     pub done: bool,
+    /// Only on `phase == Combine`: nothing is split under the run's
+    /// view, so Combine and Apply exchange nothing between agents. Run
+    /// combine → apply → the next step's scatter in one go and answer
+    /// with one `READY(step + 1, Scatter)` carrying the apply's
+    /// `active`.
+    pub chain: bool,
 }
+
+/// ADVANCE flags byte: bit 0 `done`, bit 1 `chain`. Frames from before
+/// the chain bit carry 0 or 1 here and decode as `chain = false`.
+const ADVANCE_DONE: u8 = 1;
+const ADVANCE_CHAIN: u8 = 2;
 
 /// Encode an ADVANCE frame.
 pub fn encode_advance(a: &Advance) -> Frame {
+    let flags = if a.done { ADVANCE_DONE } else { 0 } | if a.chain { ADVANCE_CHAIN } else { 0 };
     Frame::builder(packet::ADVANCE)
         .u64(a.run)
         .u32(a.step)
         .u8(a.phase as u8)
         .u64(a.n_vertices)
         .f64(a.global)
-        .u8(a.done as u8)
+        .u8(flags)
         .finish()
 }
 
 /// Decode an ADVANCE frame.
 pub fn decode_advance(frame: &Frame) -> Option<Advance> {
     let mut r = expect(frame, packet::ADVANCE)?;
+    let (run, step) = (r.u64()?, r.u32()?);
+    let phase = Phase::from_u8(r.u8()?)?;
+    let (n_vertices, global, flags) = (r.u64()?, r.f64()?, r.u8()?);
     Some(Advance {
-        run: r.u64()?,
-        step: r.u32()?,
-        phase: Phase::from_u8(r.u8()?)?,
-        n_vertices: r.u64()?,
-        global: r.f64()?,
-        done: r.u8()? != 0,
+        run,
+        step,
+        phase,
+        n_vertices,
+        global,
+        done: flags & ADVANCE_DONE != 0,
+        chain: flags & ADVANCE_CHAIN != 0,
     })
 }
 
@@ -1933,36 +1977,12 @@ pub fn decode_reset_labels(frame: &Frame) -> Option<Vec<u64>> {
 /// Encode a sketch delta (request to the lead directory; the reply is
 /// the refreshed VIEW).
 pub fn encode_sketch_delta(sketch: &CountMinSketch) -> Frame {
-    let mut raw = Vec::with_capacity(sketch.width() * sketch.depth() * 4);
-    for row in 0..sketch.depth() {
-        for col in 0..sketch.width() {
-            raw.extend_from_slice(&sketch.cell(row, col).to_le_bytes());
-        }
-    }
-    Frame::builder(packet::SKETCH_DELTA)
-        .u32(sketch.width() as u32)
-        .u32(sketch.depth() as u32)
-        .u64(sketch.items())
-        .bytes(&raw)
-        .finish()
+    write_sketch(Frame::builder(packet::SKETCH_DELTA), sketch).finish()
 }
 
 /// Decode a SKETCH_DELTA frame.
 pub fn decode_sketch_delta(frame: &Frame) -> Option<CountMinSketch> {
-    let mut r = expect(frame, packet::SKETCH_DELTA)?;
-    let width = r.u32()? as usize;
-    let depth = r.u32()? as usize;
-    let items = r.u64()?;
-    let raw = r.bytes()?;
-    let expected = width.checked_mul(depth).and_then(|x| x.checked_mul(4))?;
-    if raw.len() != expected {
-        return None;
-    }
-    let cells: Vec<u32> = raw
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-        .collect();
-    CountMinSketch::from_parts(width, depth, cells, items)
+    read_sketch(&mut expect(frame, packet::SKETCH_DELTA)?)
 }
 
 /// Encode a HEARTBEAT push from an agent.
@@ -2220,8 +2240,49 @@ mod tests {
             n_vertices: 100,
             global: 1.5,
             done: false,
+            chain: false,
         };
         assert_eq!(decode_advance(&encode_advance(&adv)).unwrap(), adv);
+    }
+
+    /// The chain bit is the one wire change of the one-barrier step: it
+    /// shares the last byte with `done`, and a frame from before it
+    /// (that byte 0 or 1) decodes as `chain = false`.
+    #[test]
+    fn advance_flags_byte_carries_done_and_chain() {
+        let base = Advance {
+            run: 4,
+            step: 7,
+            phase: Phase::Combine,
+            n_vertices: 9,
+            global: -0.25,
+            done: false,
+            chain: false,
+        };
+        for (done, chain) in [(false, false), (true, false), (false, true), (true, true)] {
+            let adv = Advance {
+                done,
+                chain,
+                ..base
+            };
+            let frame = encode_advance(&adv);
+            assert_eq!(frame.len(), encode_advance(&base).len(), "no new field");
+            let flags = *frame.as_bytes().last().unwrap();
+            assert_eq!(flags, u8::from(done) | u8::from(chain) << 1);
+            assert_eq!(decode_advance(&frame).unwrap(), adv);
+        }
+        // As the parent's encoder wrote it: `done as u8` in that byte.
+        for done in [false, true] {
+            let old = Frame::builder(packet::ADVANCE)
+                .u64(base.run)
+                .u32(base.step)
+                .u8(base.phase as u8)
+                .u64(base.n_vertices)
+                .f64(base.global)
+                .u8(done as u8)
+                .finish();
+            assert_eq!(decode_advance(&old).unwrap(), Advance { done, ..base });
+        }
     }
 
     #[test]

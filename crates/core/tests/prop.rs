@@ -99,6 +99,37 @@ proptest! {
         let _ = ClusterMetrics::decode(&frame);
     }
 
+    /// ADVANCE round-trips with both flag bits independent, and a frame
+    /// from before the chain bit (last byte 0 or 1) decodes as
+    /// `chain = false` with everything else intact.
+    #[test]
+    fn advance_round_trips_and_old_frames_do_not_chain(
+        run in any::<u64>(),
+        step in any::<u32>(),
+        phase in 0u8..4,
+        n_vertices in any::<u64>(),
+        global in -1e12f64..1e12,
+        done in any::<bool>(),
+        chain in any::<bool>(),
+    ) {
+        let phase = msg::Phase::from_u8(phase).unwrap();
+        let adv = msg::Advance { run, step, phase, n_vertices, global, done, chain };
+        prop_assert_eq!(msg::decode_advance(&msg::encode_advance(&adv)), Some(adv));
+        let old = Frame::builder(msg::packet::ADVANCE)
+            .u64(run)
+            .u32(step)
+            .u8(phase as u8)
+            .u64(n_vertices)
+            .f64(global)
+            .u8(done as u8)
+            .finish();
+        prop_assert_eq!(
+            msg::decode_advance(&old),
+            Some(msg::Advance { chain: false, ..adv })
+        );
+        prop_assert_eq!(old.len(), msg::encode_advance(&adv).len());
+    }
+
     /// A frame of one packet type must be rejected by every other
     /// type's decoder — the 1-byte type tag is load-bearing, so a
     /// misrouted frame surfaces as `None`, never as garbage records.

@@ -31,6 +31,19 @@ pub struct LocatorConfig {
     pub max_replicas: u32,
 }
 
+impl LocatorConfig {
+    /// Replication factor for an estimated degree among `agents`
+    /// agents ([`EdgeLocator::replication_factor`] without the ring —
+    /// the factor depends on the ring only through its size).
+    #[inline]
+    pub fn replication_factor(&self, estimated_degree: u64, agents: usize) -> u32 {
+        let t = self.replication_threshold.max(1);
+        let k = estimated_degree.div_ceil(t).max(1);
+        let cap = u64::from(self.max_replicas).min(agents as u64);
+        k.min(cap.max(1)) as u32
+    }
+}
+
 impl Default for LocatorConfig {
     fn default() -> Self {
         LocatorConfig {
@@ -98,10 +111,8 @@ impl EdgeLocator {
     /// degree, capped by `max_replicas` and the agent count.
     #[inline]
     pub fn replication_factor(&self, estimated_degree: u64) -> u32 {
-        let t = self.config.replication_threshold.max(1);
-        let k = estimated_degree.div_ceil(t).max(1);
-        let cap = u64::from(self.config.max_replicas).min(self.ring.len() as u64);
-        k.min(cap.max(1)) as u32
+        self.config
+            .replication_factor(estimated_degree, self.ring.len())
     }
 
     /// The replica set of vertex `u`: the agents holding any of `u`'s

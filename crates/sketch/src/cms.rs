@@ -119,6 +119,18 @@ impl CountMinSketch {
         u64::from(min)
     }
 
+    /// An upper bound on [`CountMinSketch::estimate`] for *every* key,
+    /// inserted or not: the smallest row maximum. An estimate is the
+    /// minimum over rows of one cell per row, and no cell exceeds its
+    /// row's maximum. One pass over the table, and no key is hashed:
+    /// lets a caller rule out "some vertex is over the replication
+    /// threshold" without looking at any vertex.
+    pub fn estimate_bound(&self) -> u64 {
+        let row_max = |row: &[u32]| row.iter().copied().max().unwrap_or(0);
+        let rows = self.table.chunks_exact(self.width);
+        u64::from(rows.map(row_max).min().unwrap_or(0))
+    }
+
     /// Batched [`CountMinSketch::estimate`]: one estimate per key, in
     /// order. Row seeds are computed once for the whole batch instead
     /// of once per `(row, key)` pair, which matters on routing paths
@@ -158,15 +170,13 @@ impl CountMinSketch {
         Ok(())
     }
 
-    /// Raw counter at `(row, col)` — used by the directory's wire
-    /// encoding of the broadcast sketch.
+    /// The counters of `row`, in column order — what the directory's
+    /// wire encoding of the broadcast sketch copies out.
     ///
     /// # Panics
     /// Panics when out of range.
-    #[inline]
-    pub fn cell(&self, row: usize, col: usize) -> u32 {
-        assert!(row < self.depth && col < self.width, "cell out of range");
-        self.table[row * self.width + col]
+    pub fn row(&self, row: usize) -> &[u32] {
+        &self.table[row * self.width..(row + 1) * self.width]
     }
 
     /// Reassemble a sketch from its wire parts. Returns `None` when the
@@ -256,6 +266,25 @@ mod tests {
         }
         for (k, t) in truth {
             assert!(s.estimate(k) >= t, "under-estimate for {k}");
+        }
+    }
+
+    #[test]
+    fn estimate_bound_covers_every_key() {
+        let mut s = CountMinSketch::new(8, 3);
+        assert_eq!(s.estimate_bound(), 0);
+        for k in 0..50u64 {
+            s.add(k, (k % 5 + 1) as u32);
+        }
+        s.add(7, 1_000);
+        assert!(s.estimate_bound() >= 1_000, "the heavy key is covered");
+        assert!(
+            s.estimate_bound() <= s.items(),
+            "no cell exceeds the stream"
+        );
+        // Keys never inserted are covered too.
+        for k in 0..500u64 {
+            assert!(s.estimate(k) <= s.estimate_bound(), "key {k}");
         }
     }
 

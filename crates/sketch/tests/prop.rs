@@ -23,6 +23,34 @@ proptest! {
         }
     }
 
+    /// The smallest row maximum bounds the estimate of every key —
+    /// inserted or not — however the table was filled: by updates, by a
+    /// merge, or rebuilt from its wire parts.
+    #[test]
+    fn cms_estimate_bound_covers_every_key(
+        width in 1usize..64,
+        depth in 1usize..8,
+        left in prop::collection::vec((0u64..96, 1u32..16), 0..128),
+        right in prop::collection::vec((0u64..96, 1u32..16), 0..128),
+    ) {
+        let mut a = CountMinSketch::new(width, depth);
+        let mut b = CountMinSketch::new(width, depth);
+        for (k, c) in &left { a.add(*k, *c); }
+        for (k, c) in &right { b.add(*k, *c); }
+        let covers = |s: &CountMinSketch| (0..128u64).all(|k| s.estimate(k) <= s.estimate_bound());
+        prop_assert!(covers(&a) && covers(&b));
+        // Zero only for a sketch nothing was added to.
+        prop_assert_eq!(a.estimate_bound() == 0, left.is_empty());
+        a.merge(&b).unwrap();
+        prop_assert!(covers(&a));
+        let cells: Vec<u32> = (0..depth).flat_map(|r| a.row(r).to_vec()).collect();
+        let rebuilt = CountMinSketch::from_parts(width, depth, cells, a.items()).unwrap();
+        prop_assert_eq!(rebuilt.estimate_bound(), a.estimate_bound());
+        prop_assert_eq!(&rebuilt, &a);
+        a.clear();
+        prop_assert_eq!(a.estimate_bound(), 0);
+    }
+
     /// Merging sketches is equivalent to applying both update streams
     /// to one sketch.
     #[test]

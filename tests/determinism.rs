@@ -146,11 +146,151 @@ fn multi_agent_pagerank_agrees_across_worker_counts() {
     let pr = PageRank::new(0.85).with_max_iters(10);
     let w1 = states_for(1, 2, true, &edges, pr);
     let w4 = states_for(4, 2, true, &edges, pr);
-    assert_eq!(w1.len(), w4.len());
-    for (v, &bits) in &w1 {
-        let a = f64::from_bits(bits);
-        let b = f64::from_bits(w4[v]);
-        assert!((a - b).abs() < 1e-9, "v{v}: {a} vs {b}");
+    assert_ranks_close(&w1, &w4, "across worker counts");
+}
+
+/// Two PageRank results agree to the 1e-9 that f64 sums taken in a
+/// different order can promise.
+fn assert_ranks_close(a: &HashMap<u64, u64>, b: &HashMap<u64, u64>, what: &str) {
+    assert_eq!(a.len(), b.len(), "{what}");
+    for (v, &bits) in a {
+        let (x, y) = (f64::from_bits(bits), f64::from_bits(b[v]));
+        assert!((x - y).abs() < 1e-9, "{what}: v{v}: {x} vs {y}");
+    }
+}
+
+/// What one sync run put on the wire, as the transport counted it.
+struct RunWire {
+    states: HashMap<u64, u64>,
+    steps: u64,
+    /// ADVANCE frames per agent: the barriers the lead settled, plus
+    /// the launch and the final `done`. Exact — nothing re-sends one.
+    advances: u64,
+    /// READY frames per agent: one per barrier, plus an idle re-report
+    /// for every mailbox drain that moved the counters behind it.
+    readys: u64,
+    /// PARTIAL plus STATE frames, all agents.
+    replica_frames: u64,
+    may_split: bool,
+}
+
+/// Ingest `edges` into `agents` agents under `threshold`, run `spec`
+/// once, and count the run's frames.
+fn run_wire(
+    workers: usize,
+    agents: usize,
+    threshold: u64,
+    edges: &[(u64, u64)],
+    spec: impl Into<ProgramSpec>,
+) -> RunWire {
+    let cfg = SystemConfig {
+        replication_threshold: threshold,
+        workers,
+        ..SystemConfig::default()
+    };
+    let mut cluster = Cluster::builder().agents(agents).config(cfg).build();
+    cluster.ingest_edges(edges.iter().copied());
+    let net = cluster.transport().net_stats().expect("in-process stats");
+    let frames = |types: &[u8]| types.iter().map(|&t| net.sent(t).0).sum::<u64>();
+    let before = [packet::ADVANCE, packet::READY].map(|t| frames(&[t]));
+    let stats = cluster.run(spec).expect("run");
+    let wire = RunWire {
+        steps: u64::from(stats.steps),
+        // The bus reaches every agent and the driver waiting on the run.
+        advances: (frames(&[packet::ADVANCE]) - before[0]) / (agents as u64 + 1),
+        readys: (frames(&[packet::READY]) - before[1]) / agents as u64,
+        // Nothing but a run sends either kind.
+        replica_frames: frames(&[packet::PARTIAL, packet::STATE]),
+        may_split: cluster.view().may_split(),
+        states: cluster.dump_states(),
+    };
+    cluster.shutdown();
+    wire
+}
+
+/// Both sides of the per-step barrier selection, by counts, not clocks.
+///
+/// Nothing split: every PARTIAL and STATE record is an agent's own and
+/// is delivered in place — none reaches the wire — and each superstep
+/// costs one barrier (only a `max_steps` run's last step takes three).
+/// The same graph with its hub over the replication threshold: records
+/// cross the wire, every step takes its three barriers, and the results
+/// agree with the reference and with the one-barrier run.
+#[test]
+fn one_barrier_per_step_unless_a_vertex_is_split() {
+    const UNSPLIT: u64 = 1 << 20;
+    let n = 6000;
+    let mut edges = big_graph(n);
+    edges.extend((1..=300).map(|i| (0, i * 19 % n)));
+    edges.sort_unstable();
+    edges.dedup();
+    let labels = elga::graph::reference::wcc(edges.iter().copied());
+    let pr = PageRank::new(0.85).with_max_iters(10);
+
+    let wcc1 = run_wire(1, 2, UNSPLIT, &edges, Wcc::new());
+    let wcc4 = run_wire(4, 2, UNSPLIT, &edges, Wcc::new());
+    let pr1 = run_wire(1, 2, UNSPLIT, &edges, pr);
+    let pr4 = run_wire(4, 2, UNSPLIT, &edges, pr);
+    for (w, what) in [
+        (&wcc1, "wcc"),
+        (&wcc4, "wcc x4"),
+        (&pr1, "pr"),
+        (&pr4, "pr x4"),
+    ] {
+        assert!(!w.may_split, "{what}: the view's bound allows a split");
+        assert!(w.steps >= 5, "{what}: {} steps", w.steps);
+        assert!(
+            w.advances <= w.steps + 5,
+            "{what}: {} ADVANCE frames per agent for {} steps",
+            w.advances,
+            w.steps
+        );
+        // Three barriers a step cost the parent 60 and 68 READY frames
+        // per agent here (9 and 10 steps); one costs 24 to 30, re-reports
+        // for late VMSG frames included.
+        assert!(
+            w.readys < 4 * w.steps + 8,
+            "{what}: {} READY frames per agent for {} steps",
+            w.readys,
+            w.steps
+        );
+        assert_eq!(
+            w.replica_frames, 0,
+            "{what}: self-addressed records on the wire"
+        );
+    }
+    assert_eq!(wcc1.states.len(), n as usize);
+    assert_eq!(
+        wcc1.states, wcc4.states,
+        "WCC must be bit-exact across workers"
+    );
+    for (v, &label) in &labels {
+        assert_eq!(wcc1.states[v], label, "vertex {v}");
+    }
+    assert_eq!(pr1.steps, pr4.steps);
+    assert_ranks_close(&pr1.states, &pr4.states, "pagerank across workers");
+
+    // Threshold 64: the hub (degree 300+) is split over all three
+    // agents, and the lead knows without asking which vertex it is.
+    for workers in [1, 4] {
+        let wcc = run_wire(workers, 3, 64, &edges, Wcc::new());
+        let split = run_wire(workers, 3, 64, &edges, pr);
+        for (w, what) in [(&wcc, "split wcc"), (&split, "split pr")] {
+            assert!(w.may_split, "{what}");
+            assert!(
+                w.advances >= 3 * w.steps && w.readys >= 3 * w.steps,
+                "{what}: {} ADVANCE and {} READY frames per agent for {} steps",
+                w.advances,
+                w.readys,
+                w.steps
+            );
+            assert!(w.replica_frames > 0, "{what}: no replica traffic");
+        }
+        for (v, &label) in &labels {
+            assert_eq!(wcc.states[v], label, "split: vertex {v}");
+        }
+        assert_eq!(split.steps, pr1.steps);
+        assert_ranks_close(&split.states, &pr1.states, "pagerank split vs whole");
     }
 }
 
