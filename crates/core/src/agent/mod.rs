@@ -300,10 +300,10 @@ pub struct Agent {
     /// restored checkpoints also report 0, their run id being
     /// unrecorded).
     snap_run: u64,
-    /// Ingest batch watermark (`view.batch_id`) current when that run
-    /// completed. Every query answer carries the `(snap_run,
-    /// snap_watermark)` pair, so a client knows exactly which
-    /// completed computation it read.
+    /// Ingest batch watermark of that run: the batches the lead had
+    /// folded when it launched it ([`RunInfo::watermark`]). Every query
+    /// answer carries the `(snap_run, snap_watermark)` pair, so a
+    /// client knows exactly which completed computation it read.
     snap_watermark: u64,
     /// Standing subscriptions by client-chosen id.
     subs: FxHashMap<u64, Subscription>,
@@ -871,7 +871,7 @@ impl Agent {
         };
         let run_id = run.info.run_id;
         self.snap_run = run_id;
-        self.snap_watermark = self.view.batch_id;
+        self.snap_watermark = run.info.watermark;
         let id = self.id;
         let locator = &self.locator;
         let track = !self.subs.is_empty();

@@ -10,7 +10,7 @@
 //!
 //! Answers are *snapshot-consistent*: agents serve a double-buffered
 //! copy of the last completed run's values, tagged with that run's id
-//! and the ingest batch watermark current when it finished, so a
+//! and the ingest batches folded before it was launched, so a
 //! reader never observes torn mid-superstep state. An agent's answer
 //! is one of three things — a hit, a non-authoritative miss ("no
 //! snapshot here, try another replica"), or an *authoritative*
@@ -31,8 +31,8 @@ use std::sync::Arc;
 pub struct QueryResult {
     /// Encoded program state (decode with the algorithm's `decode`).
     pub state: u64,
-    /// The ingest batch watermark at the answering agent when the
-    /// served snapshot was taken — the staleness handle of
+    /// The ingest batch watermark of the served snapshot: the batches
+    /// folded before its run was launched — the staleness handle of
     /// Definition 2.6.
     pub batch_id: u64,
     /// Id of the completed run the snapshot belongs to (0 when the

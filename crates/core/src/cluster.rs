@@ -23,7 +23,7 @@ use crate::client::{ClientProxy, QueryResult};
 use crate::config::SystemConfig;
 use crate::directory::{self, bus_addr, directory_addr, master_addr};
 use crate::metrics::ClusterMetrics;
-use crate::msg::{self, packet, Counters, DirectoryView, RunInfo, Side};
+use crate::msg::{self, packet, AgentInfo, Counters, DirectoryView, RunInfo, Side};
 use crate::program::{ProgramSpec, RunOptions};
 use crate::streamer::Streamer;
 use elga_ckpt::CheckpointStore;
@@ -34,6 +34,7 @@ use elga_net::{
     ReliableTransport, Transport, TransportExt,
 };
 use elga_trace::{EventKind, Tracer};
+use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -181,6 +182,7 @@ impl ClusterBuilder {
             handles,
             agent_handles: HashMap::new(),
             next_agent: 1,
+            members: Mutex::new((0, Vec::new())),
             streamer: None,
             proxy: None,
             alive: true,
@@ -250,6 +252,11 @@ pub struct Cluster {
     handles: Vec<JoinHandle<()>>,
     agent_handles: HashMap<AgentId, JoinHandle<()>>,
     next_agent: u64,
+    /// The registered agents and the view epoch they were read under.
+    /// [`Cluster::quiesce`] polls them every round and learns the
+    /// lead's epoch from RUN_STATUS, so it fetches a view — sketch and
+    /// all — only when that epoch has moved.
+    members: Mutex<(u64, Vec<AgentInfo>)>,
     streamer: Option<Streamer>,
     proxy: Option<ClientProxy>,
     alive: bool,
@@ -542,27 +549,26 @@ impl Cluster {
     /// `NetError::Timeout` instead of blocking forever.
     pub fn quiesce(&self) -> Result<(), NetError> {
         let deadline = Instant::now() + self.cfg.quiesce_deadline;
+        let pause = || std::thread::sleep(Duration::from_micros(200));
         let mut last: Option<Counters> = None;
-        // The view is read for the agents' addresses only, and carries
-        // the whole sketch: fetched once, and again only after a round
-        // that saw the system moving (a join or leave may be why).
-        let mut view: Option<DirectoryView> = None;
         loop {
             if Instant::now() >= deadline {
                 return Err(NetError::Timeout);
             }
             // Outstanding migrate barrier / queued membership?
-            let migrating = self
+            let status = self
                 .request(Frame::signal(packet::RUN_STATUS))
                 .ok()
-                .and_then(|f| msg::decode_run_status(&f))
-                .is_some_and(|s| s.migrating);
-            if migrating {
-                view = None;
-                std::thread::sleep(Duration::from_micros(200));
+                .and_then(|f| msg::decode_run_status(&f));
+            let Some(status) = status.filter(|s| !s.migrating) else {
+                pause();
                 continue;
+            };
+            let mut members = self.members.lock();
+            if members.0 != status.epoch {
+                let view = self.view();
+                *members = (view.epoch, view.agents);
             }
-            let agents = &view.get_or_insert_with(|| self.view()).agents;
             // Departed agents' final totals (kept by the lead) balance
             // the sums of the survivors.
             let mut sum = self
@@ -571,7 +577,7 @@ impl Cluster {
                 .and_then(|f| decode_counters_frame(&f))
                 .unwrap_or_default();
             let mut ok = true;
-            for a in agents {
+            for a in &members.1 {
                 match self.request_agent(&a.addr, Frame::signal(packet::DRAIN)) {
                     Ok(rep) => match decode_counters_frame(&rep) {
                         Some(c) => sum = sum.add(&c),
@@ -580,15 +586,19 @@ impl Cluster {
                     Err(_) => ok = false,
                 }
             }
+            drop(members);
             let settled = ok && sum.settled();
             if settled && last == Some(sum) {
                 return Ok(());
             }
-            if !settled {
-                view = None;
-            }
             last = ok.then_some(sum);
-            std::thread::sleep(Duration::from_micros(200));
+            // The confirming wave has only to start after this one
+            // ended (Mattern's four-counter rule): a settled round is
+            // followed at once, an unsettled one after a pause for
+            // whatever is still in flight.
+            if !settled {
+                pause();
+            }
         }
     }
 
@@ -1310,8 +1320,10 @@ fn run_info(spec: &ProgramSpec, options: RunOptions) -> RunInfo {
         reuse_state: options.reuse_state,
         asynchronous,
         delta,
-        // Filled in by the lead at launch from its tracked mass.
+        // Both filled in by the lead at launch, from its tracked mass
+        // and its batch clock.
         dangling_base: 0.0,
+        watermark: 0,
     }
 }
 

@@ -24,7 +24,7 @@ use crate::config::SystemConfig;
 use crate::metrics::{AgentMetrics, ClusterMetrics};
 use crate::msg::{
     self, packet, Advance, AgentInfo, Counters, DirectoryView, Phase, ReadyReport, RunInfo,
-    RunStatus,
+    RunStatus, SketchDeltaView,
 };
 use elga_hash::AgentId;
 use elga_net::{Addr, Frame, Mailbox, NetError, Publisher, Transport};
@@ -85,7 +85,9 @@ struct Lead {
     next_run_id: u64,
     pending_joins: Vec<AgentInfo>,
     pending_leaves: Vec<AgentId>,
-    pending_sketch: Vec<CountMinSketch>,
+    /// The view's sketch holds a fold under which some vertex may be
+    /// split, and the epoch that publishes it has not been opened yet.
+    pending_sketch: bool,
     /// Epoch of the outstanding migrate barrier, if any.
     migrate_epoch: Option<u64>,
     /// Members of the outstanding migrate barrier (view agents plus
@@ -161,7 +163,7 @@ impl Lead {
             next_run_id: 1,
             pending_joins: Vec::new(),
             pending_leaves: Vec::new(),
-            pending_sketch: Vec::new(),
+            pending_sketch: false,
             migrate_epoch: None,
             migrate_members: Vec::new(),
             departing: Vec::new(),
@@ -255,18 +257,45 @@ impl Lead {
         self.view.agents.iter().map(|a| a.id).collect()
     }
 
-    /// The view's membership or sketch changed: open its next epoch and
-    /// re-read what the lead keeps per epoch.
+    /// The view's membership changed, or its sketch in a way that can
+    /// change a placement: open its next epoch and re-read what the
+    /// lead keeps per epoch.
     fn next_epoch(&mut self) {
         self.view.epoch += 1;
         self.may_split = self.view.may_split();
     }
 
-    /// A join, leave or sketch delta is queued behind the run.
+    /// A join, a leave or a sketch fold that needs an epoch is queued
+    /// behind the run.
     fn membership_pending(&self) -> bool {
-        !self.pending_joins.is_empty()
-            || !self.pending_leaves.is_empty()
-            || !self.pending_sketch.is_empty()
+        !self.pending_joins.is_empty() || !self.pending_leaves.is_empty() || self.pending_sketch
+    }
+
+    /// Fold a Streamer's batch delta into the view's sketch, and say
+    /// whether the fold was *quiet*: no vertex could be split before
+    /// it and none can after, so the placement function — what a view
+    /// epoch names — is the one every participant already holds
+    /// (DESIGN.md "A sketch fold is not a view change"). A quiet fold
+    /// is complete on return: no epoch, no VIEW, no barrier, nothing
+    /// pending that a chained step or an async run would stop for. Any
+    /// other fold gets its epoch the way a membership change does: now,
+    /// or at the run's next boundary.
+    fn fold_sketch(&mut self, delta: &SketchDeltaView<'_>) -> bool {
+        // A mismatched delta is a client bug; drop it rather than
+        // poisoning the view.
+        if delta.fold_into(&mut self.view.sketch).is_err() {
+            return false;
+        }
+        self.view.batch_id += 1;
+        if !self.may_split && !self.view.may_split() {
+            return true;
+        }
+        self.pending_sketch = true;
+        if !self.busy() {
+            self.apply_membership();
+        }
+        self.evaluate();
+        false
     }
 
     /// Whether the step whose Scatter barrier just settled may run its
@@ -289,8 +318,9 @@ impl Lead {
             && !self.may_split
     }
 
-    /// Apply queued membership and sketch changes: bump the epoch,
-    /// broadcast the view, and open a migrate barrier.
+    /// Apply queued membership changes and publish a pending sketch
+    /// fold: bump the epoch, broadcast the view, and open a migrate
+    /// barrier.
     fn apply_membership(&mut self) {
         if !self.membership_pending() {
             return;
@@ -306,11 +336,7 @@ impl Lead {
                 self.departing.push(l);
             }
         }
-        for s in self.pending_sketch.drain(..) {
-            // Mismatched deltas are a client bug; drop them rather than
-            // poisoning the view.
-            let _ = self.view.sketch.merge(&s);
-        }
+        self.pending_sketch = false;
         self.next_epoch();
         self.tracer.instant(
             EventKind::ViewAdopt,
@@ -402,11 +428,10 @@ impl Lead {
         if let Some(m) = self.metrics.remove(&dead) {
             self.departed_metrics.absorb_departed(&m);
         }
-        // Queued sketch deltas describe batches that were already
-        // routed; the replayed edges must see the same estimates.
-        for s in self.pending_sketch.drain(..) {
-            let _ = self.view.sketch.merge(&s);
-        }
+        // The table already counts every batch that was routed — the
+        // replayed edges must see the same estimates — and the epoch
+        // opened below publishes it.
+        self.pending_sketch = false;
         // The reset rewinds every cumulative counter to zero,
         // survivors and ghosts alike. Dangling carry describes
         // pre-crash state the replay will regenerate.
@@ -433,6 +458,7 @@ impl Lead {
                 steps: 0,
                 step_nanos: Vec::new(),
                 n_vertices: self.view.n_vertices,
+                epoch: 0,
             };
         }
         self.next_epoch();
@@ -866,6 +892,7 @@ impl Lead {
                 run.step_nanos
             },
             n_vertices: run.n_vertices,
+            epoch: 0,
         };
         // Any membership changes queued during the run apply now.
         self.apply_membership();
@@ -894,6 +921,10 @@ impl Lead {
         } else {
             0.0
         };
+        // The batches this run can have seen: `start_run` is called on
+        // a quiesced system, and changes arriving later are buffered
+        // until the run is over.
+        info.watermark = self.view.batch_id;
         let spec = crate::program::ProgramSpec::decode(info.tag, info.params);
         let prog = spec.as_ref().map(|s| s.instantiate());
         let max_steps = prog.as_ref().and_then(|p| p.max_steps());
@@ -935,6 +966,7 @@ impl Lead {
             steps: 0,
             step_nanos: Vec::new(),
             n_vertices: self.view.n_vertices,
+            epoch: 0,
         };
         self.publish(msg::encode_start(&self.run.as_ref().expect("run").info));
         let adv = Advance {
@@ -960,12 +992,14 @@ impl Lead {
                 steps: run.step,
                 step_nanos: run.step_nanos.clone(),
                 n_vertices: run.n_vertices,
+                epoch: 0,
             },
             None => self.last_status.clone(),
         };
         status.migrating = self.migrate_epoch.is_some()
             || self.membership_pending()
             || self.pending_start.is_some();
+        status.epoch = self.view.epoch;
         status
     }
 }
@@ -1241,16 +1275,17 @@ fn lead_loop(
                 }
             }
             packet::SKETCH_DELTA => {
-                if let Some(delta) = msg::decode_sketch_delta(&d.frame) {
-                    lead.view.batch_id += 1;
-                    lead.pending_sketch.push(delta);
-                    if !lead.busy() {
-                        lead.apply_membership();
-                    }
-                    lead.evaluate();
-                }
+                let quiet = msg::decode_sketch_delta(&d.frame)
+                    .is_some_and(|delta| lead.fold_sketch(&delta));
                 if let Some(reply) = d.reply {
-                    let _ = reply.send(lead.view.encode());
+                    // A quiet fold changed nothing the sender routes
+                    // by; the epoch tells it whether its view is still
+                    // the current one.
+                    let _ = reply.send(if quiet {
+                        Frame::builder(packet::OK).u64(lead.view.epoch).finish()
+                    } else {
+                        lead.view.encode()
+                    });
                 }
             }
             packet::START => {
@@ -1415,6 +1450,7 @@ fn relay_loop(
 mod tests {
     use super::*;
     use elga_net::InProcTransport;
+    use elga_sketch::{DegreeEstimator, SketchDelta};
 
     fn test_lead() -> Lead {
         let transport: Arc<dyn Transport> = Arc::new(InProcTransport::new());
@@ -1514,6 +1550,7 @@ mod tests {
             asynchronous,
             delta: false,
             dangling_base: 0.0,
+            watermark: 0,
         });
         (lead, bus.unwrap(), run_id)
     }
@@ -1538,6 +1575,174 @@ mod tests {
             all.extend(msg::decode_advance(&d.frame));
         }
         all
+    }
+
+    /// Hand `delta` to the lead as a SKETCH_DELTA frame would arrive;
+    /// whether the fold was quiet.
+    fn fold(delta: SketchDelta, lead: &mut Lead) -> bool {
+        let frame = msg::encode_sketch_delta(&delta);
+        lead.fold_sketch(&msg::decode_sketch_delta(&frame).unwrap())
+    }
+
+    /// A delta for the lead's table counting `count` more on vertex 77.
+    fn hub(lead: &Lead, count: u32) -> SketchDelta {
+        let sketch = &lead.view.sketch;
+        let mut delta = SketchDelta::new(sketch.width(), sketch.depth());
+        delta.add(77, count);
+        delta
+    }
+
+    /// Vertex 77 counted `over` past the replication threshold.
+    fn hub_delta(lead: &Lead, over: u32) -> SketchDelta {
+        hub(lead, lead.view.replication_threshold as u32 + over)
+    }
+
+    /// A batch of `edges` ring edges starting at vertex `from`.
+    fn ring_delta(lead: &Lead, from: u64, edges: u64) -> SketchDelta {
+        let mut delta = hub(lead, 0);
+        for v in from..from + edges {
+            delta.record_edge(v, v + 1);
+        }
+        delta
+    }
+
+    /// A lead with agents 1 and 2 joined and migrated, and a
+    /// subscription that sees every VIEW and START it publishes.
+    fn lead_with_agents() -> (Lead, Mailbox) {
+        let mut lead = test_lead();
+        let bus = lead
+            .transport
+            .subscribe(&Addr::inproc("test-bus"), &[packet::VIEW, packet::START])
+            .unwrap();
+        for id in [1, 2] {
+            lead.pending_joins.push(AgentInfo {
+                id,
+                addr: agent_addr(id),
+            });
+        }
+        lead.apply_membership();
+        let epoch = lead.view.epoch as u32;
+        report_all(&mut lead, 0, epoch, Phase::Migrate, 0);
+        assert_eq!(lead.migrate_epoch, None);
+        (lead, bus)
+    }
+
+    /// The frames of packet type `ty` published since the last call.
+    fn published(bus: &Mailbox, ty: u8) -> Vec<Frame> {
+        let mut all = Vec::new();
+        while let Ok(Some(d)) = bus.try_recv() {
+            if d.frame.packet_type() == ty {
+                all.push(d.frame);
+            }
+        }
+        all
+    }
+
+    #[test]
+    fn a_delta_under_the_bound_folds_without_an_epoch() {
+        let (mut lead, bus) = lead_with_agents();
+        published(&bus, packet::VIEW);
+        let (epoch, batch) = (lead.view.epoch, lead.view.batch_id);
+        // What the streamer used to send: a whole table per batch.
+        let mut dense = lead.view.sketch.clone();
+        for (i, from) in [0u64, 40, 9_000].into_iter().enumerate() {
+            let mut table = DegreeEstimator::new(dense.width(), dense.depth());
+            (from..from + 64).for_each(|v| table.record_edge(v, v + 1));
+            dense.merge(table.sketch()).unwrap();
+            assert!(fold(ring_delta(&lead, from, 64), &mut lead), "batch {i}");
+            assert_eq!(lead.view.batch_id, batch + 1 + i as u64);
+        }
+        assert_eq!(lead.view.epoch, epoch);
+        assert_eq!(lead.migrate_epoch, None);
+        assert!(!lead.membership_pending() && !lead.busy());
+        assert!(published(&bus, packet::VIEW).is_empty());
+        assert_eq!(lead.view.sketch, dense);
+        // A delta for some other table is dropped whole.
+        let alien = SketchDelta::new(dense.width() / 2, dense.depth());
+        assert!(!fold(alien, &mut lead));
+        assert_eq!((lead.view.epoch, lead.view.batch_id), (epoch, batch + 3));
+        assert_eq!(lead.view.sketch, dense);
+    }
+
+    #[test]
+    fn a_delta_that_lifts_the_bound_opens_an_epoch_and_so_does_every_later_one() {
+        let (mut lead, bus) = lead_with_agents();
+        published(&bus, packet::VIEW);
+        let epoch = lead.view.epoch;
+        // At the threshold `k` is still 1 everywhere.
+        assert!(fold(hub_delta(&lead, 0), &mut lead));
+        assert_eq!(lead.view.epoch, epoch);
+        // One more edge on the hub and a split is possible: today's
+        // view change, barrier and all.
+        assert!(!fold(hub(&lead, 1), &mut lead));
+        assert_eq!(lead.view.epoch, epoch + 1);
+        assert_eq!(lead.migrate_epoch, Some(epoch + 1));
+        assert_eq!(lead.migrate_members, vec![1, 2]);
+        assert!(lead.may_split && !lead.pending_sketch);
+        let views = published(&bus, packet::VIEW);
+        assert_eq!(views.len(), 1);
+        let view = DirectoryView::decode(&views[0]).unwrap();
+        assert_eq!(
+            (view.epoch, view.sketch == lead.view.sketch),
+            (epoch + 1, true)
+        );
+        // While the barrier is open a fold is merged and waits …
+        let small = ring_delta(&lead, 500, 4);
+        assert!(!fold(small, &mut lead));
+        assert!(lead.pending_sketch && lead.view.epoch == epoch + 1);
+        // … and is published when it settles. Which vertex a delta
+        // touches is never asked once a split is possible.
+        report_all(&mut lead, 0, (epoch + 1) as u32, Phase::Migrate, 0);
+        assert_eq!(lead.migrate_epoch, Some(epoch + 2));
+        assert!(!lead.pending_sketch);
+        assert_eq!(published(&bus, packet::VIEW).len(), 1);
+    }
+
+    #[test]
+    fn a_quiet_delta_mid_run_is_invisible_to_the_run() {
+        let (mut lead, bus, run) = lead_mid_run(WCC.0, WCC.1, false);
+        report_all(&mut lead, run, 0, Phase::Scatter, 0);
+        assert_eq!(expects(&lead), (1, Phase::Scatter, true));
+        advances(&bus);
+        let epoch = lead.view.epoch;
+        assert!(fold(ring_delta(&lead, 0, 64), &mut lead));
+        assert!(!lead.membership_pending());
+        assert!(!lead.status().migrating);
+        assert_eq!(lead.view.epoch, epoch);
+        assert!(advances(&bus).is_empty());
+        report_all(&mut lead, run, 1, Phase::Scatter, 3);
+        let adv = advances(&bus);
+        assert_eq!(adv.len(), 1);
+        assert!(adv[0].chain, "the next step still chains");
+        assert_eq!(expects(&lead), (2, Phase::Scatter, true));
+    }
+
+    #[test]
+    fn launch_stamps_the_batches_folded_so_far() {
+        let (mut lead, bus) = lead_with_agents();
+        for from in [0, 100, 200] {
+            assert!(fold(ring_delta(&lead, from, 8), &mut lead));
+        }
+        let wcc = RunInfo {
+            run_id: 0,
+            tag: WCC.0,
+            params: WCC.1,
+            reuse_state: false,
+            asynchronous: false,
+            delta: false,
+            dangling_base: 0.0,
+            watermark: 0,
+        };
+        let run = lead.start_run(wcc);
+        let starts = published(&bus, packet::START);
+        assert_eq!(starts.len(), 1);
+        let info = msg::decode_start(&starts[0]).unwrap();
+        assert_eq!((info.run_id, info.watermark), (run, 3));
+        // A batch folded while the run is in flight belongs to the
+        // next run's tag, and a joiner is handed this run's.
+        assert!(fold(ring_delta(&lead, 300, 8), &mut lead));
+        assert_eq!(lead.run.as_ref().unwrap().info.watermark, 3);
+        assert_eq!(lead.status().epoch, lead.view.epoch);
     }
 
     /// `(step, phase, chained)` the lead waits for.
@@ -1619,9 +1824,17 @@ mod tests {
         lead.pending_leaves.push(2);
         unchained(&mut lead, &bus, run, 0, "leave pending");
 
+        // A fold that lifts the bound over the threshold waits for the
+        // Apply boundary like a join: merged, but not yet an epoch.
         let (mut lead, bus, run) = lead_mid_run(WCC.0, WCC.1, false);
-        lead.pending_sketch.push(lead.view.sketch.clone());
-        unchained(&mut lead, &bus, run, 0, "sketch delta pending");
+        let epoch = lead.view.epoch;
+        assert!(!fold(hub_delta(&lead, 1), &mut lead));
+        assert!(lead.pending_sketch && lead.view.epoch == epoch);
+        unchained(&mut lead, &bus, run, 0, "sketch fold pending");
+        report_all(&mut lead, run, 0, Phase::Combine, 0);
+        report_all(&mut lead, run, 0, Phase::Apply, 1);
+        assert_eq!(lead.migrate_epoch, Some(epoch + 1));
+        assert!(!lead.pending_sketch && lead.may_split);
 
         // A membership change queued *during* a chained step waits one
         // step: the barrier it arrives at is not a clean boundary.
@@ -1649,21 +1862,20 @@ mod tests {
 
         // One estimate over the threshold is enough; which vertex it
         // belongs to is never looked up. The sketch reaches the view
-        // the way a streamer's does, as a delta, and the lead reads
-        // the bound once for the epoch.
-        let hub = |count: u32| {
+        // the way a streamer's does, as a delta — folded quietly, as
+        // nothing can be split over no agents — and the lead reads the
+        // bound when the joins open the epoch.
+        let hub = |over: u32| {
             let mut lead = test_lead();
-            let mut delta = lead.view.sketch.clone();
-            delta.add(77, count);
-            lead.pending_sketch.push(delta);
+            let delta = hub_delta(&lead, over);
+            assert!(fold(delta, &mut lead));
             lead
         };
-        let threshold = test_lead().view.replication_threshold as u32;
-        let (mut lead, bus, run) = lead_mid_run_on(hub(threshold), WCC.0, WCC.1, false);
+        let (mut lead, bus, run) = lead_mid_run_on(hub(0), WCC.0, WCC.1, false);
         assert!(!lead.view.may_split(), "at the threshold k is still 1");
         report_all(&mut lead, run, 0, Phase::Scatter, 1);
         assert!(advances(&bus).last().unwrap().chain);
-        let (mut lead, bus, run) = lead_mid_run_on(hub(threshold + 1), WCC.0, WCC.1, false);
+        let (mut lead, bus, run) = lead_mid_run_on(hub(1), WCC.0, WCC.1, false);
         assert!(lead.view.may_split());
         unchained(&mut lead, &bus, run, 0, "sketch bound over the threshold");
         // Capped at one replica, the same sketch splits nothing.
@@ -1777,6 +1989,7 @@ mod tests {
             asynchronous: false,
             delta: false,
             dangling_base: 0.0,
+            watermark: 0,
         });
         assert_eq!(run_id, 1);
         // Empty membership: every barrier is trivially met, so the run
@@ -1810,6 +2023,7 @@ mod tests {
             asynchronous: true,
             delta: false,
             dangling_base: 0.0,
+            watermark: 0,
         });
         // Drive the sync initialization barriers (step 0).
         lead.reports
@@ -1903,6 +2117,7 @@ mod tests {
             asynchronous: true,
             delta: false,
             dangling_base: 0.0,
+            watermark: 0,
         });
         lead.reports
             .insert(1, ready(1, run_id, 0, Phase::Scatter, Counters::default()));
@@ -1973,6 +2188,7 @@ mod tests {
             asynchronous: false,
             delta: false,
             dangling_base: 0.0,
+            watermark: 0,
         });
         assert!(lead.run.is_some());
         lead.ghost = Counters {

@@ -10,7 +10,8 @@
 use elga_graph::types::{Action, EdgeChange, VertexId};
 use elga_hash::{AgentId, EdgeLocator, HashKind, LocatorConfig, Ring};
 use elga_net::{Addr, Frame, FrameReader};
-use elga_sketch::CountMinSketch;
+use elga_sketch::cms::DimensionMismatch;
+use elga_sketch::{CountMinSketch, SketchDelta};
 
 /// Packet-type bytes.
 pub mod packet {
@@ -399,23 +400,18 @@ impl DirectoryView {
 }
 
 /// Append a sketch: `width, depth, items`, then the counter table as
-/// one length-prefixed little-endian dump (delta-friendly), copied out
-/// a row at a time.
+/// one length-prefixed little-endian dump, written a row at a time
+/// straight into the builder.
 fn write_sketch(
     b: elga_net::frame::FrameBuilder,
     sketch: &CountMinSketch,
 ) -> elga_net::frame::FrameBuilder {
-    let mut raw = vec![0u8; sketch.table_bytes()];
-    let rows = raw.chunks_exact_mut(sketch.width() * 4);
-    for (row, dst) in rows.enumerate() {
-        for (cell, bytes) in sketch.row(row).iter().zip(dst.chunks_exact_mut(4)) {
-            bytes.copy_from_slice(&cell.to_le_bytes());
-        }
-    }
-    b.u32(sketch.width() as u32)
+    let b = b
+        .u32(sketch.width() as u32)
         .u32(sketch.depth() as u32)
         .u64(sketch.items())
-        .bytes(&raw)
+        .u32(sketch.table_bytes() as u32);
+    (0..sketch.depth()).fold(b, |b, row| b.u32s(sketch.row(row).iter().copied()))
 }
 
 /// Read what [`write_sketch`] wrote; `None` when the table length does
@@ -1821,67 +1817,30 @@ pub struct RunInfo {
     /// seed residual, since unlike pre-existing vertices they never
     /// absorbed the term into their state.
     pub dangling_base: f64,
+    /// Ingest batches the lead had folded when it launched the run
+    /// (filled in by the lead, like `dangling_base`). The run's
+    /// snapshot is tagged with it: the same value on every agent,
+    /// joiners included, because it travels with the run and not with
+    /// whichever view an agent last saw.
+    pub watermark: u64,
 }
 
-/// Encode a JOIN reply: the view plus an optional in-progress run.
-pub fn encode_join_reply(view: &DirectoryView, run: Option<&RunInfo>) -> Frame {
-    let mut b = Frame::builder(packet::JOIN_REP).bytes(view.encode().as_bytes());
-    match run {
-        None => b = b.u8(0),
-        Some(r) => {
-            b = b
-                .u8(1)
-                .u64(r.run_id)
-                .u8(r.tag)
-                .u64(r.params[0])
-                .u64(r.params[1])
-                .u64(r.params[2])
-                .u8(r.reuse_state as u8)
-                .u8(r.asynchronous as u8)
-                .u8(r.delta as u8)
-                .f64(r.dangling_base);
-        }
-    }
-    b.finish()
+/// Append a [`RunInfo`] (START, and the tail of a JOIN reply).
+fn write_run_info(b: elga_net::frame::FrameBuilder, r: &RunInfo) -> elga_net::frame::FrameBuilder {
+    b.u64(r.run_id)
+        .u8(r.tag)
+        .u64(r.params[0])
+        .u64(r.params[1])
+        .u64(r.params[2])
+        .u8(r.reuse_state as u8)
+        .u8(r.asynchronous as u8)
+        .u8(r.delta as u8)
+        .f64(r.dangling_base)
+        .u64(r.watermark)
 }
 
-/// Decode a JOIN reply.
-pub fn decode_join_reply(frame: &Frame) -> Option<(DirectoryView, Option<RunInfo>)> {
-    let mut r = expect(frame, packet::JOIN_REP)?;
-    let view = DirectoryView::decode_slice(r.bytes()?)?;
-    let run = match r.u8()? {
-        0 => None,
-        _ => Some(RunInfo {
-            run_id: r.u64()?,
-            tag: r.u8()?,
-            params: [r.u64()?, r.u64()?, r.u64()?],
-            reuse_state: r.u8()? != 0,
-            asynchronous: r.u8()? != 0,
-            delta: r.u8()? != 0,
-            dangling_base: r.f64()?,
-        }),
-    };
-    Some((view, run))
-}
-
-/// Encode a START request/broadcast.
-pub fn encode_start(run: &RunInfo) -> Frame {
-    Frame::builder(packet::START)
-        .u64(run.run_id)
-        .u8(run.tag)
-        .u64(run.params[0])
-        .u64(run.params[1])
-        .u64(run.params[2])
-        .u8(run.reuse_state as u8)
-        .u8(run.asynchronous as u8)
-        .u8(run.delta as u8)
-        .f64(run.dangling_base)
-        .finish()
-}
-
-/// Decode a START frame.
-pub fn decode_start(frame: &Frame) -> Option<RunInfo> {
-    let mut r = expect(frame, packet::START)?;
+/// Read what [`write_run_info`] wrote.
+fn read_run_info(r: &mut FrameReader<'_>) -> Option<RunInfo> {
     Some(RunInfo {
         run_id: r.u64()?,
         tag: r.u8()?,
@@ -1890,7 +1849,39 @@ pub fn decode_start(frame: &Frame) -> Option<RunInfo> {
         asynchronous: r.u8()? != 0,
         delta: r.u8()? != 0,
         dangling_base: r.f64()?,
+        watermark: r.u64()?,
     })
+}
+
+/// Encode a JOIN reply: the view plus an optional in-progress run.
+pub fn encode_join_reply(view: &DirectoryView, run: Option<&RunInfo>) -> Frame {
+    let b = Frame::builder(packet::JOIN_REP).bytes(view.encode().as_bytes());
+    match run {
+        None => b.u8(0),
+        Some(r) => write_run_info(b.u8(1), r),
+    }
+    .finish()
+}
+
+/// Decode a JOIN reply.
+pub fn decode_join_reply(frame: &Frame) -> Option<(DirectoryView, Option<RunInfo>)> {
+    let mut r = expect(frame, packet::JOIN_REP)?;
+    let view = DirectoryView::decode_slice(r.bytes()?)?;
+    let run = match r.u8()? {
+        0 => None,
+        _ => Some(read_run_info(&mut r)?),
+    };
+    Some((view, run))
+}
+
+/// Encode a START request/broadcast.
+pub fn encode_start(run: &RunInfo) -> Frame {
+    write_run_info(Frame::builder(packet::START), run).finish()
+}
+
+/// Decode a START frame.
+pub fn decode_start(frame: &Frame) -> Option<RunInfo> {
+    read_run_info(&mut expect(frame, packet::START)?)
 }
 
 /// Run status snapshot returned by the directory.
@@ -1911,6 +1902,9 @@ pub struct RunStatus {
     pub step_nanos: Vec<u64>,
     /// Global vertex count at the last barrier.
     pub n_vertices: u64,
+    /// The lead's view epoch: a driver holding the member list of this
+    /// epoch need not fetch the view again.
+    pub epoch: u64,
 }
 
 /// Encode a RUN_STATUS reply.
@@ -1922,6 +1916,7 @@ pub fn encode_run_status(s: &RunStatus) -> Frame {
         .u8(s.migrating as u8)
         .u32(s.steps)
         .u64(s.n_vertices)
+        .u64(s.epoch)
         .u32(s.step_nanos.len() as u32);
     for &ns in &s.step_nanos {
         b = b.u64(ns);
@@ -1938,6 +1933,7 @@ pub fn decode_run_status(frame: &Frame) -> Option<RunStatus> {
     let migrating = r.u8()? != 0;
     let steps = r.u32()?;
     let n_vertices = r.u64()?;
+    let epoch = r.u64()?;
     let n = r.u32()? as usize;
     let mut step_nanos = Vec::with_capacity(n.min(r.remaining() / 8));
     for _ in 0..n {
@@ -1951,6 +1947,7 @@ pub fn decode_run_status(frame: &Frame) -> Option<RunStatus> {
         steps,
         step_nanos,
         n_vertices,
+        epoch,
     })
 }
 
@@ -1974,15 +1971,103 @@ pub fn decode_reset_labels(frame: &Frame) -> Option<Vec<u64>> {
     Some(labels)
 }
 
-/// Encode a sketch delta (request to the lead directory; the reply is
-/// the refreshed VIEW).
-pub fn encode_sketch_delta(sketch: &CountMinSketch) -> Frame {
-    write_sketch(Frame::builder(packet::SKETCH_DELTA), sketch).finish()
+/// SKETCH_DELTA form byte: the whole table, as [`write_sketch`] lays
+/// it out.
+const DELTA_DENSE: u8 = 0;
+/// SKETCH_DELTA form byte: the cells the batch touched, as one
+/// length-prefixed run of `(u32 index, u32 count)` pairs.
+const DELTA_SPARSE: u8 = 1;
+
+/// Encode a batch's sketch delta (request to the lead directory): the
+/// form byte, `width, depth, items`, then whichever body is smaller —
+/// the touched cells as pairs, or the dense table. The reply is an
+/// `OK` carrying the lead's view epoch when the fold changed no
+/// placement, the new VIEW otherwise.
+pub fn encode_sketch_delta(delta: &SketchDelta) -> Frame {
+    let cells = delta.width() * delta.depth();
+    let sparse = delta.touched() * 2 < cells;
+    let b = Frame::builder(packet::SKETCH_DELTA)
+        .u8(if sparse { DELTA_SPARSE } else { DELTA_DENSE })
+        .u32(delta.width() as u32)
+        .u32(delta.depth() as u32)
+        .u64(delta.items());
+    if sparse {
+        let pairs = delta.cells().flat_map(|(idx, count)| [idx as u32, count]);
+        b.u32((delta.touched() * 8) as u32).u32s(pairs)
+    } else {
+        let b = b.u32((cells * 4) as u32);
+        (0..delta.depth()).fold(b, |b, row| b.u32s(delta.row(row).iter().copied()))
+    }
+    .finish()
 }
 
-/// Decode a SKETCH_DELTA frame.
-pub fn decode_sketch_delta(frame: &Frame) -> Option<CountMinSketch> {
-    read_sketch(&mut expect(frame, packet::SKETCH_DELTA)?)
+/// A decoded SKETCH_DELTA, borrowed from its frame: dimensions are
+/// nonzero, the body has the length its form promises, and every
+/// sparse index is inside the `width × depth` table.
+#[derive(Debug, Clone, Copy)]
+pub struct SketchDeltaView<'a> {
+    width: usize,
+    depth: usize,
+    items: u64,
+    sparse: bool,
+    /// Dense: `width × depth` counts. Sparse: `(index, count)` pairs.
+    body: &'a [u8],
+}
+
+impl SketchDeltaView<'_> {
+    /// `(table index, count)` of every cell the delta carries — all of
+    /// them, zeros included, in the dense form.
+    pub fn cells(&self) -> impl Iterator<Item = (usize, u32)> + '_ {
+        let le = |c: &[u8]| u32::from_le_bytes(c.try_into().expect("4-byte chunk"));
+        let stride = if self.sparse { 8 } else { 4 };
+        let sparse = self.sparse;
+        self.body
+            .chunks_exact(stride)
+            .enumerate()
+            .map(move |(i, c)| {
+                if sparse {
+                    (le(&c[..4]) as usize, le(&c[4..]))
+                } else {
+                    (i, le(c))
+                }
+            })
+    }
+
+    /// Fold the delta into `sketch`: the one loop both forms share.
+    ///
+    /// # Errors
+    /// Returns `Err`, with nothing folded, when dimensions differ.
+    pub fn fold_into(&self, sketch: &mut CountMinSketch) -> Result<(), DimensionMismatch> {
+        sketch.fold((self.width, self.depth), self.cells(), self.items)
+    }
+}
+
+/// Decode a SKETCH_DELTA frame; `None` on truncation, trailing bytes, a
+/// zero dimension, an unknown form or an index outside the table.
+pub fn decode_sketch_delta(frame: &Frame) -> Option<SketchDeltaView<'_>> {
+    let mut r = expect(frame, packet::SKETCH_DELTA)?;
+    let form = r.u8()?;
+    let width = r.u32()? as usize;
+    let depth = r.u32()? as usize;
+    let items = r.u64()?;
+    let cells = width.checked_mul(depth).filter(|&c| c > 0)?;
+    let body = r.bytes()?;
+    let sparse = match form {
+        DELTA_DENSE if Some(body.len()) == cells.checked_mul(4) => false,
+        DELTA_SPARSE if body.len().is_multiple_of(8) => true,
+        _ => return None,
+    };
+    if r.remaining() != 0 {
+        return None;
+    }
+    let view = SketchDeltaView {
+        width,
+        depth,
+        items,
+        sparse,
+        body,
+    };
+    (!sparse || view.cells().all(|(idx, _)| idx < cells)).then_some(view)
 }
 
 /// Encode a HEARTBEAT push from an agent.
@@ -2534,6 +2619,7 @@ mod tests {
             asynchronous: false,
             delta: true,
             dangling_base: 0.25,
+            watermark: 41,
         };
         let (v2, r2) = decode_join_reply(&encode_join_reply(&view, Some(&run))).unwrap();
         assert_eq!(v2.epoch, view.epoch);
@@ -2552,6 +2638,7 @@ mod tests {
             asynchronous: true,
             delta: false,
             dangling_base: 0.0,
+            watermark: 7,
         };
         assert_eq!(decode_start(&encode_start(&run)).unwrap(), run);
 
@@ -2563,6 +2650,7 @@ mod tests {
             steps: 4,
             step_nanos: vec![100, 200, 300, 400],
             n_vertices: 55,
+            epoch: 12,
         };
         assert_eq!(
             decode_run_status(&encode_run_status(&status)).unwrap(),
@@ -2579,12 +2667,79 @@ mod tests {
         );
     }
 
+    /// The encoder picks the shorter form, and either folds to the
+    /// table direct updates build. (Both forms of *one* delta are
+    /// compared in `tests/prop.rs`.)
     #[test]
-    fn sketch_delta_roundtrip() {
-        let mut s = CountMinSketch::new(16, 2);
-        s.add(3, 9);
-        let back = decode_sketch_delta(&encode_sketch_delta(&s)).unwrap();
-        assert_eq!(back, s);
+    fn sketch_delta_takes_the_shorter_form_and_folds_to_the_same_table() {
+        let mut delta = SketchDelta::new(16, 2);
+        let mut direct = CountMinSketch::new(16, 2);
+        let mut folded = CountMinSketch::new(16, 2);
+        let mut add = |delta: &mut SketchDelta, k, c| {
+            delta.add(k, c);
+            direct.add(k, c);
+        };
+        for (k, c) in [(3, 9), (40, 1), (3, 2)] {
+            add(&mut delta, k, c);
+        }
+        // Four cells of 32: pairs.
+        let frame = encode_sketch_delta(&delta);
+        assert_eq!(frame.payload()[0], DELTA_SPARSE);
+        assert_eq!(frame.len(), 1 + 1 + 16 + 4 + delta.touched() * 8);
+        let view = decode_sketch_delta(&frame).unwrap();
+        view.fold_into(&mut folded).unwrap();
+        let mut other = CountMinSketch::new(8, 4);
+        assert!(view.fold_into(&mut other).is_err(), "same cell count");
+        assert!(other.is_empty());
+        // A batch that touches most of the table: the table.
+        delta.clear();
+        (0..64).for_each(|k| add(&mut delta, k, 1));
+        assert!(delta.touched() * 2 >= 32);
+        let frame = encode_sketch_delta(&delta);
+        assert_eq!(frame.payload()[0], DELTA_DENSE);
+        assert_eq!(frame.len(), 1 + 1 + 16 + 4 + 32 * 4);
+        let view = decode_sketch_delta(&frame).unwrap();
+        view.fold_into(&mut folded).unwrap();
+        assert_eq!(folded, direct);
+        assert_eq!(folded.estimate_bound(), direct.estimate_bound());
+    }
+
+    #[test]
+    fn sketch_delta_rejects_malformed_frames() {
+        let mut delta = SketchDelta::new(16, 2);
+        delta.add(3, 9);
+        let good = encode_sketch_delta(&delta);
+        assert!(decode_sketch_delta(&good).is_some());
+        let bytes = good.as_bytes();
+        for cut in 1..bytes.len() {
+            let short = Frame::from_bytes(bytes::Bytes::copy_from_slice(&bytes[..cut]));
+            assert!(decode_sketch_delta(&short).is_none(), "cut at {cut}");
+        }
+        let mut long = bytes.to_vec();
+        long.push(0);
+        assert!(decode_sketch_delta(&Frame::from_bytes(long.into())).is_none());
+        let header = |form: u8, width: u32, depth: u32| {
+            Frame::builder(packet::SKETCH_DELTA)
+                .u8(form)
+                .u32(width)
+                .u32(depth)
+                .u64(1)
+        };
+        // An index one past the last cell.
+        let f = header(DELTA_SPARSE, 16, 2).u32(8).u32(32).u32(1).finish();
+        assert!(decode_sketch_delta(&f).is_none());
+        let f = header(DELTA_SPARSE, 16, 2).u32(8).u32(31).u32(1).finish();
+        assert!(decode_sketch_delta(&f).is_some());
+        // Half a pair, a zero dimension, an unknown form.
+        let f = header(DELTA_SPARSE, 16, 2).u32(4).u32(1).finish();
+        assert!(decode_sketch_delta(&f).is_none());
+        let f = header(DELTA_SPARSE, 0, 2).u32(0).finish();
+        assert!(decode_sketch_delta(&f).is_none());
+        let f = header(2, 16, 2).u32(0).finish();
+        assert!(decode_sketch_delta(&f).is_none());
+        // A dense body for some other table.
+        let f = header(DELTA_DENSE, 16, 2).bytes(&[0; 16 * 4]).finish();
+        assert!(decode_sketch_delta(&f).is_none());
     }
 
     #[test]

@@ -3,10 +3,17 @@
 //!
 //! A streamer batches a turnstile change stream, first pushing its
 //! local count-min-sketch delta to the directory (which folds it into
-//! the broadcast view — the constant-size global state that drives
+//! the view's sketch — the constant-size global state that drives
 //! replication decisions), then routing each change to *both* of its
 //! placements: the out-edge record to `owner(src, dst)` and the
 //! in-edge record to `owner(dst, src)` (Figure 3).
+//!
+//! An ingest batch is not a view change. While no vertex can be split
+//! the directory answers the delta with a short acknowledgement and
+//! the streamer keeps everything it routes by — view, outboxes, owner
+//! memo — across batches; only a new view epoch (membership, ring
+//! parameters, or a sketch fold under which a split is possible)
+//! replaces them.
 
 use crate::config::SystemConfig;
 use crate::msg::{self, packet, DirectoryView, Side};
@@ -15,7 +22,7 @@ use elga_hash::{AgentId, EdgeLocator, FxHashMap, OwnerCache};
 use elga_net::{
     Addr, CoalesceConfig, CoalesceStats, CoalescingOutbox, Frame, NetError, Transport, TransportExt,
 };
-use elga_sketch::DegreeEstimator;
+use elga_sketch::SketchDelta;
 use elga_trace::{EventKind, Tracer};
 use std::sync::Arc;
 use std::time::Instant;
@@ -47,9 +54,12 @@ pub struct Streamer {
     /// Latched once the retained log exceeds `cfg.change_log_cap`, so
     /// the warning fires once per excursion instead of once per batch.
     log_warned: bool,
-    /// Per-view-epoch owner memo: a change batch hashes and estimates
-    /// each distinct source vertex once instead of once per edge.
+    /// Per-view-epoch owner memo: each distinct source vertex is
+    /// hashed and estimated once per epoch instead of once per edge.
     cache: OwnerCache,
+    /// The current batch's sketch increments; emptied (touched cells
+    /// only) once they are encoded.
+    delta: SketchDelta,
     /// Event recorder (view adoption, recovery replay, coalescer
     /// flushes); disabled unless `cfg.tracing`.
     tracer: Arc<Tracer>,
@@ -75,6 +85,7 @@ impl Streamer {
             OwnerCache::disabled()
         };
         let tracer = Arc::new(Tracer::from_flag(cfg.tracing));
+        let delta = SketchDelta::new(view.sketch.width(), view.sketch.depth());
         Ok(Streamer {
             transport,
             cfg,
@@ -87,6 +98,7 @@ impl Streamer {
             ingested: 0,
             log_warned: false,
             cache,
+            delta,
             tracer,
         })
     }
@@ -114,8 +126,11 @@ impl Streamer {
         Ok(())
     }
 
+    /// Adopt a newer view. One of the epoch already held is no news:
+    /// under one epoch every sketch places every vertex alike, and
+    /// keeping ours keeps the owner memo consistent with it.
     fn adopt(&mut self, view: DirectoryView) {
-        if view.epoch >= self.view.epoch {
+        if view.epoch > self.view.epoch {
             self.view = view;
             self.locator = self.view.locator();
             self.tracer.instant(
@@ -156,10 +171,11 @@ impl Streamer {
         self.outboxes.get_mut(&agent)
     }
 
-    /// Send one batch of changes: update the global sketch, adopt the
-    /// refreshed view, and route every change to both placements.
-    /// Returns the number of change records pushed (2× the batch size:
-    /// one out-placement and one in-placement each).
+    /// Send one batch of changes: update the global sketch, follow the
+    /// directory to a new view if there is one, and route every change
+    /// to both placements. Returns the number of change records pushed
+    /// (2× the batch size: one out-placement and one in-placement
+    /// each).
     pub fn send_batch(&mut self, changes: &[EdgeChange]) -> Result<usize, NetError> {
         if changes.is_empty() {
             return Ok(0);
@@ -167,19 +183,31 @@ impl Streamer {
         // 1. Degree counting: insertions grow the sketch (deletions
         //    leave it in place — count-min never decrements, keeping
         //    the estimate an upper bound; §2.4).
-        let mut delta = DegreeEstimator::new(self.view.sketch.width(), self.view.sketch.depth());
         for c in changes {
             if c.is_insert() {
-                delta.record_edge(c.edge.src, c.edge.dst);
+                self.delta.record_edge(c.edge.src, c.edge.dst);
             }
         }
+        let frame = msg::encode_sketch_delta(&self.delta);
+        self.delta.clear();
         let (rep, _) = self.transport.request_with_retry(
             &self.directory,
-            msg::encode_sketch_delta(delta.sketch()),
+            frame,
             self.cfg.request_timeout,
             &self.cfg.send_policy,
         )?;
-        if let Some(view) = DirectoryView::decode(&rep) {
+        if rep.packet_type() == packet::OK {
+            // Folded without an epoch: whatever we route by stands,
+            // unless the membership moved on since we last looked.
+            if rep.reader().u64() != Some(self.view.epoch) {
+                self.refresh()?;
+            } else {
+                debug_assert!(
+                    !self.view.may_split(),
+                    "a fold was quiet under an epoch whose sketch, as held here, can split a vertex"
+                );
+            }
+        } else if let Some(view) = DirectoryView::decode(&rep) {
             self.adopt(view);
         }
         self.ingested += changes.len() as u64;

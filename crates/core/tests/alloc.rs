@@ -4,13 +4,19 @@
 //! an accidental `Vec` in a decoder, a `to_vec()` on the hot path —
 //! fail loudly instead of silently costing an allocation per record.
 //!
+//! The same allocator pins the ingest side's footprint: a small batch's
+//! sketch delta must cost what the batch touched, so no thread — the
+//! streamer, the lead folding the delta, an agent — may ask for a
+//! buffer the size of the sketch table while one is sent.
+//!
 //! This lives in its own integration-test binary with a single `#[test]`
 //! so no sibling test thread can allocate while the counter is armed.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
+use elga_core::cluster::Cluster;
 use elga_core::msg::{self, MetaRecord, MigEdge, MigState, StateRecord};
 use elga_graph::types::EdgeChange;
 use elga_net::{CoalesceConfig, CoalescingOutbox, Frame, InProcTransport, Transport};
@@ -19,11 +25,14 @@ struct CountingAlloc;
 
 static ARMED: AtomicBool = AtomicBool::new(false);
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Largest single request seen while armed, in bytes.
+static LARGEST: AtomicUsize = AtomicUsize::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         if ARMED.load(Ordering::Relaxed) {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
+            LARGEST.fetch_max(layout.size(), Ordering::Relaxed);
         }
         System.alloc(layout)
     }
@@ -31,6 +40,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         if ARMED.load(Ordering::Relaxed) {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
+            LARGEST.fetch_max(new_size, Ordering::Relaxed);
         }
         System.realloc(ptr, layout, new_size)
     }
@@ -200,4 +210,41 @@ fn decode_and_iterate_allocates_nothing() {
         allocs, 0,
         "decoding and iterating {N} records of each type must not allocate"
     );
+
+    small_batch_asks_for_no_table_sized_buffer();
+}
+
+/// 64-change batches into a two-agent cluster: every thread in the
+/// process is watched — the streamer counting and encoding the delta,
+/// the lead decoding and folding it, the agents applying the records.
+fn small_batch_asks_for_no_table_sized_buffer() {
+    let mut cluster = Cluster::builder().agents(2).build();
+    let cfg = cluster.config();
+    let table_bytes = cfg.sketch_width * cfg.sketch_depth * 4;
+    let batch = |i: u64| -> Vec<EdgeChange> {
+        (0..64)
+            .map(|j| EdgeChange::insert(i * 64 + j, (i * 64 + j + 1) % 4096))
+            .collect()
+    };
+    // The first pass connects the streamer (one whole view) and grows
+    // the agents' maps; the watched one sends the same edges again, so
+    // no table of theirs has a reason to double.
+    for i in 0..8 {
+        cluster.ingest_async(&batch(i));
+    }
+    cluster.quiesce().unwrap();
+    LARGEST.store(0, Ordering::SeqCst);
+    allocations_in(&mut || {
+        for i in 0..8 {
+            cluster.ingest_async(&batch(i));
+        }
+        cluster.quiesce().unwrap();
+    });
+    let largest = LARGEST.load(Ordering::SeqCst);
+    assert!(largest > 0, "a batch allocates something");
+    assert!(
+        largest < table_bytes,
+        "a 64-change batch asked for {largest} B; the sketch table is {table_bytes} B"
+    );
+    cluster.shutdown();
 }

@@ -6,6 +6,7 @@ use elga_core::msg::{
     self, Counters, MetaRecord, MigEdge, MigState, Phase, ReadyReport, StateRecord,
 };
 use elga_net::{CoalesceConfig, CoalescingOutbox, Frame, InProcTransport, Transport};
+use elga_sketch::{CountMinSketch, SketchDelta};
 use proptest::prelude::*;
 use std::time::{Duration, Instant};
 
@@ -72,7 +73,78 @@ fn mig_frames(msgs: &[(u64, u64)]) -> (Vec<MigState>, Vec<MigEdge>, Vec<MetaReco
     (states, edges, metas, frames)
 }
 
+/// `delta` as a SKETCH_DELTA frame in the form asked for, whichever
+/// one `encode_sketch_delta` would pick: form byte (0 dense, 1
+/// sparse), `width, depth, items`, one length-prefixed body.
+fn delta_frame(delta: &SketchDelta, sparse: bool) -> Frame {
+    let b = Frame::builder(msg::packet::SKETCH_DELTA)
+        .u8(sparse as u8)
+        .u32(delta.width() as u32)
+        .u32(delta.depth() as u32)
+        .u64(delta.items());
+    if sparse {
+        let pairs = delta.cells().flat_map(|(i, c)| [i as u32, c]);
+        b.u32((delta.touched() * 8) as u32).u32s(pairs)
+    } else {
+        let rows = (0..delta.depth()).flat_map(|r| delta.row(r).iter().copied());
+        b.u32((delta.width() * delta.depth() * 4) as u32).u32s(rows)
+    }
+    .finish()
+}
+
 proptest! {
+    /// One batch's delta folds to the same table — cells, row maxima
+    /// and item count — whether it travels as touched pairs or as the
+    /// dense table, and that table is the one direct updates build.
+    /// The encoder's pick is one of the two, the smaller; every strict
+    /// prefix of either, an index one past the table, and a sketch of
+    /// other dimensions are refused with nothing folded.
+    #[test]
+    fn sketch_delta_forms_are_interchangeable(
+        width in 1usize..48,
+        depth in 1usize..6,
+        before in prop::collection::vec((0u64..512, 1u32..9), 0..64),
+        batch in prop::collection::vec((0u64..512, 1u32..9), 0..96),
+        cut_frac in 0.0f64..1.0,
+    ) {
+        let mut direct = CountMinSketch::new(width, depth);
+        before.iter().for_each(|&(k, c)| direct.add(k, c));
+        let base = direct.clone();
+        let mut delta = SketchDelta::new(width, depth);
+        for &(k, c) in &batch {
+            direct.add(k, c);
+            delta.add(k, c);
+        }
+        let forms = [delta_frame(&delta, true), delta_frame(&delta, false)];
+        let picked = msg::encode_sketch_delta(&delta);
+        prop_assert!(forms.contains(&picked));
+        prop_assert!(forms.iter().all(|f| picked.len() <= f.len()));
+        for frame in &forms {
+            let view = msg::decode_sketch_delta(frame).unwrap();
+            let mut folded = base.clone();
+            view.fold_into(&mut folded).unwrap();
+            prop_assert_eq!(&folded, &direct);
+            prop_assert_eq!(folded.estimate_bound(), direct.estimate_bound());
+            let mut other = CountMinSketch::new(width + 1, depth);
+            prop_assert!(view.fold_into(&mut other).is_err());
+            prop_assert!(other.is_empty());
+            let n = frame.len();
+            let keep = (1 + ((n - 1) as f64 * cut_frac) as usize).min(n - 1);
+            let short = Frame::from_bytes(frame.as_bytes()[..keep].to_vec().into());
+            prop_assert!(msg::decode_sketch_delta(&short).is_none());
+        }
+        let stray = Frame::builder(msg::packet::SKETCH_DELTA)
+            .u8(1)
+            .u32(width as u32)
+            .u32(depth as u32)
+            .u64(1)
+            .u32(8)
+            .u32((width * depth) as u32)
+            .u32(1)
+            .finish();
+        prop_assert!(msg::decode_sketch_delta(&stray).is_none());
+    }
+
     /// No decoder may panic on arbitrary bytes — a malformed or
     /// truncated frame must surface as `None` ("ensure that the
     /// endpoint remains valid", §3.4).

@@ -13,14 +13,21 @@
 //!
 //! ## Invalidation
 //!
-//! A placement is valid exactly as long as the [`DirectoryView`] it was
-//! derived from: membership changes move ring successors, and sketch
-//! folds move degree estimates across replication thresholds. Both bump
-//! the view epoch, so the cache is keyed by a single `u64` epoch and
+//! A view epoch names a *placement function*: the same vertex resolves
+//! to the same [`VertexPlacement`] under every sketch any participant
+//! holds within one epoch. The directory opens a new epoch for exactly
+//! the changes that can break that — membership (ring successors
+//! move), ring or replication parameters, and a sketch fold under
+//! which some vertex may be split (`k` can change). A fold that leaves
+//! every vertex at `k = 1` — every ingest batch, on a graph without a
+//! hub over the replication threshold — is not an epoch, so a memo
+//! lives as long as the membership does, not as long as a batch.
+//!
+//! The cache is therefore keyed by a single `u64` epoch, and
 //! [`OwnerCache::ensure_epoch`] drops everything when it changes.
-//! Callers must pass the epoch of the view whose locator/sketch they
-//! resolve against — sketch-only refreshes (membership unchanged) still
-//! carry a new epoch and still invalidate, because they can change `k`.
+//! Callers pass the epoch of the view whose locator/sketch they
+//! resolve against. (Dropping only the entries whose ring arc moved on
+//! a membership change is still open: ROADMAP item 4.)
 //!
 //! `DirectoryView` lives in `elga-core`; this crate only sees the epoch
 //! number, which keeps the dependency arrow pointing the right way.
@@ -160,7 +167,7 @@ impl OwnerCache {
         u: u64,
         estimate: impl FnOnce() -> u64,
     ) -> &[AgentId] {
-        &self.placement(loc, u, estimate).replicas
+        self.placement(loc, u, estimate).replicas()
     }
 
     /// Resolve the owners of a batch of edges in one pass, hashing and
@@ -312,8 +319,8 @@ mod tests {
 
     #[test]
     fn stale_estimates_are_not_served_across_epochs() {
-        // A sketch fold can change k without changing membership; the
-        // epoch bump must force re-resolution.
+        // A sketch fold that can change k opens an epoch without any
+        // change of membership; the bump must force re-resolution.
         let loc = locator(8, 100);
         let mut cache = OwnerCache::new();
         cache.ensure_epoch(1);

@@ -72,11 +72,24 @@ pub struct VertexPlacement {
     /// First replica (ring successor) — the vertex's primary owner.
     /// `None` only when the ring is empty.
     pub primary: Option<AgentId>,
-    /// Full replica set in ring order from the successor.
-    pub replicas: Vec<AgentId>,
+    /// Replica set in ring order from the successor when `k > 1`.
+    /// Empty — unallocated — when `k == 1`: the set is `primary`, and
+    /// memos hold one placement per vertex for a whole view epoch.
+    split: Vec<AgentId>,
     /// Second-level mini ring: `(hash(agent), agent)` sorted ascending.
     /// Empty when `k == 1` (no second hash needed).
     minis: Vec<(u64, AgentId)>,
+}
+
+impl VertexPlacement {
+    /// Full replica set in ring order from the successor.
+    pub fn replicas(&self) -> &[AgentId] {
+        if self.k == 1 {
+            self.primary.as_slice()
+        } else {
+            &self.split
+        }
+    }
 }
 
 impl EdgeLocator {
@@ -164,11 +177,10 @@ impl EdgeLocator {
     pub fn placement(&self, u: u64, estimated_degree: u64) -> VertexPlacement {
         let k = self.replication_factor(estimated_degree);
         if k == 1 {
-            let primary = self.ring.owner(u);
             return VertexPlacement {
                 k,
-                primary,
-                replicas: primary.into_iter().collect(),
+                primary: self.ring.owner(u),
+                split: Vec::new(),
                 minis: Vec::new(),
             };
         }
@@ -179,7 +191,7 @@ impl EdgeLocator {
         VertexPlacement {
             k,
             primary: replicas.first().copied(),
-            replicas,
+            split: replicas,
             minis,
         }
     }
@@ -326,7 +338,7 @@ mod tests {
                 for est in [0u64, 1, 99, 101, 450, 10_000] {
                     let p = loc.placement(u, est);
                     assert_eq!(p.k, loc.replication_factor(est));
-                    assert_eq!(p.replicas, loc.replicas_of_vertex(u, est));
+                    assert_eq!(p.replicas(), loc.replicas_of_vertex(u, est));
                     assert_eq!(p.primary, loc.ring().owner(u));
                     for v in 0..64u64 {
                         assert_eq!(
@@ -345,7 +357,7 @@ mod tests {
         let loc = EdgeLocator::new(Ring::new(HashKind::Wang, 4), LocatorConfig::default());
         let p = loc.placement(1, 0);
         assert_eq!(p.primary, None);
-        assert!(p.replicas.is_empty());
+        assert!(p.replicas().is_empty());
         assert_eq!(loc.owner_from_placement(&p, 2), None);
     }
 

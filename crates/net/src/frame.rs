@@ -153,6 +153,26 @@ impl FrameBuilder {
         self
     }
 
+    /// Append a run of little-endian `u32`s with no length prefix
+    /// (caller knows the framing), a stack buffer's worth per copy: a
+    /// sketch table is tens of thousands of them.
+    pub fn u32s(mut self, values: impl IntoIterator<Item = u32>) -> Self {
+        let values = values.into_iter();
+        self.buf.reserve(values.size_hint().0 * 4);
+        let mut chunk = [0u8; 256];
+        let mut at = 0;
+        for v in values {
+            chunk[at..at + 4].copy_from_slice(&v.to_le_bytes());
+            at += 4;
+            if at == chunk.len() {
+                self.buf.put_slice(&chunk);
+                at = 0;
+            }
+        }
+        self.buf.put_slice(&chunk[..at]);
+        self
+    }
+
     /// Append a little-endian `u64`.
     pub fn u64(mut self, v: u64) -> Self {
         self.buf.put_u64_le(v);
@@ -273,6 +293,17 @@ mod tests {
         assert_eq!(r.bytes(), Some(&b"elga"[..]));
         assert_eq!(r.remaining(), 0);
         assert_eq!(r.u8(), None, "exhausted reader yields None");
+    }
+
+    #[test]
+    fn u32_runs_equal_one_append_per_value() {
+        // Empty, under one stack chunk (64 values), exactly one, over.
+        for n in [0u32, 1, 63, 64, 65, 200] {
+            let values = (0..n).map(|i| i.wrapping_mul(0x9E37_79B9));
+            let run = Frame::builder(3).u8(9).u32s(values.clone()).u8(7).finish();
+            let each = values.fold(Frame::builder(3).u8(9), |b, v| b.u32(v));
+            assert_eq!(run, each.u8(7).finish(), "{n} values");
+        }
     }
 
     #[test]

@@ -49,8 +49,9 @@ pub struct SnapshotValue {
     /// values were restored from a checkpoint, whose run id went
     /// unrecorded).
     pub run: u64,
-    /// The answering agent's ingest batch watermark when the snapshot
-    /// was taken — the staleness handle of Definition 2.6.
+    /// The snapshot's ingest batch watermark: the batches folded before
+    /// its run was launched, the same on every agent — the staleness
+    /// handle of Definition 2.6.
     pub watermark: u64,
 }
 

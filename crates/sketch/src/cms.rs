@@ -25,6 +25,10 @@ pub struct CountMinSketch {
     depth: usize,
     /// Row-major `depth × width` counter table.
     table: Vec<u32>,
+    /// Largest counter of each row. Counters only grow, so every write
+    /// keeps its row's entry current with one compare and
+    /// [`CountMinSketch::estimate_bound`] never scans the table.
+    row_max: Vec<u32>,
     /// Total updates applied (the stream length `m`).
     items: u64,
 }
@@ -34,6 +38,15 @@ pub struct CountMinSketch {
 fn row_seed(row: usize) -> u64 {
     // splitmix-style sequence of seeds
     wang64((row as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xD6E8_FEB8_6659_FD93)
+}
+
+/// Table index of `key`'s counter in `row` of a sketch `width` wide —
+/// the one cell layout [`CountMinSketch`] and
+/// [`SketchDelta`](crate::SketchDelta) share.
+#[inline]
+pub(crate) fn cell_index(width: usize, row: usize, key: u64) -> usize {
+    let h = wang64(key ^ row_seed(row));
+    row * width + (h % width as u64) as usize
 }
 
 impl CountMinSketch {
@@ -47,6 +60,7 @@ impl CountMinSketch {
             width,
             depth,
             table: vec![0; width * depth],
+            row_max: vec![0; depth],
             items: 0,
         }
     }
@@ -90,15 +104,16 @@ impl CountMinSketch {
 
     #[inline]
     fn index(&self, row: usize, key: u64) -> usize {
-        let h = wang64(key ^ row_seed(row));
-        row * self.width + (h % self.width as u64) as usize
+        cell_index(self.width, row, key)
     }
 
     /// Add `count` to `key`.
     pub fn add(&mut self, key: u64, count: u32) {
         for row in 0..self.depth {
             let idx = self.index(row, key);
-            self.table[idx] = self.table[idx].saturating_add(count);
+            let cell = self.table[idx].saturating_add(count);
+            self.table[idx] = cell;
+            self.row_max[row] = self.row_max[row].max(cell);
         }
         self.items += u64::from(count);
     }
@@ -122,13 +137,11 @@ impl CountMinSketch {
     /// An upper bound on [`CountMinSketch::estimate`] for *every* key,
     /// inserted or not: the smallest row maximum. An estimate is the
     /// minimum over rows of one cell per row, and no cell exceeds its
-    /// row's maximum. One pass over the table, and no key is hashed:
-    /// lets a caller rule out "some vertex is over the replication
-    /// threshold" without looking at any vertex.
+    /// row's maximum. `O(depth)`, and no key is hashed: lets a caller
+    /// rule out "some vertex is over the replication threshold" without
+    /// looking at any vertex.
     pub fn estimate_bound(&self) -> u64 {
-        let row_max = |row: &[u32]| row.iter().copied().max().unwrap_or(0);
-        let rows = self.table.chunks_exact(self.width);
-        u64::from(rows.map(row_max).min().unwrap_or(0))
+        u64::from(self.row_max.iter().copied().min().unwrap_or(0))
     }
 
     /// Batched [`CountMinSketch::estimate`]: one estimate per key, in
@@ -157,16 +170,51 @@ impl CountMinSketch {
     /// # Errors
     /// Returns `Err` when dimensions differ.
     pub fn merge(&mut self, other: &CountMinSketch) -> Result<(), DimensionMismatch> {
-        if self.width != other.width || self.depth != other.depth {
+        let cells = other.table.iter().copied().enumerate();
+        self.fold((other.width, other.depth), cells, other.items)
+    }
+
+    /// Fold `(table index, count)` cells of a `dims = (width, depth)`
+    /// sketch into this one, `items` updates in all: [`merge`] for a
+    /// delta that lists only the cells it touched. Indices are
+    /// row-major, as [`SketchDelta::cells`](crate::SketchDelta::cells)
+    /// yields them.
+    ///
+    /// [`merge`]: CountMinSketch::merge
+    ///
+    /// # Errors
+    /// Returns `Err`, with nothing folded, when dimensions differ.
+    ///
+    /// # Panics
+    /// Panics on an index outside the table.
+    pub fn fold(
+        &mut self,
+        dims: (usize, usize),
+        cells: impl IntoIterator<Item = (usize, u32)>,
+        items: u64,
+    ) -> Result<(), DimensionMismatch> {
+        if (self.width, self.depth) != dims {
             return Err(DimensionMismatch {
                 expected: (self.width, self.depth),
-                got: (other.width, other.depth),
+                got: dims,
             });
         }
-        for (a, b) in self.table.iter_mut().zip(&other.table) {
-            *a = a.saturating_add(*b);
+        // A dense delta walks each row left to right: look the row up,
+        // and write its maximum back, only when an index leaves the row
+        // the previous one was in.
+        let (mut row, mut max) = (0, self.row_max[0]);
+        for (idx, count) in cells {
+            if idx.wrapping_sub(row * self.width) >= self.width {
+                self.row_max[row] = max;
+                row = idx / self.width;
+                max = self.row_max[row];
+            }
+            let cell = &mut self.table[idx];
+            *cell = cell.saturating_add(count);
+            max = max.max(*cell);
         }
-        self.items += other.items;
+        self.row_max[row] = max;
+        self.items += items;
         Ok(())
     }
 
@@ -191,9 +239,11 @@ impl CountMinSketch {
         if width == 0 || depth == 0 || cells.len() != width * depth {
             return None;
         }
+        let row_max = |row: &[u32]| row.iter().copied().max().unwrap_or(0);
         Some(CountMinSketch {
             width,
             depth,
+            row_max: cells.chunks_exact(width).map(row_max).collect(),
             table: cells,
             items,
         })
@@ -202,6 +252,7 @@ impl CountMinSketch {
     /// Reset every counter to zero.
     pub fn clear(&mut self) {
         self.table.fill(0);
+        self.row_max.fill(0);
         self.items = 0;
     }
 
@@ -351,6 +402,26 @@ mod tests {
         for k in 0..500u64 {
             assert_eq!(a.estimate(k), whole.estimate(k));
         }
+    }
+
+    #[test]
+    fn fold_takes_cells_in_any_order_and_keeps_the_row_maxima() {
+        let mut s = CountMinSketch::new(4, 3);
+        // Rows 2, 0, 2, 1: no order, one cell twice.
+        s.fold((4, 3), [(9, 7), (0, 1), (9, 2), (6, 30)], 40)
+            .unwrap();
+        assert_eq!((s.row(0)[0], s.row(1)[2], s.row(2)[1]), (1, 30, 9));
+        assert_eq!((s.items(), s.estimate_bound()), (40, 1));
+        s.fold((4, 3), [(3, 8)], 8).unwrap();
+        assert_eq!(s.estimate_bound(), 8);
+        assert!(s.fold((3, 4), [(0, 1)], 1).is_err(), "same cell count");
+        assert_eq!(s.items(), 48);
+    }
+
+    #[test]
+    #[should_panic]
+    fn fold_panics_on_an_index_past_the_table() {
+        let _ = CountMinSketch::new(4, 3).fold((4, 3), [(12, 1)], 1);
     }
 
     #[test]

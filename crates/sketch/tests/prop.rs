@@ -1,6 +1,6 @@
 //! Property-based tests for the sketch layer.
 
-use elga_sketch::{CountMinSketch, CountSketch, DegreeEstimator};
+use elga_sketch::{CountMinSketch, CountSketch, DegreeEstimator, SketchDelta};
 use proptest::prelude::*;
 
 proptest! {
@@ -49,6 +49,47 @@ proptest! {
         prop_assert_eq!(&rebuilt, &a);
         a.clear();
         prop_assert_eq!(a.estimate_bound(), 0);
+    }
+
+    /// A batch accumulated as a [`SketchDelta`] and folded in is the
+    /// batch accumulated as a dense sketch and merged in: same cells,
+    /// same row maxima, same item count. Clearing costs the delta
+    /// nothing it has to make up later, and a sketch of other
+    /// dimensions is refused untouched.
+    #[test]
+    fn delta_fold_equals_dense_merge(
+        width in 1usize..64,
+        depth in 1usize..8,
+        before in prop::collection::vec((0u64..96, 1u32..16), 0..64),
+        batches in prop::collection::vec(
+            prop::collection::vec((0u64..96, 0u32..16), 0..64), 1..4),
+    ) {
+        let mut sparse = CountMinSketch::new(width, depth);
+        before.iter().for_each(|&(k, c)| sparse.add(k, c));
+        let mut dense = sparse.clone();
+        let mut delta = SketchDelta::new(width, depth);
+        for batch in &batches {
+            let mut table = CountMinSketch::new(width, depth);
+            for &(k, c) in batch {
+                delta.add(k, c);
+                table.add(k, c);
+            }
+            prop_assert_eq!(delta.items(), table.items());
+            prop_assert!(delta.touched() <= width * depth);
+            prop_assert!(delta.cells().all(|(i, c)| c > 0 && table.row(i / width)[i % width] == c));
+            let rows: Vec<u32> = (0..depth).flat_map(|r| delta.row(r).to_vec()).collect();
+            let same = CountMinSketch::from_parts(width, depth, rows, table.items());
+            prop_assert_eq!(same.as_ref(), Some(&table));
+            sparse.fold((width, depth), delta.cells(), delta.items()).unwrap();
+            dense.merge(&table).unwrap();
+            prop_assert_eq!(&sparse, &dense);
+            prop_assert_eq!(sparse.estimate_bound(), dense.estimate_bound());
+            let mut other = CountMinSketch::new(width, depth + 1);
+            prop_assert!(other.fold((width, depth), delta.cells(), delta.items()).is_err());
+            prop_assert!(other.is_empty());
+            delta.clear();
+            prop_assert_eq!((delta.items(), delta.touched()), (0, 0));
+        }
     }
 
     /// Merging sketches is equivalent to applying both update streams

@@ -180,6 +180,7 @@ fn coordinator() {
                     asynchronous: false,
                     delta: false,
                     dangling_base: 0.0,
+                    watermark: 0,
                 }),
                 Duration::from_secs(30),
             )

@@ -535,6 +535,7 @@ fn tcp_states(
                     asynchronous: false,
                     delta: false,
                     dangling_base: 0.0,
+                    watermark: 0,
                 }),
                 Duration::from_secs(30),
             )

@@ -101,6 +101,7 @@ fn wcc_and_pagerank_over_tcp_sockets() {
                     asynchronous: false,
                     delta: false,
                     dangling_base: 0.0,
+                    watermark: 0,
                 }),
                 Duration::from_secs(30),
             )
