@@ -2,13 +2,21 @@
 //! phase-end flushes, dead-peer retries, READY reports, and metrics
 //! publication.
 //!
-//! Every data-plane send leaves through a coalescing outbox, whether
-//! the `coalescing` knob is on (records accumulate into large frames,
-//! flushed on size/count thresholds and phase ends) or off (the
-//! outbox degrades to a plain pass-through and callers send eagerly
-//! encoded batches). Either way the per-destination byte stream is a
-//! strict FIFO of the records handed in, which is what keeps sync-mode
-//! results bit-identical across the ablation.
+//! Every data-plane send is a run of records handed to the
+//! destination's coalescing outbox ([`Agent::with_outbox`] and one of
+//! `msg::append_*`); there is no second send path. The `coalescing`
+//! knob only picks the outbox's tuning here: on, records accumulate
+//! into large frames, flushed on size/count thresholds and phase ends;
+//! off, every run leaves at once in frames of a fixed record count.
+//! Either way the per-destination byte stream is a strict FIFO of the
+//! records handed in, which is what keeps sync-mode results
+//! bit-identical across the ablation.
+//!
+//! What never reaches an outbox: the records a sync superstep
+//! addresses to this agent itself. VMSG, PARTIAL and STATE records for
+//! the agent's own vertices are folded in place by the kernel that
+//! produced them (`superstep`), uncounted on both sides of the barrier
+//! sums.
 //!
 //! Flush discipline: the termination protocol (Mattern-style counter
 //! barriers) counts *records*, and a READY/DRAIN report must never
@@ -66,7 +74,6 @@ impl Agent {
 
     /// Run `f` against the (created on demand) outbox for `agent`,
     /// then hand any frames the transport refused to the retry path.
-    /// This is the append-side twin of [`Agent::push_to`].
     pub(super) fn with_outbox(&mut self, agent: AgentId, f: impl FnOnce(&mut CoalescingOutbox)) {
         let failed = match self.outbox(agent) {
             Some(out) => {
@@ -78,12 +85,6 @@ impl Agent {
         if failed {
             self.retry_failed(agent);
         }
-    }
-
-    /// Send a pre-built frame to `agent`. Any open coalesced frame for
-    /// that destination is flushed first, so record order stays FIFO.
-    pub(super) fn push_to(&mut self, agent: AgentId, frame: Frame) {
-        self.with_outbox(agent, |out| out.send(frame));
     }
 
     /// The cached outbox to `agent` is dead (TCP writer broke, or the

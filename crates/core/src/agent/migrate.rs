@@ -234,10 +234,10 @@ impl Agent {
         // threshold left open leaves with the migrate READY below.
         let (snap_run, snap_watermark) = (self.snap_run, self.snap_watermark);
         for (agent, bundle) in bundles {
-            self.send_mig(agent, &bundle.states, msg::append_mig_state);
-            self.send_mig(agent, &bundle.edges, msg::append_mig_edge);
-            self.send_mig(agent, &bundle.metas, |out, m| {
-                msg::append_mig_meta(out, snap_run, snap_watermark, m)
+            self.send_mig(agent, &bundle.states, msg::append_mig_states);
+            self.send_mig(agent, &bundle.edges, msg::append_mig_edges);
+            self.send_mig(agent, &bundle.metas, |out, metas| {
+                msg::append_mig_meta(out, snap_run, snap_watermark, metas)
             });
         }
         self.metrics.edges = self.out_pos.len() as u64;
@@ -268,33 +268,26 @@ impl Agent {
         self.send_ready(0, epoch as u32, Phase::Migrate, 0, contrib);
     }
 
-    /// Append `recs` to `agent`'s migration stream, counted as sent,
-    /// and close the stream's last frame (the next record kind or the
-    /// READY would anyway) so tracing can report every frame that left
-    /// with the records it held.
+    /// Append `recs` to `agent`'s migration stream as one run, counted
+    /// as sent, and close the stream's last frame (the next record kind
+    /// or the READY would anyway) so every frame of the stream has left
+    /// when the trace says the stream has.
     fn send_mig<T>(
         &mut self,
         agent: AgentId,
         recs: &[T],
-        append: impl Fn(&mut CoalescingOutbox, &T),
+        append: impl Fn(&mut CoalescingOutbox, &[T]),
     ) {
+        if recs.is_empty() {
+            return;
+        }
         self.counters.mig_sent += recs.len() as u64;
-        let tracer = Arc::clone(&self.tracer);
         self.with_outbox(agent, |out| {
-            let mut in_frame = 0;
-            for r in recs {
-                append(out, r);
-                in_frame += 1;
-                if out.pending_records() == 0 {
-                    tracer.instant(EventKind::MigrateSend, agent, in_frame);
-                    in_frame = 0;
-                }
-            }
-            if in_frame > 0 {
-                out.flush();
-                tracer.instant(EventKind::MigrateSend, agent, in_frame);
-            }
+            append(out, recs);
+            out.flush();
         });
+        self.tracer
+            .instant(EventKind::MigrateSend, agent, recs.len() as u64);
     }
 
     /// Count a migration frame's records as received.

@@ -66,10 +66,8 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use ingest::IngestScratch;
 use superstep::StepScratch;
-
-/// Records per frame on the eager (non-coalescing) ablation path.
-const BATCH: usize = 4096;
 
 /// Most deliveries [`Agent::serve_reads`] parks before it stops looking
 /// at the mailbox: at full ~60 KiB frames, one sender's 16 MiB credit.
@@ -229,6 +227,7 @@ pub struct Agent {
     /// One owner cache per worker, used by the parallel kernels.
     worker_caches: Vec<OwnerCache>,
     scratch: StepScratch,
+    ingest_scratch: IngestScratch,
     counters: Counters,
     metrics: AgentMetrics,
     run: Option<AgentRun>,
@@ -393,6 +392,7 @@ impl Agent {
             route_cache: new_cache(),
             worker_caches: (0..workers).map(|_| new_cache()).collect(),
             scratch: StepScratch::new(),
+            ingest_scratch: IngestScratch::default(),
             counters: Counters::default(),
             metrics: AgentMetrics {
                 agent: id,
@@ -916,7 +916,8 @@ impl Agent {
             };
             for &sub in ids {
                 if let Some(s) = self.subs.get_mut(&sub) {
-                    msg::append_sub_push(&mut s.outbox, sub, run_id, self.snap_watermark, v, state);
+                    let push = [(v, state)];
+                    msg::append_sub_pushes(&mut s.outbox, sub, run_id, self.snap_watermark, &push);
                     pushed += 1;
                 }
             }

@@ -308,11 +308,8 @@ impl Agent {
         }
         // Merge per-shard batches in shard index order: each
         // destination's messages end up in the same order no matter how
-        // many workers produced them. The records then leave through
-        // the per-destination coalescing outboxes (or, with coalescing
-        // off, as eagerly encoded `BATCH`-sized frames); both paths
-        // preserve that per-destination order exactly.
-        let coalescing = self.cfg.coalescing;
+        // many workers produced them, and leave as runs through its
+        // coalescing outbox, which keeps that order exactly.
         match phase {
             Phase::Apply => {
                 let mut merged = std::mem::take(&mut self.scratch.merged_states);
@@ -328,21 +325,9 @@ impl Agent {
                         continue;
                     }
                     self.counters.state_sent += recs.len() as u64;
-                    if coalescing {
-                        for recs in recs.chunks(READ_YIELD) {
-                            self.with_outbox(agent, |out| {
-                                for rec in recs {
-                                    msg::append_state(out, run_id, step, rec);
-                                }
-                            });
-                            self.serve_reads();
-                        }
-                    } else {
-                        for chunk in recs.chunks(BATCH) {
-                            let frame = msg::encode_states(run_id, step, chunk);
-                            self.push_to(agent, frame);
-                        }
-                    }
+                    self.send_records(agent, recs, |out, block| {
+                        msg::append_states(out, run_id, step, block)
+                    });
                     recs.clear();
                 }
                 self.scratch.merged_states = merged;
@@ -360,33 +345,22 @@ impl Agent {
                     if msgs.is_empty() {
                         continue;
                     }
-                    if phase == Phase::Scatter {
+                    if phase == Phase::Scatter && agent == my_id {
+                        // This agent's own messages are folded where
+                        // they stand, as `on_vmsg` would on receipt,
+                        // and are no VMSG records — uncounted on both
+                        // sides of the barrier sums.
+                        self.fold_vmsgs(msgs.iter().copied());
+                    } else if phase == Phase::Scatter {
                         self.counters.vmsg_sent += msgs.len() as u64;
+                        self.send_records(agent, msgs, |out, block| {
+                            msg::append_vmsgs(out, run_id, step, block)
+                        });
                     } else {
                         self.counters.part_sent += msgs.len() as u64;
-                    }
-                    if coalescing {
-                        for msgs in msgs.chunks(READ_YIELD) {
-                            self.with_outbox(agent, |out| {
-                                for &(v, value) in msgs {
-                                    if phase == Phase::Scatter {
-                                        msg::append_vmsg(out, run_id, step, v, value);
-                                    } else {
-                                        msg::append_partial(out, run_id, step, v, value);
-                                    }
-                                }
-                            });
-                            self.serve_reads();
-                        }
-                    } else {
-                        for chunk in msgs.chunks(BATCH) {
-                            let frame = if phase == Phase::Scatter {
-                                msg::encode_vmsgs(run_id, step, chunk)
-                            } else {
-                                msg::encode_partials(run_id, step, chunk)
-                            };
-                            self.push_to(agent, frame);
-                        }
+                        self.send_records(agent, msgs, |out, block| {
+                            msg::append_partials(out, run_id, step, block)
+                        });
                     }
                     msgs.clear();
                 }
@@ -394,6 +368,40 @@ impl Agent {
             }
         }
         active
+    }
+
+    /// Hand `recs` to `agent`'s outbox a block at a time, looking at
+    /// the mailbox for reads between blocks.
+    fn send_records<T>(
+        &mut self,
+        agent: AgentId,
+        recs: &[T],
+        append: impl Fn(&mut CoalescingOutbox, &[T]),
+    ) {
+        for block in recs.chunks(READ_YIELD) {
+            self.with_outbox(agent, |out| append(out, block));
+            self.serve_reads();
+        }
+    }
+
+    /// Fold the current step's vertex messages into their targets'
+    /// scatter partials: the receive side of VMSG, for a peer's frame
+    /// (parsed in place off its buffer) and for this agent's own
+    /// scatter output (never framed) alike.
+    fn fold_vmsgs(&mut self, mut msgs: impl ExactSizeIterator<Item = (VertexId, u64)>) {
+        self.metrics.vmsgs += msgs.len() as u64;
+        let program = self.run.as_ref().expect("run").program.clone();
+        loop {
+            fold_partials(
+                &mut self.vertices,
+                &*program,
+                msgs.by_ref().take(READ_YIELD),
+            );
+            if msgs.len() == 0 {
+                return;
+            }
+            self.serve_reads();
+        }
     }
 
     // ------------------------------------------------------------------
@@ -421,23 +429,7 @@ impl Agent {
                 if cur_run == run_id && cur_step == step && cur_phase == Phase::Scatter =>
             {
                 self.counters.vmsg_recv += view.records.len() as u64;
-                self.metrics.vmsgs += view.records.len() as u64;
-                let program = self.run.as_ref().expect("run").program.clone();
-                for (i, (v, value)) in view.records.iter().enumerate() {
-                    if i % READ_YIELD == READ_YIELD - 1 {
-                        self.serve_reads();
-                    }
-                    let (e, lists) = self.vertices.entry_and_lists(v);
-                    if e.has_partial {
-                        e.partial = program.combine(e.partial, value);
-                    } else {
-                        e.partial = value;
-                        e.has_partial = true;
-                        // First partial since the last combine: record
-                        // it so the combine kernel only walks receivers.
-                        lists.partial_dirty.push(v);
-                    }
-                }
+                self.fold_vmsgs(view.records.iter());
             }
             Some((cur_run, _, _, _)) if cur_run == run_id => {
                 // Future step or wrong phase: store until we catch up.
@@ -629,7 +621,7 @@ impl Agent {
             };
             for replica in replicas {
                 self.counters.state_sent += 1;
-                self.with_outbox(replica, |out| msg::append_state(out, run_id, 1, &rec));
+                self.with_outbox(replica, |out| msg::append_states(out, run_id, 1, &[rec]));
             }
         }
         self.tracer
@@ -719,21 +711,9 @@ impl Agent {
                 }
             }
         }
-        let coalescing = self.cfg.coalescing;
         for (agent, msgs) in batches {
             self.counters.vmsg_sent += msgs.len() as u64;
-            if coalescing {
-                self.with_outbox(agent, |out| {
-                    for &(w, vv) in &msgs {
-                        msg::append_vmsg(out, run_id, step, w, vv);
-                    }
-                });
-            } else {
-                for chunk in msgs.chunks(BATCH) {
-                    let frame = msg::encode_vmsgs(run_id, step, chunk);
-                    self.push_to(agent, frame);
-                }
-            }
+            self.with_outbox(agent, |out| msg::append_vmsgs(out, run_id, step, &msgs));
         }
     }
 
@@ -786,21 +766,9 @@ impl Agent {
         if let Some(e) = self.vertices.get_mut(&v) {
             e.active = false;
         }
-        let coalescing = self.cfg.coalescing;
         for (agent, msgs) in batches {
             self.counters.vmsg_sent += msgs.len() as u64;
-            if coalescing {
-                self.with_outbox(agent, |out| {
-                    for &(w, vv) in &msgs {
-                        msg::append_vmsg(out, run_id, step, w, vv);
-                    }
-                });
-            } else {
-                for chunk in msgs.chunks(BATCH) {
-                    let frame = msg::encode_vmsgs(run_id, step, chunk);
-                    self.push_to(agent, frame);
-                }
-            }
+            self.with_outbox(agent, |out| msg::append_vmsgs(out, run_id, step, &msgs));
         }
     }
 
@@ -825,7 +793,9 @@ impl Agent {
             };
             if let Some(primary) = primary {
                 self.counters.vmsg_sent += 1;
-                self.with_outbox(primary, |out| msg::append_vmsg(out, run_id, 1, v, value));
+                self.with_outbox(primary, |out| {
+                    msg::append_vmsgs(out, run_id, 1, &[(v, value)])
+                });
             }
             return;
         }
@@ -992,7 +962,7 @@ impl Agent {
                 };
                 for replica in replicas {
                     self.counters.state_sent += 1;
-                    self.with_outbox(replica, |out| msg::append_state(out, run_id, 1, &rec));
+                    self.with_outbox(replica, |out| msg::append_states(out, run_id, 1, &[rec]));
                 }
             }
         }
@@ -1037,7 +1007,7 @@ impl Agent {
             };
             for replica in replicas {
                 self.counters.state_sent += 1;
-                self.with_outbox(replica, |out| msg::append_state(out, run_id, 1, &rec));
+                self.with_outbox(replica, |out| msg::append_states(out, run_id, 1, &[rec]));
             }
         }
     }
@@ -1099,6 +1069,26 @@ impl Agent {
             epoch: self.view.epoch,
         };
         let _ = self.dir_push.send(msg::encode_ready(&rep));
+    }
+}
+
+/// Fold `(target, value)` messages into the targets' scatter
+/// partials, listing each target on its first partial since the last
+/// combine so the combine kernel only walks receivers.
+fn fold_partials(
+    store: &mut VertexStore,
+    program: &dyn VertexProgram,
+    msgs: impl Iterator<Item = (VertexId, u64)>,
+) {
+    for (v, value) in msgs {
+        let (e, lists) = store.entry_and_lists(v);
+        if e.has_partial {
+            e.partial = program.combine(e.partial, value);
+        } else {
+            e.partial = value;
+            e.has_partial = true;
+            lists.partial_dirty.push(v);
+        }
     }
 }
 
@@ -1571,17 +1561,11 @@ mod tests {
     type Msgs = Vec<(AgentId, VertexId, u64)>;
     type States = Vec<(AgentId, VertexId, u64, u64, u64, bool)>;
 
-    /// Run `phase`'s kernel over every shard; return what it emitted as
-    /// sorted sets, the active count, and the visit count.
-    fn run(
-        phase: Phase,
-        sweep: bool,
-        program: &dyn VertexProgram,
-        store: &mut VertexStore,
-    ) -> (Msgs, States, u64, u64) {
-        // Every seventh vertex is split over both agents; the rest
-        // (sketch collisions aside) live whole on their primary, whose
-        // PARTIAL and STATE records are delivered in place.
+    /// Two agents and a sketch under which every seventh vertex is
+    /// split over both; the rest (sketch collisions aside) live whole
+    /// on their primary, whose PARTIAL and STATE records are delivered
+    /// in place.
+    fn placement() -> (EdgeLocator, CountMinSketch) {
         let locator = EdgeLocator::new(
             Ring::from_agents(HashKind::Wang, 8, [ME, 2]),
             LocatorConfig {
@@ -1593,11 +1577,20 @@ mod tests {
         for v in (0..N).step_by(7) {
             sketch.add(v, 10);
         }
-        let delta = program.delta_kind() == DeltaKind::Residual;
-        let ctx = KernelCtx {
+        (locator, sketch)
+    }
+
+    /// The context of a mid-run step 3 on agent `ME`.
+    fn kernel_ctx<'a>(
+        program: &'a dyn VertexProgram,
+        locator: &'a EdgeLocator,
+        sketch: &'a CountMinSketch,
+        sweep: bool,
+    ) -> KernelCtx<'a> {
+        KernelCtx {
             program,
-            locator: &locator,
-            sketch: &sketch,
+            locator,
+            sketch,
             my_id: ME,
             n_vertices: N,
             step: 3,
@@ -1605,10 +1598,22 @@ mod tests {
             scatter_all: program.scatter_all(),
             reuse: true,
             global: 0.0,
-            delta,
+            delta: program.delta_kind() == DeltaKind::Residual,
             prev_n: N,
             dangling_base: 0.0,
-        };
+        }
+    }
+
+    /// Run `phase`'s kernel over every shard; return what it emitted as
+    /// sorted sets, the active count, and the visit count.
+    fn run(
+        phase: Phase,
+        sweep: bool,
+        program: &dyn VertexProgram,
+        store: &mut VertexStore,
+    ) -> (Msgs, States, u64, u64) {
+        let (locator, sketch) = placement();
+        let ctx = kernel_ctx(program, &locator, &sketch, sweep);
         let mut cache = OwnerCache::new();
         let (mut msgs, mut states) = (Msgs::new(), States::new());
         let (mut active, mut visits) = (0, 0);
@@ -1698,6 +1703,69 @@ mod tests {
                     .iter()
                     .all(|m| phase == Phase::Scatter || m.0 != ME));
                 assert!(by_list.1.iter().all(|s| s.0 != ME), "{what}");
+            }
+        }
+    }
+
+    /// An agent's own scatter output folded where it stands leaves the
+    /// store as its delivery in VMSG frames did: the same partials (bit
+    /// for bit — PageRank's combine is an f64 sum, so order counts),
+    /// the same flags, the same combine worklists in the same order.
+    #[test]
+    fn own_vmsgs_fold_in_place_as_their_frames_did() {
+        let wcc = Wcc::new();
+        let pagerank = PageRank::new(0.85).with_tolerance(TOL);
+        let programs: [&dyn VertexProgram; 2] = [&wcc, &pagerank];
+        for program in programs {
+            let delta = program.delta_kind() == DeltaKind::Residual;
+            // This agent's messages of one scatter, as the kernel
+            // merge orders them: shard by shard.
+            let mut own: Vec<(VertexId, u64)> = Vec::new();
+            let mut scattered = flagged_store(Phase::Scatter, delta);
+            let (locator, sketch) = placement();
+            let ctx = kernel_ctx(program, &locator, &sketch, false);
+            let mut cache = OwnerCache::new();
+            for shard in scattered.shards_mut() {
+                let mut out = ShardOut::default();
+                kernel_shard(Phase::Scatter, ctx, &mut cache, shard, &mut out);
+                own.append(out.msgs.entry(ME).or_default());
+            }
+            assert!(
+                own.len() > 100,
+                "{}: {} own messages",
+                program.name(),
+                own.len()
+            );
+            // Receivers: a store a peer's frame already reached.
+            let receiver = || {
+                let mut store = VertexStore::default();
+                for v in (0..N).step_by(3) {
+                    let (e, lists) = store.entry_and_lists(v);
+                    e.partial = if delta { TOL.to_bits() } else { v };
+                    e.has_partial = true;
+                    lists.partial_dirty.push(v);
+                }
+                store
+            };
+            let (mut framed, mut in_place) = (receiver(), receiver());
+            for chunk in own.chunks(64) {
+                let frame = msg::encode_vmsgs(9, 3, chunk);
+                let view = msg::decode_vmsgs(&frame).expect("own frame");
+                fold_partials(&mut framed, program, view.records.iter());
+            }
+            fold_partials(&mut in_place, program, own.iter().copied());
+            assert_eq!(framed.len(), in_place.len());
+            for (a, b) in framed.shards().iter().zip(in_place.shards()) {
+                assert_eq!(a.lists.partial_dirty, b.lists.partial_dirty);
+                for (v, e) in &a.map {
+                    let other = &b.map[v];
+                    assert_eq!(
+                        (e.partial, e.has_partial),
+                        (other.partial, other.has_partial),
+                        "{}: vertex {v}",
+                        program.name()
+                    );
+                }
             }
         }
     }

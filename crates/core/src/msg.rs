@@ -9,7 +9,7 @@
 
 use elga_graph::types::{Action, EdgeChange, VertexId};
 use elga_hash::{AgentId, EdgeLocator, HashKind, LocatorConfig, Ring};
-use elga_net::{Addr, Frame, FrameReader};
+use elga_net::{Addr, CoalescingOutbox, Frame, FrameReader};
 use elga_sketch::cms::DimensionMismatch;
 use elga_sketch::{CountMinSketch, SketchDelta};
 
@@ -439,13 +439,17 @@ fn expect(frame: &Frame, ty: u8) -> Option<FrameReader<'_>> {
     (frame.packet_type() == ty).then(|| frame.reader())
 }
 
-/// A fixed-stride packed wire record, parsed in place from a frame
-/// payload.
+/// A fixed-stride packed wire record: the one definition of a record
+/// type's layout, written into and parsed out of a frame payload in
+/// place.
 ///
 /// Records are `STRIDE` bytes of little-endian fields with no padding.
-/// `validate` pre-screens one raw chunk (e.g. the EDGE_CHANGES action
-/// byte must be 0 or 1); once a [`Records`] view is constructed, every
-/// chunk has passed it and `parse` runs infallibly during iteration.
+/// `write` fills one record's slot; every record region on the wire —
+/// a coalesced frame ([`append_records`]) or a one-shot `encode_*`
+/// frame — is a run of them. `validate` pre-screens one raw chunk
+/// (e.g. the EDGE_CHANGES action byte must be 0 or 1); once a
+/// [`Records`] view is constructed, every chunk has passed it and
+/// `parse` runs infallibly during iteration.
 pub trait WireRecord: Sized {
     /// Bytes per record on the wire.
     const STRIDE: usize;
@@ -457,6 +461,35 @@ pub trait WireRecord: Sized {
 
     /// Parse a validated `STRIDE`-byte chunk.
     fn parse(chunk: &[u8]) -> Self;
+
+    /// Write the record into its `STRIDE`-byte slot; `parse` of the
+    /// slot gives the record back.
+    fn write(&self, slot: &mut [u8]);
+}
+
+/// Append a run of records to `out`'s open `(ty, key)` frame — the
+/// block writer every data-plane send goes through. `header` follows
+/// the packet type in each frame the run opens; `key` must differ
+/// wherever `header` does, so records never land under the wrong one.
+/// The frames are byte-identical to [`encode_records`]' for the same
+/// header and records, so one `decode_*` reads both.
+pub fn append_records<T: WireRecord>(
+    out: &mut CoalescingOutbox,
+    ty: u8,
+    key: u64,
+    header: &[u8],
+    recs: &[T],
+) {
+    out.append_records(ty, key, header, T::STRIDE, recs, T::write);
+}
+
+/// Encode one frame: packet type `ty`, `header`, a `u32` record count
+/// and the packed records.
+fn encode_records<T: WireRecord>(ty: u8, header: &[u8], recs: &[T]) -> Frame {
+    Frame::builder(ty)
+        .raw(header)
+        .records(T::STRIDE, recs, T::write)
+        .finish()
 }
 
 /// Decode a frame that is nothing but packet type `ty`, a `u32` record
@@ -470,6 +503,20 @@ fn decode_records<T: WireRecord>(frame: &Frame, ty: u8) -> Option<Records<'_, T>
 #[inline]
 fn le_u64(chunk: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(chunk[at..at + 8].try_into().unwrap())
+}
+
+#[inline]
+fn put_u64(slot: &mut [u8], at: usize, v: u64) {
+    slot[at..at + 8].copy_from_slice(&v.to_le_bytes());
+}
+
+/// Two `u64`s side by side: the header of the frames tagged with a
+/// serving snapshot.
+fn header_u64s(a: u64, b: u64) -> [u8; 16] {
+    let mut h = [0; 16];
+    put_u64(&mut h, 0, a);
+    put_u64(&mut h, 8, b);
+    h
 }
 
 /// A borrowed, validated view over the packed record region of a frame
@@ -586,6 +633,12 @@ impl WireRecord for (VertexId, u64) {
     fn parse(chunk: &[u8]) -> Self {
         (le_u64(chunk, 0), le_u64(chunk, 8))
     }
+
+    #[inline]
+    fn write(&self, slot: &mut [u8]) {
+        put_u64(slot, 0, self.0);
+        put_u64(slot, 8, self.1);
+    }
 }
 
 /// STATE record: vertex + state + out-degree + aux + active flag,
@@ -603,6 +656,15 @@ impl WireRecord for StateRecord {
             aux: le_u64(chunk, 24),
             active: chunk[32] != 0,
         }
+    }
+
+    #[inline]
+    fn write(&self, slot: &mut [u8]) {
+        put_u64(slot, 0, self.vertex);
+        put_u64(slot, 8, self.state);
+        put_u64(slot, 16, self.out_degree);
+        put_u64(slot, 24, self.aux);
+        slot[32] = self.active as u8;
     }
 }
 
@@ -626,6 +688,16 @@ impl WireRecord for EdgeChange {
             edge: (le_u64(chunk, 1), le_u64(chunk, 9)).into(),
         }
     }
+
+    #[inline]
+    fn write(&self, slot: &mut [u8]) {
+        slot[0] = match self.action {
+            Action::Insert => 0,
+            Action::Delete => 1,
+        };
+        put_u64(slot, 1, self.edge.src);
+        put_u64(slot, 9, self.edge.dst);
+    }
 }
 
 /// DEG_DELTA record: vertex + out-delta + in-delta, 24 bytes.
@@ -640,6 +712,13 @@ impl WireRecord for (VertexId, i64, i64) {
             le_u64(chunk, 16) as i64,
         )
     }
+
+    #[inline]
+    fn write(&self, slot: &mut [u8]) {
+        put_u64(slot, 0, self.0);
+        put_u64(slot, 8, self.1 as u64);
+        put_u64(slot, 16, self.2 as u64);
+    }
 }
 
 /// QUERY_BATCH record: one bare vertex id, 8 bytes.
@@ -649,6 +728,11 @@ impl WireRecord for VertexId {
     #[inline]
     fn parse(chunk: &[u8]) -> Self {
         le_u64(chunk, 0)
+    }
+
+    #[inline]
+    fn write(&self, slot: &mut [u8]) {
+        put_u64(slot, 0, *self);
     }
 }
 
@@ -691,6 +775,13 @@ impl WireRecord for QueryAnswer {
             found: chunk[16],
         }
     }
+
+    #[inline]
+    fn write(&self, slot: &mut [u8]) {
+        put_u64(slot, 0, self.vertex);
+        put_u64(slot, 8, self.state);
+        slot[16] = self.found;
+    }
 }
 
 fn hash_to_u8(h: HashKind) -> u8 {
@@ -731,20 +822,25 @@ fn side_byte(side: Side) -> u8 {
 
 /// Encode a batch of edge changes for one placement side.
 pub fn encode_edge_changes(side: Side, hop: u8, changes: &[EdgeChange]) -> Frame {
-    let mut b = Frame::builder(packet::EDGE_CHANGES)
-        .u8(side_byte(side))
-        .u8(hop)
-        .u32(changes.len() as u32);
-    for c in changes {
-        b = b
-            .u8(match c.action {
-                Action::Insert => 0,
-                Action::Delete => 1,
-            })
-            .u64(c.edge.src)
-            .u64(c.edge.dst);
-    }
-    b.finish()
+    encode_records(packet::EDGE_CHANGES, &[side_byte(side), hop], changes)
+}
+
+/// Append edge changes to `out`'s open EDGE_CHANGES frame for
+/// `(side, hop)`.
+pub fn append_edge_changes(
+    out: &mut CoalescingOutbox,
+    side: Side,
+    hop: u8,
+    changes: &[EdgeChange],
+) {
+    let header = [side_byte(side), hop];
+    let key = u64::from(u16::from_le_bytes(header));
+    append_records(out, packet::EDGE_CHANGES, key, &header, changes);
+}
+
+/// Append one edge change: [`append_edge_changes`] of a slice of one.
+pub fn append_edge_change(out: &mut CoalescingOutbox, side: Side, hop: u8, change: &EdgeChange) {
+    append_edge_changes(out, side, hop, std::slice::from_ref(change));
 }
 
 /// Borrowed EDGE_CHANGES payload: placement side, forwarding hop, and
@@ -778,16 +874,36 @@ pub fn decode_edge_changes(frame: &Frame) -> Option<EdgeChangesView<'_>> {
     })
 }
 
+/// The `(run, step)` header VMSG, PARTIAL and STATE frames share.
+fn run_step_header(run: u64, step: u32) -> [u8; 12] {
+    let mut h = [0; 12];
+    put_u64(&mut h, 0, run);
+    h[8..].copy_from_slice(&step.to_le_bytes());
+    h
+}
+
+/// Append `recs` to `out`'s open `ty` frame for `(run, step)`. Run
+/// ids are small monotone counters, so packing them beside the step
+/// gives every distinct header its own coalescing key.
+fn append_run_step<T: WireRecord>(
+    out: &mut CoalescingOutbox,
+    ty: u8,
+    run: u64,
+    step: u32,
+    recs: &[T],
+) {
+    let key = (run << 32) | u64::from(step);
+    append_records(out, ty, key, &run_step_header(run, step), recs);
+}
+
 /// Encode vertex messages: `(run, step, [(target, value)])`.
 pub fn encode_vmsgs(run: u64, step: u32, msgs: &[(VertexId, u64)]) -> Frame {
-    let mut b = Frame::builder(packet::VMSG)
-        .u64(run)
-        .u32(step)
-        .u32(msgs.len() as u32);
-    for &(t, v) in msgs {
-        b = b.u64(t).u64(v);
-    }
-    b.finish()
+    encode_records(packet::VMSG, &run_step_header(run, step), msgs)
+}
+
+/// Append vertex messages to `out`'s open VMSG frame for run/step.
+pub fn append_vmsgs(out: &mut CoalescingOutbox, run: u64, step: u32, msgs: &[(VertexId, u64)]) {
+    append_run_step(out, packet::VMSG, run, step, msgs);
 }
 
 /// Borrowed VMSG / PARTIAL payload: run header plus packed
@@ -822,14 +938,12 @@ pub fn decode_vmsgs(frame: &Frame) -> Option<ValuesView<'_>> {
 /// Encode partial aggregates: `(run, step, [(vertex, agg)])`. Shares
 /// the VMSG payload shape under its own packet type.
 pub fn encode_partials(run: u64, step: u32, parts: &[(VertexId, u64)]) -> Frame {
-    let mut b = Frame::builder(packet::PARTIAL)
-        .u64(run)
-        .u32(step)
-        .u32(parts.len() as u32);
-    for &(t, v) in parts {
-        b = b.u64(t).u64(v);
-    }
-    b.finish()
+    encode_records(packet::PARTIAL, &run_step_header(run, step), parts)
+}
+
+/// Append partial aggregates to `out`'s open PARTIAL frame.
+pub fn append_partials(out: &mut CoalescingOutbox, run: u64, step: u32, parts: &[(VertexId, u64)]) {
+    append_run_step(out, packet::PARTIAL, run, step, parts);
 }
 
 /// Decode a PARTIAL frame (same payload as VMSG) into a borrowed view.
@@ -855,19 +969,12 @@ pub struct StateRecord {
 
 /// Encode state broadcasts.
 pub fn encode_states(run: u64, step: u32, recs: &[StateRecord]) -> Frame {
-    let mut b = Frame::builder(packet::STATE)
-        .u64(run)
-        .u32(step)
-        .u32(recs.len() as u32);
-    for rec in recs {
-        b = b
-            .u64(rec.vertex)
-            .u64(rec.state)
-            .u64(rec.out_degree)
-            .u64(rec.aux)
-            .u8(rec.active as u8);
-    }
-    b.finish()
+    encode_records(packet::STATE, &run_step_header(run, step), recs)
+}
+
+/// Append state broadcasts to `out`'s open STATE frame.
+pub fn append_states(out: &mut CoalescingOutbox, run: u64, step: u32, recs: &[StateRecord]) {
+    append_run_step(out, packet::STATE, run, step, recs);
 }
 
 /// Borrowed STATE payload: run header plus packed [`StateRecord`]s
@@ -1024,9 +1131,10 @@ pub fn decode_advance(frame: &Frame) -> Option<Advance> {
 //
 // A view change moves three kinds of fixed-stride records, each a
 // packed stream like every other data-plane packet: the sender
-// appends records to the destination's open coalescing frame
-// (`append_mig_*`), frames leave by size or at the migrate READY, and
-// the receiver walks a borrowed [`Records`] view (`decode_mig_*`).
+// appends each kind's records as one run to the destination's open
+// coalescing frame (`append_mig_*`), frames leave by size or at the
+// migrate READY, and the receiver walks a borrowed [`Records`] view
+// (`decode_mig_*`).
 
 /// One migrating edge: MIG_EDGES record, 17 bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1056,6 +1164,13 @@ impl WireRecord for MigEdge {
             dst: le_u64(chunk, 9),
         }
     }
+
+    #[inline]
+    fn write(&self, slot: &mut [u8]) {
+        slot[0] = side_byte(self.side);
+        put_u64(slot, 1, self.src);
+        put_u64(slot, 9, self.dst);
+    }
 }
 
 /// The sender's replica copy of a vertex whose edges are moving:
@@ -1080,6 +1195,12 @@ impl WireRecord for MigState {
             rec: StateRecord::parse(&chunk[..StateRecord::STRIDE]),
             has_state: chunk[StateRecord::STRIDE] != 0,
         }
+    }
+
+    #[inline]
+    fn write(&self, slot: &mut [u8]) {
+        self.rec.write(&mut slot[..StateRecord::STRIDE]);
+        slot[StateRecord::STRIDE] = self.has_state as u8;
     }
 }
 
@@ -1108,21 +1229,30 @@ impl WireRecord for MetaRecord {
             has_snap: chunk[70] != 0,
         }
     }
+
+    #[inline]
+    fn write(&self, slot: &mut [u8]) {
+        put_u64(slot, 0, self.vertex);
+        put_u64(slot, 8, self.state);
+        put_u64(slot, 16, self.out_degree);
+        put_u64(slot, 24, self.in_degree);
+        slot[32] = self.active as u8;
+        slot[33] = self.dirty as u8;
+        slot[34] = self.has_state as u8;
+        slot[35] = self.has_meta as u8;
+        put_u64(slot, 36, self.ppartial);
+        slot[44] = self.has_ppartial as u8;
+        put_u64(slot, 45, self.wait_recv);
+        put_u64(slot, 53, self.residual);
+        slot[61] = self.has_residual as u8;
+        put_u64(slot, 62, self.snap);
+        slot[70] = self.has_snap as u8;
+    }
 }
 
-/// Append one migrating edge to `out`'s open MIG_EDGES frame.
-pub fn append_mig_edge(out: &mut elga_net::CoalescingOutbox, edge: &MigEdge) {
-    let edge = *edge;
-    out.append(
-        packet::MIG_EDGES,
-        0,
-        |_| {},
-        move |b| {
-            b.extend_from_slice(&[side_byte(edge.side)]);
-            b.extend_from_slice(&edge.src.to_le_bytes());
-            b.extend_from_slice(&edge.dst.to_le_bytes());
-        },
-    );
+/// Append migrating edges to `out`'s open MIG_EDGES frame.
+pub fn append_mig_edges(out: &mut CoalescingOutbox, edges: &[MigEdge]) {
+    append_records(out, packet::MIG_EDGES, 0, &[], edges);
 }
 
 /// Decode a MIG_EDGES frame into a borrowed record view.
@@ -1130,18 +1260,9 @@ pub fn decode_mig_edges(frame: &Frame) -> Option<Records<'_, MigEdge>> {
     decode_records(frame, packet::MIG_EDGES)
 }
 
-/// Append one replica snapshot to `out`'s open MIG_STATE frame.
-pub fn append_mig_state(out: &mut elga_net::CoalescingOutbox, snap: &MigState) {
-    let snap = *snap;
-    out.append(
-        packet::MIG_STATE,
-        0,
-        |_| {},
-        move |b| {
-            write_state_record(b, &snap.rec);
-            b.extend_from_slice(&[snap.has_state as u8]);
-        },
-    );
+/// Append replica snapshots to `out`'s open MIG_STATE frame.
+pub fn append_mig_states(out: &mut CoalescingOutbox, snaps: &[MigState]) {
+    append_records(out, packet::MIG_STATE, 0, &[], snaps);
 }
 
 /// Decode a MIG_STATE frame into a borrowed record view.
@@ -1149,47 +1270,22 @@ pub fn decode_mig_states(frame: &Frame) -> Option<Records<'_, MigState>> {
     decode_records(frame, packet::MIG_STATE)
 }
 
-/// Append one primary meta record to `out`'s open MIG_META frame. The
+/// Append primary meta records to `out`'s open MIG_META frame. The
 /// header carries the sender's serving-snapshot tag `(snap_run,
 /// snap_watermark)` so a joining agent adopting migrated snaps also
 /// adopts the tag they belong to — otherwise it would serve correct
 /// values under run 0 and look checkpoint-restored to clients.
 pub fn append_mig_meta(
-    out: &mut elga_net::CoalescingOutbox,
+    out: &mut CoalescingOutbox,
     snap_run: u64,
     snap_watermark: u64,
-    m: &MetaRecord,
+    metas: &[MetaRecord],
 ) {
-    let m = *m;
-    out.append(
-        packet::MIG_META,
-        // Small counters both: packed side by side they cannot
-        // collide in practice (as `run_step_key`).
-        snap_run.rotate_left(32) ^ snap_watermark,
-        |b| {
-            b.extend_from_slice(&snap_run.to_le_bytes());
-            b.extend_from_slice(&snap_watermark.to_le_bytes());
-        },
-        move |b| {
-            b.extend_from_slice(&m.vertex.to_le_bytes());
-            b.extend_from_slice(&m.state.to_le_bytes());
-            b.extend_from_slice(&m.out_degree.to_le_bytes());
-            b.extend_from_slice(&m.in_degree.to_le_bytes());
-            b.extend_from_slice(&[
-                m.active as u8,
-                m.dirty as u8,
-                m.has_state as u8,
-                m.has_meta as u8,
-            ]);
-            b.extend_from_slice(&m.ppartial.to_le_bytes());
-            b.extend_from_slice(&[m.has_ppartial as u8]);
-            b.extend_from_slice(&m.wait_recv.to_le_bytes());
-            b.extend_from_slice(&m.residual.to_le_bytes());
-            b.extend_from_slice(&[m.has_residual as u8]);
-            b.extend_from_slice(&m.snap.to_le_bytes());
-            b.extend_from_slice(&[m.has_snap as u8]);
-        },
-    );
+    // Small counters both: packed side by side they cannot collide in
+    // practice (as a `(run, step)` key).
+    let key = snap_run.rotate_left(32) ^ snap_watermark;
+    let header = header_u64s(snap_run, snap_watermark);
+    append_records(out, packet::MIG_META, key, &header, metas);
 }
 
 /// Decode a MIG_META frame into `(snap_run, snap_watermark, records)`:
@@ -1255,11 +1351,12 @@ pub struct MetaRecord {
 /// vertex's primary so it maintains global degrees, existence and the
 /// dirty flag.
 pub fn encode_deg_deltas(deltas: &[(VertexId, i64, i64)]) -> Frame {
-    let mut b = Frame::builder(packet::DEG_DELTA).u32(deltas.len() as u32);
-    for &(v, dout, din) in deltas {
-        b = b.u64(v).u64(dout as u64).u64(din as u64);
-    }
-    b.finish()
+    encode_records(packet::DEG_DELTA, &[], deltas)
+}
+
+/// Append degree deltas to `out`'s open DEG_DELTA frame.
+pub fn append_deg_deltas(out: &mut CoalescingOutbox, deltas: &[(VertexId, i64, i64)]) {
+    append_records(out, packet::DEG_DELTA, 0, &[], deltas);
 }
 
 /// Decode a DEG_DELTA frame into a borrowed record view.
@@ -1273,11 +1370,12 @@ pub fn decode_deg_deltas(frame: &Frame) -> Option<Records<'_, (VertexId, i64, i6
 /// is program-encoded (f64 bits for PageRank) and merged with the
 /// program's `merge_residual`.
 pub fn encode_residuals(residuals: &[(VertexId, u64)]) -> Frame {
-    let mut b = Frame::builder(packet::RESIDUAL).u32(residuals.len() as u32);
-    for &(v, delta) in residuals {
-        b = b.u64(v).u64(delta);
-    }
-    b.finish()
+    encode_records(packet::RESIDUAL, &[], residuals)
+}
+
+/// Append residual corrections to `out`'s open RESIDUAL frame.
+pub fn append_residuals(out: &mut CoalescingOutbox, residuals: &[(VertexId, u64)]) {
+    append_records(out, packet::RESIDUAL, 0, &[], residuals);
 }
 
 /// Decode a RESIDUAL frame into a borrowed record view.
@@ -1287,11 +1385,7 @@ pub fn decode_residuals(frame: &Frame) -> Option<Records<'_, (VertexId, u64)>> {
 
 /// Encode a QUERY_BATCH request: point-lookup `vertices` in one frame.
 pub fn encode_query_batch(vertices: &[VertexId]) -> Frame {
-    let mut b = Frame::builder(packet::QUERY_BATCH).u32(vertices.len() as u32);
-    for &v in vertices {
-        b = b.u64(v);
-    }
-    b.finish()
+    encode_records(packet::QUERY_BATCH, &[], vertices)
 }
 
 /// Decode a QUERY_BATCH request into a borrowed record view.
@@ -1305,14 +1399,8 @@ pub fn decode_query_batch(frame: &Frame) -> Option<Records<'_, VertexId>> {
 /// when that run finished. All answers in one reply come from the same
 /// snapshot; a client never observes torn mid-superstep state.
 pub fn encode_query_batch_rep(run: u64, watermark: u64, answers: &[QueryAnswer]) -> Frame {
-    let mut b = Frame::builder(packet::QUERY_BATCH_REP)
-        .u64(run)
-        .u64(watermark)
-        .u32(answers.len() as u32);
-    for a in answers {
-        b = b.u64(a.vertex).u64(a.state).u8(a.found);
-    }
-    b.finish()
+    let header = header_u64s(run, watermark);
+    encode_records(packet::QUERY_BATCH_REP, &header, answers)
 }
 
 /// Decode a QUERY_BATCH reply into `(run, watermark, answers)`.
@@ -1328,14 +1416,11 @@ pub fn decode_query_batch_rep(frame: &Frame) -> Option<(u64, u64, Records<'_, Qu
 /// the agent pushes value deltas to `addr` after each completed run.
 /// An empty vertex list cancels the subscription.
 pub fn encode_sub_reg(addr: &Addr, sub: u64, vertices: &[VertexId]) -> Frame {
-    let mut b = Frame::builder(packet::SUB_REG)
+    Frame::builder(packet::SUB_REG)
         .bytes(addr.to_string().as_bytes())
         .u64(sub)
-        .u32(vertices.len() as u32);
-    for &v in vertices {
-        b = b.u64(v);
-    }
-    b.finish()
+        .records(VertexId::STRIDE, vertices, VertexId::write)
+        .finish()
 }
 
 /// Decode a SUB_REG request into `(push address, sub id, vertices)`.
@@ -1347,30 +1432,20 @@ pub fn decode_sub_reg(frame: &Frame) -> Option<(Addr, u64, Records<'_, VertexId>
     Some((addr, sub, Records::new(r.rest(), n)?))
 }
 
-/// Append one changed `(vertex, state)` pair to `out`'s open SUB_PUSH
+/// Append changed `(vertex, state)` pairs to `out`'s open SUB_PUSH
 /// frame for subscription `sub`, tagged like a query reply with the
 /// completed run id and its ingest batch watermark.
-pub fn append_sub_push(
-    out: &mut elga_net::CoalescingOutbox,
+pub fn append_sub_pushes(
+    out: &mut CoalescingOutbox,
     sub: u64,
     run: u64,
     watermark: u64,
-    vertex: VertexId,
-    state: u64,
+    pushes: &[(VertexId, u64)],
 ) {
-    out.append(
-        packet::SUB_PUSH,
-        sub,
-        |b| {
-            b.extend_from_slice(&sub.to_le_bytes());
-            b.extend_from_slice(&run.to_le_bytes());
-            b.extend_from_slice(&watermark.to_le_bytes());
-        },
-        move |b| {
-            b.extend_from_slice(&vertex.to_le_bytes());
-            b.extend_from_slice(&state.to_le_bytes());
-        },
-    );
+    let mut header = [0; 24];
+    put_u64(&mut header, 0, sub);
+    header[8..].copy_from_slice(&header_u64s(run, watermark));
+    append_records(out, packet::SUB_PUSH, sub, &header, pushes);
 }
 
 /// A decoded SUB_PUSH: `(sub, run, watermark, records)`.
@@ -1643,153 +1718,6 @@ pub fn decode_ckpt_meta(frame: &Frame) -> Option<Vec<CkptMetaRecord>> {
         });
     }
     Some(recs)
-}
-
-// ---------------------------------------------------------------------
-// Append-style encoders
-//
-// Each `append_*` writes ONE record into the destination's open
-// coalescing frame ([`elga_net::CoalescingOutbox`]) instead of building
-// a whole batch frame up front. The byte layout — packet type, header,
-// `u32` record count, records — is identical to the batch `encode_*`
-// counterpart above, so the `decode_*` functions parse coalesced and
-// eagerly built frames alike and sync-mode results stay bit-identical.
-
-/// Coalescing key for `(run, step)` headers: distinct header values
-/// must yield distinct keys so records never land under the wrong
-/// header. Run ids are small monotone counters, so packing them beside
-/// the step is collision-free in practice.
-fn run_step_key(run: u64, step: u32) -> u64 {
-    (run << 32) | u64::from(step)
-}
-
-/// Append one vertex message (`target`, `value`) to `out`'s open VMSG
-/// frame for run/step. Layout matches [`encode_vmsgs`].
-pub fn append_vmsg(
-    out: &mut elga_net::CoalescingOutbox,
-    run: u64,
-    step: u32,
-    target: VertexId,
-    value: u64,
-) {
-    out.append(
-        packet::VMSG,
-        run_step_key(run, step),
-        |b| {
-            b.extend_from_slice(&run.to_le_bytes());
-            b.extend_from_slice(&step.to_le_bytes());
-        },
-        |b| {
-            b.extend_from_slice(&target.to_le_bytes());
-            b.extend_from_slice(&value.to_le_bytes());
-        },
-    );
-}
-
-/// Append one partial aggregate to `out`'s open PARTIAL frame. Layout
-/// matches [`encode_partials`].
-pub fn append_partial(
-    out: &mut elga_net::CoalescingOutbox,
-    run: u64,
-    step: u32,
-    vertex: VertexId,
-    agg: u64,
-) {
-    out.append(
-        packet::PARTIAL,
-        run_step_key(run, step),
-        |b| {
-            b.extend_from_slice(&run.to_le_bytes());
-            b.extend_from_slice(&step.to_le_bytes());
-        },
-        |b| {
-            b.extend_from_slice(&vertex.to_le_bytes());
-            b.extend_from_slice(&agg.to_le_bytes());
-        },
-    );
-}
-
-/// Append one state record to `out`'s open STATE frame. Layout matches
-/// [`encode_states`].
-pub fn append_state(out: &mut elga_net::CoalescingOutbox, run: u64, step: u32, rec: &StateRecord) {
-    let rec = *rec;
-    out.append(
-        packet::STATE,
-        run_step_key(run, step),
-        |b| {
-            b.extend_from_slice(&run.to_le_bytes());
-            b.extend_from_slice(&step.to_le_bytes());
-        },
-        move |b| write_state_record(b, &rec),
-    );
-}
-
-/// Write one [`StateRecord`] in its 33-byte wire layout.
-fn write_state_record(b: &mut bytes::BytesMut, rec: &StateRecord) {
-    b.extend_from_slice(&rec.vertex.to_le_bytes());
-    b.extend_from_slice(&rec.state.to_le_bytes());
-    b.extend_from_slice(&rec.out_degree.to_le_bytes());
-    b.extend_from_slice(&rec.aux.to_le_bytes());
-    b.extend_from_slice(&[rec.active as u8]);
-}
-
-/// Append one residual correction (`target`, signed-encoded `delta`) to
-/// `out`'s open RESIDUAL frame. Layout matches [`encode_residuals`].
-pub fn append_residual(out: &mut elga_net::CoalescingOutbox, target: VertexId, delta: u64) {
-    out.append(
-        packet::RESIDUAL,
-        0,
-        |_| {},
-        move |b| {
-            b.extend_from_slice(&target.to_le_bytes());
-            b.extend_from_slice(&delta.to_le_bytes());
-        },
-    );
-}
-
-/// Append one edge change to `out`'s open EDGE_CHANGES frame for
-/// `(side, hop)`. Layout matches [`encode_edge_changes`].
-pub fn append_edge_change(
-    out: &mut elga_net::CoalescingOutbox,
-    side: Side,
-    hop: u8,
-    change: &EdgeChange,
-) {
-    let side_byte = side_byte(side);
-    let change = *change;
-    out.append(
-        packet::EDGE_CHANGES,
-        (u64::from(side_byte) << 8) | u64::from(hop),
-        |b| b.extend_from_slice(&[side_byte, hop]),
-        move |b| {
-            b.extend_from_slice(&[match change.action {
-                Action::Insert => 0,
-                Action::Delete => 1,
-            }]);
-            b.extend_from_slice(&change.edge.src.to_le_bytes());
-            b.extend_from_slice(&change.edge.dst.to_le_bytes());
-        },
-    );
-}
-
-/// Append one degree delta to `out`'s open DEG_DELTA frame. Layout
-/// matches [`encode_deg_deltas`].
-pub fn append_deg_delta(
-    out: &mut elga_net::CoalescingOutbox,
-    vertex: VertexId,
-    dout: i64,
-    din: i64,
-) {
-    out.append(
-        packet::DEG_DELTA,
-        0,
-        |_| {},
-        |b| {
-            b.extend_from_slice(&vertex.to_le_bytes());
-            b.extend_from_slice(&(dout as u64).to_le_bytes());
-            b.extend_from_slice(&(din as u64).to_le_bytes());
-        },
-    );
 }
 
 /// Description of an in-progress run, handed to late-joining agents.
@@ -2515,19 +2443,19 @@ mod tests {
     #[test]
     fn mig_streams_match_batch_layout_and_roundtrip() {
         let states = sample_mig_states();
-        let f = coalesced(|c| states.iter().for_each(|s| append_mig_state(c, s)));
+        let f = coalesced(|c| append_mig_states(c, &states));
         assert_eq!(f.as_bytes(), batch_mig_states(&states).as_bytes());
         assert_eq!(f.len(), 1 + 4 + states.len() * MigState::STRIDE);
         assert_eq!(decode_mig_states(&f).unwrap().to_vec(), states);
 
         let edges = sample_mig_edges();
-        let f = coalesced(|c| edges.iter().for_each(|e| append_mig_edge(c, e)));
+        let f = coalesced(|c| append_mig_edges(c, &edges));
         assert_eq!(f.as_bytes(), batch_mig_edges(&edges).as_bytes());
         assert_eq!(f.len(), 1 + 4 + edges.len() * MigEdge::STRIDE);
         assert_eq!(decode_mig_edges(&f).unwrap().to_vec(), edges);
 
         let metas = sample_metas();
-        let f = coalesced(|c| metas.iter().for_each(|m| append_mig_meta(c, 6, 11, m)));
+        let f = coalesced(|c| append_mig_meta(c, 6, 11, &metas));
         assert_eq!(f.as_bytes(), batch_mig_meta(&metas, 6, 11).as_bytes());
         assert_eq!(f.len(), 1 + 16 + 4 + metas.len() * MetaRecord::STRIDE);
         let (snap_run, snap_watermark, recs) = decode_mig_meta(&f).unwrap();
@@ -2572,14 +2500,14 @@ mod tests {
     fn mig_meta_tag_change_opens_a_new_frame() {
         // A newer serving-snapshot tag must not ride under the header
         // of an open frame.
-        use elga_net::{CoalesceConfig, CoalescingOutbox, InProcTransport, Transport};
+        use elga_net::{CoalesceConfig, InProcTransport, Transport};
         let t = InProcTransport::new();
         let addr = Addr::inproc("msg-mig-meta-tag");
         let mb = t.bind(&addr).unwrap();
         let mut c = CoalescingOutbox::new(t.sender(&addr).unwrap(), CoalesceConfig::default());
         let metas = sample_metas();
-        append_mig_meta(&mut c, 6, 11, &metas[0]);
-        append_mig_meta(&mut c, 7, 12, &metas[1]);
+        append_mig_meta(&mut c, 6, 11, &metas[..1]);
+        append_mig_meta(&mut c, 7, 12, &metas[1..]);
         c.flush();
         for (tag, m) in [(6, 11), (7, 12)].into_iter().zip(&metas) {
             let f = mb.recv().unwrap().frame;
@@ -2798,8 +2726,8 @@ mod tests {
 
     /// Run `f` against a fresh coalescing outbox and return the single
     /// flushed frame.
-    fn coalesced(f: impl FnOnce(&mut elga_net::CoalescingOutbox)) -> Frame {
-        use elga_net::{CoalesceConfig, CoalescingOutbox, InProcTransport, Transport};
+    fn coalesced(f: impl FnOnce(&mut CoalescingOutbox)) -> Frame {
+        use elga_net::{CoalesceConfig, InProcTransport, Transport};
         let t = InProcTransport::new();
         let addr = Addr::inproc("msg-append-eq");
         let mb = t.bind(&addr).unwrap();
@@ -2809,31 +2737,13 @@ mod tests {
         mb.recv().unwrap().frame
     }
 
+    /// One layout per record type: a run appended through the block
+    /// writer — whole, or cut into runs of one — is the frame the batch
+    /// encoder builds.
     #[test]
-    fn append_vmsg_matches_batch_encoder() {
-        let msgs = vec![(10u64, 0.5f64.to_bits()), (11, 7)];
-        let f = coalesced(|c| {
-            for &(t, v) in &msgs {
-                append_vmsg(c, 3, 4, t, v);
-            }
-        });
-        assert_eq!(f.as_bytes(), encode_vmsgs(3, 4, &msgs).as_bytes());
-    }
-
-    #[test]
-    fn append_partial_matches_batch_encoder() {
-        let parts = vec![(8u64, 21u64), (9, 22)];
-        let f = coalesced(|c| {
-            for &(t, v) in &parts {
-                append_partial(c, 5, 6, t, v);
-            }
-        });
-        assert_eq!(f.as_bytes(), encode_partials(5, 6, &parts).as_bytes());
-    }
-
-    #[test]
-    fn append_state_matches_batch_encoder() {
-        let recs = vec![
+    fn appended_runs_match_the_batch_encoders() {
+        let msgs = vec![(10u64, 0.5f64.to_bits()), (11, 7), (12, 9)];
+        let states = vec![
             StateRecord {
                 vertex: 8,
                 state: 0.25f64.to_bits(),
@@ -2849,29 +2759,38 @@ mod tests {
                 active: false,
             },
         ];
-        let f = coalesced(|c| {
-            for r in &recs {
-                append_state(c, 1, 2, r);
+        let changes = vec![EdgeChange::insert(1, 2), EdgeChange::delete(3, 4)];
+        let deltas = vec![(5u64, -2i64, 3i64), (9, 1, -1)];
+        type Case<'a> = (Frame, &'a dyn Fn(&mut CoalescingOutbox, usize));
+        let cases: [Case<'_>; 6] = [
+            (encode_vmsgs(3, 4, &msgs), &|c, n| {
+                msgs.chunks(n).for_each(|r| append_vmsgs(c, 3, 4, r))
+            }),
+            (encode_partials(5, 6, &msgs), &|c, n| {
+                msgs.chunks(n).for_each(|r| append_partials(c, 5, 6, r))
+            }),
+            (encode_states(1, 2, &states), &|c, n| {
+                states.chunks(n).for_each(|r| append_states(c, 1, 2, r))
+            }),
+            (encode_residuals(&msgs), &|c, n| {
+                msgs.chunks(n).for_each(|r| append_residuals(c, r))
+            }),
+            (encode_edge_changes(Side::In, 2, &changes), &|c, n| {
+                let append = |r| append_edge_changes(c, Side::In, 2, r);
+                changes.chunks(n).for_each(append)
+            }),
+            (encode_deg_deltas(&deltas), &|c, n| {
+                deltas.chunks(n).for_each(|r| append_deg_deltas(c, r))
+            }),
+        ];
+        for (batch, append) in cases {
+            for run in [usize::MAX, 1] {
+                let f = coalesced(|c| append(c, run));
+                assert_eq!(f.as_bytes(), batch.as_bytes(), "runs of {run}");
             }
-        });
-        assert_eq!(f.as_bytes(), encode_states(1, 2, &recs).as_bytes());
-    }
-
-    #[test]
-    fn residual_roundtrip_and_append_match() {
-        let residuals = vec![(4u64, 0.5f64.to_bits()), (11, (-0.25f64).to_bits())];
-        let batch = encode_residuals(&residuals);
-        assert_eq!(
-            decode_residuals(&batch).unwrap().to_vec(),
-            residuals,
-            "batch roundtrip"
-        );
-        let f = coalesced(|c| {
-            for &(v, d) in &residuals {
-                append_residual(c, v, d);
-            }
-        });
-        assert_eq!(f.as_bytes(), batch.as_bytes());
+        }
+        let residuals = encode_residuals(&msgs);
+        assert_eq!(decode_residuals(&residuals).unwrap().to_vec(), msgs);
     }
 
     #[test]
@@ -2911,11 +2830,7 @@ mod tests {
     #[test]
     fn sub_push_coalesced_roundtrip() {
         let pushes = vec![(10u64, 0.125f64.to_bits()), (11, 9u64)];
-        let f = coalesced(|c| {
-            for &(v, s) in &pushes {
-                append_sub_push(c, 42, 3, 500, v, s);
-            }
-        });
+        let f = coalesced(|c| append_sub_pushes(c, 42, 3, 500, &pushes));
         let (sub, run, watermark, recs) = decode_sub_push(&f).unwrap();
         assert_eq!((sub, run, watermark), (42, 3, 500));
         assert_eq!(recs.to_vec(), pushes);
@@ -2935,42 +2850,17 @@ mod tests {
     }
 
     #[test]
-    fn append_edge_change_matches_batch_encoder() {
-        let changes = vec![EdgeChange::insert(1, 2), EdgeChange::delete(3, 4)];
-        let f = coalesced(|c| {
-            for ch in &changes {
-                append_edge_change(c, Side::In, 2, ch);
-            }
-        });
-        assert_eq!(
-            f.as_bytes(),
-            encode_edge_changes(Side::In, 2, &changes).as_bytes()
-        );
-    }
-
-    #[test]
-    fn append_deg_delta_matches_batch_encoder() {
-        let deltas = vec![(5u64, -2i64, 3i64), (9, 1, -1)];
-        let f = coalesced(|c| {
-            for &(v, dout, din) in &deltas {
-                append_deg_delta(c, v, dout, din);
-            }
-        });
-        assert_eq!(f.as_bytes(), encode_deg_deltas(&deltas).as_bytes());
-    }
-
-    #[test]
     fn append_header_switch_preserves_record_order() {
         // Interleaving steps forces switch flushes; decoded record
         // order must equal append order within each frame.
-        use elga_net::{CoalesceConfig, CoalescingOutbox, InProcTransport, Transport};
+        use elga_net::{CoalesceConfig, InProcTransport, Transport};
         let t = InProcTransport::new();
         let addr = Addr::inproc("msg-append-switch");
         let mb = t.bind(&addr).unwrap();
         let mut c = CoalescingOutbox::new(t.sender(&addr).unwrap(), CoalesceConfig::default());
-        append_vmsg(&mut c, 1, 0, 100, 1);
-        append_vmsg(&mut c, 1, 0, 101, 2);
-        append_vmsg(&mut c, 1, 1, 102, 3);
+        append_vmsgs(&mut c, 1, 0, &[(100, 1)]);
+        append_vmsgs(&mut c, 1, 0, &[(101, 2)]);
+        append_vmsgs(&mut c, 1, 1, &[(102, 3)]);
         c.flush();
         let f0 = mb.recv().unwrap().frame;
         let v0 = decode_vmsgs(&f0).unwrap();

@@ -115,22 +115,20 @@ impl VertexStore {
 
     /// Entry-or-default, as `FxHashMap::entry(v).or_default()`.
     pub fn entry_or_default(&mut self, v: VertexId) -> &mut VertexEntry {
-        let idx = shard_of(v);
-        if !self.shards[idx].map.contains_key(&v) {
-            self.len += 1;
-        }
-        self.shards[idx].map.entry(v).or_default()
+        self.entry_and_lists(v).0
     }
 
     /// Entry-or-default plus the shard's worklists, for handlers that
-    /// flip a kernel flag and must record the flip.
+    /// flip a kernel flag and must record the flip. One probe of the
+    /// shard map: this is the per-message cost of every delivery.
     pub fn entry_and_lists(&mut self, v: VertexId) -> (&mut VertexEntry, &mut Worklists) {
-        let idx = shard_of(v);
-        if !self.shards[idx].map.contains_key(&v) {
-            self.len += 1;
-        }
-        let shard = &mut self.shards[idx];
-        (shard.map.entry(v).or_default(), &mut shard.lists)
+        let VertexStore { shards, len } = self;
+        let Shard { map, lists } = &mut shards[shard_of(v)];
+        let entry = map.entry(v).or_insert_with(|| {
+            *len += 1;
+            VertexEntry::default()
+        });
+        (entry, lists)
     }
 
     pub fn remove(&mut self, v: &VertexId) -> Option<VertexEntry> {

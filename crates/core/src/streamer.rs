@@ -27,8 +27,22 @@ use elga_trace::{EventKind, Tracer};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Records per EDGE_CHANGES frame on the eager (non-coalescing) path.
-const BATCH: usize = 4096;
+/// Changes routed per pass of [`Streamer::route_block`]: bounds the
+/// scratch a batch of any size keeps (56 KiB) and keeps it in cache
+/// between the resolve and the copy into frames.
+const ROUTE_BLOCK: usize = 1024;
+
+/// Reusable buffers of [`Streamer::route_block`]: cleared, not dropped,
+/// so steady-state routing allocates nothing but the frames.
+#[derive(Default)]
+struct RouteScratch {
+    /// The block's placements on one side, `(key, other)`.
+    pairs: Vec<(u64, u64)>,
+    /// Their owners, index for index.
+    owners: Vec<Option<AgentId>>,
+    /// The block's records per destination.
+    batches: FxHashMap<AgentId, Vec<EdgeChange>>,
+}
 
 /// A streaming ingest client.
 pub struct Streamer {
@@ -37,10 +51,11 @@ pub struct Streamer {
     directory: Addr,
     view: DirectoryView,
     locator: EdgeLocator,
-    /// Per-agent coalescing outboxes: change records accumulate into
-    /// large frames (flushed at the end of every routed batch) instead
-    /// of one frame per destination chunk.
+    /// Per-agent coalescing outboxes: each destination's records go in
+    /// as one run per placement side and leave in large frames, the
+    /// last one at the end of every routed batch.
     outboxes: FxHashMap<AgentId, CoalescingOutbox>,
+    scratch: RouteScratch,
     /// Counters of outboxes retired by view changes or dead peers.
     coalesce_retired: CoalesceStats,
     /// Retained suffix of the change stream: everything ingested since
@@ -93,6 +108,7 @@ impl Streamer {
             view,
             locator,
             outboxes: FxHashMap::default(),
+            scratch: RouteScratch::default(),
             coalesce_retired: CoalesceStats::default(),
             log: Vec::new(),
             ingested: 0,
@@ -324,64 +340,14 @@ impl Streamer {
 
     /// Route each change to its two placements: the out-edge record to
     /// `owner(src, dst)` and the in-edge record to `owner(dst, src)`.
+    /// Every destination gets its out-placement records first, then its
+    /// in-placement records, each in batch order.
     fn route(&mut self, changes: &[EdgeChange]) -> usize {
-        let mut out_batches: FxHashMap<AgentId, Vec<EdgeChange>> = FxHashMap::default();
-        let mut in_batches: FxHashMap<AgentId, Vec<EdgeChange>> = FxHashMap::default();
-        if self.cfg.owner_cache {
-            // Batched resolution: both placements of every change in
-            // one pass, with each distinct source vertex hashed and
-            // sketch-estimated once per view epoch.
-            self.cache.ensure_epoch(self.view.epoch);
-            let mut pairs: Vec<(u64, u64)> = Vec::with_capacity(changes.len() * 2);
-            for c in changes {
-                pairs.push((c.edge.src, c.edge.dst));
-                pairs.push((c.edge.dst, c.edge.src));
-            }
-            let mut owners: Vec<Option<AgentId>> = Vec::new();
-            {
-                let sketch = &self.view.sketch;
-                self.cache
-                    .resolve_many(&self.locator, &pairs, |u| sketch.estimate(u), &mut owners);
-            }
-            for (i, &c) in changes.iter().enumerate() {
-                if let Some(owner) = owners[2 * i] {
-                    out_batches.entry(owner).or_default().push(c);
-                }
-                if let Some(owner) = owners[2 * i + 1] {
-                    in_batches.entry(owner).or_default().push(c);
-                }
-            }
-        } else {
-            // Uncached baseline: per-edge resolution, exactly the
-            // pre-cache ingest path.
-            for &c in changes {
-                let (u, v) = (c.edge.src, c.edge.dst);
-                if let Some(owner) = self
-                    .locator
-                    .owner_of_edge(u, v, self.view.sketch.estimate(u))
-                {
-                    out_batches.entry(owner).or_default().push(c);
-                }
-                if let Some(owner) = self
-                    .locator
-                    .owner_of_edge(v, u, self.view.sketch.estimate(v))
-                {
-                    in_batches.entry(owner).or_default().push(c);
-                }
-            }
-        }
+        self.cache.ensure_epoch(self.view.epoch);
         let mut pushed = 0;
-        let coalescing = self.cfg.coalescing;
-        for (side, batches) in [(Side::Out, out_batches), (Side::In, in_batches)] {
-            for (agent, recs) in batches {
-                pushed += recs.len();
-                if coalescing {
-                    self.append_to(agent, side, &recs);
-                } else {
-                    for chunk in recs.chunks(BATCH) {
-                        self.push_to(agent, msg::encode_edge_changes(side, 0, chunk));
-                    }
-                }
+        for side in [Side::Out, Side::In] {
+            for block in changes.chunks(ROUTE_BLOCK) {
+                pushed += self.route_block(side, block);
             }
         }
         // A routed batch must be on the wire when send_batch returns:
@@ -391,29 +357,54 @@ impl Streamer {
         pushed
     }
 
+    /// Resolve one block's placements on `side` and append each
+    /// destination's records to its open EDGE_CHANGES frame.
+    fn route_block(&mut self, side: Side, block: &[EdgeChange]) -> usize {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let RouteScratch {
+            pairs,
+            owners,
+            batches,
+        } = &mut scratch;
+        pairs.clear();
+        pairs.extend(block.iter().map(|c| match side {
+            Side::Out => (c.edge.src, c.edge.dst),
+            Side::In => (c.edge.dst, c.edge.src),
+        }));
+        owners.clear();
+        let sketch = &self.view.sketch;
+        if self.cfg.owner_cache {
+            // Batched resolution: each distinct key vertex is hashed
+            // and sketch-estimated once per view epoch.
+            self.cache
+                .resolve_many(&self.locator, pairs, |u| sketch.estimate(u), owners);
+        } else {
+            // Uncached baseline: per-edge resolution, exactly the
+            // pre-cache ingest path.
+            let owner = |&(u, v): &(u64, u64)| self.locator.owner_of_edge(u, v, sketch.estimate(u));
+            owners.extend(pairs.iter().map(owner));
+        }
+        for (&c, owner) in block.iter().zip(owners.iter()) {
+            if let Some(owner) = owner {
+                batches.entry(*owner).or_default().push(c);
+            }
+        }
+        let mut pushed = 0;
+        for (&agent, recs) in batches.iter_mut().filter(|(_, r)| !r.is_empty()) {
+            pushed += recs.len();
+            self.append_to(agent, side, recs);
+            recs.clear();
+        }
+        self.scratch = scratch;
+        pushed
+    }
+
     /// Append the records to `agent`'s open EDGE_CHANGES frame, then
     /// hand any refused frames to the retry path.
     fn append_to(&mut self, agent: AgentId, side: Side, recs: &[EdgeChange]) {
         let failed = match self.outbox(agent) {
             Some(out) => {
-                for c in recs {
-                    msg::append_edge_change(out, side, 0, c);
-                }
-                out.has_failed()
-            }
-            None => false,
-        };
-        if failed {
-            self.retry_failed(agent);
-        }
-    }
-
-    /// Push a pre-built frame through the cached outbox; on failure,
-    /// re-resolve the address and retry under the configured policy.
-    fn push_to(&mut self, agent: AgentId, frame: Frame) {
-        let failed = match self.outbox(agent) {
-            Some(out) => {
-                out.send(frame);
+                msg::append_edge_changes(out, side, 0, recs);
                 out.has_failed()
             }
             None => false,

@@ -9,6 +9,11 @@
 //! streamer, the lead folding the delta, an agent — may ask for a
 //! buffer the size of the sketch table while one is sent.
 //!
+//! And the frame side's: a frame owns the buffer it was built in, so
+//! what the coalescer reserves when it opens one is what every small
+//! frame costs. While 64-change batches are routed and small-frontier
+//! supersteps run, no thread may ask for a frame-limit-sized buffer.
+//!
 //! This lives in its own integration-test binary with a single `#[test]`
 //! so no sibling test thread can allocate while the counter is armed.
 
@@ -16,8 +21,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
+use elga_core::algorithms::PageRank;
 use elga_core::cluster::Cluster;
+use elga_core::config::SystemConfig;
 use elga_core::msg::{self, MetaRecord, MigEdge, MigState, StateRecord};
+use elga_core::program::{ExecutionMode, RunOptions};
 use elga_graph::types::EdgeChange;
 use elga_net::{CoalesceConfig, CoalescingOutbox, Frame, InProcTransport, Transport};
 
@@ -93,7 +101,7 @@ fn mig_frames(n: u64) -> [Frame; 3] {
             active: i % 2 == 0,
         };
         let has_state = i % 5 != 0;
-        msg::append_mig_state(&mut c, &MigState { rec, has_state });
+        msg::append_mig_states(&mut c, &[MigState { rec, has_state }]);
     }
     for i in 0..n {
         let side = if i % 2 == 0 {
@@ -102,7 +110,7 @@ fn mig_frames(n: u64) -> [Frame; 3] {
             msg::Side::In
         };
         let (src, dst) = (i, i + 1);
-        msg::append_mig_edge(&mut c, &MigEdge { side, src, dst });
+        msg::append_mig_edges(&mut c, &[MigEdge { side, src, dst }]);
     }
     for i in 0..n {
         let m = MetaRecord {
@@ -122,7 +130,7 @@ fn mig_frames(n: u64) -> [Frame; 3] {
             snap: i,
             has_snap: true,
         };
-        msg::append_mig_meta(&mut c, 7, 3, &m);
+        msg::append_mig_meta(&mut c, 7, 3, &[m]);
     }
     c.flush();
     [(); 3].map(|_| mb.recv().unwrap().frame)
@@ -212,6 +220,7 @@ fn decode_and_iterate_allocates_nothing() {
     );
 
     small_batch_asks_for_no_table_sized_buffer();
+    small_frames_ask_for_small_buffers();
 }
 
 /// 64-change batches into a two-agent cluster: every thread in the
@@ -245,6 +254,68 @@ fn small_batch_asks_for_no_table_sized_buffer() {
     assert!(
         largest < table_bytes,
         "a 64-change batch asked for {largest} B; the sketch table is {table_bytes} B"
+    );
+    cluster.shutdown();
+}
+
+/// 64-change batches and the delta PageRank runs behind them on a
+/// two-agent ring: a few hundred bytes of change records per frame, a
+/// few dozen vertex messages per superstep. Every thread is watched,
+/// and none may ask for 16 KiB at once — a quarter of what one frame
+/// sized by `max_bytes` takes.
+fn small_frames_ask_for_small_buffers() {
+    const LIMIT: usize = 16 << 10;
+    let cfg = SystemConfig {
+        // The retained log is a buffer that grows by design.
+        retain_change_log: false,
+        ..SystemConfig::default()
+    };
+    let mut cluster = Cluster::builder().agents(2).config(cfg).build();
+    let n = 2048u64;
+    cluster.ingest_edges((0..n).map(|i| (i, (i + 1) % n)));
+    let pr = PageRank::new(0.85).with_max_iters(200).with_tolerance(1e-7);
+    cluster.run(pr).expect("initial run");
+    let chords = |i: u64| -> Vec<(u64, u64)> {
+        (0..64)
+            .map(|j| ((i * 64 + j) * 3 % n, (i * 64 + j) * 7 % n))
+            .collect()
+    };
+    let delta = RunOptions {
+        reuse_state: true,
+        mode: ExecutionMode::Sync,
+    };
+    // Inserting the chords grows what there is to grow; the watched
+    // pass deletes them again, the same traffic in the other direction.
+    let cycle = |cluster: &mut Cluster, batch: Vec<EdgeChange>| {
+        cluster.ingest_async(&batch);
+        cluster.quiesce().unwrap();
+        cluster.run_with(pr, delta).expect("delta run").steps
+    };
+    for i in 0..8 {
+        let inserts = chords(i).into_iter().map(|(u, v)| EdgeChange::insert(u, v));
+        cycle(&mut cluster, inserts.collect());
+    }
+    let batches: Vec<Vec<EdgeChange>> = (0..8)
+        .map(|i| {
+            let deletes = chords(i).into_iter().map(|(u, v)| EdgeChange::delete(u, v));
+            deletes.collect()
+        })
+        .collect();
+    let mut steps = 0;
+    LARGEST.store(0, Ordering::SeqCst);
+    allocations_in(&mut || {
+        for batch in batches.iter().cloned() {
+            steps += cycle(&mut cluster, batch);
+        }
+    });
+    let largest = LARGEST.load(Ordering::SeqCst);
+    assert!(
+        steps > 8 * 5,
+        "delta runs too short to mean anything: {steps}"
+    );
+    assert!(
+        largest < LIMIT,
+        "a 64-change batch or a small superstep asked for {largest} B"
     );
     cluster.shutdown();
 }

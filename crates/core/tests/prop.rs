@@ -3,17 +3,17 @@
 use elga_core::autoscale::{Autoscaler, EmaAutoscaler};
 use elga_core::metrics::{AgentMetrics, ClusterMetrics};
 use elga_core::msg::{
-    self, Counters, MetaRecord, MigEdge, MigState, Phase, ReadyReport, StateRecord,
+    self, packet, Counters, MetaRecord, MigEdge, MigState, Phase, QueryAnswer, ReadyReport,
+    StateRecord, WireRecord,
 };
+use elga_graph::types::EdgeChange;
 use elga_net::{CoalesceConfig, CoalescingOutbox, Frame, InProcTransport, Transport};
 use elga_sketch::{CountMinSketch, SketchDelta};
 use proptest::prelude::*;
 use std::time::{Duration, Instant};
 
-/// The three migration frames (MIG_STATE, MIG_EDGES, MIG_META) that
-/// carry records derived from `msgs`, built the only way the library
-/// builds them: appended through a coalescing outbox.
-fn mig_frames(msgs: &[(u64, u64)]) -> (Vec<MigState>, Vec<MigEdge>, Vec<MetaRecord>, [Frame; 3]) {
+/// Migration records of each kind derived from `msgs`.
+fn mig_records(msgs: &[(u64, u64)]) -> (Vec<MigState>, Vec<MigEdge>, Vec<MetaRecord>) {
     let states: Vec<MigState> = msgs
         .iter()
         .map(|&(v, x)| MigState {
@@ -59,18 +59,73 @@ fn mig_frames(msgs: &[(u64, u64)]) -> (Vec<MigState>, Vec<MigEdge>, Vec<MetaReco
             has_snap: x & 64 != 0,
         })
         .collect();
+    (states, edges, metas)
+}
+
+/// The three migration frames (MIG_STATE, MIG_EDGES, MIG_META) that
+/// carry records derived from `msgs`, built the only way the library
+/// builds them: appended through a coalescing outbox.
+fn mig_frames(msgs: &[(u64, u64)]) -> (Vec<MigState>, Vec<MigEdge>, Vec<MetaRecord>, [Frame; 3]) {
+    let (states, edges, metas) = mig_records(msgs);
     let t = InProcTransport::new();
     let addr = elga_net::Addr::inproc("prop-mig");
     let mb = t.bind(&addr).unwrap();
     let mut c = CoalescingOutbox::new(t.sender(&addr).unwrap(), CoalesceConfig::default());
-    states.iter().for_each(|s| msg::append_mig_state(&mut c, s));
-    edges.iter().for_each(|e| msg::append_mig_edge(&mut c, e));
-    metas
-        .iter()
-        .for_each(|m| msg::append_mig_meta(&mut c, 3, 9, m));
+    msg::append_mig_states(&mut c, &states);
+    msg::append_mig_edges(&mut c, &edges);
+    msg::append_mig_meta(&mut c, 3, 9, &metas);
     c.flush();
     let frames = [(); 3].map(|_| mb.recv().unwrap().frame);
     (states, edges, metas, frames)
+}
+
+/// STATE records derived from `msgs`.
+fn state_records(msgs: &[(u64, u64)]) -> Vec<StateRecord> {
+    mig_records(msgs).0.iter().map(|s| s.rec).collect()
+}
+
+/// EDGE_CHANGES records derived from `msgs`, both actions.
+fn change_records(msgs: &[(u64, u64)]) -> Vec<EdgeChange> {
+    let change = |&(u, v): &(u64, u64)| {
+        if v % 2 == 0 {
+            EdgeChange::insert(u, v)
+        } else {
+            EdgeChange::delete(u, v)
+        }
+    };
+    msgs.iter().map(change).collect()
+}
+
+/// DEG_DELTA records derived from `msgs`, either sign.
+fn delta_records(msgs: &[(u64, u64)]) -> Vec<(u64, i64, i64)> {
+    let delta = |&(v, d): &(u64, u64)| (v, d as i64, (d as i64).wrapping_neg());
+    msgs.iter().map(delta).collect()
+}
+
+/// `write` fills a record's slot so that the slot validates and
+/// `parse` gives the record back, whatever the slot held before.
+fn assert_slot_roundtrip<T>(recs: &[T])
+where
+    T: WireRecord + PartialEq + std::fmt::Debug,
+{
+    let mut slot = vec![0xA5; T::STRIDE];
+    for rec in recs {
+        rec.write(&mut slot);
+        assert!(T::validate(&slot));
+        assert_eq!(&T::parse(&slot), rec);
+    }
+}
+
+/// Call `f` on `recs` a block at a time, block sizes cycling through
+/// `blocks`.
+fn in_blocks<T>(recs: &[T], blocks: &[usize], mut f: impl FnMut(&[T])) {
+    let mut sizes = blocks.iter().cycle();
+    let mut rest = recs;
+    while !rest.is_empty() {
+        let n = (*sizes.next().expect("non-empty")).min(rest.len());
+        f(&rest[..n]);
+        rest = &rest[n..];
+    }
 }
 
 /// `delta` as a SKETCH_DELTA frame in the form asked for, whichever
@@ -93,6 +148,135 @@ fn delta_frame(delta: &SketchDelta, sparse: bool) -> Frame {
 }
 
 proptest! {
+    /// Each of the nine record types has one layout: what `write` puts
+    /// in a slot, `parse` reads back.
+    #[test]
+    fn write_then_parse_is_identity(
+        msgs in prop::collection::vec((any::<u64>(), any::<u64>()), 1..24),
+    ) {
+        let (mig_states, mig_edges, metas) = mig_records(&msgs);
+        let vertices: Vec<u64> = msgs.iter().map(|m| m.0).collect();
+        let answers: Vec<QueryAnswer> = msgs
+            .iter()
+            .map(|&(vertex, state)| QueryAnswer { vertex, state, found: (state % 3) as u8 })
+            .collect();
+        assert_slot_roundtrip(&msgs);
+        assert_slot_roundtrip(&state_records(&msgs));
+        assert_slot_roundtrip(&change_records(&msgs));
+        assert_slot_roundtrip(&delta_records(&msgs));
+        assert_slot_roundtrip(&vertices);
+        assert_slot_roundtrip(&answers);
+        assert_slot_roundtrip(&mig_states);
+        assert_slot_roundtrip(&mig_edges);
+        assert_slot_roundtrip(&metas);
+    }
+
+    /// Every stream the data plane appends, handed to the block writer
+    /// in blocks of any size under any frame limits, reaches its
+    /// `decode_*` view as the records that went in, in order, under the
+    /// header they were appended with, in frames within the limits.
+    #[test]
+    fn appended_blocks_decode_to_the_records(
+        max_records in 1u32..32,
+        max_bytes in 1usize..1500,
+        msgs in prop::collection::vec((any::<u64>(), any::<u64>()), 1..48),
+        blocks in prop::collection::vec(1usize..20, 1..5),
+    ) {
+        let states = state_records(&msgs);
+        let changes = change_records(&msgs);
+        let deltas = delta_records(&msgs);
+        let (mig_states, mig_edges, metas) = mig_records(&msgs);
+        let t = InProcTransport::new();
+        let addr = elga_net::Addr::inproc("prop-blocks");
+        let mb = t.bind(&addr).unwrap();
+        let cfg = CoalesceConfig { max_records, max_bytes, credit_bytes: 0, ..CoalesceConfig::default() };
+        let mut c = CoalescingOutbox::new(t.sender(&addr).unwrap(), cfg);
+        in_blocks(&msgs, &blocks, |r| msg::append_vmsgs(&mut c, 7, 3, r));
+        in_blocks(&msgs, &blocks, |r| msg::append_partials(&mut c, 7, 3, r));
+        in_blocks(&states, &blocks, |r| msg::append_states(&mut c, 7, 3, r));
+        in_blocks(&changes, &blocks, |r| msg::append_edge_changes(&mut c, msg::Side::In, 2, r));
+        in_blocks(&deltas, &blocks, |r| msg::append_deg_deltas(&mut c, r));
+        in_blocks(&msgs, &blocks, |r| msg::append_residuals(&mut c, r));
+        in_blocks(&mig_states, &blocks, |r| msg::append_mig_states(&mut c, r));
+        in_blocks(&mig_edges, &blocks, |r| msg::append_mig_edges(&mut c, r));
+        in_blocks(&metas, &blocks, |r| msg::append_mig_meta(&mut c, 5, 11, r));
+        in_blocks(&msgs, &blocks, |r| msg::append_sub_pushes(&mut c, 42, 7, 500, r));
+        c.flush();
+
+        let mut got_pairs: [Vec<(u64, u64)>; 4] = Default::default();
+        let (mut got_states, mut got_changes, mut got_deltas) = (vec![], vec![], vec![]);
+        let (mut got_mig_states, mut got_mig_edges, mut got_metas) = (vec![], vec![], vec![]);
+        while let Some(d) = mb.try_recv().unwrap() {
+            let f = &d.frame;
+            let records = match f.packet_type() {
+                ty @ (packet::VMSG | packet::PARTIAL) => {
+                    let decode = if ty == packet::VMSG { msg::decode_vmsgs } else { msg::decode_partials };
+                    let view = decode(f).unwrap();
+                    prop_assert_eq!((view.run, view.step), (7, 3));
+                    got_pairs[usize::from(ty == packet::PARTIAL)].extend(view.records);
+                    view.records.len()
+                }
+                packet::STATE => {
+                    let view = msg::decode_states(f).unwrap();
+                    prop_assert_eq!((view.run, view.step), (7, 3));
+                    got_states.extend(view.records);
+                    view.records.len()
+                }
+                packet::EDGE_CHANGES => {
+                    let view = msg::decode_edge_changes(f).unwrap();
+                    prop_assert_eq!((view.side, view.hop), (msg::Side::In, 2));
+                    got_changes.extend(view.records);
+                    view.records.len()
+                }
+                packet::DEG_DELTA => {
+                    let recs = msg::decode_deg_deltas(f).unwrap();
+                    got_deltas.extend(recs);
+                    recs.len()
+                }
+                packet::RESIDUAL => {
+                    let recs = msg::decode_residuals(f).unwrap();
+                    got_pairs[2].extend(recs);
+                    recs.len()
+                }
+                packet::MIG_STATE => {
+                    let recs = msg::decode_mig_states(f).unwrap();
+                    got_mig_states.extend(recs);
+                    recs.len()
+                }
+                packet::MIG_EDGES => {
+                    let recs = msg::decode_mig_edges(f).unwrap();
+                    got_mig_edges.extend(recs);
+                    recs.len()
+                }
+                packet::MIG_META => {
+                    let (snap_run, snap_watermark, recs) = msg::decode_mig_meta(f).unwrap();
+                    prop_assert_eq!((snap_run, snap_watermark), (5, 11));
+                    got_metas.extend(recs);
+                    recs.len()
+                }
+                packet::SUB_PUSH => {
+                    let (sub, run, watermark, recs) = msg::decode_sub_push(f).unwrap();
+                    prop_assert_eq!((sub, run, watermark), (42, 7, 500));
+                    got_pairs[3].extend(recs);
+                    recs.len()
+                }
+                other => panic!("unexpected packet type {other}"),
+            };
+            prop_assert!((1..=max_records as usize).contains(&records));
+            // A frame closes on the record that reaches `max_bytes`.
+            prop_assert!(f.len() < max_bytes + MetaRecord::STRIDE || records == 1);
+        }
+        for got in &got_pairs {
+            prop_assert_eq!(got, &msgs);
+        }
+        prop_assert_eq!(got_states, states);
+        prop_assert_eq!(got_changes, changes);
+        prop_assert_eq!(got_deltas, deltas);
+        prop_assert_eq!(got_mig_states, mig_states);
+        prop_assert_eq!(got_mig_edges, mig_edges);
+        prop_assert_eq!(got_metas, metas);
+    }
+
     /// One batch's delta folds to the same table — cells, row maxima
     /// and item count — whether it travels as touched pairs or as the
     /// dense table, and that table is the one direct updates build.
@@ -212,7 +396,6 @@ proptest! {
         v in any::<u64>(),
         val in any::<u64>(),
     ) {
-        use elga_graph::types::EdgeChange;
         let vm = msg::encode_vmsgs(run, step, &[(v, val)]);
         let pt = msg::encode_partials(run, step, &[(v, val)]);
         let ec = msg::encode_edge_changes(msg::Side::Out, 0, &[EdgeChange::insert(v, val)]);
@@ -257,7 +440,6 @@ proptest! {
         msgs in prop::collection::vec((any::<u64>(), any::<u64>()), 1..16),
         cut_frac in 0.0f64..1.0,
     ) {
-        use elga_graph::types::EdgeChange;
         let cut = |frame: &Frame| {
             // Keep at least the type byte; drop at least one byte.
             let n = frame.len();
@@ -293,7 +475,6 @@ proptest! {
         msgs in prop::collection::vec((any::<u64>(), any::<u64>()), 1..16),
         pad in prop::collection::vec(any::<u8>(), 1..15),
     ) {
-        use elga_graph::types::EdgeChange;
         let extend = |frame: &Frame, n: usize| {
             let mut bytes = frame.as_bytes().to_vec();
             bytes.extend_from_slice(&pad[..n]);
@@ -328,7 +509,6 @@ proptest! {
         msgs in prop::collection::vec((any::<u64>(), any::<u64>()), 0..64,),
         hop in any::<u8>(),
     ) {
-        use elga_graph::types::EdgeChange;
         let vm = msg::encode_vmsgs(run, step, &msgs);
         let view = msg::decode_vmsgs(&vm).unwrap();
         prop_assert_eq!((view.run, view.step), (run, step));

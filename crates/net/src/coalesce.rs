@@ -6,12 +6,18 @@
 //! likewise identify message coalescing as the dominant throughput
 //! lever. A [`CoalescingOutbox`] wraps one destination's [`Outbox`]
 //! and keeps at most one *open frame* — packet type, caller-written
-//! header, a record-count field, then appended records. Appending a
-//! record of a different packet type (or with a different header)
-//! first flushes the open frame, so the per-destination byte stream is
-//! a strict FIFO of the appended records: coalescing changes frame
-//! boundaries, never record order. That is what keeps sync-mode
-//! results bit-identical with coalescing on or off.
+//! header, a record-count field, then packed fixed-stride records.
+//!
+//! The unit of the data plane is a record *slice*:
+//! [`CoalescingOutbox::append_records`] takes a run of records, reserves
+//! once per open frame and copies the part of the run that fits,
+//! closing frames at exactly the record where appending the run one
+//! record at a time would have closed them. A run of a different packet
+//! type (or with a different header) first flushes the open frame, so
+//! the per-destination byte stream is a strict FIFO of the appended
+//! records: coalescing changes frame boundaries, never record order.
+//! That is what keeps sync-mode results bit-identical with coalescing
+//! on or off.
 //!
 //! Flushes happen on four triggers, each counted in
 //! [`CoalesceStats`]:
@@ -24,6 +30,10 @@
 //! * a different packet type or header displaced it (counted as
 //!   `switch_flushes`).
 //!
+//! With [`CoalesceConfig::disabled`] — the eager ablation — nothing
+//! stays open between calls: every run leaves at once, in frames of at
+//! most 4096 records.
+//!
 //! Backpressure is credit-based: each destination has an in-flight
 //! byte budget. Sent frame sizes are tracked against the outbox's
 //! queue depth ([`Outbox::queued`]); once the consumer drains a frame
@@ -32,7 +42,7 @@
 //! spills anyway — liveness is preserved even if the peer died and the
 //! failure detector has not yet evicted it.
 
-use crate::frame::{pool_give, pool_take, Frame};
+use crate::frame::{pool_give, pool_take, put_records, Frame};
 use crate::transport::{NetStats, Outbox};
 use bytes::{BufMut, BytesMut};
 use elga_trace::{flush_reason, EventKind, Tracer};
@@ -43,8 +53,9 @@ use std::time::{Duration, Instant};
 /// Tuning for a [`CoalescingOutbox`].
 #[derive(Debug, Clone)]
 pub struct CoalesceConfig {
-    /// Coalesce at all? When `false`, every appended record is sent
-    /// eagerly as its own (count = 1) frame — the ablation baseline.
+    /// Coalesce at all? When `false`, no frame stays open across
+    /// [`CoalescingOutbox::append_records`] calls: every run is sent
+    /// eagerly — the ablation baseline.
     pub enabled: bool,
     /// Flush the open frame once it holds this many payload bytes.
     pub max_bytes: usize,
@@ -72,11 +83,18 @@ impl Default for CoalesceConfig {
     }
 }
 
+/// Records per frame of the eager ablation.
+const EAGER_BATCH: u32 = 4096;
+
 impl CoalesceConfig {
-    /// The eager (no batching, no backpressure) configuration.
+    /// The eager (no batching across calls, no backpressure)
+    /// configuration: each appended run leaves at once, cut into
+    /// frames of 4096 records whatever their size.
     pub fn disabled() -> Self {
         CoalesceConfig {
             enabled: false,
+            max_bytes: usize::MAX,
+            max_records: EAGER_BATCH,
             credit_bytes: 0,
             ..CoalesceConfig::default()
         }
@@ -192,21 +210,30 @@ impl CoalescingOutbox {
         }
     }
 
-    /// Append one record to the open `(packet_type, key)` frame,
-    /// opening (and if necessary first flushing) as needed.
+    /// Append a run of fixed-`stride` records to the open
+    /// `(packet_type, key)` frame, opening (and if necessary first
+    /// flushing) frames as needed.
     ///
-    /// `header` writes the frame's post-type header and runs only when
-    /// a new frame is opened; the coalescer itself maintains the `u32`
-    /// record count that follows the header. `record` writes one
-    /// record's bytes. The resulting frames are byte-identical to
-    /// eagerly encoded batches, so existing decoders are untouched.
-    pub fn append(
+    /// `header` is the frame's post-type header, written whenever a new
+    /// frame is opened; the coalescer itself maintains the `u32` record
+    /// count that follows it. `write` fills one record's `stride`-byte
+    /// slot. Each open frame takes as much of the run as fits in one
+    /// reservation and closes on the record that reaches `max_records`
+    /// or `max_bytes` — the boundaries appending the run one record at
+    /// a time gives, so frames do not depend on how a stream was cut
+    /// into runs.
+    pub fn append_records<T>(
         &mut self,
         packet_type: u8,
         key: u64,
-        header: impl FnOnce(&mut BytesMut),
-        record: impl FnOnce(&mut BytesMut),
+        header: &[u8],
+        stride: usize,
+        mut recs: &[T],
+        write: impl Fn(&T, &mut [u8]),
     ) {
+        if recs.is_empty() {
+            return;
+        }
         let displaced = match &self.open {
             Some(open) => open.packet_type != packet_type || open.key != key,
             None => false,
@@ -216,33 +243,52 @@ impl CoalescingOutbox {
             self.trace_flush(flush_reason::SWITCH);
             self.flush_open();
         }
-        if self.open.is_none() {
-            let mut buf = pool_take(self.cfg.max_bytes.min(1 << 20) + 64);
-            buf.put_u8(packet_type);
-            header(&mut buf);
-            let count_at = buf.len();
-            buf.put_u32_le(0);
-            self.open = Some(OpenFrame {
-                buf,
-                count_at,
-                records: 0,
-                packet_type,
-                key,
+        self.stats.records += recs.len() as u64;
+        let (max_records, max_bytes) = (self.cfg.max_records, self.cfg.max_bytes);
+        // Type byte, header, count field: where a fresh frame's records
+        // start.
+        let head = 1 + header.len() + 4;
+        while !recs.is_empty() {
+            let (held, len) = match &self.open {
+                Some(open) => (open.records, open.buf.len()),
+                None => (0, head),
+            };
+            // Records until a threshold closes the frame; the record
+            // that reaches it still goes in, so at least one.
+            let by_count = max_records.saturating_sub(held).max(1) as usize;
+            let by_size = max_bytes.saturating_sub(len).div_ceil(stride).max(1);
+            let (run, rest) = recs.split_at(recs.len().min(by_count).min(by_size));
+            let open = self.open.get_or_insert_with(|| {
+                // Sized for what is about to be written, not for the
+                // largest frame there could be: a small run costs a
+                // small buffer.
+                let mut buf = pool_take(head + run.len() * stride);
+                buf.put_u8(packet_type);
+                buf.put_slice(header);
+                let count_at = buf.len();
+                buf.put_u32_le(0);
+                OpenFrame {
+                    buf,
+                    count_at,
+                    records: 0,
+                    packet_type,
+                    key,
+                }
             });
+            put_records(&mut open.buf, stride, run, &write);
+            open.records += run.len() as u32;
+            recs = rest;
+            if open.records >= max_records {
+                self.stats.count_flushes += 1;
+                self.trace_flush(flush_reason::COUNT);
+                self.flush_open();
+            } else if open.buf.len() >= max_bytes {
+                self.stats.size_flushes += 1;
+                self.trace_flush(flush_reason::SIZE);
+                self.flush_open();
+            }
         }
-        let open = self.open.as_mut().expect("just opened");
-        record(&mut open.buf);
-        open.records += 1;
-        self.stats.records += 1;
         if !self.cfg.enabled {
-            self.flush_open();
-        } else if open.records >= self.cfg.max_records {
-            self.stats.count_flushes += 1;
-            self.trace_flush(flush_reason::COUNT);
-            self.flush_open();
-        } else if open.buf.len() >= self.cfg.max_bytes {
-            self.stats.size_flushes += 1;
-            self.trace_flush(flush_reason::SIZE);
             self.flush_open();
         }
     }
@@ -388,23 +434,25 @@ mod tests {
         (mb, CoalescingOutbox::new(out, cfg))
     }
 
-    /// Append `n` 16-byte records under packet type 21 (VMSG-shaped:
-    /// u64 run + u32 step header, u32 count, (u64, u64) records).
+    /// A `(run, step)` header as the VMSG-shaped frames carry it.
+    fn header(run: u64, step: u32) -> [u8; 12] {
+        let mut h = [0; 12];
+        h[..8].copy_from_slice(&run.to_le_bytes());
+        h[8..].copy_from_slice(&step.to_le_bytes());
+        h
+    }
+
+    fn put_pair(rec: &(u64, u64), slot: &mut [u8]) {
+        slot[..8].copy_from_slice(&rec.0.to_le_bytes());
+        slot[8..].copy_from_slice(&rec.1.to_le_bytes());
+    }
+
+    /// Append `n` 16-byte records as one run under packet type 21
+    /// (VMSG-shaped: u64 run + u32 step header, u32 count, (u64, u64)
+    /// records).
     fn append_n(c: &mut CoalescingOutbox, n: u64) {
-        for i in 0..n {
-            c.append(
-                21,
-                7,
-                |h| {
-                    h.put_u64_le(7);
-                    h.put_u32_le(0);
-                },
-                |r| {
-                    r.put_u64_le(i);
-                    r.put_u64_le(i * 2);
-                },
-            );
-        }
+        let recs: Vec<(u64, u64)> = (0..n).map(|i| (i, i * 2)).collect();
+        c.append_records(21, 7, &header(7, 0), 16, &recs, put_pair);
     }
 
     #[test]
@@ -451,15 +499,7 @@ mod tests {
         let (mb, mut c) = pair(0);
         append_n(&mut c, 3);
         // Different header key: same type, new step.
-        c.append(
-            21,
-            8,
-            |h| {
-                h.put_u64_le(7);
-                h.put_u32_le(1);
-            },
-            |r| r.put_u64_le(1),
-        );
+        c.append_records(21, 8, &header(7, 1), 16, &[(1, 1)], put_pair);
         assert_eq!(mb.backlog(), 1);
         assert_eq!(c.stats().switch_flushes, 1);
         let d = mb.recv().unwrap();
@@ -470,18 +510,38 @@ mod tests {
     }
 
     #[test]
-    fn disabled_sends_each_record_eagerly() {
+    fn disabled_sends_each_run_eagerly() {
         let (mb, mut c) = pair(0);
-        c.cfg.enabled = false;
-        append_n(&mut c, 5);
-        assert_eq!(mb.backlog(), 5);
-        for _ in 0..5 {
+        c.cfg = CoalesceConfig::disabled();
+        // Nothing stays open behind a call, and a long run is cut at
+        // the eager batch size however many bytes that is.
+        let n = u64::from(EAGER_BATCH);
+        for run in [5, 1, 2 * n + 3] {
+            append_n(&mut c, run);
+            assert_eq!(c.pending_records(), 0);
+        }
+        for want in [5, 1, n, n, 3] {
             let d = mb.recv().unwrap();
             let mut r = d.frame.reader();
             r.u64();
             r.u32();
-            assert_eq!(r.u32(), Some(1), "eager frames carry one record");
+            assert_eq!(u64::from(r.u32().unwrap()), want);
+            assert_eq!(r.remaining() as u64, want * 16);
         }
+        assert_eq!(mb.backlog(), 0);
+    }
+
+    /// The first buffer a frame asks for is sized by the run that
+    /// opens it, not by `max_bytes`: the frame owns its allocation
+    /// (`freeze` hands it to the consumer), so what `append_records`
+    /// reserves is what every small frame costs.
+    #[test]
+    fn a_small_run_opens_a_small_buffer() {
+        let (_mb, mut c) = pair(0);
+        append_n(&mut c, 4);
+        let open = c.open.as_ref().expect("open frame");
+        assert!(open.buf.capacity() < 256, "{} B", open.buf.capacity());
+        assert_eq!(open.buf.len(), 1 + 12 + 4 + 4 * 16);
     }
 
     #[test]
@@ -537,15 +597,8 @@ mod tests {
         c.cfg.max_bytes = usize::MAX;
         let max_records = u64::from(c.cfg.max_records);
         append_n(&mut c, max_records); // count flush
-        c.append(
-            22,
-            7,
-            |h| {
-                h.put_u64_le(7);
-                h.put_u32_le(0);
-            },
-            |r| r.put_u64_le(0),
-        ); // opens a fresh type-22 frame (previous one already flushed)
+                                       // Opens a fresh type-22 frame (previous one already flushed).
+        c.append_records(22, 7, &header(7, 0), 16, &[(0, 0)], put_pair);
         c.flush(); // explicit flush of the open type-22 frame
         let (events, dropped) = tracer.drain();
         assert_eq!(dropped, 0);

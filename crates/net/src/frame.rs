@@ -49,6 +49,23 @@ pub(crate) fn pool_give(buf: BytesMut) {
     });
 }
 
+/// Append `recs` to `buf` as packed `stride`-byte records: one
+/// reservation for the whole run, then `write` fills each record's
+/// slot in place. The one loop behind every record region on the wire
+/// ([`FrameBuilder::records`], `CoalescingOutbox::append_records`).
+pub(crate) fn put_records<T>(
+    buf: &mut BytesMut,
+    stride: usize,
+    recs: &[T],
+    write: impl Fn(&T, &mut [u8]),
+) {
+    let at = buf.len();
+    buf.resize(at + recs.len() * stride, 0);
+    for (slot, rec) in buf[at..].chunks_exact_mut(stride).zip(recs) {
+        write(rec, slot);
+    }
+}
+
 /// Buffers currently pooled on this thread (test observability).
 #[cfg(test)]
 pub(crate) fn pool_depth() -> usize {
@@ -196,6 +213,15 @@ impl FrameBuilder {
     /// framing).
     pub fn raw(mut self, v: &[u8]) -> Self {
         self.buf.put_slice(v);
+        self
+    }
+
+    /// Append a `u32` record count, then `recs` as packed
+    /// `stride`-byte records, each slot filled by `write` — the record
+    /// region a coalesced frame carries, built in one go.
+    pub fn records<T>(mut self, stride: usize, recs: &[T], write: impl Fn(&T, &mut [u8])) -> Self {
+        self.buf.put_u32_le(recs.len() as u32);
+        put_records(&mut self.buf, stride, recs, write);
         self
     }
 

@@ -169,6 +169,11 @@ impl BytesMut {
         self.buf.truncate(len);
     }
 
+    /// Resize to `new_len` bytes, filling any growth with `value`.
+    pub fn resize(&mut self, new_len: usize, value: u8) {
+        self.buf.resize(new_len, value);
+    }
+
     /// Detach all written bytes into a new `BytesMut`, leaving this
     /// buffer empty.
     pub fn split(&mut self) -> BytesMut {

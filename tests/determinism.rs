@@ -171,6 +171,13 @@ struct RunWire {
     readys: u64,
     /// PARTIAL plus STATE frames, all agents.
     replica_frames: u64,
+    /// VMSG frames and their bytes, all agents.
+    vmsg_wire: (u64, u64),
+    /// Σ `vmsg_sent` and Σ `vmsg_recv` over the agents' barrier
+    /// counters after the run: the records that crossed between agents.
+    vmsg_counted: (u64, u64),
+    /// Vertex messages delivered, however they travelled.
+    vmsgs: u64,
     may_split: bool,
 }
 
@@ -194,6 +201,15 @@ fn run_wire(
     let frames = |types: &[u8]| types.iter().map(|&t| net.sent(t).0).sum::<u64>();
     let before = [packet::ADVANCE, packet::READY].map(|t| frames(&[t]));
     let stats = cluster.run(spec).expect("run");
+    let transport = cluster.transport();
+    let mut vmsg_counted = (0, 0);
+    for agent in &cluster.view().agents {
+        let drain = Frame::signal(packet::DRAIN);
+        let rep = transport.request(&agent.addr, drain, Duration::from_secs(5));
+        let mut r = rep.as_ref().expect("drain").reader();
+        vmsg_counted.0 += r.u64().expect("vmsg_sent");
+        vmsg_counted.1 += r.u64().expect("vmsg_recv");
+    }
     let wire = RunWire {
         steps: u64::from(stats.steps),
         // The bus reaches every agent and the driver waiting on the run.
@@ -201,6 +217,9 @@ fn run_wire(
         readys: (frames(&[packet::READY]) - before[1]) / agents as u64,
         // Nothing but a run sends either kind.
         replica_frames: frames(&[packet::PARTIAL, packet::STATE]),
+        vmsg_wire: net.sent(packet::VMSG),
+        vmsg_counted,
+        vmsgs: cluster.metrics().vmsgs,
         may_split: cluster.view().may_split(),
         states: cluster.dump_states(),
     };
@@ -208,7 +227,16 @@ fn run_wire(
     wire
 }
 
+/// The on-wire size of a VMSG frame's type byte, `(run, step)` header
+/// and count field, and of one record.
+const VMSG_FRAME_HEAD: u64 = 1 + 12 + 4;
+const VMSG_RECORD: u64 = 16;
+
 /// Both sides of the per-step barrier selection, by counts, not clocks.
+///
+/// Either side, an agent's own vertex messages are folded in place:
+/// every VMSG record on the wire is one the barrier counted as crossing
+/// between two agents, and the messages delivered exceed them.
 ///
 /// Nothing split: every PARTIAL and STATE record is an agent's own and
 /// is delivered in place — none reaches the wire — and each superstep
@@ -258,6 +286,8 @@ fn one_barrier_per_step_unless_a_vertex_is_split() {
             w.replica_frames, 0,
             "{what}: self-addressed records on the wire"
         );
+        assert_no_own_vmsg_on_the_wire(w, what);
+        assert!(w.vmsg_wire.0 > 0, "{what}: nothing crossed");
     }
     assert_eq!(wcc1.states.len(), n as usize);
     assert_eq!(
@@ -285,6 +315,7 @@ fn one_barrier_per_step_unless_a_vertex_is_split() {
                 w.steps
             );
             assert!(w.replica_frames > 0, "{what}: no replica traffic");
+            assert_no_own_vmsg_on_the_wire(w, what);
         }
         for (v, &label) in &labels {
             assert_eq!(wcc.states[v], label, "split: vertex {v}");
@@ -292,6 +323,56 @@ fn one_barrier_per_step_unless_a_vertex_is_split() {
         assert_eq!(split.steps, pr1.steps);
         assert_ranks_close(&split.states, &pr1.states, "pagerank split vs whole");
     }
+}
+
+/// Every VMSG record on the wire was counted as sent to a peer and as
+/// received from one; the agent's own were delivered without a frame.
+fn assert_no_own_vmsg_on_the_wire(w: &RunWire, what: &str) {
+    let (frames, bytes) = w.vmsg_wire;
+    let (sent, recv) = w.vmsg_counted;
+    assert_eq!(sent, recv, "{what}: Σ vmsg_sent != Σ vmsg_recv");
+    assert_eq!(
+        bytes,
+        frames * VMSG_FRAME_HEAD + sent * VMSG_RECORD,
+        "{what}: {frames} VMSG frames hold records no barrier counted"
+    );
+    assert!(
+        w.vmsgs > sent,
+        "{what}: {} messages delivered, {sent} of them framed",
+        w.vmsgs
+    );
+}
+
+/// One agent: every vertex message is its own. The run puts no VMSG
+/// frame on the wire, counts none, delivers them all the same, and —
+/// one sender, one order — stays bit-exact across worker counts,
+/// PageRank's f64 sums included.
+#[test]
+fn single_agent_run_frames_no_vertex_message() {
+    let edges = big_graph(3000);
+    let pr = PageRank::new(0.85).with_max_iters(10);
+    let labels = elga::graph::reference::wcc(edges.iter().copied());
+    let wcc1 = run_wire(1, 1, 1 << 20, &edges, Wcc::new());
+    let wcc4 = run_wire(4, 1, 1 << 20, &edges, Wcc::new());
+    let pr1 = run_wire(1, 1, 1 << 20, &edges, pr);
+    let pr4 = run_wire(4, 1, 1 << 20, &edges, pr);
+    for (w, what) in [
+        (&wcc1, "wcc"),
+        (&wcc4, "wcc x4"),
+        (&pr1, "pr"),
+        (&pr4, "pr x4"),
+    ] {
+        assert_eq!(w.vmsg_wire, (0, 0), "{what}: VMSG frames on the wire");
+        assert_eq!(w.vmsg_counted, (0, 0), "{what}");
+        assert_eq!(w.replica_frames, 0, "{what}");
+        assert!(w.vmsgs > 3000, "{what}: {} messages", w.vmsgs);
+    }
+    assert_eq!(wcc1.states, wcc4.states);
+    for (v, &label) in &labels {
+        assert_eq!(wcc1.states[v], label, "vertex {v}");
+    }
+    assert_eq!((pr1.steps, pr1.vmsgs), (pr4.steps, pr4.vmsgs));
+    assert_eq!(pr1.states, pr4.states, "PageRank must be bit-exact");
 }
 
 #[test]
