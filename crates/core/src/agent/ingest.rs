@@ -2,6 +2,7 @@
 //! with ownership checks and forwarding, and degree-delta accounting.
 
 use super::*;
+use std::collections::hash_map::Entry;
 
 /// Reusable per-frame buffers of [`Agent::apply_changes`]: cleared, not
 /// dropped, so applying a small frame allocates nothing.
@@ -21,15 +22,36 @@ pub(super) struct IngestScratch {
 const SCRATCH_KEEP: usize = 1024;
 
 impl Agent {
+    /// Record a run of edges held in `key`'s adjacency on `side`, far
+    /// endpoints in `others`, skipping those already present; returns
+    /// how many were new. One store probe and one adjacency reservation
+    /// for the run, one index probe per edge.
+    pub(super) fn insert_edges(
+        &mut self,
+        side: Side,
+        key: VertexId,
+        others: impl ExactSizeIterator<Item = VertexId>,
+    ) -> usize {
+        let e = self.vertices.entry_or_default(key);
+        let (adj, pos) = match side {
+            Side::Out => (&mut e.out, &mut self.out_pos),
+            Side::In => (&mut e.inn, &mut self.in_pos),
+        };
+        adj.reserve(others.len());
+        let before = adj.len();
+        for other in others {
+            let edge = MigEdge::held_by(side, key, other);
+            if let Entry::Vacant(slot) = pos.entry((edge.src, edge.dst)) {
+                slot.insert(adj.len() as u32);
+                adj.push(other);
+            }
+        }
+        adj.len() - before
+    }
+
     /// Record out-edge `(u, v)`; false when already present.
     pub(super) fn insert_out_edge(&mut self, u: VertexId, v: VertexId) -> bool {
-        if self.out_pos.contains_key(&(u, v)) {
-            return false;
-        }
-        let e = self.vertices.entry_or_default(u);
-        self.out_pos.insert((u, v), e.out.len() as u32);
-        e.out.push(v);
-        true
+        self.insert_edges(Side::Out, u, std::iter::once(v)) == 1
     }
 
     /// Remove out-edge `(u, v)` in O(1): swap_remove at its indexed
@@ -51,13 +73,7 @@ impl Agent {
 
     /// Record in-edge `(u, v)` (stored on `v`); false when present.
     pub(super) fn insert_in_edge(&mut self, u: VertexId, v: VertexId) -> bool {
-        if self.in_pos.contains_key(&(u, v)) {
-            return false;
-        }
-        let e = self.vertices.entry_or_default(v);
-        self.in_pos.insert((u, v), e.inn.len() as u32);
-        e.inn.push(u);
-        true
+        self.insert_edges(Side::In, v, std::iter::once(u)) == 1
     }
 
     /// Remove in-edge `(u, v)` in O(1), as [`Agent::remove_out_edge`].
@@ -113,7 +129,6 @@ impl Agent {
             delta_batches,
             residuals,
         } = &mut scratch;
-        self.route_cache.ensure_epoch(self.view.epoch);
         let mut seen = 0;
         for change in changes {
             seen += 1;

@@ -11,7 +11,29 @@ struct Bundle {
     metas: Vec<MetaRecord>,
 }
 
+/// A sweep's shipments by destination, and what it looked at.
+struct Swept {
+    bundles: FxHashMap<AgentId, Bundle>,
+    /// Entries whose placement was decided.
+    examined: u64,
+    /// Entries that shipped an edge or their primary record.
+    moved: u64,
+}
+
 impl Agent {
+    /// The one place a view is taken on: the locator is rebuilt from it
+    /// and every owner memo follows it to its epoch, so a memo's epoch
+    /// is the view's wherever a lookup happens. What the memos keep
+    /// across the change is theirs to say ([`OwnerCache::adopt_epoch`]).
+    pub(super) fn adopt_view(&mut self, view: DirectoryView) {
+        self.locator = view.locator();
+        view.advance_memo(&mut self.route_cache);
+        for cache in &mut self.worker_caches {
+            view.advance_memo(cache);
+        }
+        self.view = view;
+    }
+
     pub(super) fn on_view(&mut self, view: DirectoryView) {
         if view.epoch < self.view.epoch || view.epoch <= self.migrated_epoch {
             return;
@@ -42,8 +64,7 @@ impl Agent {
         } else {
             None
         };
-        self.view = view;
-        self.locator = self.view.locator();
+        self.adopt_view(view);
         self.tracer
             .instant(EventKind::ViewAdopt, epoch, self.view.agents.len() as u64);
         if filter.is_none() {
@@ -75,42 +96,83 @@ impl Agent {
         self.migrate(epoch, filter);
     }
 
-    /// Re-evaluate the placement of local edges and primary meta
-    /// records; forward whatever no longer belongs here (§3.4.3). With
+    /// Decide, vertex by vertex, what no longer belongs here under the
+    /// adopted view and take it out of the store (§3.4.3). With
     /// `filter = Some(vs)`, only the placements of the given vertices
     /// are re-evaluated (sketch-only view changes) and primary meta
     /// never moves (the ring is unchanged).
-    pub(super) fn migrate(&mut self, epoch: u64, filter: Option<FxHashSet<VertexId>>) {
+    ///
+    /// The rule is per vertex. With replication factor 1 a vertex's
+    /// every edge and its primary record belong at its ring successor:
+    /// one ring lookup, and either the entry is not touched or all of
+    /// it goes to that one agent. Only a split vertex (`k > 1`) has its
+    /// edges placed one by one. The sketch's bound is consulted for one
+    /// thing: when it proves every `k` is 1, no estimate is computed.
+    fn sweep(&mut self, filter: Option<FxHashSet<VertexId>>) -> Swept {
         let mut bundles: FxHashMap<AgentId, Bundle> = FxHashMap::default();
         // Destinations of the vertex at hand (a handful at most).
         let mut dests: Vec<AgentId> = Vec::new();
+        let mut moved = 0;
 
-        let verts: Vec<VertexId> = match &filter {
-            Some(set) => set.iter().copied().collect(),
+        let sketch_only = filter.is_some();
+        let verts: Vec<VertexId> = match filter {
+            Some(set) => set.into_iter().collect(),
             None => self.vertices.keys().collect(),
         };
-        let sketch_only = filter.is_some();
-        self.route_cache.ensure_epoch(self.view.epoch);
-        // Batch-estimate every vertex up front: one row-seed setup for
-        // the whole sweep instead of per-vertex.
-        let ests = self.view.sketch.estimate_many(&verts);
-        for (v, est) in verts.into_iter().zip(ests) {
-            if !self.vertices.contains_key(&v) {
+        // Batch-estimate up front (one row-seed setup for the whole
+        // sweep), unless no estimate can matter.
+        let ests = if self.view.may_split() {
+            self.view.sketch.estimate_many(&verts)
+        } else {
+            Vec::new()
+        };
+        let my_id = self.id;
+        let ring = self.locator.ring();
+        // Off the ring, nothing stays: the edge indexes are cleared
+        // once at the end instead of unpicked key by key.
+        let leaving = !ring.is_empty() && !ring.contains(my_id);
+        for (i, &v) in verts.iter().enumerate() {
+            // On an empty ring there is nowhere to move anything.
+            let Some(primary) = ring.owner(v) else {
+                continue;
+            };
+            // No estimate is below every threshold.
+            let est = ests.get(i).copied().unwrap_or(0);
+            let k = self.locator.replication_factor(est);
+            if k == 1 && primary == my_id {
                 continue;
             }
-            // Place v once per retain sweep: both edge directions of v
-            // hash through the same (k, replica-set), so the cache does
-            // the ring walk a single time and the per-edge work is one
-            // second-hash lookup.
+            let Some(e) = self.vertices.get_mut(&v) else {
+                continue;
+            };
             dests.clear();
-            let rebuild = {
+            if k == 1 {
+                if !(e.out.is_empty() && e.inn.is_empty()) {
+                    if !leaving {
+                        for &w in &e.out {
+                            self.out_pos.remove(&(v, w));
+                        }
+                        for &u in &e.inn {
+                            self.in_pos.remove(&(u, v));
+                        }
+                    }
+                    // Drained, not taken: a leave brings the vertex
+                    // back, and its lists' buffers are still here.
+                    let edges = &mut bundles.entry(primary).or_default().edges;
+                    edges.extend(e.out.drain(..).map(|w| MigEdge::held_by(Side::Out, v, w)));
+                    edges.extend(e.inn.drain(..).map(|u| MigEdge::held_by(Side::In, v, u)));
+                    dests.push(primary);
+                }
+            } else {
+                // Place v once: both edge directions of v hash through
+                // the same (k, replica-set), so the cache does the ring
+                // walk a single time and the per-edge work is one
+                // second-hash lookup.
                 let locator = &self.locator;
                 let placement = self.route_cache.placement(locator, v, || est);
-                let my_id = self.id;
                 let (out_pos, in_pos) = (&mut self.out_pos, &mut self.in_pos);
-                let e = self.vertices.get_mut(&v).expect("exists");
                 let before = (e.out.len(), e.inn.len());
-                let mut moved = |owner: AgentId, side: Side, src: VertexId, dst: VertexId| {
+                let mut ship = |owner: AgentId, side: Side, src: VertexId, dst: VertexId| {
                     if !dests.contains(&owner) {
                         dests.push(owner);
                     }
@@ -121,7 +183,7 @@ impl Agent {
                     .retain(|&w| match locator.owner_from_placement(placement, w) {
                         Some(owner) if owner != my_id => {
                             out_pos.remove(&(v, w));
-                            moved(owner, Side::Out, v, w);
+                            ship(owner, Side::Out, v, w);
                             false
                         }
                         _ => true,
@@ -130,32 +192,27 @@ impl Agent {
                     .retain(|&u| match locator.owner_from_placement(placement, u) {
                         Some(owner) if owner != my_id => {
                             in_pos.remove(&(u, v));
-                            moved(owner, Side::In, u, v);
+                            ship(owner, Side::In, u, v);
                             false
                         }
                         _ => true,
                     });
-                (before.0 != e.out.len(), before.1 != e.inn.len())
-            };
-            // Retain compacts the adjacency vectors, so the surviving
-            // edges' position indices must be rebuilt.
-            if rebuild.0 || rebuild.1 {
-                let e = self.vertices.get(&v).expect("exists");
-                if rebuild.0 {
+                // Retain compacts the adjacency vectors, so the
+                // surviving edges' position indices must be rebuilt.
+                if before.0 != e.out.len() {
                     for (i, &w) in e.out.iter().enumerate() {
-                        self.out_pos.insert((v, w), i as u32);
+                        out_pos.insert((v, w), i as u32);
                     }
                 }
-                if rebuild.1 {
+                if before.1 != e.inn.len() {
                     for (i, &u) in e.inn.iter().enumerate() {
-                        self.in_pos.insert((u, v), i as u32);
+                        in_pos.insert((u, v), i as u32);
                     }
                 }
             }
             if !dests.is_empty() {
                 // The replica snapshot travels once per destination,
                 // whichever sides moved there.
-                let e = self.vertices.get(&v).expect("exists");
                 let snapshot = MigState {
                     rec: StateRecord {
                         vertex: v,
@@ -177,24 +234,17 @@ impl Agent {
                     bundles.entry(*agent).or_default().states.push(snapshot);
                 }
             }
-            // Primary meta handoff (never needed on sketch-only
-            // changes: the ring did not move).
-            if sketch_only {
-                if self.vertices.get(&v).is_some_and(|e| e.is_empty()) {
-                    self.vertices.remove(&v);
-                }
-                continue;
-            }
-            let is_primary_now = self.is_primary(v);
-            let e = self.vertices.get_mut(&v).expect("exists");
-            // The primary meta record moves with primaryship — and so
-            // does the async run state (a pending combined partial and
-            // its waiting-set progress), which can exist even where no
-            // meta record does (messages beat the meta to a previous
+            // The primary meta record moves with primaryship (never on
+            // sketch-only changes: the ring did not move) — and so does
+            // the async run state (a pending combined partial and its
+            // waiting-set progress), which can exist even where no meta
+            // record does (messages beat the meta to a previous
             // primary). `has_meta` tells the receiver which parts of
             // the record to adopt.
-            if (e.is_meta || e.has_ppartial || e.wait_recv > 0 || e.has_residual) && !is_primary_now
-            {
+            let hands_over = !sketch_only
+                && primary != my_id
+                && (e.is_meta || e.has_ppartial || e.wait_recv > 0 || e.has_residual);
+            if hands_over {
                 let meta = MetaRecord {
                     vertex: v,
                     state: e.state,
@@ -212,9 +262,7 @@ impl Agent {
                     snap: e.snap,
                     has_snap: e.has_snap,
                 };
-                if let Some(new_primary) = self.locator.ring().owner(v) {
-                    bundles.entry(new_primary).or_default().metas.push(meta);
-                }
+                bundles.entry(primary).or_default().metas.push(meta);
                 e.is_meta = false;
                 e.g_out = 0;
                 e.g_in = 0;
@@ -225,10 +273,34 @@ impl Agent {
                 e.residual = 0;
                 e.has_residual = false;
             }
-            if self.vertices.get(&v).is_some_and(|e| e.is_empty()) {
+            moved += u64::from(hands_over || !dests.is_empty());
+            if e.is_empty() {
                 self.vertices.remove(&v);
             }
         }
+        if leaving {
+            self.out_pos.clear();
+            self.in_pos.clear();
+        }
+        Swept {
+            bundles,
+            examined: verts.len() as u64,
+            moved,
+        }
+    }
+
+    /// Re-evaluate the placement of local edges and primary meta
+    /// records under the adopted view, forward whatever no longer
+    /// belongs here and report to the migrate barrier.
+    pub(super) fn migrate(&mut self, epoch: u64, filter: Option<FxHashSet<VertexId>>) {
+        let t0 = Instant::now();
+        let Swept {
+            bundles,
+            examined,
+            moved,
+        } = self.sweep(filter);
+        self.tracer
+            .span(EventKind::MigrateSweep, t0, examined, moved);
         // Ship the bundles: per destination, snapshots ahead of the
         // edges they describe, primary meta last. Whatever the size
         // threshold left open leaves with the migrate READY below.
@@ -332,11 +404,17 @@ impl Agent {
             return;
         };
         self.note_mig_recv(edges.len());
-        for MigEdge { side, src, dst } in edges {
-            match side {
-                Side::Out => self.insert_out_edge(src, dst),
-                Side::In => self.insert_in_edge(src, dst),
-            };
+        // A sweep emits each vertex's edges back to back, one side
+        // after the other: adopt every such run as one.
+        let mut rest = edges.iter();
+        while let Some(head) = rest.clone().next() {
+            let (side, key) = (head.side, head.endpoints().0);
+            let run = rest
+                .clone()
+                .take_while(|r| r.side == side && r.endpoints().0 == key)
+                .count();
+            let others = rest.by_ref().take(run).map(|r| r.endpoints().1);
+            self.insert_edges(side, key, others);
         }
         self.metrics.edges = self.out_pos.len() as u64;
         self.invalidate_worklists();
@@ -417,7 +495,11 @@ impl Agent {
 
 #[cfg(test)]
 mod tests {
+    use super::testkit::{detached, view, ME};
     use super::*;
+    use elga_net::{InProcTransport, SplitMix64};
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn vertex_entry_emptiness() {
@@ -428,5 +510,281 @@ mod tests {
         e.out.clear();
         e.is_meta = true;
         assert!(!e.is_empty());
+    }
+
+    /// What one destination was sent, in arrival order per kind.
+    #[derive(Debug, Default, PartialEq)]
+    struct Got {
+        states: Vec<MigState>,
+        edges: Vec<MigEdge>,
+        metas: Vec<MetaRecord>,
+    }
+
+    fn drain(transport: &InProcTransport, agent: AgentId) -> Got {
+        let mailbox = transport.bind(&agent_addr(agent)).expect("bind");
+        let mut got = Got::default();
+        while let Ok(Some(d)) = mailbox.try_recv() {
+            let f = &d.frame;
+            match f.packet_type() {
+                packet::MIG_STATE => got
+                    .states
+                    .extend(msg::decode_mig_states(f).expect("states")),
+                packet::MIG_EDGES => got.edges.extend(msg::decode_mig_edges(f).expect("edges")),
+                packet::MIG_META => got.metas.extend(msg::decode_mig_meta(f).expect("metas").2),
+                other => panic!("packet {other} on a migration stream"),
+            }
+        }
+        got
+    }
+
+    /// The index maps hold exactly the adjacency's positions.
+    fn assert_indexed(agent: &Agent) {
+        let mut out_pos = FxHashMap::default();
+        let mut in_pos = FxHashMap::default();
+        for (&v, e) in agent.vertices.iter() {
+            for (i, &w) in e.out.iter().enumerate() {
+                assert!(out_pos.insert((v, w), i as u32).is_none(), "{v}->{w} twice");
+            }
+            for (i, &u) in e.inn.iter().enumerate() {
+                assert!(in_pos.insert((u, v), i as u32).is_none(), "{u}->{v} twice");
+            }
+        }
+        assert_eq!(agent.out_pos, out_pos);
+        assert_eq!(agent.in_pos, in_pos);
+    }
+
+    fn store(agent: &Agent) -> BTreeMap<VertexId, VertexEntry> {
+        agent
+            .vertices
+            .iter()
+            .map(|(&v, e)| (v, e.clone()))
+            .collect()
+    }
+
+    /// A subset of agents 1..=5 drawn from `bits`, never empty.
+    fn members(bits: u64) -> Vec<AgentId> {
+        let set: Vec<AgentId> = (1..=5).filter(|a| bits >> a & 1 == 1).collect();
+        if set.is_empty() {
+            vec![2]
+        } else {
+            set
+        }
+    }
+
+    proptest! {
+        /// The sweep ships and keeps what a model that asks the locator
+        /// about every single edge would: same records, same order per
+        /// destination, same surviving store, indexes in step — over
+        /// random stores, joins, leaves, departures and sketch-only
+        /// epochs, with some vertices split.
+        #[test]
+        fn sweep_matches_a_per_edge_model(
+            seed in any::<u64>(),
+            old_bits in 0u64..64,
+            new_bits in 0u64..64,
+            same_membership in 0u8..4,
+            n_hubs in 0usize..4,
+        ) {
+            let mut rng = SplitMix64::new(seed);
+            let old_members = members(old_bits | 1 << ME);
+            let new_members = if same_membership == 0 {
+                old_members.clone()
+            } else {
+                members(new_bits)
+            };
+            let sketch_only = old_members == new_members;
+            let hubs: Vec<VertexId> = (0..n_hubs).map(|_| rng.below(40)).collect();
+            let old_hubs = &hubs[..rng.below(hubs.len() as u64 + 1) as usize];
+            let old = view(1, &old_members, old_hubs);
+            let new = view(2, &new_members, &hubs);
+            let (old_loc, new_loc) = (old.locator(), new.locator());
+
+            // A store as the old view leaves it (every edge where the
+            // old placement puts it) — plus, when the membership moves,
+            // strays the sweep must place like anything else.
+            let (transport, mut agent) = detached(old.clone());
+            for _ in 0..rng.below(400) {
+                let (u, v) = (rng.below(40), rng.below(40));
+                let stray = !sketch_only && rng.below(16) == 0;
+                if stray || old_loc.owner_of_edge(u, v, old.sketch.estimate(u)) == Some(ME) {
+                    agent.insert_out_edge(u, v);
+                }
+                if stray || old_loc.owner_of_edge(v, u, old.sketch.estimate(v)) == Some(ME) {
+                    agent.insert_in_edge(u, v);
+                }
+            }
+            for v in 0..40 {
+                let r = rng.next_u64();
+                if r & 3 == 0 && agent.vertices.get(&v).is_none() {
+                    continue;
+                }
+                let e = agent.vertices.entry_or_default(v);
+                (e.state, e.has_state, e.active) = (r >> 8, r & 4 != 0, r & 8 != 0);
+                (e.rep_out_degree, e.snap, e.has_snap) = (r % 7, r >> 9, r & 16 != 0);
+                (e.pending_delta, e.has_pending_delta) = (r >> 10 | 1, r & 32 != 0);
+                if old_loc.ring().owner(v) == Some(ME) || r & 64 != 0 {
+                    (e.is_meta, e.dirty) = (true, r & 128 != 0);
+                    (e.g_out, e.g_in) = ((r % 5) as i64, (r % 3) as i64);
+                }
+                (e.ppartial, e.has_ppartial, e.wait_recv) = (r >> 11, r & 256 != 0, r >> 12 & 1);
+                (e.residual, e.has_residual) = (r >> 13, r & 512 != 0);
+                if e.is_empty() {
+                    agent.vertices.remove(&v);
+                }
+            }
+            assert_indexed(&agent);
+
+            // The model: every resident entry, in store order, edge by
+            // edge through `EdgeLocator::owner_of_edge`.
+            let mut want: BTreeMap<AgentId, Got> = BTreeMap::new();
+            let mut keep = store(&agent);
+            // A sketch-only epoch re-places the vertices whose `k` it
+            // changed, in the order the set of them iterates.
+            let k_moved = |&v: &VertexId| {
+                let k_old = old_loc.replication_factor(old.sketch.estimate(v));
+                k_old != new_loc.replication_factor(new.sketch.estimate(v))
+            };
+            let order: Vec<VertexId> = if sketch_only {
+                let changed: FxHashSet<VertexId> = agent.vertices.keys().filter(k_moved).collect();
+                changed.into_iter().collect()
+            } else {
+                agent.vertices.keys().collect()
+            };
+            for v in order {
+                let est = new.sketch.estimate(v);
+                let e = keep.get_mut(&v).expect("resident");
+                let mut dests: Vec<AgentId> = Vec::new();
+                let mut place = |side, others: &mut Vec<VertexId>| {
+                    others.retain(|&other| {
+                        let owner = new_loc.owner_of_edge(v, other, est).expect("ring");
+                        if owner != ME {
+                            if !dests.contains(&owner) {
+                                dests.push(owner);
+                            }
+                            let edge = MigEdge::held_by(side, v, other);
+                            want.entry(owner).or_default().edges.push(edge);
+                        }
+                        owner == ME
+                    })
+                };
+                place(Side::Out, &mut e.out);
+                place(Side::In, &mut e.inn);
+                let aux = if e.has_pending_delta { e.pending_delta } else { 0 };
+                let (vertex, state, active, has_state) = (v, e.state, e.active, e.has_state);
+                let rec = StateRecord { vertex, state, out_degree: e.rep_out_degree, aux, active };
+                for d in dests {
+                    want.entry(d).or_default().states.push(MigState { rec, has_state });
+                }
+                let primary = new_loc.ring().owner(v).expect("ring");
+                let parked = e.has_ppartial || e.wait_recv > 0 || e.has_residual;
+                if !sketch_only && primary != ME && (e.is_meta || parked) {
+                    want.entry(primary).or_default().metas.push(MetaRecord {
+                        vertex,
+                        state,
+                        out_degree: e.g_out as u64,
+                        in_degree: e.g_in as u64,
+                        active,
+                        dirty: e.dirty,
+                        has_state,
+                        has_meta: e.is_meta,
+                        ppartial: e.ppartial,
+                        has_ppartial: e.has_ppartial,
+                        wait_recv: e.wait_recv,
+                        residual: e.residual,
+                        has_residual: e.has_residual,
+                        snap: e.snap,
+                        has_snap: e.has_snap,
+                    });
+                    let survives = VertexEntry {
+                        out: std::mem::take(&mut e.out),
+                        inn: std::mem::take(&mut e.inn),
+                        ..VertexEntry::default()
+                    };
+                    *e = VertexEntry {
+                        state,
+                        has_state,
+                        active,
+                        rep_out_degree: e.rep_out_degree,
+                        pending_delta: e.pending_delta,
+                        has_pending_delta: e.has_pending_delta,
+                        snap: e.snap,
+                        has_snap: e.has_snap,
+                        ..survives
+                    };
+                }
+                if e.is_empty() {
+                    keep.remove(&v);
+                }
+            }
+
+            agent.on_view(new.clone());
+
+            for &d in new_members.iter().filter(|&&d| d != ME) {
+                let got = drain(&transport, d);
+                prop_assert_eq!(&got, &want.remove(&d).unwrap_or_default(), "to agent {}", d);
+            }
+            prop_assert!(want.is_empty(), "records for agents off the view: {want:?}");
+            let kept = store(&agent);
+            for v in 0..40 {
+                prop_assert_eq!(kept.get(&v), keep.get(&v), "entry of vertex {}", v);
+            }
+            assert_indexed(&agent);
+        }
+
+        /// MIG_EDGES adoption does not depend on framing: the same
+        /// records one frame each, or all in one frame, or cut anywhere
+        /// in between, leave the same adjacency order and index maps,
+        /// and turn away the same duplicates.
+        #[test]
+        fn edge_adoption_is_framing_independent(
+            picks in prop::collection::vec((0u64..6, 0u64..12, any::<bool>(), 1usize..6), 1..60),
+            cuts in prop::collection::vec(1usize..9, 1..8),
+        ) {
+            // Runs as a sweep emits them (a vertex's edges on one side,
+            // back to back), with repeats inside and across runs.
+            let mut records: Vec<MigEdge> = Vec::new();
+            for (key, other, out, len) in picks {
+                let side = if out { Side::Out } else { Side::In };
+                records.extend((0..len as u64).map(|i| MigEdge::held_by(side, key, (other + i * i) % 12)));
+            }
+            let adopt = |frames: &mut dyn Iterator<Item = &[MigEdge]>| {
+                let (transport, mut agent) = detached(view(1, &[ME], &[]));
+                let to_me = transport.sender(&agent_addr(ME)).expect("sender");
+                let mut out = CoalescingOutbox::new(to_me, CoalesceConfig::default());
+                for frame in frames {
+                    msg::append_mig_edges(&mut out, frame);
+                    out.flush();
+                }
+                while let Ok(Some(d)) = agent.mailbox.try_recv() {
+                    prop_assert!(agent.handle(d));
+                }
+                assert_indexed(&agent);
+                prop_assert_eq!(agent.counters.mig_recv, records.len() as u64);
+                (store(&agent), agent.metrics.edges)
+            };
+            let one_each = adopt(&mut records.chunks(1));
+            let whole = adopt(&mut std::iter::once(&records[..]));
+            let mut rest = &records[..];
+            let mut sizes = cuts.iter().cycle();
+            let ragged = adopt(&mut std::iter::from_fn(|| {
+                let n = (*sizes.next()?).min(rest.len());
+                let (frame, tail) = rest.split_at(n);
+                rest = tail;
+                (n > 0).then_some(frame)
+            }));
+            prop_assert_eq!(&one_each, &whole);
+            prop_assert_eq!(&one_each, &ragged);
+            // The per-record reference: first occurrence wins.
+            let mut want: BTreeMap<VertexId, VertexEntry> = BTreeMap::new();
+            for r in &records {
+                let (key, other) = r.endpoints();
+                let e = want.entry(key).or_default();
+                let adj = if r.side == Side::Out { &mut e.out } else { &mut e.inn };
+                if !adj.contains(&other) {
+                    adj.push(other);
+                }
+            }
+            prop_assert_eq!(one_each.0, want);
+        }
     }
 }

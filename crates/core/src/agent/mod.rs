@@ -80,6 +80,7 @@ const MAX_HOPS: u8 = 64;
 /// a vertex can have here: replica (edges + state copy), aggregation
 /// target (partials), and primary (authoritative meta).
 #[derive(Debug, Clone, Default)]
+#[cfg_attr(test, derive(PartialEq))]
 pub(crate) struct VertexEntry {
     /// Local out-edges (this agent owns their out-placement).
     pub(crate) out: Vec<VertexId>,
@@ -365,16 +366,37 @@ impl Agent {
         let (view, run_info) =
             msg::decode_join_reply(&reply).ok_or(NetError::Protocol("bad join reply"))?;
         let dir_push = transport.sender(&directory)?;
+        let mut agent = Agent::new(transport, cfg, id, mailbox, dir_push, view);
+        agent.metrics.retries_attempted = join_retries as u64;
+        if let Some(info) = run_info {
+            agent.begin_run(info);
+        }
+        Ok(agent)
+    }
+
+    /// An agent holding nothing, under `view`; all I/O handles given.
+    fn new(
+        transport: Arc<dyn Transport>,
+        cfg: SystemConfig,
+        id: AgentId,
+        mailbox: elga_net::Mailbox,
+        dir_push: Outbox,
+        view: DirectoryView,
+    ) -> Agent {
         let locator = view.locator();
         let workers = cfg.workers_effective();
         let new_cache = || {
-            if cfg.owner_cache {
+            let mut cache = if cfg.owner_cache {
                 OwnerCache::new()
             } else {
                 OwnerCache::disabled()
-            }
+            };
+            view.advance_memo(&mut cache);
+            cache
         };
-        let mut agent = Agent {
+        let (route_cache, worker_caches) =
+            (new_cache(), (0..workers).map(|_| new_cache()).collect());
+        Agent {
             id,
             cfg: cfg.clone(),
             transport,
@@ -389,14 +411,13 @@ impl Agent {
             out_pos: FxHashMap::default(),
             in_pos: FxHashMap::default(),
             workers,
-            route_cache: new_cache(),
-            worker_caches: (0..workers).map(|_| new_cache()).collect(),
+            route_cache,
+            worker_caches,
             scratch: StepScratch::new(),
             ingest_scratch: IngestScratch::default(),
             counters: Counters::default(),
             metrics: AgentMetrics {
                 agent: id,
-                retries_attempted: join_retries as u64,
                 ..Default::default()
             },
             run: None,
@@ -421,11 +442,7 @@ impl Agent {
             snap_watermark: 0,
             subs: FxHashMap::default(),
             watchers: FxHashMap::default(),
-        };
-        if let Some(info) = run_info {
-            agent.begin_run(info);
         }
-        Ok(agent)
     }
 
     /// Spawn the agent's thread.
@@ -1152,5 +1169,57 @@ impl Agent {
         self.run
             .as_ref()
             .map(|r| (r.info.run_id, r.step, r.phase, r.async_live))
+    }
+}
+
+/// Agents for unit tests: built with [`Agent::new`], joined to nothing.
+#[cfg(test)]
+pub(super) mod testkit {
+    use super::*;
+    use crate::msg::AgentInfo;
+    use elga_hash::HashKind;
+    use elga_net::InProcTransport;
+
+    /// The agent under test.
+    pub const ME: AgentId = 1;
+    /// Replication threshold of [`view`]; a hub is estimated at 3×.
+    const THRESHOLD: u64 = 40;
+
+    /// A view of `members` whose sketch puts `hubs` over the threshold.
+    pub fn view(epoch: u64, members: &[AgentId], hubs: &[VertexId]) -> DirectoryView {
+        let mut sketch = CountMinSketch::new(64, 3);
+        for &h in hubs {
+            sketch.add(h, 3 * THRESHOLD as u32);
+        }
+        DirectoryView {
+            epoch,
+            batch_id: 0,
+            n_vertices: 0,
+            agents: members
+                .iter()
+                .map(|&id| AgentInfo {
+                    id,
+                    addr: agent_addr(id),
+                })
+                .collect(),
+            sketch,
+            hash: HashKind::Wang,
+            virtual_agents: 8,
+            replication_threshold: THRESHOLD,
+            max_replicas: 3,
+        }
+    }
+
+    /// Agent [`ME`] on a transport of its own: frames it sends wait in
+    /// the in-process hub for whoever binds the destination address.
+    pub fn detached(view: DirectoryView) -> (Arc<InProcTransport>, Agent) {
+        let transport = Arc::new(InProcTransport::new());
+        let mailbox = transport.bind(&agent_addr(ME)).expect("bind");
+        let dir_push = transport
+            .sender(&Addr::inproc("nobody"))
+            .expect("in-process sender");
+        let cfg = SystemConfig::default();
+        let agent = Agent::new(transport.clone(), cfg, ME, mailbox, dir_push, view);
+        (transport, agent)
     }
 }

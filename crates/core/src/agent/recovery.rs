@@ -64,8 +64,7 @@ impl Agent {
         self.snap_run = 0;
         self.snap_watermark = 0;
         self.metrics.edges = 0;
-        self.view = rec.view;
-        self.locator = self.view.locator();
+        self.adopt_view(rec.view);
         self.migrated_epoch = epoch;
         self.send_ready(0, epoch as u32, Phase::Migrate, 0, 0.0);
         true

@@ -243,10 +243,6 @@ impl Agent {
                 }
             };
         }
-        let epoch = self.view.epoch;
-        for c in &mut self.worker_caches {
-            c.ensure_epoch(epoch);
-        }
         // Worker choice follows the work: a small frontier on a large
         // store runs serially, since thread-spawn overhead would dwarf
         // the kernel. Harmless for determinism — output bytes do not
@@ -485,9 +481,17 @@ impl Agent {
                 self.counters.state_recv += view.records.len() as u64;
                 let delta_run = self.run.as_ref().is_some_and(|r| r.info.delta);
                 for rec in view.records {
+                    let own = self.is_primary(rec.vertex);
                     let e = self.vertices.entry_or_default(rec.vertex);
-                    e.state = rec.state;
-                    e.has_state = true;
+                    // A primary's own state is the newest there is: the
+                    // record is its own broadcast coming back through
+                    // the mailbox, and a commit made since must not be
+                    // undone by it (the next, worse message would then
+                    // pass for an improvement and stick).
+                    if !(own && e.has_state) {
+                        e.state = rec.state;
+                        e.has_state = true;
+                    }
                     e.rep_out_degree = rec.out_degree;
                     e.active = rec.active;
                     if delta_run {
@@ -611,7 +615,6 @@ impl Agent {
             })
             .collect();
         let count = owned.len() as u64;
-        self.route_cache.ensure_epoch(self.view.epoch);
         for (v, rec) in owned {
             let replicas: Vec<AgentId> = {
                 let sketch = &self.view.sketch;
@@ -686,7 +689,6 @@ impl Agent {
         let n_vertices = run.n_vertices;
         let step = run.step;
         let run_id = run.info.run_id;
-        self.route_cache.ensure_epoch(self.view.epoch);
         let mut batches: FxHashMap<AgentId, Vec<(VertexId, u64)>> = FxHashMap::default();
         {
             let locator = &self.locator;
@@ -728,7 +730,6 @@ impl Agent {
         let n_vertices = run.n_vertices;
         let step = run.step;
         let run_id = run.info.run_id;
-        self.route_cache.ensure_epoch(self.view.epoch);
         let mut batches: FxHashMap<AgentId, Vec<(VertexId, u64)>> = FxHashMap::default();
         {
             let locator = &self.locator;
@@ -785,7 +786,6 @@ impl Agent {
             // Stale routing: the sender resolved `v` under an older
             // view. Re-resolve against the adopted epoch and forward to
             // the vertex's current primary.
-            self.route_cache.ensure_epoch(self.view.epoch);
             let primary = {
                 let sketch = &self.view.sketch;
                 self.route_cache
@@ -894,7 +894,6 @@ impl Agent {
         let run_id = run.info.run_id;
         let dangling_base = run.info.dangling_base;
         let hot: Vec<VertexId> = self.delta_hot.drain().collect();
-        self.route_cache.ensure_epoch(self.view.epoch);
         let mut dangling = 0.0;
         for v in hot {
             let mut broadcast: Option<StateRecord> = None;
@@ -998,7 +997,6 @@ impl Agent {
                 aux: 0,
                 active: true,
             };
-            self.route_cache.ensure_epoch(self.view.epoch);
             let replicas: Vec<AgentId> = {
                 let sketch = &self.view.sketch;
                 self.route_cache
@@ -1809,5 +1807,51 @@ mod tests {
             shard.assert_worklists_complete();
             assert!(shard.lists.partial_dirty.is_empty());
         }
+    }
+
+    /// Async mode: a primary's broadcasts come back to it through its
+    /// own mailbox, possibly after it has committed something better.
+    /// Adopting the older record would undo that commit, and the next
+    /// message — worse than what was committed, better than what was
+    /// restored — would then stick (stale WCC labels, once in ~10 runs
+    /// of `tests/determinism.rs::async_wcc_matches_sync_bit_exact`).
+    #[test]
+    fn a_primary_does_not_take_its_own_older_broadcast_back() {
+        use super::super::testkit::{detached, view, ME};
+        let (_transport, mut agent) = detached(view(1, &[ME], &[]));
+        let (tag, params) = ProgramSpec::Wcc.encode();
+        agent.begin_run(RunInfo {
+            run_id: 1,
+            tag,
+            params,
+            reuse_state: false,
+            asynchronous: true,
+            delta: false,
+            dangling_base: 0.0,
+            watermark: 0,
+        });
+        let run = agent.run.as_mut().expect("run");
+        (run.step, run.async_live) = (1, true);
+        let state_of = |agent: &Agent| agent.vertices.get(&9).expect("entry").state;
+        // Deliver what has reached the mailbox so far, oldest first.
+        let deliver = |agent: &mut Agent, n: usize| {
+            agent.flush_outboxes();
+            for _ in 0..n {
+                let d = agent.mailbox.try_recv().expect("open").expect("queued");
+                assert!(agent.handle(d));
+            }
+        };
+        let message = |agent: &mut Agent, label: u64| {
+            agent.async_apply(9, label);
+            agent.flush_outboxes();
+        };
+        message(&mut agent, 4); // commits 4, STATE(4) queued to self
+        message(&mut agent, 0); // commits 0, STATE(0) queued behind it
+        deliver(&mut agent, 1); // STATE(4) comes back
+        assert_eq!(state_of(&agent), 0, "the commit of 0 was undone");
+        message(&mut agent, 3); // no improvement on 0
+        deliver(&mut agent, 1); // STATE(0)
+        assert!(agent.mailbox.try_recv().expect("open").is_none());
+        assert_eq!(state_of(&agent), 0);
     }
 }

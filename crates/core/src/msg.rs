@@ -8,7 +8,7 @@
 //! their own type.
 
 use elga_graph::types::{Action, EdgeChange, VertexId};
-use elga_hash::{AgentId, EdgeLocator, HashKind, LocatorConfig, Ring};
+use elga_hash::{AgentId, EdgeLocator, HashKind, LocatorConfig, OwnerCache, Ring};
 use elga_net::{Addr, CoalescingOutbox, Frame, FrameReader};
 use elga_sketch::cms::DimensionMismatch;
 use elga_sketch::{CountMinSketch, SketchDelta};
@@ -325,6 +325,14 @@ impl DirectoryView {
         self.locator_config()
             .replication_factor(bound, self.agents.len())
             > 1
+    }
+
+    /// Bring an owner memo to this view: its epoch, and — through
+    /// whether the view can split a vertex — what the memo may keep
+    /// from earlier ones ([`OwnerCache::adopt_epoch`]). Every lookup
+    /// that follows must use this view's locator.
+    pub fn advance_memo(&self, cache: &mut OwnerCache) {
+        cache.adopt_epoch(self.epoch, self.may_split());
     }
 
     /// Address of an agent by id.
@@ -1146,6 +1154,29 @@ pub struct MigEdge {
     pub src: VertexId,
     /// Edge destination.
     pub dst: VertexId,
+}
+
+impl MigEdge {
+    /// The edge held in `key`'s adjacency on `side`, `other` being its
+    /// far endpoint.
+    #[inline]
+    pub fn held_by(side: Side, key: VertexId, other: VertexId) -> MigEdge {
+        let (src, dst) = match side {
+            Side::Out => (key, other),
+            Side::In => (other, key),
+        };
+        MigEdge { side, src, dst }
+    }
+
+    /// `(key, other)`: the vertex whose adjacency holds this edge, and
+    /// the far endpoint stored there.
+    #[inline]
+    pub fn endpoints(&self) -> (VertexId, VertexId) {
+        match self.side {
+            Side::Out => (self.src, self.dst),
+            Side::In => (self.dst, self.src),
+        }
+    }
 }
 
 impl WireRecord for MigEdge {

@@ -109,10 +109,6 @@ impl VertexStore {
         self.shards[shard_of(*v)].map.get_mut(v)
     }
 
-    pub fn contains_key(&self, v: &VertexId) -> bool {
-        self.shards[shard_of(*v)].map.contains_key(v)
-    }
-
     /// Entry-or-default, as `FxHashMap::entry(v).or_default()`.
     pub fn entry_or_default(&mut self, v: VertexId) -> &mut VertexEntry {
         self.entry_and_lists(v).0
@@ -223,7 +219,7 @@ mod tests {
         assert_eq!(store.len(), 1);
         store.clear();
         assert_eq!(store.len(), 0);
-        assert!(!store.contains_key(&2));
+        assert!(store.get(&2).is_none());
     }
 
     #[test]

@@ -69,8 +69,9 @@ pub struct Streamer {
     /// Latched once the retained log exceeds `cfg.change_log_cap`, so
     /// the warning fires once per excursion instead of once per batch.
     log_warned: bool,
-    /// Per-view-epoch owner memo: each distinct source vertex is
-    /// hashed and estimated once per epoch instead of once per edge.
+    /// Owner memo: each distinct source vertex is hashed and estimated
+    /// once, and checked against the ring once per membership change,
+    /// instead of once per edge.
     cache: OwnerCache,
     /// The current batch's sketch increments; emptied (touched cells
     /// only) once they are encoded.
@@ -94,11 +95,12 @@ impl Streamer {
         )?;
         let view = DirectoryView::decode(&rep).ok_or(NetError::Protocol("bad view"))?;
         let locator = view.locator();
-        let cache = if cfg.owner_cache {
+        let mut cache = if cfg.owner_cache {
             OwnerCache::new()
         } else {
             OwnerCache::disabled()
         };
+        view.advance_memo(&mut cache);
         let tracer = Arc::new(Tracer::from_flag(cfg.tracing));
         let delta = SketchDelta::new(view.sketch.width(), view.sketch.depth());
         Ok(Streamer {
@@ -142,13 +144,16 @@ impl Streamer {
         Ok(())
     }
 
-    /// Adopt a newer view. One of the epoch already held is no news:
-    /// under one epoch every sketch places every vertex alike, and
-    /// keeping ours keeps the owner memo consistent with it.
+    /// Adopt a newer view: the locator and the owner memo follow it, so
+    /// the memo's epoch is the view's wherever `route` looks. One of
+    /// the epoch already held is no news: under one epoch every sketch
+    /// places every vertex alike, and keeping ours keeps the memo
+    /// consistent with it.
     fn adopt(&mut self, view: DirectoryView) {
         if view.epoch > self.view.epoch {
             self.view = view;
             self.locator = self.view.locator();
+            self.view.advance_memo(&mut self.cache);
             self.tracer.instant(
                 EventKind::ViewAdopt,
                 self.view.epoch,
@@ -343,7 +348,6 @@ impl Streamer {
     /// Every destination gets its out-placement records first, then its
     /// in-placement records, each in batch order.
     fn route(&mut self, changes: &[EdgeChange]) -> usize {
-        self.cache.ensure_epoch(self.view.epoch);
         let mut pushed = 0;
         for side in [Side::Out, Side::In] {
             for block in changes.chunks(ROUTE_BLOCK) {

@@ -1,7 +1,7 @@
-//! Epoch-scoped owner-resolution cache.
+//! Owner-resolution cache that follows the view from epoch to epoch.
 //!
 //! Every hot path in the system — scatter routing, streamer ingest,
-//! change application, migration sweeps — asks the same question over
+//! change application, async handlers — asks the same question over
 //! and over: "who owns edge `(u, v)`?". Answering it from scratch costs
 //! a count-min-sketch estimate (`depth` row hashes) plus an
 //! `O(log P·V)` ring walk plus, for replicated vertices, re-hashing the
@@ -20,30 +20,49 @@
 //! move), ring or replication parameters, and a sketch fold under
 //! which some vertex may be split (`k` can change). A fold that leaves
 //! every vertex at `k = 1` — every ingest batch, on a graph without a
-//! hub over the replication threshold — is not an epoch, so a memo
-//! lives as long as the membership does, not as long as a batch.
+//! hub over the replication threshold — is not an epoch.
 //!
-//! The cache is therefore keyed by a single `u64` epoch, and
-//! [`OwnerCache::ensure_epoch`] drops everything when it changes.
-//! Callers pass the epoch of the view whose locator/sketch they
-//! resolve against. (Dropping only the entries whose ring arc moved on
-//! a membership change is still open: ROADMAP item 4.)
+//! Each entry remembers the epoch it was last checked under, and
+//! [`OwnerCache::adopt_epoch`] decides what a new epoch costs:
 //!
-//! `DirectoryView` lives in `elga-core`; this crate only sees the epoch
-//! number, which keeps the dependency arrow pointing the right way.
+//! * the new view **may split** a vertex: any `k` may have changed and
+//!   telling needs a sketch estimate per vertex, which is what a miss
+//!   pays anyway — everything is dropped;
+//! * the new view's sketch bound proves **every `k` is 1**: a placement
+//!   is then the ring successor and nothing else, so entries stay and
+//!   the first lookup of each under the new epoch *revalidates* it in
+//!   place — one ring lookup, no estimate, no re-insert. A join or a
+//!   leave moves `~1/P` of the successors (§3.4.1–3.4.2); the other
+//!   entries are served as they are. An entry that was split under the
+//!   view it was resolved for is never served across an epoch: its
+//!   first lookup resolves it anew.
+//!
+//! The bound only ever *saves estimates*; which of the two happened is
+//! the caller's to say because `DirectoryView` lives in `elga-core` and
+//! this crate only sees the epoch number, which keeps the dependency
+//! arrow pointing the right way. Callers advance the cache where they
+//! adopt the view, so a cache's epoch is its view's by construction.
 
 use crate::fx::FxHashMap;
 use crate::locator::{EdgeLocator, VertexPlacement};
 use crate::ring::AgentId;
+use std::collections::hash_map::Entry;
 
-/// Memo of `vertex → placement` under one view epoch, wrapping
-/// [`EdgeLocator`]. Degree estimates are supplied by closures so the
-/// cache works against any estimator (live CMS view, tests with fixed
-/// degrees) and only pays for estimation on a miss.
+/// One memoised placement and the epoch it was last checked under.
+#[derive(Debug)]
+struct Memo {
+    placement: VertexPlacement,
+    epoch: u64,
+}
+
+/// Memo of `vertex → placement`, wrapping [`EdgeLocator`]. Degree
+/// estimates are supplied by closures so the cache works against any
+/// estimator (live CMS view, tests with fixed degrees) and only pays
+/// for estimation on a miss.
 #[derive(Debug)]
 pub struct OwnerCache {
     epoch: u64,
-    entries: FxHashMap<u64, VertexPlacement>,
+    entries: FxHashMap<u64, Memo>,
     enabled: bool,
     hits: u64,
     misses: u64,
@@ -77,17 +96,28 @@ impl OwnerCache {
         }
     }
 
-    /// Align the cache with a view epoch, dropping all entries if it
-    /// differs from the epoch the entries were resolved under. Call
-    /// before any batch of lookups.
+    /// Align the cache with a view epoch about which nothing else is
+    /// known: drops all entries if it differs from the current one.
     pub fn ensure_epoch(&mut self, epoch: u64) {
+        self.adopt_epoch(epoch, true);
+    }
+
+    /// Follow the caller's view to `epoch`. `may_split` is whether the
+    /// new view can give any vertex `k > 1`. If it can, every entry is
+    /// dropped; if not, entries stay and each is revalidated against
+    /// the new ring by its next lookup (module docs). Call where the
+    /// view is adopted, with the locator of that view in every lookup
+    /// that follows.
+    pub fn adopt_epoch(&mut self, epoch: u64, may_split: bool) {
         if self.epoch != epoch {
             self.epoch = epoch;
-            self.entries.clear();
+            if may_split {
+                self.entries.clear();
+            }
         }
     }
 
-    /// The epoch the current entries belong to.
+    /// The epoch lookups are answered for.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -103,11 +133,54 @@ impl OwnerCache {
     }
 
     /// Lifetime lookup counters `(hits, misses)`. Hits count lookups
-    /// served from the memo; misses count distinct placements resolved.
-    /// Counters survive epoch invalidation (they describe the cache,
-    /// not one view).
+    /// served from the memo, revalidated entries whose owner stood
+    /// included; misses count placements resolved, and revalidations
+    /// that found a new owner. Counters survive epoch changes (they
+    /// describe the cache, not one view).
     pub fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
+    }
+
+    /// One probe of the memo: serve, revalidate or resolve `u`.
+    #[inline]
+    fn memo(
+        &mut self,
+        loc: &EdgeLocator,
+        u: u64,
+        estimate: impl FnOnce() -> u64,
+    ) -> &VertexPlacement {
+        let epoch = self.epoch;
+        match self.entries.entry(u) {
+            Entry::Occupied(e) => {
+                let m = e.into_mut();
+                if m.epoch == epoch {
+                    self.hits += 1;
+                } else {
+                    // Kept across an epoch, so every `k` is 1 now: an
+                    // unsplit entry needs its ring successor checked, a
+                    // split one is stale whatever the ring says.
+                    m.epoch = epoch;
+                    let stood = if m.placement.k == 1 {
+                        let primary = loc.ring().owner(u);
+                        std::mem::replace(&mut m.placement.primary, primary) == primary
+                    } else {
+                        m.placement = loc.placement(u, estimate());
+                        false
+                    };
+                    if stood {
+                        self.hits += 1;
+                    } else {
+                        self.misses += 1;
+                    }
+                }
+                &m.placement
+            }
+            Entry::Vacant(e) => {
+                self.misses += 1;
+                let placement = loc.placement(u, estimate());
+                &e.insert(Memo { placement, epoch }).placement
+            }
+        }
     }
 
     /// The placement of `u`, resolving (and memoising) it via
@@ -123,16 +196,7 @@ impl OwnerCache {
             // somewhere to live, but never serve a stale one.
             self.entries.clear();
         }
-        match self.entries.entry(u) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                self.hits += 1;
-                e.into_mut()
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                self.misses += 1;
-                e.insert(loc.placement(u, estimate()))
-            }
-        }
+        self.memo(loc, u, estimate)
     }
 
     /// Owner of edge `(u, v)`: cached placement of `u`, then the
@@ -197,16 +261,7 @@ impl OwnerCache {
         }
         out.reserve(pairs.len());
         for &(u, v) in pairs {
-            let p = match self.entries.entry(u) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    self.hits += 1;
-                    e.into_mut()
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    self.misses += 1;
-                    e.insert(loc.placement(u, estimate(u)))
-                }
-            };
+            let p = self.memo(loc, u, || estimate(u));
             out.push(loc.owner_from_placement(p, v));
         }
     }
@@ -329,6 +384,52 @@ mod tests {
         cache.ensure_epoch(2);
         let after = cache.placement(&loc, 9, || 500).k;
         assert_eq!(after, 5);
+    }
+
+    #[test]
+    fn a_membership_epoch_revalidates_unsplit_entries_in_place() {
+        let loc_a = locator(4, 100);
+        let loc_b = locator(5, 100); // agent 4 joined
+        let mut cache = OwnerCache::new();
+        cache.adopt_epoch(1, false);
+        for u in 0..200u64 {
+            cache.placement(&loc_a, u, || 5);
+        }
+        assert_eq!(cache.stats(), (0, 200));
+        cache.adopt_epoch(2, false);
+        assert_eq!(cache.len(), 200, "nothing is dropped");
+        let moved = (0..200u64)
+            .filter(|&u| loc_a.ring().owner(u) != loc_b.ring().owner(u))
+            .count() as u64;
+        assert!(moved > 0 && moved < 100);
+        for _ in 0..2 {
+            for u in 0..200u64 {
+                let p = cache.placement(&loc_b, u, || panic!("k = 1 needs no estimate"));
+                assert_eq!(*p, loc_b.placement(u, 5));
+            }
+        }
+        // Only the successors that moved count as misses; the second
+        // pass is served without a ring lookup.
+        assert_eq!(cache.stats(), (400 - moved, 200 + moved));
+    }
+
+    #[test]
+    fn a_split_entry_is_resolved_anew_under_the_next_epoch() {
+        let loc = locator(8, 100);
+        let mut cache = OwnerCache::new();
+        cache.adopt_epoch(1, true);
+        assert_eq!(cache.placement(&loc, 9, || 500).k, 5);
+        // The next view cannot split (say its sketch was rebuilt): the
+        // entry stays in the map but is not served.
+        cache.adopt_epoch(2, false);
+        let mut asked = false;
+        let p = cache.placement(&loc, 9, || {
+            asked = true;
+            5
+        });
+        assert_eq!(*p, loc.placement(9, 5));
+        assert!(asked);
+        assert_eq!(cache.stats(), (0, 2));
     }
 
     #[test]

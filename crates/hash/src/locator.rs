@@ -72,22 +72,28 @@ pub struct VertexPlacement {
     /// First replica (ring successor) — the vertex's primary owner.
     /// `None` only when the ring is empty.
     pub primary: Option<AgentId>,
-    /// Replica set in ring order from the successor when `k > 1`.
-    /// Empty — unallocated — when `k == 1`: the set is `primary`, and
-    /// memos hold one placement per vertex for a whole view epoch.
-    split: Vec<AgentId>,
+    /// The replica set and its mini ring when `k > 1`. `None` — one
+    /// word, nothing allocated — when `k == 1`: the set is `primary`,
+    /// no second hash is needed, and memos hold one placement per
+    /// vertex ever resolved.
+    split: Option<Box<Split>>,
+}
+
+/// Where the edges of a split vertex (`k > 1`) go.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Split {
+    /// Replica set in ring order from the successor.
+    replicas: Vec<AgentId>,
     /// Second-level mini ring: `(hash(agent), agent)` sorted ascending.
-    /// Empty when `k == 1` (no second hash needed).
     minis: Vec<(u64, AgentId)>,
 }
 
 impl VertexPlacement {
     /// Full replica set in ring order from the successor.
     pub fn replicas(&self) -> &[AgentId] {
-        if self.k == 1 {
-            self.primary.as_slice()
-        } else {
-            &self.split
+        match &self.split {
+            Some(split) => &split.replicas,
+            None => self.primary.as_slice(),
         }
     }
 }
@@ -180,8 +186,7 @@ impl EdgeLocator {
             return VertexPlacement {
                 k,
                 primary: self.ring.owner(u),
-                split: Vec::new(),
-                minis: Vec::new(),
+                split: None,
             };
         }
         let replicas = self.ring.owners(u, k as usize);
@@ -191,8 +196,7 @@ impl EdgeLocator {
         VertexPlacement {
             k,
             primary: replicas.first().copied(),
-            split: replicas,
-            minis,
+            split: Some(Box::new(Split { replicas, minis })),
         }
     }
 
@@ -202,13 +206,13 @@ impl EdgeLocator {
     /// the successor of `hash(v)` — found by binary search — is the
     /// smallest entry greater than it, wrapping to the overall minimum.
     pub fn owner_from_placement(&self, p: &VertexPlacement, v: u64) -> Option<AgentId> {
-        if p.minis.is_empty() {
+        let Some(split) = &p.split else {
             return p.primary;
-        }
+        };
         let hv = self.kind().hash(v);
-        let idx = p.minis.partition_point(|&(pos, _)| pos <= hv);
-        let idx = if idx == p.minis.len() { 0 } else { idx };
-        Some(p.minis[idx].1)
+        let idx = split.minis.partition_point(|&(pos, _)| pos <= hv);
+        let idx = if idx == split.minis.len() { 0 } else { idx };
+        Some(split.minis[idx].1)
     }
 
     /// Some replica of `u`, chosen by `salt` (e.g. a per-query random

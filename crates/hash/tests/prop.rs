@@ -1,7 +1,8 @@
 //! Property-based tests for the consistent-hashing layer.
 
-use elga_hash::{EdgeLocator, HashKind, LocatorConfig, Ring};
+use elga_hash::{EdgeLocator, HashKind, LocatorConfig, OwnerCache, Ring};
 use proptest::prelude::*;
+use std::collections::{BTreeSet, HashMap};
 
 fn arb_kind() -> impl Strategy<Value = HashKind> {
     prop_oneof![
@@ -104,6 +105,70 @@ proptest! {
         let backward = Ring::from_agents(HashKind::Wang, 10, list.iter().rev().copied());
         for key in keys {
             prop_assert_eq!(forward.owner(key), backward.owner(key));
+        }
+    }
+
+    /// An owner memo carried through any sequence of view epochs —
+    /// joins, leaves, hubs crossing the replication threshold and
+    /// falling back — serves exactly what the locator resolves under
+    /// the current ring and estimates. A split entry is never served
+    /// across an epoch (its estimate is asked for again); an unsplit
+    /// one kept across epochs that cannot split costs no estimate.
+    #[test]
+    fn memo_serves_the_current_placement_across_epochs(
+        // Per epoch: the agent that joins or leaves, what happens to
+        // the hubs (0–2: nothing, 3: all fall back, else one vertex
+        // crosses), whether the view's bound is loose, the lookups.
+        epochs in prop::collection::vec(
+            (0u64..10, 0u64..8, any::<bool>(), prop::collection::vec(0u64..24, 1..48)),
+            1..14,
+        ),
+    ) {
+        let config = LocatorConfig { replication_threshold: 100, max_replicas: 4 };
+        let mut members: BTreeSet<u64> = [0, 1].into();
+        let mut hubs: BTreeSet<u64> = BTreeSet::new();
+        let mut cache = OwnerCache::new();
+        // What the memo holds, as a model: vertex → (epoch checked, k).
+        let mut held: HashMap<u64, (u64, u32)> = HashMap::new();
+        for (i, (agent, hub, loose, lookups)) in epochs.into_iter().enumerate() {
+            let epoch = i as u64 + 1;
+            if !members.remove(&agent) || members.is_empty() {
+                members.insert(agent);
+            }
+            match hub {
+                0..=2 => {}
+                3 => hubs.clear(),
+                h => {
+                    hubs.insert(h);
+                }
+            }
+            let loc = EdgeLocator::new(
+                Ring::from_agents(HashKind::Wang, 16, members.iter().copied()),
+                config,
+            );
+            let degree = |u: u64| if hubs.contains(&u) { 350 } else { 7 };
+            let bound = if hubs.is_empty() && !loose { 7 } else { 350 };
+            let may_split = config.replication_factor(bound, members.len()) > 1;
+            cache.adopt_epoch(epoch, may_split);
+            if may_split {
+                held.clear();
+            }
+            for u in lookups {
+                let mut asked = false;
+                let got = cache
+                    .placement(&loc, u, || {
+                        asked = true;
+                        degree(u)
+                    })
+                    .clone();
+                let want = loc.placement(u, degree(u));
+                prop_assert_eq!(&got, &want, "epoch {epoch} vertex {u}");
+                match held.insert(u, (epoch, want.k)) {
+                    Some((seen, k)) if seen != epoch => prop_assert_eq!(asked, k > 1),
+                    Some(_) => prop_assert!(!asked, "a hit needs no estimate"),
+                    None => prop_assert!(asked),
+                }
+            }
         }
     }
 }

@@ -104,11 +104,15 @@ pub enum EventKind {
     /// Recovery finished end-to-end: eviction through restored cluster
     /// (span; `a` = new epoch, `b` = change records replayed).
     RecoveryDone = 16,
+    /// An agent decided what a view change moves off it (span over the
+    /// placement sweep, before anything is sent; `a` = entries
+    /// examined, `b` = entries that shipped edges or a primary record).
+    MigrateSweep = 17,
 }
 
 impl EventKind {
     /// All kinds, for iteration in tests and exporters.
-    pub const ALL: [EventKind; 17] = [
+    pub const ALL: [EventKind; 18] = [
         EventKind::PhaseScatter,
         EventKind::PhaseCombine,
         EventKind::PhaseApply,
@@ -126,6 +130,7 @@ impl EventKind {
         EventKind::CkptRestore,
         EventKind::ChangeLogWarn,
         EventKind::RecoveryDone,
+        EventKind::MigrateSweep,
     ];
 
     /// Wire tag.
@@ -158,6 +163,7 @@ impl EventKind {
             EventKind::CkptRestore => "ckpt_restore",
             EventKind::ChangeLogWarn => "change_log_warn",
             EventKind::RecoveryDone => "recovery_done",
+            EventKind::MigrateSweep => "migrate_sweep",
         }
     }
 
@@ -173,6 +179,7 @@ impl EventKind {
                 | EventKind::CkptWrite
                 | EventKind::CkptRestore
                 | EventKind::RecoveryDone
+                | EventKind::MigrateSweep
         )
     }
 }
@@ -407,6 +414,7 @@ fn push_args(ev: &TraceEvent, out: &mut String) {
         EventKind::CkptWrite | EventKind::CkptRestore => ("generation", Some("bytes")),
         EventKind::ChangeLogWarn => ("records", Some("bytes")),
         EventKind::RecoveryDone => ("epoch", Some("replayed")),
+        EventKind::MigrateSweep => ("examined", Some("moved")),
     };
     out.push_str("{\"");
     out.push_str(ka);

@@ -339,9 +339,32 @@ fn tracing_captures_phases_views_and_migrations() {
         EventKind::ViewAdopt,
         EventKind::MigrateSend,
         EventKind::MigrateRecv,
+        EventKind::MigrateSweep,
     ] {
         assert!(kinds.contains(&kind), "no {kind:?} event in {kinds:?}");
     }
+
+    // The placement sweep is a span of its own, `examined`/`moved`
+    // entries as arguments. A live agent's last one is the leave: a
+    // survivor examines its store and moves nothing (the departer's
+    // track was salvaged before it swept). On the join before it, each
+    // founder shipped a part of its store.
+    let mut partial_moves = 0;
+    for id in cluster.agent_ids() {
+        let name = format!("agent-{id}");
+        let (_, evs) = tracks.iter().find(|(n, _)| *n == name).expect("track");
+        let sweeps: Vec<_> = evs
+            .iter()
+            .filter(|e| e.kind == EventKind::MigrateSweep)
+            .collect();
+        let (examined, moved) = sweeps.last().map(|e| (e.a, e.b)).expect("a sweep");
+        assert!(examined > 0 && moved == 0, "{name}: {moved} of {examined}");
+        partial_moves += sweeps.iter().filter(|e| 0 < e.b && e.b < e.a).count();
+    }
+    assert!(
+        partial_moves >= 2,
+        "both founders ship a part to the joiners"
+    );
 
     // Phase spans carry durations; the JSON export names every track.
     let has_span = tracks

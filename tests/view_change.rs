@@ -9,9 +9,10 @@
 
 use elga::ckpt::CheckpointStore;
 use elga::core::ckpt_codec;
-use elga::core::msg::packet;
+use elga::core::msg::{packet, DirectoryView};
 use elga::net::CoalesceConfig;
 use elga::prelude::*;
+use elga::trace::{EventKind, TraceEvent};
 use std::collections::BTreeMap;
 
 /// Everything the cluster holds, independent of which agent holds it:
@@ -67,12 +68,27 @@ fn holdings(cluster: &mut Cluster) -> Holdings {
     h
 }
 
+/// Vertices whose primary (ring successor) differs between two views.
+fn successors_moved(vertices: &[u64], a: &DirectoryView, b: &DirectoryView) -> u64 {
+    let (a, b) = (a.locator(), b.locator());
+    let moved = |v: &&u64| a.ring().owner(**v) != b.ring().owner(**v);
+    vertices.iter().filter(moved).count() as u64
+}
+
 #[test]
 fn view_change_frames_follow_bytes_not_vertices() {
     let edges = elga::gen::power_law(6_000, 24_000, 2.2, 7);
     let dir = std::env::temp_dir().join(format!("elga-view-change-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let mut cluster = Cluster::builder().agents(3).checkpoints(&dir).build();
+    let cfg = SystemConfig {
+        tracing: true,
+        ..SystemConfig::default()
+    };
+    let mut cluster = Cluster::builder()
+        .agents(3)
+        .config(cfg)
+        .checkpoints(&dir)
+        .build();
     cluster.ingest_edges(edges.iter().copied());
     cluster.run(Wcc::new()).expect("wcc");
 
@@ -87,15 +103,21 @@ fn view_change_frames_follow_bytes_not_vertices() {
         want.out_edges, want.in_edges,
         "both placements hold every edge"
     );
+    let vertices: Vec<u64> = want.primaries.keys().copied().collect();
 
     let net = cluster.transport().net_stats().expect("in-process stats");
     let max_bytes = CoalesceConfig::default().max_bytes as u64;
+    // Returns how many vertices changed primary and, per agent still
+    // in the view, what its placement sweep and its sends looked like.
     let check = |cluster: &mut Cluster, what: &str, change: &dyn Fn(&mut Cluster)| {
         let before = cluster.metrics().comms.migration;
         let (readys_before, _) = net.sent(packet::READY);
         let agents = cluster.agent_count() as u64;
+        let view_before = cluster.view();
+        cluster.collect_traces();
         change(cluster);
         cluster.quiesce().expect("quiesce");
+        let tracks = cluster.collect_traces();
         let agents = agents.max(cluster.agent_count() as u64);
         let readys = net.sent(packet::READY).0 - readys_before;
         let after = cluster.metrics().comms.migration;
@@ -111,13 +133,47 @@ fn view_change_frames_follow_bytes_not_vertices() {
             "{what}: {readys} READY frames from {agents} agents"
         );
         assert_eq!(holdings(cluster), want, "{what}: holdings differ");
+        let live: Vec<(TraceEvent, usize)> = cluster
+            .agent_ids()
+            .iter()
+            .map(|id| {
+                let name = format!("agent-{id}");
+                let (_, evs) = tracks.iter().find(|(n, _)| *n == name).expect("track");
+                let of = |kind| evs.iter().filter(move |e| e.kind == kind);
+                let sweep = of(EventKind::MigrateSweep).next_back().expect("swept");
+                (*sweep, of(EventKind::MigrateSend).count())
+            })
+            .collect();
+        let moved = successors_moved(&vertices, &view_before, &cluster.view());
+        (moved, live)
     };
-    check(&mut cluster, "join", &|c| {
+
+    let misses_before = cluster.metrics().owner_cache_misses;
+    let (joined, live) = check(&mut cluster, "join", &|c| {
         c.add_agents(1);
     });
-    check(&mut cluster, "leave", &|c| {
+    // Only what changes primary is shipped: the founders examine their
+    // stores and move a part (every vertex is resident at its primary).
+    let examined: u64 = live.iter().map(|(sweep, _)| sweep.a).sum();
+    let moved: u64 = live.iter().map(|(sweep, _)| sweep.b).sum();
+    assert!(examined >= vertices.len() as u64 && moved >= joined && moved < examined / 2);
+    let (left, live) = check(&mut cluster, "leave", &|c| {
         c.remove_agents(1);
     });
+    // A leave is the departer's business: every survivor looks at its
+    // own store, finds nothing misplaced and sends nothing.
+    for (sweep, sends) in live {
+        assert!(sweep.a > 1_000, "a survivor examined {} entries", sweep.a);
+        assert_eq!((sweep.b, sends), (0, 0), "a survivor shipped on the leave");
+    }
+    // Deciding placements costs the owner memos nothing they would not
+    // pay anyway: no more resolutions than primaries that moved (it was
+    // one per resident vertex per agent per view change).
+    let misses = cluster.metrics().owner_cache_misses - misses_before;
+    assert!(
+        misses <= joined + left,
+        "{misses} memo misses for {joined} + {left} moved primaries"
+    );
     cluster.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
