@@ -216,58 +216,42 @@ impl Deployment {
     /// agent processes until the summed counters are settled and
     /// stable and the directory reports no outstanding migration.
     fn quiesce(&self) -> Result<(), NetError> {
-        let counters = |f: &Frame| -> Option<Counters> {
-            let mut r = f.reader();
-            Some(Counters {
-                vmsg_sent: r.u64()?,
-                vmsg_recv: r.u64()?,
-                part_sent: r.u64()?,
-                part_recv: r.u64()?,
-                state_sent: r.u64()?,
-                state_recv: r.u64()?,
-                mig_sent: r.u64()?,
-                mig_recv: r.u64()?,
-                chg_sent: r.u64()?,
-                chg_recv: r.u64()?,
-            })
-        };
         let deadline = Instant::now() + Duration::from_secs(60);
         let mut last: Option<Counters> = None;
         loop {
             if Instant::now() >= deadline {
                 return Err(NetError::Timeout);
             }
-            let migrating = self
+            let status = self
                 .request(&self.dir_addr, Frame::signal(packet::RUN_STATUS))
                 .ok()
-                .and_then(|f| msg::decode_run_status(&f))
-                .is_some_and(|s| s.migrating);
-            if migrating {
+                .and_then(|f| msg::decode_run_status(&f));
+            let Some(status) = status.filter(|s| !s.migrating) else {
                 std::thread::sleep(Duration::from_micros(200));
                 continue;
-            }
+            };
             let Some(view) = self.view() else {
                 continue;
             };
-            let mut sum = self
-                .request(&self.dir_addr, Frame::signal(packet::COUNTERS))
-                .ok()
-                .and_then(|f| counters(&f))
-                .unwrap_or_default();
-            let mut ok = true;
-            for a in &view.agents {
-                match self.request(&a.addr, Frame::signal(packet::DRAIN)) {
-                    Ok(rep) => match counters(&rep) {
-                        Some(c) => sum = sum.add(&c),
-                        None => ok = false,
-                    },
-                    Err(_) => ok = false,
-                }
+            // The departed agents' totals ride RUN_STATUS_REP; the
+            // DRAINs of one wave are in flight together.
+            let requests: Vec<(&Addr, Frame)> = view
+                .agents
+                .iter()
+                .map(|a| (&a.addr, Frame::signal(packet::DRAIN)))
+                .collect();
+            let mut sum = Some(status.departed);
+            for rep in self
+                .transport
+                .request_all(&requests, self.cfg.request_timeout)
+            {
+                let counters = rep.ok().and_then(|rep| msg::decode_counters(&rep));
+                sum = sum.zip(counters).map(|(sum, c)| sum.add(&c));
             }
-            if ok && sum.settled() && last == Some(sum) {
+            if sum.is_some_and(|sum| sum.settled()) && last == sum {
                 return Ok(());
             }
-            last = ok.then_some(sum);
+            last = sum;
             std::thread::sleep(Duration::from_micros(200));
         }
     }

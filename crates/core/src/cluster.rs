@@ -148,20 +148,20 @@ impl ClusterBuilder {
 
     /// Assemble and start the cluster.
     pub fn build(self) -> Cluster {
-        let (transport, fault): (Arc<dyn Transport>, Option<Arc<FaultyTransport>>) =
-            match self.chaos {
-                Some((plan, seed)) => {
-                    let faulty = Arc::new(FaultyTransport::new(
-                        Arc::new(InProcTransport::new()),
-                        plan,
-                        seed,
-                    ));
-                    let reliable = ReliableTransport::new(faulty.clone())
-                        .expect("bind reliability ack mailbox");
-                    (Arc::new(reliable), Some(faulty))
-                }
-                None => (Arc::new(InProcTransport::new()), None),
-            };
+        let (transport, chaos): (Arc<dyn Transport>, Option<ChaosStack>) = match self.chaos {
+            Some((plan, seed)) => {
+                let fault = Arc::new(FaultyTransport::new(
+                    Arc::new(InProcTransport::new()),
+                    plan,
+                    seed,
+                ));
+                let reliable = Arc::new(
+                    ReliableTransport::new(fault.clone()).expect("bind reliability ack mailbox"),
+                );
+                (reliable.clone(), Some(ChaosStack { fault, reliable }))
+            }
+            None => (Arc::new(InProcTransport::new()), None),
+        };
         let master = master_addr();
         let mut handles = vec![directory::spawn_master(transport.clone(), master.clone())];
         for d in 0..self.config.directories as u64 {
@@ -175,14 +175,14 @@ impl ClusterBuilder {
         let tracer = Arc::new(Tracer::from_flag(self.config.tracing));
         let mut cluster = Cluster {
             transport,
-            fault,
+            chaos,
             cfg: self.config,
             master,
             lead: directory_addr(0),
             handles,
             agent_handles: HashMap::new(),
             next_agent: 1,
-            members: Mutex::new((0, Vec::new())),
+            roster: Mutex::new(Roster::default()),
             streamer: None,
             proxy: None,
             alive: true,
@@ -243,8 +243,9 @@ pub struct RunHandle {
 /// A fully assembled in-process ElGA deployment.
 pub struct Cluster {
     transport: Arc<dyn Transport>,
-    /// Fault-injection handle when built with [`ClusterBuilder::chaos`].
-    fault: Option<Arc<FaultyTransport>>,
+    /// The decorators under `transport` when built with
+    /// [`ClusterBuilder::chaos`].
+    chaos: Option<ChaosStack>,
     cfg: SystemConfig,
     #[allow(dead_code)]
     master: Addr,
@@ -252,11 +253,8 @@ pub struct Cluster {
     handles: Vec<JoinHandle<()>>,
     agent_handles: HashMap<AgentId, JoinHandle<()>>,
     next_agent: u64,
-    /// The registered agents and the view epoch they were read under.
-    /// [`Cluster::quiesce`] polls them every round and learns the
-    /// lead's epoch from RUN_STATUS, so it fetches a view — sketch and
-    /// all — only when that epoch has moved.
-    members: Mutex<(u64, Vec<AgentInfo>)>,
+    /// What [`Cluster::quiesce`] keeps from one call to the next.
+    roster: Mutex<Roster>,
     streamer: Option<Streamer>,
     proxy: Option<ClientProxy>,
     alive: bool,
@@ -277,6 +275,33 @@ pub struct Cluster {
     /// recovery spans); drained as the `driver` track by
     /// [`Cluster::collect_traces`].
     tracer: Arc<Tracer>,
+}
+
+/// Handles on the two layers of a chaos cluster's transport,
+/// `Reliable(Faulty(InProc))`.
+struct ChaosStack {
+    /// Drive disconnects, read drop/dup counts.
+    fault: Arc<FaultyTransport>,
+    /// Pushes still unacknowledged: over this stack a frame is relayed,
+    /// delayed and possibly retransmitted, so a request sent after it
+    /// can reach the mailbox first.
+    reliable: Arc<ReliableTransport>,
+}
+
+/// The registered agents, the view epoch they were read under, and the
+/// counter sums of the last complete DRAIN wave over them.
+///
+/// [`Cluster::quiesce`] learns the lead's epoch from RUN_STATUS and
+/// fetches a view — sketch and all — only when that epoch has moved.
+/// A join, a leave or a recovery moves it, and those are also the only
+/// events that change who is summed or reset an agent's counters, so
+/// the remembered sums are dropped with the member list: under one
+/// epoch every agent's counters only grow.
+#[derive(Default)]
+struct Roster {
+    epoch: u64,
+    agents: Vec<AgentInfo>,
+    last_wave: Option<Counters>,
 }
 
 /// Driver-side recovery and checkpoint-restore accounting.
@@ -347,11 +372,27 @@ impl Cluster {
             .map(|(rep, _)| rep)
     }
 
-    /// REQ/REP to an agent, retried under the configured policy.
-    fn request_agent(&self, addr: &Addr, frame: Frame) -> Result<Frame, NetError> {
-        self.transport
-            .request_with_retry(addr, frame, self.cfg.request_timeout, &self.cfg.send_policy)
-            .map(|(rep, _)| rep)
+    /// Ask every agent in `agents` the same question at once
+    /// ([`Transport::request_all`]), failed slots retried under the
+    /// configured policy. Replies come back in `agents` order.
+    fn request_agents(&self, agents: &[AgentInfo], frame: Frame) -> Vec<Result<Frame, NetError>> {
+        let requests: Vec<(&Addr, Frame)> =
+            agents.iter().map(|a| (&a.addr, frame.clone())).collect();
+        self.transport.request_all_with_retry(
+            &requests,
+            self.cfg.request_timeout,
+            &self.cfg.send_policy,
+        )
+    }
+
+    /// Drain the trace buffers of `agents` into named tracks.
+    fn agent_traces(&self, agents: &[AgentInfo]) -> Vec<(String, Vec<elga_trace::TraceEvent>)> {
+        let replies = self.request_agents(agents, Frame::signal(packet::TRACE_DUMP));
+        let tracks = agents.iter().zip(replies).filter_map(|(a, rep)| {
+            let (events, _dropped) = elga_trace::decode_events(rep.ok()?.payload())?;
+            Some((format!("agent-{}", a.id), events))
+        });
+        tracks.collect()
     }
 
     /// Current directory view.
@@ -426,17 +467,10 @@ impl Cluster {
         // Departing agents take their trace buffers with them; salvage
         // the events before the LEAVE makes the mailbox unreachable.
         if self.cfg.tracing {
-            let view = self.view();
-            for &id in ids {
-                let Some(info) = view.agents.iter().find(|a| a.id == id) else {
-                    continue;
-                };
-                if let Ok(rep) = self.request_agent(&info.addr, Frame::signal(packet::TRACE_DUMP)) {
-                    if let Some((events, _dropped)) = elga_trace::decode_events(rep.payload()) {
-                        self.trace_tracks.push((format!("agent-{id}"), events));
-                    }
-                }
-            }
+            let mut leaving = self.view().agents;
+            leaving.retain(|a| ids.contains(&a.id));
+            let salvaged = self.agent_traces(&leaving);
+            self.trace_tracks.extend(salvaged);
         }
         let mut b = Frame::builder(packet::LEAVE);
         for &id in ids {
@@ -474,7 +508,7 @@ impl Cluster {
     /// [`ClusterBuilder::chaos`] (drive disconnects, read drop/dup
     /// counts).
     pub fn fault(&self) -> Option<&Arc<FaultyTransport>> {
-        self.fault.as_ref()
+        self.chaos.as_ref().map(|c| &c.fault)
     }
 
     // ------------------------------------------------------------------
@@ -540,20 +574,55 @@ impl Cluster {
         self.streamer().send_batch(changes).expect("ingest");
     }
 
-    /// Wait until no messages are in flight anywhere: repeated DRAIN
-    /// rounds over all agents until the summed counters are settled
-    /// and stable, and the directory reports no outstanding migration.
+    /// Wait until no messages are in flight anywhere: DRAIN waves over
+    /// all agents until two consecutive waves — the second begun after
+    /// the first ended — read the same settled counter sums (Mattern's
+    /// four-counter rule), and the directory reports no outstanding
+    /// migration. A wave is one request to the lead (barrier state,
+    /// epoch, the departed agents' totals) and one fan-out of DRAINs,
+    /// all in flight together.
+    ///
+    /// The first of the two waves may be the last one of an earlier
+    /// call ([`Roster`]): a system that is still settled is confirmed
+    /// in one wave. Under one epoch every agent's counters only grow,
+    /// so sums equal to the remembered ones mean no agent has sent or
+    /// received anything since they were read — and whatever reached
+    /// an agent's mailbox before this call's DRAIN (a Streamer's
+    /// batch, restore frames) was handled before the reply, where any
+    /// forward it caused is counted. A stale memory can only fail to
+    /// match and cost the second wave. (That ordering is the in-process
+    /// transport's; a chaos cluster waits for its reliability layer to
+    /// drain before each wave instead.)
     ///
     /// Bounded by `SystemConfig::quiesce_deadline`; a wedged system
     /// (e.g. a dead peer with failure detection off) yields
     /// `NetError::Timeout` instead of blocking forever.
     pub fn quiesce(&self) -> Result<(), NetError> {
         let deadline = Instant::now() + self.cfg.quiesce_deadline;
-        let pause = || std::thread::sleep(Duration::from_micros(200));
-        let mut last: Option<Counters> = None;
+        // What a wave waits for is usually one hop between two agents
+        // (tens of microseconds), sometimes a migration (milliseconds):
+        // the pause starts short and doubles up to 200 µs.
+        let mut nap = Duration::from_micros(25);
+        let mut pause = || {
+            std::thread::sleep(nap);
+            nap = (2 * nap).min(Duration::from_micros(200));
+        };
         loop {
             if Instant::now() >= deadline {
                 return Err(NetError::Timeout);
+            }
+            // A wave proves something only if its DRAINs queue behind
+            // every push that preceded them. The in-process channels
+            // give that for free; the chaos stack does not, so there a
+            // wave starts once every push has been acknowledged — has
+            // reached the relay that feeds its mailbox in order.
+            if self
+                .chaos
+                .as_ref()
+                .is_some_and(|c| c.reliable.in_flight() > 0)
+            {
+                pause();
+                continue;
             }
             // Outstanding migrate barrier / queued membership?
             let status = self
@@ -564,38 +633,32 @@ impl Cluster {
                 pause();
                 continue;
             };
-            let mut members = self.members.lock();
-            if members.0 != status.epoch {
+            let mut roster = self.roster.lock();
+            if roster.epoch != status.epoch {
                 let view = self.view();
-                *members = (view.epoch, view.agents);
+                *roster = Roster {
+                    epoch: view.epoch,
+                    agents: view.agents,
+                    last_wave: None,
+                };
             }
             // Departed agents' final totals (kept by the lead) balance
             // the sums of the survivors.
-            let mut sum = self
-                .request(Frame::signal(packet::COUNTERS))
-                .ok()
-                .and_then(|f| decode_counters_frame(&f))
-                .unwrap_or_default();
-            let mut ok = true;
-            for a in &members.1 {
-                match self.request_agent(&a.addr, Frame::signal(packet::DRAIN)) {
-                    Ok(rep) => match decode_counters_frame(&rep) {
-                        Some(c) => sum = sum.add(&c),
-                        None => ok = false,
-                    },
-                    Err(_) => ok = false,
-                }
+            let mut sum = Some(status.departed);
+            for rep in self.request_agents(&roster.agents, Frame::signal(packet::DRAIN)) {
+                let counters = rep.ok().and_then(|rep| msg::decode_counters(&rep));
+                sum = sum.zip(counters).map(|(sum, c)| sum.add(&c));
             }
-            drop(members);
-            let settled = ok && sum.settled();
-            if settled && last == Some(sum) {
+            let settled = sum.is_some_and(|sum| sum.settled());
+            let confirmed = settled && roster.last_wave == sum;
+            roster.last_wave = sum;
+            drop(roster);
+            if confirmed {
                 return Ok(());
             }
-            last = ok.then_some(sum);
             // The confirming wave has only to start after this one
-            // ended (Mattern's four-counter rule): a settled round is
-            // followed at once, an unsettled one after a pause for
-            // whatever is still in flight.
+            // ended: a settled wave is followed at once, an unsettled
+            // one after a pause for whatever is still in flight.
             if !settled {
                 pause();
             }
@@ -658,13 +721,11 @@ impl Cluster {
             committed: false,
             bytes: 0,
         };
+        // Every agent serialises and syncs its shard at the same time.
+        let save = msg::encode_ckpt_save(generation, view.epoch, watermark);
         let mut all_ok = true;
-        for a in &view.agents {
-            let rep = self.request_agent(
-                &a.addr,
-                msg::encode_ckpt_save(generation, view.epoch, watermark),
-            )?;
-            match msg::decode_ckpt_save_reply(&rep) {
+        for rep in self.request_agents(&view.agents, save) {
+            match msg::decode_ckpt_save_reply(&rep?) {
                 Some(r) if r.ok => report.bytes += r.bytes,
                 _ => all_ok = false,
             }
@@ -897,9 +958,8 @@ impl Cluster {
             // against the pushes that follow).
             let (tag, params) = spec.encode();
             let arm = msg::encode_arm_delta(tag, params, n_current);
-            for a in &view.agents {
-                let rep = self.request_agent(&a.addr, arm.clone())?;
-                if rep.reader().u8() != Some(1) {
+            for rep in self.request_agents(&view.agents, arm) {
+                if rep?.reader().u8() != Some(1) {
                     return Err(NetError::Protocol("agent refused delta re-arm"));
                 }
             }
@@ -1126,10 +1186,8 @@ impl Cluster {
     /// `f64::from_bits` for PageRank).
     pub fn dump_states(&self) -> std::collections::HashMap<u64, u64> {
         let mut out = std::collections::HashMap::new();
-        for a in &self.view().agents {
-            let Ok(rep) = self.request_agent(&a.addr, Frame::signal(packet::DUMP)) else {
-                continue;
-            };
+        let replies = self.request_agents(&self.view().agents, Frame::signal(packet::DUMP));
+        for rep in replies.into_iter().flatten() {
             let mut r = rep.reader();
             let Some(n) = r.u32() else { continue };
             for _ in 0..n {
@@ -1158,24 +1216,24 @@ impl Cluster {
     /// [`ClusterMetrics::agents_drained`] counts the reports that did
     /// land.
     pub fn metrics(&self) -> ClusterMetrics {
+        let agents = self.view().agents;
         let mut failed: Vec<AgentId> = Vec::new();
         let mut drained: u64 = 0;
-        for a in &self.view().agents {
-            match self.request_agent(&a.addr, Frame::signal(packet::DRAIN)) {
+        let replies = self.request_agents(&agents, Frame::signal(packet::DRAIN));
+        for (a, rep) in agents.iter().zip(replies) {
+            match rep {
                 Ok(_) => drained += 1,
                 Err(_) => failed.push(a.id),
             }
         }
         let mut partial = false;
         if !failed.is_empty() {
-            let fresh = self.view();
-            for id in failed {
-                // Evicted or departed since the first round: not a
-                // member any more, so its absence is not partiality.
-                let Some(info) = fresh.agents.iter().find(|a| a.id == id) else {
-                    continue;
-                };
-                match self.request_agent(&info.addr, Frame::signal(packet::DRAIN)) {
+            // Evicted or departed since the first round: not a member
+            // any more, so its absence is not partiality.
+            let mut again = self.view().agents;
+            again.retain(|a| failed.contains(&a.id));
+            for rep in self.request_agents(&again, Frame::signal(packet::DRAIN)) {
+                match rep {
                     Ok(_) => drained += 1,
                     Err(_) => partial = true,
                 }
@@ -1189,7 +1247,7 @@ impl Cluster {
         agg.agents_drained = drained;
         agg.partial = partial;
         // The fault layer is driver-owned; agents never see drops.
-        if let Some(fault) = &self.fault {
+        if let Some(fault) = self.fault() {
             agg.messages_dropped = fault.stats().dropped();
         }
         // Recovery is driven from here, so its accounting is too — the
@@ -1243,13 +1301,7 @@ impl Cluster {
                 tracks.push(("directory-0".to_string(), events));
             }
         }
-        for a in &self.view().agents {
-            if let Ok(rep) = self.request_agent(&a.addr, Frame::signal(packet::TRACE_DUMP)) {
-                if let Some((events, _dropped)) = elga_trace::decode_events(rep.payload()) {
-                    tracks.push((format!("agent-{}", a.id), events));
-                }
-            }
-        }
+        tracks.extend(self.agent_traces(&self.view().agents));
         if let Some(s) = &self.streamer {
             let (events, _dropped) = s.tracer().drain();
             if !events.is_empty() {
@@ -1325,24 +1377,6 @@ fn run_info(spec: &ProgramSpec, options: RunOptions) -> RunInfo {
         dangling_base: 0.0,
         watermark: 0,
     }
-}
-
-/// Decode the ten-counter COUNTERS frame shared by agent DRAIN
-/// replies and the lead's ghost reply.
-fn decode_counters_frame(frame: &Frame) -> Option<Counters> {
-    let mut r = frame.reader();
-    Some(Counters {
-        vmsg_sent: r.u64()?,
-        vmsg_recv: r.u64()?,
-        part_sent: r.u64()?,
-        part_recv: r.u64()?,
-        state_sent: r.u64()?,
-        state_recv: r.u64()?,
-        mig_sent: r.u64()?,
-        mig_recv: r.u64()?,
-        chg_sent: r.u64()?,
-        chg_recv: r.u64()?,
-    })
 }
 
 impl Drop for Cluster {

@@ -458,7 +458,7 @@ impl Lead {
                 steps: 0,
                 step_nanos: Vec::new(),
                 n_vertices: self.view.n_vertices,
-                epoch: 0,
+                ..RunStatus::default()
             };
         }
         self.next_epoch();
@@ -892,7 +892,7 @@ impl Lead {
                 run.step_nanos
             },
             n_vertices: run.n_vertices,
-            epoch: 0,
+            ..RunStatus::default()
         };
         // Any membership changes queued during the run apply now.
         self.apply_membership();
@@ -966,7 +966,7 @@ impl Lead {
             steps: 0,
             step_nanos: Vec::new(),
             n_vertices: self.view.n_vertices,
-            epoch: 0,
+            ..RunStatus::default()
         };
         self.publish(msg::encode_start(&self.run.as_ref().expect("run").info));
         let adv = Advance {
@@ -992,7 +992,7 @@ impl Lead {
                 steps: run.step,
                 step_nanos: run.step_nanos.clone(),
                 n_vertices: run.n_vertices,
-                epoch: 0,
+                ..RunStatus::default()
             },
             None => self.last_status.clone(),
         };
@@ -1000,6 +1000,7 @@ impl Lead {
             || self.membership_pending()
             || self.pending_start.is_some();
         status.epoch = self.view.epoch;
+        status.departed = self.ghost;
         status
     }
 }
@@ -1306,26 +1307,6 @@ fn lead_loop(
             packet::RUN_STATUS => {
                 if let Some(reply) = d.reply {
                     let _ = reply.send(msg::encode_run_status(&lead.status()));
-                }
-            }
-            packet::COUNTERS => {
-                // Ghost totals of departed agents, needed by external
-                // quiescence checks to balance cumulative sums.
-                if let Some(reply) = d.reply {
-                    let g = lead.ghost;
-                    let rep = Frame::builder(packet::COUNTERS)
-                        .u64(g.vmsg_sent)
-                        .u64(g.vmsg_recv)
-                        .u64(g.part_sent)
-                        .u64(g.part_recv)
-                        .u64(g.state_sent)
-                        .u64(g.state_recv)
-                        .u64(g.mig_sent)
-                        .u64(g.mig_recv)
-                        .u64(g.chg_sent)
-                        .u64(g.chg_recv)
-                        .finish();
-                    let _ = reply.send(rep);
                 }
             }
             packet::METRICS => {
@@ -1939,6 +1920,33 @@ mod tests {
         };
         lead.reports.insert(1, ready(1, 1, 0, Phase::Scatter, c1));
         assert!(lead.barrier_met(&[1], 1, 0, Phase::Scatter));
+    }
+
+    /// RUN_STATUS_REP is the one reply an outside quiescence check
+    /// needs from the lead: it carries the departed agents' totals, and
+    /// a reply in the layout that ended at the step list is refused —
+    /// read as zeros it would unbalance every sum after a departure.
+    #[test]
+    fn run_status_reply_carries_the_departed_totals() {
+        let mut lead = test_lead();
+        lead.ghost = Counters {
+            vmsg_sent: 4,
+            mig_recv: 7,
+            chg_sent: 1 << 40,
+            ..Default::default()
+        };
+        lead.last_status.step_nanos = vec![10, 20, 30];
+        let frame = msg::encode_run_status(&lead.status());
+        let status = msg::decode_run_status(&frame).expect("current layout");
+        assert_eq!(status.departed, lead.ghost);
+        assert_eq!(status.epoch, lead.view.epoch);
+        assert_eq!(status.step_nanos, [10, 20, 30]);
+
+        let bytes = frame.as_bytes();
+        let old_layout = Frame::from_bytes(bytes::Bytes::copy_from_slice(
+            &bytes[..bytes.len() - 10 * 8],
+        ));
+        assert_eq!(msg::decode_run_status(&old_layout), None);
     }
 
     #[test]

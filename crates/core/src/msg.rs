@@ -1864,6 +1864,10 @@ pub struct RunStatus {
     /// The lead's view epoch: a driver holding the member list of this
     /// epoch need not fetch the view again.
     pub epoch: u64,
+    /// Final counter totals of the agents that left: what an outside
+    /// quiescence check adds to the live agents' DRAIN replies so the
+    /// cumulative sums balance.
+    pub departed: Counters,
 }
 
 /// Encode a RUN_STATUS reply.
@@ -1880,7 +1884,7 @@ pub fn encode_run_status(s: &RunStatus) -> Frame {
     for &ns in &s.step_nanos {
         b = b.u64(ns);
     }
-    b.finish()
+    s.departed.encode_into(b).finish()
 }
 
 /// Decode a RUN_STATUS reply.
@@ -1898,6 +1902,8 @@ pub fn decode_run_status(frame: &Frame) -> Option<RunStatus> {
     for _ in 0..n {
         step_nanos.push(r.u64()?);
     }
+    // Last, so that a frame without them ends here and is refused.
+    let departed = Counters::decode(&mut r)?;
     Some(RunStatus {
         run_id,
         running,
@@ -1907,7 +1913,14 @@ pub fn decode_run_status(frame: &Frame) -> Option<RunStatus> {
         step_nanos,
         n_vertices,
         epoch,
+        departed,
     })
+}
+
+/// Decode a COUNTERS frame — an agent's reply to DRAIN (the agent's
+/// view epoch follows the ten counters and is not read here).
+pub fn decode_counters(frame: &Frame) -> Option<Counters> {
+    Counters::decode(&mut expect(frame, packet::COUNTERS)?)
 }
 
 /// Encode a RESET_LABELS broadcast (incremental WCC deletion support).
@@ -2610,6 +2623,11 @@ mod tests {
             step_nanos: vec![100, 200, 300, 400],
             n_vertices: 55,
             epoch: 12,
+            departed: Counters {
+                vmsg_sent: 3,
+                chg_recv: 9,
+                ..Default::default()
+            },
         };
         assert_eq!(
             decode_run_status(&encode_run_status(&status)).unwrap(),

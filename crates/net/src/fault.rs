@@ -271,7 +271,36 @@ impl FaultyTransport {
     fn is_cut(&self, addr: &Addr) -> bool {
         self.cut.lock().contains(addr)
     }
+
+    /// Let one REQ to `addr` meet the plan: `Disconnected` when the
+    /// destination is cut, `Timeout` when the request is dropped (the
+    /// caller owes the wait a lost request costs), otherwise the delay
+    /// to sleep before forwarding it. REQ/REP is at-most-once by
+    /// construction (one reply channel), so duplication does not
+    /// apply; a dropped request surfaces as a timeout the retry layer
+    /// must absorb.
+    fn roll_request(&self, addr: &Addr) -> Result<Duration, NetError> {
+        if self.is_cut(addr) {
+            self.stats.rejected.fetch_add(1, Ordering::Relaxed);
+            return Err(NetError::Disconnected);
+        }
+        let fault = self.plan.for_addr(addr);
+        let mut rng = SplitMix64::new(self.seed ^ addr_hash(addr).rotate_left(17));
+        if fault.drop > 0.0 && rng.next_f64() < fault.drop {
+            self.stats.dropped.fetch_add(1, Ordering::Relaxed);
+            return Err(NetError::Timeout);
+        }
+        if !fault.delays() {
+            return Ok(Duration::ZERO);
+        }
+        self.stats.delayed.fetch_add(1, Ordering::Relaxed);
+        Ok(fault.sample_delay(&mut rng))
+    }
 }
+
+/// How long a dropped request keeps its caller waiting at most: the
+/// stand-in for the timeout a really lost request would run into.
+const DROPPED_REQ_WAIT: Duration = Duration::from_millis(10);
 
 impl Transport for FaultyTransport {
     fn bind(&self, addr: &Addr) -> Result<Mailbox, NetError> {
@@ -356,29 +385,65 @@ impl Transport for FaultyTransport {
                 }
             }
         });
-        Ok(Outbox { tx, stats: None })
+        Ok(Outbox {
+            tx,
+            stats: None,
+            unacked: None,
+        })
     }
 
     fn request(&self, addr: &Addr, frame: Frame, timeout: Duration) -> Result<Frame, NetError> {
-        if self.is_cut(addr) {
-            self.stats.rejected.fetch_add(1, Ordering::Relaxed);
-            return Err(NetError::Disconnected);
+        let mut only = self.request_all(&[(addr, frame)], timeout);
+        only.pop().expect("one request, one slot")
+    }
+
+    /// Each request meets the plan on its own: a cut destination is
+    /// `Disconnected` and a dropped request a `Timeout` for that slot
+    /// only. The survivors are forwarded to
+    /// the inner backend in one call, after the largest of their
+    /// sampled delays has been slept once (their delays overlap, as
+    /// the requests do); a call that lost a request returns no sooner
+    /// than 10 ms (or `timeout`, if shorter), the wait a lost request costs.
+    fn request_all(
+        &self,
+        requests: &[(&Addr, Frame)],
+        timeout: Duration,
+    ) -> Vec<Result<Frame, NetError>> {
+        let start = Instant::now();
+        // A forwarded slot is overwritten by the inner backend's reply.
+        let mut results: Vec<Result<Frame, NetError>> =
+            requests.iter().map(|_| Err(NetError::Timeout)).collect();
+        let mut forwarded = Vec::new();
+        let mut delay = Duration::ZERO;
+        let mut lost = false;
+        for (i, (addr, _)) in requests.iter().enumerate() {
+            match self.roll_request(addr) {
+                Ok(d) => {
+                    delay = delay.max(d);
+                    forwarded.push(i);
+                }
+                Err(e) => {
+                    lost |= matches!(e, NetError::Timeout);
+                    results[i] = Err(e);
+                }
+            }
         }
-        let fault = self.plan.for_addr(addr);
-        // REQ/REP is at-most-once by construction (one reply channel),
-        // so duplication does not apply; a dropped request surfaces as
-        // a timeout the retry layer must absorb.
-        let mut rng = SplitMix64::new(self.seed ^ addr_hash(addr).rotate_left(17));
-        if fault.drop > 0.0 && rng.next_f64() < fault.drop {
-            self.stats.dropped.fetch_add(1, Ordering::Relaxed);
-            std::thread::sleep(timeout.min(Duration::from_millis(10)));
-            return Err(NetError::Timeout);
+        std::thread::sleep(delay);
+        let survivors: Vec<_> = forwarded.iter().map(|&i| requests[i].clone()).collect();
+        for (i, reply) in forwarded
+            .into_iter()
+            .zip(self.inner.request_all(&survivors, timeout))
+        {
+            results[i] = reply;
         }
-        if fault.delays() {
-            std::thread::sleep(fault.sample_delay(&mut rng));
-            self.stats.delayed.fetch_add(1, Ordering::Relaxed);
+        if lost {
+            std::thread::sleep(
+                timeout
+                    .min(DROPPED_REQ_WAIT)
+                    .saturating_sub(start.elapsed()),
+            );
         }
-        self.inner.request(addr, frame, timeout)
+        results
     }
 
     fn bind_publisher(&self, addr: &Addr) -> Result<Publisher, NetError> {

@@ -11,11 +11,11 @@ use crate::frame::Frame;
 use crate::transport::{
     Delivery, Mailbox, NetError, NetStats, Outbox, Publisher, ReplyHandle, ReplyRoute, Transport,
 };
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// One registered endpoint: the send side plus the receive side, which
 /// is handed out once on `bind`.
@@ -72,6 +72,31 @@ impl InProcTransport {
             "in-process transport requires inproc:// addresses",
         ))
     }
+
+    /// Queue a REQ delivery at `addr` and return the one-shot channel
+    /// its reply will arrive on.
+    fn enqueue_request(&self, addr: &Addr, frame: Frame) -> Result<Receiver<Frame>, NetError> {
+        let name = Self::inproc_name(addr)?;
+        let tx = self.hub.lock().slot(name).tx.clone();
+        let (reply_tx, reply_rx) = bounded(1);
+        self.stats.record_sent(frame.packet_type(), frame.len());
+        tx.send(Delivery {
+            frame,
+            reply: Some(ReplyHandle {
+                route: ReplyRoute::Chan(reply_tx),
+            }),
+        })
+        .map_err(|_| NetError::Disconnected)?;
+        Ok(reply_rx)
+    }
+}
+
+/// Block on a one-shot reply channel for at most `timeout`.
+fn await_reply(reply: &Receiver<Frame>, timeout: Duration) -> Result<Frame, NetError> {
+    reply.recv_timeout(timeout).map_err(|e| match e {
+        RecvTimeoutError::Timeout => NetError::Timeout,
+        RecvTimeoutError::Disconnected => NetError::Disconnected,
+    })
 }
 
 impl Transport for InProcTransport {
@@ -95,25 +120,33 @@ impl Transport for InProcTransport {
         Ok(Outbox {
             tx: hub.slot(name).tx.clone(),
             stats: Some(self.stats.clone()),
+            unacked: None,
         })
     }
 
     fn request(&self, addr: &Addr, frame: Frame, timeout: Duration) -> Result<Frame, NetError> {
-        let out = self.sender(addr)?;
-        let (reply_tx, reply_rx) = bounded(1);
-        self.stats.record_sent(frame.packet_type(), frame.len());
-        out.tx
-            .send(Delivery {
-                frame,
-                reply: Some(ReplyHandle {
-                    route: ReplyRoute::Chan(reply_tx),
-                }),
-            })
-            .map_err(|_| NetError::Disconnected)?;
-        reply_rx.recv_timeout(timeout).map_err(|e| match e {
-            crossbeam::channel::RecvTimeoutError::Timeout => NetError::Timeout,
-            crossbeam::channel::RecvTimeoutError::Disconnected => NetError::Disconnected,
-        })
+        await_reply(&self.enqueue_request(addr, frame)?, timeout)
+    }
+
+    /// Every delivery is queued, each with its own one-shot reply
+    /// channel, before the first reply is awaited: the destinations
+    /// work on their requests at the same time and the caller's thread
+    /// is the only one involved. A reply that has already arrived is
+    /// still collected when the shared deadline has passed.
+    fn request_all(
+        &self,
+        requests: &[(&Addr, Frame)],
+        timeout: Duration,
+    ) -> Vec<Result<Frame, NetError>> {
+        let deadline = Instant::now() + timeout;
+        let pending: Vec<_> = requests
+            .iter()
+            .map(|(addr, frame)| self.enqueue_request(addr, frame.clone()))
+            .collect();
+        pending
+            .into_iter()
+            .map(|reply| await_reply(&reply?, deadline.saturating_duration_since(Instant::now())))
+            .collect()
     }
 
     fn bind_publisher(&self, addr: &Addr) -> Result<Publisher, NetError> {

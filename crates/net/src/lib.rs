@@ -4,7 +4,8 @@
 //! patterns, all reproduced here:
 //!
 //! * **REQ/REP** for low-latency blocking client queries
-//!   ([`Transport::request`]);
+//!   ([`Transport::request`]; [`Transport::request_all`] has the
+//!   requests to many destinations in flight together);
 //! * **PUSH** for medium-latency non-blocking sends, with explicit
 //!   acknowledgements sent as a PUSH in return ([`Transport::sender`] /
 //!   [`Outbox::send`]);

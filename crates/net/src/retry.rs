@@ -4,7 +4,8 @@
 //! Every REQ/REP and PUSH call site in `elga-core` used to be
 //! one-shot: a single timeout or refused connection failed the whole
 //! operation (or worse, was silently swallowed). [`TransportExt`]
-//! gives any [`Transport`] two retrying helpers governed by a
+//! gives any [`Transport`] three retrying helpers (one request, a
+//! scatter–gather of requests, one push) governed by a
 //! [`SendPolicy`]: transient errors ([`NetError::is_transient`]) are
 //! retried with exponential backoff + deterministic jitter until the
 //! retry budget or the overall deadline runs out; fatal errors
@@ -111,6 +112,40 @@ pub trait TransportExt: Transport {
                 Err(e) => return Err(e),
             }
         }
+    }
+
+    /// [`Transport::request_all`] with retry: after each round, only
+    /// the slots that failed transiently are sent again, together, in
+    /// one further `request_all` — answered slots are never repeated
+    /// and fatal errors stand. One backoff (salted by the first failed
+    /// destination) separates rounds, under the same `retries` and
+    /// `deadline` budget as [`TransportExt::request_with_retry`].
+    fn request_all_with_retry(
+        &self,
+        requests: &[(&Addr, Frame)],
+        timeout: Duration,
+        policy: &SendPolicy,
+    ) -> Vec<Result<Frame, NetError>> {
+        let start = Instant::now();
+        let mut results = self.request_all(requests, timeout);
+        for attempt in 1..=policy.retries {
+            let failed: Vec<usize> = (0..results.len())
+                .filter(|&i| matches!(&results[i], Err(e) if e.is_transient()))
+                .collect();
+            let Some(&first) = failed.first() else {
+                break;
+            };
+            let pause = policy.backoff(attempt, addr_salt(requests[first].0));
+            if start.elapsed() + pause >= policy.deadline {
+                break;
+            }
+            std::thread::sleep(pause);
+            let again: Vec<_> = failed.iter().map(|&i| requests[i].clone()).collect();
+            for (i, reply) in failed.into_iter().zip(self.request_all(&again, timeout)) {
+                results[i] = reply;
+            }
+        }
+        results
     }
 
     /// PUSH with retry: obtains a *fresh* sender per attempt (a failed

@@ -25,10 +25,10 @@ use crate::transport::{
 };
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const OP_PUSH: u8 = 1;
 const OP_REQ: u8 = 2;
@@ -91,6 +91,63 @@ fn log_conn_error(what: &str, peer: &str, e: &std::io::Error) {
 struct ReqConn {
     stream: TcpStream,
     rbuf: RecvBuf,
+}
+
+/// Write `frame` as a REQ on the cached connection in `conn`, opening
+/// one first if there is none. A failed write drops the connection.
+fn send_req(
+    conn: &mut Option<ReqConn>,
+    sock: SocketAddr,
+    frame: &Frame,
+    stats: &NetStats,
+) -> Result<(), NetError> {
+    if conn.is_none() {
+        let stream = TcpStream::connect(sock)?;
+        stream.set_nodelay(true)?;
+        *conn = Some(ReqConn {
+            stream,
+            rbuf: RecvBuf::new(None),
+        });
+    }
+    let open = conn.as_mut().expect("opened above");
+    stats.record_sent(frame.packet_type(), frame.len());
+    let written = write_msg(&mut open.stream, OP_REQ, frame.as_bytes());
+    if written.is_err() {
+        *conn = None;
+    }
+    Ok(written?)
+}
+
+/// Read the REP to the REQ last written on `conn`, waiting at most
+/// `timeout` (at least a millisecond: the socket API has no zero
+/// wait). Any failure drops the connection: a timed-out REQ would
+/// otherwise desynchronize the lock-step REQ/REP stream.
+fn read_rep(conn: &mut Option<ReqConn>, timeout: Duration) -> Result<Frame, NetError> {
+    let Some(open) = conn.as_mut() else {
+        return Err(NetError::Disconnected);
+    };
+    let outcome = (|| -> Result<Frame, NetError> {
+        open.stream
+            .set_read_timeout(Some(timeout.max(Duration::from_millis(1))))?;
+        let (op, payload) = open.rbuf.read_msg(&mut open.stream).map_err(|e| {
+            if matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            ) {
+                NetError::Timeout
+            } else {
+                NetError::Io(e)
+            }
+        })?;
+        if op != OP_REP || payload.is_empty() {
+            return Err(NetError::Protocol("expected REP frame"));
+        }
+        Ok(Frame::from_bytes(payload))
+    })();
+    if outcome.is_err() {
+        *conn = None;
+    }
+    outcome
 }
 
 /// TCP backend. Keeps a cache of REQ connections per peer.
@@ -216,49 +273,71 @@ impl Transport for TcpTransport {
         Ok(Outbox {
             tx,
             stats: Some(self.stats.clone()),
+            unacked: None,
         })
     }
 
     fn request(&self, addr: &Addr, frame: Frame, timeout: Duration) -> Result<Frame, NetError> {
         let sock = Self::tcp_addr(addr)?;
         let slot = self.req_conns.lock().entry(sock).or_default().clone();
-        let mut guard = slot.lock();
-        if guard.is_none() {
-            let s = TcpStream::connect(sock)?;
-            s.set_nodelay(true)?;
-            *guard = Some(ReqConn {
-                stream: s,
-                rbuf: RecvBuf::new(None),
-            });
-        }
-        let Some(conn) = guard.as_mut() else {
-            return Err(NetError::Disconnected);
-        };
-        conn.stream.set_read_timeout(Some(timeout))?;
-        self.stats.record_sent(frame.packet_type(), frame.len());
-        let outcome = (|| -> Result<Frame, NetError> {
-            write_msg(&mut conn.stream, OP_REQ, frame.as_bytes())?;
-            let (op, payload) = conn.rbuf.read_msg(&mut conn.stream).map_err(|e| {
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) {
-                    NetError::Timeout
-                } else {
-                    NetError::Io(e)
-                }
-            })?;
-            if op != OP_REP || payload.is_empty() {
-                return Err(NetError::Protocol("expected REP frame"));
+        let mut conn = slot.lock();
+        send_req(&mut conn, sock, &frame, &self.stats)?;
+        read_rep(&mut conn, timeout)
+    }
+
+    /// The cached REQ connections of the distinct destinations are
+    /// locked in address order (so two concurrent calls cannot hold
+    /// each other's), every request is written, then every reply is
+    /// read under the shared deadline. A connection that fails or
+    /// times out is dropped exactly as [`Transport::request`] drops
+    /// it; the others stay cached and in step. A destination named
+    /// more than once gets its requests one per round — its stream is
+    /// lock-step REQ/REP — so a later one follows the earlier one's
+    /// reply, on a fresh connection if that reply never came. A reply
+    /// already in the socket when the deadline has passed is still
+    /// collected (each read waits at least a millisecond).
+    fn request_all(
+        &self,
+        requests: &[(&Addr, Frame)],
+        timeout: Duration,
+    ) -> Vec<Result<Frame, NetError>> {
+        let deadline = Instant::now() + timeout;
+        // Every slot that is queued below is overwritten by its outcome.
+        let mut results: Vec<Result<Frame, NetError>> =
+            requests.iter().map(|_| Err(NetError::Timeout)).collect();
+        // Request slots per distinct destination, in address order.
+        let mut queues: BTreeMap<SocketAddr, VecDeque<usize>> = BTreeMap::new();
+        for (i, (addr, _)) in requests.iter().enumerate() {
+            match Self::tcp_addr(addr) {
+                Ok(sock) => queues.entry(sock).or_default().push_back(i),
+                Err(e) => results[i] = Err(e),
             }
-            Ok(Frame::from_bytes(payload))
-        })();
-        if outcome.is_err() {
-            // Drop the connection: a timed-out REQ would otherwise
-            // desynchronize the lockstep REQ/REP stream.
-            *guard = None;
         }
-        outcome
+        let slots: Vec<_> = {
+            let mut cache = self.req_conns.lock();
+            queues
+                .keys()
+                .map(|&sock| cache.entry(sock).or_default().clone())
+                .collect()
+        };
+        let mut conns: Vec<_> = slots.iter().map(|slot| slot.lock()).collect();
+        loop {
+            let mut awaiting = Vec::new();
+            for ((&sock, queue), conn) in queues.iter_mut().zip(conns.iter_mut()) {
+                let Some(i) = queue.pop_front() else { continue };
+                match send_req(conn, sock, &requests[i].1, &self.stats) {
+                    Ok(()) => awaiting.push((i, conn)),
+                    Err(e) => results[i] = Err(e),
+                }
+            }
+            if awaiting.is_empty() && queues.values().all(VecDeque::is_empty) {
+                return results;
+            }
+            for (i, conn) in awaiting {
+                let left = deadline.saturating_duration_since(Instant::now());
+                results[i] = read_rep(conn, left);
+            }
+        }
     }
 
     fn bind_publisher(&self, addr: &Addr) -> Result<Publisher, NetError> {

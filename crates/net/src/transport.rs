@@ -4,9 +4,9 @@
 use crate::addr::Addr;
 use crate::frame::Frame;
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// One packet type's traffic totals.
 #[derive(Default)]
@@ -347,6 +347,11 @@ pub struct Outbox {
     /// Send-side traffic counters of the owning transport, when the
     /// backend tracks them.
     pub(crate) stats: Option<Arc<NetStats>>,
+    /// The owning transport's count of pushes it has accepted and not
+    /// yet seen acknowledged ([`crate::ReliableTransport::in_flight`]);
+    /// a frame is counted before it is queued, so there is no moment
+    /// at which it is on its way and in nobody's count.
+    pub(crate) unacked: Option<Arc<AtomicUsize>>,
 }
 
 impl Outbox {
@@ -355,9 +360,15 @@ impl Outbox {
         if let Some(stats) = &self.stats {
             stats.record_sent(frame.packet_type(), frame.len());
         }
-        self.tx
-            .send(Delivery::push(frame))
-            .map_err(|_| NetError::Disconnected)
+        if let Some(unacked) = &self.unacked {
+            unacked.fetch_add(1, Ordering::SeqCst);
+        }
+        self.tx.send(Delivery::push(frame)).map_err(|_| {
+            if let Some(unacked) = &self.unacked {
+                unacked.fetch_sub(1, Ordering::SeqCst);
+            }
+            NetError::Disconnected
+        })
     }
 
     /// Frames queued behind this handle that the consumer has not yet
@@ -414,6 +425,35 @@ pub trait Transport: Send + Sync + 'static {
 
     /// Blocking REQ/REP round trip.
     fn request(&self, addr: &Addr, frame: Frame, timeout: Duration) -> Result<Frame, NetError>;
+
+    /// Scatter–gather: issue every request, then collect every reply.
+    /// Slot `i` of the result is what `request(requests[i].0,
+    /// requests[i].1, ..)` would have returned, and all slots share
+    /// one deadline `timeout` from the call — a destination that never
+    /// answers times out alone and costs the call one `timeout`, not
+    /// one each. A destination may appear more than once; its requests
+    /// are then answered in the order given.
+    ///
+    /// This default is the sequential loop, correct for any backend;
+    /// every backend in this crate overrides it so that the requests
+    /// are in flight together (see each `impl`).
+    fn request_all(
+        &self,
+        requests: &[(&Addr, Frame)],
+        timeout: Duration,
+    ) -> Vec<Result<Frame, NetError>> {
+        let deadline = Instant::now() + timeout;
+        requests
+            .iter()
+            .map(|(addr, frame)| {
+                let left = deadline.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    return Err(NetError::Timeout);
+                }
+                self.request(addr, frame.clone(), left)
+            })
+            .collect()
+    }
 
     /// Bind a PUB endpoint.
     fn bind_publisher(&self, addr: &Addr) -> Result<Publisher, NetError>;

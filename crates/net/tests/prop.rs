@@ -1,11 +1,15 @@
 //! Property tests for the messaging substrate.
 
 use elga_net::{
-    Addr, CoalesceConfig, CoalesceStats, CoalescingOutbox, Frame, InProcTransport, Transport,
+    Addr, CoalesceConfig, CoalesceStats, CoalescingOutbox, FaultPlan, FaultyTransport, Frame,
+    InProcTransport, NetError, SendPolicy, TcpTransport, Transport, TransportExt,
 };
 use proptest::prelude::*;
+use std::io::{Read, Write};
+use std::net::TcpListener;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 static NAME: AtomicU64 = AtomicU64::new(0);
 
@@ -227,5 +231,335 @@ proptest! {
             prop_assert_eq!(d.frame.packet_type(), want);
         }
         prop_assert!(sub.try_recv().unwrap().is_none(), "no extra deliveries");
+    }
+}
+
+// ---------------------------------------------------------------------
+// Scatter–gather requests
+// ---------------------------------------------------------------------
+
+/// What a test reads from and sets on one echo server.
+#[derive(Default)]
+struct Echo {
+    /// Requests that reached the server.
+    frames: AtomicU64,
+    /// Connections accepted (TCP servers only).
+    conns: AtomicU64,
+    /// How long the server works on a request before it replies.
+    delay_ms: AtomicU64,
+    /// Requests the server will still leave unanswered for good.
+    ignore: AtomicU64,
+}
+
+impl Echo {
+    /// Count a request in; false if it is one to leave unanswered.
+    fn admit(&self) -> bool {
+        self.frames.fetch_add(1, Ordering::SeqCst);
+        let ignored = self
+            .ignore
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1));
+        if ignored.is_ok() {
+            return false;
+        }
+        std::thread::sleep(Duration::from_millis(self.delay_ms.load(Ordering::SeqCst)));
+        true
+    }
+}
+
+fn ask(x: u64) -> Frame {
+    Frame::builder(1).u64(x).finish()
+}
+
+/// Server `id`'s reply to `ask(x)`.
+fn echo(id: u64, x: u64) -> Frame {
+    Frame::builder(2).u64(id).u64(x).finish()
+}
+
+/// Either backend, with `n` echo servers behind it. A server answers
+/// its requests one at a time, in arrival order.
+struct Rig {
+    transport: Arc<dyn Transport>,
+    addrs: Vec<Addr>,
+    servers: Vec<Arc<Echo>>,
+}
+
+impl Rig {
+    fn new(tcp: bool, n: u64) -> Rig {
+        let transport: Arc<dyn Transport> = if tcp {
+            Arc::new(TcpTransport::new())
+        } else {
+            Arc::new(InProcTransport::new())
+        };
+        let (addrs, servers) = (0..n)
+            .map(|id| {
+                if tcp {
+                    serve_tcp(id)
+                } else {
+                    serve_inproc(&transport, id)
+                }
+            })
+            .unzip();
+        Rig {
+            transport,
+            addrs,
+            servers,
+        }
+    }
+
+    fn requests(&self, dests: &[usize]) -> Vec<(&Addr, Frame)> {
+        dests
+            .iter()
+            .enumerate()
+            .map(|(x, &d)| (&self.addrs[d], ask(x as u64)))
+            .collect()
+    }
+
+    fn frames(&self) -> Vec<u64> {
+        let seen = |s: &Arc<Echo>| s.frames.load(Ordering::SeqCst);
+        self.servers.iter().map(seen).collect()
+    }
+}
+
+/// An echo server on the transport's own mailbox. Reply handles of
+/// ignored requests are kept, so the requester sees silence rather
+/// than a disconnect.
+fn serve_inproc(transport: &Arc<dyn Transport>, id: u64) -> (Addr, Arc<Echo>) {
+    let addr = fresh_name("echo");
+    let mailbox = transport.bind(&addr).unwrap();
+    let state = Arc::new(Echo::default());
+    let server = state.clone();
+    std::thread::spawn(move || {
+        let mut unanswered = Vec::new();
+        while let Ok(d) = mailbox.recv() {
+            let reply = d.reply.expect("servers are only ever asked");
+            if server.admit() {
+                let x = d.frame.reader().u64().unwrap();
+                let _ = reply.send(echo(id, x));
+            } else {
+                unanswered.push(reply);
+            }
+        }
+    });
+    (addr, state)
+}
+
+/// An echo server on a raw listener speaking the TCP backend's wire
+/// format (`u32` length, opcode 2 = REQ / 3 = REP, frame bytes), so
+/// that accepted connections can be counted.
+fn serve_tcp(id: u64) -> (Addr, Arc<Echo>) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = Addr::tcp(listener.local_addr().unwrap());
+    let state = Arc::new(Echo::default());
+    let server = state.clone();
+    std::thread::spawn(move || {
+        for mut stream in listener.incoming().flatten() {
+            server.conns.fetch_add(1, Ordering::SeqCst);
+            let server = server.clone();
+            std::thread::spawn(move || loop {
+                let mut head = [0u8; 5];
+                if stream.read_exact(&mut head).is_err() {
+                    return;
+                }
+                assert_eq!(head[4], 2, "clients only ever send REQ");
+                let len = u32::from_le_bytes(head[..4].try_into().unwrap()) as usize;
+                let mut frame = vec![0u8; len - 1];
+                stream.read_exact(&mut frame).unwrap();
+                if !server.admit() {
+                    continue;
+                }
+                let x = u64::from_le_bytes(frame[1..9].try_into().unwrap());
+                let reply = echo(id, x);
+                let mut out = ((reply.len() + 1) as u32).to_le_bytes().to_vec();
+                out.push(3);
+                out.extend_from_slice(reply.as_bytes());
+                if stream.write_all(&out).is_err() {
+                    return;
+                }
+            });
+        }
+    });
+    (addr, state)
+}
+
+fn answered(results: &[Result<Frame, NetError>]) -> Vec<Option<Vec<u8>>> {
+    results
+        .iter()
+        .map(|r| r.as_ref().ok().map(|f| f.as_bytes().to_vec()))
+        .collect()
+}
+
+/// Scheduling slack allowed on top of the servers' own delays.
+const SLACK: Duration = Duration::from_millis(60);
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
+
+    /// `request_all` returns what the same `request`s return, slot for
+    /// slot, and takes about as long as its slowest destination: the
+    /// requests are in flight together. A destination named twice
+    /// works its requests off one after the other on both backends.
+    #[test]
+    fn request_all_is_the_requests_in_flight_together(
+        tcp in any::<bool>(),
+        dests in prop::collection::vec(0usize..4, 1..9),
+        delays in prop::collection::vec(30u64..70, 4),
+    ) {
+        let rig = Rig::new(tcp, 4);
+        for (server, &ms) in rig.servers.iter().zip(&delays) {
+            server.delay_ms.store(ms, Ordering::SeqCst);
+        }
+        let requests = rig.requests(&dests);
+
+        let t0 = Instant::now();
+        let together = rig.transport.request_all(&requests, Duration::from_secs(5));
+        let took = t0.elapsed();
+        for server in &rig.servers {
+            server.delay_ms.store(0, Ordering::SeqCst);
+        }
+        let one_by_one: Vec<_> = requests
+            .iter()
+            .map(|(addr, frame)| rig.transport.request(addr, frame.clone(), Duration::from_secs(5)))
+            .collect();
+        prop_assert_eq!(answered(&together), answered(&one_by_one));
+        let expected: Vec<_> = dests
+            .iter()
+            .enumerate()
+            .map(|(x, &d)| Some(echo(d as u64, x as u64).as_bytes().to_vec()))
+            .collect();
+        prop_assert_eq!(answered(&together), expected);
+
+        // Round r holds every destination's r-th request; a round
+        // takes its slowest member. (The in-process servers overlap
+        // rounds too and only do better.)
+        let mut asked = [0usize; 4];
+        let mut rounds: Vec<u64> = Vec::new();
+        for &d in &dests {
+            if asked[d] == rounds.len() {
+                rounds.push(0);
+            }
+            rounds[asked[d]] = rounds[asked[d]].max(delays[d]);
+            asked[d] += 1;
+        }
+        let bound = Duration::from_millis(rounds.iter().sum());
+        prop_assert!(
+            took < bound + SLACK,
+            "{dests:?} with delays {delays:?} took {took:?}; the slowest path is {bound:?}"
+        );
+        prop_assert_eq!(rig.frames(), asked.map(|n| 2 * n as u64).to_vec());
+    }
+
+    /// One destination that never replies times out alone, inside one
+    /// `timeout` for the whole call. On TCP its connection is dropped
+    /// (the next request to it opens a fresh one) and every other
+    /// destination keeps the connection it had.
+    #[test]
+    fn a_silent_destination_times_out_alone(
+        tcp in any::<bool>(),
+        dests in prop::collection::vec(0usize..4, 1..9),
+        silent in 0usize..4,
+    ) {
+        let rig = Rig::new(tcp, 4);
+        rig.servers[silent].ignore.store(u64::MAX, Ordering::SeqCst);
+        let requests = rig.requests(&dests);
+        let timeout = Duration::from_millis(120);
+
+        let t0 = Instant::now();
+        let results = rig.transport.request_all(&requests, timeout);
+        let took = t0.elapsed();
+        for (x, (&d, result)) in dests.iter().zip(&results).enumerate() {
+            if d == silent {
+                prop_assert!(matches!(result, Err(NetError::Timeout)), "slot {x}: {result:?}");
+            } else {
+                let reply = result.as_ref().expect("answered");
+                prop_assert_eq!(reply.as_bytes(), echo(d as u64, x as u64).as_bytes());
+            }
+        }
+        if dests.contains(&silent) {
+            prop_assert!(took >= timeout);
+        }
+        prop_assert!(took < timeout + SLACK, "{took:?} for one {timeout:?} timeout");
+
+        // Afterwards every destination answers a plain request — on
+        // the connection it had, unless that one timed out.
+        rig.servers[silent].ignore.store(0, Ordering::SeqCst);
+        for (d, (addr, server)) in rig.addrs.iter().zip(&rig.servers).enumerate() {
+            let before = server.conns.load(Ordering::SeqCst);
+            let reply = rig.transport.request(addr, ask(77), Duration::from_secs(5));
+            prop_assert_eq!(reply.unwrap().as_bytes(), echo(d as u64, 77).as_bytes());
+            if tcp {
+                let fresh = u64::from(d == silent || !dests.contains(&d));
+                let conns = server.conns.load(Ordering::SeqCst);
+                prop_assert_eq!(conns, before + fresh, "destination {d}");
+                prop_assert!(d == silent || conns == 1);
+            }
+        }
+    }
+
+    /// Under a fault plan each request meets the plan on its own: the
+    /// slots of a cut destination are `Disconnected` without reaching
+    /// it, every other slot is answered.
+    #[test]
+    fn a_cut_destination_fails_alone(
+        tcp in any::<bool>(),
+        dests in prop::collection::vec(0usize..4, 1..9),
+        cut in 0usize..4,
+    ) {
+        let rig = Rig::new(tcp, 4);
+        let faulty = FaultyTransport::new(rig.transport.clone(), FaultPlan::default(), 7);
+        faulty.disconnect(&rig.addrs[cut]);
+        let results = faulty.request_all(&rig.requests(&dests), Duration::from_secs(5));
+        for (x, (&d, result)) in dests.iter().zip(&results).enumerate() {
+            if d == cut {
+                prop_assert!(matches!(result, Err(NetError::Disconnected)), "slot {x}: {result:?}");
+            } else {
+                let reply = result.as_ref().expect("answered");
+                prop_assert_eq!(reply.as_bytes(), echo(d as u64, x as u64).as_bytes());
+            }
+        }
+        let mut asked = [0u64; 4];
+        for &d in dests.iter().filter(|&&d| d != cut) {
+            asked[d] += 1;
+        }
+        prop_assert_eq!(rig.frames(), asked.to_vec());
+        prop_assert_eq!(
+            faulty.stats().rejected(),
+            dests.iter().filter(|&&d| d == cut).count() as u64
+        );
+    }
+
+    /// `request_all_with_retry` sends again exactly the slots that
+    /// failed: a destination that swallows its first request sees one
+    /// frame more than it was asked, every other destination sees its
+    /// requests once, and every slot ends up answered.
+    #[test]
+    fn a_retry_resends_only_the_failed_slots(
+        tcp in any::<bool>(),
+        dests in prop::collection::vec(0usize..4, 1..9),
+        flaky in 0usize..4,
+    ) {
+        let rig = Rig::new(tcp, 4);
+        rig.servers[flaky].ignore.store(1, Ordering::SeqCst);
+        let policy = SendPolicy {
+            retries: 2,
+            base_delay: Duration::from_millis(1),
+            deadline: Duration::from_secs(5),
+        };
+        let results = rig.transport.request_all_with_retry(
+            &rig.requests(&dests),
+            Duration::from_millis(80),
+            &policy,
+        );
+        let expected: Vec<_> = dests
+            .iter()
+            .enumerate()
+            .map(|(x, &d)| Some(echo(d as u64, x as u64).as_bytes().to_vec()))
+            .collect();
+        prop_assert_eq!(answered(&results), expected);
+        let mut asked = [0u64; 4];
+        for &d in &dests {
+            asked[d] += 1;
+        }
+        asked[flaky] += u64::from(dests.contains(&flaky));
+        prop_assert_eq!(rig.frames(), asked.to_vec());
     }
 }

@@ -9,8 +9,9 @@
 //! * **Batched point reads.** [`QueryClient::query_batch`] groups the
 //!   asked vertices by primary agent, ships one `QUERY_BATCH` frame
 //!   per agent (borrowed-view wire records, zero-copy decode on the
-//!   agent), and issues the per-agent requests concurrently — one
-//!   round trip per *agent*, not per vertex.
+//!   agent), and has the per-agent requests in flight together — one
+//!   scatter–gather on the caller's thread, one round trip per
+//!   *agent*, not per vertex.
 //! * **Standing subscriptions.** [`QueryClient::subscribe`] registers
 //!   vertex interest with every agent; after each completed run the
 //!   vertices' primaries push only the values that changed, coalesced
@@ -136,19 +137,30 @@ impl QueryClient {
             self.view = view;
         }
         if let Some(addr) = self.mailbox.as_ref().map(|m| m.addr().clone()) {
-            for (&sub, vertices) in &self.subs {
-                let frame = msg::encode_sub_reg(&addr, sub, vertices);
-                for a in &self.view.agents {
-                    let _ = self.transport.request_with_retry(
-                        &a.addr,
-                        frame.clone(),
-                        self.cfg.request_timeout,
-                        &self.cfg.send_policy,
-                    );
-                }
-            }
+            let frames: Vec<Frame> = self
+                .subs
+                .iter()
+                .map(|(&sub, vertices)| msg::encode_sub_reg(&addr, sub, vertices))
+                .collect();
+            let _ = self.register(&frames);
         }
         Ok(())
+    }
+
+    /// Send every registration frame to every agent of the view, all
+    /// in one scatter–gather; replies agent-major, in `frames` order.
+    fn register(&self, frames: &[Frame]) -> Vec<Result<Frame, NetError>> {
+        let requests: Vec<(&Addr, Frame)> = self
+            .view
+            .agents
+            .iter()
+            .flat_map(|a| frames.iter().map(move |f| (&a.addr, f.clone())))
+            .collect();
+        self.transport.request_all_with_retry(
+            &requests,
+            self.cfg.request_timeout,
+            &self.cfg.send_policy,
+        )
     }
 
     /// The client's current view.
@@ -161,11 +173,12 @@ impl QueryClient {
     // ------------------------------------------------------------------
 
     /// Query many vertices in one sweep: one `QUERY_BATCH` round trip
-    /// per distinct primary agent, issued concurrently. Answers come
-    /// back in the order asked; `None` marks a vertex the primary
-    /// authoritatively does not hold (never created, or deleted), a
-    /// vertex with no completed-run snapshot yet, or an unreachable
-    /// agent.
+    /// per distinct primary agent, all in flight together
+    /// ([`Transport::request_all`]) and encoded, sent and decoded on
+    /// the caller's thread. Answers come back in the order asked;
+    /// `None` marks a vertex the primary authoritatively does not hold
+    /// (never created, or deleted), a vertex with no completed-run
+    /// snapshot yet, or an unreachable agent.
     ///
     /// Every `Some` in the slice an agent answered shares that agent's
     /// single `(run, watermark)` snapshot tag: a batch can straddle
@@ -180,28 +193,34 @@ impl QueryClient {
                 by_agent.entry(primary).or_default().push(i);
             }
         }
-        // One REQ per agent, all in flight at once: scoped threads
-        // block on their own round trip while the others progress.
-        let groups: Vec<(AgentId, Vec<usize>)> = by_agent.into_iter().collect();
-        let mut replies: Vec<Option<(u64, u64, Vec<msg::QueryAnswer>)>> =
-            Vec::with_capacity(groups.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = groups
-                .iter()
-                .map(|(agent, positions)| {
-                    let asked: Vec<VertexId> = positions.iter().map(|&i| vertices[i]).collect();
-                    scope.spawn(move || self.batch_one_agent(*agent, &asked))
-                })
-                .collect();
-            for h in handles {
-                replies.push(h.join().unwrap_or(None));
-            }
-        });
+        // One REQ per agent, all in flight at once.
+        let groups: Vec<(&Addr, Vec<usize>)> = by_agent
+            .into_iter()
+            .filter_map(|(agent, positions)| Some((self.view.addr_of(agent)?, positions)))
+            .collect();
+        let requests: Vec<(&Addr, Frame)> = groups
+            .iter()
+            .map(|(addr, positions)| {
+                let asked: Vec<VertexId> = positions.iter().map(|&i| vertices[i]).collect();
+                (*addr, msg::encode_query_batch(&asked))
+            })
+            .collect();
+        let replies = self.transport.request_all_with_retry(
+            &requests,
+            self.cfg.request_timeout,
+            &self.cfg.send_policy,
+        );
         for ((_, positions), reply) in groups.iter().zip(replies) {
-            let Some((run, watermark, answers_one)) = reply else {
+            // An unreachable agent or a malformed reply leaves its
+            // slice unanswered.
+            let Ok(reply) = reply else { continue };
+            let Some((run, watermark, recs)) = msg::decode_query_batch_rep(&reply) else {
                 continue;
             };
-            for (&i, a) in positions.iter().zip(answers_one) {
+            if recs.len() != positions.len() {
+                continue;
+            }
+            for (&i, a) in positions.iter().zip(recs.iter()) {
                 if a.found == msg::ANSWER_HIT {
                     answers[i] = Some(SnapshotValue {
                         state: a.state,
@@ -212,32 +231,6 @@ impl QueryClient {
             }
         }
         answers
-    }
-
-    /// One agent's slice of a batch. `None` on transport failure or a
-    /// malformed reply; otherwise the agent's snapshot tag plus one
-    /// answer per asked vertex, in asking order.
-    fn batch_one_agent(
-        &self,
-        agent: AgentId,
-        vertices: &[VertexId],
-    ) -> Option<(u64, u64, Vec<msg::QueryAnswer>)> {
-        let addr = self.view.addr_of(agent)?;
-        let (rep, _) = self
-            .transport
-            .request_with_retry(
-                addr,
-                msg::encode_query_batch(vertices),
-                self.cfg.request_timeout,
-                &self.cfg.send_policy,
-            )
-            .ok()?;
-        let (run, watermark, recs) = msg::decode_query_batch_rep(&rep)?;
-        let answers: Vec<msg::QueryAnswer> = recs.iter().collect();
-        if answers.len() != vertices.len() {
-            return None;
-        }
-        Some((run, watermark, answers))
     }
 
     // ------------------------------------------------------------------
@@ -267,15 +260,8 @@ impl QueryClient {
         let addr = self.mailbox_addr()?;
         let sub = self.next_sub;
         self.next_sub += 1;
-        let frame = msg::encode_sub_reg(&addr, sub, vertices);
-        for a in &self.view.agents {
-            let (rep, _) = self.transport.request_with_retry(
-                &a.addr,
-                frame.clone(),
-                self.cfg.request_timeout,
-                &self.cfg.send_policy,
-            )?;
-            if rep.packet_type() != packet::OK {
+        for rep in self.register(&[msg::encode_sub_reg(&addr, sub, vertices)]) {
+            if rep?.packet_type() != packet::OK {
                 return Err(NetError::Protocol("subscription refused"));
             }
         }
@@ -290,15 +276,7 @@ impl QueryClient {
             return Ok(());
         }
         let addr = self.mailbox_addr()?;
-        let frame = msg::encode_sub_reg(&addr, sub, &[]);
-        for a in &self.view.agents {
-            let _ = self.transport.request_with_retry(
-                &a.addr,
-                frame.clone(),
-                self.cfg.request_timeout,
-                &self.cfg.send_policy,
-            );
-        }
+        let _ = self.register(&[msg::encode_sub_reg(&addr, sub, &[])]);
         Ok(())
     }
 

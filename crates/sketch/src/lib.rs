@@ -9,19 +9,13 @@
 //! probability `1 − δ`, in `O(d·w)` space independent of the graph.
 //! Streamers feed it one [`SketchDelta`] per ingest batch — the cells
 //! the batch touched, not the table.
-//!
-//! A classic [`CountSketch`] is included for comparison (it is the
-//! predecessor discussed in §2.4 but is not used by the system: its
-//! estimates can under-count, which would *unsplit* a heavy vertex).
 
 #![warn(missing_docs)]
 
 pub mod cms;
-pub mod countsketch;
 pub mod delta;
 pub mod estimator;
 
 pub use cms::CountMinSketch;
-pub use countsketch::CountSketch;
 pub use delta::SketchDelta;
 pub use estimator::DegreeEstimator;

@@ -6,16 +6,30 @@ pub mod channel {
     //! MPMC channels: `unbounded`, `bounded`, timeouts, disconnect
     //! detection. Built on `Mutex<VecDeque>` + `Condvar`; correctness
     //! over raw throughput.
+    //!
+    //! A condition variable is notified only when somebody waits on
+    //! it: std's futex `Condvar::notify_one` is a system call whether
+    //! or not a thread is parked, and most frames are sent to a
+    //! receiver that is busy, not blocked. Waiters count themselves
+    //! in and out under the state mutex, and whoever changes the queue
+    //! reads the count under that same mutex before it notifies — a
+    //! waiter counted in is either parked (and is woken) or already on
+    //! its way back to the mutex (and will see the new state), so no
+    //! wake-up is lost.
 
     use std::collections::VecDeque;
     use std::fmt;
-    use std::sync::{Arc, Condvar, Mutex};
+    use std::sync::{Arc, Condvar, Mutex, MutexGuard};
     use std::time::{Duration, Instant};
 
     struct State<T> {
         queue: VecDeque<T>,
         senders: usize,
         receivers: usize,
+        /// Receivers inside a wait on `not_empty`.
+        recv_waiting: usize,
+        /// Senders inside a wait on `not_full` (bounded channels only).
+        send_waiting: usize,
     }
 
     struct Inner<T> {
@@ -23,6 +37,9 @@ pub mod channel {
         not_empty: Condvar,
         not_full: Condvar,
         cap: Option<usize>,
+        /// `notify_one` calls made on behalf of a queue change.
+        #[cfg(test)]
+        notifies: std::sync::atomic::AtomicUsize,
     }
 
     /// The sending half; cloneable, usable from any thread.
@@ -103,10 +120,14 @@ pub mod channel {
                 queue: VecDeque::new(),
                 senders: 1,
                 receivers: 1,
+                recv_waiting: 0,
+                send_waiting: 0,
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
             cap,
+            #[cfg(test)]
+            notifies: Default::default(),
         });
         (Sender(inner.clone()), Receiver(inner))
     }
@@ -123,8 +144,27 @@ pub mod channel {
     }
 
     impl<T> Inner<T> {
-        fn lock(&self) -> std::sync::MutexGuard<'_, State<T>> {
+        fn lock(&self) -> MutexGuard<'_, State<T>> {
             self.state.lock().unwrap_or_else(|e| e.into_inner())
+        }
+
+        /// Release the state and wake one thread parked on `cv`, if
+        /// `waiting` (read under the lock just released) says one is.
+        fn unlock_and_wake(&self, st: MutexGuard<'_, State<T>>, cv: &Condvar, waiting: usize) {
+            drop(st);
+            if waiting > 0 {
+                #[cfg(test)]
+                self.notifies
+                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                cv.notify_one();
+            }
+        }
+
+        /// A message was just taken off the queue: release the state
+        /// and let one blocked sender of a bounded channel in.
+        fn popped(&self, st: MutexGuard<'_, State<T>>) {
+            let waiting = st.send_waiting;
+            self.unlock_and_wake(st, &self.not_full, waiting);
         }
     }
 
@@ -139,14 +179,16 @@ pub mod channel {
                 }
                 match self.0.cap {
                     Some(cap) if st.queue.len() >= cap => {
+                        st.send_waiting += 1;
                         st = self.0.not_full.wait(st).unwrap_or_else(|e| e.into_inner());
+                        st.send_waiting -= 1;
                     }
                     _ => break,
                 }
             }
             st.queue.push_back(value);
-            drop(st);
-            self.0.not_empty.notify_one();
+            let waiting = st.recv_waiting;
+            self.0.unlock_and_wake(st, &self.0.not_empty, waiting);
             Ok(())
         }
 
@@ -168,14 +210,15 @@ pub mod channel {
             let mut st = self.0.lock();
             loop {
                 if let Some(v) = st.queue.pop_front() {
-                    drop(st);
-                    self.0.not_full.notify_one();
+                    self.0.popped(st);
                     return Ok(v);
                 }
                 if st.senders == 0 {
                     return Err(RecvError);
                 }
+                st.recv_waiting += 1;
                 st = self.0.not_empty.wait(st).unwrap_or_else(|e| e.into_inner());
+                st.recv_waiting -= 1;
             }
         }
 
@@ -185,8 +228,7 @@ pub mod channel {
             let mut st = self.0.lock();
             loop {
                 if let Some(v) = st.queue.pop_front() {
-                    drop(st);
-                    self.0.not_full.notify_one();
+                    self.0.popped(st);
                     return Ok(v);
                 }
                 if st.senders == 0 {
@@ -196,12 +238,14 @@ pub mod channel {
                 if left.is_zero() {
                     return Err(RecvTimeoutError::Timeout);
                 }
+                st.recv_waiting += 1;
                 let (guard, _) = self
                     .0
                     .not_empty
                     .wait_timeout(st, left)
                     .unwrap_or_else(|e| e.into_inner());
                 st = guard;
+                st.recv_waiting -= 1;
             }
         }
 
@@ -209,8 +253,7 @@ pub mod channel {
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
             let mut st = self.0.lock();
             if let Some(v) = st.queue.pop_front() {
-                drop(st);
-                self.0.not_full.notify_one();
+                self.0.popped(st);
                 return Ok(v);
             }
             if st.senders == 0 {
@@ -363,6 +406,138 @@ pub mod channel {
             assert_eq!(t.join().unwrap(), "sent");
             assert_eq!(rx.recv(), Ok(2));
             assert_eq!(rx.recv(), Ok(3));
+        }
+
+        /// Rounds per wake-up test.
+        const ROUNDS: u64 = 10_000;
+        /// A lost wake-up shows as a wait this long, not as a hang.
+        const STUCK: Duration = Duration::from_secs(20);
+
+        /// Spin for a pseudo-random moment, so that of two racing
+        /// threads either may reach the channel first.
+        fn jitter(rng: &mut u64) {
+            *rng ^= *rng << 13;
+            *rng ^= *rng >> 7;
+            *rng ^= *rng << 17;
+            for _ in 0..*rng % 400 {
+                std::hint::spin_loop();
+            }
+        }
+
+        fn notifies<T>(tx: &Sender<T>) -> usize {
+            tx.0.notifies.load(std::sync::atomic::Ordering::Relaxed)
+        }
+
+        /// One receiver thread takes `ROUNDS` messages, entering its
+        /// wait at a random moment relative to each send; it answers
+        /// each on a second channel the sender blocks on in turn.
+        fn ping_pong(recv: fn(&Receiver<u64>) -> Option<u64>) {
+            let (tx, rx) = unbounded::<u64>();
+            let (ack_tx, ack_rx) = unbounded::<u64>();
+            let waiter = thread::spawn(move || {
+                let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+                for _ in 0..ROUNDS {
+                    jitter(&mut rng);
+                    let got = recv(&rx).expect("a send must wake the receiver");
+                    ack_tx.send(got).unwrap();
+                }
+            });
+            let mut rng = 0xD1B5_4A32_D192_ED03u64;
+            for i in 0..ROUNDS {
+                jitter(&mut rng);
+                tx.send(i).unwrap();
+                assert_eq!(ack_rx.recv_timeout(STUCK), Ok(i), "round {i}");
+            }
+            waiter.join().unwrap();
+            // One message in flight at a time: at most one wake-up
+            // each, and none for a receiver that was not parked.
+            assert!(notifies(&tx) <= ROUNDS as usize);
+        }
+
+        #[test]
+        fn send_wakes_a_receiver_parked_in_recv() {
+            ping_pong(|rx| rx.recv().ok());
+        }
+
+        #[test]
+        fn send_wakes_a_receiver_parked_in_recv_timeout() {
+            ping_pong(|rx| rx.recv_timeout(STUCK).ok());
+        }
+
+        #[test]
+        fn last_sender_drop_wakes_parked_receivers() {
+            let (work_tx, work_rx) = unbounded::<(Receiver<u8>, bool)>();
+            let (ack_tx, ack_rx) = unbounded::<bool>();
+            let waiter = thread::spawn(move || {
+                let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+                for (rx, timed) in work_rx.iter() {
+                    jitter(&mut rng);
+                    let disconnected = if timed {
+                        rx.recv_timeout(STUCK) == Err(RecvTimeoutError::Disconnected)
+                    } else {
+                        rx.recv() == Err(RecvError)
+                    };
+                    ack_tx.send(disconnected).unwrap();
+                }
+            });
+            let mut rng = 0xD1B5_4A32_D192_ED03u64;
+            for i in 0..ROUNDS {
+                let (tx, rx) = unbounded::<u8>();
+                work_tx.send((rx, i % 2 == 0)).unwrap();
+                jitter(&mut rng);
+                drop(tx);
+                assert_eq!(ack_rx.recv_timeout(STUCK), Ok(true), "round {i}");
+            }
+            drop(work_tx);
+            waiter.join().unwrap();
+        }
+
+        #[test]
+        fn recv_wakes_a_sender_blocked_on_a_full_bounded_channel() {
+            let (tx, rx) = bounded::<u64>(1);
+            let (go_tx, go_rx) = unbounded::<u64>();
+            let blocked = tx.clone();
+            let waiter = thread::spawn(move || {
+                let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+                for i in go_rx.iter() {
+                    jitter(&mut rng);
+                    blocked.send(i).unwrap(); // full: blocks until a recv
+                }
+            });
+            let mut rng = 0xD1B5_4A32_D192_ED03u64;
+            for i in 0..ROUNDS {
+                tx.send(u64::MAX).unwrap(); // fills the one slot
+                go_tx.send(i).unwrap();
+                jitter(&mut rng);
+                assert_eq!(rx.recv_timeout(STUCK), Ok(u64::MAX), "round {i}");
+                assert_eq!(rx.recv_timeout(STUCK), Ok(i), "round {i}");
+            }
+            drop(go_tx);
+            waiter.join().unwrap();
+        }
+
+        #[test]
+        fn nobody_waiting_nobody_notified() {
+            let (tx, rx) = unbounded();
+            for i in 0..ROUNDS {
+                tx.send(i).unwrap();
+            }
+            for i in 0..ROUNDS / 2 {
+                assert_eq!(rx.recv(), Ok(i));
+            }
+            while rx.try_recv().is_ok() {}
+            assert_eq!(
+                rx.recv_timeout(Duration::ZERO),
+                Err(RecvTimeoutError::Timeout)
+            );
+            assert_eq!(notifies(&tx), 0, "no thread ever waited on this channel");
+
+            let (tx, rx) = bounded(4);
+            for round in 0..ROUNDS {
+                tx.send(round).unwrap();
+                assert_eq!(rx.try_recv(), Ok(round));
+            }
+            assert_eq!(notifies(&tx), 0, "never full, never empty-and-awaited");
         }
 
         #[test]

@@ -120,6 +120,144 @@ fn batched_reads_match_primary_loop() {
     cluster.shutdown();
 }
 
+/// A read asks every agent at once: while one agent works off a long
+/// queue of checkpoints, a batch over all agents comes back after one
+/// request timeout with every other agent's slice answered — the busy
+/// agent costs its own slice, once, and nothing else.
+#[test]
+fn a_busy_agent_costs_a_batch_its_own_slice_only() {
+    let n = 6_000u64;
+    let dir = ckpt_dir("busy-agent");
+    let mut cluster = Cluster::builder().agents(3).checkpoints(&dir).build();
+    cluster.ingest_edges(chain_graph(n).iter().copied());
+    cluster
+        .run(PageRank::new(0.85).with_max_iters(5))
+        .expect("pagerank");
+
+    let timeout = Duration::from_millis(150);
+    let client = QueryClient::connect(
+        cluster.transport(),
+        SystemConfig {
+            request_timeout: timeout,
+            send_policy: elga::net::SendPolicy::one_shot(),
+            ..cluster.config().clone()
+        },
+        cluster.lead_directory(),
+    )
+    .expect("query client connects");
+    let asked: Vec<u64> = (0..600).collect();
+    let idle = client.query_batch(&asked);
+    assert!(idle.iter().all(Option::is_some), "every agent answers idle");
+
+    // Keep one agent busy for about two seconds: time one checkpoint
+    // of its shard, then queue as many behind each other as that takes.
+    let view = cluster.view();
+    let busy = &view.agents[0];
+    let save = elga::core::msg::encode_ckpt_save(1, view.epoch, 0);
+    let transport = cluster.transport();
+    let t0 = std::time::Instant::now();
+    transport
+        .request(&busy.addr, save.clone(), Duration::from_secs(30))
+        .expect("one checkpoint");
+    let one = t0.elapsed().max(Duration::from_micros(50));
+    let queued = (Duration::from_secs(2).as_nanos() / one.as_nanos()).max(20) as usize;
+    let checkpoints = std::thread::spawn({
+        let (transport, addr) = (transport.clone(), busy.addr.clone());
+        move || {
+            let queue = vec![(&addr, save); queued];
+            let saved = transport.request_all(&queue, Duration::from_secs(60));
+            assert!(saved.iter().all(Result::is_ok), "every checkpoint answered");
+        }
+    });
+    let stats = transport.net_stats().expect("in-process counters");
+    while stats.sent(packet::CKPT_SAVE).0 < 1 + queued as u64 {
+        std::thread::yield_now();
+    }
+
+    let t0 = std::time::Instant::now();
+    let answers = client.query_batch(&asked);
+    let took = t0.elapsed();
+    let ring = view.locator();
+    let (mut behind_the_queue, mut elsewhere) = (0, 0);
+    for (&v, (now, before)) in asked.iter().zip(answers.iter().zip(&idle)) {
+        if ring.ring().owner(v) == Some(busy.id) {
+            assert_eq!(*now, None, "v{v}: the checkpoint queue was too short");
+            behind_the_queue += 1;
+        } else {
+            assert_eq!(now, before, "v{v}: an idle agent's slice went missing");
+            elsewhere += 1;
+        }
+    }
+    assert!(behind_the_queue > 0 && elsewhere > 0, "all agents asked");
+    assert!(
+        took >= timeout && took < 2 * timeout,
+        "one timeout for the whole batch, not one per agent: {took:?}"
+    );
+    checkpoints.join().expect("checkpoint queue");
+    cluster.shutdown();
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Threads of this process whose kernel name is `comm`. A thread
+/// spawned without a name keeps its parent's, so from inside a test
+/// this counts the test's thread and everything it spawned, however
+/// many other tests run beside it.
+fn threads_named(comm: &str) -> usize {
+    fs::read_dir("/proc/self/task")
+        .expect("procfs")
+        .filter_map(|task| fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .filter(|name| name == comm)
+        .count()
+}
+
+/// A read spawns no thread: 32 clients read at once, in a loop, and
+/// the number of threads this test owns never exceeds the 32 it
+/// started itself. (With a thread per agent per read it rose by up to
+/// three per batch in flight.)
+#[test]
+fn reads_spawn_no_thread() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Barrier;
+
+    let mut cluster = Cluster::builder().agents(3).build();
+    cluster.ingest_edges(chain_graph(300).iter().copied());
+    cluster
+        .run(PageRank::new(0.85).with_max_iters(5))
+        .expect("pagerank");
+    let clients: Vec<QueryClient> = (0..32).map(|_| query_client(&cluster)).collect();
+    let asked: Vec<u64> = (0..300).collect();
+
+    let me = fs::read_to_string("/proc/thread-self/comm").expect("procfs");
+    assert_eq!(threads_named(&me), 1, "the test thread alone");
+    let start = Barrier::new(clients.len() + 1);
+    let reading = AtomicUsize::new(clients.len());
+    let mut most = 0;
+    std::thread::scope(|scope| {
+        for client in &clients {
+            scope.spawn(|| {
+                start.wait();
+                for _ in 0..200 {
+                    let answers = client.query_batch(&asked);
+                    assert!(answers.iter().all(Option::is_some));
+                }
+                reading.fetch_sub(1, Ordering::SeqCst);
+            });
+        }
+        start.wait();
+        while reading.load(Ordering::SeqCst) > 0 {
+            most = most.max(threads_named(&me));
+        }
+    });
+    assert!(most > 1, "the watcher saw the readers");
+    assert!(
+        most <= clients.len() + 1,
+        "{most} threads while {} clients read",
+        clients.len()
+    );
+    assert_eq!(threads_named(&me), 1, "and none is left behind");
+    cluster.shutdown();
+}
+
 /// An authoritative "vertex not found" from the primary ends the search
 /// immediately: no replica walk escalation, no view refresh round trip.
 #[test]
@@ -300,12 +438,16 @@ fn snapshots_survive_elasticity_and_recovery() {
     assert!(s1.iter().all(|s| s.is_some_and(|s| s.run == r1.run_id)));
 
     // Join: primaryship (and the snapshots riding it) migrates.
+    // `add_agents` returns on the new view, not on the migrate barrier
+    // behind it; a read in between finds the slices still on their way.
     let joined = cluster.add_agents(1);
+    cluster.quiesce().expect("join settles");
     client.refresh().expect("refresh after join");
     assert_eq!(client.query_batch(&asked), s1, "join tore the snapshot");
 
     // Leave: the departing agent hands its vertices (and snaps) back.
     cluster.remove_agent(joined[0]);
+    cluster.quiesce().expect("leave settles");
     client.refresh().expect("refresh after leave");
     assert_eq!(client.query_batch(&asked), s1, "leave tore the snapshot");
 
