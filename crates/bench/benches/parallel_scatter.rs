@@ -1,4 +1,4 @@
-//! Intra-agent parallelism and owner-cache ablations.
+//! Intra-agent parallelism and what the owner memo saves.
 //!
 //! Two measurements back the PR's perf claims:
 //!
@@ -7,18 +7,15 @@
 //!    split the fixed vertex shards across a scoped pool and merge
 //!    per-shard output in shard order, so the speedup is free of any
 //!    result change (see `tests/determinism.rs`).
-//! 2. **Streamer ingest routing** — `Streamer::send_batch` throughput
-//!    with the per-epoch owner cache on vs off (`owner_cache = false`
-//!    routes through the pre-cache per-edge path). Each batch repeats
-//!    source vertices heavily, which is exactly what the cache memoises
-//!    (one sketch estimate + ring walk per distinct source per epoch).
+//! 2. **Owner resolution** — the pair stream and epoch cadence
+//!    `Streamer::route` sees, resolved through the per-epoch owner memo
+//!    against the locator asked directly. Each batch repeats source
+//!    vertices heavily, which is exactly what the memo saves (one
+//!    sketch estimate + ring walk per distinct source per epoch).
 
 use elga_bench::{banner, mean_ci, trials};
 use elga_core::algorithms::PageRank;
 use elga_core::cluster::Cluster;
-use elga_core::config::SystemConfig;
-use elga_core::streamer::Streamer;
-use elga_graph::types::EdgeChange;
 use elga_hash::{EdgeLocator, HashKind, LocatorConfig, OwnerCache, Ring};
 use elga_sketch::CountMinSketch;
 use std::time::Instant;
@@ -49,27 +46,10 @@ fn pagerank_secs(workers: usize, edges: &[(u64, u64)]) -> f64 {
     secs
 }
 
-fn ingest_secs(owner_cache: bool, changes: &[EdgeChange]) -> f64 {
-    let cfg = SystemConfig {
-        owner_cache,
-        ..SystemConfig::default()
-    };
-    let c = Cluster::builder().agents(2).config(cfg.clone()).build();
-    let mut s = Streamer::connect(c.transport(), cfg, c.lead_directory()).expect("streamer");
-    let t0 = Instant::now();
-    for chunk in changes.chunks(8192) {
-        s.send_batch(chunk).expect("send");
-    }
-    let secs = t0.elapsed().as_secs_f64();
-    c.quiesce().expect("quiesce");
-    c.shutdown();
-    secs
-}
-
 fn main() {
     banner(
         "parallel kernels",
-        "superstep workers and owner-cache ablations",
+        "superstep workers and the owner memo against direct resolution",
     );
 
     let edges = scatter_heavy_graph(40_000);
@@ -87,34 +67,16 @@ fn main() {
         s1 / s4
     );
 
-    let changes: Vec<EdgeChange> = edges
-        .iter()
-        .map(|&(u, v)| EdgeChange::insert(u, v))
-        .collect();
-    let mut cached = Vec::new();
-    let mut uncached = Vec::new();
-    for _ in 0..trials() {
-        uncached.push(ingest_secs(false, &changes));
-        cached.push(ingest_secs(true, &changes));
-    }
-    let (off, _) = mean_ci(&uncached);
-    let (on, _) = mean_ci(&cached);
-    println!(
-        "  ingest {} changes  cache off: {off:.3}s  cache on: {on:.3}s  speedup: {:.2}x",
-        changes.len(),
-        off / on
-    );
-
     resolution_microbench();
 }
 
-/// Owner resolution in isolation: the exact pair stream and epoch
-/// cadence `Streamer::route` sees (both placements per change, cache
-/// invalidated every batch because each sketch push bumps the view
-/// epoch), on a hub-heavy graph with replication engaged. End-to-end
-/// ingest divides this win by everything else sharing the wall clock
-/// (sketch deltas, agent-side application — all of it on this core);
-/// the resolution itself is the number the cache moves.
+/// Owner resolution in isolation: the pair stream `Streamer::route`
+/// sees (both placements per change) at the harshest epoch cadence (a
+/// new epoch, and so an emptied memo, every batch), on a hub-heavy
+/// graph with replication engaged. End-to-end ingest divides this win
+/// by everything else sharing the wall clock (sketch deltas, agent-side
+/// application — all of it on this core); the resolution itself is the
+/// number the memo moves.
 fn resolution_microbench() {
     let ring = Ring::from_agents(HashKind::Wang, 100, 0..4u64);
     let loc = EdgeLocator::new(

@@ -187,6 +187,14 @@ impl Agent {
         active: u64,
         contrib: f64,
     ) {
+        // A run's Scatter report says what the step's scatter sent to
+        // whom; the lead closes the barrier on it.
+        let sent = match self.run.as_mut() {
+            Some(r) if phase == Phase::Scatter && r.info.run_id == run => {
+                std::mem::take(&mut r.scatter_sent)
+            }
+            _ => Vec::new(),
+        };
         self.push_ready(ReadyReport {
             agent: self.id,
             run,
@@ -198,14 +206,16 @@ impl Agent {
             n_primary: self.run.as_ref().and_then(|r| r.n_primary).unwrap_or(0),
             seq: 0,
             epoch: 0,
+            sent,
         });
     }
 
     /// Re-send the last READY with fresh counters ([`Agent::on_idle`]
-    /// says when). The summary fields are repeated as sent: nothing a
-    /// late frame can do changes them.
+    /// says when). The summary fields and the step's sent list are
+    /// repeated as sent — nothing a late frame can do changes them —
+    /// so the lead's per-receiver sums come out the same.
     pub(super) fn re_report(&mut self) {
-        if let Some(rep) = self.reported {
+        if let Some(rep) = self.reported.take() {
             self.push_ready(rep);
         }
     }
@@ -220,8 +230,8 @@ impl Agent {
         rep.counters = self.counters;
         rep.seq = self.ready_seq;
         rep.epoch = self.view.epoch;
-        self.reported = Some(rep);
         let _ = self.dir_push.send(msg::encode_ready(&rep));
+        self.reported = Some(rep);
     }
 
     // ------------------------------------------------------------------

@@ -35,6 +35,10 @@ impl Agent {
     }
 
     pub(super) fn on_view(&mut self, view: DirectoryView) {
+        // The lead republishes the broadcast that opened a barrier
+        // until the barrier settles. Invariant: a republished
+        // barrier-open is idempotent: no agent migrates twice for one
+        // epoch.
         if view.epoch < self.view.epoch || view.epoch <= self.migrated_epoch {
             return;
         }

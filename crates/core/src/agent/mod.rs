@@ -180,6 +180,30 @@ struct AgentRun {
     /// runs); rounds arrive as `Phase::Apply` advances and a
     /// retransmitting bus may repeat them.
     dangling_round: u32,
+    /// VMSG records the current step's scatter put on the wire, per
+    /// destination, sorted by it; the step's Scatter READY takes it.
+    scatter_sent: msg::StepCounts,
+    /// `(step, n)`: `n` VMSG records of `step` from peers have been
+    /// folded so far — what an advance's expected count is held
+    /// against. Counted at fold time, unlike `counters.vmsg_recv`,
+    /// which counts a frame of a later step when it arrives.
+    taken_in: (u32, u64),
+    /// An answer to a Scatter barrier that ran ahead of the last VMSG
+    /// frame it counts; the frame that completes the count releases it
+    /// ([`Agent::release_parked_advance`]). Gone with the run, so an
+    /// aborted run's advance can never fire into its restart.
+    parked_advance: Option<msg::Advance>,
+}
+
+impl AgentRun {
+    /// VMSG records of `step` taken in from peers so far.
+    fn taken_in(&self, step: u32) -> u64 {
+        if self.taken_in.0 == step {
+            self.taken_in.1
+        } else {
+            0
+        }
+    }
 }
 
 /// What the agent remembers about the last residual-capable program
@@ -386,11 +410,7 @@ impl Agent {
         let locator = view.locator();
         let workers = cfg.workers_effective();
         let new_cache = || {
-            let mut cache = if cfg.owner_cache {
-                OwnerCache::new()
-            } else {
-                OwnerCache::disabled()
-            };
+            let mut cache = OwnerCache::new();
             view.advance_memo(&mut cache);
             cache
         };
@@ -522,7 +542,10 @@ impl Agent {
             // Data-plane receives: time decode + consume together (a
             // borrowed view makes them inseparable) so the per-agent
             // cost of the hot path is observable as `decode_nanos`.
-            packet::VMSG => self.timed_data_plane(frame, Self::on_vmsg),
+            packet::VMSG => {
+                self.timed_data_plane(frame, Self::on_vmsg);
+                self.release_parked_advance();
+            }
             packet::PARTIAL => self.timed_data_plane(frame, Self::on_partial),
             packet::STATE => self.timed_data_plane(frame, Self::on_state),
             packet::EDGE_CHANGES => self.timed_data_plane(frame, Self::on_changes),
@@ -1021,6 +1044,9 @@ impl Agent {
             async_live: false,
             paused: false,
             dangling_round: 0,
+            scatter_sent: Vec::new(),
+            taken_in: (0, 0),
+            parked_advance: None,
         });
         self.reported = None;
         self.last_idle_counters = None;
@@ -1031,6 +1057,15 @@ impl Agent {
             return;
         };
         if adv.run != run.info.run_id {
+            return;
+        }
+        // An answer to a Scatter barrier — the run-ending one included
+        // — was decided on what the senders reported, and says how many
+        // VMSG records of that scatter are addressed here. Until they
+        // are all folded the advance waits; reads and every other frame
+        // are served from `run_loop` meanwhile.
+        if !run.async_live && run.taken_in(adv.scatter_step()) < adv.expected_by(self.id) {
+            run.parked_advance = Some(adv);
             return;
         }
         if adv.done {
@@ -1152,12 +1187,22 @@ impl Agent {
         self.metrics.decode_nanos += t0.elapsed().as_nanos() as u64;
     }
 
+    /// Act on the parked advance if the frame just handled completed
+    /// its count ([`Agent::on_advance`] parks it again if not). Outside
+    /// the frame's `decode_nanos` clock: what runs is a superstep.
+    fn release_parked_advance(&mut self) {
+        if let Some(adv) = self.run.as_mut().and_then(|r| r.parked_advance.take()) {
+            self.on_advance(adv);
+        }
+    }
+
     /// Re-dispatch buffered frames that now match the current phase.
+    /// A VMSG frame's receive was counted when it arrived.
     fn replay_buffered(&mut self) {
         let frames: Vec<Frame> = std::mem::take(&mut self.buffered_frames);
         for frame in frames {
             match frame.packet_type() {
-                packet::VMSG => self.on_vmsg(frame),
+                packet::VMSG => self.take_vmsg(frame, false),
                 packet::PARTIAL => self.on_partial(frame),
                 packet::STATE => self.on_state(frame),
                 _ => {}

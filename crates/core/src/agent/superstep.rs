@@ -194,8 +194,8 @@ impl Agent {
             contrib = self.timed_phase(Phase::Scatter).1;
         }
         // Frames that ran ahead of this advance — a fast peer's
-        // `VMSG(step + 1)` — are counted before the report is built,
-        // not after it by an idle re-report ([`Agent::on_idle`]).
+        // `VMSG(step + 1)` — are folded now that their step has come,
+        // and count toward what the next advance will expect.
         self.replay_buffered();
         self.metrics.last_step_nanos = t0.elapsed().as_nanos() as u64;
         let run = self.run.as_ref().expect("run");
@@ -329,6 +329,7 @@ impl Agent {
                 self.scratch.merged_states = merged;
             }
             _ => {
+                let mut sent = msg::StepCounts::new();
                 let mut merged = std::mem::take(&mut self.scratch.merged);
                 for out in &mut self.scratch.per_shard {
                     for (&agent, msgs) in out.msgs.iter_mut() {
@@ -349,6 +350,7 @@ impl Agent {
                         self.fold_vmsgs(msgs.iter().copied());
                     } else if phase == Phase::Scatter {
                         self.counters.vmsg_sent += msgs.len() as u64;
+                        sent.push((agent, msgs.len() as u64));
                         self.send_records(agent, msgs, |out, block| {
                             msg::append_vmsgs(out, run_id, step, block)
                         });
@@ -361,6 +363,11 @@ impl Agent {
                     msgs.clear();
                 }
                 self.scratch.merged = merged;
+                if phase == Phase::Scatter {
+                    // What the step's READY tells the lead was sent.
+                    sent.sort_unstable();
+                    self.run.as_mut().expect("run").scatter_sent = sent;
+                }
             }
         }
         active
@@ -405,37 +412,53 @@ impl Agent {
     // ------------------------------------------------------------------
 
     pub(super) fn on_vmsg(&mut self, frame: Frame) {
+        self.take_vmsg(frame, true);
+    }
+
+    /// Take in a VMSG frame: off the mailbox (`arrival`), or replayed
+    /// from `buffered_frames` once its step has come.
+    ///
+    /// A frame of the current run is counted in `vmsg_recv` when it
+    /// arrives, whatever is done with it then — as `on_changes` counts
+    /// a change it defers. A joiner sits at `(step 0, Scatter)` until
+    /// the resume advance, and the migrate barrier that precedes that
+    /// advance only settles once the VMSGs paused agents sent it are
+    /// counted: buffering them uncounted would wedge the barrier.
+    pub(super) fn take_vmsg(&mut self, frame: Frame, arrival: bool) {
         // The decoded view borrows the frame's pooled receive buffer;
         // records are parsed in place as the loops below consume them,
         // with no intermediate Vec.
         let Some(view) = msg::decode_vmsgs(&frame) else {
             return;
         };
-        let (run_id, step) = (view.run, view.step);
-        match self.current_phase() {
-            Some((cur_run, _, _, true)) if cur_run == run_id => {
-                // Async: apply immediately at the primary.
-                self.counters.vmsg_recv += view.records.len() as u64;
-                self.metrics.vmsgs += view.records.len() as u64;
-                for (v, value) in view.records {
-                    self.async_apply(v, value);
-                }
+        let n = view.records.len() as u64;
+        let Some((_, cur_step, cur_phase, live)) =
+            self.current_phase().filter(|cur| cur.0 == view.run)
+        else {
+            // Stale run: the sender had not yet seen our RECOVER when
+            // it flushed, and the reset zeroed the counters this frame
+            // would have moved. (A finished run leaves none behind: no
+            // agent acts on a `done` advance before it has taken in
+            // what that advance counts.)
+            self.metrics.stale_frames += 1;
+            return;
+        };
+        if arrival {
+            self.counters.vmsg_recv += n;
+        }
+        if live {
+            // Async: apply immediately at the primary.
+            self.metrics.vmsgs += n;
+            for (v, value) in view.records {
+                self.async_apply(v, value);
             }
-            Some((cur_run, cur_step, cur_phase, false))
-                if cur_run == run_id && cur_step == step && cur_phase == Phase::Scatter =>
-            {
-                self.counters.vmsg_recv += view.records.len() as u64;
-                self.fold_vmsgs(view.records.iter());
-            }
-            Some((cur_run, _, _, _)) if cur_run == run_id => {
-                // Future step or wrong phase: store until we catch up.
-                self.buffered_frames.push(frame);
-            }
-            // Stale run: the sender had not yet seen our ADVANCE(done)
-            // or RECOVER when it flushed. Drop the frame — its receive
-            // will never be counted, but neither will the finished
-            // run's barrier consult these counters again.
-            _ => self.metrics.stale_frames += 1,
+        } else if cur_step == view.step && cur_phase == Phase::Scatter {
+            let run = self.run.as_mut().expect("run");
+            run.taken_in = (cur_step, run.taken_in(cur_step) + n);
+            self.fold_vmsgs(view.records.iter());
+        } else {
+            // Future step or wrong phase: store until we catch up.
+            self.buffered_frames.push(frame);
         }
     }
 
@@ -1031,12 +1054,21 @@ impl Agent {
             // and re-evaluates its barrier, so a barrier stays live on
             // O(drains) READYs however many frames a drain held.
             //
-            // Its complement for *early* frames (a fast peer's
-            // `VMSG(n + 1)` ahead of this agent's `ADVANCE(n)`): they
-            // are buffered uncounted and `run_phases` replays them
-            // before it builds the READY, so they ride the first report
-            // of the step instead of costing a second one here.
-            if self.reported.is_some_and(|r| r.counters != self.counters) {
+            // The exception is `vmsg_recv` in a sync run: its Scatter
+            // barriers close on what the senders reported, every
+            // receiver waits for its own count, and by a Combine, Apply
+            // or Migrate report the step's messages are all in — no
+            // barrier of the run is waiting to hear that a VMSG frame
+            // arrived, and the report would only wake the lead.
+            let sync_run = self.run.as_ref().is_some_and(|r| !r.info.asynchronous);
+            let moved = self.reported.as_ref().is_some_and(|r| {
+                let mut claimed = r.counters;
+                if sync_run {
+                    claimed.vmsg_recv = self.counters.vmsg_recv;
+                }
+                claimed != self.counters
+            });
+            if moved {
                 self.re_report();
             }
             return;
@@ -1065,6 +1097,7 @@ impl Agent {
             n_primary: 0,
             seq: self.ready_seq,
             epoch: self.view.epoch,
+            sent: Vec::new(),
         };
         let _ = self.dir_push.send(msg::encode_ready(&rep));
     }
@@ -1807,6 +1840,320 @@ mod tests {
             shard.assert_worklists_complete();
             assert!(shard.lists.partial_dirty.is_empty());
         }
+    }
+
+    // ------------------------------------------------------------------
+    // The Scatter barrier at the agent: what is reported, what is
+    // waited for, what an idle drain re-reports.
+    // ------------------------------------------------------------------
+
+    use super::super::testkit::{detached, view};
+    use elga_net::{InProcTransport, Mailbox};
+
+    const RUN: u64 = 1;
+
+    fn run_info(asynchronous: bool) -> RunInfo {
+        let (tag, params) = ProgramSpec::Wcc.encode();
+        RunInfo {
+            run_id: RUN,
+            tag,
+            params,
+            reuse_state: false,
+            asynchronous,
+            delta: false,
+            dangling_base: 0.0,
+            watermark: 0,
+        }
+    }
+
+    /// Agent `ME` of two, the mailbox its READYs land in, four vertices
+    /// it is primary of — each with one out-edge to a vertex agent 2
+    /// owns, so every scatter sends agent 2 one record per active
+    /// vertex — and those four targets.
+    struct Rig {
+        transport: Arc<InProcTransport>,
+        agent: Agent,
+        lead: Mailbox,
+        mine: Vec<VertexId>,
+        theirs: Vec<VertexId>,
+    }
+
+    fn rig() -> Rig {
+        let (transport, mut agent) = detached(view(1, &[ME, 2], &[]));
+        let lead = transport.bind(&Addr::inproc("nobody")).expect("bind");
+        let owned_by = |agent: &Agent, owner: AgentId| -> Vec<VertexId> {
+            (100..)
+                .filter(|&v| agent.locator.ring().owner(v) == Some(owner))
+                .take(4)
+                .collect()
+        };
+        let (mine, theirs) = (owned_by(&agent, ME), owned_by(&agent, 2));
+        for (&u, &w) in mine.iter().zip(&theirs) {
+            let e = agent.vertices.entry_or_default(u);
+            e.out.push(w);
+            (e.is_meta, e.g_out) = (true, 1);
+        }
+        Rig {
+            transport,
+            agent,
+            lead,
+            mine,
+            theirs,
+        }
+    }
+
+    impl Rig {
+        fn deliver(&mut self, frame: Frame) {
+            assert!(self.agent.handle(Delivery::push(frame)));
+        }
+
+        fn advance(&mut self, step: u32, phase: Phase, chain: bool, expect: u64) {
+            self.deliver(msg::encode_advance(&msg::Advance {
+                run: RUN,
+                step,
+                phase,
+                n_vertices: 8,
+                global: 0.0,
+                done: false,
+                chain,
+                expect: if expect == 0 {
+                    Vec::new()
+                } else {
+                    vec![(ME, expect)]
+                },
+            }));
+        }
+
+        /// The READY frames sent since the last call.
+        fn readys(&self) -> Vec<Frame> {
+            let mut all = Vec::new();
+            while let Ok(Some(d)) = self.lead.try_recv() {
+                if d.frame.packet_type() == packet::READY {
+                    all.push(d.frame);
+                }
+            }
+            all
+        }
+
+        /// Start a sync WCC run and take it to its first real barrier:
+        /// `READY(1, Scatter)`, four records sent to agent 2.
+        fn reach_step_one(&mut self) -> ReadyReport {
+            self.agent.begin_run(run_info(false));
+            self.advance(0, Phase::Scatter, false, 0);
+            self.advance(0, Phase::Combine, true, 0);
+            let readys = self.readys();
+            assert_eq!(readys.len(), 2);
+            let rep = msg::decode_ready(&readys[1]).expect("ready");
+            assert_eq!((rep.step, rep.phase), (1, Phase::Scatter));
+            assert_eq!(rep.sent, [(2, 4)]);
+            assert_eq!((rep.counters.vmsg_sent, rep.n_primary), (4, 4));
+            rep
+        }
+
+        /// A peer's `VMSG(step)` frame: label 1 for the first `n` of
+        /// this agent's vertices.
+        fn vmsgs(&self, step: u32, n: usize) -> Frame {
+            let recs: Vec<(VertexId, u64)> = self.mine[..n].iter().map(|&v| (v, 1)).collect();
+            msg::encode_vmsgs(RUN, step, &recs)
+        }
+
+        fn at(&self) -> (u32, Phase) {
+            let run = self.agent.run.as_ref().expect("run");
+            (run.step, run.phase)
+        }
+    }
+
+    /// An ADVANCE that overtakes the last VMSG frame it counts runs
+    /// nothing; reads are answered meanwhile; the frame that completes
+    /// the count releases it, and what the agent then puts on the wire
+    /// — the READY and the next step's messages — is byte for byte what
+    /// it sends when the frames come first.
+    #[test]
+    fn an_advance_ahead_of_its_messages_waits_for_them() {
+        let out = |rig: &Rig| -> (Vec<Frame>, Vec<Frame>) {
+            let peer = rig.transport.bind(&agent_addr(2)).expect("bind");
+            let mut frames = Vec::new();
+            while let Ok(Some(d)) = peer.try_recv() {
+                frames.push(d.frame);
+            }
+            (rig.readys(), frames)
+        };
+        // Frames first.
+        let mut first = rig();
+        first.reach_step_one();
+        let (two, one) = (first.vmsgs(1, 2), first.vmsgs(1, 1));
+        first.deliver(two);
+        first.deliver(one);
+        first.advance(1, Phase::Combine, true, 3);
+        assert_eq!(first.at(), (2, Phase::Scatter));
+        let frames_first = out(&first);
+        assert_eq!(frames_first.0.len(), 1);
+
+        // The advance between them.
+        let mut late = rig();
+        late.reach_step_one();
+        let (two, one) = (late.vmsgs(1, 2), late.vmsgs(1, 1));
+        late.deliver(two);
+        late.advance(1, Phase::Combine, true, 3);
+        assert_eq!(late.at(), (1, Phase::Scatter), "a phase ran");
+        assert!(late.readys().is_empty());
+        assert!(late.agent.run.as_ref().unwrap().parked_advance.is_some());
+        // A read is served while the advance is parked.
+        let (client, v) = (late.transport.clone(), late.mine[0]);
+        let ask = std::thread::spawn(move || {
+            let query = msg::encode_query_batch(&[v]);
+            client.request(&agent_addr(ME), query, Duration::from_secs(30))
+        });
+        let d = late.agent.mailbox.recv().expect("the read");
+        assert!(late.agent.handle(d));
+        let answer = ask.join().expect("join").expect("answered");
+        assert!(msg::decode_query_batch_rep(&answer).is_some());
+        assert_eq!(late.at(), (1, Phase::Scatter));
+        // The completing frame releases the step.
+        late.deliver(one);
+        assert_eq!(late.at(), (2, Phase::Scatter));
+        assert!(late.agent.run.as_ref().unwrap().parked_advance.is_none());
+        let advance_first = out(&late);
+        assert_eq!(advance_first, frames_first);
+
+        let rep = msg::decode_ready(&advance_first.0[0]).expect("ready");
+        assert_eq!((rep.step, rep.phase, rep.active), (2, Phase::Scatter, 2));
+        assert_eq!(rep.counters.vmsg_recv, 3);
+        // Three records for two vertices: both took label 1 and told
+        // their neighbour.
+        assert_eq!(rep.sent, [(2, 2)]);
+    }
+
+    /// A fast peer's frames of step `s + 1` arrive before `ADVANCE(s)`:
+    /// they are counted as received at once, but toward what the agent
+    /// has taken in of `s + 1`, not of `s`.
+    #[test]
+    fn frames_of_the_next_step_do_not_count_toward_this_one() {
+        let mut rig = rig();
+        rig.reach_step_one();
+        let early = rig.vmsgs(2, 2);
+        rig.deliver(early);
+        let run = rig.agent.run.as_ref().unwrap();
+        assert_eq!((run.taken_in(1), run.taken_in(2)), (0, 0));
+        assert_eq!(rig.agent.counters.vmsg_recv, 2);
+        assert_eq!(rig.agent.buffered_frames.len(), 1);
+        // Two records are in, one of step 1 is expected: not the same.
+        rig.advance(1, Phase::Combine, true, 1);
+        assert_eq!(rig.at(), (1, Phase::Scatter));
+        let own = rig.vmsgs(1, 1);
+        rig.deliver(own);
+        // Released; the chain reached step 2 and replayed the early
+        // frame there, without counting its receive again.
+        assert_eq!(rig.at(), (2, Phase::Scatter));
+        let run = rig.agent.run.as_ref().unwrap();
+        assert_eq!((run.taken_in(1), run.taken_in(2)), (0, 2));
+        assert_eq!(rig.agent.counters.vmsg_recv, 3);
+        assert!(rig.agent.buffered_frames.is_empty());
+        let readys = rig.readys();
+        assert_eq!(readys.len(), 1);
+        assert_eq!(msg::decode_ready(&readys[0]).unwrap().counters.vmsg_recv, 3);
+    }
+
+    /// In a sync run a received VMSG frame is nobody's news — the
+    /// barrier it belongs to closed on the sender's report — while a
+    /// late forwarded change still is, and the re-sent report repeats
+    /// the step's list as it was.
+    #[test]
+    fn an_idle_drain_re_reports_for_a_late_change_not_for_a_vmsg() {
+        let mut rig = rig();
+        let first = rig.reach_step_one();
+        let vmsgs = rig.vmsgs(1, 2);
+        rig.deliver(vmsgs);
+        rig.agent.on_idle();
+        assert!(rig.readys().is_empty(), "a READY for a VMSG frame");
+        // A change another agent forwarded here (hop 1: counted).
+        let late = [EdgeChange::insert(rig.mine[0], rig.theirs[1])];
+        rig.deliver(msg::encode_edge_changes(Side::Out, 1, &late));
+        rig.agent.on_idle();
+        let readys = rig.readys();
+        assert_eq!(readys.len(), 1);
+        let again = msg::decode_ready(&readys[0]).expect("ready");
+        assert_eq!((again.counters.chg_recv, again.counters.vmsg_recv), (1, 2));
+        assert_eq!(again.seq, first.seq + 1);
+        let verbatim = ReadyReport {
+            counters: first.counters,
+            seq: first.seq,
+            ..again.clone()
+        };
+        assert_eq!(verbatim, first);
+        rig.agent.on_idle();
+        assert!(rig.readys().is_empty(), "nothing moved since");
+        // Between runs every counter is news again (a migration's
+        // barrier wants the VMSG pair settled too).
+        rig.agent.run = None;
+        rig.agent.counters.vmsg_recv += 1;
+        rig.agent.on_idle();
+        assert_eq!(rig.readys().len(), 1);
+    }
+
+    /// ROADMAP item 3(a), the `remove_agents` wedge. A joiner sits at
+    /// `(step 0, Scatter)` of an async run until the resume advance;
+    /// paused agents keep forwarding it step-1 VMSGs, and the lead
+    /// publishes that advance only once the migrate barrier has seen
+    /// them received. Counted on arrival they reach the barrier with
+    /// the joiner's next report; applied when their step comes, they
+    /// are not counted twice.
+    #[test]
+    fn a_paused_joiner_counts_an_early_vmsg_frame_when_it_arrives() {
+        let mut rig = rig();
+        rig.agent.begin_run(run_info(true));
+        // The joiner's migrate report, as `migrate` sends it.
+        rig.agent.send_ready(0, 1, Phase::Migrate, 0, 0.0);
+        assert_eq!(rig.readys().len(), 1);
+        let frame = rig.vmsgs(1, 2);
+        rig.deliver(frame);
+        assert_eq!(rig.agent.buffered_frames.len(), 1);
+        rig.agent.on_idle();
+        let readys = rig.readys();
+        assert_eq!(readys.len(), 1, "the barrier never hears of the frame");
+        let rep = msg::decode_ready(&readys[0]).expect("ready");
+        assert_eq!((rep.phase, rep.counters.vmsg_recv), (Phase::Migrate, 2));
+        assert_eq!(rig.agent.metrics.vmsgs, 0, "applied ahead of its step");
+        // The resume advance replays it into the async handlers.
+        rig.advance(1, Phase::Scatter, false, 0);
+        assert!(rig.agent.run.as_ref().unwrap().async_live);
+        assert!(rig.agent.buffered_frames.is_empty());
+        assert_eq!(rig.agent.metrics.vmsgs, 2);
+        assert_eq!(rig.agent.counters.vmsg_recv, 2);
+        for &v in &rig.mine[..2] {
+            assert_eq!(rig.agent.vertices.get(&v).expect("entry").state, 1);
+        }
+    }
+
+    /// The parked advance and the per-step counts live and die with the
+    /// run: a restart after RECOVER — or any `begin_run`, or the run's
+    /// own end — finds neither.
+    #[test]
+    fn a_parked_advance_does_not_outlive_its_run() {
+        let mut rig = rig();
+        rig.reach_step_one();
+        let one = rig.vmsgs(1, 1);
+        rig.deliver(one);
+        rig.advance(1, Phase::Combine, true, 2);
+        let run = rig.agent.run.as_ref().unwrap();
+        assert!(run.parked_advance.is_some() && run.taken_in(1) == 1);
+        assert!(rig.agent.on_recover(msg::Recover {
+            epoch: 2,
+            dead_agent: 2,
+            aborted_run: RUN,
+            view: view(2, &[ME], &[]),
+        }));
+        assert!(rig.agent.run.is_none());
+        // The driver restarts the run; what was parked is gone, and a
+        // record of the aborted run's step 1 completes nothing.
+        rig.agent.begin_run(run_info(false));
+        let run = rig.agent.run.as_ref().unwrap();
+        assert!(run.parked_advance.is_none() && run.taken_in(1) == 0);
+        rig.readys();
+        let stale = rig.vmsgs(1, 1);
+        rig.deliver(stale);
+        assert_eq!(rig.at(), (0, Phase::Scatter));
+        assert!(rig.readys().is_empty());
     }
 
     /// Async mode: a primary's broadcasts come back to it through its

@@ -57,10 +57,6 @@ pub struct SystemConfig {
     /// kernels partition the fixed vertex shards and merge their output
     /// in shard order.
     pub workers: usize,
-    /// Whether agents and streamers memoise owner resolution per view
-    /// epoch. On by default; off exists so benchmarks can measure the
-    /// uncached baseline through the identical code path.
-    pub owner_cache: bool,
     /// Whether agents and streamers coalesce same-destination records
     /// into large frames (with credit-based backpressure) before they
     /// hit the transport. On by default; off keeps the eager
@@ -117,7 +113,6 @@ impl Default for SystemConfig {
             run_deadline: Duration::from_secs(300),
             retain_change_log: true,
             workers: 1,
-            owner_cache: true,
             coalescing: true,
             tracing: false,
             checkpoint_dir: None,
@@ -199,7 +194,6 @@ mod tests {
     #[test]
     fn workers_effective_resolves_and_clamps() {
         let mut c = SystemConfig::default();
-        assert!(c.owner_cache);
         assert!(c.coalescing);
         assert!(!c.tracing, "tracing must be opt-in");
         assert_eq!(c.workers_effective(), 1);

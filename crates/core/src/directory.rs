@@ -14,17 +14,22 @@
 //! lead and mirroring broadcasts — the paper's "Directories re-broadcast
 //! ready messages among themselves" (Figure 2, step 4).
 //!
-//! Every barrier uses the same condition: all members have reported
-//! the current (run, step, phase) *and* the summed cumulative counters
-//! are settled (every sent counter equals its received counter) —
-//! Mattern-style double counting, which makes in-flight and
-//! out-of-order messages harmless.
+//! A barrier is met when all its members have reported the current
+//! (run, step, phase) *and* the summed cumulative counters are settled
+//! (every sent counter equals its received counter) — Mattern-style
+//! double counting, which makes in-flight and out-of-order messages
+//! harmless. The one exception is a run's Scatter barrier, which closes
+//! on what the senders say they sent: its reports list the step's VMSG
+//! records per destination, the lead sums them per receiver into the
+//! ADVANCE that answers the barrier, and a receiver acts on that
+//! advance once it has taken in its count (DESIGN.md "The superstep
+//! barrier").
 
 use crate::config::SystemConfig;
 use crate::metrics::{AgentMetrics, ClusterMetrics};
 use crate::msg::{
     self, packet, Advance, AgentInfo, Counters, DirectoryView, Phase, ReadyReport, RunInfo,
-    RunStatus, SketchDeltaView,
+    RunStatus, SketchDeltaView, StepCounts,
 };
 use elga_hash::AgentId;
 use elga_net::{Addr, Frame, Mailbox, NetError, Publisher, Transport};
@@ -138,7 +143,26 @@ struct Lead {
     /// [`DirectoryView::may_split`] of the current view: one pass over
     /// the sketch per view epoch, read once per superstep.
     may_split: bool,
+    /// The counts the last Scatter barrier's advance told the members
+    /// to take in, and the step they are of; only
+    /// [`Lead::waiting_on`] reads them.
+    expected: (u32, StepCounts),
+    stall: Stall,
 }
+
+/// What [`Lead::report_stall`] remembers between ticks.
+struct Stall {
+    /// The barrier last seen open ([`Lead::open_barrier`]).
+    barrier: Option<(u64, u32, Phase)>,
+    /// When it was first seen.
+    since: Instant,
+    /// Whether it has been reported.
+    reported: bool,
+}
+
+/// A barrier that has stood this long gets one line on stderr saying
+/// who it waits on.
+const STALL_REPORT_AFTER: Duration = Duration::from_secs(10);
 
 impl Lead {
     fn new(cfg: &SystemConfig, publisher: Publisher, transport: Arc<dyn Transport>) -> Self {
@@ -180,6 +204,12 @@ impl Lead {
             dangling_n: 0,
             tracer: Arc::new(Tracer::from_flag(cfg.tracing)),
             may_split: false,
+            expected: (0, Vec::new()),
+            stall: Stall {
+                barrier: None,
+                since: Instant::now(),
+                reported: false,
+            },
         }
     }
 
@@ -242,7 +272,11 @@ impl Lead {
         Some(total)
     }
 
-    /// All members reported the given context and counts are settled.
+    /// All members reported the given context and the counts the
+    /// phase's barrier rests on are settled: every pair, except that a
+    /// Scatter barrier leaves the VMSG pair to the receivers — each
+    /// waits for the count its advance carries
+    /// ([`Lead::scatter_expectations`]).
     fn barrier_met(&self, members: &[AgentId], run: u64, step: u32, phase: Phase) -> bool {
         for id in members {
             match self.reports.get(id) {
@@ -250,11 +284,136 @@ impl Lead {
                 _ => return false,
             }
         }
-        self.summed(members).is_some_and(|c| c.settled())
+        self.summed(members).is_some_and(|c| match phase {
+            Phase::Scatter => c.settled_but_vmsg(),
+            _ => c.settled(),
+        })
+    }
+
+    /// What the members' Scatter reports say they sent, summed per
+    /// receiver and sorted by it: the counts the advance that answers
+    /// the barrier carries. Read from the reports the barrier was met
+    /// on, so a re-sent report replaces its share instead of adding to
+    /// it. One `(receiver, records)` entry per non-empty
+    /// sender→receiver pair goes in — the order of the VMSG frames the
+    /// step put on the wire.
+    fn scatter_expectations(&self, members: &[AgentId]) -> StepCounts {
+        let mut pairs: StepCounts = members
+            .iter()
+            .flat_map(|id| self.reports[id].sent.iter().copied())
+            .collect();
+        pairs.sort_unstable_by_key(|&(to, _)| to);
+        pairs.dedup_by(|next, sum| {
+            let same = next.0 == sum.0;
+            if same {
+                sum.1 += next.1;
+            }
+            same
+        });
+        pairs
     }
 
     fn member_ids(&self) -> Vec<AgentId> {
         self.view.agents.iter().map(|a| a.id).collect()
+    }
+
+    /// The `(run, step, phase)` the outstanding barrier's reports carry:
+    /// a migrate epoch, a sync phase, or — `Combine` with the probe
+    /// number, 0 before the first — an async run's idle round.
+    fn open_barrier(&self) -> Option<(u64, u32, Phase)> {
+        if let Some(epoch) = self.migrate_epoch {
+            return Some((0, epoch as u32, Phase::Migrate));
+        }
+        let run = self.run.as_ref()?;
+        Some(if run.async_live {
+            (run.info.run_id, run.probe, Phase::Combine)
+        } else {
+            (run.info.run_id, run.step, run.phase)
+        })
+    }
+
+    /// Who the outstanding barrier is waiting on, from what the lead
+    /// holds: the members that have not reported it and what they
+    /// reported last, every counter pair its sums leave unbalanced, and
+    /// what the last Scatter advance told each member to take in — a
+    /// member missing from the barrier after such an advance is short
+    /// of its count or still computing.
+    fn waiting_on(&self) -> String {
+        use std::fmt::Write;
+        let Some((run, step, phase)) = self.open_barrier() else {
+            return "no barrier open".into();
+        };
+        let idle_round = self.run.as_ref().is_some_and(|r| r.async_live) && step == 0;
+        let members = match phase {
+            Phase::Migrate => self.migrate_members.clone(),
+            _ => self.member_ids(),
+        };
+        let mut out = match phase {
+            Phase::Migrate => format!("migrate barrier of epoch {step}"),
+            _ if idle_round => format!("run {run}, async idle round"),
+            _ => format!("barrier (run {run}, step {step}, {phase:?})"),
+        };
+        let mut total = self.ghost;
+        for id in &members {
+            let rep = self.reports.get(id);
+            total = total.add(&rep.map(|r| r.counters).unwrap_or_default());
+            let reported = rep.is_some_and(|r| {
+                r.run == run
+                    && if idle_round {
+                        r.step == u32::MAX && r.epoch == self.view.epoch
+                    } else {
+                        r.step == step && r.phase == phase
+                    }
+            });
+            if reported {
+                continue;
+            }
+            match rep {
+                Some(r) => write!(
+                    out,
+                    "; agent {id} last reported (run {}, step {}, {:?}) under epoch {}",
+                    r.run, r.step, r.phase, r.epoch
+                ),
+                None => write!(out, "; agent {id} has reported nothing"),
+            }
+            .expect("write to a String");
+            let (of_step, expect) = &self.expected;
+            if let Some((_, n)) = expect.iter().find(|(to, _)| to == id) {
+                write!(out, ", told to take in {n} VMSG records of step {of_step}")
+                    .expect("write to a String");
+            }
+        }
+        for (pair, sent, recv) in total.pairs() {
+            // A Scatter barrier does not wait for the VMSG pair.
+            if sent != recv && !(phase == Phase::Scatter && pair == "vmsg") {
+                write!(
+                    out,
+                    "; {pair} sent − recv = {}",
+                    sent as i128 - recv as i128
+                )
+                .expect("write to a String");
+            }
+        }
+        out
+    }
+
+    /// Called from the lead's tick: one line on stderr, once, for a
+    /// barrier that has stood [`STALL_REPORT_AFTER`].
+    fn report_stall(&mut self) {
+        let barrier = self.open_barrier();
+        if barrier != self.stall.barrier {
+            self.stall = Stall {
+                barrier,
+                since: Instant::now(),
+                reported: false,
+            };
+        } else if barrier.is_some()
+            && !self.stall.reported
+            && self.stall.since.elapsed() >= STALL_REPORT_AFTER
+        {
+            self.stall.reported = true;
+            eprintln!("elga lead: waiting on {}", self.waiting_on());
+        }
     }
 
     /// The view's membership changed, or its sketch in a way that can
@@ -553,16 +712,23 @@ impl Lead {
             Phase::Scatter => {
                 // Reached through a chain, this barrier is the previous
                 // step's Apply verdict before it is anything else.
+                let expect = self.scatter_expectations(&members);
                 if std::mem::take(&mut self.run.as_mut().expect("run").chained)
                     && self.step_verdict(&members)
                 {
                     let run = self.run.as_mut().expect("run");
-                    // The agents scattered `step` already — nothing, as
-                    // no vertex was left active — but the run ended at
-                    // the step the verdict is for.
+                    // The agents scattered `step` already, and the run
+                    // ended at the step the verdict is for. A program
+                    // that scatters whatever is active (full PageRank,
+                    // converged by tolerance) sent that whole scatter:
+                    // the `done` advance carries its counts like any
+                    // other answer to a Scatter barrier, so no agent
+                    // leaves the run with records of it still on their
+                    // way — they would be dropped as stale and no later
+                    // `quiesce` could balance the VMSG sums.
                     run.step -= 1;
                     run.phase = Phase::Apply;
-                    self.finish_run();
+                    self.finish_run(expect);
                     return;
                 }
                 let mut n = 0;
@@ -606,6 +772,7 @@ impl Lead {
                     global,
                     done: false,
                     chain,
+                    expect,
                 };
                 if chain {
                     // One handler call runs combine → apply → the next
@@ -616,6 +783,7 @@ impl Lead {
                     run.phase = Phase::Combine;
                 }
                 self.publish(msg::encode_advance(&adv));
+                self.expected = (adv.step, adv.expect);
             }
             Phase::Combine => {
                 let run = self.run.as_mut().expect("run");
@@ -628,6 +796,7 @@ impl Lead {
                     global: run.global,
                     done: false,
                     chain: false,
+                    expect: Vec::new(),
                 };
                 self.publish(msg::encode_advance(&adv));
             }
@@ -635,7 +804,7 @@ impl Lead {
                 let converged = self.step_verdict(&members);
                 let run = self.run.as_ref().expect("run");
                 if converged || run.max_steps.is_some_and(|m| run.step >= m) {
-                    self.finish_run();
+                    self.finish_run(Vec::new());
                     return;
                 }
                 let next = Advance {
@@ -646,6 +815,7 @@ impl Lead {
                     global: 0.0,
                     done: false,
                     chain: false,
+                    expect: Vec::new(),
                 };
                 // Elastic scaling happens at superstep boundaries: if
                 // membership changed mid-run, migrate first and resume
@@ -675,6 +845,7 @@ impl Lead {
                         global: 0.0,
                         done: false,
                         chain: false,
+                        expect: Vec::new(),
                     };
                     self.publish(msg::encode_advance(&adv));
                     return;
@@ -723,6 +894,7 @@ impl Lead {
                     global: 0.0,
                     done: false,
                     chain: false,
+                    expect: Vec::new(),
                 }
             };
             self.resume = Some(resume);
@@ -751,6 +923,7 @@ impl Lead {
                     global: pending,
                     done: false,
                     chain: false,
+                    expect: Vec::new(),
                 };
                 self.reports.clear();
                 self.publish(msg::encode_advance(&adv));
@@ -781,7 +954,7 @@ impl Lead {
                 return false;
             };
             if sums.settled() && last_sums == Some(sums) {
-                self.finish_run();
+                self.finish_run(Vec::new());
                 return true;
             }
             let run = self.run.as_mut().expect("run");
@@ -795,6 +968,7 @@ impl Lead {
                 global: 0.0,
                 done: false,
                 chain: false,
+                expect: Vec::new(),
             };
             self.publish(msg::encode_advance(&adv));
             // Progress was made, but re-evaluating immediately cannot
@@ -830,6 +1004,7 @@ impl Lead {
             global: 0.0,
             done: false,
             chain: false,
+            expect: Vec::new(),
         };
         self.publish(msg::encode_advance(&adv));
         false
@@ -855,11 +1030,15 @@ impl Lead {
             global: 0.0,
             done: false,
             chain: false,
+            expect: Vec::new(),
         };
         self.publish(msg::encode_advance(&adv));
     }
 
-    fn finish_run(&mut self) {
+    /// End the run at `(step, phase)`. `expect` is what the `done`
+    /// advance tells each member to take in first: the counts of the
+    /// scatter a chained verdict was reported with, nothing otherwise.
+    fn finish_run(&mut self, expect: StepCounts) {
         let run = self.run.take().expect("finishing without run");
         if run.info.delta {
             self.dangling_n = run.n_vertices;
@@ -878,6 +1057,7 @@ impl Lead {
             global: 0.0,
             done: true,
             chain: false,
+            expect,
         };
         self.publish(msg::encode_advance(&adv));
         self.last_status = RunStatus {
@@ -977,6 +1157,7 @@ impl Lead {
             global: 0.0,
             done: false,
             chain: false,
+            expect: Vec::new(),
         };
         self.publish(msg::encode_advance(&adv));
         self.evaluate();
@@ -1194,6 +1375,7 @@ fn lead_loop(
             }
         }
         lead.republish_barrier(cfg.heartbeat_interval);
+        lead.report_stall();
         let d = match mailbox.recv_timeout(Duration::from_millis(20)) {
             Ok(d) => d,
             Err(NetError::Timeout) => continue,
@@ -1451,6 +1633,7 @@ mod tests {
             n_primary: 0,
             seq: 0,
             epoch: 0,
+            sent: Vec::new(),
         }
     }
 
@@ -1461,34 +1644,45 @@ mod tests {
         }
     }
 
+    /// One rule per phase, chosen by the phase alone: every member has
+    /// reported the context, and every counter pair is settled — except
+    /// that a Scatter barrier does not ask about the VMSG pair.
     #[test]
-    fn barrier_requires_all_members_and_settled_counts() {
+    fn barrier_requires_all_members_and_the_sums_its_phase_rests_on() {
         let mut lead = test_lead();
         let members = vec![1, 2];
-        let unsettled = Counters {
-            vmsg_sent: 5,
-            vmsg_recv: 3,
-            ..Default::default()
+        let in_flight = |pair: &str| {
+            let mut c = Counters::default();
+            match pair {
+                "vmsg" => c.vmsg_sent = 5,
+                "part" => c.part_sent = 5,
+                "state" => c.state_sent = 5,
+                "mig" => c.mig_sent = 5,
+                "chg" => c.chg_sent = 5,
+                _ => {}
+            }
+            c
         };
-        lead.reports
-            .insert(1, ready(1, 7, 2, Phase::Scatter, unsettled));
-        assert!(
-            !lead.barrier_met(&members, 7, 2, Phase::Scatter),
-            "missing member"
-        );
-        lead.reports
-            .insert(2, ready(2, 7, 2, Phase::Scatter, Counters::default()));
-        assert!(
-            !lead.barrier_met(&members, 7, 2, Phase::Scatter),
-            "in-flight messages"
-        );
-        let balancing = Counters {
-            vmsg_recv: 2,
-            ..Default::default()
-        };
-        lead.reports
-            .insert(2, ready(2, 7, 2, Phase::Scatter, balancing));
-        assert!(lead.barrier_met(&members, 7, 2, Phase::Scatter));
+        for phase in [Phase::Scatter, Phase::Combine, Phase::Apply, Phase::Migrate] {
+            lead.reports.clear();
+            lead.reports
+                .insert(1, ready(1, 7, 2, phase, Counters::default()));
+            assert!(!lead.barrier_met(&members, 7, 2, phase), "missing member");
+            lead.reports
+                .insert(2, ready(2, 7, 2, phase, Counters::default()));
+            assert!(lead.barrier_met(&members, 7, 2, phase));
+            assert!(!lead.barrier_met(&members, 7, 3, phase), "wrong step");
+            assert!(!lead.barrier_met(&members, 8, 2, phase), "wrong run");
+            for pair in ["vmsg", "part", "state", "mig", "chg"] {
+                lead.reports
+                    .insert(1, ready(1, 7, 2, phase, in_flight(pair)));
+                assert_eq!(
+                    lead.barrier_met(&members, 7, 2, phase),
+                    phase == Phase::Scatter && pair == "vmsg",
+                    "{phase:?} with {pair} records in flight"
+                );
+            }
+        }
         assert!(
             !lead.barrier_met(&members, 7, 2, Phase::Combine),
             "wrong phase"
@@ -1538,10 +1732,15 @@ mod tests {
 
     const WCC: (u8, [u64; 3]) = (1, [0, 0, 0]);
 
-    /// Both agents report `(run, step, phase)` with settled counters
-    /// and `active` vertices each; the lead evaluates after each.
+    /// Every member of the barrier reports `(run, step, phase)` with
+    /// settled counters and `active` vertices each; the lead evaluates
+    /// after each.
     fn report_all(lead: &mut Lead, run: u64, step: u32, phase: Phase, active: u64) {
-        for id in [1, 2] {
+        let members = match phase {
+            Phase::Migrate => lead.migrate_members.clone(),
+            _ => lead.member_ids(),
+        };
+        for id in members {
             let mut rep = ready(id, run, step, phase, Counters::default());
             rep.active = active;
             lead.reports.insert(id, rep);
@@ -1864,46 +2063,309 @@ mod tests {
         assert!(!lead.view.may_split());
     }
 
+    /// A `(run, step, Scatter)` report of `agent` whose scatter sent
+    /// `sent` and left `active` vertices active at the apply before it.
+    fn scattered(
+        agent: AgentId,
+        run: u64,
+        step: u32,
+        active: u64,
+        sent: &[(AgentId, u64)],
+    ) -> ReadyReport {
+        let counters = Counters {
+            vmsg_sent: sent.iter().map(|s| s.1).sum(),
+            ..Default::default()
+        };
+        ReadyReport {
+            active,
+            sent: sent.to_vec(),
+            ..ready(agent, run, step, Phase::Scatter, counters)
+        }
+    }
+
+    /// Three members in a sync WCC run at its first chained barrier.
+    fn three_mid_run() -> (Lead, Mailbox, u64) {
+        let mut lead = test_lead();
+        lead.pending_joins.push(AgentInfo {
+            id: 3,
+            addr: agent_addr(3),
+        });
+        let (mut lead, bus, run) = lead_mid_run_on(lead, WCC.0, WCC.1, false);
+        for id in [1, 2, 3] {
+            lead.reports.insert(id, scattered(id, run, 0, 0, &[]));
+            lead.evaluate();
+        }
+        assert_eq!(expects(&lead), (1, Phase::Scatter, true));
+        advances(&bus);
+        (lead, bus, run)
+    }
+
+    /// The Scatter barrier closes on what was sent: once every member
+    /// has reported the step it fires with the VMSG sums unsettled —
+    /// nobody has confirmed a receive — and the advance tells each
+    /// member how many records of the step are addressed to it.
+    #[test]
+    fn scatter_barrier_fires_on_the_senders_reports_and_carries_the_sums() {
+        let (mut lead, bus, run) = three_mid_run();
+        for (id, sent) in [
+            (1, &[(2, 5), (3, 1)][..]),
+            (2, &[(1, 4), (3, 2)]),
+            (3, &[(2, 7)]),
+        ] {
+            assert!(advances(&bus).is_empty(), "before agent {id} reported");
+            lead.reports.insert(id, scattered(id, run, 1, 1, sent));
+            lead.evaluate();
+        }
+        assert!(!lead.summed(&[1, 2, 3]).unwrap().settled());
+        let adv = advances(&bus);
+        assert_eq!(adv.len(), 1);
+        assert_eq!((adv[0].step, adv[0].phase), (1, Phase::Combine));
+        assert!(adv[0].chain && !adv[0].done);
+        assert_eq!(adv[0].expect, [(1, 4), (2, 12), (3, 3)]);
+        assert_eq!(lead.expected, (1, vec![(1, 4), (2, 12), (3, 3)]));
+        assert_eq!(expects(&lead), (2, Phase::Scatter, true));
+    }
+
+    /// What the barrier does not leave to the receivers still holds it:
+    /// a forwarded change or a migration record in flight.
+    #[test]
+    fn scatter_barrier_waits_for_every_other_pair() {
+        for (pair, in_flight) in [
+            (
+                "chg",
+                Counters {
+                    chg_sent: 1,
+                    ..Default::default()
+                },
+            ),
+            (
+                "mig",
+                Counters {
+                    mig_sent: 1,
+                    ..Default::default()
+                },
+            ),
+        ] {
+            let (mut lead, bus, run) = three_mid_run();
+            let settled = Counters {
+                chg_recv: in_flight.chg_sent,
+                mig_recv: in_flight.mig_sent,
+                ..Default::default()
+            };
+            lead.reports.insert(1, scattered(1, run, 1, 1, &[(2, 5)]));
+            lead.reports.insert(2, scattered(2, run, 1, 1, &[]));
+            let mut third = scattered(3, run, 1, 1, &[]);
+            third.counters = third.counters.add(&in_flight);
+            lead.reports.insert(3, third);
+            lead.evaluate();
+            assert!(advances(&bus).is_empty(), "{pair} in flight");
+            // The receiver's idle re-report settles the pair.
+            let mut second = scattered(2, run, 1, 1, &[]);
+            second.counters = second.counters.add(&settled);
+            lead.reports.insert(2, second);
+            lead.evaluate();
+            let adv = advances(&bus);
+            assert_eq!(adv.len(), 1, "{pair} settled");
+            assert_eq!(adv[0].expect, [(2, 5)]);
+        }
+    }
+
     #[test]
     fn resent_ready_reevaluates_a_chained_barrier_exactly_once() {
-        let (mut lead, bus, run) = lead_mid_run(WCC.0, WCC.1, false);
-        report_all(&mut lead, run, 0, Phase::Scatter, 0);
-        advances(&bus);
-        let sent = Counters {
-            vmsg_sent: 5,
-            ..Default::default()
-        };
-        let mut a = ready(1, run, 1, Phase::Scatter, sent);
-        a.active = 1;
-        lead.reports.insert(1, a);
+        let (mut lead, bus, run) = three_mid_run();
+        lead.reports.insert(1, scattered(1, run, 1, 1, &[(2, 5)]));
         lead.evaluate();
-        let recv = |n| Counters {
-            vmsg_recv: n,
-            ..Default::default()
-        };
-        // Agent 2 built its READY before two of the five arrived.
-        lead.reports
-            .insert(2, ready(2, run, 1, Phase::Scatter, recv(3)));
+        lead.reports.insert(2, scattered(2, run, 1, 0, &[(1, 2)]));
         lead.evaluate();
-        assert!(advances(&bus).is_empty(), "in-flight messages");
-        assert_eq!(expects(&lead), (1, Phase::Scatter, true));
+        // Agent 1 re-reports for a late EDGE_CHANGES frame: the step's
+        // list rides again, verbatim, and replaces the first copy.
+        let mut again = scattered(1, run, 1, 1, &[(2, 5)]);
+        again.counters.chg_recv = 3;
+        again.counters.chg_sent = 3;
+        lead.reports.insert(1, again.clone());
+        lead.evaluate();
+        assert!(advances(&bus).is_empty(), "agent 3 has not reported");
         assert!(lead.run.as_ref().unwrap().step_nanos.is_empty());
-        // Its idle re-report replaces the old one and settles the sums:
-        // verdict of step 0 and reduce of step 1, once.
-        lead.reports
-            .insert(2, ready(2, run, 1, Phase::Scatter, recv(5)));
+        lead.reports.insert(3, scattered(3, run, 1, 0, &[(2, 1)]));
         lead.evaluate();
-        assert_eq!(advances(&bus).len(), 1);
+        // Verdict of step 0 and reduce of step 1, once, and agent 1's
+        // five counted once.
+        let adv = advances(&bus);
+        assert_eq!(adv.len(), 1);
+        assert_eq!(adv[0].expect, [(1, 2), (2, 6)]);
         assert_eq!(expects(&lead), (2, Phase::Scatter, true));
         assert_eq!(lead.run.as_ref().unwrap().step_nanos.len(), 1);
         // A straggling copy of the same report is for a barrier that is
         // gone.
-        lead.reports
-            .insert(2, ready(2, run, 1, Phase::Scatter, recv(5)));
+        lead.reports.insert(1, again);
         lead.evaluate();
         assert!(advances(&bus).is_empty());
         assert_eq!(expects(&lead), (2, Phase::Scatter, true));
         assert_eq!(lead.run.as_ref().unwrap().step_nanos.len(), 1);
+    }
+
+    /// A program that scatters whatever is active (full PageRank) and
+    /// converges by tolerance ends on a chained verdict with the next
+    /// step's messages already sent. The `done` advance answers a
+    /// Scatter barrier like any other: it carries their counts, or an
+    /// agent would finish the run ahead of them.
+    #[test]
+    fn a_chained_verdict_that_ends_the_run_puts_the_counts_on_done() {
+        let (mut lead, bus, run) = three_mid_run();
+        for (id, sent) in [(1, &[(2, 5), (3, 1)][..]), (2, &[(1, 4)]), (3, &[])] {
+            lead.reports.insert(id, scattered(id, run, 1, 0, sent));
+            lead.evaluate();
+        }
+        assert!(lead.run.is_none());
+        assert_eq!(lead.status().steps, 0);
+        let adv = advances(&bus);
+        assert_eq!(adv.len(), 1);
+        assert!(adv[0].done && !adv[0].chain);
+        assert_eq!((adv[0].step, adv[0].phase), (0, Phase::Apply));
+        assert_eq!(adv[0].scatter_step(), 1);
+        assert_eq!(adv[0].expect, [(1, 4), (2, 5), (3, 1)]);
+        // A run that ends at an Apply barrier has no scatter behind it.
+        let pagerank = [0.85f64.to_bits(), 1, 0f64.to_bits()];
+        let (mut lead, bus, run) = lead_mid_run(0, pagerank, false);
+        report_all(&mut lead, run, 0, Phase::Scatter, 0);
+        report_all(&mut lead, run, 1, Phase::Scatter, 5);
+        report_all(&mut lead, run, 1, Phase::Combine, 0);
+        report_all(&mut lead, run, 1, Phase::Apply, 5);
+        let adv = advances(&bus);
+        let last = adv.last().unwrap();
+        assert!(last.done && last.expect.is_empty());
+    }
+
+    /// The barriers that exchange replica records, and the one that
+    /// moves the graph, are Mattern barriers as before.
+    #[test]
+    fn combine_apply_and_migrate_barriers_still_require_settled_sums() {
+        let in_flight = |c: Counters| Counters { vmsg_sent: 2, ..c };
+        // Three barriers a step: a join is pending.
+        let (mut lead, bus, run) = lead_mid_run(WCC.0, WCC.1, false);
+        lead.pending_joins.push(AgentInfo {
+            id: 3,
+            addr: agent_addr(3),
+        });
+        report_all(&mut lead, run, 0, Phase::Scatter, 0);
+        assert_eq!(expects(&lead), (0, Phase::Combine, false));
+        for phase in [Phase::Combine, Phase::Apply] {
+            advances(&bus);
+            let report = |id, counters| ReadyReport {
+                active: 1,
+                ..ready(id, run, 0, phase, counters)
+            };
+            lead.reports
+                .insert(1, report(1, in_flight(Counters::default())));
+            lead.reports.insert(2, report(2, Counters::default()));
+            lead.evaluate();
+            let waiting = (expects(&lead), lead.migrate_epoch);
+            assert_eq!(waiting, ((0, phase, false), None), "VMSGs in flight");
+            assert!(advances(&bus).is_empty());
+            let received = Counters {
+                vmsg_recv: 2,
+                ..Default::default()
+            };
+            lead.reports.insert(2, report(2, received));
+            lead.evaluate();
+            assert_ne!((expects(&lead), lead.migrate_epoch), waiting);
+        }
+        // The Apply barrier opened the join's migrate barrier.
+        let epoch = lead.migrate_epoch.expect("migrate barrier") as u32;
+        for id in [1, 2] {
+            let c = Counters {
+                vmsg_sent: if id == 1 { 3 } else { 0 },
+                vmsg_recv: if id == 2 { 2 } else { 0 },
+                ..Default::default()
+            };
+            lead.reports
+                .insert(id, ready(id, 0, epoch, Phase::Migrate, c));
+        }
+        let joiner = Counters::default();
+        lead.reports
+            .insert(3, ready(3, 0, epoch, Phase::Migrate, joiner));
+        lead.evaluate();
+        assert!(
+            lead.migrate_epoch.is_some(),
+            "a VMSG to the joiner is in flight"
+        );
+        // The joiner counts it on arrival and re-reports.
+        let counted = Counters {
+            vmsg_recv: 1,
+            ..Default::default()
+        };
+        lead.reports
+            .insert(3, ready(3, 0, epoch, Phase::Migrate, counted));
+        lead.evaluate();
+        assert_eq!(lead.migrate_epoch, None);
+    }
+
+    /// The stall report names what the lead is waiting for: the member
+    /// that has not reported and what it was told to take in, and the
+    /// pair its sums leave open.
+    #[test]
+    fn waiting_on_names_the_missing_member_the_open_pair_and_the_expected_count() {
+        assert_eq!(test_lead().waiting_on(), "no barrier open");
+        let (mut lead, _bus, run) = three_mid_run();
+        for (id, sent) in [(1, &[(2, 5), (3, 1)][..]), (2, &[(3, 2)]), (3, &[])] {
+            lead.reports.insert(id, scattered(id, run, 1, 1, sent));
+            lead.evaluate();
+        }
+        assert_eq!(expects(&lead), (2, Phase::Scatter, true));
+        // Agents 1 and 2 finish step 1 and report step 2; agent 3 was
+        // told to take in three records of step 1 and has not been
+        // heard from since. Agent 2 forwarded a change nobody has
+        // counted yet.
+        lead.reports.insert(1, scattered(1, run, 2, 1, &[(3, 4)]));
+        let mut second = scattered(2, run, 2, 1, &[]);
+        second.counters.chg_sent = 2;
+        second.epoch = 2;
+        lead.reports.insert(2, second);
+        lead.evaluate();
+        let said = lead.waiting_on();
+        assert!(
+            said.starts_with(&format!("barrier (run {run}, step 2, Scatter)")),
+            "{said}"
+        );
+        assert!(
+            said.contains(&format!(
+                "agent 3 last reported (run {run}, step 1, Scatter) under epoch 0, \
+                 told to take in 3 VMSG records of step 1"
+            )),
+            "{said}"
+        );
+        assert!(
+            !said.contains("agent 1") && !said.contains("agent 2"),
+            "{said}"
+        );
+        assert!(said.contains("chg sent − recv = 2"), "{said}");
+        // The VMSG pair is open by design at a Scatter barrier.
+        assert!(!said.contains("vmsg"), "{said}");
+
+        // A migrate barrier waits on every pair and on departers too.
+        let (mut lead, _bus) = lead_with_agents();
+        lead.pending_leaves.push(2);
+        lead.apply_membership();
+        let epoch = lead.view.epoch;
+        let moved = Counters {
+            mig_sent: 9,
+            vmsg_recv: 1,
+            ..Default::default()
+        };
+        lead.reports
+            .insert(2, ready(2, 0, epoch as u32, Phase::Migrate, moved));
+        lead.evaluate();
+        let said = lead.waiting_on();
+        assert!(
+            said.starts_with(&format!("migrate barrier of epoch {epoch}")),
+            "{said}"
+        );
+        assert!(
+            said.contains("agent 1 last reported (run 0, step 2, Migrate)"),
+            "{said}"
+        );
+        assert!(said.contains("mig sent − recv = 9"), "{said}");
+        assert!(said.contains("vmsg sent − recv = -1"), "{said}");
     }
 
     #[test]

@@ -235,6 +235,28 @@ impl Counters {
             && self.chg_sent == self.chg_recv
     }
 
+    /// [`Counters::settled`] for every pair but the vertex messages: a
+    /// Scatter barrier closes on the senders' reports, and each
+    /// receiver waits for its own count of them.
+    pub fn settled_but_vmsg(&self) -> bool {
+        Counters {
+            vmsg_recv: self.vmsg_sent,
+            ..*self
+        }
+        .settled()
+    }
+
+    /// The `(name, sent, received)` pairs, in wire order.
+    pub fn pairs(&self) -> [(&'static str, u64, u64); 5] {
+        [
+            ("vmsg", self.vmsg_sent, self.vmsg_recv),
+            ("part", self.part_sent, self.part_recv),
+            ("state", self.state_sent, self.state_recv),
+            ("mig", self.mig_sent, self.mig_recv),
+            ("chg", self.chg_sent, self.chg_recv),
+        ]
+    }
+
     fn encode_into(&self, b: elga_net::frame::FrameBuilder) -> elga_net::frame::FrameBuilder {
         b.u64(self.vmsg_sent)
             .u64(self.vmsg_recv)
@@ -1011,7 +1033,7 @@ pub fn decode_states(frame: &Frame) -> Option<StatesView<'_>> {
 }
 
 /// A barrier report from an agent.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReadyReport {
     /// Reporting agent.
     pub agent: AgentId,
@@ -1040,6 +1062,42 @@ pub struct ReadyReport {
     /// predating a mid-run migration can never settle the restarted
     /// termination detector against post-migration counters.
     pub epoch: u64,
+    /// Only on a sync run's `phase == Scatter`: the VMSG records this
+    /// step's scatter put on the wire, per destination it sent to. The
+    /// lead sums them per receiver and closes the Scatter barrier on
+    /// what was sent; a re-sent report repeats the list as it was.
+    pub sent: StepCounts,
+}
+
+/// VMSG record counts of one step's scatter, keyed by agent and sorted
+/// by it: what one sender put on the wire per destination (READY), or
+/// what each receiver has to take in (ADVANCE). Only non-zero entries
+/// are listed.
+pub type StepCounts = Vec<(AgentId, u64)>;
+
+/// Append `counts` as `u32 n` + `n × (u64 agent, u64 records)`. Always
+/// the last field of its frame.
+fn put_counts(
+    b: elga_net::frame::FrameBuilder,
+    counts: &[(AgentId, u64)],
+) -> elga_net::frame::FrameBuilder {
+    counts
+        .iter()
+        .fold(b.u32(counts.len() as u32), |b, &(agent, n)| {
+            b.u64(agent).u64(n)
+        })
+}
+
+/// Read the list [`put_counts`] wrote. It must end the frame exactly:
+/// a frame from before the list ends where the length would be and is
+/// refused — read as "nothing sent" it would release a Scatter barrier
+/// ahead of its messages.
+fn take_counts(r: &mut FrameReader<'_>) -> Option<StepCounts> {
+    let n = r.u32()? as usize;
+    if r.remaining() != n.checked_mul(16)? {
+        return None;
+    }
+    (0..n).map(|_| Some((r.u64()?, r.u64()?))).collect()
 }
 
 /// Encode a READY frame.
@@ -1049,14 +1107,15 @@ pub fn encode_ready(r: &ReadyReport) -> Frame {
         .u64(r.run)
         .u32(r.step)
         .u8(r.phase as u8);
-    r.counters
+    let b = r
+        .counters
         .encode_into(b)
         .u64(r.active)
         .f64(r.global_contrib)
         .u64(r.n_primary)
         .u64(r.seq)
-        .u64(r.epoch)
-        .finish()
+        .u64(r.epoch);
+    put_counts(b, &r.sent).finish()
 }
 
 /// Decode a READY frame.
@@ -1073,11 +1132,12 @@ pub fn decode_ready(frame: &Frame) -> Option<ReadyReport> {
         n_primary: r.u64()?,
         seq: r.u64()?,
         epoch: r.u64()?,
+        sent: take_counts(&mut r)?,
     })
 }
 
 /// A barrier advance broadcast by the directory.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Advance {
     /// Run id.
     pub run: u64,
@@ -1097,24 +1157,47 @@ pub struct Advance {
     /// with one `READY(step + 1, Scatter)` carrying the apply's
     /// `active`.
     pub chain: bool,
+    /// On an advance that answers a Scatter barrier — `phase ==
+    /// Combine`, or `done` after a chained verdict — what the members
+    /// reported sent in that scatter, summed per receiver: an agent
+    /// acts on the advance once it has taken in that many VMSG records
+    /// of [`Advance::scatter_step`]. Empty on every other advance.
+    pub expect: StepCounts,
 }
 
-/// ADVANCE flags byte: bit 0 `done`, bit 1 `chain`. Frames from before
-/// the chain bit carry 0 or 1 here and decode as `chain = false`.
+impl Advance {
+    /// The step whose scatter `expect` counts: the advance's own, or —
+    /// a `done` advance names the step the run's verdict was for — the
+    /// one the agents scattered ahead of that verdict.
+    pub fn scatter_step(&self) -> u32 {
+        self.step + u32::from(self.done)
+    }
+
+    /// VMSG records of [`Advance::scatter_step`] that `agent` has to
+    /// take in before it acts on this advance.
+    pub fn expected_by(&self, agent: AgentId) -> u64 {
+        self.expect
+            .iter()
+            .find(|&&(id, _)| id == agent)
+            .map_or(0, |&(_, n)| n)
+    }
+}
+
+/// ADVANCE flags byte: bit 0 `done`, bit 1 `chain`.
 const ADVANCE_DONE: u8 = 1;
 const ADVANCE_CHAIN: u8 = 2;
 
 /// Encode an ADVANCE frame.
 pub fn encode_advance(a: &Advance) -> Frame {
     let flags = if a.done { ADVANCE_DONE } else { 0 } | if a.chain { ADVANCE_CHAIN } else { 0 };
-    Frame::builder(packet::ADVANCE)
+    let b = Frame::builder(packet::ADVANCE)
         .u64(a.run)
         .u32(a.step)
         .u8(a.phase as u8)
         .u64(a.n_vertices)
         .f64(a.global)
-        .u8(flags)
-        .finish()
+        .u8(flags);
+    put_counts(b, &a.expect).finish()
 }
 
 /// Decode an ADVANCE frame.
@@ -1131,6 +1214,7 @@ pub fn decode_advance(frame: &Frame) -> Option<Advance> {
         global,
         done: flags & ADVANCE_DONE != 0,
         chain: flags & ADVANCE_CHAIN != 0,
+        expect: take_counts(&mut r)?,
     })
 }
 
@@ -2274,7 +2358,7 @@ mod tests {
             agent: 5,
             run: 2,
             step: 9,
-            phase: Phase::Combine,
+            phase: Phase::Scatter,
             counters: Counters {
                 vmsg_sent: 10,
                 vmsg_recv: 10,
@@ -2287,26 +2371,51 @@ mod tests {
             n_primary: 77,
             seq: 12,
             epoch: 6,
+            sent: vec![(1, 7), (3, 1 << 40)],
         };
-        assert_eq!(decode_ready(&encode_ready(&rep)).unwrap(), rep);
+        for sent in [Vec::new(), rep.sent.clone()] {
+            let rep = ReadyReport {
+                sent,
+                ..rep.clone()
+            };
+            assert_eq!(decode_ready(&encode_ready(&rep)).unwrap(), rep);
+        }
 
         let adv = Advance {
             run: 2,
             step: 9,
-            phase: Phase::Apply,
+            phase: Phase::Combine,
             n_vertices: 100,
             global: 1.5,
             done: false,
-            chain: false,
+            chain: true,
+            expect: vec![(2, 5), (9, 1)],
         };
-        assert_eq!(decode_advance(&encode_advance(&adv)).unwrap(), adv);
+        for expect in [Vec::new(), adv.expect.clone()] {
+            let adv = Advance {
+                expect,
+                ..adv.clone()
+            };
+            assert_eq!(decode_advance(&encode_advance(&adv)).unwrap(), adv);
+        }
+        assert_eq!(
+            (adv.expected_by(2), adv.expected_by(9), adv.expected_by(3)),
+            (5, 1, 0)
+        );
+        // A `done` advance names the step of the verdict; what it
+        // counts is the scatter the agents ran ahead of it.
+        assert_eq!(adv.scatter_step(), 9);
+        assert_eq!(Advance { done: true, ..adv }.scatter_step(), 10);
     }
 
-    /// The chain bit is the one wire change of the one-barrier step: it
-    /// shares the last byte with `done`, and a frame from before it
-    /// (that byte 0 or 1) decodes as `chain = false`.
+    /// `done` and `chain` share the flags byte, and the counts come
+    /// last in both frames. A frame in the layout from before them ends
+    /// where the list's length would be and is refused: read as an
+    /// empty list, an old READY would tell the lead nothing was sent
+    /// and an old ADVANCE would tell an agent to expect nothing — a
+    /// Scatter barrier released ahead of its messages either way.
     #[test]
-    fn advance_flags_byte_carries_done_and_chain() {
+    fn advance_flags_and_counts_and_old_layouts_refused() {
         let base = Advance {
             run: 4,
             step: 7,
@@ -2315,31 +2424,54 @@ mod tests {
             global: -0.25,
             done: false,
             chain: false,
+            expect: vec![(1, 3)],
         };
         for (done, chain) in [(false, false), (true, false), (false, true), (true, true)] {
             let adv = Advance {
                 done,
                 chain,
-                ..base
+                ..base.clone()
             };
             let frame = encode_advance(&adv);
-            assert_eq!(frame.len(), encode_advance(&base).len(), "no new field");
-            let flags = *frame.as_bytes().last().unwrap();
+            let flags = frame.as_bytes()[frame.len() - 4 - 16 - 1];
             assert_eq!(flags, u8::from(done) | u8::from(chain) << 1);
             assert_eq!(decode_advance(&frame).unwrap(), adv);
-        }
-        // As the parent's encoder wrote it: `done as u8` in that byte.
-        for done in [false, true] {
+            // As the parent's encoder wrote it.
             let old = Frame::builder(packet::ADVANCE)
                 .u64(base.run)
                 .u32(base.step)
                 .u8(base.phase as u8)
                 .u64(base.n_vertices)
                 .f64(base.global)
-                .u8(done as u8)
+                .u8(flags)
                 .finish();
-            assert_eq!(decode_advance(&old).unwrap(), Advance { done, ..base });
+            assert_eq!(decode_advance(&old), None);
         }
+        let rep = ReadyReport {
+            agent: 1,
+            run: 4,
+            step: 7,
+            phase: Phase::Scatter,
+            counters: Counters::default(),
+            active: 0,
+            global_contrib: 0.0,
+            n_primary: 3,
+            seq: 1,
+            epoch: 2,
+            sent: vec![(2, 6)],
+        };
+        let bytes = encode_ready(&rep);
+        let bytes = bytes.as_bytes();
+        let cut = |n: usize| Frame::from_bytes(bytes::Bytes::copy_from_slice(&bytes[..n]));
+        assert_eq!(decode_ready(&cut(bytes.len())), Some(rep));
+        assert_eq!(decode_ready(&cut(bytes.len() - 4 - 16)), None, "old layout");
+        assert_eq!(decode_ready(&cut(bytes.len() - 1)), None, "short list");
+        // A length that promises more than the frame holds allocates
+        // nothing and decodes to nothing.
+        let mut lying = bytes[..bytes.len() - 16].to_vec();
+        let at = lying.len() - 4;
+        lying[at..].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(decode_ready(&Frame::from_bytes(lying.into())), None);
     }
 
     #[test]

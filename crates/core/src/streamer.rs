@@ -95,11 +95,7 @@ impl Streamer {
         )?;
         let view = DirectoryView::decode(&rep).ok_or(NetError::Protocol("bad view"))?;
         let locator = view.locator();
-        let mut cache = if cfg.owner_cache {
-            OwnerCache::new()
-        } else {
-            OwnerCache::disabled()
-        };
+        let mut cache = OwnerCache::new();
         view.advance_memo(&mut cache);
         let tracer = Arc::new(Tracer::from_flag(cfg.tracing));
         let delta = SketchDelta::new(view.sketch.width(), view.sketch.depth());
@@ -377,17 +373,10 @@ impl Streamer {
         }));
         owners.clear();
         let sketch = &self.view.sketch;
-        if self.cfg.owner_cache {
-            // Batched resolution: each distinct key vertex is hashed
-            // and sketch-estimated once per view epoch.
-            self.cache
-                .resolve_many(&self.locator, pairs, |u| sketch.estimate(u), owners);
-        } else {
-            // Uncached baseline: per-edge resolution, exactly the
-            // pre-cache ingest path.
-            let owner = |&(u, v): &(u64, u64)| self.locator.owner_of_edge(u, v, sketch.estimate(u));
-            owners.extend(pairs.iter().map(owner));
-        }
+        // Batched resolution: each distinct key vertex is hashed and
+        // sketch-estimated once per view epoch.
+        self.cache
+            .resolve_many(&self.locator, pairs, |u| sketch.estimate(u), owners);
         for (&c, owner) in block.iter().zip(owners.iter()) {
             if let Some(owner) = owner {
                 batches.entry(*owner).or_default().push(c);

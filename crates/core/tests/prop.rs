@@ -355,11 +355,12 @@ proptest! {
         let _ = ClusterMetrics::decode(&frame);
     }
 
-    /// ADVANCE round-trips with both flag bits independent, and a frame
-    /// from before the chain bit (last byte 0 or 1) decodes as
-    /// `chain = false` with everything else intact.
+    /// ADVANCE round-trips with both flag bits independent and any
+    /// list of expected counts, and a frame that ends at the flags byte
+    /// — the layout before the counts — is refused: read as "expect
+    /// nothing" it would let an agent combine ahead of its messages.
     #[test]
-    fn advance_round_trips_and_old_frames_do_not_chain(
+    fn advance_round_trips_and_old_frames_are_refused(
         run in any::<u64>(),
         step in any::<u32>(),
         phase in 0u8..4,
@@ -367,23 +368,28 @@ proptest! {
         global in -1e12f64..1e12,
         done in any::<bool>(),
         chain in any::<bool>(),
+        expect in prop::collection::vec((any::<u64>(), any::<u64>()), 0..9),
     ) {
         let phase = msg::Phase::from_u8(phase).unwrap();
-        let adv = msg::Advance { run, step, phase, n_vertices, global, done, chain };
-        prop_assert_eq!(msg::decode_advance(&msg::encode_advance(&adv)), Some(adv));
+        let adv = msg::Advance { run, step, phase, n_vertices, global, done, chain, expect };
+        let frame = msg::encode_advance(&adv);
+        prop_assert_eq!(msg::decode_advance(&frame), Some(adv.clone()));
         let old = Frame::builder(msg::packet::ADVANCE)
             .u64(run)
             .u32(step)
             .u8(phase as u8)
             .u64(n_vertices)
             .f64(global)
-            .u8(done as u8)
+            .u8(done as u8 | (chain as u8) << 1)
             .finish();
-        prop_assert_eq!(
-            msg::decode_advance(&old),
-            Some(msg::Advance { chain: false, ..adv })
-        );
-        prop_assert_eq!(old.len(), msg::encode_advance(&adv).len());
+        prop_assert_eq!(msg::decode_advance(&old), None);
+        prop_assert_eq!(frame.len(), old.len() + 4 + 16 * adv.expect.len());
+        // A list cut short, or one with bytes after it, is no list.
+        let bytes = frame.as_bytes();
+        for cut in [&bytes[..bytes.len() - 1], &[bytes, &[0u8][..]].concat()[..]] {
+            let cut = Frame::from_bytes(cut.to_vec().into());
+            prop_assert_eq!(msg::decode_advance(&cut), None);
+        }
     }
 
     /// A frame of one packet type must be rejected by every other
@@ -554,6 +560,7 @@ proptest! {
         n_primary in any::<u64>(),
         seq in any::<u64>(),
         epoch in any::<u64>(),
+        sent in prop::collection::vec((any::<u64>(), any::<u64>()), 0..9),
     ) {
         prop_assume!(!contrib.is_nan());
         let rep = ReadyReport {
@@ -578,8 +585,15 @@ proptest! {
             n_primary,
             seq,
             epoch,
+            sent,
         };
-        prop_assert_eq!(msg::decode_ready(&msg::encode_ready(&rep)).unwrap(), rep);
+        let frame = msg::encode_ready(&rep);
+        prop_assert_eq!(msg::decode_ready(&frame).as_ref(), Some(&rep));
+        // The layout that ended at the epoch is refused, not read as
+        // "sent nothing".
+        let bytes = frame.as_bytes();
+        let old = &bytes[..bytes.len() - 4 - 16 * rep.sent.len()];
+        prop_assert_eq!(msg::decode_ready(&Frame::from_bytes(old.to_vec().into())), None);
     }
 
     /// State batches round-trip for arbitrary values.

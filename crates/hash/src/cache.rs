@@ -63,7 +63,6 @@ struct Memo {
 pub struct OwnerCache {
     epoch: u64,
     entries: FxHashMap<u64, Memo>,
-    enabled: bool,
     hits: u64,
     misses: u64,
 }
@@ -80,19 +79,8 @@ impl OwnerCache {
         OwnerCache {
             epoch: 0,
             entries: FxHashMap::default(),
-            enabled: true,
             hits: 0,
             misses: 0,
-        }
-    }
-
-    /// A cache that never retains entries: every lookup recomputes the
-    /// placement. Exists so benchmarks can measure the uncached
-    /// baseline through the identical code path.
-    pub fn disabled() -> Self {
-        OwnerCache {
-            enabled: false,
-            ..OwnerCache::new()
         }
     }
 
@@ -141,9 +129,10 @@ impl OwnerCache {
         (self.hits, self.misses)
     }
 
-    /// One probe of the memo: serve, revalidate or resolve `u`.
+    /// The placement of `u` in one probe of the memo: served,
+    /// revalidated, or resolved (and memoised) via `estimate`.
     #[inline]
-    fn memo(
+    pub fn placement(
         &mut self,
         loc: &EdgeLocator,
         u: u64,
@@ -181,22 +170,6 @@ impl OwnerCache {
                 &e.insert(Memo { placement, epoch }).placement
             }
         }
-    }
-
-    /// The placement of `u`, resolving (and memoising) it via
-    /// `estimate` on a miss.
-    pub fn placement(
-        &mut self,
-        loc: &EdgeLocator,
-        u: u64,
-        estimate: impl FnOnce() -> u64,
-    ) -> &VertexPlacement {
-        if !self.enabled {
-            // Keep at most the entry being resolved so the borrow has
-            // somewhere to live, but never serve a stale one.
-            self.entries.clear();
-        }
-        self.memo(loc, u, estimate)
     }
 
     /// Owner of edge `(u, v)`: cached placement of `u`, then the
@@ -254,14 +227,9 @@ impl OwnerCache {
         mut estimate: impl FnMut(u64) -> u64,
         out: &mut Vec<Option<AgentId>>,
     ) {
-        if !self.enabled {
-            // Per-call scratch only: batches dedup internally, but
-            // nothing persists to the next call.
-            self.entries.clear();
-        }
         out.reserve(pairs.len());
         for &(u, v) in pairs {
-            let p = self.memo(loc, u, || estimate(u));
+            let p = self.placement(loc, u, || estimate(u));
             out.push(loc.owner_from_placement(p, v));
         }
     }
@@ -430,26 +398,6 @@ mod tests {
         assert_eq!(*p, loc.placement(9, 5));
         assert!(asked);
         assert_eq!(cache.stats(), (0, 2));
-    }
-
-    #[test]
-    fn disabled_cache_resolves_but_never_hits() {
-        let loc = locator(8, 100);
-        let mut cache = OwnerCache::disabled();
-        cache.ensure_epoch(1);
-        for _ in 0..3 {
-            assert_eq!(
-                cache.owner_of_edge(&loc, 7, 8, || 5),
-                loc.owner_of_edge(7, 8, 5)
-            );
-        }
-        let (hits, misses) = cache.stats();
-        assert_eq!(hits, 0);
-        assert_eq!(misses, 3);
-        let mut owners = Vec::new();
-        cache.resolve_many(&loc, &[(7, 8), (7, 9)], |_| 5, &mut owners);
-        assert_eq!(owners[0], loc.owner_of_edge(7, 8, 5));
-        assert_eq!(owners[1], loc.owner_of_edge(7, 9, 5));
     }
 
     #[test]

@@ -104,6 +104,63 @@ fn chaos_pagerank_and_wcc_match_fault_free_results() {
     clean.shutdown();
 }
 
+/// A run that converges by tolerance ends on a chained verdict with the
+/// next step's scatter already sent — a full PageRank scatters every
+/// vertex every step. Under 0–5 ms delivery delays the `done` advance
+/// overtakes those frames: it carries their counts, so each agent takes
+/// them in before it leaves the run. Finished ahead of them it would
+/// drop them as stale, `vmsg_sent` would stay ahead of `vmsg_recv` for
+/// good, and the `quiesce` below could only time out.
+#[test]
+fn done_overtaking_the_last_scatter_leaves_nothing_in_flight() {
+    let edges = chain_graph(120);
+    let pagerank = || {
+        PageRank::new(0.85)
+            .with_max_iters(300)
+            .with_tolerance(1e-10)
+    };
+    let delta = RunOptions {
+        reuse_state: true,
+        mode: ExecutionMode::Sync,
+    };
+    let batch = [(5, 77), (40, 3), (119, 60)];
+    // Delays only: every frame arrives, in route order, late.
+    let plan = FaultPlan::uniform(0.0, 0.0, Duration::ZERO, Duration::from_millis(5));
+    let cfg = SystemConfig {
+        quiesce_deadline: Duration::from_secs(20),
+        ..chaos_config()
+    };
+    let mut delayed = Cluster::builder()
+        .agents(3)
+        .config(cfg)
+        .chaos(plan, 0xD0E)
+        .build();
+    let mut clean = Cluster::builder().agents(3).config(chaos_config()).build();
+    let mut ranks = Vec::new();
+    for cluster in [&mut delayed, &mut clean] {
+        cluster.ingest_edges(edges.iter().copied());
+        let full = cluster.run(pagerank()).expect("full pagerank");
+        assert!(full.steps > 20 && full.steps < 300, "{} steps", full.steps);
+        let t0 = std::time::Instant::now();
+        cluster.quiesce().expect("quiesce behind the done advance");
+        let took = t0.elapsed();
+        assert!(took < Duration::from_secs(5), "quiesce took {took:?}");
+        cluster.ingest_edges(batch.iter().copied());
+        cluster.run_with(pagerank(), delta).expect("delta pagerank");
+        ranks.push(cluster.dump_states());
+    }
+    let stats = delayed.fault().expect("chaos handle").stats();
+    assert!(stats.delayed() > 0, "no frame delayed — chaos was a no-op");
+    let (got, want) = (&ranks[0], &ranks[1]);
+    assert_eq!(got.len(), want.len(), "same vertex set");
+    for (v, &bits) in want {
+        let (g, w) = (f64::from_bits(got[v]), f64::from_bits(bits));
+        assert!((g - w).abs() < 1e-7, "pagerank v{v}: {g} vs {w}");
+    }
+    delayed.shutdown();
+    clean.shutdown();
+}
+
 #[test]
 fn chaos_async_wcc_matches_reference() {
     // The asynchronous engine's termination detection (idle reports +

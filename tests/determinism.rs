@@ -167,7 +167,8 @@ struct RunWire {
     /// the launch and the final `done`. Exact — nothing re-sends one.
     advances: u64,
     /// READY frames per agent: one per barrier, plus an idle re-report
-    /// for every mailbox drain that moved the counters behind it.
+    /// for every mailbox drain that moved a counter some barrier of the
+    /// run still waits on.
     readys: u64,
     /// PARTIAL plus STATE frames, all agents.
     replica_frames: u64,
@@ -259,11 +260,17 @@ fn one_barrier_per_step_unless_a_vertex_is_split() {
     let wcc4 = run_wire(4, 2, UNSPLIT, &edges, Wcc::new());
     let pr1 = run_wire(1, 2, UNSPLIT, &edges, pr);
     let pr4 = run_wire(4, 2, UNSPLIT, &edges, pr);
+    // Eight agents: seven senders' lists to sum per receiver, and the
+    // same one report per agent per step.
+    let wcc8 = run_wire(1, 8, UNSPLIT, &edges, Wcc::new());
+    let pr8 = run_wire(1, 8, UNSPLIT, &edges, pr);
     for (w, what) in [
         (&wcc1, "wcc"),
         (&wcc4, "wcc x4"),
         (&pr1, "pr"),
         (&pr4, "pr x4"),
+        (&wcc8, "wcc, 8 agents"),
+        (&pr8, "pr, 8 agents"),
     ] {
         assert!(!w.may_split, "{what}: the view's bound allows a split");
         assert!(w.steps >= 5, "{what}: {} steps", w.steps);
@@ -273,11 +280,14 @@ fn one_barrier_per_step_unless_a_vertex_is_split() {
             w.advances,
             w.steps
         );
-        // Three barriers a step cost the parent 60 and 68 READY frames
-        // per agent here (9 and 10 steps); one costs 24 to 30, re-reports
-        // for late VMSG frames included.
+        // One READY per agent per step: the Scatter barrier closes on
+        // what the senders reported, so no agent reports a second time
+        // to confirm a receive (24 to 30 per agent while it did, for 9
+        // and 10 steps; 60 and 68 with three barriers a step). What is
+        // over `steps` is step 0, a `max_steps` run's last step and the
+        // ingest's migrate report.
         assert!(
-            w.readys < 4 * w.steps + 8,
+            w.readys <= w.steps + 4,
             "{what}: {} READY frames per agent for {} steps",
             w.readys,
             w.steps
@@ -297,8 +307,13 @@ fn one_barrier_per_step_unless_a_vertex_is_split() {
     for (v, &label) in &labels {
         assert_eq!(wcc1.states[v], label, "vertex {v}");
     }
+    for (v, &label) in &labels {
+        assert_eq!(wcc8.states[v], label, "8 agents: vertex {v}");
+    }
     assert_eq!(pr1.steps, pr4.steps);
     assert_ranks_close(&pr1.states, &pr4.states, "pagerank across workers");
+    assert_eq!(pr1.steps, pr8.steps);
+    assert_ranks_close(&pr1.states, &pr8.states, "pagerank across agent counts");
 
     // Threshold 64: the hub (degree 300+) is split over all three
     // agents, and the lead knows without asking which vertex it is.

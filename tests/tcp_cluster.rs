@@ -6,9 +6,11 @@
 use elga::core::agent::Agent;
 use elga::core::client::ClientProxy;
 use elga::core::directory::{self, DirectoryRole};
+use elga::core::metrics::ClusterMetrics;
 use elga::core::msg::{self, packet, RunInfo};
 use elga::core::program::ProgramSpec;
 use elga::core::streamer::Streamer;
+use elga::graph::csr::Csr;
 use elga::graph::reference;
 use elga::net::{Addr, Frame, TcpTransport, Transport};
 use elga::prelude::*;
@@ -29,77 +31,144 @@ fn reserve_port() -> u16 {
         .port()
 }
 
-#[test]
-fn wcc_and_pagerank_over_tcp_sockets() {
-    let transport: Arc<dyn Transport> = Arc::new(TcpTransport::new());
-    let cfg = SystemConfig::default();
+/// The whole system on loopback sockets: master, lead directory, bus
+/// and three agents on ephemeral ports.
+struct Deployment {
+    transport: Arc<dyn Transport>,
+    cfg: SystemConfig,
+    master: Addr,
+    dir0: Addr,
+    bus: Addr,
+    agents: Vec<std::thread::JoinHandle<()>>,
+}
 
-    // Fixed endpoints need concrete ports (participants dial them).
-    let master = Addr::parse(&format!("tcp://127.0.0.1:{}", reserve_port())).expect("addr");
-    let dir0 = Addr::parse(&format!("tcp://127.0.0.1:{}", reserve_port())).expect("addr");
-    let bus = Addr::parse(&format!("tcp://127.0.0.1:{}", reserve_port())).expect("addr");
-
-    let _master = directory::spawn_master(transport.clone(), master.clone());
-    let _dir = directory::spawn_directory_at(
-        transport.clone(),
-        cfg.clone(),
-        0,
-        master.clone(),
-        dir0.clone(),
-        DirectoryRole::Lead { bus: bus.clone() },
-    );
-
-    // Three agents on ephemeral ports.
-    let mut agent_handles = Vec::new();
-    for id in 1..=3u64 {
-        let agent = Agent::join_at(
+impl Deployment {
+    fn start() -> Deployment {
+        let transport: Arc<dyn Transport> = Arc::new(TcpTransport::new());
+        let cfg = SystemConfig::default();
+        // Fixed endpoints need concrete ports (participants dial them).
+        let fixed = || Addr::parse(&format!("tcp://127.0.0.1:{}", reserve_port())).expect("addr");
+        let (master, dir0, bus) = (fixed(), fixed(), fixed());
+        let _master = directory::spawn_master(transport.clone(), master.clone());
+        let _dir = directory::spawn_directory_at(
             transport.clone(),
             cfg.clone(),
-            id,
-            tcp_any(),
+            0,
+            master.clone(),
             dir0.clone(),
-            bus.clone(),
-        )
-        .expect("agent join over tcp");
-        agent_handles.push(agent.spawn());
+            DirectoryRole::Lead { bus: bus.clone() },
+        );
+        let agents = (1..=3u64)
+            .map(|id| {
+                Agent::join_at(
+                    transport.clone(),
+                    cfg.clone(),
+                    id,
+                    tcp_any(),
+                    dir0.clone(),
+                    bus.clone(),
+                )
+                .expect("agent join over tcp")
+                .spawn()
+            })
+            .collect();
+        Deployment {
+            transport,
+            cfg,
+            master,
+            dir0,
+            bus,
+            agents,
+        }
     }
 
-    // Stream a graph in over sockets.
-    let edges: Vec<(u64, u64)> = vec![
-        (0, 1),
-        (1, 2),
-        (2, 0),
-        (2, 3),
-        (3, 4),
-        (10, 11),
-        (11, 12),
-        (12, 10),
-    ];
-    let mut streamer =
-        Streamer::connect(transport.clone(), cfg.clone(), dir0.clone()).expect("streamer");
-    let changes: Vec<EdgeChange> = edges
-        .iter()
-        .map(|&(u, v)| EdgeChange::insert(u, v))
-        .collect();
-    streamer.send_batch(&changes).expect("send");
+    /// Stream `edges` (all new) in over sockets and wait until the
+    /// agents have applied both placements of every one of them and
+    /// what that made them send each other (degree deltas, residual
+    /// corrections) has landed. There is no driver-side quiesce here,
+    /// and a run started ahead of a straggling frame computes without
+    /// it — a fixed sleep was not enough on a loaded host.
+    fn ingest(&self, streamer: &mut Streamer, edges: &[(u64, u64)]) {
+        // Changes applied so far, and whether the agents' forwards
+        // have all arrived. A DRAIN makes an agent push its metrics to
+        // the lead, so the count is at most one round behind.
+        let state = |tcp: &Deployment| {
+            let (sent, recv) = tcp
+                .drain_all()
+                .iter()
+                .fold((0, 0), |sums, c| (sums.0 + c.chg_sent, sums.1 + c.chg_recv));
+            let rep = tcp
+                .transport
+                .request(
+                    &tcp.dir0,
+                    Frame::signal(packet::GET_METRICS),
+                    Duration::from_secs(5),
+                )
+                .expect("metrics");
+            let metrics = ClusterMetrics::decode(&rep).expect("metrics");
+            (metrics.changes, sent == recv)
+        };
+        let want = state(self).0 + 2 * edges.len() as u64;
+        let changes: Vec<EdgeChange> = edges
+            .iter()
+            .map(|&(u, v)| EdgeChange::insert(u, v))
+            .collect();
+        streamer.send_batch(&changes).expect("send");
+        let deadline = std::time::Instant::now() + Duration::from_secs(20);
+        loop {
+            let (applied, landed) = state(self);
+            if applied >= want && landed {
+                return;
+            }
+            assert!(std::time::Instant::now() < deadline, "ingest over tcp");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
 
-    // Drive a WCC run: subscribe to the bus for the done signal, then
-    // REQ the start.
-    let run_to_done = |spec: ProgramSpec| {
-        let (tag, params) = spec.encode();
-        let sub = transport
-            .subscribe(&bus, &[packet::ADVANCE])
-            .expect("subscribe");
-        let rep = transport
+    /// DRAIN every agent of the current view; their counters.
+    fn drain_all(&self) -> Vec<msg::Counters> {
+        let view = self
+            .transport
             .request(
-                &dir0,
+                &self.dir0,
+                Frame::signal(packet::GET_VIEW),
+                Duration::from_secs(5),
+            )
+            .expect("view");
+        let view = msg::DirectoryView::decode(&view).expect("view");
+        view.agents
+            .iter()
+            .map(|agent| {
+                let drain = Frame::signal(packet::DRAIN);
+                let rep = self
+                    .transport
+                    .request(&agent.addr, drain, Duration::from_secs(5))
+                    .expect("drain");
+                msg::decode_counters(&rep).expect("counters")
+            })
+            .collect()
+    }
+
+    /// Drive a run: subscribe to the bus for the done signal, then REQ
+    /// the start. `incremental` carries state over (and, for PageRank,
+    /// runs the delta engine).
+    fn run_to_done(&self, spec: ProgramSpec, incremental: bool) -> u64 {
+        let (tag, params) = spec.encode();
+        let sub = self
+            .transport
+            .subscribe(&self.bus, &[packet::ADVANCE])
+            .expect("subscribe");
+        let rep = self
+            .transport
+            .request(
+                &self.dir0,
                 msg::encode_start(&RunInfo {
                     run_id: 0,
                     tag,
                     params,
-                    reuse_state: false,
+                    reuse_state: incremental,
                     asynchronous: false,
-                    delta: false,
+                    delta: incremental,
                     dangling_base: 0.0,
                     watermark: 0,
                 }),
@@ -111,38 +180,74 @@ fn wcc_and_pagerank_over_tcp_sockets() {
             let d = sub.recv_timeout(Duration::from_secs(60)).expect("advance");
             if let Some(adv) = msg::decode_advance(&d.frame) {
                 if adv.run == run_id && adv.done {
-                    break;
+                    return run_id;
                 }
             }
         }
-        run_id
-    };
+    }
 
-    // Give ingest a moment to settle (no driver-side quiesce here; the
-    // run start is serialized by the directory's migrate barrier).
-    std::thread::sleep(Duration::from_millis(200));
-    let wcc_run = run_to_done(Wcc::new().into());
+    /// Σ `vmsg_sent` and Σ `vmsg_recv` over the agents, as DRAIN reads
+    /// them.
+    fn vmsg_sums(&self) -> (u64, u64) {
+        self.drain_all().iter().fold((0, 0), |sums, c| {
+            (sums.0 + c.vmsg_sent, sums.1 + c.vmsg_recv)
+        })
+    }
 
-    // Agents flip their double-buffered serving snapshot when *they*
-    // process the done broadcast — a query racing straight off the bus
-    // can still see the previous snapshot (or a miss). The answer's
-    // run tag says which completed run it belongs to; poll until it is
-    // the one we watched finish.
-    let query_run = |proxy: &mut ClientProxy, v: u64, run: u64| -> u64 {
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        loop {
-            match proxy.query(v) {
-                Some(r) if r.run == run => return r.state,
-                _ if std::time::Instant::now() < deadline => {
-                    std::thread::sleep(Duration::from_millis(10))
-                }
-                got => panic!("vertex {v}: no run-{run} answer over tcp (last: {got:?})"),
-            }
+    /// Shut the whole deployment down over the wire.
+    fn shutdown(self) {
+        let _ = self.transport.request(
+            &self.dir0,
+            Frame::signal(packet::SHUTDOWN),
+            Duration::from_secs(5),
+        );
+        if let Ok(out) = self.transport.sender(&self.master) {
+            let _ = out.send(Frame::signal(packet::SHUTDOWN));
         }
-    };
+        for h in self.agents {
+            let _ = h.join();
+        }
+    }
+}
 
-    let mut proxy =
-        ClientProxy::connect(transport.clone(), cfg.clone(), dir0.clone()).expect("proxy");
+/// Agents flip their double-buffered serving snapshot when *they*
+/// process the done broadcast — a query racing straight off the bus can
+/// still see the previous snapshot (or a miss). The answer's run tag
+/// says which completed run it belongs to; poll until it is the one we
+/// watched finish.
+fn query_run(proxy: &mut ClientProxy, v: u64, run: u64) -> u64 {
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    loop {
+        match proxy.query(v) {
+            Some(r) if r.run == run => return r.state,
+            _ if std::time::Instant::now() < deadline => {
+                std::thread::sleep(Duration::from_millis(10))
+            }
+            got => panic!("vertex {v}: no run-{run} answer over tcp (last: {got:?})"),
+        }
+    }
+}
+
+#[test]
+fn wcc_and_pagerank_over_tcp_sockets() {
+    let tcp = Deployment::start();
+    let edges: Vec<(u64, u64)> = vec![
+        (0, 1),
+        (1, 2),
+        (2, 0),
+        (2, 3),
+        (3, 4),
+        (10, 11),
+        (11, 12),
+        (12, 10),
+    ];
+    let mut streamer = Streamer::connect(tcp.transport.clone(), tcp.cfg.clone(), tcp.dir0.clone())
+        .expect("streamer");
+    tcp.ingest(&mut streamer, &edges);
+    let wcc_run = tcp.run_to_done(Wcc::new().into(), false);
+
+    let mut proxy = ClientProxy::connect(tcp.transport.clone(), tcp.cfg.clone(), tcp.dir0.clone())
+        .expect("proxy");
     let expect = reference::wcc(edges.iter().copied());
     for (&v, &label) in &expect {
         assert_eq!(
@@ -153,24 +258,68 @@ fn wcc_and_pagerank_over_tcp_sockets() {
     }
 
     // And PageRank across the same sockets.
-    let pr_run = run_to_done(PageRank::new(0.85).with_max_iters(10).into());
+    let pr_run = tcp.run_to_done(PageRank::new(0.85).with_max_iters(10).into(), false);
     proxy.refresh().expect("refresh");
     let mass: f64 = expect
         .keys()
         .map(|&v| f64::from_bits(query_run(&mut proxy, v, pr_run)))
         .sum();
     assert!((mass - 1.0).abs() < 1e-9, "rank mass over tcp: {mass}");
+    tcp.shutdown();
+}
 
-    // Shut the whole deployment down over the wire.
-    let _ = transport.request(
-        &dir0,
-        Frame::signal(packet::SHUTDOWN),
-        Duration::from_secs(5),
-    );
-    if let Ok(out) = transport.sender(&master) {
-        let _ = out.send(Frame::signal(packet::SHUTDOWN));
+/// The run-ending advance over sockets (`tests/chaos.rs::
+/// done_overtaking_the_last_scatter_leaves_nothing_in_flight` has the
+/// why): the bus and the data plane are different connections, so a
+/// tolerance-converged PageRank's `done` races the scatter the agents
+/// ran ahead of the verdict (on loopback the scatter nearly always
+/// wins, so this pins the outcome, not the interleaving). Every agent
+/// takes its share of that scatter in before it leaves the run — the
+/// VMSG sums balance as soon as every agent answers again — and the
+/// delta run that follows sees a settled system and the right ranks.
+#[test]
+fn a_tolerance_converged_run_over_tcp_leaves_no_vmsg_behind() {
+    let tcp = Deployment::start();
+    let n = 90u64;
+    let mut edges: Vec<(u64, u64)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
+    edges.extend((0..n).step_by(3).map(|i| (i, (i * 7 + 3) % n)));
+    let mut streamer = Streamer::connect(tcp.transport.clone(), tcp.cfg.clone(), tcp.dir0.clone())
+        .expect("streamer");
+    tcp.ingest(&mut streamer, &edges);
+    let pagerank = || -> ProgramSpec {
+        PageRank::new(0.85)
+            .with_max_iters(300)
+            .with_tolerance(1e-10)
+            .into()
+    };
+    tcp.run_to_done(pagerank(), false);
+    // An agent answers DRAIN once it has acted on the done advance or
+    // between the frames it still waits for; a few rounds at most.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    loop {
+        let (sent, recv) = tcp.vmsg_sums();
+        assert!(sent > 0, "nothing crossed between agents");
+        if sent == recv {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "{sent} VMSG records sent, {recv} received: the rest were dropped as stale"
+        );
+        std::thread::sleep(Duration::from_millis(10));
     }
-    for h in agent_handles {
-        let _ = h.join();
+    let extra = [(5, 50), (33, 2), (80, 41)];
+    tcp.ingest(&mut streamer, &extra);
+    let run = tcp.run_to_done(pagerank(), true);
+    edges.extend(extra);
+
+    let want = reference::pagerank(&Csr::from_edges(Some(n as usize), &edges), 0.85, 300);
+    let mut proxy = ClientProxy::connect(tcp.transport.clone(), tcp.cfg.clone(), tcp.dir0.clone())
+        .expect("proxy");
+    for v in 0..n {
+        let rank = f64::from_bits(query_run(&mut proxy, v, run));
+        let want = want[v as usize];
+        assert!((rank - want).abs() < 1e-6, "v{v}: {rank} vs {want}");
     }
+    tcp.shutdown();
 }
