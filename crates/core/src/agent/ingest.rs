@@ -25,7 +25,9 @@ impl Agent {
     /// Record a run of edges held in `key`'s adjacency on `side`, far
     /// endpoints in `others`, skipping those already present; returns
     /// how many were new. One store probe and one adjacency reservation
-    /// for the run, one index probe per edge.
+    /// for the run, one index probe per edge. Like the two removers, it
+    /// drops the vertex's edge memo when the adjacency changed: slots
+    /// are filled where they are used, at scatter.
     pub(super) fn insert_edges(
         &mut self,
         side: Side,
@@ -46,7 +48,11 @@ impl Agent {
                 adj.push(other);
             }
         }
-        adj.len() - before
+        let added = adj.len() - before;
+        if added > 0 {
+            e.slots.clear();
+        }
+        added
     }
 
     /// Record out-edge `(u, v)`; false when already present.
@@ -63,6 +69,7 @@ impl Agent {
         let pos = pos as usize;
         if let Some(e) = self.vertices.get_mut(&u) {
             e.out.swap_remove(pos);
+            e.slots.clear();
             if pos < e.out.len() {
                 let moved = e.out[pos];
                 self.out_pos.insert((u, moved), pos as u32);
@@ -84,6 +91,7 @@ impl Agent {
         let pos = pos as usize;
         if let Some(e) = self.vertices.get_mut(&v) {
             e.inn.swap_remove(pos);
+            e.slots.clear();
             if pos < e.inn.len() {
                 let moved = e.inn[pos];
                 self.in_pos.insert((moved, v), pos as u32);

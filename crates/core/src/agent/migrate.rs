@@ -25,7 +25,12 @@ impl Agent {
     /// and every owner memo follows it to its epoch, so a memo's epoch
     /// is the view's wherever a lookup happens. What the memos keep
     /// across the change is theirs to say ([`OwnerCache::adopt_epoch`]).
+    /// The target table keeps nothing: its generation bump outdates
+    /// every edge memo and placement stamp at once, and the migration
+    /// sweep that follows a view — the only caller outside recovery —
+    /// needs no invalidation of its own.
     pub(super) fn adopt_view(&mut self, view: DirectoryView) {
+        self.targets.clear();
         self.locator = view.locator();
         view.advance_memo(&mut self.route_cache);
         for cache in &mut self.worker_caches {

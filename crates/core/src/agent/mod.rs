@@ -54,6 +54,7 @@ use crate::msg::{
 };
 use crate::program::{DeltaKind, ProgramSpec, VertexCtx, VertexProgram};
 use crate::store::{Shard, VertexStore, Worklists, SHARDS};
+use crate::targets::{EdgeSlots, TargetTable, NO_SLOT};
 use elga_graph::types::{Action, EdgeChange, VertexId};
 use elga_hash::{AgentId, EdgeLocator, FxHashMap, FxHashSet, OwnerCache};
 use elga_net::{
@@ -128,9 +129,43 @@ pub(crate) struct VertexEntry {
     /// [`Agent::snap_run`] / [`Agent::snap_watermark`].
     pub(crate) snap: u64,
     pub(crate) has_snap: bool,
+    /// The edge memo: the [`TargetTable`] row each local edge's
+    /// message lands in — empty, or one slot per out-edge, or (once the
+    /// vertex has scattered along them) per out- and then per in-edge.
+    /// The adjacency mutators in `ingest` empty it (lengths alone prove
+    /// nothing: a delete then an insert keeps them); a table generation
+    /// other than `placed` outdates it.
+    pub(crate) slots: EdgeSlots,
+    /// The table generation `slots` and `home` were computed under.
+    pub(crate) placed: u32,
+    /// The placement stamp: the vertex is unsplit with its primary at
+    /// this agent — its PARTIAL and STATE records are all its own, no
+    /// lookup needed. Anything else (split, foreign, a husk) reads
+    /// false and asks the owner cache.
+    pub(crate) home: bool,
 }
 
 impl VertexEntry {
+    /// Whether a kernel has stamped the vertex home under `generation`.
+    #[inline]
+    pub(crate) fn is_stamped_home(&self, generation: u32) -> bool {
+        self.placed == generation && self.home
+    }
+
+    /// Whether the vertex is unsplit with its primary here. The first
+    /// kernel to ask under `generation` brings the entry into it: the
+    /// old edge memo is dropped and `resolve` says where the vertex
+    /// lives now.
+    #[inline]
+    pub(crate) fn is_home(&mut self, generation: u32, resolve: impl FnOnce() -> bool) -> bool {
+        if self.placed != generation {
+            self.slots.clear();
+            self.home = resolve();
+            self.placed = generation;
+        }
+        self.home
+    }
+
     fn is_empty(&self) -> bool {
         self.out.is_empty()
             && self.inn.is_empty()
@@ -239,6 +274,9 @@ pub struct Agent {
     /// per-agent sink attributes traffic to its sender/receiver.
     net: Arc<NetStats>,
     vertices: VertexStore,
+    /// Where each local edge's scatter message lands, and this step's
+    /// combined value per destination row (agent thread only).
+    targets: TargetTable,
     /// Position of out-edge `(u, v)` in `vertices[u].out` — O(1)
     /// duplicate detection *and* O(1) deletion (swap_remove + index
     /// fix-up instead of an O(deg) scan).
@@ -428,6 +466,7 @@ impl Agent {
             coalesce_retired: CoalesceStats::default(),
             net: Arc::new(NetStats::default()),
             vertices: VertexStore::default(),
+            targets: TargetTable::default(),
             out_pos: FxHashMap::default(),
             in_pos: FxHashMap::default(),
             workers,
@@ -543,11 +582,11 @@ impl Agent {
             // borrowed view makes them inseparable) so the per-agent
             // cost of the hot path is observable as `decode_nanos`.
             packet::VMSG => {
-                self.timed_data_plane(frame, Self::on_vmsg);
+                self.timed_data_plane(frame, |a, f| a.take_vmsg(f, true));
                 self.release_parked_advance();
             }
-            packet::PARTIAL => self.timed_data_plane(frame, Self::on_partial),
-            packet::STATE => self.timed_data_plane(frame, Self::on_state),
+            packet::PARTIAL => self.timed_data_plane(frame, |a, f| a.take_partial(f, true)),
+            packet::STATE => self.timed_data_plane(frame, |a, f| a.take_state(f, true)),
             packet::EDGE_CHANGES => self.timed_data_plane(frame, Self::on_changes),
             packet::DEG_DELTA => self.timed_data_plane(frame, Self::on_deg_delta),
             packet::RESIDUAL => self.timed_data_plane(frame, Self::on_residual),
@@ -660,11 +699,14 @@ impl Agent {
             return 0.0;
         };
         // Folded in shard order (VertexStore iteration), so the f64 sum
-        // is identical for any worker count.
+        // is identical for any worker count. An entry a kernel stamped
+        // home is a primary without a ring search; anything else asks
+        // the ring.
         let mut contrib = 0.0;
         let mut n_primary = 0;
+        let generation = self.targets.generation();
         for (&v, e) in self.vertices.iter() {
-            if e.is_meta && self.is_primary(v) {
+            if e.is_meta && (e.is_stamped_home(generation) || self.is_primary(v)) {
                 n_primary += 1;
                 if e.has_state && !run.info.delta {
                     let ctx = VertexCtx {
@@ -1033,6 +1075,10 @@ impl Agent {
         self.needs_sweep = true;
         self.delta_hot.clear();
         self.buffered_frames.clear();
+        // Rows of targets that no longer exist live until the next view
+        // epoch unless they come to outnumber the edges held.
+        self.targets
+            .collect_garbage(self.out_pos.len() + self.in_pos.len());
         self.run = Some(AgentRun {
             info,
             program,
@@ -1197,14 +1243,14 @@ impl Agent {
     }
 
     /// Re-dispatch buffered frames that now match the current phase.
-    /// A VMSG frame's receive was counted when it arrived.
+    /// Their receives were counted when they arrived.
     fn replay_buffered(&mut self) {
         let frames: Vec<Frame> = std::mem::take(&mut self.buffered_frames);
         for frame in frames {
             match frame.packet_type() {
                 packet::VMSG => self.take_vmsg(frame, false),
-                packet::PARTIAL => self.on_partial(frame),
-                packet::STATE => self.on_state(frame),
+                packet::PARTIAL => self.take_partial(frame, false),
+                packet::STATE => self.take_state(frame, false),
                 _ => {}
             }
         }

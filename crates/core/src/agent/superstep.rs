@@ -10,7 +10,13 @@ use super::*;
 /// nothing.
 #[derive(Default)]
 struct ShardOut {
-    /// `(vertex, value)` batches (scatter vmsgs, combine partials).
+    /// Scatter's one output run: `(target-table slot, value)` per edge
+    /// a firing vertex sent along, in kernel order.
+    slots: Vec<(u32, u64)>,
+    /// Edges of `slots` whose memo was filled this step (their owner
+    /// lookups were counted by the cache itself).
+    refreshed: u64,
+    /// `(vertex, value)` batches (combine partials).
     msgs: FxHashMap<AgentId, Vec<(VertexId, u64)>>,
     /// State broadcasts (apply).
     states: FxHashMap<AgentId, Vec<StateRecord>>,
@@ -52,6 +58,9 @@ pub(super) struct KernelCtx<'a> {
     locator: &'a EdgeLocator,
     sketch: &'a CountMinSketch,
     my_id: AgentId,
+    /// The target table's generation: what edge memos and placement
+    /// stamps must carry to be believed.
+    generation: u32,
     n_vertices: u64,
     step: u32,
     /// Visit every entry of the shard instead of draining its
@@ -221,6 +230,7 @@ impl Agent {
         let (reuse, delta, dangling_base) =
             (run.info.reuse_state, run.info.delta, run.info.dangling_base);
         let (my_id, scatter_all) = (self.id, program.scatter_all());
+        let generation = self.targets.generation();
         let prev_n = self.delta_seed.as_ref().map_or(0, |s| s.n);
         // Built where it is used, not held: the serial path hands
         // `self` to the read server between shards.
@@ -231,6 +241,7 @@ impl Agent {
                     locator: &self.locator,
                     sketch: &self.view.sketch,
                     my_id,
+                    generation,
                     n_vertices,
                     step,
                     sweep,
@@ -266,7 +277,13 @@ impl Agent {
                 let shard = &mut self.vertices.shards_mut()[i];
                 let busy = sweep || worklist_len(phase, &shard.lists) > 0;
                 let (cache, out) = (&mut self.worker_caches[0], &mut self.scratch.per_shard[i]);
-                kernel_shard(phase, ctx!(), cache, shard, out);
+                // The agent thread runs the kernel: a stale edge memo
+                // is refilled where it is met.
+                let table = (phase == Phase::Scatter).then_some(&mut self.targets);
+                kernel_shard(phase, ctx!(), cache, table, shard, out);
+                if phase == Phase::Scatter {
+                    self.fold_scatter_run(i, 0, &*program);
+                }
                 if busy {
                     self.serve_reads();
                 }
@@ -274,6 +291,15 @@ impl Agent {
         } else {
             let ctx = ctx!();
             let chunk = SHARDS.div_ceil(workers);
+            if phase == Phase::Scatter {
+                // Workers never touch the table: every memo the step
+                // will read is made current first, serially.
+                let shards = self.vertices.shards_mut().iter_mut();
+                for (i, (shard, out)) in shards.zip(&mut self.scratch.per_shard).enumerate() {
+                    let cache = &mut self.worker_caches[i / chunk];
+                    refresh_shard(ctx, cache, &mut self.targets, shard, out);
+                }
+            }
             let shards = self.vertices.shards_mut();
             let outs = &mut self.scratch.per_shard;
             let caches = &mut self.worker_caches;
@@ -285,11 +311,18 @@ impl Agent {
                 for ((sh, outs), cache) in work {
                     scope.spawn(move || {
                         for (shard, out) in sh.iter_mut().zip(outs.iter_mut()) {
-                            kernel_shard(phase, ctx, cache, shard, out);
+                            kernel_shard(phase, ctx, cache, None, shard, out);
                         }
                     });
                 }
             });
+            if phase == Phase::Scatter {
+                // Shard-index order, as the serial path folds: the same
+                // sequence of combines for any worker count.
+                for i in 0..SHARDS {
+                    self.fold_scatter_run(i, i / chunk, &*program);
+                }
+            }
         }
         // Shard-order sums: deterministic for any worker count.
         let mut active = 0;
@@ -328,8 +361,32 @@ impl Agent {
                 }
                 self.scratch.merged_states = merged;
             }
-            _ => {
+            Phase::Scatter => {
+                // One record per touched row, in first-touch order:
+                // this agent's own run is folded where it stands, as
+                // `take_vmsg` would on receipt, and is no VMSG record —
+                // uncounted on both sides of the barrier sums.
+                self.targets.flush();
                 let mut sent = msg::StepCounts::new();
+                for dst in 0..self.targets.members().len() {
+                    let run = self.targets.take_run(dst);
+                    let agent = self.targets.members()[dst];
+                    if agent == my_id {
+                        self.fold_vmsgs(run.iter().copied());
+                    } else if !run.is_empty() {
+                        self.counters.vmsg_sent += run.len() as u64;
+                        sent.push((agent, run.len() as u64));
+                        self.send_records(agent, &run, |out, block| {
+                            msg::append_vmsgs(out, run_id, step, block)
+                        });
+                    }
+                    self.targets.recycle(dst, run);
+                }
+                // What the step's READY tells the lead was sent.
+                sent.sort_unstable();
+                self.run.as_mut().expect("run").scatter_sent = sent;
+            }
+            _ => {
                 let mut merged = std::mem::take(&mut self.scratch.merged);
                 for out in &mut self.scratch.per_shard {
                     for (&agent, msgs) in out.msgs.iter_mut() {
@@ -342,35 +399,37 @@ impl Agent {
                     if msgs.is_empty() {
                         continue;
                     }
-                    if phase == Phase::Scatter && agent == my_id {
-                        // This agent's own messages are folded where
-                        // they stand, as `on_vmsg` would on receipt,
-                        // and are no VMSG records — uncounted on both
-                        // sides of the barrier sums.
-                        self.fold_vmsgs(msgs.iter().copied());
-                    } else if phase == Phase::Scatter {
-                        self.counters.vmsg_sent += msgs.len() as u64;
-                        sent.push((agent, msgs.len() as u64));
-                        self.send_records(agent, msgs, |out, block| {
-                            msg::append_vmsgs(out, run_id, step, block)
-                        });
-                    } else {
-                        self.counters.part_sent += msgs.len() as u64;
-                        self.send_records(agent, msgs, |out, block| {
-                            msg::append_partials(out, run_id, step, block)
-                        });
-                    }
+                    self.counters.part_sent += msgs.len() as u64;
+                    self.send_records(agent, msgs, |out, block| {
+                        msg::append_partials(out, run_id, step, block)
+                    });
                     msgs.clear();
                 }
                 self.scratch.merged = merged;
-                if phase == Phase::Scatter {
-                    // What the step's READY tells the lead was sent.
-                    sent.sort_unstable();
-                    self.run.as_mut().expect("run").scatter_sent = sent;
-                }
             }
         }
         active
+    }
+
+    /// Fold shard `shard`'s scatter run into the target table's
+    /// accumulators — the agent thread's half of scatter, looking at
+    /// the mailbox for reads between blocks — and credit the worker
+    /// cache with the edges served from their memos: a slot is the
+    /// cache's answer kept beside the edge.
+    fn fold_scatter_run(&mut self, shard: usize, cache: usize, program: &dyn VertexProgram) {
+        let out = &mut self.scratch.per_shard[shard];
+        let mut run = std::mem::take(&mut out.slots);
+        let served = run.len() as u64 - std::mem::take(&mut out.refreshed);
+        self.worker_caches[cache].count_hits(served);
+        for (i, block) in run.chunks(READ_YIELD).enumerate() {
+            if i > 0 {
+                self.serve_reads();
+            }
+            self.targets.accumulate(block, |a, b| program.combine(a, b));
+        }
+        // Hand the buffer back so its capacity is reused.
+        run.clear();
+        self.scratch.per_shard[shard].slots = run;
     }
 
     /// Hand `recs` to `agent`'s outbox a block at a time, looking at
@@ -411,19 +470,17 @@ impl Agent {
     // Message handlers (sync + async)
     // ------------------------------------------------------------------
 
-    pub(super) fn on_vmsg(&mut self, frame: Frame) {
-        self.take_vmsg(frame, true);
-    }
-
     /// Take in a VMSG frame: off the mailbox (`arrival`), or replayed
     /// from `buffered_frames` once its step has come.
     ///
-    /// A frame of the current run is counted in `vmsg_recv` when it
-    /// arrives, whatever is done with it then — as `on_changes` counts
-    /// a change it defers. A joiner sits at `(step 0, Scatter)` until
-    /// the resume advance, and the migrate barrier that precedes that
-    /// advance only settles once the VMSGs paused agents sent it are
-    /// counted: buffering them uncounted would wedge the barrier.
+    /// The rule all three record kinds follow: a frame of the current
+    /// run is counted as received when it arrives, whatever is done
+    /// with it then — as `on_changes` counts a change it defers — and
+    /// a replay never counts it again. A joiner sits at `(step 0,
+    /// Scatter)` until the resume advance, and the migrate barrier that
+    /// precedes that advance only settles once the records paused
+    /// agents sent it are counted: buffering them uncounted would wedge
+    /// the barrier.
     pub(super) fn take_vmsg(&mut self, frame: Frame, arrival: bool) {
         // The decoded view borrows the frame's pooled receive buffer;
         // records are parsed in place as the loops below consume them,
@@ -462,96 +519,97 @@ impl Agent {
         }
     }
 
-    pub(super) fn on_partial(&mut self, frame: Frame) {
+    /// Take in a PARTIAL frame, as [`Agent::take_vmsg`] a VMSG frame.
+    pub(super) fn take_partial(&mut self, frame: Frame, arrival: bool) {
         let Some(view) = msg::decode_partials(&frame) else {
             return;
         };
-        let (run_id, step) = (view.run, view.step);
-        match self.current_phase() {
-            Some((cur_run, cur_step, cur_phase, false))
-                if cur_run == run_id && cur_step == step && cur_phase == Phase::Combine =>
-            {
-                self.counters.part_recv += view.records.len() as u64;
-                let program = self.run.as_ref().expect("run").program.clone();
-                for (v, value) in view.records {
-                    let (e, lists) = self.vertices.entry_and_lists(v);
-                    if e.has_ppartial {
-                        e.ppartial = program.combine(e.ppartial, value);
-                    } else {
-                        e.ppartial = value;
-                        e.has_ppartial = true;
-                        lists.apply.push(v);
-                    }
+        let Some((_, cur_step, cur_phase, live)) =
+            self.current_phase().filter(|cur| cur.0 == view.run)
+        else {
+            self.metrics.stale_frames += 1; // stale run: drop
+            return;
+        };
+        if arrival {
+            self.counters.part_recv += view.records.len() as u64;
+        }
+        if !live && cur_step == view.step && cur_phase == Phase::Combine {
+            let program = self.run.as_ref().expect("run").program.clone();
+            for (v, value) in view.records {
+                let (e, lists) = self.vertices.entry_and_lists(v);
+                if e.has_ppartial {
+                    e.ppartial = program.combine(e.ppartial, value);
+                } else {
+                    e.ppartial = value;
+                    e.has_ppartial = true;
+                    lists.apply.push(v);
                 }
             }
-            Some((cur_run, _, _, _)) if cur_run == run_id => {
-                self.buffered_frames.push(frame);
-            }
-            _ => self.metrics.stale_frames += 1, // stale run: drop
+        } else {
+            self.buffered_frames.push(frame);
         }
     }
 
-    pub(super) fn on_state(&mut self, frame: Frame) {
+    /// Take in a STATE frame, as [`Agent::take_vmsg`] a VMSG frame.
+    pub(super) fn take_state(&mut self, frame: Frame, arrival: bool) {
         let Some(view) = msg::decode_states(&frame) else {
             return;
         };
-        let (run_id, step) = (view.run, view.step);
-        match self.current_phase() {
-            Some((cur_run, _, _, true)) if cur_run == run_id => {
-                // Async: adopt the state and scatter right away. Delta
-                // runs push the applied delta the record carries (zero
-                // aux — e.g. a rescatter refresh — pushes nothing).
-                self.counters.state_recv += view.records.len() as u64;
-                let delta_run = self.run.as_ref().is_some_and(|r| r.info.delta);
-                for rec in view.records {
-                    let own = self.is_primary(rec.vertex);
-                    let e = self.vertices.entry_or_default(rec.vertex);
-                    // A primary's own state is the newest there is: the
-                    // record is its own broadcast coming back through
-                    // the mailbox, and a commit made since must not be
-                    // undone by it (the next, worse message would then
-                    // pass for an improvement and stick).
-                    if !(own && e.has_state) {
-                        e.state = rec.state;
-                        e.has_state = true;
-                    }
-                    e.rep_out_degree = rec.out_degree;
-                    e.active = rec.active;
-                    if delta_run {
-                        if rec.aux != 0 {
-                            self.scatter_delta_one(rec.vertex, rec.aux);
-                        }
-                    } else if rec.active {
-                        self.scatter_one(rec.vertex);
-                    }
-                }
-            }
-            Some((cur_run, cur_step, cur_phase, false))
-                if cur_run == run_id && cur_step == step && cur_phase == Phase::Apply =>
-            {
-                self.counters.state_recv += view.records.len() as u64;
-                let delta_run = self.run.as_ref().is_some_and(|r| r.info.delta);
-                for rec in view.records {
-                    let (e, lists) = self.vertices.entry_and_lists(rec.vertex);
-                    let listed = e.active || e.has_pending_delta;
+        let Some((_, cur_step, cur_phase, live)) =
+            self.current_phase().filter(|cur| cur.0 == view.run)
+        else {
+            self.metrics.stale_frames += 1; // stale run: drop
+            return;
+        };
+        if arrival {
+            self.counters.state_recv += view.records.len() as u64;
+        }
+        let delta_run = self.run.as_ref().is_some_and(|r| r.info.delta);
+        if live {
+            // Async: adopt the state and scatter right away. Delta
+            // runs push the applied delta the record carries (zero
+            // aux — e.g. a rescatter refresh — pushes nothing).
+            for rec in view.records {
+                let own = self.is_primary(rec.vertex);
+                let e = self.vertices.entry_or_default(rec.vertex);
+                // A primary's own state is the newest there is: the
+                // record is its own broadcast coming back through
+                // the mailbox, and a commit made since must not be
+                // undone by it (the next, worse message would then
+                // pass for an improvement and stick).
+                if !(own && e.has_state) {
                     e.state = rec.state;
                     e.has_state = true;
-                    e.rep_out_degree = rec.out_degree;
-                    e.active = rec.active;
-                    if delta_run {
-                        // Scattered at the next Scatter phase.
-                        e.pending_delta = rec.aux;
-                        e.has_pending_delta = true;
+                }
+                e.rep_out_degree = rec.out_degree;
+                e.active = rec.active;
+                if delta_run {
+                    if rec.aux != 0 {
+                        self.scatter_delta_one(rec.vertex, rec.aux);
                     }
-                    if !listed && (e.active || e.has_pending_delta) {
-                        lists.scatter.push(rec.vertex);
-                    }
+                } else if rec.active {
+                    self.scatter_one(rec.vertex);
                 }
             }
-            Some((cur_run, _, _, _)) if cur_run == run_id => {
-                self.buffered_frames.push(frame);
+        } else if cur_step == view.step && cur_phase == Phase::Apply {
+            for rec in view.records {
+                let (e, lists) = self.vertices.entry_and_lists(rec.vertex);
+                let listed = e.active || e.has_pending_delta;
+                e.state = rec.state;
+                e.has_state = true;
+                e.rep_out_degree = rec.out_degree;
+                e.active = rec.active;
+                if delta_run {
+                    // Scattered at the next Scatter phase.
+                    e.pending_delta = rec.aux;
+                    e.has_pending_delta = true;
+                }
+                if !listed && (e.active || e.has_pending_delta) {
+                    lists.scatter.push(rec.vertex);
+                }
             }
-            _ => self.metrics.stale_frames += 1, // stale run: drop
+        } else {
+            self.buffered_frames.push(frame);
         }
     }
 
@@ -1134,11 +1192,13 @@ fn worklist_len(phase: Phase, lists: &Worklists) -> usize {
 }
 
 /// Dispatch one shard through the kernel for `phase`. Runs on a worker
-/// thread; touches only its own shard, output slot, and owner cache.
+/// thread; touches only its own shard, output slot, and owner cache —
+/// and the target table when the agent thread itself runs a scatter.
 fn kernel_shard(
     phase: Phase,
     ctx: KernelCtx<'_>,
     cache: &mut OwnerCache,
+    table: Option<&mut TargetTable>,
     shard: &mut Shard,
     out: &mut ShardOut,
 ) {
@@ -1149,7 +1209,7 @@ fn kernel_shard(
         shard.assert_worklists_complete();
     }
     match phase {
-        Phase::Scatter => scatter_shard(ctx, cache, shard, out),
+        Phase::Scatter => scatter_shard(ctx, cache, table, shard, out),
         Phase::Combine => combine_shard(ctx, cache, shard, &mut out.msgs),
         Phase::Apply => apply_shard(ctx, cache, shard, out),
         Phase::Migrate => {}
@@ -1161,6 +1221,7 @@ fn kernel_shard(
 fn scatter_shard(
     ctx: KernelCtx<'_>,
     cache: &mut OwnerCache,
+    mut table: Option<&mut TargetTable>,
     shard: &mut Shard,
     out: &mut ShardOut,
 ) {
@@ -1170,7 +1231,7 @@ fn scatter_shard(
         lists.scatter.clear();
         out.visits += map.len() as u64;
         for (&v, e) in map.iter_mut() {
-            scatter_vertex(ctx, cache, v, e, &mut out.msgs);
+            scatter_vertex(ctx, cache, table.as_deref_mut(), v, e, out);
         }
         return;
     }
@@ -1180,24 +1241,51 @@ fn scatter_shard(
     out.visits += list.len() as u64;
     for v in list.drain(..) {
         if let Some(e) = map.get_mut(&v) {
-            scatter_vertex(ctx, cache, v, e, &mut out.msgs);
+            scatter_vertex(ctx, cache, table.as_deref_mut(), v, e, out);
         }
     }
     // Hand the (drained) buffer back so its capacity is reused.
     lists.scatter = list;
 }
 
-/// Scatter one vertex if it is eligible, routing each message to the
-/// target's aggregation replica via the owner cache, and clear the
-/// flags that made it eligible (they are re-armed by STATE broadcasts
-/// at the next apply).
-fn scatter_vertex(
+/// The parallel path's serial pass over what a scatter is about to
+/// visit: workers cannot touch the table, so every edge memo they will
+/// read is made current before they start.
+fn refresh_shard(
     ctx: KernelCtx<'_>,
     cache: &mut OwnerCache,
+    table: &mut TargetTable,
+    shard: &mut Shard,
+    out: &mut ShardOut,
+) {
+    let Shard { map, lists } = shard;
+    if ctx.sweep {
+        for (&v, e) in map.iter_mut() {
+            scatter_values(ctx, cache, Some(table), v, e, out);
+        }
+        return;
+    }
+    for v in &lists.scatter {
+        if let Some(e) = map.get_mut(v) {
+            scatter_values(ctx, cache, Some(table), *v, e, out);
+        }
+    }
+}
+
+/// What `v` sends this step along its out- and its in-edges (`None`:
+/// nothing along that side), with its edge memo made to cover the
+/// sides that fire. The one place scatter asks where an edge's message
+/// goes: a memo of another generation, or one a mutator dropped, is
+/// refilled through the owner cache into `table` — which only the
+/// agent thread can hand in.
+fn scatter_values(
+    ctx: KernelCtx<'_>,
+    cache: &mut OwnerCache,
+    table: Option<&mut TargetTable>,
     v: VertexId,
     e: &mut VertexEntry,
-    out: &mut FxHashMap<AgentId, Vec<(VertexId, u64)>>,
-) {
+    out: &mut ShardOut,
+) -> (Option<u64>, Option<u64>) {
     let program = ctx.program;
     let vctx = VertexCtx {
         out_degree: e.rep_out_degree,
@@ -1206,49 +1294,107 @@ fn scatter_vertex(
         step: ctx.step,
         global: 0.0,
     };
-    let fire = e.has_state && (e.active || ctx.scatter_all);
-    e.active = false;
-    if ctx.delta {
+    let sides = if ctx.delta {
         // Delta runs scatter the applied delta the primary broadcast
         // last apply, not the full state, and only along out-edges —
         // the residual invariant is directed.
-        if !e.has_pending_delta {
-            return;
+        let fired = e.has_pending_delta;
+        let along_out = fired
+            .then(|| program.scatter_delta(v, e.state, e.pending_delta, &vctx))
+            .flatten();
+        (along_out, None)
+    } else if e.has_state && (e.active || ctx.scatter_all) {
+        (
+            program.scatter_out(v, e.state, &vctx),
+            program.scatter_in(v, e.state, &vctx),
+        )
+    } else {
+        (None, None)
+    };
+    let needed = match sides {
+        (None, None) => return sides,
+        (_, None) => e.out.len(),
+        (_, Some(_)) => e.out.len() + e.inn.len(),
+    };
+    // Under the table's generation, the memo is as long as the sides it
+    // covers: out-edges first, the in side appended the first time the
+    // vertex scatters along it.
+    restamp(ctx, cache, v, e);
+    if e.slots.len() < needed {
+        let table = table.expect("a worker met an edge memo the serial pass left stale");
+        let mut fill = |from: usize, side: &[VertexId], fires: bool| {
+            if e.slots.len() == from {
+                e.slots.extend(side.iter().map(|&w| {
+                    cache
+                        .owner_of_edge(ctx.locator, w, v, || ctx.sketch.estimate(w))
+                        .map_or(NO_SLOT, |owner| table.intern(w, owner))
+                }));
+                // Counted by the lookups above, not as served.
+                out.refreshed += if fires { side.len() as u64 } else { 0 };
+            }
+        };
+        fill(0, &e.out, sides.0.is_some());
+        if needed > e.out.len() {
+            fill(e.out.len(), &e.inn, true);
         }
-        let delta = e.pending_delta;
+    }
+    sides
+}
+
+/// Scatter one vertex if it is eligible — one `(slot, value)` per edge
+/// into the shard's output run, the slot being the target-table row the
+/// edge's message is combined in — and clear the flags that made it
+/// eligible (they are re-armed by STATE broadcasts at the next apply).
+fn scatter_vertex(
+    ctx: KernelCtx<'_>,
+    cache: &mut OwnerCache,
+    table: Option<&mut TargetTable>,
+    v: VertexId,
+    e: &mut VertexEntry,
+    out: &mut ShardOut,
+) {
+    let (along_out, along_in) = scatter_values(ctx, cache, table, v, e, out);
+    e.active = false;
+    if ctx.delta {
         e.pending_delta = 0;
         e.has_pending_delta = false;
-        if let Some(val) = program.scatter_delta(v, e.state, delta, &vctx) {
-            for &w in &e.out {
-                let vv = program.along_edge(v, w, val);
-                if let Some(owner) =
-                    cache.owner_of_edge(ctx.locator, w, v, || ctx.sketch.estimate(w))
-                {
-                    out.entry(owner).or_default().push((w, vv));
-                }
-            }
-        }
-        return;
     }
-    if !fire {
-        return;
+    let program = ctx.program;
+    let slots = e.slots.as_slice();
+    let (outs, ins) = slots.split_at(e.out.len().min(slots.len()));
+    if let Some(val) = along_out {
+        let sent = e.out.iter().zip(outs);
+        out.slots
+            .extend(sent.map(|(&w, &slot)| (slot, program.along_edge(v, w, val))));
     }
-    if let Some(val) = program.scatter_out(v, e.state, &vctx) {
-        for &w in &e.out {
-            let vv = program.along_edge(v, w, val);
-            if let Some(owner) = cache.owner_of_edge(ctx.locator, w, v, || ctx.sketch.estimate(w)) {
-                out.entry(owner).or_default().push((w, vv));
-            }
-        }
+    if let Some(val) = along_in {
+        let sent = e.inn.iter().zip(ins);
+        out.slots
+            .extend(sent.map(|(&u, &slot)| (slot, program.along_edge(v, u, val))));
     }
-    if let Some(val) = program.scatter_in(v, e.state, &vctx) {
-        for &u in &e.inn {
-            let vv = program.along_edge(v, u, val);
-            if let Some(owner) = cache.owner_of_edge(ctx.locator, u, v, || ctx.sketch.estimate(u)) {
-                out.entry(owner).or_default().push((u, vv));
-            }
-        }
-    }
+}
+
+/// Bring `e` under the table's generation if it is not: drop the edge
+/// memo of another epoch and stamp where the vertex lives now.
+#[inline]
+fn restamp(ctx: KernelCtx<'_>, cache: &mut OwnerCache, v: VertexId, e: &mut VertexEntry) -> bool {
+    e.is_home(ctx.generation, || {
+        let p = cache.placement(ctx.locator, v, || ctx.sketch.estimate(v));
+        p.k == 1 && p.primary == Some(ctx.my_id)
+    })
+}
+
+/// Whether `v` is unsplit with its primary at this agent — every
+/// PARTIAL and STATE record of `v` is then this agent's own — from the
+/// entry's placement stamp if it is current, the owner cache once per
+/// generation if not. False sends the caller to the cache. An answer
+/// served from the stamp is the cache's own, kept beside the vertex,
+/// and counts as the hit it replaces.
+#[inline]
+fn at_home(ctx: KernelCtx<'_>, cache: &mut OwnerCache, v: VertexId, e: &mut VertexEntry) -> bool {
+    let served = e.is_stamped_home(ctx.generation);
+    cache.count_hits(u64::from(served));
+    served || restamp(ctx, cache, v, e)
 }
 
 /// Forward one shard's scatter partials to their primaries. Touches
@@ -1273,10 +1419,15 @@ fn combine_shard(
         }
         let partial = std::mem::take(&mut e.partial);
         e.has_partial = false;
-        match cache.primary(ctx.locator, v, || ctx.sketch.estimate(v)) {
+        let primary = if at_home(ctx, cache, v, e) {
+            Some(ctx.my_id)
+        } else {
+            cache.primary(ctx.locator, v, || ctx.sketch.estimate(v))
+        };
+        match primary {
             // This agent is the primary (always, for a vertex that is
             // not split): the partial is delivered in place, as
-            // `on_partial` would on receipt, and is no PARTIAL record —
+            // `take_partial` would on receipt, and is no PARTIAL record —
             // uncounted on both sides of the barrier sums.
             Some(primary) if primary == ctx.my_id => {
                 if e.has_ppartial {
@@ -1341,7 +1492,8 @@ fn apply_vertex(
     if !(e.is_meta || e.has_ppartial) {
         return;
     }
-    if cache.primary(ctx.locator, v, || ctx.sketch.estimate(v)) != Some(ctx.my_id) {
+    let home = at_home(ctx, cache, v, e);
+    if !home && cache.primary(ctx.locator, v, || ctx.sketch.estimate(v)) != Some(ctx.my_id) {
         if e.has_ppartial {
             // Not ours to apply; the partial stays parked (it moves
             // with the next migration), so it stays listed.
@@ -1476,10 +1628,18 @@ fn apply_vertex(
             aux,
             active: e.active,
         };
-        for &replica in cache.replicas(ctx.locator, v, || ctx.sketch.estimate(v)) {
+        // An unsplit vertex's replica set is this agent alone (the
+        // stamp answers for the cache, as in `at_home`).
+        let replicas = if home {
+            cache.count_hits(1);
+            std::slice::from_ref(&ctx.my_id)
+        } else {
+            cache.replicas(ctx.locator, v, || ctx.sketch.estimate(v))
+        };
+        for &replica in replicas {
             if replica == ctx.my_id {
                 // The primary's own replica copy is this entry: what
-                // `on_state` would adopt from the record is written in
+                // `take_state` would adopt from the record is written in
                 // place (`state` and `active` already are), and no
                 // STATE record is counted or sent.
                 e.rep_out_degree = rec.out_degree;
@@ -1623,6 +1783,8 @@ mod tests {
             locator,
             sketch,
             my_id: ME,
+            // A fresh table's.
+            generation: TargetTable::default().generation(),
             n_vertices: N,
             step: 3,
             sweep,
@@ -1646,11 +1808,13 @@ mod tests {
         let (locator, sketch) = placement();
         let ctx = kernel_ctx(program, &locator, &sketch, sweep);
         let mut cache = OwnerCache::new();
+        let mut table = TargetTable::default();
         let (mut msgs, mut states) = (Msgs::new(), States::new());
         let (mut active, mut visits) = (0, 0);
         for shard in store.shards_mut() {
             let mut out = ShardOut::default();
-            kernel_shard(phase, ctx, &mut cache, shard, &mut out);
+            kernel_shard(phase, ctx, &mut cache, Some(&mut table), shard, &mut out);
+            table.accumulate(&out.slots, |a, b| program.combine(a, b));
             for (agent, recs) in out.msgs {
                 msgs.extend(recs.into_iter().map(|(v, x)| (agent, v, x)));
             }
@@ -1663,6 +1827,7 @@ mod tests {
             active += out.active;
             visits += out.visits;
         }
+        msgs.extend(table.flushed());
         msgs.sort_unstable();
         states.sort_unstable();
         (msgs, states, active, visits)
@@ -1697,6 +1862,167 @@ mod tests {
         all
     }
 
+    /// The same records; where `summed`, values that are f64 sums may
+    /// differ by the order of their terms.
+    fn assert_same_msgs(a: &Msgs, b: &Msgs, summed: bool, what: &str) {
+        assert_eq!(a.len(), b.len(), "{what}: record counts differ");
+        for (x, y) in a.iter().zip(b) {
+            assert_eq!((x.0, x.1), (y.0, y.1), "{what}: records differ");
+            if summed {
+                let (p, q) = (f64::from_bits(x.2), f64::from_bits(y.2));
+                assert!(
+                    (p - q).abs() <= 1e-12 * p.abs().max(q.abs()),
+                    "{what}: {x:?} {y:?}"
+                );
+            } else {
+                assert_eq!(x.2, y.2, "{what}: vertex {}", x.1);
+            }
+        }
+    }
+
+    /// One scatter over `store` the way `run_kernel` drives it with
+    /// `workers` workers — the agent thread refreshing inline, or a
+    /// serial refresh pass ahead of table-less kernels, then the fold
+    /// in shard order either way — as the VMSG frames it would send.
+    fn scatter_frames(
+        workers: usize,
+        sweep: bool,
+        program: &dyn VertexProgram,
+        store: &mut VertexStore,
+        table: &mut TargetTable,
+    ) -> Vec<(AgentId, Frame)> {
+        let (locator, sketch) = placement();
+        let ctx = kernel_ctx(program, &locator, &sketch, sweep);
+        let mut caches: Vec<OwnerCache> = (0..workers).map(|_| OwnerCache::new()).collect();
+        let chunk = SHARDS.div_ceil(workers);
+        let mut outs: Vec<ShardOut> = (0..SHARDS).map(|_| ShardOut::default()).collect();
+        let shards = store.shards_mut();
+        if workers > 1 {
+            for (i, (shard, out)) in shards.iter_mut().zip(&mut outs).enumerate() {
+                refresh_shard(ctx, &mut caches[i / chunk], table, shard, out);
+            }
+        }
+        for (i, (shard, out)) in shards.iter_mut().zip(&mut outs).enumerate() {
+            let inline = (workers == 1).then_some(&mut *table);
+            kernel_shard(
+                Phase::Scatter,
+                ctx,
+                &mut caches[i / chunk],
+                inline,
+                shard,
+                out,
+            );
+        }
+        for out in &outs {
+            assert!(out.refreshed <= out.slots.len() as u64);
+            table.accumulate(&out.slots, |a, b| program.combine(a, b));
+        }
+        // One frame per destination, records in flush order.
+        let flushed = table.flushed();
+        flushed
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|run| {
+                let recs: Vec<(VertexId, u64)> = run.iter().map(|&(_, v, x)| (v, x)).collect();
+                (run[0].0, msg::encode_vmsgs(RUN, 3, &recs))
+            })
+            .collect()
+    }
+
+    /// The scatter kernel against the per-message routing it replaced:
+    /// per `(destination, target)` the one flushed value is `combine`
+    /// folded over what each edge would have sent there, for unsplit
+    /// and split targets alike; a row no edge touched emits nothing;
+    /// and the bytes do not depend on how many workers ran.
+    #[test]
+    fn scatter_combines_per_target_row_what_per_edge_routing_sent() {
+        let wcc = Wcc::new();
+        let pagerank = PageRank::new(0.85).with_tolerance(TOL);
+        let programs: [&dyn VertexProgram; 2] = [&wcc, &pagerank];
+        let (locator, sketch) = placement();
+        for program in programs {
+            let delta = program.delta_kind() == DeltaKind::Residual;
+            let what = program.name();
+            // The model: every firing vertex, every edge, one record
+            // routed by the locator itself.
+            let ctx = kernel_ctx(program, &locator, &sketch, true);
+            let mut model: FxHashMap<(AgentId, VertexId), u64> = FxHashMap::default();
+            let mut per_edge = 0;
+            let mut send = |from: VertexId, to: VertexId, val: u64| {
+                let owner = locator
+                    .owner_of_edge(to, from, sketch.estimate(to))
+                    .expect("ring");
+                let x = program.along_edge(from, to, val);
+                model
+                    .entry((owner, to))
+                    .and_modify(|acc| *acc = program.combine(*acc, x))
+                    .or_insert(x);
+                per_edge += 1;
+            };
+            for (&v, e) in flagged_store(Phase::Scatter, delta).iter() {
+                let vctx = VertexCtx {
+                    out_degree: e.rep_out_degree,
+                    in_degree: 0,
+                    n_vertices: ctx.n_vertices,
+                    step: ctx.step,
+                    global: 0.0,
+                };
+                if delta {
+                    let val = e
+                        .has_pending_delta
+                        .then(|| program.scatter_delta(v, e.state, e.pending_delta, &vctx));
+                    if let Some(val) = val.flatten() {
+                        e.out.iter().for_each(|&w| send(v, w, val));
+                    }
+                } else if e.has_state && e.active {
+                    if let Some(val) = program.scatter_out(v, e.state, &vctx) {
+                        e.out.iter().for_each(|&w| send(v, w, val));
+                    }
+                    if let Some(val) = program.scatter_in(v, e.state, &vctx) {
+                        e.inn.iter().for_each(|&u| send(v, u, val));
+                    }
+                }
+            }
+            let mut model: Msgs = model.into_iter().map(|((a, v), x)| (a, v, x)).collect();
+            model.sort_unstable();
+            // Some targets are split, and some rows took several edges.
+            let split = |v: &VertexId| locator.replication_factor(sketch.estimate(*v)) > 1;
+            assert!(model.iter().any(|m| split(&m.1)), "{what}: no split target");
+            assert!(model.iter().any(|m| !split(&m.1)), "{what}");
+            assert!(model.len() < per_edge, "{what}: nothing to combine");
+
+            let mut store = flagged_store(Phase::Scatter, delta);
+            let got = run(Phase::Scatter, false, program, &mut store);
+            assert_same_msgs(&got.0, &model, delta, what);
+
+            // Bytes: any worker count, list-driven or sweeping; and a
+            // second scatter of the same store — every flag consumed,
+            // every row still in the table — sends nothing.
+            for sweep in [false, true] {
+                let frames: Vec<Vec<(AgentId, Frame)>> = [1, 2, 4]
+                    .into_iter()
+                    .map(|workers| {
+                        let mut store = flagged_store(Phase::Scatter, delta);
+                        let mut table = TargetTable::default();
+                        let first = scatter_frames(workers, sweep, program, &mut store, &mut table);
+                        assert!(table.len() >= model.len());
+                        let again = scatter_frames(workers, sweep, program, &mut store, &mut table);
+                        assert!(again.is_empty(), "{what}: an untouched row was flushed");
+                        first
+                    })
+                    .collect();
+                assert!(!frames[0].is_empty(), "{what}: nothing was sent");
+                assert_eq!(
+                    frames[0], frames[1],
+                    "{what}: 1 vs 2 workers, sweep {sweep}"
+                );
+                assert_eq!(
+                    frames[0], frames[2],
+                    "{what}: 1 vs 4 workers, sweep {sweep}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn list_and_sweep_kernels_emit_the_same_records() {
         let wcc = Wcc::new();
@@ -1714,7 +2040,10 @@ mod tests {
                     !by_sweep.0.is_empty() || !by_sweep.1.is_empty(),
                     "{what}: the kernel emitted nothing"
                 );
-                assert_eq!(by_sweep.0, by_list.0, "{what}: messages differ");
+                // A scatter's values are combined per target row, in
+                // visiting order — which is what the two differ in.
+                let summed = delta && phase == Phase::Scatter;
+                assert_same_msgs(&by_sweep.0, &by_list.0, summed, &what);
                 assert_eq!(by_sweep.1, by_list.1, "{what}: state broadcasts differ");
                 assert_eq!(by_sweep.2, by_list.2, "{what}: active counts differ");
                 assert_eq!(entries(&swept), entries(&listed), "{what}: entries differ");
@@ -1749,18 +2078,30 @@ mod tests {
         let programs: [&dyn VertexProgram; 2] = [&wcc, &pagerank];
         for program in programs {
             let delta = program.delta_kind() == DeltaKind::Residual;
-            // This agent's messages of one scatter, as the kernel
-            // merge orders them: shard by shard.
-            let mut own: Vec<(VertexId, u64)> = Vec::new();
+            // This agent's combined messages of one scatter, in the
+            // order the flush emits them.
             let mut scattered = flagged_store(Phase::Scatter, delta);
             let (locator, sketch) = placement();
             let ctx = kernel_ctx(program, &locator, &sketch, false);
-            let mut cache = OwnerCache::new();
+            let (mut cache, mut table) = (OwnerCache::new(), TargetTable::default());
             for shard in scattered.shards_mut() {
                 let mut out = ShardOut::default();
-                kernel_shard(Phase::Scatter, ctx, &mut cache, shard, &mut out);
-                own.append(out.msgs.entry(ME).or_default());
+                let table = &mut table;
+                kernel_shard(
+                    Phase::Scatter,
+                    ctx,
+                    &mut cache,
+                    Some(table),
+                    shard,
+                    &mut out,
+                );
+                table.accumulate(&out.slots, |a, b| program.combine(a, b));
             }
+            let own: Vec<(VertexId, u64)> = table
+                .flushed()
+                .into_iter()
+                .filter_map(|(to, v, x)| (to == ME).then_some((v, x)))
+                .collect();
             assert!(
                 own.len() > 100,
                 "{}: {} own messages",
@@ -2123,6 +2464,266 @@ mod tests {
         for &v in &rig.mine[..2] {
             assert_eq!(rig.agent.vertices.get(&v).expect("entry").state, 1);
         }
+    }
+
+    /// The same hole for the other two kinds (ROADMAP item 1(d)): a
+    /// PARTIAL frame that runs ahead of its phase is counted when it
+    /// arrives — so a Mattern-summed barrier hears of it with the next
+    /// report — and applied once, uncounted, when its phase comes.
+    #[test]
+    fn a_partial_frame_ahead_of_its_phase_is_counted_when_it_arrives() {
+        let mut rig = rig();
+        rig.reach_step_one();
+        let parts: Vec<(VertexId, u64)> = rig.mine[..2].iter().map(|&v| (v, 7)).collect();
+        rig.deliver(msg::encode_partials(RUN, 1, &parts));
+        assert_eq!(rig.agent.buffered_frames.len(), 1);
+        assert_eq!(rig.agent.counters.part_recv, 2, "buffered uncounted");
+        rig.agent.on_idle();
+        let readys = rig.readys();
+        assert_eq!(readys.len(), 1, "no report of the frame");
+        let rep = msg::decode_ready(&readys[0]).expect("ready");
+        assert_eq!((rep.phase, rep.counters.part_recv), (Phase::Scatter, 2));
+        let held = |rig: &Rig, v| rig.agent.vertices.get(&v).map(|e| e.has_ppartial);
+        assert_eq!(held(&rig, rig.mine[0]), Some(false), "applied early");
+        // Its phase comes: applied from the buffer, not counted again.
+        rig.advance(1, Phase::Combine, false, 0);
+        assert!(rig.agent.buffered_frames.is_empty());
+        assert_eq!(rig.agent.counters.part_recv, 2);
+        for &v in &rig.mine[..2] {
+            let e = rig.agent.vertices.get(&v).expect("entry");
+            assert_eq!((e.has_ppartial, e.ppartial), (true, 7));
+        }
+        assert_eq!(held(&rig, rig.mine[2]), Some(false));
+        let readys = rig.readys();
+        let rep = msg::decode_ready(&readys[0]).expect("ready");
+        assert_eq!((rep.phase, rep.counters.part_recv), (Phase::Combine, 2));
+    }
+
+    /// And STATE: counted on arrival, carried past a phase that is not
+    /// its own without being counted again, applied once in Apply.
+    #[test]
+    fn a_state_frame_ahead_of_its_phase_is_counted_when_it_arrives() {
+        let mut rig = rig();
+        rig.reach_step_one();
+        let rec = StateRecord {
+            vertex: rig.theirs[0],
+            state: 5,
+            out_degree: 3,
+            aux: 0,
+            active: true,
+        };
+        rig.deliver(msg::encode_states(RUN, 1, &[rec]));
+        assert_eq!(rig.agent.buffered_frames.len(), 1);
+        assert_eq!(rig.agent.counters.state_recv, 1, "buffered uncounted");
+        rig.agent.on_idle();
+        let readys = rig.readys();
+        assert_eq!(readys.len(), 1, "no report of the frame");
+        let rep = msg::decode_ready(&readys[0]).expect("ready");
+        assert_eq!(rep.counters.state_recv, 1);
+        // Combine is not its phase either: kept, not counted again.
+        rig.advance(1, Phase::Combine, false, 0);
+        assert_eq!(rig.agent.buffered_frames.len(), 1);
+        assert!(rig.agent.vertices.get(&rec.vertex).is_none());
+        rig.advance(1, Phase::Apply, false, 0);
+        assert!(rig.agent.buffered_frames.is_empty());
+        assert_eq!(rig.agent.counters.state_recv, 1);
+        let e = rig.agent.vertices.get(&rec.vertex).expect("adopted");
+        assert_eq!((e.state, e.rep_out_degree, e.active), (5, 3, true));
+        let readys = rig.readys();
+        assert_eq!(readys.len(), 2);
+        let rep = msg::decode_ready(&readys[1]).expect("ready");
+        assert_eq!((rep.phase, rep.counters.state_recv), (Phase::Apply, 1));
+    }
+
+    // ------------------------------------------------------------------
+    // What an edge remembers, and what makes it forget.
+    // ------------------------------------------------------------------
+
+    /// First vertices from 100 up that `owner` maps to `want`.
+    fn owned(
+        owner: impl Fn(VertexId) -> Vec<AgentId>,
+        want: &[AgentId],
+        n: usize,
+    ) -> Vec<VertexId> {
+        (100..).filter(|&v| owner(v) == want).take(n).collect()
+    }
+
+    /// Agent `ME` of `members` inside a sync WCC run at step 1, with a
+    /// mailbox bound for every peer.
+    fn scattering(members: &[AgentId]) -> (Agent, Vec<(AgentId, Mailbox)>) {
+        let (transport, mut agent) = detached(view(1, members, &[]));
+        let peers = members[1..]
+            .iter()
+            .map(|&a| (a, transport.bind(&agent_addr(a)).expect("bind")))
+            .collect();
+        agent.begin_run(run_info(false));
+        agent.run.as_mut().expect("run").step = 1;
+        (agent, peers)
+    }
+
+    /// Give `u` a state to send and sweep one scatter; return what each
+    /// peer was sent, by agent.
+    fn scatter_from(
+        agent: &mut Agent,
+        peers: &[(AgentId, Mailbox)],
+        u: VertexId,
+    ) -> Vec<(AgentId, Vec<(VertexId, u64)>)> {
+        let e = agent.vertices.entry_or_default(u);
+        (e.state, e.has_state, e.active) = (u, true, true);
+        agent.run_kernel(Phase::Scatter, true);
+        agent.flush_outboxes();
+        let mut got = Vec::new();
+        for (peer, mailbox) in peers {
+            let mut recs = Vec::new();
+            while let Ok(Some(d)) = mailbox.try_recv() {
+                recs.extend(msg::decode_vmsgs(&d.frame).expect("vmsg").records.iter());
+            }
+            if !recs.is_empty() {
+                got.push((*peer, recs));
+            }
+        }
+        got
+    }
+
+    /// The slot list of a vertex is as long after `delete u→a, insert
+    /// u→b` as before: length proves nothing, the mutators say so.
+    #[test]
+    fn an_edge_replaced_by_another_does_not_inherit_its_slot() {
+        let (mut agent, peers) = scattering(&[ME, 2, 3]);
+        let owner = |v| {
+            agent
+                .locator
+                .ring()
+                .owner(v)
+                .into_iter()
+                .collect::<Vec<_>>()
+        };
+        let (u, a, b) = (
+            owned(owner, &[ME], 1)[0],
+            owned(owner, &[2], 1)[0],
+            owned(owner, &[3], 1)[0],
+        );
+        assert!(agent.insert_out_edge(u, a));
+        assert_eq!(scatter_from(&mut agent, &peers, u), [(2, vec![(a, u)])]);
+        assert_eq!(agent.vertices.get(&u).unwrap().slots.len(), 1);
+        assert!(agent.remove_out_edge(u, a) && agent.insert_out_edge(u, b));
+        assert_eq!(agent.vertices.get(&u).unwrap().out, [b]);
+        assert_eq!(scatter_from(&mut agent, &peers, u), [(3, vec![(b, u)])]);
+        // Same for the in side, which WCC scatters along too.
+        assert!(agent.insert_in_edge(a, u));
+        assert_eq!(
+            scatter_from(&mut agent, &peers, u),
+            [(2, vec![(a, u)]), (3, vec![(b, u)])]
+        );
+        assert!(agent.remove_in_edge(a, u) && agent.insert_in_edge(b, u));
+        assert_eq!(scatter_from(&mut agent, &peers, u), [(3, vec![(b, u)])]);
+        assert_eq!(agent.targets.len(), 2, "one row per (target, destination)");
+    }
+
+    /// A view epoch empties the table. With the ring moved the next
+    /// scatter goes where the new ring says; with the ring as it was it
+    /// refills the same rows and routes as before.
+    #[test]
+    fn a_view_epoch_drops_the_table_and_the_next_scatter_follows_the_ring() {
+        let (mut agent, peers) = scattering(&[ME, 2, 3]);
+        let moved = view(3, &[ME, 3], &[]);
+        let (before, after) = (agent.locator.clone(), moved.locator());
+        let both = |v| {
+            vec![
+                before.ring().owner(v).unwrap(),
+                after.ring().owner(v).unwrap(),
+            ]
+        };
+        let u = owned(both, &[ME, ME], 1)[0];
+        // One target agent 2 loses to agent 3, one that stays where it is.
+        let (w, kept) = (owned(both, &[2, 3], 1)[0], owned(both, &[3, 3], 1)[0]);
+        assert!(agent.insert_out_edge(u, w) && agent.insert_out_edge(u, kept));
+        let first = scatter_from(&mut agent, &peers, u);
+        assert_eq!(first, [(2, vec![(w, u)]), (3, vec![(kept, u)])]);
+        let generation = agent.targets.generation();
+        // The same members under a new epoch: nothing moves.
+        agent.adopt_view(view(2, &[ME, 2, 3], &[]));
+        assert_eq!(agent.targets.len(), 0, "the old table outlived its epoch");
+        assert_eq!(agent.targets.generation(), generation + 1);
+        // Lazily: the entry keeps its outdated memo until it scatters.
+        let e = agent.vertices.get(&u).unwrap();
+        assert_eq!((e.slots.len(), e.placed), (2, generation));
+        assert_eq!(scatter_from(&mut agent, &peers, u), first);
+        assert_eq!(agent.targets.len(), 2);
+        // Agent 2 leaves.
+        agent.adopt_view(moved);
+        assert_eq!(agent.targets.len(), 0);
+        assert_eq!(
+            scatter_from(&mut agent, &peers, u),
+            [(3, vec![(w, u), (kept, u)])]
+        );
+    }
+
+    /// The placement stamp is of its epoch: once a held vertex's
+    /// primary has moved away its partial travels and the summary
+    /// stops counting it; a split vertex is never stamped home, so its
+    /// replicas keep hearing of its state.
+    #[test]
+    fn the_placement_stamp_follows_the_view_and_never_says_home_of_a_split_vertex() {
+        let (mut agent, peers) = scattering(&[ME, 2]);
+        let joined = view(2, &[ME, 2, 3], &[]);
+        let (before, after) = (agent.locator.clone(), joined.locator());
+        let both = |v| {
+            vec![
+                before.ring().owner(v).unwrap(),
+                after.ring().owner(v).unwrap(),
+            ]
+        };
+        let (stays, leaves) = (owned(both, &[ME, ME], 1)[0], owned(both, &[ME, 3], 1)[0]);
+        let peer3 = agent.transport.bind(&agent_addr(3)).expect("bind");
+        let hand_partials = |agent: &mut Agent| {
+            for v in [stays, leaves] {
+                let (e, lists) = agent.vertices.entry_and_lists(v);
+                (e.is_meta, e.partial, e.has_partial) = (true, 4, true);
+                lists.partial_dirty.push(v);
+            }
+            agent.run_kernel(Phase::Combine, false);
+            agent.flush_outboxes();
+        };
+        hand_partials(&mut agent);
+        for v in [stays, leaves] {
+            let e = agent.vertices.get(&v).unwrap();
+            assert!(e.home && e.has_ppartial, "{v}: not delivered in place");
+        }
+        assert_eq!(agent.counters.part_sent, 0);
+        agent.primary_summary();
+        assert_eq!(agent.run.as_ref().unwrap().n_primary, Some(2));
+        // Agent 3 joins and takes `leaves` (held here until the sweep).
+        agent.adopt_view(joined);
+        agent.vertices.get_mut(&leaves).unwrap().has_ppartial = false;
+        hand_partials(&mut agent);
+        assert_eq!(agent.counters.part_sent, 1);
+        let d = peer3
+            .try_recv()
+            .expect("open")
+            .expect("a PARTIAL for agent 3");
+        let sent = msg::decode_partials(&d.frame).expect("partial");
+        assert_eq!(sent.records.iter().collect::<Vec<_>>(), [(leaves, 4)]);
+        let e = agent.vertices.get(&leaves).unwrap();
+        assert!(!e.home && !e.has_ppartial);
+        assert!(agent.vertices.get(&stays).unwrap().home);
+        agent.primary_summary();
+        assert_eq!(agent.run.as_ref().unwrap().n_primary, Some(1));
+
+        // A hub with its primary here: delivered in place by the
+        // cache's word, not the stamp's, and its STATE still goes out.
+        let hub = owned(|v| vec![after.ring().owner(v).unwrap()], &[ME], 3)[2];
+        agent.adopt_view(view(3, &[ME, 2, 3], &[hub]));
+        let (e, lists) = agent.vertices.entry_and_lists(hub);
+        (e.is_meta, e.has_state, e.state) = (true, true, hub);
+        (e.has_ppartial, e.ppartial) = (true, 0);
+        lists.apply.push(hub);
+        agent.needs_sweep = false;
+        agent.run_kernel(Phase::Apply, false);
+        let e = agent.vertices.get(&hub).unwrap();
+        assert_eq!((e.state, e.home), (0, false));
+        assert_eq!(agent.counters.state_sent, 2, "a replica was not told");
+        drop(peers);
     }
 
     /// The parked advance and the per-step counts live and die with the

@@ -65,6 +65,7 @@ pub mod msg;
 pub mod program;
 mod store;
 pub mod streamer;
+mod targets;
 
 pub use cluster::{CheckpointReport, Cluster, ClusterBuilder, RecoveryStats, RunStats};
 pub use config::SystemConfig;

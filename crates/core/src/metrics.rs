@@ -217,7 +217,11 @@ pub struct AgentMetrics {
     pub queries: u64,
     /// Edge-change records applied.
     pub changes: u64,
-    /// Vertex messages processed.
+    /// Vertex-message records delivered — folded at their target's
+    /// aggregation replica, own or received — after sender-side
+    /// combining: one per `(target, destination)` row a scatter
+    /// touched, not one per edge. What `vmsg_sent` / `vmsg_recv` count,
+    /// plus the records an agent folds in place.
     pub vmsgs: u64,
     /// Out-placement edges currently held.
     pub edges: u64,
@@ -338,7 +342,8 @@ pub struct ClusterMetrics {
     pub queries: u64,
     /// Total edge-change records applied (cumulative).
     pub changes: u64,
-    /// Total vertex messages processed (cumulative).
+    /// Total vertex-message records delivered, after sender-side
+    /// combining (cumulative).
     pub vmsgs: u64,
     /// Total out-placement edges held.
     pub edges: u64,
@@ -552,7 +557,7 @@ impl ClusterMetrics {
         metric(
             "vmsgs_total",
             "counter",
-            "Vertex messages processed.",
+            "Vertex-message records delivered, after sender-side combining.",
             self.vmsgs,
         );
         metric("edges", "gauge", "Out-placement edges held.", self.edges);

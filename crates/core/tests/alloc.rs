@@ -14,6 +14,11 @@
 //! frame costs. While 64-change batches are routed and small-frontier
 //! supersteps run, no thread may ask for a frame-limit-sized buffer.
 //!
+//! And scatter's: the target table, the per-edge slot lists and the
+//! output runs are filled by the first run over a graph and found
+//! filled by the next, so a steady-state superstep allocates for its
+//! control frames and for nothing that scales with the vertices firing.
+//!
 //! This lives in its own integration-test binary with a single `#[test]`
 //! so no sibling test thread can allocate while the counter is armed.
 
@@ -221,6 +226,7 @@ fn decode_and_iterate_allocates_nothing() {
 
     small_batch_asks_for_no_table_sized_buffer();
     small_frames_ask_for_small_buffers();
+    steady_state_scatter_reuses_its_buffers();
 }
 
 /// 64-change batches into a two-agent cluster: every thread in the
@@ -316,6 +322,33 @@ fn small_frames_ask_for_small_buffers() {
     assert!(
         largest < LIMIT,
         "a 64-change batch or a small superstep asked for {largest} B"
+    );
+    cluster.shutdown();
+}
+
+/// Full PageRank on one agent: all 1,024 vertices fire along ~2k edges
+/// every step, every message is the agent's own (combined in the
+/// target table, folded in place, never framed). The first run fills
+/// the table, the slot lists and the output runs; the watched one
+/// finds them filled, and what is left to ask the allocator for is the
+/// control plane's — the step's ADVANCE and READY and what the lead
+/// keeps of them. A buffer rebuilt per firing vertex or per message
+/// would show as a thousand requests a step.
+fn steady_state_scatter_reuses_its_buffers() {
+    const PER_STEP: u64 = 32;
+    let mut cluster = Cluster::builder().agents(1).build();
+    let n = 1024u64;
+    cluster.ingest_edges((0..n).flat_map(|i| [(i, (i + 1) % n), (i, (7 * i + 3) % n)]));
+    let pr = PageRank::new(0.85).with_max_iters(40);
+    cluster.run(pr).expect("first run");
+    let mut steps = 0;
+    let allocs = min_allocations(3, || {
+        steps = u64::from(cluster.run(pr).expect("steady run").steps);
+    });
+    assert!(steps >= 40, "the run stopped after {steps} steps");
+    assert!(
+        allocs < steps * PER_STEP,
+        "{allocs} allocations in {steps} steady-state supersteps of {n} firing vertices"
     );
     cluster.shutdown();
 }

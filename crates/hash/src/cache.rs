@@ -129,6 +129,15 @@ impl OwnerCache {
         (self.hits, self.misses)
     }
 
+    /// Count `n` lookups answered outside the cache from an answer of
+    /// its own that the caller kept — a scatter edge served from the
+    /// slot its owner lookup once filled. Keeps the hit rate meaning
+    /// "share of owner questions that cost no resolution".
+    #[inline]
+    pub fn count_hits(&mut self, n: u64) {
+        self.hits += n;
+    }
+
     /// The placement of `u` in one probe of the memo: served,
     /// revalidated, or resolved (and memoised) via `estimate`.
     #[inline]

@@ -140,6 +140,70 @@ fn delta_pagerank_bit_identical_across_worker_counts() {
     assert_eq!(w1, w4, "delta PageRank must be bit-exact across workers");
 }
 
+/// Two agents, a full run and a delta run behind it: scatter combines
+/// per target row on the agent thread in shard order, so what each
+/// agent sends — and how many records that is — does not depend on the
+/// worker count, and the ranks agree to what f64 sums allow. Sixteen
+/// popular targets make the combining visible as a count: per-message
+/// routing delivered one record per edge per step.
+#[test]
+fn two_agent_delta_pagerank_agrees_across_worker_counts_and_combines() {
+    let n = 8192;
+    let mut edges = big_graph(n);
+    edges.extend((0..n).map(|i| (i, i % 16)));
+    edges.retain(|&(u, v)| u != v);
+    edges.sort_unstable();
+    edges.dedup();
+    let batch: Vec<EdgeChange> = (0..64)
+        .map(|i| EdgeChange::insert(i * 127 + 1, (i * 5003 + 17) % n))
+        .collect();
+    let run = |workers: usize| {
+        let pr = PageRank::new(0.85)
+            .with_max_iters(300)
+            .with_tolerance(1e-10);
+        let mut cluster = Cluster::builder().agents(2).workers(workers).build();
+        cluster.ingest_edges(edges.iter().copied());
+        let full = cluster.run(pr).expect("initial run");
+        let full_vmsgs = cluster.metrics().vmsgs;
+        cluster.ingest(batch.iter().copied());
+        let opts = RunOptions {
+            reuse_state: true,
+            mode: ExecutionMode::Sync,
+        };
+        let delta = cluster.run_with(pr, opts).expect("delta run");
+        let delta_vmsgs = cluster.metrics().vmsgs - full_vmsgs;
+        let states = cluster.dump_states();
+        cluster.shutdown();
+        (
+            states,
+            [
+                u64::from(full.steps),
+                full_vmsgs,
+                u64::from(delta.steps),
+                delta_vmsgs,
+            ],
+        )
+    };
+    let (w1, counts1) = run(1);
+    let (w4, counts4) = run(4);
+    assert_eq!(w1.len(), n as usize);
+    assert_ranks_close(&w1, &w4, "delta PageRank across worker counts");
+    assert_eq!(
+        counts1, counts4,
+        "steps and records delivered, full and delta"
+    );
+    let [full_steps, full_vmsgs, delta_steps, delta_vmsgs] = counts1;
+    assert!(
+        delta_steps > 10 && delta_vmsgs > 0,
+        "delta run: {counts1:?}"
+    );
+    let per_edge = edges.len() as u64 * full_steps;
+    assert!(
+        full_vmsgs * 3 < per_edge * 2,
+        "{full_vmsgs} records delivered for {per_edge} messages: nothing was combined"
+    );
+}
+
 #[test]
 fn multi_agent_pagerank_agrees_across_worker_counts() {
     let edges = big_graph(6000);
