@@ -1,16 +1,23 @@
 #!/bin/sh
-# The size ratchet (ROADMAP item 2(ii)): recompute the two sizes
-# `ci/size.txt` records and fail when either is above its line there.
+# The size ratchet (ROADMAP item 2(ii)): recompute the sizes
+# `ci/size.txt` records and fail when any is above its line there.
 # Growth is then an edit to that file in the same change — a decision
 # a reviewer sees — and shrinking needs no permission (lower the file
 # when it does). Run from the repository root.
+#
+#   core_src_lines          every line under crates/core/src
+#   core_src_nontest_lines  each file's lines above its first
+#                           `#[cfg(test)]`: mechanism, not unit tests
+#   packet_kinds            the `packet::` constants
 set -eu
 lines=$(find crates/core/src -name '*.rs' -print0 | xargs -0 cat | wc -l)
+nontest=$(find crates/core/src -name '*.rs' -print0 | xargs -0 awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 } !test { n++ } END { print n }')
 kinds=$(awk '/^pub mod packet/,/^}/' crates/core/src/msg.rs | grep -c 'pub const [A-Z_0-9]*: u8')
 status=0
 while read -r name ceiling; do
     case "$name" in
         core_src_lines) got=$lines ;;
+        core_src_nontest_lines) got=$nontest ;;
         packet_kinds) got=$kinds ;;
         *) continue ;;
     esac

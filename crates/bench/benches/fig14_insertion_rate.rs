@@ -6,23 +6,16 @@
 //! As in the paper, half of the participants are Streamers: we run
 //! `agents/2` streamer threads, each pushing a shard of the stream.
 //!
-//! Besides the console table, the run writes two JSON artifacts at the
-//! workspace root (override the directory with `ELGA_BENCH_OUT` /
-//! `ELGA_BENCH_COMMS_OUT`):
-//!
-//! * `BENCH_fig14.json` — per agent count, the mean insertion rate and
-//!   the streamers' owner-cache hit rate.
-//! * `BENCH_comms.json` — the comms-plane ablation: the same ingest
-//!   workload with record coalescing on vs off, with the streamers'
-//!   frame/record/byte counters, so CI tracks what the coalescer buys.
+//! Besides the console table, the run writes `BENCH_fig14.json` at
+//! the workspace root (override the path with `ELGA_BENCH_OUT`): per
+//! agent count, the mean insertion rate and the streamers' owner-cache
+//! hit rate.
 
-use elga_bench::{banner, coalesce_record_throughput, generate, mean_ci, trials};
+use elga_bench::{banner, generate, mean_ci, trials};
 use elga_core::cluster::Cluster;
 use elga_core::streamer::Streamer;
 use elga_gen::catalog::find;
 use elga_graph::types::EdgeChange;
-use elga_net::{Addr, CoalesceStats, InProcTransport, Transport};
-use std::sync::Arc;
 use std::time::Instant;
 
 struct Row {
@@ -32,25 +25,11 @@ struct Row {
     hit_rate: f64,
 }
 
-struct AblationRow {
-    coalescing: bool,
-    rate: f64,
-    stats: CoalesceStats,
-}
-
 /// One ingest run: `streamers` threads shard the stream and push it
 /// into a fresh `agents`-agent cluster. Returns the elapsed seconds
-/// and the streamers' summed cache and coalescer counters.
-fn ingest_trial(
-    agents: usize,
-    streamers: usize,
-    coalescing: bool,
-    edges: &[(u64, u64)],
-) -> (f64, (u64, u64), CoalesceStats) {
-    let c = Cluster::builder()
-        .agents(agents)
-        .coalescing(coalescing)
-        .build();
+/// and the streamers' summed owner-cache counters.
+fn ingest_trial(agents: usize, streamers: usize, edges: &[(u64, u64)]) -> (f64, (u64, u64)) {
+    let c = Cluster::builder().agents(agents).build();
     let shards: Vec<Vec<EdgeChange>> = (0..streamers)
         .map(|s| {
             edges
@@ -65,7 +44,7 @@ fn ingest_trial(
     let cfg = c.config().clone();
     let lead = c.lead_directory();
     let t0 = Instant::now();
-    let stats: Vec<((u64, u64), CoalesceStats)> = std::thread::scope(|scope| {
+    let stats: Vec<(u64, u64)> = std::thread::scope(|scope| {
         let handles: Vec<_> = shards
             .iter()
             .map(|shard| {
@@ -77,7 +56,7 @@ fn ingest_trial(
                     for chunk in shard.chunks(8192) {
                         s.send_batch(chunk).expect("send");
                     }
-                    (s.cache_stats(), s.coalesce_stats())
+                    s.cache_stats()
                 })
             })
             .collect();
@@ -89,14 +68,9 @@ fn ingest_trial(
     c.quiesce().expect("quiesce");
     let secs = t0.elapsed().as_secs_f64();
     c.shutdown();
-    let (mut hits, mut misses) = (0u64, 0u64);
-    let mut coalesce = CoalesceStats::default();
-    for ((h, m), cs) in stats {
-        hits += h;
-        misses += m;
-        coalesce.absorb(&cs);
-    }
-    (secs, (hits, misses), coalesce)
+    let hits = stats.iter().map(|s| s.0).sum();
+    let misses = stats.iter().map(|s| s.1).sum();
+    (secs, (hits, misses))
 }
 
 fn main() {
@@ -116,7 +90,7 @@ fn main() {
         let mut rates = Vec::new();
         let (mut hits, mut misses) = (0u64, 0u64);
         for _ in 0..trials() {
-            let (secs, (h, m), _) = ingest_trial(agents, streamers, true, &edges);
+            let (secs, (h, m)) = ingest_trial(agents, streamers, &edges);
             rates.push(edges.len() as f64 / secs);
             hits += h;
             misses += m;
@@ -146,61 +120,6 @@ fn main() {
         println!("(dashed ideal line: {:.0} × agents/2)", r.rate);
     }
     write_json(&rows, edges.len());
-
-    // Comms ablation: identical workload, coalescing on vs off. The
-    // frame counters show the mechanism (fewer, larger frames); the
-    // rate shows what it buys end to end.
-    println!("\ncoalescing ablation (4 agents, 2 streamers):");
-    println!(
-        "{:>10} {:>16} {:>10} {:>12} {:>14}",
-        "coalesce", "edges/s", "frames", "records", "bytes"
-    );
-    let mut ablation: Vec<AblationRow> = Vec::new();
-    for coalescing in [true, false] {
-        let mut rates = Vec::new();
-        let mut stats = CoalesceStats::default();
-        for _ in 0..trials() {
-            let (secs, _, cs) = ingest_trial(4, 2, coalescing, &edges);
-            rates.push(edges.len() as f64 / secs);
-            stats.absorb(&cs);
-        }
-        let (rate, _) = mean_ci(&rates);
-        println!(
-            "{:>10} {:>16.0} {:>10} {:>12} {:>14}",
-            if coalescing { "on" } else { "off" },
-            rate,
-            stats.frames,
-            stats.records,
-            stats.bytes
-        );
-        ablation.push(AblationRow {
-            coalescing,
-            rate,
-            stats,
-        });
-    }
-    if let [on, off] = &ablation[..] {
-        println!(
-            "(coalescing on: {:.2}x ingest rate, {:.1}x fewer frames)",
-            on.rate / off.rate,
-            off.stats.frames as f64 / on.stats.frames.max(1) as f64
-        );
-    }
-
-    // Record-path microbenchmark: fine-grained senders (one append per
-    // record, the async-run shape) rather than pre-batched chunks.
-    // This isolates the framing cost the coalescer removes.
-    let t: Arc<dyn Transport> = Arc::new(InProcTransport::new());
-    let rec_on = coalesce_record_throughput(t, Addr::inproc("comms-on"), 200_000, true);
-    let t: Arc<dyn Transport> = Arc::new(InProcTransport::new());
-    let rec_off = coalesce_record_throughput(t, Addr::inproc("comms-off"), 200_000, false);
-    println!(
-        "record path (per-record appends): on {:.0} rec/s, off {:.0} rec/s ({:.1}x)",
-        rec_on,
-        rec_off,
-        rec_on / rec_off
-    );
-    write_comms_json(&ablation, edges.len(), rec_on, rec_off);
 }
 
 /// Hand-rolled JSON (the workspace carries no serializer dependency).
@@ -223,50 +142,6 @@ fn write_json(rows: &[Row], edges: usize) {
         ));
     }
     body.push_str("  ]\n}\n");
-    match std::fs::write(&path, body) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-}
-
-/// The coalescing-ablation artifact CI uploads next to the fig14 one.
-fn write_comms_json(rows: &[AblationRow], edges: usize, rec_on: f64, rec_off: f64) {
-    let path = std::env::var("ELGA_BENCH_COMMS_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_comms.json").to_string()
-    });
-    let mut body = String::from("{\n  \"figure\": \"comms_coalescing_ablation\",\n");
-    body.push_str("  \"workload\": \"fig14 ingest, 4 agents, 2 streamers\",\n");
-    body.push_str(&format!("  \"edges_per_trial\": {edges},\n"));
-    body.push_str(&format!("  \"trials\": {},\n  \"rows\": [\n", trials()));
-    for (i, r) in rows.iter().enumerate() {
-        body.push_str(&format!(
-            "    {{\"coalescing\": {}, \"edges_per_sec\": {:.0}, \"frames\": {}, \
-             \"records\": {}, \"bytes\": {}, \"size_flushes\": {}, \"count_flushes\": {}, \
-             \"explicit_flushes\": {}, \"switch_flushes\": {}, \"backpressure_waits\": {}}}{}\n",
-            r.coalescing,
-            r.rate,
-            r.stats.frames,
-            r.stats.records,
-            r.stats.bytes,
-            r.stats.size_flushes,
-            r.stats.count_flushes,
-            r.stats.explicit_flushes,
-            r.stats.switch_flushes,
-            r.stats.backpressure_waits,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    body.push_str("  ],\n");
-    let speedup = match rows {
-        [on, off] if off.rate > 0.0 => on.rate / off.rate,
-        _ => 0.0,
-    };
-    body.push_str(&format!("  \"ingest_speedup\": {speedup:.3},\n"));
-    body.push_str(&format!(
-        "  \"record_path\": {{\"on_rec_per_sec\": {rec_on:.0}, \"off_rec_per_sec\": {rec_off:.0}, \
-         \"speedup\": {:.1}}}\n}}\n",
-        if rec_off > 0.0 { rec_on / rec_off } else { 0.0 }
-    ));
     match std::fs::write(&path, body) {
         Ok(()) => println!("wrote {path}"),
         Err(e) => eprintln!("could not write {path}: {e}"),

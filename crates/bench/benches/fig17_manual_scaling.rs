@@ -10,7 +10,7 @@
 use elga_bench::{banner, generate};
 use elga_core::algorithms::PageRank;
 use elga_core::cluster::Cluster;
-use elga_core::msg::packet;
+use elga_core::msg::{packet, Message, RunStatus};
 use elga_core::program::RunOptions;
 use elga_gen::catalog::find;
 use elga_net::Frame;
@@ -48,7 +48,7 @@ fn main() {
                 std::time::Duration::from_secs(5),
             )
             .expect("status");
-        let status = elga_core::msg::decode_run_status(&rep).expect("status");
+        let status = RunStatus::decode(&rep).expect("status");
         if status.steps >= 1 || status.done {
             break;
         }

@@ -44,7 +44,7 @@ fn main() {
             let t0 = Instant::now();
             for q in 0..(rate as usize / 10).max(1) {
                 let v = edges[q % edges.len()].0 % n.max(1);
-                let _ = c.query_any(v);
+                let _ = c.query_u64(v);
             }
             let _served = t0.elapsed();
             c.autoscale_once(&mut policy, rate);

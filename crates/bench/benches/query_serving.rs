@@ -21,7 +21,6 @@
 
 use elga_bench::{banner, cluster, mean_ci, scale, trials};
 use elga_core::algorithms::PageRank;
-use elga_core::client::ClientProxy;
 use elga_core::program::{ExecutionMode, RunOptions};
 use elga_graph::types::EdgeChange;
 use elga_query::QueryClient;
@@ -108,10 +107,8 @@ fn main() {
         };
         clients.push((qc, sub, Lcg(0x9E3779B97F4A7C15 ^ i as u64)));
     }
-    // A plain proxy alongside, for the single-vertex path's sanity.
-    let proxy =
-        ClientProxy::connect(transport.clone(), cfg.clone(), dir.clone()).expect("proxy connects");
-    assert!(proxy.query_primary(1).is_some());
+    // A read of one vertex, for the sanity of the path.
+    assert!(c.query_u64(1).is_some());
 
     // Shard the clients across the worker pool.
     let mut shards: Vec<Vec<(QueryClient, Option<u64>, Lcg)>> =

@@ -21,7 +21,7 @@ use elga_core::agent::Agent;
 use elga_core::config::SystemConfig;
 use elga_core::directory::{self, DirectoryRole};
 use elga_core::metrics::ClusterMetrics;
-use elga_core::msg::{self, packet, Counters, DirectoryView};
+use elga_core::msg::{packet, Counters, DirectoryView, DrainReport, Message, RunStatus};
 use elga_core::streamer::Streamer;
 use elga_gen::catalog::find;
 use elga_graph::types::EdgeChange;
@@ -225,7 +225,7 @@ impl Deployment {
             let status = self
                 .request(&self.dir_addr, Frame::signal(packet::RUN_STATUS))
                 .ok()
-                .and_then(|f| msg::decode_run_status(&f));
+                .and_then(|f| RunStatus::decode(&f));
             let Some(status) = status.filter(|s| !s.migrating) else {
                 std::thread::sleep(Duration::from_micros(200));
                 continue;
@@ -233,7 +233,7 @@ impl Deployment {
             let Some(view) = self.view() else {
                 continue;
             };
-            // The departed agents' totals ride RUN_STATUS_REP; the
+            // The departed agents' totals ride the RUN_STATUS reply; the
             // DRAINs of one wave are in flight together.
             let requests: Vec<(&Addr, Frame)> = view
                 .agents
@@ -245,7 +245,8 @@ impl Deployment {
                 .transport
                 .request_all(&requests, self.cfg.request_timeout)
             {
-                let counters = rep.ok().and_then(|rep| msg::decode_counters(&rep));
+                let counters = rep.ok().and_then(|rep| DrainReport::decode(&rep));
+                let counters = counters.map(|report| report.counters);
                 sum = sum.zip(counters).map(|(sum, c)| sum.add(&c));
             }
             if sum.is_some_and(|sum| sum.settled()) && last == sum {

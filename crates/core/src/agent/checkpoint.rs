@@ -23,7 +23,12 @@ impl Agent {
     /// become the recovery source.
     pub(super) fn on_ckpt_save(&mut self, frame: &Frame, reply: Option<ReplyHandle>) {
         let Some(reply) = reply else { return };
-        let Some((generation, epoch, watermark)) = msg::decode_ckpt_save(frame) else {
+        let Some(msg::CkptSave {
+            generation,
+            epoch,
+            watermark,
+        }) = msg::CkptSave::decode(frame)
+        else {
             return;
         };
         let t0 = Instant::now();
@@ -41,7 +46,7 @@ impl Agent {
             bytes: written.unwrap_or(0),
             nanos,
         };
-        let _ = reply.send(msg::encode_ckpt_save_reply(&report));
+        let _ = reply.send(report.encode());
     }
 
     /// Write this agent's shard of `generation`. Returns the payload
@@ -103,7 +108,7 @@ impl Agent {
     /// CKPT_EDGES: apply restored edge groups. Mirrors `on_mig_states`
     /// and `on_mig_edges` minus the migration counters.
     pub(super) fn on_ckpt_edges(&mut self, frame: Frame) {
-        let Some(groups) = msg::decode_ckpt_edges(&frame) else {
+        let Some(msg::CkptEdges { groups }) = msg::CkptEdges::decode(&frame) else {
             return;
         };
         for g in groups {

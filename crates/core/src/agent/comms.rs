@@ -4,13 +4,11 @@
 //!
 //! Every data-plane send is a run of records handed to the
 //! destination's coalescing outbox ([`Agent::with_outbox`] and one of
-//! `msg::append_*`); there is no second send path. The `coalescing`
-//! knob only picks the outbox's tuning here: on, records accumulate
+//! `msg::append_*`); there is no second send path. Records accumulate
 //! into large frames, flushed on size/count thresholds and phase ends;
-//! off, every run leaves at once in frames of a fixed record count.
-//! Either way the per-destination byte stream is a strict FIFO of the
-//! records handed in, which is what keeps sync-mode results
-//! bit-identical across the ablation.
+//! the per-destination byte stream is a strict FIFO of the records
+//! handed in, which is what keeps sync-mode results bit-identical
+//! whatever the frame boundaries.
 //!
 //! What never reaches an outbox: the records a sync superstep
 //! addresses to this agent itself. VMSG, PARTIAL and STATE records for
@@ -28,14 +26,9 @@
 use super::*;
 
 impl Agent {
-    /// The coalescer tuning for sends to `agent`, derived from the
-    /// system config.
+    /// The coalescer tuning for sends to `agent`.
     fn coalesce_config(&self, agent: AgentId) -> CoalesceConfig {
-        let mut c = if self.cfg.coalescing {
-            CoalesceConfig::default()
-        } else {
-            CoalesceConfig::disabled()
-        };
+        let mut c = CoalesceConfig::default();
         if agent == self.id {
             // Self-sends drain from this same thread: blocking on our
             // own queue's credit would deadlock.
@@ -230,7 +223,7 @@ impl Agent {
         rep.counters = self.counters;
         rep.seq = self.ready_seq;
         rep.epoch = self.view.epoch;
-        let _ = self.dir_push.send(msg::encode_ready(&rep));
+        let _ = self.dir_push.send(rep.encode());
         self.reported = Some(rep);
     }
 

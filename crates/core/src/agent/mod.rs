@@ -49,8 +49,8 @@ use crate::config::SystemConfig;
 use crate::directory::{agent_addr, bus_addr};
 use crate::metrics::{AgentMetrics, CommsMetrics};
 use crate::msg::{
-    self, packet, Counters, DirectoryView, MetaRecord, MigEdge, MigState, Phase, ReadyReport,
-    RunInfo, Side, StateRecord,
+    self, packet, AgentInfo, Counters, DirectoryView, Message, MetaRecord, MigEdge, MigState,
+    Phase, ReadyReport, RunInfo, Side, StateRecord,
 };
 use crate::program::{DeltaKind, ProgramSpec, VertexCtx, VertexProgram};
 use crate::store::{Shard, VertexStore, Worklists, SHARDS};
@@ -415,22 +415,19 @@ impl Agent {
             ],
             &addr,
         )?;
-        let join = Frame::builder(packet::JOIN)
-            .u64(id)
-            .bytes(addr.to_string().as_bytes())
-            .finish();
+        let join = AgentInfo { id, addr }.encode();
         let (reply, join_retries) = transport.request_with_retry(
             &directory,
             join,
             cfg.request_timeout,
             &cfg.send_policy,
         )?;
-        let (view, run_info) =
-            msg::decode_join_reply(&reply).ok_or(NetError::Protocol("bad join reply"))?;
+        let msg::JoinReply { view, run } =
+            msg::JoinReply::decode(&reply).ok_or(NetError::Protocol("bad join reply"))?;
         let dir_push = transport.sender(&directory)?;
         let mut agent = Agent::new(transport, cfg, id, mailbox, dir_push, view);
         agent.metrics.retries_attempted = join_retries as u64;
-        if let Some(info) = run_info {
+        if let Some(info) = run {
             agent.begin_run(info);
         }
         Ok(agent)
@@ -569,12 +566,12 @@ impl Agent {
                 }
             }
             packet::START => {
-                if let Some(info) = msg::decode_start(&frame) {
+                if let Some(info) = RunInfo::decode(&frame) {
                     self.begin_run(info);
                 }
             }
             packet::ADVANCE => {
-                if let Some(adv) = msg::decode_advance(&frame) {
+                if let Some(adv) = msg::Advance::decode(&frame) {
                     self.on_advance(adv);
                 }
             }
@@ -597,18 +594,18 @@ impl Agent {
             packet::CKPT_EDGES => self.on_ckpt_edges(frame),
             packet::CKPT_META => self.on_ckpt_meta(frame),
             packet::RESET_LABELS => self.on_reset_labels(frame),
-            packet::QUERY | packet::QUERY_BATCH => self.answer_read(&frame, d.reply),
+            packet::QUERY_BATCH => self.answer_read(&frame, d.reply),
             packet::SUB_REG => {
-                if let Some((addr, sub, recs)) = msg::decode_sub_reg(&frame) {
-                    self.on_sub_reg(addr, sub, recs.iter().collect());
+                if let Some(reg) = msg::SubReg::decode(&frame) {
+                    self.on_sub_reg(reg);
                     if let Some(reply) = d.reply {
                         let _ = reply.send(Frame::signal(packet::OK));
                     }
                 }
             }
             packet::ARM_DELTA => {
-                if let Some((tag, params, n)) = msg::decode_arm_delta(&frame) {
-                    let ok = self.on_arm_delta(tag, params, n);
+                if let Some(arm) = msg::ArmDelta::decode(&frame) {
+                    let ok = self.on_arm_delta(arm);
                     if let Some(reply) = d.reply {
                         let _ = reply
                             .send(Frame::builder(packet::ARM_DELTA).u8(ok as u8).finish());
@@ -623,11 +620,7 @@ impl Agent {
                             pairs.push((v, e.state));
                         }
                     }
-                    let mut b = Frame::builder(packet::DUMP).u32(pairs.len() as u32);
-                    for (v, state) in pairs {
-                        b = b.u64(v).u64(state);
-                    }
-                    let _ = reply.send(b.finish());
+                    let _ = reply.send(msg::encode_dump(&pairs));
                 }
             }
             packet::DRAIN => {
@@ -636,20 +629,11 @@ impl Agent {
                 self.flush_outboxes();
                 self.flush_metrics(true);
                 if let Some(reply) = d.reply {
-                    let rep = Frame::builder(packet::COUNTERS)
-                        .u64(self.counters.vmsg_sent)
-                        .u64(self.counters.vmsg_recv)
-                        .u64(self.counters.part_sent)
-                        .u64(self.counters.part_recv)
-                        .u64(self.counters.state_sent)
-                        .u64(self.counters.state_recv)
-                        .u64(self.counters.mig_sent)
-                        .u64(self.counters.mig_recv)
-                        .u64(self.counters.chg_sent)
-                        .u64(self.counters.chg_recv)
-                        .u64(self.view.epoch)
-                        .finish();
-                    let _ = reply.send(rep);
+                    let report = msg::DrainReport {
+                        counters: self.counters,
+                        epoch: self.view.epoch,
+                    };
+                    let _ = reply.send(report.encode());
                 }
             }
             packet::TRACE_DUMP => {
@@ -662,7 +646,7 @@ impl Agent {
                 }
             }
             packet::RECOVER => {
-                if let Some(rec) = msg::decode_recover(&frame) {
+                if let Some(rec) = msg::Recover::decode(&frame) {
                     return self.on_recover(rec);
                 }
             }
@@ -817,24 +801,12 @@ impl Agent {
         }
     }
 
-    /// Answer a QUERY or QUERY_BATCH request from the snapshot buffer.
+    /// Answer a QUERY_BATCH request from the snapshot buffer.
     fn answer_read(&mut self, frame: &Frame, reply: Option<ReplyHandle>) {
         let Some(reply) = reply else {
             return;
         };
-        if frame.packet_type() == packet::QUERY {
-            let v = frame.reader().u64().unwrap_or(0);
-            self.metrics.queries += 1;
-            let a = self.answer_query(v);
-            let _ = reply.send(
-                Frame::builder(packet::QUERY_REP)
-                    .u8(a.found)
-                    .u64(a.state)
-                    .u64(self.snap_watermark)
-                    .u64(self.snap_run)
-                    .finish(),
-            );
-        } else if let Some(recs) = msg::decode_query_batch(frame) {
+        if let Some(recs) = msg::decode_query_batch(frame) {
             self.metrics.queries += recs.len() as u64;
             self.metrics.query_batches += 1;
             let answers: Vec<msg::QueryAnswer> =
@@ -867,7 +839,7 @@ impl Agent {
                 return;
             };
             match d.frame.packet_type() {
-                packet::QUERY | packet::QUERY_BATCH => {
+                packet::QUERY_BATCH => {
                     self.net.record_recv(d.frame.packet_type(), d.frame.len());
                     self.answer_read(&d.frame, d.reply);
                 }
@@ -880,7 +852,14 @@ impl Agent {
     /// subscription. The push channel is a dedicated per-client
     /// coalescing outbox, so delta floods to slow clients hit the same
     /// credit/backpressure ceiling as agent-plane traffic.
-    fn on_sub_reg(&mut self, addr: Addr, sub: u64, vertices: Vec<VertexId>) {
+    fn on_sub_reg(
+        &mut self,
+        msg::SubReg {
+            addr,
+            sub,
+            vertices,
+        }: msg::SubReg,
+    ) {
         if let Some(old) = self.subs.remove(&sub) {
             for v in old.vertices {
                 let emptied = match self.watchers.get_mut(&v) {
@@ -902,12 +881,8 @@ impl Agent {
         let Ok(out) = self.transport.sender(&addr) else {
             return;
         };
-        let cfg = if self.cfg.coalescing {
-            CoalesceConfig::default()
-        } else {
-            CoalesceConfig::disabled()
-        };
-        let outbox = CoalescingOutbox::new(out, cfg).with_net_stats(self.net.clone());
+        let outbox =
+            CoalescingOutbox::new(out, CoalesceConfig::default()).with_net_stats(self.net.clone());
         for &v in &vertices {
             self.watchers.entry(v).or_default().push(sub);
         }
@@ -927,15 +902,15 @@ impl Agent {
     /// the replayed edge changes would mutate degrees but generate no
     /// residual corrections, and the next incremental run would
     /// converge against a silently stale frontier.
-    fn on_arm_delta(&mut self, tag: u8, params: [u64; 3], n: u64) -> bool {
-        let Some(spec) = ProgramSpec::decode(tag, params) else {
+    fn on_arm_delta(&mut self, arm: msg::ArmDelta) -> bool {
+        let Some(spec) = ProgramSpec::decode(arm.tag, arm.params) else {
             return false;
         };
         let program = spec.instantiate();
         if program.delta_kind() != DeltaKind::Residual {
             return false;
         }
-        self.delta_seed = Some(DeltaSeed { program, n });
+        self.delta_seed = Some(DeltaSeed { program, n: arm.n });
         true
     }
 

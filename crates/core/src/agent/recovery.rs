@@ -10,7 +10,9 @@ impl Agent {
     pub(super) fn maybe_heartbeat(&mut self) {
         if self.heartbeat_sent.elapsed() >= self.cfg.heartbeat_interval {
             self.heartbeat_sent = Instant::now();
-            let _ = self.dir_push.send(msg::encode_heartbeat(self.id));
+            let _ = self
+                .dir_push
+                .send(msg::Heartbeat { agent: self.id }.encode());
         }
     }
 

@@ -1157,7 +1157,7 @@ impl Agent {
             epoch: self.view.epoch,
             sent: Vec::new(),
         };
-        let _ = self.dir_push.send(msg::encode_ready(&rep));
+        let _ = self.dir_push.send(rep.encode());
     }
 }
 
@@ -2249,7 +2249,7 @@ mod tests {
         }
 
         fn advance(&mut self, step: u32, phase: Phase, chain: bool, expect: u64) {
-            self.deliver(msg::encode_advance(&msg::Advance {
+            let advance = msg::Advance {
                 run: RUN,
                 step,
                 phase,
@@ -2262,7 +2262,8 @@ mod tests {
                 } else {
                     vec![(ME, expect)]
                 },
-            }));
+            };
+            self.deliver(advance.encode());
         }
 
         /// The READY frames sent since the last call.
@@ -2284,7 +2285,7 @@ mod tests {
             self.advance(0, Phase::Combine, true, 0);
             let readys = self.readys();
             assert_eq!(readys.len(), 2);
-            let rep = msg::decode_ready(&readys[1]).expect("ready");
+            let rep = ReadyReport::decode(&readys[1]).expect("ready");
             assert_eq!((rep.step, rep.phase), (1, Phase::Scatter));
             assert_eq!(rep.sent, [(2, 4)]);
             assert_eq!((rep.counters.vmsg_sent, rep.n_primary), (4, 4));
@@ -2357,7 +2358,7 @@ mod tests {
         let advance_first = out(&late);
         assert_eq!(advance_first, frames_first);
 
-        let rep = msg::decode_ready(&advance_first.0[0]).expect("ready");
+        let rep = ReadyReport::decode(&advance_first.0[0]).expect("ready");
         assert_eq!((rep.step, rep.phase, rep.active), (2, Phase::Scatter, 2));
         assert_eq!(rep.counters.vmsg_recv, 3);
         // Three records for two vertices: both took label 1 and told
@@ -2392,7 +2393,10 @@ mod tests {
         assert!(rig.agent.buffered_frames.is_empty());
         let readys = rig.readys();
         assert_eq!(readys.len(), 1);
-        assert_eq!(msg::decode_ready(&readys[0]).unwrap().counters.vmsg_recv, 3);
+        assert_eq!(
+            ReadyReport::decode(&readys[0]).unwrap().counters.vmsg_recv,
+            3
+        );
     }
 
     /// In a sync run a received VMSG frame is nobody's news — the
@@ -2413,7 +2417,7 @@ mod tests {
         rig.agent.on_idle();
         let readys = rig.readys();
         assert_eq!(readys.len(), 1);
-        let again = msg::decode_ready(&readys[0]).expect("ready");
+        let again = ReadyReport::decode(&readys[0]).expect("ready");
         assert_eq!((again.counters.chg_recv, again.counters.vmsg_recv), (1, 2));
         assert_eq!(again.seq, first.seq + 1);
         let verbatim = ReadyReport {
@@ -2452,7 +2456,7 @@ mod tests {
         rig.agent.on_idle();
         let readys = rig.readys();
         assert_eq!(readys.len(), 1, "the barrier never hears of the frame");
-        let rep = msg::decode_ready(&readys[0]).expect("ready");
+        let rep = ReadyReport::decode(&readys[0]).expect("ready");
         assert_eq!((rep.phase, rep.counters.vmsg_recv), (Phase::Migrate, 2));
         assert_eq!(rig.agent.metrics.vmsgs, 0, "applied ahead of its step");
         // The resume advance replays it into the async handlers.
@@ -2481,7 +2485,7 @@ mod tests {
         rig.agent.on_idle();
         let readys = rig.readys();
         assert_eq!(readys.len(), 1, "no report of the frame");
-        let rep = msg::decode_ready(&readys[0]).expect("ready");
+        let rep = ReadyReport::decode(&readys[0]).expect("ready");
         assert_eq!((rep.phase, rep.counters.part_recv), (Phase::Scatter, 2));
         let held = |rig: &Rig, v| rig.agent.vertices.get(&v).map(|e| e.has_ppartial);
         assert_eq!(held(&rig, rig.mine[0]), Some(false), "applied early");
@@ -2495,7 +2499,7 @@ mod tests {
         }
         assert_eq!(held(&rig, rig.mine[2]), Some(false));
         let readys = rig.readys();
-        let rep = msg::decode_ready(&readys[0]).expect("ready");
+        let rep = ReadyReport::decode(&readys[0]).expect("ready");
         assert_eq!((rep.phase, rep.counters.part_recv), (Phase::Combine, 2));
     }
 
@@ -2518,7 +2522,7 @@ mod tests {
         rig.agent.on_idle();
         let readys = rig.readys();
         assert_eq!(readys.len(), 1, "no report of the frame");
-        let rep = msg::decode_ready(&readys[0]).expect("ready");
+        let rep = ReadyReport::decode(&readys[0]).expect("ready");
         assert_eq!(rep.counters.state_recv, 1);
         // Combine is not its phase either: kept, not counted again.
         rig.advance(1, Phase::Combine, false, 0);
@@ -2531,7 +2535,7 @@ mod tests {
         assert_eq!((e.state, e.rep_out_degree, e.active), (5, 3, true));
         let readys = rig.readys();
         assert_eq!(readys.len(), 2);
-        let rep = msg::decode_ready(&readys[1]).expect("ready");
+        let rep = ReadyReport::decode(&readys[1]).expect("ready");
         assert_eq!((rep.phase, rep.counters.state_recv), (Phase::Apply, 1));
     }
 

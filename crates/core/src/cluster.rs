@@ -19,11 +19,10 @@
 use crate::agent::Agent;
 use crate::autoscale::Autoscaler;
 use crate::ckpt_codec;
-use crate::client::{ClientProxy, QueryResult};
 use crate::config::SystemConfig;
 use crate::directory::{self, bus_addr, directory_addr, master_addr};
 use crate::metrics::ClusterMetrics;
-use crate::msg::{self, packet, AgentInfo, Counters, DirectoryView, RunInfo, Side};
+use crate::msg::{self, packet, AgentInfo, Counters, DirectoryView, Message, RunInfo, Side};
 use crate::program::{ProgramSpec, RunOptions};
 use crate::streamer::Streamer;
 use elga_ckpt::CheckpointStore;
@@ -97,15 +96,6 @@ impl ClusterBuilder {
     /// Results are bit-identical for any worker count.
     pub fn workers(mut self, n: usize) -> Self {
         self.config.workers = n;
-        self
-    }
-
-    /// Whether agents and streamers coalesce same-destination records
-    /// into large frames before sending (default true). Off keeps the
-    /// eager one-frame-per-batch path for ablation; results are
-    /// bit-identical either way.
-    pub fn coalescing(mut self, on: bool) -> Self {
-        self.config.coalescing = on;
         self
     }
 
@@ -184,7 +174,6 @@ impl ClusterBuilder {
             next_agent: 1,
             roster: Mutex::new(Roster::default()),
             streamer: None,
-            proxy: None,
             alive: true,
             trace_tracks: Vec::new(),
             ckpt_store: None,
@@ -256,7 +245,6 @@ pub struct Cluster {
     /// What [`Cluster::quiesce`] keeps from one call to the next.
     roster: Mutex<Roster>,
     streamer: Option<Streamer>,
-    proxy: Option<ClientProxy>,
     alive: bool,
     /// Trace buffers salvaged from participants that already left
     /// (departed agents drained just before their LEAVE). Merged into
@@ -628,7 +616,7 @@ impl Cluster {
             let status = self
                 .request(Frame::signal(packet::RUN_STATUS))
                 .ok()
-                .and_then(|f| msg::decode_run_status(&f));
+                .and_then(|f| msg::RunStatus::decode(&f));
             let Some(status) = status.filter(|s| !s.migrating) else {
                 pause();
                 continue;
@@ -646,7 +634,8 @@ impl Cluster {
             // the sums of the survivors.
             let mut sum = Some(status.departed);
             for rep in self.request_agents(&roster.agents, Frame::signal(packet::DRAIN)) {
-                let counters = rep.ok().and_then(|rep| msg::decode_counters(&rep));
+                let counters = rep.ok().and_then(|rep| msg::DrainReport::decode(&rep));
+                let counters = counters.map(|report| report.counters);
                 sum = sum.zip(counters).map(|(sum, c)| sum.add(&c));
             }
             let settled = sum.is_some_and(|sum| sum.settled());
@@ -722,10 +711,14 @@ impl Cluster {
             bytes: 0,
         };
         // Every agent serialises and syncs its shard at the same time.
-        let save = msg::encode_ckpt_save(generation, view.epoch, watermark);
+        let save = msg::CkptSave {
+            generation,
+            epoch: view.epoch,
+            watermark,
+        };
         let mut all_ok = true;
-        for rep in self.request_agents(&view.agents, save) {
-            match msg::decode_ckpt_save_reply(&rep?) {
+        for rep in self.request_agents(&view.agents, save.encode()) {
+            match msg::CkptSaveReport::decode(&rep?) {
                 Some(r) if r.ok => report.bytes += r.bytes,
                 _ => all_ok = false,
             }
@@ -738,10 +731,10 @@ impl Cluster {
         // series at this cut instead of losing it with the recovery
         // reset.
         let dangling = self
-            .request(msg::encode_dangling_get())
+            .request(Frame::signal(packet::DANGLING_GET))
             .ok()
-            .and_then(|rep| msg::decode_dangling_rep(&rep))
-            .unwrap_or((0.0, 0));
+            .and_then(|rep| msg::Dangling::decode(&rep))
+            .map_or((0.0, 0), |book| (book.mass, book.n));
         let agents: Vec<u64> = view.agents.iter().map(|a| a.id).collect();
         let keep = self.cfg.checkpoint_keep.max(1);
         let store = self.driver_store()?;
@@ -957,19 +950,28 @@ impl Cluster {
             // change can land (REQ round-trips guarantee ordering
             // against the pushes that follow).
             let (tag, params) = spec.encode();
-            let arm = msg::encode_arm_delta(tag, params, n_current);
-            for rep in self.request_agents(&view.agents, arm) {
+            let arm = msg::ArmDelta {
+                tag,
+                params,
+                n: n_current,
+            };
+            for rep in self.request_agents(&view.agents, arm.encode()) {
                 if rep?.reader().u8() != Some(1) {
                     return Err(NetError::Protocol("agent refused delta re-arm"));
                 }
             }
             let carry = s_current - m.dangling_mass;
-            let set = msg::encode_dangling_set(m.dangling_mass, m.dangling_n, carry);
-            let _ = self.request(set)?;
+            let set = msg::DanglingSet {
+                mass: m.dangling_mass,
+                n: m.dangling_n,
+                carry,
+            };
+            let _ = self.request(set.encode())?;
         }
         for (dest, groups) in edge_batches {
             for chunk in groups.chunks(CHUNK) {
-                self.push_to_agent(&view, dest, msg::encode_ckpt_edges(chunk))?;
+                let groups = chunk.to_vec();
+                self.push_to_agent(&view, dest, msg::CkptEdges { groups }.encode())?;
             }
         }
         for (dest, recs) in meta_batches {
@@ -1032,7 +1034,7 @@ impl Cluster {
         let sub = self
             .transport
             .subscribe(&bus_addr(), &[packet::ADVANCE, packet::RECOVER])?;
-        let rep = self.request(msg::encode_start(&info))?;
+        let rep = self.request(info.encode())?;
         let run_id = rep
             .reader()
             .u64()
@@ -1069,14 +1071,14 @@ impl Cluster {
             };
             match d.frame.packet_type() {
                 packet::ADVANCE => {
-                    if let Some(adv) = msg::decode_advance(&d.frame) {
+                    if let Some(adv) = msg::Advance::decode(&d.frame) {
                         if adv.run == handle.run_id && adv.done {
                             break;
                         }
                     }
                 }
                 packet::RECOVER => {
-                    if let Some(rec) = msg::decode_recover(&d.frame) {
+                    if let Some(rec) = msg::Recover::decode(&d.frame) {
                         self.recover_and_restart(&mut handle, rec)?;
                     }
                 }
@@ -1085,7 +1087,7 @@ impl Cluster {
         }
         let total = handle.started.elapsed();
         let rep = self.request(Frame::signal(packet::RUN_STATUS))?;
-        let status = msg::decode_run_status(&rep).ok_or(NetError::Protocol("bad run status"))?;
+        let status = msg::RunStatus::decode(&rep).ok_or(NetError::Protocol("bad run status"))?;
         Ok(RunStats {
             run_id: handle.run_id,
             steps: status.steps,
@@ -1128,7 +1130,7 @@ impl Cluster {
         let replayed = self.restore_state(delta_spec)?;
         self.quiesce()?;
         if rec.aborted_run == handle.run_id {
-            let rep = self.request(msg::encode_start(&info))?;
+            let rep = self.request(info.encode())?;
             handle.run_id = rep
                 .reader()
                 .u64()
@@ -1153,31 +1155,30 @@ impl Cluster {
     // Queries
     // ------------------------------------------------------------------
 
-    fn proxy(&mut self) -> &mut ClientProxy {
-        if self.proxy.is_none() {
-            self.proxy = Some(
-                ClientProxy::connect(self.transport.clone(), self.cfg.clone(), self.lead.clone())
-                    .expect("proxy connect"),
-            );
-        }
-        self.proxy.as_mut().expect("just set")
+    /// Read `v` from the snapshot of the last completed run: a
+    /// QUERY_BATCH of one to its primary under the current view.
+    /// `None` when the vertex does not exist or has no completed-run
+    /// value yet.
+    pub fn query_u64(&self, v: u64) -> Option<u64> {
+        let view = self.view();
+        let primary = view.locator().ring().owner(v)?;
+        let (rep, _) = self
+            .transport
+            .request_with_retry(
+                view.addr_of(primary)?,
+                msg::encode_query_batch(&[v]),
+                self.cfg.request_timeout,
+                &self.cfg.send_policy,
+            )
+            .ok()?;
+        let (_, _, answers) = msg::decode_query_batch_rep(&rep)?;
+        let answer = answers.iter().next()?;
+        (answer.found == msg::ANSWER_HIT).then_some(answer.state)
     }
 
-    /// Authoritative query (primary replica), decoded as `u64`.
-    pub fn query_u64(&mut self, v: u64) -> Option<u64> {
-        self.proxy().refresh().ok()?;
-        self.proxy().query_primary(v).map(|r| r.state)
-    }
-
-    /// Authoritative query decoded as `f64` (PageRank).
-    pub fn query_f64(&mut self, v: u64) -> Option<f64> {
+    /// [`Cluster::query_u64`] decoded as `f64` (PageRank).
+    pub fn query_f64(&self, v: u64) -> Option<f64> {
         self.query_u64(v).map(f64::from_bits)
-    }
-
-    /// Fast-path query through a random replica (tolerates staleness,
-    /// as client queries in the paper).
-    pub fn query_any(&mut self, v: u64) -> Option<QueryResult> {
-        self.proxy().query(v)
     }
 
     /// Bulk-extract the authoritative state of every vertex: one DUMP
@@ -1188,14 +1189,7 @@ impl Cluster {
         let mut out = std::collections::HashMap::new();
         let replies = self.request_agents(&self.view().agents, Frame::signal(packet::DUMP));
         for rep in replies.into_iter().flatten() {
-            let mut r = rep.reader();
-            let Some(n) = r.u32() else { continue };
-            for _ in 0..n {
-                let (Some(v), Some(state)) = (r.u64(), r.u64()) else {
-                    break;
-                };
-                out.insert(v, state);
-            }
+            out.extend(msg::decode_dump(&rep).into_iter().flatten());
         }
         out
     }

@@ -57,13 +57,6 @@ pub struct SystemConfig {
     /// kernels partition the fixed vertex shards and merge their output
     /// in shard order.
     pub workers: usize,
-    /// Whether agents and streamers coalesce same-destination records
-    /// into large frames (with credit-based backpressure) before they
-    /// hit the transport. On by default; off keeps the eager
-    /// one-frame-per-batch path so benchmarks can measure the ablation.
-    /// Results are bit-identical either way: coalescing changes frame
-    /// boundaries, never per-destination record order.
-    pub coalescing: bool,
     /// Whether participants record trace events (superstep phases,
     /// view changes, migrations, recoveries, coalescer flushes) into
     /// per-participant ring buffers, collectable as Chrome-trace JSON.
@@ -113,7 +106,6 @@ impl Default for SystemConfig {
             run_deadline: Duration::from_secs(300),
             retain_change_log: true,
             workers: 1,
-            coalescing: true,
             tracing: false,
             checkpoint_dir: None,
             checkpoint_interval_batches: 0,
@@ -194,7 +186,6 @@ mod tests {
     #[test]
     fn workers_effective_resolves_and_clamps() {
         let mut c = SystemConfig::default();
-        assert!(c.coalescing);
         assert!(!c.tracing, "tracing must be opt-in");
         assert_eq!(c.workers_effective(), 1);
         c.workers = 4;

@@ -28,8 +28,8 @@
 use crate::config::SystemConfig;
 use crate::metrics::{AgentMetrics, ClusterMetrics};
 use crate::msg::{
-    self, packet, Advance, AgentInfo, Counters, DirectoryView, Phase, ReadyReport, RunInfo,
-    RunStatus, SketchDeltaView, StepCounts,
+    self, packet, Advance, AgentInfo, Counters, DirectoryView, Message, Phase, ReadyReport,
+    RunInfo, RunStatus, SketchDeltaView, StepCounts,
 };
 use elga_hash::AgentId;
 use elga_net::{Addr, Frame, Mailbox, NetError, Publisher, Transport};
@@ -626,12 +626,13 @@ impl Lead {
         self.migrate_epoch = Some(self.view.epoch);
         self.migrate_members = self.member_ids();
         self.agents_recovered += 1;
-        let frame = msg::encode_recover(&msg::Recover {
+        let frame = msg::Recover {
             epoch: self.view.epoch,
             dead_agent: dead,
             aborted_run: aborted,
             view: self.view.clone(),
-        });
+        }
+        .encode();
         self.barrier_broadcast = Some(frame.clone());
         self.barrier_published = Instant::now();
         self.publish(frame);
@@ -676,7 +677,7 @@ impl Lead {
                         run.async_live = true;
                     }
                 }
-                self.publish(msg::encode_advance(&adv));
+                self.publish(adv.encode());
             } else if !self.busy() {
                 // Chain queued membership changes, then any deferred
                 // run start.
@@ -782,7 +783,7 @@ impl Lead {
                 } else {
                     run.phase = Phase::Combine;
                 }
-                self.publish(msg::encode_advance(&adv));
+                self.publish(adv.encode());
                 self.expected = (adv.step, adv.expect);
             }
             Phase::Combine => {
@@ -798,7 +799,7 @@ impl Lead {
                     chain: false,
                     expect: Vec::new(),
                 };
-                self.publish(msg::encode_advance(&adv));
+                self.publish(adv.encode());
             }
             Phase::Apply => {
                 let converged = self.step_verdict(&members);
@@ -847,13 +848,13 @@ impl Lead {
                         chain: false,
                         expect: Vec::new(),
                     };
-                    self.publish(msg::encode_advance(&adv));
+                    self.publish(adv.encode());
                     return;
                 }
                 let run = self.run.as_mut().expect("run");
                 run.step = next.step;
                 run.phase = Phase::Scatter;
-                self.publish(msg::encode_advance(&next));
+                self.publish(next.encode());
             }
             Phase::Migrate => unreachable!("migrate handled separately"),
         }
@@ -926,7 +927,7 @@ impl Lead {
                     expect: Vec::new(),
                 };
                 self.reports.clear();
-                self.publish(msg::encode_advance(&adv));
+                self.publish(adv.encode());
                 return false;
             }
         }
@@ -970,7 +971,7 @@ impl Lead {
                 chain: false,
                 expect: Vec::new(),
             };
-            self.publish(msg::encode_advance(&adv));
+            self.publish(adv.encode());
             // Progress was made, but re-evaluating immediately cannot
             // fire again until responses arrive.
             return false;
@@ -1006,7 +1007,7 @@ impl Lead {
             chain: false,
             expect: Vec::new(),
         };
-        self.publish(msg::encode_advance(&adv));
+        self.publish(adv.encode());
         false
     }
 
@@ -1032,7 +1033,7 @@ impl Lead {
             chain: false,
             expect: Vec::new(),
         };
-        self.publish(msg::encode_advance(&adv));
+        self.publish(adv.encode());
     }
 
     /// End the run at `(step, phase)`. `expect` is what the `done`
@@ -1059,7 +1060,7 @@ impl Lead {
             chain: false,
             expect,
         };
-        self.publish(msg::encode_advance(&adv));
+        self.publish(adv.encode());
         self.last_status = RunStatus {
             run_id: run.info.run_id,
             running: false,
@@ -1148,7 +1149,7 @@ impl Lead {
             n_vertices: self.view.n_vertices,
             ..RunStatus::default()
         };
-        self.publish(msg::encode_start(&self.run.as_ref().expect("run").info));
+        self.publish(self.run.as_ref().expect("run").info.encode());
         let adv = Advance {
             run: run_id,
             step: 0,
@@ -1159,7 +1160,7 @@ impl Lead {
             chain: false,
             expect: Vec::new(),
         };
-        self.publish(msg::encode_advance(&adv));
+        self.publish(adv.encode());
         self.evaluate();
     }
 
@@ -1383,7 +1384,7 @@ fn lead_loop(
         };
         match d.frame.packet_type() {
             packet::READY => {
-                if let Some(rep) = msg::decode_ready(&d.frame) {
+                if let Some(rep) = ReadyReport::decode(&d.frame) {
                     lead.saw(rep.agent);
                     // A retransmitting transport can reorder pushes;
                     // never let a stale report overwrite a fresh one.
@@ -1411,26 +1412,21 @@ fn lead_loop(
                 }
             }
             packet::HEARTBEAT => {
-                if let Some(id) = msg::decode_heartbeat(&d.frame) {
-                    lead.saw(id);
+                if let Some(beat) = msg::Heartbeat::decode(&d.frame) {
+                    lead.saw(beat.agent);
                 }
             }
             packet::JOIN => {
-                let mut r = d.frame.reader();
-                let info = (|| {
-                    let id = r.u64()?;
-                    let addr = Addr::parse(std::str::from_utf8(r.bytes()?).ok()?).ok()?;
-                    Some(AgentInfo { id, addr })
-                })();
-                if let Some(info) = info {
-                    let run_info = lead.run.as_ref().map(|r| r.info);
+                if let Some(info) = AgentInfo::decode(&d.frame) {
+                    let run = lead.run.as_ref().map(|r| r.info);
                     lead.saw(info.id);
                     lead.pending_joins.push(info);
                     if !lead.busy() {
                         lead.apply_membership();
                     }
                     if let Some(reply) = d.reply {
-                        let _ = reply.send(msg::encode_join_reply(&lead.view, run_info.as_ref()));
+                        let view = lead.view.clone();
+                        let _ = reply.send(msg::JoinReply { view, run }.encode());
                     }
                     lead.evaluate();
                 } else if let Some(reply) = d.reply {
@@ -1472,7 +1468,7 @@ fn lead_loop(
                 }
             }
             packet::START => {
-                if let Some(info) = msg::decode_start(&d.frame) {
+                if let Some(info) = RunInfo::decode(&d.frame) {
                     let run_id = lead.start_run(info);
                     if let Some(reply) = d.reply {
                         let _ = reply.send(Frame::builder(packet::OK).u64(run_id).finish());
@@ -1488,7 +1484,7 @@ fn lead_loop(
             }
             packet::RUN_STATUS => {
                 if let Some(reply) = d.reply {
-                    let _ = reply.send(msg::encode_run_status(&lead.status()));
+                    let _ = reply.send(lead.status().encode());
                 }
             }
             packet::METRICS => {
@@ -1536,10 +1532,11 @@ fn lead_loop(
                 // Driver fetching the converged dangling book `(S, n)`
                 // for the checkpoint manifest.
                 if let Some(reply) = d.reply {
-                    let _ = reply.send(msg::encode_dangling_rep(
-                        lead.dangling_mass,
-                        lead.dangling_n,
-                    ));
+                    let book = msg::Dangling {
+                        mass: lead.dangling_mass,
+                        n: lead.dangling_n,
+                    };
+                    let _ = reply.send(book.encode());
                 }
             }
             packet::DANGLING_SET => {
@@ -1548,10 +1545,10 @@ fn lead_loop(
                 // `(S, n)` and absorb the replayed suffix's drift as a
                 // carry, folded into the next delta run's scatter
                 // reduce exactly like a departer's residue.
-                if let Some((mass, n, carry)) = msg::decode_dangling_set(&d.frame) {
-                    lead.dangling_mass = mass;
-                    lead.dangling_n = n;
-                    lead.dangling_carry += carry;
+                if let Some(set) = msg::DanglingSet::decode(&d.frame) {
+                    lead.dangling_mass = set.mass;
+                    lead.dangling_n = set.n;
+                    lead.dangling_carry += set.carry;
                 }
                 if let Some(reply) = d.reply {
                     let _ = reply.send(Frame::signal(packet::OK));
@@ -1752,7 +1749,7 @@ mod tests {
     fn advances(bus: &Mailbox) -> Vec<Advance> {
         let mut all = Vec::new();
         while let Ok(Some(d)) = bus.try_recv() {
-            all.extend(msg::decode_advance(&d.frame));
+            all.extend(Advance::decode(&d.frame));
         }
         all
     }
@@ -1916,7 +1913,7 @@ mod tests {
         let run = lead.start_run(wcc);
         let starts = published(&bus, packet::START);
         assert_eq!(starts.len(), 1);
-        let info = msg::decode_start(&starts[0]).unwrap();
+        let info = RunInfo::decode(&starts[0]).unwrap();
         assert_eq!((info.run_id, info.watermark), (run, 3));
         // A batch folded while the run is in flight belongs to the
         // next run's tag, and a joiner is handed this run's.
@@ -2384,7 +2381,7 @@ mod tests {
         assert!(lead.barrier_met(&[1], 1, 0, Phase::Scatter));
     }
 
-    /// RUN_STATUS_REP is the one reply an outside quiescence check
+    /// The RUN_STATUS reply is the one an outside quiescence check
     /// needs from the lead: it carries the departed agents' totals, and
     /// a reply in the layout that ended at the step list is refused —
     /// read as zeros it would unbalance every sum after a departure.
@@ -2398,8 +2395,8 @@ mod tests {
             ..Default::default()
         };
         lead.last_status.step_nanos = vec![10, 20, 30];
-        let frame = msg::encode_run_status(&lead.status());
-        let status = msg::decode_run_status(&frame).expect("current layout");
+        let frame = lead.status().encode();
+        let status = RunStatus::decode(&frame).expect("current layout");
         assert_eq!(status.departed, lead.ghost);
         assert_eq!(status.epoch, lead.view.epoch);
         assert_eq!(status.step_nanos, [10, 20, 30]);
@@ -2408,7 +2405,7 @@ mod tests {
         let old_layout = Frame::from_bytes(bytes::Bytes::copy_from_slice(
             &bytes[..bytes.len() - 10 * 8],
         ));
-        assert_eq!(msg::decode_run_status(&old_layout), None);
+        assert_eq!(RunStatus::decode(&old_layout), None);
     }
 
     #[test]

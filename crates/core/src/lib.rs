@@ -9,7 +9,9 @@
 //!   vertex-centric programs;
 //! * **Streamers** ([`streamer`]) push turnstile edge changes into the
 //!   system;
-//! * **ClientProxies** ([`client`]) answer end-user queries;
+//! * end-user queries, the paper's client proxy role, are QUERY_BATCH
+//!   reads every agent answers from the snapshot of its last completed
+//!   run (`elga_query::QueryClient`, [`cluster::Cluster::query_u64`]);
 //! * the **directory system** ([`directory`]) — Directories plus a
 //!   DirectoryMaster bootstrap — broadcasts membership, the count-min
 //!   sketch, and synchronization barriers.
@@ -56,7 +58,6 @@ pub mod agent;
 pub mod algorithms;
 pub mod autoscale;
 pub mod ckpt_codec;
-pub mod client;
 pub mod cluster;
 pub mod config;
 pub mod directory;

@@ -2,32 +2,165 @@
 //! comes with an API for metric collection and autoscalers. ... We
 //! implemented Agent metrics for graph change rates, client query
 //! rates, and superstep times. Metrics are passed to Directories.")
+//!
+//! Every metric is one row of a table (`metrics!`): its field and
+//! doc, how the directory folds agents' values into the aggregate, and
+//! its Prometheus name, type and help. The row order is the wire order
+//! of the METRICS and GET_METRICS frames and the order of the
+//! exposition text.
 
-use crate::msg::packet;
-use elga_hash::AgentId;
-use elga_net::{CoalesceStats, Frame, FrameReader, NetStats};
+use crate::msg::{packet, wire};
+use elga_net::{CoalesceStats, NetStats};
+use std::fmt::Write;
 
-/// Frames/bytes sent and received for one packet type.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PacketStat {
-    /// Frames sent.
-    pub frames_sent: u64,
-    /// Bytes sent.
-    pub bytes_sent: u64,
-    /// Frames received.
-    pub frames_recv: u64,
-    /// Bytes received.
-    pub bytes_recv: u64,
+/// A metric value: how values of several agents add up, and how it
+/// reads in the Prometheus text exposition format.
+trait Metric {
+    /// Add `other` in.
+    fn sum(&mut self, other: &Self);
+
+    /// Append the exposition lines of the value as metric `name`.
+    fn expose(&self, out: &mut String, name: &str, kind: &str, help: &str);
+}
+
+impl Metric for u64 {
+    fn sum(&mut self, other: &u64) {
+        *self += other;
+    }
+
+    fn expose(&self, out: &mut String, name: &str, kind: &str, help: &str) {
+        let _ = write!(
+            out,
+            "# HELP elga_{name} {help}\n# TYPE elga_{name} {kind}\nelga_{name} {self}\n"
+        );
+    }
+}
+
+impl Metric for bool {
+    fn sum(&mut self, other: &bool) {
+        *self |= other;
+    }
+
+    fn expose(&self, out: &mut String, name: &str, kind: &str, help: &str) {
+        u64::from(*self).expose(out, name, kind, help);
+    }
+}
+
+/// Declare a metrics report once, as a table of rows
+/// `field: type = fold(agent field) => "name" kind "help";` — the help
+/// is the field's doc too.
+///
+/// With two structs, the first is the aggregate the directory returns
+/// (GET_METRICS) and the second the report an agent pushes (METRICS):
+/// it holds the rows that name an agent-side field (with a doc of its
+/// own where the help would mislead), in the same order. `fold` says
+/// how the aggregate takes an agent's value in: `sum`; `gauge`, a sum
+/// that a departed agent leaves; `max`, likewise left by a departed
+/// agent; `lead` and `driver`, set by the lead directory or the driver
+/// instead. With one struct, a nested report, every row sums. A nested
+/// value renders itself, ignoring the kind and help.
+macro_rules! metrics {
+    (@fold sum $acc:expr, $value:expr, $departed:ident) => {
+        Metric::sum(&mut $acc, &$value)
+    };
+    (@fold gauge $acc:expr, $value:expr, $departed:ident) => {
+        if !$departed {
+            Metric::sum(&mut $acc, &$value)
+        }
+    };
+    (@fold max $acc:expr, $value:expr, $departed:ident) => {
+        if !$departed {
+            $acc = $acc.max($value)
+        }
+    };
+    (@fold lead $($rest:tt)*) => {};
+    (@doc $help:literal) => {
+        $help
+    };
+    (@doc $help:literal, $doc:literal) => {
+        $doc
+    };
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident: $kind:ident,
+        $(#[$ameta:meta])*
+        pub struct $agent:ident: $akind:ident {
+            $(
+                $field:ident: $ty:ty = $fold:ident $(($afield:ident $(, $adoc:literal)?))?
+                    => $pname:literal $pkind:ident $help:literal;
+            )*
+        }
+    ) => {
+        wire! {
+            $(#[$meta])*
+            pub struct $name: $kind {
+                $(#[doc = $help] pub $field: $ty,)*
+            }
+
+            $(#[$ameta])*
+            pub struct $agent: $akind {
+                $($(#[doc = metrics!(@doc $help $(, $adoc)?)] pub $afield: $ty,)?)*
+            }
+        }
+
+        impl $name {
+            /// Fold one agent's report in; a departed agent's gauges
+            /// left with it.
+            fn fold(&mut self, m: &$agent, departed: bool) {
+                $($(metrics!(@fold $fold self.$field, m.$afield, departed);)?)*
+            }
+
+            /// Render as Prometheus text exposition format (one gauge or
+            /// counter per field, `elga_` prefix), suitable for a
+            /// textfile collector or a debug endpoint.
+            pub fn to_prometheus(&self) -> String {
+                let mut out = String::with_capacity(4096);
+                $(self.$field.expose(&mut out, $pname, stringify!($pkind), $help);)*
+                out
+            }
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $($field:ident: $ty:ty => $pname:literal $pkind:ident $help:literal;)*
+        }
+    ) => {
+        wire! {
+            $(#[$meta])*
+            pub struct $name {
+                $(#[doc = $help] pub $field: $ty,)*
+            }
+        }
+
+        impl Metric for $name {
+            fn sum(&mut self, other: &Self) {
+                $(self.$field.sum(&other.$field);)*
+            }
+
+            fn expose(&self, out: &mut String, _: &str, _: &str, _: &str) {
+                $(self.$field.expose(out, $pname, stringify!($pkind), $help);)*
+            }
+        }
+    };
+}
+
+wire! {
+    /// Frames/bytes sent and received for one packet type.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct PacketStat {
+        /// Frames sent.
+        pub frames_sent: u64,
+        /// Bytes sent.
+        pub bytes_sent: u64,
+        /// Frames received.
+        pub frames_recv: u64,
+        /// Bytes received.
+        pub bytes_recv: u64,
+    }
 }
 
 impl PacketStat {
-    fn absorb(&mut self, o: &PacketStat) {
-        self.frames_sent += o.frames_sent;
-        self.bytes_sent += o.bytes_sent;
-        self.frames_recv += o.frames_recv;
-        self.bytes_recv += o.bytes_recv;
-    }
-
     fn from_net(net: &NetStats, ty: u8) -> PacketStat {
         let (frames_sent, bytes_sent) = net.sent(ty);
         let (frames_recv, bytes_recv) = net.received(ty);
@@ -38,56 +171,53 @@ impl PacketStat {
             bytes_recv,
         }
     }
+}
 
-    fn encode_into(&self, b: elga_net::frame::FrameBuilder) -> elga_net::frame::FrameBuilder {
-        b.u64(self.frames_sent)
-            .u64(self.bytes_sent)
-            .u64(self.frames_recv)
-            .u64(self.bytes_recv)
+/// Exposed as the sent side, labelled `type = name`.
+impl Metric for PacketStat {
+    fn sum(&mut self, other: &PacketStat) {
+        self.frames_sent += other.frames_sent;
+        self.bytes_sent += other.bytes_sent;
+        self.frames_recv += other.frames_recv;
+        self.bytes_recv += other.bytes_recv;
     }
 
-    fn decode(r: &mut FrameReader<'_>) -> Option<PacketStat> {
-        Some(PacketStat {
-            frames_sent: r.u64()?,
-            bytes_sent: r.u64()?,
-            frames_recv: r.u64()?,
-            bytes_recv: r.u64()?,
-        })
+    fn expose(&self, out: &mut String, name: &str, _: &str, _: &str) {
+        let (frames, bytes) = (self.frames_sent, self.bytes_sent);
+        let _ = write!(
+            out,
+            "elga_frames_sent_total{{type=\"{name}\"}} {frames}\n\
+             elga_bytes_sent_total{{type=\"{name}\"}} {bytes}\n"
+        );
     }
 }
 
-/// Comms-plane observability: data-plane traffic broken down by packet
-/// type, plus the coalescer's flush-reason counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CommsMetrics {
-    /// Scatter vertex messages (VMSG).
-    pub vmsg: PacketStat,
-    /// Partial aggregates (PARTIAL).
-    pub partial: PacketStat,
-    /// State broadcasts (STATE).
-    pub state: PacketStat,
-    /// Edge changes (EDGE_CHANGES).
-    pub edge_changes: PacketStat,
-    /// Degree deltas (DEG_DELTA).
-    pub deg_delta: PacketStat,
-    /// Migration traffic (MIG_STATE + MIG_EDGES + MIG_META combined).
-    pub migration: PacketStat,
-    /// Coalescer flushes triggered by the byte threshold.
-    pub size_flushes: u64,
-    /// Coalescer flushes triggered by the record-count threshold.
-    pub count_flushes: u64,
-    /// Explicit phase-end flushes.
-    pub explicit_flushes: u64,
-    /// Flushes forced by a packet-type or header switch.
-    pub switch_flushes: u64,
-    /// Times a sender waited on in-flight credit (backpressure).
-    pub backpressure_waits: u64,
-    /// Wire messages served out of an existing RX batch allocation
-    /// (zero-copy receive pool hits).
-    pub rx_pool_hits: u64,
-    /// RX batch allocations (one per bulk read that promoted bytes to
-    /// a fresh shared batch).
-    pub rx_pool_misses: u64,
+metrics! {
+    /// Comms-plane observability: data-plane traffic broken down by packet
+    /// type, plus the coalescer's flush-reason counters.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct CommsMetrics {
+        vmsg: PacketStat => "vmsg" counter "Scatter vertex messages (VMSG).";
+        partial: PacketStat => "partial" counter "Partial aggregates (PARTIAL).";
+        state: PacketStat => "state" counter "State broadcasts (STATE).";
+        edge_changes: PacketStat => "edge_changes" counter "Edge changes (EDGE_CHANGES).";
+        deg_delta: PacketStat => "deg_delta" counter "Degree deltas (DEG_DELTA).";
+        migration: PacketStat => "migration" counter "MIG_STATE, MIG_EDGES and MIG_META.";
+        size_flushes: u64 => "coalesce_size_flushes_total" counter
+            "Coalescer flushes at the byte threshold.";
+        count_flushes: u64 => "coalesce_count_flushes_total" counter
+            "Coalescer flushes at the record threshold.";
+        explicit_flushes: u64 => "coalesce_explicit_flushes_total" counter
+            "Explicit phase-end coalescer flushes.";
+        switch_flushes: u64 => "coalesce_switch_flushes_total" counter
+            "Coalescer flushes forced by a type/header switch.";
+        backpressure_waits: u64 => "backpressure_waits_total" counter
+            "Sends that waited on in-flight credit.";
+        rx_pool_hits: u64 => "rx_pool_hits_total" counter
+            "Receives served from an existing pooled batch buffer.";
+        rx_pool_misses: u64 => "rx_pool_misses_total" counter
+            "Receives that allocated a fresh batch buffer.";
+    }
 }
 
 impl CommsMetrics {
@@ -95,8 +225,8 @@ impl CommsMetrics {
     /// [`NetStats`] and merge in its aggregated coalescer counters.
     pub fn snapshot(net: &NetStats, coalesce: &CoalesceStats) -> CommsMetrics {
         let mut migration = PacketStat::from_net(net, packet::MIG_STATE);
-        migration.absorb(&PacketStat::from_net(net, packet::MIG_EDGES));
-        migration.absorb(&PacketStat::from_net(net, packet::MIG_META));
+        migration.sum(&PacketStat::from_net(net, packet::MIG_EDGES));
+        migration.sum(&PacketStat::from_net(net, packet::MIG_META));
         let (rx_pool_hits, rx_pool_misses) = net.rx_pool();
         CommsMetrics {
             vmsg: PacketStat::from_net(net, packet::VMSG),
@@ -118,326 +248,113 @@ impl CommsMetrics {
     /// Fraction of wire messages served from an existing RX batch
     /// allocation; 0 before any traffic.
     pub fn rx_pool_hit_rate(&self) -> f64 {
-        let total = self.rx_pool_hits + self.rx_pool_misses;
-        if total == 0 {
-            return 0.0;
-        }
-        self.rx_pool_hits as f64 / total as f64
+        ratio(self.rx_pool_hits, self.rx_pool_misses)
     }
 
-    /// Element-wise sum (cluster aggregation).
-    pub fn absorb(&mut self, o: &CommsMetrics) {
-        self.vmsg.absorb(&o.vmsg);
-        self.partial.absorb(&o.partial);
-        self.state.absorb(&o.state);
-        self.edge_changes.absorb(&o.edge_changes);
-        self.deg_delta.absorb(&o.deg_delta);
-        self.migration.absorb(&o.migration);
-        self.size_flushes += o.size_flushes;
-        self.count_flushes += o.count_flushes;
-        self.explicit_flushes += o.explicit_flushes;
-        self.switch_flushes += o.switch_flushes;
-        self.backpressure_waits += o.backpressure_waits;
-        self.rx_pool_hits += o.rx_pool_hits;
-        self.rx_pool_misses += o.rx_pool_misses;
+    fn packets(&self) -> [PacketStat; 6] {
+        [
+            self.vmsg,
+            self.partial,
+            self.state,
+            self.edge_changes,
+            self.deg_delta,
+            self.migration,
+        ]
     }
 
     /// Total data-plane frames sent across all packet types.
     pub fn frames_sent(&self) -> u64 {
-        [
-            &self.vmsg,
-            &self.partial,
-            &self.state,
-            &self.edge_changes,
-            &self.deg_delta,
-            &self.migration,
-        ]
-        .iter()
-        .map(|p| p.frames_sent)
-        .sum()
+        self.packets().iter().map(|p| p.frames_sent).sum()
     }
 
     /// Total data-plane bytes sent across all packet types.
     pub fn bytes_sent(&self) -> u64 {
-        [
-            &self.vmsg,
-            &self.partial,
-            &self.state,
-            &self.edge_changes,
-            &self.deg_delta,
-            &self.migration,
-        ]
-        .iter()
-        .map(|p| p.bytes_sent)
-        .sum()
-    }
-
-    fn encode_into(&self, b: elga_net::frame::FrameBuilder) -> elga_net::frame::FrameBuilder {
-        let b = self.vmsg.encode_into(b);
-        let b = self.partial.encode_into(b);
-        let b = self.state.encode_into(b);
-        let b = self.edge_changes.encode_into(b);
-        let b = self.deg_delta.encode_into(b);
-        let b = self.migration.encode_into(b);
-        b.u64(self.size_flushes)
-            .u64(self.count_flushes)
-            .u64(self.explicit_flushes)
-            .u64(self.switch_flushes)
-            .u64(self.backpressure_waits)
-            .u64(self.rx_pool_hits)
-            .u64(self.rx_pool_misses)
-    }
-
-    fn decode(r: &mut FrameReader<'_>) -> Option<CommsMetrics> {
-        Some(CommsMetrics {
-            vmsg: PacketStat::decode(r)?,
-            partial: PacketStat::decode(r)?,
-            state: PacketStat::decode(r)?,
-            edge_changes: PacketStat::decode(r)?,
-            deg_delta: PacketStat::decode(r)?,
-            migration: PacketStat::decode(r)?,
-            size_flushes: r.u64()?,
-            count_flushes: r.u64()?,
-            explicit_flushes: r.u64()?,
-            switch_flushes: r.u64()?,
-            backpressure_waits: r.u64()?,
-            rx_pool_hits: r.u64()?,
-            rx_pool_misses: r.u64()?,
-        })
+        self.packets().iter().map(|p| p.bytes_sent).sum()
     }
 }
 
-/// Cumulative per-agent activity counters, pushed to the agent's
-/// directory.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AgentMetrics {
-    /// Reporting agent.
-    pub agent: AgentId,
-    /// Client queries served.
-    pub queries: u64,
-    /// Edge-change records applied.
-    pub changes: u64,
-    /// Vertex-message records delivered — folded at their target's
-    /// aggregation replica, own or received — after sender-side
-    /// combining: one per `(target, destination)` row a scatter
-    /// touched, not one per edge. What `vmsg_sent` / `vmsg_recv` count,
-    /// plus the records an agent folds in place.
-    pub vmsgs: u64,
-    /// Out-placement edges currently held.
-    pub edges: u64,
-    /// Nanoseconds spent in the last superstep's local work.
-    pub last_step_nanos: u64,
-    /// Transient send/request failures that were retried successfully
-    /// (chaos observability).
-    pub retries_attempted: u64,
-    /// Owner-cache lookups served from the per-epoch memo (summed over
-    /// the agent's routing and worker caches).
-    pub owner_cache_hits: u64,
-    /// Owner placements resolved from scratch (cache misses).
-    pub owner_cache_misses: u64,
-    /// Cumulative wall time in the scatter kernel.
-    pub scatter_nanos: u64,
-    /// Cumulative wall time in the combine kernel.
-    pub combine_nanos: u64,
-    /// Cumulative wall time in the apply kernel.
-    pub apply_nanos: u64,
-    /// Cumulative wall time in data-plane receive handlers (VMSG /
-    /// PARTIAL / STATE / EDGE_CHANGES / DEG_DELTA). With borrowed
-    /// decoders, parsing happens in place as records are consumed, so
-    /// this clock covers decode + consume together.
-    pub decode_nanos: u64,
-    /// Data-plane frames for a finished or aborted run that arrived
-    /// after the agent moved on (dropped, not applied — see the
-    /// stale-run arms in the agent's frame dispatch).
-    pub stale_frames: u64,
-    /// Checkpoint shards durably written (CKPT_SAVE successes).
-    pub ckpt_writes: u64,
-    /// Cumulative wall time serializing and writing checkpoint shards.
-    pub ckpt_write_nanos: u64,
-    /// Cumulative checkpoint payload bytes written.
-    pub ckpt_bytes: u64,
-    /// QUERY_BATCH frames served (their per-vertex answers also count
-    /// into `queries`).
-    pub query_batches: u64,
-    /// Standing subscriptions currently registered.
-    pub subscriptions: u64,
-    /// Subscription value-delta records pushed after completed runs.
-    pub sub_pushes: u64,
-    /// Vertex entries visited by the scatter/apply kernels and the
-    /// primary-summary sweeps: the superstep "work" signal. A sweep
-    /// adds the store size, a list-driven kernel its worklist length,
-    /// so a delta run's growth is proportional to its frontier.
-    pub kernel_visits: u64,
-    /// Comms-plane traffic and coalescer flush counters.
-    pub comms: CommsMetrics,
-}
-
-impl AgentMetrics {
-    /// Encode as a METRICS frame.
-    pub fn encode(&self) -> Frame {
-        let b = Frame::builder(packet::METRICS)
-            .u64(self.agent)
-            .u64(self.queries)
-            .u64(self.changes)
-            .u64(self.vmsgs)
-            .u64(self.edges)
-            .u64(self.last_step_nanos)
-            .u64(self.retries_attempted)
-            .u64(self.owner_cache_hits)
-            .u64(self.owner_cache_misses)
-            .u64(self.scatter_nanos)
-            .u64(self.combine_nanos)
-            .u64(self.apply_nanos)
-            .u64(self.decode_nanos)
-            .u64(self.stale_frames)
-            .u64(self.ckpt_writes)
-            .u64(self.ckpt_write_nanos)
-            .u64(self.ckpt_bytes)
-            .u64(self.query_batches)
-            .u64(self.subscriptions)
-            .u64(self.sub_pushes)
-            .u64(self.kernel_visits);
-        self.comms.encode_into(b).finish()
-    }
-
-    /// Decode a METRICS frame.
-    pub fn decode(frame: &Frame) -> Option<AgentMetrics> {
-        if frame.packet_type() != packet::METRICS {
-            return None;
-        }
-        let mut r = frame.reader();
-        Some(AgentMetrics {
-            agent: r.u64()?,
-            queries: r.u64()?,
-            changes: r.u64()?,
-            vmsgs: r.u64()?,
-            edges: r.u64()?,
-            last_step_nanos: r.u64()?,
-            retries_attempted: r.u64()?,
-            owner_cache_hits: r.u64()?,
-            owner_cache_misses: r.u64()?,
-            scatter_nanos: r.u64()?,
-            combine_nanos: r.u64()?,
-            apply_nanos: r.u64()?,
-            decode_nanos: r.u64()?,
-            stale_frames: r.u64()?,
-            ckpt_writes: r.u64()?,
-            ckpt_write_nanos: r.u64()?,
-            ckpt_bytes: r.u64()?,
-            query_batches: r.u64()?,
-            subscriptions: r.u64()?,
-            sub_pushes: r.u64()?,
-            kernel_visits: r.u64()?,
-            comms: CommsMetrics::decode(&mut r)?,
-        })
+/// `hits / (hits + misses)`, 0 when both are 0.
+fn ratio(hits: u64, misses: u64) -> f64 {
+    match hits + misses {
+        0 => 0.0,
+        total => hits as f64 / total as f64,
     }
 }
 
-/// Aggregated view over all agents, returned by the directory.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ClusterMetrics {
-    /// Number of registered agents.
-    pub agents: u64,
-    /// Total queries served (cumulative).
-    pub queries: u64,
-    /// Total edge-change records applied (cumulative).
-    pub changes: u64,
-    /// Total vertex-message records delivered, after sender-side
-    /// combining (cumulative).
-    pub vmsgs: u64,
-    /// Total out-placement edges held.
-    pub edges: u64,
-    /// Max of agents' last superstep nanos (the straggler).
-    pub max_step_nanos: u64,
-    /// Total transient failures retried across agents and the driver.
-    pub retries_attempted: u64,
-    /// Frames dropped by an injected fault layer (0 outside chaos
-    /// runs; merged in by the driver, which owns the fault handle).
-    pub messages_dropped: u64,
-    /// Agents declared dead and evicted by failure detection.
-    pub agents_recovered: u64,
-    /// Agents whose counters were successfully drained into this
-    /// aggregate (set by the driver's collection pass).
-    pub agents_drained: u64,
-    /// `true` when at least one live agent could not be drained (even
-    /// after a retry against the refreshed view), so the cumulative
-    /// totals undercount that agent's most recent activity.
-    pub partial: bool,
-    /// Total owner-cache hits across agents.
-    pub owner_cache_hits: u64,
-    /// Total owner-cache misses across agents.
-    pub owner_cache_misses: u64,
-    /// Total scatter-kernel wall time across agents.
-    pub scatter_nanos: u64,
-    /// Total combine-kernel wall time across agents.
-    pub combine_nanos: u64,
-    /// Total apply-kernel wall time across agents.
-    pub apply_nanos: u64,
-    /// Total data-plane receive-handler wall time across agents
-    /// (decode + consume; see [`AgentMetrics::decode_nanos`]).
-    pub decode_nanos: u64,
-    /// Total stale-run data-plane frames dropped across agents (frames
-    /// for an already-finished or aborted run).
-    pub stale_frames: u64,
-    /// Total checkpoint shards durably written across agents.
-    pub ckpt_writes: u64,
-    /// Total wall time serializing and writing checkpoint shards.
-    pub ckpt_write_nanos: u64,
-    /// Total checkpoint payload bytes written across agents.
-    pub ckpt_bytes: u64,
-    /// Recoveries completed end-to-end (driver-merged: the driver
-    /// orchestrates recovery, so the directory aggregate cannot know).
-    pub recoveries: u64,
-    /// Total end-to-end recovery wall time (driver-merged).
-    pub recovery_nanos: u64,
-    /// Recoveries restored from a checkpoint generation (driver-merged).
-    pub ckpt_restores: u64,
-    /// Wall time reading + re-injecting checkpoint shards
-    /// (driver-merged).
-    pub ckpt_restore_nanos: u64,
-    /// Damaged committed generations skipped by recovery's fallback
-    /// ladder (driver-merged).
-    pub ckpt_fallbacks: u64,
-    /// Change records replayed from the retained log during recovery
-    /// (driver-merged).
-    pub replayed_records: u64,
-    /// Total QUERY_BATCH frames served across agents.
-    pub query_batches: u64,
-    /// Standing subscriptions registered across agents.
-    pub subscriptions: u64,
-    /// Subscription value-delta records pushed across agents.
-    pub sub_pushes: u64,
-    /// Total vertex entries visited by superstep kernels and summary
-    /// sweeps across agents (see [`AgentMetrics::kernel_visits`]).
-    pub kernel_visits: u64,
-    /// Summed comms-plane traffic and coalescer counters.
-    pub comms: CommsMetrics,
+metrics! {
+    /// Aggregated view over all agents, returned by the directory.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ClusterMetrics: GET_METRICS,
+    /// Cumulative per-agent activity counters, pushed to the agent's
+    /// directory.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct AgentMetrics: METRICS {
+        agents: u64 = lead(agent, "The reporting agent.") => "agents" gauge "Registered agents.";
+        queries: u64 = sum(queries) => "queries_total" counter "Client queries served.";
+        changes: u64 = sum(changes) => "changes_total" counter "Edge-change records applied.";
+        vmsgs: u64 = sum(vmsgs) => "vmsgs_total" counter
+            "Vertex-message records delivered, after sender-side combining.";
+        edges: u64 = gauge(edges) => "edges" gauge "Out-placement edges held.";
+        max_step_nanos: u64 = max(last_step_nanos, "The agent's last superstep (ns).")
+            => "max_step_nanos" gauge "Slowest agent's last superstep (ns).";
+        retries_attempted: u64 = sum(retries_attempted) => "retries_total" counter
+            "Transient failures retried.";
+        messages_dropped: u64 = driver => "messages_dropped_total" counter
+            "Frames dropped by an injected fault layer.";
+        agents_recovered: u64 = lead => "agents_recovered_total" counter
+            "Agents evicted by failure detection.";
+        agents_drained: u64 = driver => "agents_drained" gauge
+            "Agents drained into this aggregate.";
+        partial: bool = driver => "metrics_partial" gauge
+            "1 when at least one live agent could not be drained.";
+        owner_cache_hits: u64 = sum(owner_cache_hits) => "owner_cache_hits_total" counter
+            "Owner-cache hits.";
+        owner_cache_misses: u64 = sum(owner_cache_misses) => "owner_cache_misses_total" counter
+            "Owner-cache misses.";
+        scatter_nanos: u64 = sum(scatter_nanos) => "scatter_nanos_total" counter
+            "Scatter-kernel wall time (ns).";
+        combine_nanos: u64 = sum(combine_nanos) => "combine_nanos_total" counter
+            "Combine-kernel wall time (ns).";
+        apply_nanos: u64 = sum(apply_nanos) => "apply_nanos_total" counter
+            "Apply-kernel wall time (ns).";
+        decode_nanos: u64 = sum(decode_nanos) => "decode_nanos_total" counter
+            "Data-plane receive-handler wall time (ns).";
+        stale_frames: u64 = sum(stale_frames) => "stale_frames_total" counter
+            "Stale-run data-plane frames dropped.";
+        ckpt_writes: u64 = sum(ckpt_writes) => "ckpt_writes_total" counter
+            "Checkpoint shards durably written.";
+        ckpt_write_nanos: u64 = sum(ckpt_write_nanos) => "ckpt_write_nanos_total" counter
+            "Wall time writing checkpoint shards (ns).";
+        ckpt_bytes: u64 = sum(ckpt_bytes) => "ckpt_bytes_total" counter
+            "Checkpoint payload bytes written.";
+        recoveries: u64 = driver => "recoveries_total" counter "End-to-end recoveries completed.";
+        recovery_nanos: u64 = driver => "recovery_nanos_total" counter
+            "End-to-end recovery wall time (ns).";
+        ckpt_restores: u64 = driver => "ckpt_restores_total" counter
+            "Recoveries restored from a checkpoint.";
+        ckpt_restore_nanos: u64 = driver => "ckpt_restore_nanos_total" counter
+            "Wall time restoring checkpoint shards (ns).";
+        ckpt_fallbacks: u64 = driver => "ckpt_fallbacks_total" counter
+            "Damaged checkpoint generations skipped.";
+        replayed_records: u64 = driver => "replayed_records_total" counter
+            "Change records replayed during recovery.";
+        query_batches: u64 = sum(query_batches) => "query_batches_total" counter
+            "Batched multi-vertex query frames served.";
+        subscriptions: u64 = gauge(subscriptions) => "subscriptions" gauge
+            "Standing vertex subscriptions registered.";
+        sub_pushes: u64 = sum(sub_pushes) => "sub_pushes_total" counter
+            "Subscription value-delta records pushed.";
+        kernel_visits: u64 = sum(kernel_visits) => "kernel_visits_total" counter
+            "Vertex entries visited by superstep kernels and summaries.";
+        comms: CommsMetrics = sum(comms) => "comms" counter
+            "Comms-plane traffic and coalescer flush counters.";
+    }
 }
 
 impl ClusterMetrics {
     /// Fold one agent report into the aggregate.
     pub fn absorb(&mut self, m: &AgentMetrics) {
-        self.queries += m.queries;
-        self.changes += m.changes;
-        self.vmsgs += m.vmsgs;
-        self.edges += m.edges;
-        self.max_step_nanos = self.max_step_nanos.max(m.last_step_nanos);
-        self.retries_attempted += m.retries_attempted;
-        self.owner_cache_hits += m.owner_cache_hits;
-        self.owner_cache_misses += m.owner_cache_misses;
-        self.scatter_nanos += m.scatter_nanos;
-        self.combine_nanos += m.combine_nanos;
-        self.apply_nanos += m.apply_nanos;
-        self.decode_nanos += m.decode_nanos;
-        self.stale_frames += m.stale_frames;
-        self.ckpt_writes += m.ckpt_writes;
-        self.ckpt_write_nanos += m.ckpt_write_nanos;
-        self.ckpt_bytes += m.ckpt_bytes;
-        self.query_batches += m.query_batches;
-        self.subscriptions += m.subscriptions;
-        self.sub_pushes += m.sub_pushes;
-        self.kernel_visits += m.kernel_visits;
-        self.comms.absorb(&m.comms);
+        self.fold(m, false);
     }
 
     /// Fold in the final report of an agent that left the cluster or
@@ -445,356 +362,21 @@ impl ClusterMetrics {
     /// gauges (`edges`, `subscriptions`, `last_step_nanos`) left with
     /// it.
     pub fn absorb_departed(&mut self, m: &AgentMetrics) {
-        self.absorb(&AgentMetrics {
-            edges: 0,
-            subscriptions: 0,
-            last_step_nanos: 0,
-            ..*m
-        });
+        self.fold(m, true);
     }
 
     /// Fraction of owner lookups served from cache, in `[0, 1]`; 0 when
     /// no lookups happened.
     pub fn owner_cache_hit_rate(&self) -> f64 {
-        let total = self.owner_cache_hits + self.owner_cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.owner_cache_hits as f64 / total as f64
-        }
-    }
-
-    /// Encode as a GET_METRICS reply.
-    pub fn encode(&self) -> Frame {
-        let b = Frame::builder(packet::GET_METRICS)
-            .u64(self.agents)
-            .u64(self.queries)
-            .u64(self.changes)
-            .u64(self.vmsgs)
-            .u64(self.edges)
-            .u64(self.max_step_nanos)
-            .u64(self.retries_attempted)
-            .u64(self.messages_dropped)
-            .u64(self.agents_recovered)
-            .u64(self.agents_drained)
-            .u8(self.partial as u8)
-            .u64(self.owner_cache_hits)
-            .u64(self.owner_cache_misses)
-            .u64(self.scatter_nanos)
-            .u64(self.combine_nanos)
-            .u64(self.apply_nanos)
-            .u64(self.decode_nanos)
-            .u64(self.stale_frames)
-            .u64(self.ckpt_writes)
-            .u64(self.ckpt_write_nanos)
-            .u64(self.ckpt_bytes)
-            .u64(self.recoveries)
-            .u64(self.recovery_nanos)
-            .u64(self.ckpt_restores)
-            .u64(self.ckpt_restore_nanos)
-            .u64(self.ckpt_fallbacks)
-            .u64(self.replayed_records)
-            .u64(self.query_batches)
-            .u64(self.subscriptions)
-            .u64(self.sub_pushes)
-            .u64(self.kernel_visits);
-        self.comms.encode_into(b).finish()
-    }
-
-    /// Render as Prometheus text exposition format (one gauge/counter
-    /// per field, `elga_` prefix), suitable for a textfile collector
-    /// or a debug endpoint.
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::with_capacity(2048);
-        let mut metric = |name: &str, kind: &str, help: &str, value: u64| {
-            out.push_str(&format!(
-                "# HELP elga_{name} {help}\n# TYPE elga_{name} {kind}\nelga_{name} {value}\n"
-            ));
-        };
-        metric("agents", "gauge", "Registered agents.", self.agents);
-        metric(
-            "agents_drained",
-            "gauge",
-            "Agents drained into this aggregate.",
-            self.agents_drained,
-        );
-        metric(
-            "metrics_partial",
-            "gauge",
-            "1 when at least one live agent could not be drained.",
-            self.partial as u64,
-        );
-        metric(
-            "queries_total",
-            "counter",
-            "Client queries served.",
-            self.queries,
-        );
-        metric(
-            "query_batches_total",
-            "counter",
-            "Batched multi-vertex query frames served.",
-            self.query_batches,
-        );
-        metric(
-            "subscriptions",
-            "gauge",
-            "Standing vertex subscriptions registered.",
-            self.subscriptions,
-        );
-        metric(
-            "sub_pushes_total",
-            "counter",
-            "Subscription value-delta records pushed.",
-            self.sub_pushes,
-        );
-        metric(
-            "changes_total",
-            "counter",
-            "Edge-change records applied.",
-            self.changes,
-        );
-        metric(
-            "vmsgs_total",
-            "counter",
-            "Vertex-message records delivered, after sender-side combining.",
-            self.vmsgs,
-        );
-        metric("edges", "gauge", "Out-placement edges held.", self.edges);
-        metric(
-            "max_step_nanos",
-            "gauge",
-            "Slowest agent's last superstep (ns).",
-            self.max_step_nanos,
-        );
-        metric(
-            "retries_total",
-            "counter",
-            "Transient failures retried.",
-            self.retries_attempted,
-        );
-        metric(
-            "messages_dropped_total",
-            "counter",
-            "Frames dropped by an injected fault layer.",
-            self.messages_dropped,
-        );
-        metric(
-            "agents_recovered_total",
-            "counter",
-            "Agents evicted by failure detection.",
-            self.agents_recovered,
-        );
-        metric(
-            "owner_cache_hits_total",
-            "counter",
-            "Owner-cache hits.",
-            self.owner_cache_hits,
-        );
-        metric(
-            "owner_cache_misses_total",
-            "counter",
-            "Owner-cache misses.",
-            self.owner_cache_misses,
-        );
-        metric(
-            "scatter_nanos_total",
-            "counter",
-            "Scatter-kernel wall time (ns).",
-            self.scatter_nanos,
-        );
-        metric(
-            "combine_nanos_total",
-            "counter",
-            "Combine-kernel wall time (ns).",
-            self.combine_nanos,
-        );
-        metric(
-            "apply_nanos_total",
-            "counter",
-            "Apply-kernel wall time (ns).",
-            self.apply_nanos,
-        );
-        metric(
-            "kernel_visits_total",
-            "counter",
-            "Vertex entries visited by superstep kernels and summaries.",
-            self.kernel_visits,
-        );
-        metric(
-            "decode_nanos_total",
-            "counter",
-            "Data-plane receive-handler wall time (ns).",
-            self.decode_nanos,
-        );
-        metric(
-            "stale_frames_total",
-            "counter",
-            "Stale-run data-plane frames dropped.",
-            self.stale_frames,
-        );
-        metric(
-            "ckpt_writes_total",
-            "counter",
-            "Checkpoint shards durably written.",
-            self.ckpt_writes,
-        );
-        metric(
-            "ckpt_write_nanos_total",
-            "counter",
-            "Wall time writing checkpoint shards (ns).",
-            self.ckpt_write_nanos,
-        );
-        metric(
-            "ckpt_bytes_total",
-            "counter",
-            "Checkpoint payload bytes written.",
-            self.ckpt_bytes,
-        );
-        metric(
-            "recoveries_total",
-            "counter",
-            "End-to-end recoveries completed.",
-            self.recoveries,
-        );
-        metric(
-            "recovery_nanos_total",
-            "counter",
-            "End-to-end recovery wall time (ns).",
-            self.recovery_nanos,
-        );
-        metric(
-            "ckpt_restores_total",
-            "counter",
-            "Recoveries restored from a checkpoint.",
-            self.ckpt_restores,
-        );
-        metric(
-            "ckpt_restore_nanos_total",
-            "counter",
-            "Wall time restoring checkpoint shards (ns).",
-            self.ckpt_restore_nanos,
-        );
-        metric(
-            "ckpt_fallbacks_total",
-            "counter",
-            "Damaged checkpoint generations skipped.",
-            self.ckpt_fallbacks,
-        );
-        metric(
-            "replayed_records_total",
-            "counter",
-            "Change records replayed during recovery.",
-            self.replayed_records,
-        );
-        metric(
-            "coalesce_size_flushes_total",
-            "counter",
-            "Coalescer flushes at the byte threshold.",
-            self.comms.size_flushes,
-        );
-        metric(
-            "coalesce_count_flushes_total",
-            "counter",
-            "Coalescer flushes at the record threshold.",
-            self.comms.count_flushes,
-        );
-        metric(
-            "coalesce_explicit_flushes_total",
-            "counter",
-            "Explicit phase-end coalescer flushes.",
-            self.comms.explicit_flushes,
-        );
-        metric(
-            "coalesce_switch_flushes_total",
-            "counter",
-            "Coalescer flushes forced by a type/header switch.",
-            self.comms.switch_flushes,
-        );
-        metric(
-            "backpressure_waits_total",
-            "counter",
-            "Sends that waited on in-flight credit.",
-            self.comms.backpressure_waits,
-        );
-        metric(
-            "rx_pool_hits_total",
-            "counter",
-            "Receives served from an existing pooled batch buffer.",
-            self.comms.rx_pool_hits,
-        );
-        metric(
-            "rx_pool_misses_total",
-            "counter",
-            "Receives that allocated a fresh batch buffer.",
-            self.comms.rx_pool_misses,
-        );
-        for (name, stat) in [
-            ("vmsg", &self.comms.vmsg),
-            ("partial", &self.comms.partial),
-            ("state", &self.comms.state),
-            ("edge_changes", &self.comms.edge_changes),
-            ("deg_delta", &self.comms.deg_delta),
-            ("migration", &self.comms.migration),
-        ] {
-            out.push_str(&format!(
-                "elga_frames_sent_total{{type=\"{name}\"}} {}\n",
-                stat.frames_sent
-            ));
-            out.push_str(&format!(
-                "elga_bytes_sent_total{{type=\"{name}\"}} {}\n",
-                stat.bytes_sent
-            ));
-        }
-        out
-    }
-
-    /// Decode a GET_METRICS reply.
-    pub fn decode(frame: &Frame) -> Option<ClusterMetrics> {
-        if frame.packet_type() != packet::GET_METRICS {
-            return None;
-        }
-        let mut r: FrameReader<'_> = frame.reader();
-        Some(ClusterMetrics {
-            agents: r.u64()?,
-            queries: r.u64()?,
-            changes: r.u64()?,
-            vmsgs: r.u64()?,
-            edges: r.u64()?,
-            max_step_nanos: r.u64()?,
-            retries_attempted: r.u64()?,
-            messages_dropped: r.u64()?,
-            agents_recovered: r.u64()?,
-            agents_drained: r.u64()?,
-            partial: r.u8()? != 0,
-            owner_cache_hits: r.u64()?,
-            owner_cache_misses: r.u64()?,
-            scatter_nanos: r.u64()?,
-            combine_nanos: r.u64()?,
-            apply_nanos: r.u64()?,
-            decode_nanos: r.u64()?,
-            stale_frames: r.u64()?,
-            ckpt_writes: r.u64()?,
-            ckpt_write_nanos: r.u64()?,
-            ckpt_bytes: r.u64()?,
-            recoveries: r.u64()?,
-            recovery_nanos: r.u64()?,
-            ckpt_restores: r.u64()?,
-            ckpt_restore_nanos: r.u64()?,
-            ckpt_fallbacks: r.u64()?,
-            replayed_records: r.u64()?,
-            query_batches: r.u64()?,
-            subscriptions: r.u64()?,
-            sub_pushes: r.u64()?,
-            kernel_visits: r.u64()?,
-            comms: CommsMetrics::decode(&mut r)?,
-        })
+        ratio(self.owner_cache_hits, self.owner_cache_misses)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::msg::Message;
+    use elga_net::Frame;
 
     #[test]
     fn agent_metrics_roundtrip() {

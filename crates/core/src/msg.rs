@@ -1,30 +1,38 @@
 //! Wire protocol: packet types and message encodings.
 //!
 //! "The first byte of any message is a packet type" (§3.5). Every
-//! protocol message is hand-encoded with fixed-width little-endian
-//! fields over [`elga_net::Frame`] — the paper's "direct memory copies
-//! into network buffers". Subscription filtering uses the packet-type
-//! byte, so broadcast topics (VIEW, ADVANCE, START, SHUTDOWN) each get
-//! their own type.
+//! field is fixed-width little-endian over [`elga_net::Frame`] — the
+//! paper's "direct memory copies into network buffers" — and each
+//! layout is declared once: a control frame is a struct whose fields,
+//! in declaration order, are its payload ([`Wire`], [`Message`]); a
+//! data-plane frame is a header plus a run of fixed-stride records
+//! ([`WireRecord`], [`Records`]). Subscription filtering uses the
+//! packet-type byte, so broadcast topics (VIEW, ADVANCE, START,
+//! SHUTDOWN) each get their own type.
+//!
+//! A reply is one of three things: `OK` (bare, or with one `u64`), a
+//! VIEW, or a frame of its request's kind.
 
 use elga_graph::types::{Action, EdgeChange, VertexId};
 use elga_hash::{AgentId, EdgeLocator, HashKind, LocatorConfig, OwnerCache, Ring};
+use elga_net::frame::FrameBuilder;
 use elga_net::{Addr, CoalescingOutbox, Frame, FrameReader};
 use elga_sketch::cms::DimensionMismatch;
 use elga_sketch::{CountMinSketch, SketchDelta};
 
-/// Packet-type bytes.
+/// Packet-type bytes. Each kind's payload is documented on the type or
+/// function that encodes it; DESIGN.md tables them all.
 pub mod packet {
-    /// Agent joins (REQ to a Directory; reply is VIEW).
+    /// Agent joins (REQ to a Directory): [`super::AgentInfo`], answered
+    /// by [`super::JoinReply`].
     pub const JOIN: u8 = 1;
-    /// Agent announces departure (push to a Directory).
+    /// Agents depart (push to a Directory): their ids.
     pub const LEAVE: u8 = 2;
-    /// Directory view broadcast (PUB topic).
+    /// Directory view broadcast (PUB topic): [`super::DirectoryView`].
     pub const VIEW: u8 = 3;
-    /// Count-min sketch delta (push, Streamer/Agent → Directory).
+    /// Count-min sketch delta (REQ, Streamer → lead).
     pub const SKETCH_DELTA: u8 = 4;
-    /// Edge changes (push, Streamer → Agent, or forwarded Agent →
-    /// Agent).
+    /// Edge changes (push, Streamer → Agent, or forwarded Agent → Agent).
     pub const EDGE_CHANGES: u8 = 5;
     /// Vertex messages (push, Agent → Agent, scatter phase).
     pub const VMSG: u8 = 6;
@@ -32,125 +40,74 @@ pub mod packet {
     pub const PARTIAL: u8 = 7;
     /// State broadcast (push, primary → replicas, apply phase).
     pub const STATE: u8 = 8;
-    /// Barrier report (push, Agent → Directory).
+    /// Barrier report (push, Agent → Directory): [`super::ReadyReport`].
     pub const READY: u8 = 9;
-    /// Barrier advance (PUB topic, Directory → Agents).
+    /// Barrier advance (PUB topic): [`super::Advance`].
     pub const ADVANCE: u8 = 10;
-    /// Algorithm start (PUB topic).
+    /// Algorithm start (REQ to the lead, then PUB): [`super::RunInfo`].
     pub const START: u8 = 11;
-    /// Migrated edges (push, Agent → Agent): packed
-    /// [`super::MigEdge`] records.
+    /// Migrated edges (push, Agent → Agent): [`super::MigEdge`] records.
     pub const MIG_EDGES: u8 = 12;
-    /// Migrated primary metadata (push, Agent → Agent): packed
-    /// [`super::MetaRecord`] records.
+    /// Migrated primary metadata (push): [`super::MetaRecord`] records.
     pub const MIG_META: u8 = 13;
-    /// Vertex query (REQ to an Agent).
-    pub const QUERY: u8 = 14;
-    /// Query reply.
-    pub const QUERY_REP: u8 = 15;
-    /// Drain request (REQ to an Agent; reply carries counters).
+    /// Drain request (REQ to an Agent), answered by
+    /// [`super::DrainReport`].
     pub const DRAIN: u8 = 16;
-    /// Drain/ready counter snapshot reply.
-    pub const COUNTERS: u8 = 17;
     /// Get current view (REQ to a Directory).
     pub const GET_VIEW: u8 = 18;
-    /// Run status (REQ to a Directory).
+    /// Run status (REQ to a Directory), answered by [`super::RunStatus`].
     pub const RUN_STATUS: u8 = 19;
-    /// Run status reply.
-    pub const RUN_STATUS_REP: u8 = 20;
     /// Metric report (push, Agent → Directory).
     pub const METRICS: u8 = 21;
     /// Aggregated metrics (REQ to a Directory + its reply).
     pub const GET_METRICS: u8 = 22;
     /// Shutdown broadcast (PUB topic).
     pub const SHUTDOWN: u8 = 23;
-    /// Directory-to-lead-directory aggregate (push).
-    pub const DIR_AGG: u8 = 24;
     /// Bootstrap: ask the DirectoryMaster for a Directory (REQ).
     pub const GET_DIRECTORY: u8 = 25;
     /// Directory registers itself with the DirectoryMaster (REQ).
     pub const DIR_REGISTER: u8 = 26;
-    /// Generic OK reply.
+    /// Generic reply: bare, or carrying one `u64`.
     pub const OK: u8 = 27;
     /// WCC-style label reset broadcast (PUB topic).
     pub const RESET_LABELS: u8 = 28;
     /// Global degree deltas (push, Agent → primary Agent).
     pub const DEG_DELTA: u8 = 29;
-    /// Join reply (view + optional in-progress run description).
-    pub const JOIN_REP: u8 = 30;
-    /// Bulk state dump (REQ to an Agent; reply lists its primary
-    /// vertices' states).
+    /// Bulk state dump (REQ to an Agent; the reply lists its primaries).
     pub const DUMP: u8 = 31;
     /// Liveness heartbeat (push, Agent → Directory → lead).
     pub const HEARTBEAT: u8 = 32;
-    /// Failure-recovery broadcast (PUB topic): an agent was declared
-    /// dead; survivors reset and the driver replays retained changes.
+    /// Failure-recovery broadcast (PUB topic): [`super::Recover`].
     pub const RECOVER: u8 = 33;
-    /// Test-harness kill switch (push to an Agent): die immediately
-    /// without the polite LEAVE protocol, simulating a crash.
+    /// Test-harness kill switch (push to an Agent): die without LEAVE.
     pub const KILL: u8 = 34;
-    /// Drain a participant's trace ring buffer (request; reply carries
-    /// `elga_trace::encode_events` bytes).
+    /// Drain a participant's trace ring buffer (REQ + its reply).
     pub const TRACE_DUMP: u8 = 35;
-    /// Checkpoint request (REQ to an Agent): serialize and durably
-    /// write one shard of the named generation; the reply reports the
-    /// write outcome.
+    /// Write a checkpoint shard (REQ to an Agent): [`super::CkptSave`],
+    /// answered by [`super::CkptSaveReport`].
     pub const CKPT_SAVE: u8 = 36;
-    /// Checkpoint restore: edge records re-routed by the driver under
-    /// the post-recovery view (push, driver → Agent). Same vocabulary
-    /// as MIG_EDGES but *uncounted* — restore injection happens outside
-    /// any barrier and must not disturb the Mattern counters.
+    /// Checkpoint restore, uncounted (push, driver → Agent): edge groups.
     pub const CKPT_EDGES: u8 = 37;
-    /// Checkpoint restore: primary-side meta records (push, driver →
-    /// Agent). Uncounted, like CKPT_EDGES.
+    /// Checkpoint restore, uncounted (push): [`super::CkptMetaRecord`]s.
     pub const CKPT_META: u8 = 38;
-    /// Ingest-time residual corrections for incremental (delta) runs:
-    /// `(vertex, residual)` pushes routed to the vertex's primary,
-    /// merged into its stored residual via the program's
-    /// `merge_residual`. Counted under the change class (`chg_*`) like
-    /// DEG_DELTA — corrections travel with the batch, never inside a
-    /// run's barriers.
+    /// Ingest-time residual corrections (push, to each vertex's primary).
     pub const RESIDUAL: u8 = 39;
-    /// Batched multi-vertex query (REQ, client → Agent): a
-    /// [`Records`]-framed list of vertex ids, answered by one
-    /// QUERY_BATCH_REP. The batch form of QUERY — one round trip and
-    /// one frame pair for any number of vertices.
+    /// Vertex read (REQ, client → Agent) + its reply.
     pub const QUERY_BATCH: u8 = 40;
-    /// Reply to QUERY_BATCH: per-vertex `(vertex, found, state)`
-    /// records plus the snapshot tag (run id + batch watermark) the
-    /// answers were served under.
-    pub const QUERY_BATCH_REP: u8 = 41;
-    /// Standing-subscription registration (REQ, client → Agent): the
-    /// client's push address plus the vertex set it watches. The agent
-    /// pushes SUB_PUSH deltas whenever a completed run changed a
-    /// watched vertex.
+    /// Standing-subscription registration (REQ, client → Agent).
     pub const SUB_REG: u8 = 42;
-    /// Subscription push (Agent → client): `(vertex, state)` records
-    /// tagged with the completed run id and batch watermark. Uncounted
-    /// client-plane traffic, flushed through the per-destination
-    /// coalescers like every other bulk record stream.
+    /// Subscription push (Agent → client), uncounted.
     pub const SUB_PUSH: u8 = 43;
-    /// Re-arm the residual delta seed after a checkpoint restore (REQ,
-    /// driver → Agent): program spec plus the vertex count the restored
-    /// states converged under. The recovery reset wipes the seed; the
-    /// replayed log suffix regenerates its residual corrections only if
-    /// the seed is re-armed *before* the replay routes the changes.
+    /// Re-arm the residual delta seed (REQ, driver → Agent):
+    /// [`super::ArmDelta`].
     pub const ARM_DELTA: u8 = 44;
-    /// Read the lead's dangling-mass book `(S, n)` (REQ, driver →
-    /// lead); answered with DANGLING_REP. Captured into checkpoint
-    /// manifests so a restore can rebuild the book.
+    /// Read the lead's dangling-mass book (REQ), answered by
+    /// [`super::Dangling`].
     pub const DANGLING_GET: u8 = 45;
-    /// Reply to DANGLING_GET.
-    pub const DANGLING_REP: u8 = 46;
-    /// Restore the lead's dangling-mass book after a checkpoint
-    /// restore (REQ, driver → lead): the manifest's `(S, n)` plus a
-    /// carry term for mass the restored states hold beyond `S` (the
-    /// agents' unreported accumulators died with them; the driver
-    /// recomputes the difference from the restored shards).
+    /// Restore the lead's dangling-mass book (REQ): [`super::DanglingSet`].
     pub const DANGLING_SET: u8 = 47;
-    /// Agent → Agent: replica snapshots of vertices whose edges are
-    /// migrating (packed [`super::MigState`] records), sent ahead of
-    /// the MIG_EDGES that move the edges themselves.
+    /// Replica snapshots ahead of migrating edges (push):
+    /// [`super::MigState`] records.
     pub const MIG_STATE: u8 = 48;
 }
 
@@ -169,43 +126,251 @@ pub enum Phase {
     Migrate = 3,
 }
 
-impl Phase {
-    /// Decode from its wire byte.
-    pub fn from_u8(b: u8) -> Option<Phase> {
-        match b {
-            0 => Some(Phase::Scatter),
-            1 => Some(Phase::Combine),
-            2 => Some(Phase::Apply),
-            3 => Some(Phase::Migrate),
-            _ => None,
+/// A field of a control frame: its little-endian, unpadded layout.
+/// `take` reads back what `put` wrote, and fails on a short frame.
+pub trait Wire: Sized {
+    /// Append the value.
+    fn put(&self, b: FrameBuilder) -> FrameBuilder;
+    /// Read a value.
+    fn take(r: &mut FrameReader<'_>) -> Option<Self>;
+}
+
+/// A fixed-stride record is a field too: its slot, in place.
+impl<T: WireRecord> Wire for T {
+    fn put(&self, b: FrameBuilder) -> FrameBuilder {
+        b.slot(T::STRIDE, |slot| self.write(slot))
+    }
+
+    fn take(r: &mut FrameReader<'_>) -> Option<Self> {
+        r.take(T::STRIDE).filter(|c| T::validate(c)).map(T::parse)
+    }
+}
+
+/// The address string, length-prefixed.
+impl Wire for Addr {
+    fn put(&self, b: FrameBuilder) -> FrameBuilder {
+        b.bytes(self.to_string().as_bytes())
+    }
+
+    fn take(r: &mut FrameReader<'_>) -> Option<Self> {
+        Addr::parse(std::str::from_utf8(r.bytes()?).ok()?).ok()
+    }
+}
+
+/// A `u32` count, then the items. A count that promises more than the
+/// frame holds runs out of bytes and reads as nothing.
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, b: FrameBuilder) -> FrameBuilder {
+        self.iter().fold(b.u32(self.len() as u32), |b, x| x.put(b))
+    }
+
+    fn take(r: &mut FrameReader<'_>) -> Option<Self> {
+        let n = r.u32()?;
+        (0..n).map(|_| T::take(r)).collect()
+    }
+}
+
+/// A flag byte, then the value when the flag is set.
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, b: FrameBuilder) -> FrameBuilder {
+        match self {
+            None => b.u8(0),
+            Some(x) => x.put(b.u8(1)),
+        }
+    }
+
+    fn take(r: &mut FrameReader<'_>) -> Option<Self> {
+        match r.u8()? {
+            0 => Some(None),
+            _ => Some(Some(T::take(r)?)),
         }
     }
 }
 
-/// Cumulative per-agent message counters, compared pairwise by the
-/// directory for Mattern-style termination/barrier detection.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counters {
-    /// Scatter messages sent / received (per entry, not per frame).
-    pub vmsg_sent: u64,
-    /// Scatter messages received.
-    pub vmsg_recv: u64,
-    /// Partial aggregates sent.
-    pub part_sent: u64,
-    /// Partial aggregates received.
-    pub part_recv: u64,
-    /// State broadcasts sent.
-    pub state_sent: u64,
-    /// State broadcasts received.
-    pub state_recv: u64,
-    /// Migration records sent.
-    pub mig_sent: u64,
-    /// Migration records received.
-    pub mig_recv: u64,
-    /// Edge-change records sent onward (forwarding).
-    pub chg_sent: u64,
-    /// Edge-change records received.
-    pub chg_recv: u64,
+/// `width, depth, items`, then the counter table as one length-prefixed
+/// little-endian dump, written a row at a time straight into the
+/// builder; the table length must match the dimensions.
+impl Wire for CountMinSketch {
+    fn put(&self, b: FrameBuilder) -> FrameBuilder {
+        let b = b
+            .u32(self.width() as u32)
+            .u32(self.depth() as u32)
+            .u64(self.items())
+            .u32(self.table_bytes() as u32);
+        (0..self.depth()).fold(b, |b, row| b.u32s(self.row(row).iter().copied()))
+    }
+
+    fn take(r: &mut FrameReader<'_>) -> Option<Self> {
+        let width = r.u32()? as usize;
+        let depth = r.u32()? as usize;
+        let items = r.u64()?;
+        let raw = r.bytes()?;
+        if raw.len() != width.checked_mul(depth)?.checked_mul(4)? {
+            return None;
+        }
+        // Tens of thousands of cells per VIEW: an exact 4-byte chunk
+        // per cell lets the loop vectorize, which the record parse
+        // (a prefix of a longer slice) does not — 2.6× slower.
+        let cells = raw
+            .chunks_exact(4)
+            .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk")))
+            .collect();
+        CountMinSketch::from_parts(width, depth, cells, items)
+    }
+}
+
+/// A control frame: packet kind `KIND`, then the [`Wire`] fields, and
+/// nothing after them.
+pub trait Message: Wire {
+    /// The packet kind the frame travels under.
+    const KIND: u8;
+
+    /// Encode as a `KIND` frame.
+    fn encode(&self) -> Frame {
+        self.put(Frame::builder(Self::KIND)).finish()
+    }
+
+    /// Decode a `KIND` frame; `None` on another kind, a short frame or
+    /// trailing bytes.
+    fn decode(frame: &Frame) -> Option<Self> {
+        Self::decode_bytes(frame.as_bytes())
+    }
+
+    /// [`Message::decode`] of a frame's bytes, kind byte first — how a
+    /// frame nested in another one is read, in place.
+    fn decode_bytes(bytes: &[u8]) -> Option<Self> {
+        let (&kind, payload) = bytes.split_first()?;
+        let mut r = FrameReader::new(payload);
+        let value = (kind == Self::KIND).then(|| Self::take(&mut r))??;
+        (r.remaining() == 0).then_some(value)
+    }
+}
+
+/// Declare control structs once: each struct, its [`Wire`] layout —
+/// the fields in declaration order — and, when a packet kind follows
+/// the name, its [`Message`] impl. Two `bool` fields joined by `|`
+/// share one flags byte: bit 0 the first, bit 1 the second. A field
+/// marked `as frame` travels as its whole [`Message`] frame,
+/// length-prefixed.
+macro_rules! wire {
+    (@put $s:ident $b:ident $field:ident) => {
+        $crate::msg::Wire::put(&$s.$field, $b)
+    };
+    (@put $s:ident $b:ident $field:ident | $bit:ident) => {
+        $b.u8(u8::from($s.$field) | u8::from($s.$bit) << 1)
+    };
+    (@put $s:ident $b:ident $field:ident as frame) => {
+        $b.bytes($crate::msg::Message::encode(&$s.$field).as_bytes())
+    };
+    (@take $r:ident $field:ident: $ty:ty) => {
+        let $field = <$ty as $crate::msg::Wire>::take($r)?;
+    };
+    (@take $r:ident $field:ident: $ty:ty | $bit:ident) => {
+        let flags = $r.u8()?;
+        let ($field, $bit) = (flags & 1 != 0, flags & 2 != 0);
+    };
+    (@take $r:ident $field:ident: $ty:ty as frame) => {
+        let $field = <$ty as $crate::msg::Message>::decode_bytes($r.bytes()?)?;
+    };
+    ($(
+        $(#[$meta:meta])*
+        pub struct $name:ident $(: $kind:ident)? {
+            $(
+                $(#[$fmeta:meta])*
+                pub $field:ident: $ty:ty
+                $(| $(#[$bmeta:meta])* pub $bit:ident: bool)?
+                $(as $nested:ident)?,
+            )*
+        }
+    )*) => {$(
+        $(#[$meta])*
+        pub struct $name {
+            $(
+                $(#[$fmeta])*
+                pub $field: $ty,
+                $($(#[$bmeta])* pub $bit: bool,)?
+            )*
+        }
+
+        impl $crate::msg::Wire for $name {
+            fn put(&self, b: elga_net::frame::FrameBuilder) -> elga_net::frame::FrameBuilder {
+                $(let b = wire!(@put self b $field $(| $bit)? $(as $nested)?);)*
+                b
+            }
+
+            fn take(r: &mut elga_net::FrameReader<'_>) -> Option<Self> {
+                $(wire!(@take r $field: $ty $(| $bit)? $(as $nested)?);)*
+                Some($name { $($field, $($bit,)?)* })
+            }
+        }
+
+        $(impl $crate::msg::Message for $name {
+            const KIND: u8 = $crate::msg::packet::$kind;
+        })?
+    )*};
+}
+pub(crate) use wire;
+
+wire! {
+    /// Cumulative per-agent message counters, compared pairwise by the
+    /// directory for Mattern-style termination/barrier detection.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct Counters {
+        /// Scatter messages sent (per record, not per frame).
+        pub vmsg_sent: u64,
+        /// Scatter messages received.
+        pub vmsg_recv: u64,
+        /// Partial aggregates sent.
+        pub part_sent: u64,
+        /// Partial aggregates received.
+        pub part_recv: u64,
+        /// State broadcasts sent.
+        pub state_sent: u64,
+        /// State broadcasts received.
+        pub state_recv: u64,
+        /// Migration records sent.
+        pub mig_sent: u64,
+        /// Migration records received.
+        pub mig_recv: u64,
+        /// Edge-change records sent onward (forwarding).
+        pub chg_sent: u64,
+        /// Edge-change records received.
+        pub chg_recv: u64,
+    }
+
+    /// One agent's registration record in the view, and the JOIN
+    /// request that asks for it.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct AgentInfo: JOIN {
+        /// Agent id (ring key).
+        pub id: AgentId,
+        /// The agent's mailbox address.
+        pub addr: Addr,
+    }
+
+    /// The broadcast directory view: everything a Participant needs to
+    /// locate any edge (§3.3). Size is `O(P + d·w)` as in the paper.
+    #[derive(Debug, Clone)]
+    pub struct DirectoryView: VIEW {
+        /// Monotone version; bumped on membership or sketch change.
+        pub epoch: u64,
+        /// Current batch clock (§3.3).
+        pub batch_id: u64,
+        /// Latest known global vertex count (for programs needing `n`).
+        pub n_vertices: u64,
+        /// Ring hash function.
+        pub hash: HashKind,
+        /// Virtual agents per agent.
+        pub virtual_agents: u32,
+        /// Replication threshold (estimated degree per replica).
+        pub replication_threshold: u64,
+        /// Max replicas per vertex.
+        pub max_replicas: u32,
+        /// Registered agents.
+        pub agents: Vec<AgentInfo>,
+        /// Degree sketch.
+        pub sketch: CountMinSketch,
+    }
 }
 
 impl Counters {
@@ -228,11 +393,7 @@ impl Counters {
     /// True when every sent counter equals its received counter — the
     /// no-messages-in-flight condition.
     pub fn settled(&self) -> bool {
-        self.vmsg_sent == self.vmsg_recv
-            && self.part_sent == self.part_recv
-            && self.state_sent == self.state_recv
-            && self.mig_sent == self.mig_recv
-            && self.chg_sent == self.chg_recv
+        self.pairs().iter().all(|&(_, sent, recv)| sent == recv)
     }
 
     /// [`Counters::settled`] for every pair but the vertex messages: a
@@ -256,67 +417,6 @@ impl Counters {
             ("chg", self.chg_sent, self.chg_recv),
         ]
     }
-
-    fn encode_into(&self, b: elga_net::frame::FrameBuilder) -> elga_net::frame::FrameBuilder {
-        b.u64(self.vmsg_sent)
-            .u64(self.vmsg_recv)
-            .u64(self.part_sent)
-            .u64(self.part_recv)
-            .u64(self.state_sent)
-            .u64(self.state_recv)
-            .u64(self.mig_sent)
-            .u64(self.mig_recv)
-            .u64(self.chg_sent)
-            .u64(self.chg_recv)
-    }
-
-    fn decode(r: &mut FrameReader<'_>) -> Option<Counters> {
-        Some(Counters {
-            vmsg_sent: r.u64()?,
-            vmsg_recv: r.u64()?,
-            part_sent: r.u64()?,
-            part_recv: r.u64()?,
-            state_sent: r.u64()?,
-            state_recv: r.u64()?,
-            mig_sent: r.u64()?,
-            mig_recv: r.u64()?,
-            chg_sent: r.u64()?,
-            chg_recv: r.u64()?,
-        })
-    }
-}
-
-/// One agent's registration record in the view.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AgentInfo {
-    /// Agent id (ring key).
-    pub id: AgentId,
-    /// The agent's mailbox address.
-    pub addr: Addr,
-}
-
-/// The broadcast directory view: everything a Participant needs to
-/// locate any edge (§3.3). Size is `O(P + d·w)` as in the paper.
-#[derive(Debug, Clone)]
-pub struct DirectoryView {
-    /// Monotone version; bumped on membership or sketch change.
-    pub epoch: u64,
-    /// Current batch clock (§3.3).
-    pub batch_id: u64,
-    /// Latest known global vertex count (for programs needing `n`).
-    pub n_vertices: u64,
-    /// Registered agents.
-    pub agents: Vec<AgentInfo>,
-    /// Degree sketch.
-    pub sketch: CountMinSketch,
-    /// Ring hash function.
-    pub hash: HashKind,
-    /// Virtual agents per agent.
-    pub virtual_agents: u32,
-    /// Replication threshold (estimated degree per replica).
-    pub replication_threshold: u64,
-    /// Max replicas per vertex.
-    pub max_replicas: u32,
 }
 
 impl DirectoryView {
@@ -366,100 +466,6 @@ impl DirectoryView {
     pub fn degree_estimate(&self, v: VertexId) -> u64 {
         self.sketch.estimate(v)
     }
-
-    /// Encode as a VIEW frame.
-    pub fn encode(&self) -> Frame {
-        let mut b = Frame::builder(packet::VIEW)
-            .u64(self.epoch)
-            .u64(self.batch_id)
-            .u64(self.n_vertices)
-            .u8(hash_to_u8(self.hash))
-            .u32(self.virtual_agents)
-            .u64(self.replication_threshold)
-            .u32(self.max_replicas)
-            .u32(self.agents.len() as u32);
-        for a in &self.agents {
-            b = b.u64(a.id).bytes(a.addr.to_string().as_bytes());
-        }
-        write_sketch(b, &self.sketch).finish()
-    }
-
-    /// Decode a VIEW frame.
-    pub fn decode(frame: &Frame) -> Option<DirectoryView> {
-        Self::decode_slice(frame.as_bytes())
-    }
-
-    /// Decode a VIEW encoding from raw bytes (first byte is the packet
-    /// type). Lets a view nested inside another message — a join reply
-    /// or recover broadcast — be parsed straight from the borrowed
-    /// length-prefixed field, with no intermediate copy into a fresh
-    /// `Frame`.
-    pub fn decode_slice(buf: &[u8]) -> Option<DirectoryView> {
-        if buf.first() != Some(&packet::VIEW) {
-            return None;
-        }
-        let mut r = FrameReader::new(&buf[1..]);
-        let epoch = r.u64()?;
-        let batch_id = r.u64()?;
-        let n_vertices = r.u64()?;
-        let hash = hash_from_u8(r.u8()?)?;
-        let virtual_agents = r.u32()?;
-        let replication_threshold = r.u64()?;
-        let max_replicas = r.u32()?;
-        let n_agents = r.u32()? as usize;
-        // 12 bytes minimum per agent record (id + length-prefixed addr).
-        let mut agents = Vec::with_capacity(n_agents.min(r.remaining() / 12));
-        for _ in 0..n_agents {
-            let id = r.u64()?;
-            let addr = Addr::parse(std::str::from_utf8(r.bytes()?).ok()?).ok()?;
-            agents.push(AgentInfo { id, addr });
-        }
-        let sketch = read_sketch(&mut r)?;
-        Some(DirectoryView {
-            epoch,
-            batch_id,
-            n_vertices,
-            agents,
-            sketch,
-            hash,
-            virtual_agents,
-            replication_threshold,
-            max_replicas,
-        })
-    }
-}
-
-/// Append a sketch: `width, depth, items`, then the counter table as
-/// one length-prefixed little-endian dump, written a row at a time
-/// straight into the builder.
-fn write_sketch(
-    b: elga_net::frame::FrameBuilder,
-    sketch: &CountMinSketch,
-) -> elga_net::frame::FrameBuilder {
-    let b = b
-        .u32(sketch.width() as u32)
-        .u32(sketch.depth() as u32)
-        .u64(sketch.items())
-        .u32(sketch.table_bytes() as u32);
-    (0..sketch.depth()).fold(b, |b, row| b.u32s(sketch.row(row).iter().copied()))
-}
-
-/// Read what [`write_sketch`] wrote; `None` when the table length does
-/// not match the dimensions.
-fn read_sketch(r: &mut FrameReader<'_>) -> Option<CountMinSketch> {
-    let width = r.u32()? as usize;
-    let depth = r.u32()? as usize;
-    let items = r.u64()?;
-    let raw = r.bytes()?;
-    let expected = width.checked_mul(depth).and_then(|x| x.checked_mul(4))?;
-    if raw.len() != expected {
-        return None;
-    }
-    let cells: Vec<u32> = raw
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-        .collect();
-    CountMinSketch::from_parts(width, depth, cells, items)
 }
 
 /// Reader over `frame`'s payload, or `None` when the packet type is
@@ -497,6 +503,58 @@ pub trait WireRecord: Sized {
     fn write(&self, slot: &mut [u8]);
 }
 
+/// Declare fixed-stride records once: each struct and its
+/// [`WireRecord`] layout — the fields back to back in declaration
+/// order, each laid out as its own type's record, and valid when every
+/// field is.
+macro_rules! record {
+    ($(
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $($(#[$fmeta:meta])* pub $field:ident: $ty:ty,)*
+        }
+    )*) => {$(
+        $(#[$meta])*
+        pub struct $name {
+            $($(#[$fmeta])* pub $field: $ty,)*
+        }
+
+        #[allow(unused_assignments)]
+        impl WireRecord for $name {
+            const STRIDE: usize = 0 $(+ <$ty as WireRecord>::STRIDE)*;
+
+            #[inline]
+            fn validate(chunk: &[u8]) -> bool {
+                let mut at = 0;
+                true $(&& {
+                    let ok = <$ty as WireRecord>::validate(&chunk[at..]);
+                    at += <$ty as WireRecord>::STRIDE;
+                    ok
+                })*
+            }
+
+            #[inline]
+            fn parse(chunk: &[u8]) -> Self {
+                let mut at = 0;
+                $(
+                    let $field = <$ty as WireRecord>::parse(&chunk[at..]);
+                    at += <$ty as WireRecord>::STRIDE;
+                )*
+                $name { $($field),* }
+            }
+
+            #[inline]
+            fn write(&self, slot: &mut [u8]) {
+                let mut at = 0;
+                $(
+                    self.$field.write(&mut slot[at..]);
+                    at += <$ty as WireRecord>::STRIDE;
+                )*
+            }
+        }
+    )*};
+}
+
 /// Append a run of records to `out`'s open `(ty, key)` frame — the
 /// block writer every data-plane send goes through. `header` follows
 /// the packet type in each frame the run opens; `key` must differ
@@ -522,31 +580,82 @@ fn encode_records<T: WireRecord>(ty: u8, header: &[u8], recs: &[T]) -> Frame {
         .finish()
 }
 
-/// Decode a frame that is nothing but packet type `ty`, a `u32` record
-/// count and that many packed records, into a borrowed view.
-fn decode_records<T: WireRecord>(frame: &Frame, ty: u8) -> Option<Records<'_, T>> {
+/// Decode a frame of packet type `ty`: a [`Wire`] header, a `u32`
+/// record count and that many packed records, into the header and a
+/// borrowed view of the records — the one read path of every
+/// record-bearing frame.
+fn decode_headed<H: Wire, T: WireRecord>(frame: &Frame, ty: u8) -> Option<(H, Records<'_, T>)> {
     let mut r = expect(frame, ty)?;
+    let header = H::take(&mut r)?;
     let n = r.u32()? as usize;
-    Records::new(r.rest(), n)
+    Some((header, Records::new(r.rest(), n)?))
 }
 
-#[inline]
-fn le_u64(chunk: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(chunk[at..at + 8].try_into().unwrap())
+/// [`decode_headed`] of a frame with no header.
+fn decode_records<T: WireRecord>(frame: &Frame, ty: u8) -> Option<Records<'_, T>> {
+    Some(decode_headed::<(), T>(frame, ty)?.1)
 }
 
-#[inline]
-fn put_u64(slot: &mut [u8], at: usize, v: u64) {
-    slot[at..at + 8].copy_from_slice(&v.to_le_bytes());
+/// Declare the frames that are nothing but a run of records, one row
+/// each: what the records are, the packet kind, the record type, and
+/// the functions that append them to a coalescing outbox, encode them
+/// as one frame, and decode a frame into a borrowed view.
+macro_rules! records_frames {
+    ($(
+        #[doc = $doc:literal]
+        $kind:ident: $rec:ty => $(append $append:ident,)? $(encode $encode:ident,)? decode $decode:ident;
+    )*) => {$(
+        $(
+            #[doc = $doc]
+            #[doc = concat!("\n\nAppend them to `out`'s open ", stringify!($kind), " frame.")]
+            pub fn $append(out: &mut CoalescingOutbox, recs: &[$rec]) {
+                append_records(out, packet::$kind, 0, &[], recs);
+            }
+        )?
+        $(
+            #[doc = $doc]
+            #[doc = concat!("\n\nEncode them as one ", stringify!($kind), " frame.")]
+            pub fn $encode(recs: &[$rec]) -> Frame {
+                encode_records(packet::$kind, &[], recs)
+            }
+        )?
+        #[doc = $doc]
+        #[doc = concat!("\n\nDecode a ", stringify!($kind), " frame into a borrowed view.")]
+        pub fn $decode(frame: &Frame) -> Option<Records<'_, $rec>> {
+            decode_records(frame, packet::$kind)
+        }
+    )*};
 }
 
-/// Two `u64`s side by side: the header of the frames tagged with a
-/// serving snapshot.
-fn header_u64s(a: u64, b: u64) -> [u8; 16] {
-    let mut h = [0; 16];
-    put_u64(&mut h, 0, a);
-    put_u64(&mut h, 8, b);
-    h
+records_frames! {
+    /// Edges moving to their new owner in a view change.
+    MIG_EDGES: MigEdge => append append_mig_edges, decode decode_mig_edges;
+    /// Replica snapshots of vertices whose edges are moving, ahead of the edges.
+    MIG_STATE: MigState => append append_mig_states, decode decode_mig_states;
+    /// `(vertex, out delta, in delta)` for the vertex's primary, which keeps its global degrees.
+    DEG_DELTA: (VertexId, i64, i64) =>
+        append append_deg_deltas, encode encode_deg_deltas, decode decode_deg_deltas;
+    /// `(vertex, residual)` corrections for the vertex's primary, counted like DEG_DELTA.
+    RESIDUAL: (VertexId, u64) => append append_residuals, decode decode_residuals;
+    /// The vertices a QUERY_BATCH request reads.
+    QUERY_BATCH: VertexId => encode encode_query_batch, decode decode_query_batch;
+    /// `(vertex, state)` of every vertex the answering agent is primary for.
+    DUMP: (VertexId, u64) => encode encode_dump, decode decode_dump;
+    /// The labels whose primaries a RESET_LABELS broadcast re-initializes.
+    RESET_LABELS: u64 => encode encode_reset_labels, decode decode_reset_labels;
+    /// Primary-side metadata restored from a checkpoint.
+    CKPT_META: CkptMetaRecord => encode encode_ckpt_meta, decode decode_ckpt_meta;
+}
+
+/// A frame header: `fields` laid out in its `N` bytes.
+fn header<const N: usize>(fields: impl WireRecord) -> [u8; N] {
+    fn stride<H: WireRecord>(_: &H) -> usize {
+        H::STRIDE
+    }
+    assert_eq!(stride(&fields), N, "header width");
+    let mut bytes = [0; N];
+    fields.write(&mut bytes);
+    bytes
 }
 
 /// A borrowed, validated view over the packed record region of a frame
@@ -655,114 +764,170 @@ impl<'a, T: WireRecord> IntoIterator for Records<'a, T> {
     }
 }
 
-/// VMSG / PARTIAL record: `(target, value)`, 16 bytes.
-impl WireRecord for (VertexId, u64) {
-    const STRIDE: usize = 16;
+/// Little-endian primitives, each its own byte width.
+macro_rules! record_primitive {
+    ($($ty:ty),*) => {$(
+        impl WireRecord for $ty {
+            const STRIDE: usize = std::mem::size_of::<$ty>();
 
-    #[inline]
-    fn parse(chunk: &[u8]) -> Self {
-        (le_u64(chunk, 0), le_u64(chunk, 8))
-    }
+            #[inline]
+            fn parse(chunk: &[u8]) -> Self {
+                <$ty>::from_le_bytes(*chunk.first_chunk().expect("a record's bytes"))
+            }
 
-    #[inline]
-    fn write(&self, slot: &mut [u8]) {
-        put_u64(slot, 0, self.0);
-        put_u64(slot, 8, self.1);
-    }
+            #[inline]
+            fn write(&self, slot: &mut [u8]) {
+                slot[..Self::STRIDE].copy_from_slice(&self.to_le_bytes());
+            }
+        }
+    )*};
 }
 
-/// STATE record: vertex + state + out-degree + aux + active flag,
-/// 33 bytes. `aux` carries the applied delta on incremental runs
-/// (zero otherwise).
-impl WireRecord for StateRecord {
-    const STRIDE: usize = 33;
+record_primitive!(u8, u32, u64, i64, f64);
 
-    #[inline]
+/// Fields back to back, valid when each one is: VMSG and PARTIAL carry
+/// `(target, value)`, DEG_DELTA `(vertex, out delta, in delta)`.
+macro_rules! record_tuple {
+    ($(($($t:ident $i:tt),+))*) => {$(
+        #[allow(unused_assignments)]
+        impl<$($t: WireRecord),+> WireRecord for ($($t,)+) {
+            const STRIDE: usize = 0 $(+ $t::STRIDE)+;
+
+            #[inline]
+            fn validate(chunk: &[u8]) -> bool {
+                let mut at = 0;
+                $(let ok = $t::validate(&chunk[at..]);
+                at += $t::STRIDE;
+                if !ok {
+                    return false;
+                })+
+                true
+            }
+
+            #[inline]
+            fn parse(chunk: &[u8]) -> Self {
+                let mut at = 0;
+                ($({
+                    let field = $t::parse(&chunk[at..]);
+                    at += $t::STRIDE;
+                    field
+                },)+)
+            }
+
+            #[inline]
+            fn write(&self, slot: &mut [u8]) {
+                let mut at = 0;
+                $(self.$i.write(&mut slot[at..]);
+                at += $t::STRIDE;)+
+            }
+        }
+    )*};
+}
+
+record_tuple!((A 0, B 1) (A 0, B 1, C 2));
+
+/// `N` records back to back.
+impl<T: WireRecord, const N: usize> WireRecord for [T; N] {
+    const STRIDE: usize = N * T::STRIDE;
+
+    fn validate(chunk: &[u8]) -> bool {
+        chunk.chunks_exact(T::STRIDE).take(N).all(T::validate)
+    }
+
     fn parse(chunk: &[u8]) -> Self {
-        StateRecord {
-            vertex: le_u64(chunk, 0),
-            state: le_u64(chunk, 8),
-            out_degree: le_u64(chunk, 16),
-            aux: le_u64(chunk, 24),
-            active: chunk[32] != 0,
+        std::array::from_fn(|i| T::parse(&chunk[i * T::STRIDE..]))
+    }
+
+    fn write(&self, slot: &mut [u8]) {
+        for (x, slot) in self.iter().zip(slot.chunks_exact_mut(T::STRIDE)) {
+            x.write(slot);
         }
     }
+}
+
+/// Nothing: the header of a frame that is only records.
+impl WireRecord for () {
+    const STRIDE: usize = 0;
+
+    fn parse(_: &[u8]) -> Self {}
+
+    fn write(&self, _: &mut [u8]) {}
+}
+
+/// One byte; any nonzero byte reads as `true`.
+impl WireRecord for bool {
+    const STRIDE: usize = 1;
+
+    #[inline]
+    fn parse(chunk: &[u8]) -> Self {
+        chunk[0] != 0
+    }
 
     #[inline]
     fn write(&self, slot: &mut [u8]) {
-        put_u64(slot, 0, self.vertex);
-        put_u64(slot, 8, self.state);
-        put_u64(slot, 16, self.out_degree);
-        put_u64(slot, 24, self.aux);
-        slot[32] = self.active as u8;
+        slot[0] = u8::from(*self);
     }
 }
 
-/// EDGE_CHANGES record: action byte + src + dst, 17 bytes.
+/// One-byte enums: each variant its code, any other byte invalid.
+macro_rules! record_enum {
+    ($($ty:ident { $($variant:ident = $code:literal),+ })*) => {$(
+        impl WireRecord for $ty {
+            const STRIDE: usize = 1;
+
+            // The codes are listed, not assumed contiguous.
+            #[allow(clippy::manual_range_patterns)]
+            #[inline]
+            fn validate(chunk: &[u8]) -> bool {
+                matches!(chunk[0], $($code)|+)
+            }
+
+            #[inline]
+            fn parse(chunk: &[u8]) -> Self {
+                match chunk[0] {
+                    $($code => $ty::$variant,)+
+                    _ => unreachable!("a validated chunk"),
+                }
+            }
+
+            #[inline]
+            fn write(&self, slot: &mut [u8]) {
+                slot[0] = match self {
+                    $($ty::$variant => $code,)+
+                };
+            }
+        }
+    )*};
+}
+
+record_enum! {
+    Phase { Scatter = 0, Combine = 1, Apply = 2, Migrate = 3 }
+    Side { Out = 0, In = 1 }
+    Action { Insert = 0, Delete = 1 }
+    HashKind { Wang = 0, Mult = 1, Abseil = 2, Crc64 = 3 }
+}
+
+/// EDGE_CHANGES record: `(action, src, dst)`, 17 bytes.
 impl WireRecord for EdgeChange {
     const STRIDE: usize = 17;
 
     #[inline]
     fn validate(chunk: &[u8]) -> bool {
-        chunk[0] <= 1
+        Action::validate(chunk)
     }
 
     #[inline]
     fn parse(chunk: &[u8]) -> Self {
+        let (action, src, dst) = WireRecord::parse(chunk);
         EdgeChange {
-            action: if chunk[0] == 0 {
-                Action::Insert
-            } else {
-                Action::Delete
-            },
-            edge: (le_u64(chunk, 1), le_u64(chunk, 9)).into(),
+            action,
+            edge: (src, dst).into(),
         }
     }
 
     #[inline]
     fn write(&self, slot: &mut [u8]) {
-        slot[0] = match self.action {
-            Action::Insert => 0,
-            Action::Delete => 1,
-        };
-        put_u64(slot, 1, self.edge.src);
-        put_u64(slot, 9, self.edge.dst);
-    }
-}
-
-/// DEG_DELTA record: vertex + out-delta + in-delta, 24 bytes.
-impl WireRecord for (VertexId, i64, i64) {
-    const STRIDE: usize = 24;
-
-    #[inline]
-    fn parse(chunk: &[u8]) -> Self {
-        (
-            le_u64(chunk, 0),
-            le_u64(chunk, 8) as i64,
-            le_u64(chunk, 16) as i64,
-        )
-    }
-
-    #[inline]
-    fn write(&self, slot: &mut [u8]) {
-        put_u64(slot, 0, self.0);
-        put_u64(slot, 8, self.1 as u64);
-        put_u64(slot, 16, self.2 as u64);
-    }
-}
-
-/// QUERY_BATCH record: one bare vertex id, 8 bytes.
-impl WireRecord for VertexId {
-    const STRIDE: usize = 8;
-
-    #[inline]
-    fn parse(chunk: &[u8]) -> Self {
-        le_u64(chunk, 0)
-    }
-
-    #[inline]
-    fn write(&self, slot: &mut [u8]) {
-        put_u64(slot, 0, *self);
+        (self.action, self.edge.src, self.edge.dst).write(slot);
     }
 }
 
@@ -777,7 +942,7 @@ pub const ANSWER_HIT: u8 = 1;
 /// authoritative negative — callers stop searching.
 pub const ANSWER_GONE: u8 = 2;
 
-/// One vertex's answer inside a QUERY_BATCH_REP frame.
+/// One vertex's answer inside a QUERY_BATCH reply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueryAnswer {
     /// The queried vertex.
@@ -788,7 +953,8 @@ pub struct QueryAnswer {
     pub found: u8,
 }
 
-/// QUERY_BATCH_REP record: vertex + state + answer code, 17 bytes.
+/// QUERY_BATCH answer record: `(vertex, state, found)`, 17 bytes, the
+/// answer code one of the three.
 impl WireRecord for QueryAnswer {
     const STRIDE: usize = 17;
 
@@ -799,37 +965,17 @@ impl WireRecord for QueryAnswer {
 
     #[inline]
     fn parse(chunk: &[u8]) -> Self {
+        let (vertex, state, found) = WireRecord::parse(chunk);
         QueryAnswer {
-            vertex: le_u64(chunk, 0),
-            state: le_u64(chunk, 8),
-            found: chunk[16],
+            vertex,
+            state,
+            found,
         }
     }
 
     #[inline]
     fn write(&self, slot: &mut [u8]) {
-        put_u64(slot, 0, self.vertex);
-        put_u64(slot, 8, self.state);
-        slot[16] = self.found;
-    }
-}
-
-fn hash_to_u8(h: HashKind) -> u8 {
-    match h {
-        HashKind::Wang => 0,
-        HashKind::Mult => 1,
-        HashKind::Abseil => 2,
-        HashKind::Crc64 => 3,
-    }
-}
-
-fn hash_from_u8(b: u8) -> Option<HashKind> {
-    match b {
-        0 => Some(HashKind::Wang),
-        1 => Some(HashKind::Mult),
-        2 => Some(HashKind::Abseil),
-        3 => Some(HashKind::Crc64),
-        _ => None,
+        (self.vertex, self.state, self.found).write(slot);
     }
 }
 
@@ -842,17 +988,9 @@ pub enum Side {
     In,
 }
 
-/// Wire code of a placement side.
-fn side_byte(side: Side) -> u8 {
-    match side {
-        Side::Out => 0,
-        Side::In => 1,
-    }
-}
-
 /// Encode a batch of edge changes for one placement side.
 pub fn encode_edge_changes(side: Side, hop: u8, changes: &[EdgeChange]) -> Frame {
-    encode_records(packet::EDGE_CHANGES, &[side_byte(side), hop], changes)
+    encode_records(packet::EDGE_CHANGES, &header::<2>((side, hop)), changes)
 }
 
 /// Append edge changes to `out`'s open EDGE_CHANGES frame for
@@ -863,7 +1001,7 @@ pub fn append_edge_changes(
     hop: u8,
     changes: &[EdgeChange],
 ) {
-    let header = [side_byte(side), hop];
+    let header = header::<2>((side, hop));
     let key = u64::from(u16::from_le_bytes(header));
     append_records(out, packet::EDGE_CHANGES, key, &header, changes);
 }
@@ -889,27 +1027,8 @@ pub struct EdgeChangesView<'a> {
 /// wrong packet type, a bad side or action byte, or a record region
 /// that is not exactly `n` records long.
 pub fn decode_edge_changes(frame: &Frame) -> Option<EdgeChangesView<'_>> {
-    let mut r = expect(frame, packet::EDGE_CHANGES)?;
-    let side = match r.u8()? {
-        0 => Side::Out,
-        1 => Side::In,
-        _ => return None,
-    };
-    let hop = r.u8()?;
-    let n = r.u32()? as usize;
-    Some(EdgeChangesView {
-        side,
-        hop,
-        records: Records::new(r.rest(), n)?,
-    })
-}
-
-/// The `(run, step)` header VMSG, PARTIAL and STATE frames share.
-fn run_step_header(run: u64, step: u32) -> [u8; 12] {
-    let mut h = [0; 12];
-    put_u64(&mut h, 0, run);
-    h[8..].copy_from_slice(&step.to_le_bytes());
-    h
+    let ((side, hop), records) = decode_headed(frame, packet::EDGE_CHANGES)?;
+    Some(EdgeChangesView { side, hop, records })
 }
 
 /// Append `recs` to `out`'s open `ty` frame for `(run, step)`. Run
@@ -923,12 +1042,35 @@ fn append_run_step<T: WireRecord>(
     recs: &[T],
 ) {
     let key = (run << 32) | u64::from(step);
-    append_records(out, ty, key, &run_step_header(run, step), recs);
+    append_records(out, ty, key, &header::<12>((run, step)), recs);
+}
+
+/// Borrowed VMSG, PARTIAL or STATE payload: the `(run, step)` header
+/// plus the packed records parsed in place off the frame.
+#[derive(Debug, Clone, Copy)]
+pub struct RunStepView<'a, T> {
+    /// Run id.
+    pub run: u64,
+    /// Superstep.
+    pub step: u32,
+    /// The packed records.
+    pub records: Records<'a, T>,
+}
+
+/// VMSG / PARTIAL payload: `(target, value)` records.
+pub type ValuesView<'a> = RunStepView<'a, (VertexId, u64)>;
+
+/// STATE payload: [`StateRecord`]s.
+pub type StatesView<'a> = RunStepView<'a, StateRecord>;
+
+fn decode_run_step<T: WireRecord>(frame: &Frame, ty: u8) -> Option<RunStepView<'_, T>> {
+    let ((run, step), records) = decode_headed(frame, ty)?;
+    Some(RunStepView { run, step, records })
 }
 
 /// Encode vertex messages: `(run, step, [(target, value)])`.
 pub fn encode_vmsgs(run: u64, step: u32, msgs: &[(VertexId, u64)]) -> Frame {
-    encode_records(packet::VMSG, &run_step_header(run, step), msgs)
+    encode_records(packet::VMSG, &header::<12>((run, step)), msgs)
 }
 
 /// Append vertex messages to `out`'s open VMSG frame for run/step.
@@ -936,39 +1078,15 @@ pub fn append_vmsgs(out: &mut CoalescingOutbox, run: u64, step: u32, msgs: &[(Ve
     append_run_step(out, packet::VMSG, run, step, msgs);
 }
 
-/// Borrowed VMSG / PARTIAL payload: run header plus packed
-/// `(target, value)` records parsed in place off the frame.
-#[derive(Debug, Clone, Copy)]
-pub struct ValuesView<'a> {
-    /// Run id.
-    pub run: u64,
-    /// Superstep.
-    pub step: u32,
-    /// The packed records.
-    pub records: Records<'a, (VertexId, u64)>,
-}
-
-fn decode_values(frame: &Frame, ty: u8) -> Option<ValuesView<'_>> {
-    let mut r = expect(frame, ty)?;
-    let run = r.u64()?;
-    let step = r.u32()?;
-    let n = r.u32()? as usize;
-    Some(ValuesView {
-        run,
-        step,
-        records: Records::new(r.rest(), n)?,
-    })
-}
-
 /// Decode a VMSG frame into a borrowed view.
 pub fn decode_vmsgs(frame: &Frame) -> Option<ValuesView<'_>> {
-    decode_values(frame, packet::VMSG)
+    decode_run_step(frame, packet::VMSG)
 }
 
 /// Encode partial aggregates: `(run, step, [(vertex, agg)])`. Shares
 /// the VMSG payload shape under its own packet type.
 pub fn encode_partials(run: u64, step: u32, parts: &[(VertexId, u64)]) -> Frame {
-    encode_records(packet::PARTIAL, &run_step_header(run, step), parts)
+    encode_records(packet::PARTIAL, &header::<12>((run, step)), parts)
 }
 
 /// Append partial aggregates to `out`'s open PARTIAL frame.
@@ -978,28 +1096,30 @@ pub fn append_partials(out: &mut CoalescingOutbox, run: u64, step: u32, parts: &
 
 /// Decode a PARTIAL frame (same payload as VMSG) into a borrowed view.
 pub fn decode_partials(frame: &Frame) -> Option<ValuesView<'_>> {
-    decode_values(frame, packet::PARTIAL)
+    decode_run_step(frame, packet::PARTIAL)
 }
 
-/// One state-broadcast record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StateRecord {
-    /// The vertex.
-    pub vertex: VertexId,
-    /// Its new (encoded) state.
-    pub state: u64,
-    /// Its global out-degree.
-    pub out_degree: u64,
-    /// On incremental (delta) runs: the applied delta the replicas
-    /// scatter via `scatter_delta`. Zero on full runs.
-    pub aux: u64,
-    /// Whether it is active next superstep.
-    pub active: bool,
+record! {
+    /// One state-broadcast record: STATE, 33 bytes.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct StateRecord {
+        /// The vertex.
+        pub vertex: VertexId,
+        /// Its new (encoded) state.
+        pub state: u64,
+        /// Its global out-degree.
+        pub out_degree: u64,
+        /// On incremental (delta) runs: the applied delta the replicas
+        /// scatter via `scatter_delta`. Zero on full runs.
+        pub aux: u64,
+        /// Whether it is active next superstep.
+        pub active: bool,
+    }
 }
 
 /// Encode state broadcasts.
 pub fn encode_states(run: u64, step: u32, recs: &[StateRecord]) -> Frame {
-    encode_records(packet::STATE, &run_step_header(run, step), recs)
+    encode_records(packet::STATE, &header::<12>((run, step)), recs)
 }
 
 /// Append state broadcasts to `out`'s open STATE frame.
@@ -1007,162 +1127,86 @@ pub fn append_states(out: &mut CoalescingOutbox, run: u64, step: u32, recs: &[St
     append_run_step(out, packet::STATE, run, step, recs);
 }
 
-/// Borrowed STATE payload: run header plus packed [`StateRecord`]s
-/// parsed in place off the frame.
-#[derive(Debug, Clone, Copy)]
-pub struct StatesView<'a> {
-    /// Run id.
-    pub run: u64,
-    /// Superstep.
-    pub step: u32,
-    /// The packed records.
-    pub records: Records<'a, StateRecord>,
-}
-
 /// Decode a STATE frame into a borrowed view.
 pub fn decode_states(frame: &Frame) -> Option<StatesView<'_>> {
-    let mut r = expect(frame, packet::STATE)?;
-    let run = r.u64()?;
-    let step = r.u32()?;
-    let n = r.u32()? as usize;
-    Some(StatesView {
-        run,
-        step,
-        records: Records::new(r.rest(), n)?,
-    })
-}
-
-/// A barrier report from an agent.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReadyReport {
-    /// Reporting agent.
-    pub agent: AgentId,
-    /// Run id (0 when idle / migrating outside a run).
-    pub run: u64,
-    /// Superstep.
-    pub step: u32,
-    /// Phase the agent finished local work for.
-    pub phase: Phase,
-    /// Cumulative counters.
-    pub counters: Counters,
-    /// Vertices active for the next step (phase Apply only).
-    pub active: u64,
-    /// Program's global-reduce contribution (e.g. dangling PageRank
-    /// mass).
-    pub global_contrib: f64,
-    /// Vertices this agent is primary for.
-    pub n_primary: u64,
-    /// Per-agent monotone report sequence. A retransmitting transport
-    /// can reorder pushes; the lead discards any report older than the
-    /// one it already holds, so a stale snapshot can never overwrite a
-    /// fresh one and wedge a barrier.
-    pub seq: u64,
-    /// The reporter's adopted view epoch. Async idle reports are only
-    /// trusted when this matches the lead's current epoch, so a report
-    /// predating a mid-run migration can never settle the restarted
-    /// termination detector against post-migration counters.
-    pub epoch: u64,
-    /// Only on a sync run's `phase == Scatter`: the VMSG records this
-    /// step's scatter put on the wire, per destination it sent to. The
-    /// lead sums them per receiver and closes the Scatter barrier on
-    /// what was sent; a re-sent report repeats the list as it was.
-    pub sent: StepCounts,
+    decode_run_step(frame, packet::STATE)
 }
 
 /// VMSG record counts of one step's scatter, keyed by agent and sorted
 /// by it: what one sender put on the wire per destination (READY), or
 /// what each receiver has to take in (ADVANCE). Only non-zero entries
-/// are listed.
+/// are listed. Always the last field of its frame, so a frame from
+/// before the list ends where its length would be and is refused: read
+/// as "nothing sent" it would release a Scatter barrier ahead of its
+/// messages.
 pub type StepCounts = Vec<(AgentId, u64)>;
 
-/// Append `counts` as `u32 n` + `n × (u64 agent, u64 records)`. Always
-/// the last field of its frame.
-fn put_counts(
-    b: elga_net::frame::FrameBuilder,
-    counts: &[(AgentId, u64)],
-) -> elga_net::frame::FrameBuilder {
-    counts
-        .iter()
-        .fold(b.u32(counts.len() as u32), |b, &(agent, n)| {
-            b.u64(agent).u64(n)
-        })
-}
-
-/// Read the list [`put_counts`] wrote. It must end the frame exactly:
-/// a frame from before the list ends where the length would be and is
-/// refused — read as "nothing sent" it would release a Scatter barrier
-/// ahead of its messages.
-fn take_counts(r: &mut FrameReader<'_>) -> Option<StepCounts> {
-    let n = r.u32()? as usize;
-    if r.remaining() != n.checked_mul(16)? {
-        return None;
+wire! {
+    /// A barrier report from an agent.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct ReadyReport: READY {
+        /// Reporting agent.
+        pub agent: AgentId,
+        /// Run id (0 when idle / migrating outside a run).
+        pub run: u64,
+        /// Superstep.
+        pub step: u32,
+        /// Phase the agent finished local work for.
+        pub phase: Phase,
+        /// Cumulative counters.
+        pub counters: Counters,
+        /// Vertices active for the next step (phase Apply only).
+        pub active: u64,
+        /// Program's global-reduce contribution (e.g. dangling PageRank
+        /// mass).
+        pub global_contrib: f64,
+        /// Vertices this agent is primary for.
+        pub n_primary: u64,
+        /// Per-agent monotone report sequence. A retransmitting transport
+        /// can reorder pushes; the lead discards any report older than the
+        /// one it already holds, so a stale snapshot can never overwrite a
+        /// fresh one and wedge a barrier.
+        pub seq: u64,
+        /// The reporter's adopted view epoch. Async idle reports are only
+        /// trusted when this matches the lead's current epoch, so a report
+        /// predating a mid-run migration can never settle the restarted
+        /// termination detector against post-migration counters.
+        pub epoch: u64,
+        /// Only on a sync run's `phase == Scatter`: the VMSG records this
+        /// step's scatter put on the wire, per destination it sent to. The
+        /// lead sums them per receiver and closes the Scatter barrier on
+        /// what was sent; a re-sent report repeats the list as it was.
+        pub sent: StepCounts,
     }
-    (0..n).map(|_| Some((r.u64()?, r.u64()?))).collect()
-}
 
-/// Encode a READY frame.
-pub fn encode_ready(r: &ReadyReport) -> Frame {
-    let b = Frame::builder(packet::READY)
-        .u64(r.agent)
-        .u64(r.run)
-        .u32(r.step)
-        .u8(r.phase as u8);
-    let b = r
-        .counters
-        .encode_into(b)
-        .u64(r.active)
-        .f64(r.global_contrib)
-        .u64(r.n_primary)
-        .u64(r.seq)
-        .u64(r.epoch);
-    put_counts(b, &r.sent).finish()
-}
-
-/// Decode a READY frame.
-pub fn decode_ready(frame: &Frame) -> Option<ReadyReport> {
-    let mut r = expect(frame, packet::READY)?;
-    Some(ReadyReport {
-        agent: r.u64()?,
-        run: r.u64()?,
-        step: r.u32()?,
-        phase: Phase::from_u8(r.u8()?)?,
-        counters: Counters::decode(&mut r)?,
-        active: r.u64()?,
-        global_contrib: r.f64()?,
-        n_primary: r.u64()?,
-        seq: r.u64()?,
-        epoch: r.u64()?,
-        sent: take_counts(&mut r)?,
-    })
-}
-
-/// A barrier advance broadcast by the directory.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Advance {
-    /// Run id.
-    pub run: u64,
-    /// Superstep to execute.
-    pub step: u32,
-    /// Phase to execute.
-    pub phase: Phase,
-    /// Global vertex count.
-    pub n_vertices: u64,
-    /// Global reduce value (Σ `global_contrib`).
-    pub global: f64,
-    /// When set, the run is complete; `step`/`phase` are final.
-    pub done: bool,
-    /// Only on `phase == Combine`: nothing is split under the run's
-    /// view, so Combine and Apply exchange nothing between agents. Run
-    /// combine → apply → the next step's scatter in one go and answer
-    /// with one `READY(step + 1, Scatter)` carrying the apply's
-    /// `active`.
-    pub chain: bool,
-    /// On an advance that answers a Scatter barrier — `phase ==
-    /// Combine`, or `done` after a chained verdict — what the members
-    /// reported sent in that scatter, summed per receiver: an agent
-    /// acts on the advance once it has taken in that many VMSG records
-    /// of [`Advance::scatter_step`]. Empty on every other advance.
-    pub expect: StepCounts,
+    /// A barrier advance broadcast by the directory.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct Advance: ADVANCE {
+        /// Run id.
+        pub run: u64,
+        /// Superstep to execute.
+        pub step: u32,
+        /// Phase to execute.
+        pub phase: Phase,
+        /// Global vertex count.
+        pub n_vertices: u64,
+        /// Global reduce value (Σ `global_contrib`).
+        pub global: f64,
+        /// When set, the run is complete; `step`/`phase` are final.
+        pub done: bool |
+        /// Only on `phase == Combine`: nothing is split under the run's
+        /// view, so Combine and Apply exchange nothing between agents. Run
+        /// combine → apply → the next step's scatter in one go and answer
+        /// with one `READY(step + 1, Scatter)` carrying the apply's
+        /// `active`.
+        pub chain: bool,
+        /// On an advance that answers a Scatter barrier — `phase ==
+        /// Combine`, or `done` after a chained verdict — what the members
+        /// reported sent in that scatter, summed per receiver: an agent
+        /// acts on the advance once it has taken in that many VMSG records
+        /// of [`Advance::scatter_step`]. Empty on every other advance.
+        pub expect: StepCounts,
+    }
 }
 
 impl Advance {
@@ -1183,41 +1227,6 @@ impl Advance {
     }
 }
 
-/// ADVANCE flags byte: bit 0 `done`, bit 1 `chain`.
-const ADVANCE_DONE: u8 = 1;
-const ADVANCE_CHAIN: u8 = 2;
-
-/// Encode an ADVANCE frame.
-pub fn encode_advance(a: &Advance) -> Frame {
-    let flags = if a.done { ADVANCE_DONE } else { 0 } | if a.chain { ADVANCE_CHAIN } else { 0 };
-    let b = Frame::builder(packet::ADVANCE)
-        .u64(a.run)
-        .u32(a.step)
-        .u8(a.phase as u8)
-        .u64(a.n_vertices)
-        .f64(a.global)
-        .u8(flags);
-    put_counts(b, &a.expect).finish()
-}
-
-/// Decode an ADVANCE frame.
-pub fn decode_advance(frame: &Frame) -> Option<Advance> {
-    let mut r = expect(frame, packet::ADVANCE)?;
-    let (run, step) = (r.u64()?, r.u32()?);
-    let phase = Phase::from_u8(r.u8()?)?;
-    let (n_vertices, global, flags) = (r.u64()?, r.f64()?, r.u8()?);
-    Some(Advance {
-        run,
-        step,
-        phase,
-        n_vertices,
-        global,
-        done: flags & ADVANCE_DONE != 0,
-        chain: flags & ADVANCE_CHAIN != 0,
-        expect: take_counts(&mut r)?,
-    })
-}
-
 // ---------------------------------------------------------------------
 // Migration record streams
 //
@@ -1228,16 +1237,31 @@ pub fn decode_advance(frame: &Frame) -> Option<Advance> {
 // migrate READY, and the receiver walks a borrowed [`Records`] view
 // (`decode_mig_*`).
 
-/// One migrating edge: MIG_EDGES record, 17 bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MigEdge {
-    /// Which placement of the edge moves ([`Side::Out`]: the out-edge
-    /// stored on `src`; [`Side::In`]: the in-edge stored on `dst`).
-    pub side: Side,
-    /// Edge source.
-    pub src: VertexId,
-    /// Edge destination.
-    pub dst: VertexId,
+record! {
+    /// One migrating edge: MIG_EDGES record, 17 bytes.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct MigEdge {
+        /// Which placement of the edge moves ([`Side::Out`]: the out-edge
+        /// stored on `src`; [`Side::In`]: the in-edge stored on `dst`).
+        pub side: Side,
+        /// Edge source.
+        pub src: VertexId,
+        /// Edge destination.
+        pub dst: VertexId,
+    }
+
+    /// The sender's replica copy of a vertex whose edges are moving:
+    /// MIG_STATE record, 34 bytes — a [`StateRecord`] (`aux` carries a
+    /// delta run's un-scattered pending delta, zero for none) plus whether
+    /// the state is initialized. Sent once per (vertex, destination),
+    /// ahead of the vertex's edges.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct MigState {
+        /// The replica snapshot.
+        pub rec: StateRecord,
+        /// Whether `rec.state` is initialized.
+        pub has_state: bool,
+    }
 }
 
 impl MigEdge {
@@ -1263,128 +1287,6 @@ impl MigEdge {
     }
 }
 
-impl WireRecord for MigEdge {
-    const STRIDE: usize = 17;
-
-    #[inline]
-    fn validate(chunk: &[u8]) -> bool {
-        chunk[0] <= 1
-    }
-
-    #[inline]
-    fn parse(chunk: &[u8]) -> Self {
-        MigEdge {
-            side: if chunk[0] == 0 { Side::Out } else { Side::In },
-            src: le_u64(chunk, 1),
-            dst: le_u64(chunk, 9),
-        }
-    }
-
-    #[inline]
-    fn write(&self, slot: &mut [u8]) {
-        slot[0] = side_byte(self.side);
-        put_u64(slot, 1, self.src);
-        put_u64(slot, 9, self.dst);
-    }
-}
-
-/// The sender's replica copy of a vertex whose edges are moving:
-/// MIG_STATE record, 34 bytes — a [`StateRecord`] (`aux` carries a
-/// delta run's un-scattered pending delta, zero for none) plus whether
-/// the state is initialized. Sent once per (vertex, destination),
-/// ahead of the vertex's edges.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MigState {
-    /// The replica snapshot.
-    pub rec: StateRecord,
-    /// Whether `rec.state` is initialized.
-    pub has_state: bool,
-}
-
-impl WireRecord for MigState {
-    const STRIDE: usize = StateRecord::STRIDE + 1;
-
-    #[inline]
-    fn parse(chunk: &[u8]) -> Self {
-        MigState {
-            rec: StateRecord::parse(&chunk[..StateRecord::STRIDE]),
-            has_state: chunk[StateRecord::STRIDE] != 0,
-        }
-    }
-
-    #[inline]
-    fn write(&self, slot: &mut [u8]) {
-        self.rec.write(&mut slot[..StateRecord::STRIDE]);
-        slot[StateRecord::STRIDE] = self.has_state as u8;
-    }
-}
-
-/// MIG_META record: 71 bytes, fields in declaration order, flags one
-/// byte each.
-impl WireRecord for MetaRecord {
-    const STRIDE: usize = 71;
-
-    #[inline]
-    fn parse(chunk: &[u8]) -> Self {
-        MetaRecord {
-            vertex: le_u64(chunk, 0),
-            state: le_u64(chunk, 8),
-            out_degree: le_u64(chunk, 16),
-            in_degree: le_u64(chunk, 24),
-            active: chunk[32] != 0,
-            dirty: chunk[33] != 0,
-            has_state: chunk[34] != 0,
-            has_meta: chunk[35] != 0,
-            ppartial: le_u64(chunk, 36),
-            has_ppartial: chunk[44] != 0,
-            wait_recv: le_u64(chunk, 45),
-            residual: le_u64(chunk, 53),
-            has_residual: chunk[61] != 0,
-            snap: le_u64(chunk, 62),
-            has_snap: chunk[70] != 0,
-        }
-    }
-
-    #[inline]
-    fn write(&self, slot: &mut [u8]) {
-        put_u64(slot, 0, self.vertex);
-        put_u64(slot, 8, self.state);
-        put_u64(slot, 16, self.out_degree);
-        put_u64(slot, 24, self.in_degree);
-        slot[32] = self.active as u8;
-        slot[33] = self.dirty as u8;
-        slot[34] = self.has_state as u8;
-        slot[35] = self.has_meta as u8;
-        put_u64(slot, 36, self.ppartial);
-        slot[44] = self.has_ppartial as u8;
-        put_u64(slot, 45, self.wait_recv);
-        put_u64(slot, 53, self.residual);
-        slot[61] = self.has_residual as u8;
-        put_u64(slot, 62, self.snap);
-        slot[70] = self.has_snap as u8;
-    }
-}
-
-/// Append migrating edges to `out`'s open MIG_EDGES frame.
-pub fn append_mig_edges(out: &mut CoalescingOutbox, edges: &[MigEdge]) {
-    append_records(out, packet::MIG_EDGES, 0, &[], edges);
-}
-
-/// Decode a MIG_EDGES frame into a borrowed record view.
-pub fn decode_mig_edges(frame: &Frame) -> Option<Records<'_, MigEdge>> {
-    decode_records(frame, packet::MIG_EDGES)
-}
-
-/// Append replica snapshots to `out`'s open MIG_STATE frame.
-pub fn append_mig_states(out: &mut CoalescingOutbox, snaps: &[MigState]) {
-    append_records(out, packet::MIG_STATE, 0, &[], snaps);
-}
-
-/// Decode a MIG_STATE frame into a borrowed record view.
-pub fn decode_mig_states(frame: &Frame) -> Option<Records<'_, MigState>> {
-    decode_records(frame, packet::MIG_STATE)
-}
-
 /// Append primary meta records to `out`'s open MIG_META frame. The
 /// header carries the sender's serving-snapshot tag `(snap_run,
 /// snap_watermark)` so a joining agent adopting migrated snaps also
@@ -1399,113 +1301,68 @@ pub fn append_mig_meta(
     // Small counters both: packed side by side they cannot collide in
     // practice (as a `(run, step)` key).
     let key = snap_run.rotate_left(32) ^ snap_watermark;
-    let header = header_u64s(snap_run, snap_watermark);
+    let header = header::<16>([snap_run, snap_watermark]);
     append_records(out, packet::MIG_META, key, &header, metas);
 }
 
 /// Decode a MIG_META frame into `(snap_run, snap_watermark, records)`:
 /// the sender's serving-snapshot tag and a borrowed record view.
 pub fn decode_mig_meta(frame: &Frame) -> Option<(u64, u64, Records<'_, MetaRecord>)> {
-    let mut r = expect(frame, packet::MIG_META)?;
-    let (snap_run, snap_watermark) = (r.u64()?, r.u64()?);
-    let n = r.u32()? as usize;
-    Some((snap_run, snap_watermark, Records::new(r.rest(), n)?))
+    let ([snap_run, snap_watermark], records) = decode_headed(frame, packet::MIG_META)?;
+    Some((snap_run, snap_watermark, records))
 }
 
-/// Primary-side vertex metadata moved during migration.
-///
-/// Besides the meta payload (global out-degree, dirty flag), the record
-/// carries the vertex's *async run state* — the §3.2 waiting-set
-/// progress that lives only at the primary. Migrating it keeps an
-/// asynchronous run correct across a mid-run view change: the new
-/// primary resumes the waiting set exactly where the old one left off
-/// instead of waiting forever for messages that were already consumed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MetaRecord {
-    /// The vertex.
-    pub vertex: VertexId,
-    /// Encoded program state (meaningless when `has_state` is false).
-    pub state: u64,
-    /// Global out-degree accumulated at the primary.
-    pub out_degree: u64,
-    /// Global in-degree accumulated at the primary.
-    pub in_degree: u64,
-    /// Active flag.
-    pub active: bool,
-    /// Touched by changes since the last run.
-    pub dirty: bool,
-    /// Whether `state` is initialized.
-    pub has_state: bool,
-    /// Whether this record carries primary metadata (the degrees,
-    /// existence). False for records shipped solely to hand off async
-    /// run state for a vertex whose meta lives elsewhere.
-    pub has_meta: bool,
-    /// Pending combined partial of an async waiting set (meaningless
-    /// when `has_ppartial` is false).
-    pub ppartial: u64,
-    /// Whether `ppartial` holds a combined value.
-    pub has_ppartial: bool,
-    /// Messages received so far toward the vertex's waiting set.
-    pub wait_recv: u64,
-    /// Unapplied residual of an incremental run (meaningless when
-    /// `has_residual` is false). Residuals live only at the primary, so
-    /// migrating them with the meta bundle keeps delta runs exact
-    /// across a mid-run view change.
-    pub residual: u64,
-    /// Whether `residual` holds an accumulated delta.
-    pub has_residual: bool,
-    /// Query-serving snapshot (the vertex's value at the last completed
-    /// run; meaningless when `has_snap` is false). Moves with
-    /// primaryship so snapshot reads survive view changes.
-    pub snap: u64,
-    /// Whether `snap` holds a completed-run value.
-    pub has_snap: bool,
-}
-
-/// Encode degree deltas: `[(vertex, out_delta, in_delta)]` sent to each
-/// vertex's primary so it maintains global degrees, existence and the
-/// dirty flag.
-pub fn encode_deg_deltas(deltas: &[(VertexId, i64, i64)]) -> Frame {
-    encode_records(packet::DEG_DELTA, &[], deltas)
-}
-
-/// Append degree deltas to `out`'s open DEG_DELTA frame.
-pub fn append_deg_deltas(out: &mut CoalescingOutbox, deltas: &[(VertexId, i64, i64)]) {
-    append_records(out, packet::DEG_DELTA, 0, &[], deltas);
-}
-
-/// Decode a DEG_DELTA frame into a borrowed record view.
-pub fn decode_deg_deltas(frame: &Frame) -> Option<Records<'_, (VertexId, i64, i64)>> {
-    decode_records(frame, packet::DEG_DELTA)
-}
-
-/// Encode residual corrections: `[(vertex, delta)]` sent to each
-/// vertex's primary at ingest time so the next incremental run's
-/// frontier and mass budget reflect the batch's edge changes. `delta`
-/// is program-encoded (f64 bits for PageRank) and merged with the
-/// program's `merge_residual`.
-pub fn encode_residuals(residuals: &[(VertexId, u64)]) -> Frame {
-    encode_records(packet::RESIDUAL, &[], residuals)
-}
-
-/// Append residual corrections to `out`'s open RESIDUAL frame.
-pub fn append_residuals(out: &mut CoalescingOutbox, residuals: &[(VertexId, u64)]) {
-    append_records(out, packet::RESIDUAL, 0, &[], residuals);
-}
-
-/// Decode a RESIDUAL frame into a borrowed record view.
-pub fn decode_residuals(frame: &Frame) -> Option<Records<'_, (VertexId, u64)>> {
-    decode_records(frame, packet::RESIDUAL)
-}
-
-/// Encode a QUERY_BATCH request: point-lookup `vertices` in one frame.
-pub fn encode_query_batch(vertices: &[VertexId]) -> Frame {
-    encode_records(packet::QUERY_BATCH, &[], vertices)
-}
-
-/// Decode a QUERY_BATCH request into a borrowed record view.
-pub fn decode_query_batch(frame: &Frame) -> Option<Records<'_, VertexId>> {
-    decode_records(frame, packet::QUERY_BATCH)
+record! {
+    /// Primary-side vertex metadata moved during migration: MIG_META
+    /// record, 71 bytes.
+    ///
+    /// Besides the meta payload (global out-degree, dirty flag), the record
+    /// carries the vertex's *async run state* — the §3.2 waiting-set
+    /// progress that lives only at the primary. Migrating it keeps an
+    /// asynchronous run correct across a mid-run view change: the new
+    /// primary resumes the waiting set exactly where the old one left off
+    /// instead of waiting forever for messages that were already consumed.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct MetaRecord {
+        /// The vertex.
+        pub vertex: VertexId,
+        /// Encoded program state (meaningless when `has_state` is false).
+        pub state: u64,
+        /// Global out-degree accumulated at the primary.
+        pub out_degree: u64,
+        /// Global in-degree accumulated at the primary.
+        pub in_degree: u64,
+        /// Active flag.
+        pub active: bool,
+        /// Touched by changes since the last run.
+        pub dirty: bool,
+        /// Whether `state` is initialized.
+        pub has_state: bool,
+        /// Whether this record carries primary metadata (the degrees,
+        /// existence). False for records shipped solely to hand off async
+        /// run state for a vertex whose meta lives elsewhere.
+        pub has_meta: bool,
+        /// Pending combined partial of an async waiting set (meaningless
+        /// when `has_ppartial` is false).
+        pub ppartial: u64,
+        /// Whether `ppartial` holds a combined value.
+        pub has_ppartial: bool,
+        /// Messages received so far toward the vertex's waiting set.
+        pub wait_recv: u64,
+        /// Unapplied residual of an incremental run (meaningless when
+        /// `has_residual` is false). Residuals live only at the primary, so
+        /// migrating them with the meta bundle keeps delta runs exact
+        /// across a mid-run view change.
+        pub residual: u64,
+        /// Whether `residual` holds an accumulated delta.
+        pub has_residual: bool,
+        /// Query-serving snapshot (the vertex's value at the last completed
+        /// run; meaningless when `has_snap` is false). Moves with
+        /// primaryship so snapshot reads survive view changes.
+        pub snap: u64,
+        /// Whether `snap` holds a completed-run value.
+        pub has_snap: bool,
+    }
 }
 
 /// Encode a QUERY_BATCH reply: per-vertex answers tagged with the
@@ -1514,37 +1371,14 @@ pub fn decode_query_batch(frame: &Frame) -> Option<Records<'_, VertexId>> {
 /// when that run finished. All answers in one reply come from the same
 /// snapshot; a client never observes torn mid-superstep state.
 pub fn encode_query_batch_rep(run: u64, watermark: u64, answers: &[QueryAnswer]) -> Frame {
-    let header = header_u64s(run, watermark);
-    encode_records(packet::QUERY_BATCH_REP, &header, answers)
+    let header = header::<16>([run, watermark]);
+    encode_records(packet::QUERY_BATCH, &header, answers)
 }
 
 /// Decode a QUERY_BATCH reply into `(run, watermark, answers)`.
 pub fn decode_query_batch_rep(frame: &Frame) -> Option<(u64, u64, Records<'_, QueryAnswer>)> {
-    let mut r = expect(frame, packet::QUERY_BATCH_REP)?;
-    let (run, watermark) = (r.u64()?, r.u64()?);
-    let n = r.u32()? as usize;
-    Some((run, watermark, Records::new(r.rest(), n)?))
-}
-
-/// Encode a SUB_REG request: register standing subscription `sub`
-/// (client-chosen id, unique per push address) covering `vertices`;
-/// the agent pushes value deltas to `addr` after each completed run.
-/// An empty vertex list cancels the subscription.
-pub fn encode_sub_reg(addr: &Addr, sub: u64, vertices: &[VertexId]) -> Frame {
-    Frame::builder(packet::SUB_REG)
-        .bytes(addr.to_string().as_bytes())
-        .u64(sub)
-        .records(VertexId::STRIDE, vertices, VertexId::write)
-        .finish()
-}
-
-/// Decode a SUB_REG request into `(push address, sub id, vertices)`.
-pub fn decode_sub_reg(frame: &Frame) -> Option<(Addr, u64, Records<'_, VertexId>)> {
-    let mut r = expect(frame, packet::SUB_REG)?;
-    let addr = Addr::parse(std::str::from_utf8(r.bytes()?).ok()?).ok()?;
-    let sub = r.u64()?;
-    let n = r.u32()? as usize;
-    Some((addr, sub, Records::new(r.rest(), n)?))
+    let ([run, watermark], answers) = decode_headed(frame, packet::QUERY_BATCH)?;
+    Some((run, watermark, answers))
 }
 
 /// Append changed `(vertex, state)` pairs to `out`'s open SUB_PUSH
@@ -1557,9 +1391,7 @@ pub fn append_sub_pushes(
     watermark: u64,
     pushes: &[(VertexId, u64)],
 ) {
-    let mut header = [0; 24];
-    put_u64(&mut header, 0, sub);
-    header[8..].copy_from_slice(&header_u64s(run, watermark));
+    let header = header::<24>([sub, run, watermark]);
     append_records(out, packet::SUB_PUSH, sub, &header, pushes);
 }
 
@@ -1568,467 +1400,258 @@ pub type SubPush<'a> = (u64, u64, u64, Records<'a, (VertexId, u64)>);
 
 /// Decode a SUB_PUSH frame into `(sub, run, watermark, records)`.
 pub fn decode_sub_push(frame: &Frame) -> Option<SubPush<'_>> {
-    let mut r = expect(frame, packet::SUB_PUSH)?;
-    let (sub, run, watermark) = (r.u64()?, r.u64()?, r.u64()?);
-    let n = r.u32()? as usize;
-    Some((sub, run, watermark, Records::new(r.rest(), n)?))
+    let ([sub, run, watermark], records) = decode_headed(frame, packet::SUB_PUSH)?;
+    Some((sub, run, watermark, records))
 }
 
-/// Encode an ARM_DELTA request: before replaying a log suffix onto a
-/// restored cluster, re-arm every agent's ingest-time delta seed with
-/// the program (`tag`, `params`) and the vertex count `n` the restored
-/// states converged under, so the replay regenerates the same residual
-/// corrections live ingest would have produced.
-pub fn encode_arm_delta(tag: u8, params: [u64; 3], n: u64) -> Frame {
-    Frame::builder(packet::ARM_DELTA)
-        .u8(tag)
-        .u64(params[0])
-        .u64(params[1])
-        .u64(params[2])
-        .u64(n)
-        .finish()
-}
-
-/// Decode an ARM_DELTA request into `(tag, params, n)`.
-pub fn decode_arm_delta(frame: &Frame) -> Option<(u8, [u64; 3], u64)> {
-    let mut r = expect(frame, packet::ARM_DELTA)?;
-    Some((r.u8()?, [r.u64()?, r.u64()?, r.u64()?], r.u64()?))
-}
-
-/// Encode a DANGLING_GET request (no payload): read the lead
-/// directory's dangling-mass book.
-pub fn encode_dangling_get() -> Frame {
-    Frame::builder(packet::DANGLING_GET).finish()
-}
-
-/// Encode a DANGLING_GET reply: the lead's converged dangling mass and
-/// the vertex count it was accumulated under.
-pub fn encode_dangling_rep(mass: f64, n: u64) -> Frame {
-    Frame::builder(packet::DANGLING_REP)
-        .f64(mass)
-        .u64(n)
-        .finish()
-}
-
-/// Decode a DANGLING_GET reply into `(mass, n)`.
-pub fn decode_dangling_rep(frame: &Frame) -> Option<(f64, u64)> {
-    let mut r = expect(frame, packet::DANGLING_REP)?;
-    Some((r.f64()?, r.u64()?))
-}
-
-/// Encode a DANGLING_SET request: seed the lead's dangling-mass book
-/// after a checkpoint restore. `mass`/`n` reinstate the book the
-/// manifest recorded at checkpoint time; `carry` is the dangling-mass
-/// drift between the restored states and that book (log-suffix changes
-/// whose unreported accumulators died with the old agents), absorbed
-/// into the global term at the next delta run's first reduction.
-pub fn encode_dangling_set(mass: f64, n: u64, carry: f64) -> Frame {
-    Frame::builder(packet::DANGLING_SET)
-        .f64(mass)
-        .u64(n)
-        .f64(carry)
-        .finish()
-}
-
-/// Decode a DANGLING_SET request into `(mass, n, carry)`.
-pub fn decode_dangling_set(frame: &Frame) -> Option<(f64, u64, f64)> {
-    let mut r = expect(frame, packet::DANGLING_SET)?;
-    Some((r.f64()?, r.u64()?, r.f64()?))
-}
-
-/// Encode a CKPT_SAVE request: write one shard of checkpoint
-/// `generation` at view `epoch`, covering the first `watermark`
-/// ingested change records.
-pub fn encode_ckpt_save(generation: u64, epoch: u64, watermark: u64) -> Frame {
-    Frame::builder(packet::CKPT_SAVE)
-        .u64(generation)
-        .u64(epoch)
-        .u64(watermark)
-        .finish()
-}
-
-/// Decode a CKPT_SAVE request into `(generation, epoch, watermark)`.
-pub fn decode_ckpt_save(frame: &Frame) -> Option<(u64, u64, u64)> {
-    let mut r = expect(frame, packet::CKPT_SAVE)?;
-    Some((r.u64()?, r.u64()?, r.u64()?))
-}
-
-/// One agent's reply to a CKPT_SAVE request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CkptSaveReport {
-    /// Whether the shard file was written, fsynced and renamed into
-    /// place. False leaves the generation uncommittable — the driver
-    /// must not write a manifest for it.
-    pub ok: bool,
-    /// Serialized payload bytes (0 on failure).
-    pub bytes: u64,
-    /// Wall time spent serializing and writing, in nanoseconds.
-    pub nanos: u64,
-}
-
-/// Encode a CKPT_SAVE reply.
-pub fn encode_ckpt_save_reply(r: &CkptSaveReport) -> Frame {
-    Frame::builder(packet::CKPT_SAVE)
-        .u8(r.ok as u8)
-        .u64(r.bytes)
-        .u64(r.nanos)
-        .finish()
-}
-
-/// Decode a CKPT_SAVE reply.
-pub fn decode_ckpt_save_reply(frame: &Frame) -> Option<CkptSaveReport> {
-    let mut r = expect(frame, packet::CKPT_SAVE)?;
-    Some(CkptSaveReport {
-        ok: r.u8()? != 0,
-        bytes: r.u64()?,
-        nanos: r.u64()?,
-    })
-}
-
-/// One restored vertex's edges for one placement side, re-routed by
-/// the driver under the post-recovery view.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CkptEdgeGroup {
-    /// Which placement the group targets.
-    pub side: Side,
-    /// The vertex the edges belong to.
-    pub vertex: VertexId,
-    /// Replica-visible program state (meaningless when `has_state` is
-    /// false).
-    pub state: u64,
-    /// Whether `state` is initialized.
-    pub has_state: bool,
-    /// Replica-visible out-degree snapshot (scatter denominators).
-    pub rep_out_degree: u64,
-    /// Active flag.
-    pub active: bool,
-    /// The other endpoints: targets of out-edges (`side == Out`) or
-    /// sources of in-edges (`side == In`).
-    pub others: Vec<VertexId>,
-}
-
-/// Encode a batch of restored edge groups.
-pub fn encode_ckpt_edges(groups: &[CkptEdgeGroup]) -> Frame {
-    let mut b = Frame::builder(packet::CKPT_EDGES).u32(groups.len() as u32);
-    for g in groups {
-        b = b
-            .u8(match g.side {
-                Side::Out => 0,
-                Side::In => 1,
-            })
-            .u64(g.vertex)
-            .u64(g.state)
-            .u8(g.has_state as u8)
-            .u64(g.rep_out_degree)
-            .u8(g.active as u8)
-            .u32(g.others.len() as u32);
-        for &w in &g.others {
-            b = b.u64(w);
-        }
+wire! {
+    /// Description of an in-progress run: the START broadcast, and what
+    /// a JOIN reply hands a late joiner.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct RunInfo: START {
+        /// Run identifier.
+        pub run_id: u64,
+        /// Program spec tag.
+        pub tag: u8,
+        /// Program spec params.
+        pub params: [u64; 3],
+        /// Whether state is reused (incremental run).
+        pub reuse_state: bool,
+        /// Async flag.
+        pub asynchronous: bool,
+        /// Whether this run executes the residual delta formulation:
+        /// frontier seeded from ingest-time corrections, unchanged vertices
+        /// untouched. Resolved by the driver from the program's
+        /// [`DeltaKind`](crate::program::DeltaKind) so every agent agrees.
+        pub delta: bool,
+        /// Per-vertex dangling term already baked into the carried states
+        /// (total dangling mass / vertex count at the previous
+        /// convergence). Filled in by the lead when it launches a delta
+        /// run; vertices that first appear in this run receive it as a
+        /// seed residual, since unlike pre-existing vertices they never
+        /// absorbed the term into their state.
+        pub dangling_base: f64,
+        /// Ingest batches the lead had folded when it launched the run
+        /// (filled in by the lead, like `dangling_base`). The run's
+        /// snapshot is tagged with it: the same value on every agent,
+        /// joiners included, because it travels with the run and not with
+        /// whichever view an agent last saw.
+        pub watermark: u64,
     }
-    b.finish()
-}
 
-/// Decode a CKPT_EDGES frame.
-pub fn decode_ckpt_edges(frame: &Frame) -> Option<Vec<CkptEdgeGroup>> {
-    let mut r = expect(frame, packet::CKPT_EDGES)?;
-    let n = r.u32()? as usize;
-    // 31 bytes is the minimum (edgeless) group encoding.
-    let mut groups = Vec::with_capacity(n.min(r.remaining() / 31));
-    for _ in 0..n {
-        let side = match r.u8()? {
-            0 => Side::Out,
-            1 => Side::In,
-            _ => return None,
-        };
-        let vertex = r.u64()?;
-        let state = r.u64()?;
-        let has_state = r.u8()? != 0;
-        let rep_out_degree = r.u64()?;
-        let active = r.u8()? != 0;
-        let m = r.u32()? as usize;
-        let mut others = Vec::with_capacity(m.min(r.remaining() / 8));
-        for _ in 0..m {
-            others.push(r.u64()?);
-        }
-        groups.push(CkptEdgeGroup {
-            side,
-            vertex,
-            state,
-            has_state,
-            rep_out_degree,
-            active,
-            others,
-        });
+    /// A standing-subscription registration: the agent pushes value
+    /// changes of `vertices` to `addr` after each completed run. An empty
+    /// list cancels subscription `sub`.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct SubReg: SUB_REG {
+        /// Where SUB_PUSH frames go.
+        pub addr: Addr,
+        /// Client-chosen id, unique per push address.
+        pub sub: u64,
+        /// The watched vertices.
+        pub vertices: Vec<VertexId>,
     }
-    Some(groups)
-}
 
-/// Primary-side vertex metadata restored from a checkpoint.
-///
-/// Unlike [`MetaRecord`] this carries the global degrees signed and
-/// no async run state: checkpoints are taken only at quiesced batch
-/// boundaries, where no run is in flight.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CkptMetaRecord {
-    /// The vertex.
-    pub vertex: VertexId,
-    /// Encoded program state (meaningless when `has_state` is false).
-    pub state: u64,
-    /// Whether `state` is initialized.
-    pub has_state: bool,
-    /// Active flag.
-    pub active: bool,
-    /// Touched by changes since the last run.
-    pub dirty: bool,
-    /// Whether the vertex existed as a primary (meta) entry.
-    pub is_meta: bool,
-    /// Global out-degree accumulated at the primary.
-    pub g_out: i64,
-    /// Global in-degree accumulated at the primary.
-    pub g_in: i64,
-    /// Unapplied incremental-run residual carried across the restart
-    /// (meaningless when `has_residual` is false).
-    pub residual: u64,
-    /// Whether `residual` holds an accumulated delta.
-    pub has_residual: bool,
-}
-
-/// Encode a batch of restored meta records.
-pub fn encode_ckpt_meta(recs: &[CkptMetaRecord]) -> Frame {
-    let mut b = Frame::builder(packet::CKPT_META).u32(recs.len() as u32);
-    for m in recs {
-        b = b
-            .u64(m.vertex)
-            .u64(m.state)
-            .u8(m.has_state as u8)
-            .u8(m.active as u8)
-            .u8(m.dirty as u8)
-            .u8(m.is_meta as u8)
-            .u64(m.g_out as u64)
-            .u64(m.g_in as u64)
-            .u64(m.residual)
-            .u8(m.has_residual as u8);
+    /// The reply to a JOIN: the view plus the run in progress, if any.
+    #[derive(Debug, Clone)]
+    pub struct JoinReply: JOIN {
+        /// The view the joiner starts from.
+        pub view: DirectoryView as frame,
+        /// The run it joins mid-way.
+        pub run: Option<RunInfo>,
     }
-    b.finish()
-}
 
-/// Decode a CKPT_META frame.
-pub fn decode_ckpt_meta(frame: &Frame) -> Option<Vec<CkptMetaRecord>> {
-    let mut r = expect(frame, packet::CKPT_META)?;
-    let n = r.u32()? as usize;
-    let mut recs = Vec::with_capacity(n.min(r.remaining() / 45));
-    for _ in 0..n {
-        recs.push(CkptMetaRecord {
-            vertex: r.u64()?,
-            state: r.u64()?,
-            has_state: r.u8()? != 0,
-            active: r.u8()? != 0,
-            dirty: r.u8()? != 0,
-            is_meta: r.u8()? != 0,
-            g_out: r.u64()? as i64,
-            g_in: r.u64()? as i64,
-            residual: r.u64()?,
-            has_residual: r.u8()? != 0,
-        });
+    /// Run status snapshot returned by the directory.
+    #[derive(Debug, Clone, PartialEq, Default)]
+    pub struct RunStatus: RUN_STATUS {
+        /// Run id (0 when none has run).
+        pub run_id: u64,
+        /// Whether a run is in progress.
+        pub running: bool,
+        /// Whether the last run completed.
+        pub done: bool,
+        /// Whether a migrate barrier is outstanding (elastic change or
+        /// sketch update still settling).
+        pub migrating: bool,
+        /// Supersteps completed.
+        pub steps: u32,
+        /// Global vertex count at the last barrier.
+        pub n_vertices: u64,
+        /// The lead's view epoch: a driver holding the member list of this
+        /// epoch need not fetch the view again.
+        pub epoch: u64,
+        /// Per-superstep wall times in nanoseconds.
+        pub step_nanos: Vec<u64>,
+        /// Final counter totals of the agents that left: what an outside
+        /// quiescence check adds to the live agents' DRAIN replies so the
+        /// cumulative sums balance.
+        pub departed: Counters,
     }
-    Some(recs)
-}
 
-/// Description of an in-progress run, handed to late-joining agents.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RunInfo {
-    /// Run identifier.
-    pub run_id: u64,
-    /// Program spec tag.
-    pub tag: u8,
-    /// Program spec params.
-    pub params: [u64; 3],
-    /// Whether state is reused (incremental run).
-    pub reuse_state: bool,
-    /// Async flag.
-    pub asynchronous: bool,
-    /// Whether this run executes the residual delta formulation:
-    /// frontier seeded from ingest-time corrections, unchanged vertices
-    /// untouched. Resolved by the driver from the program's
-    /// [`DeltaKind`](crate::program::DeltaKind) so every agent agrees.
-    pub delta: bool,
-    /// Per-vertex dangling term already baked into the carried states
-    /// (total dangling mass / vertex count at the previous
-    /// convergence). Filled in by the lead when it launches a delta
-    /// run; vertices that first appear in this run receive it as a
-    /// seed residual, since unlike pre-existing vertices they never
-    /// absorbed the term into their state.
-    pub dangling_base: f64,
-    /// Ingest batches the lead had folded when it launched the run
-    /// (filled in by the lead, like `dangling_base`). The run's
-    /// snapshot is tagged with it: the same value on every agent,
-    /// joiners included, because it travels with the run and not with
-    /// whichever view an agent last saw.
-    pub watermark: u64,
-}
-
-/// Append a [`RunInfo`] (START, and the tail of a JOIN reply).
-fn write_run_info(b: elga_net::frame::FrameBuilder, r: &RunInfo) -> elga_net::frame::FrameBuilder {
-    b.u64(r.run_id)
-        .u8(r.tag)
-        .u64(r.params[0])
-        .u64(r.params[1])
-        .u64(r.params[2])
-        .u8(r.reuse_state as u8)
-        .u8(r.asynchronous as u8)
-        .u8(r.delta as u8)
-        .f64(r.dangling_base)
-        .u64(r.watermark)
-}
-
-/// Read what [`write_run_info`] wrote.
-fn read_run_info(r: &mut FrameReader<'_>) -> Option<RunInfo> {
-    Some(RunInfo {
-        run_id: r.u64()?,
-        tag: r.u8()?,
-        params: [r.u64()?, r.u64()?, r.u64()?],
-        reuse_state: r.u8()? != 0,
-        asynchronous: r.u8()? != 0,
-        delta: r.u8()? != 0,
-        dangling_base: r.f64()?,
-        watermark: r.u64()?,
-    })
-}
-
-/// Encode a JOIN reply: the view plus an optional in-progress run.
-pub fn encode_join_reply(view: &DirectoryView, run: Option<&RunInfo>) -> Frame {
-    let b = Frame::builder(packet::JOIN_REP).bytes(view.encode().as_bytes());
-    match run {
-        None => b.u8(0),
-        Some(r) => write_run_info(b.u8(1), r),
+    /// An agent's reply to DRAIN, sent once its open frames are on the
+    /// wire.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct DrainReport: DRAIN {
+        /// Its cumulative counters.
+        pub counters: Counters,
+        /// Its adopted view epoch.
+        pub epoch: u64,
     }
-    .finish()
-}
 
-/// Decode a JOIN reply.
-pub fn decode_join_reply(frame: &Frame) -> Option<(DirectoryView, Option<RunInfo>)> {
-    let mut r = expect(frame, packet::JOIN_REP)?;
-    let view = DirectoryView::decode_slice(r.bytes()?)?;
-    let run = match r.u8()? {
-        0 => None,
-        _ => Some(read_run_info(&mut r)?),
-    };
-    Some((view, run))
-}
-
-/// Encode a START request/broadcast.
-pub fn encode_start(run: &RunInfo) -> Frame {
-    write_run_info(Frame::builder(packet::START), run).finish()
-}
-
-/// Decode a START frame.
-pub fn decode_start(frame: &Frame) -> Option<RunInfo> {
-    read_run_info(&mut expect(frame, packet::START)?)
-}
-
-/// Run status snapshot returned by the directory.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct RunStatus {
-    /// Run id (0 when none has run).
-    pub run_id: u64,
-    /// Whether a run is in progress.
-    pub running: bool,
-    /// Whether the last run completed.
-    pub done: bool,
-    /// Supersteps completed.
-    pub steps: u32,
-    /// Whether a migrate barrier is outstanding (elastic change or
-    /// sketch update still settling).
-    pub migrating: bool,
-    /// Per-superstep wall times in nanoseconds.
-    pub step_nanos: Vec<u64>,
-    /// Global vertex count at the last barrier.
-    pub n_vertices: u64,
-    /// The lead's view epoch: a driver holding the member list of this
-    /// epoch need not fetch the view again.
-    pub epoch: u64,
-    /// Final counter totals of the agents that left: what an outside
-    /// quiescence check adds to the live agents' DRAIN replies so the
-    /// cumulative sums balance.
-    pub departed: Counters,
-}
-
-/// Encode a RUN_STATUS reply.
-pub fn encode_run_status(s: &RunStatus) -> Frame {
-    let mut b = Frame::builder(packet::RUN_STATUS_REP)
-        .u64(s.run_id)
-        .u8(s.running as u8)
-        .u8(s.done as u8)
-        .u8(s.migrating as u8)
-        .u32(s.steps)
-        .u64(s.n_vertices)
-        .u64(s.epoch)
-        .u32(s.step_nanos.len() as u32);
-    for &ns in &s.step_nanos {
-        b = b.u64(ns);
+    /// A CKPT_SAVE request: write one shard of checkpoint `generation`
+    /// at view `epoch`, covering the first `watermark` ingested change
+    /// records.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct CkptSave: CKPT_SAVE {
+        /// Generation to write.
+        pub generation: u64,
+        /// View epoch at the cut.
+        pub epoch: u64,
+        /// Change-stream watermark the generation covers.
+        pub watermark: u64,
     }
-    s.departed.encode_into(b).finish()
-}
 
-/// Decode a RUN_STATUS reply.
-pub fn decode_run_status(frame: &Frame) -> Option<RunStatus> {
-    let mut r = expect(frame, packet::RUN_STATUS_REP)?;
-    let run_id = r.u64()?;
-    let running = r.u8()? != 0;
-    let done = r.u8()? != 0;
-    let migrating = r.u8()? != 0;
-    let steps = r.u32()?;
-    let n_vertices = r.u64()?;
-    let epoch = r.u64()?;
-    let n = r.u32()? as usize;
-    let mut step_nanos = Vec::with_capacity(n.min(r.remaining() / 8));
-    for _ in 0..n {
-        step_nanos.push(r.u64()?);
+    /// One agent's reply to a CKPT_SAVE request.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct CkptSaveReport: CKPT_SAVE {
+        /// Whether the shard file was written, fsynced and renamed into
+        /// place. False leaves the generation uncommittable — the driver
+        /// must not write a manifest for it.
+        pub ok: bool,
+        /// Serialized payload bytes (0 on failure).
+        pub bytes: u64,
+        /// Wall time spent serializing and writing, in nanoseconds.
+        pub nanos: u64,
     }
-    // Last, so that a frame without them ends here and is refused.
-    let departed = Counters::decode(&mut r)?;
-    Some(RunStatus {
-        run_id,
-        running,
-        done,
-        migrating,
-        steps,
-        step_nanos,
-        n_vertices,
-        epoch,
-        departed,
-    })
-}
 
-/// Decode a COUNTERS frame — an agent's reply to DRAIN (the agent's
-/// view epoch follows the ten counters and is not read here).
-pub fn decode_counters(frame: &Frame) -> Option<Counters> {
-    Counters::decode(&mut expect(frame, packet::COUNTERS)?)
-}
-
-/// Encode a RESET_LABELS broadcast (incremental WCC deletion support).
-pub fn encode_reset_labels(labels: &[u64]) -> Frame {
-    let mut b = Frame::builder(packet::RESET_LABELS).u32(labels.len() as u32);
-    for &l in labels {
-        b = b.u64(l);
+    /// An ARM_DELTA request: before replaying a log suffix onto a
+    /// restored cluster, re-arm every agent's ingest-time delta seed with
+    /// the program and the vertex count the restored states converged
+    /// under, so the replay regenerates the same residual corrections
+    /// live ingest would have produced.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct ArmDelta: ARM_DELTA {
+        /// Program spec tag.
+        pub tag: u8,
+        /// Program spec params.
+        pub params: [u64; 3],
+        /// Vertex count the restored states converged under.
+        pub n: u64,
     }
-    b.finish()
-}
 
-/// Decode a RESET_LABELS frame.
-pub fn decode_reset_labels(frame: &Frame) -> Option<Vec<u64>> {
-    let mut r = expect(frame, packet::RESET_LABELS)?;
-    let n = r.u32()? as usize;
-    let mut labels = Vec::with_capacity(n.min(r.remaining() / 8));
-    for _ in 0..n {
-        labels.push(r.u64()?);
+    /// The lead's dangling-mass book: the reply to DANGLING_GET.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct Dangling: DANGLING_GET {
+        /// Converged dangling mass.
+        pub mass: f64,
+        /// The vertex count it was accumulated under.
+        pub n: u64,
     }
-    Some(labels)
+
+    /// A DANGLING_SET request: seed the lead's dangling-mass book after
+    /// a checkpoint restore.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct DanglingSet: DANGLING_SET {
+        /// The book's mass, as the manifest recorded it at checkpoint
+        /// time.
+        pub mass: f64,
+        /// The book's vertex count, likewise.
+        pub n: u64,
+        /// Dangling-mass drift between the restored states and that book
+        /// (log-suffix changes whose unreported accumulators died with
+        /// the old agents), absorbed into the global term at the next
+        /// delta run's first reduction.
+        pub carry: f64,
+    }
+
+    /// A liveness heartbeat pushed by an agent.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct Heartbeat: HEARTBEAT {
+        /// The agent.
+        pub agent: AgentId,
+    }
+
+    /// Failure-recovery broadcast published by the lead directory after it
+    /// declares an agent dead: survivors drop all graph state and counters,
+    /// adopt the embedded view, and settle a fresh migrate barrier; the
+    /// driver replays the retained change log and restarts any aborted run.
+    #[derive(Debug, Clone)]
+    pub struct Recover: RECOVER {
+        /// The post-eviction view epoch.
+        pub epoch: u64,
+        /// The agent declared dead.
+        pub dead_agent: AgentId,
+        /// Run id aborted by the failure (0 when no run was active).
+        pub aborted_run: u64,
+        /// The post-eviction directory view.
+        pub view: DirectoryView as frame,
+    }
+
+    /// One restored vertex's edges for one placement side, re-routed by
+    /// the driver under the post-recovery view.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct CkptEdgeGroup {
+        /// Which placement the group targets.
+        pub side: Side,
+        /// The vertex the edges belong to.
+        pub vertex: VertexId,
+        /// Replica-visible program state (meaningless when `has_state` is
+        /// false).
+        pub state: u64,
+        /// Whether `state` is initialized.
+        pub has_state: bool,
+        /// Replica-visible out-degree snapshot (scatter denominators).
+        pub rep_out_degree: u64,
+        /// Active flag.
+        pub active: bool,
+        /// The other endpoints: targets of out-edges (`side == Out`) or
+        /// sources of in-edges (`side == In`).
+        pub others: Vec<VertexId>,
+    }
+
+    /// Restored edge groups for one agent.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct CkptEdges: CKPT_EDGES {
+        /// The groups.
+        pub groups: Vec<CkptEdgeGroup>,
+    }
 }
 
-/// SKETCH_DELTA form byte: the whole table, as [`write_sketch`] lays
-/// it out.
+record! {
+    /// Primary-side vertex metadata restored from a checkpoint:
+    /// CKPT_META record, 45 bytes.
+    ///
+    /// Unlike [`MetaRecord`] this carries the global degrees signed and
+    /// no async run state: checkpoints are taken only at quiesced batch
+    /// boundaries, where no run is in flight.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct CkptMetaRecord {
+        /// The vertex.
+        pub vertex: VertexId,
+        /// Encoded program state (meaningless when `has_state` is false).
+        pub state: u64,
+        /// Whether `state` is initialized.
+        pub has_state: bool,
+        /// Active flag.
+        pub active: bool,
+        /// Touched by changes since the last run.
+        pub dirty: bool,
+        /// Whether the vertex existed as a primary (meta) entry.
+        pub is_meta: bool,
+        /// Global out-degree accumulated at the primary.
+        pub g_out: i64,
+        /// Global in-degree accumulated at the primary.
+        pub g_in: i64,
+        /// Unapplied incremental-run residual carried across the restart
+        /// (meaningless when `has_residual` is false).
+        pub residual: u64,
+        /// Whether `residual` holds an accumulated delta.
+        pub has_residual: bool,
+    }
+}
+
+/// SKETCH_DELTA form byte: the whole table, as a [`CountMinSketch`]
+/// lays it out.
 const DELTA_DENSE: u8 = 0;
 /// SKETCH_DELTA form byte: the cells the batch touched, as one
 /// length-prefixed run of `(u32 index, u32 count)` pairs.
@@ -2126,60 +1749,6 @@ pub fn decode_sketch_delta(frame: &Frame) -> Option<SketchDeltaView<'_>> {
     (!sparse || view.cells().all(|(idx, _)| idx < cells)).then_some(view)
 }
 
-/// Encode a HEARTBEAT push from an agent.
-pub fn encode_heartbeat(agent: AgentId) -> Frame {
-    Frame::builder(packet::HEARTBEAT).u64(agent).finish()
-}
-
-/// Decode a HEARTBEAT frame.
-pub fn decode_heartbeat(frame: &Frame) -> Option<AgentId> {
-    expect(frame, packet::HEARTBEAT)?.u64()
-}
-
-/// Failure-recovery broadcast published by the lead directory after it
-/// declares an agent dead: survivors drop all graph state and counters,
-/// adopt the embedded view, and settle a fresh migrate barrier; the
-/// driver replays the retained change log and restarts any aborted run.
-#[derive(Debug, Clone)]
-pub struct Recover {
-    /// The post-eviction view epoch.
-    pub epoch: u64,
-    /// The agent declared dead.
-    pub dead_agent: AgentId,
-    /// Run id aborted by the failure (0 when no run was active).
-    pub aborted_run: u64,
-    /// The post-eviction directory view.
-    pub view: DirectoryView,
-}
-
-/// Encode a RECOVER broadcast.
-pub fn encode_recover(r: &Recover) -> Frame {
-    Frame::builder(packet::RECOVER)
-        .u64(r.epoch)
-        .u64(r.dead_agent)
-        .u64(r.aborted_run)
-        .bytes(r.view.encode().as_bytes())
-        .finish()
-}
-
-/// Decode a RECOVER frame.
-pub fn decode_recover(frame: &Frame) -> Option<Recover> {
-    if frame.packet_type() != packet::RECOVER {
-        return None;
-    }
-    let mut r = frame.reader();
-    let epoch = r.u64()?;
-    let dead_agent = r.u64()?;
-    let aborted_run = r.u64()?;
-    let view = DirectoryView::decode_slice(r.bytes()?)?;
-    Some(Recover {
-        epoch,
-        dead_agent,
-        aborted_run,
-        view,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2240,21 +1809,6 @@ mod tests {
     }
 
     #[test]
-    fn ckpt_save_request_and_reply_roundtrip() {
-        let f = encode_ckpt_save(3, 9, 120_000);
-        assert_eq!(decode_ckpt_save(&f), Some((3, 9, 120_000)));
-        // The reply reuses the packet type (REQ/REP pair, like DUMP).
-        let report = CkptSaveReport {
-            ok: true,
-            bytes: 4096,
-            nanos: 1_234_567,
-        };
-        let decoded = decode_ckpt_save_reply(&encode_ckpt_save_reply(&report)).unwrap();
-        assert_eq!(decoded, report);
-        assert!(decode_ckpt_save(&Frame::signal(packet::OK)).is_none());
-    }
-
-    #[test]
     fn ckpt_edges_roundtrip() {
         let groups = vec![
             CkptEdgeGroup {
@@ -2276,8 +1830,8 @@ mod tests {
                 others: vec![],
             },
         ];
-        let got = decode_ckpt_edges(&encode_ckpt_edges(&groups)).unwrap();
-        assert_eq!(got, groups);
+        let edges = CkptEdges { groups };
+        assert_eq!(CkptEdges::decode(&edges.encode()).unwrap(), edges);
     }
 
     #[test]
@@ -2308,9 +1862,10 @@ mod tests {
                 has_residual: false,
             },
         ];
-        let got = decode_ckpt_meta(&encode_ckpt_meta(&recs)).unwrap();
-        assert_eq!(got, recs);
-        assert!(decode_ckpt_meta(&encode_ckpt_edges(&[])).is_none());
+        let frame = encode_ckpt_meta(&recs);
+        assert_eq!(decode_ckpt_meta(&frame).unwrap().to_vec(), recs);
+        let edges = CkptEdges { groups: Vec::new() };
+        assert!(decode_ckpt_meta(&edges.encode()).is_none());
     }
 
     #[test]
@@ -2378,7 +1933,7 @@ mod tests {
                 sent,
                 ..rep.clone()
             };
-            assert_eq!(decode_ready(&encode_ready(&rep)).unwrap(), rep);
+            assert_eq!(ReadyReport::decode(&rep.encode()).unwrap(), rep);
         }
 
         let adv = Advance {
@@ -2396,7 +1951,7 @@ mod tests {
                 expect,
                 ..adv.clone()
             };
-            assert_eq!(decode_advance(&encode_advance(&adv)).unwrap(), adv);
+            assert_eq!(Advance::decode(&adv.encode()).unwrap(), adv);
         }
         assert_eq!(
             (adv.expected_by(2), adv.expected_by(9), adv.expected_by(3)),
@@ -2432,10 +1987,10 @@ mod tests {
                 chain,
                 ..base.clone()
             };
-            let frame = encode_advance(&adv);
+            let frame = adv.encode();
             let flags = frame.as_bytes()[frame.len() - 4 - 16 - 1];
             assert_eq!(flags, u8::from(done) | u8::from(chain) << 1);
-            assert_eq!(decode_advance(&frame).unwrap(), adv);
+            assert_eq!(Advance::decode(&frame).unwrap(), adv);
             // As the parent's encoder wrote it.
             let old = Frame::builder(packet::ADVANCE)
                 .u64(base.run)
@@ -2445,7 +2000,7 @@ mod tests {
                 .f64(base.global)
                 .u8(flags)
                 .finish();
-            assert_eq!(decode_advance(&old), None);
+            assert_eq!(Advance::decode(&old), None);
         }
         let rep = ReadyReport {
             agent: 1,
@@ -2460,18 +2015,26 @@ mod tests {
             epoch: 2,
             sent: vec![(2, 6)],
         };
-        let bytes = encode_ready(&rep);
+        let bytes = rep.encode();
         let bytes = bytes.as_bytes();
         let cut = |n: usize| Frame::from_bytes(bytes::Bytes::copy_from_slice(&bytes[..n]));
-        assert_eq!(decode_ready(&cut(bytes.len())), Some(rep));
-        assert_eq!(decode_ready(&cut(bytes.len() - 4 - 16)), None, "old layout");
-        assert_eq!(decode_ready(&cut(bytes.len() - 1)), None, "short list");
+        assert_eq!(ReadyReport::decode(&cut(bytes.len())), Some(rep));
+        assert_eq!(
+            ReadyReport::decode(&cut(bytes.len() - 4 - 16)),
+            None,
+            "old layout"
+        );
+        assert_eq!(
+            ReadyReport::decode(&cut(bytes.len() - 1)),
+            None,
+            "short list"
+        );
         // A length that promises more than the frame holds allocates
         // nothing and decodes to nothing.
         let mut lying = bytes[..bytes.len() - 16].to_vec();
         let at = lying.len() - 4;
         lying[at..].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert_eq!(decode_ready(&Frame::from_bytes(lying.into())), None);
+        assert_eq!(ReadyReport::decode(&Frame::from_bytes(lying.into())), None);
     }
 
     #[test]
@@ -2585,7 +2148,7 @@ mod tests {
     fn batch_mig_edges(recs: &[MigEdge]) -> Frame {
         let mut b = Frame::builder(packet::MIG_EDGES).u32(recs.len() as u32);
         for e in recs {
-            b = b.u8(side_byte(e.side)).u64(e.src).u64(e.dst);
+            b = b.u8(e.side as u8).u64(e.src).u64(e.dst);
         }
         b.finish()
     }
@@ -2693,12 +2256,49 @@ mod tests {
         }
     }
 
+    /// `(NAME, byte)` of every table row `| `NAME` | byte | ...` in
+    /// `text`.
+    fn kinds_listed(text: &str) -> Vec<(String, u8)> {
+        let row = |line: &str| {
+            let (name, rest) = line.strip_prefix("| `")?.split_once("` | ")?;
+            let byte = rest.split_once(" |")?.0.parse().ok()?;
+            let kind = name.bytes().all(|b| b.is_ascii_uppercase() || b == b'_');
+            kind.then(|| (name.to_string(), byte))
+        };
+        text.lines().filter_map(row).collect()
+    }
+
+    /// DESIGN.md's packet table lists exactly the kinds of [`packet`],
+    /// by name and byte.
+    #[test]
+    fn design_packet_table_lists_every_kind() {
+        let source = include_str!("msg.rs");
+        let module = source.split("pub mod packet {").nth(1).unwrap();
+        let module = &module[..module.find("\n}\n").unwrap()];
+        let declared: Vec<(String, u8)> = module
+            .lines()
+            .filter_map(|line| {
+                let (name, byte) = line
+                    .trim()
+                    .strip_prefix("pub const ")?
+                    .split_once(": u8 = ")?;
+                Some((name.to_string(), byte.strip_suffix(';')?.parse().ok()?))
+            })
+            .collect();
+        assert_eq!(declared.len(), 40);
+        assert_eq!(kinds_listed(include_str!("../../../DESIGN.md")), declared);
+    }
+
     #[test]
     fn phase_wire_codes_roundtrip() {
         for p in [Phase::Scatter, Phase::Combine, Phase::Apply, Phase::Migrate] {
-            assert_eq!(Phase::from_u8(p as u8), Some(p));
+            let mut byte = [0];
+            p.write(&mut byte);
+            assert_eq!(byte, [p as u8]);
+            assert!(Phase::validate(&byte));
+            assert_eq!(Phase::parse(&byte), p);
         }
-        assert_eq!(Phase::from_u8(99), None);
+        assert!(!Phase::validate(&[4]));
     }
 
     #[test]
@@ -2713,65 +2313,12 @@ mod tests {
     }
 
     #[test]
-    fn join_reply_roundtrip() {
-        let view = sample_view();
-        let run = RunInfo {
-            run_id: 3,
-            tag: 0,
-            params: [1, 2, 3],
-            reuse_state: true,
-            asynchronous: false,
-            delta: true,
-            dangling_base: 0.25,
-            watermark: 41,
-        };
-        let (v2, r2) = decode_join_reply(&encode_join_reply(&view, Some(&run))).unwrap();
-        assert_eq!(v2.epoch, view.epoch);
-        assert_eq!(r2, Some(run));
-        let (_, none) = decode_join_reply(&encode_join_reply(&view, None)).unwrap();
-        assert_eq!(none, None);
-    }
-
-    #[test]
-    fn start_and_status_roundtrip() {
-        let run = RunInfo {
-            run_id: 9,
-            tag: 1,
-            params: [0, 0, 0],
-            reuse_state: false,
-            asynchronous: true,
-            delta: false,
-            dangling_base: 0.0,
-            watermark: 7,
-        };
-        assert_eq!(decode_start(&encode_start(&run)).unwrap(), run);
-
-        let status = RunStatus {
-            run_id: 9,
-            running: false,
-            done: true,
-            migrating: true,
-            steps: 4,
-            step_nanos: vec![100, 200, 300, 400],
-            n_vertices: 55,
-            epoch: 12,
-            departed: Counters {
-                vmsg_sent: 3,
-                chg_recv: 9,
-                ..Default::default()
-            },
-        };
-        assert_eq!(
-            decode_run_status(&encode_run_status(&status)).unwrap(),
-            status
-        );
-    }
-
-    #[test]
     fn reset_labels_roundtrip() {
         let labels = vec![1u64, 5, 1 << 40];
         assert_eq!(
-            decode_reset_labels(&encode_reset_labels(&labels)).unwrap(),
+            decode_reset_labels(&encode_reset_labels(&labels))
+                .unwrap()
+                .to_vec(),
             labels
         );
     }
@@ -2852,31 +2399,9 @@ mod tests {
     }
 
     #[test]
-    fn heartbeat_roundtrip() {
-        assert_eq!(decode_heartbeat(&encode_heartbeat(17)), Some(17));
-    }
-
-    #[test]
-    fn recover_roundtrip() {
-        let rec = Recover {
-            epoch: 8,
-            dead_agent: 3,
-            aborted_run: 2,
-            view: sample_view(),
-        };
-        let back = decode_recover(&encode_recover(&rec)).unwrap();
-        assert_eq!(back.epoch, 8);
-        assert_eq!(back.dead_agent, 3);
-        assert_eq!(back.aborted_run, 2);
-        assert_eq!(back.view.epoch, rec.view.epoch);
-        assert_eq!(back.view.agents, rec.view.agents);
-        assert!(decode_recover(&Frame::signal(packet::OK)).is_none());
-    }
-
-    #[test]
     fn truncated_frames_decode_to_none() {
         let f = Frame::builder(packet::READY).u64(1).finish();
-        assert!(decode_ready(&f).is_none());
+        assert!(ReadyReport::decode(&f).is_none());
         let f = Frame::builder(packet::VMSG).u64(1).u32(0).u32(5).finish();
         assert!(decode_vmsgs(&f).is_none());
     }
@@ -2891,18 +2416,19 @@ mod tests {
         let junk = Frame::signal(packet::OK);
         assert!(decode_edge_changes(&junk).is_none());
         assert!(decode_states(&junk).is_none());
-        assert!(decode_ready(&junk).is_none());
-        assert!(decode_advance(&junk).is_none());
+        assert!(ReadyReport::decode(&junk).is_none());
+        assert!(Advance::decode(&junk).is_none());
         assert!(decode_mig_meta(&junk).is_none());
         assert!(decode_mig_edges(&junk).is_none());
         assert!(decode_mig_states(&junk).is_none());
         assert!(decode_deg_deltas(&junk).is_none());
-        assert!(decode_join_reply(&junk).is_none());
-        assert!(decode_start(&junk).is_none());
-        assert!(decode_run_status(&junk).is_none());
+        assert!(JoinReply::decode(&junk).is_none());
+        assert!(RunInfo::decode(&junk).is_none());
+        assert!(RunStatus::decode(&junk).is_none());
         assert!(decode_reset_labels(&junk).is_none());
         assert!(decode_sketch_delta(&junk).is_none());
-        assert!(decode_heartbeat(&junk).is_none());
+        assert!(Heartbeat::decode(&junk).is_none());
+        assert!(Recover::decode(&junk).is_none());
     }
 
     /// Run `f` against a fresh coalescing outbox and return the single
@@ -2953,7 +2479,7 @@ mod tests {
             (encode_states(1, 2, &states), &|c, n| {
                 states.chunks(n).for_each(|r| append_states(c, 1, 2, r))
             }),
-            (encode_residuals(&msgs), &|c, n| {
+            (encode_records(packet::RESIDUAL, &[], &msgs), &|c, n| {
                 msgs.chunks(n).for_each(|r| append_residuals(c, r))
             }),
             (encode_edge_changes(Side::In, 2, &changes), &|c, n| {
@@ -2970,7 +2496,7 @@ mod tests {
                 assert_eq!(f.as_bytes(), batch.as_bytes(), "runs of {run}");
             }
         }
-        let residuals = encode_residuals(&msgs);
+        let residuals = encode_records(packet::RESIDUAL, &[], &msgs);
         assert_eq!(decode_residuals(&residuals).unwrap().to_vec(), msgs);
     }
 
@@ -2998,36 +2524,12 @@ mod tests {
     }
 
     #[test]
-    fn sub_reg_roundtrip() {
-        let addr = Addr::parse("inproc://client-7-sub").unwrap();
-        let vertices = vec![5u64, 6, 7];
-        let f = encode_sub_reg(&addr, 42, &vertices);
-        let (a, sub, recs) = decode_sub_reg(&f).unwrap();
-        assert_eq!(a, addr);
-        assert_eq!(sub, 42);
-        assert_eq!(recs.to_vec(), vertices);
-    }
-
-    #[test]
     fn sub_push_coalesced_roundtrip() {
         let pushes = vec![(10u64, 0.125f64.to_bits()), (11, 9u64)];
         let f = coalesced(|c| append_sub_pushes(c, 42, 3, 500, &pushes));
         let (sub, run, watermark, recs) = decode_sub_push(&f).unwrap();
         assert_eq!((sub, run, watermark), (42, 3, 500));
         assert_eq!(recs.to_vec(), pushes);
-    }
-
-    #[test]
-    fn arm_delta_and_dangling_roundtrip() {
-        let f = encode_arm_delta(2, [0.85f64.to_bits(), 7, 9], 1000);
-        assert_eq!(
-            decode_arm_delta(&f),
-            Some((2, [0.85f64.to_bits(), 7, 9], 1000))
-        );
-        let f = encode_dangling_rep(0.25, 900);
-        assert_eq!(decode_dangling_rep(&f), Some((0.25, 900)));
-        let f = encode_dangling_set(0.25, 900, -0.0625);
-        assert_eq!(decode_dangling_set(&f), Some((0.25, 900, -0.0625)));
     }
 
     #[test]

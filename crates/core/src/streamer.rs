@@ -16,7 +16,7 @@
 //! replaces them.
 
 use crate::config::SystemConfig;
-use crate::msg::{self, packet, DirectoryView, Side};
+use crate::msg::{self, packet, DirectoryView, Message, Side};
 use elga_graph::types::EdgeChange;
 use elga_hash::{AgentId, EdgeLocator, FxHashMap, OwnerCache};
 use elga_net::{
@@ -163,20 +163,12 @@ impl Streamer {
         }
     }
 
-    fn coalesce_config(&self) -> CoalesceConfig {
-        if self.cfg.coalescing {
-            CoalesceConfig::default()
-        } else {
-            CoalesceConfig::disabled()
-        }
-    }
-
     fn outbox(&mut self, agent: AgentId) -> Option<&mut CoalescingOutbox> {
         if !self.outboxes.contains_key(&agent) {
             let addr = self.view.addr_of(agent)?.clone();
             match self.transport.sender(&addr) {
                 Ok(out) => {
-                    let mut co = CoalescingOutbox::new(out, self.coalesce_config());
+                    let mut co = CoalescingOutbox::new(out, CoalesceConfig::default());
                     if self.tracer.enabled() {
                         co = co.with_tracer(self.tracer.clone());
                     }
@@ -447,7 +439,7 @@ impl Streamer {
         }
         if all_ok {
             if let Ok(out) = self.transport.sender(&addr) {
-                let mut co = CoalescingOutbox::new(out, self.coalesce_config());
+                let mut co = CoalescingOutbox::new(out, CoalesceConfig::default());
                 if self.tracer.enabled() {
                     co = co.with_tracer(self.tracer.clone());
                 }

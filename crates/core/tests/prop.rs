@@ -3,8 +3,8 @@
 use elga_core::autoscale::{Autoscaler, EmaAutoscaler};
 use elga_core::metrics::{AgentMetrics, ClusterMetrics};
 use elga_core::msg::{
-    self, packet, Counters, MetaRecord, MigEdge, MigState, Phase, QueryAnswer, ReadyReport,
-    StateRecord, WireRecord,
+    self, packet, Advance, AgentInfo, Counters, DirectoryView, Message, MetaRecord, MigEdge,
+    MigState, Phase, QueryAnswer, ReadyReport, RunInfo, RunStatus, StateRecord, WireRecord,
 };
 use elga_graph::types::EdgeChange;
 use elga_net::{CoalesceConfig, CoalescingOutbox, Frame, InProcTransport, Transport};
@@ -145,6 +145,59 @@ fn delta_frame(delta: &SketchDelta, sparse: bool) -> Frame {
         b.u32((delta.width() * delta.depth() * 4) as u32).u32s(rows)
     }
     .finish()
+}
+
+/// `m` survives its frame: decoding the encoding gives back a value
+/// that encodes to the same bytes, and the frame one byte short, or
+/// with one byte more, decodes to nothing.
+fn assert_frame_round_trip<M: Message>(m: &M) -> M {
+    let frame = m.encode();
+    let back = M::decode(&frame).expect("decodes");
+    assert_eq!(back.encode(), frame, "kind {}", M::KIND);
+    let bytes = frame.as_bytes();
+    let short = Frame::from_bytes(bytes[..bytes.len() - 1].to_vec().into());
+    assert!(
+        M::decode(&short).is_none(),
+        "kind {}: one byte short",
+        M::KIND
+    );
+    let long = Frame::from_bytes([bytes, &[0]].concat().into());
+    assert!(
+        M::decode(&long).is_none(),
+        "kind {}: one trailing byte",
+        M::KIND
+    );
+    back
+}
+
+/// [`assert_frame_round_trip`], and the value is the one encoded.
+fn assert_round_trip<M: Message + PartialEq + std::fmt::Debug>(m: M) {
+    assert_eq!(assert_frame_round_trip(&m), m);
+}
+
+/// A view over `members`, its sketch and dimensions drawn from `w`.
+fn view_of(w: &[u64], members: &[u64]) -> DirectoryView {
+    let mut sketch = CountMinSketch::new(1 + w[0] as usize % 8, 1 + w[1] as usize % 3);
+    sketch.add(w[2], w[3] as u32);
+    let mut view = elga_core::msg::DirectoryView {
+        epoch: w[4],
+        batch_id: w[5],
+        n_vertices: w[6],
+        agents: Vec::new(),
+        sketch,
+        hash: elga_hash::HashKind::Wang,
+        virtual_agents: w[7] as u32,
+        replication_threshold: w[8],
+        max_replicas: w[9] as u32,
+    };
+    view.agents = members
+        .iter()
+        .map(|&id| AgentInfo {
+            id,
+            addr: elga_net::Addr::inproc(format!("agent-{id}")),
+        })
+        .collect();
+    view
 }
 
 proptest! {
@@ -335,21 +388,23 @@ proptest! {
     #[test]
     fn decoders_never_panic_on_garbage(bytes in prop::collection::vec(any::<u8>(), 1..256)) {
         let frame = Frame::from_bytes(bytes.into());
-        let _ = msg::DirectoryView::decode(&frame);
+        let _ = DirectoryView::decode(&frame);
         let _ = msg::decode_edge_changes(&frame);
         let _ = msg::decode_vmsgs(&frame);
         let _ = msg::decode_partials(&frame);
         let _ = msg::decode_states(&frame);
-        let _ = msg::decode_ready(&frame);
-        let _ = msg::decode_advance(&frame);
+        let _ = ReadyReport::decode(&frame);
+        let _ = Advance::decode(&frame);
         let _ = msg::decode_mig_meta(&frame);
         let _ = msg::decode_mig_edges(&frame);
         let _ = msg::decode_mig_states(&frame);
         let _ = msg::decode_deg_deltas(&frame);
-        let _ = msg::decode_join_reply(&frame);
-        let _ = msg::decode_start(&frame);
-        let _ = msg::decode_run_status(&frame);
+        let _ = msg::JoinReply::decode(&frame);
+        let _ = RunInfo::decode(&frame);
+        let _ = RunStatus::decode(&frame);
+        let _ = msg::Recover::decode(&frame);
         let _ = msg::decode_reset_labels(&frame);
+        let _ = msg::CkptEdges::decode(&frame);
         let _ = msg::decode_sketch_delta(&frame);
         let _ = AgentMetrics::decode(&frame);
         let _ = ClusterMetrics::decode(&frame);
@@ -370,10 +425,10 @@ proptest! {
         chain in any::<bool>(),
         expect in prop::collection::vec((any::<u64>(), any::<u64>()), 0..9),
     ) {
-        let phase = msg::Phase::from_u8(phase).unwrap();
+        let phase = Phase::parse(&[phase]);
         let adv = msg::Advance { run, step, phase, n_vertices, global, done, chain, expect };
-        let frame = msg::encode_advance(&adv);
-        prop_assert_eq!(msg::decode_advance(&frame), Some(adv.clone()));
+        let frame = adv.encode();
+        prop_assert_eq!(Advance::decode(&frame), Some(adv.clone()));
         let old = Frame::builder(msg::packet::ADVANCE)
             .u64(run)
             .u32(step)
@@ -382,13 +437,13 @@ proptest! {
             .f64(global)
             .u8(done as u8 | (chain as u8) << 1)
             .finish();
-        prop_assert_eq!(msg::decode_advance(&old), None);
+        prop_assert_eq!(Advance::decode(&old), None);
         prop_assert_eq!(frame.len(), old.len() + 4 + 16 * adv.expect.len());
         // A list cut short, or one with bytes after it, is no list.
         let bytes = frame.as_bytes();
         for cut in [&bytes[..bytes.len() - 1], &[bytes, &[0u8][..]].concat()[..]] {
             let cut = Frame::from_bytes(cut.to_vec().into());
-            prop_assert_eq!(msg::decode_advance(&cut), None);
+            prop_assert_eq!(Advance::decode(&cut), None);
         }
     }
 
@@ -418,8 +473,8 @@ proptest! {
         }
         for frame in [&vm, &pt, &ec] {
             prop_assert!(msg::decode_deg_deltas(frame).is_none());
-            prop_assert!(msg::decode_ready(frame).is_none());
-            prop_assert!(msg::decode_advance(frame).is_none());
+            prop_assert!(ReadyReport::decode(frame).is_none());
+            prop_assert!(Advance::decode(frame).is_none());
         }
         // MIG_EDGES shares EDGE_CHANGES' 17-byte stride; only the type
         // byte tells the two apart.
@@ -567,7 +622,7 @@ proptest! {
             agent,
             run,
             step,
-            phase: Phase::from_u8(phase_byte).unwrap(),
+            phase: Phase::parse(&[phase_byte]),
             counters: Counters {
                 vmsg_sent: counters[0],
                 vmsg_recv: counters[1],
@@ -587,13 +642,13 @@ proptest! {
             epoch,
             sent,
         };
-        let frame = msg::encode_ready(&rep);
-        prop_assert_eq!(msg::decode_ready(&frame).as_ref(), Some(&rep));
+        let frame = rep.encode();
+        prop_assert_eq!(ReadyReport::decode(&frame).as_ref(), Some(&rep));
         // The layout that ended at the epoch is refused, not read as
         // "sent nothing".
         let bytes = frame.as_bytes();
         let old = &bytes[..bytes.len() - 4 - 16 * rep.sent.len()];
-        prop_assert_eq!(msg::decode_ready(&Frame::from_bytes(old.to_vec().into())), None);
+        prop_assert_eq!(ReadyReport::decode(&Frame::from_bytes(old.to_vec().into())), None);
     }
 
     /// State batches round-trip for arbitrary values.
@@ -621,6 +676,88 @@ proptest! {
         prop_assert_eq!((view.run, view.step), (run, step));
         let back: Vec<StateRecord> = view.records.into_iter().collect();
         prop_assert_eq!(back, records);
+    }
+
+    /// Every frame a field table declares — the control frames and the
+    /// two metrics reports — decodes to what was encoded, and refuses a
+    /// frame one byte short or one byte long.
+    #[test]
+    fn table_driven_frames_round_trip(
+        w in prop::collection::vec(any::<u64>(), 64),
+        x in -1e12f64..1e12,
+        bits in any::<u64>(),
+        list in prop::collection::vec((any::<u64>(), any::<u64>()), 0..6),
+    ) {
+        let bit = |i: u32| bits >> i & 1 != 0;
+        let counters = Counters {
+            vmsg_sent: w[0], vmsg_recv: w[1], part_sent: w[2], part_recv: w[3],
+            state_sent: w[4], state_recv: w[5], mig_sent: w[6], mig_recv: w[7],
+            chg_sent: w[8], chg_recv: w[9],
+        };
+        let phase = Phase::parse(&[(w[10] % 4) as u8]);
+        let run = RunInfo {
+            run_id: w[11],
+            tag: w[12] as u8,
+            params: [w[13], w[14], w[15]],
+            reuse_state: bit(0),
+            asynchronous: bit(1),
+            delta: bit(2),
+            dangling_base: x,
+            watermark: w[16],
+        };
+        assert_round_trip(ReadyReport {
+            agent: w[17], run: w[18], step: w[19] as u32, phase, counters,
+            active: w[20], global_contrib: x, n_primary: w[21], seq: w[22],
+            epoch: w[23], sent: list.clone(),
+        });
+        assert_round_trip(Advance {
+            run: w[18], step: w[19] as u32, phase, n_vertices: w[24], global: -x,
+            done: bit(3), chain: bit(4), expect: list.clone(),
+        });
+        assert_round_trip(run);
+        assert_round_trip(RunStatus {
+            run_id: w[25], running: bit(5), done: bit(6), migrating: bit(7),
+            steps: w[26] as u32, n_vertices: w[27], epoch: w[28],
+            step_nanos: list.iter().map(|p| p.0).collect(), departed: counters,
+        });
+        assert_round_trip(msg::DrainReport { counters, epoch: w[29] });
+        assert_round_trip(msg::CkptSave { generation: w[30], epoch: w[31], watermark: w[32] });
+        assert_round_trip(msg::CkptSaveReport { ok: bit(8), bytes: w[33], nanos: w[34] });
+        assert_round_trip(msg::ArmDelta { tag: w[35] as u8, params: [w[36], w[37], w[38]], n: w[39] });
+        assert_round_trip(msg::Dangling { mass: x, n: w[40] });
+        assert_round_trip(msg::DanglingSet { mass: x, n: w[40], carry: -x });
+        assert_round_trip(msg::Heartbeat { agent: w[41] });
+        let addr = elga_net::Addr::inproc(format!("client-{}", w[57]));
+        let vertices = list.iter().map(|p| p.1).collect();
+        assert_round_trip(msg::SubReg { addr, sub: w[58], vertices });
+        let side = if bit(11) { msg::Side::In } else { msg::Side::Out };
+        let groups = list.iter().map(|&(vertex, state)| msg::CkptEdgeGroup {
+            side, vertex, state, has_state: bit(12), rep_out_degree: w[59], active: bit(13),
+            others: list.iter().map(|p| p.0 ^ state).collect(),
+        }).collect();
+        assert_round_trip(msg::CkptEdges { groups });
+        assert_round_trip(AgentInfo { id: w[42], addr: elga_net::Addr::inproc(format!("a-{}", w[43])) });
+        let members: Vec<u64> = list.iter().map(|p| p.0).collect();
+        let view = view_of(&w[44..], &members);
+        let back = assert_frame_round_trip(&msg::JoinReply {
+            view: view.clone(),
+            run: bit(9).then_some(run),
+        });
+        prop_assert_eq!(back.run, bit(9).then_some(run));
+        prop_assert_eq!(back.view.agents, view.agents.clone());
+        let back = assert_frame_round_trip(&msg::Recover {
+            epoch: w[54], dead_agent: w[55], aborted_run: w[56], view: view.clone(),
+        });
+        prop_assert_eq!((back.epoch, back.view.sketch), (w[54], view.sketch));
+        // The metrics reports: every field a word of `w`, the flag a bit.
+        let words = |b: elga_net::frame::FrameBuilder, n: usize| {
+            w.iter().cycle().take(n).fold(b, |b, &x| b.u64(x))
+        };
+        let agent = words(Frame::builder(packet::METRICS), 52).finish();
+        assert_round_trip(AgentMetrics::decode(&agent).expect("52 words"));
+        let cluster = words(Frame::builder(packet::GET_METRICS), 10).u8(u8::from(bit(10)));
+        let cluster = words(cluster, 51).finish();
+        assert_round_trip(ClusterMetrics::decode(&cluster).expect("61 words and a flag"));
     }
 
     /// Counters settle exactly when each pair matches, and `add` is

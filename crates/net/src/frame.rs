@@ -216,6 +216,14 @@ impl FrameBuilder {
         self
     }
 
+    /// Append `len` bytes filled in place by `write`.
+    pub fn slot(mut self, len: usize, write: impl FnOnce(&mut [u8])) -> Self {
+        let at = self.buf.len();
+        self.buf.resize(at + len, 0);
+        write(&mut self.buf[at..]);
+        self
+    }
+
     /// Append a `u32` record count, then `recs` as packed
     /// `stride`-byte records, each slot filled by `write` — the record
     /// region a coalesced frame carries, built in one go.
@@ -250,40 +258,37 @@ impl<'a> FrameReader<'a> {
         FrameReader { buf }
     }
 
+    /// Read the next `len` bytes.
+    pub fn take(&mut self, len: usize) -> Option<&'a [u8]> {
+        let (head, rest) = self.buf.split_at_checked(len)?;
+        self.buf = rest;
+        Some(head)
+    }
+
     /// Read a `u8`.
     pub fn u8(&mut self) -> Option<u8> {
-        let (&first, rest) = self.buf.split_first()?;
-        self.buf = rest;
-        Some(first)
+        Some(self.take(1)?[0])
     }
 
     /// Read a little-endian `u32`.
     pub fn u32(&mut self) -> Option<u32> {
-        let (head, rest) = self.buf.split_at_checked(4)?;
-        self.buf = rest;
-        Some(u32::from_le_bytes(head.try_into().unwrap()))
+        Some(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
     /// Read a little-endian `u64`.
     pub fn u64(&mut self) -> Option<u64> {
-        let (head, rest) = self.buf.split_at_checked(8)?;
-        self.buf = rest;
-        Some(u64::from_le_bytes(head.try_into().unwrap()))
+        Some(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
     /// Read a little-endian `f64`.
     pub fn f64(&mut self) -> Option<f64> {
-        let (head, rest) = self.buf.split_at_checked(8)?;
-        self.buf = rest;
-        Some(f64::from_le_bytes(head.try_into().unwrap()))
+        Some(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
     /// Read a length-prefixed byte string.
     pub fn bytes(&mut self) -> Option<&'a [u8]> {
         let len = self.u32()? as usize;
-        let (head, rest) = self.buf.split_at_checked(len)?;
-        self.buf = rest;
-        Some(head)
+        self.take(len)
     }
 
     /// Remaining unread payload.

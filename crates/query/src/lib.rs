@@ -1,7 +1,8 @@
 //! Continuous-query serving plane.
 //!
-//! [`elga_core::client::ClientProxy`] answers one vertex per blocking
-//! round trip — the paper's low-latency REQ/REP path (§3.5). This
+//! The paper's low-latency client path (§3.5) asks one vertex per
+//! blocking round trip; here a read is always a `QUERY_BATCH`
+//! (`elga_core::cluster::Cluster::query_u64` is a batch of one). This
 //! crate is the front for *serving workloads*: many clients, many
 //! vertices per question, answers flowing continuously as the graph
 //! computes. Three mechanisms, all riding the existing comms plane:
@@ -24,13 +25,13 @@
 //!   was taken at. A reader never observes torn mid-superstep state —
 //!   across live runs, elastic view changes, and crash recovery.
 //!
-//! Query traffic is uncounted in the Mattern barrier sums (like the
-//! proxy's), so serving load never perturbs run termination.
+//! Query traffic is uncounted in the Mattern barrier sums, so serving
+//! load never perturbs run termination.
 
 #![warn(missing_docs)]
 
 use elga_core::config::SystemConfig;
-use elga_core::msg::{self, packet, DirectoryView};
+use elga_core::msg::{self, packet, DirectoryView, Message, SubReg};
 use elga_graph::types::VertexId;
 use elga_hash::{AgentId, EdgeLocator};
 use elga_net::{Addr, Frame, Mailbox, NetError, Transport, TransportExt};
@@ -140,7 +141,15 @@ impl QueryClient {
             let frames: Vec<Frame> = self
                 .subs
                 .iter()
-                .map(|(&sub, vertices)| msg::encode_sub_reg(&addr, sub, vertices))
+                .map(|(&sub, vertices)| {
+                    let vertices = vertices.clone();
+                    SubReg {
+                        addr: addr.clone(),
+                        sub,
+                        vertices,
+                    }
+                    .encode()
+                })
                 .collect();
             let _ = self.register(&frames);
         }
@@ -260,12 +269,17 @@ impl QueryClient {
         let addr = self.mailbox_addr()?;
         let sub = self.next_sub;
         self.next_sub += 1;
-        for rep in self.register(&[msg::encode_sub_reg(&addr, sub, vertices)]) {
+        let reg = SubReg {
+            addr,
+            sub,
+            vertices: vertices.to_vec(),
+        };
+        for rep in self.register(&[reg.encode()]) {
             if rep?.packet_type() != packet::OK {
                 return Err(NetError::Protocol("subscription refused"));
             }
         }
-        self.subs.insert(sub, vertices.to_vec());
+        self.subs.insert(sub, reg.vertices);
         Ok(sub)
     }
 
@@ -276,7 +290,13 @@ impl QueryClient {
             return Ok(());
         }
         let addr = self.mailbox_addr()?;
-        let _ = self.register(&[msg::encode_sub_reg(&addr, sub, &[])]);
+        let vertices = Vec::new();
+        let _ = self.register(&[SubReg {
+            addr,
+            sub,
+            vertices,
+        }
+        .encode()]);
         Ok(())
     }
 

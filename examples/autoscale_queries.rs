@@ -29,10 +29,10 @@ fn main() {
     let mut tick = 0;
     for &(ticks, rate) in &[(5, 300.0), (5, 3000.0), (5, 800.0)] {
         for _ in 0..ticks {
-            // Offer the queries (random-replica path).
+            // Offer the queries.
             for q in 0..(rate as usize / 20).max(1) {
                 let v = edges[q % edges.len()].0 % n.max(1);
-                let _ = cluster.query_any(v);
+                let _ = cluster.query_u64(v);
             }
             cluster.autoscale_once(&mut policy, rate);
             println!(

@@ -11,9 +11,8 @@
 //! ```
 
 use elga::core::agent::Agent;
-use elga::core::client::ClientProxy;
 use elga::core::directory::{self, DirectoryRole};
-use elga::core::msg::{self, packet, RunInfo};
+use elga::core::msg::{self, packet, Message, RunInfo};
 use elga::core::streamer::Streamer;
 use elga::graph::reference;
 use elga::net::{Addr, Frame, TcpTransport, Transport};
@@ -172,7 +171,7 @@ fn coordinator() {
         let rep = transport
             .request(
                 &dir_addr,
-                msg::encode_start(&RunInfo {
+                RunInfo {
                     run_id: 0,
                     tag,
                     params,
@@ -181,7 +180,8 @@ fn coordinator() {
                     delta: false,
                     dangling_base: 0.0,
                     watermark: 0,
-                }),
+                }
+                .encode(),
                 Duration::from_secs(30),
             )
             .expect("start run");
@@ -189,7 +189,7 @@ fn coordinator() {
         let t0 = std::time::Instant::now();
         loop {
             let d = sub.recv_timeout(Duration::from_secs(60)).expect("advance");
-            if let Some(adv) = msg::decode_advance(&d.frame) {
+            if let Some(adv) = msg::Advance::decode(&d.frame) {
                 if adv.run == run_id && adv.done {
                     return t0.elapsed();
                 }
@@ -203,21 +203,18 @@ fn coordinator() {
     println!("PageRank (10 iters) across processes: {dt:?}");
 
     // Validate against the local reference.
-    let proxy = ClientProxy::connect(transport.clone(), cfg, dir_addr.clone()).expect("proxy");
+    let client = QueryClient::connect(transport.clone(), cfg, dir_addr.clone()).expect("client");
     let truth = reference::wcc(edges.iter().copied());
-    let sample: Vec<u64> = truth.keys().copied().take(5).collect();
-    let mut mass = 0.0;
-    for &v in truth.keys() {
-        if let Some(r) = proxy.query_primary(v) {
-            mass += f64::from_bits(r.state);
-        }
-    }
+    let vertices: Vec<u64> = truth.keys().copied().collect();
+    let ranks: Vec<Option<f64>> = client
+        .query_batch(&vertices)
+        .into_iter()
+        .map(|a| a.map(|a| f64::from_bits(a.state)))
+        .collect();
+    let mass: f64 = ranks.iter().flatten().sum();
     println!("rank mass across processes: {mass:.6}");
-    for v in sample {
-        println!(
-            "  query vertex {v}: rank {:?}",
-            proxy.query_primary(v).map(|r| f64::from_bits(r.state))
-        );
+    for (v, rank) in vertices.iter().zip(&ranks).take(5) {
+        println!("  query vertex {v}: rank {rank:?}");
     }
 
     // Tear down: broadcast SHUTDOWN, stop the master, reap children.

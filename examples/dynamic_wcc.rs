@@ -57,14 +57,20 @@ fn main() {
         );
     }
 
-    // Client queries go to a random replica of the vertex (the paper's
-    // low-latency path); the batch id in the reply is the staleness
-    // handle of Definition 2.6.
-    for v in [0u64, 7, 1999] {
-        if let Some(r) = cluster.query_any(v) {
+    // Client reads are served from the last completed run's snapshot;
+    // its batch watermark is the staleness handle of Definition 2.6.
+    let client = QueryClient::connect(
+        cluster.transport(),
+        cluster.config().clone(),
+        cluster.lead_directory(),
+    )
+    .expect("query client");
+    let asked = [0u64, 7, 1999];
+    for (v, answer) in asked.iter().zip(client.query_batch(&asked)) {
+        if let Some(r) = answer {
             println!(
                 "query v={v}: component {} (as of batch {})",
-                r.state, r.batch_id
+                r.state, r.watermark
             );
         }
     }

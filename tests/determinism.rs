@@ -17,15 +17,15 @@
 //!   so before the parallel kernels), so there the test pins the usual
 //!   1e-9 agreement.
 //!
-//! The same contract covers the comms plane's coalescing ablation:
-//! coalescing packs the identical record stream into different frame
-//! boundaries, never a different per-destination order, so every
-//! bit-exactness promise above must hold with coalescing on or off —
-//! in-process, over TCP, and under chaos.
+//! The same contract covers the comms plane: the coalescing outboxes
+//! pack a per-destination record stream into frames without ever
+//! reordering it, so every bit-exactness promise above holds
+//! in-process, over TCP, and under chaos, where retries duplicate and
+//! reorder whole frames.
 
 use elga::core::agent::Agent;
 use elga::core::directory::{self, DirectoryRole};
-use elga::core::msg::{self, packet, DirectoryView, RunInfo};
+use elga::core::msg::{self, packet, DirectoryView, Message, RunInfo};
 use elga::core::program::{ProgramSpec, RunOptions};
 use elga::core::streamer::Streamer;
 use elga::net::{Addr, FaultPlan, Frame, SendPolicy, TcpTransport, Transport};
@@ -60,15 +60,10 @@ fn big_graph(n: u64) -> Vec<(u64, u64)> {
 fn states_for(
     workers: usize,
     agents: usize,
-    coalescing: bool,
     edges: &[(u64, u64)],
     spec: impl Into<ProgramSpec>,
 ) -> HashMap<u64, u64> {
-    let mut cluster = Cluster::builder()
-        .agents(agents)
-        .workers(workers)
-        .coalescing(coalescing)
-        .build();
+    let mut cluster = Cluster::builder().agents(agents).workers(workers).build();
     cluster.ingest_edges(edges.iter().copied());
     cluster.run(spec).expect("run");
     let states = cluster.dump_states();
@@ -79,8 +74,8 @@ fn states_for(
 #[test]
 fn wcc_bit_identical_across_worker_counts() {
     let edges = big_graph(6000);
-    let w1 = states_for(1, 2, true, &edges, Wcc::new());
-    let w4 = states_for(4, 2, true, &edges, Wcc::new());
+    let w1 = states_for(1, 2, &edges, Wcc::new());
+    let w4 = states_for(4, 2, &edges, Wcc::new());
     assert_eq!(w1.len(), 6000);
     assert_eq!(w1, w4, "WCC labels must not depend on worker count");
 }
@@ -89,8 +84,8 @@ fn wcc_bit_identical_across_worker_counts() {
 fn single_agent_pagerank_bit_identical_across_worker_counts() {
     let edges = big_graph(3000);
     let pr = PageRank::new(0.85).with_max_iters(10);
-    let w1 = states_for(1, 1, true, &edges, pr);
-    let w4 = states_for(4, 1, true, &edges, pr);
+    let w1 = states_for(1, 1, &edges, pr);
+    let w4 = states_for(4, 1, &edges, pr);
     assert_eq!(w1.len(), 3000);
     assert_eq!(
         w1, w4,
@@ -208,8 +203,8 @@ fn two_agent_delta_pagerank_agrees_across_worker_counts_and_combines() {
 fn multi_agent_pagerank_agrees_across_worker_counts() {
     let edges = big_graph(6000);
     let pr = PageRank::new(0.85).with_max_iters(10);
-    let w1 = states_for(1, 2, true, &edges, pr);
-    let w4 = states_for(4, 2, true, &edges, pr);
+    let w1 = states_for(1, 2, &edges, pr);
+    let w4 = states_for(4, 2, &edges, pr);
     assert_ranks_close(&w1, &w4, "across worker counts");
 }
 
@@ -271,9 +266,9 @@ fn run_wire(
     for agent in &cluster.view().agents {
         let drain = Frame::signal(packet::DRAIN);
         let rep = transport.request(&agent.addr, drain, Duration::from_secs(5));
-        let mut r = rep.as_ref().expect("drain").reader();
-        vmsg_counted.0 += r.u64().expect("vmsg_sent");
-        vmsg_counted.1 += r.u64().expect("vmsg_recv");
+        let report = msg::DrainReport::decode(&rep.expect("drain")).expect("drain reply");
+        vmsg_counted.0 += report.counters.vmsg_sent;
+        vmsg_counted.1 += report.counters.vmsg_recv;
     }
     let wire = RunWire {
         steps: u64::from(stats.steps),
@@ -454,27 +449,9 @@ fn single_agent_run_frames_no_vertex_message() {
     assert_eq!(pr1.states, pr4.states, "PageRank must be bit-exact");
 }
 
-#[test]
-fn results_bit_identical_with_coalescing_off() {
-    // Coalescing only repacks frame boundaries, so it composes with
-    // every other determinism axis: coalescing-on + 4 workers must
-    // match coalescing-off + 1 worker bit for bit.
-    let edges = big_graph(6000);
-    let on = states_for(4, 2, true, &edges, Wcc::new());
-    let off = states_for(1, 2, false, &edges, Wcc::new());
-    assert_eq!(on.len(), 6000);
-    assert_eq!(on, off, "WCC must be bit-exact across coalescing modes");
-
-    let edges = big_graph(3000);
-    let pr = PageRank::new(0.85).with_max_iters(10);
-    let on = states_for(4, 1, true, &edges, pr);
-    let off = states_for(1, 1, false, &edges, pr);
-    assert_eq!(
-        on, off,
-        "single-agent PageRank must be bit-exact across coalescing modes"
-    );
-}
-
+/// Retries may duplicate or reorder whole frames, and coalesced frames
+/// carry many records each: under two fault seeds, a chaotic cluster on
+/// four workers must match a clean one on one worker.
 #[test]
 fn wcc_bit_identical_under_chaos_with_workers() {
     let edges = big_graph(6000);
@@ -490,72 +467,30 @@ fn wcc_bit_identical_under_chaos_with_workers() {
         ..SystemConfig::default()
     };
     let plan = FaultPlan::uniform(0.05, 0.01, Duration::ZERO, Duration::from_millis(5));
-    let mut chaos = Cluster::builder()
-        .agents(4)
-        .config(cfg.clone())
-        .workers(4)
-        .chaos(plan, 0xE16A)
-        .build();
-    let mut clean = Cluster::builder().agents(4).config(cfg).workers(1).build();
-    chaos.ingest_edges(edges.iter().copied());
-    clean.ingest_edges(edges.iter().copied());
-    chaos.run(Wcc::new()).expect("chaos wcc");
-    clean.run(Wcc::new()).expect("clean wcc");
-    let got = chaos.dump_states();
-    let want = clean.dump_states();
-    assert_eq!(got, want, "chaos + 4 workers must match clean + 1 worker");
-    let stats = chaos.fault().expect("chaos handle").stats();
-    assert!(stats.dropped() > 0, "no frames dropped — chaos was a no-op");
-    chaos.shutdown();
-    clean.shutdown();
-}
-
-#[test]
-fn wcc_bit_identical_under_chaos_with_coalescing() {
-    // Retries may duplicate or reorder whole frames; coalesced frames
-    // carry more records each, so this is the sharpest test that frame
-    // boundaries never leak into results. The chaotic coalescing-on
-    // cluster must match a clean coalescing-off one.
-    let edges = big_graph(6000);
-    let cfg = SystemConfig {
-        request_timeout: Duration::from_secs(5),
-        send_policy: SendPolicy {
-            retries: 6,
-            base_delay: Duration::from_millis(2),
-            deadline: Duration::from_secs(10),
-        },
-        quiesce_deadline: Duration::from_secs(60),
-        run_deadline: Duration::from_secs(120),
-        ..SystemConfig::default()
-    };
-    let plan = FaultPlan::uniform(0.05, 0.01, Duration::ZERO, Duration::from_millis(5));
-    let mut chaos = Cluster::builder()
-        .agents(4)
-        .config(cfg.clone())
-        .workers(4)
-        .coalescing(true)
-        .chaos(plan, 0xC0A1)
-        .build();
     let mut clean = Cluster::builder()
         .agents(4)
-        .config(cfg)
+        .config(cfg.clone())
         .workers(1)
-        .coalescing(false)
         .build();
-    chaos.ingest_edges(edges.iter().copied());
     clean.ingest_edges(edges.iter().copied());
-    chaos.run(Wcc::new()).expect("chaos wcc");
     clean.run(Wcc::new()).expect("clean wcc");
-    let got = chaos.dump_states();
     let want = clean.dump_states();
-    assert_eq!(
-        got, want,
-        "chaos + coalescing on must match clean + coalescing off"
-    );
-    let stats = chaos.fault().expect("chaos handle").stats();
-    assert!(stats.dropped() > 0, "no frames dropped — chaos was a no-op");
-    chaos.shutdown();
     clean.shutdown();
+    for seed in [0xE16A, 0xC0A1] {
+        let mut chaos = Cluster::builder()
+            .agents(4)
+            .config(cfg.clone())
+            .workers(4)
+            .chaos(plan.clone(), seed)
+            .build();
+        chaos.ingest_edges(edges.iter().copied());
+        chaos.run(Wcc::new()).expect("chaos wcc");
+        let got = chaos.dump_states();
+        assert_eq!(got, want, "seed {seed:#x}: chaos + 4 workers vs clean");
+        let stats = chaos.fault().expect("chaos handle").stats();
+        assert!(stats.dropped() > 0, "seed {seed:#x}: no frames dropped");
+        chaos.shutdown();
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -636,15 +571,10 @@ fn reserve_port() -> u16 {
 
 /// Single-agent deployment over real TCP sockets with the given worker
 /// count; runs PageRank then WCC and returns both state dumps.
-fn tcp_states(
-    workers: usize,
-    coalescing: bool,
-    edges: &[(u64, u64)],
-) -> (HashMap<u64, u64>, HashMap<u64, u64>) {
+fn tcp_states(workers: usize, edges: &[(u64, u64)]) -> (HashMap<u64, u64>, HashMap<u64, u64>) {
     let transport: Arc<dyn Transport> = Arc::new(TcpTransport::new());
     let cfg = SystemConfig {
         workers,
-        coalescing,
         ..SystemConfig::default()
     };
     let master = Addr::parse(&format!("tcp://127.0.0.1:{}", reserve_port())).expect("addr");
@@ -687,7 +617,7 @@ fn tcp_states(
         let rep = transport
             .request(
                 &dir0,
-                msg::encode_start(&RunInfo {
+                RunInfo {
                     run_id: 0,
                     tag,
                     params,
@@ -696,14 +626,15 @@ fn tcp_states(
                     delta: false,
                     dangling_base: 0.0,
                     watermark: 0,
-                }),
+                }
+                .encode(),
                 Duration::from_secs(30),
             )
             .expect("start");
         let run_id = rep.reader().u64().expect("run id");
         loop {
             let d = sub.recv_timeout(Duration::from_secs(60)).expect("advance");
-            if let Some(adv) = msg::decode_advance(&d.frame) {
+            if let Some(adv) = msg::Advance::decode(&d.frame) {
                 if adv.run == run_id && adv.done {
                     break;
                 }
@@ -728,11 +659,7 @@ fn tcp_states(
                     Duration::from_secs(30),
                 )
                 .expect("dump");
-            let mut r = rep.reader();
-            let n = r.u32().expect("count");
-            for _ in 0..n {
-                out.insert(r.u64().expect("v"), r.u64().expect("state"));
-            }
+            out.extend(msg::decode_dump(&rep).expect("dump reply"));
         }
         out
     };
@@ -757,25 +684,9 @@ fn tcp_states(
 #[test]
 fn tcp_results_bit_identical_across_worker_counts() {
     let edges = big_graph(2000);
-    let (pr1, wcc1) = tcp_states(1, true, &edges);
-    let (pr4, wcc4) = tcp_states(4, true, &edges);
+    let (pr1, wcc1) = tcp_states(1, &edges);
+    let (pr4, wcc4) = tcp_states(4, &edges);
     assert_eq!(pr1.len(), 2000);
     assert_eq!(pr1, pr4, "PageRank over TCP must be bit-exact");
     assert_eq!(wcc1, wcc4, "WCC over TCP must be bit-exact");
-}
-
-#[test]
-fn tcp_results_bit_identical_with_coalescing_off() {
-    let edges = big_graph(2000);
-    let (pr_on, wcc_on) = tcp_states(4, true, &edges);
-    let (pr_off, wcc_off) = tcp_states(1, false, &edges);
-    assert_eq!(pr_on.len(), 2000);
-    assert_eq!(
-        pr_on, pr_off,
-        "PageRank over TCP must be bit-exact across coalescing and worker counts"
-    );
-    assert_eq!(
-        wcc_on, wcc_off,
-        "WCC over TCP must be bit-exact across coalescing and worker counts"
-    );
 }

@@ -1,12 +1,11 @@
 //! The continuous-query serving plane: batched point reads agree with
-//! the proxy's one-vertex loop, standing subscriptions agree with
-//! polling, snapshot reads are never torn (across live runs, elastic
-//! view changes, and crash recovery), and authoritative negative
-//! answers take the fast path — no view refresh burned on a vertex
-//! that simply does not exist.
+//! one-vertex reads, standing subscriptions agree with polling,
+//! snapshot reads are never torn (across live runs, elastic view
+//! changes, and crash recovery), and authoritative negative answers
+//! take the fast path — no view refresh burned on a vertex that simply
+//! does not exist.
 
-use elga::core::client::ClientProxy;
-use elga::core::msg::packet;
+use elga::core::msg::{packet, CkptSave, Message};
 use elga::core::program::RunOptions;
 use elga::prelude::*;
 use std::collections::HashMap;
@@ -55,18 +54,10 @@ fn query_client(cluster: &Cluster) -> QueryClient {
     .expect("query client connects")
 }
 
-fn client_proxy(cluster: &Cluster) -> ClientProxy {
-    ClientProxy::connect(
-        cluster.transport(),
-        cluster.config().clone(),
-        cluster.lead_directory(),
-    )
-    .expect("client proxy connects")
-}
-
-/// A batch over present and absent vertices answers exactly like the
-/// proxy's per-vertex `query_primary` loop: same hits, same misses,
-/// same encoded states — and every hit carries the completed run's tag.
+/// A batch over present and absent vertices answers exactly like a
+/// loop of one-vertex reads (`Cluster::query_u64`) and like the state
+/// dump: same hits, same misses, same encoded states — and every hit
+/// carries the completed run's tag.
 #[test]
 fn batched_reads_match_primary_loop() {
     let n = 300u64;
@@ -77,7 +68,7 @@ fn batched_reads_match_primary_loop() {
         .expect("pagerank");
 
     let client = query_client(&cluster);
-    let proxy = client_proxy(&cluster);
+    let dump = cluster.dump_states();
 
     // 0..n exist; n..n+40 were never created.
     let asked: Vec<u64> = (0..n + 40).collect();
@@ -85,15 +76,19 @@ fn batched_reads_match_primary_loop() {
     assert_eq!(batched.len(), asked.len());
 
     for (&v, got) in asked.iter().zip(&batched) {
-        let want = proxy.query_primary(v);
-        match (got, want) {
-            (Some(b), Some(p)) => {
-                assert_eq!(b.state, p.state, "v{v}: batch disagrees with proxy");
+        let one = cluster.query_u64(v);
+        assert_eq!(
+            one,
+            dump.get(&v).copied(),
+            "v{v}: a read of one vs the dump"
+        );
+        match (got, one) {
+            (Some(b), Some(state)) => {
+                assert_eq!(b.state, state, "v{v}: batch disagrees with a read of one");
                 assert_eq!(b.run, stats.run_id, "v{v}: hit tagged a foreign run");
-                assert_eq!(b.run, p.run, "v{v}: batch and proxy run tags differ");
             }
             (None, None) => assert!(v >= n, "v{v} exists but both paths missed it"),
-            (b, p) => panic!("v{v}: batch={b:?} proxy={p:?} disagree on existence"),
+            (b, one) => panic!("v{v}: batch={b:?} one={one:?} disagree on existence"),
         }
     }
     // One snapshot per sweep: every hit shares one (run, watermark).
@@ -153,7 +148,12 @@ fn a_busy_agent_costs_a_batch_its_own_slice_only() {
     // of its shard, then queue as many behind each other as that takes.
     let view = cluster.view();
     let busy = &view.agents[0];
-    let save = elga::core::msg::encode_ckpt_save(1, view.epoch, 0);
+    let save = CkptSave {
+        generation: 1,
+        epoch: view.epoch,
+        watermark: 0,
+    }
+    .encode();
     let transport = cluster.transport();
     let t0 = std::time::Instant::now();
     transport
@@ -254,12 +254,18 @@ fn reads_spawn_no_thread() {
         "{most} threads while {} clients read",
         clients.len()
     );
+    // A scope returns once its closures have, and their OS threads
+    // leave `/proc/self/task` a moment later.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    while threads_named(&me) > 1 && std::time::Instant::now() < deadline {
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
     assert_eq!(threads_named(&me), 1, "and none is left behind");
     cluster.shutdown();
 }
 
-/// An authoritative "vertex not found" from the primary ends the search
-/// immediately: no replica walk escalation, no view refresh round trip.
+/// An authoritative "vertex not found" from the primary ends the read
+/// at once: no view refresh round trip.
 #[test]
 fn negative_answer_is_authoritative_and_cheap() {
     let mut cluster = Cluster::builder().agents(3).build();
@@ -267,8 +273,10 @@ fn negative_answer_is_authoritative_and_cheap() {
     cluster.run(Degree::new()).expect("degree");
 
     let client = query_client(&cluster);
-    let mut proxy = client_proxy(&cluster);
-    assert!(proxy.query(7).is_some(), "existing vertex must resolve");
+    assert!(
+        client.query_batch(&[7])[0].is_some(),
+        "existing vertex must resolve"
+    );
 
     let stats = cluster
         .transport()
@@ -276,8 +284,7 @@ fn negative_answer_is_authoritative_and_cheap() {
         .expect("inproc transport tracks stats");
     let views_before = stats.sent(packet::GET_VIEW).0;
     for absent in [999_983u64, 424_242, 777_216] {
-        assert!(proxy.query(absent).is_none(), "v{absent} should not exist");
-        assert_eq!(client.query_batch(&[absent]), vec![None]);
+        assert_eq!(client.query_batch(&[absent]), vec![None], "v{absent}");
     }
     let views_after = stats.sent(packet::GET_VIEW).0;
     assert_eq!(

@@ -12,9 +12,10 @@
 //! A test binary of its own: the counters are the transport's, and
 //! every test here owns its cluster.
 
-use elga::core::msg::packet;
+use elga::core::msg::{packet, DrainReport, Message};
 use elga::core::program::RunOptions;
 use elga::graph::reference;
+use elga::net::Frame;
 use elga::prelude::*;
 use std::time::Duration;
 
@@ -91,9 +92,17 @@ fn a_settled_system_is_confirmed_in_one_wave() {
     assert!(drains >= 6 && statuses >= 2, "{drains} DRAINs after a run");
     assert_eq!(frames_of(&mut cluster, quiesce), (3, 1));
 
-    // The lead is asked one thing per wave; COUNTERS is only a reply.
-    let stats = cluster.transport().net_stats().expect("counters");
-    assert_eq!(stats.sent(packet::COUNTERS), (0, 0));
+    // A DRAIN is answered by a DRAIN frame, which the counts above do
+    // not include: they are the requests of each wave.
+    let agent = cluster.view().agents[0].addr.clone();
+    let drain = Frame::signal(packet::DRAIN);
+    let reply = cluster
+        .transport()
+        .request(&agent, drain, Duration::from_secs(10));
+    let reply = reply.expect("drain reply");
+    assert_eq!(reply.packet_type(), packet::DRAIN);
+    let report = DrainReport::decode(&reply).expect("a drain report");
+    assert_eq!(report.epoch, cluster.view().epoch);
     cluster.shutdown();
 }
 

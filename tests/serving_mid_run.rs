@@ -6,7 +6,7 @@
 //! `tests/query.rs` starved that suite's join-then-read case (which
 //! asserts within the migration's window) about one run in twenty.
 
-use elga::core::msg::{self, packet};
+use elga::core::msg::{self, packet, Message};
 use elga::core::program::RunOptions;
 use elga::prelude::*;
 use std::time::Duration;
@@ -57,7 +57,14 @@ fn reads_are_served_mid_run_and_parked_frames_keep_their_order() {
     let before = cluster.metrics().subscriptions;
     for sub in 1..=8u64 {
         to_agent
-            .send(msg::encode_sub_reg(&sink, sub, &[sub]))
+            .send(
+                msg::SubReg {
+                    addr: sink.clone(),
+                    sub,
+                    vertices: vec![sub],
+                }
+                .encode(),
+            )
             .expect("push SUB_REG");
         transport
             .request(

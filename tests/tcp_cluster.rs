@@ -4,10 +4,9 @@
 //! end with the same entities the in-process cluster uses.
 
 use elga::core::agent::Agent;
-use elga::core::client::ClientProxy;
 use elga::core::directory::{self, DirectoryRole};
 use elga::core::metrics::ClusterMetrics;
-use elga::core::msg::{self, packet, RunInfo};
+use elga::core::msg::{self, packet, Message, RunInfo};
 use elga::core::program::ProgramSpec;
 use elga::core::streamer::Streamer;
 use elga::graph::csr::Csr;
@@ -144,7 +143,7 @@ impl Deployment {
                     .transport
                     .request(&agent.addr, drain, Duration::from_secs(5))
                     .expect("drain");
-                msg::decode_counters(&rep).expect("counters")
+                msg::DrainReport::decode(&rep).expect("counters").counters
             })
             .collect()
     }
@@ -162,7 +161,7 @@ impl Deployment {
             .transport
             .request(
                 &self.dir0,
-                msg::encode_start(&RunInfo {
+                RunInfo {
                     run_id: 0,
                     tag,
                     params,
@@ -171,14 +170,15 @@ impl Deployment {
                     delta: incremental,
                     dangling_base: 0.0,
                     watermark: 0,
-                }),
+                }
+                .encode(),
                 Duration::from_secs(30),
             )
             .expect("start");
         let run_id = rep.reader().u64().expect("run id");
         loop {
             let d = sub.recv_timeout(Duration::from_secs(60)).expect("advance");
-            if let Some(adv) = msg::decode_advance(&d.frame) {
+            if let Some(adv) = msg::Advance::decode(&d.frame) {
                 if adv.run == run_id && adv.done {
                     return run_id;
                 }
@@ -211,20 +211,22 @@ impl Deployment {
 }
 
 /// Agents flip their double-buffered serving snapshot when *they*
-/// process the done broadcast — a query racing straight off the bus can
-/// still see the previous snapshot (or a miss). The answer's run tag
-/// says which completed run it belongs to; poll until it is the one we
-/// watched finish.
-fn query_run(proxy: &mut ClientProxy, v: u64, run: u64) -> u64 {
+/// process the done broadcast — a read racing straight off the bus can
+/// still see the previous snapshot (or a miss). An answer's run tag
+/// says which completed run it belongs to; poll until every answer is
+/// from the one we watched finish.
+fn query_run(client: &QueryClient, vertices: &[u64], run: u64) -> Vec<u64> {
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     loop {
-        match proxy.query(v) {
-            Some(r) if r.run == run => return r.state,
-            _ if std::time::Instant::now() < deadline => {
-                std::thread::sleep(Duration::from_millis(10))
-            }
-            got => panic!("vertex {v}: no run-{run} answer over tcp (last: {got:?})"),
+        let answers = client.query_batch(vertices);
+        if answers.iter().all(|a| a.is_some_and(|a| a.run == run)) {
+            return answers.into_iter().flatten().map(|a| a.state).collect();
         }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "no run-{run} answers over tcp (last: {answers:?})"
+        );
+        std::thread::sleep(Duration::from_millis(10));
     }
 }
 
@@ -246,24 +248,19 @@ fn wcc_and_pagerank_over_tcp_sockets() {
     tcp.ingest(&mut streamer, &edges);
     let wcc_run = tcp.run_to_done(Wcc::new().into(), false);
 
-    let mut proxy = ClientProxy::connect(tcp.transport.clone(), tcp.cfg.clone(), tcp.dir0.clone())
-        .expect("proxy");
+    let client = QueryClient::connect(tcp.transport.clone(), tcp.cfg.clone(), tcp.dir0.clone())
+        .expect("query client");
     let expect = reference::wcc(edges.iter().copied());
-    for (&v, &label) in &expect {
-        assert_eq!(
-            query_run(&mut proxy, v, wcc_run),
-            label,
-            "vertex {v} over tcp"
-        );
+    let vertices: Vec<u64> = expect.keys().copied().collect();
+    let labels = query_run(&client, &vertices, wcc_run);
+    for (v, label) in vertices.iter().zip(labels) {
+        assert_eq!(label, expect[v], "vertex {v} over tcp");
     }
 
     // And PageRank across the same sockets.
     let pr_run = tcp.run_to_done(PageRank::new(0.85).with_max_iters(10).into(), false);
-    proxy.refresh().expect("refresh");
-    let mass: f64 = expect
-        .keys()
-        .map(|&v| f64::from_bits(query_run(&mut proxy, v, pr_run)))
-        .sum();
+    let ranks = query_run(&client, &vertices, pr_run);
+    let mass: f64 = ranks.into_iter().map(f64::from_bits).sum();
     assert!((mass - 1.0).abs() < 1e-9, "rank mass over tcp: {mass}");
     tcp.shutdown();
 }
@@ -314,11 +311,11 @@ fn a_tolerance_converged_run_over_tcp_leaves_no_vmsg_behind() {
     edges.extend(extra);
 
     let want = reference::pagerank(&Csr::from_edges(Some(n as usize), &edges), 0.85, 300);
-    let mut proxy = ClientProxy::connect(tcp.transport.clone(), tcp.cfg.clone(), tcp.dir0.clone())
-        .expect("proxy");
-    for v in 0..n {
-        let rank = f64::from_bits(query_run(&mut proxy, v, run));
-        let want = want[v as usize];
+    let client = QueryClient::connect(tcp.transport.clone(), tcp.cfg.clone(), tcp.dir0.clone())
+        .expect("query client");
+    let vertices: Vec<u64> = (0..n).collect();
+    for (v, rank) in vertices.iter().zip(query_run(&client, &vertices, run)) {
+        let (rank, want) = (f64::from_bits(rank), want[*v as usize]);
         assert!((rank - want).abs() < 1e-6, "v{v}: {rank} vs {want}");
     }
     tcp.shutdown();
