@@ -9,16 +9,23 @@
 #   core_src_nontest_lines  each file's lines above its first
 #                           `#[cfg(test)]`: mechanism, not unit tests
 #   packet_kinds            the `packet::` constants
+#   lead_io_sites           clock reads, threads, sockets and stderr
+#                           writes in the non-test part of `lead.rs`:
+#                           the lead's IO belongs to its shell
+#                           (`directory::lead_loop`)
 set -eu
 lines=$(find crates/core/src -name '*.rs' -print0 | xargs -0 cat | wc -l)
 nontest=$(find crates/core/src -name '*.rs' -print0 | xargs -0 awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 } !test { n++ } END { print n }')
 kinds=$(awk '/^pub mod packet/,/^}/' crates/core/src/msg.rs | grep -c 'pub const [A-Z_0-9]*: u8')
+lead_io=$(awk '/^#\[cfg\(test\)\]/ { exit } { print }' crates/core/src/lead.rs |
+    grep -cE 'Instant::now|\.elapsed\(\)|std::thread|Transport|Publisher|Mailbox|eprintln!' || true)
 status=0
 while read -r name ceiling; do
     case "$name" in
         core_src_lines) got=$lines ;;
         core_src_nontest_lines) got=$nontest ;;
         packet_kinds) got=$kinds ;;
+        lead_io_sites) got=$lead_io ;;
         *) continue ;;
     esac
     echo "$name $got (ceiling $ceiling)"

@@ -8,1184 +8,22 @@
 //! broadcast messages appropriately."
 //!
 //! One directory (id 0) acts as the *lead*: it owns the authoritative
-//! [`DirectoryView`], evaluates every barrier, and publishes VIEW /
-//! START / ADVANCE / SHUTDOWN frames on the global bus. Non-lead
-//! directories serve their connected agents by relaying reports to the
-//! lead and mirroring broadcasts — the paper's "Directories re-broadcast
-//! ready messages among themselves" (Figure 2, step 4).
-//!
-//! A barrier is met when all its members have reported the current
-//! (run, step, phase) *and* the summed cumulative counters are settled
-//! (every sent counter equals its received counter) — Mattern-style
-//! double counting, which makes in-flight and out-of-order messages
-//! harmless. The one exception is a run's Scatter barrier, which closes
-//! on what the senders say they sent: its reports list the step's VMSG
-//! records per destination, the lead sums them per receiver into the
-//! ADVANCE that answers the barrier, and a receiver acts on that
-//! advance once it has taken in its count (DESIGN.md "The superstep
-//! barrier").
+//! [`DirectoryView`](crate::msg::DirectoryView), evaluates every
+//! barrier, and publishes VIEW / START / ADVANCE / SHUTDOWN frames on
+//! the global bus. Its decisions are the IO-free `lead::Lead`; this
+//! module is the sockets and the clock around it (`lead_loop`).
+//! Non-lead directories serve their connected agents by relaying
+//! reports to the lead and mirroring broadcasts — the paper's
+//! "Directories re-broadcast ready messages among themselves" (Figure
+//! 2, step 4).
 
 use crate::config::SystemConfig;
-use crate::metrics::{AgentMetrics, ClusterMetrics};
-use crate::msg::{
-    self, packet, Advance, AgentInfo, Counters, DirectoryView, Message, Phase, ReadyReport,
-    RunInfo, RunStatus, SketchDeltaView, StepCounts,
-};
+use crate::lead::{Effect, Lead};
+use crate::msg::packet;
 use elga_hash::AgentId;
-use elga_net::{Addr, Frame, Mailbox, NetError, Publisher, Transport};
-use elga_sketch::CountMinSketch;
-use elga_trace::{EventKind, Tracer};
-use std::collections::HashMap;
+use elga_net::{Addr, Frame, Mailbox, NetError, Publisher, ReplyHandle, Transport};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Coordination state for an in-progress run.
-#[derive(Debug)]
-struct Run {
-    info: RunInfo,
-    max_steps: Option<u32>,
-    step: u32,
-    phase: Phase,
-    n_vertices: u64,
-    global: f64,
-    started: Instant,
-    step_started: Instant,
-    step_nanos: Vec<u64>,
-    /// Async: id of the outstanding confirmation probe.
-    probe: u32,
-    /// Async: counter sums at the previous successful probe.
-    last_probe_sums: Option<Counters>,
-    /// Async mode entered (after initialization phases).
-    async_live: bool,
-    /// Delta runs: dangling-mass change reported but not yet
-    /// redistributed (async protocol; sync runs ride the per-step
-    /// global reduce instead).
-    dangling_pending: f64,
-    /// Last cumulative dangling value seen per agent; reports
-    /// telescope `new - seen` into `dangling_pending`, which makes
-    /// re-sent or stale values self-correcting.
-    dangling_seen: HashMap<AgentId, f64>,
-    /// Id of the last redistribution round published.
-    dangling_round: u32,
-    /// Threshold below which redistribution stops (from the program).
-    dangling_eps: f64,
-    /// The outstanding `(step, Scatter)` barrier was reached through a
-    /// chained advance: its reports carry apply(`step − 1`)'s `active`,
-    /// and settling it is that step's Apply verdict first.
-    chained: bool,
-}
-
-/// The lead directory's full coordination state. Separated from the
-/// I/O loop so barrier logic is unit-testable.
-struct Lead {
-    view: DirectoryView,
-    publisher: Publisher,
-    transport: Arc<dyn Transport>,
-    reports: HashMap<AgentId, ReadyReport>,
-    metrics: HashMap<AgentId, AgentMetrics>,
-    /// Counters of agents that departed or were evicted, folded from
-    /// their last reports so cluster totals never go down.
-    departed_metrics: ClusterMetrics,
-    run: Option<Run>,
-    next_run_id: u64,
-    pending_joins: Vec<AgentInfo>,
-    pending_leaves: Vec<AgentId>,
-    /// The view's sketch holds a fold under which some vertex may be
-    /// split, and the epoch that publishes it has not been opened yet.
-    pending_sketch: bool,
-    /// Epoch of the outstanding migrate barrier, if any.
-    migrate_epoch: Option<u64>,
-    /// Members of the outstanding migrate barrier (view agents plus
-    /// departers).
-    migrate_members: Vec<AgentId>,
-    /// Agents currently draining before departure.
-    departing: Vec<AgentId>,
-    /// Final counter totals of agents that already departed; included
-    /// in every sum so cumulative counts stay balanced.
-    ghost: Counters,
-    /// Resume point once a mid-run migrate barrier settles.
-    resume: Option<Advance>,
-    /// A run requested while the system was migrating; starts once the
-    /// barrier settles.
-    pending_start: Option<RunInfo>,
-    last_status: RunStatus,
-    /// Last heartbeat (or any agent-originated push) per live agent.
-    last_seen: HashMap<AgentId, Instant>,
-    /// Agents declared dead and evicted by failure detection.
-    agents_recovered: u64,
-    /// The broadcast that opened the outstanding migrate barrier
-    /// (VIEW or RECOVER), kept for re-publication: a joiner whose bus
-    /// subscription registers a moment after its JOIN is handled
-    /// misses the original broadcast, and without a repeat it can
-    /// never send the READY that settles the barrier.
-    barrier_broadcast: Option<Frame>,
-    /// When the barrier broadcast was last published.
-    barrier_published: Instant,
-    /// Dangling-mass accumulator handed over by departing agents
-    /// (their unreported ingest-era changes); absorbed into the next
-    /// delta run's first scatter reduce.
-    dangling_carry: f64,
-    /// Running total of the system's dangling mass `S`, tracked from
-    /// the reported deltas (and re-based exactly by every full run's
-    /// final scatter reduce). With [`Lead::dangling_n`] it names the
-    /// `d·S/n` term baked into the carried vertex state, so a delta
-    /// run starting under a different vertex count can publish the
-    /// equivalent mass shift `S·(n0−n1)/n0` and re-base the term —
-    /// the dangling analogue of the per-vertex teleport reseed.
-    dangling_mass: f64,
-    /// Vertex count `dangling_mass` was last redistributed under;
-    /// 0 = unknown (no run yet, or a recovery reset), which skips the
-    /// re-base shift.
-    dangling_n: u64,
-    /// Event recorder (view changes, heartbeat misses, recoveries);
-    /// disabled unless `cfg.tracing`.
-    tracer: Arc<Tracer>,
-    /// [`DirectoryView::may_split`] of the current view: one pass over
-    /// the sketch per view epoch, read once per superstep.
-    may_split: bool,
-    /// The counts the last Scatter barrier's advance told the members
-    /// to take in, and the step they are of; only
-    /// [`Lead::waiting_on`] reads them.
-    expected: (u32, StepCounts),
-    stall: Stall,
-}
-
-/// What [`Lead::report_stall`] remembers between ticks.
-struct Stall {
-    /// The barrier last seen open ([`Lead::open_barrier`]).
-    barrier: Option<(u64, u32, Phase)>,
-    /// When it was first seen.
-    since: Instant,
-    /// Whether it has been reported.
-    reported: bool,
-}
-
-/// A barrier that has stood this long gets one line on stderr saying
-/// who it waits on.
-const STALL_REPORT_AFTER: Duration = Duration::from_secs(10);
-
-impl Lead {
-    fn new(cfg: &SystemConfig, publisher: Publisher, transport: Arc<dyn Transport>) -> Self {
-        Lead {
-            view: DirectoryView {
-                epoch: 1,
-                batch_id: 0,
-                n_vertices: 0,
-                agents: Vec::new(),
-                sketch: CountMinSketch::new(cfg.sketch_width, cfg.sketch_depth),
-                hash: cfg.hash,
-                virtual_agents: cfg.virtual_agents,
-                replication_threshold: cfg.replication_threshold,
-                max_replicas: cfg.max_replicas,
-            },
-            publisher,
-            transport,
-            reports: HashMap::new(),
-            metrics: HashMap::new(),
-            departed_metrics: ClusterMetrics::default(),
-            run: None,
-            next_run_id: 1,
-            pending_joins: Vec::new(),
-            pending_leaves: Vec::new(),
-            pending_sketch: false,
-            migrate_epoch: None,
-            migrate_members: Vec::new(),
-            departing: Vec::new(),
-            ghost: Counters::default(),
-            resume: None,
-            pending_start: None,
-            last_status: RunStatus::default(),
-            last_seen: HashMap::new(),
-            agents_recovered: 0,
-            barrier_broadcast: None,
-            barrier_published: Instant::now(),
-            dangling_carry: 0.0,
-            dangling_mass: 0.0,
-            dangling_n: 0,
-            tracer: Arc::new(Tracer::from_flag(cfg.tracing)),
-            may_split: false,
-            expected: (0, Vec::new()),
-            stall: Stall {
-                barrier: None,
-                since: Instant::now(),
-                reported: false,
-            },
-        }
-    }
-
-    /// Fold a report's cumulative dangling-mass value into the run's
-    /// pending redistribution (async delta runs only). Every READY an
-    /// agent sends while such a run is live carries its cumulative
-    /// value, so differences telescope to the true total even across
-    /// re-sends, migrations, and departures.
-    fn note_dangling(&mut self, rep: &ReadyReport) {
-        let Some(run) = self.run.as_mut() else {
-            return;
-        };
-        if !(run.async_live && run.info.delta && run.info.run_id == rep.run) {
-            return;
-        }
-        let seen = run
-            .dangling_seen
-            .insert(rep.agent, rep.global_contrib)
-            .unwrap_or(0.0);
-        run.dangling_pending += rep.global_contrib - seen;
-        self.dangling_mass += rep.global_contrib - seen;
-    }
-
-    /// Re-publish the broadcast that opened the current migrate
-    /// barrier if it has been outstanding for a while. Subscriptions
-    /// race joins (an agent subscribes, then JOINs; the view bump
-    /// publishes during JOIN handling), so the opening broadcast can
-    /// be lost; adoption is idempotent on the agent side, making a
-    /// periodic repeat safe and sufficient for liveness.
-    fn republish_barrier(&mut self, interval: Duration) {
-        if self.migrate_epoch.is_none() || self.barrier_published.elapsed() < interval {
-            return;
-        }
-        if let Some(f) = self.barrier_broadcast.clone() {
-            self.barrier_published = Instant::now();
-            self.publish(f);
-        }
-    }
-
-    /// Record liveness for an agent-originated push.
-    fn saw(&mut self, id: AgentId) {
-        self.last_seen.insert(id, Instant::now());
-    }
-
-    fn publish(&self, frame: Frame) {
-        self.publisher.publish(&frame);
-    }
-
-    fn busy(&self) -> bool {
-        self.run.is_some() || self.migrate_epoch.is_some()
-    }
-
-    /// Sum counters over `members`, including ghosts of departed
-    /// agents.
-    fn summed(&self, members: &[AgentId]) -> Option<Counters> {
-        let mut total = self.ghost;
-        for id in members {
-            total = total.add(&self.reports.get(id)?.counters);
-        }
-        Some(total)
-    }
-
-    /// All members reported the given context and the counts the
-    /// phase's barrier rests on are settled: every pair, except that a
-    /// Scatter barrier leaves the VMSG pair to the receivers — each
-    /// waits for the count its advance carries
-    /// ([`Lead::scatter_expectations`]).
-    fn barrier_met(&self, members: &[AgentId], run: u64, step: u32, phase: Phase) -> bool {
-        for id in members {
-            match self.reports.get(id) {
-                Some(r) if r.run == run && r.step == step && r.phase == phase => {}
-                _ => return false,
-            }
-        }
-        self.summed(members).is_some_and(|c| match phase {
-            Phase::Scatter => c.settled_but_vmsg(),
-            _ => c.settled(),
-        })
-    }
-
-    /// What the members' Scatter reports say they sent, summed per
-    /// receiver and sorted by it: the counts the advance that answers
-    /// the barrier carries. Read from the reports the barrier was met
-    /// on, so a re-sent report replaces its share instead of adding to
-    /// it. One `(receiver, records)` entry per non-empty
-    /// sender→receiver pair goes in — the order of the VMSG frames the
-    /// step put on the wire.
-    fn scatter_expectations(&self, members: &[AgentId]) -> StepCounts {
-        let mut pairs: StepCounts = members
-            .iter()
-            .flat_map(|id| self.reports[id].sent.iter().copied())
-            .collect();
-        pairs.sort_unstable_by_key(|&(to, _)| to);
-        pairs.dedup_by(|next, sum| {
-            let same = next.0 == sum.0;
-            if same {
-                sum.1 += next.1;
-            }
-            same
-        });
-        pairs
-    }
-
-    fn member_ids(&self) -> Vec<AgentId> {
-        self.view.agents.iter().map(|a| a.id).collect()
-    }
-
-    /// The `(run, step, phase)` the outstanding barrier's reports carry:
-    /// a migrate epoch, a sync phase, or — `Combine` with the probe
-    /// number, 0 before the first — an async run's idle round.
-    fn open_barrier(&self) -> Option<(u64, u32, Phase)> {
-        if let Some(epoch) = self.migrate_epoch {
-            return Some((0, epoch as u32, Phase::Migrate));
-        }
-        let run = self.run.as_ref()?;
-        Some(if run.async_live {
-            (run.info.run_id, run.probe, Phase::Combine)
-        } else {
-            (run.info.run_id, run.step, run.phase)
-        })
-    }
-
-    /// Who the outstanding barrier is waiting on, from what the lead
-    /// holds: the members that have not reported it and what they
-    /// reported last, every counter pair its sums leave unbalanced, and
-    /// what the last Scatter advance told each member to take in — a
-    /// member missing from the barrier after such an advance is short
-    /// of its count or still computing.
-    fn waiting_on(&self) -> String {
-        use std::fmt::Write;
-        let Some((run, step, phase)) = self.open_barrier() else {
-            return "no barrier open".into();
-        };
-        let idle_round = self.run.as_ref().is_some_and(|r| r.async_live) && step == 0;
-        let members = match phase {
-            Phase::Migrate => self.migrate_members.clone(),
-            _ => self.member_ids(),
-        };
-        let mut out = match phase {
-            Phase::Migrate => format!("migrate barrier of epoch {step}"),
-            _ if idle_round => format!("run {run}, async idle round"),
-            _ => format!("barrier (run {run}, step {step}, {phase:?})"),
-        };
-        let mut total = self.ghost;
-        for id in &members {
-            let rep = self.reports.get(id);
-            total = total.add(&rep.map(|r| r.counters).unwrap_or_default());
-            let reported = rep.is_some_and(|r| {
-                r.run == run
-                    && if idle_round {
-                        r.step == u32::MAX && r.epoch == self.view.epoch
-                    } else {
-                        r.step == step && r.phase == phase
-                    }
-            });
-            if reported {
-                continue;
-            }
-            match rep {
-                Some(r) => write!(
-                    out,
-                    "; agent {id} last reported (run {}, step {}, {:?}) under epoch {}",
-                    r.run, r.step, r.phase, r.epoch
-                ),
-                None => write!(out, "; agent {id} has reported nothing"),
-            }
-            .expect("write to a String");
-            let (of_step, expect) = &self.expected;
-            if let Some((_, n)) = expect.iter().find(|(to, _)| to == id) {
-                write!(out, ", told to take in {n} VMSG records of step {of_step}")
-                    .expect("write to a String");
-            }
-        }
-        for (pair, sent, recv) in total.pairs() {
-            // A Scatter barrier does not wait for the VMSG pair.
-            if sent != recv && !(phase == Phase::Scatter && pair == "vmsg") {
-                write!(
-                    out,
-                    "; {pair} sent − recv = {}",
-                    sent as i128 - recv as i128
-                )
-                .expect("write to a String");
-            }
-        }
-        out
-    }
-
-    /// Called from the lead's tick: one line on stderr, once, for a
-    /// barrier that has stood [`STALL_REPORT_AFTER`].
-    fn report_stall(&mut self) {
-        let barrier = self.open_barrier();
-        if barrier != self.stall.barrier {
-            self.stall = Stall {
-                barrier,
-                since: Instant::now(),
-                reported: false,
-            };
-        } else if barrier.is_some()
-            && !self.stall.reported
-            && self.stall.since.elapsed() >= STALL_REPORT_AFTER
-        {
-            self.stall.reported = true;
-            eprintln!("elga lead: waiting on {}", self.waiting_on());
-        }
-    }
-
-    /// The view's membership changed, or its sketch in a way that can
-    /// change a placement: open its next epoch and re-read what the
-    /// lead keeps per epoch.
-    fn next_epoch(&mut self) {
-        self.view.epoch += 1;
-        self.may_split = self.view.may_split();
-    }
-
-    /// A join, a leave or a sketch fold that needs an epoch is queued
-    /// behind the run.
-    fn membership_pending(&self) -> bool {
-        !self.pending_joins.is_empty() || !self.pending_leaves.is_empty() || self.pending_sketch
-    }
-
-    /// Fold a Streamer's batch delta into the view's sketch, and say
-    /// whether the fold was *quiet*: no vertex could be split before
-    /// it and none can after, so the placement function — what a view
-    /// epoch names — is the one every participant already holds
-    /// (DESIGN.md "A sketch fold is not a view change"). A quiet fold
-    /// is complete on return: no epoch, no VIEW, no barrier, nothing
-    /// pending that a chained step or an async run would stop for. Any
-    /// other fold gets its epoch the way a membership change does: now,
-    /// or at the run's next boundary.
-    fn fold_sketch(&mut self, delta: &SketchDeltaView<'_>) -> bool {
-        // A mismatched delta is a client bug; drop it rather than
-        // poisoning the view.
-        if delta.fold_into(&mut self.view.sketch).is_err() {
-            return false;
-        }
-        self.view.batch_id += 1;
-        if !self.may_split && !self.view.may_split() {
-            return true;
-        }
-        self.pending_sketch = true;
-        if !self.busy() {
-            self.apply_membership();
-        }
-        self.evaluate();
-        false
-    }
-
-    /// Whether the step whose Scatter barrier just settled may run its
-    /// Combine and Apply without barriers of their own (DESIGN.md "One
-    /// barrier when nothing is split"). Decided per step from state the
-    /// lead already holds; any `false` falls back to three barriers for
-    /// that step only.
-    fn can_chain(&self) -> bool {
-        let run = self.run.as_ref().expect("run");
-        // Async handlers and the idle protocol have no phases to chain.
-        !run.info.asynchronous
-            // The last step's verdict ends the run: a chained scatter
-            // of step `max + 1` would be thrown away.
-            && run.max_steps.is_none_or(|m| run.step < m)
-            // A view change must land on a clean Apply boundary, before
-            // the next step's messages exist.
-            && !self.membership_pending()
-            // With a vertex split across agents, PARTIAL and STATE
-            // records cross the wire and need their own barriers.
-            && !self.may_split
-    }
-
-    /// Apply queued membership changes and publish a pending sketch
-    /// fold: bump the epoch, broadcast the view, and open a migrate
-    /// barrier.
-    fn apply_membership(&mut self) {
-        if !self.membership_pending() {
-            return;
-        }
-        for j in self.pending_joins.drain(..) {
-            if !self.view.agents.iter().any(|a| a.id == j.id) {
-                self.view.agents.push(j);
-            }
-        }
-        for l in self.pending_leaves.drain(..) {
-            if let Some(pos) = self.view.agents.iter().position(|a| a.id == l) {
-                self.view.agents.remove(pos);
-                self.departing.push(l);
-            }
-        }
-        self.pending_sketch = false;
-        self.next_epoch();
-        self.tracer.instant(
-            EventKind::ViewAdopt,
-            self.view.epoch,
-            self.view.agents.len() as u64,
-        );
-        self.migrate_epoch = Some(self.view.epoch);
-        self.migrate_members = self.member_ids();
-        self.migrate_members.extend(self.departing.iter().copied());
-        let frame = self.view.encode();
-        self.barrier_broadcast = Some(frame.clone());
-        self.barrier_published = Instant::now();
-        self.publish(frame);
-    }
-
-    /// Send the post-drain OK to departed agents and absorb their
-    /// final counters into the ghost totals.
-    fn release_departers(&mut self) {
-        for id in self.departing.drain(..) {
-            if let Some(rep) = self.reports.remove(&id) {
-                self.ghost = self.ghost.add(&rep.counters);
-                // A departer's final READY carries its dangling-mass
-                // report. Mid-async-run it is the final cumulative
-                // value: telescope it against the seen-map entry being
-                // retired. Otherwise it is the unreported accumulator,
-                // carried into the next delta run's scatter reduce.
-                match self.run.as_mut() {
-                    Some(run) if run.async_live && run.info.delta => {
-                        let seen = run.dangling_seen.remove(&id).unwrap_or(0.0);
-                        run.dangling_pending += rep.global_contrib - seen;
-                        self.dangling_mass += rep.global_contrib - seen;
-                    }
-                    _ => self.dangling_carry += rep.global_contrib,
-                }
-            }
-            if let Some(m) = self.metrics.remove(&id) {
-                self.departed_metrics.absorb_departed(&m);
-            }
-            // The agent's mailbox address is conventional.
-            if let Some(addr) = agent_addr_from_reports(id, &self.view) {
-                if let Ok(out) = self.transport.sender(&addr) {
-                    let _ = out.send(Frame::signal(packet::OK));
-                }
-            }
-        }
-    }
-
-    /// View members whose last sign of life is older than the
-    /// detection window. Members with no recorded liveness are stamped
-    /// now rather than reported, so a freshly joined agent gets a full
-    /// window before its first heartbeat is due.
-    fn dead_agents(&mut self, window: Duration) -> Vec<AgentId> {
-        let mut dead = Vec::new();
-        for id in self.member_ids() {
-            match self.last_seen.get(&id) {
-                Some(t) if t.elapsed() > window => dead.push(id),
-                Some(_) => {}
-                None => self.saw(id),
-            }
-        }
-        dead
-    }
-
-    /// Evict a dead agent and rewind the whole system.
-    ///
-    /// Exact reconciliation is impossible after an unplanned loss:
-    /// messages in flight to or from the dead agent are unaccounted
-    /// for, and its primary vertex state is gone. Instead survivors
-    /// drop all graph state and zero their counters (so the fresh
-    /// migrate barrier settles trivially), any active run is aborted,
-    /// and the driver replays the retained change log before
-    /// restarting the run.
-    fn recover(&mut self, dead: AgentId) {
-        // Fold queued joins in so a joiner racing the recovery is not
-        // evicted by the broadcast view; queued leaves and departers
-        // exit on receipt of RECOVER — after the reset they hold no
-        // data worth draining.
-        for j in self.pending_joins.drain(..) {
-            if !self.view.agents.iter().any(|a| a.id == j.id) {
-                self.view.agents.push(j);
-            }
-        }
-        for l in self.pending_leaves.drain(..) {
-            self.view.agents.retain(|a| a.id != l);
-        }
-        self.departing.clear();
-        self.view.agents.retain(|a| a.id != dead);
-        self.last_seen.remove(&dead);
-        if let Some(m) = self.metrics.remove(&dead) {
-            self.departed_metrics.absorb_departed(&m);
-        }
-        // The table already counts every batch that was routed — the
-        // replayed edges must see the same estimates — and the epoch
-        // opened below publishes it.
-        self.pending_sketch = false;
-        // The reset rewinds every cumulative counter to zero,
-        // survivors and ghosts alike. Dangling carry describes
-        // pre-crash state the replay will regenerate.
-        self.reports.clear();
-        self.ghost = Counters::default();
-        self.dangling_carry = 0.0;
-        // The dangling base describes state the reset wiped; unknown
-        // (n = 0) until a finished run re-establishes it.
-        self.dangling_mass = 0.0;
-        self.dangling_n = 0;
-        self.resume = None;
-        let aborted = self
-            .run
-            .take()
-            .map(|r| r.info.run_id)
-            .or_else(|| self.pending_start.take().map(|i| i.run_id))
-            .unwrap_or(0);
-        if aborted != 0 {
-            self.last_status = RunStatus {
-                run_id: aborted,
-                running: false,
-                done: false,
-                migrating: false,
-                steps: 0,
-                step_nanos: Vec::new(),
-                n_vertices: self.view.n_vertices,
-                ..RunStatus::default()
-            };
-        }
-        self.next_epoch();
-        self.tracer
-            .instant(EventKind::RecoveryTrigger, self.view.epoch, dead);
-        self.migrate_epoch = Some(self.view.epoch);
-        self.migrate_members = self.member_ids();
-        self.agents_recovered += 1;
-        let frame = msg::Recover {
-            epoch: self.view.epoch,
-            dead_agent: dead,
-            aborted_run: aborted,
-            view: self.view.clone(),
-        }
-        .encode();
-        self.barrier_broadcast = Some(frame.clone());
-        self.barrier_published = Instant::now();
-        self.publish(frame);
-        // Zero survivors: the barrier is trivially met.
-        self.evaluate();
-    }
-
-    /// Re-evaluate all outstanding barriers until no further progress
-    /// is possible; called on every READY (and after start/membership
-    /// changes, so zero-member edge cases cannot stall).
-    fn evaluate(&mut self) {
-        for _ in 0..1024 {
-            if !self.evaluate_once() {
-                break;
-            }
-        }
-    }
-
-    /// One evaluation step. Returns true when a barrier fired.
-    fn evaluate_once(&mut self) -> bool {
-        // Migrate barriers take precedence: nothing else advances while
-        // data is moving.
-        if let Some(epoch) = self.migrate_epoch {
-            let members = self.migrate_members.clone();
-            if !self.barrier_met(&members, 0, epoch as u32, Phase::Migrate) {
-                return false;
-            }
-            self.migrate_epoch = None;
-            self.barrier_broadcast = None;
-            self.release_departers();
-            self.migrate_members.clear();
-            if let Some(adv) = self.resume.take() {
-                if let Some(run) = self.run.as_mut() {
-                    run.step = adv.step;
-                    run.phase = adv.phase;
-                    run.step_started = Instant::now();
-                    if run.info.asynchronous && adv.phase == Phase::Scatter {
-                        // Releasing (or re-releasing) the agents into
-                        // event-driven execution: the resumed advance
-                        // is answered by idle reports, not a sync
-                        // barrier.
-                        run.async_live = true;
-                    }
-                }
-                self.publish(adv.encode());
-            } else if !self.busy() {
-                // Chain queued membership changes, then any deferred
-                // run start.
-                self.apply_membership();
-                if self.migrate_epoch.is_none() {
-                    if let Some(info) = self.pending_start.take() {
-                        self.launch_run(info);
-                    }
-                }
-            }
-            return true;
-        }
-        let Some(run) = self.run.as_ref() else {
-            return false;
-        };
-        if run.async_live {
-            return self.evaluate_async();
-        }
-        let members = self.member_ids();
-        let (run_id, step, phase) = (run.info.run_id, run.step, run.phase);
-        if !self.barrier_met(&members, run_id, step, phase) {
-            return false;
-        }
-        self.on_phase_complete();
-        true
-    }
-
-    /// Handle completion of the current sync phase.
-    fn on_phase_complete(&mut self) {
-        let members = self.member_ids();
-        let phase = self.run.as_ref().expect("run").phase;
-        match phase {
-            Phase::Scatter => {
-                // Reached through a chain, this barrier is the previous
-                // step's Apply verdict before it is anything else.
-                let expect = self.scatter_expectations(&members);
-                if std::mem::take(&mut self.run.as_mut().expect("run").chained)
-                    && self.step_verdict(&members)
-                {
-                    let run = self.run.as_mut().expect("run");
-                    // The agents scattered `step` already, and the run
-                    // ended at the step the verdict is for. A program
-                    // that scatters whatever is active (full PageRank,
-                    // converged by tolerance) sent that whole scatter:
-                    // the `done` advance carries its counts like any
-                    // other answer to a Scatter barrier, so no agent
-                    // leaves the run with records of it still on their
-                    // way — they would be dropped as stale and no later
-                    // `quiesce` could balance the VMSG sums.
-                    run.step -= 1;
-                    run.phase = Phase::Apply;
-                    self.finish_run(expect);
-                    return;
-                }
-                let mut n = 0;
-                let mut global = 0.0;
-                for id in &members {
-                    let r = &self.reports[id];
-                    n += r.n_primary;
-                    global += r.global_contrib;
-                }
-                // Delta runs report dangling-mass *changes* here;
-                // departed agents' handed-over accumulators join the
-                // same reduce so their mass is not lost. At step 0 the
-                // published global additionally re-bases the dangling
-                // term when the vertex count moved between runs: the
-                // carried state bakes in d·S/n0, the run needs d·S/n1,
-                // and a shift of S·(n0−n1)/n0 mass makes the uniform
-                // share close the difference exactly.
-                if self.run.as_ref().is_some_and(|r| r.info.delta) {
-                    let delta_s = global + std::mem::take(&mut self.dangling_carry);
-                    global = delta_s;
-                    let step = self.run.as_ref().expect("run").step;
-                    if step == 0 {
-                        if self.dangling_n != 0 && self.dangling_n != n {
-                            global += self.dangling_mass * (self.dangling_n as f64 - n as f64)
-                                / self.dangling_n as f64;
-                        }
-                        self.dangling_n = n;
-                    }
-                    self.dangling_mass += delta_s;
-                }
-                self.view.n_vertices = n;
-                let chain = self.can_chain();
-                let run = self.run.as_mut().expect("run");
-                run.n_vertices = n;
-                run.global = global;
-                let adv = Advance {
-                    run: run.info.run_id,
-                    step: run.step,
-                    phase: Phase::Combine,
-                    n_vertices: n,
-                    global,
-                    done: false,
-                    chain,
-                    expect,
-                };
-                if chain {
-                    // One handler call runs combine → apply → the next
-                    // scatter; the next report is `(step + 1, Scatter)`.
-                    run.step += 1;
-                    run.chained = true;
-                } else {
-                    run.phase = Phase::Combine;
-                }
-                self.publish(adv.encode());
-                self.expected = (adv.step, adv.expect);
-            }
-            Phase::Combine => {
-                let run = self.run.as_mut().expect("run");
-                run.phase = Phase::Apply;
-                let adv = Advance {
-                    run: run.info.run_id,
-                    step: run.step,
-                    phase: Phase::Apply,
-                    n_vertices: run.n_vertices,
-                    global: run.global,
-                    done: false,
-                    chain: false,
-                    expect: Vec::new(),
-                };
-                self.publish(adv.encode());
-            }
-            Phase::Apply => {
-                let converged = self.step_verdict(&members);
-                let run = self.run.as_ref().expect("run");
-                if converged || run.max_steps.is_some_and(|m| run.step >= m) {
-                    self.finish_run(Vec::new());
-                    return;
-                }
-                let next = Advance {
-                    run: run.info.run_id,
-                    step: run.step + 1,
-                    phase: Phase::Scatter,
-                    n_vertices: run.n_vertices,
-                    global: 0.0,
-                    done: false,
-                    chain: false,
-                    expect: Vec::new(),
-                };
-                // Elastic scaling happens at superstep boundaries: if
-                // membership changed mid-run, migrate first and resume
-                // after (§3.4.3 / Figure 17). Checked before the async
-                // transition so a change queued during async
-                // initialization migrates now; the resume then doubles
-                // as the async release (`next` is exactly the step-1
-                // scatter advance, and the resume path re-arms
-                // `async_live`).
-                if self.membership_pending() {
-                    self.resume = Some(next);
-                    self.apply_membership();
-                    return;
-                }
-                if self.run.as_ref().expect("run").info.asynchronous {
-                    // Initialization done; release the agents into
-                    // event-driven execution.
-                    let run = self.run.as_mut().expect("run");
-                    run.async_live = true;
-                    run.step = 1;
-                    run.phase = Phase::Scatter;
-                    let adv = Advance {
-                        run: run.info.run_id,
-                        step: 1,
-                        phase: Phase::Scatter,
-                        n_vertices: run.n_vertices,
-                        global: 0.0,
-                        done: false,
-                        chain: false,
-                        expect: Vec::new(),
-                    };
-                    self.publish(adv.encode());
-                    return;
-                }
-                let run = self.run.as_mut().expect("run");
-                run.step = next.step;
-                run.phase = Phase::Scatter;
-                self.publish(next.encode());
-            }
-            Phase::Migrate => unreachable!("migrate handled separately"),
-        }
-    }
-
-    /// Close a superstep's books at its Apply verdict — reached as an
-    /// Apply barrier or riding a chained Scatter barrier: one
-    /// `step_nanos` entry, and whether the step converged (no member
-    /// left a vertex active).
-    fn step_verdict(&mut self, members: &[AgentId]) -> bool {
-        let active: u64 = members.iter().map(|id| self.reports[id].active).sum();
-        let run = self.run.as_mut().expect("run");
-        run.step_nanos
-            .push(run.step_started.elapsed().as_nanos() as u64);
-        run.step_started = Instant::now();
-        active == 0
-    }
-
-    /// Async termination: all agents idle with settled counters twice
-    /// in a row. Returns true when it made progress.
-    fn evaluate_async(&mut self) -> bool {
-        // A membership or sketch change arrived mid-async-run: pause
-        // the run behind a migrate barrier. Any outstanding probe is
-        // void (its responses predate the migration traffic), so the
-        // probe state resets; once the barrier settles, the resume
-        // advance re-releases the agents and termination detection
-        // starts over.
-        if self.membership_pending() {
-            let resume = {
-                let run = self.run.as_mut().expect("run");
-                run.probe = 0;
-                run.last_probe_sums = None;
-                Advance {
-                    run: run.info.run_id,
-                    step: 1,
-                    phase: Phase::Scatter,
-                    n_vertices: run.n_vertices,
-                    global: 0.0,
-                    done: false,
-                    chain: false,
-                    expect: Vec::new(),
-                }
-            };
-            self.resume = Some(resume);
-            self.apply_membership();
-            return true;
-        }
-        // Reported dangling-mass changes above the program's epsilon
-        // redistribute before termination detection may proceed: the
-        // round's advance tells every agent to fold the uniform share
-        // into its primaries' residuals. Clearing the reports (and the
-        // agents re-reporting after the merge) forces a fresh idle
-        // round, so the run cannot terminate past an unmerged share.
-        {
-            let run = self.run.as_mut().expect("run");
-            if run.info.delta && run.dangling_pending.abs() > run.dangling_eps {
-                let pending = run.dangling_pending;
-                run.dangling_pending = 0.0;
-                run.dangling_round += 1;
-                run.probe = 0;
-                run.last_probe_sums = None;
-                let adv = Advance {
-                    run: run.info.run_id,
-                    step: run.dangling_round,
-                    phase: Phase::Apply,
-                    n_vertices: run.n_vertices,
-                    global: pending,
-                    done: false,
-                    chain: false,
-                    expect: Vec::new(),
-                };
-                self.reports.clear();
-                self.publish(adv.encode());
-                return false;
-            }
-        }
-        let members = self.member_ids();
-        let (run_id, probe, last_sums, n_vertices) = {
-            let run = self.run.as_ref().expect("run");
-            (
-                run.info.run_id,
-                run.probe,
-                run.last_probe_sums,
-                run.n_vertices,
-            )
-        };
-        if probe > 0 {
-            // Waiting on probe responses.
-            let all = members.iter().all(|id| {
-                self.reports.get(id).is_some_and(|r| {
-                    r.run == run_id && r.phase == Phase::Combine && r.step == probe
-                })
-            });
-            if !all {
-                return false;
-            }
-            let Some(sums) = self.summed(&members) else {
-                return false;
-            };
-            if sums.settled() && last_sums == Some(sums) {
-                self.finish_run(Vec::new());
-                return true;
-            }
-            let run = self.run.as_mut().expect("run");
-            run.last_probe_sums = sums.settled().then_some(sums);
-            run.probe += 1;
-            let adv = Advance {
-                run: run_id,
-                step: run.probe,
-                phase: Phase::Combine,
-                n_vertices,
-                global: 0.0,
-                done: false,
-                chain: false,
-                expect: Vec::new(),
-            };
-            self.publish(adv.encode());
-            // Progress was made, but re-evaluating immediately cannot
-            // fire again until responses arrive.
-            return false;
-        }
-        // Idle detection: every agent has sent an idle report — under
-        // the current view epoch, so quiescence observed before a view
-        // change can never terminate the run it resumed — and the sums
-        // are settled -> start probing.
-        let all_idle = members.iter().all(|id| {
-            self.reports.get(id).is_some_and(|r| {
-                r.run == run_id && r.step == u32::MAX && r.epoch == self.view.epoch
-            })
-        });
-        if !all_idle {
-            return false;
-        }
-        let Some(sums) = self.summed(&members) else {
-            return false;
-        };
-        if !sums.settled() {
-            return false;
-        }
-        let run = self.run.as_mut().expect("run");
-        run.last_probe_sums = Some(sums);
-        run.probe = 1;
-        let adv = Advance {
-            run: run_id,
-            step: 1,
-            phase: Phase::Combine,
-            n_vertices,
-            global: 0.0,
-            done: false,
-            chain: false,
-            expect: Vec::new(),
-        };
-        self.publish(adv.encode());
-        false
-    }
-
-    /// An idle report accepted while a confirmation probe is
-    /// outstanding means an agent saw new traffic after (or instead
-    /// of) answering — its probe response is masked by the newer idle
-    /// report and will never be re-sent once the agent is quiescent.
-    /// The responses collected so far may also predate that activity.
-    /// Restart the double probe so both compared rounds postdate it.
-    fn restart_probe(&mut self) {
-        let Some(run) = self.run.as_mut() else {
-            return;
-        };
-        run.probe += 1;
-        run.last_probe_sums = None;
-        let adv = Advance {
-            run: run.info.run_id,
-            step: run.probe,
-            phase: Phase::Combine,
-            n_vertices: run.n_vertices,
-            global: 0.0,
-            done: false,
-            chain: false,
-            expect: Vec::new(),
-        };
-        self.publish(adv.encode());
-    }
-
-    /// End the run at `(step, phase)`. `expect` is what the `done`
-    /// advance tells each member to take in first: the counts of the
-    /// scatter a chained verdict was reported with, nothing otherwise.
-    fn finish_run(&mut self, expect: StepCounts) {
-        let run = self.run.take().expect("finishing without run");
-        if run.info.delta {
-            self.dangling_n = run.n_vertices;
-        } else {
-            // A full run's final scatter reduce summed the dangling
-            // mass exactly; re-base the running total on it (healing
-            // any f64 drift the delta tracking accumulated).
-            self.dangling_mass = run.global;
-            self.dangling_n = run.n_vertices;
-        }
-        let adv = Advance {
-            run: run.info.run_id,
-            step: run.step,
-            phase: run.phase,
-            n_vertices: run.n_vertices,
-            global: 0.0,
-            done: true,
-            chain: false,
-            expect,
-        };
-        self.publish(adv.encode());
-        self.last_status = RunStatus {
-            run_id: run.info.run_id,
-            running: false,
-            done: true,
-            migrating: false,
-            steps: run.step,
-            step_nanos: if run.info.asynchronous {
-                vec![run.started.elapsed().as_nanos() as u64]
-            } else {
-                run.step_nanos
-            },
-            n_vertices: run.n_vertices,
-            ..RunStatus::default()
-        };
-        // Any membership changes queued during the run apply now.
-        self.apply_membership();
-    }
-
-    /// Accept a run request: assigns the id immediately; the run
-    /// launches now or after the outstanding migrate barrier settles.
-    fn start_run(&mut self, mut info: RunInfo) -> u64 {
-        let run_id = self.next_run_id;
-        self.next_run_id += 1;
-        info.run_id = run_id;
-        if self.busy() {
-            self.pending_start = Some(info);
-        } else {
-            self.launch_run(info);
-        }
-        run_id
-    }
-
-    fn launch_run(&mut self, mut info: RunInfo) {
-        // Ship the per-vertex dangling term baked into the carried
-        // states: vertices first appearing in this run seed it as a
-        // residual instead (they never absorbed it into their state).
-        info.dangling_base = if info.delta && self.dangling_n != 0 {
-            self.dangling_mass / self.dangling_n as f64
-        } else {
-            0.0
-        };
-        // The batches this run can have seen: `start_run` is called on
-        // a quiesced system, and changes arriving later are buffered
-        // until the run is over.
-        info.watermark = self.view.batch_id;
-        let spec = crate::program::ProgramSpec::decode(info.tag, info.params);
-        let prog = spec.as_ref().map(|s| s.instantiate());
-        let max_steps = prog.as_ref().and_then(|p| p.max_steps());
-        let dangling_eps = prog
-            .as_ref()
-            .map_or(f64::INFINITY, |p| p.dangling_epsilon());
-        if !info.delta {
-            // A full run recomputes every vertex from scratch; mass
-            // handed over by past departures is subsumed by it.
-            self.dangling_carry = 0.0;
-        }
-        self.reports.clear();
-        let now = Instant::now();
-        let run_id = info.run_id;
-        self.run = Some(Run {
-            info,
-            max_steps,
-            step: 0,
-            phase: Phase::Scatter,
-            n_vertices: self.view.n_vertices,
-            global: 0.0,
-            started: now,
-            step_started: now,
-            step_nanos: Vec::new(),
-            probe: 0,
-            last_probe_sums: None,
-            async_live: false,
-            dangling_pending: 0.0,
-            dangling_seen: HashMap::new(),
-            dangling_round: 0,
-            dangling_eps,
-            chained: false,
-        });
-        self.last_status = RunStatus {
-            run_id,
-            running: true,
-            done: false,
-            migrating: false,
-            steps: 0,
-            step_nanos: Vec::new(),
-            n_vertices: self.view.n_vertices,
-            ..RunStatus::default()
-        };
-        self.publish(self.run.as_ref().expect("run").info.encode());
-        let adv = Advance {
-            run: run_id,
-            step: 0,
-            phase: Phase::Scatter,
-            n_vertices: self.view.n_vertices,
-            global: 0.0,
-            done: false,
-            chain: false,
-            expect: Vec::new(),
-        };
-        self.publish(adv.encode());
-        self.evaluate();
-    }
-
-    fn status(&self) -> RunStatus {
-        let mut status = match &self.run {
-            Some(run) => RunStatus {
-                run_id: run.info.run_id,
-                running: true,
-                done: false,
-                migrating: false,
-                steps: run.step,
-                step_nanos: run.step_nanos.clone(),
-                n_vertices: run.n_vertices,
-                ..RunStatus::default()
-            },
-            None => self.last_status.clone(),
-        };
-        status.migrating = self.migrate_epoch.is_some()
-            || self.membership_pending()
-            || self.pending_start.is_some();
-        status.epoch = self.view.epoch;
-        status.departed = self.ghost;
-        status
-    }
-}
 
 /// The agent mailbox address convention shared by the whole workspace.
 pub fn agent_addr(id: AgentId) -> Addr {
@@ -1205,10 +43,6 @@ pub fn bus_addr() -> Addr {
 /// DirectoryMaster bootstrap address convention.
 pub fn master_addr() -> Addr {
     Addr::inproc("master")
-}
-
-fn agent_addr_from_reports(id: AgentId, view: &DirectoryView) -> Option<Addr> {
-    view.addr_of(id).cloned().or(Some(agent_addr(id)))
 }
 
 /// Spawn the DirectoryMaster: a bootstrap registry handing out
@@ -1355,213 +189,57 @@ pub fn spawn_directory_at(
         .expect("spawn directory")
 }
 
+/// The lead's shell: hands the [`Lead`] every frame of its mailbox and
+/// a tick before each wait for one (at least every 20 ms, and off the
+/// path from a READY to the ADVANCE it releases), with the time, and
+/// carries out what it queued.
 fn lead_loop(
     transport: Arc<dyn Transport>,
     cfg: SystemConfig,
     mailbox: Mailbox,
     publisher: Publisher,
 ) {
-    let mut lead = Lead::new(&cfg, publisher, transport.clone());
-    let window = cfg.heartbeat_interval * cfg.heartbeat_misses;
-    let mut checked = Instant::now();
+    let mut lead = Lead::new(&cfg, Instant::now());
     loop {
-        // Failure detection ticks between messages and (throttled)
-        // under load, so a busy mailbox cannot starve it.
-        if cfg.failure_detection && checked.elapsed() >= cfg.heartbeat_interval {
-            checked = Instant::now();
-            for dead in lead.dead_agents(window) {
-                lead.tracer
-                    .instant(EventKind::HeartbeatMiss, dead, window.as_millis() as u64);
-                lead.recover(dead);
-            }
-        }
-        lead.republish_barrier(cfg.heartbeat_interval);
-        lead.report_stall();
+        lead.on_tick(Instant::now());
+        carry_out(&mut lead, &*transport, &publisher, None);
         let d = match mailbox.recv_timeout(Duration::from_millis(20)) {
             Ok(d) => d,
             Err(NetError::Timeout) => continue,
             Err(_) => break,
         };
-        match d.frame.packet_type() {
-            packet::READY => {
-                if let Some(rep) = ReadyReport::decode(&d.frame) {
-                    lead.saw(rep.agent);
-                    // A retransmitting transport can reorder pushes;
-                    // never let a stale report overwrite a fresh one.
-                    let stale = lead
-                        .reports
-                        .get(&rep.agent)
-                        .is_some_and(|old| old.seq > rep.seq);
-                    if !stale {
-                        // Only idle reports from the current epoch can
-                        // restart probes: a report that predates an
-                        // adopted view describes traffic the resumed
-                        // run has already re-scattered.
-                        let probe_reset = rep.step == u32::MAX
-                            && rep.epoch == lead.view.epoch
-                            && lead.run.as_ref().is_some_and(|r| {
-                                r.async_live && r.probe > 0 && r.info.run_id == rep.run
-                            });
-                        lead.note_dangling(&rep);
-                        lead.reports.insert(rep.agent, rep);
-                        if probe_reset {
-                            lead.restart_probe();
-                        }
-                        lead.evaluate();
-                    }
+        lead.on_frame(Instant::now(), &d.frame);
+        carry_out(&mut lead, &*transport, &publisher, d.reply);
+        if d.frame.packet_type() == packet::SHUTDOWN {
+            break;
+        }
+    }
+}
+
+/// Carry out the lead's effects in the order it queued them; `reply`
+/// answers the frame just handled, if its sender waits for one.
+fn carry_out(
+    lead: &mut Lead,
+    transport: &dyn Transport,
+    publisher: &Publisher,
+    mut reply: Option<ReplyHandle>,
+) {
+    for effect in lead.effects() {
+        match effect {
+            Effect::Publish(frame) => {
+                publisher.publish(&frame);
+            }
+            Effect::Reply(frame) => {
+                if let Some(reply) = reply.take() {
+                    let _ = reply.send(frame);
                 }
             }
-            packet::HEARTBEAT => {
-                if let Some(beat) = msg::Heartbeat::decode(&d.frame) {
-                    lead.saw(beat.agent);
+            Effect::Send(addr, frame) => {
+                if let Ok(out) = transport.sender(&addr) {
+                    let _ = out.send(frame);
                 }
             }
-            packet::JOIN => {
-                if let Some(info) = AgentInfo::decode(&d.frame) {
-                    let run = lead.run.as_ref().map(|r| r.info);
-                    lead.saw(info.id);
-                    lead.pending_joins.push(info);
-                    if !lead.busy() {
-                        lead.apply_membership();
-                    }
-                    if let Some(reply) = d.reply {
-                        let view = lead.view.clone();
-                        let _ = reply.send(msg::JoinReply { view, run }.encode());
-                    }
-                    lead.evaluate();
-                } else if let Some(reply) = d.reply {
-                    let _ = reply.send(Frame::signal(packet::OK));
-                }
-            }
-            packet::LEAVE => {
-                // One frame may carry any number of departing ids;
-                // queueing them all before one apply_membership retires
-                // the whole batch in a single view change + migration.
-                let mut r = d.frame.reader();
-                let mut any = false;
-                while let Some(id) = r.u64() {
-                    lead.pending_leaves.push(id);
-                    any = true;
-                }
-                if any {
-                    if !lead.busy() {
-                        lead.apply_membership();
-                    }
-                    lead.evaluate();
-                }
-                if let Some(reply) = d.reply {
-                    let _ = reply.send(Frame::signal(packet::OK));
-                }
-            }
-            packet::SKETCH_DELTA => {
-                let quiet = msg::decode_sketch_delta(&d.frame)
-                    .is_some_and(|delta| lead.fold_sketch(&delta));
-                if let Some(reply) = d.reply {
-                    // A quiet fold changed nothing the sender routes
-                    // by; the epoch tells it whether its view is still
-                    // the current one.
-                    let _ = reply.send(if quiet {
-                        Frame::builder(packet::OK).u64(lead.view.epoch).finish()
-                    } else {
-                        lead.view.encode()
-                    });
-                }
-            }
-            packet::START => {
-                if let Some(info) = RunInfo::decode(&d.frame) {
-                    let run_id = lead.start_run(info);
-                    if let Some(reply) = d.reply {
-                        let _ = reply.send(Frame::builder(packet::OK).u64(run_id).finish());
-                    }
-                } else if let Some(reply) = d.reply {
-                    let _ = reply.send(Frame::signal(packet::OK));
-                }
-            }
-            packet::GET_VIEW => {
-                if let Some(reply) = d.reply {
-                    let _ = reply.send(lead.view.encode());
-                }
-            }
-            packet::RUN_STATUS => {
-                if let Some(reply) = d.reply {
-                    let _ = reply.send(lead.status().encode());
-                }
-            }
-            packet::METRICS => {
-                if let Some(m) = AgentMetrics::decode(&d.frame) {
-                    lead.saw(m.agent);
-                    // A straggler from an agent that already left must
-                    // not re-enter the map: its report is in the
-                    // departed totals.
-                    if lead.view.agents.iter().any(|a| a.id == m.agent)
-                        || lead.departing.contains(&m.agent)
-                    {
-                        lead.metrics.insert(m.agent, m);
-                    }
-                }
-            }
-            packet::GET_METRICS => {
-                let mut agg = ClusterMetrics {
-                    agents: lead.view.agents.len() as u64,
-                    agents_recovered: lead.agents_recovered,
-                    ..lead.departed_metrics
-                };
-                for m in lead.metrics.values() {
-                    agg.absorb(m);
-                }
-                if let Some(reply) = d.reply {
-                    let _ = reply.send(agg.encode());
-                }
-            }
-            packet::TRACE_DUMP => {
-                if let Some(reply) = d.reply {
-                    let (events, dropped) = lead.tracer.drain();
-                    let rep = Frame::builder(packet::TRACE_DUMP)
-                        .raw(&elga_trace::encode_events(&events, dropped))
-                        .finish();
-                    let _ = reply.send(rep);
-                }
-            }
-            packet::RESET_LABELS => {
-                lead.publish(d.frame.clone());
-                if let Some(reply) = d.reply {
-                    let _ = reply.send(Frame::signal(packet::OK));
-                }
-            }
-            packet::DANGLING_GET => {
-                // Driver fetching the converged dangling book `(S, n)`
-                // for the checkpoint manifest.
-                if let Some(reply) = d.reply {
-                    let book = msg::Dangling {
-                        mass: lead.dangling_mass,
-                        n: lead.dangling_n,
-                    };
-                    let _ = reply.send(book.encode());
-                }
-            }
-            packet::DANGLING_SET => {
-                // Checkpoint restore re-anchoring the telescoped
-                // dangling series: adopt the manifest's converged
-                // `(S, n)` and absorb the replayed suffix's drift as a
-                // carry, folded into the next delta run's scatter
-                // reduce exactly like a departer's residue.
-                if let Some(set) = msg::DanglingSet::decode(&d.frame) {
-                    lead.dangling_mass = set.mass;
-                    lead.dangling_n = set.n;
-                    lead.dangling_carry += set.carry;
-                }
-                if let Some(reply) = d.reply {
-                    let _ = reply.send(Frame::signal(packet::OK));
-                }
-            }
-            packet::SHUTDOWN => {
-                lead.publish(Frame::signal(packet::SHUTDOWN));
-                if let Some(reply) = d.reply {
-                    let _ = reply.send(Frame::signal(packet::OK));
-                }
-                break;
-            }
-            _ => {}
+            Effect::Log(line) => eprintln!("{line}"),
         }
     }
 }
@@ -1609,1105 +287,6 @@ fn relay_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use elga_net::InProcTransport;
-    use elga_sketch::{DegreeEstimator, SketchDelta};
-
-    fn test_lead() -> Lead {
-        let transport: Arc<dyn Transport> = Arc::new(InProcTransport::new());
-        let publisher = transport.bind_publisher(&Addr::inproc("test-bus")).unwrap();
-        Lead::new(&SystemConfig::default(), publisher, transport)
-    }
-
-    fn ready(agent: AgentId, run: u64, step: u32, phase: Phase, c: Counters) -> ReadyReport {
-        ReadyReport {
-            agent,
-            run,
-            step,
-            phase,
-            counters: c,
-            active: 0,
-            global_contrib: 0.0,
-            n_primary: 0,
-            seq: 0,
-            epoch: 0,
-            sent: Vec::new(),
-        }
-    }
-
-    fn idle(agent: AgentId, run: u64, epoch: u64) -> ReadyReport {
-        ReadyReport {
-            epoch,
-            ..ready(agent, run, u32::MAX, Phase::Scatter, Counters::default())
-        }
-    }
-
-    /// One rule per phase, chosen by the phase alone: every member has
-    /// reported the context, and every counter pair is settled — except
-    /// that a Scatter barrier does not ask about the VMSG pair.
-    #[test]
-    fn barrier_requires_all_members_and_the_sums_its_phase_rests_on() {
-        let mut lead = test_lead();
-        let members = vec![1, 2];
-        let in_flight = |pair: &str| {
-            let mut c = Counters::default();
-            match pair {
-                "vmsg" => c.vmsg_sent = 5,
-                "part" => c.part_sent = 5,
-                "state" => c.state_sent = 5,
-                "mig" => c.mig_sent = 5,
-                "chg" => c.chg_sent = 5,
-                _ => {}
-            }
-            c
-        };
-        for phase in [Phase::Scatter, Phase::Combine, Phase::Apply, Phase::Migrate] {
-            lead.reports.clear();
-            lead.reports
-                .insert(1, ready(1, 7, 2, phase, Counters::default()));
-            assert!(!lead.barrier_met(&members, 7, 2, phase), "missing member");
-            lead.reports
-                .insert(2, ready(2, 7, 2, phase, Counters::default()));
-            assert!(lead.barrier_met(&members, 7, 2, phase));
-            assert!(!lead.barrier_met(&members, 7, 3, phase), "wrong step");
-            assert!(!lead.barrier_met(&members, 8, 2, phase), "wrong run");
-            for pair in ["vmsg", "part", "state", "mig", "chg"] {
-                lead.reports
-                    .insert(1, ready(1, 7, 2, phase, in_flight(pair)));
-                assert_eq!(
-                    lead.barrier_met(&members, 7, 2, phase),
-                    phase == Phase::Scatter && pair == "vmsg",
-                    "{phase:?} with {pair} records in flight"
-                );
-            }
-        }
-        assert!(
-            !lead.barrier_met(&members, 7, 2, Phase::Combine),
-            "wrong phase"
-        );
-    }
-
-    /// A lead with agents 1 and 2 joined and migrated, a sync run of
-    /// the given program started, and a subscription that sees every
-    /// ADVANCE it publishes.
-    fn lead_mid_run(tag: u8, params: [u64; 3], asynchronous: bool) -> (Lead, Mailbox, u64) {
-        lead_mid_run_on(test_lead(), tag, params, asynchronous)
-    }
-
-    /// [`lead_mid_run`] on a lead that may have changes queued for its
-    /// first view.
-    fn lead_mid_run_on(
-        mut lead: Lead,
-        tag: u8,
-        params: [u64; 3],
-        asynchronous: bool,
-    ) -> (Lead, Mailbox, u64) {
-        let bus = lead
-            .transport
-            .subscribe(&Addr::inproc("test-bus"), &[packet::ADVANCE]);
-        for id in [1, 2] {
-            lead.pending_joins.push(AgentInfo {
-                id,
-                addr: agent_addr(id),
-            });
-        }
-        lead.apply_membership();
-        let epoch = lead.view.epoch as u32;
-        report_all(&mut lead, 0, epoch, Phase::Migrate, 0);
-        assert_eq!(lead.migrate_epoch, None);
-        let run_id = lead.start_run(RunInfo {
-            run_id: 0,
-            tag,
-            params,
-            reuse_state: false,
-            asynchronous,
-            delta: false,
-            dangling_base: 0.0,
-            watermark: 0,
-        });
-        (lead, bus.unwrap(), run_id)
-    }
-
-    const WCC: (u8, [u64; 3]) = (1, [0, 0, 0]);
-
-    /// Every member of the barrier reports `(run, step, phase)` with
-    /// settled counters and `active` vertices each; the lead evaluates
-    /// after each.
-    fn report_all(lead: &mut Lead, run: u64, step: u32, phase: Phase, active: u64) {
-        let members = match phase {
-            Phase::Migrate => lead.migrate_members.clone(),
-            _ => lead.member_ids(),
-        };
-        for id in members {
-            let mut rep = ready(id, run, step, phase, Counters::default());
-            rep.active = active;
-            lead.reports.insert(id, rep);
-            lead.evaluate();
-        }
-    }
-
-    /// The ADVANCE frames published since the last call.
-    fn advances(bus: &Mailbox) -> Vec<Advance> {
-        let mut all = Vec::new();
-        while let Ok(Some(d)) = bus.try_recv() {
-            all.extend(Advance::decode(&d.frame));
-        }
-        all
-    }
-
-    /// Hand `delta` to the lead as a SKETCH_DELTA frame would arrive;
-    /// whether the fold was quiet.
-    fn fold(delta: SketchDelta, lead: &mut Lead) -> bool {
-        let frame = msg::encode_sketch_delta(&delta);
-        lead.fold_sketch(&msg::decode_sketch_delta(&frame).unwrap())
-    }
-
-    /// A delta for the lead's table counting `count` more on vertex 77.
-    fn hub(lead: &Lead, count: u32) -> SketchDelta {
-        let sketch = &lead.view.sketch;
-        let mut delta = SketchDelta::new(sketch.width(), sketch.depth());
-        delta.add(77, count);
-        delta
-    }
-
-    /// Vertex 77 counted `over` past the replication threshold.
-    fn hub_delta(lead: &Lead, over: u32) -> SketchDelta {
-        hub(lead, lead.view.replication_threshold as u32 + over)
-    }
-
-    /// A batch of `edges` ring edges starting at vertex `from`.
-    fn ring_delta(lead: &Lead, from: u64, edges: u64) -> SketchDelta {
-        let mut delta = hub(lead, 0);
-        for v in from..from + edges {
-            delta.record_edge(v, v + 1);
-        }
-        delta
-    }
-
-    /// A lead with agents 1 and 2 joined and migrated, and a
-    /// subscription that sees every VIEW and START it publishes.
-    fn lead_with_agents() -> (Lead, Mailbox) {
-        let mut lead = test_lead();
-        let bus = lead
-            .transport
-            .subscribe(&Addr::inproc("test-bus"), &[packet::VIEW, packet::START])
-            .unwrap();
-        for id in [1, 2] {
-            lead.pending_joins.push(AgentInfo {
-                id,
-                addr: agent_addr(id),
-            });
-        }
-        lead.apply_membership();
-        let epoch = lead.view.epoch as u32;
-        report_all(&mut lead, 0, epoch, Phase::Migrate, 0);
-        assert_eq!(lead.migrate_epoch, None);
-        (lead, bus)
-    }
-
-    /// The frames of packet type `ty` published since the last call.
-    fn published(bus: &Mailbox, ty: u8) -> Vec<Frame> {
-        let mut all = Vec::new();
-        while let Ok(Some(d)) = bus.try_recv() {
-            if d.frame.packet_type() == ty {
-                all.push(d.frame);
-            }
-        }
-        all
-    }
-
-    #[test]
-    fn a_delta_under_the_bound_folds_without_an_epoch() {
-        let (mut lead, bus) = lead_with_agents();
-        published(&bus, packet::VIEW);
-        let (epoch, batch) = (lead.view.epoch, lead.view.batch_id);
-        // What the streamer used to send: a whole table per batch.
-        let mut dense = lead.view.sketch.clone();
-        for (i, from) in [0u64, 40, 9_000].into_iter().enumerate() {
-            let mut table = DegreeEstimator::new(dense.width(), dense.depth());
-            (from..from + 64).for_each(|v| table.record_edge(v, v + 1));
-            dense.merge(table.sketch()).unwrap();
-            assert!(fold(ring_delta(&lead, from, 64), &mut lead), "batch {i}");
-            assert_eq!(lead.view.batch_id, batch + 1 + i as u64);
-        }
-        assert_eq!(lead.view.epoch, epoch);
-        assert_eq!(lead.migrate_epoch, None);
-        assert!(!lead.membership_pending() && !lead.busy());
-        assert!(published(&bus, packet::VIEW).is_empty());
-        assert_eq!(lead.view.sketch, dense);
-        // A delta for some other table is dropped whole.
-        let alien = SketchDelta::new(dense.width() / 2, dense.depth());
-        assert!(!fold(alien, &mut lead));
-        assert_eq!((lead.view.epoch, lead.view.batch_id), (epoch, batch + 3));
-        assert_eq!(lead.view.sketch, dense);
-    }
-
-    #[test]
-    fn a_delta_that_lifts_the_bound_opens_an_epoch_and_so_does_every_later_one() {
-        let (mut lead, bus) = lead_with_agents();
-        published(&bus, packet::VIEW);
-        let epoch = lead.view.epoch;
-        // At the threshold `k` is still 1 everywhere.
-        assert!(fold(hub_delta(&lead, 0), &mut lead));
-        assert_eq!(lead.view.epoch, epoch);
-        // One more edge on the hub and a split is possible: today's
-        // view change, barrier and all.
-        assert!(!fold(hub(&lead, 1), &mut lead));
-        assert_eq!(lead.view.epoch, epoch + 1);
-        assert_eq!(lead.migrate_epoch, Some(epoch + 1));
-        assert_eq!(lead.migrate_members, vec![1, 2]);
-        assert!(lead.may_split && !lead.pending_sketch);
-        let views = published(&bus, packet::VIEW);
-        assert_eq!(views.len(), 1);
-        let view = DirectoryView::decode(&views[0]).unwrap();
-        assert_eq!(
-            (view.epoch, view.sketch == lead.view.sketch),
-            (epoch + 1, true)
-        );
-        // While the barrier is open a fold is merged and waits …
-        let small = ring_delta(&lead, 500, 4);
-        assert!(!fold(small, &mut lead));
-        assert!(lead.pending_sketch && lead.view.epoch == epoch + 1);
-        // … and is published when it settles. Which vertex a delta
-        // touches is never asked once a split is possible.
-        report_all(&mut lead, 0, (epoch + 1) as u32, Phase::Migrate, 0);
-        assert_eq!(lead.migrate_epoch, Some(epoch + 2));
-        assert!(!lead.pending_sketch);
-        assert_eq!(published(&bus, packet::VIEW).len(), 1);
-    }
-
-    #[test]
-    fn a_quiet_delta_mid_run_is_invisible_to_the_run() {
-        let (mut lead, bus, run) = lead_mid_run(WCC.0, WCC.1, false);
-        report_all(&mut lead, run, 0, Phase::Scatter, 0);
-        assert_eq!(expects(&lead), (1, Phase::Scatter, true));
-        advances(&bus);
-        let epoch = lead.view.epoch;
-        assert!(fold(ring_delta(&lead, 0, 64), &mut lead));
-        assert!(!lead.membership_pending());
-        assert!(!lead.status().migrating);
-        assert_eq!(lead.view.epoch, epoch);
-        assert!(advances(&bus).is_empty());
-        report_all(&mut lead, run, 1, Phase::Scatter, 3);
-        let adv = advances(&bus);
-        assert_eq!(adv.len(), 1);
-        assert!(adv[0].chain, "the next step still chains");
-        assert_eq!(expects(&lead), (2, Phase::Scatter, true));
-    }
-
-    #[test]
-    fn launch_stamps_the_batches_folded_so_far() {
-        let (mut lead, bus) = lead_with_agents();
-        for from in [0, 100, 200] {
-            assert!(fold(ring_delta(&lead, from, 8), &mut lead));
-        }
-        let wcc = RunInfo {
-            run_id: 0,
-            tag: WCC.0,
-            params: WCC.1,
-            reuse_state: false,
-            asynchronous: false,
-            delta: false,
-            dangling_base: 0.0,
-            watermark: 0,
-        };
-        let run = lead.start_run(wcc);
-        let starts = published(&bus, packet::START);
-        assert_eq!(starts.len(), 1);
-        let info = RunInfo::decode(&starts[0]).unwrap();
-        assert_eq!((info.run_id, info.watermark), (run, 3));
-        // A batch folded while the run is in flight belongs to the
-        // next run's tag, and a joiner is handed this run's.
-        assert!(fold(ring_delta(&lead, 300, 8), &mut lead));
-        assert_eq!(lead.run.as_ref().unwrap().info.watermark, 3);
-        assert_eq!(lead.status().epoch, lead.view.epoch);
-    }
-
-    /// `(step, phase, chained)` the lead waits for.
-    fn expects(lead: &Lead) -> (u32, Phase, bool) {
-        let run = lead.run.as_ref().expect("run");
-        (run.step, run.phase, run.chained)
-    }
-
-    #[test]
-    fn settled_scatter_barrier_chains_when_nothing_can_split() {
-        let (mut lead, bus, run) = lead_mid_run(WCC.0, WCC.1, false);
-        assert_eq!(advances(&bus).len(), 1, "the launch advance");
-        report_all(&mut lead, run, 0, Phase::Scatter, 0);
-        let adv = advances(&bus);
-        assert_eq!(adv.len(), 1);
-        assert_eq!((adv[0].step, adv[0].phase), (0, Phase::Combine));
-        assert!(adv[0].chain && !adv[0].done);
-        assert_eq!(expects(&lead), (1, Phase::Scatter, true));
-        // The next report is the chain's one READY: apply(0)'s active
-        // count on a `(1, Scatter)` report. Not converged: step 1 is
-        // chained the same way, with one `step_nanos` entry behind it.
-        report_all(&mut lead, run, 1, Phase::Scatter, 3);
-        let adv = advances(&bus);
-        assert_eq!(adv.len(), 1);
-        assert_eq!((adv[0].step, adv[0].phase), (1, Phase::Combine));
-        assert!(adv[0].chain);
-        assert_eq!(expects(&lead), (2, Phase::Scatter, true));
-        assert_eq!(lead.run.as_ref().unwrap().step_nanos.len(), 1);
-    }
-
-    #[test]
-    fn chained_barrier_with_nothing_active_finishes_at_the_applied_step() {
-        let (mut lead, bus, run) = lead_mid_run(WCC.0, WCC.1, false);
-        report_all(&mut lead, run, 0, Phase::Scatter, 0);
-        report_all(&mut lead, run, 1, Phase::Scatter, 2);
-        report_all(&mut lead, run, 2, Phase::Scatter, 4);
-        assert_eq!(expects(&lead), (3, Phase::Scatter, true));
-        advances(&bus);
-        // apply(2) left nothing active: the run is over at step 2,
-        // whatever step the agents' (empty) scatter was for.
-        report_all(&mut lead, run, 3, Phase::Scatter, 0);
-        assert!(lead.run.is_none());
-        let st = lead.status();
-        assert!(st.done && !st.running);
-        assert_eq!(st.steps, 2);
-        assert_eq!(st.step_nanos.len(), 3, "one entry per superstep 0..=2");
-        let adv = advances(&bus);
-        assert_eq!(adv.len(), 1);
-        assert!(adv[0].done && !adv[0].chain);
-        assert_eq!((adv[0].step, adv[0].phase), (2, Phase::Apply));
-    }
-
-    /// Each fall-back condition, alone, gets the step three barriers.
-    #[test]
-    fn no_chain_when_chaining_would_be_wrong() {
-        let unchained = |lead: &mut Lead, bus: &Mailbox, run: u64, step: u32, why: &str| {
-            advances(bus);
-            report_all(lead, run, step, Phase::Scatter, 1);
-            let adv = advances(bus);
-            assert_eq!(adv.len(), 1, "{why}");
-            assert_eq!((adv[0].step, adv[0].phase), (step, Phase::Combine));
-            assert!(!adv[0].chain, "{why}: chained");
-            assert_eq!(expects(lead), (step, Phase::Combine, false), "{why}");
-        };
-        let joiner = AgentInfo {
-            id: 3,
-            addr: agent_addr(3),
-        };
-
-        let (mut lead, bus, run) = lead_mid_run(WCC.0, WCC.1, false);
-        lead.pending_joins.push(joiner.clone());
-        unchained(&mut lead, &bus, run, 0, "join pending");
-        // The change then lands on the step's Apply boundary, as ever.
-        report_all(&mut lead, run, 0, Phase::Combine, 0);
-        report_all(&mut lead, run, 0, Phase::Apply, 1);
-        assert!(lead.migrate_epoch.is_some() && lead.resume.is_some());
-
-        let (mut lead, bus, run) = lead_mid_run(WCC.0, WCC.1, false);
-        lead.pending_leaves.push(2);
-        unchained(&mut lead, &bus, run, 0, "leave pending");
-
-        // A fold that lifts the bound over the threshold waits for the
-        // Apply boundary like a join: merged, but not yet an epoch.
-        let (mut lead, bus, run) = lead_mid_run(WCC.0, WCC.1, false);
-        let epoch = lead.view.epoch;
-        assert!(!fold(hub_delta(&lead, 1), &mut lead));
-        assert!(lead.pending_sketch && lead.view.epoch == epoch);
-        unchained(&mut lead, &bus, run, 0, "sketch fold pending");
-        report_all(&mut lead, run, 0, Phase::Combine, 0);
-        report_all(&mut lead, run, 0, Phase::Apply, 1);
-        assert_eq!(lead.migrate_epoch, Some(epoch + 1));
-        assert!(!lead.pending_sketch && lead.may_split);
-
-        // A membership change queued *during* a chained step waits one
-        // step: the barrier it arrives at is not a clean boundary.
-        let (mut lead, bus, run) = lead_mid_run(WCC.0, WCC.1, false);
-        report_all(&mut lead, run, 0, Phase::Scatter, 0);
-        assert_eq!(expects(&lead), (1, Phase::Scatter, true));
-        lead.pending_joins.push(joiner);
-        unchained(&mut lead, &bus, run, 1, "join arrived mid-chain");
-        assert!(lead.migrate_epoch.is_none());
-
-        // PageRank, two iterations: step 1 chains, step 2 is the last.
-        let pagerank = [0.85f64.to_bits(), 2, 0f64.to_bits()];
-        let (mut lead, bus, run) = lead_mid_run(0, pagerank, false);
-        report_all(&mut lead, run, 0, Phase::Scatter, 0);
-        report_all(&mut lead, run, 1, Phase::Scatter, 5);
-        assert_eq!(expects(&lead), (2, Phase::Scatter, true));
-        unchained(&mut lead, &bus, run, 2, "step == max_steps");
-        report_all(&mut lead, run, 2, Phase::Combine, 0);
-        report_all(&mut lead, run, 2, Phase::Apply, 5);
-        assert_eq!(lead.status().steps, 2);
-        assert!(lead.status().done);
-
-        let (mut lead, bus, run) = lead_mid_run(WCC.0, WCC.1, true);
-        unchained(&mut lead, &bus, run, 0, "async run");
-
-        // One estimate over the threshold is enough; which vertex it
-        // belongs to is never looked up. The sketch reaches the view
-        // the way a streamer's does, as a delta — folded quietly, as
-        // nothing can be split over no agents — and the lead reads the
-        // bound when the joins open the epoch.
-        let hub = |over: u32| {
-            let mut lead = test_lead();
-            let delta = hub_delta(&lead, over);
-            assert!(fold(delta, &mut lead));
-            lead
-        };
-        let (mut lead, bus, run) = lead_mid_run_on(hub(0), WCC.0, WCC.1, false);
-        assert!(!lead.view.may_split(), "at the threshold k is still 1");
-        report_all(&mut lead, run, 0, Phase::Scatter, 1);
-        assert!(advances(&bus).last().unwrap().chain);
-        let (mut lead, bus, run) = lead_mid_run_on(hub(1), WCC.0, WCC.1, false);
-        assert!(lead.view.may_split());
-        unchained(&mut lead, &bus, run, 0, "sketch bound over the threshold");
-        // Capped at one replica, the same sketch splits nothing.
-        lead.view.max_replicas = 1;
-        assert!(!lead.view.may_split());
-    }
-
-    /// A `(run, step, Scatter)` report of `agent` whose scatter sent
-    /// `sent` and left `active` vertices active at the apply before it.
-    fn scattered(
-        agent: AgentId,
-        run: u64,
-        step: u32,
-        active: u64,
-        sent: &[(AgentId, u64)],
-    ) -> ReadyReport {
-        let counters = Counters {
-            vmsg_sent: sent.iter().map(|s| s.1).sum(),
-            ..Default::default()
-        };
-        ReadyReport {
-            active,
-            sent: sent.to_vec(),
-            ..ready(agent, run, step, Phase::Scatter, counters)
-        }
-    }
-
-    /// Three members in a sync WCC run at its first chained barrier.
-    fn three_mid_run() -> (Lead, Mailbox, u64) {
-        let mut lead = test_lead();
-        lead.pending_joins.push(AgentInfo {
-            id: 3,
-            addr: agent_addr(3),
-        });
-        let (mut lead, bus, run) = lead_mid_run_on(lead, WCC.0, WCC.1, false);
-        for id in [1, 2, 3] {
-            lead.reports.insert(id, scattered(id, run, 0, 0, &[]));
-            lead.evaluate();
-        }
-        assert_eq!(expects(&lead), (1, Phase::Scatter, true));
-        advances(&bus);
-        (lead, bus, run)
-    }
-
-    /// The Scatter barrier closes on what was sent: once every member
-    /// has reported the step it fires with the VMSG sums unsettled —
-    /// nobody has confirmed a receive — and the advance tells each
-    /// member how many records of the step are addressed to it.
-    #[test]
-    fn scatter_barrier_fires_on_the_senders_reports_and_carries_the_sums() {
-        let (mut lead, bus, run) = three_mid_run();
-        for (id, sent) in [
-            (1, &[(2, 5), (3, 1)][..]),
-            (2, &[(1, 4), (3, 2)]),
-            (3, &[(2, 7)]),
-        ] {
-            assert!(advances(&bus).is_empty(), "before agent {id} reported");
-            lead.reports.insert(id, scattered(id, run, 1, 1, sent));
-            lead.evaluate();
-        }
-        assert!(!lead.summed(&[1, 2, 3]).unwrap().settled());
-        let adv = advances(&bus);
-        assert_eq!(adv.len(), 1);
-        assert_eq!((adv[0].step, adv[0].phase), (1, Phase::Combine));
-        assert!(adv[0].chain && !adv[0].done);
-        assert_eq!(adv[0].expect, [(1, 4), (2, 12), (3, 3)]);
-        assert_eq!(lead.expected, (1, vec![(1, 4), (2, 12), (3, 3)]));
-        assert_eq!(expects(&lead), (2, Phase::Scatter, true));
-    }
-
-    /// What the barrier does not leave to the receivers still holds it:
-    /// a forwarded change or a migration record in flight.
-    #[test]
-    fn scatter_barrier_waits_for_every_other_pair() {
-        for (pair, in_flight) in [
-            (
-                "chg",
-                Counters {
-                    chg_sent: 1,
-                    ..Default::default()
-                },
-            ),
-            (
-                "mig",
-                Counters {
-                    mig_sent: 1,
-                    ..Default::default()
-                },
-            ),
-        ] {
-            let (mut lead, bus, run) = three_mid_run();
-            let settled = Counters {
-                chg_recv: in_flight.chg_sent,
-                mig_recv: in_flight.mig_sent,
-                ..Default::default()
-            };
-            lead.reports.insert(1, scattered(1, run, 1, 1, &[(2, 5)]));
-            lead.reports.insert(2, scattered(2, run, 1, 1, &[]));
-            let mut third = scattered(3, run, 1, 1, &[]);
-            third.counters = third.counters.add(&in_flight);
-            lead.reports.insert(3, third);
-            lead.evaluate();
-            assert!(advances(&bus).is_empty(), "{pair} in flight");
-            // The receiver's idle re-report settles the pair.
-            let mut second = scattered(2, run, 1, 1, &[]);
-            second.counters = second.counters.add(&settled);
-            lead.reports.insert(2, second);
-            lead.evaluate();
-            let adv = advances(&bus);
-            assert_eq!(adv.len(), 1, "{pair} settled");
-            assert_eq!(adv[0].expect, [(2, 5)]);
-        }
-    }
-
-    #[test]
-    fn resent_ready_reevaluates_a_chained_barrier_exactly_once() {
-        let (mut lead, bus, run) = three_mid_run();
-        lead.reports.insert(1, scattered(1, run, 1, 1, &[(2, 5)]));
-        lead.evaluate();
-        lead.reports.insert(2, scattered(2, run, 1, 0, &[(1, 2)]));
-        lead.evaluate();
-        // Agent 1 re-reports for a late EDGE_CHANGES frame: the step's
-        // list rides again, verbatim, and replaces the first copy.
-        let mut again = scattered(1, run, 1, 1, &[(2, 5)]);
-        again.counters.chg_recv = 3;
-        again.counters.chg_sent = 3;
-        lead.reports.insert(1, again.clone());
-        lead.evaluate();
-        assert!(advances(&bus).is_empty(), "agent 3 has not reported");
-        assert!(lead.run.as_ref().unwrap().step_nanos.is_empty());
-        lead.reports.insert(3, scattered(3, run, 1, 0, &[(2, 1)]));
-        lead.evaluate();
-        // Verdict of step 0 and reduce of step 1, once, and agent 1's
-        // five counted once.
-        let adv = advances(&bus);
-        assert_eq!(adv.len(), 1);
-        assert_eq!(adv[0].expect, [(1, 2), (2, 6)]);
-        assert_eq!(expects(&lead), (2, Phase::Scatter, true));
-        assert_eq!(lead.run.as_ref().unwrap().step_nanos.len(), 1);
-        // A straggling copy of the same report is for a barrier that is
-        // gone.
-        lead.reports.insert(1, again);
-        lead.evaluate();
-        assert!(advances(&bus).is_empty());
-        assert_eq!(expects(&lead), (2, Phase::Scatter, true));
-        assert_eq!(lead.run.as_ref().unwrap().step_nanos.len(), 1);
-    }
-
-    /// A program that scatters whatever is active (full PageRank) and
-    /// converges by tolerance ends on a chained verdict with the next
-    /// step's messages already sent. The `done` advance answers a
-    /// Scatter barrier like any other: it carries their counts, or an
-    /// agent would finish the run ahead of them.
-    #[test]
-    fn a_chained_verdict_that_ends_the_run_puts_the_counts_on_done() {
-        let (mut lead, bus, run) = three_mid_run();
-        for (id, sent) in [(1, &[(2, 5), (3, 1)][..]), (2, &[(1, 4)]), (3, &[])] {
-            lead.reports.insert(id, scattered(id, run, 1, 0, sent));
-            lead.evaluate();
-        }
-        assert!(lead.run.is_none());
-        assert_eq!(lead.status().steps, 0);
-        let adv = advances(&bus);
-        assert_eq!(adv.len(), 1);
-        assert!(adv[0].done && !adv[0].chain);
-        assert_eq!((adv[0].step, adv[0].phase), (0, Phase::Apply));
-        assert_eq!(adv[0].scatter_step(), 1);
-        assert_eq!(adv[0].expect, [(1, 4), (2, 5), (3, 1)]);
-        // A run that ends at an Apply barrier has no scatter behind it.
-        let pagerank = [0.85f64.to_bits(), 1, 0f64.to_bits()];
-        let (mut lead, bus, run) = lead_mid_run(0, pagerank, false);
-        report_all(&mut lead, run, 0, Phase::Scatter, 0);
-        report_all(&mut lead, run, 1, Phase::Scatter, 5);
-        report_all(&mut lead, run, 1, Phase::Combine, 0);
-        report_all(&mut lead, run, 1, Phase::Apply, 5);
-        let adv = advances(&bus);
-        let last = adv.last().unwrap();
-        assert!(last.done && last.expect.is_empty());
-    }
-
-    /// The barriers that exchange replica records, and the one that
-    /// moves the graph, are Mattern barriers as before.
-    #[test]
-    fn combine_apply_and_migrate_barriers_still_require_settled_sums() {
-        let in_flight = |c: Counters| Counters { vmsg_sent: 2, ..c };
-        // Three barriers a step: a join is pending.
-        let (mut lead, bus, run) = lead_mid_run(WCC.0, WCC.1, false);
-        lead.pending_joins.push(AgentInfo {
-            id: 3,
-            addr: agent_addr(3),
-        });
-        report_all(&mut lead, run, 0, Phase::Scatter, 0);
-        assert_eq!(expects(&lead), (0, Phase::Combine, false));
-        for phase in [Phase::Combine, Phase::Apply] {
-            advances(&bus);
-            let report = |id, counters| ReadyReport {
-                active: 1,
-                ..ready(id, run, 0, phase, counters)
-            };
-            lead.reports
-                .insert(1, report(1, in_flight(Counters::default())));
-            lead.reports.insert(2, report(2, Counters::default()));
-            lead.evaluate();
-            let waiting = (expects(&lead), lead.migrate_epoch);
-            assert_eq!(waiting, ((0, phase, false), None), "VMSGs in flight");
-            assert!(advances(&bus).is_empty());
-            let received = Counters {
-                vmsg_recv: 2,
-                ..Default::default()
-            };
-            lead.reports.insert(2, report(2, received));
-            lead.evaluate();
-            assert_ne!((expects(&lead), lead.migrate_epoch), waiting);
-        }
-        // The Apply barrier opened the join's migrate barrier.
-        let epoch = lead.migrate_epoch.expect("migrate barrier") as u32;
-        for id in [1, 2] {
-            let c = Counters {
-                vmsg_sent: if id == 1 { 3 } else { 0 },
-                vmsg_recv: if id == 2 { 2 } else { 0 },
-                ..Default::default()
-            };
-            lead.reports
-                .insert(id, ready(id, 0, epoch, Phase::Migrate, c));
-        }
-        let joiner = Counters::default();
-        lead.reports
-            .insert(3, ready(3, 0, epoch, Phase::Migrate, joiner));
-        lead.evaluate();
-        assert!(
-            lead.migrate_epoch.is_some(),
-            "a VMSG to the joiner is in flight"
-        );
-        // The joiner counts it on arrival and re-reports.
-        let counted = Counters {
-            vmsg_recv: 1,
-            ..Default::default()
-        };
-        lead.reports
-            .insert(3, ready(3, 0, epoch, Phase::Migrate, counted));
-        lead.evaluate();
-        assert_eq!(lead.migrate_epoch, None);
-    }
-
-    /// The stall report names what the lead is waiting for: the member
-    /// that has not reported and what it was told to take in, and the
-    /// pair its sums leave open.
-    #[test]
-    fn waiting_on_names_the_missing_member_the_open_pair_and_the_expected_count() {
-        assert_eq!(test_lead().waiting_on(), "no barrier open");
-        let (mut lead, _bus, run) = three_mid_run();
-        for (id, sent) in [(1, &[(2, 5), (3, 1)][..]), (2, &[(3, 2)]), (3, &[])] {
-            lead.reports.insert(id, scattered(id, run, 1, 1, sent));
-            lead.evaluate();
-        }
-        assert_eq!(expects(&lead), (2, Phase::Scatter, true));
-        // Agents 1 and 2 finish step 1 and report step 2; agent 3 was
-        // told to take in three records of step 1 and has not been
-        // heard from since. Agent 2 forwarded a change nobody has
-        // counted yet.
-        lead.reports.insert(1, scattered(1, run, 2, 1, &[(3, 4)]));
-        let mut second = scattered(2, run, 2, 1, &[]);
-        second.counters.chg_sent = 2;
-        second.epoch = 2;
-        lead.reports.insert(2, second);
-        lead.evaluate();
-        let said = lead.waiting_on();
-        assert!(
-            said.starts_with(&format!("barrier (run {run}, step 2, Scatter)")),
-            "{said}"
-        );
-        assert!(
-            said.contains(&format!(
-                "agent 3 last reported (run {run}, step 1, Scatter) under epoch 0, \
-                 told to take in 3 VMSG records of step 1"
-            )),
-            "{said}"
-        );
-        assert!(
-            !said.contains("agent 1") && !said.contains("agent 2"),
-            "{said}"
-        );
-        assert!(said.contains("chg sent − recv = 2"), "{said}");
-        // The VMSG pair is open by design at a Scatter barrier.
-        assert!(!said.contains("vmsg"), "{said}");
-
-        // A migrate barrier waits on every pair and on departers too.
-        let (mut lead, _bus) = lead_with_agents();
-        lead.pending_leaves.push(2);
-        lead.apply_membership();
-        let epoch = lead.view.epoch;
-        let moved = Counters {
-            mig_sent: 9,
-            vmsg_recv: 1,
-            ..Default::default()
-        };
-        lead.reports
-            .insert(2, ready(2, 0, epoch as u32, Phase::Migrate, moved));
-        lead.evaluate();
-        let said = lead.waiting_on();
-        assert!(
-            said.starts_with(&format!("migrate barrier of epoch {epoch}")),
-            "{said}"
-        );
-        assert!(
-            said.contains("agent 1 last reported (run 0, step 2, Migrate)"),
-            "{said}"
-        );
-        assert!(said.contains("mig sent − recv = 9"), "{said}");
-        assert!(said.contains("vmsg sent − recv = -1"), "{said}");
-    }
-
-    #[test]
-    fn ghost_counters_keep_sums_balanced_after_departure() {
-        let mut lead = test_lead();
-        // Agent 9 departed having sent 4 messages that agent 1 received.
-        lead.ghost = Counters {
-            vmsg_sent: 4,
-            ..Default::default()
-        };
-        let c1 = Counters {
-            vmsg_recv: 4,
-            ..Default::default()
-        };
-        lead.reports.insert(1, ready(1, 1, 0, Phase::Scatter, c1));
-        assert!(lead.barrier_met(&[1], 1, 0, Phase::Scatter));
-    }
-
-    /// The RUN_STATUS reply is the one an outside quiescence check
-    /// needs from the lead: it carries the departed agents' totals, and
-    /// a reply in the layout that ended at the step list is refused —
-    /// read as zeros it would unbalance every sum after a departure.
-    #[test]
-    fn run_status_reply_carries_the_departed_totals() {
-        let mut lead = test_lead();
-        lead.ghost = Counters {
-            vmsg_sent: 4,
-            mig_recv: 7,
-            chg_sent: 1 << 40,
-            ..Default::default()
-        };
-        lead.last_status.step_nanos = vec![10, 20, 30];
-        let frame = lead.status().encode();
-        let status = RunStatus::decode(&frame).expect("current layout");
-        assert_eq!(status.departed, lead.ghost);
-        assert_eq!(status.epoch, lead.view.epoch);
-        assert_eq!(status.step_nanos, [10, 20, 30]);
-
-        let bytes = frame.as_bytes();
-        let old_layout = Frame::from_bytes(bytes::Bytes::copy_from_slice(
-            &bytes[..bytes.len() - 10 * 8],
-        ));
-        assert_eq!(RunStatus::decode(&old_layout), None);
-    }
-
-    #[test]
-    fn membership_changes_bump_epoch_and_open_migrate_barrier() {
-        let mut lead = test_lead();
-        let e0 = lead.view.epoch;
-        lead.pending_joins.push(AgentInfo {
-            id: 5,
-            addr: agent_addr(5),
-        });
-        lead.apply_membership();
-        assert_eq!(lead.view.epoch, e0 + 1);
-        assert_eq!(lead.migrate_epoch, Some(e0 + 1));
-        assert_eq!(lead.migrate_members, vec![5]);
-        // The migrate barrier settles once agent 5 reports.
-        lead.reports.insert(
-            5,
-            ready(5, 0, (e0 + 1) as u32, Phase::Migrate, Counters::default()),
-        );
-        lead.evaluate();
-        assert_eq!(lead.migrate_epoch, None);
-    }
-
-    #[test]
-    fn leave_moves_agent_to_departing() {
-        let mut lead = test_lead();
-        lead.pending_joins.push(AgentInfo {
-            id: 3,
-            addr: agent_addr(3),
-        });
-        lead.apply_membership();
-        lead.migrate_epoch = None; // pretend join migration settled
-        lead.pending_leaves.push(3);
-        lead.apply_membership();
-        assert!(lead.view.agents.is_empty());
-        assert_eq!(lead.departing, vec![3]);
-        assert!(lead.migrate_members.contains(&3), "departer must drain");
-    }
-
-    #[test]
-    fn start_run_publishes_and_tracks_status() {
-        let mut lead = test_lead();
-        let run_id = lead.start_run(RunInfo {
-            run_id: 0,
-            tag: 1, // WCC
-            params: [0, 0, 0],
-            reuse_state: false,
-            asynchronous: false,
-            delta: false,
-            dangling_base: 0.0,
-            watermark: 0,
-        });
-        assert_eq!(run_id, 1);
-        // Empty membership: every barrier is trivially met, so the run
-        // completes during launch.
-        let st = lead.status();
-        assert_eq!(st.run_id, 1);
-        assert!(!st.running);
-        assert!(st.done);
-    }
-
-    #[test]
-    fn async_run_pauses_for_membership_and_resumes() {
-        let mut lead = test_lead();
-        lead.pending_joins.push(AgentInfo {
-            id: 1,
-            addr: agent_addr(1),
-        });
-        lead.apply_membership();
-        let epoch = lead.view.epoch;
-        lead.reports.insert(
-            1,
-            ready(1, 0, epoch as u32, Phase::Migrate, Counters::default()),
-        );
-        lead.evaluate();
-        assert_eq!(lead.migrate_epoch, None);
-        let run_id = lead.start_run(RunInfo {
-            run_id: 0,
-            tag: 1, // WCC
-            params: [0, 0, 0],
-            reuse_state: false,
-            asynchronous: true,
-            delta: false,
-            dangling_base: 0.0,
-            watermark: 0,
-        });
-        // Drive the sync initialization barriers (step 0).
-        lead.reports
-            .insert(1, ready(1, run_id, 0, Phase::Scatter, Counters::default()));
-        lead.evaluate();
-        lead.reports
-            .insert(1, ready(1, run_id, 0, Phase::Combine, Counters::default()));
-        lead.evaluate();
-        let mut apply = ready(1, run_id, 0, Phase::Apply, Counters::default());
-        apply.active = 1; // not converged: release into async
-        lead.reports.insert(1, apply);
-        lead.evaluate();
-        assert!(lead.run.as_ref().unwrap().async_live);
-        // A joiner arrives mid-async-run: the run pauses behind a
-        // migrate barrier instead of mis-routing against a stale view.
-        lead.pending_joins.push(AgentInfo {
-            id: 2,
-            addr: agent_addr(2),
-        });
-        lead.evaluate();
-        let e2 = lead.view.epoch;
-        assert_eq!(e2, epoch + 1);
-        assert_eq!(lead.migrate_epoch, Some(e2));
-        assert!(
-            lead.resume.is_some(),
-            "paused run must carry a resume point"
-        );
-        assert!(lead.run.is_some(), "the run survives the view change");
-        lead.reports.insert(
-            1,
-            ready(1, 0, e2 as u32, Phase::Migrate, Counters::default()),
-        );
-        lead.reports.insert(
-            2,
-            ready(2, 0, e2 as u32, Phase::Migrate, Counters::default()),
-        );
-        lead.evaluate();
-        assert_eq!(lead.migrate_epoch, None);
-        assert!(lead.resume.is_none());
-        {
-            let run = lead.run.as_ref().unwrap();
-            assert!(run.async_live, "resume re-releases async execution");
-            assert_eq!(run.probe, 0, "probe state resets across the pause");
-        }
-        // Idle reports from before the view change are not trusted.
-        lead.reports.insert(1, idle(1, run_id, epoch));
-        lead.reports.insert(2, idle(2, run_id, epoch));
-        lead.evaluate();
-        assert_eq!(
-            lead.run.as_ref().unwrap().probe,
-            0,
-            "stale-epoch idle reports must not start a probe"
-        );
-        // Fresh idle reports start the confirmation probe; two
-        // identical settled rounds finish the run.
-        lead.reports.insert(1, idle(1, run_id, e2));
-        lead.reports.insert(2, idle(2, run_id, e2));
-        lead.evaluate();
-        assert_eq!(lead.run.as_ref().unwrap().probe, 1);
-        lead.reports
-            .insert(1, ready(1, run_id, 1, Phase::Combine, Counters::default()));
-        lead.reports
-            .insert(2, ready(2, run_id, 1, Phase::Combine, Counters::default()));
-        lead.evaluate();
-        assert!(
-            lead.run.is_none(),
-            "double-confirmed quiescence ends the run"
-        );
-        assert!(lead.status().done);
-    }
-
-    #[test]
-    fn membership_queued_during_async_init_migrates_before_release() {
-        let mut lead = test_lead();
-        lead.pending_joins.push(AgentInfo {
-            id: 1,
-            addr: agent_addr(1),
-        });
-        lead.apply_membership();
-        let epoch = lead.view.epoch;
-        lead.reports.insert(
-            1,
-            ready(1, 0, epoch as u32, Phase::Migrate, Counters::default()),
-        );
-        lead.evaluate();
-        let run_id = lead.start_run(RunInfo {
-            run_id: 0,
-            tag: 1, // WCC
-            params: [0, 0, 0],
-            reuse_state: false,
-            asynchronous: true,
-            delta: false,
-            dangling_base: 0.0,
-            watermark: 0,
-        });
-        lead.reports
-            .insert(1, ready(1, run_id, 0, Phase::Scatter, Counters::default()));
-        lead.evaluate();
-        lead.reports
-            .insert(1, ready(1, run_id, 0, Phase::Combine, Counters::default()));
-        lead.evaluate();
-        // Membership changes while step-0 initialization is finishing:
-        // the migration must run before the async release.
-        lead.pending_joins.push(AgentInfo {
-            id: 2,
-            addr: agent_addr(2),
-        });
-        let mut apply = ready(1, run_id, 0, Phase::Apply, Counters::default());
-        apply.active = 1;
-        lead.reports.insert(1, apply);
-        lead.evaluate();
-        let e2 = lead.view.epoch;
-        assert_eq!(e2, epoch + 1);
-        assert_eq!(lead.migrate_epoch, Some(e2));
-        assert!(
-            !lead.run.as_ref().unwrap().async_live,
-            "release deferred until the migration settles"
-        );
-        lead.reports.insert(
-            1,
-            ready(1, 0, e2 as u32, Phase::Migrate, Counters::default()),
-        );
-        lead.reports.insert(
-            2,
-            ready(2, 0, e2 as u32, Phase::Migrate, Counters::default()),
-        );
-        lead.evaluate();
-        assert_eq!(lead.migrate_epoch, None);
-        let run = lead.run.as_ref().unwrap();
-        assert!(run.async_live, "resume doubles as the async release");
-        assert_eq!((run.step, run.phase), (1, Phase::Scatter));
-    }
-
-    #[test]
-    fn recover_evicts_agent_aborts_run_and_resets_counters() {
-        let mut lead = test_lead();
-        lead.pending_joins.push(AgentInfo {
-            id: 1,
-            addr: agent_addr(1),
-        });
-        lead.pending_joins.push(AgentInfo {
-            id: 2,
-            addr: agent_addr(2),
-        });
-        lead.apply_membership();
-        let epoch = lead.view.epoch;
-        lead.reports.insert(
-            1,
-            ready(1, 0, epoch as u32, Phase::Migrate, Counters::default()),
-        );
-        lead.reports.insert(
-            2,
-            ready(2, 0, epoch as u32, Phase::Migrate, Counters::default()),
-        );
-        lead.evaluate();
-        assert_eq!(lead.migrate_epoch, None);
-        let run_id = lead.start_run(RunInfo {
-            run_id: 0,
-            tag: 1, // WCC
-            params: [0, 0, 0],
-            reuse_state: false,
-            asynchronous: false,
-            delta: false,
-            dangling_base: 0.0,
-            watermark: 0,
-        });
-        assert!(lead.run.is_some());
-        lead.ghost = Counters {
-            vmsg_sent: 3,
-            ..Default::default()
-        };
-        lead.recover(2);
-        assert_eq!(lead.member_ids(), vec![1]);
-        assert_eq!(lead.agents_recovered, 1);
-        assert!(lead.run.is_none(), "active run must abort");
-        assert_eq!(
-            lead.ghost,
-            Counters::default(),
-            "ghosts rewind with the reset"
-        );
-        assert_eq!(lead.migrate_epoch, Some(epoch + 1));
-        let st = lead.status();
-        assert_eq!(st.run_id, run_id);
-        assert!(
-            !st.running && !st.done,
-            "aborted run is neither running nor done"
-        );
-        // The lone survivor reports the recover barrier with zeroed
-        // counters and the system unwedges.
-        lead.reports.insert(
-            1,
-            ready(
-                1,
-                0,
-                (epoch + 1) as u32,
-                Phase::Migrate,
-                Counters::default(),
-            ),
-        );
-        lead.evaluate();
-        assert_eq!(lead.migrate_epoch, None);
-    }
-
-    #[test]
-    fn silent_agents_are_detected_after_the_window() {
-        let mut lead = test_lead();
-        lead.view.agents.push(AgentInfo {
-            id: 7,
-            addr: agent_addr(7),
-        });
-        // First pass stamps unknown members instead of reporting them.
-        assert!(lead.dead_agents(Duration::from_millis(0)).is_empty());
-        std::thread::sleep(Duration::from_millis(2));
-        assert_eq!(lead.dead_agents(Duration::from_millis(1)), vec![7]);
-        lead.saw(7);
-        assert!(lead.dead_agents(Duration::from_millis(1)).is_empty());
-    }
 
     #[test]
     fn addr_conventions_are_stable() {

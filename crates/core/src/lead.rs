@@ -1,0 +1,2925 @@
+//! The lead directory's coordination state (paper §3.3, Figure 2).
+//!
+//! The lead owns the authoritative [`DirectoryView`], evaluates every
+//! barrier, and decides every view epoch, run step and recovery. It is
+//! a state machine: two inputs — a frame from its mailbox
+//! ([`Lead::on_frame`]) and a timer tick ([`Lead::on_tick`]) — each
+//! handed the time, and one output, a queue of [`Effect`]s its owner
+//! carries out in the order they were queued (`directory::lead_loop`).
+//! Nothing here opens a socket, reads the clock or writes a log.
+//!
+//! A barrier is met when all its members have reported the current
+//! (run, step, phase) *and* the summed cumulative counters are settled
+//! (every sent counter equals its received counter) — Mattern-style
+//! double counting, which makes in-flight and out-of-order messages
+//! harmless. The one exception is a run's Scatter barrier, which closes
+//! on what the senders say they sent: its reports list the step's VMSG
+//! records per destination, the lead sums them per receiver into the
+//! ADVANCE that answers the barrier, and a receiver acts on that
+//! advance once it has taken in its count (DESIGN.md "The superstep
+//! barrier").
+
+use crate::config::SystemConfig;
+use crate::directory::agent_addr;
+use crate::metrics::{AgentMetrics, ClusterMetrics};
+use crate::msg::{
+    self, packet, Advance, AgentInfo, Counters, DirectoryView, Message, Phase, ReadyReport,
+    RunInfo, RunStatus, SketchDeltaView, StepCounts,
+};
+use elga_hash::AgentId;
+use elga_net::{Addr, Frame};
+use elga_sketch::CountMinSketch;
+use elga_trace::{EventKind, Tracer};
+use std::collections::HashMap;
+use std::time::{Duration, Instant};
+
+/// What the lead asks of the world. Its owner carries the queue out in
+/// order, so a request's reply follows whatever handling it published
+/// (a VIEW before its JOIN reply, START and the step-0 ADVANCE before
+/// the `OK(run_id)`).
+#[derive(Debug)]
+pub(crate) enum Effect {
+    /// Broadcast on the bus.
+    Publish(Frame),
+    /// Answer the frame being handled; dropped when it was a push.
+    Reply(Frame),
+    /// Push to one participant's mailbox.
+    Send(Addr, Frame),
+    /// One line for the operator.
+    Log(String),
+}
+
+/// Coordination state for an in-progress run.
+#[derive(Debug)]
+struct Run {
+    info: RunInfo,
+    max_steps: Option<u32>,
+    step: u32,
+    phase: Phase,
+    n_vertices: u64,
+    global: f64,
+    started: Instant,
+    step_started: Instant,
+    step_nanos: Vec<u64>,
+    /// Async: id of the outstanding confirmation probe.
+    probe: u32,
+    /// Async: counter sums at the previous successful probe.
+    last_probe_sums: Option<Counters>,
+    /// Async mode entered (after initialization phases).
+    async_live: bool,
+    /// Delta runs: dangling-mass change reported but not yet
+    /// redistributed (async protocol; sync runs ride the per-step
+    /// global reduce instead).
+    dangling_pending: f64,
+    /// Last cumulative dangling value seen per agent; reports
+    /// telescope `new - seen` into `dangling_pending`, which makes
+    /// re-sent or stale values self-correcting.
+    dangling_seen: HashMap<AgentId, f64>,
+    /// Id of the last redistribution round published.
+    dangling_round: u32,
+    /// Threshold below which redistribution stops (from the program).
+    dangling_eps: f64,
+    /// The outstanding `(step, Scatter)` barrier was reached through a
+    /// chained advance: its reports carry apply(`step − 1`)'s `active`,
+    /// and settling it is that step's Apply verdict first.
+    chained: bool,
+}
+
+impl Run {
+    /// This run's advance to `(step, phase)` under its vertex count;
+    /// every other field at its plain value.
+    fn advance(&self, step: u32, phase: Phase) -> Advance {
+        Advance {
+            run: self.info.run_id,
+            step,
+            phase,
+            n_vertices: self.n_vertices,
+            global: 0.0,
+            done: false,
+            chain: false,
+            expect: Vec::new(),
+        }
+    }
+
+    /// Open the next async confirmation probe: its advance.
+    fn next_probe(&mut self) -> Advance {
+        self.probe += 1;
+        self.advance(self.probe, Phase::Combine)
+    }
+}
+
+/// The lead directory's full coordination state, driven by
+/// [`Lead::on_frame`] and [`Lead::on_tick`]; what it decides waits in
+/// [`Lead::effects`].
+pub(crate) struct Lead {
+    view: DirectoryView,
+    reports: HashMap<AgentId, ReadyReport>,
+    metrics: HashMap<AgentId, AgentMetrics>,
+    /// Counters of agents that departed or were evicted, folded from
+    /// their last reports so cluster totals never go down.
+    departed_metrics: ClusterMetrics,
+    run: Option<Run>,
+    next_run_id: u64,
+    pending_joins: Vec<AgentInfo>,
+    pending_leaves: Vec<AgentId>,
+    /// The view's sketch holds a fold under which some vertex may be
+    /// split, and the epoch that publishes it has not been opened yet.
+    pending_sketch: bool,
+    /// Epoch of the outstanding migrate barrier, if any.
+    migrate_epoch: Option<u64>,
+    /// Members of the outstanding migrate barrier (view agents plus
+    /// departers).
+    migrate_members: Vec<AgentId>,
+    /// Agents currently draining before departure.
+    departing: Vec<AgentId>,
+    /// Final counter totals of agents that already departed; included
+    /// in every sum so cumulative counts stay balanced.
+    ghost: Counters,
+    /// Resume point once a mid-run migrate barrier settles.
+    resume: Option<Advance>,
+    /// A run requested while the system was migrating; starts once the
+    /// barrier settles.
+    pending_start: Option<RunInfo>,
+    last_status: RunStatus,
+    /// Last heartbeat (or any agent-originated push) per watched agent:
+    /// view members and departers still draining.
+    last_seen: HashMap<AgentId, Instant>,
+    /// Agents declared dead and evicted by failure detection.
+    agents_recovered: u64,
+    /// The broadcast that opened the outstanding migrate barrier
+    /// (VIEW or RECOVER), kept for re-publication: a joiner whose bus
+    /// subscription registers a moment after its JOIN is handled
+    /// misses the original broadcast, and without a repeat it can
+    /// never send the READY that settles the barrier.
+    barrier_broadcast: Option<Frame>,
+    /// When the barrier broadcast was last published.
+    barrier_published: Instant,
+    /// Dangling-mass accumulator handed over by departing agents
+    /// (their unreported ingest-era changes); absorbed into the next
+    /// delta run's first scatter reduce.
+    dangling_carry: f64,
+    /// Running total of the system's dangling mass `S`, tracked from
+    /// the reported deltas (and re-based exactly by every full run's
+    /// final scatter reduce). With [`Lead::dangling_n`] it names the
+    /// `d·S/n` term baked into the carried vertex state, so a delta
+    /// run starting under a different vertex count can publish the
+    /// equivalent mass shift `S·(n0−n1)/n0` and re-base the term —
+    /// the dangling analogue of the per-vertex teleport reseed.
+    dangling_mass: f64,
+    /// Vertex count `dangling_mass` was last redistributed under;
+    /// 0 = unknown (no run yet, or a recovery reset), which skips the
+    /// re-base shift.
+    dangling_n: u64,
+    /// Event recorder (view changes, heartbeat misses, recoveries);
+    /// disabled unless `cfg.tracing`.
+    tracer: Tracer,
+    /// [`DirectoryView::may_split`] of the current view: one pass over
+    /// the sketch per view epoch, read once per superstep.
+    may_split: bool,
+    /// The counts the last Scatter barrier's advance told the members
+    /// to take in, and the step they are of; only
+    /// [`Lead::waiting_on`] reads them.
+    expected: (u32, StepCounts),
+    stall: Stall,
+    /// The time of the input being handled.
+    now: Instant,
+    /// How often a tick looks for dead agents and repeats an open
+    /// barrier's broadcast.
+    heartbeat_interval: Duration,
+    /// Silence after which a watched agent is declared dead; `None`
+    /// with failure detection off.
+    failure_window: Option<Duration>,
+    /// When failure detection last looked.
+    checked: Instant,
+    effects: Vec<Effect>,
+}
+
+/// What [`Lead::report_stall`] remembers between ticks.
+struct Stall {
+    /// The barrier last seen open ([`Lead::open_barrier`]).
+    barrier: Option<(u64, u32, Phase)>,
+    /// When it was first seen.
+    since: Instant,
+    /// Whether it has been reported.
+    reported: bool,
+}
+
+/// A barrier that has stood this long gets one log line saying who it
+/// waits on.
+const STALL_REPORT_AFTER: Duration = Duration::from_secs(10);
+
+impl Lead {
+    pub(crate) fn new(cfg: &SystemConfig, now: Instant) -> Self {
+        Lead {
+            view: DirectoryView {
+                epoch: 1,
+                batch_id: 0,
+                n_vertices: 0,
+                agents: Vec::new(),
+                sketch: CountMinSketch::new(cfg.sketch_width, cfg.sketch_depth),
+                hash: cfg.hash,
+                virtual_agents: cfg.virtual_agents,
+                replication_threshold: cfg.replication_threshold,
+                max_replicas: cfg.max_replicas,
+            },
+            reports: HashMap::new(),
+            metrics: HashMap::new(),
+            departed_metrics: ClusterMetrics::default(),
+            run: None,
+            next_run_id: 1,
+            pending_joins: Vec::new(),
+            pending_leaves: Vec::new(),
+            pending_sketch: false,
+            migrate_epoch: None,
+            migrate_members: Vec::new(),
+            departing: Vec::new(),
+            ghost: Counters::default(),
+            resume: None,
+            pending_start: None,
+            last_status: RunStatus::default(),
+            last_seen: HashMap::new(),
+            agents_recovered: 0,
+            barrier_broadcast: None,
+            barrier_published: now,
+            dangling_carry: 0.0,
+            dangling_mass: 0.0,
+            dangling_n: 0,
+            tracer: Tracer::from_flag(cfg.tracing),
+            may_split: false,
+            expected: (0, Vec::new()),
+            stall: Stall {
+                barrier: None,
+                since: now,
+                reported: false,
+            },
+            now,
+            heartbeat_interval: cfg.heartbeat_interval,
+            failure_window: cfg
+                .failure_detection
+                .then(|| cfg.heartbeat_interval * cfg.heartbeat_misses),
+            checked: now,
+            effects: Vec::new(),
+        }
+    }
+
+    /// What the inputs so far asked of the world, oldest first; the
+    /// queue keeps its buffer for the next input.
+    pub(crate) fn effects(&mut self) -> std::vec::Drain<'_, Effect> {
+        self.effects.drain(..)
+    }
+
+    /// Take one frame from the lead's mailbox at `now`. A request's
+    /// answer is queued as one [`Effect::Reply`], after everything its
+    /// handling published.
+    pub(crate) fn on_frame(&mut self, now: Instant, frame: &Frame) {
+        self.now = now;
+        match frame.packet_type() {
+            packet::READY => {
+                if let Some(rep) = ReadyReport::decode(frame) {
+                    self.on_ready(rep);
+                }
+            }
+            packet::HEARTBEAT => {
+                if let Some(beat) = msg::Heartbeat::decode(frame) {
+                    self.saw(beat.agent);
+                }
+            }
+            packet::JOIN => {
+                let Some(info) = AgentInfo::decode(frame) else {
+                    return self.reply(Frame::signal(packet::OK));
+                };
+                // The reply hands the joiner the view — after the VIEW
+                // that opens its barrier, if nothing was in flight —
+                // and the run in progress.
+                let run = self.run.as_ref().map(|r| r.info);
+                self.saw(info.id);
+                self.pending_joins.push(info);
+                if !self.busy() {
+                    self.apply_membership();
+                }
+                let view = self.view.clone();
+                self.reply(msg::JoinReply { view, run }.encode());
+                self.evaluate();
+            }
+            packet::LEAVE => {
+                // One frame may carry any number of departing ids;
+                // queueing them all before one apply_membership retires
+                // the whole batch in a single view change + migration.
+                let queued = self.pending_leaves.len();
+                let mut r = frame.reader();
+                while let Some(id) = r.u64() {
+                    self.pending_leaves.push(id);
+                }
+                if self.pending_leaves.len() > queued {
+                    if !self.busy() {
+                        self.apply_membership();
+                    }
+                    self.evaluate();
+                }
+                self.reply(Frame::signal(packet::OK));
+            }
+            packet::SKETCH_DELTA => {
+                let quiet =
+                    msg::decode_sketch_delta(frame).is_some_and(|delta| self.fold_sketch(&delta));
+                // A quiet fold changed nothing the sender routes by;
+                // the epoch tells it whether its view is still the
+                // current one.
+                self.reply(if quiet {
+                    Frame::builder(packet::OK).u64(self.view.epoch).finish()
+                } else {
+                    self.view.encode()
+                });
+            }
+            packet::START => {
+                let answer = match RunInfo::decode(frame) {
+                    Some(info) => Frame::builder(packet::OK)
+                        .u64(self.start_run(info))
+                        .finish(),
+                    None => Frame::signal(packet::OK),
+                };
+                self.reply(answer);
+            }
+            packet::GET_VIEW => self.reply(self.view.encode()),
+            packet::RUN_STATUS => self.reply(self.status().encode()),
+            packet::METRICS => {
+                if let Some(m) = AgentMetrics::decode(frame) {
+                    self.saw(m.agent);
+                    // A straggler from an agent that already left must
+                    // not re-enter the map: its report is in the
+                    // departed totals.
+                    if self.view.addr_of(m.agent).is_some() || self.departing.contains(&m.agent) {
+                        self.metrics.insert(m.agent, m);
+                    }
+                }
+            }
+            packet::GET_METRICS => {
+                let mut agg = ClusterMetrics {
+                    agents: self.view.agents.len() as u64,
+                    agents_recovered: self.agents_recovered,
+                    ..self.departed_metrics
+                };
+                for m in self.metrics.values() {
+                    agg.absorb(m);
+                }
+                self.reply(agg.encode());
+            }
+            packet::TRACE_DUMP => {
+                let (events, dropped) = self.tracer.drain();
+                self.reply(
+                    Frame::builder(packet::TRACE_DUMP)
+                        .raw(&elga_trace::encode_events(&events, dropped))
+                        .finish(),
+                );
+            }
+            packet::RESET_LABELS => {
+                self.publish(frame.clone());
+                self.reply(Frame::signal(packet::OK));
+            }
+            packet::DANGLING_GET => {
+                // Driver fetching the converged dangling book `(S, n)`
+                // for the checkpoint manifest.
+                let book = msg::Dangling {
+                    mass: self.dangling_mass,
+                    n: self.dangling_n,
+                };
+                self.reply(book.encode());
+            }
+            packet::DANGLING_SET => {
+                // Checkpoint restore re-anchoring the telescoped
+                // dangling series: adopt the manifest's converged
+                // `(S, n)` and absorb the replayed suffix's drift as a
+                // carry, folded into the next delta run's scatter
+                // reduce exactly like a departer's residue.
+                if let Some(set) = msg::DanglingSet::decode(frame) {
+                    self.dangling_mass = set.mass;
+                    self.dangling_n = set.n;
+                    self.dangling_carry += set.carry;
+                }
+                self.reply(Frame::signal(packet::OK));
+            }
+            packet::SHUTDOWN => {
+                self.publish(Frame::signal(packet::SHUTDOWN));
+                self.reply(Frame::signal(packet::OK));
+            }
+            _ => {}
+        }
+    }
+
+    /// Let time pass to `now`: failure detection (at most once per
+    /// heartbeat interval, so a busy mailbox can neither starve nor
+    /// flood it), re-publication of an open migrate barrier, and the
+    /// stall report.
+    pub(crate) fn on_tick(&mut self, now: Instant) {
+        self.now = now;
+        if let Some(window) = self.failure_window {
+            if now.saturating_duration_since(self.checked) >= self.heartbeat_interval {
+                self.checked = now;
+                for dead in self.dead_agents(window) {
+                    self.tracer.instant_at(
+                        EventKind::HeartbeatMiss,
+                        now,
+                        dead,
+                        window.as_millis() as u64,
+                    );
+                    self.recover(dead);
+                }
+            }
+        }
+        self.republish_barrier();
+        self.report_stall();
+    }
+
+    fn publish(&mut self, frame: Frame) {
+        self.effects.push(Effect::Publish(frame));
+    }
+
+    fn reply(&mut self, frame: Frame) {
+        self.effects.push(Effect::Reply(frame));
+    }
+
+    /// Take in a barrier report. A retransmitting transport can reorder
+    /// pushes, so a report older than the one held (by `seq`) is
+    /// dropped rather than let overwrite a fresh one.
+    fn on_ready(&mut self, rep: ReadyReport) {
+        self.saw(rep.agent);
+        if self
+            .reports
+            .get(&rep.agent)
+            .is_some_and(|old| old.seq > rep.seq)
+        {
+            return;
+        }
+        // Only idle reports from the current epoch can restart probes:
+        // a report that predates an adopted view describes traffic the
+        // resumed run has already re-scattered.
+        let probe_reset = rep.step == u32::MAX
+            && rep.epoch == self.view.epoch
+            && self
+                .run
+                .as_ref()
+                .is_some_and(|r| r.async_live && r.probe > 0 && r.info.run_id == rep.run);
+        self.note_dangling(&rep);
+        self.reports.insert(rep.agent, rep);
+        if probe_reset {
+            self.restart_probe();
+        }
+        self.evaluate();
+    }
+
+    /// Fold a report's cumulative dangling-mass value into the run's
+    /// pending redistribution (async delta runs only). Every READY an
+    /// agent sends while such a run is live carries its cumulative
+    /// value, so differences telescope to the true total even across
+    /// re-sends, migrations, and departures.
+    fn note_dangling(&mut self, rep: &ReadyReport) {
+        let Some(run) = self.run.as_mut() else {
+            return;
+        };
+        if !(run.async_live && run.info.delta && run.info.run_id == rep.run) {
+            return;
+        }
+        let seen = run
+            .dangling_seen
+            .insert(rep.agent, rep.global_contrib)
+            .unwrap_or(0.0);
+        run.dangling_pending += rep.global_contrib - seen;
+        self.dangling_mass += rep.global_contrib - seen;
+    }
+
+    /// Re-publish the broadcast that opened the current migrate
+    /// barrier if it has been outstanding for a heartbeat interval.
+    /// Subscriptions race joins (an agent subscribes, then JOINs; the
+    /// view bump publishes during JOIN handling), so the opening
+    /// broadcast can be lost; adoption is idempotent on the agent side,
+    /// making a periodic repeat safe and sufficient for liveness.
+    fn republish_barrier(&mut self) {
+        let due =
+            self.now.saturating_duration_since(self.barrier_published) >= self.heartbeat_interval;
+        if let Some(f) = self.barrier_broadcast.as_ref().filter(|_| due) {
+            self.effects.push(Effect::Publish(f.clone()));
+            self.barrier_published = self.now;
+        }
+    }
+
+    /// Record liveness for an agent-originated push.
+    fn saw(&mut self, id: AgentId) {
+        self.last_seen.insert(id, self.now);
+    }
+
+    fn busy(&self) -> bool {
+        self.run.is_some() || self.migrate_epoch.is_some()
+    }
+
+    /// Sum counters over `members`, including ghosts of departed
+    /// agents.
+    fn summed(&self, members: &[AgentId]) -> Option<Counters> {
+        let mut total = self.ghost;
+        for id in members {
+            total = total.add(&self.reports.get(id)?.counters);
+        }
+        Some(total)
+    }
+
+    /// All members reported the given context and the counts the
+    /// phase's barrier rests on are settled: every pair, except that a
+    /// Scatter barrier leaves the VMSG pair to the receivers — each
+    /// waits for the count its advance carries
+    /// ([`Lead::scatter_expectations`]).
+    fn barrier_met(&self, members: &[AgentId], run: u64, step: u32, phase: Phase) -> bool {
+        self.all_answered(members, (run, step, phase))
+            && self.summed(members).is_some_and(|c| match phase {
+                Phase::Scatter => c.settled_but_vmsg(),
+                _ => c.settled(),
+            })
+    }
+
+    /// Whether `r` answers the barrier `(run, step, phase)`: it reports
+    /// that context, or — in an async run's idle round, `step` 0
+    /// ([`Lead::open_barrier`]) — it is an idle report under the
+    /// current view epoch, so quiescence observed before a view change
+    /// can never terminate the run it resumed.
+    fn answers(&self, r: &ReadyReport, (run, step, phase): (u64, u32, Phase)) -> bool {
+        let idle_round = step == 0 && self.run.as_ref().is_some_and(|r| r.async_live);
+        r.run == run
+            && if idle_round {
+                r.step == u32::MAX && r.epoch == self.view.epoch
+            } else {
+                r.step == step && r.phase == phase
+            }
+    }
+
+    fn all_answered(&self, members: &[AgentId], barrier: (u64, u32, Phase)) -> bool {
+        members.iter().all(|id| {
+            self.reports
+                .get(id)
+                .is_some_and(|r| self.answers(r, barrier))
+        })
+    }
+
+    /// What the members' Scatter reports say they sent, summed per
+    /// receiver and sorted by it: the counts the advance that answers
+    /// the barrier carries. Read from the reports the barrier was met
+    /// on, so a re-sent report replaces its share instead of adding to
+    /// it. One `(receiver, records)` entry per non-empty
+    /// sender→receiver pair goes in — the order of the VMSG frames the
+    /// step put on the wire.
+    fn scatter_expectations(&self, members: &[AgentId]) -> StepCounts {
+        let mut pairs: StepCounts = members
+            .iter()
+            .flat_map(|id| self.reports[id].sent.iter().copied())
+            .collect();
+        pairs.sort_unstable_by_key(|&(to, _)| to);
+        pairs.dedup_by(|next, sum| {
+            let same = next.0 == sum.0;
+            if same {
+                sum.1 += next.1;
+            }
+            same
+        });
+        pairs
+    }
+
+    fn member_ids(&self) -> Vec<AgentId> {
+        self.view.agents.iter().map(|a| a.id).collect()
+    }
+
+    /// The `(run, step, phase)` the outstanding barrier's reports carry:
+    /// a migrate epoch, a sync phase, or — `Combine` with the probe
+    /// number, 0 before the first — an async run's idle round.
+    fn open_barrier(&self) -> Option<(u64, u32, Phase)> {
+        if let Some(epoch) = self.migrate_epoch {
+            return Some((0, epoch as u32, Phase::Migrate));
+        }
+        let run = self.run.as_ref()?;
+        Some(if run.async_live {
+            (run.info.run_id, run.probe, Phase::Combine)
+        } else {
+            (run.info.run_id, run.step, run.phase)
+        })
+    }
+
+    /// Who the outstanding barrier is waiting on, from what the lead
+    /// holds: the members that have not reported it and what they
+    /// reported last, every counter pair its sums leave unbalanced, and
+    /// what the last Scatter advance told each member to take in — a
+    /// member missing from the barrier after such an advance is short
+    /// of its count or still computing.
+    fn waiting_on(&self) -> String {
+        use std::fmt::Write;
+        let Some(barrier @ (run, step, phase)) = self.open_barrier() else {
+            return "no barrier open".into();
+        };
+        let idle_round = self.run.as_ref().is_some_and(|r| r.async_live) && step == 0;
+        let members = match phase {
+            Phase::Migrate => self.migrate_members.clone(),
+            _ => self.member_ids(),
+        };
+        let mut out = match phase {
+            Phase::Migrate => format!("migrate barrier of epoch {step}"),
+            _ if idle_round => format!("run {run}, async idle round"),
+            _ => format!("barrier (run {run}, step {step}, {phase:?})"),
+        };
+        let mut total = self.ghost;
+        for id in &members {
+            let rep = self.reports.get(id);
+            total = total.add(&rep.map(|r| r.counters).unwrap_or_default());
+            if rep.is_some_and(|r| self.answers(r, barrier)) {
+                continue;
+            }
+            match rep {
+                Some(r) => write!(
+                    out,
+                    "; agent {id} last reported (run {}, step {}, {:?}) under epoch {}",
+                    r.run, r.step, r.phase, r.epoch
+                ),
+                None => write!(out, "; agent {id} has reported nothing"),
+            }
+            .expect("write to a String");
+            let (of_step, expect) = &self.expected;
+            if let Some((_, n)) = expect.iter().find(|(to, _)| to == id) {
+                write!(out, ", told to take in {n} VMSG records of step {of_step}")
+                    .expect("write to a String");
+            }
+        }
+        for (pair, sent, recv) in total.pairs() {
+            // A Scatter barrier does not wait for the VMSG pair.
+            if sent != recv && !(phase == Phase::Scatter && pair == "vmsg") {
+                write!(
+                    out,
+                    "; {pair} sent − recv = {}",
+                    sent as i128 - recv as i128
+                )
+                .expect("write to a String");
+            }
+        }
+        out
+    }
+
+    /// Called from the tick: one log line, once, for a barrier that has
+    /// stood [`STALL_REPORT_AFTER`].
+    fn report_stall(&mut self) {
+        let barrier = self.open_barrier();
+        if barrier != self.stall.barrier {
+            self.stall = Stall {
+                barrier,
+                since: self.now,
+                reported: false,
+            };
+        } else if barrier.is_some()
+            && !self.stall.reported
+            && self.now.saturating_duration_since(self.stall.since) >= STALL_REPORT_AFTER
+        {
+            self.stall.reported = true;
+            let line = format!("elga lead: waiting on {}", self.waiting_on());
+            self.effects.push(Effect::Log(line));
+        }
+    }
+
+    /// The view's membership changed, or its sketch in a way that can
+    /// change a placement: open its next epoch and re-read what the
+    /// lead keeps per epoch.
+    fn next_epoch(&mut self) {
+        self.view.epoch += 1;
+        self.may_split = self.view.may_split();
+    }
+
+    /// A join, a leave or a sketch fold that needs an epoch is queued
+    /// behind the run.
+    fn membership_pending(&self) -> bool {
+        !self.pending_joins.is_empty() || !self.pending_leaves.is_empty() || self.pending_sketch
+    }
+
+    /// Fold a Streamer's batch delta into the view's sketch, and say
+    /// whether the fold was *quiet*: no vertex could be split before
+    /// it and none can after, so the placement function — what a view
+    /// epoch names — is the one every participant already holds
+    /// (DESIGN.md "A sketch fold is not a view change"). A quiet fold
+    /// is complete on return: no epoch, no VIEW, no barrier, nothing
+    /// pending that a chained step or an async run would stop for. Any
+    /// other fold gets its epoch the way a membership change does: now,
+    /// or at the run's next boundary.
+    fn fold_sketch(&mut self, delta: &SketchDeltaView<'_>) -> bool {
+        // A mismatched delta is a client bug; drop it rather than
+        // poisoning the view.
+        if delta.fold_into(&mut self.view.sketch).is_err() {
+            return false;
+        }
+        self.view.batch_id += 1;
+        if !self.may_split && !self.view.may_split() {
+            return true;
+        }
+        self.pending_sketch = true;
+        if !self.busy() {
+            self.apply_membership();
+        }
+        self.evaluate();
+        false
+    }
+
+    /// Whether the step whose Scatter barrier just settled may run its
+    /// Combine and Apply without barriers of their own (DESIGN.md "One
+    /// barrier when nothing is split"). Decided per step from state the
+    /// lead already holds; any `false` falls back to three barriers for
+    /// that step only.
+    fn can_chain(&self) -> bool {
+        let run = self.run.as_ref().expect("run");
+        // Async handlers and the idle protocol have no phases to chain.
+        !run.info.asynchronous
+            // The last step's verdict ends the run: a chained scatter
+            // of step `max + 1` would be thrown away.
+            && run.max_steps.is_none_or(|m| run.step < m)
+            // A view change must land on a clean Apply boundary, before
+            // the next step's messages exist.
+            && !self.membership_pending()
+            // With a vertex split across agents, PARTIAL and STATE
+            // records cross the wire and need their own barriers.
+            && !self.may_split
+    }
+
+    /// Fold the queued joins and leaves into the view: a joiner is
+    /// added once, a leaver moves to the departers.
+    fn fold_membership(&mut self) {
+        for j in self.pending_joins.drain(..) {
+            if self.view.addr_of(j.id).is_none() {
+                self.view.agents.push(j);
+            }
+        }
+        for l in self.pending_leaves.drain(..) {
+            if let Some(pos) = self.view.agents.iter().position(|a| a.id == l) {
+                self.view.agents.remove(pos);
+                self.departing.push(l);
+            }
+        }
+    }
+
+    /// Apply queued membership changes and publish a pending sketch
+    /// fold: bump the epoch, broadcast the view, and open a migrate
+    /// barrier.
+    fn apply_membership(&mut self) {
+        if !self.membership_pending() {
+            return;
+        }
+        self.fold_membership();
+        self.pending_sketch = false;
+        self.next_epoch();
+        self.tracer.instant_at(
+            EventKind::ViewAdopt,
+            self.now,
+            self.view.epoch,
+            self.view.agents.len() as u64,
+        );
+        self.migrate_members = self.member_ids();
+        self.migrate_members.extend(self.departing.iter().copied());
+        let frame = self.view.encode();
+        self.open_migrate_barrier(frame);
+    }
+
+    /// Open the migrate barrier of the current epoch with `frame` (a
+    /// VIEW or a RECOVER) as its broadcast.
+    fn open_migrate_barrier(&mut self, frame: Frame) {
+        self.migrate_epoch = Some(self.view.epoch);
+        self.barrier_broadcast = Some(frame.clone());
+        self.barrier_published = self.now;
+        self.publish(frame);
+    }
+
+    /// Send the post-drain OK to departed agents, absorb their final
+    /// counters into the ghost totals and stop watching them.
+    fn release_departers(&mut self) {
+        for id in self.departing.drain(..) {
+            if let Some(rep) = self.reports.remove(&id) {
+                self.ghost = self.ghost.add(&rep.counters);
+                // A departer's final READY carries its dangling-mass
+                // report. Mid-async-run it is the final cumulative
+                // value: telescope it against the seen-map entry being
+                // retired. Otherwise it is the unreported accumulator,
+                // carried into the next delta run's scatter reduce.
+                match self.run.as_mut() {
+                    Some(run) if run.async_live && run.info.delta => {
+                        let seen = run.dangling_seen.remove(&id).unwrap_or(0.0);
+                        run.dangling_pending += rep.global_contrib - seen;
+                        self.dangling_mass += rep.global_contrib - seen;
+                    }
+                    _ => self.dangling_carry += rep.global_contrib,
+                }
+            }
+            if let Some(m) = self.metrics.remove(&id) {
+                self.departed_metrics.absorb_departed(&m);
+            }
+            self.last_seen.remove(&id);
+            // A departer is out of the view; its mailbox address is
+            // the conventional one.
+            self.effects
+                .push(Effect::Send(agent_addr(id), Frame::signal(packet::OK)));
+        }
+    }
+
+    /// Watched agents — view members and departers still draining —
+    /// whose last sign of life is older than `window`. An agent with no
+    /// recorded liveness is stamped now rather than reported, so a
+    /// freshly joined agent gets a full window before its first
+    /// heartbeat is due.
+    fn dead_agents(&mut self, window: Duration) -> Vec<AgentId> {
+        let mut dead = Vec::new();
+        for id in self.member_ids().into_iter().chain(self.departing.clone()) {
+            match self.last_seen.get(&id) {
+                Some(&t) if self.now.saturating_duration_since(t) > window => dead.push(id),
+                Some(_) => {}
+                None => self.saw(id),
+            }
+        }
+        dead
+    }
+
+    /// Evict a dead agent — a member, or a departer that died draining
+    /// — and rewind the whole system.
+    ///
+    /// Exact reconciliation is impossible after an unplanned loss:
+    /// messages in flight to or from the dead agent are unaccounted
+    /// for, and its primary vertex state is gone. Instead survivors
+    /// drop all graph state and zero their counters (so the fresh
+    /// migrate barrier settles trivially), any active run is aborted,
+    /// and the driver replays the retained change log before
+    /// restarting the run.
+    fn recover(&mut self, dead: AgentId) {
+        // Fold queued joins in so a joiner racing the recovery is not
+        // evicted by the broadcast view; queued leaves and departers
+        // exit on receipt of RECOVER — after the reset they hold no
+        // data worth draining.
+        self.fold_membership();
+        for id in self.departing.drain(..) {
+            self.last_seen.remove(&id);
+        }
+        self.view.agents.retain(|a| a.id != dead);
+        self.last_seen.remove(&dead);
+        if let Some(m) = self.metrics.remove(&dead) {
+            self.departed_metrics.absorb_departed(&m);
+        }
+        // The table already counts every batch that was routed — the
+        // replayed edges must see the same estimates — and the epoch
+        // opened below publishes it.
+        self.pending_sketch = false;
+        // The reset rewinds every cumulative counter to zero,
+        // survivors and ghosts alike. Dangling carry describes
+        // pre-crash state the replay will regenerate.
+        self.reports.clear();
+        self.ghost = Counters::default();
+        self.dangling_carry = 0.0;
+        // The dangling base describes state the reset wiped; unknown
+        // (n = 0) until a finished run re-establishes it.
+        self.dangling_mass = 0.0;
+        self.dangling_n = 0;
+        self.resume = None;
+        let aborted = self
+            .run
+            .take()
+            .map(|r| r.info.run_id)
+            .or_else(|| self.pending_start.take().map(|i| i.run_id))
+            .unwrap_or(0);
+        if aborted != 0 {
+            self.last_status = RunStatus {
+                run_id: aborted,
+                n_vertices: self.view.n_vertices,
+                ..RunStatus::default()
+            };
+        }
+        self.next_epoch();
+        self.tracer
+            .instant_at(EventKind::RecoveryTrigger, self.now, self.view.epoch, dead);
+        self.migrate_members = self.member_ids();
+        self.agents_recovered += 1;
+        let frame = msg::Recover {
+            epoch: self.view.epoch,
+            dead_agent: dead,
+            aborted_run: aborted,
+            view: self.view.clone(),
+        }
+        .encode();
+        self.open_migrate_barrier(frame);
+        // Zero survivors: the barrier is trivially met.
+        self.evaluate();
+    }
+
+    /// Re-evaluate all outstanding barriers until no further progress
+    /// is possible; called on every READY (and after start/membership
+    /// changes, so zero-member edge cases cannot stall).
+    fn evaluate(&mut self) {
+        for _ in 0..1024 {
+            if !self.evaluate_once() {
+                break;
+            }
+        }
+    }
+
+    /// One evaluation step. Returns true when a barrier fired.
+    fn evaluate_once(&mut self) -> bool {
+        // Migrate barriers take precedence: nothing else advances while
+        // data is moving.
+        if let Some(epoch) = self.migrate_epoch {
+            let members = self.migrate_members.clone();
+            if !self.barrier_met(&members, 0, epoch as u32, Phase::Migrate) {
+                return false;
+            }
+            self.migrate_epoch = None;
+            self.barrier_broadcast = None;
+            self.release_departers();
+            self.migrate_members.clear();
+            if let Some(adv) = self.resume.take() {
+                if let Some(run) = self.run.as_mut() {
+                    run.step = adv.step;
+                    run.phase = adv.phase;
+                    run.step_started = self.now;
+                    if run.info.asynchronous && adv.phase == Phase::Scatter {
+                        // Releasing (or re-releasing) the agents into
+                        // event-driven execution: the resumed advance
+                        // is answered by idle reports, not a sync
+                        // barrier.
+                        run.async_live = true;
+                    }
+                }
+                self.publish(adv.encode());
+            } else if !self.busy() {
+                // Chain queued membership changes, then any deferred
+                // run start.
+                self.apply_membership();
+                if self.migrate_epoch.is_none() {
+                    if let Some(info) = self.pending_start.take() {
+                        self.launch_run(info);
+                    }
+                }
+            }
+            return true;
+        }
+        let Some(run) = self.run.as_ref() else {
+            return false;
+        };
+        if run.async_live {
+            return self.evaluate_async();
+        }
+        let members = self.member_ids();
+        let (run_id, step, phase) = (run.info.run_id, run.step, run.phase);
+        if !self.barrier_met(&members, run_id, step, phase) {
+            return false;
+        }
+        self.on_phase_complete();
+        true
+    }
+
+    /// Handle completion of the current sync phase.
+    fn on_phase_complete(&mut self) {
+        let members = self.member_ids();
+        let phase = self.run.as_ref().expect("run").phase;
+        match phase {
+            Phase::Scatter => {
+                // Reached through a chain, this barrier is the previous
+                // step's Apply verdict before it is anything else.
+                let expect = self.scatter_expectations(&members);
+                if std::mem::take(&mut self.run.as_mut().expect("run").chained)
+                    && self.step_verdict(&members)
+                {
+                    let run = self.run.as_mut().expect("run");
+                    // The agents scattered `step` already, and the run
+                    // ended at the step the verdict is for. A program
+                    // that scatters whatever is active (full PageRank,
+                    // converged by tolerance) sent that whole scatter:
+                    // the `done` advance carries its counts like any
+                    // other answer to a Scatter barrier, so no agent
+                    // leaves the run with records of it still on their
+                    // way — they would be dropped as stale and no later
+                    // `quiesce` could balance the VMSG sums.
+                    run.step -= 1;
+                    run.phase = Phase::Apply;
+                    self.finish_run(expect);
+                    return;
+                }
+                let mut n = 0;
+                let mut global = 0.0;
+                for id in &members {
+                    let r = &self.reports[id];
+                    n += r.n_primary;
+                    global += r.global_contrib;
+                }
+                // Delta runs report dangling-mass *changes* here;
+                // departed agents' handed-over accumulators join the
+                // same reduce so their mass is not lost. At step 0 the
+                // published global additionally re-bases the dangling
+                // term when the vertex count moved between runs: the
+                // carried state bakes in d·S/n0, the run needs d·S/n1,
+                // and a shift of S·(n0−n1)/n0 mass makes the uniform
+                // share close the difference exactly.
+                if self.run.as_ref().is_some_and(|r| r.info.delta) {
+                    let delta_s = global + std::mem::take(&mut self.dangling_carry);
+                    global = delta_s;
+                    let step = self.run.as_ref().expect("run").step;
+                    if step == 0 {
+                        if self.dangling_n != 0 && self.dangling_n != n {
+                            global += self.dangling_mass * (self.dangling_n as f64 - n as f64)
+                                / self.dangling_n as f64;
+                        }
+                        self.dangling_n = n;
+                    }
+                    self.dangling_mass += delta_s;
+                }
+                self.view.n_vertices = n;
+                let chain = self.can_chain();
+                let run = self.run.as_mut().expect("run");
+                run.n_vertices = n;
+                run.global = global;
+                let adv = Advance {
+                    global,
+                    chain,
+                    expect,
+                    ..run.advance(run.step, Phase::Combine)
+                };
+                if chain {
+                    // One handler call runs combine → apply → the next
+                    // scatter; the next report is `(step + 1, Scatter)`.
+                    run.step += 1;
+                    run.chained = true;
+                } else {
+                    run.phase = Phase::Combine;
+                }
+                self.publish(adv.encode());
+                self.expected = (adv.step, adv.expect);
+            }
+            Phase::Combine => {
+                let run = self.run.as_mut().expect("run");
+                run.phase = Phase::Apply;
+                let adv = Advance {
+                    global: run.global,
+                    ..run.advance(run.step, Phase::Apply)
+                };
+                self.publish(adv.encode());
+            }
+            Phase::Apply => {
+                let converged = self.step_verdict(&members);
+                let run = self.run.as_ref().expect("run");
+                if converged || run.max_steps.is_some_and(|m| run.step >= m) {
+                    self.finish_run(Vec::new());
+                    return;
+                }
+                let next = run.advance(run.step + 1, Phase::Scatter);
+                // Elastic scaling happens at superstep boundaries: if
+                // membership changed mid-run, migrate first and resume
+                // after (§3.4.3 / Figure 17). Checked before the async
+                // transition so a change queued during async
+                // initialization migrates now; the resume then doubles
+                // as the async release (`next` is exactly the step-1
+                // scatter advance, and the resume path re-arms
+                // `async_live`).
+                if self.membership_pending() {
+                    self.resume = Some(next);
+                    self.apply_membership();
+                    return;
+                }
+                let run = self.run.as_mut().expect("run");
+                run.step = next.step;
+                run.phase = Phase::Scatter;
+                // An async run's initialization is step 0: this advance
+                // releases its agents into event-driven execution.
+                run.async_live = run.info.asynchronous;
+                self.publish(next.encode());
+            }
+            Phase::Migrate => unreachable!("migrate handled separately"),
+        }
+    }
+
+    /// Close a superstep's books at its Apply verdict — reached as an
+    /// Apply barrier or riding a chained Scatter barrier: one
+    /// `step_nanos` entry, and whether the step converged (no member
+    /// left a vertex active).
+    fn step_verdict(&mut self, members: &[AgentId]) -> bool {
+        let active: u64 = members.iter().map(|id| self.reports[id].active).sum();
+        let now = self.now;
+        let run = self.run.as_mut().expect("run");
+        run.step_nanos
+            .push(now.saturating_duration_since(run.step_started).as_nanos() as u64);
+        run.step_started = now;
+        active == 0
+    }
+
+    /// Async termination: all agents idle with settled counters twice
+    /// in a row. Returns true when it made progress.
+    fn evaluate_async(&mut self) -> bool {
+        // A membership or sketch change arrived mid-async-run: pause
+        // the run behind a migrate barrier. Any outstanding probe is
+        // void (its responses predate the migration traffic), so the
+        // probe state resets; once the barrier settles, the resume
+        // advance re-releases the agents and termination detection
+        // starts over.
+        if self.membership_pending() {
+            let run = self.run.as_mut().expect("run");
+            run.probe = 0;
+            run.last_probe_sums = None;
+            self.resume = Some(run.advance(1, Phase::Scatter));
+            self.apply_membership();
+            return true;
+        }
+        // Reported dangling-mass changes above the program's epsilon
+        // redistribute before termination detection may proceed: the
+        // round's advance tells every agent to fold the uniform share
+        // into its primaries' residuals. Clearing the reports (and the
+        // agents re-reporting after the merge) forces a fresh idle
+        // round, so the run cannot terminate past an unmerged share.
+        let run = self.run.as_mut().expect("run");
+        if run.info.delta && run.dangling_pending.abs() > run.dangling_eps {
+            run.dangling_round += 1;
+            run.probe = 0;
+            run.last_probe_sums = None;
+            let adv = Advance {
+                global: std::mem::take(&mut run.dangling_pending),
+                ..run.advance(run.dangling_round, Phase::Apply)
+            };
+            self.reports.clear();
+            self.publish(adv.encode());
+            return false;
+        }
+        // A round — every member idle, then every member answering the
+        // outstanding probe — is complete once all have reported it.
+        let (run_id, probe, last_sums) = (run.info.run_id, run.probe, run.last_probe_sums);
+        let members = self.member_ids();
+        if !self.all_answered(&members, (run_id, probe, Phase::Combine)) {
+            return false;
+        }
+        let sums = self.summed(&members).expect("every member reported");
+        if probe > 0 && sums.settled() && last_sums == Some(sums) {
+            self.finish_run(Vec::new());
+            return true;
+        }
+        if probe == 0 && !sums.settled() {
+            return false;
+        }
+        // Probe again; an unsettled probe round starts the comparison
+        // over. Progress was made, but re-evaluating immediately cannot
+        // fire again until responses arrive.
+        let run = self.run.as_mut().expect("run");
+        run.last_probe_sums = sums.settled().then_some(sums);
+        let adv = run.next_probe();
+        self.publish(adv.encode());
+        false
+    }
+
+    /// An idle report accepted while a confirmation probe is
+    /// outstanding means an agent saw new traffic after (or instead
+    /// of) answering — its probe response is masked by the newer idle
+    /// report and will never be re-sent once the agent is quiescent.
+    /// The responses collected so far may also predate that activity.
+    /// Restart the double probe so both compared rounds postdate it.
+    fn restart_probe(&mut self) {
+        let Some(run) = self.run.as_mut() else {
+            return;
+        };
+        run.last_probe_sums = None;
+        let adv = run.next_probe();
+        self.publish(adv.encode());
+    }
+
+    /// End the run at `(step, phase)`. `expect` is what the `done`
+    /// advance tells each member to take in first: the counts of the
+    /// scatter a chained verdict was reported with, nothing otherwise.
+    fn finish_run(&mut self, expect: StepCounts) {
+        let run = self.run.take().expect("finishing without run");
+        if !run.info.delta {
+            // A full run's final scatter reduce summed the dangling
+            // mass exactly; re-base the running total on it (healing
+            // any f64 drift the delta tracking accumulated).
+            self.dangling_mass = run.global;
+        }
+        self.dangling_n = run.n_vertices;
+        let adv = Advance {
+            done: true,
+            expect,
+            ..run.advance(run.step, run.phase)
+        };
+        self.publish(adv.encode());
+        self.last_status = RunStatus {
+            run_id: run.info.run_id,
+            done: true,
+            steps: run.step,
+            step_nanos: if run.info.asynchronous {
+                vec![self.now.saturating_duration_since(run.started).as_nanos() as u64]
+            } else {
+                run.step_nanos
+            },
+            n_vertices: run.n_vertices,
+            ..RunStatus::default()
+        };
+        // Any membership changes queued during the run apply now.
+        self.apply_membership();
+    }
+
+    /// Accept a run request: assigns the id immediately; the run
+    /// launches now or after the outstanding migrate barrier settles.
+    fn start_run(&mut self, mut info: RunInfo) -> u64 {
+        let run_id = self.next_run_id;
+        self.next_run_id += 1;
+        info.run_id = run_id;
+        if self.busy() {
+            self.pending_start = Some(info);
+        } else {
+            self.launch_run(info);
+        }
+        run_id
+    }
+
+    fn launch_run(&mut self, mut info: RunInfo) {
+        debug_assert!(
+            self.migrate_epoch.is_none(),
+            "a run launched while a migrate barrier is open"
+        );
+        // Ship the per-vertex dangling term baked into the carried
+        // states: vertices first appearing in this run seed it as a
+        // residual instead (they never absorbed it into their state).
+        info.dangling_base = if info.delta && self.dangling_n != 0 {
+            self.dangling_mass / self.dangling_n as f64
+        } else {
+            0.0
+        };
+        // The batches this run can have seen: `start_run` is called on
+        // a quiesced system, and changes arriving later are buffered
+        // until the run is over.
+        info.watermark = self.view.batch_id;
+        let spec = crate::program::ProgramSpec::decode(info.tag, info.params);
+        let prog = spec.as_ref().map(|s| s.instantiate());
+        let max_steps = prog.as_ref().and_then(|p| p.max_steps());
+        let dangling_eps = prog
+            .as_ref()
+            .map_or(f64::INFINITY, |p| p.dangling_epsilon());
+        if !info.delta {
+            // A full run recomputes every vertex from scratch; mass
+            // handed over by past departures is subsumed by it.
+            self.dangling_carry = 0.0;
+        }
+        self.reports.clear();
+        let run = Run {
+            info,
+            max_steps,
+            step: 0,
+            phase: Phase::Scatter,
+            n_vertices: self.view.n_vertices,
+            global: 0.0,
+            started: self.now,
+            step_started: self.now,
+            step_nanos: Vec::new(),
+            probe: 0,
+            last_probe_sums: None,
+            async_live: false,
+            dangling_pending: 0.0,
+            dangling_seen: HashMap::new(),
+            dangling_round: 0,
+            dangling_eps,
+            chained: false,
+        };
+        self.publish(info.encode());
+        self.publish(run.advance(0, Phase::Scatter).encode());
+        self.run = Some(run);
+        self.evaluate();
+    }
+
+    fn status(&self) -> RunStatus {
+        let mut status = match &self.run {
+            Some(run) => RunStatus {
+                run_id: run.info.run_id,
+                running: true,
+                steps: run.step,
+                step_nanos: run.step_nanos.clone(),
+                n_vertices: run.n_vertices,
+                ..RunStatus::default()
+            },
+            None => self.last_status.clone(),
+        };
+        status.migrating = self.migrate_epoch.is_some()
+            || self.membership_pending()
+            || self.pending_start.is_some();
+        status.epoch = self.view.epoch;
+        status.departed = self.ghost;
+        status
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use elga_sketch::{DegreeEstimator, SketchDelta};
+
+    fn test_lead() -> Lead {
+        Lead::new(&SystemConfig::default(), Instant::now())
+    }
+
+    /// A WCC-family run request: `tag` with zero params, full state.
+    fn run_info(tag: u8, asynchronous: bool) -> RunInfo {
+        RunInfo {
+            run_id: 0,
+            tag,
+            params: [0, 0, 0],
+            reuse_state: false,
+            asynchronous,
+            delta: false,
+            dangling_base: 0.0,
+            watermark: 0,
+        }
+    }
+
+    fn ready(agent: AgentId, run: u64, step: u32, phase: Phase, c: Counters) -> ReadyReport {
+        ReadyReport {
+            agent,
+            run,
+            step,
+            phase,
+            counters: c,
+            active: 0,
+            global_contrib: 0.0,
+            n_primary: 0,
+            seq: 0,
+            epoch: 0,
+            sent: Vec::new(),
+        }
+    }
+
+    fn idle(agent: AgentId, run: u64, epoch: u64) -> ReadyReport {
+        ReadyReport {
+            epoch,
+            ..ready(agent, run, u32::MAX, Phase::Scatter, Counters::default())
+        }
+    }
+
+    /// One rule per phase, chosen by the phase alone: every member has
+    /// reported the context, and every counter pair is settled — except
+    /// that a Scatter barrier does not ask about the VMSG pair.
+    #[test]
+    fn barrier_requires_all_members_and_the_sums_its_phase_rests_on() {
+        let mut lead = test_lead();
+        let members = vec![1, 2];
+        let in_flight = |pair: &str| {
+            let mut c = Counters::default();
+            match pair {
+                "vmsg" => c.vmsg_sent = 5,
+                "part" => c.part_sent = 5,
+                "state" => c.state_sent = 5,
+                "mig" => c.mig_sent = 5,
+                "chg" => c.chg_sent = 5,
+                _ => {}
+            }
+            c
+        };
+        for phase in [Phase::Scatter, Phase::Combine, Phase::Apply, Phase::Migrate] {
+            lead.reports.clear();
+            lead.reports
+                .insert(1, ready(1, 7, 2, phase, Counters::default()));
+            assert!(!lead.barrier_met(&members, 7, 2, phase), "missing member");
+            lead.reports
+                .insert(2, ready(2, 7, 2, phase, Counters::default()));
+            assert!(lead.barrier_met(&members, 7, 2, phase));
+            assert!(!lead.barrier_met(&members, 7, 3, phase), "wrong step");
+            assert!(!lead.barrier_met(&members, 8, 2, phase), "wrong run");
+            for pair in ["vmsg", "part", "state", "mig", "chg"] {
+                lead.reports
+                    .insert(1, ready(1, 7, 2, phase, in_flight(pair)));
+                assert_eq!(
+                    lead.barrier_met(&members, 7, 2, phase),
+                    phase == Phase::Scatter && pair == "vmsg",
+                    "{phase:?} with {pair} records in flight"
+                );
+            }
+        }
+        assert!(
+            !lead.barrier_met(&members, 7, 2, Phase::Combine),
+            "wrong phase"
+        );
+    }
+
+    /// A lead with agents 1 and 2 joined and migrated and a run of the
+    /// given program started; every effect since is still queued.
+    fn lead_mid_run(tag: u8, params: [u64; 3], asynchronous: bool) -> (Lead, u64) {
+        lead_mid_run_on(test_lead(), tag, params, asynchronous)
+    }
+
+    /// [`lead_mid_run`] on a lead that may have changes queued for its
+    /// first view.
+    fn lead_mid_run_on(
+        mut lead: Lead,
+        tag: u8,
+        params: [u64; 3],
+        asynchronous: bool,
+    ) -> (Lead, u64) {
+        for id in [1, 2] {
+            lead.pending_joins.push(AgentInfo {
+                id,
+                addr: agent_addr(id),
+            });
+        }
+        lead.apply_membership();
+        let epoch = lead.view.epoch as u32;
+        report_all(&mut lead, 0, epoch, Phase::Migrate, 0);
+        assert_eq!(lead.migrate_epoch, None);
+        let run_id = lead.start_run(RunInfo {
+            params,
+            ..run_info(tag, asynchronous)
+        });
+        (lead, run_id)
+    }
+
+    const WCC: (u8, [u64; 3]) = (1, [0, 0, 0]);
+
+    /// Every member of the barrier reports `(run, step, phase)` with
+    /// settled counters and `active` vertices each; the lead evaluates
+    /// after each.
+    fn report_all(lead: &mut Lead, run: u64, step: u32, phase: Phase, active: u64) {
+        let members = match phase {
+            Phase::Migrate => lead.migrate_members.clone(),
+            _ => lead.member_ids(),
+        };
+        for id in members {
+            let mut rep = ready(id, run, step, phase, Counters::default());
+            rep.active = active;
+            lead.reports.insert(id, rep);
+            lead.evaluate();
+        }
+    }
+
+    /// The ADVANCE frames published since the last call; every other
+    /// queued effect is dropped.
+    fn advances(lead: &mut Lead) -> Vec<Advance> {
+        published(lead, packet::ADVANCE)
+            .iter()
+            .filter_map(Advance::decode)
+            .collect()
+    }
+
+    /// Hand `delta` to the lead as a SKETCH_DELTA frame would arrive;
+    /// whether the fold was quiet.
+    fn fold(delta: SketchDelta, lead: &mut Lead) -> bool {
+        let frame = msg::encode_sketch_delta(&delta);
+        lead.fold_sketch(&msg::decode_sketch_delta(&frame).unwrap())
+    }
+
+    /// A delta for the lead's table counting `count` more on vertex 77.
+    fn hub(lead: &Lead, count: u32) -> SketchDelta {
+        let sketch = &lead.view.sketch;
+        let mut delta = SketchDelta::new(sketch.width(), sketch.depth());
+        delta.add(77, count);
+        delta
+    }
+
+    /// Vertex 77 counted `over` past the replication threshold.
+    fn hub_delta(lead: &Lead, over: u32) -> SketchDelta {
+        hub(lead, lead.view.replication_threshold as u32 + over)
+    }
+
+    /// A batch of `edges` ring edges starting at vertex `from`.
+    fn ring_delta(lead: &Lead, from: u64, edges: u64) -> SketchDelta {
+        let mut delta = hub(lead, 0);
+        for v in from..from + edges {
+            delta.record_edge(v, v + 1);
+        }
+        delta
+    }
+
+    /// A lead with agents 1 and 2 joined and migrated; every effect
+    /// since is still queued.
+    fn lead_with_agents() -> Lead {
+        let mut lead = test_lead();
+        for id in [1, 2] {
+            lead.pending_joins.push(AgentInfo {
+                id,
+                addr: agent_addr(id),
+            });
+        }
+        lead.apply_membership();
+        let epoch = lead.view.epoch as u32;
+        report_all(&mut lead, 0, epoch, Phase::Migrate, 0);
+        assert_eq!(lead.migrate_epoch, None);
+        lead
+    }
+
+    /// The frames of packet type `ty` published since the last call;
+    /// every other queued effect is dropped.
+    fn published(lead: &mut Lead, ty: u8) -> Vec<Frame> {
+        lead.effects()
+            .filter_map(|e| match e {
+                Effect::Publish(f) if f.packet_type() == ty => Some(f),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_delta_under_the_bound_folds_without_an_epoch() {
+        let mut lead = lead_with_agents();
+        published(&mut lead, packet::VIEW);
+        let (epoch, batch) = (lead.view.epoch, lead.view.batch_id);
+        // What the streamer used to send: a whole table per batch.
+        let mut dense = lead.view.sketch.clone();
+        for (i, from) in [0u64, 40, 9_000].into_iter().enumerate() {
+            let mut table = DegreeEstimator::new(dense.width(), dense.depth());
+            (from..from + 64).for_each(|v| table.record_edge(v, v + 1));
+            dense.merge(table.sketch()).unwrap();
+            assert!(fold(ring_delta(&lead, from, 64), &mut lead), "batch {i}");
+            assert_eq!(lead.view.batch_id, batch + 1 + i as u64);
+        }
+        assert_eq!(lead.view.epoch, epoch);
+        assert_eq!(lead.migrate_epoch, None);
+        assert!(!lead.membership_pending() && !lead.busy());
+        assert!(published(&mut lead, packet::VIEW).is_empty());
+        assert_eq!(lead.view.sketch, dense);
+        // A delta for some other table is dropped whole.
+        let alien = SketchDelta::new(dense.width() / 2, dense.depth());
+        assert!(!fold(alien, &mut lead));
+        assert_eq!((lead.view.epoch, lead.view.batch_id), (epoch, batch + 3));
+        assert_eq!(lead.view.sketch, dense);
+    }
+
+    #[test]
+    fn a_delta_that_lifts_the_bound_opens_an_epoch_and_so_does_every_later_one() {
+        let mut lead = lead_with_agents();
+        published(&mut lead, packet::VIEW);
+        let epoch = lead.view.epoch;
+        // At the threshold `k` is still 1 everywhere.
+        assert!(fold(hub_delta(&lead, 0), &mut lead));
+        assert_eq!(lead.view.epoch, epoch);
+        // One more edge on the hub and a split is possible: today's
+        // view change, barrier and all.
+        assert!(!fold(hub(&lead, 1), &mut lead));
+        assert_eq!(lead.view.epoch, epoch + 1);
+        assert_eq!(lead.migrate_epoch, Some(epoch + 1));
+        assert_eq!(lead.migrate_members, vec![1, 2]);
+        assert!(lead.may_split && !lead.pending_sketch);
+        let views = published(&mut lead, packet::VIEW);
+        assert_eq!(views.len(), 1);
+        let view = DirectoryView::decode(&views[0]).unwrap();
+        assert_eq!(
+            (view.epoch, view.sketch == lead.view.sketch),
+            (epoch + 1, true)
+        );
+        // While the barrier is open a fold is merged and waits …
+        let small = ring_delta(&lead, 500, 4);
+        assert!(!fold(small, &mut lead));
+        assert!(lead.pending_sketch && lead.view.epoch == epoch + 1);
+        // … and is published when it settles. Which vertex a delta
+        // touches is never asked once a split is possible.
+        report_all(&mut lead, 0, (epoch + 1) as u32, Phase::Migrate, 0);
+        assert_eq!(lead.migrate_epoch, Some(epoch + 2));
+        assert!(!lead.pending_sketch);
+        assert_eq!(published(&mut lead, packet::VIEW).len(), 1);
+    }
+
+    #[test]
+    fn a_quiet_delta_mid_run_is_invisible_to_the_run() {
+        let (mut lead, run) = lead_mid_run(WCC.0, WCC.1, false);
+        report_all(&mut lead, run, 0, Phase::Scatter, 0);
+        assert_eq!(expects(&lead), (1, Phase::Scatter, true));
+        advances(&mut lead);
+        let epoch = lead.view.epoch;
+        assert!(fold(ring_delta(&lead, 0, 64), &mut lead));
+        assert!(!lead.membership_pending());
+        assert!(!lead.status().migrating);
+        assert_eq!(lead.view.epoch, epoch);
+        assert!(advances(&mut lead).is_empty());
+        report_all(&mut lead, run, 1, Phase::Scatter, 3);
+        let adv = advances(&mut lead);
+        assert_eq!(adv.len(), 1);
+        assert!(adv[0].chain, "the next step still chains");
+        assert_eq!(expects(&lead), (2, Phase::Scatter, true));
+    }
+
+    #[test]
+    fn launch_stamps_the_batches_folded_so_far() {
+        let mut lead = lead_with_agents();
+        for from in [0, 100, 200] {
+            assert!(fold(ring_delta(&lead, from, 8), &mut lead));
+        }
+        let wcc = run_info(WCC.0, false);
+        let run = lead.start_run(wcc);
+        let starts = published(&mut lead, packet::START);
+        assert_eq!(starts.len(), 1);
+        let info = RunInfo::decode(&starts[0]).unwrap();
+        assert_eq!((info.run_id, info.watermark), (run, 3));
+        // A batch folded while the run is in flight belongs to the
+        // next run's tag, and a joiner is handed this run's.
+        assert!(fold(ring_delta(&lead, 300, 8), &mut lead));
+        assert_eq!(lead.run.as_ref().unwrap().info.watermark, 3);
+        assert_eq!(lead.status().epoch, lead.view.epoch);
+    }
+
+    /// `(step, phase, chained)` the lead waits for.
+    fn expects(lead: &Lead) -> (u32, Phase, bool) {
+        let run = lead.run.as_ref().expect("run");
+        (run.step, run.phase, run.chained)
+    }
+
+    #[test]
+    fn settled_scatter_barrier_chains_when_nothing_can_split() {
+        let (mut lead, run) = lead_mid_run(WCC.0, WCC.1, false);
+        assert_eq!(advances(&mut lead).len(), 1, "the launch advance");
+        report_all(&mut lead, run, 0, Phase::Scatter, 0);
+        let adv = advances(&mut lead);
+        assert_eq!(adv.len(), 1);
+        assert_eq!((adv[0].step, adv[0].phase), (0, Phase::Combine));
+        assert!(adv[0].chain && !adv[0].done);
+        assert_eq!(expects(&lead), (1, Phase::Scatter, true));
+        // The next report is the chain's one READY: apply(0)'s active
+        // count on a `(1, Scatter)` report. Not converged: step 1 is
+        // chained the same way, with one `step_nanos` entry behind it.
+        report_all(&mut lead, run, 1, Phase::Scatter, 3);
+        let adv = advances(&mut lead);
+        assert_eq!(adv.len(), 1);
+        assert_eq!((adv[0].step, adv[0].phase), (1, Phase::Combine));
+        assert!(adv[0].chain);
+        assert_eq!(expects(&lead), (2, Phase::Scatter, true));
+        assert_eq!(lead.run.as_ref().unwrap().step_nanos.len(), 1);
+    }
+
+    #[test]
+    fn chained_barrier_with_nothing_active_finishes_at_the_applied_step() {
+        let (mut lead, run) = lead_mid_run(WCC.0, WCC.1, false);
+        report_all(&mut lead, run, 0, Phase::Scatter, 0);
+        report_all(&mut lead, run, 1, Phase::Scatter, 2);
+        report_all(&mut lead, run, 2, Phase::Scatter, 4);
+        assert_eq!(expects(&lead), (3, Phase::Scatter, true));
+        advances(&mut lead);
+        // apply(2) left nothing active: the run is over at step 2,
+        // whatever step the agents' (empty) scatter was for.
+        report_all(&mut lead, run, 3, Phase::Scatter, 0);
+        assert!(lead.run.is_none());
+        let st = lead.status();
+        assert!(st.done && !st.running);
+        assert_eq!(st.steps, 2);
+        assert_eq!(st.step_nanos.len(), 3, "one entry per superstep 0..=2");
+        let adv = advances(&mut lead);
+        assert_eq!(adv.len(), 1);
+        assert!(adv[0].done && !adv[0].chain);
+        assert_eq!((adv[0].step, adv[0].phase), (2, Phase::Apply));
+    }
+
+    /// Each fall-back condition, alone, gets the step three barriers.
+    #[test]
+    fn no_chain_when_chaining_would_be_wrong() {
+        let unchained = |lead: &mut Lead, run: u64, step: u32, why: &str| {
+            advances(lead);
+            report_all(lead, run, step, Phase::Scatter, 1);
+            let adv = advances(lead);
+            assert_eq!(adv.len(), 1, "{why}");
+            assert_eq!((adv[0].step, adv[0].phase), (step, Phase::Combine));
+            assert!(!adv[0].chain, "{why}: chained");
+            assert_eq!(expects(lead), (step, Phase::Combine, false), "{why}");
+        };
+        let joiner = AgentInfo {
+            id: 3,
+            addr: agent_addr(3),
+        };
+
+        let (mut lead, run) = lead_mid_run(WCC.0, WCC.1, false);
+        lead.pending_joins.push(joiner.clone());
+        unchained(&mut lead, run, 0, "join pending");
+        // The change then lands on the step's Apply boundary, as ever.
+        report_all(&mut lead, run, 0, Phase::Combine, 0);
+        report_all(&mut lead, run, 0, Phase::Apply, 1);
+        assert!(lead.migrate_epoch.is_some() && lead.resume.is_some());
+
+        let (mut lead, run) = lead_mid_run(WCC.0, WCC.1, false);
+        lead.pending_leaves.push(2);
+        unchained(&mut lead, run, 0, "leave pending");
+
+        // A fold that lifts the bound over the threshold waits for the
+        // Apply boundary like a join: merged, but not yet an epoch.
+        let (mut lead, run) = lead_mid_run(WCC.0, WCC.1, false);
+        let epoch = lead.view.epoch;
+        assert!(!fold(hub_delta(&lead, 1), &mut lead));
+        assert!(lead.pending_sketch && lead.view.epoch == epoch);
+        unchained(&mut lead, run, 0, "sketch fold pending");
+        report_all(&mut lead, run, 0, Phase::Combine, 0);
+        report_all(&mut lead, run, 0, Phase::Apply, 1);
+        assert_eq!(lead.migrate_epoch, Some(epoch + 1));
+        assert!(!lead.pending_sketch && lead.may_split);
+
+        // A membership change queued *during* a chained step waits one
+        // step: the barrier it arrives at is not a clean boundary.
+        let (mut lead, run) = lead_mid_run(WCC.0, WCC.1, false);
+        report_all(&mut lead, run, 0, Phase::Scatter, 0);
+        assert_eq!(expects(&lead), (1, Phase::Scatter, true));
+        lead.pending_joins.push(joiner);
+        unchained(&mut lead, run, 1, "join arrived mid-chain");
+        assert!(lead.migrate_epoch.is_none());
+
+        // PageRank, two iterations: step 1 chains, step 2 is the last.
+        let pagerank = [0.85f64.to_bits(), 2, 0f64.to_bits()];
+        let (mut lead, run) = lead_mid_run(0, pagerank, false);
+        report_all(&mut lead, run, 0, Phase::Scatter, 0);
+        report_all(&mut lead, run, 1, Phase::Scatter, 5);
+        assert_eq!(expects(&lead), (2, Phase::Scatter, true));
+        unchained(&mut lead, run, 2, "step == max_steps");
+        report_all(&mut lead, run, 2, Phase::Combine, 0);
+        report_all(&mut lead, run, 2, Phase::Apply, 5);
+        assert_eq!(lead.status().steps, 2);
+        assert!(lead.status().done);
+
+        let (mut lead, run) = lead_mid_run(WCC.0, WCC.1, true);
+        unchained(&mut lead, run, 0, "async run");
+
+        // One estimate over the threshold is enough; which vertex it
+        // belongs to is never looked up. The sketch reaches the view
+        // the way a streamer's does, as a delta — folded quietly, as
+        // nothing can be split over no agents — and the lead reads the
+        // bound when the joins open the epoch.
+        let hub = |over: u32| {
+            let mut lead = test_lead();
+            let delta = hub_delta(&lead, over);
+            assert!(fold(delta, &mut lead));
+            lead
+        };
+        let (mut lead, run) = lead_mid_run_on(hub(0), WCC.0, WCC.1, false);
+        assert!(!lead.view.may_split(), "at the threshold k is still 1");
+        report_all(&mut lead, run, 0, Phase::Scatter, 1);
+        assert!(advances(&mut lead).last().unwrap().chain);
+        let (mut lead, run) = lead_mid_run_on(hub(1), WCC.0, WCC.1, false);
+        assert!(lead.view.may_split());
+        unchained(&mut lead, run, 0, "sketch bound over the threshold");
+        // Capped at one replica, the same sketch splits nothing.
+        lead.view.max_replicas = 1;
+        assert!(!lead.view.may_split());
+    }
+
+    /// A `(run, step, Scatter)` report of `agent` whose scatter sent
+    /// `sent` and left `active` vertices active at the apply before it.
+    fn scattered(
+        agent: AgentId,
+        run: u64,
+        step: u32,
+        active: u64,
+        sent: &[(AgentId, u64)],
+    ) -> ReadyReport {
+        let counters = Counters {
+            vmsg_sent: sent.iter().map(|s| s.1).sum(),
+            ..Default::default()
+        };
+        ReadyReport {
+            active,
+            sent: sent.to_vec(),
+            ..ready(agent, run, step, Phase::Scatter, counters)
+        }
+    }
+
+    /// Three members in a sync WCC run at its first chained barrier.
+    fn three_mid_run() -> (Lead, u64) {
+        let mut lead = test_lead();
+        lead.pending_joins.push(AgentInfo {
+            id: 3,
+            addr: agent_addr(3),
+        });
+        let (mut lead, run) = lead_mid_run_on(lead, WCC.0, WCC.1, false);
+        for id in [1, 2, 3] {
+            lead.reports.insert(id, scattered(id, run, 0, 0, &[]));
+            lead.evaluate();
+        }
+        assert_eq!(expects(&lead), (1, Phase::Scatter, true));
+        advances(&mut lead);
+        (lead, run)
+    }
+
+    /// The Scatter barrier closes on what was sent: once every member
+    /// has reported the step it fires with the VMSG sums unsettled —
+    /// nobody has confirmed a receive — and the advance tells each
+    /// member how many records of the step are addressed to it.
+    #[test]
+    fn scatter_barrier_fires_on_the_senders_reports_and_carries_the_sums() {
+        let (mut lead, run) = three_mid_run();
+        for (id, sent) in [
+            (1, &[(2, 5), (3, 1)][..]),
+            (2, &[(1, 4), (3, 2)]),
+            (3, &[(2, 7)]),
+        ] {
+            assert!(advances(&mut lead).is_empty(), "before agent {id} reported");
+            lead.reports.insert(id, scattered(id, run, 1, 1, sent));
+            lead.evaluate();
+        }
+        assert!(!lead.summed(&[1, 2, 3]).unwrap().settled());
+        let adv = advances(&mut lead);
+        assert_eq!(adv.len(), 1);
+        assert_eq!((adv[0].step, adv[0].phase), (1, Phase::Combine));
+        assert!(adv[0].chain && !adv[0].done);
+        assert_eq!(adv[0].expect, [(1, 4), (2, 12), (3, 3)]);
+        assert_eq!(lead.expected, (1, vec![(1, 4), (2, 12), (3, 3)]));
+        assert_eq!(expects(&lead), (2, Phase::Scatter, true));
+    }
+
+    /// What the barrier does not leave to the receivers still holds it:
+    /// a forwarded change or a migration record in flight.
+    #[test]
+    fn scatter_barrier_waits_for_every_other_pair() {
+        for (pair, in_flight) in [
+            (
+                "chg",
+                Counters {
+                    chg_sent: 1,
+                    ..Default::default()
+                },
+            ),
+            (
+                "mig",
+                Counters {
+                    mig_sent: 1,
+                    ..Default::default()
+                },
+            ),
+        ] {
+            let (mut lead, run) = three_mid_run();
+            let settled = Counters {
+                chg_recv: in_flight.chg_sent,
+                mig_recv: in_flight.mig_sent,
+                ..Default::default()
+            };
+            lead.reports.insert(1, scattered(1, run, 1, 1, &[(2, 5)]));
+            lead.reports.insert(2, scattered(2, run, 1, 1, &[]));
+            let mut third = scattered(3, run, 1, 1, &[]);
+            third.counters = third.counters.add(&in_flight);
+            lead.reports.insert(3, third);
+            lead.evaluate();
+            assert!(advances(&mut lead).is_empty(), "{pair} in flight");
+            // The receiver's idle re-report settles the pair.
+            let mut second = scattered(2, run, 1, 1, &[]);
+            second.counters = second.counters.add(&settled);
+            lead.reports.insert(2, second);
+            lead.evaluate();
+            let adv = advances(&mut lead);
+            assert_eq!(adv.len(), 1, "{pair} settled");
+            assert_eq!(adv[0].expect, [(2, 5)]);
+        }
+    }
+
+    #[test]
+    fn resent_ready_reevaluates_a_chained_barrier_exactly_once() {
+        let (mut lead, run) = three_mid_run();
+        lead.reports.insert(1, scattered(1, run, 1, 1, &[(2, 5)]));
+        lead.evaluate();
+        lead.reports.insert(2, scattered(2, run, 1, 0, &[(1, 2)]));
+        lead.evaluate();
+        // Agent 1 re-reports for a late EDGE_CHANGES frame: the step's
+        // list rides again, verbatim, and replaces the first copy.
+        let mut again = scattered(1, run, 1, 1, &[(2, 5)]);
+        again.counters.chg_recv = 3;
+        again.counters.chg_sent = 3;
+        lead.reports.insert(1, again.clone());
+        lead.evaluate();
+        assert!(advances(&mut lead).is_empty(), "agent 3 has not reported");
+        assert!(lead.run.as_ref().unwrap().step_nanos.is_empty());
+        lead.reports.insert(3, scattered(3, run, 1, 0, &[(2, 1)]));
+        lead.evaluate();
+        // Verdict of step 0 and reduce of step 1, once, and agent 1's
+        // five counted once.
+        let adv = advances(&mut lead);
+        assert_eq!(adv.len(), 1);
+        assert_eq!(adv[0].expect, [(1, 2), (2, 6)]);
+        assert_eq!(expects(&lead), (2, Phase::Scatter, true));
+        assert_eq!(lead.run.as_ref().unwrap().step_nanos.len(), 1);
+        // A straggling copy of the same report is for a barrier that is
+        // gone.
+        lead.reports.insert(1, again);
+        lead.evaluate();
+        assert!(advances(&mut lead).is_empty());
+        assert_eq!(expects(&lead), (2, Phase::Scatter, true));
+        assert_eq!(lead.run.as_ref().unwrap().step_nanos.len(), 1);
+    }
+
+    /// A program that scatters whatever is active (full PageRank) and
+    /// converges by tolerance ends on a chained verdict with the next
+    /// step's messages already sent. The `done` advance answers a
+    /// Scatter barrier like any other: it carries their counts, or an
+    /// agent would finish the run ahead of them.
+    #[test]
+    fn a_chained_verdict_that_ends_the_run_puts_the_counts_on_done() {
+        let (mut lead, run) = three_mid_run();
+        for (id, sent) in [(1, &[(2, 5), (3, 1)][..]), (2, &[(1, 4)]), (3, &[])] {
+            lead.reports.insert(id, scattered(id, run, 1, 0, sent));
+            lead.evaluate();
+        }
+        assert!(lead.run.is_none());
+        assert_eq!(lead.status().steps, 0);
+        let adv = advances(&mut lead);
+        assert_eq!(adv.len(), 1);
+        assert!(adv[0].done && !adv[0].chain);
+        assert_eq!((adv[0].step, adv[0].phase), (0, Phase::Apply));
+        assert_eq!(adv[0].scatter_step(), 1);
+        assert_eq!(adv[0].expect, [(1, 4), (2, 5), (3, 1)]);
+        // A run that ends at an Apply barrier has no scatter behind it.
+        let pagerank = [0.85f64.to_bits(), 1, 0f64.to_bits()];
+        let (mut lead, run) = lead_mid_run(0, pagerank, false);
+        report_all(&mut lead, run, 0, Phase::Scatter, 0);
+        report_all(&mut lead, run, 1, Phase::Scatter, 5);
+        report_all(&mut lead, run, 1, Phase::Combine, 0);
+        report_all(&mut lead, run, 1, Phase::Apply, 5);
+        let adv = advances(&mut lead);
+        let last = adv.last().unwrap();
+        assert!(last.done && last.expect.is_empty());
+    }
+
+    /// The barriers that exchange replica records, and the one that
+    /// moves the graph, are Mattern barriers as before.
+    #[test]
+    fn combine_apply_and_migrate_barriers_still_require_settled_sums() {
+        let in_flight = |c: Counters| Counters { vmsg_sent: 2, ..c };
+        // Three barriers a step: a join is pending.
+        let (mut lead, run) = lead_mid_run(WCC.0, WCC.1, false);
+        lead.pending_joins.push(AgentInfo {
+            id: 3,
+            addr: agent_addr(3),
+        });
+        report_all(&mut lead, run, 0, Phase::Scatter, 0);
+        assert_eq!(expects(&lead), (0, Phase::Combine, false));
+        for phase in [Phase::Combine, Phase::Apply] {
+            advances(&mut lead);
+            let report = |id, counters| ReadyReport {
+                active: 1,
+                ..ready(id, run, 0, phase, counters)
+            };
+            lead.reports
+                .insert(1, report(1, in_flight(Counters::default())));
+            lead.reports.insert(2, report(2, Counters::default()));
+            lead.evaluate();
+            let waiting = (expects(&lead), lead.migrate_epoch);
+            assert_eq!(waiting, ((0, phase, false), None), "VMSGs in flight");
+            assert!(advances(&mut lead).is_empty());
+            let received = Counters {
+                vmsg_recv: 2,
+                ..Default::default()
+            };
+            lead.reports.insert(2, report(2, received));
+            lead.evaluate();
+            assert_ne!((expects(&lead), lead.migrate_epoch), waiting);
+        }
+        // The Apply barrier opened the join's migrate barrier.
+        let epoch = lead.migrate_epoch.expect("migrate barrier") as u32;
+        for id in [1, 2] {
+            let c = Counters {
+                vmsg_sent: if id == 1 { 3 } else { 0 },
+                vmsg_recv: if id == 2 { 2 } else { 0 },
+                ..Default::default()
+            };
+            lead.reports
+                .insert(id, ready(id, 0, epoch, Phase::Migrate, c));
+        }
+        let joiner = Counters::default();
+        lead.reports
+            .insert(3, ready(3, 0, epoch, Phase::Migrate, joiner));
+        lead.evaluate();
+        assert!(
+            lead.migrate_epoch.is_some(),
+            "a VMSG to the joiner is in flight"
+        );
+        // The joiner counts it on arrival and re-reports.
+        let counted = Counters {
+            vmsg_recv: 1,
+            ..Default::default()
+        };
+        lead.reports
+            .insert(3, ready(3, 0, epoch, Phase::Migrate, counted));
+        lead.evaluate();
+        assert_eq!(lead.migrate_epoch, None);
+    }
+
+    /// The stall report names what the lead is waiting for: the member
+    /// that has not reported and what it was told to take in, and the
+    /// pair its sums leave open.
+    #[test]
+    fn waiting_on_names_the_missing_member_the_open_pair_and_the_expected_count() {
+        assert_eq!(test_lead().waiting_on(), "no barrier open");
+        let (mut lead, run) = three_mid_run();
+        for (id, sent) in [(1, &[(2, 5), (3, 1)][..]), (2, &[(3, 2)]), (3, &[])] {
+            lead.reports.insert(id, scattered(id, run, 1, 1, sent));
+            lead.evaluate();
+        }
+        assert_eq!(expects(&lead), (2, Phase::Scatter, true));
+        // Agents 1 and 2 finish step 1 and report step 2; agent 3 was
+        // told to take in three records of step 1 and has not been
+        // heard from since. Agent 2 forwarded a change nobody has
+        // counted yet.
+        lead.reports.insert(1, scattered(1, run, 2, 1, &[(3, 4)]));
+        let mut second = scattered(2, run, 2, 1, &[]);
+        second.counters.chg_sent = 2;
+        second.epoch = 2;
+        lead.reports.insert(2, second);
+        lead.evaluate();
+        let said = lead.waiting_on();
+        assert!(
+            said.starts_with(&format!("barrier (run {run}, step 2, Scatter)")),
+            "{said}"
+        );
+        assert!(
+            said.contains(&format!(
+                "agent 3 last reported (run {run}, step 1, Scatter) under epoch 0, \
+                 told to take in 3 VMSG records of step 1"
+            )),
+            "{said}"
+        );
+        assert!(
+            !said.contains("agent 1") && !said.contains("agent 2"),
+            "{said}"
+        );
+        assert!(said.contains("chg sent − recv = 2"), "{said}");
+        // The VMSG pair is open by design at a Scatter barrier.
+        assert!(!said.contains("vmsg"), "{said}");
+
+        // A migrate barrier waits on every pair and on departers too.
+        let mut lead = lead_with_agents();
+        lead.pending_leaves.push(2);
+        lead.apply_membership();
+        let epoch = lead.view.epoch;
+        let moved = Counters {
+            mig_sent: 9,
+            vmsg_recv: 1,
+            ..Default::default()
+        };
+        lead.reports
+            .insert(2, ready(2, 0, epoch as u32, Phase::Migrate, moved));
+        lead.evaluate();
+        let said = lead.waiting_on();
+        assert!(
+            said.starts_with(&format!("migrate barrier of epoch {epoch}")),
+            "{said}"
+        );
+        assert!(
+            said.contains("agent 1 last reported (run 0, step 2, Migrate)"),
+            "{said}"
+        );
+        assert!(said.contains("mig sent − recv = 9"), "{said}");
+        assert!(said.contains("vmsg sent − recv = -1"), "{said}");
+    }
+
+    #[test]
+    fn ghost_counters_keep_sums_balanced_after_departure() {
+        let mut lead = test_lead();
+        // Agent 9 departed having sent 4 messages that agent 1 received.
+        lead.ghost = Counters {
+            vmsg_sent: 4,
+            ..Default::default()
+        };
+        let c1 = Counters {
+            vmsg_recv: 4,
+            ..Default::default()
+        };
+        lead.reports.insert(1, ready(1, 1, 0, Phase::Scatter, c1));
+        assert!(lead.barrier_met(&[1], 1, 0, Phase::Scatter));
+    }
+
+    /// The RUN_STATUS reply is the one an outside quiescence check
+    /// needs from the lead: it carries the departed agents' totals, and
+    /// a reply in the layout that ended at the step list is refused —
+    /// read as zeros it would unbalance every sum after a departure.
+    #[test]
+    fn run_status_reply_carries_the_departed_totals() {
+        let mut lead = test_lead();
+        lead.ghost = Counters {
+            vmsg_sent: 4,
+            mig_recv: 7,
+            chg_sent: 1 << 40,
+            ..Default::default()
+        };
+        lead.last_status.step_nanos = vec![10, 20, 30];
+        let frame = lead.status().encode();
+        let status = RunStatus::decode(&frame).expect("current layout");
+        assert_eq!(status.departed, lead.ghost);
+        assert_eq!(status.epoch, lead.view.epoch);
+        assert_eq!(status.step_nanos, [10, 20, 30]);
+
+        let bytes = frame.as_bytes();
+        let old_layout = Frame::from_bytes(bytes::Bytes::copy_from_slice(
+            &bytes[..bytes.len() - 10 * 8],
+        ));
+        assert_eq!(RunStatus::decode(&old_layout), None);
+    }
+
+    #[test]
+    fn membership_changes_bump_epoch_and_open_migrate_barrier() {
+        let mut lead = test_lead();
+        let e0 = lead.view.epoch;
+        lead.pending_joins.push(AgentInfo {
+            id: 5,
+            addr: agent_addr(5),
+        });
+        lead.apply_membership();
+        assert_eq!(lead.view.epoch, e0 + 1);
+        assert_eq!(lead.migrate_epoch, Some(e0 + 1));
+        assert_eq!(lead.migrate_members, vec![5]);
+        // The migrate barrier settles once agent 5 reports.
+        lead.reports.insert(
+            5,
+            ready(5, 0, (e0 + 1) as u32, Phase::Migrate, Counters::default()),
+        );
+        lead.evaluate();
+        assert_eq!(lead.migrate_epoch, None);
+    }
+
+    #[test]
+    fn leave_moves_agent_to_departing() {
+        let mut lead = test_lead();
+        lead.pending_joins.push(AgentInfo {
+            id: 3,
+            addr: agent_addr(3),
+        });
+        lead.apply_membership();
+        lead.migrate_epoch = None; // pretend join migration settled
+        lead.pending_leaves.push(3);
+        lead.apply_membership();
+        assert!(lead.view.agents.is_empty());
+        assert_eq!(lead.departing, vec![3]);
+        assert!(lead.migrate_members.contains(&3), "departer must drain");
+    }
+
+    #[test]
+    fn start_run_publishes_and_tracks_status() {
+        let mut lead = test_lead();
+        let run_id = lead.start_run(run_info(WCC.0, false));
+        assert_eq!(run_id, 1);
+        // Empty membership: every barrier is trivially met, so the run
+        // completes during launch.
+        let st = lead.status();
+        assert_eq!(st.run_id, 1);
+        assert!(!st.running);
+        assert!(st.done);
+    }
+
+    #[test]
+    fn async_run_pauses_for_membership_and_resumes() {
+        let mut lead = test_lead();
+        lead.pending_joins.push(AgentInfo {
+            id: 1,
+            addr: agent_addr(1),
+        });
+        lead.apply_membership();
+        let epoch = lead.view.epoch;
+        lead.reports.insert(
+            1,
+            ready(1, 0, epoch as u32, Phase::Migrate, Counters::default()),
+        );
+        lead.evaluate();
+        assert_eq!(lead.migrate_epoch, None);
+        let run_id = lead.start_run(run_info(WCC.0, true));
+        // Drive the sync initialization barriers (step 0).
+        lead.reports
+            .insert(1, ready(1, run_id, 0, Phase::Scatter, Counters::default()));
+        lead.evaluate();
+        lead.reports
+            .insert(1, ready(1, run_id, 0, Phase::Combine, Counters::default()));
+        lead.evaluate();
+        let mut apply = ready(1, run_id, 0, Phase::Apply, Counters::default());
+        apply.active = 1; // not converged: release into async
+        lead.reports.insert(1, apply);
+        lead.evaluate();
+        assert!(lead.run.as_ref().unwrap().async_live);
+        // A joiner arrives mid-async-run: the run pauses behind a
+        // migrate barrier instead of mis-routing against a stale view.
+        lead.pending_joins.push(AgentInfo {
+            id: 2,
+            addr: agent_addr(2),
+        });
+        lead.evaluate();
+        let e2 = lead.view.epoch;
+        assert_eq!(e2, epoch + 1);
+        assert_eq!(lead.migrate_epoch, Some(e2));
+        assert!(
+            lead.resume.is_some(),
+            "paused run must carry a resume point"
+        );
+        assert!(lead.run.is_some(), "the run survives the view change");
+        lead.reports.insert(
+            1,
+            ready(1, 0, e2 as u32, Phase::Migrate, Counters::default()),
+        );
+        lead.reports.insert(
+            2,
+            ready(2, 0, e2 as u32, Phase::Migrate, Counters::default()),
+        );
+        lead.evaluate();
+        assert_eq!(lead.migrate_epoch, None);
+        assert!(lead.resume.is_none());
+        {
+            let run = lead.run.as_ref().unwrap();
+            assert!(run.async_live, "resume re-releases async execution");
+            assert_eq!(run.probe, 0, "probe state resets across the pause");
+        }
+        // Idle reports from before the view change are not trusted.
+        lead.reports.insert(1, idle(1, run_id, epoch));
+        lead.reports.insert(2, idle(2, run_id, epoch));
+        lead.evaluate();
+        assert_eq!(
+            lead.run.as_ref().unwrap().probe,
+            0,
+            "stale-epoch idle reports must not start a probe"
+        );
+        // Fresh idle reports start the confirmation probe; two
+        // identical settled rounds finish the run.
+        lead.reports.insert(1, idle(1, run_id, e2));
+        lead.reports.insert(2, idle(2, run_id, e2));
+        lead.evaluate();
+        assert_eq!(lead.run.as_ref().unwrap().probe, 1);
+        lead.reports
+            .insert(1, ready(1, run_id, 1, Phase::Combine, Counters::default()));
+        lead.reports
+            .insert(2, ready(2, run_id, 1, Phase::Combine, Counters::default()));
+        lead.evaluate();
+        assert!(
+            lead.run.is_none(),
+            "double-confirmed quiescence ends the run"
+        );
+        assert!(lead.status().done);
+    }
+
+    #[test]
+    fn membership_queued_during_async_init_migrates_before_release() {
+        let mut lead = test_lead();
+        lead.pending_joins.push(AgentInfo {
+            id: 1,
+            addr: agent_addr(1),
+        });
+        lead.apply_membership();
+        let epoch = lead.view.epoch;
+        lead.reports.insert(
+            1,
+            ready(1, 0, epoch as u32, Phase::Migrate, Counters::default()),
+        );
+        lead.evaluate();
+        let run_id = lead.start_run(run_info(WCC.0, true));
+        lead.reports
+            .insert(1, ready(1, run_id, 0, Phase::Scatter, Counters::default()));
+        lead.evaluate();
+        lead.reports
+            .insert(1, ready(1, run_id, 0, Phase::Combine, Counters::default()));
+        lead.evaluate();
+        // Membership changes while step-0 initialization is finishing:
+        // the migration must run before the async release.
+        lead.pending_joins.push(AgentInfo {
+            id: 2,
+            addr: agent_addr(2),
+        });
+        let mut apply = ready(1, run_id, 0, Phase::Apply, Counters::default());
+        apply.active = 1;
+        lead.reports.insert(1, apply);
+        lead.evaluate();
+        let e2 = lead.view.epoch;
+        assert_eq!(e2, epoch + 1);
+        assert_eq!(lead.migrate_epoch, Some(e2));
+        assert!(
+            !lead.run.as_ref().unwrap().async_live,
+            "release deferred until the migration settles"
+        );
+        lead.reports.insert(
+            1,
+            ready(1, 0, e2 as u32, Phase::Migrate, Counters::default()),
+        );
+        lead.reports.insert(
+            2,
+            ready(2, 0, e2 as u32, Phase::Migrate, Counters::default()),
+        );
+        lead.evaluate();
+        assert_eq!(lead.migrate_epoch, None);
+        let run = lead.run.as_ref().unwrap();
+        assert!(run.async_live, "resume doubles as the async release");
+        assert_eq!((run.step, run.phase), (1, Phase::Scatter));
+    }
+
+    #[test]
+    fn recover_evicts_agent_aborts_run_and_resets_counters() {
+        let mut lead = test_lead();
+        lead.pending_joins.push(AgentInfo {
+            id: 1,
+            addr: agent_addr(1),
+        });
+        lead.pending_joins.push(AgentInfo {
+            id: 2,
+            addr: agent_addr(2),
+        });
+        lead.apply_membership();
+        let epoch = lead.view.epoch;
+        lead.reports.insert(
+            1,
+            ready(1, 0, epoch as u32, Phase::Migrate, Counters::default()),
+        );
+        lead.reports.insert(
+            2,
+            ready(2, 0, epoch as u32, Phase::Migrate, Counters::default()),
+        );
+        lead.evaluate();
+        assert_eq!(lead.migrate_epoch, None);
+        let run_id = lead.start_run(run_info(WCC.0, false));
+        assert!(lead.run.is_some());
+        lead.ghost = Counters {
+            vmsg_sent: 3,
+            ..Default::default()
+        };
+        lead.recover(2);
+        assert_eq!(lead.member_ids(), vec![1]);
+        assert_eq!(lead.agents_recovered, 1);
+        assert!(lead.run.is_none(), "active run must abort");
+        assert_eq!(
+            lead.ghost,
+            Counters::default(),
+            "ghosts rewind with the reset"
+        );
+        assert_eq!(lead.migrate_epoch, Some(epoch + 1));
+        let st = lead.status();
+        assert_eq!(st.run_id, run_id);
+        assert!(
+            !st.running && !st.done,
+            "aborted run is neither running nor done"
+        );
+        // The lone survivor reports the recover barrier with zeroed
+        // counters and the system unwedges.
+        lead.reports.insert(
+            1,
+            ready(
+                1,
+                0,
+                (epoch + 1) as u32,
+                Phase::Migrate,
+                Counters::default(),
+            ),
+        );
+        lead.evaluate();
+        assert_eq!(lead.migrate_epoch, None);
+    }
+
+    #[test]
+    fn silent_agents_are_detected_after_the_window() {
+        let mut lead = test_lead();
+        lead.view.agents.push(AgentInfo {
+            id: 7,
+            addr: agent_addr(7),
+        });
+        // First pass stamps unknown members instead of reporting them.
+        assert!(lead.dead_agents(Duration::from_millis(0)).is_empty());
+        lead.now += Duration::from_millis(2);
+        assert_eq!(lead.dead_agents(Duration::from_millis(1)), vec![7]);
+        lead.saw(7);
+        assert!(lead.dead_agents(Duration::from_millis(1)).is_empty());
+    }
+
+    /// The effects queued since the last call, in order.
+    fn drained(lead: &mut Lead) -> Vec<Effect> {
+        lead.effects().collect()
+    }
+
+    /// What an effect does, and with which kind of frame.
+    fn kind(effect: &Effect) -> (&'static str, u8) {
+        match effect {
+            Effect::Publish(f) => ("publish", f.packet_type()),
+            Effect::Reply(f) => ("reply", f.packet_type()),
+            Effect::Send(_, f) => ("send", f.packet_type()),
+            Effect::Log(_) => ("log", 0),
+        }
+    }
+
+    /// A JOIN of agent `id` at its conventional address.
+    fn join(id: AgentId) -> Frame {
+        AgentInfo {
+            id,
+            addr: agent_addr(id),
+        }
+        .encode()
+    }
+
+    /// A LEAVE of agent `id`.
+    fn leave(id: AgentId) -> Frame {
+        Frame::builder(packet::LEAVE).u64(id).finish()
+    }
+
+    /// Every member of the open migrate barrier reports it at `at`.
+    fn settle(lead: &mut Lead, at: Instant) {
+        let epoch = lead.migrate_epoch.expect("a migrate barrier") as u32;
+        for id in lead.migrate_members.clone() {
+            let rep = ready(id, 0, epoch, Phase::Migrate, Counters::default());
+            lead.on_frame(at, &rep.encode());
+        }
+    }
+
+    /// A lead that evicts an agent silent for more than three 100 ms
+    /// heartbeat intervals.
+    fn watching_lead() -> Lead {
+        let cfg = SystemConfig {
+            heartbeat_interval: Duration::from_millis(100),
+            heartbeat_misses: 3,
+            failure_detection: true,
+            ..SystemConfig::default()
+        };
+        Lead::new(&cfg, Instant::now())
+    }
+
+    /// A reply follows what its request published: the VIEW that opens
+    /// a joiner's barrier comes before the JOIN reply, START and the
+    /// step-0 ADVANCE before the run id, the SHUTDOWN broadcast before
+    /// its `OK`.
+    #[test]
+    fn a_reply_is_queued_after_what_its_request_published() {
+        let mut lead = test_lead();
+        let now = lead.now;
+        lead.on_frame(now, &join(1));
+        let effects = drained(&mut lead);
+        let kinds: Vec<_> = effects.iter().map(kind).collect();
+        assert_eq!(kinds, [("publish", packet::VIEW), ("reply", packet::JOIN)]);
+        settle(&mut lead, now);
+        drained(&mut lead);
+        lead.on_frame(now, &run_info(WCC.0, false).encode());
+        let effects = drained(&mut lead);
+        let kinds: Vec<_> = effects.iter().map(kind).collect();
+        assert_eq!(
+            kinds,
+            [
+                ("publish", packet::START),
+                ("publish", packet::ADVANCE),
+                ("reply", packet::OK)
+            ]
+        );
+        let Effect::Reply(ok) = &effects[2] else {
+            unreachable!()
+        };
+        assert_eq!(ok.reader().u64(), Some(1), "the run id");
+        lead.on_frame(now, &Frame::signal(packet::SHUTDOWN));
+        let kinds: Vec<_> = drained(&mut lead).iter().map(kind).collect();
+        assert_eq!(
+            kinds,
+            [("publish", packet::SHUTDOWN), ("reply", packet::OK)]
+        );
+    }
+
+    /// A retransmitting transport can deliver an agent's READYs out of
+    /// order; the report with the higher `seq` stands.
+    #[test]
+    fn a_ready_with_a_lower_seq_never_replaces_a_newer_report() {
+        let mut lead = lead_with_agents();
+        let now = lead.now;
+        let newer = ReadyReport {
+            seq: 5,
+            active: 3,
+            ..ready(1, 0, 9, Phase::Apply, Counters::default())
+        };
+        lead.on_frame(now, &newer.encode());
+        let older = ReadyReport {
+            seq: 4,
+            ..ready(1, 0, 8, Phase::Scatter, Counters::default())
+        };
+        lead.on_frame(now, &older.encode());
+        assert_eq!(lead.reports[&1], newer);
+    }
+
+    /// An async run of agents 1 and 2 with its first confirmation probe
+    /// out; its advance has been taken off the queue.
+    fn async_probing() -> (Lead, u64) {
+        let (mut lead, run) = lead_mid_run(WCC.0, WCC.1, true);
+        report_all(&mut lead, run, 0, Phase::Scatter, 0);
+        report_all(&mut lead, run, 0, Phase::Combine, 0);
+        report_all(&mut lead, run, 0, Phase::Apply, 1);
+        let epoch = lead.view.epoch;
+        for id in [1, 2] {
+            let rep = ReadyReport {
+                seq: 1,
+                ..idle(id, run, epoch)
+            };
+            lead.on_frame(lead.now, &rep.encode());
+        }
+        let r = lead.run.as_ref().unwrap();
+        assert!(r.async_live && r.probe == 1 && r.last_probe_sums.is_some());
+        advances(&mut lead);
+        (lead, run)
+    }
+
+    /// An idle report under the current epoch while a probe is out
+    /// restarts the double probe; one from before the last view change
+    /// does not.
+    #[test]
+    fn an_idle_report_restarts_the_probe_only_under_the_current_epoch() {
+        let (mut lead, run) = async_probing();
+        let epoch = lead.view.epoch;
+        let rep = ReadyReport {
+            seq: 2,
+            ..idle(1, run, epoch)
+        };
+        lead.on_frame(lead.now, &rep.encode());
+        let r = lead.run.as_ref().unwrap();
+        assert_eq!((r.probe, r.last_probe_sums), (2, None));
+        let adv = advances(&mut lead);
+        assert_eq!(adv.len(), 1);
+        assert_eq!(
+            (adv[0].run, adv[0].step, adv[0].phase),
+            (run, 2, Phase::Combine)
+        );
+
+        let (mut lead, run) = async_probing();
+        let rep = ReadyReport {
+            seq: 2,
+            ..idle(1, run, epoch - 1)
+        };
+        lead.on_frame(lead.now, &rep.encode());
+        let r = lead.run.as_ref().unwrap();
+        assert!(r.probe == 1 && r.last_probe_sums.is_some());
+        assert!(advances(&mut lead).is_empty());
+    }
+
+    /// A departer heartbeats while it drains and is watched like a
+    /// member: one that dies before its final READY is evicted and the
+    /// barrier reopens over the survivors. One that drains and is
+    /// released is not watched any more.
+    #[test]
+    fn a_departer_that_dies_mid_drain_is_evicted() {
+        let mut lead = watching_lead();
+        let t0 = lead.now;
+        for id in [1, 2, 3] {
+            lead.on_frame(t0, &join(id));
+            settle(&mut lead, t0);
+        }
+        assert_eq!(lead.member_ids(), [1, 2, 3]);
+        lead.on_frame(t0, &leave(3));
+        settle(&mut lead, t0);
+        assert_eq!(lead.migrate_epoch, None);
+        assert!(!lead.last_seen.contains_key(&3), "a released departer");
+        let sends: Vec<_> = drained(&mut lead)
+            .into_iter()
+            .filter_map(|e| match e {
+                Effect::Send(to, f) => Some((to, f.packet_type())),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(sends, [(agent_addr(3), packet::OK)]);
+
+        // Agent 2 leaves and dies before its final READY; agent 1 has
+        // moved what it had to and keeps heartbeating.
+        lead.on_frame(t0, &leave(2));
+        let epoch = lead.migrate_epoch.expect("the leave's barrier");
+        assert_eq!(lead.migrate_members, [1, 2]);
+        let rep = ready(1, 0, epoch as u32, Phase::Migrate, Counters::default());
+        lead.on_frame(t0, &rep.encode());
+        drained(&mut lead);
+        let beat = Duration::from_millis(100);
+        for k in 1..=4 {
+            lead.on_frame(t0 + beat * k, &msg::Heartbeat { agent: 1 }.encode());
+            lead.on_tick(t0 + beat * k);
+        }
+        let recovers = published(&mut lead, packet::RECOVER);
+        assert_eq!(recovers.len(), 1);
+        let rec = msg::Recover::decode(&recovers[0]).unwrap();
+        assert_eq!((rec.dead_agent, rec.epoch), (2, epoch + 1));
+        assert_eq!(lead.migrate_epoch, Some(epoch + 1));
+        assert_eq!(lead.migrate_members, [1]);
+        assert!(lead.departing.is_empty() && !lead.last_seen.contains_key(&2));
+        settle(&mut lead, t0 + beat * 4);
+        assert_eq!(lead.migrate_epoch, None);
+    }
+
+    /// While a migrate barrier stands, the broadcast that opened it goes
+    /// out again once per heartbeat interval, byte for byte; once it
+    /// has closed, never.
+    #[test]
+    fn an_open_barrier_is_republished_once_per_interval_and_never_after() {
+        let mut lead = watching_lead();
+        let t0 = lead.now;
+        lead.on_frame(t0, &join(1));
+        let opened = published(&mut lead, packet::VIEW);
+        assert_eq!(opened.len(), 1);
+        let beat = Duration::from_millis(100);
+        for k in 1..=3 {
+            lead.on_frame(t0 + beat * k, &msg::Heartbeat { agent: 1 }.encode());
+            lead.on_tick(t0 + beat * k - beat / 2);
+            assert!(drained(&mut lead).is_empty(), "half an interval");
+            lead.on_tick(t0 + beat * k);
+            assert_eq!(published(&mut lead, packet::VIEW), opened);
+        }
+        settle(&mut lead, t0 + beat * 3);
+        drained(&mut lead);
+        lead.on_tick(t0 + beat * 5);
+        assert!(drained(&mut lead).is_empty());
+    }
+
+    /// A barrier that stands [`STALL_REPORT_AFTER`] gets one log line,
+    /// however long it stands after; the next barrier gets its own.
+    #[test]
+    fn the_stall_line_is_queued_once_per_barrier() {
+        let cfg = SystemConfig {
+            failure_detection: false,
+            ..SystemConfig::default()
+        };
+        let mut lead = Lead::new(&cfg, Instant::now());
+        let logs = |lead: &mut Lead, at: Instant| -> Vec<String> {
+            lead.on_tick(at);
+            lead.effects()
+                .filter_map(|e| match e {
+                    Effect::Log(line) => Some(line),
+                    _ => None,
+                })
+                .collect()
+        };
+        let t0 = lead.now;
+        let ms = Duration::from_millis;
+        lead.on_frame(t0, &join(1));
+        assert!(logs(&mut lead, t0).is_empty());
+        assert!(logs(&mut lead, t0 + STALL_REPORT_AFTER - ms(1)).is_empty());
+        let said = logs(&mut lead, t0 + STALL_REPORT_AFTER);
+        assert_eq!(said.len(), 1);
+        assert!(
+            said[0].starts_with("elga lead: waiting on migrate barrier of epoch 2"),
+            "{said:?}"
+        );
+        assert!(logs(&mut lead, t0 + STALL_REPORT_AFTER * 3).is_empty());
+
+        let t1 = t0 + STALL_REPORT_AFTER * 3;
+        settle(&mut lead, t1);
+        lead.on_frame(t1, &join(2));
+        assert!(logs(&mut lead, t1).is_empty());
+        assert_eq!(logs(&mut lead, t1 + STALL_REPORT_AFTER).len(), 1);
+        assert!(logs(&mut lead, t1 + STALL_REPORT_AFTER * 2).is_empty());
+    }
+
+    /// Failure detection looks at most once per heartbeat interval,
+    /// however often the lead ticks.
+    #[test]
+    fn dead_agent_detection_runs_at_most_once_per_interval() {
+        let mut lead = watching_lead();
+        let t0 = lead.now;
+        let ms = Duration::from_millis;
+        lead.on_frame(t0, &join(1));
+        settle(&mut lead, t0);
+        drained(&mut lead);
+        // Looks: 250 ms of silence is inside the 300 ms window.
+        lead.on_tick(t0 + ms(250));
+        // 70 and 99 ms after that look: past the window, but not looked.
+        lead.on_tick(t0 + ms(320));
+        lead.on_tick(t0 + ms(349));
+        assert!(published(&mut lead, packet::RECOVER).is_empty());
+        assert_eq!(lead.member_ids(), [1]);
+        lead.on_tick(t0 + ms(350));
+        assert_eq!(published(&mut lead, packet::RECOVER).len(), 1);
+        assert!(lead.member_ids().is_empty());
+    }
+
+    /// Drives a lead through random inputs on a virtual clock and
+    /// checks, after each, the invariants its effects keep.
+    struct Harness {
+        lead: Lead,
+        now: Instant,
+        /// Agents that ever joined; each id joins once.
+        joined: Vec<AgentId>,
+        /// The last READY sequence number handed out.
+        seq: u64,
+        /// Each agent's settled traffic so far (its `chg` pair).
+        traffic: HashMap<AgentId, u64>,
+        /// The last READY each agent sent.
+        sent: HashMap<AgentId, ReadyReport>,
+        /// The broadcast that opened each migrate barrier, by epoch.
+        openers: HashMap<u64, Frame>,
+        /// The lead's view epoch after the last input.
+        epoch: u64,
+        /// Runs started asynchronous, and those released into
+        /// event-driven execution.
+        async_runs: Vec<u64>,
+        live: Vec<u64>,
+        /// Per async run: the last probe published, the view epoch and
+        /// the members' summed counters when it was.
+        probes: HashMap<u64, (u32, u64, Counters)>,
+    }
+
+    impl Harness {
+        fn new() -> Self {
+            let cfg = SystemConfig {
+                heartbeat_interval: Duration::from_millis(50),
+                heartbeat_misses: 4,
+                failure_detection: true,
+                sketch_width: 64,
+                sketch_depth: 4,
+                replication_threshold: 64,
+                ..SystemConfig::default()
+            };
+            let lead = Lead::new(&cfg, Instant::now());
+            Harness {
+                now: lead.now,
+                epoch: lead.view.epoch,
+                lead,
+                joined: Vec::new(),
+                seq: 0,
+                traffic: HashMap::new(),
+                sent: HashMap::new(),
+                openers: HashMap::new(),
+                async_runs: Vec::new(),
+                live: Vec::new(),
+                probes: HashMap::new(),
+            }
+        }
+
+        /// One input: `kind` picks it, `a` and `b` parameterize it.
+        fn step(&mut self, kind: u8, a: u8, b: u8) {
+            let migrating = self.lead.migrate_epoch.is_some();
+            let frame = match kind {
+                0..=4 => match self.settled_ready(a, b) {
+                    Some(f) => f,
+                    None => return,
+                },
+                5 => {
+                    let id = 1 + AgentId::from(a % 4);
+                    if self.joined.contains(&id) {
+                        return;
+                    }
+                    self.joined.push(id);
+                    join(id)
+                }
+                6 => {
+                    let members = self.lead.member_ids();
+                    if members.is_empty() {
+                        return;
+                    }
+                    leave(members[usize::from(a) % members.len()])
+                }
+                7 | 8 => {
+                    let delta = if kind == 8 && b < 64 {
+                        hub_delta(&self.lead, 1)
+                    } else {
+                        ring_delta(&self.lead, u64::from(a) * 8, 4)
+                    };
+                    msg::encode_sketch_delta(&delta)
+                }
+                9 => run_info(WCC.0, b % 2 == 1).encode(),
+                10 => {
+                    // Everyone watched heartbeats but the one `a` picks
+                    // (or nobody is left out).
+                    let mut watched = self.lead.member_ids();
+                    watched.extend(self.lead.departing.iter().copied());
+                    let silent = usize::from(a) % (watched.len() + 1);
+                    for (i, &agent) in watched.iter().enumerate() {
+                        if i != silent {
+                            let beat = msg::Heartbeat { agent }.encode();
+                            self.lead.on_frame(self.now, &beat);
+                        }
+                    }
+                    return self.check(kind, migrating);
+                }
+                _ => {
+                    self.now += Duration::from_millis(u64::from(b % 120));
+                    self.lead.on_tick(self.now);
+                    return self.check(kind, migrating);
+                }
+            };
+            self.lead.on_frame(self.now, &frame);
+            self.check(kind, migrating);
+        }
+
+        /// A READY for the open barrier from the member `a` picks, with
+        /// its traffic grown by `b`'s low bit and `b / 64` vertices
+        /// active; `None` with no barrier open or no member in it.
+        fn settled_ready(&mut self, a: u8, b: u8) -> Option<Frame> {
+            let lead = &self.lead;
+            let (run, step, phase) = lead.open_barrier()?;
+            let members = match phase {
+                Phase::Migrate => lead.migrate_members.clone(),
+                _ => lead.member_ids(),
+            };
+            let agent = *members.get(usize::from(a) % members.len().max(1))?;
+            let idle_round = lead.run.as_ref().is_some_and(|r| r.async_live) && step == 0;
+            let traffic = self.traffic.entry(agent).or_default();
+            *traffic += u64::from(b % 2);
+            self.seq += 1;
+            let rep = ReadyReport {
+                agent,
+                run,
+                step: if idle_round { u32::MAX } else { step },
+                phase: if idle_round { Phase::Scatter } else { phase },
+                counters: Counters {
+                    chg_sent: *traffic,
+                    chg_recv: *traffic,
+                    ..Counters::default()
+                },
+                active: u64::from(b / 64),
+                global_contrib: 0.0,
+                n_primary: 1,
+                seq: self.seq,
+                epoch: lead.view.epoch,
+                sent: Vec::new(),
+            };
+            self.sent.insert(agent, rep.clone());
+            Some(rep.encode())
+        }
+
+        /// The members' counters as their last READYs gave them.
+        fn member_sums(&self) -> Counters {
+            self.lead
+                .member_ids()
+                .iter()
+                .filter_map(|id| self.sent.get(id))
+                .fold(Counters::default(), |sum, r| sum.add(&r.counters))
+        }
+
+        fn check(&mut self, kind: u8, migrating_before: bool) {
+            let effects = drained(&mut self.lead);
+            let lead = &self.lead;
+            // The view epoch never decreases.
+            assert!(lead.view.epoch >= self.epoch);
+            self.epoch = lead.view.epoch;
+            let opens_barrier = |e: &Effect| {
+                matches!(e, Effect::Publish(f)
+                    if matches!(f.packet_type(), packet::VIEW | packet::RECOVER))
+            };
+            for (i, effect) in effects.iter().enumerate() {
+                let Effect::Publish(f) = effect else {
+                    continue;
+                };
+                match f.packet_type() {
+                    ty @ (packet::VIEW | packet::RECOVER) => {
+                        let epoch = if ty == packet::VIEW {
+                            DirectoryView::decode(f).unwrap().epoch
+                        } else {
+                            msg::Recover::decode(f).unwrap().epoch
+                        };
+                        match self.openers.get(&epoch) {
+                            // A republished barrier frame is the one
+                            // that opened the barrier, and the barrier
+                            // is still open.
+                            Some(first) => {
+                                assert_eq!(first, f);
+                                assert_eq!(lead.migrate_epoch, Some(epoch));
+                            }
+                            None => {
+                                assert!(self.openers.keys().all(|&e| e < epoch));
+                                self.openers.insert(epoch, f.clone());
+                            }
+                        }
+                    }
+                    // No START while a migrate barrier is open: one that
+                    // arrives then waits, and a barrier open after a
+                    // START was opened after it.
+                    packet::START => {
+                        assert!(!(kind == 9 && migrating_before));
+                        assert!(
+                            lead.migrate_epoch.is_none() || effects[i..].iter().any(opens_barrier)
+                        );
+                        let info = RunInfo::decode(f).unwrap();
+                        if info.asynchronous {
+                            self.async_runs.push(info.run_id);
+                        }
+                    }
+                    packet::ADVANCE => {
+                        let adv = Advance::decode(f).unwrap();
+                        // A chained step only with no membership change
+                        // pending.
+                        assert!(!adv.chain || !lead.membership_pending());
+                        if !self.async_runs.contains(&adv.run) {
+                            continue;
+                        }
+                        if adv.done && self.live.contains(&adv.run) {
+                            // Two probe rounds at one epoch with equal
+                            // settled sums: the members answered the
+                            // last probe with what they reported when
+                            // it went out.
+                            let (probe, epoch, sums) = self.probes[&adv.run];
+                            assert_eq!(lead.view.epoch, epoch);
+                            for id in lead.member_ids() {
+                                let r = &self.sent[&id];
+                                assert_eq!(
+                                    (r.run, r.step, r.phase),
+                                    (adv.run, probe, Phase::Combine)
+                                );
+                            }
+                            let now = self.member_sums();
+                            assert!(now.settled());
+                            assert_eq!(now, sums);
+                        } else if (adv.step, adv.phase) == (1, Phase::Scatter) {
+                            self.live.push(adv.run);
+                        } else if adv.phase == Phase::Combine && adv.step > 0 {
+                            let sums = self.member_sums();
+                            self.probes
+                                .insert(adv.run, (adv.step, lead.view.epoch, sums));
+                        }
+                    }
+                    _ => {}
+                }
+            }
+            // A quiet fold queues nothing but its `OK(epoch)` reply.
+            if matches!(kind, 7 | 8) {
+                match effects.last() {
+                    Some(Effect::Reply(f)) if f.packet_type() == packet::OK => {
+                        assert_eq!(effects.len(), 1);
+                        assert_eq!(f.reader().u64(), Some(lead.view.epoch));
+                    }
+                    Some(Effect::Reply(f)) => assert_eq!(f.packet_type(), packet::VIEW),
+                    other => panic!("a fold ended in {other:?}"),
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig {
+            cases: 128,
+            ..Default::default()
+        })]
+
+        /// ROADMAP 3(a)'s invariants after every input of a random order
+        /// of joins, leaves, settled READYs for whatever barrier is open,
+        /// quiet and bound-lifting sketch deltas, run starts, heartbeats
+        /// and ticks, over one to four agents.
+        #[test]
+        fn invariants_hold_over_random_event_orders(
+            inputs in proptest::collection::vec(
+                (0u8..12, proptest::any::<u8>(), proptest::any::<u8>()),
+                1..120,
+            ),
+        ) {
+            let mut h = Harness::new();
+            for (kind, a, b) in inputs {
+                h.step(kind, a, b);
+            }
+        }
+    }
+}

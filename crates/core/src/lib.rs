@@ -61,6 +61,7 @@ pub mod ckpt_codec;
 pub mod cluster;
 pub mod config;
 pub mod directory;
+mod lead;
 pub mod metrics;
 pub mod msg;
 pub mod program;

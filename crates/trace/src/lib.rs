@@ -281,9 +281,19 @@ impl Tracer {
         if !self.enabled() {
             return;
         }
+        self.instant_at(kind, Instant::now(), a, b);
+    }
+
+    /// Record an instantaneous event that happened at `at` — for a
+    /// participant that is handed the time instead of reading it.
+    #[inline]
+    pub fn instant_at(&self, kind: EventKind, at: Instant, a: u64, b: u64) {
+        if !self.enabled() {
+            return;
+        }
         self.record(TraceEvent {
             kind,
-            ts_nanos: now_nanos(),
+            ts_nanos: at.saturating_duration_since(epoch()).as_nanos() as u64,
             dur_nanos: 0,
             a,
             b,
