@@ -27,6 +27,7 @@ use crate::program::{ProgramSpec, RunOptions};
 use crate::streamer::Streamer;
 use elga_ckpt::CheckpointStore;
 use elga_graph::types::EdgeChange;
+use elga_graph::ChangeLogStats;
 use elga_hash::AgentId;
 use elga_net::{
     Addr, DiskFault, FaultPlan, FaultyTransport, Frame, InProcTransport, Mailbox, NetError,
@@ -695,7 +696,7 @@ impl Cluster {
         }
         self.quiesce()?;
         let view = self.view();
-        let watermark = self.streamer().ingested_records();
+        let watermark = self.streamer().log().end();
         let generation = self
             .driver_store()?
             .generations()
@@ -764,18 +765,12 @@ impl Cluster {
         self.recovery
     }
 
-    /// Change-log accounting: `(retained records, retained bytes,
-    /// log base, lifetime ingested records)` of the embedded streamer.
-    /// The log base is the global stream index of the oldest retained
-    /// record — everything before it must be covered by a checkpoint.
-    pub fn change_log_stats(&mut self) -> (u64, u64, u64, u64) {
-        let s = self.streamer();
-        (
-            s.retained_changes() as u64,
-            s.retained_bytes(),
-            s.log_base(),
-            s.ingested_records(),
-        )
+    /// Change-log accounting of the embedded streamer: retained
+    /// records, the heap they hold, the log base — the global stream
+    /// index of the oldest retained record; everything before it must
+    /// be covered by a checkpoint — and lifetime ingested records.
+    pub fn change_log_stats(&mut self) -> ChangeLogStats {
+        self.streamer().log().stats()
     }
 
     /// Rebuild graph state after the survivors' recovery reset: load
@@ -796,12 +791,12 @@ impl Cluster {
     /// re-dirtying vertices with no mass behind them), and the lead's
     /// dangling book is re-anchored from the manifest.
     fn restore_state(&mut self, delta_spec: Option<&ProgramSpec>) -> Result<u64, NetError> {
-        if self.streamer.is_none() || self.streamer().ingested_records() == 0 {
+        if self.streamer.is_none() || self.streamer().log().end() == 0 {
             // Nothing was ever ingested; nothing to rebuild.
             return Ok(0);
         }
         if self.cfg.checkpoint_dir.is_some() {
-            let min_watermark = self.streamer().log_base();
+            let min_watermark = self.streamer().log().base();
             match self.driver_store()?.latest_valid(min_watermark) {
                 Some(valid) => {
                     let t0 = Instant::now();

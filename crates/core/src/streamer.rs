@@ -18,6 +18,7 @@
 use crate::config::SystemConfig;
 use crate::msg::{self, packet, DirectoryView, Message, Side};
 use elga_graph::types::EdgeChange;
+use elga_graph::ChangeLog;
 use elga_hash::{AgentId, EdgeLocator, FxHashMap, OwnerCache};
 use elga_net::{
     Addr, CoalesceConfig, CoalesceStats, CoalescingOutbox, Frame, NetError, Transport, TransportExt,
@@ -60,12 +61,10 @@ pub struct Streamer {
     coalesce_retired: CoalesceStats,
     /// Retained suffix of the change stream: everything ingested since
     /// the last checkpoint-driven truncation, so edges lost with a dead
-    /// agent can be replayed during recovery.
-    log: Vec<EdgeChange>,
-    /// Lifetime count of ingested change records, retained or not.
-    /// `ingested - log.len()` is the global stream index of `log[0]` —
-    /// the *log base* every checkpoint watermark is compared against.
-    ingested: u64,
+    /// agent can be replayed during recovery. Its end is the lifetime
+    /// count of ingested records, and its base the stream index every
+    /// checkpoint watermark is compared against.
+    log: ChangeLog,
     /// Latched once the retained log exceeds `cfg.change_log_cap`, so
     /// the warning fires once per excursion instead of once per batch.
     log_warned: bool,
@@ -99,6 +98,7 @@ impl Streamer {
         view.advance_memo(&mut cache);
         let tracer = Arc::new(Tracer::from_flag(cfg.tracing));
         let delta = SketchDelta::new(view.sketch.width(), view.sketch.depth());
+        let log = ChangeLog::new(cfg.retain_change_log);
         Ok(Streamer {
             transport,
             cfg,
@@ -108,8 +108,7 @@ impl Streamer {
             outboxes: FxHashMap::default(),
             scratch: RouteScratch::default(),
             coalesce_retired: CoalesceStats::default(),
-            log: Vec::new(),
-            ingested: 0,
+            log,
             log_warned: false,
             cache,
             delta,
@@ -219,61 +218,39 @@ impl Streamer {
         } else if let Some(view) = DirectoryView::decode(&rep) {
             self.adopt(view);
         }
-        self.ingested += changes.len() as u64;
-        if self.cfg.retain_change_log {
-            self.log.extend_from_slice(changes);
-            let cap = self.cfg.change_log_cap;
-            if cap > 0 && self.log.len() as u64 > cap {
-                if !self.log_warned {
-                    self.tracer.instant(
-                        EventKind::ChangeLogWarn,
-                        self.log.len() as u64,
-                        self.retained_bytes(),
-                    );
-                }
-                self.log_warned = true;
+        self.log.extend(changes);
+        let cap = self.cfg.change_log_cap;
+        if cap > 0 && self.log.len() > cap {
+            if !self.log_warned {
+                self.tracer.instant(
+                    EventKind::ChangeLogWarn,
+                    self.log.len(),
+                    self.log.heap_bytes(),
+                );
             }
+            self.log_warned = true;
         }
 
         // 2. Route each change to both placements.
         Ok(self.route(changes))
     }
 
-    /// Number of change records retained for recovery replay.
-    pub fn retained_changes(&self) -> usize {
-        self.log.len()
-    }
-
-    /// Approximate heap bytes held by the retained change log.
-    pub fn retained_bytes(&self) -> u64 {
-        (self.log.len() * std::mem::size_of::<EdgeChange>()) as u64
-    }
-
-    /// Lifetime count of ingested change records (retained or not).
-    /// Checkpoint watermarks are cut at this value.
-    pub fn ingested_records(&self) -> u64 {
-        self.ingested
-    }
-
-    /// Global stream index of the first retained record — the oldest
-    /// point the log alone can replay from. With retention disabled
-    /// this equals [`ingested_records`](Self::ingested_records), so a
-    /// recovery source must cover the stream exactly up to the present.
-    pub fn log_base(&self) -> u64 {
-        self.ingested - self.log.len() as u64
+    /// The retained change log. Its [`end`](ChangeLog::end) is the
+    /// lifetime count of ingested records, where checkpoint watermarks
+    /// are cut; its [`base`](ChangeLog::base) is the oldest point it
+    /// alone can replay from — with retention disabled the two are
+    /// equal, so a recovery source must cover the stream exactly up to
+    /// the present.
+    pub fn log(&self) -> &ChangeLog {
+        &self.log
     }
 
     /// Drop retained records already covered by a durable checkpoint:
     /// everything before stream index `watermark`. Clamped to the
     /// retained range; never touches records past the watermark.
     pub fn truncate_log(&mut self, watermark: u64) {
-        let drop = watermark
-            .saturating_sub(self.log_base())
-            .min(self.log.len() as u64) as usize;
-        if drop > 0 {
-            self.log.drain(..drop);
-        }
-        if self.cfg.change_log_cap == 0 || self.log.len() as u64 <= self.cfg.change_log_cap {
+        self.log.truncate(watermark);
+        if self.cfg.change_log_cap == 0 || self.log.len() <= self.cfg.change_log_cap {
             self.log_warned = false;
         }
     }
@@ -304,7 +281,7 @@ impl Streamer {
     /// same degree estimates — and the records are not re-logged.
     /// Returns the number of change records pushed.
     pub fn replay(&mut self) -> Result<usize, NetError> {
-        self.replay_from(self.log_base())
+        self.replay_from(self.log.base())
     }
 
     /// Re-route the retained records at stream index `watermark` and
@@ -312,23 +289,24 @@ impl Streamer {
     /// cover. `watermark` below the log base is clamped (the missing
     /// prefix is simply not replayable from the log). Returns the
     /// number of change records replayed.
+    ///
+    /// The log is decoded and routed one block at a time through a
+    /// reused scratch, so a replay holds one block decoded, never the
+    /// whole suffix. One `route` per block keeps the per-destination
+    /// ordering that per-batch `send_batch` calls gave: each
+    /// destination gets a block's out-placement records, then its
+    /// in-placement records, each in stream order, and every block's
+    /// before the next one's.
     pub fn replay_from(&mut self, watermark: u64) -> Result<usize, NetError> {
         let t0 = Instant::now();
         self.refresh()?;
-        let skip = watermark
-            .saturating_sub(self.log_base())
-            .min(self.log.len() as u64) as usize;
-        let log = std::mem::take(&mut self.log);
-        let replayed = log.len() - skip;
-        let pushed = self.route(&log[skip..]);
+        let log = std::mem::replace(&mut self.log, ChangeLog::new(false));
+        let mut pushed = 0;
+        let replayed = log.decode_from(watermark, |block| pushed += self.route(block));
         self.log = log;
-        self.tracer.span(
-            EventKind::RecoveryReplay,
-            t0,
-            replayed as u64,
-            pushed as u64,
-        );
-        Ok(replayed)
+        self.tracer
+            .span(EventKind::RecoveryReplay, t0, replayed, pushed as u64);
+        Ok(replayed as usize)
     }
 
     /// Route each change to its two placements: the out-edge record to

@@ -28,7 +28,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 use elga_core::algorithms::PageRank;
 use elga_core::cluster::Cluster;
-use elga_core::config::SystemConfig;
 use elga_core::msg::{self, MetaRecord, MigEdge, MigState, StateRecord};
 use elga_core::program::{ExecutionMode, RunOptions};
 use elga_graph::types::EdgeChange;
@@ -268,15 +267,12 @@ fn small_batch_asks_for_no_table_sized_buffer() {
 /// two-agent ring: a few hundred bytes of change records per frame, a
 /// few dozen vertex messages per superstep. Every thread is watched,
 /// and none may ask for 16 KiB at once — a quarter of what one frame
-/// sized by `max_bytes` takes.
+/// sized by `max_bytes` takes. The streamer retains its change log, as
+/// by default: the log grows by fixed-size blocks, so no request of its
+/// scales with the stream either.
 fn small_frames_ask_for_small_buffers() {
     const LIMIT: usize = 16 << 10;
-    let cfg = SystemConfig {
-        // The retained log is a buffer that grows by design.
-        retain_change_log: false,
-        ..SystemConfig::default()
-    };
-    let mut cluster = Cluster::builder().agents(2).config(cfg).build();
+    let mut cluster = Cluster::builder().agents(2).build();
     let n = 2048u64;
     cluster.ingest_edges((0..n).map(|i| (i, (i + 1) % n)));
     let pr = PageRank::new(0.85).with_max_iters(200).with_tolerance(1e-7);

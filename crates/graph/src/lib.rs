@@ -12,6 +12,9 @@
 //!   and GAPbs baselines use, which is faster to traverse but cannot be
 //!   updated in place (§4.7).
 //!
+//! [`changelog::ChangeLog`] packs the change stream's retained suffix
+//! that recovery replays.
+//!
 //! [`mod@reference`] holds single-threaded reference algorithms (PageRank,
 //! WCC via union-find, BFS, Dijkstra) used to validate every system in
 //! the workspace, mirroring the paper's §4 correctness methodology.
@@ -19,6 +22,7 @@
 #![warn(missing_docs)]
 
 pub mod adjacency;
+pub mod changelog;
 pub mod csr;
 pub mod io;
 pub mod reference;
@@ -27,5 +31,6 @@ pub mod stream;
 pub mod types;
 
 pub use adjacency::AdjacencyStore;
+pub use changelog::{ChangeLog, ChangeLogStats};
 pub use csr::Csr;
 pub use types::{Action, Batch, Edge, EdgeChange, VertexId};

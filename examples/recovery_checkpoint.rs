@@ -45,14 +45,17 @@ fn main() {
     for stage in 0..2u64 {
         cluster.ingest(band(stage * 100, 100));
         let report = cluster.checkpoint().expect("checkpoint");
-        let (retained, log_base, ingested) = {
-            let (r, _, b, i) = cluster.change_log_stats();
-            (r, b, i)
-        };
+        let log = cluster.change_log_stats();
         println!(
             "checkpoint generation {} at watermark {} (committed: {}); \
-             log retains {} of {} records (base {})",
-            report.generation, report.watermark, report.committed, retained, ingested, log_base
+             log retains {} of {} records (base {}, {} heap bytes)",
+            report.generation,
+            report.watermark,
+            report.committed,
+            log.retained,
+            log.ingested,
+            log.base,
+            log.heap_bytes
         );
     }
     // A third batch arrives after the last checkpoint — this is the

@@ -80,9 +80,9 @@ fn checkpoint_truncates_log_and_tracks_watermarks() {
 
     cluster.ingest_edges(first.iter().copied());
     let w1 = first.len() as u64;
-    let (retained, bytes, base, ingested) = cluster.change_log_stats();
-    assert_eq!((retained, base, ingested), (w1, 0, w1));
-    assert!(bytes > 0);
+    let log = cluster.change_log_stats();
+    assert_eq!((log.retained, log.base, log.ingested), (w1, 0, w1));
+    assert!(log.heap_bytes > 0);
 
     // Generation 1 commits at watermark w1; with only one retained
     // generation the log truncates all the way to it.
@@ -90,8 +90,8 @@ fn checkpoint_truncates_log_and_tracks_watermarks() {
     assert!(rep.committed, "clean disk must commit");
     assert_eq!((rep.generation, rep.watermark), (1, w1));
     assert!(rep.bytes > 0);
-    let (retained, _, base, ingested) = cluster.change_log_stats();
-    assert_eq!((retained, base, ingested), (0, w1, w1));
+    let log = cluster.change_log_stats();
+    assert_eq!((log.retained, log.base, log.ingested), (0, w1, w1));
 
     // Generation 2: the default keep=2 retains generation 1 too, so
     // the log may only truncate to w1 — the fallback ladder must still
@@ -101,8 +101,11 @@ fn checkpoint_truncates_log_and_tracks_watermarks() {
     let rep = cluster.checkpoint().expect("checkpoint 2");
     assert!(rep.committed);
     assert_eq!((rep.generation, rep.watermark), (2, w2));
-    let (retained, _, base, ingested) = cluster.change_log_stats();
-    assert_eq!((retained, base, ingested), (second.len() as u64, w1, w2));
+    let log = cluster.change_log_stats();
+    assert_eq!(
+        (log.retained, log.base, log.ingested),
+        (second.len() as u64, w1, w2)
+    );
 
     // Generation 3 prunes generation 1; the oldest retained watermark
     // advances to w2 and the log drops the second batch.
@@ -111,8 +114,8 @@ fn checkpoint_truncates_log_and_tracks_watermarks() {
     let rep = cluster.checkpoint().expect("checkpoint 3");
     assert!(rep.committed);
     assert_eq!((rep.generation, rep.watermark), (3, w3));
-    let (retained, _, base, _) = cluster.change_log_stats();
-    assert_eq!((retained, base), (third.len() as u64, w2));
+    let log = cluster.change_log_stats();
+    assert_eq!((log.retained, log.base), (third.len() as u64, w2));
 
     cluster.shutdown();
     let _ = fs::remove_dir_all(&dir);
@@ -259,10 +262,10 @@ fn injected_torn_writes_refuse_to_commit_and_recovery_survives() {
         .checkpoint()
         .expect("checkpoint call itself succeeds");
     assert!(!rep.committed, "torn shards must never commit");
-    let (retained, _, base, ingested) = cluster.change_log_stats();
+    let log = cluster.change_log_stats();
     assert_eq!(
-        (retained, base),
-        (ingested, 0),
+        (log.retained, log.base),
+        (log.ingested, 0),
         "a refused commit must not truncate the log"
     );
 
@@ -306,8 +309,8 @@ fn all_generations_damaged_with_truncated_log_fails_fast() {
     assert!(cluster.checkpoint().expect("gen 1").committed);
     cluster.ingest_edges(second.iter().copied());
     assert!(cluster.checkpoint().expect("gen 2").committed);
-    let (_, _, base, _) = cluster.change_log_stats();
-    assert!(base > 0, "log must be truncated for this scenario");
+    let log = cluster.change_log_stats();
+    assert!(log.base > 0, "log must be truncated for this scenario");
     tear_generation(&dir, 1);
     tear_generation(&dir, 2);
 
@@ -373,14 +376,14 @@ fn interval_checkpoints_fire_automatically() {
     cluster.ingest_edges(first.iter().copied());
     cluster.ingest_edges(second.iter().copied());
 
-    let (retained, _, base, ingested) = cluster.change_log_stats();
-    assert_eq!(ingested, edges.len() as u64);
+    let log = cluster.change_log_stats();
+    assert_eq!(log.ingested, edges.len() as u64);
     assert!(
-        retained < ingested,
+        log.retained < log.ingested,
         "automatic checkpoints must truncate the log"
     );
     assert_eq!(
-        base,
+        log.base,
         first.len() as u64,
         "keep=2 retains the older watermark"
     );
