@@ -98,8 +98,8 @@ impl Agent {
                 g_in: e.g_in,
                 residual: e.residual,
                 has_residual: e.has_residual,
-                out: e.out.clone(),
-                inn: e.inn.clone(),
+                out: e.adj.out().to_vec(),
+                inn: e.adj.inn().to_vec(),
             });
         }
         records
@@ -127,20 +127,8 @@ impl Agent {
                 e.has_snap = true;
             }
             e.active = e.active || g.active;
-            match g.side {
-                Side::Out => {
-                    for w in g.others {
-                        self.insert_out_edge(v, w);
-                    }
-                }
-                Side::In => {
-                    for u in g.others {
-                        self.insert_in_edge(u, v);
-                    }
-                }
-            }
+            self.insert_edges(g.side, v, g.others.into_iter());
         }
-        self.metrics.edges = self.out_pos.len() as u64;
         self.invalidate_worklists();
     }
 

@@ -257,6 +257,8 @@ impl Agent {
             }
             self.metrics.owner_cache_hits = hits;
             self.metrics.owner_cache_misses = misses;
+            self.metrics.edges = self.vertices.held()[0] as u64;
+            self.metrics.store_bytes = self.vertices.heap_bytes() as u64;
             self.metrics.comms = self.comms_snapshot();
             let _ = self.dir_push.send(self.metrics.encode());
         }

@@ -1,8 +1,7 @@
-//! Graph changes: the indexed edge store helpers, change application
-//! with ownership checks and forwarding, and degree-delta accounting.
+//! Graph changes: the edge store helpers, change application with
+//! ownership checks and forwarding, and degree-delta accounting.
 
 use super::*;
-use std::collections::hash_map::Entry;
 
 /// Reusable per-frame buffers of [`Agent::apply_changes`]: cleared, not
 /// dropped, so applying a small frame allocates nothing.
@@ -24,35 +23,35 @@ const SCRATCH_KEEP: usize = 1024;
 impl Agent {
     /// Record a run of edges held in `key`'s adjacency on `side`, far
     /// endpoints in `others`, skipping those already present; returns
-    /// how many were new. One store probe and one adjacency reservation
-    /// for the run, one index probe per edge. Like the two removers, it
-    /// drops the vertex's edge memo when the adjacency changed: slots
-    /// are filled where they are used, at scatter.
+    /// how many were new. One store probe and one list reservation for
+    /// the run. Like [`Agent::remove_edge`], it drops the vertex's edge
+    /// memo when the adjacency changed: slots are filled where they are
+    /// used, at scatter.
     pub(super) fn insert_edges(
         &mut self,
         side: Side,
         key: VertexId,
         others: impl ExactSizeIterator<Item = VertexId>,
     ) -> usize {
-        let e = self.vertices.entry_or_default(key);
-        let (adj, pos) = match side {
-            Side::Out => (&mut e.out, &mut self.out_pos),
-            Side::In => (&mut e.inn, &mut self.in_pos),
-        };
-        adj.reserve(others.len());
-        let before = adj.len();
-        for other in others {
-            let edge = MigEdge::held_by(side, key, other);
-            if let Entry::Vacant(slot) = pos.entry((edge.src, edge.dst)) {
-                slot.insert(adj.len() as u32);
-                adj.push(other);
-            }
-        }
-        let added = adj.len() - before;
+        let (e, tally) = self.vertices.entry_and_tally(key);
+        let added = e.adj.extend(side, others, tally);
         if added > 0 {
             e.slots.clear();
         }
         added
+    }
+
+    /// Remove the edge held in `key`'s adjacency on `side` whose far
+    /// endpoint is `other`; false when absent.
+    fn remove_edge(&mut self, side: Side, key: VertexId, other: VertexId) -> bool {
+        let Some((e, tally)) = self.vertices.get_mut_and_tally(&key) else {
+            return false;
+        };
+        let removed = e.adj.remove(side, other, tally);
+        if removed {
+            e.slots.clear();
+        }
+        removed
     }
 
     /// Record out-edge `(u, v)`; false when already present.
@@ -60,22 +59,9 @@ impl Agent {
         self.insert_edges(Side::Out, u, std::iter::once(v)) == 1
     }
 
-    /// Remove out-edge `(u, v)` in O(1): swap_remove at its indexed
-    /// position, then re-index the edge that swapped into the hole.
+    /// Remove out-edge `(u, v)`; false when absent.
     pub(super) fn remove_out_edge(&mut self, u: VertexId, v: VertexId) -> bool {
-        let Some(pos) = self.out_pos.remove(&(u, v)) else {
-            return false;
-        };
-        let pos = pos as usize;
-        if let Some(e) = self.vertices.get_mut(&u) {
-            e.out.swap_remove(pos);
-            e.slots.clear();
-            if pos < e.out.len() {
-                let moved = e.out[pos];
-                self.out_pos.insert((u, moved), pos as u32);
-            }
-        }
-        true
+        self.remove_edge(Side::Out, u, v)
     }
 
     /// Record in-edge `(u, v)` (stored on `v`); false when present.
@@ -83,21 +69,9 @@ impl Agent {
         self.insert_edges(Side::In, v, std::iter::once(u)) == 1
     }
 
-    /// Remove in-edge `(u, v)` in O(1), as [`Agent::remove_out_edge`].
+    /// Remove in-edge `(u, v)`; false when absent.
     pub(super) fn remove_in_edge(&mut self, u: VertexId, v: VertexId) -> bool {
-        let Some(pos) = self.in_pos.remove(&(u, v)) else {
-            return false;
-        };
-        let pos = pos as usize;
-        if let Some(e) = self.vertices.get_mut(&v) {
-            e.inn.swap_remove(pos);
-            e.slots.clear();
-            if pos < e.inn.len() {
-                let moved = e.inn[pos];
-                self.in_pos.insert((moved, v), pos as u32);
-            }
-        }
-        true
+        self.remove_edge(Side::In, v, u)
     }
 
     pub(super) fn on_changes(&mut self, frame: Frame) {
@@ -246,7 +220,6 @@ impl Agent {
         if seen <= SCRATCH_KEEP {
             self.ingest_scratch = scratch;
         }
-        self.metrics.edges = self.out_pos.len() as u64;
     }
 
     /// Merge residual corrections into their vertices (at the

@@ -137,9 +137,6 @@ impl Agent {
         };
         let my_id = self.id;
         let ring = self.locator.ring();
-        // Off the ring, nothing stays: the edge indexes are cleared
-        // once at the end instead of unpicked key by key.
-        let leaving = !ring.is_empty() && !ring.contains(my_id);
         for (i, &v) in verts.iter().enumerate() {
             // On an empty ring there is nowhere to move anything.
             let Some(primary) = ring.owner(v) else {
@@ -151,25 +148,19 @@ impl Agent {
             if k == 1 && primary == my_id {
                 continue;
             }
-            let Some(e) = self.vertices.get_mut(&v) else {
+            let Some((e, tally)) = self.vertices.get_mut_and_tally(&v) else {
                 continue;
             };
             dests.clear();
             if k == 1 {
-                if !(e.out.is_empty() && e.inn.is_empty()) {
-                    if !leaving {
-                        for &w in &e.out {
-                            self.out_pos.remove(&(v, w));
-                        }
-                        for &u in &e.inn {
-                            self.in_pos.remove(&(u, v));
-                        }
-                    }
+                if !e.adj.is_empty() {
                     // Drained, not taken: a leave brings the vertex
                     // back, and its lists' buffers are still here.
                     let edges = &mut bundles.entry(primary).or_default().edges;
-                    edges.extend(e.out.drain(..).map(|w| MigEdge::held_by(Side::Out, v, w)));
-                    edges.extend(e.inn.drain(..).map(|u| MigEdge::held_by(Side::In, v, u)));
+                    for side in [Side::Out, Side::In] {
+                        let drained = e.adj.drain(side, tally);
+                        edges.extend(drained.map(|w| MigEdge::held_by(side, v, w)));
+                    }
                     dests.push(primary);
                 }
             } else {
@@ -179,44 +170,20 @@ impl Agent {
                 // second-hash lookup.
                 let locator = &self.locator;
                 let placement = self.route_cache.placement(locator, v, || est);
-                let (out_pos, in_pos) = (&mut self.out_pos, &mut self.in_pos);
-                let before = (e.out.len(), e.inn.len());
-                let mut ship = |owner: AgentId, side: Side, src: VertexId, dst: VertexId| {
-                    if !dests.contains(&owner) {
-                        dests.push(owner);
-                    }
-                    let edge = MigEdge { side, src, dst };
-                    bundles.entry(owner).or_default().edges.push(edge);
-                };
-                e.out
-                    .retain(|&w| match locator.owner_from_placement(placement, w) {
-                        Some(owner) if owner != my_id => {
-                            out_pos.remove(&(v, w));
-                            ship(owner, Side::Out, v, w);
-                            false
+                for side in [Side::Out, Side::In] {
+                    e.adj.retain(side, tally, |w| {
+                        match locator.owner_from_placement(placement, w) {
+                            Some(owner) if owner != my_id => {
+                                if !dests.contains(&owner) {
+                                    dests.push(owner);
+                                }
+                                let edge = MigEdge::held_by(side, v, w);
+                                bundles.entry(owner).or_default().edges.push(edge);
+                                false
+                            }
+                            _ => true,
                         }
-                        _ => true,
                     });
-                e.inn
-                    .retain(|&u| match locator.owner_from_placement(placement, u) {
-                        Some(owner) if owner != my_id => {
-                            in_pos.remove(&(u, v));
-                            ship(owner, Side::In, u, v);
-                            false
-                        }
-                        _ => true,
-                    });
-                // Retain compacts the adjacency vectors, so the
-                // surviving edges' position indices must be rebuilt.
-                if before.0 != e.out.len() {
-                    for (i, &w) in e.out.iter().enumerate() {
-                        out_pos.insert((v, w), i as u32);
-                    }
-                }
-                if before.1 != e.inn.len() {
-                    for (i, &u) in e.inn.iter().enumerate() {
-                        in_pos.insert((u, v), i as u32);
-                    }
                 }
             }
             if !dests.is_empty() {
@@ -287,10 +254,6 @@ impl Agent {
                 self.vertices.remove(&v);
             }
         }
-        if leaving {
-            self.out_pos.clear();
-            self.in_pos.clear();
-        }
         Swept {
             bundles,
             examined: verts.len() as u64,
@@ -321,7 +284,6 @@ impl Agent {
                 msg::append_mig_meta(out, snap_run, snap_watermark, metas)
             });
         }
-        self.metrics.edges = self.out_pos.len() as u64;
         // Dangling-mass handoff (delta engine): while an async delta
         // run is live the migrate READY carries the cumulative report
         // (the lead folds a departer's final value before dropping its
@@ -425,7 +387,6 @@ impl Agent {
             let others = rest.by_ref().take(run).map(|r| r.endpoints().1);
             self.insert_edges(side, key, others);
         }
-        self.metrics.edges = self.out_pos.len() as u64;
         self.invalidate_worklists();
     }
 
@@ -506,17 +467,19 @@ impl Agent {
 mod tests {
     use super::testkit::{detached, view, ME};
     use super::*;
+    use crate::adjacency::Tally;
     use elga_net::{InProcTransport, SplitMix64};
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
     #[test]
     fn vertex_entry_emptiness() {
-        let mut e = VertexEntry::default();
+        let (mut e, mut tally) = (VertexEntry::default(), Tally::default());
         assert!(e.is_empty());
-        e.out.push(3);
+        e.adj.insert(Side::Out, 3, &mut tally);
         assert!(!e.is_empty());
-        e.out.clear();
+        e.adj.remove(Side::Out, 3, &mut tally);
+        assert!(e.is_empty());
         e.is_meta = true;
         assert!(!e.is_empty());
     }
@@ -546,20 +509,16 @@ mod tests {
         got
     }
 
-    /// The index maps hold exactly the adjacency's positions.
+    /// Every adjacency keeps its invariant, and the store's tally
+    /// counts what the lists hold.
     fn assert_indexed(agent: &Agent) {
-        let mut out_pos = FxHashMap::default();
-        let mut in_pos = FxHashMap::default();
-        for (&v, e) in agent.vertices.iter() {
-            for (i, &w) in e.out.iter().enumerate() {
-                assert!(out_pos.insert((v, w), i as u32).is_none(), "{v}->{w} twice");
-            }
-            for (i, &u) in e.inn.iter().enumerate() {
-                assert!(in_pos.insert((u, v), i as u32).is_none(), "{u}->{v} twice");
-            }
+        let mut held = [0; 2];
+        for (_, e) in agent.vertices.iter() {
+            e.adj.assert_indexed();
+            held[0] += e.adj.out().len();
+            held[1] += e.adj.inn().len();
         }
-        assert_eq!(agent.out_pos, out_pos);
-        assert_eq!(agent.in_pos, in_pos);
+        assert_eq!(agent.vertices.held(), held);
     }
 
     fn store(agent: &Agent) -> BTreeMap<VertexId, VertexEntry> {
@@ -622,6 +581,15 @@ mod tests {
                     agent.insert_in_edge(u, v);
                 }
             }
+            // Hub lists long enough to carry an index into the sweep.
+            for &h in &hubs {
+                for w in 40..40 + rng.below(120) {
+                    if old_loc.owner_of_edge(h, w, old.sketch.estimate(h)) == Some(ME) {
+                        agent.insert_out_edge(h, w);
+                        agent.insert_in_edge(w, h);
+                    }
+                }
+            }
             for v in 0..40 {
                 let r = rng.next_u64();
                 if r & 3 == 0 && agent.vertices.get(&v).is_none() {
@@ -647,6 +615,7 @@ mod tests {
             // edge through `EdgeLocator::owner_of_edge`.
             let mut want: BTreeMap<AgentId, Got> = BTreeMap::new();
             let mut keep = store(&agent);
+            let mut tally = Tally::default();
             // A sketch-only epoch re-places the vertices whose `k` it
             // changed, in the order the set of them iterates.
             let k_moved = |&v: &VertexId| {
@@ -663,21 +632,23 @@ mod tests {
                 let est = new.sketch.estimate(v);
                 let e = keep.get_mut(&v).expect("resident");
                 let mut dests: Vec<AgentId> = Vec::new();
-                let mut place = |side, others: &mut Vec<VertexId>| {
-                    others.retain(|&other| {
+                // Each list in order; the survivors keep theirs.
+                let mut kept = Adjacency::default();
+                for (side, held) in [(Side::Out, e.adj.out()), (Side::In, e.adj.inn())] {
+                    for &other in held {
                         let owner = new_loc.owner_of_edge(v, other, est).expect("ring");
-                        if owner != ME {
-                            if !dests.contains(&owner) {
-                                dests.push(owner);
-                            }
-                            let edge = MigEdge::held_by(side, v, other);
-                            want.entry(owner).or_default().edges.push(edge);
+                        if owner == ME {
+                            kept.insert(side, other, &mut tally);
+                            continue;
                         }
-                        owner == ME
-                    })
-                };
-                place(Side::Out, &mut e.out);
-                place(Side::In, &mut e.inn);
+                        if !dests.contains(&owner) {
+                            dests.push(owner);
+                        }
+                        let edge = MigEdge::held_by(side, v, other);
+                        want.entry(owner).or_default().edges.push(edge);
+                    }
+                }
+                e.adj = kept;
                 let aux = if e.has_pending_delta { e.pending_delta } else { 0 };
                 let (vertex, state, active, has_state) = (v, e.state, e.active, e.has_state);
                 let rec = StateRecord { vertex, state, out_degree: e.rep_out_degree, aux, active };
@@ -705,8 +676,7 @@ mod tests {
                         has_snap: e.has_snap,
                     });
                     let survives = VertexEntry {
-                        out: std::mem::take(&mut e.out),
-                        inn: std::mem::take(&mut e.inn),
+                        adj: std::mem::take(&mut e.adj),
                         ..VertexEntry::default()
                     };
                     *e = VertexEntry {
@@ -769,7 +739,7 @@ mod tests {
                 }
                 assert_indexed(&agent);
                 prop_assert_eq!(agent.counters.mig_recv, records.len() as u64);
-                (store(&agent), agent.metrics.edges)
+                (store(&agent), agent.vertices.held())
             };
             let one_each = adopt(&mut records.chunks(1));
             let whole = adopt(&mut std::iter::once(&records[..]));
@@ -784,16 +754,20 @@ mod tests {
             prop_assert_eq!(&one_each, &whole);
             prop_assert_eq!(&one_each, &ragged);
             // The per-record reference: first occurrence wins.
-            let mut want: BTreeMap<VertexId, VertexEntry> = BTreeMap::new();
+            let mut want: BTreeMap<VertexId, [Vec<VertexId>; 2]> = BTreeMap::new();
             for r in &records {
                 let (key, other) = r.endpoints();
-                let e = want.entry(key).or_default();
-                let adj = if r.side == Side::Out { &mut e.out } else { &mut e.inn };
-                if !adj.contains(&other) {
-                    adj.push(other);
+                let list = &mut want.entry(key).or_default()[usize::from(r.side == Side::In)];
+                if !list.contains(&other) {
+                    list.push(other);
                 }
             }
-            prop_assert_eq!(one_each.0, want);
+            let lists: BTreeMap<VertexId, [Vec<VertexId>; 2]> = one_each
+                .0
+                .iter()
+                .map(|(&v, e)| (v, [e.adj.out().to_vec(), e.adj.inn().to_vec()]))
+                .collect();
+            prop_assert_eq!(lists, want);
         }
     }
 }

@@ -31,8 +31,8 @@
 //!
 //! * [`comms`] — the send side: per-destination coalescing outboxes,
 //!   phase-end flushes, READY reports, and metrics publication.
-//! * [`ingest`] — graph changes: edge indexes, change application and
-//!   forwarding, degree deltas.
+//! * [`ingest`] — graph changes: edge insert and removal, change
+//!   application and forwarding, degree deltas.
 //! * [`superstep`] — the sync phase kernels (scatter/combine/apply),
 //!   the parallel shard workers, and the async event-driven mode.
 //! * [`migrate`] — view adoption and edge/meta migration.
@@ -45,6 +45,7 @@ mod migrate;
 mod recovery;
 mod superstep;
 
+use crate::adjacency::Adjacency;
 use crate::config::SystemConfig;
 use crate::directory::{agent_addr, bus_addr};
 use crate::metrics::{AgentMetrics, CommsMetrics};
@@ -83,10 +84,10 @@ const MAX_HOPS: u8 = 64;
 #[derive(Debug, Clone, Default)]
 #[cfg_attr(test, derive(PartialEq))]
 pub(crate) struct VertexEntry {
-    /// Local out-edges (this agent owns their out-placement).
-    pub(crate) out: Vec<VertexId>,
-    /// Local in-edges (this agent owns their in-placement).
-    pub(crate) inn: Vec<VertexId>,
+    /// Local out- and in-edges (this agent owns their out- and
+    /// in-placements). Its mutators take the store's tally
+    /// ([`VertexStore::entry_and_tally`]).
+    pub(crate) adj: Adjacency,
     /// Replica state copy (from STATE broadcasts or local apply).
     pub(crate) state: u64,
     /// Whether `state` is initialized.
@@ -167,8 +168,7 @@ impl VertexEntry {
     }
 
     fn is_empty(&self) -> bool {
-        self.out.is_empty()
-            && self.inn.is_empty()
+        self.adj.is_empty()
             && !self.is_meta
             && !self.has_state
             && !self.has_partial
@@ -178,6 +178,9 @@ impl VertexEntry {
             && !self.has_snap
     }
 }
+
+// Every resident vertex pays for its entry: let it grow on purpose only.
+const _: () = assert!(std::mem::size_of::<VertexEntry>() <= 184);
 
 /// One standing subscription (client-registered vertex interest).
 /// Value deltas ride a dedicated per-client [`CoalescingOutbox`] — the
@@ -277,12 +280,6 @@ pub struct Agent {
     /// Where each local edge's scatter message lands, and this step's
     /// combined value per destination row (agent thread only).
     targets: TargetTable,
-    /// Position of out-edge `(u, v)` in `vertices[u].out` — O(1)
-    /// duplicate detection *and* O(1) deletion (swap_remove + index
-    /// fix-up instead of an O(deg) scan).
-    out_pos: FxHashMap<(VertexId, VertexId), u32>,
-    /// Position of in-edge `(u, v)` in `vertices[v].inn`.
-    in_pos: FxHashMap<(VertexId, VertexId), u32>,
     /// Resolved superstep worker count.
     workers: usize,
     /// Owner cache for serial paths (change apply, migration, async).
@@ -464,8 +461,6 @@ impl Agent {
             net: Arc::new(NetStats::default()),
             vertices: VertexStore::default(),
             targets: TargetTable::default(),
-            out_pos: FxHashMap::default(),
-            in_pos: FxHashMap::default(),
             workers,
             route_cache,
             worker_caches,
@@ -1053,7 +1048,7 @@ impl Agent {
         // Rows of targets that no longer exist live until the next view
         // epoch unless they come to outnumber the edges held.
         self.targets
-            .collect_garbage(self.out_pos.len() + self.in_pos.len());
+            .collect_garbage(self.vertices.held().iter().sum());
         self.run = Some(AgentRun {
             info,
             program,

@@ -40,8 +40,6 @@ impl Agent {
         self.tracer
             .instant(EventKind::RecoveryTrigger, epoch, rec.dead_agent);
         self.vertices.clear();
-        self.out_pos.clear();
-        self.in_pos.clear();
         // Open frames hold records counted under the pre-reset regime;
         // pushing them now would corrupt the fresh barrier sums, so
         // they are discarded along with the stale senders.
@@ -65,7 +63,6 @@ impl Agent {
         // restore re-seeds the snapshots, still under tag 0.)
         self.snap_run = 0;
         self.snap_watermark = 0;
-        self.metrics.edges = 0;
         self.adopt_view(rec.view);
         self.migrated_epoch = epoch;
         self.send_ready(0, epoch as u32, Phase::Migrate, 0, 0.0);

@@ -786,7 +786,7 @@ impl Agent {
                 global: 0.0,
             };
             if let Some(val) = program.scatter_delta(v, e.state, delta, &ctx) {
-                for &w in &e.out {
+                for &w in e.adj.out() {
                     let vv = program.along_edge(v, w, val);
                     if let Some(owner) = cache.primary(locator, w, || sketch.estimate(w)) {
                         batches.entry(owner).or_default().push((w, vv));
@@ -828,7 +828,7 @@ impl Agent {
                     global: 0.0,
                 };
                 if let Some(val) = program.scatter_out(v, e.state, &ctx) {
-                    for &w in &e.out {
+                    for &w in e.adj.out() {
                         let vv = program.along_edge(v, w, val);
                         if let Some(owner) = cache.primary(locator, w, || sketch.estimate(w)) {
                             batches.entry(owner).or_default().push((w, vv));
@@ -836,7 +836,7 @@ impl Agent {
                     }
                 }
                 if let Some(val) = program.scatter_in(v, e.state, &ctx) {
-                    for &u in &e.inn {
+                    for &u in e.adj.inn() {
                         let vv = program.along_edge(v, u, val);
                         if let Some(owner) = cache.primary(locator, u, || sketch.estimate(u)) {
                             batches.entry(owner).or_default().push((u, vv));
@@ -1313,8 +1313,8 @@ fn scatter_values(
     };
     let needed = match sides {
         (None, None) => return sides,
-        (_, None) => e.out.len(),
-        (_, Some(_)) => e.out.len() + e.inn.len(),
+        (_, None) => e.adj.out().len(),
+        (_, Some(_)) => e.adj.out().len() + e.adj.inn().len(),
     };
     // Under the table's generation, the memo is as long as the sides it
     // covers: out-edges first, the in side appended the first time the
@@ -1333,9 +1333,10 @@ fn scatter_values(
                 out.refreshed += if fires { side.len() as u64 } else { 0 };
             }
         };
-        fill(0, &e.out, sides.0.is_some());
-        if needed > e.out.len() {
-            fill(e.out.len(), &e.inn, true);
+        let (outs, ins) = (e.adj.out(), e.adj.inn());
+        fill(0, outs, sides.0.is_some());
+        if needed > outs.len() {
+            fill(outs.len(), ins, true);
         }
     }
     sides
@@ -1361,14 +1362,14 @@ fn scatter_vertex(
     }
     let program = ctx.program;
     let slots = e.slots.as_slice();
-    let (outs, ins) = slots.split_at(e.out.len().min(slots.len()));
+    let (outs, ins) = slots.split_at(e.adj.out().len().min(slots.len()));
     if let Some(val) = along_out {
-        let sent = e.out.iter().zip(outs);
+        let sent = e.adj.out().iter().zip(outs);
         out.slots
             .extend(sent.map(|(&w, &slot)| (slot, program.along_edge(v, w, val))));
     }
     if let Some(val) = along_in {
-        let sent = e.inn.iter().zip(ins);
+        let sent = e.adj.inn().iter().zip(ins);
         out.slots
             .extend(sent.map(|(&u, &slot)| (slot, program.along_edge(v, u, val))));
     }
@@ -1689,17 +1690,18 @@ mod tests {
         let mut store = VertexStore::default();
         for v in 0..N {
             let pick = next(&mut rng).is_multiple_of(3);
+            let (e, tally) = store.entry_and_tally(v);
+            for _ in 0..next(&mut rng) % 4 {
+                e.adj.insert(Side::Out, next(&mut rng) % N, tally);
+            }
+            for _ in 0..next(&mut rng) % 3 {
+                e.adj.insert(Side::In, next(&mut rng) % N, tally);
+            }
             let (e, lists) = store.entry_and_lists(v);
-            e.out = (0..next(&mut rng) % 4)
-                .map(|_| next(&mut rng) % N)
-                .collect();
-            e.inn = (0..next(&mut rng) % 3)
-                .map(|_| next(&mut rng) % N)
-                .collect();
             e.is_meta = v % 11 != 0;
-            e.g_out = e.out.len() as i64;
-            e.g_in = 1 + e.inn.len() as i64;
-            e.rep_out_degree = e.out.len() as u64;
+            e.g_out = e.adj.out().len() as i64;
+            e.g_in = 1 + e.adj.inn().len() as i64;
+            e.rep_out_degree = e.adj.out().len() as u64;
             e.has_state = v % 13 != 0;
             e.state = if delta {
                 (1.0 / N as f64).to_bits()
@@ -1971,14 +1973,14 @@ mod tests {
                         .has_pending_delta
                         .then(|| program.scatter_delta(v, e.state, e.pending_delta, &vctx));
                     if let Some(val) = val.flatten() {
-                        e.out.iter().for_each(|&w| send(v, w, val));
+                        e.adj.out().iter().for_each(|&w| send(v, w, val));
                     }
                 } else if e.has_state && e.active {
                     if let Some(val) = program.scatter_out(v, e.state, &vctx) {
-                        e.out.iter().for_each(|&w| send(v, w, val));
+                        e.adj.out().iter().for_each(|&w| send(v, w, val));
                     }
                     if let Some(val) = program.scatter_in(v, e.state, &vctx) {
-                        e.inn.iter().for_each(|&u| send(v, u, val));
+                        e.adj.inn().iter().for_each(|&u| send(v, u, val));
                     }
                 }
             }
@@ -2230,8 +2232,8 @@ mod tests {
         };
         let (mine, theirs) = (owned_by(&agent, ME), owned_by(&agent, 2));
         for (&u, &w) in mine.iter().zip(&theirs) {
+            agent.insert_out_edge(u, w);
             let e = agent.vertices.entry_or_default(u);
-            e.out.push(w);
             (e.is_meta, e.g_out) = (true, 1);
         }
         Rig {
@@ -2611,7 +2613,7 @@ mod tests {
         assert_eq!(scatter_from(&mut agent, &peers, u), [(2, vec![(a, u)])]);
         assert_eq!(agent.vertices.get(&u).unwrap().slots.len(), 1);
         assert!(agent.remove_out_edge(u, a) && agent.insert_out_edge(u, b));
-        assert_eq!(agent.vertices.get(&u).unwrap().out, [b]);
+        assert_eq!(agent.vertices.get(&u).unwrap().adj.out(), [b]);
         assert_eq!(scatter_from(&mut agent, &peers, u), [(3, vec![(b, u)])]);
         // Same for the in side, which WCC scatters along too.
         assert!(agent.insert_in_edge(a, u));

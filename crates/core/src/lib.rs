@@ -54,6 +54,7 @@
 
 #![warn(missing_docs)]
 
+mod adjacency;
 pub mod agent;
 pub mod algorithms;
 pub mod autoscale;

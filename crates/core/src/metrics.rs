@@ -348,6 +348,8 @@ metrics! {
             "Vertex entries visited by superstep kernels and summaries.";
         comms: CommsMetrics = sum(comms) => "comms" counter
             "Comms-plane traffic and coalescer flush counters.";
+        store_bytes: u64 = gauge(store_bytes) => "store_bytes" gauge
+            "Vertex store heap bytes: map capacity, adjacency lists and their indexes.";
     }
 }
 
@@ -359,8 +361,8 @@ impl ClusterMetrics {
 
     /// Fold in the final report of an agent that left the cluster or
     /// was evicted: its counters stay in the cumulative totals, its
-    /// gauges (`edges`, `subscriptions`, `last_step_nanos`) left with
-    /// it.
+    /// gauges (`edges`, `store_bytes`, `subscriptions`,
+    /// `last_step_nanos`) left with it.
     pub fn absorb_departed(&mut self, m: &AgentMetrics) {
         self.fold(m, true);
     }
@@ -386,6 +388,7 @@ mod tests {
             changes: 20,
             vmsgs: 30,
             edges: 40,
+            store_bytes: 45,
             last_step_nanos: 50,
             retries_attempted: 60,
             owner_cache_hits: 70,
@@ -429,6 +432,7 @@ mod tests {
             changes: 1,
             vmsgs: 2,
             edges: 3,
+            store_bytes: 300,
             last_step_nanos: 100,
             retries_attempted: 2,
             owner_cache_hits: 30,
@@ -456,6 +460,7 @@ mod tests {
             changes: 0,
             vmsgs: 1,
             edges: 4,
+            store_bytes: 400,
             last_step_nanos: 60,
             retries_attempted: 1,
             owner_cache_hits: 30,
@@ -482,7 +487,7 @@ mod tests {
         c.agents_drained = 2;
         c.partial = true;
         assert_eq!(c.queries, 12);
-        assert_eq!(c.edges, 7);
+        assert_eq!((c.edges, c.store_bytes), (7, 700));
         assert_eq!(c.max_step_nanos, 100);
         assert_eq!(c.retries_attempted, 3);
         assert_eq!(c.owner_cache_hits, 60);
@@ -507,14 +512,20 @@ mod tests {
             agent: 3,
             vmsgs: 10,
             edges: 99,
+            store_bytes: 9_999,
             subscriptions: 9,
             last_step_nanos: 1_000_000,
             ..Default::default()
         });
         assert_eq!(c.vmsgs, before.vmsgs + 10);
         assert_eq!(
-            (c.edges, c.subscriptions, c.max_step_nanos),
-            (before.edges, before.subscriptions, before.max_step_nanos)
+            (c.edges, c.store_bytes, c.subscriptions, c.max_step_nanos),
+            (
+                before.edges,
+                before.store_bytes,
+                before.subscriptions,
+                before.max_step_nanos
+            )
         );
         // Driver-side recovery fields survive the wire roundtrip too.
         c.recoveries = 2;

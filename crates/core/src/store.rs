@@ -18,6 +18,7 @@
 //! drain the sorted lists, so a superstep touches only the frontier
 //! instead of scanning the whole map (DESIGN.md "Worklists").
 
+use crate::adjacency::Tally;
 use crate::agent::VertexEntry;
 use elga_graph::types::VertexId;
 use elga_hash::{wang64, FxHashMap};
@@ -85,6 +86,10 @@ impl Shard {
 pub(crate) struct VertexStore {
     shards: Vec<Shard>,
     len: usize,
+    /// What the entries' adjacencies hold and cost: kept by their
+    /// mutators, which take it beside the entry
+    /// ([`VertexStore::entry_and_tally`]), and by [`VertexStore::remove`].
+    tally: Tally,
 }
 
 impl Default for VertexStore {
@@ -92,6 +97,7 @@ impl Default for VertexStore {
         VertexStore {
             shards: (0..SHARDS).map(|_| Shard::default()).collect(),
             len: 0,
+            tally: Tally::default(),
         }
     }
 }
@@ -118,19 +124,39 @@ impl VertexStore {
     /// flip a kernel flag and must record the flip. One probe of the
     /// shard map: this is the per-message cost of every delivery.
     pub fn entry_and_lists(&mut self, v: VertexId) -> (&mut VertexEntry, &mut Worklists) {
-        let VertexStore { shards, len } = self;
+        let (entry, lists, _) = self.entry_parts(v);
+        (entry, lists)
+    }
+
+    /// Entry-or-default plus the tally its adjacency's mutators keep.
+    pub fn entry_and_tally(&mut self, v: VertexId) -> (&mut VertexEntry, &mut Tally) {
+        let (entry, _, tally) = self.entry_parts(v);
+        (entry, tally)
+    }
+
+    fn entry_parts(&mut self, v: VertexId) -> (&mut VertexEntry, &mut Worklists, &mut Tally) {
+        let VertexStore { shards, len, tally } = self;
         let Shard { map, lists } = &mut shards[shard_of(v)];
         let entry = map.entry(v).or_insert_with(|| {
             *len += 1;
             VertexEntry::default()
         });
-        (entry, lists)
+        (entry, lists, tally)
+    }
+
+    /// `v`'s entry, if held, plus the tally its adjacency's mutators
+    /// keep.
+    pub fn get_mut_and_tally(&mut self, v: &VertexId) -> Option<(&mut VertexEntry, &mut Tally)> {
+        let VertexStore { shards, tally, .. } = self;
+        let entry = shards[shard_of(*v)].map.get_mut(v)?;
+        Some((entry, tally))
     }
 
     pub fn remove(&mut self, v: &VertexId) -> Option<VertexEntry> {
         let removed = self.shards[shard_of(*v)].map.remove(v);
-        if removed.is_some() {
+        if let Some(e) = &removed {
             self.len -= 1;
+            e.adj.untally(&mut self.tally);
         }
         removed
     }
@@ -141,6 +167,19 @@ impl VertexStore {
         }
         self.clear_worklists();
         self.len = 0;
+        self.tally = Tally::default();
+    }
+
+    /// Edges held: out-placements, then in-placements.
+    pub fn held(&self) -> [usize; 2] {
+        self.tally.held
+    }
+
+    /// What the store costs on the heap: the maps' capacity in entries,
+    /// plus the adjacency lists and their indexes. Constant time.
+    pub fn heap_bytes(&self) -> usize {
+        let slots: usize = self.shards.iter().map(|s| s.map.capacity()).sum();
+        slots * std::mem::size_of::<(VertexId, VertexEntry)>() + self.tally.heap
     }
 
     /// Drop all worklists (run start resets the flags they mirror, or
@@ -196,12 +235,12 @@ mod tests {
     fn vertices_land_in_their_shard() {
         let mut store = VertexStore::default();
         for v in 0..500u64 {
-            store.entry_or_default(v).out.push(v + 1);
+            store.entry_or_default(v).state = v + 1;
         }
         assert_eq!(store.len(), 500);
         for v in 0..500u64 {
             assert!(store.shards_mut()[shard_of(v)].map.contains_key(&v));
-            assert_eq!(store.get(&v).unwrap().out, vec![v + 1]);
+            assert_eq!(store.get(&v).unwrap().state, v + 1);
         }
         // Every vertex appears exactly once across shards.
         assert_eq!(store.iter().count(), 500);

@@ -506,6 +506,7 @@ fn agent_metrics() -> AgentMetrics {
         sub_pushes: 20,
         kernel_visits: 21,
         comms: comms(21),
+        store_bytes: 53,
     }
 }
 
@@ -570,6 +571,7 @@ fn cluster_metrics() -> ClusterMetrics {
         sub_pushes: 30,
         kernel_visits: 31,
         comms: comms(31),
+        store_bytes: 63,
     }
 }
 
@@ -585,7 +587,8 @@ const METRICS: &str = "010000000000000002000000000000000300000000000000040000000
      2500000000000000260000000000000027000000000000002800000000000000\
      29000000000000002a000000000000002b000000000000002c00000000000000\
      2d000000000000002e000000000000002f000000000000003000000000000000\
-     3100000000000000320000000000000033000000000000003400000000000000";
+     3100000000000000320000000000000033000000000000003400000000000000\
+     3500000000000000";
 
 const GET_METRICS: &str = "0100000000000000020000000000000003000000000000000400000000000000\
      0500000000000000060000000000000007000000000000000800000000000000\
@@ -602,7 +605,7 @@ const GET_METRICS: &str = "01000000000000000200000000000000030000000000000004000
      0032000000000000003300000000000000340000000000000035000000000000\
      0036000000000000003700000000000000380000000000000039000000000000\
      003a000000000000003b000000000000003c000000000000003d000000000000\
-     003e00000000000000";
+     003e000000000000003f00000000000000";
 
 #[test]
 fn metrics_frames_are_pinned() {
@@ -766,4 +769,7 @@ elga_frames_sent_total{type="deg_delta"} 48
 elga_bytes_sent_total{type="deg_delta"} 49
 elga_frames_sent_total{type="migration"} 52
 elga_bytes_sent_total{type="migration"} 53
+# HELP elga_store_bytes Vertex store heap bytes: map capacity, adjacency lists and their indexes.
+# TYPE elga_store_bytes gauge
+elga_store_bytes 63
 "#;

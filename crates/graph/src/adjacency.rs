@@ -1,4 +1,7 @@
-//! The dynamic adjacency store used by ElGA agents.
+//! A single-process dynamic adjacency store: the reference tests build
+//! from a change stream, and the floor the benchmark's store-apply
+//! probe measures. Agents do not use it; each keeps its partition in
+//! its own vertex store (`elga-core`'s agent).
 //!
 //! The paper stores the dynamic graph "as a flat hash map with vectors"
 //! and keeps "both in and out edges" (§4). We mirror that: a hash map

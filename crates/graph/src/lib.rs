@@ -4,10 +4,11 @@
 //! graphs, turnstile streams of edge changes, batches) and the two
 //! storage layouts the evaluation contrasts:
 //!
-//! * [`adjacency::AdjacencyStore`] — the dynamic layout ElGA agents use
-//!   ("our dynamic graph is stored as a flat hash map with vectors",
-//!   §4), storing both in- and out-edges and supporting O(1) insert
-//!   and constant-amortized delete;
+//! * [`adjacency::AdjacencyStore`] — the paper's dynamic layout in one
+//!   process ("our dynamic graph is stored as a flat hash map with
+//!   vectors", §4), storing both in- and out-edges and supporting O(1)
+//!   insert and constant-amortized delete (agents keep their
+//!   partitions in `elga-core`'s own vertex store);
 //! * [`csr::Csr`] — the static compressed-sparse-row layout the Blogel
 //!   and GAPbs baselines use, which is faster to traverse but cannot be
 //!   updated in place (§4.7).

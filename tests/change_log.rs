@@ -1,8 +1,11 @@
-//! The retained change log's footprint. Without a checkpoint directory
-//! the streamer keeps every change it ever sent, so edges lost with a
-//! dead agent can be replayed: on a long stream that log is most of the
-//! process's memory. It packs its records (LEB128 ids and an action
-//! bit); one held as 24-byte `EdgeChange`s would fail this gate.
+//! The retained change log's footprint, and the agents' stores beside
+//! it. Without a checkpoint directory the streamer keeps every change
+//! it ever sent, so edges lost with a dead agent can be replayed: on a
+//! long stream that log is most of the process's memory. It packs its
+//! records (LEB128 ids and an action bit); one held as 24-byte
+//! `EdgeChange`s would fail this gate. An agent finds an edge through
+//! the list that holds it; agent-wide position maps beside the lists
+//! would fail the store's gate.
 
 use elga::gen::{rmat, RmatParams};
 use elga::prelude::*;
@@ -36,6 +39,19 @@ fn an_rmat_stream_costs_the_log_at_most_eight_bytes_a_record() {
         "the change log holds {} B for {} records: {per_record:.2} B a record",
         log.heap_bytes,
         log.retained
+    );
+
+    // The agents' stores on the same stream, every edge held twice (an
+    // out- and an in-placement): ~52 B a placement for the vertex maps,
+    // the adjacency lists and their indexes. Agent-wide `(src, dst) →
+    // position` maps beside the lists cost ~52 B a placement more.
+    let m = cluster.metrics();
+    let per_placement = m.store_bytes as f64 / (2 * m.edges) as f64;
+    assert!(
+        per_placement <= 62.0,
+        "the stores hold {} B for {} edges: {per_placement:.2} B a placement",
+        m.store_bytes,
+        m.edges
     );
     cluster.shutdown();
 }
