@@ -769,6 +769,9 @@ impl Cluster {
     /// records, the heap they hold, the log base — the global stream
     /// index of the oldest retained record; everything before it must
     /// be covered by a checkpoint — and lifetime ingested records.
+    /// Without a checkpoint directory the log keeps the stream's net
+    /// effect: base 0, and fewer records than were ingested once it
+    /// has compacted.
     pub fn change_log_stats(&mut self) -> ChangeLogStats {
         self.streamer().log().stats()
     }

@@ -48,8 +48,10 @@ pub struct SystemConfig {
     /// Deadline for `Cluster::wait_run`, including any mid-run
     /// recovery and restart.
     pub run_deadline: Duration,
-    /// Whether the streamer retains every ingested batch so edges
-    /// owned by a dead agent can be replayed during recovery.
+    /// Whether the streamer keeps a change log so edges owned by a
+    /// dead agent can be replayed during recovery: the exact suffix
+    /// past the oldest checkpoint with a checkpoint directory, the
+    /// stream's net effect (live edges plus recent changes) without.
     pub retain_change_log: bool,
     /// Worker threads each agent uses for superstep kernels (scatter,
     /// combine, apply). `0` means auto-detect from the host's
@@ -65,7 +67,7 @@ pub struct SystemConfig {
     pub tracing: bool,
     /// Directory for durable checkpoints. `None` (the default)
     /// disables checkpointing entirely; recovery then replays the
-    /// whole retained change log, as before.
+    /// whole retained change log, which keeps the stream's net effect.
     pub checkpoint_dir: Option<PathBuf>,
     /// Take a checkpoint automatically after this many ingested
     /// batches (0 disables the automatic trigger; explicit
@@ -75,11 +77,6 @@ pub struct SystemConfig {
     /// pruned after each successful commit; keeping ≥2 means a
     /// corrupt newest generation still has a fallback.
     pub checkpoint_keep: usize,
-    /// Soft cap on retained change-log records before the streamer
-    /// emits a `ChangeLogWarn` trace event (0 disables the warning).
-    /// Advisory only — the log is never dropped below a checkpoint
-    /// watermark.
-    pub change_log_cap: u64,
     /// Disk-fault injection applied to checkpoint writes (chaos
     /// testing only). `None` outside chaos runs.
     pub disk_fault: Option<DiskFault>,
@@ -110,7 +107,6 @@ impl Default for SystemConfig {
             checkpoint_dir: None,
             checkpoint_interval_batches: 0,
             checkpoint_keep: 2,
-            change_log_cap: 0,
             disk_fault: None,
             disk_fault_seed: 0,
         }
@@ -179,7 +175,6 @@ mod tests {
             c.checkpoint_keep >= 2,
             "must retain a fallback generation for corrupt-newest recovery"
         );
-        assert_eq!(c.change_log_cap, 0, "log warning is opt-in");
         assert!(c.disk_fault.is_none(), "no fault injection outside chaos");
     }
 

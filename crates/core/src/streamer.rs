@@ -59,15 +59,14 @@ pub struct Streamer {
     scratch: RouteScratch,
     /// Counters of outboxes retired by view changes or dead peers.
     coalesce_retired: CoalesceStats,
-    /// Retained suffix of the change stream: everything ingested since
-    /// the last checkpoint-driven truncation, so edges lost with a dead
-    /// agent can be replayed during recovery. Its end is the lifetime
-    /// count of ingested records, and its base the stream index every
-    /// checkpoint watermark is compared against.
+    /// What recovery replays, so edges lost with a dead agent come
+    /// back. With a checkpoint directory it is the exact suffix since
+    /// the last checkpoint-driven truncation, and its base is the
+    /// stream index every checkpoint watermark is compared against;
+    /// without one it is the net log (the live edges and the changes
+    /// since they were last compacted), replayed whole. Its end is the
+    /// lifetime count of ingested records either way.
     log: ChangeLog,
-    /// Latched once the retained log exceeds `cfg.change_log_cap`, so
-    /// the warning fires once per excursion instead of once per batch.
-    log_warned: bool,
     /// Owner memo: each distinct source vertex is hashed and estimated
     /// once, and checked against the ring once per membership change,
     /// instead of once per edge.
@@ -98,7 +97,13 @@ impl Streamer {
         view.advance_memo(&mut cache);
         let tracer = Arc::new(Tracer::from_flag(cfg.tracing));
         let delta = SketchDelta::new(view.sketch.width(), view.sketch.depth());
-        let log = ChangeLog::new(cfg.retain_change_log);
+        // Without checkpoints a recovery replays the whole log onto
+        // empty agents, so the stream's net effect is all it needs.
+        let log = if cfg.retain_change_log && cfg.checkpoint_dir.is_none() {
+            ChangeLog::net()
+        } else {
+            ChangeLog::new(cfg.retain_change_log)
+        };
         Ok(Streamer {
             transport,
             cfg,
@@ -109,7 +114,6 @@ impl Streamer {
             scratch: RouteScratch::default(),
             coalesce_retired: CoalesceStats::default(),
             log,
-            log_warned: false,
             cache,
             delta,
             tracer,
@@ -218,21 +222,13 @@ impl Streamer {
         } else if let Some(view) = DirectoryView::decode(&rep) {
             self.adopt(view);
         }
-        self.log.extend(changes);
-        let cap = self.cfg.change_log_cap;
-        if cap > 0 && self.log.len() > cap {
-            if !self.log_warned {
-                self.tracer.instant(
-                    EventKind::ChangeLogWarn,
-                    self.log.len(),
-                    self.log.heap_bytes(),
-                );
-            }
-            self.log_warned = true;
-        }
 
-        // 2. Route each change to both placements.
-        Ok(self.route(changes))
+        // 2. Route each change to both placements, then log the batch:
+        //    a compaction the records set off runs while the agents
+        //    apply them.
+        let pushed = self.route(changes);
+        self.log.extend(changes);
+        Ok(pushed)
     }
 
     /// The retained change log. Its [`end`](ChangeLog::end) is the
@@ -240,7 +236,8 @@ impl Streamer {
     /// are cut; its [`base`](ChangeLog::base) is the oldest point it
     /// alone can replay from — with retention disabled the two are
     /// equal, so a recovery source must cover the stream exactly up to
-    /// the present.
+    /// the present. Without a checkpoint directory it is a net log:
+    /// base 0, and fewer records than were ingested once it compacted.
     pub fn log(&self) -> &ChangeLog {
         &self.log
     }
@@ -250,9 +247,6 @@ impl Streamer {
     /// retained range; never touches records past the watermark.
     pub fn truncate_log(&mut self, watermark: u64) {
         self.log.truncate(watermark);
-        if self.cfg.change_log_cap == 0 || self.log.len() <= self.cfg.change_log_cap {
-            self.log_warned = false;
-        }
     }
 
     /// Lifetime owner-cache counters `(hits, misses)` for this
@@ -274,12 +268,14 @@ impl Streamer {
     /// Re-route the entire retained change log after a recovery reset.
     /// The reset wipes every survivor regardless of execution mode, so
     /// the driver replays this log before restarting either a
-    /// synchronous or an asynchronous run.
+    /// synchronous or an asynchronous run. A net log replays its live
+    /// edges, sorted, and then the changes since they were compacted:
+    /// onto empty agents that is the graph the whole stream built.
     ///
     /// The sketch delta is *not* re-pushed — the view's sketch already
     /// counts every logged batch, and the replayed edges must see the
     /// same degree estimates — and the records are not re-logged.
-    /// Returns the number of change records pushed.
+    /// Returns the number of change records replayed.
     pub fn replay(&mut self) -> Result<usize, NetError> {
         self.replay_from(self.log.base())
     }
@@ -287,8 +283,9 @@ impl Streamer {
     /// Re-route the retained records at stream index `watermark` and
     /// beyond — the suffix a checkpoint at that watermark does not
     /// cover. `watermark` below the log base is clamped (the missing
-    /// prefix is simply not replayable from the log). Returns the
-    /// number of change records replayed.
+    /// prefix is simply not replayable from the log); a net log has no
+    /// suffixes and takes only its base. Returns the number of change
+    /// records replayed.
     ///
     /// The log is decoded and routed one block at a time through a
     /// reused scratch, so a replay holds one block decoded, never the

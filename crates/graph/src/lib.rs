@@ -13,8 +13,9 @@
 //!   and GAPbs baselines use, which is faster to traverse but cannot be
 //!   updated in place (§4.7).
 //!
-//! [`changelog::ChangeLog`] packs the change stream's retained suffix
-//! that recovery replays.
+//! [`changelog::ChangeLog`] packs what recovery replays: the change
+//! stream's exact suffix past a checkpoint, or without checkpoints the
+//! stream's net effect (live edges, compacted, plus recent changes).
 //!
 //! [`mod@reference`] holds single-threaded reference algorithms (PageRank,
 //! WCC via union-find, BFS, Dijkstra) used to validate every system in

@@ -98,21 +98,18 @@ pub enum EventKind {
     /// A checkpoint shard was loaded and re-injected during recovery
     /// (span; `a` = checkpoint generation, `b` = payload bytes).
     CkptRestore = 14,
-    /// The streamer's retained change log exceeded its configured cap
-    /// (`a` = retained records, `b` = retained bytes).
-    ChangeLogWarn = 15,
     /// Recovery finished end-to-end: eviction through restored cluster
     /// (span; `a` = new epoch, `b` = change records replayed).
-    RecoveryDone = 16,
+    RecoveryDone = 15,
     /// An agent decided what a view change moves off it (span over the
     /// placement sweep, before anything is sent; `a` = entries
     /// examined, `b` = entries that shipped edges or a primary record).
-    MigrateSweep = 17,
+    MigrateSweep = 16,
 }
 
 impl EventKind {
     /// All kinds, for iteration in tests and exporters.
-    pub const ALL: [EventKind; 18] = [
+    pub const ALL: [EventKind; 17] = [
         EventKind::PhaseScatter,
         EventKind::PhaseCombine,
         EventKind::PhaseApply,
@@ -128,7 +125,6 @@ impl EventKind {
         EventKind::AsyncRescatter,
         EventKind::CkptWrite,
         EventKind::CkptRestore,
-        EventKind::ChangeLogWarn,
         EventKind::RecoveryDone,
         EventKind::MigrateSweep,
     ];
@@ -161,7 +157,6 @@ impl EventKind {
             EventKind::AsyncRescatter => "async_rescatter",
             EventKind::CkptWrite => "ckpt_write",
             EventKind::CkptRestore => "ckpt_restore",
-            EventKind::ChangeLogWarn => "change_log_warn",
             EventKind::RecoveryDone => "recovery_done",
             EventKind::MigrateSweep => "migrate_sweep",
         }
@@ -422,7 +417,6 @@ fn push_args(ev: &TraceEvent, out: &mut String) {
         EventKind::HeartbeatMiss => ("agent", Some("window_ms")),
         EventKind::AsyncRescatter => ("epoch", Some("vertices")),
         EventKind::CkptWrite | EventKind::CkptRestore => ("generation", Some("bytes")),
-        EventKind::ChangeLogWarn => ("records", Some("bytes")),
         EventKind::RecoveryDone => ("epoch", Some("replayed")),
         EventKind::MigrateSweep => ("examined", Some("moved")),
     };

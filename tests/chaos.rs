@@ -9,8 +9,9 @@
 use elga::core::program::{ExecutionMode, RunOptions};
 use elga::graph::csr::Csr;
 use elga::graph::reference;
-use elga::net::{FaultPlan, SendPolicy};
+use elga::net::{FaultPlan, SendPolicy, SplitMix64};
 use elga::prelude::*;
+use std::collections::HashSet;
 use std::time::Duration;
 
 /// A deterministic ring-with-chords graph: connected, with enough
@@ -291,6 +292,93 @@ fn killed_agent_is_evicted_and_run_restarts_to_correct_results() {
             "v{orig}: {got} vs {}",
             want[i]
         );
+    }
+    cluster.shutdown();
+}
+
+/// Without a checkpoint directory the change log keeps the stream's net
+/// effect, compacted as deletes pile up: a recovery replays the live
+/// edges and the changes since the last compaction, not the stream. The
+/// churn deletes earlier edges (some twice), re-inserts some of them
+/// and adds fresh ones — enough deletes to compact — and an agent dies
+/// mid-run. The rebuilt graph must be the stream's final
+/// edge set, edge for edge, and the replay shorter than the stream.
+#[test]
+fn killed_agent_after_compactions_recovers_the_final_edge_set() {
+    let n = 6_000;
+    let mut rng = SplitMix64::new(0xC0C0);
+    let mut edge = || (rng.below(n), rng.below(n));
+    let mut stream: Vec<EdgeChange> = (0..30_000)
+        .map(|_| edge())
+        .map(|(u, v)| EdgeChange::insert(u, v))
+        .collect();
+    for round in 0..4 {
+        // Deletes of earlier edges, re-inserts of half of them, and as
+        // many fresh edges.
+        let deleted: Vec<elga::graph::Edge> = (0..9_000)
+            .map(|i| stream[(i * 7 + round * 1_001) % stream.len()].edge)
+            .collect();
+        stream.extend(deleted.iter().map(|e| EdgeChange::delete(e.src, e.dst)));
+        stream.extend(
+            deleted
+                .iter()
+                .step_by(2)
+                .map(|e| EdgeChange::insert(e.src, e.dst)),
+        );
+        stream.extend(
+            (0..4_500)
+                .map(|_| edge())
+                .map(|(u, v)| EdgeChange::insert(u, v)),
+        );
+    }
+    let mut edges: HashSet<(u64, u64)> = HashSet::new();
+    for c in &stream {
+        let pair = (c.edge.src, c.edge.dst);
+        if c.is_insert() {
+            edges.insert(pair);
+        } else {
+            edges.remove(&pair);
+        }
+    }
+
+    let cfg = SystemConfig {
+        heartbeat_interval: Duration::from_millis(25),
+        heartbeat_misses: 40,
+        quiesce_deadline: Duration::from_secs(30),
+        run_deadline: Duration::from_secs(60),
+        ..SystemConfig::default()
+    };
+    let mut cluster = Cluster::builder().agents(4).config(cfg).build();
+    cluster.ingest(stream.iter().copied());
+    let log = cluster.change_log_stats();
+    assert_eq!(log.ingested, stream.len() as u64);
+    assert!(log.retained < log.ingested, "the log never compacted");
+
+    let handle = cluster
+        .start_run(Wcc::new(), RunOptions::default())
+        .expect("start run");
+    let victim = cluster.agent_ids()[1];
+    cluster.kill_agent(victim);
+    cluster
+        .wait_run(handle)
+        .expect("run must complete despite the crash");
+
+    assert_eq!(cluster.agent_count(), 3, "victim evicted from the view");
+    let replayed = cluster.recovery_stats().replayed_records;
+    assert!(
+        replayed > 0 && replayed < log.ingested,
+        "{replayed} records replayed for {} ingested",
+        log.ingested
+    );
+    assert_eq!(
+        cluster.metrics().edges,
+        edges.len() as u64,
+        "the final edge set"
+    );
+    let truth = reference::wcc(edges.iter().copied());
+    let got = cluster.dump_states();
+    for (v, label) in &truth {
+        assert_eq!(got.get(v), Some(label), "wcc v{v}");
     }
     cluster.shutdown();
 }
