@@ -8,6 +8,7 @@
 #   core_src_lines          every line under crates/core/src
 #   core_src_nontest_lines  each file's lines above its first
 #                           `#[cfg(test)]`: mechanism, not unit tests
+#   graph_src_nontest_lines the same count under crates/graph/src
 #   packet_kinds            the `packet::` constants
 #   lead_io_sites           clock reads, threads, sockets and stderr
 #                           writes in the non-test part of `lead.rs`:
@@ -15,7 +16,11 @@
 #                           (`directory::lead_loop`)
 set -eu
 lines=$(find crates/core/src -name '*.rs' -print0 | xargs -0 cat | wc -l)
-nontest=$(find crates/core/src -name '*.rs' -print0 | xargs -0 awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 } !test { n++ } END { print n }')
+nontest() {
+    find "$1" -name '*.rs' -print0 | xargs -0 awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 } !test { n++ } END { print n }'
+}
+nontest=$(nontest crates/core/src)
+graph_nontest=$(nontest crates/graph/src)
 kinds=$(awk '/^pub mod packet/,/^}/' crates/core/src/msg.rs | grep -c 'pub const [A-Z_0-9]*: u8')
 lead_io=$(awk '/^#\[cfg\(test\)\]/ { exit } { print }' crates/core/src/lead.rs |
     grep -cE 'Instant::now|\.elapsed\(\)|std::thread|Transport|Publisher|Mailbox|eprintln!' || true)
@@ -24,6 +29,7 @@ while read -r name ceiling; do
     case "$name" in
         core_src_lines) got=$lines ;;
         core_src_nontest_lines) got=$nontest ;;
+        graph_src_nontest_lines) got=$graph_nontest ;;
         packet_kinds) got=$kinds ;;
         lead_io_sites) got=$lead_io ;;
         *) continue ;;

@@ -4,10 +4,11 @@
 //!
 //! A churn stream (inserts plus deletions) is ingested in stages; the
 //! checkpointed configuration cuts a checkpoint after every stage but
-//! the last, so recovery replays only one stage's suffix no matter how
-//! long the stream grows. The log-only configuration must replay the
-//! whole retained stream, so its replay cost grows linearly with
-//! stages.
+//! the last, so recovery replays the stages since the oldest retained
+//! generation (two, at the default `checkpoint_keep`) no matter how
+//! long the stream grows. The log-only configuration replays the
+//! stream's net effect from the empty graph, which here grows linearly
+//! with stages.
 //!
 //! Writes `BENCH_recovery.json` at the workspace root (override with
 //! `ELGA_BENCH_RECOVERY_OUT`). The checkpointed runs write their
@@ -87,7 +88,8 @@ fn crash_trial(stages: usize, band: u64, checkpointed: bool, trial: usize) -> (u
         records += changes.len() as u64;
         c.ingest(changes);
         // No checkpoint after the final stage: the crash then replays
-        // exactly one stage's suffix, the steady-state recovery cost.
+        // the stages since the oldest retained generation, the
+        // steady-state recovery cost.
         if checkpointed && s + 1 < stages {
             assert!(c.checkpoint().expect("checkpoint").committed);
         }
@@ -116,7 +118,7 @@ fn crash_trial(stages: usize, band: u64, checkpointed: bool, trial: usize) -> (u
 fn main() {
     banner(
         "Recovery",
-        "crash recovery duration: checkpoint + suffix replay vs full log replay",
+        "crash recovery duration: checkpoint + log replay vs replay from the empty graph",
     );
     let band = 400u64;
     println!(

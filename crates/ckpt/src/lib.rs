@@ -4,8 +4,8 @@
 //! crate makes it *bounded*. At a quiesced batch boundary every agent
 //! serializes its shard state into one checkpoint file, and the driver
 //! commits the set as a **generation**. Recovery then loads the latest
-//! valid generation and replays only the change-log suffix past its
-//! watermark, instead of replaying history from genesis (the model
+//! valid generation and replays the change log since the oldest
+//! retained one, instead of replaying history from genesis (the model
 //! BLADYG uses for its failure-recovery protocol).
 //!
 //! The store is payload-agnostic: `elga-core` decides what bytes
@@ -26,9 +26,8 @@
 //! * **The fallback ladder.** [`CheckpointStore::latest_valid`] walks
 //!   generations newest-first and re-validates every shard; a torn,
 //!   truncated, or bit-flipped file disqualifies its generation and
-//!   recovery falls back one more generation (paying a longer suffix
-//!   replay) — never restoring from a corrupt file, never producing a
-//!   wrong answer.
+//!   recovery falls back one more generation — never restoring from a
+//!   corrupt file, never producing a wrong answer.
 //!
 //! Faults are injected with [`DiskFault`] below the write path, in the
 //! same seeded style as `elga-net`'s [`FaultyTransport`]: the writer is
@@ -447,8 +446,8 @@ impl CheckpointStore {
     /// Walk the fallback ladder: newest committed generation first,
     /// re-validating the manifest and every shard it names. The first
     /// fully-valid generation whose watermark is `>= min_watermark`
-    /// (records older than `min_watermark` are no longer in the change
-    /// log, so an older cut could not be completed by suffix replay)
+    /// (changes older than `min_watermark` are no longer in the change
+    /// log, so an older cut could not be completed by a replay)
     /// wins. `None` means no usable generation exists.
     pub fn latest_valid(&self, min_watermark: u64) -> Option<ValidGeneration> {
         let mut fallbacks = 0;
@@ -668,7 +667,7 @@ mod tests {
         assert_eq!((v.manifest.generation, v.fallbacks), (1, 2));
 
         // A generation whose records have already been compacted away
-        // cannot be completed by suffix replay: min_watermark filters
+        // cannot be completed by a replay: min_watermark filters
         // it out and nothing is left.
         assert!(s.latest_valid(150).is_none());
         teardown(s);

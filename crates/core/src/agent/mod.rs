@@ -892,7 +892,7 @@ impl Agent {
     }
 
     /// ARM_DELTA (driver REQ, checkpoint restore): re-arm the
-    /// ingest-time delta seed ahead of a log-suffix replay. The
+    /// ingest-time delta seed ahead of the change-log replay. The
     /// recovery reset wiped the seed with everything else; without it
     /// the replayed edge changes would mutate degrees but generate no
     /// residual corrections, and the next incremental run would

@@ -51,7 +51,7 @@ impl Agent {
         // Residual seed dies with the state it described; the driver's
         // change-log replay re-dirties vertices for a fresh run. (The
         // driver re-arms the seed before a checkpoint-restore replay so
-        // the replayed suffix regenerates its residual corrections.)
+        // the replayed log regenerates its residual corrections.)
         self.delta_seed = None;
         self.delta_hot.clear();
         self.dangling_acc = 0.0;

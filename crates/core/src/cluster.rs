@@ -111,9 +111,9 @@ impl ClusterBuilder {
     }
 
     /// Enable durable checkpointing into `dir` (shorthand for
-    /// `SystemConfig::checkpoint_dir`). Recovery then loads the newest
-    /// valid generation and replays only the change-log suffix past
-    /// its watermark.
+    /// `SystemConfig::checkpoint_dir`). Once a generation commits,
+    /// recovery loads the newest valid one and replays the change log,
+    /// which reaches back to the oldest retained generation.
     pub fn checkpoints(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
         self.config.checkpoint_dir = Some(dir.into());
         self
@@ -680,16 +680,16 @@ impl Cluster {
     /// Take a durable checkpoint: quiesce, have every agent write its
     /// shard of a new generation at the current change-stream
     /// watermark, scrub the shards back through checksum validation,
-    /// commit the manifest, prune old generations, and truncate the
-    /// streamer's retained change log to the oldest watermark still
-    /// covered by a retained generation.
+    /// commit the manifest, prune old generations, and move the
+    /// streamer's change-log base to the oldest retained generation's
+    /// watermark.
     ///
     /// A failed shard write or scrub (e.g. injected torn writes) leaves
     /// the generation manifest-less and therefore invisible to
-    /// recovery, and the change log untruncated: checkpointing degrades
-    /// to the previous generation (or full replay), never to a wrong
-    /// answer. Such an outcome is reported as `committed: false`, not
-    /// an error.
+    /// recovery, and the change log as it was: checkpointing degrades
+    /// to the previous generation (or a replay onto empty agents),
+    /// never to a wrong answer. Such an outcome is reported as
+    /// `committed: false`, not an error.
     pub fn checkpoint(&mut self) -> Result<CheckpointReport, NetError> {
         if self.cfg.checkpoint_dir.is_none() {
             return Err(NetError::Protocol("checkpointing not configured"));
@@ -765,72 +765,58 @@ impl Cluster {
         self.recovery
     }
 
-    /// Change-log accounting of the embedded streamer: retained
-    /// records, the heap they hold, the log base — the global stream
-    /// index of the oldest retained record; everything before it must
-    /// be covered by a checkpoint — and lifetime ingested records.
-    /// Without a checkpoint directory the log keeps the stream's net
-    /// effect: base 0, and fewer records than were ingested once it
-    /// has compacted.
+    /// Change-log accounting of the embedded streamer: the records a
+    /// recovery would replay, the heap they hold, the log base — 0
+    /// until a checkpoint commits, then the oldest retained
+    /// generation's watermark — and lifetime ingested records. Once the
+    /// log has compacted it retains fewer records than were ingested
+    /// since its base.
     pub fn change_log_stats(&mut self) -> ChangeLogStats {
         self.streamer().log().stats()
     }
 
-    /// Rebuild graph state after the survivors' recovery reset: load
-    /// the newest valid checkpoint generation (walking the fallback
-    /// ladder past damaged ones) and replay only the change-log suffix
-    /// past its watermark; without checkpointing, replay the whole
-    /// retained log. Returns the number of change records replayed.
+    /// Rebuild graph state after the survivors' recovery reset: replay
+    /// the whole change log, onto empty agents while its base is 0 and
+    /// otherwise onto the newest valid checkpoint generation at or past
+    /// the base (walking the fallback ladder past damaged ones).
+    /// Returns the number of change records replayed.
     ///
-    /// Fails with [`NetError::RecoveryUnavailable`] when no combination
-    /// of checkpoint and retained log covers the ingested stream —
-    /// immediately and explicitly, instead of timing out a deadline on
-    /// an answer that could only be wrong.
+    /// Fails with [`NetError::RecoveryUnavailable`] when the log has a
+    /// base and no valid generation covers it — immediately and
+    /// explicitly, instead of timing out a deadline on an answer that
+    /// could only be wrong.
     ///
     /// `delta_spec` names the residual program whose delta runs will
     /// resume after the restore, if any: the agents are re-armed with
-    /// its seed *before* the suffix replay (so replayed changes
-    /// regenerate their residual corrections instead of silently
-    /// re-dirtying vertices with no mass behind them), and the lead's
-    /// dangling book is re-anchored from the manifest.
+    /// its seed *before* the replay (so replayed changes regenerate
+    /// their residual corrections instead of silently re-dirtying
+    /// vertices with no mass behind them), and the lead's dangling
+    /// book is re-anchored from the manifest.
     fn restore_state(&mut self, delta_spec: Option<&ProgramSpec>) -> Result<u64, NetError> {
         if self.streamer.is_none() || self.streamer().log().end() == 0 {
             // Nothing was ever ingested; nothing to rebuild.
             return Ok(0);
         }
-        if self.cfg.checkpoint_dir.is_some() {
-            let min_watermark = self.streamer().log().base();
-            match self.driver_store()?.latest_valid(min_watermark) {
-                Some(valid) => {
-                    let t0 = Instant::now();
-                    let bytes = self.restore_generation(&valid.manifest, delta_spec)?;
-                    // The injected frames are uncounted; the DRAIN
-                    // round's FIFO ordering behind them is what
-                    // guarantees they were applied.
-                    self.quiesce()?;
-                    let replayed = self.streamer().replay_from(valid.manifest.watermark)? as u64;
-                    self.recovery.ckpt_restores += 1;
-                    self.recovery.ckpt_restore_nanos += t0.elapsed().as_nanos() as u64;
-                    self.recovery.ckpt_fallbacks += valid.fallbacks;
-                    self.tracer
-                        .span(EventKind::CkptRestore, t0, valid.manifest.generation, bytes);
-                    Ok(replayed)
-                }
-                None if min_watermark == 0 => {
-                    // No generation usable, but the log is complete.
-                    Ok(self.streamer().replay()? as u64)
-                }
-                None => Err(NetError::RecoveryUnavailable(
-                    "no valid checkpoint generation covers the truncated change log",
-                )),
-            }
-        } else if self.cfg.retain_change_log {
-            Ok(self.streamer().replay()? as u64)
-        } else {
-            Err(NetError::RecoveryUnavailable(
-                "change-log retention is off and no checkpoint directory is configured",
-            ))
+        let base = self.streamer().log().base();
+        if base > 0 {
+            let valid =
+                self.driver_store()?
+                    .latest_valid(base)
+                    .ok_or(NetError::RecoveryUnavailable(
+                        "no valid checkpoint generation covers the change log",
+                    ))?;
+            let t0 = Instant::now();
+            let bytes = self.restore_generation(&valid.manifest, delta_spec)?;
+            // The injected frames are uncounted; the DRAIN round's FIFO
+            // ordering behind them is what guarantees they were applied.
+            self.quiesce()?;
+            self.recovery.ckpt_restores += 1;
+            self.recovery.ckpt_restore_nanos += t0.elapsed().as_nanos() as u64;
+            self.recovery.ckpt_fallbacks += valid.fallbacks;
+            self.tracer
+                .span(EventKind::CkptRestore, t0, valid.manifest.generation, bytes);
         }
+        Ok(self.streamer().replay()? as u64)
     }
 
     /// Read every shard of `m`, re-route each record under the current
@@ -1101,10 +1087,10 @@ impl Cluster {
 
     /// Drive recovery after the lead evicted a dead agent: reap its
     /// thread, wait for the survivors' reset barrier to settle, rebuild
-    /// state (checkpoint restore plus change-log suffix replay, or full
-    /// replay — see [`Cluster::restore_state`]), and — when the failure
-    /// aborted this handle's run — restart it (the handle adopts the
-    /// new run id).
+    /// state (a checkpoint restore, if the log has a base, and a replay
+    /// of the whole log — see [`Cluster::restore_state`]), and — when
+    /// the failure aborted this handle's run — restart it (the handle
+    /// adopts the new run id).
     fn recover_and_restart(
         &mut self,
         handle: &mut RunHandle,
@@ -1122,7 +1108,7 @@ impl Cluster {
         // settles the system is empty and consistent.
         self.quiesce()?;
         // The run that resumes after the restore decides whether the
-        // replayed suffix needs residual corrections regenerated.
+        // replayed log needs residual corrections regenerated.
         let info = run_info(&handle.spec, handle.options);
         let delta_spec = if info.delta { Some(&handle.spec) } else { None };
         let replayed = self.restore_state(delta_spec)?;

@@ -48,11 +48,6 @@ pub struct SystemConfig {
     /// Deadline for `Cluster::wait_run`, including any mid-run
     /// recovery and restart.
     pub run_deadline: Duration,
-    /// Whether the streamer keeps a change log so edges owned by a
-    /// dead agent can be replayed during recovery: the exact suffix
-    /// past the oldest checkpoint with a checkpoint directory, the
-    /// stream's net effect (live edges plus recent changes) without.
-    pub retain_change_log: bool,
     /// Worker threads each agent uses for superstep kernels (scatter,
     /// combine, apply). `0` means auto-detect from the host's
     /// parallelism. Results are bit-identical for any worker count:
@@ -67,7 +62,7 @@ pub struct SystemConfig {
     pub tracing: bool,
     /// Directory for durable checkpoints. `None` (the default)
     /// disables checkpointing entirely; recovery then replays the
-    /// whole retained change log, which keeps the stream's net effect.
+    /// whole change log, each edge's last change, onto empty agents.
     pub checkpoint_dir: Option<PathBuf>,
     /// Take a checkpoint automatically after this many ingested
     /// batches (0 disables the automatic trigger; explicit
@@ -101,7 +96,6 @@ impl Default for SystemConfig {
             failure_detection: true,
             quiesce_deadline: Duration::from_secs(60),
             run_deadline: Duration::from_secs(300),
-            retain_change_log: true,
             workers: 1,
             tracing: false,
             checkpoint_dir: None,
@@ -157,7 +151,6 @@ mod tests {
     fn failure_detection_defaults_are_sane() {
         let c = SystemConfig::default();
         assert!(c.failure_detection);
-        assert!(c.retain_change_log);
         // Detection latency must stay well under the quiesce deadline,
         // or a dead agent stalls every barrier past its budget.
         let detect = c.heartbeat_interval * c.heartbeat_misses;

@@ -387,7 +387,7 @@ impl Lead {
             packet::DANGLING_SET => {
                 // Checkpoint restore re-anchoring the telescoped
                 // dangling series: adopt the manifest's converged
-                // `(S, n)` and absorb the replayed suffix's drift as a
+                // `(S, n)` and absorb the replayed log's drift as a
                 // carry, folded into the next delta run's scatter
                 // reduce exactly like a departer's residue.
                 if let Some(set) = msg::DanglingSet::decode(frame) {

@@ -1524,7 +1524,7 @@ wire! {
         pub nanos: u64,
     }
 
-    /// An ARM_DELTA request: before replaying a log suffix onto a
+    /// An ARM_DELTA request: before replaying the change log onto a
     /// restored cluster, re-arm every agent's ingest-time delta seed with
     /// the program and the vertex count the restored states converged
     /// under, so the replay regenerates the same residual corrections
@@ -1558,7 +1558,7 @@ wire! {
         /// The book's vertex count, likewise.
         pub n: u64,
         /// Dangling-mass drift between the restored states and that book
-        /// (log-suffix changes whose unreported accumulators died with
+        /// (logged changes whose unreported accumulators died with
         /// the old agents), absorbed into the global term at the next
         /// delta run's first reduction.
         pub carry: f64,

@@ -59,13 +59,11 @@ pub struct Streamer {
     scratch: RouteScratch,
     /// Counters of outboxes retired by view changes or dead peers.
     coalesce_retired: CoalesceStats,
-    /// What recovery replays, so edges lost with a dead agent come
-    /// back. With a checkpoint directory it is the exact suffix since
-    /// the last checkpoint-driven truncation, and its base is the
-    /// stream index every checkpoint watermark is compared against;
-    /// without one it is the net log (the live edges and the changes
-    /// since they were last compacted), replayed whole. Its end is the
-    /// lifetime count of ingested records either way.
+    /// What recovery replays, whole, so edges lost with a dead agent
+    /// come back: each edge's last change since the oldest retained
+    /// checkpoint (or since the empty graph), plus the changes since
+    /// the last compaction. Its end is the lifetime count of ingested
+    /// records, where checkpoint watermarks are cut.
     log: ChangeLog,
     /// Owner memo: each distinct source vertex is hashed and estimated
     /// once, and checked against the ring once per membership change,
@@ -97,13 +95,6 @@ impl Streamer {
         view.advance_memo(&mut cache);
         let tracer = Arc::new(Tracer::from_flag(cfg.tracing));
         let delta = SketchDelta::new(view.sketch.width(), view.sketch.depth());
-        // Without checkpoints a recovery replays the whole log onto
-        // empty agents, so the stream's net effect is all it needs.
-        let log = if cfg.retain_change_log && cfg.checkpoint_dir.is_none() {
-            ChangeLog::net()
-        } else {
-            ChangeLog::new(cfg.retain_change_log)
-        };
         Ok(Streamer {
             transport,
             cfg,
@@ -113,7 +104,7 @@ impl Streamer {
             outboxes: FxHashMap::default(),
             scratch: RouteScratch::default(),
             coalesce_retired: CoalesceStats::default(),
-            log,
+            log: ChangeLog::default(),
             cache,
             delta,
             tracer,
@@ -233,20 +224,18 @@ impl Streamer {
 
     /// The retained change log. Its [`end`](ChangeLog::end) is the
     /// lifetime count of ingested records, where checkpoint watermarks
-    /// are cut; its [`base`](ChangeLog::base) is the oldest point it
-    /// alone can replay from — with retention disabled the two are
-    /// equal, so a recovery source must cover the stream exactly up to
-    /// the present. Without a checkpoint directory it is a net log:
-    /// base 0, and fewer records than were ingested once it compacted.
+    /// are cut; its [`base`](ChangeLog::base) is the point a replay
+    /// starts from — 0, the empty graph, until a checkpoint commits,
+    /// then the oldest retained generation's watermark.
     pub fn log(&self) -> &ChangeLog {
         &self.log
     }
 
-    /// Drop retained records already covered by a durable checkpoint:
-    /// everything before stream index `watermark`. Clamped to the
-    /// retained range; never touches records past the watermark.
-    pub fn truncate_log(&mut self, watermark: u64) {
-        self.log.truncate(watermark);
+    /// A checkpoint at the log's end has committed and `oldest` is the
+    /// oldest retained generation's watermark: move the log's base
+    /// there (see [`ChangeLog::truncate`]).
+    pub fn truncate_log(&mut self, oldest: u64) {
+        self.log.truncate(oldest);
     }
 
     /// Lifetime owner-cache counters `(hits, misses)` for this
@@ -265,41 +254,30 @@ impl Streamer {
         total
     }
 
-    /// Re-route the entire retained change log after a recovery reset.
-    /// The reset wipes every survivor regardless of execution mode, so
-    /// the driver replays this log before restarting either a
-    /// synchronous or an asynchronous run. A net log replays its live
-    /// edges, sorted, and then the changes since they were compacted:
-    /// onto empty agents that is the graph the whole stream built.
+    /// Re-route the whole change log after a recovery reset: onto
+    /// empty agents while its base is 0, onto the generation the
+    /// driver restored after that. The reset wipes every survivor
+    /// regardless of execution mode, so the driver replays this log
+    /// before restarting either a synchronous or an asynchronous run.
     ///
     /// The sketch delta is *not* re-pushed — the view's sketch already
     /// counts every logged batch, and the replayed edges must see the
     /// same degree estimates — and the records are not re-logged.
     /// Returns the number of change records replayed.
-    pub fn replay(&mut self) -> Result<usize, NetError> {
-        self.replay_from(self.log.base())
-    }
-
-    /// Re-route the retained records at stream index `watermark` and
-    /// beyond — the suffix a checkpoint at that watermark does not
-    /// cover. `watermark` below the log base is clamped (the missing
-    /// prefix is simply not replayable from the log); a net log has no
-    /// suffixes and takes only its base. Returns the number of change
-    /// records replayed.
     ///
     /// The log is decoded and routed one block at a time through a
     /// reused scratch, so a replay holds one block decoded, never the
-    /// whole suffix. One `route` per block keeps the per-destination
+    /// whole log. One `route` per block keeps the per-destination
     /// ordering that per-batch `send_batch` calls gave: each
     /// destination gets a block's out-placement records, then its
-    /// in-placement records, each in stream order, and every block's
+    /// in-placement records, each in log order, and every block's
     /// before the next one's.
-    pub fn replay_from(&mut self, watermark: u64) -> Result<usize, NetError> {
+    pub fn replay(&mut self) -> Result<usize, NetError> {
         let t0 = Instant::now();
         self.refresh()?;
-        let log = std::mem::replace(&mut self.log, ChangeLog::new(false));
+        let log = std::mem::take(&mut self.log);
         let mut pushed = 0;
-        let replayed = log.decode_from(watermark, |block| pushed += self.route(block));
+        let replayed = log.decode(|block| pushed += self.route(block));
         self.log = log;
         self.tracer
             .span(EventKind::RecoveryReplay, t0, replayed, pushed as u64);

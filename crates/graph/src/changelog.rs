@@ -1,22 +1,26 @@
 //! The retained change log: what recovery replays onto agents that
 //! lost edges with a dead one (paper §3.1, §3.4).
 //!
-//! What the log keeps follows from how it will be replayed:
+//! Agents apply changes with set semantics (inserting a present edge
+//! or deleting an absent one does nothing), so the graph is the net
+//! effect of the stream (Definitions 2.3–2.5): each edge's *last*
+//! change since some point, replayed onto the graph as it stood at that
+//! point or at any later one, gives the graph as it stands now. The
+//! log's **base** is that point — the empty graph at stream index 0
+//! until a checkpoint commits, then the oldest retained generation's
+//! watermark. The log holds a *net run*, each edge's last change from
+//! the base to the last compaction, sorted by edge, and the exact
+//! *tail* appended since; a recovery replays both, whole. While the
+//! base is 0 the replay lands on empty agents, so the net run drops
+//! deletes; after that it lands on a restored generation, so it keeps
+//! them. Once twice the tail's deletes reach the net run's length (and
+//! a floor), a compaction folds the tail into a new net run, so an
+//! insert-only stream never compacts.
 //!
-//! * An **exact** log is an ordered suffix of the stream. A checkpoint
-//!   restore replays the records past a generation's watermark, so
-//!   every stream index in the log stays decodable; checkpoint
-//!   truncation bounds it.
-//! * A **net** log serves a cluster without checkpoints, whose recovery
-//!   always replays the whole log onto empty agents. Agents apply
-//!   changes with set semantics (inserting a present edge or deleting
-//!   an absent one does nothing), so the graph is the net effect of the
-//!   stream (Definitions 2.3–2.5). The log holds a *net run* — the live
-//!   edge set as of the last compaction, sorted, distinct inserts — and
-//!   the exact *tail* appended since; replaying the one and then the
-//!   other rebuilds the graph. Once twice the tail's deletes reach the
-//!   net run's length (and a floor), a compaction folds the tail into a
-//!   new net run, so an insert-only stream never compacts.
+//! A checkpoint commit seals the tail's back block, so every
+//! generation's watermark is a block edge: moving the base to the
+//! oldest retained watermark pops the whole tail blocks before it, and
+//! drops the net run once its compaction point is not past it.
 //!
 //! Records are packed into fixed-size blocks instead of being kept as
 //! [`EdgeChange`]s (24 B each: a one-byte action padded out beside two
@@ -27,8 +31,7 @@
 //! encoding covers the full `u64` id range, and a record decodes with
 //! two word loads and no branch on its bytes: a compaction re-reads
 //! and re-writes every record, and a byte-at-a-time varint (LEB128)
-//! takes three times as long on each. Truncation drops whole blocks and
-//! skips records inside the front one; decoding hands out one block at
+//! takes three times as long on each. Decoding hands out one block at
 //! a time, and a compaction reads and writes block by block, freeing
 //! every block it has read.
 
@@ -47,7 +50,7 @@ const BLOCK_RECORDS: usize = BLOCK_BYTES / 3;
 /// Head-byte bit of a deletion; bits 0–2 and 3–5 are the byte widths
 /// of `src` and `dst`, less one.
 const DELETE: u8 = 1 << 6;
-/// A net log compacts once twice its tail's deletes reach the larger of
+/// The log compacts once twice its tail's deletes reach the larger of
 /// the net run's length and this: a smaller log is not worth a pass.
 const COMPACT_FLOOR: u64 = 64 << 10;
 /// Tail records a compaction sorts at a time: two 384 KiB buffers.
@@ -56,16 +59,16 @@ const SORT_RECORDS: usize = 16 << 10;
 /// Sizes of a [`ChangeLog`], as [`ChangeLog::stats`] reports them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChangeLogStats {
-    /// Records the log holds for replay: the suffix past `base` in an
-    /// exact log, the net run plus the tail in a net one — fewer than
-    /// were ingested once a compaction has run.
+    /// Records a recovery replays: the net run plus the tail — fewer
+    /// than were ingested since the base once a compaction has run.
     pub retained: u64,
     /// Heap bytes the log holds: allocated capacity, not just the
     /// bytes in use.
     pub heap_bytes: u64,
-    /// Global stream index of the oldest retained record — everything
-    /// before it must be covered by something else (a checkpoint).
-    /// Always 0 in a net log.
+    /// The stream index the log replays from: 0, the empty graph,
+    /// until a checkpoint commits, then the oldest retained
+    /// generation's watermark. A checkpoint must cover everything
+    /// before it.
     pub base: u64,
     /// Lifetime count of records appended, retained or not.
     pub ingested: u64,
@@ -78,6 +81,8 @@ struct Block {
     used: usize,
     /// Records in the block.
     len: usize,
+    /// Deletes among them.
+    deletes: usize,
 }
 
 impl Block {
@@ -86,6 +91,7 @@ impl Block {
             bytes: Box::new([0; BLOCK_BYTES]),
             used: 0,
             len: 0,
+            deletes: 0,
         }
     }
 
@@ -97,17 +103,14 @@ impl Block {
         }
         let Edge { src, dst } = c.edge;
         let (s, d) = (width(src), width(dst));
-        let delete = if c.action == Action::Delete {
-            DELETE
-        } else {
-            0
-        };
-        self.bytes[at] = ((s - 1) | (d - 1) << 3) as u8 | delete;
+        let delete = c.action == Action::Delete;
+        self.bytes[at] = ((s - 1) | (d - 1) << 3) as u8 | if delete { DELETE } else { 0 };
         // Whole words: the next record's head overwrites the excess.
         self.bytes[at + 1..at + 9].copy_from_slice(&src.to_le_bytes());
         self.bytes[at + 1 + s..at + 9 + s].copy_from_slice(&dst.to_le_bytes());
         self.used = at + 1 + s + d;
         self.len += 1;
+        self.deletes += usize::from(delete);
         true
     }
 
@@ -128,17 +131,9 @@ impl Block {
         u64::from_le_bytes(word) & (u64::MAX >> (64 - 8 * n))
     }
 
-    /// Byte offset `n` records past byte `at`.
-    fn skip(&self, mut at: usize, n: usize) -> usize {
-        for _ in 0..n {
-            let head = usize::from(self.bytes[at]);
-            at += 3 + (head & 7) + (head >> 3 & 7);
-        }
-        at
-    }
-
-    /// Append the records from byte `at` on to `out`.
-    fn decode(&self, mut at: usize, out: &mut Vec<EdgeChange>) {
+    /// Append the block's records to `out`.
+    fn decode(&self, out: &mut Vec<EdgeChange>) {
+        let mut at = 0;
         while at < self.used {
             out.push(self.record(&mut at));
         }
@@ -154,15 +149,25 @@ fn width(v: VertexId) -> usize {
 #[derive(Default)]
 struct Run {
     blocks: VecDeque<Block>,
-    /// Records in the blocks (a truncated exact log's skipped front
-    /// records excluded).
+    /// Records in the blocks.
     len: u64,
+    /// Deletes among them.
+    deletes: u64,
+    /// The back block takes no more records: a checkpoint was cut at
+    /// its end.
+    sealed: bool,
 }
 
 impl Run {
-    /// Append records, filling the back block before opening another.
+    /// Append records, filling the back block, unless it is sealed,
+    /// before opening another.
     fn extend(&mut self, changes: impl IntoIterator<Item = EdgeChange>) {
-        let mut block = self.blocks.pop_back().unwrap_or_else(Block::new);
+        let back = if self.sealed {
+            None
+        } else {
+            self.blocks.pop_back()
+        };
+        let mut block = back.unwrap_or_else(Block::new);
         for c in changes {
             if !block.push(&c) {
                 self.blocks
@@ -170,9 +175,11 @@ impl Run {
                 block.push(&c);
             }
             self.len += 1;
+            self.deletes += u64::from(c.action == Action::Delete);
         }
         if block.len > 0 {
             self.blocks.push_back(block);
+            self.sealed = false;
         }
     }
 
@@ -216,102 +223,64 @@ impl Iterator for Drain {
     }
 }
 
-/// What a [`ChangeLog`] keeps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    /// Nothing: the log only counts, and its base follows its end.
-    Count,
-    /// An ordered suffix of the stream.
-    Exact,
-    /// The net run and the tail since it; compact once twice the tail's
-    /// deletes reach `max(net run, floor)`, sorting the tail `sort`
-    /// records at a time.
-    Net { floor: u64, sort: usize },
-}
-
 /// A change stream's retained records, packed into fixed-size blocks:
-/// an exact suffix from [`base`] to [`end`](Self::end) (every watermark
-/// in that range can be decoded from), or the stream's net effect (see
-/// the module docs).
-///
-/// [`base`]: Self::base
+/// each edge's last change from the [`base`](Self::base) to the last
+/// compaction, then every change since (see the module docs).
 pub struct ChangeLog {
-    /// The live edge set at the last compaction, as sorted, distinct
-    /// inserts; always empty in an exact log.
+    /// Each edge's last change from `base` to `tail_from`, sorted by
+    /// edge; inserts only while `base` is 0.
     net: Run,
-    /// Records in stream order: those since `base` in an exact log,
-    /// those since the last compaction in a net one.
+    /// Records since `tail_from`, in stream order.
     tail: Run,
-    /// Deletes among the tail's records (net logs only).
-    tail_deletes: u64,
-    /// Records of the tail's front block already truncated away.
-    head: usize,
-    /// Byte offset of the tail's front block's first kept record.
-    head_at: usize,
+    /// Stream index of the tail's first record: the last compaction
+    /// point, or the base once that has passed it.
+    tail_from: u64,
     base: u64,
     end: u64,
-    mode: Mode,
+    /// The compaction trigger's floor: see [`COMPACT_FLOOR`].
+    floor: u64,
+    /// Tail records a compaction sorts at a time.
+    sort: usize,
 }
 
-impl ChangeLog {
-    /// An empty exact log. One built with `retain = false` keeps
-    /// nothing and only counts: its base follows its end.
-    pub fn new(retain: bool) -> ChangeLog {
-        ChangeLog::with_mode(if retain { Mode::Exact } else { Mode::Count })
-    }
-
-    /// An empty net log: it keeps what a whole replay onto empty agents
-    /// needs, and cannot be truncated or decoded from a watermark.
-    pub fn net() -> ChangeLog {
-        ChangeLog::with_mode(Mode::Net {
-            floor: COMPACT_FLOOR,
-            sort: SORT_RECORDS,
-        })
-    }
-
-    fn with_mode(mode: Mode) -> ChangeLog {
+impl Default for ChangeLog {
+    fn default() -> ChangeLog {
         ChangeLog {
             net: Run::default(),
             tail: Run::default(),
-            tail_deletes: 0,
-            head: 0,
-            head_at: 0,
+            tail_from: 0,
             base: 0,
             end: 0,
-            mode,
+            floor: COMPACT_FLOOR,
+            sort: SORT_RECORDS,
         }
     }
+}
 
-    /// Append the next records of the stream; a net log compacts when
-    /// they take its tail's deletes past the trigger.
+impl ChangeLog {
+    /// Append the next records of the stream; compact when they take
+    /// the tail's deletes past the trigger.
     pub fn extend(&mut self, changes: &[EdgeChange]) {
         self.end += changes.len() as u64;
-        match self.mode {
-            Mode::Count => self.base = self.end,
-            Mode::Exact => self.tail.extend(changes.iter().copied()),
-            Mode::Net { floor, sort } => {
-                self.tail.extend(changes.iter().copied());
-                self.tail_deletes += changes.iter().filter(|c| !c.is_insert()).count() as u64;
-                if 2 * self.tail_deletes >= self.net.len.max(floor) {
-                    self.compact(sort);
-                }
-            }
+        self.tail.extend(changes.iter().copied());
+        if 2 * self.tail.deletes >= self.net.len.max(self.floor) {
+            self.compact();
         }
     }
 
     /// Fold the tail into the net run. The tail is sorted `sort`
     /// records at a time into runs where the last change to an edge
     /// wins; a merge of those runs, newest first on equal edges, is
-    /// merged in turn with the net run, the tail's change winning, and
-    /// deletes are dropped. Every block is freed once read, so the log
-    /// never holds much more than its own size.
-    fn compact(&mut self, sort: usize) {
+    /// merged in turn with the net run, the tail's change winning.
+    /// Deletes are dropped while the base is 0. Every block is freed
+    /// once read, so the log never holds much more than its own size.
+    fn compact(&mut self) {
         let mut tail = std::mem::take(&mut self.tail).drain();
         let mut runs = Vec::new();
-        let (mut chunk, mut spare) = (Vec::with_capacity(sort), Vec::new());
+        let (mut chunk, mut spare) = (Vec::with_capacity(self.sort), Vec::new());
         loop {
             chunk.clear();
-            chunk.extend(tail.by_ref().take(sort));
+            chunk.extend(tail.by_ref().take(self.sort));
             if chunk.is_empty() {
                 break;
             }
@@ -346,6 +315,7 @@ impl ChangeLog {
         })
         .peekable();
         let mut net = std::mem::take(&mut self.net).drain().peekable();
+        let onto_empty = self.base == 0;
         let merged = std::iter::from_fn(|| loop {
             let newest = match (net.peek().copied(), tail.peek().copied()) {
                 (Some(n), Some(t)) if n.edge < t.edge => net.next(),
@@ -356,16 +326,16 @@ impl ChangeLog {
                 (Some(_), None) => net.next(),
                 (None, _) => tail.next(),
             }?;
-            if newest.is_insert() {
+            if newest.is_insert() || !onto_empty {
                 return Some(newest);
             }
         });
         self.net.extend(merged);
-        self.tail_deletes = 0;
+        self.tail_from = self.end;
     }
 
-    /// Global stream index of the oldest retained record: 0 in a net
-    /// log.
+    /// The stream index the log replays from: 0 until a checkpoint
+    /// commits, then the oldest retained generation's watermark.
     pub fn base(&self) -> u64 {
         self.base
     }
@@ -402,76 +372,43 @@ impl ChangeLog {
         }
     }
 
-    /// Drop every record before stream index `watermark`. Clamped to
-    /// the retained range; never touches records at or past it. Whole
-    /// blocks are freed; inside the front block the dropped records
-    /// are skipped. A net log has no stream indexes to cut at.
-    pub fn truncate(&mut self, watermark: u64) {
-        assert!(
-            !matches!(self.mode, Mode::Net { .. }),
-            "a net log is not truncated"
-        );
-        let before = self.before(watermark);
-        self.base += before;
-        self.tail.len -= before;
-        let mut drop = before as usize;
-        while drop > 0 {
-            let front = self
-                .tail
-                .blocks
-                .front()
-                .expect("retained records live in blocks");
-            let live = front.len - self.head;
-            if drop >= live {
-                self.tail.blocks.pop_front();
-                (self.head, self.head_at) = (0, 0);
-                drop -= live;
-            } else {
-                self.head_at = front.skip(self.head_at, drop);
-                self.head += drop;
-                drop = 0;
-            }
+    /// A checkpoint at [`end`](Self::end) has committed, and `oldest`
+    /// is the watermark of the oldest generation still retained. The
+    /// back block is sealed, so the new watermark is a block edge, and
+    /// once the net run's compaction point is not past `oldest` the
+    /// base moves there: the net run and the tail blocks before it go.
+    /// Otherwise the log keeps its base; a replay from there onto any
+    /// retained generation is still exact, only longer.
+    pub fn truncate(&mut self, oldest: u64) {
+        self.tail.sealed = true;
+        if self.tail_from > oldest {
+            return;
         }
+        self.net = Run::default();
+        while let Some(front) = self.tail.blocks.front() {
+            if self.tail_from + front.len as u64 > oldest {
+                break;
+            }
+            self.tail_from += front.len as u64;
+            self.tail.len -= front.len as u64;
+            self.tail.deletes -= front.deletes as u64;
+            self.tail.blocks.pop_front();
+        }
+        self.base = oldest;
     }
 
-    /// Decode the records at stream index `watermark` and beyond, one
-    /// block at a time: `f` sees each block's records in order, in a
-    /// scratch reused across blocks, so the log is never held decoded
-    /// as a whole. `watermark` below the base is clamped (the missing
-    /// prefix is not in the log); a net log decodes only whole — its
-    /// net run, then its tail. Returns the number of records decoded.
-    pub fn decode_from(&self, watermark: u64, mut f: impl FnMut(&[EdgeChange])) -> u64 {
-        assert!(
-            !matches!(self.mode, Mode::Net { .. }) || watermark <= self.base,
-            "a net log replays only whole"
-        );
+    /// Decode the whole log — the net run, then the tail — one block at
+    /// a time: `f` sees each block's records in order, in a scratch
+    /// reused across blocks, so the log is never held decoded as a
+    /// whole. Returns the number of records decoded.
+    pub fn decode(&self, mut f: impl FnMut(&[EdgeChange])) -> u64 {
         let mut scratch = Vec::with_capacity(BLOCK_RECORDS.min(self.len() as usize));
-        for block in &self.net.blocks {
+        for block in self.net.blocks.iter().chain(&self.tail.blocks) {
             scratch.clear();
-            block.decode(0, &mut scratch);
+            block.decode(&mut scratch);
             f(&scratch);
         }
-        let before = self.before(watermark);
-        let mut skip = before as usize;
-        let (mut first, mut at) = (self.head, self.head_at);
-        for block in &self.tail.blocks {
-            let live = block.len - first;
-            if skip >= live {
-                skip -= live;
-            } else {
-                scratch.clear();
-                block.decode(block.skip(at, skip), &mut scratch);
-                f(&scratch);
-                skip = 0;
-            }
-            (first, at) = (0, 0);
-        }
-        self.len() - before
-    }
-
-    /// Retained tail records before stream index `watermark`.
-    fn before(&self, watermark: u64) -> u64 {
-        watermark.saturating_sub(self.base).min(self.tail.len)
+        self.len()
     }
 }
 
@@ -554,23 +491,9 @@ mod tests {
         }
     }
 
-    fn changes(n: usize, seed: u64) -> Vec<EdgeChange> {
-        let mut rng = TestRng::for_case("changes", seed);
-        (0..n)
-            .map(|_| {
-                let (src, dst) = (id(&mut rng), id(&mut rng));
-                if rng.below(2) == 0 {
-                    EdgeChange::insert(src, dst)
-                } else {
-                    EdgeChange::delete(src, dst)
-                }
-            })
-            .collect()
-    }
-
-    fn decoded(log: &ChangeLog, watermark: u64) -> Vec<EdgeChange> {
+    fn decoded(log: &ChangeLog) -> Vec<EdgeChange> {
         let mut out = Vec::new();
-        let n = log.decode_from(watermark, |block| {
+        let n = log.decode(|block| {
             assert!(!block.is_empty() && block.len() <= BLOCK_RECORDS);
             out.extend_from_slice(block);
         });
@@ -578,46 +501,34 @@ mod tests {
         out
     }
 
-    /// Stream index of every block's first record, truncated or not.
-    fn block_edges(log: &ChangeLog) -> Vec<u64> {
-        let mut at = log.base - log.head as u64;
-        log.tail
-            .blocks
-            .iter()
-            .map(|b| {
-                at += b.len as u64;
-                at - b.len as u64
-            })
-            .collect()
+    /// `onto` with `log` replayed over it under set semantics.
+    fn replayed(log: &ChangeLog, onto: &HashSet<Edge>) -> HashSet<Edge> {
+        let mut edges = onto.clone();
+        for c in decoded(log) {
+            if c.is_insert() {
+                edges.insert(c.edge);
+            } else {
+                edges.remove(&c.edge);
+            }
+        }
+        edges
     }
 
     #[test]
     fn every_id_width_and_both_actions_round_trip() {
-        let mut log = ChangeLog::new(true);
+        let mut log = ChangeLog::default();
         let all: Vec<EdgeChange> = EDGES
             .iter()
             .flat_map(|&u| EDGES.iter().map(move |&v| (u, v)))
             .flat_map(|(u, v)| [EdgeChange::insert(u, v), EdgeChange::delete(v, u)])
             .collect();
         log.extend(&all);
-        assert_eq!(decoded(&log, 0), all);
-        assert_eq!(decoded(&log, 7), all[7..]);
-    }
-
-    #[test]
-    fn a_log_that_retains_nothing_still_counts() {
-        let mut log = ChangeLog::new(false);
-        log.extend(&changes(100, 1));
-        assert_eq!((log.base(), log.end(), log.len()), (100, 100, 0));
-        assert_eq!(log.heap_bytes(), 0);
-        assert!(decoded(&log, 0).is_empty());
-        log.truncate(50);
-        assert_eq!(log.base(), 100);
+        assert_eq!(decoded(&log), all);
     }
 
     #[test]
     fn a_block_is_one_fixed_allocation_and_small_ids_pack_tight() {
-        let mut log = ChangeLog::new(true);
+        let mut log = ChangeLog::default();
         let n = 100_000u64;
         let stream: Vec<EdgeChange> = (0..n)
             .map(|i| EdgeChange::insert(i * 7 % 32768, i * 13 % 32768))
@@ -630,83 +541,42 @@ mod tests {
 
     #[test]
     fn an_insert_only_stream_never_compacts() {
-        let mut log = ChangeLog::net();
+        let mut log = ChangeLog::default();
         let stream: Vec<EdgeChange> = (0..200_000u64)
             .map(|i| EdgeChange::insert(i % 1000, i % 777))
             .collect();
         log.extend(&stream);
         assert_eq!((log.len(), log.net.len, log.end()), (200_000, 0, 200_000));
-        assert_eq!(decoded(&log, 0), stream);
+        assert_eq!(decoded(&log), stream);
     }
 
     proptest! {
         #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-        /// Random appends, truncations (below the base, at and beside a
-        /// block edge, anywhere, past the end) and decodes agree with a
-        /// `Vec` of the whole stream and a base index.
-        #[test]
-        fn matches_a_vec_model(
-            ops in prop::collection::vec((0u8..4, 0usize..3000, any::<u64>()), 1..24),
-        ) {
-            let mut log = ChangeLog::new(true);
-            let mut model: Vec<EdgeChange> = Vec::new();
-            let mut base = 0u64;
-            for (op, n, w) in ops {
-                let end = model.len() as u64;
-                let watermark = match w % 5 {
-                    0 => w % (end + 2),
-                    1 => {
-                        let edges = block_edges(&log);
-                        let edge = edges.get((w / 4) as usize % edges.len().max(1)).copied();
-                        // At the edge, or one record to either side.
-                        (edge.unwrap_or(end) + (w / 4 % 3)).saturating_sub(1)
-                    }
-                    2 => base.saturating_sub(w % 3),
-                    3 => end,
-                    _ => base + w % (end - base + 1),
-                };
-                match op {
-                    0 | 1 => {
-                        let batch = changes(n, w);
-                        log.extend(&batch);
-                        model.extend_from_slice(&batch);
-                    }
-                    2 => {
-                        log.truncate(watermark);
-                        base = watermark.clamp(base, end);
-                    }
-                    _ => {
-                        let from = watermark.clamp(base, end) as usize;
-                        prop_assert_eq!(decoded(&log, watermark), model[from..].to_vec());
-                    }
-                }
-                prop_assert_eq!((log.base(), log.end()), (base, model.len() as u64));
-                prop_assert_eq!(log.len(), model.len() as u64 - base);
-                // Every block kept holds a record still retained.
-                prop_assert!(log.tail.blocks.front().is_none_or(|b| b.len > log.head));
-            }
-            prop_assert_eq!(decoded(&log, 0), model[base as usize..].to_vec());
-        }
-
-        /// A net log replays to the edge set of the whole stream after
-        /// every batch, and holds at most twice that set plus the floor.
-        /// Batches carry duplicate inserts, deletes of absent edges,
-        /// deletes and re-inserts of one edge (inside a batch, and of
-        /// the previous batch's deletes, so across a compaction), and
-        /// ids of every byte width; compactions merge several sorted
-        /// runs.
+        /// The log replays to the edge set of the whole stream after
+        /// every batch: onto ∅ while its base is 0, and onto the oldest
+        /// and the newest retained checkpoint once one has committed —
+        /// a commit snapshots the model at the log's end, keeps `keep`
+        /// snapshots and truncates the log to the oldest. Batches carry
+        /// duplicate inserts, deletes of absent edges, deletes and
+        /// re-inserts of one edge (inside a batch, and of the previous
+        /// batch's deletes, so across a compaction), and ids of every
+        /// byte width; compactions merge several sorted runs, before
+        /// and after the first commit.
         #[test]
         fn a_net_log_replays_to_a_set_model(
-            batches in prop::collection::vec((100usize..700, any::<u64>()), 12..40),
+            batches in prop::collection::vec((100usize..700, any::<u64>(), 0u8..4), 16..40),
+            keep in 1usize..4,
         ) {
-            const FLOOR: u64 = 512;
-            let mut log = ChangeLog::with_mode(Mode::Net { floor: FLOOR, sort: 96 });
+            const FLOOR: u64 = 128;
+            let mut log = ChangeLog { floor: FLOOR, sort: 96, ..ChangeLog::default() };
             let mut model: HashSet<Edge> = HashSet::new();
+            // Retained checkpoints, oldest first: (watermark, edge set).
+            let mut checkpoints: VecDeque<(u64, HashSet<Edge>)> = VecDeque::new();
             let mut seen: Vec<Edge> = Vec::new();
             let mut deleted: Vec<Edge> = Vec::new();
-            let (mut ingested, mut compactions) = (0u64, 0);
-            for (n, seed) in batches {
+            let (mut ingested, mut compactions, mut commits) = (0u64, 0, 0);
+            for (i, (n, seed, coin)) in batches.into_iter().enumerate() {
                 let mut rng = TestRng::for_case("net", seed);
                 let mut batch: Vec<EdgeChange> =
                     deleted.drain(..).take(8).map(|e| change(e, false)).collect();
@@ -735,28 +605,39 @@ mod tests {
                 ingested += batch.len() as u64;
                 compactions += usize::from(log.tail.len < tail + batch.len() as u64);
 
-                let mut replayed = HashSet::new();
-                for c in decoded(&log, 0) {
-                    if c.is_insert() {
-                        replayed.insert(c.edge);
-                    } else {
-                        replayed.remove(&c.edge);
+                // Always a commit after the fourth batch, at random after.
+                if i == 3 || (i > 3 && coin == 0) {
+                    checkpoints.push_back((log.end(), model.clone()));
+                    if checkpoints.len() > keep {
+                        checkpoints.pop_front();
                     }
+                    log.truncate(checkpoints[0].0);
+                    commits += 1;
                 }
-                prop_assert_eq!(&replayed, &model);
+
+                if log.base() == 0 {
+                    prop_assert_eq!(&replayed(&log, &HashSet::new()), &model);
+                    let live = model.len() as u64;
+                    prop_assert!(log.len() <= 2 * live + FLOOR, "{} records for {} edges", log.len(), live);
+                } else {
+                    let (oldest, newest) = (&checkpoints[0], &checkpoints[checkpoints.len() - 1]);
+                    prop_assert!(log.base() <= oldest.0, "base {} past the oldest checkpoint {}", log.base(), oldest.0);
+                    prop_assert_eq!(&replayed(&log, &oldest.1), &model);
+                    prop_assert_eq!(&replayed(&log, &newest.1), &model);
+                }
                 let net: Vec<EdgeChange> = log.net.blocks.iter().flat_map(|b| {
                     let mut out = Vec::new();
-                    b.decode(0, &mut out);
+                    b.decode(&mut out);
                     out
                 }).collect();
-                prop_assert!(net.iter().all(EdgeChange::is_insert), "a delete in the net run");
+                prop_assert!(log.base() > 0 || net.iter().all(EdgeChange::is_insert), "a delete in a net run at base 0");
                 prop_assert!(net.windows(2).all(|w| w[0].edge < w[1].edge), "net run not sorted and distinct");
                 prop_assert_eq!(net.len() as u64, log.net.len);
-                prop_assert_eq!((log.base(), log.end()), (0, ingested));
-                let live = model.len() as u64;
-                prop_assert!(log.len() <= 2 * live + FLOOR, "{} records for {} edges", log.len(), live);
+                let deletes = decoded(&log).iter().filter(|c| !c.is_insert()).count() as u64;
+                prop_assert_eq!(deletes, log.net.deletes + log.tail.deletes);
+                prop_assert_eq!(log.end(), ingested);
             }
-            prop_assert!(compactions > 0, "the stream never compacted");
+            prop_assert!(compactions > 0 && commits > 0, "{compactions} compactions, {commits} commits");
         }
     }
 }

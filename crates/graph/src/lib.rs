@@ -13,9 +13,9 @@
 //!   and GAPbs baselines use, which is faster to traverse but cannot be
 //!   updated in place (§4.7).
 //!
-//! [`changelog::ChangeLog`] packs what recovery replays: the change
-//! stream's exact suffix past a checkpoint, or without checkpoints the
-//! stream's net effect (live edges, compacted, plus recent changes).
+//! [`changelog::ChangeLog`] packs what recovery replays: each edge's
+//! last change since the oldest retained checkpoint (or since the
+//! empty graph), compacted, plus the changes since the compaction.
 //!
 //! [`mod@reference`] holds single-threaded reference algorithms (PageRank,
 //! WCC via union-find, BFS, Dijkstra) used to validate every system in

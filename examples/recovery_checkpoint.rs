@@ -1,6 +1,7 @@
 //! Durable checkpoints and bounded recovery: cut checkpoints at batch
 //! boundaries, crash an agent mid-run, and recover by restoring the
-//! latest valid generation plus replaying only the change-log suffix.
+//! latest valid generation and replaying the change log, which reaches
+//! back to the oldest retained generation.
 //! Then damage the newest generation on disk and show the fallback
 //! ladder landing on the older one — never on a wrong answer.
 //!
@@ -40,8 +41,8 @@ fn main() {
         .checkpoints(&dir)
         .build();
 
-    // Two ingest batches with a checkpoint after each: the retained
-    // change log shrinks to the oldest kept generation's watermark.
+    // Two ingest batches with a checkpoint after each: the change log's
+    // base moves to the oldest kept generation's watermark.
     for stage in 0..2u64 {
         cluster.ingest(band(stage * 100, 100));
         let report = cluster.checkpoint().expect("checkpoint");
@@ -58,12 +59,12 @@ fn main() {
             log.heap_bytes
         );
     }
-    // A third batch arrives after the last checkpoint — this is the
-    // suffix a recovery must replay.
+    // A third batch arrives after the last checkpoint.
     cluster.ingest(band(200, 100));
 
-    // Crash an agent mid-run. The lead restores the newest generation
-    // and replays only the 100-record suffix, not all 300 records.
+    // Crash an agent mid-run. The driver restores the newest generation
+    // and replays the log since the oldest kept one (the second and
+    // third batches), not all three batches.
     let handle = cluster
         .start_run(
             Wcc::new(),
@@ -92,8 +93,8 @@ fn main() {
     );
 
     // Now damage the newest generation on disk (torn shard write) and
-    // crash again: recovery falls back a generation and replays a
-    // longer suffix instead of trusting a corrupt checkpoint.
+    // crash again: recovery falls back a generation, replays the same
+    // log onto it, and never trusts a corrupt checkpoint.
     for entry in std::fs::read_dir(&dir).expect("store dir") {
         let path = entry.expect("entry").path();
         let name = path.file_name().unwrap().to_string_lossy().into_owned();
@@ -115,7 +116,7 @@ fn main() {
     let rec = cluster.recovery_stats();
     println!(
         "after tearing generation 2: {} recoveries total, {} fallback, \
-         {} records replayed cumulatively (generation 1 + longer suffix)",
+         {} records replayed cumulatively (generation 1 + the same log)",
         rec.recoveries, rec.ckpt_fallbacks, rec.replayed_records
     );
     println!(

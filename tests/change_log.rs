@@ -1,14 +1,15 @@
 //! The retained change log's footprint, and the agents' stores beside
-//! it. Without a checkpoint directory a recovery replays the whole log
-//! onto empty agents, so the streamer keeps the stream's net effect:
-//! the live edges, compacted whenever the deletes since the last
-//! compaction reach half of them, plus the changes since. Under churn
-//! the log then stays near the size of the graph instead of growing
-//! with the stream — a log that kept every change would fail the churn
-//! gate. It packs its records (a head byte and the ids' significant
-//! bytes); one held as 24-byte `EdgeChange`s would fail the byte gate.
-//! An agent finds an edge through the list that holds it; agent-wide
-//! position maps beside the lists would fail the store's gate.
+//! it. A recovery replays the whole log, so the streamer keeps each
+//! edge's last change since the log's base, compacted whenever the
+//! deletes since the last compaction reach half of that, plus the
+//! changes since. Without a checkpoint the base is the empty graph and
+//! the log stays near the size of the graph under churn; past a
+//! checkpoint it stays near the edges touched since. A log that kept
+//! every change would fail both churn gates. It packs its records (a
+//! head byte and the ids' significant bytes); one held as 24-byte
+//! `EdgeChange`s would fail the byte gate. An agent finds an edge
+//! through the list that holds it; agent-wide position maps beside the
+//! lists would fail the store's gate.
 
 use elga::gen::{rmat, RmatParams};
 use elga::prelude::*;
@@ -69,24 +70,28 @@ fn fresh(
         .collect()
 }
 
+type Edges = Vec<(u64, u64)>;
+
+const CORE: usize = 70_000;
+const SLAB: usize = 7_000;
+const BATCHES: usize = 40;
+
 /// A small `bulk_rmat`: an R-MAT core that stays, and two slabs of
 /// fresh edges that take turns — batch `k` inserts one and deletes the
-/// other — so the graph keeps its size while the stream grows. Each
-/// compaction shrinks the log back to the live edges, a few batches
-/// apart; a log that kept every change would hold 40 batches of them.
-#[test]
-fn a_churned_stream_keeps_the_log_near_the_live_graph() {
-    const CORE: usize = 70_000;
-    const SLAB: usize = 7_000;
-    const BATCHES: usize = 40;
+/// other — so the graph keeps its size while the stream grows.
+fn core_and_slabs() -> (Edges, [Edges; 2]) {
     let mut stream = rmat(15, 2 * (CORE + 2 * SLAB), RmatParams::GRAPH500, 0xC4).into_iter();
     let mut used = HashSet::new();
     let core = fresh(&mut stream, &mut used, CORE);
     let slabs = [0, 1].map(|_| fresh(&mut stream, &mut used, SLAB));
     assert!(core.len() == CORE && slabs.iter().all(|s| s.len() == SLAB));
+    (core, slabs)
+}
 
-    let mut cluster = Cluster::builder().agents(2).build();
-    cluster.ingest_edges(core.iter().chain(&slabs[1]).copied());
+/// Run the slabs' churn on a cluster that holds the core and slab 1:
+/// the graph keeps its size, and the log's heap bytes peak no higher in
+/// batches 20–40 than before.
+fn churn(cluster: &mut Cluster, slabs: &[Edges; 2]) {
     let mut heap = Vec::new();
     for k in 0..BATCHES {
         let (ins, del) = (&slabs[k % 2], &slabs[(k + 1) % 2]);
@@ -101,13 +106,31 @@ fn a_churned_stream_keeps_the_log_near_the_live_graph() {
         cluster.quiesce().expect("quiesce");
         heap.push(cluster.change_log_stats().heap_bytes);
     }
-
     let live = (CORE + SLAB) as u64;
     assert_eq!(
         cluster.metrics().edges,
         live,
         "churn left the graph's size alone"
     );
+    let first = heap[..BATCHES / 2].iter().max();
+    let second = heap[BATCHES / 2..].iter().max();
+    assert!(
+        second <= first,
+        "the log grew with the stream: peak {second:?} B in batches 20–40, {first:?} B before"
+    );
+}
+
+/// Each compaction shrinks the log back to the live edges, a few
+/// batches apart; a log that kept every change would hold 40 batches of
+/// them.
+#[test]
+fn a_churned_stream_keeps_the_log_near_the_live_graph() {
+    let (core, slabs) = core_and_slabs();
+    let mut cluster = Cluster::builder().agents(2).build();
+    cluster.ingest_edges(core.iter().chain(&slabs[1]).copied());
+    churn(&mut cluster, &slabs);
+
+    let live = (CORE + SLAB) as u64;
     let log = cluster.change_log_stats();
     let ingested = (CORE + SLAB + BATCHES * 2 * SLAB) as u64;
     assert_eq!((log.base, log.ingested), (0, ingested));
@@ -122,11 +145,29 @@ fn a_churned_stream_keeps_the_log_near_the_live_graph() {
         "the change log holds {} B for {live} live edges: {per_edge:.2} B an edge",
         log.heap_bytes
     );
-    let first = heap[..BATCHES / 2].iter().max();
-    let second = heap[BATCHES / 2..].iter().max();
-    assert!(
-        second <= first,
-        "the log grew with the stream: peak {second:?} B in batches 20–40, {first:?} B before"
+    cluster.shutdown();
+}
+
+/// The same churn past a checkpoint: the log's base is the checkpoint,
+/// so a compaction keeps the slabs' deletes and folds the log back to
+/// the two slabs' edges, a few batches apart. A log that kept every
+/// change since the checkpoint would hold 40 batches of them.
+#[test]
+fn a_churned_stream_past_a_checkpoint_keeps_the_log_bounded() {
+    let dir = std::env::temp_dir().join(format!("elga-change-log-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (core, slabs) = core_and_slabs();
+    let mut cluster = Cluster::builder().agents(2).checkpoints(&dir).build();
+    cluster.ingest_edges(core.iter().chain(&slabs[1]).copied());
+    assert!(cluster.checkpoint().expect("checkpoint").committed);
+    churn(&mut cluster, &slabs);
+
+    let log = cluster.change_log_stats();
+    let loaded = (CORE + SLAB) as u64;
+    assert_eq!(
+        (log.base, log.ingested),
+        (loaded, loaded + (BATCHES * 2 * SLAB) as u64)
     );
     cluster.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }

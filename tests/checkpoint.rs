@@ -1,16 +1,17 @@
-//! Durable checkpointing and bounded recovery: checkpoints truncate
-//! the retained change log, recovery restores the newest valid
-//! generation and replays only the suffix, and injected disk faults
-//! (torn writes, corruption) degrade to an older generation or a
-//! refused commit — never to a wrong answer.
+//! Durable checkpointing and bounded recovery: a checkpoint moves the
+//! change log's base to the oldest retained generation, recovery
+//! restores the newest valid generation and replays the log past that
+//! base, and injected disk faults (torn writes, corruption) degrade to
+//! an older generation or a refused commit — never to a wrong answer.
 //!
 //! Every fault sequence is either deterministic on-disk damage or a
 //! fixed-seed injector, so failures reproduce exactly.
 
-use elga::core::program::{ExecutionMode, RunOptions};
+use elga::core::program::{ExecutionMode, ProgramSpec, RunOptions};
 use elga::graph::reference;
-use elga::net::{DiskFault, NetError};
+use elga::net::{DiskFault, NetError, SplitMix64};
 use elga::prelude::*;
+use std::collections::HashSet;
 use std::fs;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -172,8 +173,8 @@ fn crash_after_checkpoint_replays_only_the_suffix() {
 /// Shared body for the torn-generation fallback tests: commit two
 /// generations, tear every shard of the newest (exactly what a crash
 /// mid-checkpoint-write leaves behind), crash an agent mid-run, and
-/// require recovery to fall back one generation, replay the longer
-/// suffix, and land bit-exact on an undisturbed run's states.
+/// require recovery to fall back one generation, replay the log onto
+/// it, and land bit-exact on an undisturbed run's states.
 fn torn_generation_falls_back(mode: ExecutionMode, tag: &str) {
     let dir = ckpt_dir(tag);
     let edges = chain_graph(600);
@@ -207,7 +208,7 @@ fn torn_generation_falls_back(mode: ExecutionMode, tag: &str) {
         .expect("run must complete despite crash and torn checkpoint");
 
     // The newest generation failed validation, so recovery fell back a
-    // generation and replayed the longer suffix (batches b and c).
+    // generation and replayed the log since it (batches b and c).
     let rec = cluster.recovery_stats();
     assert_eq!(rec.ckpt_restores, 1);
     assert_eq!(rec.ckpt_fallbacks, 1);
@@ -326,38 +327,6 @@ fn all_generations_damaged_with_truncated_log_fails_fast() {
     );
     cluster.shutdown();
     let _ = fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn crash_without_log_or_checkpoint_fails_fast_not_timeout() {
-    // retain_change_log = false and no checkpoint directory: an agent
-    // crash is unrecoverable by construction. The driver must say so
-    // immediately — the seed behavior was a quiesce-deadline timeout
-    // that looked like a hang and hid the misconfiguration.
-    let cfg = SystemConfig {
-        retain_change_log: false,
-        ..recovery_config()
-    };
-    let run_deadline = cfg.run_deadline;
-    let mut cluster = Cluster::builder().agents(4).config(cfg).build();
-    cluster.ingest_edges(chain_graph(300).iter().copied());
-
-    let started = std::time::Instant::now();
-    let handle = cluster
-        .start_run(Wcc::new(), RunOptions::default())
-        .expect("start run");
-    let victim = cluster.agent_ids()[1];
-    cluster.kill_agent(victim);
-    let err = cluster.wait_run(handle).expect_err("recovery must fail");
-    assert!(
-        matches!(err, NetError::RecoveryUnavailable(_)),
-        "expected RecoveryUnavailable, got {err:?}"
-    );
-    assert!(
-        started.elapsed() < run_deadline / 2,
-        "must fail fast, not ride out a deadline"
-    );
-    cluster.shutdown();
 }
 
 #[test]
@@ -570,4 +539,133 @@ fn replayed_suffix_regenerates_residual_corrections() {
         );
     }
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// The shared churn fixture: a checkpoint, churn past it that compacts
+/// the change log with its deletes kept, and an agent killed mid-run of
+/// `program`. Past the checkpoint a slab of fresh chords is inserted
+/// and deleted four times over (32 Ki deletes, so the log compacts to
+/// each edge's last change), every chord the checkpoint holds is
+/// deleted, and half the slab comes back. Every vertex keeps its ring
+/// edges, so none turns into a sink. A run that reuses state gets a
+/// full run before the checkpoint. Returns the recovered cluster and
+/// the final edge set.
+fn churn_past_a_checkpoint_then_kill(
+    tag: &str,
+    program: impl Into<ProgramSpec>,
+    options: RunOptions,
+) -> (Cluster, HashSet<(u64, u64)>) {
+    const N: u64 = 1_000;
+    const SLAB: usize = 8 << 10;
+    let dir = ckpt_dir(tag);
+    let program = program.into();
+    let base = chain_graph(N);
+    let mut edges: HashSet<(u64, u64)> = base.iter().copied().collect();
+    let mut rng = SplitMix64::new(0x5EED);
+    let mut slab = Vec::with_capacity(SLAB);
+    let mut used = edges.clone();
+    while slab.len() < SLAB {
+        let (u, v) = (rng.below(N), rng.below(N));
+        if u != v && used.insert((u, v)) {
+            slab.push((u, v));
+        }
+    }
+    let cut: Vec<(u64, u64)> = base
+        .iter()
+        .copied()
+        .filter(|&(u, v)| v != (u + 1) % N)
+        .collect();
+
+    let mut cluster = Cluster::builder()
+        .agents(4)
+        .config(recovery_config())
+        .checkpoints(&dir)
+        .build();
+    cluster.ingest_edges(base.iter().copied());
+    if options.reuse_state {
+        cluster.run(program.clone()).expect("full run");
+    }
+    assert!(cluster.checkpoint().expect("checkpoint").committed);
+    let insert = |&(u, v): &(u64, u64)| EdgeChange::insert(u, v);
+    let delete = |&(u, v): &(u64, u64)| EdgeChange::delete(u, v);
+    let mut churn = Vec::new();
+    for _ in 0..4 {
+        churn.extend(slab.iter().map(insert));
+        churn.extend(slab.iter().map(delete));
+    }
+    churn.extend(cut.iter().map(delete));
+    let back = &slab[..SLAB / 2];
+    churn.extend(back.iter().map(insert));
+    cluster.ingest(churn.iter().copied());
+    let since = churn.len() as u64;
+    for e in &cut {
+        edges.remove(e);
+    }
+    edges.extend(back);
+    let log = cluster.change_log_stats();
+    assert!(
+        log.base > 0 && log.retained < since,
+        "the log never compacted"
+    );
+
+    let handle = cluster.start_run(program, options).expect("start run");
+    let victim = cluster.agent_ids()[1];
+    cluster.kill_agent(victim);
+    cluster
+        .wait_run(handle)
+        .expect("run must complete despite the crash");
+    let rec = cluster.recovery_stats();
+    assert_eq!((rec.recoveries, rec.ckpt_restores), (1, 1));
+    assert!(
+        rec.replayed_records < since,
+        "{} records replayed for {since} ingested since the checkpoint",
+        rec.replayed_records
+    );
+    let _ = fs::remove_dir_all(&dir);
+    (cluster, edges)
+}
+
+#[test]
+fn killed_agent_after_a_compaction_past_a_checkpoint_recovers_the_final_edge_set() {
+    let (cluster, edges) =
+        churn_past_a_checkpoint_then_kill("churn-wcc", Wcc::new(), RunOptions::default());
+    assert_eq!(
+        cluster.metrics().edges,
+        edges.len() as u64,
+        "the final edge set"
+    );
+    let truth = reference::wcc(edges.iter().copied());
+    let got = cluster.dump_states();
+    for (v, label) in &truth {
+        assert_eq!(got.get(v), Some(label), "wcc v{v}");
+    }
+    cluster.shutdown();
+}
+
+#[test]
+fn delta_pagerank_after_a_compaction_past_a_checkpoint_matches_a_full_recompute() {
+    // The replay applies each edge's last change in edge order, not in
+    // stream order; the residual corrections it regenerates must not
+    // depend on that order.
+    let pr = PageRank::new(0.85)
+        .with_max_iters(300)
+        .with_tolerance(1e-10);
+    let options = RunOptions {
+        reuse_state: true,
+        mode: ExecutionMode::Sync,
+    };
+    let (cluster, edges) = churn_past_a_checkpoint_then_kill("churn-pr", pr, options);
+    let got = cluster.dump_states();
+    cluster.shutdown();
+
+    let mut clean = Cluster::builder().agents(4).build();
+    clean.ingest_edges(edges.iter().copied());
+    clean.run(pr).expect("full recompute");
+    let want = clean.dump_states();
+    clean.shutdown();
+    assert_eq!(got.len(), want.len());
+    for (v, &bits) in &want {
+        let (w, g) = (f64::from_bits(bits), f64::from_bits(got[v]));
+        assert!((w - g).abs() < 1e-5, "v{v} full={w} incremental={g}");
+    }
 }
