@@ -14,6 +14,9 @@
 #                           writes in the non-test part of `lead.rs`:
 #                           the lead's IO belongs to its shell
 #                           (`directory::lead_loop`)
+#   config_knobs            the `pub` fields of `SystemConfig` that are
+#                           not `#[deprecated]`: a new knob is an edit
+#                           to this file a reviewer sees
 set -eu
 lines=$(find crates/core/src -name '*.rs' -print0 | xargs -0 cat | wc -l)
 nontest() {
@@ -24,6 +27,11 @@ graph_nontest=$(nontest crates/graph/src)
 kinds=$(awk '/^pub mod packet/,/^}/' crates/core/src/msg.rs | grep -c 'pub const [A-Z_0-9]*: u8')
 lead_io=$(awk '/^#\[cfg\(test\)\]/ { exit } { print }' crates/core/src/lead.rs |
     grep -cE 'Instant::now|\.elapsed\(\)|std::thread|Transport|Publisher|Mailbox|eprintln!' || true)
+knobs=$(awk '/^pub struct SystemConfig/ { on = 1; next }
+    on && /^}/ { exit }
+    on && /#\[deprecated/ { old = 1; next }
+    on && /^    pub [a-z_0-9]+:/ { if (!old) n++; old = 0 }
+    END { print n + 0 }' crates/core/src/config.rs)
 status=0
 while read -r name ceiling; do
     case "$name" in
@@ -32,6 +40,7 @@ while read -r name ceiling; do
         graph_src_nontest_lines) got=$graph_nontest ;;
         packet_kinds) got=$kinds ;;
         lead_io_sites) got=$lead_io ;;
+        config_knobs) got=$knobs ;;
         *) continue ;;
     esac
     echo "$name $got (ceiling $ceiling)"

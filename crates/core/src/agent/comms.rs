@@ -249,16 +249,12 @@ impl Agent {
     pub(super) fn flush_metrics(&mut self, force: bool) {
         if force || self.metrics_flushed.elapsed() > Duration::from_millis(100) {
             self.metrics_flushed = Instant::now();
-            let (mut hits, mut misses) = self.route_cache.stats();
-            for c in &self.worker_caches {
-                let (h, m) = c.stats();
-                hits += h;
-                misses += m;
-            }
+            let (hits, misses) = self.route_cache.stats();
             self.metrics.owner_cache_hits = hits;
             self.metrics.owner_cache_misses = misses;
             self.metrics.edges = self.vertices.held()[0] as u64;
             self.metrics.store_bytes = self.vertices.heap_bytes() as u64;
+            self.metrics.owner_cache_bytes = self.route_cache.heap_bytes() as u64;
             self.metrics.comms = self.comms_snapshot();
             let _ = self.dir_push.send(self.metrics.encode());
         }

@@ -22,9 +22,9 @@ struct Swept {
 
 impl Agent {
     /// The one place a view is taken on: the locator is rebuilt from it
-    /// and every owner memo follows it to its epoch, so a memo's epoch
-    /// is the view's wherever a lookup happens. What the memos keep
-    /// across the change is theirs to say ([`OwnerCache::adopt_epoch`]).
+    /// and the owner memo follows it to its epoch, so the memo's epoch
+    /// is the view's wherever a lookup happens. What the memo keeps
+    /// across the change is its own to say ([`OwnerCache::adopt_epoch`]).
     /// The target table keeps nothing: its generation bump outdates
     /// every edge memo and placement stamp at once, and the migration
     /// sweep that follows a view — the only caller outside recovery —
@@ -33,9 +33,6 @@ impl Agent {
         self.targets.clear();
         self.locator = view.locator();
         view.advance_memo(&mut self.route_cache);
-        for cache in &mut self.worker_caches {
-            view.advance_memo(cache);
-        }
         self.view = view;
     }
 

@@ -1,5 +1,5 @@
-//! Agents: the workers that hold the graph and run vertex programs
-//! (paper §3.4).
+//! Agents: the single-threaded participants that hold the graph and
+//! run vertex programs (paper §3.4).
 //!
 //! "Agents are responsible for holding the graph in memory and carrying
 //! out the computation on the graph. ... They operate as a state
@@ -34,7 +34,8 @@
 //! * [`ingest`] — graph changes: edge insert and removal, change
 //!   application and forwarding, degree deltas.
 //! * [`superstep`] — the sync phase kernels (scatter/combine/apply),
-//!   the parallel shard workers, and the async event-driven mode.
+//!   run shard by shard on the agent thread, and the async
+//!   event-driven mode.
 //! * [`migrate`] — view adoption and edge/meta migration.
 //! * [`recovery`] — heartbeats and the peer-loss reset.
 
@@ -280,12 +281,9 @@ pub struct Agent {
     /// Where each local edge's scatter message lands, and this step's
     /// combined value per destination row (agent thread only).
     targets: TargetTable,
-    /// Resolved superstep worker count.
-    workers: usize,
-    /// Owner cache for serial paths (change apply, migration, async).
+    /// The agent's one owner memo: change apply, the superstep kernels,
+    /// the placement sweep and the async handlers all ask it.
     route_cache: OwnerCache,
-    /// One owner cache per worker, used by the parallel kernels.
-    worker_caches: Vec<OwnerCache>,
     scratch: StepScratch,
     ingest_scratch: IngestScratch,
     counters: Counters,
@@ -440,14 +438,8 @@ impl Agent {
         view: DirectoryView,
     ) -> Agent {
         let locator = view.locator();
-        let workers = cfg.workers_effective();
-        let new_cache = || {
-            let mut cache = OwnerCache::new();
-            view.advance_memo(&mut cache);
-            cache
-        };
-        let (route_cache, worker_caches) =
-            (new_cache(), (0..workers).map(|_| new_cache()).collect());
+        let mut route_cache = OwnerCache::new();
+        view.advance_memo(&mut route_cache);
         Agent {
             id,
             cfg: cfg.clone(),
@@ -461,10 +453,8 @@ impl Agent {
             net: Arc::new(NetStats::default()),
             vertices: VertexStore::default(),
             targets: TargetTable::default(),
-            workers,
             route_cache,
-            worker_caches,
-            scratch: StepScratch::new(),
+            scratch: StepScratch::default(),
             ingest_scratch: IngestScratch::default(),
             counters: Counters::default(),
             metrics: AgentMetrics {
@@ -677,10 +667,9 @@ impl Agent {
         let Some(run) = self.run.as_ref() else {
             return 0.0;
         };
-        // Folded in shard order (VertexStore iteration), so the f64 sum
-        // is identical for any worker count. An entry a kernel stamped
-        // home is a primary without a ring search; anything else asks
-        // the ring.
+        // Folded in shard order (VertexStore iteration). An entry a
+        // kernel stamped home is a primary without a ring search;
+        // anything else asks the ring.
         let mut contrib = 0.0;
         let mut n_primary = 0;
         let generation = self.targets.generation();

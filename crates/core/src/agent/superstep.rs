@@ -1,17 +1,17 @@
 //! Superstep execution: the sync scatter/combine/apply phases, the
-//! parallel shard kernels, the message handlers that feed them, and
-//! the async event-driven mode.
+//! shard kernels, the message handlers that feed them, and the async
+//! event-driven mode.
 
 use super::*;
 
-/// One shard's kernel output. The batch maps are merged (in shard
-/// order, for determinism) before encoding; all inner `Vec`s are
+/// What one superstep kernel emits, kept on the agent: every buffer is
 /// cleared but never dropped, so steady-state supersteps allocate
-/// nothing.
+/// nothing. Shards append in shard order, so each destination's records
+/// leave in that order.
 #[derive(Default)]
-struct ShardOut {
-    /// Scatter's one output run: `(target-table slot, value)` per edge
-    /// a firing vertex sent along, in kernel order.
+pub(super) struct StepScratch {
+    /// Scatter's output run of the shard at hand: `(target-table slot,
+    /// value)` per edge a firing vertex sent along, in kernel order.
     slots: Vec<(u32, u64)>,
     /// Edges of `slots` whose memo was filled this step (their owner
     /// lookups were counted by the cache itself).
@@ -20,8 +20,7 @@ struct ShardOut {
     msgs: FxHashMap<AgentId, Vec<(VertexId, u64)>>,
     /// State broadcasts (apply).
     states: FxHashMap<AgentId, Vec<StateRecord>>,
-    /// Dangling-mass change from this step's folds (delta apply);
-    /// summed in shard order for determinism.
+    /// Dangling-mass change from the shard's folds (delta apply).
     dangling: f64,
     /// Primaries the apply kernel left active for the next scatter.
     active: u64,
@@ -34,24 +33,7 @@ struct ShardOut {
 /// loops that can run long without returning to `run_loop`.
 const READ_YIELD: usize = 1024;
 
-/// Reusable per-superstep buffers, indexed like the vertex shards.
-#[derive(Default)]
-pub(super) struct StepScratch {
-    per_shard: Vec<ShardOut>,
-    merged: FxHashMap<AgentId, Vec<(VertexId, u64)>>,
-    merged_states: FxHashMap<AgentId, Vec<StateRecord>>,
-}
-
-impl StepScratch {
-    pub(super) fn new() -> Self {
-        StepScratch {
-            per_shard: (0..SHARDS).map(|_| ShardOut::default()).collect(),
-            ..Default::default()
-        }
-    }
-}
-
-/// Shared read-only context handed to the parallel shard kernels.
+/// Read-only context of one kernel call.
 #[derive(Clone, Copy)]
 pub(super) struct KernelCtx<'a> {
     program: &'a dyn VertexProgram,
@@ -211,16 +193,12 @@ impl Agent {
         self.send_ready(run.info.run_id, run.step, run.phase, active, contrib);
     }
 
-    /// Run one superstep kernel over all vertex shards on the worker
-    /// pool, then merge and send the per-shard batches. With `sweep`
-    /// the kernel visits every entry; otherwise it drains the phase's
-    /// worklist, so the step costs O(frontier). Returns the number of
+    /// Run one superstep kernel over the vertex shards in index order,
+    /// then send what it emitted. With `sweep` the kernel visits every
+    /// entry; otherwise it drains the phase's worklist, so the step
+    /// costs O(frontier). Reads are served after every shard that had
+    /// work (DESIGN.md "Reads inside kernels"). Returns the number of
     /// primaries an apply kernel left active.
-    ///
-    /// Determinism: the shard count is fixed (independent of the worker
-    /// count), each shard is processed by exactly one worker, and the
-    /// per-shard batches are merged in shard index order — so the
-    /// per-destination byte streams are identical for any worker count.
     fn run_kernel(&mut self, phase: Phase, sweep: bool) -> u64 {
         let run = self.run.as_ref().expect("kernel without run");
         let program = run.program.clone();
@@ -232,124 +210,50 @@ impl Agent {
         let (my_id, scatter_all) = (self.id, program.scatter_all());
         let generation = self.targets.generation();
         let prev_n = self.delta_seed.as_ref().map_or(0, |s| s.n);
-        // Built where it is used, not held: the serial path hands
-        // `self` to the read server between shards.
-        macro_rules! ctx {
-            () => {
-                KernelCtx {
-                    program: &*program,
-                    locator: &self.locator,
-                    sketch: &self.view.sketch,
-                    my_id,
-                    generation,
-                    n_vertices,
-                    step,
-                    sweep,
-                    scatter_all,
-                    reuse,
-                    global,
-                    delta,
-                    prev_n,
-                    dangling_base,
-                }
-            };
-        }
-        // Worker choice follows the work: a small frontier on a large
-        // store runs serially, since thread-spawn overhead would dwarf
-        // the kernel. Harmless for determinism — output bytes do not
-        // depend on the worker count.
-        let work = if sweep {
-            self.vertices.len()
-        } else {
-            let shards = self.vertices.shards().iter();
-            shards.map(|s| worklist_len(phase, &s.lists)).sum()
-        };
-        let workers = if work < 1024 {
-            1
-        } else {
-            self.workers.clamp(1, SHARDS)
-        };
-        if workers == 1 {
-            // Serial fast path: no thread spawn overhead. Reads are
-            // served after every shard that had work (DESIGN.md "Reads
-            // inside kernels").
-            for i in 0..SHARDS {
-                let shard = &mut self.vertices.shards_mut()[i];
-                let busy = sweep || worklist_len(phase, &shard.lists) > 0;
-                let (cache, out) = (&mut self.worker_caches[0], &mut self.scratch.per_shard[i]);
-                // The agent thread runs the kernel: a stale edge memo
-                // is refilled where it is met.
-                let table = (phase == Phase::Scatter).then_some(&mut self.targets);
-                kernel_shard(phase, ctx!(), cache, table, shard, out);
-                if phase == Phase::Scatter {
-                    self.fold_scatter_run(i, 0, &*program);
-                }
-                if busy {
-                    self.serve_reads();
-                }
-            }
-        } else {
-            let ctx = ctx!();
-            let chunk = SHARDS.div_ceil(workers);
-            if phase == Phase::Scatter {
-                // Workers never touch the table: every memo the step
-                // will read is made current first, serially.
-                let shards = self.vertices.shards_mut().iter_mut();
-                for (i, (shard, out)) in shards.zip(&mut self.scratch.per_shard).enumerate() {
-                    let cache = &mut self.worker_caches[i / chunk];
-                    refresh_shard(ctx, cache, &mut self.targets, shard, out);
-                }
-            }
-            let shards = self.vertices.shards_mut();
-            let outs = &mut self.scratch.per_shard;
-            let caches = &mut self.worker_caches;
-            std::thread::scope(|scope| {
-                let work = shards
-                    .chunks_mut(chunk)
-                    .zip(outs.chunks_mut(chunk))
-                    .zip(caches.iter_mut());
-                for ((sh, outs), cache) in work {
-                    scope.spawn(move || {
-                        for (shard, out) in sh.iter_mut().zip(outs.iter_mut()) {
-                            kernel_shard(phase, ctx, cache, None, shard, out);
-                        }
-                    });
-                }
-            });
-            if phase == Phase::Scatter {
-                // Shard-index order, as the serial path folds: the same
-                // sequence of combines for any worker count.
-                for i in 0..SHARDS {
-                    self.fold_scatter_run(i, i / chunk, &*program);
-                }
-            }
-        }
-        // Shard-order sums: deterministic for any worker count.
-        let mut active = 0;
         let mut dangling = 0.0;
-        for out in &mut self.scratch.per_shard {
-            self.metrics.kernel_visits += std::mem::take(&mut out.visits);
-            active += std::mem::take(&mut out.active);
-            dangling += std::mem::take(&mut out.dangling);
+        for i in 0..SHARDS {
+            let shard = &mut self.vertices.shards_mut()[i];
+            let busy = sweep || worklist_len(phase, &shard.lists) > 0;
+            let ctx = KernelCtx {
+                program: &*program,
+                locator: &self.locator,
+                sketch: &self.view.sketch,
+                my_id,
+                generation,
+                n_vertices,
+                step,
+                sweep,
+                scatter_all,
+                reuse,
+                global,
+                delta,
+                prev_n,
+                dangling_base,
+            };
+            let (cache, table) = (&mut self.route_cache, &mut self.targets);
+            kernel_shard(phase, ctx, cache, table, shard, &mut self.scratch);
+            if phase == Phase::Scatter {
+                self.fold_scatter_run(&*program);
+            }
+            // Summed within the shard, then across shards: the
+            // association PageRank's bits are pinned under.
+            dangling += std::mem::take(&mut self.scratch.dangling);
+            if busy {
+                self.serve_reads();
+            }
         }
+        self.metrics.kernel_visits += std::mem::take(&mut self.scratch.visits);
+        let active = std::mem::take(&mut self.scratch.active);
         if phase == Phase::Apply {
             self.dangling_acc += dangling;
         }
-        // Merge per-shard batches in shard index order: each
-        // destination's messages end up in the same order no matter how
-        // many workers produced them, and leave as runs through its
-        // coalescing outbox, which keeps that order exactly.
+        // Each destination's batch holds its records in shard order and
+        // leaves as runs through its coalescing outbox, which keeps that
+        // order exactly.
         match phase {
             Phase::Apply => {
-                let mut merged = std::mem::take(&mut self.scratch.merged_states);
-                for out in &mut self.scratch.per_shard {
-                    for (&agent, recs) in out.states.iter_mut() {
-                        if !recs.is_empty() {
-                            merged.entry(agent).or_default().append(recs);
-                        }
-                    }
-                }
-                for (&agent, recs) in merged.iter_mut() {
+                let mut states = std::mem::take(&mut self.scratch.states);
+                for (&agent, recs) in states.iter_mut() {
                     if recs.is_empty() {
                         continue;
                     }
@@ -359,7 +263,7 @@ impl Agent {
                     });
                     recs.clear();
                 }
-                self.scratch.merged_states = merged;
+                self.scratch.states = states;
             }
             Phase::Scatter => {
                 // One record per touched row, in first-touch order:
@@ -387,40 +291,31 @@ impl Agent {
                 self.run.as_mut().expect("run").scatter_sent = sent;
             }
             _ => {
-                let mut merged = std::mem::take(&mut self.scratch.merged);
-                for out in &mut self.scratch.per_shard {
-                    for (&agent, msgs) in out.msgs.iter_mut() {
-                        if !msgs.is_empty() {
-                            merged.entry(agent).or_default().append(msgs);
-                        }
-                    }
-                }
-                for (&agent, msgs) in merged.iter_mut() {
-                    if msgs.is_empty() {
+                let mut msgs = std::mem::take(&mut self.scratch.msgs);
+                for (&agent, recs) in msgs.iter_mut() {
+                    if recs.is_empty() {
                         continue;
                     }
-                    self.counters.part_sent += msgs.len() as u64;
-                    self.send_records(agent, msgs, |out, block| {
+                    self.counters.part_sent += recs.len() as u64;
+                    self.send_records(agent, recs, |out, block| {
                         msg::append_partials(out, run_id, step, block)
                     });
-                    msgs.clear();
+                    recs.clear();
                 }
-                self.scratch.merged = merged;
+                self.scratch.msgs = msgs;
             }
         }
         active
     }
 
-    /// Fold shard `shard`'s scatter run into the target table's
-    /// accumulators — the agent thread's half of scatter, looking at
-    /// the mailbox for reads between blocks — and credit the worker
-    /// cache with the edges served from their memos: a slot is the
-    /// cache's answer kept beside the edge.
-    fn fold_scatter_run(&mut self, shard: usize, cache: usize, program: &dyn VertexProgram) {
-        let out = &mut self.scratch.per_shard[shard];
-        let mut run = std::mem::take(&mut out.slots);
-        let served = run.len() as u64 - std::mem::take(&mut out.refreshed);
-        self.worker_caches[cache].count_hits(served);
+    /// Fold the shard's scatter run into the target table's
+    /// accumulators, looking at the mailbox for reads between blocks,
+    /// and credit the owner cache with the edges served from their
+    /// memos: a slot is the cache's answer kept beside the edge.
+    fn fold_scatter_run(&mut self, program: &dyn VertexProgram) {
+        let mut run = std::mem::take(&mut self.scratch.slots);
+        let served = run.len() as u64 - std::mem::take(&mut self.scratch.refreshed);
+        self.route_cache.count_hits(served);
         for (i, block) in run.chunks(READ_YIELD).enumerate() {
             if i > 0 {
                 self.serve_reads();
@@ -429,7 +324,7 @@ impl Agent {
         }
         // Hand the buffer back so its capacity is reused.
         run.clear();
-        self.scratch.per_shard[shard].slots = run;
+        self.scratch.slots = run;
     }
 
     /// Hand `recs` to `agent`'s outbox a block at a time, looking at
@@ -1191,16 +1086,15 @@ fn worklist_len(phase: Phase, lists: &Worklists) -> usize {
     }
 }
 
-/// Dispatch one shard through the kernel for `phase`. Runs on a worker
-/// thread; touches only its own shard, output slot, and owner cache —
-/// and the target table when the agent thread itself runs a scatter.
+/// Dispatch one shard through the kernel for `phase`; only a scatter
+/// touches the target table.
 fn kernel_shard(
     phase: Phase,
     ctx: KernelCtx<'_>,
     cache: &mut OwnerCache,
-    table: Option<&mut TargetTable>,
+    table: &mut TargetTable,
     shard: &mut Shard,
-    out: &mut ShardOut,
+    out: &mut StepScratch,
 ) {
     // A list-driven scatter or apply is exact only if the lists are
     // complete; debug builds (the whole test suite) prove it each time.
@@ -1221,9 +1115,9 @@ fn kernel_shard(
 fn scatter_shard(
     ctx: KernelCtx<'_>,
     cache: &mut OwnerCache,
-    mut table: Option<&mut TargetTable>,
+    table: &mut TargetTable,
     shard: &mut Shard,
-    out: &mut ShardOut,
+    out: &mut StepScratch,
 ) {
     let Shard { map, lists } = shard;
     if ctx.sweep {
@@ -1231,7 +1125,7 @@ fn scatter_shard(
         lists.scatter.clear();
         out.visits += map.len() as u64;
         for (&v, e) in map.iter_mut() {
-            scatter_vertex(ctx, cache, table.as_deref_mut(), v, e, out);
+            scatter_vertex(ctx, cache, table, v, e, out);
         }
         return;
     }
@@ -1241,50 +1135,25 @@ fn scatter_shard(
     out.visits += list.len() as u64;
     for v in list.drain(..) {
         if let Some(e) = map.get_mut(&v) {
-            scatter_vertex(ctx, cache, table.as_deref_mut(), v, e, out);
+            scatter_vertex(ctx, cache, table, v, e, out);
         }
     }
     // Hand the (drained) buffer back so its capacity is reused.
     lists.scatter = list;
 }
 
-/// The parallel path's serial pass over what a scatter is about to
-/// visit: workers cannot touch the table, so every edge memo they will
-/// read is made current before they start.
-fn refresh_shard(
-    ctx: KernelCtx<'_>,
-    cache: &mut OwnerCache,
-    table: &mut TargetTable,
-    shard: &mut Shard,
-    out: &mut ShardOut,
-) {
-    let Shard { map, lists } = shard;
-    if ctx.sweep {
-        for (&v, e) in map.iter_mut() {
-            scatter_values(ctx, cache, Some(table), v, e, out);
-        }
-        return;
-    }
-    for v in &lists.scatter {
-        if let Some(e) = map.get_mut(v) {
-            scatter_values(ctx, cache, Some(table), *v, e, out);
-        }
-    }
-}
-
 /// What `v` sends this step along its out- and its in-edges (`None`:
 /// nothing along that side), with its edge memo made to cover the
 /// sides that fire. The one place scatter asks where an edge's message
 /// goes: a memo of another generation, or one a mutator dropped, is
-/// refilled through the owner cache into `table` — which only the
-/// agent thread can hand in.
+/// refilled through the owner cache into `table`.
 fn scatter_values(
     ctx: KernelCtx<'_>,
     cache: &mut OwnerCache,
-    table: Option<&mut TargetTable>,
+    table: &mut TargetTable,
     v: VertexId,
     e: &mut VertexEntry,
-    out: &mut ShardOut,
+    out: &mut StepScratch,
 ) -> (Option<u64>, Option<u64>) {
     let program = ctx.program;
     let vctx = VertexCtx {
@@ -1321,7 +1190,6 @@ fn scatter_values(
     // vertex scatters along it.
     restamp(ctx, cache, v, e);
     if e.slots.len() < needed {
-        let table = table.expect("a worker met an edge memo the serial pass left stale");
         let mut fill = |from: usize, side: &[VertexId], fires: bool| {
             if e.slots.len() == from {
                 e.slots.extend(side.iter().map(|&w| {
@@ -1349,10 +1217,10 @@ fn scatter_values(
 fn scatter_vertex(
     ctx: KernelCtx<'_>,
     cache: &mut OwnerCache,
-    table: Option<&mut TargetTable>,
+    table: &mut TargetTable,
     v: VertexId,
     e: &mut VertexEntry,
-    out: &mut ShardOut,
+    out: &mut StepScratch,
 ) {
     let (along_out, along_in) = scatter_values(ctx, cache, table, v, e, out);
     e.active = false;
@@ -1450,7 +1318,12 @@ fn combine_shard(
 /// Apply one shard's primaries and queue state broadcasts to their
 /// replica sets: every entry on a sweep, the sorted apply worklist
 /// (the vertices that received partials) otherwise.
-fn apply_shard(ctx: KernelCtx<'_>, cache: &mut OwnerCache, shard: &mut Shard, out: &mut ShardOut) {
+fn apply_shard(
+    ctx: KernelCtx<'_>,
+    cache: &mut OwnerCache,
+    shard: &mut Shard,
+    out: &mut StepScratch,
+) {
     let Shard { map, lists } = shard;
     if ctx.sweep {
         // The sweep consumes every `has_ppartial` the list mirrors.
@@ -1487,7 +1360,7 @@ fn apply_vertex(
     v: VertexId,
     e: &mut VertexEntry,
     lists: &mut Worklists,
-    out: &mut ShardOut,
+    out: &mut StepScratch,
 ) {
     let program = ctx.program;
     if !(e.is_meta || e.has_ppartial) {
@@ -1809,30 +1682,26 @@ mod tests {
     ) -> (Msgs, States, u64, u64) {
         let (locator, sketch) = placement();
         let ctx = kernel_ctx(program, &locator, &sketch, sweep);
-        let mut cache = OwnerCache::new();
-        let mut table = TargetTable::default();
-        let (mut msgs, mut states) = (Msgs::new(), States::new());
-        let (mut active, mut visits) = (0, 0);
+        let (mut cache, mut table) = (OwnerCache::new(), TargetTable::default());
+        let mut out = StepScratch::default();
         for shard in store.shards_mut() {
-            let mut out = ShardOut::default();
-            kernel_shard(phase, ctx, &mut cache, Some(&mut table), shard, &mut out);
+            kernel_shard(phase, ctx, &mut cache, &mut table, shard, &mut out);
             table.accumulate(&out.slots, |a, b| program.combine(a, b));
-            for (agent, recs) in out.msgs {
-                msgs.extend(recs.into_iter().map(|(v, x)| (agent, v, x)));
-            }
-            for (agent, recs) in out.states {
-                states.extend(
-                    recs.into_iter()
-                        .map(|r| (agent, r.vertex, r.state, r.out_degree, r.aux, r.active)),
-                );
-            }
-            active += out.active;
-            visits += out.visits;
+            out.slots.clear();
         }
-        msgs.extend(table.flushed());
+        let mut msgs: Msgs = table.flushed();
+        for (agent, recs) in out.msgs {
+            msgs.extend(recs.into_iter().map(|(v, x)| (agent, v, x)));
+        }
+        let mut states: States = (out.states.into_iter())
+            .flat_map(|(agent, recs)| {
+                recs.into_iter()
+                    .map(move |r| (agent, r.vertex, r.state, r.out_degree, r.aux, r.active))
+            })
+            .collect();
         msgs.sort_unstable();
         states.sort_unstable();
-        (msgs, states, active, visits)
+        (msgs, states, out.active, out.visits)
     }
 
     /// Everything a later kernel could observe of an entry.
@@ -1882,12 +1751,10 @@ mod tests {
         }
     }
 
-    /// One scatter over `store` the way `run_kernel` drives it with
-    /// `workers` workers — the agent thread refreshing inline, or a
-    /// serial refresh pass ahead of table-less kernels, then the fold
-    /// in shard order either way — as the VMSG frames it would send.
+    /// One scatter over `store` the way `run_kernel` drives it — each
+    /// shard's run folded into the table after its kernel — as the VMSG
+    /// frames it would send.
     fn scatter_frames(
-        workers: usize,
         sweep: bool,
         program: &dyn VertexProgram,
         store: &mut VertexStore,
@@ -1895,29 +1762,12 @@ mod tests {
     ) -> Vec<(AgentId, Frame)> {
         let (locator, sketch) = placement();
         let ctx = kernel_ctx(program, &locator, &sketch, sweep);
-        let mut caches: Vec<OwnerCache> = (0..workers).map(|_| OwnerCache::new()).collect();
-        let chunk = SHARDS.div_ceil(workers);
-        let mut outs: Vec<ShardOut> = (0..SHARDS).map(|_| ShardOut::default()).collect();
-        let shards = store.shards_mut();
-        if workers > 1 {
-            for (i, (shard, out)) in shards.iter_mut().zip(&mut outs).enumerate() {
-                refresh_shard(ctx, &mut caches[i / chunk], table, shard, out);
-            }
-        }
-        for (i, (shard, out)) in shards.iter_mut().zip(&mut outs).enumerate() {
-            let inline = (workers == 1).then_some(&mut *table);
-            kernel_shard(
-                Phase::Scatter,
-                ctx,
-                &mut caches[i / chunk],
-                inline,
-                shard,
-                out,
-            );
-        }
-        for out in &outs {
-            assert!(out.refreshed <= out.slots.len() as u64);
+        let (mut cache, mut out) = (OwnerCache::new(), StepScratch::default());
+        for shard in store.shards_mut() {
+            kernel_shard(Phase::Scatter, ctx, &mut cache, table, shard, &mut out);
+            assert!(std::mem::take(&mut out.refreshed) <= out.slots.len() as u64);
             table.accumulate(&out.slots, |a, b| program.combine(a, b));
+            out.slots.clear();
         }
         // One frame per destination, records in flush order.
         let flushed = table.flushed();
@@ -1933,8 +1783,8 @@ mod tests {
     /// The scatter kernel against the per-message routing it replaced:
     /// per `(destination, target)` the one flushed value is `combine`
     /// folded over what each edge would have sent there, for unsplit
-    /// and split targets alike; a row no edge touched emits nothing;
-    /// and the bytes do not depend on how many workers ran.
+    /// and split targets alike; and a row no edge touched emits
+    /// nothing.
     #[test]
     fn scatter_combines_per_target_row_what_per_edge_routing_sent() {
         let wcc = Wcc::new();
@@ -1996,31 +1846,17 @@ mod tests {
             let got = run(Phase::Scatter, false, program, &mut store);
             assert_same_msgs(&got.0, &model, delta, what);
 
-            // Bytes: any worker count, list-driven or sweeping; and a
-            // second scatter of the same store — every flag consumed,
-            // every row still in the table — sends nothing.
+            // List-driven or sweeping, a second scatter of the same
+            // store — every flag consumed, every row still in the
+            // table — sends nothing.
             for sweep in [false, true] {
-                let frames: Vec<Vec<(AgentId, Frame)>> = [1, 2, 4]
-                    .into_iter()
-                    .map(|workers| {
-                        let mut store = flagged_store(Phase::Scatter, delta);
-                        let mut table = TargetTable::default();
-                        let first = scatter_frames(workers, sweep, program, &mut store, &mut table);
-                        assert!(table.len() >= model.len());
-                        let again = scatter_frames(workers, sweep, program, &mut store, &mut table);
-                        assert!(again.is_empty(), "{what}: an untouched row was flushed");
-                        first
-                    })
-                    .collect();
-                assert!(!frames[0].is_empty(), "{what}: nothing was sent");
-                assert_eq!(
-                    frames[0], frames[1],
-                    "{what}: 1 vs 2 workers, sweep {sweep}"
-                );
-                assert_eq!(
-                    frames[0], frames[2],
-                    "{what}: 1 vs 4 workers, sweep {sweep}"
-                );
+                let mut store = flagged_store(Phase::Scatter, delta);
+                let mut table = TargetTable::default();
+                let first = scatter_frames(sweep, program, &mut store, &mut table);
+                assert!(!first.is_empty(), "{what}: nothing was sent, sweep {sweep}");
+                assert!(table.len() >= model.len());
+                let again = scatter_frames(sweep, program, &mut store, &mut table);
+                assert!(again.is_empty(), "{what}: an untouched row was flushed");
             }
         }
     }
@@ -2086,18 +1922,11 @@ mod tests {
             let (locator, sketch) = placement();
             let ctx = kernel_ctx(program, &locator, &sketch, false);
             let (mut cache, mut table) = (OwnerCache::new(), TargetTable::default());
+            let mut out = StepScratch::default();
             for shard in scattered.shards_mut() {
-                let mut out = ShardOut::default();
-                let table = &mut table;
-                kernel_shard(
-                    Phase::Scatter,
-                    ctx,
-                    &mut cache,
-                    Some(table),
-                    shard,
-                    &mut out,
-                );
+                kernel_shard(Phase::Scatter, ctx, &mut cache, &mut table, shard, &mut out);
                 table.accumulate(&out.slots, |a, b| program.combine(a, b));
+                out.slots.clear();
             }
             let own: Vec<(VertexId, u64)> = table
                 .flushed()

@@ -93,13 +93,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Superstep worker threads per agent shorthand (0 = auto-detect).
-    /// Results are bit-identical for any worker count.
-    pub fn workers(mut self, n: usize) -> Self {
-        self.config.workers = n;
-        self
-    }
-
     /// Run the whole cluster over a fault-injecting transport seeded
     /// for determinism. The chaos stack is `Reliable(Faulty(InProc))`:
     /// the reliability layer (sequence numbers, acknowledgements,

@@ -48,11 +48,11 @@ pub struct SystemConfig {
     /// Deadline for `Cluster::wait_run`, including any mid-run
     /// recovery and restart.
     pub run_deadline: Duration,
-    /// Worker threads each agent uses for superstep kernels (scatter,
-    /// combine, apply). `0` means auto-detect from the host's
-    /// parallelism. Results are bit-identical for any worker count:
-    /// kernels partition the fixed vertex shards and merge their output
-    /// in shard order.
+    /// Ignored: every agent runs its superstep kernels on its own
+    /// thread, and a node gets more cores working by running more
+    /// agents. Kept only because the benchmark harness names it in a
+    /// struct literal; the field goes when the harness next changes.
+    #[deprecated(note = "agents ignore it; an agent is one thread")]
     pub workers: usize,
     /// Whether participants record trace events (superstep phases,
     /// view changes, migrations, recoveries, coalescer flushes) into
@@ -79,6 +79,8 @@ pub struct SystemConfig {
     pub disk_fault_seed: u64,
 }
 
+// Sets the deprecated `workers`, which a struct literal must.
+#[allow(deprecated)]
 impl Default for SystemConfig {
     fn default() -> Self {
         SystemConfig {
@@ -115,23 +117,6 @@ impl SystemConfig {
             max_replicas: self.max_replicas,
         }
     }
-
-    /// Resolved superstep worker count: the configured value, or (at 0)
-    /// the host parallelism capped at 4 — agents share the machine with
-    /// directories, streamers, and each other in the in-process
-    /// deployment, so auto-detection stays modest. Never exceeds the
-    /// shard count (32); extra workers would idle.
-    pub fn workers_effective(&self) -> usize {
-        let n = if self.workers == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(4)
-        } else {
-            self.workers
-        };
-        n.clamp(1, 32)
-    }
 }
 
 #[cfg(test)]
@@ -145,6 +130,7 @@ mod tests {
         assert_eq!(c.virtual_agents, 100);
         assert_eq!(c.sketch_depth, 8);
         assert!(c.directories >= 1);
+        assert!(!c.tracing, "tracing must be opt-in");
     }
 
     #[test]
@@ -169,20 +155,6 @@ mod tests {
             "must retain a fallback generation for corrupt-newest recovery"
         );
         assert!(c.disk_fault.is_none(), "no fault injection outside chaos");
-    }
-
-    #[test]
-    fn workers_effective_resolves_and_clamps() {
-        let mut c = SystemConfig::default();
-        assert!(!c.tracing, "tracing must be opt-in");
-        assert_eq!(c.workers_effective(), 1);
-        c.workers = 4;
-        assert_eq!(c.workers_effective(), 4);
-        c.workers = 1000;
-        assert_eq!(c.workers_effective(), 32);
-        c.workers = 0;
-        let auto = c.workers_effective();
-        assert!((1..=4).contains(&auto));
     }
 
     #[test]

@@ -350,6 +350,8 @@ metrics! {
             "Comms-plane traffic and coalescer flush counters.";
         store_bytes: u64 = gauge(store_bytes) => "store_bytes" gauge
             "Vertex store heap bytes: map capacity, adjacency lists and their indexes.";
+        owner_cache_bytes: u64 = gauge(owner_cache_bytes) => "owner_cache_bytes" gauge
+            "Owner-memo heap bytes: map capacity and split placements.";
     }
 }
 
@@ -361,8 +363,8 @@ impl ClusterMetrics {
 
     /// Fold in the final report of an agent that left the cluster or
     /// was evicted: its counters stay in the cumulative totals, its
-    /// gauges (`edges`, `store_bytes`, `subscriptions`,
-    /// `last_step_nanos`) left with it.
+    /// gauges (`edges`, `store_bytes`, `owner_cache_bytes`,
+    /// `subscriptions`, `last_step_nanos`) left with it.
     pub fn absorb_departed(&mut self, m: &AgentMetrics) {
         self.fold(m, true);
     }
@@ -389,6 +391,7 @@ mod tests {
             vmsgs: 30,
             edges: 40,
             store_bytes: 45,
+            owner_cache_bytes: 47,
             last_step_nanos: 50,
             retries_attempted: 60,
             owner_cache_hits: 70,
@@ -433,6 +436,7 @@ mod tests {
             vmsgs: 2,
             edges: 3,
             store_bytes: 300,
+            owner_cache_bytes: 30,
             last_step_nanos: 100,
             retries_attempted: 2,
             owner_cache_hits: 30,
@@ -461,6 +465,7 @@ mod tests {
             vmsgs: 1,
             edges: 4,
             store_bytes: 400,
+            owner_cache_bytes: 40,
             last_step_nanos: 60,
             retries_attempted: 1,
             owner_cache_hits: 30,
@@ -487,7 +492,7 @@ mod tests {
         c.agents_drained = 2;
         c.partial = true;
         assert_eq!(c.queries, 12);
-        assert_eq!((c.edges, c.store_bytes), (7, 700));
+        assert_eq!((c.edges, c.store_bytes, c.owner_cache_bytes), (7, 700, 70));
         assert_eq!(c.max_step_nanos, 100);
         assert_eq!(c.retries_attempted, 3);
         assert_eq!(c.owner_cache_hits, 60);
@@ -513,16 +518,24 @@ mod tests {
             vmsgs: 10,
             edges: 99,
             store_bytes: 9_999,
+            owner_cache_bytes: 999,
             subscriptions: 9,
             last_step_nanos: 1_000_000,
             ..Default::default()
         });
         assert_eq!(c.vmsgs, before.vmsgs + 10);
         assert_eq!(
-            (c.edges, c.store_bytes, c.subscriptions, c.max_step_nanos),
+            (
+                c.edges,
+                c.store_bytes,
+                c.owner_cache_bytes,
+                c.subscriptions,
+                c.max_step_nanos
+            ),
             (
                 before.edges,
                 before.store_bytes,
+                before.owner_cache_bytes,
                 before.subscriptions,
                 before.max_step_nanos
             )

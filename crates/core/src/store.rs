@@ -1,16 +1,10 @@
-//! Sharded vertex storage for intra-agent parallelism.
+//! Sharded vertex storage.
 //!
-//! The paper's Agents saturate their cores during supersteps (§4,
-//! Figs 10–14); ours ran every phase on one thread over a single flat
-//! map. [`VertexStore`] splits the map into a *fixed* number of shards
-//! keyed by `wang64(v)`, so the scatter / combine / apply kernels can
-//! hand disjoint shard ranges to a scoped worker pool.
-//!
-//! The shard count is deliberately independent of the worker count:
-//! kernels process shards in index order and merge per-shard output in
-//! index order, so the bytes that leave the agent are identical no
-//! matter how many workers ran — the property the determinism tests
-//! pin down.
+//! [`VertexStore`] splits an agent's vertex map into a *fixed* number
+//! of shards keyed by `wang64(v)`. The scatter / combine / apply
+//! kernels visit the shards in index order and look at the mailbox for
+//! reads between them, so a long superstep yields to readers every
+//! shard's worth of work.
 //!
 //! Each shard also carries three *worklists* ([`Worklists`]), one per
 //! kernel: the vertices whose flag for that kernel flipped on since the
@@ -25,8 +19,8 @@ use elga_hash::{wang64, FxHashMap};
 
 /// log2 of the shard count.
 const SHARD_BITS: u32 = 5;
-/// Fixed shard count. A power of two well above any sensible worker
-/// count, small enough that per-shard scratch stays cheap.
+/// Fixed shard count: the unit of a kernel's read yield and of its
+/// worklists.
 pub(crate) const SHARDS: usize = 1 << SHARD_BITS;
 
 /// Shard index of a vertex. Uses `wang64` (not the raw id) so dense
@@ -208,11 +202,13 @@ impl VertexStore {
         self.shards.iter_mut().flat_map(|s| s.map.values_mut())
     }
 
-    /// The shards themselves, in index order, for the parallel kernels.
+    /// The shards themselves, in index order, for the kernels.
     pub fn shards_mut(&mut self) -> &mut [Shard] {
         &mut self.shards
     }
 
+    /// Read-only shards, for the worklist assertions.
+    #[cfg(any(test, debug_assertions))]
     pub fn shards(&self) -> &[Shard] {
         &self.shards
     }

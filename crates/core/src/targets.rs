@@ -107,9 +107,8 @@ struct Row {
     has: bool,
 }
 
-/// Per-agent table of message destinations with one accumulator each.
-/// Mutated by the agent thread only; workers read nothing but the
-/// generation (through the kernel context).
+/// Per-agent table of message destinations with one accumulator each,
+/// owned by the agent thread like everything else the agent holds.
 #[derive(Debug)]
 pub(crate) struct TargetTable {
     generation: u32,

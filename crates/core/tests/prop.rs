@@ -753,11 +753,11 @@ proptest! {
         let words = |b: elga_net::frame::FrameBuilder, n: usize| {
             w.iter().cycle().take(n).fold(b, |b, &x| b.u64(x))
         };
-        let agent = words(Frame::builder(packet::METRICS), 53).finish();
-        assert_round_trip(AgentMetrics::decode(&agent).expect("53 words"));
+        let agent = words(Frame::builder(packet::METRICS), 54).finish();
+        assert_round_trip(AgentMetrics::decode(&agent).expect("54 words"));
         let cluster = words(Frame::builder(packet::GET_METRICS), 10).u8(u8::from(bit(10)));
-        let cluster = words(cluster, 52).finish();
-        assert_round_trip(ClusterMetrics::decode(&cluster).expect("62 words and a flag"));
+        let cluster = words(cluster, 53).finish();
+        assert_round_trip(ClusterMetrics::decode(&cluster).expect("63 words and a flag"));
     }
 
     /// Counters settle exactly when each pair matches, and `add` is

@@ -63,6 +63,9 @@ struct Memo {
 pub struct OwnerCache {
     epoch: u64,
     entries: FxHashMap<u64, Memo>,
+    /// Heap bytes of the split placements held, kept where an entry is
+    /// inserted, replaced or cleared.
+    split_bytes: usize,
     hits: u64,
     misses: u64,
 }
@@ -79,6 +82,7 @@ impl OwnerCache {
         OwnerCache {
             epoch: 0,
             entries: FxHashMap::default(),
+            split_bytes: 0,
             hits: 0,
             misses: 0,
         }
@@ -101,6 +105,7 @@ impl OwnerCache {
             self.epoch = epoch;
             if may_split {
                 self.entries.clear();
+                self.split_bytes = 0;
             }
         }
     }
@@ -118,6 +123,13 @@ impl OwnerCache {
     /// True when no placements are cached.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+
+    /// What the memo costs on the heap: the map's capacity in entries,
+    /// plus the replica sets and mini rings of split placements.
+    /// Constant time.
+    pub fn heap_bytes(&self) -> usize {
+        self.entries.capacity() * std::mem::size_of::<(u64, Memo)>() + self.split_bytes
     }
 
     /// Lifetime lookup counters `(hits, misses)`. Hits count lookups
@@ -162,7 +174,9 @@ impl OwnerCache {
                         let primary = loc.ring().owner(u);
                         std::mem::replace(&mut m.placement.primary, primary) == primary
                     } else {
-                        m.placement = loc.placement(u, estimate());
+                        let fresh = loc.placement(u, estimate());
+                        self.split_bytes += fresh.heap_bytes();
+                        self.split_bytes -= std::mem::replace(&mut m.placement, fresh).heap_bytes();
                         false
                     };
                     if stood {
@@ -176,6 +190,7 @@ impl OwnerCache {
             Entry::Vacant(e) => {
                 self.misses += 1;
                 let placement = loc.placement(u, estimate());
+                self.split_bytes += placement.heap_bytes();
                 &e.insert(Memo { placement, epoch }).placement
             }
         }
@@ -407,6 +422,44 @@ mod tests {
         assert_eq!(*p, loc.placement(9, 5));
         assert!(asked);
         assert_eq!(cache.stats(), (0, 2));
+    }
+
+    /// The running sum of split bytes is what the entries hold, through
+    /// inserts, epochs that keep entries (a split one re-resolved) and
+    /// an epoch that drops them.
+    #[test]
+    fn heap_bytes_follow_the_split_entries() {
+        let held = |cache: &OwnerCache| -> usize {
+            let split: usize = cache
+                .entries
+                .values()
+                .map(|m| m.placement.heap_bytes())
+                .sum();
+            cache.entries.capacity() * std::mem::size_of::<(u64, Memo)>() + split
+        };
+        let (loc, wider) = (locator(8, 100), locator(9, 100));
+        let mut cache = OwnerCache::new();
+        assert_eq!(cache.heap_bytes(), 0);
+        cache.adopt_epoch(1, true);
+        for u in 0..60u64 {
+            cache.placement(&loc, u, || degree(u));
+        }
+        assert!(cache.split_bytes > 0, "multiples of 3 are split");
+        assert_eq!(cache.heap_bytes(), held(&cache));
+        // Kept across the epoch: split entries resolve anew (now whole).
+        cache.adopt_epoch(2, false);
+        for u in 0..60u64 {
+            cache.placement(&wider, u, || 5);
+        }
+        assert_eq!((cache.split_bytes, cache.heap_bytes()), (0, held(&cache)));
+        for u in 60..90u64 {
+            cache.placement(&wider, u, || degree(u));
+        }
+        assert!(cache.split_bytes > 0);
+        assert_eq!(cache.heap_bytes(), held(&cache));
+        cache.adopt_epoch(3, true);
+        assert_eq!((cache.split_bytes, cache.len()), (0, 0));
+        assert_eq!(cache.heap_bytes(), held(&cache));
     }
 
     #[test]

@@ -96,6 +96,16 @@ impl VertexPlacement {
             None => self.primary.as_slice(),
         }
     }
+
+    /// Heap bytes the placement owns: none when `k == 1`, the boxed
+    /// replica set and mini ring when the vertex is split.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.split.as_ref().map_or(0, |s| {
+            std::mem::size_of::<Split>()
+                + s.replicas.capacity() * std::mem::size_of::<AgentId>()
+                + s.minis.capacity() * std::mem::size_of::<(u64, AgentId)>()
+        })
+    }
 }
 
 impl EdgeLocator {

@@ -1,5 +1,5 @@
-//! The retained change log's footprint, and the agents' stores beside
-//! it. A recovery replays the whole log, so the streamer keeps each
+//! The retained change log's footprint, and the agents' stores and
+//! owner memos beside it. A recovery replays the whole log, so the streamer keeps each
 //! edge's last change since the log's base, compacted whenever the
 //! deletes since the last compaction reach half of that, plus the
 //! changes since. Without a checkpoint the base is the empty graph and
@@ -52,6 +52,15 @@ fn an_rmat_stream_costs_the_log_at_most_eight_bytes_a_record() {
         per_placement <= 62.0,
         "the stores hold {} B for {} edges: {per_placement:.2} B a placement",
         m.store_bytes,
+        m.edges
+    );
+    // Each agent's one owner memo beside them: ~5.2 B a placement, a
+    // 48-byte map slot per vertex the agent resolved.
+    let per_placement = m.owner_cache_bytes as f64 / (2 * m.edges) as f64;
+    assert!(
+        per_placement <= 6.2,
+        "the owner memos hold {} B for {} edges: {per_placement:.2} B a placement",
+        m.owner_cache_bytes,
         m.edges
     );
     cluster.shutdown();

@@ -1,21 +1,20 @@
-//! Worker-count determinism: the parallel superstep kernels partition
-//! fixed vertex shards and merge per-shard output in shard index
-//! order, so the bytes each agent emits — and therefore the results —
-//! must not depend on how many worker threads ran them.
+//! Determinism: an agent runs each superstep kernel on its own thread,
+//! over its fixed vertex shards in index order and over sorted
+//! worklists, so the bytes it emits are a function of the graph, the
+//! view and what it received — never of timing inside the agent.
 //!
 //! What "bit-identical" can promise depends on the algorithm:
 //!
 //! * WCC combines with `min`, which is order- and duplicate-
-//!   insensitive, so converged labels are bit-exact across worker
-//!   counts in *every* deployment — multi-agent, over TCP, and under
-//!   a fault-injecting transport.
+//!   insensitive, so converged labels are bit-exact — and equal to the
+//!   reference — in *every* deployment: multi-agent, over TCP, under a
+//!   fault-injecting transport, and async against sync.
 //! * PageRank combines with f64 addition, which is order-sensitive.
-//!   Within one agent the kernels keep the order fixed, and with a
-//!   single agent the FIFO transport keeps arrival order fixed too, so
-//!   single-agent PageRank is bit-exact. Across multiple agents the
-//!   arrival *interleave* of senders is scheduling-dependent (equally
-//!   so before the parallel kernels), so there the test pins the usual
-//!   1e-9 agreement.
+//!   With a single agent the FIFO transport keeps arrival order fixed
+//!   as well, so single-agent PageRank is bit-exact run to run and over
+//!   TCP against in process. Across multiple agents the arrival
+//!   *interleave* of senders is scheduling-dependent, so there the
+//!   tests pin the usual 1e-9 agreement.
 //!
 //! The same contract covers the comms plane: the coalescing outboxes
 //! pack a per-destination record stream into frames without ever
@@ -34,10 +33,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Ring with multiplicative chords: connected, degree-skewed, and
-/// large enough that every agent's store crosses the kernels' serial
-/// fast-path threshold (1024 vertices) so multi-worker runs really do
-/// run multi-worker.
+/// Ring with multiplicative chords: connected and degree-skewed.
 fn big_graph(n: u64) -> Vec<(u64, u64)> {
     let mut edges = Vec::new();
     for i in 0..n {
@@ -57,60 +53,25 @@ fn big_graph(n: u64) -> Vec<(u64, u64)> {
     edges
 }
 
-fn states_for(
-    workers: usize,
-    agents: usize,
-    edges: &[(u64, u64)],
-    spec: impl Into<ProgramSpec>,
-) -> HashMap<u64, u64> {
-    let mut cluster = Cluster::builder().agents(agents).workers(workers).build();
-    cluster.ingest_edges(edges.iter().copied());
-    cluster.run(spec).expect("run");
-    let states = cluster.dump_states();
-    cluster.shutdown();
-    states
-}
-
-#[test]
-fn wcc_bit_identical_across_worker_counts() {
-    let edges = big_graph(6000);
-    let w1 = states_for(1, 2, &edges, Wcc::new());
-    let w4 = states_for(4, 2, &edges, Wcc::new());
-    assert_eq!(w1.len(), 6000);
-    assert_eq!(w1, w4, "WCC labels must not depend on worker count");
-}
-
-#[test]
-fn single_agent_pagerank_bit_identical_across_worker_counts() {
-    let edges = big_graph(3000);
-    let pr = PageRank::new(0.85).with_max_iters(10);
-    let w1 = states_for(1, 1, &edges, pr);
-    let w4 = states_for(4, 1, &edges, pr);
-    assert_eq!(w1.len(), 3000);
-    assert_eq!(
-        w1, w4,
-        "single-agent PageRank must be bit-exact across worker counts"
-    );
-}
-
 /// The frontier-driven kernels drain *sorted* worklists, so a delta
-/// run's bytes must not depend on the worker count either. One agent
-/// (bit-exactness needs a fixed arrival order, see above) holding 8192
-/// vertices; the batch is small, but its frontier grows past the
-/// serial threshold within a few hops while pushes are still far above
-/// the tolerance, so the list path runs both serially and in parallel.
+/// run's bytes are a function of the graph and the batch: two runs of
+/// the same history on one agent (bit-exactness needs a fixed arrival
+/// order, see above) take the same steps, visit the same entries and
+/// land on the same bits. 8192 vertices; the batch is small, but its
+/// frontier grows within a few hops while pushes are still far above
+/// the tolerance, so the run leaves the sweeps for the lists.
 #[test]
-fn delta_pagerank_bit_identical_across_worker_counts() {
+fn delta_pagerank_bit_identical_run_to_run() {
     let n = 8192;
     let edges = big_graph(n);
     let batch: Vec<EdgeChange> = (0..64)
         .map(|i| EdgeChange::insert(i * 127 + 1, (i * 5003 + 17) % n))
         .collect();
-    let run = |workers: usize| {
+    let run = || {
         let pr = PageRank::new(0.85)
             .with_max_iters(300)
             .with_tolerance(1e-10);
-        let mut cluster = Cluster::builder().agents(1).workers(workers).build();
+        let mut cluster = Cluster::builder().agents(1).build();
         cluster.ingest_edges(edges.iter().copied());
         cluster.run(pr).expect("initial run");
         cluster.ingest(batch.iter().copied());
@@ -124,25 +85,24 @@ fn delta_pagerank_bit_identical_across_worker_counts() {
         cluster.shutdown();
         (states, stats.steps, visits)
     };
-    let (w1, steps1, visits1) = run(1);
-    let (w4, steps4, visits4) = run(4);
-    assert_eq!(w1.len(), n as usize);
+    let (first, steps1, visits1) = run();
+    let (again, steps2, visits2) = run();
+    assert_eq!(first.len(), n as usize);
     assert!(
         steps1 > 10,
         "delta run too short to leave the sweeps: {steps1}"
     );
-    assert_eq!((steps1, visits1), (steps4, visits4), "same work either way");
-    assert_eq!(w1, w4, "delta PageRank must be bit-exact across workers");
+    assert_eq!((steps1, visits1), (steps2, visits2), "same work both times");
+    assert_eq!(first, again, "delta PageRank must be bit-exact run to run");
 }
 
 /// Two agents, a full run and a delta run behind it: scatter combines
-/// per target row on the agent thread in shard order, so what each
-/// agent sends — and how many records that is — does not depend on the
-/// worker count, and the ranks agree to what f64 sums allow. Sixteen
-/// popular targets make the combining visible as a count: per-message
-/// routing delivered one record per edge per step.
+/// per target row on the agent thread, so each agent sends one record
+/// per touched row and step. Sixteen popular targets make the
+/// combining visible as a count: per-message routing delivered one
+/// record per edge per step.
 #[test]
-fn two_agent_delta_pagerank_agrees_across_worker_counts_and_combines() {
+fn two_agent_delta_pagerank_combines() {
     let n = 8192;
     let mut edges = big_graph(n);
     edges.extend((0..n).map(|i| (i, i % 16)));
@@ -152,60 +112,32 @@ fn two_agent_delta_pagerank_agrees_across_worker_counts_and_combines() {
     let batch: Vec<EdgeChange> = (0..64)
         .map(|i| EdgeChange::insert(i * 127 + 1, (i * 5003 + 17) % n))
         .collect();
-    let run = |workers: usize| {
-        let pr = PageRank::new(0.85)
-            .with_max_iters(300)
-            .with_tolerance(1e-10);
-        let mut cluster = Cluster::builder().agents(2).workers(workers).build();
-        cluster.ingest_edges(edges.iter().copied());
-        let full = cluster.run(pr).expect("initial run");
-        let full_vmsgs = cluster.metrics().vmsgs;
-        cluster.ingest(batch.iter().copied());
-        let opts = RunOptions {
-            reuse_state: true,
-            mode: ExecutionMode::Sync,
-        };
-        let delta = cluster.run_with(pr, opts).expect("delta run");
-        let delta_vmsgs = cluster.metrics().vmsgs - full_vmsgs;
-        let states = cluster.dump_states();
-        cluster.shutdown();
-        (
-            states,
-            [
-                u64::from(full.steps),
-                full_vmsgs,
-                u64::from(delta.steps),
-                delta_vmsgs,
-            ],
-        )
+    let pr = PageRank::new(0.85)
+        .with_max_iters(300)
+        .with_tolerance(1e-10);
+    let mut cluster = Cluster::builder().agents(2).build();
+    cluster.ingest_edges(edges.iter().copied());
+    let full = cluster.run(pr).expect("initial run");
+    let full_vmsgs = cluster.metrics().vmsgs;
+    cluster.ingest(batch.iter().copied());
+    let opts = RunOptions {
+        reuse_state: true,
+        mode: ExecutionMode::Sync,
     };
-    let (w1, counts1) = run(1);
-    let (w4, counts4) = run(4);
-    assert_eq!(w1.len(), n as usize);
-    assert_ranks_close(&w1, &w4, "delta PageRank across worker counts");
-    assert_eq!(
-        counts1, counts4,
-        "steps and records delivered, full and delta"
-    );
-    let [full_steps, full_vmsgs, delta_steps, delta_vmsgs] = counts1;
+    let delta = cluster.run_with(pr, opts).expect("delta run");
+    let delta_vmsgs = cluster.metrics().vmsgs - full_vmsgs;
+    assert_eq!(cluster.dump_states().len(), n as usize);
+    cluster.shutdown();
     assert!(
-        delta_steps > 10 && delta_vmsgs > 0,
-        "delta run: {counts1:?}"
+        delta.steps > 10 && delta_vmsgs > 0,
+        "delta run: {} steps, {delta_vmsgs} records",
+        delta.steps
     );
-    let per_edge = edges.len() as u64 * full_steps;
+    let per_edge = edges.len() as u64 * u64::from(full.steps);
     assert!(
         full_vmsgs * 3 < per_edge * 2,
         "{full_vmsgs} records delivered for {per_edge} messages: nothing was combined"
     );
-}
-
-#[test]
-fn multi_agent_pagerank_agrees_across_worker_counts() {
-    let edges = big_graph(6000);
-    let pr = PageRank::new(0.85).with_max_iters(10);
-    let w1 = states_for(1, 2, &edges, pr);
-    let w4 = states_for(4, 2, &edges, pr);
-    assert_ranks_close(&w1, &w4, "across worker counts");
 }
 
 /// Two PageRank results agree to the 1e-9 that f64 sums taken in a
@@ -244,18 +176,15 @@ struct RunWire {
 /// Ingest `edges` into `agents` agents under `threshold`, run `spec`
 /// once, and count the run's frames.
 fn run_wire(
-    workers: usize,
     agents: usize,
     threshold: u64,
     edges: &[(u64, u64)],
     spec: impl Into<ProgramSpec>,
 ) -> RunWire {
-    let cfg = SystemConfig {
-        replication_threshold: threshold,
-        workers,
-        ..SystemConfig::default()
-    };
-    let mut cluster = Cluster::builder().agents(agents).config(cfg).build();
+    let mut cluster = Cluster::builder()
+        .agents(agents)
+        .replication_threshold(threshold)
+        .build();
     cluster.ingest_edges(edges.iter().copied());
     let net = cluster.transport().net_stats().expect("in-process stats");
     let frames = |types: &[u8]| types.iter().map(|&t| net.sent(t).0).sum::<u64>();
@@ -315,19 +244,15 @@ fn one_barrier_per_step_unless_a_vertex_is_split() {
     let labels = elga::graph::reference::wcc(edges.iter().copied());
     let pr = PageRank::new(0.85).with_max_iters(10);
 
-    let wcc1 = run_wire(1, 2, UNSPLIT, &edges, Wcc::new());
-    let wcc4 = run_wire(4, 2, UNSPLIT, &edges, Wcc::new());
-    let pr1 = run_wire(1, 2, UNSPLIT, &edges, pr);
-    let pr4 = run_wire(4, 2, UNSPLIT, &edges, pr);
+    let wcc2 = run_wire(2, UNSPLIT, &edges, Wcc::new());
+    let pr2 = run_wire(2, UNSPLIT, &edges, pr);
     // Eight agents: seven senders' lists to sum per receiver, and the
     // same one report per agent per step.
-    let wcc8 = run_wire(1, 8, UNSPLIT, &edges, Wcc::new());
-    let pr8 = run_wire(1, 8, UNSPLIT, &edges, pr);
+    let wcc8 = run_wire(8, UNSPLIT, &edges, Wcc::new());
+    let pr8 = run_wire(8, UNSPLIT, &edges, pr);
     for (w, what) in [
-        (&wcc1, "wcc"),
-        (&wcc4, "wcc x4"),
-        (&pr1, "pr"),
-        (&pr4, "pr x4"),
+        (&wcc2, "wcc"),
+        (&pr2, "pr"),
         (&wcc8, "wcc, 8 agents"),
         (&pr8, "pr, 8 agents"),
     ] {
@@ -358,45 +283,37 @@ fn one_barrier_per_step_unless_a_vertex_is_split() {
         assert_no_own_vmsg_on_the_wire(w, what);
         assert!(w.vmsg_wire.0 > 0, "{what}: nothing crossed");
     }
-    assert_eq!(wcc1.states.len(), n as usize);
-    assert_eq!(
-        wcc1.states, wcc4.states,
-        "WCC must be bit-exact across workers"
-    );
+    assert_eq!(wcc2.states.len(), n as usize);
     for (v, &label) in &labels {
-        assert_eq!(wcc1.states[v], label, "vertex {v}");
+        assert_eq!(wcc2.states[v], label, "vertex {v}");
     }
     for (v, &label) in &labels {
         assert_eq!(wcc8.states[v], label, "8 agents: vertex {v}");
     }
-    assert_eq!(pr1.steps, pr4.steps);
-    assert_ranks_close(&pr1.states, &pr4.states, "pagerank across workers");
-    assert_eq!(pr1.steps, pr8.steps);
-    assert_ranks_close(&pr1.states, &pr8.states, "pagerank across agent counts");
+    assert_eq!(pr2.steps, pr8.steps);
+    assert_ranks_close(&pr2.states, &pr8.states, "pagerank across agent counts");
 
     // Threshold 64: the hub (degree 300+) is split over all three
     // agents, and the lead knows without asking which vertex it is.
-    for workers in [1, 4] {
-        let wcc = run_wire(workers, 3, 64, &edges, Wcc::new());
-        let split = run_wire(workers, 3, 64, &edges, pr);
-        for (w, what) in [(&wcc, "split wcc"), (&split, "split pr")] {
-            assert!(w.may_split, "{what}");
-            assert!(
-                w.advances >= 3 * w.steps && w.readys >= 3 * w.steps,
-                "{what}: {} ADVANCE and {} READY frames per agent for {} steps",
-                w.advances,
-                w.readys,
-                w.steps
-            );
-            assert!(w.replica_frames > 0, "{what}: no replica traffic");
-            assert_no_own_vmsg_on_the_wire(w, what);
-        }
-        for (v, &label) in &labels {
-            assert_eq!(wcc.states[v], label, "split: vertex {v}");
-        }
-        assert_eq!(split.steps, pr1.steps);
-        assert_ranks_close(&split.states, &pr1.states, "pagerank split vs whole");
+    let wcc = run_wire(3, 64, &edges, Wcc::new());
+    let split = run_wire(3, 64, &edges, pr);
+    for (w, what) in [(&wcc, "split wcc"), (&split, "split pr")] {
+        assert!(w.may_split, "{what}");
+        assert!(
+            w.advances >= 3 * w.steps && w.readys >= 3 * w.steps,
+            "{what}: {} ADVANCE and {} READY frames per agent for {} steps",
+            w.advances,
+            w.readys,
+            w.steps
+        );
+        assert!(w.replica_frames > 0, "{what}: no replica traffic");
+        assert_no_own_vmsg_on_the_wire(w, what);
     }
+    for (v, &label) in &labels {
+        assert_eq!(wcc.states[v], label, "split: vertex {v}");
+    }
+    assert_eq!(split.steps, pr2.steps);
+    assert_ranks_close(&split.states, &pr2.states, "pagerank split vs whole");
 }
 
 /// Every VMSG record on the wire was counted as sent to a peer and as
@@ -418,42 +335,30 @@ fn assert_no_own_vmsg_on_the_wire(w: &RunWire, what: &str) {
 }
 
 /// One agent: every vertex message is its own. The run puts no VMSG
-/// frame on the wire, counts none, delivers them all the same, and —
-/// one sender, one order — stays bit-exact across worker counts,
-/// PageRank's f64 sums included.
+/// frame on the wire, counts none, and delivers them all the same.
 #[test]
 fn single_agent_run_frames_no_vertex_message() {
     let edges = big_graph(3000);
     let pr = PageRank::new(0.85).with_max_iters(10);
     let labels = elga::graph::reference::wcc(edges.iter().copied());
-    let wcc1 = run_wire(1, 1, 1 << 20, &edges, Wcc::new());
-    let wcc4 = run_wire(4, 1, 1 << 20, &edges, Wcc::new());
-    let pr1 = run_wire(1, 1, 1 << 20, &edges, pr);
-    let pr4 = run_wire(4, 1, 1 << 20, &edges, pr);
-    for (w, what) in [
-        (&wcc1, "wcc"),
-        (&wcc4, "wcc x4"),
-        (&pr1, "pr"),
-        (&pr4, "pr x4"),
-    ] {
+    let wcc = run_wire(1, 1 << 20, &edges, Wcc::new());
+    let pr = run_wire(1, 1 << 20, &edges, pr);
+    for (w, what) in [(&wcc, "wcc"), (&pr, "pr")] {
         assert_eq!(w.vmsg_wire, (0, 0), "{what}: VMSG frames on the wire");
         assert_eq!(w.vmsg_counted, (0, 0), "{what}");
         assert_eq!(w.replica_frames, 0, "{what}");
         assert!(w.vmsgs > 3000, "{what}: {} messages", w.vmsgs);
     }
-    assert_eq!(wcc1.states, wcc4.states);
     for (v, &label) in &labels {
-        assert_eq!(wcc1.states[v], label, "vertex {v}");
+        assert_eq!(wcc.states[v], label, "vertex {v}");
     }
-    assert_eq!((pr1.steps, pr1.vmsgs), (pr4.steps, pr4.vmsgs));
-    assert_eq!(pr1.states, pr4.states, "PageRank must be bit-exact");
 }
 
 /// Retries may duplicate or reorder whole frames, and coalesced frames
-/// carry many records each: under two fault seeds, a chaotic cluster on
-/// four workers must match a clean one on one worker.
+/// carry many records each: under two fault seeds, a chaotic cluster
+/// must match a clean one.
 #[test]
-fn wcc_bit_identical_under_chaos_with_workers() {
+fn wcc_bit_identical_under_chaos() {
     let edges = big_graph(6000);
     let cfg = SystemConfig {
         request_timeout: Duration::from_secs(5),
@@ -467,11 +372,7 @@ fn wcc_bit_identical_under_chaos_with_workers() {
         ..SystemConfig::default()
     };
     let plan = FaultPlan::uniform(0.05, 0.01, Duration::ZERO, Duration::from_millis(5));
-    let mut clean = Cluster::builder()
-        .agents(4)
-        .config(cfg.clone())
-        .workers(1)
-        .build();
+    let mut clean = Cluster::builder().agents(4).config(cfg.clone()).build();
     clean.ingest_edges(edges.iter().copied());
     clean.run(Wcc::new()).expect("clean wcc");
     let want = clean.dump_states();
@@ -480,13 +381,12 @@ fn wcc_bit_identical_under_chaos_with_workers() {
         let mut chaos = Cluster::builder()
             .agents(4)
             .config(cfg.clone())
-            .workers(4)
             .chaos(plan.clone(), seed)
             .build();
         chaos.ingest_edges(edges.iter().copied());
         chaos.run(Wcc::new()).expect("chaos wcc");
         let got = chaos.dump_states();
-        assert_eq!(got, want, "seed {seed:#x}: chaos + 4 workers vs clean");
+        assert_eq!(got, want, "seed {seed:#x}: chaos vs clean");
         let stats = chaos.fault().expect("chaos handle").stats();
         assert!(stats.dropped() > 0, "seed {seed:#x}: no frames dropped");
         chaos.shutdown();
@@ -569,14 +469,19 @@ fn reserve_port() -> u16 {
         .port()
 }
 
-/// Single-agent deployment over real TCP sockets with the given worker
-/// count; runs PageRank then WCC and returns both state dumps.
-fn tcp_states(workers: usize, edges: &[(u64, u64)]) -> (HashMap<u64, u64>, HashMap<u64, u64>) {
+/// The PageRank (ten steps) and WCC runs both deployments below make,
+/// in this order, on one ingest of the whole graph.
+fn pagerank_then_wcc() -> [ProgramSpec; 2] {
+    [
+        PageRank::new(0.85).with_max_iters(10).into(),
+        Wcc::new().into(),
+    ]
+}
+
+/// Single-agent deployment over real TCP sockets: both state dumps.
+fn tcp_states(edges: &[(u64, u64)]) -> Vec<HashMap<u64, u64>> {
     let transport: Arc<dyn Transport> = Arc::new(TcpTransport::new());
-    let cfg = SystemConfig {
-        workers,
-        ..SystemConfig::default()
-    };
+    let cfg = SystemConfig::default();
     let master = Addr::parse(&format!("tcp://127.0.0.1:{}", reserve_port())).expect("addr");
     let dir0 = Addr::parse(&format!("tcp://127.0.0.1:{}", reserve_port())).expect("addr");
     let bus = Addr::parse(&format!("tcp://127.0.0.1:{}", reserve_port())).expect("addr");
@@ -664,10 +569,13 @@ fn tcp_states(workers: usize, edges: &[(u64, u64)]) -> (HashMap<u64, u64>, HashM
         out
     };
 
-    run_to_done(PageRank::new(0.85).with_max_iters(10).into());
-    let pagerank = dump(&transport);
-    run_to_done(Wcc::new().into());
-    let wcc = dump(&transport);
+    let states = pagerank_then_wcc()
+        .into_iter()
+        .map(|spec| {
+            run_to_done(spec);
+            dump(&transport)
+        })
+        .collect();
 
     let _ = transport.request(
         &dir0,
@@ -678,15 +586,33 @@ fn tcp_states(workers: usize, edges: &[(u64, u64)]) -> (HashMap<u64, u64>, HashM
         let _ = out.send(Frame::signal(packet::SHUTDOWN));
     }
     let _ = agent_handle.join();
-    (pagerank, wcc)
+    states
 }
 
+/// The same single-agent runs in process: both state dumps.
+fn in_process_states(edges: &[(u64, u64)]) -> Vec<HashMap<u64, u64>> {
+    let mut cluster = Cluster::builder().agents(1).build();
+    cluster.ingest_edges(edges.iter().copied());
+    let states = pagerank_then_wcc()
+        .into_iter()
+        .map(|spec| {
+            cluster.run(spec).expect("run");
+            cluster.dump_states()
+        })
+        .collect();
+    cluster.shutdown();
+    states
+}
+
+/// One agent over real sockets lands on the bits it lands on in
+/// process: the transport and the coalescing behind it carry the same
+/// ingest to the same store, and the kernels do the rest.
 #[test]
-fn tcp_results_bit_identical_across_worker_counts() {
+fn tcp_results_bit_identical_to_in_process() {
     let edges = big_graph(2000);
-    let (pr1, wcc1) = tcp_states(1, &edges);
-    let (pr4, wcc4) = tcp_states(4, &edges);
-    assert_eq!(pr1.len(), 2000);
-    assert_eq!(pr1, pr4, "PageRank over TCP must be bit-exact");
-    assert_eq!(wcc1, wcc4, "WCC over TCP must be bit-exact");
+    let tcp = tcp_states(&edges);
+    let inproc = in_process_states(&edges);
+    assert_eq!(tcp[0].len(), 2000);
+    assert_eq!(tcp[0], inproc[0], "PageRank over TCP must be bit-exact");
+    assert_eq!(tcp[1], inproc[1], "WCC over TCP must be bit-exact");
 }
