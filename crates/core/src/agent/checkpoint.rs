@@ -10,6 +10,8 @@
 //! (the cluster is quiesced with no run in flight), and counting the
 //! injected records on the receive side only would permanently skew
 //! the Mattern sent/received balance and wedge every later barrier.
+//! Restored edges are counted for the lead's sketch like applied
+//! changes: the recovery reset zeroed it.
 
 use super::*;
 use crate::ckpt_codec::{self, CkptVertexRecord};
@@ -127,7 +129,8 @@ impl Agent {
                 e.has_snap = true;
             }
             e.active = e.active || g.active;
-            self.insert_edges(g.side, v, g.others.into_iter());
+            let added = self.insert_edges(g.side, v, g.others.into_iter());
+            self.degrees.add(v, added as i32);
         }
         self.invalidate_worklists();
     }

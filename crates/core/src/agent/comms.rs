@@ -246,6 +246,26 @@ impl Agent {
         CommsMetrics::snapshot(&self.net, &self.coalesce_totals())
     }
 
+    /// Write the applied degree changes into the sketch delta.
+    pub(super) fn count_degrees(&mut self) {
+        for (v, change) in self.uncounted.drain(..) {
+            self.degrees.add(v, change);
+        }
+    }
+
+    /// Push the degree changes applied since the last push to the
+    /// directory, for the lead's sketch; whether there were any.
+    pub(super) fn push_degrees(&mut self) -> bool {
+        self.count_degrees();
+        if self.degrees.touched() == 0 {
+            return false;
+        }
+        let delta = msg::encode_sketch_delta(self.view.epoch, &self.degrees);
+        let _ = self.dir_push.send(delta);
+        self.degrees.clear();
+        true
+    }
+
     pub(super) fn flush_metrics(&mut self, force: bool) {
         if force || self.metrics_flushed.elapsed() > Duration::from_millis(100) {
             self.metrics_flushed = Instant::now();

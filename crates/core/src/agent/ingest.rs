@@ -13,6 +13,12 @@ pub(super) struct IngestScratch {
     residuals: FxHashMap<AgentId, Vec<(VertexId, u64)>>,
 }
 
+/// Most applied degree changes an agent holds before it writes them
+/// into its sketch delta ([`Agent::count_degrees`]). A small batch's
+/// wait for the mailbox to drain, off the way of the records they
+/// caused; a large batch is counted as it is applied, in 16 KiB.
+const UNCOUNTED_MAX: usize = 1024;
+
 /// Largest frame, in change records, whose [`IngestScratch`] is kept.
 /// A full frame (~3.6k records) would leave a quarter MiB of buffers
 /// behind on every agent — 4 % of `trickle_ring`'s peak RSS, from its
@@ -195,8 +201,13 @@ impl Agent {
             });
             fwd.clear();
         }
-        // Report degree deltas to each vertex's primary.
+        // Report degree deltas to each vertex's primary, and count them
+        // for the lead's sketch.
         for (v, (dout, din)) in deltas.drain() {
+            self.uncounted.push((v, (dout + din) as i32));
+            if self.uncounted.len() == UNCOUNTED_MAX {
+                self.count_degrees();
+            }
             if let Some(primary) = self.locator.ring().owner(v) {
                 delta_batches
                     .entry(primary)

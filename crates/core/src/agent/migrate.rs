@@ -301,9 +301,11 @@ impl Agent {
         if self.departing {
             // The lead folds a departer's last metrics report into the
             // cluster totals when the barrier releases it; make that
-            // report include the sends above. Same push channel as the
-            // READY, so it arrives first.
+            // report include the sends above. Its last degree changes
+            // go too. Same push channel as the READY, so both arrive
+            // first.
             self.flush_metrics(true);
+            self.push_degrees();
         }
         self.send_ready(0, epoch as u32, Phase::Migrate, 0, contrib);
     }

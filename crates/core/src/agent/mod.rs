@@ -63,7 +63,7 @@ use elga_net::{
     Addr, CoalesceConfig, CoalesceStats, CoalescingOutbox, Delivery, Frame, NetError, NetStats,
     Outbox, ReplyHandle, Transport, TransportExt,
 };
-use elga_sketch::CountMinSketch;
+use elga_sketch::{CountMinSketch, SketchDelta};
 use elga_trace::{EventKind, Tracer};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -286,6 +286,15 @@ pub struct Agent {
     route_cache: OwnerCache,
     scratch: StepScratch,
     ingest_scratch: IngestScratch,
+    /// Degree changes applied since the last push to the directory:
+    /// edge placements stored and removed, counted where the store said
+    /// they happened, for the lead's sketch ([`Agent::push_degrees`]).
+    degrees: SketchDelta,
+    /// Per-vertex degree changes applied but not yet in `degrees`: the
+    /// sketch rows are written once the mailbox drains, after the
+    /// records the changes caused are on the wire
+    /// ([`Agent::count_degrees`]).
+    uncounted: Vec<(VertexId, i32)>,
     counters: Counters,
     metrics: AgentMetrics,
     run: Option<AgentRun>,
@@ -440,6 +449,7 @@ impl Agent {
         let locator = view.locator();
         let mut route_cache = OwnerCache::new();
         view.advance_memo(&mut route_cache);
+        let degrees = SketchDelta::new(view.sketch.width(), view.sketch.depth());
         Agent {
             id,
             cfg: cfg.clone(),
@@ -456,6 +466,8 @@ impl Agent {
             route_cache,
             scratch: StepScratch::default(),
             ingest_scratch: IngestScratch::default(),
+            degrees,
+            uncounted: Vec::new(),
             counters: Counters::default(),
             metrics: AgentMetrics {
                 agent: id,
@@ -610,13 +622,18 @@ impl Agent {
             }
             packet::DRAIN => {
                 // A drain round settles only once every counted record
-                // is on the wire; close the open frames first.
+                // is on the wire; close the open frames first. The
+                // degree changes applied so far go to the directory
+                // ahead of the reply, so whatever the driver asks the
+                // lead next queues behind them.
                 self.flush_outboxes();
                 self.flush_metrics(true);
+                let degrees = self.push_degrees();
                 if let Some(reply) = d.reply {
                     let report = msg::DrainReport {
                         counters: self.counters,
                         epoch: self.view.epoch,
+                        degrees,
                     };
                     let _ = reply.send(report.encode());
                 }

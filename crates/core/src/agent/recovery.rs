@@ -53,6 +53,10 @@ impl Agent {
         // driver re-arms the seed before a checkpoint-restore replay so
         // the replayed log regenerates its residual corrections.)
         self.delta_seed = None;
+        // Unpushed degree changes counted the wiped graph; the lead's
+        // sketch starts over at zero too.
+        self.uncounted.clear();
+        self.degrees.clear();
         self.delta_hot.clear();
         self.dangling_acc = 0.0;
         self.dangling_cum = 0.0;

@@ -995,8 +995,10 @@ impl Agent {
         // The mailbox drained: whatever the handlers appended must
         // reach the wire now — peers (and the termination barrier)
         // cannot make progress on records parked in open frames. A
-        // no-op when nothing is open.
+        // no-op when nothing is open. Only then are the degree changes
+        // counted into the sketch delta, off the records' way.
         self.flush_outboxes();
+        self.count_degrees();
         let Some(run) = self.run.as_ref().filter(|r| r.async_live && !r.paused) else {
             // The one rule for late counted frames (a migration stream,
             // a forwarded change, a retransmit): handlers only move the

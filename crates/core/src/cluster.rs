@@ -40,7 +40,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Changes per ingest batch (one sketch round-trip each).
+/// Changes per ingest batch (one batch-clock request to the lead each).
 const INGEST_BATCH: usize = 16384;
 
 /// Builder for [`Cluster`].
@@ -576,6 +576,15 @@ impl Cluster {
     /// transport's; a chaos cluster waits for its reliability layer to
     /// drain before each wave instead.)
     ///
+    /// An agent answers a DRAIN after pushing the degree changes it
+    /// applied to its directory, and a wave in which one did confirms
+    /// nothing: the next wave's request to the lead queues behind the
+    /// pushes, so when `quiesce` returns the lead's sketch holds every
+    /// change applied before the call, and any epoch the fold opened
+    /// has settled. A batch moves the counters anyway, so its push
+    /// costs no wave of its own. (Through a relay directory the push is
+    /// one hop longer and may land after the next request.)
+    ///
     /// Bounded by `SystemConfig::quiesce_deadline`; a wedged system
     /// (e.g. a dead peer with failure detection off) yields
     /// `NetError::Timeout` instead of blocking forever.
@@ -627,13 +636,15 @@ impl Cluster {
             // Departed agents' final totals (kept by the lead) balance
             // the sums of the survivors.
             let mut sum = Some(status.departed);
+            let mut pushed = false;
             for rep in self.request_agents(&roster.agents, Frame::signal(packet::DRAIN)) {
-                let counters = rep.ok().and_then(|rep| msg::DrainReport::decode(&rep));
-                let counters = counters.map(|report| report.counters);
+                let report = rep.ok().and_then(|rep| msg::DrainReport::decode(&rep));
+                pushed |= report.is_some_and(|report| report.degrees);
+                let counters = report.map(|report| report.counters);
                 sum = sum.zip(counters).map(|(sum, c)| sum.add(&c));
             }
             let settled = sum.is_some_and(|sum| sum.settled());
-            let confirmed = settled && roster.last_wave == sum;
+            let confirmed = settled && roster.last_wave == sum && !pushed;
             roster.last_wave = sum;
             drop(roster);
             if confirmed {

@@ -269,7 +269,11 @@ fn relay_loop(
         match d.frame.packet_type() {
             // Pushes relay as pushes (Figure 2 step 4: re-broadcast
             // ready messages among Directories).
-            packet::READY | packet::LEAVE | packet::METRICS | packet::HEARTBEAT => {
+            packet::READY
+            | packet::LEAVE
+            | packet::METRICS
+            | packet::HEARTBEAT
+            | packet::SKETCH_DELTA => {
                 let _ = lead_push.send(d.frame);
             }
             packet::SHUTDOWN => break,

@@ -122,9 +122,13 @@ pub(crate) struct Lead {
     next_run_id: u64,
     pending_joins: Vec<AgentInfo>,
     pending_leaves: Vec<AgentId>,
-    /// The view's sketch holds a fold under which some vertex may be
-    /// split, and the epoch that publishes it has not been opened yet.
+    /// The view's sketch holds a fold under which some vertex's
+    /// replication factor may have changed, and the epoch that
+    /// publishes it has not been opened yet.
     pending_sketch: bool,
+    /// The epoch the last recovery reset opened: a sketch delta counted
+    /// under an earlier one describes a graph the reset wiped.
+    counted_since: u64,
     /// Epoch of the outstanding migrate barrier, if any.
     migrate_epoch: Option<u64>,
     /// Members of the outstanding migrate barrier (view agents plus
@@ -174,7 +178,8 @@ pub(crate) struct Lead {
     /// disabled unless `cfg.tracing`.
     tracer: Tracer,
     /// [`DirectoryView::may_split`] of the current view: one pass over
-    /// the sketch per view epoch, read once per superstep.
+    /// the sketch per view epoch, read once per superstep. A quiet fold
+    /// moves no counter across a factor boundary, so it cannot change it.
     may_split: bool,
     /// The counts the last Scatter barrier's advance told the members
     /// to take in, and the step they are of; only
@@ -230,6 +235,7 @@ impl Lead {
             pending_joins: Vec::new(),
             pending_leaves: Vec::new(),
             pending_sketch: false,
+            counted_since: 0,
             migrate_epoch: None,
             migrate_members: Vec::new(),
             departing: Vec::new(),
@@ -319,16 +325,9 @@ impl Lead {
                 self.reply(Frame::signal(packet::OK));
             }
             packet::SKETCH_DELTA => {
-                let quiet =
-                    msg::decode_sketch_delta(frame).is_some_and(|delta| self.fold_sketch(&delta));
-                // A quiet fold changed nothing the sender routes by;
-                // the epoch tells it whether its view is still the
-                // current one.
-                self.reply(if quiet {
-                    Frame::builder(packet::OK).u64(self.view.epoch).finish()
-                } else {
-                    self.view.encode()
-                });
+                if let Some(delta) = msg::decode_sketch_delta(frame) {
+                    self.fold_sketch(&delta);
+                }
             }
             packet::START => {
                 let answer = match RunInfo::decode(frame) {
@@ -339,7 +338,20 @@ impl Lead {
                 };
                 self.reply(answer);
             }
-            packet::GET_VIEW => self.reply(self.view.encode()),
+            packet::GET_VIEW => {
+                // A Streamer about to route a batch names the epoch it
+                // routes by: the batch clock ticks, and the view goes
+                // back only when a newer one has opened.
+                let held = frame.reader().u64();
+                if held.is_some() {
+                    self.view.batch_id += 1;
+                }
+                self.reply(if held == Some(self.view.epoch) {
+                    Frame::builder(packet::OK).u64(self.view.epoch).finish()
+                } else {
+                    self.view.encode()
+                });
+            }
             packet::RUN_STATUS => self.reply(self.status().encode()),
             packet::METRICS => {
                 if let Some(m) = AgentMetrics::decode(frame) {
@@ -677,9 +689,13 @@ impl Lead {
 
     /// The view's membership changed, or its sketch in a way that can
     /// change a placement: open its next epoch and re-read what the
-    /// lead keeps per epoch.
+    /// lead keeps per epoch. Decrements leave the row maxima loose, so
+    /// a bound that allows a split is rescanned before it is believed.
     fn next_epoch(&mut self) {
         self.view.epoch += 1;
+        if self.view.may_split() {
+            self.view.sketch.rescan_bound();
+        }
         self.may_split = self.view.may_split();
     }
 
@@ -689,31 +705,36 @@ impl Lead {
         !self.pending_joins.is_empty() || !self.pending_leaves.is_empty() || self.pending_sketch
     }
 
-    /// Fold a Streamer's batch delta into the view's sketch, and say
-    /// whether the fold was *quiet*: no vertex could be split before
-    /// it and none can after, so the placement function — what a view
-    /// epoch names — is the one every participant already holds
-    /// (DESIGN.md "A sketch fold is not a view change"). A quiet fold
-    /// is complete on return: no epoch, no VIEW, no barrier, nothing
-    /// pending that a chained step or an async run would stop for. Any
-    /// other fold gets its epoch the way a membership change does: now,
-    /// or at the run's next boundary.
+    /// Fold the degree changes an agent applied into the view's sketch,
+    /// and say whether a counter they changed crossed a replication
+    /// factor boundary. An estimate is the minimum of its counters and
+    /// the factor is monotone in it, so if no counter changed factor no
+    /// vertex's `k` did, and the placement function — what a view epoch
+    /// names — is the one every participant already holds (DESIGN.md
+    /// "Degrees come from the agents"). Such a fold is *quiet*: complete
+    /// on return, with no epoch, no VIEW, no barrier and nothing pending
+    /// that a chained step or an async run would stop for. Any other
+    /// fold gets its epoch the way a membership change does: now, or at
+    /// the run's next boundary.
     fn fold_sketch(&mut self, delta: &SketchDeltaView<'_>) -> bool {
-        // A mismatched delta is a client bug; drop it rather than
-        // poisoning the view.
-        if delta.fold_into(&mut self.view.sketch).is_err() {
+        // Counted before the last recovery reset: the replay recounts
+        // what is left of it.
+        if delta.epoch < self.counted_since {
             return false;
         }
-        self.view.batch_id += 1;
-        if !self.may_split && !self.view.may_split() {
-            return true;
+        let (config, agents) = (self.view.locator_config(), self.view.agents.len());
+        let factor = |count: u32| config.replication_factor(u64::from(count), agents);
+        // A mismatched delta is a client bug; it is dropped rather than
+        // let poison the view.
+        if !matches!(delta.fold_into(&mut self.view.sketch, factor), Ok(true)) {
+            return false;
         }
         self.pending_sketch = true;
         if !self.busy() {
             self.apply_membership();
         }
         self.evaluate();
-        false
+        true
     }
 
     /// Whether the step whose Scatter barrier just settled may run its
@@ -855,10 +876,12 @@ impl Lead {
         if let Some(m) = self.metrics.remove(&dead) {
             self.departed_metrics.absorb_departed(&m);
         }
-        // The table already counts every batch that was routed — the
-        // replayed edges must see the same estimates — and the epoch
-        // opened below publishes it.
+        // The table counted the graph the reset wipes. It starts over
+        // at zero, and the agents count what the restore and the replay
+        // put back; a delta counted before the epoch opened below is
+        // dropped when it arrives.
         self.pending_sketch = false;
+        self.view.sketch.clear();
         // The reset rewinds every cumulative counter to zero,
         // survivors and ghosts alike. Dangling carry describes
         // pre-crash state the replay will regenerate.
@@ -884,6 +907,7 @@ impl Lead {
             };
         }
         self.next_epoch();
+        self.counted_since = self.view.epoch;
         self.tracer
             .instant_at(EventKind::RecoveryTrigger, self.now, self.view.epoch, dead);
         self.migrate_members = self.member_ids();
@@ -1300,7 +1324,7 @@ impl Lead {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use elga_sketch::{DegreeEstimator, SketchDelta};
+    use elga_sketch::SketchDelta;
 
     fn test_lead() -> Lead {
         Lead::new(&SystemConfig::default(), Instant::now())
@@ -1446,15 +1470,17 @@ mod tests {
             .collect()
     }
 
-    /// Hand `delta` to the lead as a SKETCH_DELTA frame would arrive;
-    /// whether the fold was quiet.
+    /// Hand `delta` to the lead as an agent's SKETCH_DELTA push under
+    /// the current epoch would arrive; whether the fold may have changed
+    /// some vertex's `k`.
     fn fold(delta: SketchDelta, lead: &mut Lead) -> bool {
-        let frame = msg::encode_sketch_delta(&delta);
+        let frame = msg::encode_sketch_delta(lead.view.epoch, &delta);
         lead.fold_sketch(&msg::decode_sketch_delta(&frame).unwrap())
     }
 
-    /// A delta for the lead's table counting `count` more on vertex 77.
-    fn hub(lead: &Lead, count: u32) -> SketchDelta {
+    /// A delta for the lead's table counting `count` more (or, below
+    /// zero, less) on vertex 77.
+    fn hub(lead: &Lead, count: i32) -> SketchDelta {
         let sketch = &lead.view.sketch;
         let mut delta = SketchDelta::new(sketch.width(), sketch.depth());
         delta.add(77, count);
@@ -1462,17 +1488,35 @@ mod tests {
     }
 
     /// Vertex 77 counted `over` past the replication threshold.
-    fn hub_delta(lead: &Lead, over: u32) -> SketchDelta {
-        hub(lead, lead.view.replication_threshold as u32 + over)
+    fn hub_delta(lead: &Lead, over: i32) -> SketchDelta {
+        hub(lead, lead.view.replication_threshold as i32 + over)
     }
 
-    /// A batch of `edges` ring edges starting at vertex `from`.
-    fn ring_delta(lead: &Lead, from: u64, edges: u64) -> SketchDelta {
+    /// `edges` ring edges from vertex `from` on, both placements:
+    /// `sign` 1 inserts them, -1 deletes them.
+    fn ring_delta(lead: &Lead, from: u64, edges: u64, sign: i32) -> SketchDelta {
         let mut delta = hub(lead, 0);
         for v in from..from + edges {
-            delta.record_edge(v, v + 1);
+            delta.add(v, sign);
+            delta.add(v + 1, sign);
         }
         delta
+    }
+
+    /// A Streamer's per-batch request naming `epoch`, and the lead's
+    /// answer.
+    fn batch(lead: &mut Lead, epoch: u64) -> Frame {
+        let ask = Frame::builder(packet::GET_VIEW).u64(epoch).finish();
+        lead.on_frame(lead.now, &ask);
+        let replies: Vec<Frame> = lead
+            .effects()
+            .filter_map(|e| match e {
+                Effect::Reply(f) => Some(f),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(replies.len(), 1);
+        replies.into_iter().next().unwrap()
     }
 
     /// A lead with agents 1 and 2 joined and migrated; every effect
@@ -1504,42 +1548,74 @@ mod tests {
     }
 
     #[test]
-    fn a_delta_under_the_bound_folds_without_an_epoch() {
+    fn a_delta_that_moves_no_factor_folds_without_an_epoch() {
         let mut lead = lead_with_agents();
         published(&mut lead, packet::VIEW);
-        let (epoch, batch) = (lead.view.epoch, lead.view.batch_id);
-        // What the streamer used to send: a whole table per batch.
+        let epoch = lead.view.epoch;
+        // The table a dense count of the same inserts builds.
         let mut dense = lead.view.sketch.clone();
-        for (i, from) in [0u64, 40, 9_000].into_iter().enumerate() {
-            let mut table = DegreeEstimator::new(dense.width(), dense.depth());
-            (from..from + 64).for_each(|v| table.record_edge(v, v + 1));
-            dense.merge(table.sketch()).unwrap();
-            assert!(fold(ring_delta(&lead, from, 64), &mut lead), "batch {i}");
-            assert_eq!(lead.view.batch_id, batch + 1 + i as u64);
+        for from in [0u64, 40, 9_000] {
+            for v in from..from + 64 {
+                dense.add(v, 1);
+                dense.add(v + 1, 1);
+            }
+            assert!(
+                !fold(ring_delta(&lead, from, 64, 1), &mut lead),
+                "from {from}"
+            );
         }
         assert_eq!(lead.view.epoch, epoch);
         assert_eq!(lead.migrate_epoch, None);
         assert!(!lead.membership_pending() && !lead.busy());
         assert!(published(&mut lead, packet::VIEW).is_empty());
         assert_eq!(lead.view.sketch, dense);
+        // Deletes take the counts back out, quietly too.
+        assert!(!fold(ring_delta(&lead, 40, 64, -1), &mut lead));
+        let mut kept = CountMinSketch::new(dense.width(), dense.depth());
+        for from in [0u64, 9_000] {
+            for v in from..from + 64 {
+                kept.add(v, 1);
+                kept.add(v + 1, 1);
+            }
+        }
+        assert_eq!(lead.view.sketch, kept);
         // A delta for some other table is dropped whole.
         let alien = SketchDelta::new(dense.width() / 2, dense.depth());
         assert!(!fold(alien, &mut lead));
-        assert_eq!((lead.view.epoch, lead.view.batch_id), (epoch, batch + 3));
-        assert_eq!(lead.view.sketch, dense);
+        assert_eq!(lead.view.sketch, kept);
+        assert!(published(&mut lead, packet::VIEW).is_empty());
     }
 
     #[test]
-    fn a_delta_that_lifts_the_bound_opens_an_epoch_and_so_does_every_later_one() {
+    fn a_streamer_request_ticks_the_batch_clock_and_gets_the_view_only_if_stale() {
+        let mut lead = lead_with_agents();
+        lead.effects().for_each(drop);
+        let (epoch, clock) = (lead.view.epoch, lead.view.batch_id);
+        let ok = batch(&mut lead, epoch);
+        assert_eq!(ok.packet_type(), packet::OK);
+        assert_eq!(ok.reader().u64(), Some(epoch));
+        let stale = batch(&mut lead, epoch - 1);
+        assert_eq!(DirectoryView::decode(&stale).unwrap().epoch, epoch);
+        assert_eq!(lead.view.batch_id, clock + 2);
+        // A plain view request is no batch.
+        lead.on_frame(lead.now, &Frame::signal(packet::GET_VIEW));
+        assert_eq!(lead.view.batch_id, clock + 2);
+        // Folds move no clock either.
+        fold(ring_delta(&lead, 0, 8, 1), &mut lead);
+        assert_eq!((lead.view.epoch, lead.view.batch_id), (epoch, clock + 2));
+    }
+
+    #[test]
+    fn an_epoch_opens_when_a_counter_crosses_a_factor_boundary_and_only_then() {
         let mut lead = lead_with_agents();
         published(&mut lead, packet::VIEW);
         let epoch = lead.view.epoch;
         // At the threshold `k` is still 1 everywhere.
-        assert!(fold(hub_delta(&lead, 0), &mut lead));
+        assert!(!fold(hub_delta(&lead, 0), &mut lead));
         assert_eq!(lead.view.epoch, epoch);
-        // One more edge on the hub and a split is possible: today's
+        // One more edge on the hub and its counters' factor is 2: a
         // view change, barrier and all.
-        assert!(!fold(hub(&lead, 1), &mut lead));
+        assert!(fold(hub(&lead, 1), &mut lead));
         assert_eq!(lead.view.epoch, epoch + 1);
         assert_eq!(lead.migrate_epoch, Some(epoch + 1));
         assert_eq!(lead.migrate_members, vec![1, 2]);
@@ -1551,16 +1627,52 @@ mod tests {
             (view.epoch, view.sketch == lead.view.sketch),
             (epoch + 1, true)
         );
-        // While the barrier is open a fold is merged and waits …
-        let small = ring_delta(&lead, 500, 4);
-        assert!(!fold(small, &mut lead));
+        // While the barrier is open a crossing fold is merged and
+        // waits …
+        assert!(fold(hub(&lead, -1), &mut lead));
         assert!(lead.pending_sketch && lead.view.epoch == epoch + 1);
-        // … and is published when it settles. Which vertex a delta
-        // touches is never asked once a split is possible.
+        // … and is published when it settles: the hub is back under
+        // the threshold, and the rescanned bound says nothing splits.
         report_all(&mut lead, 0, (epoch + 1) as u32, Phase::Migrate, 0);
         assert_eq!(lead.migrate_epoch, Some(epoch + 2));
-        assert!(!lead.pending_sketch);
+        assert!(!lead.pending_sketch && !lead.may_split);
         assert_eq!(published(&mut lead, packet::VIEW).len(), 1);
+        report_all(&mut lead, 0, (epoch + 2) as u32, Phase::Migrate, 0);
+        // Over the threshold again: with a split possible, a fold that
+        // moves no counter across a boundary is still no epoch.
+        assert!(fold(hub(&lead, 1), &mut lead));
+        report_all(&mut lead, 0, (epoch + 3) as u32, Phase::Migrate, 0);
+        published(&mut lead, packet::VIEW);
+        assert!(lead.may_split);
+        assert!(!fold(ring_delta(&lead, 500, 4, 1), &mut lead));
+        assert!(!fold(hub(&lead, 5), &mut lead), "k stays 2");
+        assert_eq!(lead.view.epoch, epoch + 3);
+        assert!(published(&mut lead, packet::VIEW).is_empty());
+    }
+
+    #[test]
+    fn a_recovery_zeroes_the_table_and_drops_deltas_counted_before_it() {
+        let mut lead = lead_with_agents();
+        fold(ring_delta(&lead, 0, 8, 1), &mut lead);
+        let before = lead.view.epoch;
+        let mut early = SketchDelta::new(lead.view.sketch.width(), lead.view.sketch.depth());
+        early.add(5, 3);
+        let early = msg::encode_sketch_delta(before, &early);
+        lead.recover(2);
+        assert!(lead.view.sketch.is_empty());
+        assert!(lead.view.sketch.estimate_bound() == 0 && !lead.may_split);
+        let recover = published(&mut lead, packet::RECOVER);
+        let view = msg::Recover::decode(&recover[0]).unwrap().view;
+        assert!(
+            view.sketch.is_empty(),
+            "the reset view carries the zero table"
+        );
+        // Counted under the epoch before the reset: dropped.
+        lead.on_frame(lead.now, &early);
+        assert!(lead.view.sketch.is_empty());
+        // Counted since: folded.
+        fold(ring_delta(&lead, 0, 8, 1), &mut lead);
+        assert_eq!(lead.view.sketch.estimate(3), 2);
     }
 
     #[test]
@@ -1570,7 +1682,7 @@ mod tests {
         assert_eq!(expects(&lead), (1, Phase::Scatter, true));
         advances(&mut lead);
         let epoch = lead.view.epoch;
-        assert!(fold(ring_delta(&lead, 0, 64), &mut lead));
+        assert!(!fold(ring_delta(&lead, 0, 64, 1), &mut lead));
         assert!(!lead.membership_pending());
         assert!(!lead.status().migrating);
         assert_eq!(lead.view.epoch, epoch);
@@ -1583,10 +1695,11 @@ mod tests {
     }
 
     #[test]
-    fn launch_stamps_the_batches_folded_so_far() {
+    fn launch_stamps_the_batches_counted_so_far() {
         let mut lead = lead_with_agents();
-        for from in [0, 100, 200] {
-            assert!(fold(ring_delta(&lead, from, 8), &mut lead));
+        let epoch = lead.view.epoch;
+        for _ in 0..3 {
+            batch(&mut lead, epoch);
         }
         let wcc = run_info(WCC.0, false);
         let run = lead.start_run(wcc);
@@ -1594,9 +1707,9 @@ mod tests {
         assert_eq!(starts.len(), 1);
         let info = RunInfo::decode(&starts[0]).unwrap();
         assert_eq!((info.run_id, info.watermark), (run, 3));
-        // A batch folded while the run is in flight belongs to the
-        // next run's tag, and a joiner is handed this run's.
-        assert!(fold(ring_delta(&lead, 300, 8), &mut lead));
+        // A batch sent while the run is in flight belongs to the next
+        // run's tag, and a joiner is handed this run's.
+        batch(&mut lead, epoch);
         assert_eq!(lead.run.as_ref().unwrap().info.watermark, 3);
         assert_eq!(lead.status().epoch, lead.view.epoch);
     }
@@ -1680,11 +1793,11 @@ mod tests {
         lead.pending_leaves.push(2);
         unchained(&mut lead, run, 0, "leave pending");
 
-        // A fold that lifts the bound over the threshold waits for the
+        // A fold that moves a counter over the threshold waits for the
         // Apply boundary like a join: merged, but not yet an epoch.
         let (mut lead, run) = lead_mid_run(WCC.0, WCC.1, false);
         let epoch = lead.view.epoch;
-        assert!(!fold(hub_delta(&lead, 1), &mut lead));
+        assert!(fold(hub_delta(&lead, 1), &mut lead));
         assert!(lead.pending_sketch && lead.view.epoch == epoch);
         unchained(&mut lead, run, 0, "sketch fold pending");
         report_all(&mut lead, run, 0, Phase::Combine, 0);
@@ -1718,13 +1831,13 @@ mod tests {
 
         // One estimate over the threshold is enough; which vertex it
         // belongs to is never looked up. The sketch reaches the view
-        // the way a streamer's does, as a delta — folded quietly, as
+        // the way an agent's counts do, as a delta — folded quietly, as
         // nothing can be split over no agents — and the lead reads the
         // bound when the joins open the epoch.
-        let hub = |over: u32| {
+        let hub = |over: i32| {
             let mut lead = test_lead();
             let delta = hub_delta(&lead, over);
-            assert!(fold(delta, &mut lead));
+            assert!(!fold(delta, &mut lead));
             lead
         };
         let (mut lead, run) = lead_mid_run_on(hub(0), WCC.0, WCC.1, false);
@@ -2723,13 +2836,21 @@ mod tests {
                     }
                     leave(members[usize::from(a) % members.len()])
                 }
-                7 | 8 => {
-                    let delta = if kind == 8 && b < 64 {
-                        hub_delta(&self.lead, 1)
-                    } else {
-                        ring_delta(&self.lead, u64::from(a) * 8, 4)
+                // A Streamer's batch, under the current epoch or an
+                // older one.
+                7 => {
+                    let epoch = self.lead.view.epoch - u64::from(a % 2);
+                    Frame::builder(packet::GET_VIEW).u64(epoch).finish()
+                }
+                // An agent's counts: a hub crossing the threshold one
+                // way or the other, or ring edges.
+                8 => {
+                    let delta = match b {
+                        0..=63 => hub_delta(&self.lead, 1),
+                        64..=127 => hub_delta(&self.lead, -1),
+                        _ => ring_delta(&self.lead, u64::from(a) * 8, 4, 1),
                     };
-                    msg::encode_sketch_delta(&delta)
+                    msg::encode_sketch_delta(self.lead.view.epoch, &delta)
                 }
                 9 => run_info(WCC.0, b % 2 == 1).encode(),
                 10 => {
@@ -2885,16 +3006,19 @@ mod tests {
                     _ => {}
                 }
             }
-            // A quiet fold queues nothing but its `OK(epoch)` reply.
-            if matches!(kind, 7 | 8) {
-                match effects.last() {
-                    Some(Effect::Reply(f)) if f.packet_type() == packet::OK => {
-                        assert_eq!(effects.len(), 1);
+            // A batch is answered with `OK(epoch)` and nothing else when
+            // the epoch it names is current, with the view otherwise; a
+            // fold answers nothing, and a quiet one queues nothing.
+            match kind {
+                7 => match &effects[..] {
+                    [Effect::Reply(f)] if f.packet_type() == packet::OK => {
                         assert_eq!(f.reader().u64(), Some(lead.view.epoch));
                     }
-                    Some(Effect::Reply(f)) => assert_eq!(f.packet_type(), packet::VIEW),
-                    other => panic!("a fold ended in {other:?}"),
-                }
+                    [Effect::Reply(f)] => assert_eq!(f.packet_type(), packet::VIEW),
+                    other => panic!("a batch request ended in {other:?}"),
+                },
+                8 => assert!(!effects.iter().any(|e| matches!(e, Effect::Reply(_)))),
+                _ => {}
             }
         }
     }
@@ -2907,8 +3031,8 @@ mod tests {
 
         /// ROADMAP 3(a)'s invariants after every input of a random order
         /// of joins, leaves, settled READYs for whatever barrier is open,
-        /// quiet and bound-lifting sketch deltas, run starts, heartbeats
-        /// and ticks, over one to four agents.
+        /// batch requests, quiet and factor-crossing sketch deltas, run
+        /// starts, heartbeats and ticks, over one to four agents.
         #[test]
         fn invariants_hold_over_random_event_orders(
             inputs in proptest::collection::vec(

@@ -30,7 +30,8 @@ pub mod packet {
     pub const LEAVE: u8 = 2;
     /// Directory view broadcast (PUB topic): [`super::DirectoryView`].
     pub const VIEW: u8 = 3;
-    /// Count-min sketch delta (REQ, Streamer → lead).
+    /// Count-min sketch delta (push, Agent → lead): the degree changes
+    /// it applied, [`super::encode_sketch_delta`].
     pub const SKETCH_DELTA: u8 = 4;
     /// Edge changes (push, Streamer → Agent, or forwarded Agent → Agent).
     pub const EDGE_CHANGES: u8 = 5;
@@ -53,7 +54,9 @@ pub mod packet {
     /// Drain request (REQ to an Agent), answered by
     /// [`super::DrainReport`].
     pub const DRAIN: u8 = 16;
-    /// Get current view (REQ to a Directory).
+    /// Get current view (REQ to a Directory). A Streamer's carries the
+    /// epoch it routes by: one tick of the batch clock, answered by
+    /// `OK(epoch)` while that epoch is current.
     pub const GET_VIEW: u8 = 18;
     /// Run status (REQ to a Directory), answered by [`super::RunStatus`].
     pub const RUN_STATUS: u8 = 19;
@@ -430,7 +433,7 @@ impl DirectoryView {
         EdgeLocator::new(ring, self.locator_config())
     }
 
-    fn locator_config(&self) -> LocatorConfig {
+    pub(crate) fn locator_config(&self) -> LocatorConfig {
         LocatorConfig {
             replication_threshold: self.replication_threshold,
             max_replicas: self.max_replicas,
@@ -1496,6 +1499,9 @@ wire! {
         pub counters: Counters,
         /// Its adopted view epoch.
         pub epoch: u64,
+        /// It pushed a SKETCH_DELTA to its directory ahead of this
+        /// reply: no wave that saw one confirms a `quiesce`.
+        pub degrees: bool,
     }
 
     /// A CKPT_SAVE request: write one shard of checkpoint `generation`
@@ -1650,32 +1656,34 @@ record! {
     }
 }
 
-/// SKETCH_DELTA form byte: the whole table, as a [`CountMinSketch`]
-/// lays it out.
+/// SKETCH_DELTA form byte: the whole table, row-major `i32` counts.
 const DELTA_DENSE: u8 = 0;
-/// SKETCH_DELTA form byte: the cells the batch touched, as one
-/// length-prefixed run of `(u32 index, u32 count)` pairs.
+/// SKETCH_DELTA form byte: the cells the delta touched, as one
+/// length-prefixed run of `(u32 index, i32 count)` pairs.
 const DELTA_SPARSE: u8 = 1;
 
-/// Encode a batch's sketch delta (request to the lead directory): the
-/// form byte, `width, depth, items`, then whichever body is smaller —
-/// the touched cells as pairs, or the dense table. The reply is an
-/// `OK` carrying the lead's view epoch when the fold changed no
-/// placement, the new VIEW otherwise.
-pub fn encode_sketch_delta(delta: &SketchDelta) -> Frame {
+/// Encode an agent's sketch delta (push to its directory), counted
+/// under view `epoch`: the epoch, the form byte, `width, depth, items`,
+/// then whichever body is smaller — the touched cells as pairs, or the
+/// dense table. Counts are signed; a non-negative one has the bytes its
+/// `u32` would.
+pub fn encode_sketch_delta(epoch: u64, delta: &SketchDelta) -> Frame {
     let cells = delta.width() * delta.depth();
     let sparse = delta.touched() * 2 < cells;
     let b = Frame::builder(packet::SKETCH_DELTA)
+        .u64(epoch)
         .u8(if sparse { DELTA_SPARSE } else { DELTA_DENSE })
         .u32(delta.width() as u32)
         .u32(delta.depth() as u32)
-        .u64(delta.items());
+        .u64(delta.items() as u64);
     if sparse {
-        let pairs = delta.cells().flat_map(|(idx, count)| [idx as u32, count]);
+        let pairs = delta
+            .cells()
+            .flat_map(|(idx, count)| [idx as u32, count as u32]);
         b.u32((delta.touched() * 8) as u32).u32s(pairs)
     } else {
-        let b = b.u32((cells * 4) as u32);
-        (0..delta.depth()).fold(b, |b, row| b.u32s(delta.row(row).iter().copied()))
+        let counts = delta.counts().iter().map(|&count| count as u32);
+        b.u32((cells * 4) as u32).u32s(counts)
     }
     .finish()
 }
@@ -1685,9 +1693,11 @@ pub fn encode_sketch_delta(delta: &SketchDelta) -> Frame {
 /// sparse index is inside the `width × depth` table.
 #[derive(Debug, Clone, Copy)]
 pub struct SketchDeltaView<'a> {
+    /// The view epoch the sender counted under.
+    pub epoch: u64,
     width: usize,
     depth: usize,
-    items: u64,
+    items: i64,
     sparse: bool,
     /// Dense: `width × depth` counts. Sparse: `(index, count)` pairs.
     body: &'a [u8],
@@ -1696,8 +1706,8 @@ pub struct SketchDeltaView<'a> {
 impl SketchDeltaView<'_> {
     /// `(table index, count)` of every cell the delta carries — all of
     /// them, zeros included, in the dense form.
-    pub fn cells(&self) -> impl Iterator<Item = (usize, u32)> + '_ {
-        let le = |c: &[u8]| u32::from_le_bytes(c.try_into().expect("4-byte chunk"));
+    pub fn cells(&self) -> impl Iterator<Item = (usize, i32)> + '_ {
+        let le = |c: &[u8]| i32::from_le_bytes(c.try_into().expect("4-byte chunk"));
         let stride = if self.sparse { 8 } else { 4 };
         let sparse = self.sparse;
         self.body
@@ -1705,19 +1715,25 @@ impl SketchDeltaView<'_> {
             .enumerate()
             .map(move |(i, c)| {
                 if sparse {
-                    (le(&c[..4]) as usize, le(&c[4..]))
+                    (le(&c[..4]) as u32 as usize, le(&c[4..]))
                 } else {
                     (i, le(c))
                 }
             })
     }
 
-    /// Fold the delta into `sketch`: the one loop both forms share.
+    /// Fold the delta into `sketch`, the one loop both forms share, and
+    /// say whether a changed counter changed `class`
+    /// ([`CountMinSketch::fold`]).
     ///
     /// # Errors
     /// Returns `Err`, with nothing folded, when dimensions differ.
-    pub fn fold_into(&self, sketch: &mut CountMinSketch) -> Result<(), DimensionMismatch> {
-        sketch.fold((self.width, self.depth), self.cells(), self.items)
+    pub fn fold_into(
+        &self,
+        sketch: &mut CountMinSketch,
+        class: impl Fn(u32) -> u32,
+    ) -> Result<bool, DimensionMismatch> {
+        sketch.fold((self.width, self.depth), self.cells(), self.items, class)
     }
 }
 
@@ -1725,10 +1741,11 @@ impl SketchDeltaView<'_> {
 /// zero dimension, an unknown form or an index outside the table.
 pub fn decode_sketch_delta(frame: &Frame) -> Option<SketchDeltaView<'_>> {
     let mut r = expect(frame, packet::SKETCH_DELTA)?;
+    let epoch = r.u64()?;
     let form = r.u8()?;
     let width = r.u32()? as usize;
     let depth = r.u32()? as usize;
-    let items = r.u64()?;
+    let items = r.u64()? as i64;
     let cells = width.checked_mul(depth).filter(|&c| c > 0)?;
     let body = r.bytes()?;
     let sparse = match form {
@@ -1740,6 +1757,7 @@ pub fn decode_sketch_delta(frame: &Frame) -> Option<SketchDeltaView<'_>> {
         return None;
     }
     let view = SketchDeltaView {
+        epoch,
         width,
         depth,
         items,
@@ -2324,47 +2342,56 @@ mod tests {
     }
 
     /// The encoder picks the shorter form, and either folds to the
-    /// table direct updates build. (Both forms of *one* delta are
-    /// compared in `tests/prop.rs`.)
+    /// table direct updates build, decrements included. (Both forms of
+    /// *one* delta are compared in `tests/prop.rs`.)
     #[test]
     fn sketch_delta_takes_the_shorter_form_and_folds_to_the_same_table() {
         let mut delta = SketchDelta::new(16, 2);
         let mut direct = CountMinSketch::new(16, 2);
         let mut folded = CountMinSketch::new(16, 2);
         let mut add = |delta: &mut SketchDelta, k, c| {
-            delta.add(k, c);
+            delta.add(k, c as i32);
             direct.add(k, c);
         };
         for (k, c) in [(3, 9), (40, 1), (3, 2)] {
             add(&mut delta, k, c);
         }
         // Four cells of 32: pairs.
-        let frame = encode_sketch_delta(&delta);
-        assert_eq!(frame.payload()[0], DELTA_SPARSE);
-        assert_eq!(frame.len(), 1 + 1 + 16 + 4 + delta.touched() * 8);
+        let frame = encode_sketch_delta(5, &delta);
+        assert_eq!(frame.payload()[8], DELTA_SPARSE);
+        assert_eq!(frame.len(), 1 + 8 + 1 + 16 + 4 + delta.touched() * 8);
         let view = decode_sketch_delta(&frame).unwrap();
-        view.fold_into(&mut folded).unwrap();
+        assert_eq!(view.epoch, 5);
+        view.fold_into(&mut folded, |_| 0).unwrap();
         let mut other = CountMinSketch::new(8, 4);
-        assert!(view.fold_into(&mut other).is_err(), "same cell count");
+        assert!(
+            view.fold_into(&mut other, |_| 0).is_err(),
+            "same cell count"
+        );
         assert!(other.is_empty());
-        // A batch that touches most of the table: the table.
+        // A batch that touches most of the table, and takes back two of
+        // the first one's counts: the table.
         delta.clear();
         (0..64).for_each(|k| add(&mut delta, k, 1));
+        delta.add(3, -2);
         assert!(delta.touched() * 2 >= 32);
-        let frame = encode_sketch_delta(&delta);
-        assert_eq!(frame.payload()[0], DELTA_DENSE);
-        assert_eq!(frame.len(), 1 + 1 + 16 + 4 + 32 * 4);
+        let frame = encode_sketch_delta(5, &delta);
+        assert_eq!(frame.payload()[8], DELTA_DENSE);
+        assert_eq!(frame.len(), 1 + 8 + 1 + 16 + 4 + 32 * 4);
         let view = decode_sketch_delta(&frame).unwrap();
-        view.fold_into(&mut folded).unwrap();
+        view.fold_into(&mut folded, |_| 0).unwrap();
+        let mut taken = SketchDelta::new(16, 2);
+        taken.add(3, -2);
+        direct.fold((16, 2), taken.cells(), -2, |_| 0).unwrap();
         assert_eq!(folded, direct);
-        assert_eq!(folded.estimate_bound(), direct.estimate_bound());
+        assert!(folded.estimate(3) >= 10);
     }
 
     #[test]
     fn sketch_delta_rejects_malformed_frames() {
         let mut delta = SketchDelta::new(16, 2);
-        delta.add(3, 9);
-        let good = encode_sketch_delta(&delta);
+        delta.add(3, -9);
+        let good = encode_sketch_delta(1, &delta);
         assert!(decode_sketch_delta(&good).is_some());
         let bytes = good.as_bytes();
         for cut in 1..bytes.len() {
@@ -2376,6 +2403,7 @@ mod tests {
         assert!(decode_sketch_delta(&Frame::from_bytes(long.into())).is_none());
         let header = |form: u8, width: u32, depth: u32| {
             Frame::builder(packet::SKETCH_DELTA)
+                .u64(1)
                 .u8(form)
                 .u32(width)
                 .u32(depth)

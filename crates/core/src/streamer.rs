@@ -1,19 +1,26 @@
 //! Streamers: the entities that feed graph changes into ElGA (paper
 //! §3.1: "Streamers send graph updates to Agents").
 //!
-//! A streamer batches a turnstile change stream, first pushing its
-//! local count-min-sketch delta to the directory (which folds it into
-//! the view's sketch — the constant-size global state that drives
-//! replication decisions), then routing each change to *both* of its
-//! placements: the out-edge record to `owner(src, dst)` and the
-//! in-edge record to `owner(dst, src)` (Figure 3).
+//! A streamer batches a turnstile change stream. Per batch it asks the
+//! lead one short question — the batch clock ticks, and the answer says
+//! whether the epoch it routes by is still current — then routes each
+//! change to *both* of its placements: the out-edge record to
+//! `owner(src, dst)` and the in-edge record to `owner(dst, src)`
+//! (Figure 3).
 //!
-//! An ingest batch is not a view change. While no vertex can be split
-//! the directory answers the delta with a short acknowledgement and
-//! the streamer keeps everything it routes by — view, outboxes, owner
-//! memo — across batches; only a new view epoch (membership, ring
-//! parameters, or a sketch fold under which a split is possible)
-//! replaces them.
+//! A streamer counts no degrees. Whether a change moves one depends on
+//! what the agents hold (an insert of a present edge or a delete of an
+//! absent one moves nothing), so the agents that apply the changes
+//! count them and push them to the lead, which folds them into the
+//! view's count-min sketch — the constant-size global state that drives
+//! replication decisions.
+//!
+//! An ingest batch is not a view change. The streamer keeps everything
+//! it routes by — view, outboxes, owner memo — across batches; only a
+//! new view epoch (membership, ring parameters, or a fold that moved
+//! some sketch counter across a replication-factor boundary) replaces
+//! them, and that epoch opens after the batch that caused it was
+//! applied.
 
 use crate::config::SystemConfig;
 use crate::msg::{self, packet, DirectoryView, Message, Side};
@@ -23,7 +30,6 @@ use elga_hash::{AgentId, EdgeLocator, FxHashMap, OwnerCache};
 use elga_net::{
     Addr, CoalesceConfig, CoalesceStats, CoalescingOutbox, Frame, NetError, Transport, TransportExt,
 };
-use elga_sketch::SketchDelta;
 use elga_trace::{EventKind, Tracer};
 use std::sync::Arc;
 use std::time::Instant;
@@ -69,9 +75,6 @@ pub struct Streamer {
     /// once, and checked against the ring once per membership change,
     /// instead of once per edge.
     cache: OwnerCache,
-    /// The current batch's sketch increments; emptied (touched cells
-    /// only) once they are encoded.
-    delta: SketchDelta,
     /// Event recorder (view adoption, recovery replay, coalescer
     /// flushes); disabled unless `cfg.tracing`.
     tracer: Arc<Tracer>,
@@ -94,7 +97,6 @@ impl Streamer {
         let mut cache = OwnerCache::new();
         view.advance_memo(&mut cache);
         let tracer = Arc::new(Tracer::from_flag(cfg.tracing));
-        let delta = SketchDelta::new(view.sketch.width(), view.sketch.depth());
         Ok(Streamer {
             transport,
             cfg,
@@ -106,7 +108,6 @@ impl Streamer {
             coalesce_retired: CoalesceStats::default(),
             log: ChangeLog::default(),
             cache,
-            delta,
             tracer,
         })
     }
@@ -174,43 +175,26 @@ impl Streamer {
         self.outboxes.get_mut(&agent)
     }
 
-    /// Send one batch of changes: update the global sketch, follow the
-    /// directory to a new view if there is one, and route every change
-    /// to both placements. Returns the number of change records pushed
-    /// (2× the batch size: one out-placement and one in-placement
-    /// each).
+    /// Send one batch of changes: tick the lead's batch clock, follow
+    /// it to a new view if there is one, and route every change to both
+    /// placements. Returns the number of change records pushed (2× the
+    /// batch size: one out-placement and one in-placement each).
     pub fn send_batch(&mut self, changes: &[EdgeChange]) -> Result<usize, NetError> {
         if changes.is_empty() {
             return Ok(0);
         }
-        // 1. Degree counting: insertions grow the sketch (deletions
-        //    leave it in place — count-min never decrements, keeping
-        //    the estimate an upper bound; §2.4).
-        for c in changes {
-            if c.is_insert() {
-                self.delta.record_edge(c.edge.src, c.edge.dst);
-            }
-        }
-        let frame = msg::encode_sketch_delta(&self.delta);
-        self.delta.clear();
+        // 1. The batch clock, and the view only if ours is stale: an
+        //    `OK(epoch)` says whatever we route by stands.
+        let ask = Frame::builder(packet::GET_VIEW)
+            .u64(self.view.epoch)
+            .finish();
         let (rep, _) = self.transport.request_with_retry(
             &self.directory,
-            frame,
+            ask,
             self.cfg.request_timeout,
             &self.cfg.send_policy,
         )?;
-        if rep.packet_type() == packet::OK {
-            // Folded without an epoch: whatever we route by stands,
-            // unless the membership moved on since we last looked.
-            if rep.reader().u64() != Some(self.view.epoch) {
-                self.refresh()?;
-            } else {
-                debug_assert!(
-                    !self.view.may_split(),
-                    "a fold was quiet under an epoch whose sketch, as held here, can split a vertex"
-                );
-            }
-        } else if let Some(view) = DirectoryView::decode(&rep) {
+        if let Some(view) = DirectoryView::decode(&rep) {
             self.adopt(view);
         }
 
@@ -260,10 +244,12 @@ impl Streamer {
     /// regardless of execution mode, so the driver replays this log
     /// before restarting either a synchronous or an asynchronous run.
     ///
-    /// The sketch delta is *not* re-pushed — the view's sketch already
-    /// counts every logged batch, and the replayed edges must see the
-    /// same degree estimates — and the records are not re-logged.
-    /// Returns the number of change records replayed.
+    /// The records are not re-logged. The reset zeroed the lead's
+    /// sketch, so they are routed by what the agents have counted since
+    /// (the restored generation, if there is one); the agents count
+    /// what the replay applies, and a vertex it takes over the
+    /// threshold is re-placed at the epoch their counts open. Returns
+    /// the number of change records replayed.
     ///
     /// The log is decoded and routed one block at a time through a
     /// reused scratch, so a replay holds one block decoded, never the

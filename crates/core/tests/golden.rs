@@ -182,6 +182,7 @@ fn frames() -> Vec<(&'static str, Frame)> {
     }];
     let mut delta = SketchDelta::new(16, 2);
     delta.add(3, 9);
+    delta.add(7, -2);
     vec![
         ("ready", ready.encode()),
         ("advance", advance.encode()),
@@ -283,7 +284,8 @@ fn frames() -> Vec<(&'static str, Frame)> {
             }
             .encode(),
         ),
-        ("sketch delta", msg::encode_sketch_delta(&delta)),
+        ("sketch delta", msg::encode_sketch_delta(11, &delta)),
+        ("batch", Frame::builder(packet::GET_VIEW).u64(42).finish()),
     ]
 }
 
@@ -361,7 +363,7 @@ const GOLDEN: &[(&str, u8, &str)] = &[
         packet::DRAIN,
         "0000000000000000000000000000000000000000000000000000000000000000\
          0000000000000000000000000000000000000000000000000000000000000000\
-         000000000000000000000000000000000200000000000000",
+         00000000000000000000000000000000020000000000000000",
     ),
     (
         "ckpt save",
@@ -446,9 +448,10 @@ const GOLDEN: &[(&str, u8, &str)] = &[
     (
         "sketch delta",
         packet::SKETCH_DELTA,
-        "0110000000020000000900000000000000100000000c00000009000000180000\
-         0009000000",
+        "0b000000000000000110000000020000000700000000000000200000000c000000\
+         09000000180000000900000000000000feffffff14000000feffffff",
     ),
+    ("batch", packet::GET_VIEW, "2a00000000000000"),
 ];
 
 fn hex(bytes: &[u8]) -> String {

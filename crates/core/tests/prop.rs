@@ -129,19 +129,21 @@ fn in_blocks<T>(recs: &[T], blocks: &[usize], mut f: impl FnMut(&[T])) {
 }
 
 /// `delta` as a SKETCH_DELTA frame in the form asked for, whichever
-/// one `encode_sketch_delta` would pick: form byte (0 dense, 1
-/// sparse), `width, depth, items`, one length-prefixed body.
-fn delta_frame(delta: &SketchDelta, sparse: bool) -> Frame {
+/// one `encode_sketch_delta` would pick: epoch, form byte (0 dense, 1
+/// sparse), `width, depth, items`, one length-prefixed body of `i32`
+/// counts.
+fn delta_frame(epoch: u64, delta: &SketchDelta, sparse: bool) -> Frame {
     let b = Frame::builder(msg::packet::SKETCH_DELTA)
+        .u64(epoch)
         .u8(sparse as u8)
         .u32(delta.width() as u32)
         .u32(delta.depth() as u32)
-        .u64(delta.items());
+        .u64(delta.items() as u64);
     if sparse {
-        let pairs = delta.cells().flat_map(|(i, c)| [i as u32, c]);
+        let pairs = delta.cells().flat_map(|(i, c)| [i as u32, c as u32]);
         b.u32((delta.touched() * 8) as u32).u32s(pairs)
     } else {
-        let rows = (0..delta.depth()).flat_map(|r| delta.row(r).iter().copied());
+        let rows = delta.counts().iter().map(|&c| c as u32);
         b.u32((delta.width() * delta.depth() * 4) as u32).u32s(rows)
     }
     .finish()
@@ -330,9 +332,9 @@ proptest! {
         prop_assert_eq!(got_metas, metas);
     }
 
-    /// One batch's delta folds to the same table — cells, row maxima
-    /// and item count — whether it travels as touched pairs or as the
-    /// dense table, and that table is the one direct updates build.
+    /// One batch's signed delta folds to the same table — cells and
+    /// item count — whether it travels as touched pairs or as the dense
+    /// table, and that table is the one the net counts build directly.
     /// The encoder's pick is one of the two, the smaller; every strict
     /// prefix of either, an index one past the table, and a sketch of
     /// other dimensions are refused with nothing folded.
@@ -340,30 +342,42 @@ proptest! {
     fn sketch_delta_forms_are_interchangeable(
         width in 1usize..48,
         depth in 1usize..6,
+        epoch in any::<u64>(),
         before in prop::collection::vec((0u64..512, 1u32..9), 0..64),
-        batch in prop::collection::vec((0u64..512, 1u32..9), 0..96),
+        batch in prop::collection::vec((0u64..512, 1u32..9, any::<bool>()), 0..96),
         cut_frac in 0.0f64..1.0,
     ) {
-        let mut direct = CountMinSketch::new(width, depth);
-        before.iter().for_each(|&(k, c)| direct.add(k, c));
-        let base = direct.clone();
+        let mut net = std::collections::HashMap::<u64, u32>::new();
+        before.iter().for_each(|&(k, c)| *net.entry(k).or_default() += c);
+        let sketch_of = |net: &std::collections::HashMap<u64, u32>| {
+            let mut s = CountMinSketch::new(width, depth);
+            net.iter().for_each(|(&k, &c)| s.add(k, c));
+            s
+        };
+        let base = sketch_of(&net);
         let mut delta = SketchDelta::new(width, depth);
-        for &(k, c) in &batch {
-            direct.add(k, c);
-            delta.add(k, c);
+        for &(k, c, take) in &batch {
+            // A delete takes back no more than was counted before it.
+            let held = net.entry(k).or_default();
+            let change = if take { -(c.min(*held) as i32) } else { c as i32 };
+            *held = held.checked_add_signed(change).unwrap();
+            delta.add(k, change);
         }
-        let forms = [delta_frame(&delta, true), delta_frame(&delta, false)];
-        let picked = msg::encode_sketch_delta(&delta);
+        let direct = sketch_of(&net);
+        let forms = [delta_frame(epoch, &delta, true), delta_frame(epoch, &delta, false)];
+        let picked = msg::encode_sketch_delta(epoch, &delta);
         prop_assert!(forms.contains(&picked));
         prop_assert!(forms.iter().all(|f| picked.len() <= f.len()));
         for frame in &forms {
             let view = msg::decode_sketch_delta(frame).unwrap();
+            prop_assert_eq!(view.epoch, epoch);
             let mut folded = base.clone();
-            view.fold_into(&mut folded).unwrap();
+            view.fold_into(&mut folded, |_| 0).unwrap();
             prop_assert_eq!(&folded, &direct);
+            folded.rescan_bound();
             prop_assert_eq!(folded.estimate_bound(), direct.estimate_bound());
             let mut other = CountMinSketch::new(width + 1, depth);
-            prop_assert!(view.fold_into(&mut other).is_err());
+            prop_assert!(view.fold_into(&mut other, |_| 0).is_err());
             prop_assert!(other.is_empty());
             let n = frame.len();
             let keep = (1 + ((n - 1) as f64 * cut_frac) as usize).min(n - 1);
@@ -371,6 +385,7 @@ proptest! {
             prop_assert!(msg::decode_sketch_delta(&short).is_none());
         }
         let stray = Frame::builder(msg::packet::SKETCH_DELTA)
+            .u64(epoch)
             .u8(1)
             .u32(width as u32)
             .u32(depth as u32)
@@ -720,7 +735,7 @@ proptest! {
             steps: w[26] as u32, n_vertices: w[27], epoch: w[28],
             step_nanos: list.iter().map(|p| p.0).collect(), departed: counters,
         });
-        assert_round_trip(msg::DrainReport { counters, epoch: w[29] });
+        assert_round_trip(msg::DrainReport { counters, epoch: w[29], degrees: bit(14) });
         assert_round_trip(msg::CkptSave { generation: w[30], epoch: w[31], watermark: w[32] });
         assert_round_trip(msg::CkptSaveReport { ok: bit(8), bytes: w[33], nanos: w[34] });
         assert_round_trip(msg::ArmDelta { tag: w[35] as u8, params: [w[36], w[37], w[38]], n: w[39] });

@@ -17,10 +17,10 @@
 //! to the same [`VertexPlacement`] under every sketch any participant
 //! holds within one epoch. The directory opens a new epoch for exactly
 //! the changes that can break that — membership (ring successors
-//! move), ring or replication parameters, and a sketch fold under
-//! which some vertex may be split (`k` can change). A fold that leaves
-//! every vertex at `k = 1` — every ingest batch, on a graph without a
-//! hub over the replication threshold — is not an epoch.
+//! move), ring or replication parameters, and a sketch fold that moves
+//! some counter across a replication-factor boundary (`k` can change).
+//! Any other fold — every ingest batch on a graph with no vertex near
+//! the replication threshold — is not an epoch.
 //!
 //! Each entry remembers the epoch it was last checked under, and
 //! [`OwnerCache::adopt_epoch`] decides what a new epoch costs:

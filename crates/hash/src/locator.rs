@@ -38,7 +38,11 @@ impl LocatorConfig {
     #[inline]
     pub fn replication_factor(&self, estimated_degree: u64, agents: usize) -> u32 {
         let t = self.replication_threshold.max(1);
-        let k = estimated_degree.div_ceil(t).max(1);
+        // Most estimates are under the threshold: no division.
+        if estimated_degree <= t {
+            return 1;
+        }
+        let k = estimated_degree.div_ceil(t);
         let cap = u64::from(self.max_replicas).min(agents as u64);
         k.min(cap.max(1)) as u32
     }

@@ -2,12 +2,15 @@
 //! broadcasts through its directory system (§3.3.1).
 //!
 //! The table is `depth` rows of `width` counters. Each update hashes the
-//! key once per row and increments one counter per row; a query takes
-//! the minimum over rows. Because counters only grow ("only going in one
-//! direction", §2.4), an estimate can exceed the true count but never
-//! under-count — exactly the bias ElGA wants for replication decisions:
-//! a heavy vertex is never missed, at worst a light vertex is split
-//! unnecessarily.
+//! key once per row and adds to one counter per row; a query takes the
+//! minimum over rows. The paper's counters only grow ("only going in one
+//! direction", §2.4). Here a fold may also take counts away, on one
+//! condition its callers keep: every decrement follows the increment it
+//! cancels (a *strict turnstile*). Every counter is then the sum of the
+//! net counts of the keys hashed to it, none of them negative, so an
+//! estimate can exceed a key's net count but never fall below it —
+//! exactly the bias ElGA wants for replication decisions: a heavy vertex
+//! is never missed, at worst a light vertex is split unnecessarily.
 //!
 //! Sizing (§3.3.1): `width = ceil(e / ε)` and `depth = ceil(ln(1/δ))`
 //! guarantee additive error at most `ε·m` after `m` updates with
@@ -18,36 +21,82 @@
 use elga_hash::funcs::wang64;
 use serde::{Deserialize, Serialize};
 
-/// A count-min sketch over `u64` keys with saturating `u32` counters.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CountMinSketch {
+/// Where a key's counters are, one per row: the cell layout
+/// [`CountMinSketch`] and [`SketchDelta`](crate::SketchDelta) share,
+/// with the row seeds derived once.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Rows {
     width: usize,
-    depth: usize,
-    /// Row-major `depth × width` counter table.
-    table: Vec<u32>,
-    /// Largest counter of each row. Counters only grow, so every write
-    /// keeps its row's entry current with one compare and
-    /// [`CountMinSketch::estimate_bound`] never scans the table.
-    row_max: Vec<u32>,
-    /// Total updates applied (the stream length `m`).
-    items: u64,
+    /// One seed per row: decorrelates the row hash functions.
+    seeds: Vec<u64>,
 }
 
-/// Per-row seed: decorrelates the row hash functions.
-#[inline]
+/// The seed of `row`: a splitmix-style sequence.
 fn row_seed(row: usize) -> u64 {
-    // splitmix-style sequence of seeds
     wang64((row as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xD6E8_FEB8_6659_FD93)
 }
 
-/// Table index of `key`'s counter in `row` of a sketch `width` wide —
-/// the one cell layout [`CountMinSketch`] and
-/// [`SketchDelta`](crate::SketchDelta) share.
-#[inline]
-pub(crate) fn cell_index(width: usize, row: usize, key: u64) -> usize {
-    let h = wang64(key ^ row_seed(row));
-    row * width + (h % width as u64) as usize
+impl Rows {
+    /// The layout of a `depth × width` table.
+    ///
+    /// # Panics
+    /// Panics when either dimension is zero.
+    pub(crate) fn new(width: usize, depth: usize) -> Rows {
+        assert!(width > 0 && depth > 0, "sketch dimensions must be nonzero");
+        Rows {
+            width,
+            seeds: (0..depth).map(row_seed).collect(),
+        }
+    }
+
+    pub(crate) fn width(&self) -> usize {
+        self.width
+    }
+
+    pub(crate) fn depth(&self) -> usize {
+        self.seeds.len()
+    }
+
+    /// Row-major table index of `key`'s counter in each row, row by row.
+    #[inline]
+    pub(crate) fn cells(&self, key: u64) -> impl Iterator<Item = usize> + '_ {
+        let width = self.width as u64;
+        // A power-of-two width (the default) keeps the hash's low bits:
+        // the column the remainder gives, without a division.
+        let mask = width.is_power_of_two().then_some(width - 1);
+        self.seeds.iter().enumerate().map(move |(row, &seed)| {
+            let h = wang64(key ^ seed);
+            let column = mask.map_or_else(|| h % width, |mask| h & mask);
+            row * self.width + column as usize
+        })
+    }
 }
+
+/// A count-min sketch over `u64` keys with saturating `u32` counters.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct CountMinSketch {
+    rows: Rows,
+    /// Row-major `depth × width` counter table.
+    table: Vec<u32>,
+    /// An upper bound on each row's largest counter. An increment keeps
+    /// it exact with one compare; a decrement leaves it where it was, so
+    /// after one it may stand above every counter of its row until
+    /// [`CountMinSketch::rescan_bound`].
+    row_max: Vec<u32>,
+    /// Net updates applied (the stream length `m`).
+    items: u64,
+}
+
+/// Equal dimensions, counters and item counts. The row maxima are
+/// derived, and one kept through decrements may be looser than a
+/// rescan's.
+impl PartialEq for CountMinSketch {
+    fn eq(&self, other: &Self) -> bool {
+        self.rows == other.rows && self.table == other.table && self.items == other.items
+    }
+}
+
+impl Eq for CountMinSketch {}
 
 impl CountMinSketch {
     /// Create a `depth × width` sketch.
@@ -55,10 +104,8 @@ impl CountMinSketch {
     /// # Panics
     /// Panics when either dimension is zero.
     pub fn new(width: usize, depth: usize) -> Self {
-        assert!(width > 0 && depth > 0, "sketch dimensions must be nonzero");
         CountMinSketch {
-            width,
-            depth,
+            rows: Rows::new(width, depth),
             table: vec![0; width * depth],
             row_max: vec![0; depth],
             items: 0,
@@ -77,15 +124,15 @@ impl CountMinSketch {
 
     /// Width (counters per row).
     pub fn width(&self) -> usize {
-        self.width
+        self.rows.width()
     }
 
     /// Depth (number of rows / hash functions).
     pub fn depth(&self) -> usize {
-        self.depth
+        self.rows.depth()
     }
 
-    /// Total updates applied across all keys.
+    /// Net updates applied across all keys.
     pub fn items(&self) -> u64 {
         self.items
     }
@@ -99,18 +146,12 @@ impl CountMinSketch {
     /// The additive error bound `ε·m = (e/width)·items` the sketch
     /// currently guarantees with probability `1 − e^{-depth}`.
     pub fn current_error_bound(&self) -> f64 {
-        std::f64::consts::E / self.width as f64 * self.items as f64
-    }
-
-    #[inline]
-    fn index(&self, row: usize, key: u64) -> usize {
-        cell_index(self.width, row, key)
+        std::f64::consts::E / self.width() as f64 * self.items as f64
     }
 
     /// Add `count` to `key`.
     pub fn add(&mut self, key: u64, count: u32) {
-        for row in 0..self.depth {
-            let idx = self.index(row, key);
+        for (row, idx) in self.rows.cells(key).enumerate() {
             let cell = self.table[idx].saturating_add(count);
             self.table[idx] = cell;
             self.row_max[row] = self.row_max[row].max(cell);
@@ -127,11 +168,8 @@ impl CountMinSketch {
     /// Point estimate for `key`: minimum counter across rows. Never
     /// less than the true count.
     pub fn estimate(&self, key: u64) -> u64 {
-        let mut min = u32::MAX;
-        for row in 0..self.depth {
-            min = min.min(self.table[self.index(row, key)]);
-        }
-        u64::from(min)
+        let min = self.rows.cells(key).map(|idx| self.table[idx]);
+        u64::from(min.fold(u32::MAX, u32::min))
     }
 
     /// An upper bound on [`CountMinSketch::estimate`] for *every* key,
@@ -139,46 +177,65 @@ impl CountMinSketch {
     /// minimum over rows of one cell per row, and no cell exceeds its
     /// row's maximum. `O(depth)`, and no key is hashed: lets a caller
     /// rule out "some vertex is over the replication threshold" without
-    /// looking at any vertex.
+    /// looking at any vertex. After decrements the bound may be loose
+    /// until [`CountMinSketch::rescan_bound`].
     pub fn estimate_bound(&self) -> u64 {
         u64::from(self.row_max.iter().copied().min().unwrap_or(0))
     }
 
+    /// Recompute every row's maximum from its counters, which makes
+    /// [`CountMinSketch::estimate_bound`] tight again after decrements.
+    /// One pass over the table.
+    pub fn rescan_bound(&mut self) {
+        let rows = self.table.chunks_exact(self.rows.width());
+        for (max, row) in self.row_max.iter_mut().zip(rows) {
+            *max = row.iter().copied().max().unwrap_or(0);
+        }
+    }
+
     /// Batched [`CountMinSketch::estimate`]: one estimate per key, in
-    /// order. Row seeds are computed once for the whole batch instead
-    /// of once per `(row, key)` pair, which matters on routing paths
-    /// that estimate thousands of vertices per ingest batch.
+    /// order.
     pub fn estimate_many(&self, keys: &[u64]) -> Vec<u64> {
-        let seeds: Vec<u64> = (0..self.depth).map(row_seed).collect();
-        keys.iter()
-            .map(|&key| {
-                let mut min = u32::MAX;
-                for (row, &seed) in seeds.iter().enumerate() {
-                    let h = wang64(key ^ seed);
-                    let idx = row * self.width + (h % self.width as u64) as usize;
-                    min = min.min(self.table[idx]);
-                }
-                u64::from(min)
-            })
-            .collect()
+        keys.iter().map(|&key| self.estimate(key)).collect()
     }
 
     /// Merge another sketch of identical dimensions (counter-wise sum).
-    /// Agents accumulate local sketches and directories merge them into
-    /// the broadcast view.
     ///
     /// # Errors
     /// Returns `Err` when dimensions differ.
     pub fn merge(&mut self, other: &CountMinSketch) -> Result<(), DimensionMismatch> {
-        let cells = other.table.iter().copied().enumerate();
-        self.fold((other.width, other.depth), cells, other.items)
+        self.check((other.width(), other.depth()))?;
+        for (cell, &count) in self.table.iter_mut().zip(&other.table) {
+            *cell = cell.saturating_add(count);
+        }
+        self.rescan_bound();
+        self.items += other.items;
+        Ok(())
+    }
+
+    fn check(&self, dims: (usize, usize)) -> Result<(), DimensionMismatch> {
+        let expected = (self.width(), self.depth());
+        if expected == dims {
+            Ok(())
+        } else {
+            Err(DimensionMismatch {
+                expected,
+                got: dims,
+            })
+        }
     }
 
     /// Fold `(table index, count)` cells of a `dims = (width, depth)`
-    /// sketch into this one, `items` updates in all: [`merge`] for a
-    /// delta that lists only the cells it touched. Indices are
-    /// row-major, as [`SketchDelta::cells`](crate::SketchDelta::cells)
-    /// yields them.
+    /// sketch into this one, `items` net updates in all: [`merge`] for a
+    /// delta that lists only the cells it touched, with counts of either
+    /// sign. Indices are row-major, as
+    /// [`SketchDelta::cells`](crate::SketchDelta::cells) yields them.
+    /// A negative count must cancel increments folded earlier (module
+    /// docs); a counter it would take below zero stops at zero.
+    ///
+    /// `class` buckets a counter's value (the lead passes the
+    /// replication factor it implies), and the fold says whether any
+    /// counter it changed moved to another bucket.
     ///
     /// [`merge`]: CountMinSketch::merge
     ///
@@ -190,32 +247,34 @@ impl CountMinSketch {
     pub fn fold(
         &mut self,
         dims: (usize, usize),
-        cells: impl IntoIterator<Item = (usize, u32)>,
-        items: u64,
-    ) -> Result<(), DimensionMismatch> {
-        if (self.width, self.depth) != dims {
-            return Err(DimensionMismatch {
-                expected: (self.width, self.depth),
-                got: dims,
-            });
-        }
+        cells: impl IntoIterator<Item = (usize, i32)>,
+        items: i64,
+        class: impl Fn(u32) -> u32,
+    ) -> Result<bool, DimensionMismatch> {
+        self.check(dims)?;
+        let width = self.width();
+        let mut moved = false;
         // A dense delta walks each row left to right: look the row up,
         // and write its maximum back, only when an index leaves the row
         // the previous one was in.
         let (mut row, mut max) = (0, self.row_max[0]);
         for (idx, count) in cells {
-            if idx.wrapping_sub(row * self.width) >= self.width {
+            if idx.wrapping_sub(row * width) >= width {
                 self.row_max[row] = max;
-                row = idx / self.width;
+                row = idx / width;
                 max = self.row_max[row];
             }
             let cell = &mut self.table[idx];
-            *cell = cell.saturating_add(count);
+            let old = *cell;
+            *cell = old.saturating_add_signed(count);
             max = max.max(*cell);
+            // No branch on whether the cell changed: a dense delta is
+            // mostly untouched cells, in no order a predictor learns.
+            moved |= class(old) != class(*cell);
         }
         self.row_max[row] = max;
-        self.items += items;
-        Ok(())
+        self.items = self.items.saturating_add_signed(items);
+        Ok(moved)
     }
 
     /// The counters of `row`, in column order — what the directory's
@@ -224,7 +283,8 @@ impl CountMinSketch {
     /// # Panics
     /// Panics when out of range.
     pub fn row(&self, row: usize) -> &[u32] {
-        &self.table[row * self.width..(row + 1) * self.width]
+        let width = self.width();
+        &self.table[row * width..(row + 1) * width]
     }
 
     /// Reassemble a sketch from its wire parts. Returns `None` when the
@@ -239,14 +299,14 @@ impl CountMinSketch {
         if width == 0 || depth == 0 || cells.len() != width * depth {
             return None;
         }
-        let row_max = |row: &[u32]| row.iter().copied().max().unwrap_or(0);
-        Some(CountMinSketch {
-            width,
-            depth,
-            row_max: cells.chunks_exact(width).map(row_max).collect(),
+        let mut sketch = CountMinSketch {
+            rows: Rows::new(width, depth),
             table: cells,
+            row_max: vec![0; depth],
             items,
-        })
+        };
+        sketch.rescan_bound();
+        Some(sketch)
     }
 
     /// Reset every counter to zero.
@@ -286,6 +346,46 @@ impl std::error::Error for DimensionMismatch {}
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A fold that asks nothing about buckets.
+    fn fold(
+        s: &mut CountMinSketch,
+        dims: (usize, usize),
+        cells: impl IntoIterator<Item = (usize, i32)>,
+        items: i64,
+    ) -> Result<(), DimensionMismatch> {
+        s.fold(dims, cells, items, |_| 0).map(|_| ())
+    }
+
+    #[test]
+    fn cells_are_where_the_per_row_formula_put_them() {
+        // `row * width + wang64(key ^ row_seed(row)) % width`, computed
+        // per (row, key) before the seeds were kept: the wire tables
+        // and every estimate depend on these cells not moving.
+        let rows = Rows::new(4096, 8);
+        let pinned: [(u64, [usize; 8]); 4] = [
+            (0, [1374, 6061, 9648, 13227, 18154, 20945, 25043, 32106]),
+            (1, [3208, 4592, 9713, 14201, 19415, 22683, 27805, 28859]),
+            (77, [2607, 5497, 9436, 13567, 17397, 21056, 24639, 30229]),
+            (
+                1 << 40,
+                [2130, 8136, 8313, 15017, 20107, 24401, 24901, 32522],
+            ),
+        ];
+        for (key, cells) in pinned {
+            assert_eq!(rows.cells(key).collect::<Vec<_>>(), cells, "key {key}");
+        }
+        let narrow = Rows::new(10, 3);
+        for (key, cells) in [(0, [0, 11, 24]), (5, [7, 19, 27]), (9, [2, 12, 28])] {
+            assert_eq!(narrow.cells(key).collect::<Vec<_>>(), cells, "key {key}");
+        }
+        for key in 0..1000u64 {
+            for (row, idx) in rows.cells(key).enumerate() {
+                let h = wang64(key ^ row_seed(row));
+                assert_eq!(idx, row * 4096 + (h % 4096) as usize, "key {key} row {row}");
+            }
+        }
+    }
 
     #[test]
     fn empty_sketch_estimates_zero() {
@@ -399,6 +499,7 @@ mod tests {
         }
         a.merge(&b).unwrap();
         assert_eq!(a.items(), whole.items());
+        assert_eq!(a.estimate_bound(), whole.estimate_bound());
         for k in 0..500u64 {
             assert_eq!(a.estimate(k), whole.estimate(k));
         }
@@ -408,20 +509,53 @@ mod tests {
     fn fold_takes_cells_in_any_order_and_keeps_the_row_maxima() {
         let mut s = CountMinSketch::new(4, 3);
         // Rows 2, 0, 2, 1: no order, one cell twice.
-        s.fold((4, 3), [(9, 7), (0, 1), (9, 2), (6, 30)], 40)
-            .unwrap();
+        fold(&mut s, (4, 3), [(9, 7), (0, 1), (9, 2), (6, 30)], 40).unwrap();
         assert_eq!((s.row(0)[0], s.row(1)[2], s.row(2)[1]), (1, 30, 9));
         assert_eq!((s.items(), s.estimate_bound()), (40, 1));
-        s.fold((4, 3), [(3, 8)], 8).unwrap();
+        fold(&mut s, (4, 3), [(3, 8)], 8).unwrap();
         assert_eq!(s.estimate_bound(), 8);
-        assert!(s.fold((3, 4), [(0, 1)], 1).is_err(), "same cell count");
+        assert!(
+            fold(&mut s, (3, 4), [(0, 1)], 1).is_err(),
+            "same cell count"
+        );
         assert_eq!(s.items(), 48);
+    }
+
+    #[test]
+    fn a_decrement_leaves_the_bound_loose_until_a_rescan() {
+        let mut s = CountMinSketch::new(4, 2);
+        fold(&mut s, (4, 2), [(1, 50), (2, 3), (5, 50), (6, 3)], 106).unwrap();
+        assert_eq!(s.estimate_bound(), 50);
+        fold(&mut s, (4, 2), [(1, -50), (5, -50)], -100).unwrap();
+        assert_eq!((s.row(0), s.items()), (&[0, 0, 3, 0][..], 6));
+        assert_eq!(s.estimate_bound(), 50, "an upper bound, kept");
+        s.rescan_bound();
+        assert_eq!(s.estimate_bound(), 3);
+        // A count the table cannot cancel stops at zero.
+        fold(&mut s, (4, 2), [(0, -1)], -1).unwrap();
+        assert_eq!((s.row(0)[0], s.items()), (0, 5));
+        // Equality ignores how tight the maxima are.
+        let mut fresh = CountMinSketch::new(4, 2);
+        fold(&mut fresh, (4, 2), [(2, 3), (6, 3)], 5).unwrap();
+        assert_eq!(s, fresh);
+    }
+
+    #[test]
+    fn a_fold_says_whether_a_changed_counter_changed_bucket() {
+        let mut s = CountMinSketch::new(4, 2);
+        let tens = |c: u32| c / 10;
+        assert!(!s.fold((4, 2), [(0, 9), (5, 9)], 9, tens).unwrap());
+        assert!(s.fold((4, 2), [(0, 1), (5, 0)], 1, tens).unwrap());
+        assert!(!s.fold((4, 2), [(0, 5), (5, -9)], 0, tens).unwrap());
+        assert!(s.fold((4, 2), [(0, -6)], -6, tens).unwrap());
+        // Listed with a net count of zero: nothing changed.
+        assert!(!s.fold((4, 2), [(0, 0)], 0, |c| c).unwrap());
     }
 
     #[test]
     #[should_panic]
     fn fold_panics_on_an_index_past_the_table() {
-        let _ = CountMinSketch::new(4, 3).fold((4, 3), [(12, 1)], 1);
+        let _ = fold(&mut CountMinSketch::new(4, 3), (4, 3), [(12, 1)], 1);
     }
 
     #[test]

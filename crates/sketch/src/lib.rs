@@ -7,8 +7,9 @@
 //! [`CountMinSketch`] instead: a `d × w` table of counters whose
 //! estimates never under-count and over-count by at most `ε·m` with
 //! probability `1 − δ`, in `O(d·w)` space independent of the graph.
-//! Streamers feed it one [`SketchDelta`] per ingest batch — the cells
-//! the batch touched, not the table.
+//! Agents feed it [`SketchDelta`]s of the degree changes they applied —
+//! the cells those changes touched, not the table, with counts of either
+//! sign.
 
 #![warn(missing_docs)]
 

@@ -71,24 +71,70 @@ proptest! {
         for batch in &batches {
             let mut table = CountMinSketch::new(width, depth);
             for &(k, c) in batch {
-                delta.add(k, c);
+                delta.add(k, c as i32);
                 table.add(k, c);
             }
-            prop_assert_eq!(delta.items(), table.items());
+            prop_assert_eq!(delta.items(), table.items() as i64);
             prop_assert!(delta.touched() <= width * depth);
-            prop_assert!(delta.cells().all(|(i, c)| c > 0 && table.row(i / width)[i % width] == c));
-            let rows: Vec<u32> = (0..depth).flat_map(|r| delta.row(r).to_vec()).collect();
+            prop_assert!(delta.cells().all(|(i, c)| c > 0 && table.row(i / width)[i % width] == c as u32));
+            let rows: Vec<u32> = delta.counts().iter().map(|&c| c as u32).collect();
             let same = CountMinSketch::from_parts(width, depth, rows, table.items());
             prop_assert_eq!(same.as_ref(), Some(&table));
-            sparse.fold((width, depth), delta.cells(), delta.items()).unwrap();
+            let dims = (width, depth);
+            sparse.fold(dims, delta.cells(), delta.items(), |_| 0).unwrap();
             dense.merge(&table).unwrap();
             prop_assert_eq!(&sparse, &dense);
             prop_assert_eq!(sparse.estimate_bound(), dense.estimate_bound());
             let mut other = CountMinSketch::new(width, depth + 1);
-            prop_assert!(other.fold((width, depth), delta.cells(), delta.items()).is_err());
+            prop_assert!(other.fold(dims, delta.cells(), delta.items(), |_| 0).is_err());
             prop_assert!(other.is_empty());
             delta.clear();
             prop_assert_eq!((delta.items(), delta.touched()), (0, 0));
+        }
+    }
+
+    /// A strict turnstile — every decrement follows the increment it
+    /// cancels, as an agent's applied degree changes do — folds to the
+    /// count-min sketch of the net counts, batch after batch: no counter
+    /// ever had to stop at zero, every estimate is at least its key's
+    /// net count, and the kept bound is at least every estimate (and,
+    /// rescanned, exactly the fresh sketch's). A fold says a counter
+    /// changed bucket exactly when one did.
+    #[test]
+    fn a_strict_turnstile_folds_to_the_sketch_of_its_net_counts(
+        width in 1usize..48,
+        depth in 1usize..6,
+        batches in prop::collection::vec(
+            prop::collection::vec((0u64..64, 1u32..12, any::<bool>()), 0..48), 1..6),
+    ) {
+        let mut lead = CountMinSketch::new(width, depth);
+        let mut delta = SketchDelta::new(width, depth);
+        let mut net = std::collections::HashMap::<u64, u32>::new();
+        let tens = |c: u32| c / 10;
+        for batch in &batches {
+            for &(k, c, take) in batch {
+                let held = net.entry(k).or_insert(0);
+                // A decrement cancels at most what was added before it.
+                let change = if take { -(c.min(*held) as i32) } else { c as i32 };
+                *held = held.checked_add_signed(change).unwrap();
+                delta.add(k, change);
+            }
+            let before: Vec<u32> = (0..depth).flat_map(|r| lead.row(r).to_vec()).collect();
+            let moved = lead.fold((width, depth), delta.cells(), delta.items(), tens).unwrap();
+            delta.clear();
+            let mut fresh = CountMinSketch::new(width, depth);
+            net.iter().for_each(|(&k, &c)| fresh.add(k, c));
+            prop_assert_eq!(&lead, &fresh);
+            let after: Vec<u32> = (0..depth).flat_map(|r| lead.row(r).to_vec()).collect();
+            let crossed = before.iter().zip(&after).any(|(&b, &a)| tens(b) != tens(a));
+            prop_assert_eq!(moved, crossed);
+            for k in 0..96u64 {
+                let est = lead.estimate(k);
+                prop_assert!(est >= u64::from(net.get(&k).copied().unwrap_or(0)), "key {}", k);
+                prop_assert!(est <= lead.estimate_bound(), "key {}", k);
+            }
+            lead.rescan_bound();
+            prop_assert_eq!(lead.estimate_bound(), fresh.estimate_bound());
         }
     }
 

@@ -54,11 +54,15 @@ fn an_rmat_stream_costs_the_log_at_most_eight_bytes_a_record() {
         m.store_bytes,
         m.edges
     );
-    // Each agent's one owner memo beside them: ~5.2 B a placement, a
-    // 48-byte map slot per vertex the agent resolved.
+    // Each agent's one owner memo beside them: ~6.9 B a placement, a
+    // 48-byte map slot per vertex the agent resolved. Nothing empties
+    // them on this stream: the sketch counts the graph held, whose
+    // hubs stay under the threshold. (Counting every insert, it put
+    // them over, three batches opened epochs that emptied the memos,
+    // and they held 5.2 B a placement.)
     let per_placement = m.owner_cache_bytes as f64 / (2 * m.edges) as f64;
     assert!(
-        per_placement <= 6.2,
+        per_placement <= 7.5,
         "the owner memos hold {} B for {} edges: {per_placement:.2} B a placement",
         m.owner_cache_bytes,
         m.edges

@@ -7,7 +7,13 @@
 //! single hub, then shrinks the hub below the scan length and grows and
 //! shrinks it again, checking the surviving graph after each phase and
 //! an analysis on it after the storm and at the end.
+//!
+//! With replication on, hubs are churned across the threshold: the
+//! deletes in a crossing batch must not race the re-placement the
+//! crossing causes.
 
+use elga::ckpt::CheckpointStore;
+use elga::core::ckpt_codec;
 use elga::graph::reference;
 use elga::prelude::*;
 use std::collections::HashSet;
@@ -123,4 +129,97 @@ fn hub_deletion_storm_leaves_a_consistent_graph() {
     assert_eq!(edges.iter().filter(|e| e.0 == HUB).count(), 21);
     assert_wcc(&mut cluster, &edges);
     cluster.shutdown();
+}
+
+/// Every out-placement the agents hold, read back through a checkpoint.
+fn held_out_edges(cluster: &mut Cluster) -> Vec<(u64, u64)> {
+    let report = cluster.checkpoint().expect("checkpoint");
+    assert!(report.committed, "checkpoint must commit");
+    let dir = cluster.config().checkpoint_dir.clone().expect("dir");
+    let store = CheckpointStore::open(dir).expect("open store");
+    let mut out = Vec::new();
+    for agent in cluster.agent_ids() {
+        let (_, payload) = store
+            .read_shard(report.generation, agent)
+            .expect("read shard");
+        for r in ckpt_codec::decode_payload(&payload).expect("decode shard") {
+            out.extend(r.out.iter().map(|&w| (r.vertex, w)));
+        }
+    }
+    out.sort_unstable();
+    out
+}
+
+/// Replication on, and eight hubs churned across a small threshold and
+/// back. Each batch that takes a hub over the threshold also deletes
+/// some of its spokes, and the crossing re-places a hub's edges. The
+/// agents count the changes they applied, so the epoch that re-places
+/// them opens once the batch is applied: a delete is never on its way
+/// to the new owner while the edge it deletes migrates there, and none
+/// comes back. (Counted by the streamer as the batch was routed, the
+/// crossing re-placed the edges under the batch's own deletes.)
+#[test]
+fn hubs_churned_across_the_replication_threshold_keep_the_exact_graph() {
+    const RING: u64 = 20_000;
+    let dir = std::env::temp_dir().join(format!("elga-deletions-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = SystemConfig {
+        replication_threshold: 40,
+        ..SystemConfig::default()
+    };
+    let mut cluster = Cluster::builder()
+        .agents(2)
+        .config(cfg)
+        .checkpoints(&dir)
+        .build();
+    let mut edges: HashSet<(u64, u64)> = HashSet::new();
+    // Spoke `i` of hub `h`: distinct ring vertices for `i < RING`.
+    let spoke = |h: u64, i: u64| (h, (h * 7919 + i * 4729) % RING);
+    let hubs: Vec<u64> = (RING..RING + 8).collect();
+    // A ring long enough that every agent holds thousands of vertices,
+    // and 30 spokes a hub: every estimate under the threshold.
+    let mut setup: Vec<EdgeChange> = (0..RING)
+        .map(|v| EdgeChange::insert(v, (v + 1) % RING))
+        .collect();
+    for &h in &hubs {
+        setup.extend(
+            (0..30)
+                .map(|i| spoke(h, i))
+                .map(|(u, v)| EdgeChange::insert(u, v)),
+        );
+    }
+    ingest(&mut cluster, &mut edges, &setup);
+    let factor = |cluster: &Cluster, h: u64| {
+        let view = cluster.view();
+        view.locator().replication_factor(view.degree_estimate(h))
+    };
+    assert!(hubs.iter().all(|&h| factor(&cluster, h) == 1));
+    // Up across, one hub a batch: 30 spokes in, 10 of the old ones out.
+    for &h in &hubs {
+        let mut up: Vec<EdgeChange> = (30..60)
+            .map(|i| spoke(h, i))
+            .map(|(u, v)| EdgeChange::insert(u, v))
+            .collect();
+        up.extend(
+            (0..10)
+                .map(|i| spoke(h, i))
+                .map(|(u, v)| EdgeChange::delete(u, v)),
+        );
+        ingest(&mut cluster, &mut edges, &up);
+        assert_eq!(factor(&cluster, h), 2, "hub {h} split");
+    }
+    // And back down: 30 more out.
+    for &h in &hubs {
+        let down: Vec<EdgeChange> = (10..40)
+            .map(|i| spoke(h, i))
+            .map(|(u, v)| EdgeChange::delete(u, v))
+            .collect();
+        ingest(&mut cluster, &mut edges, &down);
+    }
+    let mut want: Vec<(u64, u64)> = edges.iter().copied().collect();
+    want.sort_unstable();
+    assert_eq!(held_out_edges(&mut cluster), want, "the final edge set");
+    assert_wcc(&mut cluster, &edges);
+    cluster.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,22 +1,28 @@
 //! An ingest batch is not a view change — by counts, not clocks.
 //!
-//! While no vertex can be split, a batch's sketch delta folds at the
-//! lead without a view epoch: no VIEW, no migrate barrier, and every
-//! participant keeps the owner memo it has. A batch that makes a split
-//! possible is the view change it always was. Either way the answers
-//! are the reference's.
+//! The agents count the degree changes they apply and the lead folds
+//! them into its sketch without a view epoch unless a counter crosses a
+//! replication-factor boundary: no VIEW, no migrate barrier, and every
+//! participant keeps the owner memo it has. A batch that changes some
+//! vertex's `k` is a view change, opened once the batch was applied.
+//! Either way the answers are the reference's, and the lead's table is
+//! the count-min sketch of the graph the agents hold.
 //!
-//! A test binary of its own, so its 50 runs do not load the
+//! A test binary of its own, so its runs do not load the
 //! scheduler-sensitive async tests of the other binaries (ROADMAP
 //! item 2).
 
 use elga::ckpt::CheckpointStore;
 use elga::core::ckpt_codec;
+use elga::core::program::RunOptions;
 use elga::core::streamer::Streamer;
 use elga::graph::csr::Csr;
 use elga::graph::reference;
 use elga::prelude::*;
-use elga::sketch::DegreeEstimator;
+use elga::sketch::CountMinSketch;
+use proptest::prelude::*;
+use std::collections::HashSet;
+use std::time::Duration;
 
 /// Vertices `0..N`, all on the base ring.
 const N: u64 = 600;
@@ -68,6 +74,22 @@ fn client(cluster: &Cluster) -> QueryClient {
     .expect("query client")
 }
 
+/// The count-min sketch of the graph `held`, at `cluster`'s dimensions:
+/// each vertex counted once per placement it has, out and in (a
+/// self-loop twice).
+fn sketch_of<'a>(
+    cluster: &Cluster,
+    held: impl IntoIterator<Item = &'a (u64, u64)>,
+) -> CountMinSketch {
+    let cfg = cluster.config();
+    let mut sketch = CountMinSketch::new(cfg.sketch_width, cfg.sketch_depth);
+    for &(u, v) in held {
+        sketch.add(u, 1);
+        sketch.add(v, 1);
+    }
+    sketch
+}
+
 /// A from-scratch WCC and a 10-iteration PageRank over what the cluster
 /// holds, against the references over `edges`.
 fn assert_answers_match(cluster: &mut Cluster, edges: &[(u64, u64)], what: &str) {
@@ -97,9 +119,6 @@ fn small_batches_fold_at_the_lead_and_every_memo_survives_them() {
     let mut cluster = Cluster::builder().agents(3).build();
     let mut edges = base_graph();
     cluster.ingest_edges(edges.iter().copied());
-    let mut sketch =
-        DegreeEstimator::new(cluster.config().sketch_width, cluster.config().sketch_depth);
-    edges.iter().for_each(|&(u, v)| sketch.record_edge(u, v));
     let first = cluster.view();
     assert_eq!(first.batch_id, 1);
 
@@ -118,7 +137,6 @@ fn small_batches_fold_at_the_lead_and_every_memo_survives_them() {
                 "batch {i}: memo was emptied"
             );
         }
-        chords.iter().for_each(|&(u, v)| sketch.record_edge(u, v));
         edges.extend(chords);
         assert_answers_match(&mut cluster, &edges, &format!("after batch {i}"));
     }
@@ -133,14 +151,15 @@ fn small_batches_fold_at_the_lead_and_every_memo_survives_them() {
     streamer.send_batch(&inserts(&batch(49))).expect("send");
     cluster.quiesce().expect("quiesce");
     assert_eq!(cluster.metrics().owner_cache_misses, resolved);
-    batch(49)
-        .iter()
-        .for_each(|&(u, v)| sketch.record_edge(u, v));
 
     let last = cluster.view();
     assert_eq!(last.epoch, first.epoch, "an ingest batch opened an epoch");
     assert_eq!(last.batch_id, 52);
-    assert_eq!(&last.sketch, sketch.sketch(), "the lead's table");
+    assert_eq!(
+        last.sketch,
+        sketch_of(&cluster, &edges),
+        "the lead's table counts the held edges, the duplicate batch once"
+    );
     assert!(!last.may_split());
     assert_eq!(streamer.view().epoch, first.epoch);
     cluster.shutdown();
@@ -168,7 +187,7 @@ fn held_edges(cluster: &mut Cluster) -> (Edges, Edges) {
 }
 
 #[test]
-fn a_batch_that_lifts_the_bound_is_a_view_change() {
+fn an_epoch_opens_if_and_only_if_some_replication_factor_changed() {
     let dir = std::env::temp_dir().join(format!("elga-ingest-epoch-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let cfg = SystemConfig {
@@ -187,12 +206,13 @@ fn a_batch_that_lifts_the_bound_is_a_view_change() {
         cluster.ingest_edges(batch(i));
         edges.extend(batch(i));
     }
-    assert_eq!(cluster.view().epoch, epoch, "under the bound");
+    assert_eq!(cluster.view().epoch, epoch, "under the threshold");
 
-    // 100 edges out of one vertex: its estimate crosses the threshold.
+    // 100 edges out of one vertex: its counters cross the threshold,
+    // once the batch is applied.
     let hub: Edges = (1..=100).map(|i| (0, (i * 5 + 1) % N)).collect();
     cluster.ingest_edges(hub.iter().copied());
-    edges.extend(hub);
+    edges.extend(hub.iter().copied());
     edges.sort_unstable();
     edges.dedup();
     let view = cluster.view();
@@ -207,12 +227,45 @@ fn a_batch_that_lifts_the_bound_is_a_view_change() {
     assert_eq!(out, inn, "both placements hold every edge");
     assert_answers_match(&mut cluster, &edges, "hub split");
 
-    // With a split possible every batch is a view change, as before.
+    // With a split possible, a batch that moves no counter across a
+    // factor boundary is no view change; nor is a batch of duplicates,
+    // nor one of deletes of absent edges, and those two move no cell.
     cluster.ingest_edges(batch(5));
     edges.extend(batch(5));
     edges.sort_unstable();
-    assert_eq!(cluster.view().epoch, epoch + 2);
+    assert_eq!(cluster.view().epoch, epoch + 1, "a batch that moved no k");
+    let table = cluster.view().sketch;
+    assert_eq!(table, sketch_of(&cluster, &edges));
+    cluster.ingest_edges(batch(5));
+    let absent: Vec<EdgeChange> = (0..16)
+        .map(|j| EdgeChange::delete(j, (j + 300) % N))
+        .filter(|c| edges.binary_search(&(c.edge.src, c.edge.dst)).is_err())
+        .collect();
+    assert!(!absent.is_empty());
+    cluster.ingest(absent);
+    assert_eq!(
+        cluster.view().sketch,
+        table,
+        "duplicates and absent deletes"
+    );
+    assert_eq!(cluster.view().epoch, epoch + 1);
     assert_eq!(held_edges(&mut cluster).0, edges);
+
+    // Deleting most of the hub takes its counters back under the
+    // threshold: that is a view change too, and nothing can split.
+    let gone: Vec<EdgeChange> = hub[..60]
+        .iter()
+        .map(|&(u, v)| EdgeChange::delete(u, v))
+        .collect();
+    cluster.ingest(gone);
+    let kept: HashSet<(u64, u64)> = hub[..60].iter().copied().collect();
+    edges.retain(|e| !kept.contains(e));
+    let view = cluster.view();
+    assert_eq!(view.epoch, epoch + 2, "the hub is whole again");
+    assert!(!view.may_split());
+    assert_eq!(view.sketch, sketch_of(&cluster, &edges));
+    assert_eq!(held_edges(&mut cluster).0, edges);
+    assert_answers_match(&mut cluster, &edges, "hub whole again");
     cluster.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -302,4 +355,86 @@ fn a_cycle_opens_an_epoch_per_membership_change_and_none_for_its_batch() {
         assert_eq!(labels[v], label, "wcc label of v{v}");
     }
     cluster.shutdown();
+}
+
+/// Check the lead's table against the graph `held` after a `quiesce`.
+fn assert_table_counts(cluster: &Cluster, held: &HashSet<(u64, u64)>, what: &str) {
+    cluster.quiesce().expect("quiesce");
+    let table = cluster.view().sketch;
+    let want = sketch_of(cluster, held);
+    assert_eq!(table, want, "{what}");
+    for &(u, v) in held {
+        assert!(table.estimate(u) >= 1 && table.estimate(v) >= 1, "{what}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 32,
+        ..ProptestConfig::default()
+    })]
+
+    /// The lead's table is the count-min sketch of the graph the agents
+    /// hold — never of the changes sent — after every batch of a churn
+    /// stream with duplicate inserts, deletes of absent edges and
+    /// re-inserts, and after a join, a leave and a killed agent's
+    /// recovery. Every estimate is then at least the vertex's held
+    /// degree.
+    #[test]
+    fn the_leads_table_counts_the_graph_the_agents_hold(
+        agents in 2usize..4,
+        batches in prop::collection::vec(
+            prop::collection::vec((0u64..12, 0u64..12, 0u8..3), 1..40),
+            1..5,
+        ),
+    ) {
+        let cfg = SystemConfig {
+            heartbeat_interval: Duration::from_millis(25),
+            heartbeat_misses: 10,
+            quiesce_deadline: Duration::from_secs(30),
+            run_deadline: Duration::from_secs(60),
+            ..SystemConfig::default()
+        };
+        let mut cluster = Cluster::builder().agents(agents).config(cfg).build();
+        // A ring the churn never touches keeps the run below long
+        // enough to be killed in.
+        let ring: Vec<(u64, u64)> = (100..116).map(|v| (v, 100 + (v - 99) % 16)).collect();
+        cluster.ingest_edges(ring.iter().copied());
+        let mut held: HashSet<(u64, u64)> = ring.into_iter().collect();
+        for (i, ops) in batches.iter().enumerate() {
+            // One op in three a delete, mostly of absent edges at first.
+            let changes: Vec<EdgeChange> = ops
+                .iter()
+                .map(|&(u, v, op)| match op {
+                    0 => EdgeChange::delete(u, v),
+                    _ => EdgeChange::insert(u, v),
+                })
+                .collect();
+            cluster.ingest_async(&changes);
+            for c in &changes {
+                let e = (c.edge.src, c.edge.dst);
+                if c.is_insert() {
+                    held.insert(e);
+                } else {
+                    held.remove(&e);
+                }
+            }
+            assert_table_counts(&cluster, &held, &format!("batch {i}"));
+        }
+        cluster.add_agents(1);
+        assert_table_counts(&cluster, &held, "after a join");
+        cluster.remove_agents(1);
+        assert_table_counts(&cluster, &held, "after a leave");
+        // Killed before its first barrier can settle: the run waits for
+        // the eviction, and the driver recovers and restarts it.
+        let victim = cluster.agent_ids()[1];
+        let handle = cluster
+            .start_run(PageRank::new(0.85).with_max_iters(30), RunOptions::default())
+            .expect("start run");
+        cluster.kill_agent(victim);
+        cluster.wait_run(handle).expect("the run survives the crash");
+        prop_assert_eq!(cluster.agent_count(), agents - 1);
+        assert_table_counts(&cluster, &held, "after a recovery");
+        cluster.shutdown();
+    }
 }

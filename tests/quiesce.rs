@@ -8,6 +8,9 @@
 //! Whatever moved a counter — a batch, a run, a view change, a
 //! recovery — costs the second wave again, and a run started without
 //! the caller's own `quiesce` still sees everything ingested before it.
+//! The degree changes the agents push to the lead with their DRAIN
+//! replies ride those waves: when `quiesce` returns the lead's sketch
+//! holds the batch, and the push cost no wave of its own.
 //!
 //! A test binary of its own: the counters are the transport's, and
 //! every test here owns its cluster.
@@ -17,6 +20,7 @@ use elga::core::program::RunOptions;
 use elga::graph::reference;
 use elga::net::Frame;
 use elga::prelude::*;
+use elga::sketch::CountMinSketch;
 use std::time::Duration;
 
 /// Vertices `0..N`.
@@ -109,17 +113,32 @@ fn a_settled_system_is_confirmed_in_one_wave() {
 #[test]
 fn a_batch_costs_the_second_wave() {
     let mut cluster = Cluster::builder().agents(3).build();
-    cluster.ingest(inserts(&base_graph()));
+    let mut held = base_graph();
+    cluster.ingest(inserts(&held));
     for i in 0..10 {
         let changes = inserts(&batch(i));
+        let mut table = None;
         let (drains, statuses) = frames_of(&mut cluster, |c| {
             c.ingest_async(&changes);
             quiesce(c);
+            table = Some(c.view().sketch);
         });
         assert!(
             drains >= 6 && drains % 3 == 0 && statuses >= 2,
             "batch {i}: {drains} DRAINs, {statuses} RUN_STATUS"
         );
+        // Every placement stored, counted once: duplicates of the base
+        // graph's chords are not.
+        held.extend(batch(i));
+        held.sort_unstable();
+        held.dedup();
+        let cfg = cluster.config();
+        let mut want = CountMinSketch::new(cfg.sketch_width, cfg.sketch_depth);
+        for &(u, v) in &held {
+            want.add(u, 1);
+            want.add(v, 1);
+        }
+        assert_eq!(table, Some(want), "batch {i}: the lead's table");
         assert_eq!(frames_of(&mut cluster, quiesce), (3, 1), "batch {i}");
     }
     cluster.shutdown();
