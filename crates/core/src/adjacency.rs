@@ -138,19 +138,18 @@ impl Adjacency {
     }
 
     /// Remove the edge to `other` on `side`: the list's last edge takes
-    /// its place. False when it is not held.
-    pub fn remove(&mut self, side: Side, other: VertexId, tally: &mut Tally) -> bool {
+    /// its place. Returns the position it vacated, `None` when it is not
+    /// held.
+    pub fn remove(&mut self, side: Side, other: VertexId, tally: &mut Tally) -> Option<usize> {
         let s = at(side);
         self.tallied(tally, |adj| {
-            let Some(pos) = adj.position(s, other) else {
-                return false;
-            };
+            let pos = adj.position(s, other)?;
             let list = &mut adj.lists[s];
             let table = match adj.index.as_deref_mut() {
                 Some(tables) if !tables[s].is_empty() => &mut tables[s],
                 _ => {
                     list.swap_remove(pos);
-                    return true;
+                    return Some(pos);
                 }
             };
             let last = list.len() - 1;
@@ -170,7 +169,7 @@ impl Adjacency {
             if list.len() <= SCAN / 2 {
                 adj.unindex(s);
             }
-            true
+            Some(pos)
         })
     }
 
@@ -366,13 +365,13 @@ mod tests {
         assert!(!adj.insert(Side::In, 7, &mut tally), "a duplicate");
         adj.assert_indexed();
         for w in 100..100 + (SCAN as u64 / 2) {
-            assert!(adj.remove(Side::In, w, &mut tally));
+            assert!(adj.remove(Side::In, w, &mut tally).is_some());
             adj.assert_indexed();
         }
         assert!(adj.index.is_some());
-        assert!(adj.remove(Side::In, 7, &mut tally));
+        assert!(adj.remove(Side::In, 7, &mut tally).is_some());
         assert!(adj.index.is_none(), "back at half the scan length");
-        assert!(!adj.remove(Side::In, 7, &mut tally));
+        assert_eq!(adj.remove(Side::In, 7, &mut tally), None);
         assert_eq!(tally.held, [0, SCAN / 2]);
         assert_eq!(tally.heap, adj.heap_bytes());
     }
@@ -386,17 +385,17 @@ mod tests {
         let mut tally = Tally::default();
         let mut adj = grown(Side::Out, 0, SCAN as u64 + 1, &mut tally);
         for w in 0..10 {
-            assert!(adj.remove(Side::Out, w, &mut tally));
+            assert!(adj.remove(Side::Out, w, &mut tally).is_some());
         }
         assert!(adj.out().len() < SCAN && !adj.table(0).is_empty());
         assert!(adj.insert(Side::Out, 1000, &mut tally));
         adj.assert_indexed();
         // The head goes: the edge pushed last takes its place.
         let head = adj.out()[0];
-        assert!(adj.remove(Side::Out, head, &mut tally));
+        assert_eq!(adj.remove(Side::Out, head, &mut tally), Some(0));
         assert_eq!(adj.out()[0], 1000);
         adj.assert_indexed();
-        assert!(adj.remove(Side::Out, 1000, &mut tally));
+        assert_eq!(adj.remove(Side::Out, 1000, &mut tally), Some(0));
         adj.assert_indexed();
     }
 
@@ -461,8 +460,10 @@ mod tests {
                         }
                     }
                     _ => {
-                        prop_assert_eq!(adj.remove(SIDES[s], w, &mut tally), set.remove(&w));
-                        if let Some(pos) = list.iter().position(|&x| x == w) {
+                        let pos = list.iter().position(|&x| x == w);
+                        prop_assert_eq!(adj.remove(SIDES[s], w, &mut tally), pos);
+                        prop_assert_eq!(pos.is_some(), set.remove(&w));
+                        if let Some(pos) = pos {
                             list.swap_remove(pos);
                         }
                     }

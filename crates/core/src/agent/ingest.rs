@@ -30,9 +30,9 @@ impl Agent {
     /// Record a run of edges held in `key`'s adjacency on `side`, far
     /// endpoints in `others`, skipping those already present; returns
     /// how many were new. One store probe and one list reservation for
-    /// the run. Like [`Agent::remove_edge`], it drops the vertex's edge
-    /// memo when the adjacency changed: slots are filled where they are
-    /// used, at scatter.
+    /// the run. The vertex's edge memo stays a prefix of its lists
+    /// ([`VertexEntry::slots`]): new edges land past it, so only its
+    /// in-part goes, and the next scatter fills the tail.
     pub(super) fn insert_edges(
         &mut self,
         side: Side,
@@ -40,24 +40,36 @@ impl Agent {
         others: impl ExactSizeIterator<Item = VertexId>,
     ) -> usize {
         let (e, tally) = self.vertices.entry_and_tally(key);
+        let outs = e.adj.out().len();
         let added = e.adj.extend(side, others, tally);
         if added > 0 {
-            e.slots.clear();
+            e.slots.truncate(outs);
         }
         added
     }
 
     /// Remove the edge held in `key`'s adjacency on `side` whose far
-    /// endpoint is `other`; false when absent.
+    /// endpoint is `other`; false when absent. The memo's in-part goes;
+    /// an out-edge's slot leaves as the edge does — the last slot takes
+    /// its place when the memo covers the out-list, and a shorter memo
+    /// keeps only what precedes the vacated position.
     fn remove_edge(&mut self, side: Side, key: VertexId, other: VertexId) -> bool {
         let Some((e, tally)) = self.vertices.get_mut_and_tally(&key) else {
             return false;
         };
-        let removed = e.adj.remove(side, other, tally);
-        if removed {
-            e.slots.clear();
+        let outs = e.adj.out().len();
+        let Some(pos) = e.adj.remove(side, other, tally) else {
+            return false;
+        };
+        e.slots.truncate(outs);
+        if side == Side::Out {
+            if e.slots.len() == outs {
+                e.slots.swap_remove(pos);
+            } else {
+                e.slots.truncate(pos);
+            }
         }
-        removed
+        true
     }
 
     /// Record out-edge `(u, v)`; false when already present.

@@ -132,11 +132,11 @@ pub(crate) struct VertexEntry {
     pub(crate) snap: u64,
     pub(crate) has_snap: bool,
     /// The edge memo: the [`TargetTable`] row each local edge's
-    /// message lands in — empty, or one slot per out-edge, or (once the
-    /// vertex has scattered along them) per out- and then per in-edge.
-    /// The adjacency mutators in `ingest` empty it (lengths alone prove
-    /// nothing: a delete then an insert keeps them); a table generation
-    /// other than `placed` outdates it.
+    /// message lands in, for a prefix of the out-list and then the
+    /// in-list. The adjacency mutators in `ingest` patch it in step with
+    /// the lists (lengths alone prove nothing: a delete then an insert
+    /// keeps them), scatter fills the tail of each side that fires, and
+    /// a table generation other than `placed` outdates it.
     pub(crate) slots: EdgeSlots,
     /// The table generation `slots` and `home` were computed under.
     pub(crate) placed: u32,

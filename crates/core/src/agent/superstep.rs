@@ -13,8 +13,8 @@ pub(super) struct StepScratch {
     /// Scatter's output run of the shard at hand: `(target-table slot,
     /// value)` per edge a firing vertex sent along, in kernel order.
     slots: Vec<(u32, u64)>,
-    /// Edges of `slots` whose memo was filled this step (their owner
-    /// lookups were counted by the cache itself).
+    /// Edges of `slots` whose memo slot was filled this step (their
+    /// owner lookups were counted by the cache itself).
     refreshed: u64,
     /// `(vertex, value)` batches (combine partials).
     msgs: FxHashMap<AgentId, Vec<(VertexId, u64)>>,
@@ -310,12 +310,14 @@ impl Agent {
 
     /// Fold the shard's scatter run into the target table's
     /// accumulators, looking at the mailbox for reads between blocks,
-    /// and credit the owner cache with the edges served from their
-    /// memos: a slot is the cache's answer kept beside the edge.
+    /// count the slots the kernel filled (`memo_fills`), and credit the
+    /// owner cache with the edges served from their memos: a slot is
+    /// the cache's answer kept beside the edge.
     fn fold_scatter_run(&mut self, program: &dyn VertexProgram) {
         let mut run = std::mem::take(&mut self.scratch.slots);
-        let served = run.len() as u64 - std::mem::take(&mut self.scratch.refreshed);
-        self.route_cache.count_hits(served);
+        let filled = std::mem::take(&mut self.scratch.refreshed);
+        self.metrics.memo_fills += filled;
+        self.route_cache.count_hits(run.len() as u64 - filled);
         for (i, block) in run.chunks(READ_YIELD).enumerate() {
             if i > 0 {
                 self.serve_reads();
@@ -1147,8 +1149,8 @@ fn scatter_shard(
 /// What `v` sends this step along its out- and its in-edges (`None`:
 /// nothing along that side), with its edge memo made to cover the
 /// sides that fire. The one place scatter asks where an edge's message
-/// goes: a memo of another generation, or one a mutator dropped, is
-/// refilled through the owner cache into `table`.
+/// goes: the edges past the memo's prefix — all of them under a new
+/// generation — are resolved through the owner cache into `table`.
 fn scatter_values(
     ctx: KernelCtx<'_>,
     cache: &mut OwnerCache,
@@ -1187,27 +1189,30 @@ fn scatter_values(
         (_, None) => e.adj.out().len(),
         (_, Some(_)) => e.adj.out().len() + e.adj.inn().len(),
     };
-    // Under the table's generation, the memo is as long as the sides it
-    // covers: out-edges first, the in side appended the first time the
-    // vertex scatters along it.
+    // Under the table's generation, the memo is a prefix of the out-list
+    // and then the in-list: it is extended by the unfilled tail of each
+    // side that fires, the out side first whenever the in side does.
     restamp(ctx, cache, v, e);
-    if e.slots.len() < needed {
-        let mut fill = |from: usize, side: &[VertexId], fires: bool| {
-            if e.slots.len() == from {
-                e.slots.extend(side.iter().map(|&w| {
-                    cache
-                        .owner_of_edge(ctx.locator, w, v, || ctx.sketch.estimate(w))
-                        .map_or(NO_SLOT, |owner| table.intern(w, owner))
-                }));
-                // Counted by the lookups above, not as served.
-                out.refreshed += if fires { side.len() as u64 } else { 0 };
-            }
-        };
+    let held = e.slots.len();
+    if held < needed {
         let (outs, ins) = (e.adj.out(), e.adj.inn());
-        fill(0, outs, sides.0.is_some());
-        if needed > outs.len() {
-            fill(outs.len(), ins, true);
-        }
+        let out_tail = &outs[held.min(outs.len())..];
+        let in_tail: &[VertexId] = if sides.1.is_some() {
+            &ins[held.saturating_sub(outs.len())..]
+        } else {
+            &[]
+        };
+        let mut fill = |tail: &[VertexId], fires: bool| {
+            e.slots.extend(tail.iter().map(|&w| {
+                cache
+                    .owner_of_edge(ctx.locator, w, v, || ctx.sketch.estimate(w))
+                    .map_or(NO_SLOT, |owner| table.intern(w, owner))
+            }));
+            // Counted by the lookups above, not as served.
+            out.refreshed += if fires { tail.len() as u64 } else { 0 };
+        };
+        fill(out_tail, sides.0.is_some());
+        fill(in_tail, true);
     }
     sides
 }
@@ -2022,7 +2027,7 @@ mod tests {
     // ------------------------------------------------------------------
 
     use super::super::testkit::{detached, view};
-    use elga_net::{InProcTransport, Mailbox};
+    use elga_net::{InProcTransport, Mailbox, SplitMix64};
 
     const RUN: u64 = 1;
 
@@ -2423,7 +2428,11 @@ mod tests {
     }
 
     /// The slot list of a vertex is as long after `delete u→a, insert
-    /// u→b` as before: length proves nothing, the mutators say so.
+    /// u→b` as before: length proves nothing, so the mutators patch the
+    /// memo in step with the list. The delete takes `a`'s slot with it
+    /// and `b` lands past the memo, to be filled at the next scatter: no
+    /// slot is left behind for the edge that comes to stand where `a`
+    /// stood.
     #[test]
     fn an_edge_replaced_by_another_does_not_inherit_its_slot() {
         let (mut agent, peers) = scattering(&[ME, 2, 3]);
@@ -2445,6 +2454,11 @@ mod tests {
         assert_eq!(agent.vertices.get(&u).unwrap().slots.len(), 1);
         assert!(agent.remove_out_edge(u, a) && agent.insert_out_edge(u, b));
         assert_eq!(agent.vertices.get(&u).unwrap().adj.out(), [b]);
+        assert_eq!(
+            agent.vertices.get(&u).unwrap().slots.len(),
+            0,
+            "a's slot left with a"
+        );
         assert_eq!(scatter_from(&mut agent, &peers, u), [(3, vec![(b, u)])]);
         // Same for the in side, which WCC scatters along too.
         assert!(agent.insert_in_edge(a, u));
@@ -2455,6 +2469,155 @@ mod tests {
         assert!(agent.remove_in_edge(a, u) && agent.insert_in_edge(b, u));
         assert_eq!(scatter_from(&mut agent, &peers, u), [(3, vec![(b, u)])]);
         assert_eq!(agent.targets.len(), 2, "one row per (target, destination)");
+    }
+
+    /// Two agents with one history: churn on a few hubs, out- and
+    /// in-edges, the lists growing past the scan length (indexed) and
+    /// shrinking below half of it, with a PageRank sweep (out-edges) or
+    /// a WCC sweep (both sides) between batches. One twin patches its
+    /// memos; the other adopts a view of the same members before each
+    /// scatter, which outdates every memo. Both send the same VMSG
+    /// records and fold the same values in place, bit for bit. The
+    /// patching twin fills exactly the fired sides' edges past its
+    /// memo's prefix — those appended since the hub last scattered, and
+    /// those behind an out-edge deleted while an appended one was still
+    /// unfilled (the edge the list moved there has no slot) — and the
+    /// refilling twin every fired edge.
+    #[test]
+    fn a_patched_memo_sends_what_a_refilled_one_does() {
+        const MEMBERS: [AgentId; 3] = [ME, 2, 3];
+        const HUBS: [VertexId; 3] = [10, 11, 12];
+        let twin = || {
+            let (transport, agent) = detached(view(1, &MEMBERS, &[]));
+            let peers: Vec<Mailbox> = MEMBERS[1..]
+                .iter()
+                .map(|&a| transport.bind(&agent_addr(a)).expect("bind"))
+                .collect();
+            (agent, peers)
+        };
+        let mut twins = [twin(), twin()];
+        // The hubs' lists as `swap_remove` keeps them, and how much of
+        // `[out | in]` the patching twin's memo covers by the rule.
+        let mut lists: Vec<[Vec<VertexId>; 2]> = vec![Default::default(); HUBS.len()];
+        let mut memo = [0; HUBS.len()];
+        let mut rng = SplitMix64::new(0x7A1D);
+        let (mut peak, mut indexed_deletes) = (0, 0);
+        for round in 0..48u64 {
+            // Eight batches that grow the lists, eight that shrink them.
+            let inserts = if round / 8 % 2 == 0 { 8 } else { 2 };
+            for _ in 0..96 {
+                let (i, s) = (rng.below(3) as usize, rng.below(2) as usize);
+                let (u, w) = (HUBS[i], 100 + rng.below(64));
+                let insert = rng.below(10) < inserts;
+                let outs = lists[i][0].len();
+                let pos = lists[i][s].iter().position(|&x| x == w);
+                for (agent, _) in twins.iter_mut() {
+                    let changed = match (s, insert) {
+                        (0, true) => agent.insert_out_edge(u, w),
+                        (0, false) => agent.remove_out_edge(u, w),
+                        (_, true) => agent.insert_in_edge(w, u),
+                        (_, false) => agent.remove_in_edge(w, u),
+                    };
+                    assert_eq!(changed, pos.is_some() != insert);
+                }
+                match (insert, pos) {
+                    (true, None) => {
+                        lists[i][s].push(w);
+                        memo[i] = memo[i].min(outs);
+                    }
+                    (false, Some(p)) => {
+                        indexed_deletes += usize::from(lists[i][s].len() > 32);
+                        lists[i][s].swap_remove(p);
+                        memo[i] = match s {
+                            0 if memo[i] >= outs => outs - 1,
+                            0 => memo[i].min(p),
+                            _ => memo[i].min(outs),
+                        };
+                    }
+                    _ => {}
+                }
+                peak = peak.max(lists[i][s].len());
+                let held = twins[0].0.vertices.get(&u).map_or(0, |e| e.slots.len());
+                assert_eq!(held, memo[i], "round {round}: the memo of hub {u}");
+            }
+            // A sweep: WCC after every third batch, PageRank otherwise.
+            let wcc = round % 3 == 0;
+            let spec = if wcc {
+                ProgramSpec::Wcc
+            } else {
+                ProgramSpec::from(PageRank::new(0.85))
+            };
+            let (tag, params) = spec.encode();
+            // What the patching twin fills by the rule, and what a
+            // refill costs: every edge of every side that fires.
+            let (mut want, mut every) = (0, 0);
+            for (i, [outs, ins]) in lists.iter().enumerate() {
+                let (o, n) = (outs.len(), ins.len());
+                if wcc {
+                    want += o - memo[i].min(o) + n - memo[i].saturating_sub(o);
+                    every += o + n;
+                    memo[i] = o + n;
+                } else if o > 0 {
+                    want += o - memo[i].min(o);
+                    every += o;
+                    memo[i] = memo[i].max(o);
+                }
+            }
+            let mut seen = Vec::new();
+            for (k, (agent, peers)) in twins.iter_mut().enumerate() {
+                if k == 1 {
+                    agent.adopt_view(view(2 + round, &MEMBERS, &[]));
+                }
+                agent.begin_run(RunInfo {
+                    run_id: 1 + round,
+                    tag,
+                    params,
+                    reuse_state: false,
+                    asynchronous: false,
+                    delta: false,
+                    dangling_base: 0.0,
+                    watermark: 0,
+                });
+                agent.run.as_mut().expect("run").step = 1;
+                for (&u, [outs, _]) in HUBS.iter().zip(&lists) {
+                    let e = agent.vertices.entry_or_default(u);
+                    (e.state, e.has_state, e.active) = ((u as f64 / 7.0).to_bits(), true, true);
+                    e.rep_out_degree = outs.len() as u64;
+                }
+                let before = agent.metrics.memo_fills;
+                agent.run_kernel(Phase::Scatter, true);
+                agent.flush_outboxes();
+                let sent: Vec<Vec<(VertexId, u64)>> = peers
+                    .iter()
+                    .map(|mailbox| {
+                        let mut recs = Vec::new();
+                        while let Ok(Some(d)) = mailbox.try_recv() {
+                            recs.extend(msg::decode_vmsgs(&d.frame).expect("vmsg").records.iter());
+                        }
+                        recs
+                    })
+                    .collect();
+                let mut folded: Vec<(VertexId, u64)> = agent
+                    .vertices
+                    .iter()
+                    .filter(|(_, e)| e.has_partial)
+                    .map(|(&v, e)| (v, e.partial))
+                    .collect();
+                folded.sort_unstable();
+                seen.push((sent, folded, agent.metrics.memo_fills - before));
+            }
+            assert_eq!(seen[0].0, seen[1].0, "round {round}: VMSG records");
+            assert_eq!(seen[0].1, seen[1].1, "round {round}: folds in place");
+            assert_eq!(
+                (seen[0].2, seen[1].2),
+                (want as u64, every as u64),
+                "round {round}: slots filled, patched and refilled"
+            );
+        }
+        assert!(
+            peak > 32 && indexed_deletes > 0,
+            "no indexed list: peak {peak}"
+        );
     }
 
     /// A view epoch empties the table. With the ring moved the next

@@ -352,6 +352,8 @@ metrics! {
             "Vertex store heap bytes: map capacity, adjacency lists and their indexes.";
         owner_cache_bytes: u64 = gauge(owner_cache_bytes) => "owner_cache_bytes" gauge
             "Owner-memo heap bytes: map capacity and split placements.";
+        memo_fills: u64 = sum(memo_fills) => "memo_fills_total" counter
+            "Edge-memo slots scatter filled through the owner cache, on the sides it fired.";
     }
 }
 
@@ -392,6 +394,7 @@ mod tests {
             edges: 40,
             store_bytes: 45,
             owner_cache_bytes: 47,
+            memo_fills: 195,
             last_step_nanos: 50,
             retries_attempted: 60,
             owner_cache_hits: 70,
@@ -437,6 +440,7 @@ mod tests {
             edges: 3,
             store_bytes: 300,
             owner_cache_bytes: 30,
+            memo_fills: 5,
             last_step_nanos: 100,
             retries_attempted: 2,
             owner_cache_hits: 30,
@@ -466,6 +470,7 @@ mod tests {
             edges: 4,
             store_bytes: 400,
             owner_cache_bytes: 40,
+            memo_fills: 6,
             last_step_nanos: 60,
             retries_attempted: 1,
             owner_cache_hits: 30,
@@ -510,6 +515,7 @@ mod tests {
         );
         assert_eq!(c.comms.count_flushes, 9);
         assert_eq!(c.kernel_visits, 75);
+        assert_eq!(c.memo_fills, 11);
         // A departed agent keeps its counters in the totals; its
         // gauges leave with it.
         let before = c;

@@ -14,7 +14,9 @@
 //!
 //! Slots are only meaningful under the table's *generation*: clearing
 //! the table bumps it, and every memo stamped with an older one is
-//! refilled the next time its vertex scatters.
+//! refilled the next time its vertex scatters. Within a generation a
+//! memo is patched as its vertex's edges change and never emptied:
+//! `intern` is idempotent, so a surviving edge's row is still its row.
 
 use elga_graph::types::VertexId;
 use elga_hash::{wang64, AgentId};
@@ -30,12 +32,12 @@ const GARBAGE_SLACK: usize = 1024;
 /// Edge slots kept in the vertex entry itself.
 const INLINE: usize = 5;
 
-/// A vertex's edge memo: one slot per local edge. Most vertices hold a
-/// handful of edges, so up to [`INLINE`] slots live in the entry and
-/// only longer lists take a heap block — sized to the list, kept when
-/// the list is emptied (a mutator's `clear` touches nothing outside
-/// the entry) and reused by a refill that fits. Both variants carry
-/// their length.
+/// A vertex's edge memo: one slot per local edge, for a prefix of its
+/// lists. Most vertices hold a handful of edges, so up to [`INLINE`]
+/// slots live in the entry and only longer memos take a heap block —
+/// sized to the memo when it spills, kept when the memo shrinks, and
+/// written in place by a fill that fits. Both variants carry their
+/// length.
 #[derive(Debug, Clone)]
 pub(crate) enum EdgeSlots {
     Inline(u8, [u32; INLINE]),
@@ -67,10 +69,30 @@ impl EdgeSlots {
     }
 
     pub fn clear(&mut self) {
-        match self {
-            EdgeSlots::Inline(n, _) => *n = 0,
-            EdgeSlots::Heap(n, _) => *n = 0,
+        self.truncate(0);
+    }
+
+    /// Keep the first `len` slots, if there are more.
+    pub fn truncate(&mut self, len: usize) {
+        if len < self.len() {
+            match self {
+                EdgeSlots::Inline(n, _) => *n = len as u8,
+                EdgeSlots::Heap(n, _) => *n = len as u32,
+            }
         }
+    }
+
+    /// Remove the slot at `pos`: the last slot takes its place, as the
+    /// last edge of a list does.
+    pub fn swap_remove(&mut self, pos: usize) {
+        let last = self.len() - 1;
+        debug_assert!(pos <= last, "slot {pos} of {}", last + 1);
+        let room: &mut [u32] = match self {
+            EdgeSlots::Inline(_, buf) => buf,
+            EdgeSlots::Heap(_, buf) => buf,
+        };
+        room[pos] = room[last];
+        self.truncate(last);
     }
 
     /// Append the slots of one more side.
@@ -295,6 +317,14 @@ mod tests {
         slots.extend(10..14);
         slots.extend(14..19);
         assert_eq!(slots.as_slice(), (10..19).collect::<Vec<u32>>());
+        assert_eq!(slots.as_slice().as_ptr(), block);
+        // Patched as a list is: the last slot takes a removed one's
+        // place, a cut keeps the prefix, and the block stays.
+        slots.swap_remove(2);
+        slots.truncate(6);
+        assert_eq!(slots.as_slice(), [10, 11, 18, 13, 14, 15]);
+        slots.truncate(9);
+        assert_eq!(slots.len(), 6);
         assert_eq!(slots.as_slice().as_ptr(), block);
     }
 

@@ -27,9 +27,11 @@ use elga::core::directory::{self, DirectoryRole};
 use elga::core::msg::{self, packet, DirectoryView, Message, RunInfo};
 use elga::core::program::{ProgramSpec, RunOptions};
 use elga::core::streamer::Streamer;
+use elga::gen::{rmat, RmatParams};
+use elga::graph::{csr::Csr, reference};
 use elga::net::{Addr, FaultPlan, Frame, SendPolicy, TcpTransport, Transport};
 use elga::prelude::*;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -138,6 +140,85 @@ fn two_agent_delta_pagerank_combines() {
         full_vmsgs * 3 < per_edge * 2,
         "{full_vmsgs} records delivered for {per_edge} messages: nothing was combined"
     );
+}
+
+/// The `memo_fills` gate, a count: the edge-memo slots scatter resolved
+/// through the owner cache. An R-MAT core and two slabs of fresh edges
+/// that take turns — batch `k` inserts one and deletes the other,
+/// interleaved as `bulk_rmat` does — with a full PageRank run after
+/// each batch. An edge change patches its vertex's memo, so after the
+/// first run a run fills at most the out-edges the batch inserted: a
+/// slab edge sits behind its vertex's core edges, and a delete cuts a
+/// memo no shorter than them. A memo emptied by every change refills
+/// every list the batch touched, hubs included.
+#[test]
+fn a_run_after_a_batch_fills_no_more_slots_than_the_batch_inserted() {
+    const CORE: usize = 20_000;
+    const SLAB: usize = 2_000;
+    const ITERS: u32 = 10;
+    let mut stream = rmat(13, 2 * (CORE + 2 * SLAB), RmatParams::GRAPH500, 0x3E40).into_iter();
+    let mut used = HashSet::new();
+    let mut fresh = |n: usize| -> Vec<(u64, u64)> {
+        stream
+            .by_ref()
+            .filter(|&(u, v)| u != v && used.insert((u, v)))
+            .take(n)
+            .collect()
+    };
+    let core = fresh(CORE);
+    let slabs = [fresh(SLAB), fresh(SLAB)];
+    assert!(core.len() == CORE && slabs.iter().all(|s| s.len() == SLAB));
+    let pr = PageRank::new(0.85).with_max_iters(ITERS);
+    let mut cluster = Cluster::builder().agents(2).build();
+    cluster.ingest_edges(core.iter().chain(&slabs[1]).copied());
+    cluster.run(pr).expect("first run");
+    let mut filled = cluster.metrics().memo_fills;
+    assert_eq!(
+        filled,
+        (CORE + SLAB) as u64,
+        "the first run fills every out-edge once"
+    );
+    for k in 0..6 {
+        let (ins, del) = (&slabs[k % 2], &slabs[(k + 1) % 2]);
+        cluster.ingest(ins.iter().zip(del).flat_map(|(&(iu, iv), &(du, dv))| {
+            [EdgeChange::insert(iu, iv), EdgeChange::delete(du, dv)]
+        }));
+        cluster.run(pr).expect("run");
+        let total = cluster.metrics().memo_fills;
+        let run = total - filled;
+        filled = total;
+        assert!(
+            run > 0 && run <= SLAB as u64,
+            "batch {k}: {run} memo slots filled for {SLAB} out-edges inserted"
+        );
+        let live: Vec<(u64, u64)> = core.iter().chain(ins).copied().collect();
+        assert_ranks_match_reference(&cluster.dump_states(), &live, ITERS as usize);
+    }
+    cluster.shutdown();
+}
+
+/// PageRank after `iters` steps agrees with the reference on `edges`,
+/// its vertices numbered in sorted order.
+fn assert_ranks_match_reference(states: &HashMap<u64, u64>, edges: &[(u64, u64)], iters: usize) {
+    let mut ids: Vec<u64> = edges.iter().flat_map(|&(u, v)| [u, v]).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    let index: HashMap<u64, u64> = ids
+        .iter()
+        .enumerate()
+        .map(|(i, &v)| (v, i as u64))
+        .collect();
+    let dense: Vec<(u64, u64)> = edges.iter().map(|&(u, v)| (index[&u], index[&v])).collect();
+    let want = reference::pagerank(&Csr::from_edges(Some(ids.len()), &dense), 0.85, iters);
+    assert_eq!(states.len(), ids.len(), "vertex set");
+    for (i, v) in ids.iter().enumerate() {
+        let got = f64::from_bits(states[v]);
+        assert!(
+            (got - want[i]).abs() < reference::PAGERANK_TOLERANCE,
+            "v{v}: {got} vs {}",
+            want[i]
+        );
+    }
 }
 
 /// Two PageRank results agree to the 1e-9 that f64 sums taken in a
