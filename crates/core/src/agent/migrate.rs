@@ -45,6 +45,14 @@ impl Agent {
             return;
         }
         let epoch = view.epoch;
+        // An async run's own messages are counted nowhere, so the
+        // migrate barrier cannot wait for them: deliver them under the
+        // view they were routed by, before the sweep moves their
+        // targets away (a departer's whole store, and its residuals
+        // with it).
+        while !self.local.is_empty() {
+            self.deliver_local();
+        }
         // A sketch-only update (same membership, same ring parameters)
         // cannot move primaries or k=1 placements: only vertices whose
         // replication factor grew need re-placement. This keeps the

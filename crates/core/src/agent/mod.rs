@@ -311,12 +311,16 @@ pub struct Agent {
     /// execution"). Cleared by recovery resets and non-residual runs.
     delta_seed: Option<DeltaSeed>,
     /// Primaries whose residual absorbed an async push since the last
-    /// mailbox drain. Folding once per drain (instead of per arrival)
+    /// round (`on_idle`). Folding once per round (instead of per arrival)
     /// batches every queued push to a vertex into one apply+broadcast —
     /// without it, tight tolerances turn the event-driven path into one
     /// broadcast per message and the run's cost explodes from O(E) per
     /// effective round toward the number of residual-carrying walks.
     delta_hot: FxHashSet<VertexId>,
+    /// The live async run's own vertex messages, delivered in place a
+    /// round at a time (`Agent::deliver_local`): never framed, never
+    /// counted.
+    local: VecDeque<(VertexId, u64)>,
     /// Unreported local change in dangling mass (delta engine): state
     /// changes at sinks (applies, folds), ingest-time rescales, and
     /// vertex vanishes accumulate here until the next report drains it.
@@ -477,6 +481,7 @@ impl Agent {
             needs_sweep: true,
             delta_seed: None,
             delta_hot: FxHashSet::default(),
+            local: VecDeque::new(),
             dangling_acc: 0.0,
             dangling_cum: 0.0,
             buffered_changes: Vec::new(),
@@ -509,9 +514,14 @@ impl Agent {
     fn run_loop(mut self) {
         loop {
             // Frames parked by `serve_reads` arrived before anything
-            // still in the mailbox.
+            // still in the mailbox. With own async work pending the
+            // agent does not wait for a frame: the next round is due.
             let first = match self.parked.pop_front() {
                 Some(d) => Ok(d),
+                None if self.local_work() => self
+                    .mailbox
+                    .try_recv()
+                    .and_then(|d| d.ok_or(NetError::Timeout)),
                 None => self.mailbox.recv_timeout(Duration::from_millis(20)),
             };
             match first {
@@ -1050,6 +1060,7 @@ impl Agent {
         self.vertices.clear_worklists();
         self.needs_sweep = true;
         self.delta_hot.clear();
+        self.local.clear();
         self.buffered_frames.clear();
         // Rows of targets that no longer exist live until the next view
         // epoch unless they come to outnumber the edges held.
@@ -1075,6 +1086,7 @@ impl Agent {
     }
 
     fn on_advance(&mut self, adv: msg::Advance) {
+        let pending = self.local_work();
         let Some(run) = self.run.as_mut() else {
             return;
         };
@@ -1120,6 +1132,11 @@ impl Agent {
                     self.dangling_redistribute(adv.global);
                     self.last_idle_counters = None;
                 }
+            } else if pending {
+                // Probe, with own work pending that no counter shows:
+                // unanswered. The idle report after the work restarts
+                // it, sent even if no counter moved.
+                self.last_idle_counters = None;
             } else {
                 // Probe: drain already happened (mailbox FIFO); answer
                 // with current counters (and the cumulative dangling
@@ -1179,6 +1196,7 @@ impl Agent {
         }
         self.run = None;
         self.delta_hot.clear();
+        self.local.clear();
         self.reported = None;
         // Apply the changes that were buffered during the run. Their
         // receives were counted when they arrived; decode and apply

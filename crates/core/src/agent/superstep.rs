@@ -1,6 +1,15 @@
 //! Superstep execution: the sync scatter/combine/apply phases, the
 //! shard kernels, the message handlers that feed them, and the async
 //! event-driven mode.
+//!
+//! There is one engine. An async vertex fires through the same
+//! `scatter_vertex`, edge memo and target table as a sync scatter,
+//! flushed per vertex; a state goes to a replica set through the same
+//! `broadcast_state` as a sync apply, and arrives through the same
+//! `adopt_state`. Records an agent addresses to itself are never
+//! framed: a sync step folds them in place, an async run writes its own
+//! replica in place and delivers its own vertex messages through an
+//! agent-local queue, a round at a time.
 
 use super::*;
 
@@ -193,6 +202,42 @@ impl Agent {
         self.send_ready(run.info.run_id, run.step, run.phase, active, contrib);
     }
 
+    /// The agent split into what a kernel reads — the run's context at
+    /// its current step — and what it writes: the owner memo, the
+    /// target table, the store and the step's scratch. Sync steps and
+    /// async handlers alike run their kernels on these.
+    fn kernel_parts(
+        &mut self,
+        sweep: bool,
+    ) -> (
+        KernelCtx<'_>,
+        &mut OwnerCache,
+        &mut TargetTable,
+        &mut VertexStore,
+        &mut StepScratch,
+    ) {
+        let run = self.run.as_ref().expect("kernel without run");
+        let program = &*run.program;
+        let ctx = KernelCtx {
+            program,
+            locator: &self.locator,
+            sketch: &self.view.sketch,
+            my_id: self.id,
+            generation: self.targets.generation(),
+            n_vertices: run.n_vertices,
+            step: run.step,
+            sweep,
+            scatter_all: program.scatter_all(),
+            reuse: run.info.reuse_state,
+            global: run.global,
+            delta: run.info.delta,
+            prev_n: self.delta_seed.as_ref().map_or(0, |s| s.n),
+            dangling_base: run.info.dangling_base,
+        };
+        let (cache, table) = (&mut self.route_cache, &mut self.targets);
+        (ctx, cache, table, &mut self.vertices, &mut self.scratch)
+    }
+
     /// Run one superstep kernel over the vertex shards in index order,
     /// then send what it emitted. With `sweep` the kernel visits every
     /// entry; otherwise it drains the phase's worklist, so the step
@@ -200,38 +245,18 @@ impl Agent {
     /// work (DESIGN.md "Reads inside kernels"). Returns the number of
     /// primaries an apply kernel left active.
     fn run_kernel(&mut self, phase: Phase, sweep: bool) -> u64 {
-        let run = self.run.as_ref().expect("kernel without run");
-        let program = run.program.clone();
-        let run_id = run.info.run_id;
-        let step = run.step;
-        let (n_vertices, global) = (run.n_vertices, run.global);
-        let (reuse, delta, dangling_base) =
-            (run.info.reuse_state, run.info.delta, run.info.dangling_base);
-        let (my_id, scatter_all) = (self.id, program.scatter_all());
-        let generation = self.targets.generation();
-        let prev_n = self.delta_seed.as_ref().map_or(0, |s| s.n);
+        let program = self
+            .run
+            .as_ref()
+            .expect("kernel without run")
+            .program
+            .clone();
         let mut dangling = 0.0;
         for i in 0..SHARDS {
-            let shard = &mut self.vertices.shards_mut()[i];
+            let (ctx, cache, table, store, out) = self.kernel_parts(sweep);
+            let shard = &mut store.shards_mut()[i];
             let busy = sweep || worklist_len(phase, &shard.lists) > 0;
-            let ctx = KernelCtx {
-                program: &*program,
-                locator: &self.locator,
-                sketch: &self.view.sketch,
-                my_id,
-                generation,
-                n_vertices,
-                step,
-                sweep,
-                scatter_all,
-                reuse,
-                global,
-                delta,
-                prev_n,
-                dangling_base,
-            };
-            let (cache, table) = (&mut self.route_cache, &mut self.targets);
-            kernel_shard(phase, ctx, cache, table, shard, &mut self.scratch);
+            kernel_shard(phase, ctx, cache, table, shard, out);
             if phase == Phase::Scatter {
                 self.fold_scatter_run(&*program);
             }
@@ -251,46 +276,15 @@ impl Agent {
         // leaves as runs through its coalescing outbox, which keeps that
         // order exactly.
         match phase {
-            Phase::Apply => {
-                let mut states = std::mem::take(&mut self.scratch.states);
-                for (&agent, recs) in states.iter_mut() {
-                    if recs.is_empty() {
-                        continue;
-                    }
-                    self.counters.state_sent += recs.len() as u64;
-                    self.send_records(agent, recs, |out, block| {
-                        msg::append_states(out, run_id, step, block)
-                    });
-                    recs.clear();
-                }
-                self.scratch.states = states;
-            }
+            Phase::Apply => self.send_states(),
             Phase::Scatter => {
-                // One record per touched row, in first-touch order:
-                // this agent's own run is folded where it stands, as
-                // `take_vmsg` would on receipt, and is no VMSG record —
-                // uncounted on both sides of the barrier sums.
-                self.targets.flush();
-                let mut sent = msg::StepCounts::new();
-                for dst in 0..self.targets.members().len() {
-                    let run = self.targets.take_run(dst);
-                    let agent = self.targets.members()[dst];
-                    if agent == my_id {
-                        self.fold_vmsgs(run.iter().copied());
-                    } else if !run.is_empty() {
-                        self.counters.vmsg_sent += run.len() as u64;
-                        sent.push((agent, run.len() as u64));
-                        self.send_records(agent, &run, |out, block| {
-                            msg::append_vmsgs(out, run_id, step, block)
-                        });
-                    }
-                    self.targets.recycle(dst, run);
-                }
                 // What the step's READY tells the lead was sent.
+                let mut sent = self.send_scatter();
                 sent.sort_unstable();
                 self.run.as_mut().expect("run").scatter_sent = sent;
             }
             _ => {
+                let (run_id, step) = self.run_step();
                 let mut msgs = std::mem::take(&mut self.scratch.msgs);
                 for (&agent, recs) in msgs.iter_mut() {
                     if recs.is_empty() {
@@ -308,7 +302,13 @@ impl Agent {
         active
     }
 
-    /// Fold the shard's scatter run into the target table's
+    /// The current run's id and step, which every data record carries.
+    fn run_step(&self) -> (u64, u32) {
+        let run = self.run.as_ref().expect("run");
+        (run.info.run_id, run.step)
+    }
+
+    /// Fold the scatter run at hand into the target table's
     /// accumulators, looking at the mailbox for reads between blocks,
     /// count the slots the kernel filled (`memo_fills`), and credit the
     /// owner cache with the edges served from their memos: a slot is
@@ -327,6 +327,57 @@ impl Agent {
         // Hand the buffer back so its capacity is reused.
         run.clear();
         self.scratch.slots = run;
+    }
+
+    /// Flush the target table and send each destination its run: one
+    /// record per touched row, in first-touch order. This agent's own
+    /// run is delivered in place — folded into the step's partials
+    /// where it stands, as `take_vmsg` would on receipt, or queued for
+    /// [`Agent::deliver_local`] in a live async run — and is no VMSG
+    /// record, uncounted on both sides of the barrier sums. Returns
+    /// what went to each peer.
+    fn send_scatter(&mut self) -> msg::StepCounts {
+        let (run_id, step) = self.run_step();
+        let live = self.run.as_ref().is_some_and(|r| r.async_live);
+        self.targets.flush();
+        let mut sent = msg::StepCounts::new();
+        for dst in 0..self.targets.members().len() {
+            let run = self.targets.take_run(dst);
+            let agent = self.targets.members()[dst];
+            if agent == self.id {
+                if live {
+                    self.local.extend(run.iter().copied());
+                } else {
+                    self.fold_vmsgs(run.iter().copied());
+                }
+            } else if !run.is_empty() {
+                self.counters.vmsg_sent += run.len() as u64;
+                sent.push((agent, run.len() as u64));
+                self.send_records(agent, &run, |out, block| {
+                    msg::append_vmsgs(out, run_id, step, block)
+                });
+            }
+            self.targets.recycle(dst, run);
+        }
+        sent
+    }
+
+    /// Send the STATE records [`broadcast_state`] queued for other
+    /// replicas, each destination's in the order they were queued.
+    fn send_states(&mut self) {
+        let (run_id, step) = self.run_step();
+        let mut states = std::mem::take(&mut self.scratch.states);
+        for (&agent, recs) in states.iter_mut() {
+            if recs.is_empty() {
+                continue;
+            }
+            self.counters.state_sent += recs.len() as u64;
+            self.send_records(agent, recs, |out, block| {
+                msg::append_states(out, run_id, step, block)
+            });
+            recs.clear();
+        }
+        self.scratch.states = states;
     }
 
     /// Hand `recs` to `agent`'s outbox a block at a time, looking at
@@ -461,52 +512,34 @@ impl Agent {
         if arrival {
             self.counters.state_recv += view.records.len() as u64;
         }
-        let delta_run = self.run.as_ref().is_some_and(|r| r.info.delta);
-        if live {
-            // Async: adopt the state and scatter right away. Delta
-            // runs push the applied delta the record carries (zero
-            // aux — e.g. a rescatter refresh — pushes nothing).
-            for rec in view.records {
-                let own = self.is_primary(rec.vertex);
-                let e = self.vertices.entry_or_default(rec.vertex);
-                // A primary's own state is the newest there is: the
-                // record is its own broadcast coming back through
-                // the mailbox, and a commit made since must not be
-                // undone by it (the next, worse message would then
-                // pass for an improvement and stick).
-                if !(own && e.has_state) {
-                    e.state = rec.state;
-                    e.has_state = true;
-                }
-                e.rep_out_degree = rec.out_degree;
-                e.active = rec.active;
-                if delta_run {
-                    if rec.aux != 0 {
-                        self.scatter_delta_one(rec.vertex, rec.aux);
-                    }
-                } else if rec.active {
-                    self.scatter_one(rec.vertex);
-                }
-            }
-        } else if cur_step == view.step && cur_phase == Phase::Apply {
-            for rec in view.records {
-                let (e, lists) = self.vertices.entry_and_lists(rec.vertex);
-                let listed = e.active || e.has_pending_delta;
-                e.state = rec.state;
-                e.has_state = true;
-                e.rep_out_degree = rec.out_degree;
-                e.active = rec.active;
-                if delta_run {
-                    // Scattered at the next Scatter phase.
-                    e.pending_delta = rec.aux;
-                    e.has_pending_delta = true;
-                }
-                if !listed && (e.active || e.has_pending_delta) {
-                    lists.scatter.push(rec.vertex);
-                }
-            }
-        } else {
+        if !live && (cur_step, cur_phase) != (view.step, Phase::Apply) {
             self.buffered_frames.push(frame);
+            return;
+        }
+        let delta_run = self.run.as_ref().is_some_and(|r| r.info.delta);
+        for mut rec in view.records {
+            // Async: a primary keeps the state it holds. Its own commits
+            // never come back as frames, but an old primary's broadcast
+            // can land after a view change (a split vertex's replica set
+            // under the sender's view names this agent), and a commit
+            // made here must not be undone by it: the next, worse
+            // message would then pass for an improvement and stick.
+            let keep = live && self.is_primary(rec.vertex);
+            let (e, lists) = self.vertices.entry_and_lists(rec.vertex);
+            let listed = e.active || e.has_pending_delta;
+            if keep && e.has_state {
+                rec.state = e.state;
+            }
+            adopt_state(e, &rec, delta_run);
+            if live {
+                // Scatter right away; a delta run pushes the applied
+                // delta the record carries (zero aux — a rescatter
+                // refresh — pushes nothing).
+                self.fire(rec.vertex);
+            } else if !listed && (e.active || e.has_pending_delta) {
+                // Scattered at the next Scatter phase.
+                lists.scatter.push(rec.vertex);
+            }
         }
     }
 
@@ -514,35 +547,75 @@ impl Agent {
     // Async mode
     // ------------------------------------------------------------------
 
-    /// Initial scatter when entering async mode: all active vertices
-    /// fire once, then execution is event-driven. Delta runs fire the
-    /// pending deltas the step-0 apply broadcast instead.
+    /// Initial scatter when entering async mode: every entry goes
+    /// through the scatter kernel once — the active ones fire, or on a
+    /// delta run those holding the pending delta the step-0 apply
+    /// broadcast — then execution is event-driven.
     pub(super) fn async_initial_scatter(&mut self) {
-        if self.run.as_ref().is_some_and(|r| r.info.delta) {
-            let pending: Vec<(VertexId, u64)> = self
-                .vertices
-                .iter()
-                .filter(|(_, e)| e.has_pending_delta)
-                .map(|(&v, e)| (v, e.pending_delta))
-                .collect();
-            for (v, delta) in pending {
-                if let Some(e) = self.vertices.get_mut(&v) {
-                    e.pending_delta = 0;
-                    e.has_pending_delta = false;
-                }
-                self.scatter_delta_one(v, delta);
+        for v in self.vertices.keys().collect::<Vec<_>>() {
+            self.fire(v);
+        }
+    }
+
+    /// Scatter `v` through the sync kernel — its edge memo, its target
+    /// table rows — and send the records at once. One flush per vertex
+    /// keeps one record per edge, which §3.2 waiting sets count (rows
+    /// are keyed `(target, destination)`, so a vertex's edges never
+    /// share one), and leaves no row touched when the handler returns.
+    fn fire(&mut self, v: VertexId) {
+        let (ctx, cache, table, store, out) = self.kernel_parts(false);
+        if let Some(e) = store.get_mut(&v) {
+            scatter_vertex(ctx, cache, table, v, e, out);
+        }
+        if !self.scratch.slots.is_empty() {
+            let program = self.run.as_ref().expect("run").program.clone();
+            self.fold_scatter_run(&*program);
+            self.send_scatter();
+        }
+    }
+
+    /// Write `rec`, a new state of a vertex that is primary here, to
+    /// its replica set ([`broadcast_state`]) and send the other
+    /// replicas their STATE records. This agent's copy adopts it in
+    /// place and scatters at once: no frame is handled between a commit
+    /// and that scatter, so a VIEW cannot move the out-list from under
+    /// the push.
+    fn async_broadcast(&mut self, rec: StateRecord) {
+        let v = rec.vertex;
+        let own = {
+            let (ctx, cache, _, store, out) = self.kernel_parts(false);
+            let e = store.entry_or_default(v);
+            let home = at_home(ctx, cache, v, e);
+            broadcast_state(ctx, cache, home, v, e, &rec, &mut out.states)
+        };
+        self.send_states();
+        if own {
+            self.fire(v);
+        }
+    }
+
+    /// Deliver the own vertex messages that were queued before this
+    /// round, oldest first, as a peer's are ([`Agent::async_apply`]),
+    /// looking at the mailbox for reads every [`READ_YIELD`]. What
+    /// they cause waits for the next round: a label running down a
+    /// chain held here takes a round a hop and never recurses.
+    pub(super) fn deliver_local(&mut self) {
+        for i in 0..self.local.len() {
+            if i > 0 && i % READ_YIELD == 0 {
+                self.serve_reads();
             }
-            return;
+            let (v, value) = self.local.pop_front().expect("queued");
+            self.metrics.vmsgs += 1;
+            self.async_apply(v, value);
         }
-        let actives: Vec<VertexId> = self
-            .vertices
-            .iter()
-            .filter(|(_, e)| e.active && e.has_state)
-            .map(|(&v, _)| v)
-            .collect();
-        for v in actives {
-            self.scatter_one(v);
-        }
+    }
+
+    /// Whether the live async run has work of its own no counter shows:
+    /// own messages to deliver, or residuals to fold (left alone while
+    /// the run is paused).
+    pub(super) fn local_work(&self) -> bool {
+        !self.local.is_empty()
+            || (!self.delta_hot.is_empty() && !self.run.as_ref().is_some_and(|r| r.paused))
     }
 
     /// Resume after a mid-run view change: every primary re-broadcasts
@@ -568,42 +641,27 @@ impl Agent {
         for v in waiting {
             self.async_try_complete(v);
         }
-        let Some(run) = self.run.as_ref() else {
+        if self.run.is_none() {
             return;
-        };
-        let run_id = run.info.run_id;
-        let owned: Vec<(VertexId, StateRecord)> = self
+        }
+        let owned: Vec<StateRecord> = self
             .vertices
             .iter()
             .filter(|&(&v, e)| e.is_meta && e.has_state && self.is_primary(v))
-            .map(|(&v, e)| {
-                (
-                    v,
-                    StateRecord {
-                        vertex: v,
-                        state: e.state,
-                        out_degree: e.g_out.max(0) as u64,
-                        // A refresh, not an applied delta: replicas on
-                        // delta runs must not re-push (aux == 0 is the
-                        // "nothing to scatter" sentinel).
-                        aux: 0,
-                        active: true,
-                    },
-                )
+            .map(|(&v, e)| StateRecord {
+                vertex: v,
+                state: e.state,
+                out_degree: e.g_out.max(0) as u64,
+                // A refresh, not an applied delta: replicas on delta
+                // runs must not re-push (aux == 0 is the "nothing to
+                // scatter" sentinel).
+                aux: 0,
+                active: true,
             })
             .collect();
         let count = owned.len() as u64;
-        for (v, rec) in owned {
-            let replicas: Vec<AgentId> = {
-                let sketch = &self.view.sketch;
-                self.route_cache
-                    .replicas(&self.locator, v, || sketch.estimate(v))
-                    .to_vec()
-            };
-            for replica in replicas {
-                self.counters.state_sent += 1;
-                self.with_outbox(replica, |out| msg::append_states(out, run_id, 1, &[rec]));
-            }
+        for rec in owned {
+            self.async_broadcast(rec);
         }
         self.tracer
             .instant(EventKind::AsyncRescatter, self.view.epoch, count);
@@ -655,102 +713,6 @@ impl Agent {
         self.async_commit(v, agg);
     }
 
-    /// Event-driven single-vertex delta push (async delta mode): the
-    /// applied delta a primary just broadcast is transformed by
-    /// `scatter_delta` and routed along this replica's local out-edge
-    /// slice to each target's primary.
-    pub(super) fn scatter_delta_one(&mut self, v: VertexId, delta: u64) {
-        let Some(run) = self.run.as_ref() else {
-            return;
-        };
-        let program = run.program.clone();
-        let n_vertices = run.n_vertices;
-        let step = run.step;
-        let run_id = run.info.run_id;
-        let mut batches: FxHashMap<AgentId, Vec<(VertexId, u64)>> = FxHashMap::default();
-        {
-            let locator = &self.locator;
-            let sketch = &self.view.sketch;
-            let cache = &mut self.route_cache;
-            let Some(e) = self.vertices.get(&v) else {
-                return;
-            };
-            let ctx = VertexCtx {
-                out_degree: e.rep_out_degree,
-                in_degree: 0,
-                n_vertices,
-                step,
-                global: 0.0,
-            };
-            if let Some(val) = program.scatter_delta(v, e.state, delta, &ctx) {
-                for &w in e.adj.out() {
-                    let vv = program.along_edge(v, w, val);
-                    if let Some(owner) = cache.primary(locator, w, || sketch.estimate(w)) {
-                        batches.entry(owner).or_default().push((w, vv));
-                    }
-                }
-            }
-        }
-        for (agent, msgs) in batches {
-            self.counters.vmsg_sent += msgs.len() as u64;
-            self.with_outbox(agent, |out| msg::append_vmsgs(out, run_id, step, &msgs));
-        }
-    }
-
-    /// Event-driven single-vertex scatter (async mode): messages route
-    /// straight to the target's primary.
-    pub(super) fn scatter_one(&mut self, v: VertexId) {
-        let Some(run) = self.run.as_ref() else {
-            return;
-        };
-        let program = run.program.clone();
-        let scatter_all = program.scatter_all();
-        let n_vertices = run.n_vertices;
-        let step = run.step;
-        let run_id = run.info.run_id;
-        let mut batches: FxHashMap<AgentId, Vec<(VertexId, u64)>> = FxHashMap::default();
-        {
-            let locator = &self.locator;
-            let sketch = &self.view.sketch;
-            let cache = &mut self.route_cache;
-            let Some(e) = self.vertices.get(&v) else {
-                return;
-            };
-            if e.has_state && (e.active || scatter_all) {
-                let ctx = VertexCtx {
-                    out_degree: e.rep_out_degree,
-                    in_degree: 0,
-                    n_vertices,
-                    step,
-                    global: 0.0,
-                };
-                if let Some(val) = program.scatter_out(v, e.state, &ctx) {
-                    for &w in e.adj.out() {
-                        let vv = program.along_edge(v, w, val);
-                        if let Some(owner) = cache.primary(locator, w, || sketch.estimate(w)) {
-                            batches.entry(owner).or_default().push((w, vv));
-                        }
-                    }
-                }
-                if let Some(val) = program.scatter_in(v, e.state, &ctx) {
-                    for &u in e.adj.inn() {
-                        let vv = program.along_edge(v, u, val);
-                        if let Some(owner) = cache.primary(locator, u, || sketch.estimate(u)) {
-                            batches.entry(owner).or_default().push((u, vv));
-                        }
-                    }
-                }
-            }
-        }
-        if let Some(e) = self.vertices.get_mut(&v) {
-            e.active = false;
-        }
-        for (agent, msgs) in batches {
-            self.counters.vmsg_sent += msgs.len() as u64;
-            self.with_outbox(agent, |out| msg::append_vmsgs(out, run_id, step, &msgs));
-        }
-    }
-
     /// Async apply-at-primary: combine the incoming value, apply, and
     /// broadcast on change.
     pub(super) fn async_apply(&mut self, v: VertexId, value: u64) {
@@ -758,17 +720,15 @@ impl Agent {
             return;
         };
         let program = run.program.clone();
-        let n_vertices = run.n_vertices;
-        let run_id = run.info.run_id;
-        if !self.is_primary(v) {
-            // Stale routing: the sender resolved `v` under an older
-            // view. Re-resolve against the adopted epoch and forward to
-            // the vertex's current primary.
-            let primary = {
-                let sketch = &self.view.sketch;
-                self.route_cache
-                    .primary(&self.locator, v, || sketch.estimate(v))
-            };
+        let (n_vertices, run_id, delta) = (run.n_vertices, run.info.run_id, run.info.delta);
+        let primary = {
+            let (ctx, cache, _, store, _) = self.kernel_parts(false);
+            primary_of(ctx, cache, v, store.get_mut(&v))
+        };
+        if primary != Some(self.id) {
+            // Not ours to apply: the sender resolved `v` under an older
+            // view, or `v` is split and this is the replica its edge
+            // aggregates at. Forward to the current primary.
             if let Some(primary) = primary {
                 self.counters.vmsg_sent += 1;
                 self.with_outbox(primary, |out| {
@@ -777,14 +737,24 @@ impl Agent {
             }
             return;
         }
-        if run.info.delta {
+        let e = self.vertices.entry_or_default(v);
+        if delta {
             // Residual pushes accumulate commutatively; the §3.2
             // waiting-set machinery (which exists to impose rounds on
-            // non-commutative programs) does not apply.
-            self.async_delta_commit(v, value);
+            // non-commutative programs) does not apply. The fold and
+            // broadcast wait for [`Self::drain_delta_hot`] at the next
+            // round, so every push queued behind this one lands in the
+            // same fold: one broadcast per vertex per round instead of
+            // one per arriving message.
+            e.residual = if e.has_residual {
+                program.merge_residual(e.residual, value)
+            } else {
+                value
+            };
+            e.has_residual = true;
+            self.delta_hot.insert(v);
             return;
         }
-        let e = self.vertices.entry_or_default(v);
         let ctx = VertexCtx {
             out_degree: e.g_out.max(0) as u64,
             in_degree: e.g_in.max(0) as u64,
@@ -822,30 +792,9 @@ impl Agent {
         self.async_commit(v, value);
     }
 
-    /// The async-delta apply-at-primary head: merge the pushed delta
-    /// into the vertex's residual and mark the vertex hot. The fold +
-    /// broadcast happen in [`Self::drain_delta_hot`] once the mailbox
-    /// empties, so every push queued behind this one lands in the same
-    /// fold — one broadcast per vertex per drain instead of one per
-    /// arriving message.
-    fn async_delta_commit(&mut self, v: VertexId, value: u64) {
-        let Some(run) = self.run.as_ref() else {
-            return;
-        };
-        let program = run.program.clone();
-        let e = self.vertices.entry_or_default(v);
-        e.residual = if e.has_residual {
-            program.merge_residual(e.residual, value)
-        } else {
-            value
-        };
-        e.has_residual = true;
-        self.delta_hot.insert(v);
-    }
-
-    /// Fold every hot residual and broadcast the applied deltas.
+    /// Fold every hot residual, once, and broadcast the applied deltas.
     ///
-    /// Runs at mailbox-idle, *before* the idle READY report: the
+    /// Opens each round at mailbox-idle, *before* the idle READY: the
     /// termination barrier only ever sees counters taken with an empty
     /// hot set, so it cannot settle while an above-tolerance residual
     /// is still waiting to fire. During a mid-run pause the hot set is
@@ -869,13 +818,11 @@ impl Agent {
         }
         let program = run.program.clone();
         let n_vertices = run.n_vertices;
-        let run_id = run.info.run_id;
         let dangling_base = run.info.dangling_base;
         let hot: Vec<VertexId> = self.delta_hot.drain().collect();
         let mut dangling = 0.0;
         for v in hot {
-            let mut broadcast: Option<StateRecord> = None;
-            {
+            let rec = {
                 let Some(e) = self.vertices.get_mut(&v) else {
                     continue;
                 };
@@ -915,33 +862,23 @@ impl Agent {
                         e.residual = 0;
                         e.has_residual = false;
                         e.active = true;
-                        broadcast = Some(StateRecord {
+                        StateRecord {
                             vertex: v,
                             state: new,
                             out_degree: e.g_out.max(0) as u64,
                             aux: applied,
                             active: true,
-                        });
+                        }
                     }
                     None => {
                         // Below tolerance: stays parked in `e.residual`
                         // for the next batch.
                         e.active = false;
+                        continue;
                     }
                 }
-            }
-            if let Some(rec) = broadcast {
-                let replicas: Vec<AgentId> = {
-                    let sketch = &self.view.sketch;
-                    self.route_cache
-                        .replicas(&self.locator, v, || sketch.estimate(v))
-                        .to_vec()
-                };
-                for replica in replicas {
-                    self.counters.state_sent += 1;
-                    self.with_outbox(replica, |out| msg::append_states(out, run_id, 1, &[rec]));
-                }
-            }
+            };
+            self.async_broadcast(rec);
         }
         self.dangling_acc += dangling;
     }
@@ -955,7 +892,6 @@ impl Agent {
         };
         let program = run.program.clone();
         let n_vertices = run.n_vertices;
-        let run_id = run.info.run_id;
         let e = self.vertices.entry_or_default(v);
         let ctx = VertexCtx {
             out_degree: e.g_out.max(0) as u64,
@@ -968,32 +904,25 @@ impl Agent {
         if changed {
             e.state = new;
             e.active = true;
-            let rec = StateRecord {
+            let out_degree = e.g_out.max(0) as u64;
+            self.async_broadcast(StateRecord {
                 vertex: v,
                 state: new,
-                out_degree: e.g_out.max(0) as u64,
+                out_degree,
                 aux: 0,
                 active: true,
-            };
-            let replicas: Vec<AgentId> = {
-                let sketch = &self.view.sketch;
-                self.route_cache
-                    .replicas(&self.locator, v, || sketch.estimate(v))
-                    .to_vec()
-            };
-            for replica in replicas {
-                self.counters.state_sent += 1;
-                self.with_outbox(replica, |out| msg::append_states(out, run_id, 1, &[rec]));
-            }
+            });
         }
     }
 
     pub(super) fn on_idle(&mut self) {
-        // Fold the residuals that accumulated while the mailbox was
-        // busy. Must precede the flush and the idle report: the folds
-        // append broadcasts, and the barrier may only see counters
-        // taken with an empty hot set.
+        // One round of the live async run's own work: fold the
+        // residuals that accumulated since the last round, then deliver
+        // the own messages queued before it. Both precede the flush and
+        // the idle report: they append records, and the barrier may
+        // only see counters taken with no own work left.
         self.drain_delta_hot();
+        self.deliver_local();
         // The mailbox drained: whatever the handlers appended must
         // reach the wire now — peers (and the termination barrier)
         // cannot make progress on records parked in open frames. A
@@ -1030,10 +959,11 @@ impl Agent {
             }
             return;
         };
-        // A live async run answers with idle reports instead: the
-        // counters differ from the last idle snapshot, and that
-        // difference triggers the one report per drain below.
-        if self.last_idle_counters == Some(self.counters) {
+        // A live async run answers with idle reports instead, once it
+        // has no own work left: the counters differ from the last idle
+        // snapshot, and that difference triggers the one report per
+        // drain below.
+        if self.local_work() || self.last_idle_counters == Some(self.counters) {
             return;
         }
         self.last_idle_counters = Some(self.counters);
@@ -1273,6 +1203,21 @@ fn at_home(ctx: KernelCtx<'_>, cache: &mut OwnerCache, v: VertexId, e: &mut Vert
     served || restamp(ctx, cache, v, e)
 }
 
+/// `v`'s primary: this agent where the entry held here says home
+/// ([`at_home`]), the owner cache's answer otherwise.
+#[inline]
+fn primary_of(
+    ctx: KernelCtx<'_>,
+    cache: &mut OwnerCache,
+    v: VertexId,
+    e: Option<&mut VertexEntry>,
+) -> Option<AgentId> {
+    if e.is_some_and(|e| at_home(ctx, cache, v, e)) {
+        return Some(ctx.my_id);
+    }
+    cache.primary(ctx.locator, v, || ctx.sketch.estimate(v))
+}
+
 /// Forward one shard's scatter partials to their primaries. Touches
 /// only the shard's dirty list — vertices that actually received
 /// messages — instead of scanning the whole map; sorts it so the sent
@@ -1295,12 +1240,7 @@ fn combine_shard(
         }
         let partial = std::mem::take(&mut e.partial);
         e.has_partial = false;
-        let primary = if at_home(ctx, cache, v, e) {
-            Some(ctx.my_id)
-        } else {
-            cache.primary(ctx.locator, v, || ctx.sketch.estimate(v))
-        };
-        match primary {
+        match primary_of(ctx, cache, v, Some(e)) {
             // This agent is the primary (always, for a vertex that is
             // not split): the partial is delivered in place, as
             // `take_partial` would on receipt, and is no PARTIAL record —
@@ -1509,36 +1449,62 @@ fn apply_vertex(
             aux,
             active: e.active,
         };
-        // An unsplit vertex's replica set is this agent alone (the
-        // stamp answers for the cache, as in `at_home`).
-        let replicas = if home {
-            cache.count_hits(1);
-            std::slice::from_ref(&ctx.my_id)
-        } else {
-            cache.replicas(ctx.locator, v, || ctx.sketch.estimate(v))
-        };
-        for &replica in replicas {
-            if replica == ctx.my_id {
-                // The primary's own replica copy is this entry: what
-                // `take_state` would adopt from the record is written in
-                // place (`state` and `active` already are), and no
-                // STATE record is counted or sent.
-                e.rep_out_degree = rec.out_degree;
-                if ctx.delta {
-                    // Scattered at the next Scatter phase.
-                    e.pending_delta = aux;
-                    e.has_pending_delta = true;
-                }
-            } else {
-                out.states.entry(replica).or_default().push(rec);
-            }
-        }
+        broadcast_state(ctx, cache, home, v, e, &rec, &mut out.states);
     }
     if !listed && (e.active || e.has_pending_delta) {
         lists.scatter.push(v);
     }
     // Non-meta primaries are not counted, as in the vertex count.
     out.active += u64::from(e.active && e.is_meta);
+}
+
+/// Write `rec`, `v`'s new state, to the vertex's replica set. The
+/// primary's own replica copy is `e` itself and adopts the record in
+/// place — no STATE record is counted or sent for it; every other
+/// replica gets one in `states`. An unsplit vertex's replica set is
+/// this agent alone (`home`: the stamp answers for the cache, as in
+/// [`at_home`]). Returns whether this agent holds a replica.
+#[inline]
+fn broadcast_state(
+    ctx: KernelCtx<'_>,
+    cache: &mut OwnerCache,
+    home: bool,
+    v: VertexId,
+    e: &mut VertexEntry,
+    rec: &StateRecord,
+    states: &mut FxHashMap<AgentId, Vec<StateRecord>>,
+) -> bool {
+    let replicas = if home {
+        cache.count_hits(1);
+        std::slice::from_ref(&ctx.my_id)
+    } else {
+        cache.replicas(ctx.locator, v, || ctx.sketch.estimate(v))
+    };
+    let mut own = false;
+    for &replica in replicas {
+        if replica == ctx.my_id {
+            adopt_state(e, rec, ctx.delta);
+            own = true;
+        } else {
+            states.entry(replica).or_default().push(*rec);
+        }
+    }
+    own
+}
+
+/// Adopt a STATE record into `e`, the vertex's replica copy here: the
+/// state, the out-degree scatter shares divide by, the active flag and,
+/// on a delta run, the applied delta to push along the local out-edges.
+#[inline]
+fn adopt_state(e: &mut VertexEntry, rec: &StateRecord, delta: bool) {
+    e.state = rec.state;
+    e.has_state = true;
+    e.rep_out_degree = rec.out_degree;
+    e.active = rec.active;
+    if delta {
+        e.pending_delta = rec.aux;
+        e.has_pending_delta = true;
+    }
 }
 
 #[cfg(test)]
@@ -2757,49 +2723,128 @@ mod tests {
         assert!(rig.readys().is_empty());
     }
 
-    /// Async mode: a primary's broadcasts come back to it through its
-    /// own mailbox, possibly after it has committed something better.
-    /// Adopting the older record would undo that commit, and the next
-    /// message — worse than what was committed, better than what was
-    /// restored — would then stick (stale WCC labels, once in ~10 runs
-    /// of `tests/determinism.rs::async_wcc_matches_sync_bit_exact`).
+    /// Async mode: a commit puts nothing in the primary's own mailbox —
+    /// its replica adopts the new state in place and scatters at once —
+    /// and a STATE that reaches a primary anyway (an old primary's
+    /// broadcast landing after a view change) does not undo a commit
+    /// made here: the next, worse message would then pass for an
+    /// improvement and stick.
     #[test]
-    fn a_primary_does_not_take_its_own_older_broadcast_back() {
-        use super::super::testkit::{detached, view, ME};
+    fn a_primary_keeps_its_commit_against_an_old_primarys_broadcast() {
         let (_transport, mut agent) = detached(view(1, &[ME], &[]));
-        let (tag, params) = ProgramSpec::Wcc.encode();
+        agent.begin_run(run_info(true));
+        let run = agent.run.as_mut().expect("run");
+        (run.step, run.async_live) = (1, true);
+        let (v, w) = (9, 10);
+        agent.insert_out_edge(v, w);
+        let state_of = |agent: &Agent, v| agent.vertices.get(&v).expect("entry").state;
+        let message = |agent: &mut Agent, label: u64| {
+            agent.async_apply(v, label);
+            agent.flush_outboxes();
+            assert!(agent.mailbox.try_recv().expect("open").is_none());
+        };
+        message(&mut agent, 4);
+        assert_eq!(state_of(&agent, v), 4);
+        // The scatter of the own replica went out in place: `w` hears
+        // of label 4 through the local queue, in the next round.
+        assert_eq!(agent.local, [(w, 4)]);
+        agent.on_idle();
+        assert_eq!((state_of(&agent, w), agent.metrics.vmsgs), (4, 1));
+        message(&mut agent, 0);
+        let old = StateRecord {
+            vertex: v,
+            state: 4,
+            out_degree: 1,
+            aux: 0,
+            active: true,
+        };
+        agent.handle(Delivery::push(msg::encode_states(RUN, 1, &[old])));
+        assert_eq!(state_of(&agent, v), 0, "the commit of 0 was undone");
+        message(&mut agent, 3); // no improvement on 0
+        assert_eq!(state_of(&agent, v), 0);
+        agent.on_idle();
+        assert!(agent.local.is_empty());
+        assert_eq!(state_of(&agent, w), 0);
+        let sent = (agent.counters.vmsg_sent, agent.counters.state_sent);
+        assert_eq!(sent, (0, 0), "a record was framed");
+    }
+
+    /// Async delta PageRank, ROADMAP item 4's lost pushes: a push folds
+    /// at `on_idle`, and the very next frame the agent handles is a VIEW
+    /// that moves the folded vertex's out-edges to another agent. The
+    /// applied delta must already have reached every out-neighbour —
+    /// as VMSG records toward a peer's primaries, as a residual in
+    /// place at this agent's. (While the primary sent its `STATE(aux)`
+    /// to itself, the record waited in the mailbox behind the VIEW and
+    /// then scattered over an emptied out-list.)
+    #[test]
+    fn a_folded_push_reaches_every_out_neighbour_before_a_view_moves_the_edges() {
+        const TOL: f64 = 1e-6;
+        let before = view(1, &[ME, 2], &[]);
+        let after = view(2, &[ME, 2, 3], &[]);
+        let (old, new) = (before.locator(), after.locator());
+        let owners = |v| vec![old.ring().owner(v).unwrap(), new.ring().owner(v).unwrap()];
+        let u = owned(owners, &[ME, 3], 1)[0];
+        let peer_side = owned(owners, &[2, 2], 4);
+        let here = owned(owners, &[ME, ME], 1)[0];
+        let (transport, mut agent) = detached(before);
+        let peer = transport.bind(&agent_addr(2)).expect("bind");
+        let pagerank = PageRank::new(0.85).with_tolerance(TOL);
+        let (tag, params) = ProgramSpec::from(pagerank).encode();
         agent.begin_run(RunInfo {
-            run_id: 1,
+            run_id: RUN,
             tag,
             params,
-            reuse_state: false,
+            reuse_state: true,
             asynchronous: true,
-            delta: false,
+            delta: true,
             dangling_base: 0.0,
             watermark: 0,
         });
         let run = agent.run.as_mut().expect("run");
-        (run.step, run.async_live) = (1, true);
-        let state_of = |agent: &Agent| agent.vertices.get(&9).expect("entry").state;
-        // Deliver what has reached the mailbox so far, oldest first.
-        let deliver = |agent: &mut Agent, n: usize| {
-            agent.flush_outboxes();
-            for _ in 0..n {
-                let d = agent.mailbox.try_recv().expect("open").expect("queued");
-                assert!(agent.handle(d));
+        (run.step, run.async_live, run.n_vertices) = (1, true, 100);
+        let targets: Vec<VertexId> = peer_side.iter().copied().chain([here]).collect();
+        for &w in &targets {
+            assert!(agent.insert_out_edge(u, w));
+        }
+        let k = targets.len() as u64;
+        let state = 0.01f64.to_bits();
+        let e = agent.vertices.entry_or_default(u);
+        (e.is_meta, e.g_out, e.rep_out_degree) = (true, k as i64, k);
+        (e.state, e.has_state) = (state, true);
+
+        let push = (100.0 * TOL).to_bits();
+        agent.async_apply(u, push);
+        agent.on_idle();
+        // Before anything else: the VIEW.
+        assert!(agent.handle(Delivery::push(after.encode())));
+        while let Ok(Some(d)) = agent.mailbox.try_recv() {
+            assert!(agent.handle(d));
+        }
+        agent.flush_outboxes();
+
+        let ctx = VertexCtx {
+            out_degree: k,
+            in_degree: 0,
+            n_vertices: 100,
+            step: 1,
+            global: 0.0,
+        };
+        let (folded, applied) = pagerank.fold_residual(u, state, push, &ctx).expect("folds");
+        let want = pagerank
+            .scatter_delta(u, folded, applied, &ctx)
+            .expect("pushes");
+        let mut got: FxHashMap<VertexId, u64> = FxHashMap::default();
+        while let Ok(Some(d)) = peer.try_recv() {
+            if let Some(recs) = msg::decode_vmsgs(&d.frame) {
+                got.extend(recs.records.iter());
             }
-        };
-        let message = |agent: &mut Agent, label: u64| {
-            agent.async_apply(9, label);
-            agent.flush_outboxes();
-        };
-        message(&mut agent, 4); // commits 4, STATE(4) queued to self
-        message(&mut agent, 0); // commits 0, STATE(0) queued behind it
-        deliver(&mut agent, 1); // STATE(4) comes back
-        assert_eq!(state_of(&agent), 0, "the commit of 0 was undone");
-        message(&mut agent, 3); // no improvement on 0
-        deliver(&mut agent, 1); // STATE(0)
-        assert!(agent.mailbox.try_recv().expect("open").is_none());
-        assert_eq!(state_of(&agent), 0);
+        }
+        for &w in &peer_side {
+            assert_eq!(got.get(&w), Some(&want), "out-neighbour {w} on agent 2");
+        }
+        let e = agent.vertices.get(&here);
+        let held = e.filter(|e| e.has_residual).map(|e| e.residual);
+        assert_eq!(held, Some(want), "out-neighbour {here} on this agent");
     }
 }

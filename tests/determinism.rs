@@ -255,12 +255,13 @@ struct RunWire {
 }
 
 /// Ingest `edges` into `agents` agents under `threshold`, run `spec`
-/// once, and count the run's frames.
+/// once with `options`, and count the run's frames.
 fn run_wire(
     agents: usize,
     threshold: u64,
     edges: &[(u64, u64)],
     spec: impl Into<ProgramSpec>,
+    options: RunOptions,
 ) -> RunWire {
     let mut cluster = Cluster::builder()
         .agents(agents)
@@ -270,7 +271,7 @@ fn run_wire(
     let net = cluster.transport().net_stats().expect("in-process stats");
     let frames = |types: &[u8]| types.iter().map(|&t| net.sent(t).0).sum::<u64>();
     let before = [packet::ADVANCE, packet::READY].map(|t| frames(&[t]));
-    let stats = cluster.run(spec).expect("run");
+    let stats = cluster.run_with(spec, options).expect("run");
     let transport = cluster.transport();
     let mut vmsg_counted = (0, 0);
     for agent in &cluster.view().agents {
@@ -296,6 +297,12 @@ fn run_wire(
     cluster.shutdown();
     wire
 }
+
+/// A fresh run, barrier-stepped.
+const SYNC: RunOptions = RunOptions {
+    reuse_state: false,
+    mode: ExecutionMode::Sync,
+};
 
 /// The on-wire size of a VMSG frame's type byte, `(run, step)` header
 /// and count field, and of one record.
@@ -325,12 +332,12 @@ fn one_barrier_per_step_unless_a_vertex_is_split() {
     let labels = elga::graph::reference::wcc(edges.iter().copied());
     let pr = PageRank::new(0.85).with_max_iters(10);
 
-    let wcc2 = run_wire(2, UNSPLIT, &edges, Wcc::new());
-    let pr2 = run_wire(2, UNSPLIT, &edges, pr);
+    let wcc2 = run_wire(2, UNSPLIT, &edges, Wcc::new(), SYNC);
+    let pr2 = run_wire(2, UNSPLIT, &edges, pr, SYNC);
     // Eight agents: seven senders' lists to sum per receiver, and the
     // same one report per agent per step.
-    let wcc8 = run_wire(8, UNSPLIT, &edges, Wcc::new());
-    let pr8 = run_wire(8, UNSPLIT, &edges, pr);
+    let wcc8 = run_wire(8, UNSPLIT, &edges, Wcc::new(), SYNC);
+    let pr8 = run_wire(8, UNSPLIT, &edges, pr, SYNC);
     for (w, what) in [
         (&wcc2, "wcc"),
         (&pr2, "pr"),
@@ -376,8 +383,8 @@ fn one_barrier_per_step_unless_a_vertex_is_split() {
 
     // Threshold 64: the hub (degree 300+) is split over all three
     // agents, and the lead knows without asking which vertex it is.
-    let wcc = run_wire(3, 64, &edges, Wcc::new());
-    let split = run_wire(3, 64, &edges, pr);
+    let wcc = run_wire(3, 64, &edges, Wcc::new(), SYNC);
+    let split = run_wire(3, 64, &edges, pr, SYNC);
     for (w, what) in [(&wcc, "split wcc"), (&split, "split pr")] {
         assert!(w.may_split, "{what}");
         assert!(
@@ -422,8 +429,8 @@ fn single_agent_run_frames_no_vertex_message() {
     let edges = big_graph(3000);
     let pr = PageRank::new(0.85).with_max_iters(10);
     let labels = elga::graph::reference::wcc(edges.iter().copied());
-    let wcc = run_wire(1, 1 << 20, &edges, Wcc::new());
-    let pr = run_wire(1, 1 << 20, &edges, pr);
+    let wcc = run_wire(1, 1 << 20, &edges, Wcc::new(), SYNC);
+    let pr = run_wire(1, 1 << 20, &edges, pr, SYNC);
     for (w, what) in [(&wcc, "wcc"), (&pr, "pr")] {
         assert_eq!(w.vmsg_wire, (0, 0), "{what}: VMSG frames on the wire");
         assert_eq!(w.vmsg_counted, (0, 0), "{what}");
@@ -432,6 +439,58 @@ fn single_agent_run_frames_no_vertex_message() {
     }
     for (v, &label) in &labels {
         assert_eq!(wcc.states[v], label, "vertex {v}");
+    }
+}
+
+/// One agent, async: every vertex message and replica copy is its own
+/// and is delivered in place, as in a sync run — the run frames no VMSG
+/// and no STATE — and the answers still match the reference. WCC
+/// broadcasts on every commit, `DagLevel` counts one message per edge
+/// into its waiting sets, delta PageRank pushes each fold's delta.
+#[test]
+fn single_agent_async_run_frames_no_vertex_message_or_state() {
+    let asynch = RunOptions {
+        reuse_state: false,
+        mode: ExecutionMode::Async,
+    };
+    let n = 2000;
+    let edges = big_graph(n);
+    // Forward edges only, over the same ids: a DAG with long paths.
+    let dag: Vec<(u64, u64)> = edges.iter().copied().filter(|&(u, v)| u < v).collect();
+    let pr = PageRank::new(0.85)
+        .with_max_iters(300)
+        .with_tolerance(1e-10);
+    let wcc = run_wire(1, 1 << 20, &edges, Wcc::new(), asynch);
+    let levels = run_wire(1, 1 << 20, &dag, DagLevel::new(), asynch);
+    let ranks = run_wire(1, 1 << 20, &edges, pr, asynch);
+    for (w, what) in [(&wcc, "wcc"), (&levels, "dag levels"), (&ranks, "pagerank")] {
+        assert_eq!(w.vmsg_wire.0, 0, "{what}: VMSG frames on the wire");
+        assert_eq!(w.replica_frames, 0, "{what}: PARTIAL or STATE frames");
+        assert!(w.vmsgs >= n, "{what}: {} messages", w.vmsgs);
+    }
+    for (v, &label) in &reference::wcc(edges.iter().copied()) {
+        assert_eq!(wcc.states[v], label, "wcc: vertex {v}");
+    }
+    let csr = Csr::from_edges(Some(n as usize), &dag);
+    let want = reference::dag_levels(&csr).expect("acyclic");
+    assert_eq!(levels.states.len(), want.len());
+    for (v, &level) in &want {
+        assert_eq!(
+            DagLevel::decode(levels.states[v]),
+            Some(level),
+            "vertex {v}"
+        );
+    }
+    assert_eq!(levels.vmsgs, dag.len() as u64, "one message per edge");
+    let want = reference::pagerank(&Csr::from_edges(Some(n as usize), &edges), 0.85, 300);
+    assert_eq!(ranks.states.len(), want.len());
+    for (v, &bits) in &ranks.states {
+        let got = f64::from_bits(bits);
+        assert!(
+            (got - want[*v as usize]).abs() < 1e-6,
+            "v{v}: {got} vs {}",
+            want[*v as usize]
+        );
     }
 }
 

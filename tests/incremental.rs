@@ -386,12 +386,12 @@ fn incremental_sssp_matches_full_recompute_bit_exact() {
     );
 }
 
-/// Start an incremental run over `batches` on `base_graph(n)` and land
-/// a join and a batched leave inside it: parked residuals and in-flight
-/// pending deltas must migrate with their vertices, and the agents'
-/// worklists — bulk-written by the migration — must be re-established
-/// by a sweep before the kernels trust them again.
-fn mid_run_view_change(n: u64, batches: &[Vec<EdgeChange>], what: &str) {
+/// Start an incremental run over `batches` on `base_graph(n)` in `mode`
+/// and land a join and a batched leave inside it: parked residuals and
+/// in-flight pending deltas must migrate with their vertices, and the
+/// agents' worklists — bulk-written by the migration — must be
+/// re-established by a sweep before the kernels trust them again.
+fn mid_run_view_change(n: u64, batches: &[Vec<EdgeChange>], mode: ExecutionMode, what: &str) {
     let base = base_graph(n);
     let cfg = SystemConfig {
         quiesce_deadline: Duration::from_secs(60),
@@ -408,7 +408,7 @@ fn mid_run_view_change(n: u64, batches: &[Vec<EdgeChange>], what: &str) {
             pagerank(),
             RunOptions {
                 reuse_state: true,
-                mode: ExecutionMode::Sync,
+                mode,
             },
         )
         .expect("start incremental run");
@@ -432,7 +432,21 @@ fn delta_pagerank_survives_mid_run_view_change() {
     mid_run_view_change(
         n,
         &change_batches(n),
+        ExecutionMode::Sync,
         "delta run across a mid-run view change",
+    );
+}
+
+/// The same in async mode: no VIEW may overtake a fold's push along
+/// the primary's own out-edges (ROADMAP item 4's lost pushes).
+#[test]
+fn async_delta_pagerank_survives_mid_run_view_change() {
+    let n = 800;
+    mid_run_view_change(
+        n,
+        &change_batches(n),
+        ExecutionMode::Async,
+        "async delta run across a mid-run view change",
     );
 }
 
@@ -449,6 +463,7 @@ fn sparse_delta_run_survives_mid_run_view_change() {
     mid_run_view_change(
         3000,
         &[batch],
+        ExecutionMode::Sync,
         "sparse delta run across a mid-run view change",
     );
 }
