@@ -43,12 +43,14 @@ use std::fs;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
-/// Magic + version tag opening every shard file.
-const SHARD_MAGIC: &[u8; 8] = b"ELGACKP1";
-/// Magic + version tag opening every manifest file. Version 2 added
-/// the converged dangling book `(mass, n)` so a restore can re-anchor
-/// the delta engine's telescoped dangling series at the checkpoint cut.
-const MANIFEST_MAGIC: &[u8; 8] = b"ELGAMAN2";
+/// Magic + version tag opening every shard file. Version 2 dropped
+/// the parked residuals from the payload; a version-1 shard fails
+/// validation instead of misparsing.
+const SHARD_MAGIC: &[u8; 8] = b"ELGACKP2";
+/// Magic + version tag opening every manifest file. Version 3 dropped
+/// version 2's dangling-mass book; an older manifest fails validation,
+/// so the fallback ladder skips its generation.
+const MANIFEST_MAGIC: &[u8; 8] = b"ELGAMAN3";
 /// Fixed shard header: magic, gen, epoch, agent, watermark, payload
 /// length, payload CRC-64.
 const SHARD_HEADER: usize = 8 + 6 * 8;
@@ -139,7 +141,7 @@ pub struct ShardHeader {
 }
 
 /// A committed generation as recorded by its manifest.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Manifest {
     /// The generation number (monotonically increasing).
     pub generation: u64,
@@ -147,12 +149,6 @@ pub struct Manifest {
     pub epoch: u64,
     /// Change-log watermark shared by every shard of the generation.
     pub watermark: u64,
-    /// The lead directory's converged dangling mass `S` at the cut —
-    /// the anchor of the telescoped dangling series a restored delta
-    /// run must resume from. Zero for non-residual programs.
-    pub dangling_mass: f64,
-    /// Vertex count `n` the converged dangling book was taken under.
-    pub dangling_n: u64,
     /// Agents whose shard files make the generation complete.
     pub agents: Vec<u64>,
 }
@@ -358,7 +354,6 @@ impl CheckpointStore {
         generation: u64,
         epoch: u64,
         watermark: u64,
-        dangling: (f64, u64),
         agents: &[u64],
     ) -> Result<(), CkptError> {
         for &a in agents {
@@ -369,14 +364,7 @@ impl CheckpointStore {
         }
         let mut bytes = Vec::new();
         bytes.extend_from_slice(MANIFEST_MAGIC);
-        for v in [
-            generation,
-            epoch,
-            watermark,
-            dangling.0.to_bits(),
-            dangling.1,
-            agents.len() as u64,
-        ] {
+        for v in [generation, epoch, watermark, agents.len() as u64] {
             bytes.extend_from_slice(&v.to_le_bytes());
         }
         for &a in agents {
@@ -393,7 +381,7 @@ impl CheckpointStore {
         fs::File::open(self.dir.join(manifest_name(generation)))?
             .read_to_end(&mut bytes)
             .map_err(CkptError::Io)?;
-        if bytes.len() < 8 + 6 * 8 + 8 {
+        if bytes.len() < 8 + 4 * 8 + 8 {
             return Err(CkptError::Corrupt("manifest shorter than header"));
         }
         if &bytes[..8] != MANIFEST_MAGIC {
@@ -405,17 +393,15 @@ impl CheckpointStore {
             return Err(CkptError::Corrupt("manifest checksum mismatch"));
         }
         let word = |i: usize| u64::from_le_bytes(body[i * 8..i * 8 + 8].try_into().expect("8"));
-        let n = word(5) as usize;
-        if body.len() != (6 + n) * 8 {
+        let n = word(3) as usize;
+        if body.len() != (4 + n) * 8 {
             return Err(CkptError::Corrupt("manifest length mismatch"));
         }
         let manifest = Manifest {
             generation: word(0),
             epoch: word(1),
             watermark: word(2),
-            dangling_mass: f64::from_bits(word(3)),
-            dangling_n: word(4),
-            agents: (0..n).map(|i| word(6 + i)).collect(),
+            agents: (0..n).map(|i| word(4 + i)).collect(),
         };
         if manifest.generation != generation {
             return Err(CkptError::Corrupt("manifest names wrong generation"));
@@ -577,7 +563,7 @@ mod tests {
         s.write_shard(1, 1, 0, 10, &vec![7u8; 512]).unwrap();
         assert!(s.validate_shard(1, 0).is_err());
         // Commit scrubs the shard back and must refuse the generation.
-        assert!(s.commit(1, 1, 10, (0.0, 0), &[0]).is_err());
+        assert!(s.commit(1, 1, 10, &[0]).is_err());
         assert!(s.generations().is_empty(), "no manifest committed");
         teardown(s);
     }
@@ -609,7 +595,7 @@ mod tests {
         for a in [0u64, 1, 5] {
             s.write_shard(2, 9, a, 77, &[a as u8; 16]).unwrap();
         }
-        s.commit(2, 9, 77, (0.25, 1000), &[0, 1, 5]).unwrap();
+        s.commit(2, 9, 77, &[0, 1, 5]).unwrap();
         let m = s.manifest(2).unwrap();
         assert_eq!(
             m,
@@ -617,8 +603,6 @@ mod tests {
                 generation: 2,
                 epoch: 9,
                 watermark: 77,
-                dangling_mass: 0.25,
-                dangling_n: 1000,
                 agents: vec![0, 1, 5],
             }
         );
@@ -632,7 +616,7 @@ mod tests {
         s.write_shard(1, 1, 0, 50, b"x").unwrap();
         // Shard says watermark 50; committing watermark 60 must fail.
         assert!(matches!(
-            s.commit(1, 1, 60, (0.0, 0), &[0]),
+            s.commit(1, 1, 60, &[0]),
             Err(CkptError::Corrupt("shard cut disagrees with commit"))
         ));
         teardown(s);
@@ -643,7 +627,7 @@ mod tests {
         let mut s = tmp_store("ladder");
         for g in 1..=3u64 {
             s.write_shard(g, g, 0, g * 100, &[g as u8; 64]).unwrap();
-            s.commit(g, g, g * 100, (0.0, 0), &[0]).unwrap();
+            s.commit(g, g, g * 100, &[0]).unwrap();
         }
         // Undamaged: newest generation wins with no fallbacks.
         let v = s.latest_valid(0).unwrap();
@@ -674,11 +658,36 @@ mod tests {
     }
 
     #[test]
+    fn an_older_format_fails_validation_and_the_ladder_skips_it() {
+        let mut s = tmp_store("oldmagic");
+        for g in 1..=3u64 {
+            s.write_shard(g, 1, 0, g, &[g as u8; 8]).unwrap();
+            s.commit(g, 1, g, &[0]).unwrap();
+        }
+        let retag = |name: String, magic: &[u8; 8]| {
+            let path = s.dir().join(name);
+            let mut bytes = fs::read(&path).unwrap();
+            bytes[..8].copy_from_slice(magic);
+            fs::write(&path, bytes).unwrap();
+        };
+        retag(manifest_name(3), b"ELGAMAN2");
+        retag(shard_name(2, 0), b"ELGACKP1");
+        assert!(matches!(
+            s.manifest(3),
+            Err(CkptError::Corrupt("bad manifest magic"))
+        ));
+        assert!(matches!(s.validate_shard(2, 0), Err(CkptError::Corrupt(_))));
+        let v = s.latest_valid(0).unwrap();
+        assert_eq!((v.manifest.generation, v.fallbacks), (1, 2));
+        teardown(s);
+    }
+
+    #[test]
     fn prune_keeps_newest_and_collects_orphans() {
         let mut s = tmp_store("prune");
         for g in 1..=4u64 {
             s.write_shard(g, 1, 0, g, &[1]).unwrap();
-            s.commit(g, 1, g, (0.0, 0), &[0]).unwrap();
+            s.commit(g, 1, g, &[0]).unwrap();
         }
         // Orphan shard from an uncommitted generation 0.
         s.write_shard(0, 1, 0, 0, &[9]).unwrap();

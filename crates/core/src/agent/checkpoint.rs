@@ -12,6 +12,10 @@
 //! the Mattern sent/received balance and wedge every later barrier.
 //! Restored edges are counted for the lead's sketch like applied
 //! changes: the recovery reset zeroed it.
+//!
+//! A restore rebuilds the graph — edges, degrees and served states —
+//! and nothing of the delta engine: no residuals are saved, and the
+//! lead runs the first residual run after a recovery from scratch.
 
 use super::*;
 use crate::ckpt_codec::{self, CkptVertexRecord};
@@ -83,8 +87,8 @@ impl Agent {
     /// (partials, async waiting sets, replica pending deltas) are
     /// intentionally dropped: checkpoints are taken only at quiesced
     /// batch boundaries, where that state is vacant. Parked residuals
-    /// are NOT run state — they persist across batches — so they ride
-    /// the record and survive recovery.
+    /// are dropped too: the first residual run after a recovery
+    /// recomputes from scratch, so nothing would fold them.
     fn checkpoint_records(&self) -> Vec<CkptVertexRecord> {
         let mut records = Vec::with_capacity(self.vertices.len());
         for (&v, e) in self.vertices.iter() {
@@ -98,8 +102,6 @@ impl Agent {
                 dirty: e.dirty,
                 g_out: e.g_out,
                 g_in: e.g_in,
-                residual: e.residual,
-                has_residual: e.has_residual,
                 out: e.adj.out().to_vec(),
                 inn: e.adj.inn().to_vec(),
             });
@@ -160,20 +162,6 @@ impl Agent {
                 // consistent completed-run cut — serve them.
                 e.snap = e.state;
                 e.has_snap = true;
-            }
-            if m.has_residual {
-                // At most one shard carried this vertex's primary
-                // entry, but merge defensively like `on_mig_meta` in
-                // case a correction landed before restore finished.
-                e.residual = if e.has_residual {
-                    match self.delta_seed.as_ref() {
-                        Some(s) => s.program.merge_residual(e.residual, m.residual),
-                        None => (f64::from_bits(e.residual) + f64::from_bits(m.residual)).to_bits(),
-                    }
-                } else {
-                    m.residual
-                };
-                e.has_residual = true;
             }
         }
         self.invalidate_worklists();

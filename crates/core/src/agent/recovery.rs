@@ -48,10 +48,8 @@ impl Agent {
         self.buffered_changes.clear();
         self.buffered_frames.clear();
         self.run = None;
-        // Residual seed dies with the state it described; the driver's
-        // change-log replay re-dirties vertices for a fresh run. (The
-        // driver re-arms the seed before a checkpoint-restore replay so
-        // the replayed log regenerates its residual corrections.)
+        // Residual seed dies with the state it described; the lead
+        // turns the next residual run into a full recompute.
         self.delta_seed = None;
         // Unpushed degree changes counted the wiped graph; the lead's
         // sketch starts over at zero too.

@@ -11,7 +11,9 @@
 //!
 //! Run-state fields (partials, async waiting sets) are not serialized:
 //! checkpoints are taken only at quiesced batch boundaries, where no
-//! run is in flight and that state is vacant by construction. Framing
+//! run is in flight and that state is vacant by construction. Neither
+//! are parked residuals: the first residual run after a recovery
+//! recomputes from scratch, so a restore has nothing to fold. Framing
 //! integrity (checksum, length) is `elga-ckpt`'s job; this codec only
 //! defines the payload bytes the checksum covers.
 
@@ -41,13 +43,6 @@ pub struct CkptVertexRecord {
     pub g_out: i64,
     /// Global in-degree accumulated at the primary.
     pub g_in: i64,
-    /// Unapplied incremental-run residual at the primary (meaningless
-    /// when `has_residual` is false). Persisting it lets a restart
-    /// resume a delta computation instead of falling back to a full
-    /// re-run.
-    pub residual: u64,
-    /// Whether `residual` holds an accumulated delta.
-    pub has_residual: bool,
     /// Local out-edge targets.
     pub out: Vec<VertexId>,
     /// Local in-edge sources.
@@ -58,10 +53,9 @@ const FLAG_HAS_STATE: u8 = 1 << 0;
 const FLAG_ACTIVE: u8 = 1 << 1;
 const FLAG_IS_META: u8 = 1 << 2;
 const FLAG_DIRTY: u8 = 1 << 3;
-const FLAG_HAS_RESIDUAL: u8 = 1 << 4;
 
 /// Fixed bytes per record before its two endpoint lists.
-const RECORD_FIXED: usize = 8 + 8 + 8 + 8 + 8 + 8 + 1 + 4 + 4;
+const RECORD_FIXED: usize = 8 + 8 + 8 + 8 + 8 + 1 + 4 + 4;
 
 /// Serialize `records` into a payload byte vector.
 pub fn encode_payload(records: &[CkptVertexRecord]) -> Vec<u8> {
@@ -74,7 +68,6 @@ pub fn encode_payload(records: &[CkptVertexRecord]) -> Vec<u8> {
         b.extend_from_slice(&r.rep_out_degree.to_le_bytes());
         b.extend_from_slice(&(r.g_out as u64).to_le_bytes());
         b.extend_from_slice(&(r.g_in as u64).to_le_bytes());
-        b.extend_from_slice(&r.residual.to_le_bytes());
         let mut flags = 0u8;
         if r.has_state {
             flags |= FLAG_HAS_STATE;
@@ -87,9 +80,6 @@ pub fn encode_payload(records: &[CkptVertexRecord]) -> Vec<u8> {
         }
         if r.dirty {
             flags |= FLAG_DIRTY;
-        }
-        if r.has_residual {
-            flags |= FLAG_HAS_RESIDUAL;
         }
         b.push(flags);
         b.extend_from_slice(&(r.out.len() as u32).to_le_bytes());
@@ -149,11 +139,8 @@ pub fn decode_payload(bytes: &[u8]) -> Option<Vec<CkptVertexRecord>> {
         let rep_out_degree = c.u64()?;
         let g_out = c.u64()? as i64;
         let g_in = c.u64()? as i64;
-        let residual = c.u64()?;
         let flags = c.u8()?;
-        if flags & !(FLAG_HAS_STATE | FLAG_ACTIVE | FLAG_IS_META | FLAG_DIRTY | FLAG_HAS_RESIDUAL)
-            != 0
-        {
+        if flags & !(FLAG_HAS_STATE | FLAG_ACTIVE | FLAG_IS_META | FLAG_DIRTY) != 0 {
             return None;
         }
         let n_out = c.u32()? as usize;
@@ -176,8 +163,6 @@ pub fn decode_payload(bytes: &[u8]) -> Option<Vec<CkptVertexRecord>> {
             dirty: flags & FLAG_DIRTY != 0,
             g_out,
             g_in,
-            residual,
-            has_residual: flags & FLAG_HAS_RESIDUAL != 0,
             out,
             inn,
         });
@@ -204,8 +189,6 @@ mod tests {
                 dirty: false,
                 g_out: 3,
                 g_in: -1,
-                residual: 0.125f64.to_bits(),
-                has_residual: true,
                 out: vec![11, 12, 13],
                 inn: vec![9],
             },
@@ -253,7 +236,7 @@ mod tests {
         // Future-proofing: a payload written by a newer format must not
         // silently decode with its extra semantics dropped.
         let mut bytes = encode_payload(&sample());
-        let flag_off = 8 + 48; // count + six u64 fields of record 0
+        let flag_off = 8 + 40; // count + five u64 fields of record 0
         bytes[flag_off] |= 0x80;
         assert!(decode_payload(&bytes).is_none());
     }

@@ -731,20 +731,11 @@ impl Cluster {
         if !all_ok {
             return Ok(report);
         }
-        // The converged dangling book `(S, n)` rides the manifest so a
-        // restore can re-anchor the delta engine's telescoped dangling
-        // series at this cut instead of losing it with the recovery
-        // reset.
-        let dangling = self
-            .request(Frame::signal(packet::DANGLING_GET))
-            .ok()
-            .and_then(|rep| msg::Dangling::decode(&rep))
-            .map_or((0.0, 0), |book| (book.mass, book.n));
         let agents: Vec<u64> = view.agents.iter().map(|a| a.id).collect();
         let keep = self.cfg.checkpoint_keep.max(1);
         let store = self.driver_store()?;
         if store
-            .commit(generation, view.epoch, watermark, dangling, &agents)
+            .commit(generation, view.epoch, watermark, &agents)
             .is_err()
         {
             return Ok(report);
@@ -790,13 +781,9 @@ impl Cluster {
     /// explicitly, instead of timing out a deadline on an answer that
     /// could only be wrong.
     ///
-    /// `delta_spec` names the residual program whose delta runs will
-    /// resume after the restore, if any: the agents are re-armed with
-    /// its seed *before* the replay (so replayed changes regenerate
-    /// their residual corrections instead of silently re-dirtying
-    /// vertices with no mass behind them), and the lead's dangling
-    /// book is re-anchored from the manifest.
-    fn restore_state(&mut self, delta_spec: Option<&ProgramSpec>) -> Result<u64, NetError> {
+    /// Only the graph comes back: the recovery reset left the lead's
+    /// dangling book unknown, so the next residual run recomputes.
+    fn restore_state(&mut self) -> Result<u64, NetError> {
         if self.streamer.is_none() || self.streamer().log().end() == 0 {
             // Nothing was ever ingested; nothing to rebuild.
             return Ok(0);
@@ -810,7 +797,7 @@ impl Cluster {
                         "no valid checkpoint generation covers the change log",
                     ))?;
             let t0 = Instant::now();
-            let bytes = self.restore_generation(&valid.manifest, delta_spec)?;
+            let bytes = self.restore_generation(&valid.manifest)?;
             // The injected frames are uncounted; the DRAIN round's FIFO
             // ordering behind them is what guarantees they were applied.
             self.quiesce()?;
@@ -827,28 +814,9 @@ impl Cluster {
     /// (post-recovery) view — including the dead agent's surviving
     /// shard — and push the results to the new owners as uncounted
     /// CKPT_EDGES / CKPT_META frames. Returns total payload bytes read.
-    ///
-    /// When `delta_spec` names a residual program, the shard sweep also
-    /// totals the restored cut's dangling mass and primary-vertex
-    /// count, re-arms every agent's delta seed (REQ, so it is armed
-    /// before any replayed change arrives), and re-anchors the lead's
-    /// dangling book: the manifest's converged `(S, n)` plus a carry
-    /// covering the drift between the lead's telescoped tracking and
-    /// the exact recount of the restored records.
-    fn restore_generation(
-        &mut self,
-        m: &elga_ckpt::Manifest,
-        delta_spec: Option<&ProgramSpec>,
-    ) -> Result<u64, NetError> {
+    fn restore_generation(&mut self, m: &elga_ckpt::Manifest) -> Result<u64, NetError> {
         /// Groups per CKPT_EDGES frame / records per CKPT_META frame.
         const CHUNK: usize = 1024;
-        let residual = delta_spec
-            .map(|s| (s, s.instantiate()))
-            .filter(|(_, p)| p.delta_kind() == crate::program::DeltaKind::Residual);
-        // Per-vertex (state, has_state, Σ g_out, is_meta) across shards:
-        // a vertex's out-degree may be split over several records, and
-        // it is dangling only if the *total* is zero.
-        let mut book: HashMap<u64, (u64, bool, i64, bool)> = HashMap::new();
         let view = self.view();
         let locator = view.locator();
         let mut edge_batches: HashMap<AgentId, Vec<msg::CkptEdgeGroup>> = HashMap::new();
@@ -893,16 +861,7 @@ impl Cluster {
                             });
                     }
                 }
-                if residual.is_some() && (rec.is_meta || rec.g_out != 0) {
-                    let b = book.entry(v).or_insert((0, false, 0, false));
-                    if rec.has_state {
-                        b.0 = rec.state;
-                        b.1 = true;
-                    }
-                    b.2 += rec.g_out;
-                    b.3 |= rec.is_meta;
-                }
-                if rec.is_meta || rec.g_out != 0 || rec.g_in != 0 || rec.dirty || rec.has_residual {
+                if rec.is_meta || rec.g_out != 0 || rec.g_in != 0 || rec.dirty {
                     if let Some(primary) = locator.ring().owner(v) {
                         meta_batches
                             .entry(primary)
@@ -916,45 +875,10 @@ impl Cluster {
                                 is_meta: rec.is_meta,
                                 g_out: rec.g_out,
                                 g_in: rec.g_in,
-                                residual: rec.residual,
-                                has_residual: rec.has_residual,
                             });
                     }
                 }
             }
-        }
-        if let Some((spec, program)) = &residual {
-            let mut s_current = 0.0;
-            let mut n_current = 0u64;
-            for (state, has_state, g_out, is_meta) in book.values() {
-                if *is_meta {
-                    n_current += 1;
-                    if *has_state {
-                        s_current += program.dangling_mass(*state, (*g_out).max(0) as u64);
-                    }
-                }
-            }
-            // Arm every survivor before any restore frame or replayed
-            // change can land (REQ round-trips guarantee ordering
-            // against the pushes that follow).
-            let (tag, params) = spec.encode();
-            let arm = msg::ArmDelta {
-                tag,
-                params,
-                n: n_current,
-            };
-            for rep in self.request_agents(&view.agents, arm.encode()) {
-                if rep?.reader().u8() != Some(1) {
-                    return Err(NetError::Protocol("agent refused delta re-arm"));
-                }
-            }
-            let carry = s_current - m.dangling_mass;
-            let set = msg::DanglingSet {
-                mass: m.dangling_mass,
-                n: m.dangling_n,
-                carry,
-            };
-            let _ = self.request(set.encode())?;
         }
         for (dest, groups) in edge_batches {
             for chunk in groups.chunks(CHUNK) {
@@ -1111,14 +1035,10 @@ impl Cluster {
         // Survivors report the zeroed-counter migrate barrier; once it
         // settles the system is empty and consistent.
         self.quiesce()?;
-        // The run that resumes after the restore decides whether the
-        // replayed log needs residual corrections regenerated.
-        let info = run_info(&handle.spec, handle.options);
-        let delta_spec = if info.delta { Some(&handle.spec) } else { None };
-        let replayed = self.restore_state(delta_spec)?;
+        let replayed = self.restore_state()?;
         self.quiesce()?;
         if rec.aborted_run == handle.run_id {
-            let rep = self.request(info.encode())?;
+            let rep = self.request(run_info(&handle.spec, handle.options).encode())?;
             handle.run_id = rep
                 .reader()
                 .u64()

@@ -171,8 +171,8 @@ pub(crate) struct Lead {
     /// the dangling analogue of the per-vertex teleport reseed.
     dangling_mass: f64,
     /// Vertex count `dangling_mass` was last redistributed under;
-    /// 0 = unknown (no run yet, or a recovery reset), which skips the
-    /// re-base shift.
+    /// 0 = unknown (no run yet, or a recovery reset), under which a
+    /// residual run starts from scratch ([`Lead::launch_run`]).
     dangling_n: u64,
     /// Event recorder (view changes, heartbeat misses, recoveries);
     /// disabled unless `cfg.tracing`.
@@ -385,28 +385,6 @@ impl Lead {
             }
             packet::RESET_LABELS => {
                 self.publish(frame.clone());
-                self.reply(Frame::signal(packet::OK));
-            }
-            packet::DANGLING_GET => {
-                // Driver fetching the converged dangling book `(S, n)`
-                // for the checkpoint manifest.
-                let book = msg::Dangling {
-                    mass: self.dangling_mass,
-                    n: self.dangling_n,
-                };
-                self.reply(book.encode());
-            }
-            packet::DANGLING_SET => {
-                // Checkpoint restore re-anchoring the telescoped
-                // dangling series: adopt the manifest's converged
-                // `(S, n)` and absorb the replayed log's drift as a
-                // carry, folded into the next delta run's scatter
-                // reduce exactly like a departer's residue.
-                if let Some(set) = msg::DanglingSet::decode(frame) {
-                    self.dangling_mass = set.mass;
-                    self.dangling_n = set.n;
-                    self.dangling_carry += set.carry;
-                }
                 self.reply(Frame::signal(packet::OK));
             }
             packet::SHUTDOWN => {
@@ -1251,6 +1229,14 @@ impl Lead {
             self.migrate_epoch.is_none(),
             "a run launched while a migrate barrier is open"
         );
+        if info.delta && self.dangling_n == 0 {
+            // No run has finished since start-up or the last recovery
+            // reset, so the dangling book the carried states bake in is
+            // unknown: recompute. A sync run is then a full run, which
+            // re-bases the book; async PageRank runs residuals anyway.
+            info.reuse_state = false;
+            info.delta = info.asynchronous;
+        }
         // Ship the per-vertex dangling term baked into the carried
         // states: vertices first appearing in this run seed it as a
         // residual instead (they never absorbed it into their state).
@@ -1712,6 +1698,71 @@ mod tests {
         batch(&mut lead, epoch);
         assert_eq!(lead.run.as_ref().unwrap().info.watermark, 3);
         assert_eq!(lead.status().epoch, lead.view.epoch);
+    }
+
+    /// A PageRank START that asks to reuse state: a residual run.
+    fn residual_start(asynchronous: bool) -> RunInfo {
+        RunInfo {
+            params: [0.85f64.to_bits(), 2, 0f64.to_bits()],
+            reuse_state: true,
+            delta: true,
+            ..run_info(0, asynchronous)
+        }
+    }
+
+    /// Start `info` on an idle lead and return the START it published.
+    fn launched(lead: &mut Lead, info: RunInfo) -> RunInfo {
+        lead.effects().for_each(drop);
+        lead.start_run(info);
+        let starts = published(lead, packet::START);
+        assert_eq!(starts.len(), 1);
+        RunInfo::decode(&starts[0]).unwrap()
+    }
+
+    /// Answer every barrier of the sync run in flight, each member
+    /// holding `n` primary vertices, until the run is over.
+    fn finish(lead: &mut Lead, n: u64) {
+        for _ in 0..16 {
+            let Some(run) = lead.run.as_ref() else {
+                return;
+            };
+            let (id, step, phase) = (run.info.run_id, run.step, run.phase);
+            for m in lead.member_ids() {
+                let mut rep = ready(m, id, step, phase, Counters::default());
+                rep.n_primary = n;
+                lead.reports.insert(m, rep);
+                lead.evaluate();
+            }
+        }
+        panic!("the run never finished");
+    }
+
+    /// Until a run has finished since start-up or the last recovery,
+    /// the dangling book the carried states bake in is unknown: a
+    /// residual sync START is launched as a full run, and an async one
+    /// as a from-scratch residual run.
+    #[test]
+    fn a_residual_run_recomputes_while_the_dangling_book_is_unknown() {
+        let flags = |i: RunInfo| (i.reuse_state, i.delta, i.dangling_base);
+        let mut lead = lead_with_agents();
+        let fresh = launched(&mut lead, residual_start(false));
+        assert_eq!(flags(fresh), (false, false, 0.0));
+        finish(&mut lead, 5);
+        assert_eq!(lead.dangling_n, 10);
+        let warm = launched(&mut lead, residual_start(false));
+        assert_eq!((warm.reuse_state, warm.delta), (true, true));
+        finish(&mut lead, 5);
+
+        lead.recover(2);
+        let epoch = lead.view.epoch as u32;
+        report_all(&mut lead, 0, epoch, Phase::Migrate, 0);
+        assert_eq!(lead.migrate_epoch, None);
+        let recovered = launched(&mut lead, residual_start(false));
+        assert_eq!(flags(recovered), (false, false, 0.0));
+
+        let mut lead = lead_with_agents();
+        let fresh = launched(&mut lead, residual_start(true));
+        assert_eq!(flags(fresh), (false, true, 0.0));
     }
 
     /// `(step, phase, chained)` the lead waits for.

@@ -101,14 +101,6 @@ pub mod packet {
     pub const SUB_REG: u8 = 42;
     /// Subscription push (Agent → client), uncounted.
     pub const SUB_PUSH: u8 = 43;
-    /// Re-arm the residual delta seed (REQ, driver → Agent):
-    /// [`super::ArmDelta`].
-    pub const ARM_DELTA: u8 = 44;
-    /// Read the lead's dangling-mass book (REQ), answered by
-    /// [`super::Dangling`].
-    pub const DANGLING_GET: u8 = 45;
-    /// Restore the lead's dangling-mass book (REQ): [`super::DanglingSet`].
-    pub const DANGLING_SET: u8 = 47;
     /// Replica snapshots ahead of migrating edges (push):
     /// [`super::MigState`] records.
     pub const MIG_STATE: u8 = 48;
@@ -1530,46 +1522,6 @@ wire! {
         pub nanos: u64,
     }
 
-    /// An ARM_DELTA request: before replaying the change log onto a
-    /// restored cluster, re-arm every agent's ingest-time delta seed with
-    /// the program and the vertex count the restored states converged
-    /// under, so the replay regenerates the same residual corrections
-    /// live ingest would have produced.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct ArmDelta: ARM_DELTA {
-        /// Program spec tag.
-        pub tag: u8,
-        /// Program spec params.
-        pub params: [u64; 3],
-        /// Vertex count the restored states converged under.
-        pub n: u64,
-    }
-
-    /// The lead's dangling-mass book: the reply to DANGLING_GET.
-    #[derive(Debug, Clone, Copy, PartialEq)]
-    pub struct Dangling: DANGLING_GET {
-        /// Converged dangling mass.
-        pub mass: f64,
-        /// The vertex count it was accumulated under.
-        pub n: u64,
-    }
-
-    /// A DANGLING_SET request: seed the lead's dangling-mass book after
-    /// a checkpoint restore.
-    #[derive(Debug, Clone, Copy, PartialEq)]
-    pub struct DanglingSet: DANGLING_SET {
-        /// The book's mass, as the manifest recorded it at checkpoint
-        /// time.
-        pub mass: f64,
-        /// The book's vertex count, likewise.
-        pub n: u64,
-        /// Dangling-mass drift between the restored states and that book
-        /// (logged changes whose unreported accumulators died with
-        /// the old agents), absorbed into the global term at the next
-        /// delta run's first reduction.
-        pub carry: f64,
-    }
-
     /// A liveness heartbeat pushed by an agent.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub struct Heartbeat: HEARTBEAT {
@@ -1625,7 +1577,7 @@ wire! {
 
 record! {
     /// Primary-side vertex metadata restored from a checkpoint:
-    /// CKPT_META record, 45 bytes.
+    /// CKPT_META record, 36 bytes.
     ///
     /// Unlike [`MetaRecord`] this carries the global degrees signed and
     /// no async run state: checkpoints are taken only at quiesced batch
@@ -1648,11 +1600,6 @@ record! {
         pub g_out: i64,
         /// Global in-degree accumulated at the primary.
         pub g_in: i64,
-        /// Unapplied incremental-run residual carried across the restart
-        /// (meaningless when `has_residual` is false).
-        pub residual: u64,
-        /// Whether `residual` holds an accumulated delta.
-        pub has_residual: bool,
     }
 }
 
@@ -1864,8 +1811,6 @@ mod tests {
                 is_meta: true,
                 g_out: 3,
                 g_in: -2,
-                residual: 0.25f64.to_bits(),
-                has_residual: true,
             },
             CkptMetaRecord {
                 vertex: 6,
@@ -1876,8 +1821,6 @@ mod tests {
                 is_meta: false,
                 g_out: 0,
                 g_in: 0,
-                residual: 0,
-                has_residual: false,
             },
         ];
         let frame = encode_ckpt_meta(&recs);
@@ -2303,7 +2246,7 @@ mod tests {
                 Some((name.to_string(), byte.strip_suffix(';')?.parse().ok()?))
             })
             .collect();
-        assert_eq!(declared.len(), 40);
+        assert_eq!(declared.len(), 37);
         assert_eq!(kinds_listed(include_str!("../../../DESIGN.md")), declared);
     }
 

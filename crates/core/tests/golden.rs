@@ -67,8 +67,8 @@ fn run_info() -> msg::RunInfo {
 }
 
 /// The replies a live agent builds itself: DRAIN (before anything
-/// happened), ARM_DELTA, and DUMP after a WCC run over a path.
-fn live_replies() -> [Frame; 3] {
+/// happened) and DUMP after a WCC run over a path.
+fn live_replies() -> [Frame; 2] {
     let mut cluster = Cluster::builder().agents(1).build();
     let agent = cluster.view().agents[0].addr.clone();
     let transport = cluster.transport();
@@ -78,22 +78,16 @@ fn live_replies() -> [Frame; 3] {
             .expect("agent answers")
     };
     let drain = ask(Frame::signal(packet::DRAIN));
-    let arm = ask(msg::ArmDelta {
-        tag: 0,
-        params: [0.85f64.to_bits(), 30, 1e-9f64.to_bits()],
-        n: 1000,
-    }
-    .encode());
     cluster.ingest_edges([(1, 2), (2, 3)]);
     cluster.run(Wcc::new()).expect("run");
     let dump = ask(Frame::signal(packet::DUMP));
     cluster.shutdown();
-    [drain, arm, dump]
+    [drain, dump]
 }
 
 /// Every pinned control frame, by name.
 fn frames() -> Vec<(&'static str, Frame)> {
-    let [drain, arm_delta_reply, dump] = live_replies();
+    let [drain, dump] = live_replies();
     let ready = msg::ReadyReport {
         agent: 5,
         run: 2,
@@ -155,8 +149,6 @@ fn frames() -> Vec<(&'static str, Frame)> {
             is_meta: true,
             g_out: 3,
             g_in: -2,
-            residual: 0.25f64.to_bits(),
-            has_residual: true,
         },
         msg::CkptMetaRecord {
             vertex: 6,
@@ -167,8 +159,6 @@ fn frames() -> Vec<(&'static str, Frame)> {
             is_meta: false,
             g_out: 0,
             g_in: 0,
-            residual: 0,
-            has_residual: false,
         },
     ];
     let ckpt_edges = [msg::CkptEdgeGroup {
@@ -230,30 +220,6 @@ fn frames() -> Vec<(&'static str, Frame)> {
             "ckpt edges",
             msg::CkptEdges {
                 groups: ckpt_edges.to_vec(),
-            }
-            .encode(),
-        ),
-        (
-            "arm delta",
-            msg::ArmDelta {
-                tag: 2,
-                params: [0.85f64.to_bits(), 7, 9],
-                n: 1000,
-            }
-            .encode(),
-        ),
-        ("arm delta reply", arm_delta_reply),
-        ("dangling get", Frame::signal(packet::DANGLING_GET)),
-        (
-            "dangling get reply",
-            msg::Dangling { mass: 0.25, n: 900 }.encode(),
-        ),
-        (
-            "dangling set",
-            msg::DanglingSet {
-                mass: 0.25,
-                n: 900,
-                carry: -0.0625,
             }
             .encode(),
         ),
@@ -379,32 +345,14 @@ const GOLDEN: &[(&str, u8, &str)] = &[
         "ckpt meta",
         packet::CKPT_META,
         "0200000005000000000000001100000000000000010100010300000000000000\
-         feffffffffffffff000000000000d03f01060000000000000000000000000000\
-         000000010000000000000000000000000000000000000000000000000000",
+         feffffffffffffff060000000000000000000000000000000000010000000000\
+         000000000000000000000000",
     ),
     (
         "ckpt edges",
         packet::CKPT_EDGES,
         "010000000107000000000000006300000000000000010c000000000000000102\
          00000001000000000000000200000000000000",
-    ),
-    (
-        "arm delta",
-        packet::ARM_DELTA,
-        "02333333333333eb3f07000000000000000900000000000000e8030000000000\
-         00",
-    ),
-    ("arm delta reply", packet::ARM_DELTA, "01"),
-    ("dangling get", packet::DANGLING_GET, ""),
-    (
-        "dangling get reply",
-        packet::DANGLING_GET,
-        "000000000000d03f8403000000000000",
-    ),
-    (
-        "dangling set",
-        packet::DANGLING_SET,
-        "000000000000d03f8403000000000000000000000000b0bf",
     ),
     ("heartbeat", packet::HEARTBEAT, "1100000000000000"),
     (

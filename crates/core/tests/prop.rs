@@ -738,9 +738,6 @@ proptest! {
         assert_round_trip(msg::DrainReport { counters, epoch: w[29], degrees: bit(14) });
         assert_round_trip(msg::CkptSave { generation: w[30], epoch: w[31], watermark: w[32] });
         assert_round_trip(msg::CkptSaveReport { ok: bit(8), bytes: w[33], nanos: w[34] });
-        assert_round_trip(msg::ArmDelta { tag: w[35] as u8, params: [w[36], w[37], w[38]], n: w[39] });
-        assert_round_trip(msg::Dangling { mass: x, n: w[40] });
-        assert_round_trip(msg::DanglingSet { mass: x, n: w[40], carry: -x });
         assert_round_trip(msg::Heartbeat { agent: w[41] });
         let addr = elga_net::Addr::inproc(format!("client-{}", w[57]));
         let vertices = list.iter().map(|p| p.1).collect();
