@@ -398,7 +398,12 @@ impl Agent {
     }
 
     pub(super) fn on_mig_meta(&mut self, frame: Frame) {
-        let Some((snap_run, snap_watermark, metas)) = msg::decode_mig_meta(&frame) else {
+        let Some(msg::MigMetaView {
+            snap_run,
+            snap_watermark,
+            records: metas,
+        }) = msg::decode_mig_meta(&frame)
+        else {
             return;
         };
         // Adopt the sender's serving-snapshot tag when it is newer:
@@ -509,7 +514,9 @@ mod tests {
                     .states
                     .extend(msg::decode_mig_states(f).expect("states")),
                 packet::MIG_EDGES => got.edges.extend(msg::decode_mig_edges(f).expect("edges")),
-                packet::MIG_META => got.metas.extend(msg::decode_mig_meta(f).expect("metas").2),
+                packet::MIG_META => got
+                    .metas
+                    .extend(msg::decode_mig_meta(f).expect("metas").records),
                 other => panic!("packet {other} on a migration stream"),
             }
         }

@@ -283,21 +283,7 @@ impl Agent {
                 sent.sort_unstable();
                 self.run.as_mut().expect("run").scatter_sent = sent;
             }
-            _ => {
-                let (run_id, step) = self.run_step();
-                let mut msgs = std::mem::take(&mut self.scratch.msgs);
-                for (&agent, recs) in msgs.iter_mut() {
-                    if recs.is_empty() {
-                        continue;
-                    }
-                    self.counters.part_sent += recs.len() as u64;
-                    self.send_records(agent, recs, |out, block| {
-                        msg::append_partials(out, run_id, step, block)
-                    });
-                    recs.clear();
-                }
-                self.scratch.msgs = msgs;
-            }
+            _ => self.send_batches(|s| &mut s.msgs, |c| &mut c.part_sent, msg::append_partials),
         }
         active
     }
@@ -363,21 +349,32 @@ impl Agent {
     }
 
     /// Send the STATE records [`broadcast_state`] queued for other
-    /// replicas, each destination's in the order they were queued.
+    /// replicas.
     fn send_states(&mut self) {
+        self.send_batches(|s| &mut s.states, |c| &mut c.state_sent, msg::append_states);
+    }
+
+    /// Send the records a kernel queued per destination in a scratch
+    /// map — a combine's PARTIALs, or STATEs — each destination's in
+    /// the order they were queued, counted into the `sent` counter; the
+    /// emptied batches go back to scratch with their capacity.
+    fn send_batches<T>(
+        &mut self,
+        batches: fn(&mut StepScratch) -> &mut FxHashMap<AgentId, Vec<T>>,
+        sent: fn(&mut Counters) -> &mut u64,
+        append: fn(&mut CoalescingOutbox, u64, u32, &[T]),
+    ) {
         let (run_id, step) = self.run_step();
-        let mut states = std::mem::take(&mut self.scratch.states);
-        for (&agent, recs) in states.iter_mut() {
+        let mut map = std::mem::take(batches(&mut self.scratch));
+        for (&agent, recs) in map.iter_mut() {
             if recs.is_empty() {
                 continue;
             }
-            self.counters.state_sent += recs.len() as u64;
-            self.send_records(agent, recs, |out, block| {
-                msg::append_states(out, run_id, step, block)
-            });
+            *sent(&mut self.counters) += recs.len() as u64;
+            self.send_records(agent, recs, |out, block| append(out, run_id, step, block));
             recs.clear();
         }
-        self.scratch.states = states;
+        *batches(&mut self.scratch) = map;
     }
 
     /// Hand `recs` to `agent`'s outbox a block at a time, looking at

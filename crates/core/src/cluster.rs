@@ -1079,8 +1079,7 @@ impl Cluster {
                 &self.cfg.send_policy,
             )
             .ok()?;
-        let (_, _, answers) = msg::decode_query_batch_rep(&rep)?;
-        let answer = answers.iter().next()?;
+        let answer = msg::decode_query_batch_rep(&rep)?.records.iter().next()?;
         (answer.found == msg::ANSWER_HIT).then_some(answer.state)
     }
 

@@ -476,8 +476,8 @@ fn expect(frame: &Frame, ty: u8) -> Option<FrameReader<'_>> {
 ///
 /// Records are `STRIDE` bytes of little-endian fields with no padding.
 /// `write` fills one record's slot; every record region on the wire —
-/// a coalesced frame ([`append_records`]) or a one-shot `encode_*`
-/// frame — is a run of them. `validate` pre-screens one raw chunk
+/// an appended `append_*` frame or a one-shot `encode_*` frame — is
+/// a run of them. `validate` pre-screens one raw chunk
 /// (e.g. the EDGE_CHANGES action byte must be 0 or 1); once a
 /// [`Records`] view is constructed, every chunk has passed it and
 /// `parse` runs infallibly during iteration.
@@ -550,107 +550,126 @@ macro_rules! record {
     )*};
 }
 
-/// Append a run of records to `out`'s open `(ty, key)` frame — the
-/// block writer every data-plane send goes through. `header` follows
-/// the packet type in each frame the run opens; `key` must differ
-/// wherever `header` does, so records never land under the wrong one.
-/// The frames are byte-identical to [`encode_records`]' for the same
-/// header and records, so one `decode_*` reads both.
-pub fn append_records<T: WireRecord>(
-    out: &mut CoalescingOutbox,
-    ty: u8,
-    key: u64,
-    header: &[u8],
-    recs: &[T],
-) {
-    out.append_records(ty, key, header, T::STRIDE, recs, T::write);
-}
-
-/// Encode one frame: packet type `ty`, `header`, a `u32` record count
-/// and the packed records.
-fn encode_records<T: WireRecord>(ty: u8, header: &[u8], recs: &[T]) -> Frame {
-    Frame::builder(ty)
-        .raw(header)
-        .records(T::STRIDE, recs, T::write)
-        .finish()
-}
-
-/// Decode a frame of packet type `ty`: a [`Wire`] header, a `u32`
-/// record count and that many packed records, into the header and a
-/// borrowed view of the records — the one read path of every
-/// record-bearing frame.
-fn decode_headed<H: Wire, T: WireRecord>(frame: &Frame, ty: u8) -> Option<(H, Records<'_, T>)> {
-    let mut r = expect(frame, ty)?;
-    let header = H::take(&mut r)?;
-    let n = r.u32()? as usize;
-    Some((header, Records::new(r.rest(), n)?))
-}
-
-/// [`decode_headed`] of a frame with no header.
-fn decode_records<T: WireRecord>(frame: &Frame, ty: u8) -> Option<Records<'_, T>> {
-    Some(decode_headed::<(), T>(frame, ty)?.1)
-}
-
-/// Declare the frames that are nothing but a run of records, one row
-/// each: what the records are, the packet kind, the record type, and
-/// the functions that append them to a coalescing outbox, encode them
-/// as one frame, and decode a frame into a borrowed view.
+/// Declare every record-bearing frame once, one row each: what the
+/// records are, the packet kind, the header fields that follow the kind
+/// byte and the view that holds them (a row without them decodes to a
+/// bare [`Records`]), the record type, and the functions that append a
+/// run to a coalescing outbox, encode one frame, and decode a frame
+/// into a borrowed view. The layout: the kind byte, the header fields
+/// back to back, a `u32` record count, the packed records. An appended
+/// frame is byte-identical to the encoded one, so one `decode_*` reads
+/// both; the outbox tells open frames apart by these header bytes.
 macro_rules! records_frames {
-    ($(
-        #[doc = $doc:literal]
-        $kind:ident: $rec:ty => $(append $append:ident,)? $(encode $encode:ident,)? decode $decode:ident;
-    )*) => {$(
-        $(
-            #[doc = $doc]
-            #[doc = concat!("\n\nAppend them to `out`'s open ", stringify!($kind), " frame.")]
-            pub fn $append(out: &mut CoalescingOutbox, recs: &[$rec]) {
-                append_records(out, packet::$kind, 0, &[], recs);
-            }
-        )?
-        $(
-            #[doc = $doc]
-            #[doc = concat!("\n\nEncode them as one ", stringify!($kind), " frame.")]
-            pub fn $encode(recs: &[$rec]) -> Frame {
-                encode_records(packet::$kind, &[], recs)
-            }
-        )?
-        #[doc = $doc]
+    (@append [$($doc:literal)+] $kind:ident [$($field:ident: $ty:ty),*] $rec:ty,) => {};
+    (@append [$($doc:literal)+] $kind:ident [$($field:ident: $ty:ty),*] $rec:ty, $append:ident) => {
+        $(#[doc = $doc])+
+        #[doc = concat!("\n\nAppend them to `out`'s open ", stringify!($kind), " frame.")]
+        pub fn $append(out: &mut CoalescingOutbox, $($field: $ty,)* recs: &[$rec]) {
+            let mut header = [0; <($($ty,)*) as WireRecord>::STRIDE];
+            ($($field,)*).write(&mut header);
+            out.append_records(packet::$kind, &header, <$rec>::STRIDE, recs, <$rec>::write);
+        }
+    };
+    (@encode [$($doc:literal)+] $kind:ident [$($field:ident: $ty:ty),*] $rec:ty,) => {};
+    (@encode [$($doc:literal)+] $kind:ident [$($field:ident: $ty:ty),*] $rec:ty, $encode:ident) => {
+        $(#[doc = $doc])+
+        #[doc = concat!("\n\nEncode them as one ", stringify!($kind), " frame.")]
+        pub fn $encode($($field: $ty,)* recs: &[$rec]) -> Frame {
+            ($($field,)*)
+                .put(Frame::builder(packet::$kind))
+                .records(<$rec>::STRIDE, recs, <$rec>::write)
+                .finish()
+        }
+    };
+    (@decode [$($doc:literal)+] $kind:ident [] $rec:ty, $decode:ident) => {
+        $(#[doc = $doc])+
         #[doc = concat!("\n\nDecode a ", stringify!($kind), " frame into a borrowed view.")]
         pub fn $decode(frame: &Frame) -> Option<Records<'_, $rec>> {
-            decode_records(frame, packet::$kind)
+            let mut r = expect(frame, packet::$kind)?;
+            let n = r.u32()? as usize;
+            Records::new(r.rest(), n)
         }
+    };
+    (@decode [$($doc:literal)+] $kind:ident
+        [$($field:ident: $ty:ty),+ as $view:ident] $rec:ty, $decode:ident) => {
+        #[doc = concat!("A decoded ", stringify!($kind), " frame: its header and records.")]
+        #[derive(Debug, Clone, Copy)]
+        pub struct $view<'a> {
+            $(#[doc = concat!("Header field `", stringify!($field), "`.")]
+            pub $field: $ty,)+
+            /// The packed records.
+            pub records: Records<'a, $rec>,
+        }
+
+        $(#[doc = $doc])+
+        #[doc = concat!("\n\nDecode a ", stringify!($kind), " frame into a borrowed view.")]
+        pub fn $decode(frame: &Frame) -> Option<$view<'_>> {
+            let mut r = expect(frame, packet::$kind)?;
+            let ($($field,)+) = Wire::take(&mut r)?;
+            let n = r.u32()? as usize;
+            let records = Records::new(r.rest(), n)?;
+            Some($view { $($field,)+ records })
+        }
+    };
+    ($(
+        $(#[doc = $doc:literal])+
+        $kind:ident $(($($field:ident: $ty:ty),+) as $view:ident)?: $rec:ty =>
+            $(append $append:ident,)? $(encode $encode:ident,)? decode $decode:ident;
+    )*) => {$(
+        records_frames!(@append [$($doc)+] $kind [$($($field: $ty),+)?] $rec, $($append)?);
+        records_frames!(@encode [$($doc)+] $kind [$($($field: $ty),+)?] $rec, $($encode)?);
+        records_frames!(@decode [$($doc)+] $kind [$($($field: $ty),+ as $view)?] $rec, $decode);
     )*};
 }
 
 records_frames! {
+    /// Edge changes for one placement side, `hop` times forwarded.
+    EDGE_CHANGES(side: Side, hop: u8) as EdgeChangesView: EdgeChange =>
+        append append_edge_changes, encode encode_edge_changes, decode decode_edge_changes;
+    /// `(target, value)` vertex messages of a run's superstep.
+    VMSG(run: u64, step: u32) as VmsgsView: (VertexId, u64) =>
+        append append_vmsgs, encode encode_vmsgs, decode decode_vmsgs;
+    /// `(vertex, aggregate)` partials of a run's superstep, for the
+    /// vertex's primary.
+    PARTIAL(run: u64, step: u32) as PartialsView: (VertexId, u64) =>
+        append append_partials, encode encode_partials, decode decode_partials;
+    /// State broadcasts of a run's superstep, primary to replicas.
+    STATE(run: u64, step: u32) as StatesView: StateRecord =>
+        append append_states, encode encode_states, decode decode_states;
     /// Edges moving to their new owner in a view change.
     MIG_EDGES: MigEdge => append append_mig_edges, decode decode_mig_edges;
-    /// Replica snapshots of vertices whose edges are moving, ahead of the edges.
+    /// Replica snapshots of vertices whose edges are moving, ahead of
+    /// the edges.
     MIG_STATE: MigState => append append_mig_states, decode decode_mig_states;
-    /// `(vertex, out delta, in delta)` for the vertex's primary, which keeps its global degrees.
+    /// Primary metadata moving in a view change, under the sender's
+    /// serving-snapshot tag, which a joiner adopts with the snaps.
+    MIG_META(snap_run: u64, snap_watermark: u64) as MigMetaView: MetaRecord =>
+        append append_mig_meta, decode decode_mig_meta;
+    /// `(vertex, out delta, in delta)` for the vertex's primary, which
+    /// keeps its global degrees.
     DEG_DELTA: (VertexId, i64, i64) =>
         append append_deg_deltas, encode encode_deg_deltas, decode decode_deg_deltas;
-    /// `(vertex, residual)` corrections for the vertex's primary, counted like DEG_DELTA.
+    /// `(vertex, residual)` corrections for the vertex's primary,
+    /// counted like DEG_DELTA.
     RESIDUAL: (VertexId, u64) => append append_residuals, decode decode_residuals;
     /// The vertices a QUERY_BATCH request reads.
     QUERY_BATCH: VertexId => encode encode_query_batch, decode decode_query_batch;
-    /// `(vertex, state)` of every vertex the answering agent is primary for.
+    /// A QUERY_BATCH reply: answers read from one snapshot, the last
+    /// completed `run` (0 before any) and the ingest watermark it finished at.
+    QUERY_BATCH(run: u64, watermark: u64) as QueryReplyView: QueryAnswer =>
+        encode encode_query_batch_rep, decode decode_query_batch_rep;
+    /// Changed `(vertex, state)` pairs of subscription `sub`, tagged
+    /// like a query reply.
+    SUB_PUSH(sub: u64, run: u64, watermark: u64) as SubPushView: (VertexId, u64) =>
+        append append_sub_pushes, decode decode_sub_push;
+    /// `(vertex, state)` of every vertex the answering agent is primary
+    /// for.
     DUMP: (VertexId, u64) => encode encode_dump, decode decode_dump;
-    /// The labels whose primaries a RESET_LABELS broadcast re-initializes.
+    /// The labels whose primaries a RESET_LABELS broadcast
+    /// re-initializes.
     RESET_LABELS: u64 => encode encode_reset_labels, decode decode_reset_labels;
     /// Primary-side metadata restored from a checkpoint.
     CKPT_META: CkptMetaRecord => encode encode_ckpt_meta, decode decode_ckpt_meta;
-}
-
-/// A frame header: `fields` laid out in its `N` bytes.
-fn header<const N: usize>(fields: impl WireRecord) -> [u8; N] {
-    fn stride<H: WireRecord>(_: &H) -> usize {
-        H::STRIDE
-    }
-    assert_eq!(stride(&fields), N, "header width");
-    let mut bytes = [0; N];
-    fields.write(&mut bytes);
-    bytes
 }
 
 /// A borrowed, validated view over the packed record region of a frame
@@ -983,115 +1002,9 @@ pub enum Side {
     In,
 }
 
-/// Encode a batch of edge changes for one placement side.
-pub fn encode_edge_changes(side: Side, hop: u8, changes: &[EdgeChange]) -> Frame {
-    encode_records(packet::EDGE_CHANGES, &header::<2>((side, hop)), changes)
-}
-
-/// Append edge changes to `out`'s open EDGE_CHANGES frame for
-/// `(side, hop)`.
-pub fn append_edge_changes(
-    out: &mut CoalescingOutbox,
-    side: Side,
-    hop: u8,
-    changes: &[EdgeChange],
-) {
-    let header = header::<2>((side, hop));
-    let key = u64::from(u16::from_le_bytes(header));
-    append_records(out, packet::EDGE_CHANGES, key, &header, changes);
-}
-
 /// Append one edge change: [`append_edge_changes`] of a slice of one.
 pub fn append_edge_change(out: &mut CoalescingOutbox, side: Side, hop: u8, change: &EdgeChange) {
     append_edge_changes(out, side, hop, std::slice::from_ref(change));
-}
-
-/// Borrowed EDGE_CHANGES payload: placement side, forwarding hop, and
-/// the packed change records parsed in place off the frame.
-#[derive(Debug, Clone, Copy)]
-pub struct EdgeChangesView<'a> {
-    /// Which placement the records target.
-    pub side: Side,
-    /// Forwarding hop count.
-    pub hop: u8,
-    /// The packed records.
-    pub records: Records<'a, EdgeChange>,
-}
-
-/// Decode an EDGE_CHANGES frame into a borrowed view. `None` on a
-/// wrong packet type, a bad side or action byte, or a record region
-/// that is not exactly `n` records long.
-pub fn decode_edge_changes(frame: &Frame) -> Option<EdgeChangesView<'_>> {
-    let ((side, hop), records) = decode_headed(frame, packet::EDGE_CHANGES)?;
-    Some(EdgeChangesView { side, hop, records })
-}
-
-/// Append `recs` to `out`'s open `ty` frame for `(run, step)`. Run
-/// ids are small monotone counters, so packing them beside the step
-/// gives every distinct header its own coalescing key.
-fn append_run_step<T: WireRecord>(
-    out: &mut CoalescingOutbox,
-    ty: u8,
-    run: u64,
-    step: u32,
-    recs: &[T],
-) {
-    let key = (run << 32) | u64::from(step);
-    append_records(out, ty, key, &header::<12>((run, step)), recs);
-}
-
-/// Borrowed VMSG, PARTIAL or STATE payload: the `(run, step)` header
-/// plus the packed records parsed in place off the frame.
-#[derive(Debug, Clone, Copy)]
-pub struct RunStepView<'a, T> {
-    /// Run id.
-    pub run: u64,
-    /// Superstep.
-    pub step: u32,
-    /// The packed records.
-    pub records: Records<'a, T>,
-}
-
-/// VMSG / PARTIAL payload: `(target, value)` records.
-pub type ValuesView<'a> = RunStepView<'a, (VertexId, u64)>;
-
-/// STATE payload: [`StateRecord`]s.
-pub type StatesView<'a> = RunStepView<'a, StateRecord>;
-
-fn decode_run_step<T: WireRecord>(frame: &Frame, ty: u8) -> Option<RunStepView<'_, T>> {
-    let ((run, step), records) = decode_headed(frame, ty)?;
-    Some(RunStepView { run, step, records })
-}
-
-/// Encode vertex messages: `(run, step, [(target, value)])`.
-pub fn encode_vmsgs(run: u64, step: u32, msgs: &[(VertexId, u64)]) -> Frame {
-    encode_records(packet::VMSG, &header::<12>((run, step)), msgs)
-}
-
-/// Append vertex messages to `out`'s open VMSG frame for run/step.
-pub fn append_vmsgs(out: &mut CoalescingOutbox, run: u64, step: u32, msgs: &[(VertexId, u64)]) {
-    append_run_step(out, packet::VMSG, run, step, msgs);
-}
-
-/// Decode a VMSG frame into a borrowed view.
-pub fn decode_vmsgs(frame: &Frame) -> Option<ValuesView<'_>> {
-    decode_run_step(frame, packet::VMSG)
-}
-
-/// Encode partial aggregates: `(run, step, [(vertex, agg)])`. Shares
-/// the VMSG payload shape under its own packet type.
-pub fn encode_partials(run: u64, step: u32, parts: &[(VertexId, u64)]) -> Frame {
-    encode_records(packet::PARTIAL, &header::<12>((run, step)), parts)
-}
-
-/// Append partial aggregates to `out`'s open PARTIAL frame.
-pub fn append_partials(out: &mut CoalescingOutbox, run: u64, step: u32, parts: &[(VertexId, u64)]) {
-    append_run_step(out, packet::PARTIAL, run, step, parts);
-}
-
-/// Decode a PARTIAL frame (same payload as VMSG) into a borrowed view.
-pub fn decode_partials(frame: &Frame) -> Option<ValuesView<'_>> {
-    decode_run_step(frame, packet::PARTIAL)
 }
 
 record! {
@@ -1110,21 +1023,6 @@ record! {
         /// Whether it is active next superstep.
         pub active: bool,
     }
-}
-
-/// Encode state broadcasts.
-pub fn encode_states(run: u64, step: u32, recs: &[StateRecord]) -> Frame {
-    encode_records(packet::STATE, &header::<12>((run, step)), recs)
-}
-
-/// Append state broadcasts to `out`'s open STATE frame.
-pub fn append_states(out: &mut CoalescingOutbox, run: u64, step: u32, recs: &[StateRecord]) {
-    append_run_step(out, packet::STATE, run, step, recs);
-}
-
-/// Decode a STATE frame into a borrowed view.
-pub fn decode_states(frame: &Frame) -> Option<StatesView<'_>> {
-    decode_run_step(frame, packet::STATE)
 }
 
 /// VMSG record counts of one step's scatter, keyed by agent and sorted
@@ -1282,31 +1180,6 @@ impl MigEdge {
     }
 }
 
-/// Append primary meta records to `out`'s open MIG_META frame. The
-/// header carries the sender's serving-snapshot tag `(snap_run,
-/// snap_watermark)` so a joining agent adopting migrated snaps also
-/// adopts the tag they belong to — otherwise it would serve correct
-/// values under run 0 and look checkpoint-restored to clients.
-pub fn append_mig_meta(
-    out: &mut CoalescingOutbox,
-    snap_run: u64,
-    snap_watermark: u64,
-    metas: &[MetaRecord],
-) {
-    // Small counters both: packed side by side they cannot collide in
-    // practice (as a `(run, step)` key).
-    let key = snap_run.rotate_left(32) ^ snap_watermark;
-    let header = header::<16>([snap_run, snap_watermark]);
-    append_records(out, packet::MIG_META, key, &header, metas);
-}
-
-/// Decode a MIG_META frame into `(snap_run, snap_watermark, records)`:
-/// the sender's serving-snapshot tag and a borrowed record view.
-pub fn decode_mig_meta(frame: &Frame) -> Option<(u64, u64, Records<'_, MetaRecord>)> {
-    let ([snap_run, snap_watermark], records) = decode_headed(frame, packet::MIG_META)?;
-    Some((snap_run, snap_watermark, records))
-}
-
 record! {
     /// Primary-side vertex metadata moved during migration: MIG_META
     /// record, 71 bytes.
@@ -1358,45 +1231,6 @@ record! {
         /// Whether `snap` holds a completed-run value.
         pub has_snap: bool,
     }
-}
-
-/// Encode a QUERY_BATCH reply: per-vertex answers tagged with the
-/// snapshot they were read from — the last *completed* run (`run`, 0
-/// when none has finished yet) and the ingest batch watermark current
-/// when that run finished. All answers in one reply come from the same
-/// snapshot; a client never observes torn mid-superstep state.
-pub fn encode_query_batch_rep(run: u64, watermark: u64, answers: &[QueryAnswer]) -> Frame {
-    let header = header::<16>([run, watermark]);
-    encode_records(packet::QUERY_BATCH, &header, answers)
-}
-
-/// Decode a QUERY_BATCH reply into `(run, watermark, answers)`.
-pub fn decode_query_batch_rep(frame: &Frame) -> Option<(u64, u64, Records<'_, QueryAnswer>)> {
-    let ([run, watermark], answers) = decode_headed(frame, packet::QUERY_BATCH)?;
-    Some((run, watermark, answers))
-}
-
-/// Append changed `(vertex, state)` pairs to `out`'s open SUB_PUSH
-/// frame for subscription `sub`, tagged like a query reply with the
-/// completed run id and its ingest batch watermark.
-pub fn append_sub_pushes(
-    out: &mut CoalescingOutbox,
-    sub: u64,
-    run: u64,
-    watermark: u64,
-    pushes: &[(VertexId, u64)],
-) {
-    let header = header::<24>([sub, run, watermark]);
-    append_records(out, packet::SUB_PUSH, sub, &header, pushes);
-}
-
-/// A decoded SUB_PUSH: `(sub, run, watermark, records)`.
-pub type SubPush<'a> = (u64, u64, u64, Records<'a, (VertexId, u64)>);
-
-/// Decode a SUB_PUSH frame into `(sub, run, watermark, records)`.
-pub fn decode_sub_push(frame: &Frame) -> Option<SubPush<'_>> {
-    let ([sub, run, watermark], records) = decode_headed(frame, packet::SUB_PUSH)?;
-    Some((sub, run, watermark, records))
 }
 
 wire! {
@@ -1830,45 +1664,6 @@ mod tests {
     }
 
     #[test]
-    fn edge_changes_roundtrip() {
-        let changes = vec![EdgeChange::insert(1, 2), EdgeChange::delete(3, 4)];
-        let f = encode_edge_changes(Side::In, 2, &changes);
-        let view = decode_edge_changes(&f).unwrap();
-        assert_eq!(view.side, Side::In);
-        assert_eq!(view.hop, 2);
-        assert_eq!(view.records.len(), changes.len());
-        assert_eq!(view.records.to_vec(), changes);
-    }
-
-    #[test]
-    fn vmsg_and_partial_roundtrip() {
-        let msgs = vec![(10u64, 0.5f64.to_bits()), (11, 7)];
-        let f = encode_vmsgs(3, 4, &msgs);
-        let view = decode_vmsgs(&f).unwrap();
-        assert_eq!((view.run, view.step), (3, 4));
-        assert_eq!(view.records.to_vec(), msgs);
-        let f = encode_partials(3, 4, &msgs);
-        let view = decode_partials(&f).unwrap();
-        assert_eq!((view.run, view.step), (3, 4));
-        assert_eq!(view.records.to_vec(), msgs);
-    }
-
-    #[test]
-    fn state_roundtrip() {
-        let recs = vec![StateRecord {
-            vertex: 8,
-            state: 0.25f64.to_bits(),
-            out_degree: 12,
-            aux: 0.0625f64.to_bits(),
-            active: true,
-        }];
-        let f = encode_states(1, 2, &recs);
-        let view = decode_states(&f).unwrap();
-        assert_eq!((view.run, view.step), (1, 2));
-        assert_eq!(view.records.to_vec(), recs);
-    }
-
-    #[test]
     fn ready_advance_roundtrip() {
         let rep = ReadyReport {
             agent: 5,
@@ -2144,23 +1939,23 @@ mod tests {
     fn mig_streams_match_batch_layout_and_roundtrip() {
         let states = sample_mig_states();
         let f = coalesced(|c| append_mig_states(c, &states));
-        assert_eq!(f.as_bytes(), batch_mig_states(&states).as_bytes());
-        assert_eq!(f.len(), 1 + 4 + states.len() * MigState::STRIDE);
-        assert_eq!(decode_mig_states(&f).unwrap().to_vec(), states);
+        assert_eq!(f, [batch_mig_states(&states)]);
+        assert_eq!(f[0].len(), 1 + 4 + states.len() * MigState::STRIDE);
+        assert_eq!(decode_mig_states(&f[0]).unwrap().to_vec(), states);
 
         let edges = sample_mig_edges();
         let f = coalesced(|c| append_mig_edges(c, &edges));
-        assert_eq!(f.as_bytes(), batch_mig_edges(&edges).as_bytes());
-        assert_eq!(f.len(), 1 + 4 + edges.len() * MigEdge::STRIDE);
-        assert_eq!(decode_mig_edges(&f).unwrap().to_vec(), edges);
+        assert_eq!(f, [batch_mig_edges(&edges)]);
+        assert_eq!(f[0].len(), 1 + 4 + edges.len() * MigEdge::STRIDE);
+        assert_eq!(decode_mig_edges(&f[0]).unwrap().to_vec(), edges);
 
         let metas = sample_metas();
         let f = coalesced(|c| append_mig_meta(c, 6, 11, &metas));
-        assert_eq!(f.as_bytes(), batch_mig_meta(&metas, 6, 11).as_bytes());
-        assert_eq!(f.len(), 1 + 16 + 4 + metas.len() * MetaRecord::STRIDE);
-        let (snap_run, snap_watermark, recs) = decode_mig_meta(&f).unwrap();
-        assert_eq!((snap_run, snap_watermark), (6, 11));
-        assert_eq!(recs.to_vec(), metas);
+        assert_eq!(f, [batch_mig_meta(&metas, 6, 11)]);
+        assert_eq!(f[0].len(), 1 + 16 + 4 + metas.len() * MetaRecord::STRIDE);
+        let view = decode_mig_meta(&f[0]).unwrap();
+        assert_eq!((view.snap_run, view.snap_watermark), (6, 11));
+        assert_eq!(view.records.to_vec(), metas);
     }
 
     #[test]
@@ -2194,27 +1989,6 @@ mod tests {
         let mut bytes = edges.as_bytes().to_vec();
         bytes[1 + 4] = 2;
         assert!(decode_mig_edges(&Frame::from_bytes(bytes.into())).is_none());
-    }
-
-    #[test]
-    fn mig_meta_tag_change_opens_a_new_frame() {
-        // A newer serving-snapshot tag must not ride under the header
-        // of an open frame.
-        use elga_net::{CoalesceConfig, InProcTransport, Transport};
-        let t = InProcTransport::new();
-        let addr = Addr::inproc("msg-mig-meta-tag");
-        let mb = t.bind(&addr).unwrap();
-        let mut c = CoalescingOutbox::new(t.sender(&addr).unwrap(), CoalesceConfig::default());
-        let metas = sample_metas();
-        append_mig_meta(&mut c, 6, 11, &metas[..1]);
-        append_mig_meta(&mut c, 7, 12, &metas[1..]);
-        c.flush();
-        for (tag, m) in [(6, 11), (7, 12)].into_iter().zip(&metas) {
-            let f = mb.recv().unwrap().frame;
-            let (snap_run, snap_watermark, recs) = decode_mig_meta(&f).unwrap();
-            assert_eq!((snap_run, snap_watermark), tag);
-            assert_eq!(recs.to_vec(), vec![*m]);
-        }
     }
 
     /// `(NAME, byte)` of every table row `| `NAME` | byte | ...` in
@@ -2260,28 +2034,6 @@ mod tests {
             assert_eq!(Phase::parse(&byte), p);
         }
         assert!(!Phase::validate(&[4]));
-    }
-
-    #[test]
-    fn deg_delta_roundtrip_with_negatives() {
-        let deltas = vec![(5u64, -2i64, 3i64), (9, 1, -1)];
-        assert_eq!(
-            decode_deg_deltas(&encode_deg_deltas(&deltas))
-                .unwrap()
-                .to_vec(),
-            deltas
-        );
-    }
-
-    #[test]
-    fn reset_labels_roundtrip() {
-        let labels = vec![1u64, 5, 1 << 40];
-        assert_eq!(
-            decode_reset_labels(&encode_reset_labels(&labels))
-                .unwrap()
-                .to_vec(),
-            labels
-        );
     }
 
     /// The encoder picks the shorter form, and either folds to the
@@ -2402,9 +2154,9 @@ mod tests {
         assert!(Recover::decode(&junk).is_none());
     }
 
-    /// Run `f` against a fresh coalescing outbox and return the single
-    /// flushed frame.
-    fn coalesced(f: impl FnOnce(&mut CoalescingOutbox)) -> Frame {
+    /// Run `f` against a fresh coalescing outbox and return the frames
+    /// it sent, final flush included, in order.
+    fn coalesced(f: impl FnOnce(&mut CoalescingOutbox)) -> Vec<Frame> {
         use elga_net::{CoalesceConfig, InProcTransport, Transport};
         let t = InProcTransport::new();
         let addr = Addr::inproc("msg-append-eq");
@@ -2412,7 +2164,7 @@ mod tests {
         let mut c = CoalescingOutbox::new(t.sender(&addr).unwrap(), CoalesceConfig::default());
         f(&mut c);
         c.flush();
-        mb.recv().unwrap().frame
+        std::iter::from_fn(|| mb.try_recv().unwrap().map(|d| d.frame)).collect()
     }
 
     /// One layout per record type: a run appended through the block
@@ -2439,6 +2191,10 @@ mod tests {
         ];
         let changes = vec![EdgeChange::insert(1, 2), EdgeChange::delete(3, 4)];
         let deltas = vec![(5u64, -2i64, 3i64), (9, 1, -1)];
+        // RESIDUAL has no batch encoder: its layout, stated again.
+        let residuals = Frame::builder(packet::RESIDUAL)
+            .records(16, &msgs, <(VertexId, u64)>::write)
+            .finish();
         type Case<'a> = (Frame, &'a dyn Fn(&mut CoalescingOutbox, usize));
         let cases: [Case<'_>; 6] = [
             (encode_vmsgs(3, 4, &msgs), &|c, n| {
@@ -2450,7 +2206,7 @@ mod tests {
             (encode_states(1, 2, &states), &|c, n| {
                 states.chunks(n).for_each(|r| append_states(c, 1, 2, r))
             }),
-            (encode_records(packet::RESIDUAL, &[], &msgs), &|c, n| {
+            (residuals, &|c, n| {
                 msgs.chunks(n).for_each(|r| append_residuals(c, r))
             }),
             (encode_edge_changes(Side::In, 2, &changes), &|c, n| {
@@ -2464,66 +2220,53 @@ mod tests {
         for (batch, append) in cases {
             for run in [usize::MAX, 1] {
                 let f = coalesced(|c| append(c, run));
-                assert_eq!(f.as_bytes(), batch.as_bytes(), "runs of {run}");
+                assert_eq!(f, std::slice::from_ref(&batch), "runs of {run}");
             }
         }
-        let residuals = encode_records(packet::RESIDUAL, &[], &msgs);
-        assert_eq!(decode_residuals(&residuals).unwrap().to_vec(), msgs);
     }
 
-    #[test]
-    fn query_batch_roundtrip() {
-        let vertices = vec![3u64, 99, 1 << 50];
-        let f = encode_query_batch(&vertices);
-        assert_eq!(decode_query_batch(&f).unwrap().to_vec(), vertices);
-        let answers = vec![
-            QueryAnswer {
-                vertex: 3,
-                state: 0.5f64.to_bits(),
-                found: ANSWER_HIT,
-            },
-            QueryAnswer {
-                vertex: 99,
-                state: 0,
-                found: ANSWER_GONE,
-            },
-        ];
-        let rep = encode_query_batch_rep(7, 120_000, &answers);
-        let (run, watermark, recs) = decode_query_batch_rep(&rep).unwrap();
-        assert_eq!((run, watermark), (7, 120_000));
-        assert_eq!(recs.to_vec(), answers);
-    }
-
-    #[test]
-    fn sub_push_coalesced_roundtrip() {
-        let pushes = vec![(10u64, 0.125f64.to_bits()), (11, 9u64)];
-        let f = coalesced(|c| append_sub_pushes(c, 42, 3, 500, &pushes));
-        let (sub, run, watermark, recs) = decode_sub_push(&f).unwrap();
-        assert_eq!((sub, run, watermark), (42, 3, 500));
-        assert_eq!(recs.to_vec(), pushes);
-    }
-
+    /// A run under another header opens its own frame, however the
+    /// two headers' fields relate, and records keep their append order
+    /// within each frame. `(run 0, step 5)` and `(run 2^32, step 5)`
+    /// differ only in the high half of `run`; MIG_META's `(0, 2^32)` and
+    /// `(1, 0)` move a bit from one field to the other.
     #[test]
     fn append_header_switch_preserves_record_order() {
-        // Interleaving steps forces switch flushes; decoded record
-        // order must equal append order within each frame.
-        use elga_net::{CoalesceConfig, InProcTransport, Transport};
-        let t = InProcTransport::new();
-        let addr = Addr::inproc("msg-append-switch");
-        let mb = t.bind(&addr).unwrap();
-        let mut c = CoalescingOutbox::new(t.sender(&addr).unwrap(), CoalesceConfig::default());
-        append_vmsgs(&mut c, 1, 0, &[(100, 1)]);
-        append_vmsgs(&mut c, 1, 0, &[(101, 2)]);
-        append_vmsgs(&mut c, 1, 1, &[(102, 3)]);
-        c.flush();
-        let f0 = mb.recv().unwrap().frame;
-        let v0 = decode_vmsgs(&f0).unwrap();
-        assert_eq!(
-            (v0.step, v0.records.to_vec()),
-            (0, vec![(100, 1), (101, 2)])
-        );
-        let f1 = mb.recv().unwrap().frame;
-        let v1 = decode_vmsgs(&f1).unwrap();
-        assert_eq!((v1.step, v1.records.to_vec()), (1, vec![(102, 3)]));
+        let frames = coalesced(|c| {
+            append_vmsgs(c, 1, 0, &[(100, 1)]);
+            append_vmsgs(c, 1, 0, &[(101, 2)]);
+            append_vmsgs(c, 1, 1, &[(102, 3)]);
+            append_vmsgs(c, 0, 5, &[(1, 1)]);
+            append_vmsgs(c, 1 << 32, 5, &[(2, 2)]);
+        });
+        let runs: Vec<_> = frames
+            .iter()
+            .map(|f| {
+                let v = decode_vmsgs(f).unwrap();
+                ((v.run, v.step), v.records.to_vec())
+            })
+            .collect();
+        let want = [
+            ((1, 0), vec![(100, 1), (101, 2)]),
+            ((1, 1), vec![(102, 3)]),
+            ((0, 5), vec![(1, 1)]),
+            ((1 << 32, 5), vec![(2, 2)]),
+        ];
+        assert_eq!(runs, want);
+
+        let metas = sample_metas();
+        let frames = coalesced(|c| {
+            append_mig_meta(c, 0, 1 << 32, &metas[..1]);
+            append_mig_meta(c, 1, 0, &metas[1..]);
+        });
+        let runs: Vec<_> = frames
+            .iter()
+            .map(|f| {
+                let v = decode_mig_meta(f).unwrap();
+                ((v.snap_run, v.snap_watermark), v.records.to_vec())
+            })
+            .collect();
+        let want = [((0, 1 << 32), vec![metas[0]]), ((1, 0), vec![metas[1]])];
+        assert_eq!(runs, want);
     }
 }

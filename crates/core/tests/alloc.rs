@@ -211,9 +211,9 @@ fn decode_and_iterate_allocates_nothing() {
         for e in msg::decode_mig_edges(&me).unwrap() {
             acc = acc.wrapping_add(e.src ^ e.dst ^ (e.side == msg::Side::In) as u64);
         }
-        let (snap_run, snap_watermark, metas) = msg::decode_mig_meta(&mm).unwrap();
-        acc = acc.wrapping_add(snap_run ^ snap_watermark);
-        for m in metas {
+        let view = msg::decode_mig_meta(&mm).unwrap();
+        acc = acc.wrapping_add(view.snap_run ^ view.snap_watermark);
+        for m in view.records {
             acc = acc.wrapping_add(m.vertex ^ m.in_degree ^ m.residual ^ m.has_snap as u64);
         }
         black_box(acc);

@@ -375,8 +375,9 @@ fn queries_run_concurrently_with_computation() {
             let ask = elga_core::msg::encode_query_batch(&[v]);
             let rep = transport.request(primary, ask, std::time::Duration::from_secs(5));
             let hit = rep.ok().is_some_and(|rep| {
-                let (_, _, answers) = elga_core::msg::decode_query_batch_rep(&rep).unwrap();
-                answers
+                elga_core::msg::decode_query_batch_rep(&rep)
+                    .unwrap()
+                    .records
                     .iter()
                     .all(|a| a.found == elga_core::msg::ANSWER_HIT)
             });

@@ -6,7 +6,8 @@
 //! likewise identify message coalescing as the dominant throughput
 //! lever. A [`CoalescingOutbox`] wraps one destination's [`Outbox`]
 //! and keeps at most one *open frame* — packet type, caller-written
-//! header, a record-count field, then packed fixed-stride records.
+//! header, a record-count field, then packed fixed-stride records. The
+//! packet type and the header bytes are what tell frames apart.
 //!
 //! The unit of the data plane is a record *slice*:
 //! [`CoalescingOutbox::append_records`] takes a run of records, reserves
@@ -136,16 +137,15 @@ impl CoalesceStats {
     }
 }
 
-/// The frame currently accumulating records.
+/// The frame currently accumulating records: `buf` holds the packet
+/// type, the header, the count field and the records so far, so a run
+/// belongs to it when its packet type and header bytes are those.
 struct OpenFrame {
     buf: BytesMut,
-    /// Offset of the little-endian `u32` record count within `buf`.
+    /// Offset of the little-endian `u32` record count within `buf`,
+    /// right after the header.
     count_at: usize,
     records: u32,
-    packet_type: u8,
-    /// Caller-chosen header fingerprint; a differing key displaces the
-    /// open frame so records never land under the wrong header.
-    key: u64,
 }
 
 /// A batching, credit-limited wrapper around one destination's
@@ -210,13 +210,15 @@ impl CoalescingOutbox {
         }
     }
 
-    /// Append a run of fixed-`stride` records to the open
-    /// `(packet_type, key)` frame, opening (and if necessary first
+    /// Append a run of fixed-`stride` records to the open frame of
+    /// `packet_type` and `header`, opening (and if necessary first
     /// flushing) frames as needed.
     ///
     /// `header` is the frame's post-type header, written whenever a new
-    /// frame is opened; the coalescer itself maintains the `u32` record
-    /// count that follows it. `write` fills one record's `stride`-byte
+    /// frame is opened; an open frame of another packet type or other
+    /// header bytes is flushed first, so records never land under the
+    /// wrong one. The coalescer itself maintains the `u32` record count
+    /// that follows the header. `write` fills one record's `stride`-byte
     /// slot. Each open frame takes as much of the run as fits in one
     /// reservation and closes on the record that reaches `max_records`
     /// or `max_bytes` — the boundaries appending the run one record at
@@ -225,7 +227,6 @@ impl CoalescingOutbox {
     pub fn append_records<T>(
         &mut self,
         packet_type: u8,
-        key: u64,
         header: &[u8],
         stride: usize,
         mut recs: &[T],
@@ -235,7 +236,7 @@ impl CoalescingOutbox {
             return;
         }
         let displaced = match &self.open {
-            Some(open) => open.packet_type != packet_type || open.key != key,
+            Some(open) => open.buf[0] != packet_type || open.buf[1..open.count_at] != *header,
             None => false,
         };
         if displaced {
@@ -271,8 +272,6 @@ impl CoalescingOutbox {
                     buf,
                     count_at,
                     records: 0,
-                    packet_type,
-                    key,
                 }
             });
             put_records(&mut open.buf, stride, run, &write);
@@ -452,7 +451,7 @@ mod tests {
     /// records).
     fn append_n(c: &mut CoalescingOutbox, n: u64) {
         let recs: Vec<(u64, u64)> = (0..n).map(|i| (i, i * 2)).collect();
-        c.append_records(21, 7, &header(7, 0), 16, &recs, put_pair);
+        c.append_records(21, &header(7, 0), 16, &recs, put_pair);
     }
 
     #[test]
@@ -495,18 +494,25 @@ mod tests {
     }
 
     #[test]
-    fn type_or_key_switch_flushes() {
+    fn type_or_header_switch_flushes() {
         let (mb, mut c) = pair(0);
         append_n(&mut c, 3);
-        // Different header key: same type, new step.
-        c.append_records(21, 8, &header(7, 1), 16, &[(1, 1)], put_pair);
+        // Same type, same header: the open frame takes it.
+        c.append_records(21, &header(7, 0), 16, &[(1, 1)], put_pair);
+        assert_eq!(mb.backlog(), 0);
+        // Different header bytes: same type, new step.
+        c.append_records(21, &header(7, 1), 16, &[(1, 1)], put_pair);
         assert_eq!(mb.backlog(), 1);
         assert_eq!(c.stats().switch_flushes, 1);
         let d = mb.recv().unwrap();
         let mut r = d.frame.reader();
         r.u64();
         r.u32();
-        assert_eq!(r.u32(), Some(3));
+        assert_eq!(r.u32(), Some(4));
+        // Different type, same header.
+        c.append_records(22, &header(7, 1), 16, &[(1, 1)], put_pair);
+        assert_eq!(mb.backlog(), 1);
+        assert_eq!(c.stats().switch_flushes, 2);
     }
 
     #[test]
@@ -598,7 +604,7 @@ mod tests {
         let max_records = u64::from(c.cfg.max_records);
         append_n(&mut c, max_records); // count flush
                                        // Opens a fresh type-22 frame (previous one already flushed).
-        c.append_records(22, 7, &header(7, 0), 16, &[(0, 0)], put_pair);
+        c.append_records(22, &header(7, 0), 16, &[(0, 0)], put_pair);
         c.flush(); // explicit flush of the open type-22 frame
         let (events, dropped) = tracer.drain();
         assert_eq!(dropped, 0);

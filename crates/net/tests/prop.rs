@@ -19,7 +19,8 @@ fn fresh_name(prefix: &str) -> Addr {
 
 /// The record streams of the coalescer property: `(packet type,
 /// header bytes, stride)`. Strides as the data plane's (VMSG 16,
-/// EDGE_CHANGES 17, STATE 33); the header also feeds the key.
+/// EDGE_CHANGES 17, STATE 33); a run's header is cut from its key, so
+/// the header-less stream's keys all give the same (empty) header.
 const STREAMS: [(u8, usize, usize); 3] = [(21, 12, 16), (22, 2, 17), (23, 0, 33)];
 
 fn stream_header(len: usize, key: u64) -> Vec<u8> {
@@ -40,19 +41,20 @@ fn put_seeded(seed: &u64, slot: &mut [u8]) {
 }
 
 /// What appending one record at a time is specified to do, as plainly
-/// as it can be written: a different `(type, key)` closes the open
-/// frame; a record goes in; the frame closes once it holds
-/// `max_records` records or `max_bytes` bytes.
+/// as it can be written: a different head — type byte and header bytes
+/// — closes the open frame; a record goes in; the frame closes once it
+/// holds `max_records` records or `max_bytes` bytes.
 #[derive(Default)]
 struct FrameModel {
     frames: Vec<Vec<u8>>,
-    /// `(type, key, bytes so far, offset of the count, records)`.
-    open: Option<(u8, u64, Vec<u8>, usize, u32)>,
+    /// `(bytes so far, offset of the count, records)`: the bytes before
+    /// the count are the frame's head.
+    open: Option<(Vec<u8>, usize, u32)>,
 }
 
 impl FrameModel {
     fn close(&mut self) {
-        if let Some((_, _, mut buf, count_at, n)) = self.open.take() {
+        if let Some((mut buf, count_at, n)) = self.open.take() {
             buf[count_at..count_at + 4].copy_from_slice(&n.to_le_bytes());
             self.frames.push(buf);
         }
@@ -60,21 +62,19 @@ impl FrameModel {
 
     fn append(&mut self, cfg: &CoalesceConfig, stream: usize, key: u64, seed: u64) {
         let (ty, header_len, stride) = STREAMS[stream];
-        if self.open.as_ref().is_some_and(|o| (o.0, o.1) != (ty, key)) {
+        let head = [vec![ty], stream_header(header_len, key)].concat();
+        if self.open.as_ref().is_some_and(|o| o.0[..o.1] != head) {
             self.close();
         }
         let open = self.open.get_or_insert_with(|| {
-            let mut buf = vec![ty];
-            buf.extend(stream_header(header_len, key));
-            let count_at = buf.len();
-            buf.extend([0; 4]);
-            (ty, key, buf, count_at, 0)
+            let count_at = head.len();
+            ([head, vec![0; 4]].concat(), count_at, 0)
         });
-        let at = open.2.len();
-        open.2.resize(at + stride, 0);
-        put_seeded(&seed, &mut open.2[at..]);
-        open.4 += 1;
-        if open.4 >= cfg.max_records || open.2.len() >= cfg.max_bytes {
+        let at = open.0.len();
+        open.0.resize(at + stride, 0);
+        put_seeded(&seed, &mut open.0[at..]);
+        open.2 += 1;
+        if open.2 >= cfg.max_records || open.0.len() >= cfg.max_bytes {
             self.close();
         }
     }
@@ -102,7 +102,7 @@ fn coalesced_frames(
                 Some(n) if n > 0 => n.min(rest.len()),
                 _ => rest.len(),
             };
-            c.append_records(ty, *key, &header, stride, &rest[..n], put_seeded);
+            c.append_records(ty, &header, stride, &rest[..n], put_seeded);
             rest = &rest[n..];
         }
     }
@@ -119,7 +119,7 @@ proptest! {
     /// ones appending it one record at a time gives — byte for byte,
     /// boundary for boundary, flush reason for flush reason — and those
     /// are the frames the per-record rule specifies. Streams of
-    /// different packet types, keys and strides interleave; the limits
+    /// different packet types, headers and strides interleave; the limits
     /// range from "every record its own frame" to "never reached".
     #[test]
     fn block_appends_cut_frames_where_single_appends_do(

@@ -223,7 +223,12 @@ impl QueryClient {
             // An unreachable agent or a malformed reply leaves its
             // slice unanswered.
             let Ok(reply) = reply else { continue };
-            let Some((run, watermark, recs)) = msg::decode_query_batch_rep(&reply) else {
+            let Some(msg::QueryReplyView {
+                run,
+                watermark,
+                records: recs,
+            }) = msg::decode_query_batch_rep(&reply)
+            else {
                 continue;
             };
             if recs.len() != positions.len() {
@@ -325,7 +330,13 @@ impl QueryClient {
             if d.frame.packet_type() != packet::SUB_PUSH {
                 continue;
             }
-            let Some((sub, run, watermark, recs)) = msg::decode_sub_push(&d.frame) else {
+            let Some(msg::SubPushView {
+                sub,
+                run,
+                watermark,
+                records: recs,
+            }) = msg::decode_sub_push(&d.frame)
+            else {
                 continue;
             };
             for (vertex, state) in recs.iter() {
