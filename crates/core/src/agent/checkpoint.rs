@@ -1,17 +1,15 @@
-//! Durable checkpointing: shard serialization and restore application.
+//! Durable checkpointing: shard writes and restore loads.
 //!
 //! `CKPT_SAVE` (REQ) asks the agent to serialize its entire partition
 //! and write it as one shard of a checkpoint generation through
-//! `elga-ckpt`'s atomic tmp→fsync→rename protocol. `CKPT_EDGES` /
-//! `CKPT_META` (pushes) arrive during recovery, after the driver reads
-//! a valid generation back and re-routes every record under the
-//! *post-recovery* view. Unlike their `MIG_*` cousins, restore
-//! applications are **uncounted**: restore happens outside any barrier
-//! (the cluster is quiesced with no run in flight), and counting the
-//! injected records on the receive side only would permanently skew
-//! the Mattern sent/received balance and wedge every later barrier.
-//! Restored edges are counted for the lead's sketch like applied
-//! changes: the recovery reset zeroed it.
+//! `elga-ckpt`'s atomic tmp→fsync→rename protocol. `CKPT_LOAD` (REQ)
+//! is the way back after a recovery reset: the agent merges the shards
+//! the driver deals it — its own, and those whose writers are gone —
+//! into its store and runs the placement sweep a view change runs, so
+//! whatever the current view places elsewhere leaves as counted
+//! MIG_STATE / MIG_EDGES / MIG_META streams, and `quiesce` proves by
+//! the counters that they landed. Loaded edges are counted for the
+//! lead's sketch like applied changes: the recovery reset zeroed it.
 //!
 //! A restore rebuilds the graph — edges, degrees and served states —
 //! and nothing of the delta engine: no residuals are saved, and the
@@ -63,10 +61,20 @@ impl Agent {
         epoch: u64,
         watermark: u64,
     ) -> Option<u64> {
+        let payload = ckpt_codec::encode_payload(&self.checkpoint_records());
+        let id = self.id;
+        self.ckpt_store()?
+            .write_shard(generation, epoch, id, watermark, &payload)
+            .ok()
+    }
+
+    /// The agent's checkpoint store, opened at first use from
+    /// `cfg.checkpoint_dir` and kept for its lifetime: the disk-fault
+    /// injector's RNG must advance across writes instead of replaying
+    /// the same damage each generation. It touches writes only, so
+    /// loads read through the same store.
+    fn ckpt_store(&mut self) -> Option<&mut CheckpointStore> {
         if self.ckpt_store.is_none() {
-            // Opened lazily and kept for the agent's lifetime: the
-            // fault injector's RNG must advance across writes instead
-            // of replaying the same damage each generation.
             let dir = self.cfg.checkpoint_dir.as_ref()?;
             let mut store = CheckpointStore::open(dir).ok()?;
             if let Some(faults) = self.cfg.disk_fault {
@@ -76,11 +84,7 @@ impl Agent {
             }
             self.ckpt_store = Some(store);
         }
-        let payload = ckpt_codec::encode_payload(&self.checkpoint_records());
-        self.ckpt_store
-            .as_mut()?
-            .write_shard(generation, epoch, self.id, watermark, &payload)
-            .ok()
+        self.ckpt_store.as_mut()
     }
 
     /// Snapshot every vertex entry this agent holds. Run-state fields
@@ -109,61 +113,210 @@ impl Agent {
         records
     }
 
-    /// CKPT_EDGES: apply restored edge groups. Mirrors `on_mig_states`
-    /// and `on_mig_edges` minus the migration counters.
-    pub(super) fn on_ckpt_edges(&mut self, frame: Frame) {
-        let Some(msg::CkptEdges { groups }) = msg::CkptEdges::decode(&frame) else {
+    /// CKPT_LOAD: merge the named shards of a generation into the
+    /// store, send whatever the current view places elsewhere as the
+    /// migration streams a view change sends, and reply once they are
+    /// flushed. A shard loaded since the last recovery reset is not
+    /// loaded again: a request retried past its timeout would add the
+    /// primaries' degrees twice.
+    pub(super) fn on_ckpt_load(&mut self, frame: &Frame, reply: Option<ReplyHandle>) {
+        let Some(msg::CkptLoad { generation, shards }) = msg::CkptLoad::decode(frame) else {
             return;
         };
-        for g in groups {
-            let v = g.vertex;
-            let e = self.vertices.entry_or_default(v);
-            if g.has_state && !e.has_state {
-                e.state = g.state;
-                e.has_state = true;
-            }
-            if g.has_state {
-                e.rep_out_degree = e.rep_out_degree.max(g.rep_out_degree);
-                // Checkpoints are cut at quiesced batch boundaries, so
-                // the restored states are a completed-run snapshot:
-                // serve them (tagged run 0 — the id went unrecorded).
-                e.snap = e.state;
-                e.has_snap = true;
-            }
-            e.active = e.active || g.active;
-            let added = self.insert_edges(g.side, v, g.others.into_iter());
-            self.degrees.add(v, added as i32);
+        let mut report = msg::CkptLoadReport { ok: true, bytes: 0 };
+        for agent in shards {
+            let bytes = self.loaded.get(&(generation, agent)).copied();
+            let bytes = bytes.or_else(|| self.load_shard(generation, agent));
+            report.ok &= bytes.is_some();
+            report.bytes += bytes.unwrap_or(0);
+            self.maybe_heartbeat();
         }
         self.invalidate_worklists();
+        self.relocate(None);
+        if let Some(reply) = reply {
+            let _ = reply.send(report.encode());
+        }
     }
 
-    /// CKPT_META: apply restored primary meta. Mirrors `on_mig_meta`
-    /// minus the counters; degrees *accumulate* because exactly
-    /// one shard carried each vertex's meta entry, while flags combine
-    /// monotonically (`|=`) so replica-side records can't erase them.
-    pub(super) fn on_ckpt_meta(&mut self, frame: Frame) {
-        let Some(recs) = msg::decode_ckpt_meta(&frame) else {
-            return;
-        };
-        for m in recs {
-            let e = self.vertices.entry_or_default(m.vertex);
-            if m.is_meta {
-                e.is_meta = true;
-            }
-            e.g_out += m.g_out;
-            e.g_in += m.g_in;
-            e.dirty = e.dirty || m.dirty;
-            e.active = e.active || m.active;
-            if m.has_state {
-                e.state = m.state;
+    /// Read one shard and merge its records into the store. Returns the
+    /// payload byte count, or `None` when the shard is unreadable.
+    fn load_shard(&mut self, generation: u64, agent: AgentId) -> Option<u64> {
+        let (_, payload) = self.ckpt_store()?.read_shard(generation, agent).ok()?;
+        for rec in ckpt_codec::decode_payload(&payload)? {
+            let v = rec.vertex;
+            let e = self.vertices.entry_or_default(v);
+            // The primary's state is authoritative; a replica's fills
+            // in where no state is held yet.
+            if rec.has_state && (rec.is_meta || !e.has_state) {
+                e.state = rec.state;
                 e.has_state = true;
-                e.rep_out_degree = e.rep_out_degree.max(m.g_out.max(0) as u64);
-                // As in `on_ckpt_edges`: restored states are a
-                // consistent completed-run cut — serve them.
+            }
+            if rec.has_state {
+                let out_degree = rec.rep_out_degree.max(rec.g_out.max(0) as u64);
+                e.rep_out_degree = e.rep_out_degree.max(out_degree);
+                // Checkpoints are cut at quiesced batch boundaries, so
+                // the states are a completed run's: serve them (under
+                // tag 0 — the run id went unrecorded).
                 e.snap = e.state;
                 e.has_snap = true;
             }
+            e.active |= rec.active;
+            e.is_meta |= rec.is_meta;
+            e.dirty |= rec.dirty;
+            // Exactly one shard held each vertex's primary record.
+            e.g_out += rec.g_out;
+            e.g_in += rec.g_in;
+            let added = self.insert_edges(Side::Out, v, rec.out.into_iter())
+                + self.insert_edges(Side::In, v, rec.inn.into_iter());
+            self.degrees.add(v, added as i32);
         }
-        self.invalidate_worklists();
+        let bytes = payload.len() as u64;
+        self.loaded.insert((generation, agent), bytes);
+        Some(bytes)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::testkit::{detached, view, ME};
+    use super::*;
+    use elga_net::InProcTransport;
+    use std::collections::BTreeMap;
+
+    const HUB: VertexId = 7;
+
+    /// Agent 9's shard (9 is no member): a ring of 40 with diameters,
+    /// and the hub among them with 120 out- and 60 in-edges.
+    fn shard() -> Vec<CkptVertexRecord> {
+        (0..40)
+            .map(|v| {
+                let (outs, ins) = if v == HUB {
+                    (40..160, 200..260)
+                } else {
+                    (0..0, 0..0)
+                };
+                CkptVertexRecord {
+                    vertex: v,
+                    state: 3 * v,
+                    has_state: true,
+                    is_meta: true,
+                    g_out: 2,
+                    g_in: 1,
+                    out: [(v + 1) % 40, (v + 20) % 40]
+                        .into_iter()
+                        .chain(outs)
+                        .collect(),
+                    inn: [(v + 39) % 40].into_iter().chain(ins).collect(),
+                    ..CkptVertexRecord::default()
+                }
+            })
+            .collect()
+    }
+
+    /// The agent, its last answer, every MIG_EDGES placement agents 2
+    /// and 3 were sent with its destination, and the records of all
+    /// three streams.
+    type Loaded = (Agent, msg::CkptLoadReport, Vec<(MigEdge, AgentId)>, u64);
+
+    /// Agent [`ME`] of members 1–3 with the hub split, agent 9's shard
+    /// of generation 1 on disk, and a CKPT_LOAD of it answered `times`
+    /// times.
+    fn loaded(tag: &str, times: usize) -> Loaded {
+        let dir = std::env::temp_dir().join(format!("elga-ckpt-load-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let payload = ckpt_codec::encode_payload(&shard());
+        let mut store = CheckpointStore::open(&dir).expect("store");
+        store.write_shard(1, 1, 9, 100, &payload).expect("shard");
+        let (transport, mut agent) = detached(view(1, &[ME, 2, 3], &[HUB]));
+        agent.cfg.checkpoint_dir = Some(dir.clone());
+        let report = (0..times).map(|_| load(&transport, &mut agent)).last();
+        let _ = std::fs::remove_dir_all(&dir);
+        let (mut sent, mut records) = (Vec::new(), 0);
+        for dest in [2, 3] {
+            let mailbox = transport.bind(&agent_addr(dest)).expect("bind");
+            while let Ok(Some(d)) = mailbox.try_recv() {
+                let f = &d.frame;
+                records += match f.packet_type() {
+                    packet::MIG_STATE => msg::decode_mig_states(f).expect("states").len(),
+                    packet::MIG_META => msg::decode_mig_meta(f).expect("metas").records.len(),
+                    packet::MIG_EDGES => {
+                        let edges = msg::decode_mig_edges(f).expect("edges");
+                        sent.extend(edges.iter().map(|e| (e, dest)));
+                        edges.len()
+                    }
+                    other => panic!("packet {other} on a migration stream"),
+                } as u64;
+            }
+        }
+        (agent, report.expect("answered"), sent, records)
+    }
+
+    /// Ask the agent to load agent 9's shard, as the driver does.
+    fn load(transport: &InProcTransport, agent: &mut Agent) -> msg::CkptLoadReport {
+        let req = msg::CkptLoad {
+            generation: 1,
+            shards: vec![9],
+        }
+        .encode();
+        let wait = Duration::from_secs(10);
+        std::thread::scope(|s| {
+            let asked = s.spawn(|| transport.request(&agent_addr(ME), req, wait));
+            assert!(agent.handle(agent.mailbox.recv_timeout(wait).expect("the request")));
+            let rep = asked.join().expect("requester").expect("a reply");
+            msg::CkptLoadReport::decode(&rep).expect("a CKPT_LOAD reply")
+        })
+    }
+
+    /// A loaded shard keeps what the locator places here and ships each
+    /// other placement once, to the owner `owner_of_edge` names — the
+    /// split hub's edges one by one — as counted migration records.
+    #[test]
+    fn a_loaded_shard_keeps_its_placements_and_ships_the_rest_once() {
+        let (agent, report, sent, records) = loaded("ships", 1);
+        let bytes = ckpt_codec::encode_payload(&shard()).len() as u64;
+        assert_eq!((report.ok, report.bytes), (true, bytes));
+        let (v, locator) = (&agent.view, &agent.locator);
+        assert!(locator.replication_factor(v.sketch.estimate(HUB)) > 1);
+        let (mut all, mut kept, mut hub) = (0, 0, [0, 0]);
+        for r in shard() {
+            for (side, others) in [(Side::Out, r.out), (Side::In, r.inn)] {
+                for w in others {
+                    let p = MigEdge::held_by(side, r.vertex, w);
+                    let owner = locator.owner_of_edge(r.vertex, w, v.sketch.estimate(r.vertex));
+                    let held = agent.vertices.get(&r.vertex).is_some_and(|e| {
+                        [e.adj.out(), e.adj.inn()][usize::from(side == Side::In)].contains(&w)
+                    });
+                    let here = owner == Some(ME);
+                    let gone = sent.iter().filter(|s| s.0 == p).map(|s| s.1);
+                    assert_eq!(held, here, "{p:?} held here");
+                    let want = owner.filter(|_| !here);
+                    assert_eq!(Vec::from_iter(gone), Vec::from_iter(want), "{p:?} sent");
+                    all += 1;
+                    kept += usize::from(here);
+                    hub[usize::from(here)] += usize::from(r.vertex == HUB);
+                }
+            }
+        }
+        assert_eq!(sent.len(), all - kept, "a placement no shard held left");
+        assert!(hub[0] > 0 && hub[1] > 0, "the hub is placed edge by edge");
+        assert_eq!(agent.counters.mig_sent, records);
+        assert_eq!(agent.degrees.items(), all as i64);
+    }
+
+    /// A CKPT_LOAD answered twice — a retry that outlived its timeout —
+    /// leaves the store, the migration counter and the degree counts as
+    /// the first answer left them.
+    #[test]
+    fn a_retried_load_loads_nothing_twice() {
+        let outcome = |(a, report, _, records): Loaded| {
+            let store = BTreeMap::from_iter(a.vertices.iter().map(|(&v, e)| (v, e.clone())));
+            (
+                store,
+                report,
+                records,
+                [a.counters.mig_sent, a.degrees.items() as u64],
+            )
+        };
+        assert!(outcome(loaded("once", 1)) == outcome(loaded("twice", 2)));
     }
 }

@@ -270,25 +270,7 @@ impl Agent {
     /// records under the adopted view, forward whatever no longer
     /// belongs here and report to the migrate barrier.
     pub(super) fn migrate(&mut self, epoch: u64, filter: Option<FxHashSet<VertexId>>) {
-        let t0 = Instant::now();
-        let Swept {
-            bundles,
-            examined,
-            moved,
-        } = self.sweep(filter);
-        self.tracer
-            .span(EventKind::MigrateSweep, t0, examined, moved);
-        // Ship the bundles: per destination, snapshots ahead of the
-        // edges they describe, primary meta last. Whatever the size
-        // threshold left open leaves with the migrate READY below.
-        let (snap_run, snap_watermark) = (self.snap_run, self.snap_watermark);
-        for (agent, bundle) in bundles {
-            self.send_mig(agent, &bundle.states, msg::append_mig_states);
-            self.send_mig(agent, &bundle.edges, msg::append_mig_edges);
-            self.send_mig(agent, &bundle.metas, |out, metas| {
-                msg::append_mig_meta(out, snap_run, snap_watermark, metas)
-            });
-        }
+        self.relocate(filter);
         // Dangling-mass handoff (delta engine): while an async delta
         // run is live the migrate READY carries the cumulative report
         // (the lead folds a departer's final value before dropping its
@@ -316,6 +298,28 @@ impl Agent {
             self.push_degrees();
         }
         self.send_ready(0, epoch as u32, Phase::Migrate, 0, contrib);
+    }
+
+    /// Sweep ([`Agent::sweep`]) and ship what the view places
+    /// elsewhere: per destination, snapshots ahead of the edges they
+    /// describe, primary meta last, every stream counted and flushed.
+    pub(super) fn relocate(&mut self, filter: Option<FxHashSet<VertexId>>) {
+        let t0 = Instant::now();
+        let Swept {
+            bundles,
+            examined,
+            moved,
+        } = self.sweep(filter);
+        self.tracer
+            .span(EventKind::MigrateSweep, t0, examined, moved);
+        let (snap_run, snap_watermark) = (self.snap_run, self.snap_watermark);
+        for (agent, bundle) in bundles {
+            self.send_mig(agent, &bundle.states, msg::append_mig_states);
+            self.send_mig(agent, &bundle.edges, msg::append_mig_edges);
+            self.send_mig(agent, &bundle.metas, |out, metas| {
+                msg::append_mig_meta(out, snap_run, snap_watermark, metas)
+            });
+        }
     }
 
     /// Append `recs` to `agent`'s migration stream as one run, counted

@@ -360,11 +360,13 @@ pub struct Agent {
     /// recoveries). Disabled unless `cfg.tracing`; drained over the
     /// wire by TRACE_DUMP.
     tracer: Arc<Tracer>,
-    /// Durable checkpoint store, opened lazily from
-    /// `cfg.checkpoint_dir` at the first CKPT_SAVE and kept for the
-    /// agent's lifetime (the disk-fault injector's RNG must advance
-    /// across writes, not replay the same damage each generation).
+    /// Durable checkpoint store, opened at first use
+    /// ([`Agent::ckpt_store`]).
     ckpt_store: Option<elga_ckpt::CheckpointStore>,
+    /// The `(generation, shard)` pairs CKPT_LOAD merged since the last
+    /// recovery reset, with their payload bytes: a retried request
+    /// skips them.
+    loaded: FxHashMap<(u64, AgentId), u64>,
     /// Run id of the last completed run whose states were copied into
     /// the per-vertex `snap` buffers (0 = no run completed here yet;
     /// restored checkpoints also report 0, their run id being
@@ -496,6 +498,7 @@ impl Agent {
             ready_seq: 0,
             tracer: Arc::new(Tracer::from_flag(cfg.tracing)),
             ckpt_store: None,
+            loaded: FxHashMap::default(),
             snap_run: 0,
             snap_watermark: 0,
             subs: FxHashMap::default(),
@@ -603,8 +606,7 @@ impl Agent {
             packet::MIG_EDGES => self.on_mig_edges(frame),
             packet::MIG_META => self.on_mig_meta(frame),
             packet::CKPT_SAVE => self.on_ckpt_save(&frame, d.reply),
-            packet::CKPT_EDGES => self.on_ckpt_edges(frame),
-            packet::CKPT_META => self.on_ckpt_meta(frame),
+            packet::CKPT_LOAD => self.on_ckpt_load(&frame, d.reply),
             packet::RESET_LABELS => self.on_reset_labels(frame),
             packet::QUERY_BATCH => self.answer_read(&frame, d.reply),
             packet::SUB_REG => {

@@ -66,6 +66,7 @@ impl Agent {
         // restore re-seeds the snapshots, still under tag 0.)
         self.snap_run = 0;
         self.snap_watermark = 0;
+        self.loaded.clear();
         self.adopt_view(rec.view);
         self.migrated_epoch = epoch;
         self.send_ready(0, epoch as u32, Phase::Migrate, 0, 0.0);

@@ -4,10 +4,11 @@
 //! partition, serialized as a flat little-endian record stream: a `u64`
 //! record count, then one [`CkptVertexRecord`] per vertex entry in the
 //! agent's deterministic shard order. The same codec is used by the
-//! agent when writing a shard (`CKPT_SAVE`) and by the driver when
-//! reading shards back during recovery — the driver re-routes each
-//! record under the *post-recovery* view, so the payload deliberately
-//! stores raw adjacency, not placement.
+//! agent when writing a shard (`CKPT_SAVE`) and when loading shards
+//! back during recovery (`CKPT_LOAD`) — any member may load any shard,
+//! and its placement sweep re-places each record under the
+//! *post-recovery* view, so the payload deliberately stores raw
+//! adjacency, not placement.
 //!
 //! Run-state fields (partials, async waiting sets) are not serialized:
 //! checkpoints are taken only at quiesced batch boundaries, where no

@@ -18,11 +18,10 @@
 
 use crate::agent::Agent;
 use crate::autoscale::Autoscaler;
-use crate::ckpt_codec;
 use crate::config::SystemConfig;
 use crate::directory::{self, bus_addr, directory_addr, master_addr};
 use crate::metrics::ClusterMetrics;
-use crate::msg::{self, packet, AgentInfo, Counters, DirectoryView, Message, RunInfo, Side};
+use crate::msg::{self, packet, AgentInfo, Counters, DirectoryView, Message, RunInfo};
 use crate::program::{ProgramSpec, RunOptions};
 use crate::streamer::Streamer;
 use elga_ckpt::CheckpointStore;
@@ -533,7 +532,8 @@ impl Cluster {
     /// batches push the running count past the configured interval. A
     /// failed (uncommitted) checkpoint is not an error here — the
     /// change log was left intact, so recovery still works; the next
-    /// interval retries with a fresh generation number.
+    /// interval retries under the same generation number, since only
+    /// committed generations are listed (`CheckpointStore::generations`).
     fn maybe_checkpoint(&mut self, batches: u64) {
         if self.cfg.checkpoint_interval_batches == 0 || self.cfg.checkpoint_dir.is_none() {
             return;
@@ -570,11 +570,11 @@ impl Cluster {
     /// so sums equal to the remembered ones mean no agent has sent or
     /// received anything since they were read — and whatever reached
     /// an agent's mailbox before this call's DRAIN (a Streamer's
-    /// batch, restore frames) was handled before the reply, where any
-    /// forward it caused is counted. A stale memory can only fail to
-    /// match and cost the second wave. (That ordering is the in-process
-    /// transport's; a chaos cluster waits for its reliability layer to
-    /// drain before each wave instead.)
+    /// batch) was handled before the reply, where any forward it caused
+    /// is counted. A stale memory can only fail to match and cost the
+    /// second wave. (That ordering is the in-process transport's; a
+    /// chaos cluster waits for its reliability layer to drain before
+    /// each wave instead.)
     ///
     /// An agent answers a DRAIN after pushing the degree changes it
     /// applied to its directory, and a wave in which one did confirms
@@ -798,8 +798,8 @@ impl Cluster {
                     ))?;
             let t0 = Instant::now();
             let bytes = self.restore_generation(&valid.manifest)?;
-            // The injected frames are uncounted; the DRAIN round's FIFO
-            // ordering behind them is what guarantees they were applied.
+            // The loads' migration streams are counted: `quiesce`
+            // returns once every record has landed.
             self.quiesce()?;
             self.recovery.ckpt_restores += 1;
             self.recovery.ckpt_restore_nanos += t0.elapsed().as_nanos() as u64;
@@ -810,103 +810,52 @@ impl Cluster {
         Ok(self.streamer().replay()? as u64)
     }
 
-    /// Read every shard of `m`, re-route each record under the current
-    /// (post-recovery) view — including the dead agent's surviving
-    /// shard — and push the results to the new owners as uncounted
-    /// CKPT_EDGES / CKPT_META frames. Returns total payload bytes read.
+    /// Have the members load the shards of `m`: each member its own,
+    /// if it wrote one, and the shards whose writers died or left after
+    /// the cut dealt round-robin over the members in id order. Each
+    /// member then sweeps what the current view places elsewhere into
+    /// counted migration streams. Returns the payload bytes loaded.
     fn restore_generation(&mut self, m: &elga_ckpt::Manifest) -> Result<u64, NetError> {
-        /// Groups per CKPT_EDGES frame / records per CKPT_META frame.
-        const CHUNK: usize = 1024;
-        let view = self.view();
-        let locator = view.locator();
-        let mut edge_batches: HashMap<AgentId, Vec<msg::CkptEdgeGroup>> = HashMap::new();
-        let mut meta_batches: HashMap<AgentId, Vec<msg::CkptMetaRecord>> = HashMap::new();
-        let mut bytes = 0u64;
-        for &agent in &m.agents {
-            let (_header, payload) = self
-                .driver_store()?
-                .read_shard(m.generation, agent)
-                .map_err(|_| NetError::Protocol("validated checkpoint shard unreadable"))?;
-            bytes += payload.len() as u64;
-            let records = ckpt_codec::decode_payload(&payload)
-                .ok_or(NetError::Protocol("checkpoint payload malformed"))?;
-            for rec in records {
-                let v = rec.vertex;
-                let est = view.sketch.estimate(v);
-                let mut outs: HashMap<AgentId, Vec<u64>> = HashMap::new();
-                for &w in &rec.out {
-                    if let Some(owner) = locator.owner_of_edge(v, w, est) {
-                        outs.entry(owner).or_default().push(w);
-                    }
-                }
-                let mut inns: HashMap<AgentId, Vec<u64>> = HashMap::new();
-                for &u in &rec.inn {
-                    if let Some(owner) = locator.owner_of_edge(v, u, est) {
-                        inns.entry(owner).or_default().push(u);
-                    }
-                }
-                for (side, groups) in [(Side::Out, outs), (Side::In, inns)] {
-                    for (dest, others) in groups {
-                        edge_batches
-                            .entry(dest)
-                            .or_default()
-                            .push(msg::CkptEdgeGroup {
-                                side,
-                                vertex: v,
-                                state: rec.state,
-                                has_state: rec.has_state,
-                                rep_out_degree: rec.rep_out_degree,
-                                active: rec.active,
-                                others,
-                            });
-                    }
-                }
-                if rec.is_meta || rec.g_out != 0 || rec.g_in != 0 || rec.dirty {
-                    if let Some(primary) = locator.ring().owner(v) {
-                        meta_batches
-                            .entry(primary)
-                            .or_default()
-                            .push(msg::CkptMetaRecord {
-                                vertex: v,
-                                state: rec.state,
-                                has_state: rec.has_state,
-                                active: rec.active,
-                                dirty: rec.dirty,
-                                is_meta: rec.is_meta,
-                                g_out: rec.g_out,
-                                g_in: rec.g_in,
-                            });
-                    }
-                }
-            }
+        let mut members = self.view().agents;
+        if members.is_empty() {
+            return Err(NetError::Protocol("no member to restore onto"));
         }
-        for (dest, groups) in edge_batches {
-            for chunk in groups.chunks(CHUNK) {
-                let groups = chunk.to_vec();
-                self.push_to_agent(&view, dest, msg::CkptEdges { groups }.encode())?;
-            }
+        members.sort_by_key(|a| a.id);
+        let mut shards: Vec<Vec<AgentId>> = members
+            .iter()
+            .map(|a| m.agents.iter().copied().filter(|&w| w == a.id).collect())
+            .collect();
+        let orphans = m
+            .agents
+            .iter()
+            .filter(|&&w| members.iter().all(|a| a.id != w));
+        for (i, &w) in orphans.enumerate() {
+            shards[i % members.len()].push(w);
         }
-        for (dest, recs) in meta_batches {
-            for chunk in recs.chunks(CHUNK) {
-                self.push_to_agent(&view, dest, msg::encode_ckpt_meta(chunk))?;
+        let requests: Vec<(&Addr, Frame)> = members
+            .iter()
+            .zip(shards)
+            .map(|(a, shards)| {
+                let load = msg::CkptLoad {
+                    generation: m.generation,
+                    shards,
+                };
+                (&a.addr, load.encode())
+            })
+            .collect();
+        let replies = self.transport.request_all_with_retry(
+            &requests,
+            self.cfg.request_timeout,
+            &self.cfg.send_policy,
+        );
+        let mut bytes = 0;
+        for rep in replies {
+            match msg::CkptLoadReport::decode(&rep?) {
+                Some(r) if r.ok => bytes += r.bytes,
+                _ => return Err(NetError::Protocol("validated checkpoint shard unreadable")),
             }
         }
         Ok(bytes)
-    }
-
-    /// Push one restore frame to an agent under the given view.
-    fn push_to_agent(
-        &self,
-        view: &DirectoryView,
-        agent: AgentId,
-        frame: Frame,
-    ) -> Result<(), NetError> {
-        let addr = view
-            .addr_of(agent)
-            .ok_or(NetError::Protocol("restore target missing from view"))?;
-        self.transport
-            .push_with_retry(addr, frame, &self.cfg.send_policy)
-            .map(|_| ())
     }
 
     // ------------------------------------------------------------------

@@ -89,10 +89,9 @@ pub mod packet {
     /// Write a checkpoint shard (REQ to an Agent): [`super::CkptSave`],
     /// answered by [`super::CkptSaveReport`].
     pub const CKPT_SAVE: u8 = 36;
-    /// Checkpoint restore, uncounted (push, driver → Agent): edge groups.
-    pub const CKPT_EDGES: u8 = 37;
-    /// Checkpoint restore, uncounted (push): [`super::CkptMetaRecord`]s.
-    pub const CKPT_META: u8 = 38;
+    /// Load checkpoint shards and sweep them (REQ driver → Agent):
+    /// [`super::CkptLoad`], answered by [`super::CkptLoadReport`].
+    pub const CKPT_LOAD: u8 = 37;
     /// Ingest-time residual corrections (push, to each vertex's primary).
     pub const RESIDUAL: u8 = 39;
     /// Vertex read (REQ, client → Agent) + its reply.
@@ -668,8 +667,6 @@ records_frames! {
     /// The labels whose primaries a RESET_LABELS broadcast
     /// re-initializes.
     RESET_LABELS: u64 => encode encode_reset_labels, decode decode_reset_labels;
-    /// Primary-side metadata restored from a checkpoint.
-    CKPT_META: CkptMetaRecord => encode encode_ckpt_meta, decode decode_ckpt_meta;
 }
 
 /// A borrowed, validated view over the packed record region of a frame
@@ -1356,6 +1353,27 @@ wire! {
         pub nanos: u64,
     }
 
+    /// A CKPT_LOAD request: load the named agents' shards of checkpoint
+    /// `generation` into the store, then send whatever the current view
+    /// places elsewhere as migration streams.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct CkptLoad: CKPT_LOAD {
+        /// Generation to load.
+        pub generation: u64,
+        /// The agents whose shards to load.
+        pub shards: Vec<AgentId>,
+    }
+
+    /// One agent's reply to a CKPT_LOAD request, sent once its
+    /// migration streams are flushed.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct CkptLoadReport: CKPT_LOAD {
+        /// Whether every shard was read and decoded.
+        pub ok: bool,
+        /// Payload bytes loaded.
+        pub bytes: u64,
+    }
+
     /// A liveness heartbeat pushed by an agent.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub struct Heartbeat: HEARTBEAT {
@@ -1377,63 +1395,6 @@ wire! {
         pub aborted_run: u64,
         /// The post-eviction directory view.
         pub view: DirectoryView as frame,
-    }
-
-    /// One restored vertex's edges for one placement side, re-routed by
-    /// the driver under the post-recovery view.
-    #[derive(Debug, Clone, PartialEq, Eq)]
-    pub struct CkptEdgeGroup {
-        /// Which placement the group targets.
-        pub side: Side,
-        /// The vertex the edges belong to.
-        pub vertex: VertexId,
-        /// Replica-visible program state (meaningless when `has_state` is
-        /// false).
-        pub state: u64,
-        /// Whether `state` is initialized.
-        pub has_state: bool,
-        /// Replica-visible out-degree snapshot (scatter denominators).
-        pub rep_out_degree: u64,
-        /// Active flag.
-        pub active: bool,
-        /// The other endpoints: targets of out-edges (`side == Out`) or
-        /// sources of in-edges (`side == In`).
-        pub others: Vec<VertexId>,
-    }
-
-    /// Restored edge groups for one agent.
-    #[derive(Debug, Clone, PartialEq, Eq)]
-    pub struct CkptEdges: CKPT_EDGES {
-        /// The groups.
-        pub groups: Vec<CkptEdgeGroup>,
-    }
-}
-
-record! {
-    /// Primary-side vertex metadata restored from a checkpoint:
-    /// CKPT_META record, 36 bytes.
-    ///
-    /// Unlike [`MetaRecord`] this carries the global degrees signed and
-    /// no async run state: checkpoints are taken only at quiesced batch
-    /// boundaries, where no run is in flight.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct CkptMetaRecord {
-        /// The vertex.
-        pub vertex: VertexId,
-        /// Encoded program state (meaningless when `has_state` is false).
-        pub state: u64,
-        /// Whether `state` is initialized.
-        pub has_state: bool,
-        /// Active flag.
-        pub active: bool,
-        /// Touched by changes since the last run.
-        pub dirty: bool,
-        /// Whether the vertex existed as a primary (meta) entry.
-        pub is_meta: bool,
-        /// Global out-degree accumulated at the primary.
-        pub g_out: i64,
-        /// Global in-degree accumulated at the primary.
-        pub g_in: i64,
     }
 }
 
@@ -1605,62 +1566,6 @@ mod tests {
     #[test]
     fn view_decode_rejects_other_packets() {
         assert!(DirectoryView::decode(&Frame::signal(packet::OK)).is_none());
-    }
-
-    #[test]
-    fn ckpt_edges_roundtrip() {
-        let groups = vec![
-            CkptEdgeGroup {
-                side: Side::Out,
-                vertex: 7,
-                state: 99,
-                has_state: true,
-                rep_out_degree: 12,
-                active: true,
-                others: vec![1, 2, 3],
-            },
-            CkptEdgeGroup {
-                side: Side::In,
-                vertex: 8,
-                state: 0,
-                has_state: false,
-                rep_out_degree: 0,
-                active: false,
-                others: vec![],
-            },
-        ];
-        let edges = CkptEdges { groups };
-        assert_eq!(CkptEdges::decode(&edges.encode()).unwrap(), edges);
-    }
-
-    #[test]
-    fn ckpt_meta_roundtrip_preserves_both_degrees() {
-        let recs = vec![
-            CkptMetaRecord {
-                vertex: 5,
-                state: 17,
-                has_state: true,
-                active: true,
-                dirty: false,
-                is_meta: true,
-                g_out: 3,
-                g_in: -2,
-            },
-            CkptMetaRecord {
-                vertex: 6,
-                state: 0,
-                has_state: false,
-                active: false,
-                dirty: true,
-                is_meta: false,
-                g_out: 0,
-                g_in: 0,
-            },
-        ];
-        let frame = encode_ckpt_meta(&recs);
-        assert_eq!(decode_ckpt_meta(&frame).unwrap().to_vec(), recs);
-        let edges = CkptEdges { groups: Vec::new() };
-        assert!(decode_ckpt_meta(&edges.encode()).is_none());
     }
 
     #[test]
@@ -2020,7 +1925,7 @@ mod tests {
                 Some((name.to_string(), byte.strip_suffix(';')?.parse().ok()?))
             })
             .collect();
-        assert_eq!(declared.len(), 37);
+        assert_eq!(declared.len(), 36);
         assert_eq!(kinds_listed(include_str!("../../../DESIGN.md")), declared);
     }
 

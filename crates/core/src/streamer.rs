@@ -87,10 +87,11 @@ impl Streamer {
         cfg: SystemConfig,
         directory: Addr,
     ) -> Result<Streamer, NetError> {
-        let rep = transport.request(
+        let (rep, _) = transport.request_with_retry(
             &directory,
             Frame::signal(packet::GET_VIEW),
             cfg.request_timeout,
+            &cfg.send_policy,
         )?;
         let view = DirectoryView::decode(&rep).ok_or(NetError::Protocol("bad view"))?;
         let locator = view.locator();

@@ -7,7 +7,7 @@
 use elga_core::algorithms::Wcc;
 use elga_core::cluster::Cluster;
 use elga_core::metrics::{AgentMetrics, ClusterMetrics, CommsMetrics, PacketStat};
-use elga_core::msg::{self, packet, AgentInfo, Counters, DirectoryView, Message, Phase, Side};
+use elga_core::msg::{self, packet, AgentInfo, Counters, DirectoryView, Message, Phase};
 use elga_hash::HashKind;
 use elga_net::{Addr, Frame};
 use elga_sketch::{CountMinSketch, SketchDelta};
@@ -139,37 +139,6 @@ fn frames() -> Vec<(&'static str, Frame)> {
             found: msg::ANSWER_GONE,
         },
     ];
-    let ckpt_meta = [
-        msg::CkptMetaRecord {
-            vertex: 5,
-            state: 17,
-            has_state: true,
-            active: true,
-            dirty: false,
-            is_meta: true,
-            g_out: 3,
-            g_in: -2,
-        },
-        msg::CkptMetaRecord {
-            vertex: 6,
-            state: 0,
-            has_state: false,
-            active: false,
-            dirty: true,
-            is_meta: false,
-            g_out: 0,
-            g_in: 0,
-        },
-    ];
-    let ckpt_edges = [msg::CkptEdgeGroup {
-        side: Side::In,
-        vertex: 7,
-        state: 99,
-        has_state: true,
-        rep_out_degree: 12,
-        active: true,
-        others: vec![1, 2],
-    }];
     let mut delta = SketchDelta::new(16, 2);
     delta.add(3, 9);
     delta.add(7, -2);
@@ -215,11 +184,19 @@ fn frames() -> Vec<(&'static str, Frame)> {
             }
             .encode(),
         ),
-        ("ckpt meta", msg::encode_ckpt_meta(&ckpt_meta)),
         (
-            "ckpt edges",
-            msg::CkptEdges {
-                groups: ckpt_edges.to_vec(),
+            "ckpt load",
+            msg::CkptLoad {
+                generation: 3,
+                shards: vec![2, 5],
+            }
+            .encode(),
+        ),
+        (
+            "ckpt load reply",
+            msg::CkptLoadReport {
+                ok: true,
+                bytes: 4096,
             }
             .encode(),
         ),
@@ -342,18 +319,12 @@ const GOLDEN: &[(&str, u8, &str)] = &[
         "01001000000000000087d6120000000000",
     ),
     (
-        "ckpt meta",
-        packet::CKPT_META,
-        "0200000005000000000000001100000000000000010100010300000000000000\
-         feffffffffffffff060000000000000000000000000000000000010000000000\
-         000000000000000000000000",
+        "ckpt load",
+        packet::CKPT_LOAD,
+        "0300000000000000020000000200000000000000\
+         0500000000000000",
     ),
-    (
-        "ckpt edges",
-        packet::CKPT_EDGES,
-        "010000000107000000000000006300000000000000010c000000000000000102\
-         00000001000000000000000200000000000000",
-    ),
+    ("ckpt load reply", packet::CKPT_LOAD, "010010000000000000"),
     ("heartbeat", packet::HEARTBEAT, "1100000000000000"),
     (
         "recover",

@@ -3,9 +3,8 @@
 use elga_core::autoscale::{Autoscaler, EmaAutoscaler};
 use elga_core::metrics::{AgentMetrics, ClusterMetrics};
 use elga_core::msg::{
-    self, packet, Advance, AgentInfo, CkptMetaRecord, Counters, DirectoryView, Message, MetaRecord,
-    MigEdge, MigState, Phase, QueryAnswer, ReadyReport, RunInfo, RunStatus, StateRecord,
-    WireRecord,
+    self, packet, Advance, AgentInfo, Counters, DirectoryView, Message, MetaRecord, MigEdge,
+    MigState, Phase, QueryAnswer, ReadyReport, RunInfo, RunStatus, StateRecord, WireRecord,
 };
 use elga_graph::types::EdgeChange;
 use elga_net::{CoalesceConfig, CoalescingOutbox, Frame, InProcTransport, Transport};
@@ -96,7 +95,7 @@ macro_rules! check {
 /// records derived from `msgs` under a header of `(run, step, hop)`,
 /// and its [`Check`]. A row with an encoder is encoded; one with only
 /// an appender is appended through a coalescing outbox, so it is left
-/// out when `msgs` is empty — all 15 rows are there otherwise.
+/// out when `msgs` is empty — all 14 rows are there otherwise.
 fn rows(run: u64, step: u32, hop: u8, msgs: &[(u64, u64)]) -> Vec<(u8, Frame, Check)> {
     let (mig_states, mig_edges, metas) = mig_records(msgs);
     let vertices: Vec<u64> = msgs.iter().map(|m| m.0).collect();
@@ -106,19 +105,6 @@ fn rows(run: u64, step: u32, hop: u8, msgs: &[(u64, u64)]) -> Vec<(u8, Frame, Ch
             vertex,
             state,
             found: (state % 3) as u8,
-        })
-        .collect();
-    let ckpt_metas: Vec<CkptMetaRecord> = metas
-        .iter()
-        .map(|m| CkptMetaRecord {
-            vertex: m.vertex,
-            state: m.state,
-            has_state: m.has_state,
-            active: m.active,
-            dirty: m.dirty,
-            is_meta: m.has_meta,
-            g_out: m.out_degree as i64,
-            g_in: -(m.in_degree as i64),
         })
         .collect();
     let side = if hop.is_multiple_of(2) {
@@ -186,11 +172,6 @@ fn rows(run: u64, step: u32, hop: u8, msgs: &[(u64, u64)]) -> Vec<(u8, Frame, Ch
             packet::RESET_LABELS,
             msg::encode_reset_labels(&vertices),
             check!(msg::decode_reset_labels, vertices, |v, w| v.to_vec() == w),
-        ),
-        (
-            packet::CKPT_META,
-            msg::encode_ckpt_meta(&ckpt_metas),
-            check!(msg::decode_ckpt_meta, ckpt_metas, |v, w| v.to_vec() == w),
         ),
     ];
     let appended_rows = [
@@ -571,7 +552,8 @@ proptest! {
         let _ = RunInfo::decode(&frame);
         let _ = RunStatus::decode(&frame);
         let _ = msg::Recover::decode(&frame);
-        let _ = msg::CkptEdges::decode(&frame);
+        let _ = msg::CkptLoad::decode(&frame);
+        let _ = msg::CkptLoadReport::decode(&frame);
         let _ = msg::decode_sketch_delta(&frame);
         let _ = AgentMetrics::decode(&frame);
         let _ = ClusterMetrics::decode(&frame);
@@ -628,7 +610,7 @@ proptest! {
         msgs in prop::collection::vec((any::<u64>(), any::<u64>()), 1..4),
     ) {
         let rows = rows(run, step, hop, &msgs);
-        prop_assert_eq!(rows.len(), 15);
+        prop_assert_eq!(rows.len(), 14);
         for (kind, frame, _) in &rows {
             for (other, _, check) in &rows {
                 let refused = other == kind || check(frame).is_none();
@@ -657,7 +639,7 @@ proptest! {
             Frame::from_bytes(frame.as_bytes()[..keep.min(n - 1)].to_vec().into())
         };
         let rows = rows(run, step, hop, &msgs);
-        prop_assert_eq!(rows.len(), 15);
+        prop_assert_eq!(rows.len(), 14);
         for (kind, frame, check) in &rows {
             prop_assert!(check(&cut(frame)).is_none(), "kind {}", kind);
         }
@@ -676,7 +658,7 @@ proptest! {
         pad in prop::collection::vec(any::<u8>(), 1..15),
     ) {
         let rows = rows(run, step, hop, &msgs);
-        prop_assert_eq!(rows.len(), 15);
+        prop_assert_eq!(rows.len(), 14);
         for (kind, frame, check) in &rows {
             let long = Frame::from_bytes([frame.as_bytes(), &pad].concat().into());
             prop_assert!(check(&long).is_none(), "kind {}", kind);
@@ -694,7 +676,7 @@ proptest! {
         msgs in prop::collection::vec((any::<u64>(), any::<u64>()), 0..64),
     ) {
         let rows = rows(run, step, hop, &msgs);
-        prop_assert_eq!(rows.len(), if msgs.is_empty() { 10 } else { 15 });
+        prop_assert_eq!(rows.len(), if msgs.is_empty() { 9 } else { 14 });
         for (kind, frame, check) in &rows {
             prop_assert_eq!(check(frame), Some(true), "kind {}", kind);
         }
@@ -825,12 +807,9 @@ proptest! {
         let addr = elga_net::Addr::inproc(format!("client-{}", w[57]));
         let vertices = list.iter().map(|p| p.1).collect();
         assert_round_trip(msg::SubReg { addr, sub: w[58], vertices });
-        let side = if bit(11) { msg::Side::In } else { msg::Side::Out };
-        let groups = list.iter().map(|&(vertex, state)| msg::CkptEdgeGroup {
-            side, vertex, state, has_state: bit(12), rep_out_degree: w[59], active: bit(13),
-            others: list.iter().map(|p| p.0 ^ state).collect(),
-        }).collect();
-        assert_round_trip(msg::CkptEdges { groups });
+        let shards = list.iter().map(|p| p.0).collect();
+        assert_round_trip(msg::CkptLoad { generation: w[59], shards });
+        assert_round_trip(msg::CkptLoadReport { ok: bit(12), bytes: w[60] });
         assert_round_trip(AgentInfo { id: w[42], addr: elga_net::Addr::inproc(format!("a-{}", w[43])) });
         let members: Vec<u64> = list.iter().map(|p| p.0).collect();
         let view = view_of(&w[44..], &members);

@@ -21,7 +21,7 @@ use crate::frame::Frame;
 use crate::transport::{Delivery, Mailbox, NetError, Outbox, Publisher, Transport};
 use crossbeam::channel::{unbounded, RecvTimeoutError};
 use parking_lot::Mutex;
-use std::collections::{HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -225,13 +225,15 @@ fn addr_hash(addr: &Addr) -> u64 {
 /// Each route (destination address) gets its own PRNG stream seeded
 /// from `seed ^ hash(addr)`, so the fault sequence on a route depends
 /// only on the seed and the order of sends *on that route* — not on
-/// when other routes were created or used.
+/// when other routes were created or used. Requests to a destination
+/// draw from a stream of their own, which each request advances.
 pub struct FaultyTransport {
     inner: Arc<dyn Transport>,
     plan: FaultPlan,
     seed: u64,
     stats: Arc<FaultStats>,
     cut: Arc<Mutex<HashSet<Addr>>>,
+    requests: Mutex<HashMap<Addr, SplitMix64>>,
 }
 
 impl FaultyTransport {
@@ -243,6 +245,7 @@ impl FaultyTransport {
             seed,
             stats: Arc::new(FaultStats::default()),
             cut: Arc::new(Mutex::new(HashSet::new())),
+            requests: Mutex::new(HashMap::new()),
         }
     }
 
@@ -285,7 +288,10 @@ impl FaultyTransport {
             return Err(NetError::Disconnected);
         }
         let fault = self.plan.for_addr(addr);
-        let mut rng = SplitMix64::new(self.seed ^ addr_hash(addr).rotate_left(17));
+        let mut streams = self.requests.lock();
+        let rng = streams
+            .entry(addr.clone())
+            .or_insert_with(|| SplitMix64::new(self.seed ^ addr_hash(addr).rotate_left(17)));
         if fault.drop > 0.0 && rng.next_f64() < fault.drop {
             self.stats.dropped.fetch_add(1, Ordering::Relaxed);
             return Err(NetError::Timeout);
@@ -294,7 +300,7 @@ impl FaultyTransport {
             return Ok(Duration::ZERO);
         }
         self.stats.delayed.fetch_add(1, Ordering::Relaxed);
-        Ok(fault.sample_delay(&mut rng))
+        Ok(fault.sample_delay(rng))
     }
 }
 
@@ -503,6 +509,25 @@ mod tests {
         assert_eq!(counts[0], counts[1]);
         assert!(counts[0] < 200, "some frames must be dropped");
         assert!(counts[0] > 100, "drop rate should be ~30%, not more");
+    }
+
+    #[test]
+    fn requests_to_one_destination_roll_apart() {
+        let addr = Addr::inproc("server");
+        for seed in 0..8 {
+            let t = chaos(
+                FaultPlan::uniform(0.5, 0.0, Duration::ZERO, Duration::ZERO),
+                seed,
+            );
+            for _ in 0..64 {
+                let _ = t.request(&addr, Frame::signal(1), Duration::from_millis(1));
+            }
+            let dropped = t.stats().dropped();
+            assert!(
+                dropped > 0 && dropped < 64,
+                "seed {seed}: {dropped} of 64 dropped"
+            );
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use elga::core::program::{ExecutionMode, ProgramSpec, RunOptions};
 use elga::graph::reference;
-use elga::net::{DiskFault, NetError, SplitMix64};
+use elga::net::{DiskFault, FaultPlan, NetError, SendPolicy, SplitMix64};
 use elga::prelude::*;
 use std::collections::HashSet;
 use std::fs;
@@ -166,6 +166,98 @@ fn crash_after_checkpoint_replays_only_the_suffix() {
     for &(u, _) in &edges {
         assert_eq!(cluster.query_u64(u), Some(truth[&u]), "wcc v{u}");
     }
+    cluster.shutdown();
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn restore_onto_a_membership_that_changed_after_the_cut() {
+    // Four agents write the checkpoint; then two join, one writer
+    // leaves gracefully and another dies mid-run. The dead writer's
+    // shard and the departed one's have no writer left to load them:
+    // the survivors and the joiners load them between them, and each
+    // sweep sends what the view places elsewhere.
+    let dir = ckpt_dir("membership");
+    let edges = chain_graph(600);
+    let (first, second) = edges.split_at(edges.len() / 2);
+    let mut cluster = Cluster::builder()
+        .agents(4)
+        .config(recovery_config())
+        .checkpoints(&dir)
+        .build();
+    cluster.ingest_edges(first.iter().copied());
+    let writers = cluster.agent_ids();
+    assert!(cluster.checkpoint().expect("checkpoint").committed);
+    cluster.add_agents(2);
+    cluster.remove_agent(writers[0]);
+    cluster.ingest_edges(second.iter().copied());
+
+    let handle = cluster
+        .start_run(Wcc::new(), RunOptions::default())
+        .expect("start run");
+    cluster.kill_agent(writers[1]);
+    cluster
+        .wait_run(handle)
+        .expect("run must complete despite the crash");
+
+    let rec = cluster.recovery_stats();
+    assert_eq!((rec.recoveries, rec.ckpt_restores), (1, 1));
+    assert_eq!(rec.replayed_records, second.len() as u64, "only the suffix");
+    assert_eq!(cluster.agent_count(), 4);
+    let truth = reference::wcc(edges.iter().copied());
+    for &(u, _) in &edges {
+        assert_eq!(cluster.query_u64(u), Some(truth[&u]), "wcc v{u}");
+    }
+    cluster.shutdown();
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn restore_over_a_lossy_transport() {
+    // Requests and pushes drop, duplicate and straggle: the shard loads
+    // are retried, and their migration streams ride the reliability
+    // layer like any other, so `quiesce` still sees every record land.
+    let dir = ckpt_dir("lossy");
+    let edges = chain_graph(200);
+    let (first, second) = edges.split_at(edges.len() / 2);
+    let plan = FaultPlan::uniform(0.05, 0.01, Duration::ZERO, Duration::from_millis(5));
+    let cfg = SystemConfig {
+        request_timeout: Duration::from_secs(5),
+        send_policy: SendPolicy {
+            retries: 6,
+            base_delay: Duration::from_millis(2),
+            deadline: Duration::from_secs(10),
+        },
+        run_deadline: Duration::from_secs(120),
+        ..recovery_config()
+    };
+    let mut cluster = Cluster::builder()
+        .agents(4)
+        .config(cfg)
+        .checkpoints(&dir)
+        .chaos(plan, 0xC4E7)
+        .build();
+    cluster.ingest_edges(first.iter().copied());
+    assert!(cluster.checkpoint().expect("checkpoint").committed);
+    cluster.ingest_edges(second.iter().copied());
+
+    let handle = cluster
+        .start_run(Wcc::new(), RunOptions::default())
+        .expect("start run");
+    let victim = cluster.agent_ids()[1];
+    cluster.kill_agent(victim);
+    cluster
+        .wait_run(handle)
+        .expect("run must complete despite the crash");
+
+    let rec = cluster.recovery_stats();
+    assert_eq!((rec.recoveries, rec.ckpt_restores), (1, 1));
+    let truth = reference::wcc(edges.iter().copied());
+    for &(u, _) in &edges {
+        assert_eq!(cluster.query_u64(u), Some(truth[&u]), "wcc v{u}");
+    }
+    let stats = cluster.fault().expect("chaos handle").stats();
+    assert!(stats.dropped() > 0, "no frames dropped — chaos was a no-op");
     cluster.shutdown();
     let _ = fs::remove_dir_all(&dir);
 }
