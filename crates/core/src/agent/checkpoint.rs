@@ -131,7 +131,7 @@ impl Agent {
             report.bytes += bytes.unwrap_or(0);
             self.maybe_heartbeat();
         }
-        self.invalidate_worklists();
+        self.needs_sweep = true;
         self.relocate(None);
         if let Some(reply) = reply {
             let _ = reply.send(report.encode());

@@ -288,7 +288,8 @@ impl Agent {
         let program = self.delta_seed.as_ref().map(|s| Arc::clone(&s.program));
         let mut dangling = 0.0;
         for (v, dout, din) in deltas {
-            let e = self.vertices.entry_or_default(v);
+            let (e, lists) = self.vertices.entry_and_lists(v);
+            let listed = e.wants_apply();
             // Residual correction (delta engine): an out-degree change
             // rescales the primary's value so every surviving edge's
             // share is unchanged; the rescale remainder moves into the
@@ -334,6 +335,8 @@ impl Agent {
                 if e.is_empty() {
                     self.vertices.remove(&v);
                 }
+            } else if !listed {
+                lists.apply.push(v);
             }
         }
         self.dangling_acc += dangling;
@@ -351,5 +354,6 @@ impl Agent {
                 e.dirty = true;
             }
         }
+        self.needs_sweep = true;
     }
 }

@@ -102,11 +102,10 @@ impl Agent {
                 // resume re-scatters the surviving frontier.
                 run.paused = true;
             }
+            // The primaries move: the next scatter counts them again.
+            run.n_primary = None;
         }
         self.migrated_epoch = epoch;
-        // Placement moved: entries leave and arrive in bulk, and the
-        // set of primaries changes with them.
-        self.invalidate_worklists();
         self.migrate(epoch, filter);
     }
 
@@ -357,7 +356,8 @@ impl Agent {
         };
         self.note_mig_recv(snaps.len());
         for MigState { rec, has_state } in snaps {
-            let e = self.vertices.entry_or_default(rec.vertex);
+            let (e, lists) = self.vertices.entry_and_lists(rec.vertex);
+            let listed = e.active || e.has_pending_delta;
             if has_state && !e.has_state {
                 e.state = rec.state;
                 e.has_state = true;
@@ -377,8 +377,10 @@ impl Agent {
                 e.pending_delta = rec.aux;
                 e.has_pending_delta = true;
             }
+            if !listed && (e.active || e.has_pending_delta) {
+                lists.scatter.push(rec.vertex);
+            }
         }
-        self.invalidate_worklists();
     }
 
     pub(super) fn on_mig_edges(&mut self, frame: Frame) {
@@ -398,7 +400,6 @@ impl Agent {
             let others = rest.by_ref().take(run).map(|r| r.endpoints().1);
             self.insert_edges(side, key, others);
         }
-        self.invalidate_worklists();
     }
 
     pub(super) fn on_mig_meta(&mut self, frame: Frame) {
@@ -427,6 +428,7 @@ impl Agent {
             .or_else(|| self.delta_seed.as_ref().map(|s| Arc::clone(&s.program)));
         for m in metas {
             let (e, lists) = self.vertices.entry_and_lists(m.vertex);
+            let listed = (e.active || e.has_pending_delta, e.wants_apply());
             if m.has_meta {
                 e.g_out += m.out_degree as i64;
                 e.g_in += m.in_degree as i64;
@@ -452,7 +454,6 @@ impl Agent {
                 } else {
                     e.ppartial = m.ppartial;
                     e.has_ppartial = true;
-                    lists.apply.push(m.vertex);
                 }
                 e.wait_recv += m.wait_recv;
             }
@@ -466,6 +467,8 @@ impl Agent {
                     m.residual
                 };
                 e.has_residual = true;
+                // Merged, it may cross the tolerance: apply looks again.
+                lists.apply.push(m.vertex);
             }
             if m.has_snap {
                 // Serving snapshot follows primaryship. Both sides can
@@ -474,8 +477,13 @@ impl Agent {
                 e.snap = m.snap;
                 e.has_snap = true;
             }
+            if !listed.0 && (e.active || e.has_pending_delta) {
+                lists.scatter.push(m.vertex);
+            }
+            if !listed.1 && e.wants_apply() {
+                lists.apply.push(m.vertex);
+            }
         }
-        self.invalidate_worklists();
     }
 }
 

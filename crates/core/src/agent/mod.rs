@@ -168,6 +168,13 @@ impl VertexEntry {
         self.home
     }
 
+    /// Whether the apply kernel has work here that no message brought:
+    /// a parked partial, or primary meta that step 0 activates (touched
+    /// by changes) or initialises (no state yet).
+    pub(crate) fn wants_apply(&self) -> bool {
+        self.has_ppartial || self.is_meta && (self.dirty || !self.has_state)
+    }
+
     fn is_empty(&self) -> bool {
         self.adj.is_empty()
             && !self.is_meta
@@ -298,12 +305,10 @@ pub struct Agent {
     counters: Counters,
     metrics: AgentMetrics,
     run: Option<AgentRun>,
-    /// The scatter worklists cannot be trusted: a run is starting
-    /// (stale `active` flags may survive from one that ended at
-    /// `max_steps`), or entries were bulk-written outside the flag
-    /// handlers (migration, restore, reset). The next scatter kernel
-    /// sweeps every entry, which re-establishes the worklist invariant
-    /// and clears this.
+    /// The worklists cannot be trusted: `begin_run` did not keep them
+    /// (an async run never clears this), or entries were bulk-written
+    /// outside the flag handlers (restore, label reset, recovery). Step
+    /// 0's apply and the next scatter sweep, re-establishing them.
     needs_sweep: bool,
     /// Armed by `begin_run` for residual-kind programs and kept after
     /// the run finishes: between runs, ingest uses it to turn edge
@@ -480,7 +485,8 @@ impl Agent {
                 ..Default::default()
             },
             run: None,
-            needs_sweep: true,
+            // An empty store's lists are complete.
+            needs_sweep: false,
             delta_seed: None,
             delta_hot: FxHashSet::default(),
             local: VecDeque::new(),
@@ -718,16 +724,6 @@ impl Agent {
             run.n_primary = Some(n_primary);
         }
         contrib
-    }
-
-    /// Entries were bulk-written outside the flag handlers: the scatter
-    /// worklists and the cached primary count are stale until the next
-    /// scatter sweeps.
-    fn invalidate_worklists(&mut self) {
-        self.needs_sweep = true;
-        if let Some(run) = self.run.as_mut() {
-            run.n_primary = None;
-        }
     }
 
     /// Cumulative dangling-mass report for async delta runs: fold the
@@ -985,44 +981,55 @@ impl Agent {
             return;
         };
         let program = spec.instantiate();
-        if !info.reuse_state {
-            for e in self.vertices.values_mut() {
-                e.has_state = false;
-                e.state = 0;
-                e.active = false;
-                e.residual = 0;
-                e.has_residual = false;
+        // A sync monotone reuse run starts from the lists the last run
+        // left if trusted and settled; any other resets every entry.
+        let keep = !self.needs_sweep
+            && info.reuse_state
+            && !info.asynchronous
+            && program.delta_kind() != DeltaKind::Residual
+            && self.vertices.lists_settled();
+        if !keep {
+            let mut stale = Vec::new();
+            for (&v, e) in self.vertices.iter_mut() {
+                if !info.reuse_state {
+                    e.has_state = false;
+                    e.state = 0;
+                    e.active = false;
+                    e.residual = 0;
+                    e.has_residual = false;
+                }
+                e.has_partial = false;
+                e.has_ppartial = false;
+                e.wait_recv = 0;
+                e.pending_delta = 0;
+                e.has_pending_delta = false;
+                // A parked correction addressed to a vertex with no edges
+                // and no state belongs to a dead incarnation: within its
+                // (now settled) batch, the deg-delta that vanished the
+                // vertex raced ahead of the correction, which then landed
+                // on the emptied entry. Purge it, or a later re-created
+                // vertex inherits mass owed to its predecessor.
+                if e.has_residual && !e.is_meta && !e.has_state {
+                    e.residual = 0;
+                    e.has_residual = false;
+                    if e.is_empty() {
+                        stale.push(v);
+                    }
+                }
             }
+            for v in stale {
+                self.vertices.remove(&v);
+            }
+            self.vertices.clear_worklists();
+            self.needs_sweep = true;
+        }
+        if !info.reuse_state {
             // A from-scratch run recomputes every vertex; dangling-mass
             // deltas accumulated against the discarded states are moot.
             self.dangling_acc = 0.0;
         }
         // The cumulative report is per-run by construction.
         self.dangling_cum = 0.0;
-        let mut stale = Vec::new();
-        for (&v, e) in self.vertices.iter_mut() {
-            e.has_partial = false;
-            e.has_ppartial = false;
-            e.wait_recv = 0;
-            e.pending_delta = 0;
-            e.has_pending_delta = false;
-            // A parked correction addressed to a vertex with no edges
-            // and no state belongs to a dead incarnation: within its
-            // (now settled) batch, the deg-delta that vanished the
-            // vertex raced ahead of the correction, which then landed
-            // on the emptied entry. Purge it, or a later re-created
-            // vertex inherits mass owed to its predecessor.
-            if e.has_residual && !e.is_meta && !e.has_state {
-                e.residual = 0;
-                e.has_residual = false;
-                if e.is_empty() {
-                    stale.push(v);
-                }
-            }
-        }
-        for v in stale {
-            self.vertices.remove(&v);
-        }
         // Remember the residual program across the run so ingest can
         // turn the next batch's edge changes into corrections. The
         // previous seed's `n` survives for the same program: it is the
@@ -1037,8 +1044,6 @@ impl Agent {
         } else {
             None
         };
-        self.vertices.clear_worklists();
-        self.needs_sweep = true;
         self.delta_hot.clear();
         self.local.clear();
         self.buffered_frames.clear();
@@ -1155,8 +1160,7 @@ impl Agent {
     }
 
     fn finish_run(&mut self) {
-        // A sync run that got past its first scatter sweep must end
-        // with complete worklists (async runs never establish them).
+        // Lists the run trusted must be complete at its end.
         #[cfg(debug_assertions)]
         if !self.needs_sweep {
             for shard in self.vertices.shards() {

@@ -122,13 +122,11 @@ impl Agent {
     /// active, which the step's verdict sums.
     fn phase_apply(&mut self) -> u64 {
         let run = self.run.as_ref().expect("apply without run");
-        // Every primary really participates at step 0 (initialisation,
-        // activation, reseed), when a full run's program applies
-        // without messages, and when a delta step redistributes a
-        // dangling-mass change uniformly; otherwise only message
-        // receivers do.
-        let sweep = run.step == 0
-            || self.needs_sweep
+        // Every primary participates at step 0 of a run that did not
+        // keep its lists, when a full run's program applies without
+        // messages, and when a delta step redistributes dangling mass;
+        // otherwise receivers do, and at step 0 what the list holds.
+        let sweep = self.needs_sweep
             || if run.info.delta {
                 run.global != 0.0
             } else {
@@ -1297,7 +1295,8 @@ fn apply_shard(
 /// primary with a parked residual and no new partial folds to `None`
 /// again (same residual, same tolerance), and a monotone-run primary
 /// without messages would only clear an `active` flag the scatter
-/// already cleared.
+/// already cleared; and so would one with state, neither dirty nor
+/// active, at step 0 of a run that kept its lists.
 fn apply_vertex(
     ctx: KernelCtx<'_>,
     cache: &mut OwnerCache,
@@ -1312,9 +1311,9 @@ fn apply_vertex(
     }
     let home = at_home(ctx, cache, v, e);
     if !home && cache.primary(ctx.locator, v, || ctx.sketch.estimate(v)) != Some(ctx.my_id) {
-        if e.has_ppartial {
-            // Not ours to apply; the partial stays parked (it moves
-            // with the next migration), so it stays listed.
+        if e.wants_apply() {
+            // Not ours to apply; the partial or meta stays parked (it
+            // moves with the next migration), so it stays listed.
             lists.apply.push(v);
         }
         return;
@@ -1451,6 +1450,10 @@ fn apply_vertex(
     if !listed && (e.active || e.has_pending_delta) {
         lists.scatter.push(v);
     }
+    // Meta dirtied mid-run waits for the next run's step 0.
+    if e.wants_apply() {
+        lists.apply.push(v);
+    }
     // Non-meta primaries are not counted, as in the vertex count.
     out.active += u64::from(e.active && e.is_meta);
 }
@@ -1572,6 +1575,9 @@ mod tests {
                     if noise {
                         lists.scatter.extend([v, N + v]);
                     }
+                    if e.wants_apply() {
+                        lists.apply.push(v);
+                    }
                 }
                 _ => {
                     if pick {
@@ -1582,7 +1588,7 @@ mod tests {
                             next(&mut rng) % N
                         };
                     }
-                    if e.has_ppartial || noise {
+                    if e.wants_apply() || noise {
                         lists.apply.push(v);
                     }
                     if noise {
@@ -2843,5 +2849,251 @@ mod tests {
         let e = agent.vertices.get(&here);
         let held = e.filter(|e| e.has_residual).map(|e| e.residual);
         assert_eq!(held, Some(want), "out-neighbour {here} on this agent");
+    }
+
+    // ------------------------------------------------------------------
+    // Worklists kept across runs.
+    // ------------------------------------------------------------------
+
+    /// Vertices of the kept-list runs below.
+    const M: u64 = 48;
+
+    /// Agent `ME` of `[ME, 2]` with the peer's and the lead's mailboxes
+    /// bound, and a log of what it sent them: every frame to the peer,
+    /// every READY to the lead, in order.
+    struct Twin {
+        agent: Agent,
+        peer: Mailbox,
+        lead: Mailbox,
+        sent: Vec<Frame>,
+        active: u64,
+        _transport: Arc<InProcTransport>,
+    }
+
+    fn twin() -> Twin {
+        let (transport, agent) = detached(view(1, &[ME, 2], &[]));
+        Twin {
+            agent,
+            peer: transport.bind(&agent_addr(2)).expect("bind"),
+            lead: transport.bind(&Addr::inproc("nobody")).expect("bind"),
+            sent: Vec::new(),
+            active: 0,
+            _transport: transport,
+        }
+    }
+
+    impl Twin {
+        /// Handle `frame`, then what the agent sent itself meanwhile.
+        fn deliver(&mut self, frame: Frame) {
+            assert!(self.agent.handle(Delivery::push(frame)));
+            self.agent.flush_outboxes();
+            while let Ok(Some(d)) = self.agent.mailbox.try_recv() {
+                assert!(self.agent.handle(d));
+                self.agent.flush_outboxes();
+            }
+            while let Ok(Some(d)) = self.lead.try_recv() {
+                if let Some(rep) = ReadyReport::decode(&d.frame) {
+                    self.active = rep.active;
+                    self.sent.push(d.frame);
+                }
+            }
+            while let Ok(Some(d)) = self.peer.try_recv() {
+                self.sent.push(d.frame);
+            }
+        }
+
+        /// A sync run of `spec` driven as a lead alone with this agent
+        /// drives it: one barrier per step until the agent reports
+        /// nothing active, or three and a cut at step 0's apply.
+        fn run(&mut self, run_id: u64, spec: ProgramSpec, reuse: bool, cut: bool) {
+            let (tag, params) = spec.encode();
+            self.agent.begin_run(RunInfo {
+                run_id,
+                tag,
+                params,
+                reuse_state: reuse,
+                asynchronous: false,
+                delta: false,
+                dangling_base: 0.0,
+                watermark: 0,
+            });
+            let advance = |step, phase, chain, done| {
+                let (n_vertices, global, expect) = (M, 0.0, Vec::new());
+                msg::Advance {
+                    run: run_id,
+                    step,
+                    phase,
+                    n_vertices,
+                    global,
+                    done,
+                    chain,
+                    expect,
+                }
+                .encode()
+            };
+            self.deliver(advance(0, Phase::Scatter, false, false));
+            let mut step = 0;
+            if cut {
+                self.deliver(advance(0, Phase::Combine, false, false));
+                self.deliver(advance(0, Phase::Apply, false, false));
+            } else {
+                loop {
+                    self.deliver(advance(step, Phase::Combine, true, false));
+                    step += 1;
+                    if self.active == 0 {
+                        break;
+                    }
+                }
+            }
+            self.deliver(advance(step, Phase::Scatter, false, true));
+            assert!(self.agent.run.is_none());
+        }
+    }
+
+    /// Frames as a wire would carry them: what `append` put in an outbox.
+    fn framed(append: impl FnOnce(&mut CoalescingOutbox)) -> Vec<Frame> {
+        let wire = InProcTransport::new();
+        let inbox = wire.bind(&Addr::inproc("wire")).expect("bind");
+        let to = wire.sender(&Addr::inproc("wire")).expect("sender");
+        let mut out = CoalescingOutbox::new(to, CoalesceConfig::default());
+        append(&mut out);
+        out.flush();
+        std::iter::from_fn(|| inbox.try_recv().ok().flatten().map(|d| d.frame)).collect()
+    }
+
+    /// What arrives between two runs: a batch of edge changes (both
+    /// placement sides, as the streamer sends them) and the three
+    /// migration streams of a view change, with random flags — mostly
+    /// a converged sender's.
+    fn between_runs(rng: &mut SplitMix64) -> Vec<Frame> {
+        let mut frames = Vec::new();
+        let changes: Vec<EdgeChange> = (0..1 + rng.below(6))
+            .map(|_| {
+                let (u, v) = (rng.below(M), rng.below(M));
+                if rng.below(5) == 0 {
+                    EdgeChange::delete(u, v)
+                } else {
+                    EdgeChange::insert(u, v)
+                }
+            })
+            .collect();
+        for side in [Side::Out, Side::In] {
+            frames.push(msg::encode_edge_changes(side, 0, &changes));
+        }
+        let flag = |rng: &mut SplitMix64, one_in: u64| rng.below(one_in) == 0;
+        let states: Vec<MigState> = (0..rng.below(4))
+            .map(|_| MigState {
+                rec: StateRecord {
+                    vertex: rng.below(M),
+                    state: rng.below(M),
+                    out_degree: rng.below(4),
+                    aux: if flag(rng, 8) { 1 + rng.below(9) } else { 0 },
+                    active: flag(rng, 8),
+                },
+                has_state: flag(rng, 2),
+            })
+            .collect();
+        let edges: Vec<MigEdge> = (0..rng.below(6))
+            .map(|_| {
+                let side = if flag(rng, 2) { Side::Out } else { Side::In };
+                MigEdge::held_by(side, rng.below(M), rng.below(M))
+            })
+            .collect();
+        let metas: Vec<MetaRecord> = (0..rng.below(4))
+            .map(|_| MetaRecord {
+                vertex: rng.below(M),
+                state: rng.below(M),
+                out_degree: rng.below(4),
+                in_degree: rng.below(4),
+                active: flag(rng, 8),
+                dirty: flag(rng, 2),
+                has_state: flag(rng, 2),
+                has_meta: !flag(rng, 4),
+                ppartial: rng.below(M),
+                has_ppartial: flag(rng, 8),
+                wait_recv: 0,
+                residual: 0,
+                has_residual: false,
+                snap: 0,
+                has_snap: false,
+            })
+            .collect();
+        frames.extend(framed(|out| {
+            msg::append_mig_states(out, &states);
+            msg::append_mig_edges(out, &edges);
+            msg::append_mig_meta(out, 0, 0, &metas);
+        }));
+        frames
+    }
+
+    /// Hand both twins the same frames.
+    fn deliver_both(twins: [&mut Twin; 2], frames: Vec<Frame>) {
+        for frame in frames {
+            twins[0].deliver(frame.clone());
+            twins[1].deliver(frame);
+        }
+    }
+
+    /// An agent that starts each reuse run from the lists the last one
+    /// left — plus what the handlers pushed between runs — and its twin
+    /// forced to sweep before every run: through the same edge changes,
+    /// migration streams and cut runs, WCC and BFS runs in turn, both
+    /// send the same records and READYs and hold the same entries, and
+    /// the lists save visits.
+    #[test]
+    fn kept_lists_run_as_a_forced_sweep() {
+        let mut kept_runs = 0;
+        for seed in 0..8 {
+            let mut rng = SplitMix64::new(seed);
+            let (mut kept, mut swept) = (twin(), twin());
+            let source = (0..M)
+                .find(|&v| kept.agent.locator.ring().owner(v) == Some(ME))
+                .expect("a vertex of ours");
+            for round in 0..12u64 {
+                deliver_both([&mut kept, &mut swept], between_runs(&mut rng));
+                let spec = if round % 2 == 0 {
+                    ProgramSpec::Wcc
+                } else {
+                    ProgramSpec::Bfs { source }
+                };
+                let (reuse, cut) = (round > 0, rng.below(6) == 0);
+                let keeps = !kept.agent.needs_sweep && reuse && kept.agent.vertices.lists_settled();
+                kept_runs += u64::from(keeps);
+                swept.agent.needs_sweep = true;
+                kept.run(round + 1, spec.clone(), reuse, cut);
+                swept.run(round + 1, spec, reuse, cut);
+                let what = format!("seed {seed}, round {round}");
+                assert_eq!(kept.sent, swept.sent, "{what}: sent records differ");
+                let (a, b) = (&kept.agent.vertices, &swept.agent.vertices);
+                assert_eq!(entries(a), entries(b), "{what}: entries differ");
+            }
+            assert!(kept.agent.metrics.kernel_visits < swept.agent.metrics.kernel_visits);
+        }
+        assert!(kept_runs >= 30, "only {kept_runs} runs kept their lists");
+    }
+
+    /// A run cut at `max_steps` leaves `active` set where its last apply
+    /// put it: the next reuse run must not start from its lists, or
+    /// what was left active fires where a sweep would have reset it.
+    #[test]
+    fn a_cut_run_leaves_no_lists_to_keep() {
+        let (mut cut, mut swept) = (twin(), twin());
+        let mut rng = SplitMix64::new(7);
+        let graph = (0..4).flat_map(|_| between_runs(&mut rng)).collect();
+        deliver_both([&mut cut, &mut swept], graph);
+        for twin in [&mut cut, &mut swept] {
+            twin.run(1, ProgramSpec::Wcc, false, false);
+        }
+        deliver_both([&mut cut, &mut swept], between_runs(&mut rng));
+        for twin in [&mut cut, &mut swept] {
+            twin.run(2, ProgramSpec::Wcc, true, true);
+            assert!(twin.active > 0, "the cut left nothing active");
+        }
+        assert!(!cut.agent.vertices.lists_settled());
+        swept.agent.needs_sweep = true;
+        cut.run(3, ProgramSpec::Wcc, true, false);
+        swept.run(3, ProgramSpec::Wcc, true, false);
+        assert_eq!(cut.sent, swept.sent, "sent records differ");
+        assert_eq!(entries(&cut.agent.vertices), entries(&swept.agent.vertices));
     }
 }

@@ -39,9 +39,10 @@ pub(crate) struct Worklists {
     /// Vertices with `has_partial` set (combine).
     pub partial_dirty: Vec<VertexId>,
     /// Vertices with `active` or `has_pending_delta` set (scatter).
-    /// Complete only between a run's first scatter sweep and its end.
+    /// Complete from a run's first sweep on, across the runs after it,
+    /// until something sets `needs_sweep`.
     pub scatter: Vec<VertexId>,
-    /// Vertices with `has_ppartial` set (apply).
+    /// Vertices that [`VertexEntry::wants_apply`] (apply).
     pub apply: Vec<VertexId>,
 }
 
@@ -55,8 +56,8 @@ pub(crate) struct Shard {
 impl Shard {
     /// The worklist invariant, checked by debug builds and tests: no
     /// entry outside the scatter list carries `active` /
-    /// `has_pending_delta` and none outside the apply list carries
-    /// `has_ppartial`.
+    /// `has_pending_delta` and none outside the apply list
+    /// [`VertexEntry::wants_apply`].
     #[cfg(any(debug_assertions, test))]
     pub fn assert_worklists_complete(&self) {
         use elga_hash::FxHashSet;
@@ -68,8 +69,8 @@ impl Shard {
                 "vertex {v} is active/pending but not on the scatter list"
             );
             assert!(
-                !e.has_ppartial || apply.contains(v),
-                "vertex {v} has a ppartial but is not on the apply list"
+                !e.wants_apply() || apply.contains(v),
+                "vertex {v} wants an apply but is not on the apply list"
             );
         }
     }
@@ -176,6 +177,19 @@ impl VertexStore {
         slots * std::mem::size_of::<(VertexId, VertexEntry)>() + self.tally.heap
     }
 
+    /// Whether no listed entry holds a flag a run consumes (to scatter,
+    /// combine or fold): with complete lists, no entry does.
+    pub fn lists_settled(&self) -> bool {
+        self.shards.iter().all(|Shard { map, lists }| {
+            let any = |ids: &[VertexId], flag: fn(&VertexEntry) -> bool| {
+                ids.iter().any(|v| map.get(v).is_some_and(flag))
+            };
+            !any(&lists.scatter, |e| e.active || e.has_pending_delta)
+                && !any(&lists.partial_dirty, |e| e.has_partial)
+                && !any(&lists.apply, |e| e.has_ppartial)
+        })
+    }
+
     /// Drop all worklists (run start resets the flags they mirror, or
     /// schedules the sweep that re-establishes them).
     pub fn clear_worklists(&mut self) {
@@ -196,10 +210,6 @@ impl VertexStore {
 
     pub fn keys(&self) -> impl Iterator<Item = VertexId> + '_ {
         self.shards.iter().flat_map(|s| s.map.keys().copied())
-    }
-
-    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut VertexEntry> {
-        self.shards.iter_mut().flat_map(|s| s.map.values_mut())
     }
 
     /// The shards themselves, in index order, for the kernels.

@@ -11,6 +11,7 @@
 
 use elga::core::metrics::ClusterMetrics;
 use elga::core::program::RunOptions;
+use elga::graph::reference;
 use elga::net::SendPolicy;
 use elga::prelude::*;
 use elga::trace::EventKind;
@@ -400,4 +401,62 @@ fn tracing_disabled_collects_nothing() {
         "tracing off must record and collect nothing"
     );
     cluster.shutdown();
+}
+
+/// An incremental WCC run after a join costs one pass over the store
+/// (step 0 counts the primaries) plus its frontier: the join's
+/// migration streams keep the worklists, and step 0 visits what the
+/// batch touched instead of sweeping. Each chord dirties its two
+/// endpoints, which step 0 applies and step 1 scatters; their
+/// neighbours (degree at most 5 here) take the labels at step 1, and
+/// none changes: fewer than 16 visits an edge. Sweeping the store at
+/// step 0 and step 1 as well visits it three times over.
+#[test]
+fn incremental_wcc_after_a_join_visits_the_batch_not_the_store() {
+    let n = 3000;
+    let reuse = RunOptions {
+        reuse_state: true,
+        ..RunOptions::default()
+    };
+    let cfg = SystemConfig {
+        tracing: true,
+        ..SystemConfig::default()
+    };
+    let mut edges = chain_graph(n);
+    let mut cluster = Cluster::builder().agents(2).config(cfg).build();
+    cluster.ingest_edges(edges.iter().copied());
+    cluster.run(Wcc::new()).expect("initial wcc");
+    cluster.run_with(Wcc::new(), reuse).expect("warm wcc");
+    cluster.add_agents(1);
+    let batch: Vec<(u64, u64)> = (0..8).map(|i| (i * 301, i * 301 + 1500)).collect();
+    let before = cluster.metrics().kernel_visits;
+    cluster.ingest(batch.iter().map(|&(u, v)| EdgeChange::insert(u, v)));
+    cluster
+        .run_with(Wcc::new(), reuse)
+        .expect("incremental wcc");
+    let visits = cluster.metrics().kernel_visits - before;
+    edges.extend(&batch);
+    let truth = reference::wcc(edges.iter().copied());
+    let got = cluster.dump_states();
+    assert_eq!(got.len(), truth.len());
+    assert!(truth.iter().all(|(v, label)| got[v] == *label));
+
+    // The entries held: what the next join's placement sweeps examine
+    // (every founder sweeps its whole store; the joiner holds none).
+    cluster.collect_traces();
+    cluster.add_agents(1);
+    let held: u64 = cluster
+        .collect_traces()
+        .iter()
+        .flat_map(|(_, evs)| evs.iter().filter(|e| e.kind == EventKind::MigrateSweep))
+        .map(|e| e.a)
+        .sum();
+    cluster.shutdown();
+    assert!(held >= n, "{held} entries held");
+    let bound = held + 16 * batch.len() as u64;
+    assert!(
+        visits <= bound,
+        "{visits} entries visited for {} changes, {held} held",
+        batch.len()
+    );
 }
