@@ -17,6 +17,8 @@
 #   config_knobs            the `pub` fields of `SystemConfig` that are
 #                           not `#[deprecated]`: a new knob is an edit
 #                           to this file a reviewer sees
+#   bench_lines             every line of every .rs file under
+#                           crates/bench: the one paper-figure driver
 set -eu
 lines=$(find crates/core/src -name '*.rs' -print0 | xargs -0 cat | wc -l)
 nontest() {
@@ -32,6 +34,7 @@ knobs=$(awk '/^pub struct SystemConfig/ { on = 1; next }
     on && /#\[deprecated/ { old = 1; next }
     on && /^    pub [a-z_0-9]+:/ { if (!old) n++; old = 0 }
     END { print n + 0 }' crates/core/src/config.rs)
+bench=$(find crates/bench -name '*.rs' -print0 | xargs -0 cat | wc -l)
 status=0
 while read -r name ceiling; do
     case "$name" in
@@ -41,6 +44,7 @@ while read -r name ceiling; do
         packet_kinds) got=$kinds ;;
         lead_io_sites) got=$lead_io ;;
         config_knobs) got=$knobs ;;
+        bench_lines) got=$bench ;;
         *) continue ;;
     esac
     echo "$name $got (ceiling $ceiling)"

@@ -1,229 +1,206 @@
-//! Shared experiment harness for the paper-reproduction benchmarks.
+//! The paper-reproduction driver: one command regenerates every table
+//! and figure of the paper's §4.
 //!
-//! Every table and figure of the paper's §4 has a `[[bench]]`
-//! (`harness = false`) target in this crate; `cargo bench` regenerates
-//! them all. Following the paper's methodology (§4): several
-//! independent trials per measurement, reported as mean ± 95%
-//! confidence interval under a t-distribution.
+//! ```sh
+//! cargo run -p elga-bench --release -- <name>... | all [--out FILE]
+//! ```
 //!
-//! Scales default to small fractions of the published dataset sizes so
-//! the full suite completes in minutes on a laptop; set `ELGA_SCALE`
-//! (multiplier, default 1.0) to enlarge everything, and `ELGA_TRIALS`
-//! to change the trial count.
+//! Each figure prints its tables as it measures them; `--out FILE`
+//! also writes every selected figure's rows as one JSON document.
+//! `ELGA_SCALE` and `ELGA_TRIALS` size the experiments ([`setup`]).
 
 #![warn(missing_docs)]
 
-use elga_core::cluster::Cluster;
-use elga_core::config::SystemConfig;
-use elga_gen::catalog::Dataset;
-use elga_net::{Addr, CoalesceConfig, CoalescingOutbox, Transport};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+pub mod setup;
+pub mod table;
 
-/// Base fraction of the published dataset size regenerated by default.
-pub const BASE_FRAC: f64 = 2e-6;
+mod dynamic;
+mod elastic;
+mod placement;
+mod scaling;
 
-/// Per-trial measurement count from `ELGA_TRIALS` (default 3; the
-/// paper uses 5 — set `ELGA_TRIALS=5` for the full protocol).
-pub fn trials() -> usize {
-    std::env::var("ELGA_TRIALS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(3)
-        .max(1)
-}
+use std::path::PathBuf;
+use table::Figure;
 
-/// Global scale multiplier from `ELGA_SCALE`.
-pub fn scale() -> f64 {
-    std::env::var("ELGA_SCALE")
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .unwrap_or(1.0)
-        .max(1e-3)
-}
+/// A figure's body: it measures and reports into the [`Figure`].
+pub type Run = fn(&mut Figure);
 
-/// The dataset fraction to generate: `BASE_FRAC × ELGA_SCALE`, capped
-/// at 1.
-pub fn frac() -> f64 {
-    (BASE_FRAC * scale()).min(1.0)
-}
+/// A figure as the driver knows it: name on the command line, caption,
+/// body.
+pub type Entry = (&'static str, &'static str, Run);
 
-/// Generate a catalog dataset at the harness fraction.
-pub fn generate(d: &Dataset, seed: u64) -> (u64, Vec<(u64, u64)>) {
-    d.generate(frac(), seed)
-}
+/// Every figure the driver knows, in the order `all` runs them.
+pub const FIGURES: &[Entry] = &[
+    ("table2", "datasets (published vs regenerated)", scaling::table2),
+    ("fig04", "PageRank per-iteration: LiveJournal seed vs A-BTER-style replicas (x1, x10)", scaling::fig04),
+    ("fig05", "hash function impact: PR iteration runtime + edge distribution over 2048 agents", placement::fig05),
+    ("fig06", "load balance over 2048 agents vs virtual agents per agent (Twitter-2010-like)", placement::fig06),
+    ("fig07", "count-min width sweep: per-edge resolve cost + degree estimation error", placement::fig07),
+    ("fig08", "strong scaling over nodes (2 agents per node), PageRank per-iteration", scaling::fig08),
+    ("fig09", "scaling over agents per node at fixed node count, PageRank per-iteration", scaling::fig09),
+    ("fig10", "weak scaling on Pokec-like replicas (edges grow with agents; flat is ideal)", scaling::fig10),
+    ("fig11", "per-iteration PageRank: ElGA vs Blogel-like vs GraphX-like", scaling::fig11),
+    ("fig12", "WCC total runtime: ElGA vs Blogel-like vs GraphX-like (symmetrized inputs)", scaling::fig12),
+    ("fig13", "single-node dynamic WCC: per-insertion times, ElGA vs STINGER-like (+ GAPbs static)", dynamic::fig13),
+    ("fig14", "edge insertion rate vs agent count (streamers = agents/2)", dynamic::fig14),
+    ("fig15", "per-batch incremental WCC on Twitter-like vs GraphX-like rebuild baseline", dynamic::fig15),
+    ("fig16", "elasticity cost: % edges moved (at 2048 agents) and add+remove wall time (live, 8 agents)", elastic::fig16),
+    ("fig17", "manual elastic scaling mid-PageRank (4 -> 16 agents after iteration 1, then back)", elastic::fig17),
+    ("fig18", "reactive autoscaling under a step-function client query load (Skitter-like)", elastic::fig18),
+    ("sec35", "messaging overhead: in-process channels vs TCP sockets (paper: MPI 1µs / TCP 4µs / ZMQ 20µs)", scaling::sec35),
+    ("ablation_sync_async", "synchronous vs asynchronous WCC (barriered supersteps vs event-driven)", dynamic::ablation_sync_async),
+    ("ablation_replication", "vertex replication (high-degree splitting) on vs off, hub-heavy graph", placement::ablation_replication),
+    ("recovery", "crash recovery duration: checkpoint + log replay vs replay from the empty graph", elastic::recovery),
+];
 
-/// Generate a catalog dataset sized to roughly `target_m` edges
-/// (bounded by the published size). Pure-math experiments (load
-/// balance, movement ratios) need many more keys than agents, far
-/// beyond the live-cluster fraction.
-pub fn generate_sized(d: &Dataset, target_m: usize, seed: u64) -> (u64, Vec<(u64, u64)>) {
-    let f = (target_m as f64 / d.m_full as f64).min(1.0);
-    d.generate(f.max(1e-12), seed)
-}
-
-/// Two-sided 95% t-value for `df` degrees of freedom.
-pub fn t95(df: usize) -> f64 {
-    const TABLE: [f64; 30] = [
-        12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228, 2.201, 2.179, 2.160,
-        2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086, 2.080, 2.074, 2.069, 2.064, 2.060, 2.056,
-        2.052, 2.048, 2.045, 2.042,
-    ];
-    if df == 0 {
-        return f64::NAN;
+/// The command line's grammar and the names it accepts.
+pub fn usage(figures: &[Entry]) -> String {
+    let mut s = String::from("usage: elga-bench <name>... | all [--out FILE]\nnames:");
+    for (name, caption, _) in figures {
+        s.push_str(&format!("\n  {name:<22} {caption}"));
     }
-    TABLE.get(df - 1).copied().unwrap_or(1.96)
+    s
 }
 
-/// Mean and 95% confidence half-interval of a sample (t-distribution,
-/// as §4).
-pub fn mean_ci(samples: &[f64]) -> (f64, f64) {
-    let n = samples.len();
-    if n == 0 {
-        return (f64::NAN, f64::NAN);
-    }
-    let mean = samples.iter().sum::<f64>() / n as f64;
-    if n == 1 {
-        return (mean, 0.0);
-    }
-    let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1) as f64;
-    let se = (var / n as f64).sqrt();
-    (mean, t95(n - 1) * se)
-}
-
-/// Run `f` for the configured number of trials and summarize the
-/// returned durations as `(mean_secs, ci_secs)`.
-pub fn timed_trials(mut f: impl FnMut() -> Duration) -> (f64, f64) {
-    let samples: Vec<f64> = (0..trials()).map(|_| f().as_secs_f64()).collect();
-    mean_ci(&samples)
-}
-
-/// Millisecond display with CI.
-pub fn fmt_ms(mean_s: f64, ci_s: f64) -> String {
-    format!("{:9.3} ± {:6.3} ms", mean_s * 1e3, ci_s * 1e3)
-}
-
-/// Print a figure banner.
-pub fn banner(figure: &str, caption: &str) {
-    println!("\n=== {figure} — {caption} ===");
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    println!(
-        "    (frac {:.1e} of published sizes, {} trials, {} core(s); ELGA_SCALE/ELGA_TRIALS to adjust)",
-        frac(),
-        trials(),
-        cores
-    );
-    if cores == 1 {
-        println!("    NOTE: single-core host — scaling curves time-share one CPU; expect flat, not decreasing.");
-    }
-}
-
-/// Record throughput through a [`CoalescingOutbox`]: `n` 16-byte
-/// records appended one per call to one destination, with coalescing
-/// either packing them into ~60 KiB frames or (disabled) flushing one
-/// frame per call — the eager baseline for fine-grained senders. The receiver
-/// counts records, so both modes do identical logical work. Returns
-/// records per second.
-pub fn coalesce_record_throughput(
-    transport: Arc<dyn Transport>,
-    server_addr: Addr,
-    n: u64,
-    enabled: bool,
-) -> f64 {
-    let mb = transport.bind(&server_addr).expect("bind");
-    let real_addr = mb.addr().clone();
-    let server = std::thread::spawn(move || {
-        let mut records = 0u64;
-        while records < n {
-            let d = mb.recv().expect("recv");
-            let mut r = d.frame.reader();
-            records += u64::from(r.u32().expect("count"));
+/// Run the figures `args` name (`all` is every one, in table order),
+/// print them, and write them to the `--out` file if one is given.
+/// A malformed command line or an unwritable `--out` is an error
+/// carrying the message to print.
+pub fn run(args: &[String], figures: &[Entry]) -> Result<Vec<Figure>, String> {
+    let mut picked = Vec::new();
+    let mut out: Option<PathBuf> = None;
+    let mut args = args.iter();
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            "--out" => match args.next() {
+                Some(path) => out = Some(PathBuf::from(path)),
+                None => return Err(format!("--out needs a file\n{}", usage(figures))),
+            },
+            "all" => picked.extend(0..figures.len()),
+            name => match figures.iter().position(|f| f.0 == name) {
+                Some(i) => picked.push(i),
+                None => return Err(format!("unknown figure `{name}`\n{}", usage(figures))),
+            },
         }
-    });
-    let cfg = if enabled {
-        CoalesceConfig::default()
-    } else {
-        CoalesceConfig::disabled()
-    };
-    let out = transport.sender(&real_addr).expect("sender");
-    let mut co = CoalescingOutbox::new(out, cfg);
-    let t0 = Instant::now();
-    for i in 0..n {
-        elga_core::msg::append_residuals(&mut co, &[(i, i ^ 42)]);
     }
-    co.flush();
-    server.join().expect("server");
-    n as f64 / t0.elapsed().as_secs_f64()
+    if picked.is_empty() {
+        return Err(usage(figures));
+    }
+    let out_dir = out
+        .as_ref()
+        .map_or_else(std::env::temp_dir, |p| p.with_file_name(""));
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut done = Vec::new();
+    for i in picked {
+        let (name, caption, body) = figures[i];
+        println!("\n=== {name} — {caption} ===");
+        println!(
+            "    (frac {:.1e} of published sizes, {} trials, {cores} core(s); ELGA_SCALE/ELGA_TRIALS to adjust)",
+            setup::frac(),
+            setup::trials(),
+        );
+        if cores == 1 {
+            println!("    NOTE: single-core host — scaling curves time-share one CPU; expect flat, not decreasing.");
+        }
+        let mut fig = Figure::new(name, caption, out_dir.clone());
+        body(&mut fig);
+        done.push(fig);
+    }
+    if let Some(path) = out {
+        let mut json = format!(
+            "{{\"frac\": {}, \"scale\": {}, \"trials\": {}, \"cores\": {cores},\n  \"figures\": [\n  ",
+            setup::frac(),
+            setup::scale(),
+            setup::trials()
+        );
+        let figs: Vec<String> = done.iter().map(Figure::json).collect();
+        json.push_str(&figs.join(",\n  "));
+        json.push_str("]}\n");
+        std::fs::write(&path, json)
+            .map_err(|e| format!("could not write {}: {e}", path.display()))?;
+        println!("\nwrote {}", path.display());
+    }
+    Ok(done)
 }
 
-/// Build a standard in-process cluster for experiments.
-pub fn cluster(agents: usize) -> Cluster {
-    Cluster::builder().agents(agents).build()
-}
-
-/// Build a cluster with a custom config.
-pub fn cluster_with(agents: usize, cfg: SystemConfig) -> Cluster {
-    Cluster::builder().agents(agents).config(cfg).build()
-}
-
-/// Dense relabeling for baseline CSRs (ElGA handles arbitrary 64-bit
-/// ids; the CSR baselines want `0..n`).
-pub fn densify(edges: &[(u64, u64)]) -> (usize, Vec<(u64, u64)>) {
-    let mut ids: Vec<u64> = edges.iter().flat_map(|&(u, v)| [u, v]).collect();
-    ids.sort_unstable();
-    ids.dedup();
-    let index: std::collections::HashMap<u64, u64> = ids
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| (v, i as u64))
-        .collect();
-    let dense = edges.iter().map(|&(u, v)| (index[&u], index[&v])).collect();
-    (ids.len(), dense)
-}
-
-/// Worker/thread count for shared-memory baselines.
-pub fn baseline_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get().min(8))
-        .unwrap_or(4)
+/// [`run`] as a process: its exit code (0, or 2 after printing the
+/// error to stderr).
+pub fn main_with(args: &[String], figures: &[Entry]) -> i32 {
+    match run(args, figures) {
+        Ok(_) => 0,
+        Err(e) => {
+            eprintln!("{e}");
+            2
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use table::Col;
 
-    #[test]
-    fn t_table_endpoints() {
-        assert!((t95(1) - 12.706).abs() < 1e-9);
-        assert!((t95(4) - 2.776).abs() < 1e-9);
-        assert!((t95(1000) - 1.96).abs() < 1e-9);
+    fn note_name(fig: &mut Figure) {
+        let name = fig.name();
+        fig.table("", vec![Col::new("name", 8)]);
+        row!(fig; name);
+    }
+
+    const FAKE: &[Entry] = &[
+        ("b", "second letter", note_name),
+        ("a", "first letter", note_name),
+        ("c", "third letter", note_name),
+    ];
+
+    fn args(a: &[&str]) -> Vec<String> {
+        a.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// The names of the figures `a` ran, in the order they ran.
+    fn ran(a: &[&str]) -> Result<Vec<&'static str>, String> {
+        run(&args(a), FAKE).map(|figs| figs.iter().map(Figure::name).collect())
     }
 
     #[test]
-    fn mean_ci_basics() {
-        let (m, ci) = mean_ci(&[2.0, 2.0, 2.0]);
-        assert_eq!(m, 2.0);
-        assert_eq!(ci, 0.0);
-        let (m, ci) = mean_ci(&[1.0, 3.0]);
-        assert_eq!(m, 2.0);
-        assert!(ci > 0.0);
-        let (m, ci) = mean_ci(&[5.0]);
-        assert_eq!(m, 5.0);
-        assert_eq!(ci, 0.0);
+    fn figure_names_are_unique() {
+        let mut names: Vec<&str> = FIGURES.iter().map(|f| f.0).collect();
+        assert_eq!(names.len(), 20);
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), FIGURES.len());
     }
 
     #[test]
-    fn densify_compacts_ids() {
-        let (n, dense) = densify(&[(100, 200), (200, 300)]);
-        assert_eq!(n, 3);
-        assert_eq!(dense, vec![(0, 1), (1, 2)]);
+    fn all_runs_the_table_in_order() {
+        assert_eq!(ran(&["all"]).expect("all"), ["b", "a", "c"]);
+        assert_eq!(ran(&["c", "b"]).expect("two"), ["c", "b"]);
     }
 
     #[test]
-    fn frac_is_bounded() {
-        assert!(frac() > 0.0 && frac() <= 1.0);
-        assert!(trials() >= 1);
+    fn an_unknown_name_fails_and_lists_the_names() {
+        let err = ran(&["a", "zz"]).expect_err("unknown name");
+        assert!(err.contains("unknown figure `zz`"), "{err}");
+        for (name, caption, _) in FAKE {
+            assert!(err.contains(&format!("  {name:<22} {caption}")), "{err}");
+        }
+        for bad in [&["zz"][..], &[], &["a", "--out"]] {
+            assert_eq!(main_with(&args(bad), FAKE), 2, "{bad:?}");
+        }
+        assert_eq!(main_with(&args(&["a"]), FAKE), 0);
+    }
+
+    #[test]
+    fn out_writes_the_rows_it_printed() {
+        let path = std::env::temp_dir().join(format!("elga-bench-{}.json", std::process::id()));
+        let out = path.to_str().expect("utf-8 path");
+        let figs = run(&args(&["all", "--out", out]), FAKE).expect("run");
+        assert_eq!(figs[0].out_dir(), path.parent().expect("dir"));
+        let json = std::fs::read_to_string(&path).expect("written");
+        let _ = std::fs::remove_file(&path);
+        let at = |s: &str| {
+            json.find(s)
+                .unwrap_or_else(|| panic!("{s} missing: {json}"))
+        };
+        assert!(at("[\"b\"]") < at("[\"a\"]") && at("[\"a\"]") < at("[\"c\"]"));
     }
 }

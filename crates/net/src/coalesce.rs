@@ -17,8 +17,8 @@
 //! type (or with a different header) first flushes the open frame, so
 //! the per-destination byte stream is a strict FIFO of the appended
 //! records: coalescing changes frame boundaries, never record order.
-//! That is what keeps sync-mode results bit-identical with coalescing
-//! on or off.
+//! That is what keeps sync-mode results bit-identical whatever the
+//! frame limits.
 //!
 //! Flushes happen on four triggers, each counted in
 //! [`CoalesceStats`]:
@@ -30,10 +30,6 @@
 //!   never run ahead of delivered frames);
 //! * a different packet type or header displaced it (counted as
 //!   `switch_flushes`).
-//!
-//! With [`CoalesceConfig::disabled`] — the eager ablation — nothing
-//! stays open between calls: every run leaves at once, in frames of at
-//! most 4096 records.
 //!
 //! Backpressure is credit-based: each destination has an in-flight
 //! byte budget. Sent frame sizes are tracked against the outbox's
@@ -54,10 +50,6 @@ use std::time::{Duration, Instant};
 /// Tuning for a [`CoalescingOutbox`].
 #[derive(Debug, Clone)]
 pub struct CoalesceConfig {
-    /// Coalesce at all? When `false`, no frame stays open across
-    /// [`CoalescingOutbox::append_records`] calls: every run is sent
-    /// eagerly — the ablation baseline.
-    pub enabled: bool,
     /// Flush the open frame once it holds this many payload bytes.
     pub max_bytes: usize,
     /// Flush the open frame once it holds this many records.
@@ -73,31 +65,12 @@ pub struct CoalesceConfig {
 impl Default for CoalesceConfig {
     fn default() -> Self {
         CoalesceConfig {
-            enabled: true,
             // ~64 KiB frames: large enough to amortize per-frame costs,
             // small enough to keep latency and peak buffering modest.
             max_bytes: 60 * 1024,
             max_records: 4096,
             credit_bytes: 16 << 20,
             block_timeout: Duration::from_secs(2),
-        }
-    }
-}
-
-/// Records per frame of the eager ablation.
-const EAGER_BATCH: u32 = 4096;
-
-impl CoalesceConfig {
-    /// The eager (no batching across calls, no backpressure)
-    /// configuration: each appended run leaves at once, cut into
-    /// frames of 4096 records whatever their size.
-    pub fn disabled() -> Self {
-        CoalesceConfig {
-            enabled: false,
-            max_bytes: usize::MAX,
-            max_records: EAGER_BATCH,
-            credit_bytes: 0,
-            ..CoalesceConfig::default()
         }
     }
 }
@@ -286,9 +259,6 @@ impl CoalescingOutbox {
                 self.trace_flush(flush_reason::SIZE);
                 self.flush_open();
             }
-        }
-        if !self.cfg.enabled {
-            self.flush_open();
         }
     }
 
@@ -513,28 +483,6 @@ mod tests {
         c.append_records(22, &header(7, 1), 16, &[(1, 1)], put_pair);
         assert_eq!(mb.backlog(), 1);
         assert_eq!(c.stats().switch_flushes, 2);
-    }
-
-    #[test]
-    fn disabled_sends_each_run_eagerly() {
-        let (mb, mut c) = pair(0);
-        c.cfg = CoalesceConfig::disabled();
-        // Nothing stays open behind a call, and a long run is cut at
-        // the eager batch size however many bytes that is.
-        let n = u64::from(EAGER_BATCH);
-        for run in [5, 1, 2 * n + 3] {
-            append_n(&mut c, run);
-            assert_eq!(c.pending_records(), 0);
-        }
-        for want in [5, 1, n, n, 3] {
-            let d = mb.recv().unwrap();
-            let mut r = d.frame.reader();
-            r.u64();
-            r.u32();
-            assert_eq!(u64::from(r.u32().unwrap()), want);
-            assert_eq!(r.remaining() as u64, want * 16);
-        }
-        assert_eq!(mb.backlog(), 0);
     }
 
     /// The first buffer a frame asks for is sized by the run that

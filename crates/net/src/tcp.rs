@@ -14,8 +14,8 @@
 //! Connections are handled by detached reader/writer threads feeding
 //! the same crossbeam channels the in-process backend uses, so
 //! everything above the [`Transport`] trait is backend-agnostic. The
-//! §3.5 latency benchmark (`net_latency`) compares the two backends the
-//! way the paper compares MPI / raw TCP / ZeroMQ.
+//! bench driver's §3.5 figure (`sec35`) compares the two backends' REQ/REP
+//! round trip the way the paper compares MPI / raw TCP / ZeroMQ.
 
 use crate::addr::Addr;
 use crate::frame::Frame;

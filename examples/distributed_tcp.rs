@@ -5,6 +5,11 @@
 //! (Artifact Description: "The experiments were run by using pdsh to
 //! start ElGA executables on each node").
 //!
+//! The coordinator streams a graph in, runs WCC and PageRank across
+//! the processes, and queries every vertex's rank: it exits non-zero
+//! when a rank is missing or differs from the single-threaded
+//! reference.
+//!
 //! ```sh
 //! cargo run --release --example distributed_tcp            # coordinator
 //! cargo run --release --example distributed_tcp -- --help  # roles
@@ -12,14 +17,16 @@
 
 use elga::core::agent::Agent;
 use elga::core::directory::{self, DirectoryRole};
+use elga::core::metrics::ClusterMetrics;
 use elga::core::msg::{self, packet, Message, RunInfo};
 use elga::core::streamer::Streamer;
+use elga::graph::csr::Csr;
 use elga::graph::reference;
 use elga::net::{Addr, Frame, TcpTransport, Transport};
 use elga::prelude::*;
 use std::process::{Child, Command};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const AGENTS: u64 = 4;
 
@@ -104,20 +111,73 @@ fn spawn_role(args: &[String]) -> Child {
         .expect("spawn role process")
 }
 
+/// The role processes. Dropping them kills whichever still run, so a
+/// coordinator that panics leaves none behind.
+struct Children(Vec<Child>);
+
+impl Drop for Children {
+    fn drop(&mut self) {
+        for child in &mut self.0 {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
+}
+
+/// Poll `ready` until it holds; panics after 20 s.
+fn wait_until(what: &str, mut ready: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while !ready() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// The agents of the lead directory's current view; `None` while the
+/// directory process is not listening yet.
+fn view_agents(transport: &Arc<dyn Transport>, dir: &Addr) -> Option<Vec<Addr>> {
+    let view = Frame::signal(packet::GET_VIEW);
+    let rep = transport.request(dir, view, Duration::from_secs(5)).ok()?;
+    let view = msg::DirectoryView::decode(&rep)?;
+    Some(view.agents.into_iter().map(|a| a.addr).collect())
+}
+
+/// Whether the agents have applied `placements` edge placements and
+/// received every change they forwarded to each other. A DRAIN makes
+/// an agent report its metrics to the lead, so the lead's count is at
+/// most one round behind.
+fn ingested(transport: &Arc<dyn Transport>, dir: &Addr, placements: u64) -> bool {
+    let (mut sent, mut recv) = (0, 0);
+    for agent in view_agents(transport, dir).expect("view") {
+        let rep = transport
+            .request(&agent, Frame::signal(packet::DRAIN), Duration::from_secs(5))
+            .expect("drain");
+        let counters = msg::DrainReport::decode(&rep).expect("drain").counters;
+        sent += counters.chg_sent;
+        recv += counters.chg_recv;
+    }
+    let metrics = Frame::signal(packet::GET_METRICS);
+    let rep = transport
+        .request(dir, metrics, Duration::from_secs(5))
+        .expect("metrics");
+    let applied = ClusterMetrics::decode(&rep).expect("metrics").changes;
+    applied >= placements && sent == recv
+}
+
 fn coordinator() {
     let master = reserve_port();
     let dir = reserve_port();
     let bus = reserve_port();
     println!("coordinator: master :{master}, directory :{dir}, bus :{bus}");
 
-    let mut children = vec![spawn_role(&[
+    let mut children = Children(vec![spawn_role(&[
         "--role".into(),
         "master".into(),
         "--port".into(),
         master.to_string(),
-    ])];
+    ])]);
     std::thread::sleep(Duration::from_millis(150));
-    children.push(spawn_role(&[
+    children.0.push(spawn_role(&[
         "--role".into(),
         "directory".into(),
         "--port".into(),
@@ -129,7 +189,7 @@ fn coordinator() {
     ]));
     std::thread::sleep(Duration::from_millis(150));
     for id in 1..=AGENTS {
-        children.push(spawn_role(&[
+        children.0.push(spawn_role(&[
             "--role".into(),
             "agent".into(),
             "--id".into(),
@@ -140,8 +200,7 @@ fn coordinator() {
             bus.to_string(),
         ]));
     }
-    println!("spawned {} processes ({AGENTS} agents)", children.len());
-    std::thread::sleep(Duration::from_millis(300));
+    println!("spawned {} processes ({AGENTS} agents)", children.0.len());
 
     // Drive the deployment over sockets: stream a graph, run WCC and
     // PageRank, query, then shut everything down.
@@ -149,6 +208,9 @@ fn coordinator() {
     let cfg = SystemConfig::default();
     let dir_addr = tcp(dir);
     let bus_addr = tcp(bus);
+    wait_until("every agent to join", || {
+        view_agents(&transport, &dir_addr).is_some_and(|a| a.len() == AGENTS as usize)
+    });
 
     let edges: Vec<(u64, u64)> = elga::gen::powerlaw::power_law(300, 1500, 2.0, 7)
         .into_iter()
@@ -160,8 +222,22 @@ fn coordinator() {
         .map(|&(u, v)| EdgeChange::insert(u, v))
         .collect();
     streamer.send_batch(&changes).expect("stream");
-    println!("streamed {} edges into 4 agent processes", changes.len());
-    std::thread::sleep(Duration::from_millis(300));
+    // The cluster holds a set of edges: a repeated insert applies
+    // nothing, so the distinct edges are what it computes on.
+    let mut distinct = edges.clone();
+    distinct.sort_unstable();
+    distinct.dedup();
+    // A run started before the last change lands would compute without
+    // it: wait for both placements of every distinct edge.
+    let placements = 2 * distinct.len() as u64;
+    wait_until("the stream to land", || {
+        ingested(&transport, &dir_addr, placements)
+    });
+    println!(
+        "streamed {} edges ({} distinct) into 4 agent processes",
+        changes.len(),
+        distinct.len()
+    );
 
     let run = |spec: elga::core::program::ProgramSpec| {
         let (tag, params) = spec.encode();
@@ -186,7 +262,7 @@ fn coordinator() {
             )
             .expect("start run");
         let run_id = rep.reader().u64().expect("run id");
-        let t0 = std::time::Instant::now();
+        let t0 = Instant::now();
         loop {
             let d = sub.recv_timeout(Duration::from_secs(60)).expect("advance");
             if let Some(adv) = msg::Advance::decode(&d.frame) {
@@ -202,20 +278,34 @@ fn coordinator() {
     let dt = run(PageRank::new(0.85).with_max_iters(10).into());
     println!("PageRank (10 iters) across processes: {dt:?}");
 
-    // Validate against the local reference.
-    let client = QueryClient::connect(transport.clone(), cfg, dir_addr.clone()).expect("client");
-    let truth = reference::wcc(edges.iter().copied());
-    let vertices: Vec<u64> = truth.keys().copied().collect();
-    let ranks: Vec<Option<f64>> = client
-        .query_batch(&vertices)
-        .into_iter()
-        .map(|a| a.map(|a| f64::from_bits(a.state)))
+    // Validate against the local reference: every vertex answers, with
+    // the rank 10 reference iterations give on the distinct edges.
+    let mut ids: Vec<u64> = distinct.iter().flat_map(|&(u, v)| [u, v]).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    let dense_id = |v: u64| ids.binary_search(&v).expect("an endpoint") as u64;
+    let dense: Vec<(u64, u64)> = distinct
+        .iter()
+        .map(|&(u, v)| (dense_id(u), dense_id(v)))
         .collect();
-    let mass: f64 = ranks.iter().flatten().sum();
-    println!("rank mass across processes: {mass:.6}");
-    for (v, rank) in vertices.iter().zip(&ranks).take(5) {
-        println!("  query vertex {v}: rank {rank:?}");
+    let want = reference::pagerank(&Csr::from_edges(Some(ids.len()), &dense), 0.85, 10);
+    let client = QueryClient::connect(transport.clone(), cfg, dir_addr.clone()).expect("client");
+    let answers = client.query_batch(&ids);
+    let (mut wrong, mut worst) = (0usize, 0.0f64);
+    for ((v, answer), want) in ids.iter().zip(answers).zip(want) {
+        let rank = answer.map(|a| f64::from_bits(a.state));
+        let diff = rank.map(|r| (r - want).abs());
+        worst = worst.max(diff.unwrap_or(0.0));
+        if !diff.is_some_and(|d| d < reference::PAGERANK_TOLERANCE) {
+            wrong += 1;
+            eprintln!("vertex {v}: rank {rank:?}, reference {want}");
+        }
     }
+    println!(
+        "{} of {} ranks match the reference (worst difference {worst:.1e})",
+        ids.len() - wrong,
+        ids.len()
+    );
 
     // Tear down: broadcast SHUTDOWN, stop the master, reap children.
     let _ = transport.request(
@@ -226,20 +316,16 @@ fn coordinator() {
     if let Ok(out) = transport.sender(&tcp(master)) {
         let _ = out.send(Frame::signal(packet::SHUTDOWN));
     }
-    for mut child in children {
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        loop {
-            match child.try_wait() {
-                Ok(Some(_)) => break,
-                Ok(None) if std::time::Instant::now() < deadline => {
-                    std::thread::sleep(Duration::from_millis(50))
-                }
-                _ => {
-                    let _ = child.kill();
-                    break;
-                }
-            }
+    let deadline = Instant::now() + Duration::from_secs(5);
+    for child in &mut children.0 {
+        while matches!(child.try_wait(), Ok(None)) && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(50));
         }
     }
+    drop(children);
     println!("all processes exited");
+    if wrong > 0 {
+        eprintln!("{wrong} of {} ranks missing or wrong", ids.len());
+        std::process::exit(1);
+    }
 }
