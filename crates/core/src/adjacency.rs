@@ -115,24 +115,25 @@ impl Adjacency {
         tally.heap -= self.heap_bytes();
     }
 
-    /// Add the edges to `others` on `side`, skipping those held; returns
-    /// how many were new.
+    /// Add the edges to `others` on `side`, skipping those held and
+    /// repeats (the first occurrence is kept); returns how many were
+    /// new. The run is copied on whole, a table built first for it when
+    /// it takes the list past the scan length, then each id checked once.
     pub fn extend(
         &mut self,
         side: Side,
-        mut others: impl ExactSizeIterator<Item = VertexId>,
+        others: impl ExactSizeIterator<Item = VertexId>,
         tally: &mut Tally,
     ) -> usize {
         let s = at(side);
         self.tallied(tally, |adj| {
-            adj.lists[s].reserve(others.len());
             let before = adj.lists[s].len();
-            while let Some(other) = others.next() {
-                if adj.position(s, other).is_none() {
-                    adj.lists[s].push(other);
-                    adj.seat_last(s, others.len());
-                }
+            let len = before + others.len();
+            if len > SCAN && adj.table(s).len() < 2 * len {
+                adj.reindex(s, len);
             }
+            adj.lists[s].extend(others);
+            adj.dedup(s, before);
             adj.lists[s].len() - before
         })
     }
@@ -196,13 +197,12 @@ impl Adjacency {
         })
     }
 
-    /// Take every edge on `side` out, in order. The list keeps its
-    /// buffer; its index goes.
-    pub fn drain(&mut self, side: Side, tally: &mut Tally) -> std::vec::Drain<'_, VertexId> {
-        let s = at(side);
-        self.tallied(tally, |adj| adj.unindex(s));
-        tally.held[s] -= self.lists[s].len();
-        self.lists[s].drain(..)
+    /// Empty both lists. They keep their buffers; the index goes.
+    pub fn clear(&mut self, tally: &mut Tally) {
+        self.tallied(tally, |adj| {
+            adj.lists.iter_mut().for_each(Vec::clear);
+            adj.index = None;
+        });
     }
 
     /// Run a mutation and book what it changed into `tally`.
@@ -231,26 +231,6 @@ impl Adjacency {
         (b != EMPTY).then_some(b as usize)
     }
 
-    /// Index the edge just pushed onto list `s`, whatever the list's
-    /// length: a table kept while the list shrank must hear of every
-    /// push, or a later `swap_remove` cannot find the moved edge's
-    /// bucket. Builds or doubles the table with room for `more` pushes.
-    fn seat_last(&mut self, s: usize, more: usize) {
-        let len = self.lists[s].len();
-        let size = self.table(s).len();
-        if size == 0 && len <= SCAN {
-            return;
-        }
-        if size < 2 * len {
-            self.reindex(s, len + more);
-            return;
-        }
-        let list = &self.lists[s];
-        let table = &mut self.index.as_deref_mut().expect("indexed")[s];
-        let b = probe(table, list, list[len - 1]);
-        table[b] = (len - 1) as u32;
-    }
-
     /// Rebuild list `s`'s table with room for `room` edges, in its old
     /// buffer when that is big enough.
     fn reindex(&mut self, s: usize, room: usize) {
@@ -265,6 +245,41 @@ impl Adjacency {
         for (pos, &w) in list.iter().enumerate() {
             let b = probe(table, list, w);
             table[b] = pos as u32;
+        }
+    }
+
+    /// Drop each id of list `s` from `from` on that is held ahead of it,
+    /// seating the rest in the list's table if it has one: a table kept
+    /// while the list shrank must hear of every push.
+    fn dedup(&mut self, s: usize, from: usize) {
+        let Adjacency { lists, index } = self;
+        let list = &mut lists[s];
+        let mut table = index
+            .as_deref_mut()
+            .map(|t| &mut t[s])
+            .filter(|t| !t.is_empty());
+        let mut kept = from;
+        for i in from..list.len() {
+            let w = list[i];
+            let fresh = match table.as_deref_mut() {
+                Some(table) => {
+                    let b = probe(table, list, w);
+                    let fresh = table[b] == EMPTY;
+                    if fresh {
+                        table[b] = kept as u32;
+                    }
+                    fresh
+                }
+                None => !list[..kept].contains(&w),
+            };
+            if fresh {
+                list[kept] = w;
+                kept += 1;
+            }
+        }
+        list.truncate(kept);
+        if kept <= SCAN / 2 {
+            self.unindex(s);
         }
     }
 
@@ -400,7 +415,7 @@ mod tests {
     }
 
     #[test]
-    fn retain_keeps_order_and_drain_empties_a_side() {
+    fn retain_keeps_order_and_clear_empties_the_lists() {
         let mut tally = Tally::default();
         let mut adj = grown(Side::Out, 0, 100, &mut tally);
         adj.extend(Side::In, [5, 6, 5].into_iter(), &mut tally);
@@ -412,10 +427,9 @@ mod tests {
         assert_eq!(adj.out(), [0, 3, 6, 9, 12, 15, 18, 21, 24, 27]);
         assert!(adj.index.is_none());
         assert_eq!(tally.held, [10, 2]);
-        let drained: Vec<VertexId> = adj.drain(Side::Out, &mut tally).collect();
-        assert_eq!(drained.len(), 10);
-        assert_eq!((adj.out(), adj.inn()), (&[][..], &[5, 6][..]));
-        assert_eq!(tally.held, [0, 2]);
+        adj.clear(&mut tally);
+        assert!(adj.is_empty());
+        assert_eq!(tally.held, [0, 0]);
         assert_eq!(tally.heap, adj.heap_bytes());
         adj.untally(&mut tally);
         assert_eq!(tally, Tally::default());
@@ -424,11 +438,13 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
-        /// Random inserts and removes on a few vertices, in waves that
-        /// grow lists past the scan length and shrink them below half
-        /// of it, with the odd retain and drain: every answer matches a
-        /// set, every list a plain `Vec` changed by `swap_remove`, and
-        /// the tally the sums.
+        /// Random inserts, runs and removes on a few vertices, in waves
+        /// that grow lists past the scan length and shrink them below
+        /// half of it, with the odd retain and clear: every answer
+        /// matches a set, every list a plain `Vec` changed by
+        /// `swap_remove`, and the tally the sums. A run — with repeats,
+        /// into an empty list or a held one — keeps the first occurrence
+        /// of each id it does not hold.
         #[test]
         fn lists_match_a_swap_remove_model(
             ops in prop::collection::vec((0usize..2, 0usize..2, 0u64..100, 0u64..120), 600..1500),
@@ -438,20 +454,31 @@ mod tests {
             let mut model = vec![[Vec::<VertexId>::new(), Vec::new()]; 2];
             let mut sets = vec![[HashSet::<VertexId>::new(), HashSet::new()]; 2];
             for (i, (v, s, roll, w)) in ops.into_iter().enumerate() {
-                let (adj, list, set) = (&mut adjs[v], &mut model[v][s], &mut sets[v][s]);
+                let (adj, lists, seen) = (&mut adjs[v], &mut model[v], &mut sets[v]);
                 let growing = i / 300 % 2 == 0;
+                if roll == 0 {
+                    adj.clear(&mut tally);
+                    lists.iter_mut().for_each(Vec::clear);
+                    seen.iter_mut().for_each(HashSet::clear);
+                }
+                let (list, set) = (&mut lists[s], &mut seen[s]);
                 match roll {
-                    0 => {
-                        let got: Vec<VertexId> = adj.drain(SIDES[s], &mut tally).collect();
-                        prop_assert_eq!(&got, list);
-                        list.clear();
-                        set.clear();
-                    }
+                    0 => {}
                     1 | 2 => {
                         let keep = |x: VertexId| x % 7 != w % 7;
                         adj.retain(SIDES[s], &mut tally, keep);
                         list.retain(|&x| keep(x));
                         set.retain(|&x| keep(x));
+                    }
+                    3 => {
+                        let run: Vec<VertexId> = (0..w % 50).map(|i| (w + i * i) % 120).collect();
+                        let fresh = run.iter().filter(|&&x| set.insert(x)).count();
+                        prop_assert_eq!(adj.extend(SIDES[s], run.iter().copied(), &mut tally), fresh);
+                        for x in run {
+                            if !list.contains(&x) {
+                                list.push(x);
+                            }
+                        }
                     }
                     _ if (roll < 80) == growing => {
                         prop_assert_eq!(adj.insert(SIDES[s], w, &mut tally), set.insert(w));

@@ -7,9 +7,9 @@
 //! the driver deals it — its own, and those whose writers are gone —
 //! into its store and runs the placement sweep a view change runs, so
 //! whatever the current view places elsewhere leaves as counted
-//! MIG_STATE / MIG_EDGES / MIG_META streams, and `quiesce` proves by
-//! the counters that they landed. Loaded edges are counted for the
-//! lead's sketch like applied changes: the recovery reset zeroed it.
+//! MIG_VERTEX records, and `quiesce` proves by the counters that they
+//! landed. Loaded edges are counted for the lead's sketch like applied
+//! changes: the recovery reset zeroed it.
 //!
 //! A restore rebuilds the graph — edges, degrees and served states —
 //! and nothing of the delta engine: no residuals are saved, and the
@@ -94,28 +94,25 @@ impl Agent {
     /// are dropped too: the first residual run after a recovery
     /// recomputes from scratch, so nothing would fold them.
     fn checkpoint_records(&self) -> Vec<CkptVertexRecord> {
-        let mut records = Vec::with_capacity(self.vertices.len());
-        for (&v, e) in self.vertices.iter() {
-            records.push(CkptVertexRecord {
-                vertex: v,
-                state: e.state,
-                has_state: e.has_state,
-                rep_out_degree: e.rep_out_degree,
-                active: e.active,
-                is_meta: e.is_meta,
-                dirty: e.dirty,
-                g_out: e.g_out,
-                g_in: e.g_in,
-                out: e.adj.out().to_vec(),
-                inn: e.adj.inn().to_vec(),
-            });
-        }
-        records
+        let record = |(&vertex, e): (&VertexId, &VertexEntry)| CkptVertexRecord {
+            vertex,
+            state: e.state,
+            has_state: e.has_state,
+            rep_out_degree: e.rep_out_degree,
+            active: e.active,
+            is_meta: e.is_meta,
+            dirty: e.dirty,
+            g_out: e.g_out,
+            g_in: e.g_in,
+            out: e.adj.out().to_vec(),
+            inn: e.adj.inn().to_vec(),
+        };
+        self.vertices.iter().map(record).collect()
     }
 
     /// CKPT_LOAD: merge the named shards of a generation into the
     /// store, send whatever the current view places elsewhere as the
-    /// migration streams a view change sends, and reply once they are
+    /// MIG_VERTEX records a view change sends, and reply once they are
     /// flushed. A shard loaded since the last recovery reset is not
     /// loaded again: a request retried past its timeout would add the
     /// primaries' degrees twice.
@@ -178,7 +175,7 @@ impl Agent {
 
 #[cfg(test)]
 mod tests {
-    use super::testkit::{detached, view, ME};
+    use super::testkit::{detached, join, view, ME};
     use super::*;
     use elga_net::InProcTransport;
     use std::collections::BTreeMap;
@@ -213,10 +210,13 @@ mod tests {
             .collect()
     }
 
-    /// The agent, its last answer, every MIG_EDGES placement agents 2
-    /// and 3 were sent with its destination, and the records of all
-    /// three streams.
-    type Loaded = (Agent, msg::CkptLoadReport, Vec<(MigEdge, AgentId)>, u64);
+    /// An edge placement: the side, the vertex whose list holds it, the
+    /// far endpoint.
+    type Placement = (Side, VertexId, VertexId);
+
+    /// The agent, its last answer, every placement agents 2 and 3 were
+    /// sent with its destination, and the MIG_VERTEX records.
+    type Loaded = (Agent, msg::CkptLoadReport, Vec<(Placement, AgentId)>, u64);
 
     /// Agent [`ME`] of members 1–3 with the hub split, agent 9's shard
     /// of generation 1 on disk, and a CKPT_LOAD of it answered `times`
@@ -234,18 +234,19 @@ mod tests {
         let (mut sent, mut records) = (Vec::new(), 0);
         for dest in [2, 3] {
             let mailbox = transport.bind(&agent_addr(dest)).expect("bind");
+            let mut moved = Vec::new();
             while let Ok(Some(d)) = mailbox.try_recv() {
-                let f = &d.frame;
-                records += match f.packet_type() {
-                    packet::MIG_STATE => msg::decode_mig_states(f).expect("states").len(),
-                    packet::MIG_META => msg::decode_mig_meta(f).expect("metas").records.len(),
-                    packet::MIG_EDGES => {
-                        let edges = msg::decode_mig_edges(f).expect("edges");
-                        sent.extend(edges.iter().map(|e| (e, dest)));
-                        edges.len()
-                    }
-                    other => panic!("packet {other} on a migration stream"),
-                } as u64;
+                records += msg::decode_mig_vertex(&d.frame)
+                    .expect("MIG_VERTEX")
+                    .records
+                    .len() as u64;
+                join(&mut moved, &d.frame);
+            }
+            for m in moved {
+                let [out, inn] = m.lists;
+                let out = out.into_iter().map(|w| (Side::Out, m.head.vertex, w));
+                let inn = inn.into_iter().map(|w| (Side::In, m.head.vertex, w));
+                sent.extend(out.chain(inn).map(|p| (p, dest)));
             }
         }
         (agent, report.expect("answered"), sent, records)
@@ -281,7 +282,7 @@ mod tests {
         for r in shard() {
             for (side, others) in [(Side::Out, r.out), (Side::In, r.inn)] {
                 for w in others {
-                    let p = MigEdge::held_by(side, r.vertex, w);
+                    let p = (side, r.vertex, w);
                     let owner = locator.owner_of_edge(r.vertex, w, v.sketch.estimate(r.vertex));
                     let held = agent.vertices.get(&r.vertex).is_some_and(|e| {
                         [e.adj.out(), e.adj.inn()][usize::from(side == Side::In)].contains(&w)

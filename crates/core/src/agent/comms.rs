@@ -2,9 +2,9 @@
 //! phase-end flushes, dead-peer retries, READY reports, and metrics
 //! publication.
 //!
-//! Every data-plane send is a run of records handed to the
-//! destination's coalescing outbox ([`Agent::with_outbox`] and one of
-//! `msg::append_*`); there is no second send path. Records accumulate
+//! Every data-plane send goes through the destination's coalescing
+//! outbox ([`Agent::with_outbox`]): a run of records (`msg::append_*`),
+//! or a sweep's MIG_VERTEX frames, sent whole. Records accumulate
 //! into large frames, flushed on size/count thresholds and phase ends;
 //! the per-destination byte stream is a strict FIFO of the records
 //! handed in, which is what keeps sync-mode results bit-identical

@@ -39,7 +39,7 @@ impl Agent {
         key: VertexId,
         others: impl ExactSizeIterator<Item = VertexId>,
     ) -> usize {
-        let (e, tally) = self.vertices.entry_and_tally(key);
+        let (e, _, tally) = self.vertices.entry_parts(key);
         let outs = e.adj.out().len();
         let added = e.adj.extend(side, others, tally);
         if added > 0 {
@@ -70,26 +70,6 @@ impl Agent {
             }
         }
         true
-    }
-
-    /// Record out-edge `(u, v)`; false when already present.
-    pub(super) fn insert_out_edge(&mut self, u: VertexId, v: VertexId) -> bool {
-        self.insert_edges(Side::Out, u, std::iter::once(v)) == 1
-    }
-
-    /// Remove out-edge `(u, v)`; false when absent.
-    pub(super) fn remove_out_edge(&mut self, u: VertexId, v: VertexId) -> bool {
-        self.remove_edge(Side::Out, u, v)
-    }
-
-    /// Record in-edge `(u, v)` (stored on `v`); false when present.
-    pub(super) fn insert_in_edge(&mut self, u: VertexId, v: VertexId) -> bool {
-        self.insert_edges(Side::In, v, std::iter::once(u)) == 1
-    }
-
-    /// Remove in-edge `(u, v)`; false when absent.
-    pub(super) fn remove_in_edge(&mut self, u: VertexId, v: VertexId) -> bool {
-        self.remove_edge(Side::In, v, u)
     }
 
     pub(super) fn on_changes(&mut self, frame: Frame) {
@@ -150,33 +130,18 @@ impl Agent {
                 }
                 continue;
             }
-            let applied = match (side, change.action) {
-                (Side::Out, Action::Insert) => {
-                    self.insert_out_edge(u, v) && {
-                        deltas.entry(u).or_default().0 += 1;
-                        true
-                    }
-                }
-                (Side::Out, Action::Delete) => {
-                    self.remove_out_edge(u, v) && {
-                        deltas.entry(u).or_default().0 -= 1;
-                        true
-                    }
-                }
-                (Side::In, Action::Insert) => {
-                    self.insert_in_edge(u, v) && {
-                        deltas.entry(v).or_default().1 += 1;
-                        true
-                    }
-                }
-                (Side::In, Action::Delete) => {
-                    self.remove_in_edge(u, v) && {
-                        deltas.entry(v).or_default().1 -= 1;
-                        true
-                    }
-                }
+            let insert = change.action == Action::Insert;
+            let applied = if insert {
+                self.insert_edges(side, key, std::iter::once(other)) == 1
+            } else {
+                self.remove_edge(side, key, other)
             };
             if applied {
+                let (degrees, d) = (deltas.entry(key).or_default(), if insert { 1 } else { -1 });
+                match side {
+                    Side::Out => degrees.0 += d,
+                    Side::In => degrees.1 += d,
+                }
                 self.metrics.changes += 1;
                 // Residual correction (delta engine): the out-placement
                 // holder of `(u, v)` knows the share `d·p_u/D_u` this
@@ -355,5 +320,29 @@ impl Agent {
             }
         }
         self.needs_sweep = true;
+    }
+}
+
+/// The single-edge mutators tests build stores with.
+#[cfg(test)]
+impl Agent {
+    /// Record out-edge `(u, v)`; false when already present.
+    pub(super) fn insert_out_edge(&mut self, u: VertexId, v: VertexId) -> bool {
+        self.insert_edges(Side::Out, u, std::iter::once(v)) == 1
+    }
+
+    /// Remove out-edge `(u, v)`; false when absent.
+    pub(super) fn remove_out_edge(&mut self, u: VertexId, v: VertexId) -> bool {
+        self.remove_edge(Side::Out, u, v)
+    }
+
+    /// Record in-edge `(u, v)` (stored on `v`); false when present.
+    pub(super) fn insert_in_edge(&mut self, u: VertexId, v: VertexId) -> bool {
+        self.insert_edges(Side::In, v, std::iter::once(u)) == 1
+    }
+
+    /// Remove in-edge `(u, v)`; false when absent.
+    pub(super) fn remove_in_edge(&mut self, u: VertexId, v: VertexId) -> bool {
+        self.remove_edge(Side::In, v, u)
     }
 }

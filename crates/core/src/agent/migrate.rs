@@ -1,23 +1,83 @@
-//! Elasticity: view adoption and edge/meta migration (§3.4.3).
+//! Elasticity: view adoption and vertex migration (§3.4.3).
 
 use super::*;
+use msg::{MigMeta, MigVertex, WireRecord};
 
-/// What one view change ships to one destination: each record kind is
-/// its own packed stream.
+/// The MIG_VERTEX frames of one sweep to one destination, each moving
+/// vertex written straight from its lists. A frame closes before the
+/// record that would take it past `max_bytes`, so no record straddles
+/// two frames; lists longer than a fresh frame holds are cut across
+/// consecutive records of their vertex, the meta riding the last.
 #[derive(Default)]
-struct Bundle {
-    states: Vec<MigState>,
-    edges: Vec<MigEdge>,
-    metas: Vec<MetaRecord>,
+struct MigFrames {
+    snap: (u64, u64),
+    max_bytes: usize,
+    open: Option<msg::OpenFrame<MigVertex>>,
+    frames: Vec<Frame>,
+    records: u64,
 }
 
-/// A sweep's shipments by destination, and what it looked at.
-struct Swept {
-    bundles: FxHashMap<AgentId, Bundle>,
-    /// Entries whose placement was decided.
-    examined: u64,
-    /// Entries that shipped an edge or their primary record.
-    moved: u64,
+impl MigFrames {
+    /// Frames under the sender's serving-snapshot tag, closed at the
+    /// outboxes' `max_bytes`.
+    fn new(snap: (u64, u64)) -> Self {
+        let max_bytes = CoalesceConfig::default().max_bytes;
+        MigFrames {
+            snap,
+            max_bytes,
+            ..MigFrames::default()
+        }
+    }
+
+    /// Write one moving vertex: the snapshot in `head` (the list lengths
+    /// and [`MigVertex::META`] are set here), the `meta` when its
+    /// primaryship moves too, and the far endpoints of the out- and
+    /// in-edges that go.
+    fn push(
+        &mut self,
+        head: MigVertex,
+        meta: Option<&MigMeta>,
+        out: &[VertexId],
+        inn: &[VertexId],
+    ) {
+        let meta_len = if meta.is_some() { MigMeta::STRIDE } else { 0 };
+        let (mut out, mut inn) = (out, inn);
+        loop {
+            let whole = MigVertex::STRIDE + meta_len + 8 * (out.len() + inn.len());
+            // Close the open frame (it holds a record) this one would overfill.
+            let (max, (run, watermark)) = (self.max_bytes, self.snap);
+            if self.open.as_ref().is_some_and(|f| f.size() + whole > max) {
+                self.close();
+            }
+            let open = || msg::open_mig_vertex(run, watermark);
+            let frame = self.open.get_or_insert_with(open);
+            let used = frame.size() + MigVertex::STRIDE + meta_len;
+            let room = (max.saturating_sub(used) / 8).max(1);
+            let n_out = out.len().min(room);
+            let n_in = inn.len().min(room - n_out);
+            let last = (n_out, n_in) == (out.len(), inn.len());
+            let meta = meta.filter(|_| last);
+            let rec = MigVertex {
+                flags: head.flags & !MigVertex::META | meta.map_or(0, |_| MigVertex::META),
+                n_out: n_out as u32,
+                n_in: n_in as u32,
+                ..head
+            };
+            let ids = out[..n_out].iter().chain(&inn[..n_in]);
+            frame.push(&rec, |tail| MigVertex::write_tail(tail, meta, ids));
+            self.records += 1;
+            if last {
+                return;
+            }
+            (out, inn) = (&out[n_out..], &inn[n_in..]);
+        }
+    }
+
+    fn close(&mut self) {
+        if let Some(frame) = self.open.take() {
+            self.frames.push(frame.finish());
+        }
+    }
 }
 
 impl Agent {
@@ -63,21 +123,12 @@ impl Agent {
             && self.view.virtual_agents == view.virtual_agents
             && self.view.replication_threshold == view.replication_threshold
             && self.view.max_replicas == view.max_replicas;
-        let filter = if membership_same && !self.departing {
-            let mut changed: FxHashSet<VertexId> = FxHashSet::default();
-            for (&v, _) in self.vertices.iter() {
-                let k_old = self
-                    .locator
-                    .replication_factor(self.view.sketch.estimate(v));
-                let k_new = self.locator.replication_factor(view.sketch.estimate(v));
-                if k_old != k_new {
-                    changed.insert(v);
-                }
-            }
-            Some(changed)
-        } else {
-            None
-        };
+        let filter = (membership_same && !self.departing).then(|| {
+            let k =
+                |sketch: &CountMinSketch, v| self.locator.replication_factor(sketch.estimate(v));
+            let moved = |&v: &VertexId| k(&self.view.sketch, v) != k(&view.sketch, v);
+            self.vertices.keys().filter(moved).collect()
+        });
         self.adopt_view(view);
         self.tracer
             .instant(EventKind::ViewAdopt, epoch, self.view.agents.len() as u64);
@@ -110,21 +161,30 @@ impl Agent {
     }
 
     /// Decide, vertex by vertex, what no longer belongs here under the
-    /// adopted view and take it out of the store (§3.4.3). With
-    /// `filter = Some(vs)`, only the placements of the given vertices
-    /// are re-evaluated (sketch-only view changes) and primary meta
-    /// never moves (the ring is unchanged).
+    /// adopted view, take it out of the store and write it into its
+    /// destination's frames (§3.4.3). With `filter = Some(vs)`, only the
+    /// placements of the given vertices are re-evaluated (sketch-only
+    /// view changes) and primary meta never moves (the ring is
+    /// unchanged). Returns the frames by destination, the entries whose
+    /// placement was decided, and those that shipped an edge or their
+    /// primary record.
     ///
     /// The rule is per vertex. With replication factor 1 a vertex's
     /// every edge and its primary record belong at its ring successor:
     /// one ring lookup, and either the entry is not touched or all of
-    /// it goes to that one agent. Only a split vertex (`k > 1`) has its
-    /// edges placed one by one. The sketch's bound is consulted for one
-    /// thing: when it proves every `k` is 1, no estimate is computed.
-    fn sweep(&mut self, filter: Option<FxHashSet<VertexId>>) -> Swept {
-        let mut bundles: FxHashMap<AgentId, Bundle> = FxHashMap::default();
-        // Destinations of the vertex at hand (a handful at most).
-        let mut dests: Vec<AgentId> = Vec::new();
+    /// it goes to that one agent as one record, its lists copied whole.
+    /// Only a split vertex (`k > 1`) has its edges placed one by one.
+    /// The sketch's bound is consulted for one thing: when it proves
+    /// every `k` is 1, no estimate is computed.
+    fn sweep(
+        &mut self,
+        filter: Option<FxHashSet<VertexId>>,
+    ) -> (FxHashMap<AgentId, MigFrames>, u64, u64) {
+        let mut frames: FxHashMap<AgentId, MigFrames> = FxHashMap::default();
+        let snap = (self.snap_run, self.snap_watermark);
+        let new = || MigFrames::new(snap);
+        // A split vertex's moving edges, by destination.
+        let mut split: Vec<(AgentId, [Vec<VertexId>; 2])> = Vec::new();
         let mut moved = 0;
 
         let sketch_only = filter.is_some();
@@ -155,17 +215,67 @@ impl Agent {
             let Some((e, tally)) = self.vertices.get_mut_and_tally(&v) else {
                 continue;
             };
-            dests.clear();
+            // The replica snapshot travels with the edges, to each
+            // destination they go to. A delta run's un-scattered
+            // pending delta moves with them so the new owner pushes it
+            // for the migrated edges.
+            let flag = |set: bool, bit: u8| if set { bit } else { 0 };
+            let aux = if e.has_pending_delta {
+                e.pending_delta
+            } else {
+                0
+            };
+            let head = MigVertex {
+                vertex: v,
+                flags: flag(e.has_state, MigVertex::HAS_STATE) | flag(e.active, MigVertex::ACTIVE),
+                state: e.state,
+                out_degree: e.rep_out_degree,
+                aux,
+                ..MigVertex::default()
+            };
+            // The primary meta moves with primaryship (never on
+            // sketch-only changes: the ring did not move) — and so does
+            // the async run state (a pending combined partial and its
+            // waiting-set progress), which can exist even where no meta
+            // record does (messages beat the meta to a previous
+            // primary). `IS_META` tells the receiver which parts of the
+            // meta to adopt.
+            let hands_over = !sketch_only
+                && primary != my_id
+                && (e.is_meta || e.has_ppartial || e.wait_recv > 0 || e.has_residual);
+            let meta = hands_over.then(|| {
+                let meta = MigMeta {
+                    out_degree: e.g_out.max(0) as u64,
+                    in_degree: e.g_in.max(0) as u64,
+                    ppartial: e.ppartial,
+                    wait_recv: e.wait_recv,
+                    residual: e.residual,
+                    snap: e.snap,
+                };
+                let flags = flag(e.is_meta, MigVertex::IS_META)
+                    | flag(e.dirty, MigVertex::DIRTY)
+                    | flag(e.has_ppartial, MigVertex::HAS_PPARTIAL)
+                    | flag(e.has_residual, MigVertex::HAS_RESIDUAL)
+                    | flag(e.has_snap, MigVertex::HAS_SNAP);
+                (e.is_meta, e.g_out, e.g_in, e.dirty) = (false, 0, 0, false);
+                (e.has_ppartial, e.ppartial, e.wait_recv) = (false, 0, 0);
+                (e.residual, e.has_residual) = (0, false);
+                (meta, flags)
+            });
+            let primary_head = MigVertex {
+                flags: head.flags | meta.map_or(0, |m| m.1),
+                ..head
+            };
+            let meta = meta.as_ref().map(|m| &m.0);
+            let mut sent = hands_over;
             if k == 1 {
-                if !e.adj.is_empty() {
-                    // Drained, not taken: a leave brings the vertex
+                if !e.adj.is_empty() || hands_over {
+                    sent = true;
+                    // Cleared, not dropped: a leave brings the vertex
                     // back, and its lists' buffers are still here.
-                    let edges = &mut bundles.entry(primary).or_default().edges;
-                    for side in [Side::Out, Side::In] {
-                        let drained = e.adj.drain(side, tally);
-                        edges.extend(drained.map(|w| MigEdge::held_by(side, v, w)));
-                    }
-                    dests.push(primary);
+                    let to = frames.entry(primary).or_insert_with(new);
+                    to.push(primary_head, meta, e.adj.out(), e.adj.inn());
+                    e.adj.clear(tally);
                 }
             } else {
                 // Place v once: both edge directions of v hash through
@@ -174,95 +284,46 @@ impl Agent {
                 // second-hash lookup.
                 let locator = &self.locator;
                 let placement = self.route_cache.placement(locator, v, || est);
-                for side in [Side::Out, Side::In] {
+                // The primary takes its meta with whatever edges go there.
+                split.clear();
+                if hands_over {
+                    split.push((primary, Default::default()));
+                }
+                for (s, side) in [Side::Out, Side::In].into_iter().enumerate() {
                     e.adj.retain(side, tally, |w| {
                         match locator.owner_from_placement(placement, w) {
                             Some(owner) if owner != my_id => {
-                                if !dests.contains(&owner) {
-                                    dests.push(owner);
-                                }
-                                let edge = MigEdge::held_by(side, v, w);
-                                bundles.entry(owner).or_default().edges.push(edge);
+                                let at = split.iter().position(|d| d.0 == owner);
+                                let at = at.unwrap_or_else(|| {
+                                    split.push((owner, Default::default()));
+                                    split.len() - 1
+                                });
+                                split[at].1[s].push(w);
                                 false
                             }
                             _ => true,
                         }
                     });
                 }
-            }
-            if !dests.is_empty() {
-                // The replica snapshot travels once per destination,
-                // whichever sides moved there.
-                let snapshot = MigState {
-                    rec: StateRecord {
-                        vertex: v,
-                        state: e.state,
-                        out_degree: e.rep_out_degree,
-                        // A delta run's un-scattered pending delta moves
-                        // with the edge slice so the new owner pushes it
-                        // for the migrated edges (aux == 0 = none).
-                        aux: if e.has_pending_delta {
-                            e.pending_delta
-                        } else {
-                            0
-                        },
-                        active: e.active,
-                    },
-                    has_state: e.has_state,
-                };
-                for agent in &dests {
-                    bundles.entry(*agent).or_default().states.push(snapshot);
+                for (agent, [out, inn]) in &split {
+                    let (head, meta) = if *agent == primary {
+                        (primary_head, meta)
+                    } else {
+                        (head, None)
+                    };
+                    frames
+                        .entry(*agent)
+                        .or_insert_with(new)
+                        .push(head, meta, out, inn);
                 }
+                sent |= !split.is_empty();
             }
-            // The primary meta record moves with primaryship (never on
-            // sketch-only changes: the ring did not move) — and so does
-            // the async run state (a pending combined partial and its
-            // waiting-set progress), which can exist even where no meta
-            // record does (messages beat the meta to a previous
-            // primary). `has_meta` tells the receiver which parts of
-            // the record to adopt.
-            let hands_over = !sketch_only
-                && primary != my_id
-                && (e.is_meta || e.has_ppartial || e.wait_recv > 0 || e.has_residual);
-            if hands_over {
-                let meta = MetaRecord {
-                    vertex: v,
-                    state: e.state,
-                    out_degree: e.g_out.max(0) as u64,
-                    in_degree: e.g_in.max(0) as u64,
-                    active: e.active,
-                    dirty: e.dirty,
-                    has_state: e.has_state,
-                    has_meta: e.is_meta,
-                    ppartial: e.ppartial,
-                    has_ppartial: e.has_ppartial,
-                    wait_recv: e.wait_recv,
-                    residual: e.residual,
-                    has_residual: e.has_residual,
-                    snap: e.snap,
-                    has_snap: e.has_snap,
-                };
-                bundles.entry(primary).or_default().metas.push(meta);
-                e.is_meta = false;
-                e.g_out = 0;
-                e.g_in = 0;
-                e.dirty = false;
-                e.has_ppartial = false;
-                e.ppartial = 0;
-                e.wait_recv = 0;
-                e.residual = 0;
-                e.has_residual = false;
-            }
-            moved += u64::from(hands_over || !dests.is_empty());
+            moved += u64::from(sent);
             if e.is_empty() {
                 self.vertices.remove(&v);
             }
         }
-        Swept {
-            bundles,
-            examined: verts.len() as u64,
-            moved,
-        }
+        (frames, verts.len() as u64, moved)
     }
 
     /// Re-evaluate the placement of local edges and primary meta
@@ -299,189 +360,126 @@ impl Agent {
         self.send_ready(0, epoch as u32, Phase::Migrate, 0, contrib);
     }
 
-    /// Sweep ([`Agent::sweep`]) and ship what the view places
-    /// elsewhere: per destination, snapshots ahead of the edges they
-    /// describe, primary meta last, every stream counted and flushed.
+    /// Sweep ([`Agent::sweep`]) and send each destination its frames,
+    /// counted and in order.
     pub(super) fn relocate(&mut self, filter: Option<FxHashSet<VertexId>>) {
         let t0 = Instant::now();
-        let Swept {
-            bundles,
-            examined,
-            moved,
-        } = self.sweep(filter);
+        let (frames, examined, moved) = self.sweep(filter);
         self.tracer
             .span(EventKind::MigrateSweep, t0, examined, moved);
-        let (snap_run, snap_watermark) = (self.snap_run, self.snap_watermark);
-        for (agent, bundle) in bundles {
-            self.send_mig(agent, &bundle.states, msg::append_mig_states);
-            self.send_mig(agent, &bundle.edges, msg::append_mig_edges);
-            self.send_mig(agent, &bundle.metas, |out, metas| {
-                msg::append_mig_meta(out, snap_run, snap_watermark, metas)
-            });
+        for (agent, mut sent) in frames {
+            sent.close();
+            let (frames, records) = (sent.frames, sent.records);
+            self.counters.mig_sent += records;
+            self.with_outbox(agent, |out| frames.into_iter().for_each(|f| out.send(f)));
+            self.tracer.instant(EventKind::MigrateSend, agent, records);
         }
     }
 
-    /// Append `recs` to `agent`'s migration stream as one run, counted
-    /// as sent, and close the stream's last frame (the next record kind
-    /// or the READY would anyway) so every frame of the stream has left
-    /// when the trace says the stream has.
-    fn send_mig<T>(
-        &mut self,
-        agent: AgentId,
-        recs: &[T],
-        append: impl Fn(&mut CoalescingOutbox, &[T]),
-    ) {
-        if recs.is_empty() {
+    pub(super) fn on_mig_vertex(&mut self, frame: Frame) {
+        let Some(view) = msg::decode_mig_vertex(&frame) else {
             return;
-        }
-        self.counters.mig_sent += recs.len() as u64;
-        self.with_outbox(agent, |out| {
-            append(out, recs);
-            out.flush();
-        });
+        };
+        let (records, snap) = (view.records, (view.snap_run, view.snap_watermark));
+        self.counters.mig_recv += records.len() as u64;
         self.tracer
-            .instant(EventKind::MigrateSend, agent, recs.len() as u64);
-    }
-
-    /// Count a migration frame's records as received.
-    fn note_mig_recv(&mut self, records: usize) {
-        self.counters.mig_recv += records as u64;
-        self.tracer
-            .instant(EventKind::MigrateRecv, records as u64, 0);
-    }
-
-    pub(super) fn on_mig_states(&mut self, frame: Frame) {
-        let Some(snaps) = msg::decode_mig_states(&frame) else {
-            return;
-        };
-        self.note_mig_recv(snaps.len());
-        for MigState { rec, has_state } in snaps {
-            let (e, lists) = self.vertices.entry_and_lists(rec.vertex);
-            let listed = e.active || e.has_pending_delta;
-            if has_state && !e.has_state {
-                e.state = rec.state;
-                e.has_state = true;
-                e.active = e.active || rec.active;
-            }
-            if has_state {
-                // The snapshot's out-degree is the vertex's global
-                // out-degree; adopt it even when the state itself arrived
-                // first through a MIG_META (scatter shares divide by it).
-                e.rep_out_degree = e.rep_out_degree.max(rec.out_degree);
-            }
-            if rec.aux != 0 && !e.has_pending_delta {
-                // Un-scattered delta moving with the edge slice. If we
-                // already hold the same broadcast (has_pending_delta), our
-                // copy covers the migrated-in edges too — adopting again
-                // would double-push.
-                e.pending_delta = rec.aux;
-                e.has_pending_delta = true;
-            }
-            if !listed && (e.active || e.has_pending_delta) {
-                lists.scatter.push(rec.vertex);
-            }
-        }
-    }
-
-    pub(super) fn on_mig_edges(&mut self, frame: Frame) {
-        let Some(edges) = msg::decode_mig_edges(&frame) else {
-            return;
-        };
-        self.note_mig_recv(edges.len());
-        // A sweep emits each vertex's edges back to back, one side
-        // after the other: adopt every such run as one.
-        let mut rest = edges.iter();
-        while let Some(head) = rest.clone().next() {
-            let (side, key) = (head.side, head.endpoints().0);
-            let run = rest
-                .clone()
-                .take_while(|r| r.side == side && r.endpoints().0 == key)
-                .count();
-            let others = rest.by_ref().take(run).map(|r| r.endpoints().1);
-            self.insert_edges(side, key, others);
-        }
-    }
-
-    pub(super) fn on_mig_meta(&mut self, frame: Frame) {
-        let Some(msg::MigMetaView {
-            snap_run,
-            snap_watermark,
-            records: metas,
-        }) = msg::decode_mig_meta(&frame)
-        else {
-            return;
-        };
-        // Adopt the sender's serving-snapshot tag when it is newer:
-        // every agent that finished the last run carries the same tag,
-        // so this only moves a joiner (tag 0, no snaps of its own yet)
-        // up to the tag of the snaps now migrating in.
-        if snap_run > self.snap_run {
-            self.snap_run = snap_run;
-            self.snap_watermark = snap_watermark;
-        }
-        self.note_mig_recv(metas.len());
+            .instant(EventKind::MigrateRecv, records.len() as u64, 0);
         let program = self.run.as_ref().map(|r| r.program.clone());
         // Residuals merge with the residual program's own rule; the
         // armed delta seed covers the between-runs window.
         let merger = program
             .clone()
             .or_else(|| self.delta_seed.as_ref().map(|s| Arc::clone(&s.program)));
-        for m in metas {
-            let (e, lists) = self.vertices.entry_and_lists(m.vertex);
-            let listed = (e.active || e.has_pending_delta, e.wants_apply());
-            if m.has_meta {
-                e.g_out += m.out_degree as i64;
-                e.g_in += m.in_degree as i64;
-                e.is_meta = true;
-                e.dirty = e.dirty || m.dirty;
+        for (head, tail) in records.tailed() {
+            let (meta, out, inn) = head.read_tail(tail);
+            let v = head.vertex;
+            // Adopt the sender's serving-snapshot tag with the snaps
+            // primaryship brings, when it is newer: every agent that
+            // finished the last run carries the same tag, so this only
+            // moves a joiner (tag 0, no snaps of its own yet) up to it.
+            if meta.is_some() && snap.0 > self.snap_run {
+                (self.snap_run, self.snap_watermark) = snap;
             }
-            e.active = e.active || m.active;
-            if m.has_state {
-                e.state = m.state;
-                e.has_state = true;
-                e.rep_out_degree = e.rep_out_degree.max(m.out_degree);
-            }
-            if m.has_ppartial {
-                // Async run state handoff: fold the sender's pending
-                // combined partial into ours (both sides may have
-                // collected messages for the same waiting set).
-                if e.has_ppartial {
-                    if let Some(p) = &program {
-                        e.ppartial = p.combine(e.ppartial, m.ppartial);
-                    } else {
-                        e.ppartial = m.ppartial;
-                    }
-                } else {
-                    e.ppartial = m.ppartial;
-                    e.has_ppartial = true;
+            let (e, lists, tally) = self.vertices.entry_parts(v);
+            let scattered = e.active || e.has_pending_delta;
+            let has_state = head.has(MigVertex::HAS_STATE);
+            // The snapshot, with the edges it describes.
+            if !out.is_empty() || !inn.is_empty() {
+                if has_state && !e.has_state {
+                    (e.state, e.has_state) = (head.state, true);
+                    e.active = e.active || head.has(MigVertex::ACTIVE);
                 }
-                e.wait_recv += m.wait_recv;
+                if has_state {
+                    // The snapshot's out-degree is the vertex's global
+                    // out-degree; adopt it even when the state itself
+                    // arrived first with a meta (scatter shares divide
+                    // by it).
+                    e.rep_out_degree = e.rep_out_degree.max(head.out_degree);
+                }
+                if head.aux != 0 && !e.has_pending_delta {
+                    // If we already hold the same broadcast
+                    // (has_pending_delta), our copy covers the
+                    // migrated-in edges too — adopting again would
+                    // double-push.
+                    (e.pending_delta, e.has_pending_delta) = (head.aux, true);
+                }
+                // The edge memo stays a prefix of the lists
+                // ([`Agent::insert_edges`]).
+                let outs = e.adj.out().len();
+                let added = e.adj.extend(Side::Out, out.iter(), tally)
+                    + e.adj.extend(Side::In, inn.iter(), tally);
+                if added > 0 {
+                    e.slots.truncate(outs);
+                }
             }
-            if m.has_residual {
-                e.residual = if e.has_residual {
-                    match &merger {
-                        Some(p) => p.merge_residual(e.residual, m.residual),
-                        None => (f64::from_bits(e.residual) + f64::from_bits(m.residual)).to_bits(),
-                    }
-                } else {
-                    m.residual
-                };
-                e.has_residual = true;
-                // Merged, it may cross the tolerance: apply looks again.
-                lists.apply.push(m.vertex);
+            if let Some(m) = meta {
+                let applies = e.wants_apply();
+                if head.has(MigVertex::IS_META) {
+                    e.g_out += m.out_degree as i64;
+                    e.g_in += m.in_degree as i64;
+                    e.is_meta = true;
+                    e.dirty = e.dirty || head.has(MigVertex::DIRTY);
+                }
+                e.active = e.active || head.has(MigVertex::ACTIVE);
+                if has_state {
+                    (e.state, e.has_state) = (head.state, true);
+                    e.rep_out_degree = e.rep_out_degree.max(m.out_degree);
+                }
+                if head.has(MigVertex::HAS_PPARTIAL) {
+                    // Async run state handoff: fold the sender's pending
+                    // combined partial into ours (both sides may have
+                    // collected messages for the same waiting set).
+                    e.ppartial = match (&program, e.has_ppartial) {
+                        (Some(p), true) => p.combine(e.ppartial, m.ppartial),
+                        _ => m.ppartial,
+                    };
+                    e.has_ppartial = true;
+                    e.wait_recv += m.wait_recv;
+                }
+                if head.has(MigVertex::HAS_RESIDUAL) {
+                    e.residual = match (&merger, e.has_residual) {
+                        (Some(p), true) => p.merge_residual(e.residual, m.residual),
+                        (None, true) => {
+                            (f64::from_bits(e.residual) + f64::from_bits(m.residual)).to_bits()
+                        }
+                        (_, false) => m.residual,
+                    };
+                    e.has_residual = true;
+                    // Merged, it may cross the tolerance: apply looks again.
+                    lists.apply.push(v);
+                }
+                if head.has(MigVertex::HAS_SNAP) {
+                    // Serving snapshot follows primaryship. Both sides can
+                    // only hold the same completed run's value, so adopt
+                    // unconditionally.
+                    (e.snap, e.has_snap) = (m.snap, true);
+                }
+                if !applies && e.wants_apply() {
+                    lists.apply.push(v);
+                }
             }
-            if m.has_snap {
-                // Serving snapshot follows primaryship. Both sides can
-                // only hold the same completed run's value, so adopt
-                // unconditionally.
-                e.snap = m.snap;
-                e.has_snap = true;
-            }
-            if !listed.0 && (e.active || e.has_pending_delta) {
-                lists.scatter.push(m.vertex);
-            }
-            if !listed.1 && e.wants_apply() {
-                lists.apply.push(m.vertex);
+            if !scattered && (e.active || e.has_pending_delta) {
+                lists.scatter.push(v);
             }
         }
     }
@@ -489,10 +487,10 @@ impl Agent {
 
 #[cfg(test)]
 mod tests {
-    use super::testkit::{detached, view, ME};
+    use super::testkit::{detached, join, moved_to, view, Moved, ME};
     use super::*;
     use crate::adjacency::Tally;
-    use elga_net::{InProcTransport, SplitMix64};
+    use elga_net::SplitMix64;
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
@@ -506,33 +504,6 @@ mod tests {
         assert!(e.is_empty());
         e.is_meta = true;
         assert!(!e.is_empty());
-    }
-
-    /// What one destination was sent, in arrival order per kind.
-    #[derive(Debug, Default, PartialEq)]
-    struct Got {
-        states: Vec<MigState>,
-        edges: Vec<MigEdge>,
-        metas: Vec<MetaRecord>,
-    }
-
-    fn drain(transport: &InProcTransport, agent: AgentId) -> Got {
-        let mailbox = transport.bind(&agent_addr(agent)).expect("bind");
-        let mut got = Got::default();
-        while let Ok(Some(d)) = mailbox.try_recv() {
-            let f = &d.frame;
-            match f.packet_type() {
-                packet::MIG_STATE => got
-                    .states
-                    .extend(msg::decode_mig_states(f).expect("states")),
-                packet::MIG_EDGES => got.edges.extend(msg::decode_mig_edges(f).expect("edges")),
-                packet::MIG_META => got
-                    .metas
-                    .extend(msg::decode_mig_meta(f).expect("metas").records),
-                other => panic!("packet {other} on a migration stream"),
-            }
-        }
-        got
     }
 
     /// Every adjacency keeps its invariant, and the store's tally
@@ -639,7 +610,7 @@ mod tests {
 
             // The model: every resident entry, in store order, edge by
             // edge through `EdgeLocator::owner_of_edge`.
-            let mut want: BTreeMap<AgentId, Got> = BTreeMap::new();
+            let mut want: BTreeMap<AgentId, Vec<Moved>> = BTreeMap::new();
             let mut keep = store(&agent);
             let mut tally = Tally::default();
             // A sketch-only epoch re-places the vertices whose `k` it
@@ -654,61 +625,68 @@ mod tests {
             } else {
                 agent.vertices.keys().collect()
             };
+            let bit = |set: bool, bit: u8| if set { bit } else { 0 };
             for v in order {
                 let est = new.sketch.estimate(v);
                 let e = keep.get_mut(&v).expect("resident");
+                let head = MigVertex {
+                    vertex: v,
+                    flags: bit(e.has_state, MigVertex::HAS_STATE) | bit(e.active, MigVertex::ACTIVE),
+                    state: e.state,
+                    out_degree: e.rep_out_degree,
+                    aux: if e.has_pending_delta { e.pending_delta } else { 0 },
+                    ..MigVertex::default()
+                };
                 let mut dests: Vec<AgentId> = Vec::new();
                 // Each list in order; the survivors keep theirs.
                 let mut kept = Adjacency::default();
-                for (side, held) in [(Side::Out, e.adj.out()), (Side::In, e.adj.inn())] {
+                for (s, held) in [e.adj.out(), e.adj.inn()].into_iter().enumerate() {
+                    let side = [Side::Out, Side::In][s];
                     for &other in held {
                         let owner = new_loc.owner_of_edge(v, other, est).expect("ring");
                         if owner == ME {
                             kept.insert(side, other, &mut tally);
                             continue;
                         }
+                        let to = want.entry(owner).or_default();
                         if !dests.contains(&owner) {
                             dests.push(owner);
+                            to.push(Moved { head, ..Moved::default() });
                         }
-                        let edge = MigEdge::held_by(side, v, other);
-                        want.entry(owner).or_default().edges.push(edge);
+                        to.last_mut().expect("this vertex").lists[s].push(other);
                     }
                 }
                 e.adj = kept;
-                let aux = if e.has_pending_delta { e.pending_delta } else { 0 };
-                let (vertex, state, active, has_state) = (v, e.state, e.active, e.has_state);
-                let rec = StateRecord { vertex, state, out_degree: e.rep_out_degree, aux, active };
-                for d in dests {
-                    want.entry(d).or_default().states.push(MigState { rec, has_state });
-                }
                 let primary = new_loc.ring().owner(v).expect("ring");
                 let parked = e.has_ppartial || e.wait_recv > 0 || e.has_residual;
                 if !sketch_only && primary != ME && (e.is_meta || parked) {
-                    want.entry(primary).or_default().metas.push(MetaRecord {
-                        vertex,
-                        state,
+                    let to = want.entry(primary).or_default();
+                    if !dests.contains(&primary) {
+                        to.push(Moved { head, ..Moved::default() });
+                    }
+                    let moved = to.last_mut().expect("this vertex");
+                    moved.head.flags |= MigVertex::META
+                        | bit(e.is_meta, MigVertex::IS_META)
+                        | bit(e.dirty, MigVertex::DIRTY)
+                        | bit(e.has_ppartial, MigVertex::HAS_PPARTIAL)
+                        | bit(e.has_residual, MigVertex::HAS_RESIDUAL)
+                        | bit(e.has_snap, MigVertex::HAS_SNAP);
+                    moved.meta = Some(MigMeta {
                         out_degree: e.g_out as u64,
                         in_degree: e.g_in as u64,
-                        active,
-                        dirty: e.dirty,
-                        has_state,
-                        has_meta: e.is_meta,
                         ppartial: e.ppartial,
-                        has_ppartial: e.has_ppartial,
                         wait_recv: e.wait_recv,
                         residual: e.residual,
-                        has_residual: e.has_residual,
                         snap: e.snap,
-                        has_snap: e.has_snap,
                     });
                     let survives = VertexEntry {
                         adj: std::mem::take(&mut e.adj),
                         ..VertexEntry::default()
                     };
                     *e = VertexEntry {
-                        state,
-                        has_state,
-                        active,
+                        state: e.state,
+                        has_state: e.has_state,
+                        active: e.active,
                         rep_out_degree: e.rep_out_degree,
                         pending_delta: e.pending_delta,
                         has_pending_delta: e.has_pending_delta,
@@ -721,14 +699,16 @@ mod tests {
                     keep.remove(&v);
                 }
             }
+            let records: u64 = want.values().map(|m| m.len() as u64).sum();
 
             agent.on_view(new.clone());
 
             for &d in new_members.iter().filter(|&&d| d != ME) {
-                let got = drain(&transport, d);
+                let got = moved_to(&transport, d);
                 prop_assert_eq!(&got, &want.remove(&d).unwrap_or_default(), "to agent {}", d);
             }
             prop_assert!(want.is_empty(), "records for agents off the view: {want:?}");
+            prop_assert_eq!(agent.counters.mig_sent, records, "no vertex is cut at this size");
             let kept = store(&agent);
             for v in 0..40 {
                 prop_assert_eq!(kept.get(&v), keep.get(&v), "entry of vertex {}", v);
@@ -736,29 +716,85 @@ mod tests {
             assert_indexed(&agent);
         }
 
-        /// MIG_EDGES adoption does not depend on framing: the same
+        /// MIG_VERTEX records read back as they were written, whatever
+        /// their flags: meta or none, empty lists, and a hub longer than
+        /// a frame, which is cut into consecutive records that stay
+        /// under `max_bytes`, its meta on the last.
+        #[test]
+        fn mig_frames_roundtrip_and_cut_a_hub(
+            picks in prop::collection::vec((any::<u64>(), 0u32..4, 0u32..3), 1..24),
+            hub_at in any::<usize>(),
+            hub_len in 8_000usize..20_000,
+        ) {
+            let mut want: Vec<Moved> = Vec::new();
+            let hub = hub_at % picks.len();
+            for (i, &(r, outs, ins)) in picks.iter().enumerate() {
+                let meta = (r & 1 == 0).then(|| MigMeta {
+                    out_degree: r >> 3,
+                    ppartial: r.rotate_left(7),
+                    snap: r ^ 5,
+                    ..MigMeta::default()
+                });
+                let meta_bit = if meta.is_some() { MigVertex::META } else { 0 };
+                let flags = (r >> 8) as u8 & !MigVertex::META | meta_bit;
+                let head = MigVertex { vertex: i as u64, flags, state: r, aux: r >> 1, ..MigVertex::default() };
+                let n = if i == hub { hub_len } else { outs as usize * 3 };
+                let lists = [(0..n as u64).map(|w| w ^ r).collect(), (0..u64::from(ins)).collect()];
+                want.push(Moved { head, meta, lists });
+            }
+            let mut written = MigFrames::new((3, 4));
+            for Moved { head, meta, lists } in &want {
+                written.push(*head, meta.as_ref(), &lists[0], &lists[1]);
+            }
+            written.close();
+            let frames = written.frames;
+            let max_bytes = CoalesceConfig::default().max_bytes;
+            let (mut got, mut records) = (Vec::new(), 0);
+            for f in &frames {
+                prop_assert!(f.len() <= max_bytes, "a {} B frame", f.len());
+                records += msg::decode_mig_vertex(f).expect("decodes").records.len();
+                join(&mut got, f);
+            }
+            prop_assert_eq!(got, want);
+            prop_assert!(records > picks.len(), "the hub is cut");
+        }
+
+        /// MIG_VERTEX adoption does not depend on framing: the same
         /// records one frame each, or all in one frame, or cut anywhere
         /// in between, leave the same adjacency order and index maps,
-        /// and turn away the same duplicates.
+        /// and turn away the same duplicates — an empty list adopting a
+        /// run whole, a held one extending by it.
         #[test]
         fn edge_adoption_is_framing_independent(
-            picks in prop::collection::vec((0u64..6, 0u64..12, any::<bool>(), 1usize..6), 1..60),
+            picks in prop::collection::vec((0u64..6, 0u64..12, 0usize..6, 0usize..50), 1..60),
             cuts in prop::collection::vec(1usize..9, 1..8),
         ) {
-            // Runs as a sweep emits them (a vertex's edges on one side,
-            // back to back), with repeats inside and across runs.
-            let mut records: Vec<MigEdge> = Vec::new();
-            for (key, other, out, len) in picks {
-                let side = if out { Side::Out } else { Side::In };
-                records.extend((0..len as u64).map(|i| MigEdge::held_by(side, key, (other + i * i) % 12)));
-            }
-            let adopt = |frames: &mut dyn Iterator<Item = &[MigEdge]>| {
+            // Records as a sweep writes them, with repeats inside a list
+            // and across records of a vertex.
+            let records: Vec<(VertexId, [Vec<VertexId>; 2])> = picks
+                .iter()
+                .map(|&(key, other, outs, ins)| {
+                    let run = |n: usize| (0..n as u64).map(|i| (other + i * i) % 40).collect();
+                    (key, [run(outs), run(ins)])
+                })
+                .collect();
+            let adopt = |frames: &mut dyn Iterator<Item = &[(VertexId, [Vec<VertexId>; 2])]>| {
                 let (transport, mut agent) = detached(view(1, &[ME], &[]));
                 let to_me = transport.sender(&agent_addr(ME)).expect("sender");
                 let mut out = CoalescingOutbox::new(to_me, CoalesceConfig::default());
                 for frame in frames {
-                    msg::append_mig_edges(&mut out, frame);
-                    out.flush();
+                    let mut f = msg::open_mig_vertex(0, 0);
+                    for (key, [outs, ins]) in frame {
+                        let head = MigVertex {
+                            vertex: *key,
+                            n_out: outs.len() as u32,
+                            n_in: ins.len() as u32,
+                            ..MigVertex::default()
+                        };
+                        let ids = outs.iter().chain(ins);
+                        f.push(&head, |tail| MigVertex::write_tail(tail, None, ids));
+                    }
+                    out.send(f.finish());
                 }
                 while let Ok(Some(d)) = agent.mailbox.try_recv() {
                     prop_assert!(agent.handle(d));
@@ -779,13 +815,16 @@ mod tests {
             }));
             prop_assert_eq!(&one_each, &whole);
             prop_assert_eq!(&one_each, &ragged);
-            // The per-record reference: first occurrence wins.
+            // The per-edge reference: first occurrence wins.
             let mut want: BTreeMap<VertexId, [Vec<VertexId>; 2]> = BTreeMap::new();
-            for r in &records {
-                let (key, other) = r.endpoints();
-                let list = &mut want.entry(key).or_default()[usize::from(r.side == Side::In)];
-                if !list.contains(&other) {
-                    list.push(other);
+            for (key, lists) in &records {
+                for (s, list) in lists.iter().enumerate() {
+                    let held = &mut want.entry(*key).or_default()[s];
+                    for &w in list {
+                        if !held.contains(&w) {
+                            held.push(w);
+                        }
+                    }
                 }
             }
             let lists: BTreeMap<VertexId, [Vec<VertexId>; 2]> = one_each

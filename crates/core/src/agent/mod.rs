@@ -36,7 +36,7 @@
 //! * [`superstep`] — the sync phase kernels (scatter/combine/apply),
 //!   run shard by shard on the agent thread, and the async
 //!   event-driven mode.
-//! * [`migrate`] — view adoption and edge/meta migration.
+//! * [`migrate`] — view adoption and vertex migration.
 //! * [`recovery`] — heartbeats and the peer-loss reset.
 
 mod checkpoint;
@@ -51,8 +51,8 @@ use crate::config::SystemConfig;
 use crate::directory::{agent_addr, bus_addr};
 use crate::metrics::{AgentMetrics, CommsMetrics};
 use crate::msg::{
-    self, packet, AgentInfo, Counters, DirectoryView, Message, MetaRecord, MigEdge, MigState,
-    Phase, ReadyReport, RunInfo, Side, StateRecord,
+    self, packet, AgentInfo, Counters, DirectoryView, Message, Phase, ReadyReport, RunInfo, Side,
+    StateRecord,
 };
 use crate::program::{DeltaKind, ProgramSpec, VertexCtx, VertexProgram};
 use crate::store::{Shard, VertexStore, Worklists, SHARDS};
@@ -87,7 +87,7 @@ const MAX_HOPS: u8 = 64;
 pub(crate) struct VertexEntry {
     /// Local out- and in-edges (this agent owns their out- and
     /// in-placements). Its mutators take the store's tally
-    /// ([`VertexStore::entry_and_tally`]).
+    /// ([`VertexStore::entry_parts`]).
     pub(crate) adj: Adjacency,
     /// Replica state copy (from STATE broadcasts or local apply).
     pub(crate) state: u64,
@@ -512,11 +512,16 @@ impl Agent {
         }
     }
 
-    /// Spawn the agent's thread.
-    pub fn spawn(self) -> std::thread::JoinHandle<()> {
+    /// Spawn the agent's thread. Joined, it returns the events left in
+    /// its trace buffer when it ended, a departer's last sweep included.
+    pub fn spawn(self) -> std::thread::JoinHandle<Vec<elga_trace::TraceEvent>> {
+        let tracer = self.tracer.clone();
         std::thread::Builder::new()
             .name(format!("elga-agent-{}", self.id))
-            .spawn(move || self.run_loop())
+            .spawn(move || {
+                self.run_loop();
+                tracer.drain().0
+            })
             .expect("spawn agent")
     }
 
@@ -608,9 +613,7 @@ impl Agent {
             packet::EDGE_CHANGES => self.timed_data_plane(frame, Self::on_changes),
             packet::DEG_DELTA => self.timed_data_plane(frame, Self::on_deg_delta),
             packet::RESIDUAL => self.timed_data_plane(frame, Self::on_residual),
-            packet::MIG_STATE => self.on_mig_states(frame),
-            packet::MIG_EDGES => self.on_mig_edges(frame),
-            packet::MIG_META => self.on_mig_meta(frame),
+            packet::MIG_VERTEX => self.on_mig_vertex(frame),
             packet::CKPT_SAVE => self.on_ckpt_save(&frame, d.reply),
             packet::CKPT_LOAD => self.on_ckpt_load(&frame, d.reply),
             packet::RESET_LABELS => self.on_reset_labels(frame),
@@ -1245,7 +1248,7 @@ impl Agent {
 #[cfg(test)]
 pub(super) mod testkit {
     use super::*;
-    use crate::msg::AgentInfo;
+    use crate::msg::{AgentInfo, MigMeta, MigVertex};
     use elga_hash::HashKind;
     use elga_net::InProcTransport;
 
@@ -1290,5 +1293,50 @@ pub(super) mod testkit {
         let cfg = SystemConfig::default();
         let agent = Agent::new(transport.clone(), cfg, ME, mailbox, dir_push, view);
         (transport, agent)
+    }
+
+    /// One vertex as MIG_VERTEX records brought it to one destination,
+    /// the records of a vertex cut across frames joined again: its head
+    /// (list lengths zeroed), its meta and its out- and in-list.
+    #[derive(Debug, Default, PartialEq)]
+    pub struct Moved {
+        pub head: MigVertex,
+        pub meta: Option<MigMeta>,
+        pub lists: [Vec<VertexId>; 2],
+    }
+
+    /// Add the records of `frame` to `got`, joining a vertex's records.
+    pub fn join(got: &mut Vec<Moved>, frame: &Frame) {
+        let view = msg::decode_mig_vertex(frame).expect("a MIG_VERTEX frame");
+        for (head, tail) in view.records.tailed() {
+            let (meta, out, inn) = head.read_tail(tail);
+            let cut = |m: &Moved| m.head.vertex == head.vertex && m.meta.is_none();
+            if !got.last().is_some_and(cut) {
+                let head = MigVertex {
+                    n_out: 0,
+                    n_in: 0,
+                    ..head
+                };
+                got.push(Moved {
+                    head,
+                    ..Moved::default()
+                });
+            }
+            let m = got.last_mut().expect("just pushed");
+            m.head.flags |= head.flags;
+            m.meta = meta;
+            m.lists[0].extend(out);
+            m.lists[1].extend(inn);
+        }
+    }
+
+    /// Every vertex sent to `agent` and waiting in its mailbox, in order.
+    pub fn moved_to(transport: &InProcTransport, agent: AgentId) -> Vec<Moved> {
+        let mailbox = transport.bind(&agent_addr(agent)).expect("bind");
+        let mut got = Vec::new();
+        while let Ok(Some(d)) = mailbox.try_recv() {
+            join(&mut got, &d.frame);
+        }
+        got
     }
 }

@@ -1996,6 +1996,7 @@ mod tests {
     // ------------------------------------------------------------------
 
     use super::super::testkit::{detached, view};
+    use crate::msg::{MigMeta, MigVertex};
     use elga_net::{InProcTransport, Mailbox, SplitMix64};
 
     const RUN: u64 = 1;
@@ -2950,21 +2951,10 @@ mod tests {
         }
     }
 
-    /// Frames as a wire would carry them: what `append` put in an outbox.
-    fn framed(append: impl FnOnce(&mut CoalescingOutbox)) -> Vec<Frame> {
-        let wire = InProcTransport::new();
-        let inbox = wire.bind(&Addr::inproc("wire")).expect("bind");
-        let to = wire.sender(&Addr::inproc("wire")).expect("sender");
-        let mut out = CoalescingOutbox::new(to, CoalesceConfig::default());
-        append(&mut out);
-        out.flush();
-        std::iter::from_fn(|| inbox.try_recv().ok().flatten().map(|d| d.frame)).collect()
-    }
-
     /// What arrives between two runs: a batch of edge changes (both
-    /// placement sides, as the streamer sends them) and the three
-    /// migration streams of a view change, with random flags — mostly
-    /// a converged sender's.
+    /// placement sides, as the streamer sends them) and the moving
+    /// vertices of a view change, with random flags — mostly a converged
+    /// sender's.
     fn between_runs(rng: &mut SplitMix64) -> Vec<Frame> {
         let mut frames = Vec::new();
         let changes: Vec<EdgeChange> = (0..1 + rng.below(6))
@@ -2980,49 +2970,52 @@ mod tests {
         for side in [Side::Out, Side::In] {
             frames.push(msg::encode_edge_changes(side, 0, &changes));
         }
-        let flag = |rng: &mut SplitMix64, one_in: u64| rng.below(one_in) == 0;
-        let states: Vec<MigState> = (0..rng.below(4))
-            .map(|_| MigState {
-                rec: StateRecord {
-                    vertex: rng.below(M),
-                    state: rng.below(M),
-                    out_degree: rng.below(4),
-                    aux: if flag(rng, 8) { 1 + rng.below(9) } else { 0 },
-                    active: flag(rng, 8),
-                },
-                has_state: flag(rng, 2),
-            })
-            .collect();
-        let edges: Vec<MigEdge> = (0..rng.below(6))
-            .map(|_| {
-                let side = if flag(rng, 2) { Side::Out } else { Side::In };
-                MigEdge::held_by(side, rng.below(M), rng.below(M))
-            })
-            .collect();
-        let metas: Vec<MetaRecord> = (0..rng.below(4))
-            .map(|_| MetaRecord {
-                vertex: rng.below(M),
-                state: rng.below(M),
+        let flag = |rng: &mut SplitMix64, one_in: u64, bit: u8| {
+            if rng.below(one_in) == 0 {
+                bit
+            } else {
+                0
+            }
+        };
+        let mut moving = msg::open_mig_vertex(0, 0);
+        let n = rng.below(6);
+        for _ in 0..n {
+            let meta = (rng.below(2) == 0).then(|| MigMeta {
                 out_degree: rng.below(4),
                 in_degree: rng.below(4),
-                active: flag(rng, 8),
-                dirty: flag(rng, 2),
-                has_state: flag(rng, 2),
-                has_meta: !flag(rng, 4),
                 ppartial: rng.below(M),
-                has_ppartial: flag(rng, 8),
-                wait_recv: 0,
-                residual: 0,
-                has_residual: false,
-                snap: 0,
-                has_snap: false,
-            })
-            .collect();
-        frames.extend(framed(|out| {
-            msg::append_mig_states(out, &states);
-            msg::append_mig_edges(out, &edges);
-            msg::append_mig_meta(out, 0, 0, &metas);
-        }));
+                ..MigMeta::default()
+            });
+            let mut flags = flag(rng, 2, MigVertex::HAS_STATE) | flag(rng, 8, MigVertex::ACTIVE);
+            if meta.is_some() {
+                flags |= MigVertex::META | MigVertex::IS_META ^ flag(rng, 4, MigVertex::IS_META);
+                flags |= flag(rng, 2, MigVertex::DIRTY) | flag(rng, 8, MigVertex::HAS_PPARTIAL);
+            }
+            let lists: Vec<VertexId> = (0..rng.below(4)).map(|_| rng.below(M)).collect();
+            let head = MigVertex {
+                vertex: rng.below(M),
+                flags,
+                state: rng.below(M),
+                out_degree: rng.below(4),
+                aux: if rng.below(8) == 0 {
+                    1 + rng.below(9)
+                } else {
+                    0
+                },
+                n_out: rng.below(lists.len() as u64 + 1) as u32,
+                n_in: 0,
+            };
+            let head = MigVertex {
+                n_in: lists.len() as u32 - head.n_out,
+                ..head
+            };
+            moving.push(&head, |tail| {
+                MigVertex::write_tail(tail, meta.as_ref(), lists.iter())
+            });
+        }
+        if n > 0 {
+            frames.push(moving.finish());
+        }
         frames
     }
 

@@ -1,14 +1,15 @@
 //! Checkpoint payload codec.
 //!
 //! One checkpoint *shard* is one agent's entire in-memory graph
-//! partition, serialized as a flat little-endian record stream: a `u64`
-//! record count, then one [`CkptVertexRecord`] per vertex entry in the
-//! agent's deterministic shard order. The same codec is used by the
-//! agent when writing a shard (`CKPT_SAVE`) and when loading shards
-//! back during recovery (`CKPT_LOAD`) — any member may load any shard,
-//! and its placement sweep re-places each record under the
-//! *post-recovery* view, so the payload deliberately stores raw
-//! adjacency, not placement.
+//! partition: a `u64` record count, then one MIG_VERTEX record
+//! ([`MigVertex`]) per vertex entry in the agent's deterministic shard
+//! order — the record a view change moves a vertex with, its meta
+//! carrying the primary's degrees. The same codec is used by the agent
+//! when writing a shard (`CKPT_SAVE`) and when loading shards back
+//! during recovery (`CKPT_LOAD`) — any member may load any shard, and
+//! its placement sweep re-places each record under the *post-recovery*
+//! view, so the payload deliberately stores raw adjacency, not
+//! placement.
 //!
 //! Run-state fields (partials, async waiting sets) are not serialized:
 //! checkpoints are taken only at quiesced batch boundaries, where no
@@ -18,6 +19,7 @@
 //! integrity (checksum, length) is `elga-ckpt`'s job; this codec only
 //! defines the payload bytes the checksum covers.
 
+use crate::msg::{MigMeta, MigVertex, Records, WireRecord};
 use elga_graph::VertexId;
 
 /// One vertex entry as held by an agent: replica-visible fields, both
@@ -50,128 +52,67 @@ pub struct CkptVertexRecord {
     pub inn: Vec<VertexId>,
 }
 
-const FLAG_HAS_STATE: u8 = 1 << 0;
-const FLAG_ACTIVE: u8 = 1 << 1;
-const FLAG_IS_META: u8 = 1 << 2;
-const FLAG_DIRTY: u8 = 1 << 3;
+/// The flags of run state, which a checkpoint never holds.
+const RUN_STATE: u8 = MigVertex::HAS_PPARTIAL | MigVertex::HAS_RESIDUAL | MigVertex::HAS_SNAP;
 
-/// Fixed bytes per record before its two endpoint lists.
-const RECORD_FIXED: usize = 8 + 8 + 8 + 8 + 8 + 1 + 4 + 4;
-
-/// Serialize `records` into a payload byte vector.
+/// Serialize `records` into a payload byte vector. A record carries a
+/// meta only when it has degrees to keep.
 pub fn encode_payload(records: &[CkptVertexRecord]) -> Vec<u8> {
-    let edges: usize = records.iter().map(|r| r.out.len() + r.inn.len()).sum();
-    let mut b = Vec::with_capacity(8 + records.len() * RECORD_FIXED + edges * 8);
-    b.extend_from_slice(&(records.len() as u64).to_le_bytes());
+    let mut b = (records.len() as u64).to_le_bytes().to_vec();
     for r in records {
-        b.extend_from_slice(&r.vertex.to_le_bytes());
-        b.extend_from_slice(&r.state.to_le_bytes());
-        b.extend_from_slice(&r.rep_out_degree.to_le_bytes());
-        b.extend_from_slice(&(r.g_out as u64).to_le_bytes());
-        b.extend_from_slice(&(r.g_in as u64).to_le_bytes());
-        let mut flags = 0u8;
-        if r.has_state {
-            flags |= FLAG_HAS_STATE;
-        }
-        if r.active {
-            flags |= FLAG_ACTIVE;
-        }
-        if r.is_meta {
-            flags |= FLAG_IS_META;
-        }
-        if r.dirty {
-            flags |= FLAG_DIRTY;
-        }
-        b.push(flags);
-        b.extend_from_slice(&(r.out.len() as u32).to_le_bytes());
-        b.extend_from_slice(&(r.inn.len() as u32).to_le_bytes());
-        for &w in &r.out {
-            b.extend_from_slice(&w.to_le_bytes());
-        }
-        for &u in &r.inn {
-            b.extend_from_slice(&u.to_le_bytes());
-        }
+        let bit = |set: bool, bit: u8| if set { bit } else { 0 };
+        let meta = (r.is_meta || r.g_out != 0 || r.g_in != 0).then_some(MigMeta {
+            out_degree: r.g_out as u64,
+            in_degree: r.g_in as u64,
+            ..MigMeta::default()
+        });
+        let head = MigVertex {
+            vertex: r.vertex,
+            flags: bit(r.has_state, MigVertex::HAS_STATE)
+                | bit(r.active, MigVertex::ACTIVE)
+                | bit(meta.is_some(), MigVertex::META)
+                | bit(r.is_meta, MigVertex::IS_META)
+                | bit(r.dirty, MigVertex::DIRTY),
+            state: r.state,
+            out_degree: r.rep_out_degree,
+            aux: 0,
+            n_out: r.out.len() as u32,
+            n_in: r.inn.len() as u32,
+        };
+        let at = b.len();
+        b.resize(at + MigVertex::STRIDE + head.tail_len(), 0);
+        let (slot, tail) = b[at..].split_at_mut(MigVertex::STRIDE);
+        head.write(slot);
+        MigVertex::write_tail(tail, meta.as_ref(), r.out.iter().chain(&r.inn));
     }
     b
 }
 
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        let v = *self.bytes.get(self.pos)?;
-        self.pos += 1;
-        Some(v)
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        let end = self.pos.checked_add(4)?;
-        let v = u32::from_le_bytes(self.bytes.get(self.pos..end)?.try_into().ok()?);
-        self.pos = end;
-        Some(v)
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        let end = self.pos.checked_add(8)?;
-        let v = u64::from_le_bytes(self.bytes.get(self.pos..end)?.try_into().ok()?);
-        self.pos = end;
-        Some(v)
-    }
-}
-
-/// Parse a payload back into records. `None` on any truncation or
-/// trailing garbage — a shard that fails here is treated exactly like
-/// a checksum mismatch (the generation is skipped).
+/// Parse a payload back into records. `None` on any truncation,
+/// trailing garbage or flag a checkpoint does not know — a shard that
+/// fails here is treated exactly like a checksum mismatch (the
+/// generation is skipped).
 pub fn decode_payload(bytes: &[u8]) -> Option<Vec<CkptVertexRecord>> {
-    let mut c = Cursor { bytes, pos: 0 };
-    let n = c.u64()? as usize;
-    // Bound the preallocation by what the payload could actually hold.
-    let mut records = Vec::with_capacity(n.min(c.remaining() / RECORD_FIXED));
-    for _ in 0..n {
-        let vertex = c.u64()?;
-        let state = c.u64()?;
-        let rep_out_degree = c.u64()?;
-        let g_out = c.u64()? as i64;
-        let g_in = c.u64()? as i64;
-        let flags = c.u8()?;
-        if flags & !(FLAG_HAS_STATE | FLAG_ACTIVE | FLAG_IS_META | FLAG_DIRTY) != 0 {
-            return None;
-        }
-        let n_out = c.u32()? as usize;
-        let n_in = c.u32()? as usize;
-        let mut out = Vec::with_capacity(n_out.min(c.remaining() / 8));
-        for _ in 0..n_out {
-            out.push(c.u64()?);
-        }
-        let mut inn = Vec::with_capacity(n_in.min(c.remaining() / 8));
-        for _ in 0..n_in {
-            inn.push(c.u64()?);
-        }
-        records.push(CkptVertexRecord {
-            vertex,
-            state,
-            has_state: flags & FLAG_HAS_STATE != 0,
-            rep_out_degree,
-            active: flags & FLAG_ACTIVE != 0,
-            is_meta: flags & FLAG_IS_META != 0,
-            dirty: flags & FLAG_DIRTY != 0,
-            g_out,
-            g_in,
-            out,
-            inn,
-        });
-    }
-    if c.remaining() != 0 {
-        return None;
-    }
-    Some(records)
+    let (n, rest) = bytes.split_first_chunk()?;
+    let records = Records::<MigVertex>::new(rest, usize::try_from(u64::from_le_bytes(*n)).ok()?)?;
+    let record = |(h, tail): (MigVertex, &[u8])| {
+        let (meta, out, inn) = h.read_tail(tail);
+        let meta = meta.unwrap_or_default();
+        (h.flags & RUN_STATE == 0).then(|| CkptVertexRecord {
+            vertex: h.vertex,
+            state: h.state,
+            has_state: h.has(MigVertex::HAS_STATE),
+            rep_out_degree: h.out_degree,
+            active: h.has(MigVertex::ACTIVE),
+            is_meta: h.has(MigVertex::IS_META),
+            dirty: h.has(MigVertex::DIRTY),
+            g_out: meta.out_degree as i64,
+            g_in: meta.in_degree as i64,
+            out: out.to_vec(),
+            inn: inn.to_vec(),
+        })
+    };
+    records.tailed().map(record).collect()
 }
 
 #[cfg(test)]
@@ -237,7 +178,7 @@ mod tests {
         // Future-proofing: a payload written by a newer format must not
         // silently decode with its extra semantics dropped.
         let mut bytes = encode_payload(&sample());
-        let flag_off = 8 + 40; // count + five u64 fields of record 0
+        let flag_off = 8 + 8; // count + the vertex of record 0
         bytes[flag_off] |= 0x80;
         assert!(decode_payload(&bytes).is_none());
     }

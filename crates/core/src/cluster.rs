@@ -32,7 +32,7 @@ use elga_net::{
     Addr, DiskFault, FaultPlan, FaultyTransport, Frame, InProcTransport, Mailbox, NetError,
     ReliableTransport, Transport, TransportExt,
 };
-use elga_trace::{EventKind, Tracer};
+use elga_trace::{EventKind, TraceEvent, Tracer};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -160,7 +160,6 @@ impl ClusterBuilder {
             transport,
             chaos,
             cfg: self.config,
-            master,
             lead: directory_addr(0),
             handles,
             agent_handles: HashMap::new(),
@@ -229,20 +228,17 @@ pub struct Cluster {
     /// [`ClusterBuilder::chaos`].
     chaos: Option<ChaosStack>,
     cfg: SystemConfig,
-    #[allow(dead_code)]
-    master: Addr,
     lead: Addr,
     handles: Vec<JoinHandle<()>>,
-    agent_handles: HashMap<AgentId, JoinHandle<()>>,
+    agent_handles: HashMap<AgentId, JoinHandle<Vec<TraceEvent>>>,
     next_agent: u64,
     /// What [`Cluster::quiesce`] keeps from one call to the next.
     roster: Mutex<Roster>,
     streamer: Option<Streamer>,
     alive: bool,
-    /// Trace buffers salvaged from participants that already left
-    /// (departed agents drained just before their LEAVE). Merged into
-    /// [`Cluster::collect_traces`] output.
-    trace_tracks: Vec<(String, Vec<elga_trace::TraceEvent>)>,
+    /// Trace buffers of agents that already left, as their threads
+    /// returned them. Merged into [`Cluster::collect_traces`] output.
+    trace_tracks: Vec<(String, Vec<TraceEvent>)>,
     /// Driver-side, fault-free checkpoint store: scrubs and commits
     /// generations the agents wrote (possibly through an injector) and
     /// reads them back during recovery. Opened lazily.
@@ -366,16 +362,6 @@ impl Cluster {
         )
     }
 
-    /// Drain the trace buffers of `agents` into named tracks.
-    fn agent_traces(&self, agents: &[AgentInfo]) -> Vec<(String, Vec<elga_trace::TraceEvent>)> {
-        let replies = self.request_agents(agents, Frame::signal(packet::TRACE_DUMP));
-        let tracks = agents.iter().zip(replies).filter_map(|(a, rep)| {
-            let (events, _dropped) = elga_trace::decode_events(rep.ok()?.payload())?;
-            Some((format!("agent-{}", a.id), events))
-        });
-        tracks.collect()
-    }
-
     /// Current directory view.
     pub fn view(&self) -> DirectoryView {
         let rep = self
@@ -445,22 +431,15 @@ impl Cluster {
         if ids.is_empty() {
             return;
         }
-        // Departing agents take their trace buffers with them; salvage
-        // the events before the LEAVE makes the mailbox unreachable.
-        if self.cfg.tracing {
-            let mut leaving = self.view().agents;
-            leaving.retain(|a| ids.contains(&a.id));
-            let salvaged = self.agent_traces(&leaving);
-            self.trace_tracks.extend(salvaged);
-        }
         let mut b = Frame::builder(packet::LEAVE);
         for &id in ids {
             b = b.u64(id);
         }
         let _ = self.request(b.finish());
         for id in ids {
-            if let Some(handle) = self.agent_handles.remove(id) {
-                let _ = handle.join();
+            let events = self.agent_handles.remove(id).map(JoinHandle::join);
+            if let (Some(Ok(events)), true) = (events, self.cfg.tracing) {
+                self.trace_tracks.push((format!("agent-{id}"), events));
             }
         }
     }
@@ -1137,11 +1116,11 @@ impl Cluster {
 
     /// Drain every participant's trace buffer into named tracks: the
     /// lead directory, each live agent, the streamer (if one was
-    /// created), plus buffers salvaged from agents that already
-    /// departed. Draining consumes events — a second call returns only
+    /// created), plus the buffers of agents that already departed,
+    /// as their threads returned them. Draining consumes events — a second call returns only
     /// what happened since. Empty unless [`SystemConfig::tracing`] is
     /// on.
-    pub fn collect_traces(&mut self) -> Vec<(String, Vec<elga_trace::TraceEvent>)> {
+    pub fn collect_traces(&mut self) -> Vec<(String, Vec<TraceEvent>)> {
         let mut tracks = std::mem::take(&mut self.trace_tracks);
         if !self.cfg.tracing {
             return tracks;
@@ -1151,7 +1130,12 @@ impl Cluster {
                 tracks.push(("directory-0".to_string(), events));
             }
         }
-        tracks.extend(self.agent_traces(&self.view().agents));
+        let agents = self.view().agents;
+        let replies = self.request_agents(&agents, Frame::signal(packet::TRACE_DUMP));
+        tracks.extend(agents.iter().zip(replies).filter_map(|(a, rep)| {
+            let (events, _dropped) = elga_trace::decode_events(rep.ok()?.payload())?;
+            Some((format!("agent-{}", a.id), events))
+        }));
         if let Some(s) = &self.streamer {
             let (events, _dropped) = s.tracer().drain();
             if !events.is_empty() {

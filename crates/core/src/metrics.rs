@@ -202,7 +202,7 @@ metrics! {
         state: PacketStat => "state" counter "State broadcasts (STATE).";
         edge_changes: PacketStat => "edge_changes" counter "Edge changes (EDGE_CHANGES).";
         deg_delta: PacketStat => "deg_delta" counter "Degree deltas (DEG_DELTA).";
-        migration: PacketStat => "migration" counter "MIG_STATE, MIG_EDGES and MIG_META.";
+        migration: PacketStat => "migration" counter "Moving vertices (MIG_VERTEX).";
         size_flushes: u64 => "coalesce_size_flushes_total" counter
             "Coalescer flushes at the byte threshold.";
         count_flushes: u64 => "coalesce_count_flushes_total" counter
@@ -224,9 +224,6 @@ impl CommsMetrics {
     /// Snapshot the data-plane packet types out of an agent-local
     /// [`NetStats`] and merge in its aggregated coalescer counters.
     pub fn snapshot(net: &NetStats, coalesce: &CoalesceStats) -> CommsMetrics {
-        let mut migration = PacketStat::from_net(net, packet::MIG_STATE);
-        migration.sum(&PacketStat::from_net(net, packet::MIG_EDGES));
-        migration.sum(&PacketStat::from_net(net, packet::MIG_META));
         let (rx_pool_hits, rx_pool_misses) = net.rx_pool();
         CommsMetrics {
             vmsg: PacketStat::from_net(net, packet::VMSG),
@@ -234,7 +231,7 @@ impl CommsMetrics {
             state: PacketStat::from_net(net, packet::STATE),
             edge_changes: PacketStat::from_net(net, packet::EDGE_CHANGES),
             deg_delta: PacketStat::from_net(net, packet::DEG_DELTA),
-            migration,
+            migration: PacketStat::from_net(net, packet::MIG_VERTEX),
             size_flushes: coalesce.size_flushes,
             count_flushes: coalesce.count_flushes,
             explicit_flushes: coalesce.explicit_flushes,
@@ -623,9 +620,9 @@ mod tests {
         net.record_sent(packet::VMSG, 100);
         net.record_sent(packet::VMSG, 50);
         net.record_recv(packet::STATE, 25);
-        net.record_sent(packet::MIG_STATE, 5);
-        net.record_sent(packet::MIG_EDGES, 10);
-        net.record_sent(packet::MIG_META, 20);
+        for bytes in [5, 10, 20] {
+            net.record_sent(packet::MIG_VERTEX, bytes);
+        }
         let coalesce = CoalesceStats {
             size_flushes: 1,
             explicit_flushes: 2,

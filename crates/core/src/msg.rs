@@ -47,10 +47,9 @@ pub mod packet {
     pub const ADVANCE: u8 = 10;
     /// Algorithm start (REQ to the lead, then PUB): [`super::RunInfo`].
     pub const START: u8 = 11;
-    /// Migrated edges (push, Agent → Agent): [`super::MigEdge`] records.
-    pub const MIG_EDGES: u8 = 12;
-    /// Migrated primary metadata (push): [`super::MetaRecord`] records.
-    pub const MIG_META: u8 = 13;
+    /// Vertices moving in a view change (push, Agent → Agent):
+    /// [`super::MigVertex`] records, each with its lists.
+    pub const MIG_VERTEX: u8 = 12;
     /// Drain request (REQ to an Agent), answered by
     /// [`super::DrainReport`].
     pub const DRAIN: u8 = 16;
@@ -100,9 +99,6 @@ pub mod packet {
     pub const SUB_REG: u8 = 42;
     /// Subscription push (Agent → client), uncounted.
     pub const SUB_PUSH: u8 = 43;
-    /// Replica snapshots ahead of migrating edges (push):
-    /// [`super::MigState`] records.
-    pub const MIG_STATE: u8 = 48;
 }
 
 /// Superstep phases (see crate docs). `Migrate` barriers elastic
@@ -480,9 +476,22 @@ fn expect(frame: &Frame, ty: u8) -> Option<FrameReader<'_>> {
 /// (e.g. the EDGE_CHANGES action byte must be 0 or 1); once a
 /// [`Records`] view is constructed, every chunk has passed it and
 /// `parse` runs infallibly during iteration.
+///
+/// A *tailed* record is a `STRIDE`-byte head followed by as many bytes
+/// as the head says ([`WireRecord::tail_len`]): MIG_VERTEX's lists. Its
+/// frames are written through an [`OpenFrame`] and read with
+/// [`Records::tailed`].
 pub trait WireRecord: Sized {
-    /// Bytes per record on the wire.
+    /// Bytes per record on the wire (a tailed record's head).
     const STRIDE: usize;
+
+    /// Whether a tail follows each record.
+    const TAILED: bool = false;
+
+    /// Bytes of tail that follow this head.
+    fn tail_len(&self) -> usize {
+        0
+    }
 
     /// Whether a raw `STRIDE`-byte chunk is a well-formed record.
     fn validate(_chunk: &[u8]) -> bool {
@@ -500,13 +509,15 @@ pub trait WireRecord: Sized {
 /// Declare fixed-stride records once: each struct and its
 /// [`WireRecord`] layout — the fields back to back in declaration
 /// order, each laid out as its own type's record, and valid when every
-/// field is.
+/// field is. `tail |head| len;` after a struct makes it the head of a
+/// tailed record, `len` bytes of tail behind it.
 macro_rules! record {
     ($(
         $(#[$meta:meta])*
         pub struct $name:ident {
             $($(#[$fmeta:meta])* pub $field:ident: $ty:ty,)*
         }
+        $(tail |$head:ident| $tail:expr;)?
     )*) => {$(
         $(#[$meta])*
         pub struct $name {
@@ -516,6 +527,15 @@ macro_rules! record {
         #[allow(unused_assignments)]
         impl WireRecord for $name {
             const STRIDE: usize = 0 $(+ <$ty as WireRecord>::STRIDE)*;
+
+            $(
+                const TAILED: bool = true;
+
+                fn tail_len(&self) -> usize {
+                    let $head = self;
+                    $tail
+                }
+            )?
 
             #[inline]
             fn validate(chunk: &[u8]) -> bool {
@@ -553,12 +573,24 @@ macro_rules! record {
 /// records are, the packet kind, the header fields that follow the kind
 /// byte and the view that holds them (a row without them decodes to a
 /// bare [`Records`]), the record type, and the functions that append a
-/// run to a coalescing outbox, encode one frame, and decode a frame
-/// into a borrowed view. The layout: the kind byte, the header fields
-/// back to back, a `u32` record count, the packed records. An appended
-/// frame is byte-identical to the encoded one, so one `decode_*` reads
-/// both; the outbox tells open frames apart by these header bytes.
+/// run to a coalescing outbox, encode one frame, open an [`OpenFrame`]
+/// to write records into one at a time (the way a tailed record is
+/// sent), and decode a frame into a borrowed view. The layout: the kind
+/// byte, the header fields back to back, a `u32` record count, the
+/// packed records. An appended frame is byte-identical to the encoded
+/// one, so one `decode_*` reads both; the outbox tells open frames
+/// apart by these header bytes.
 macro_rules! records_frames {
+    (@open [$($doc:literal)+] $kind:ident [$($field:ident: $ty:ty),*] $rec:ty,) => {};
+    (@open [$($doc:literal)+] $kind:ident [$($field:ident: $ty:ty),*] $rec:ty, $open:ident) => {
+        $(#[doc = $doc])+
+        #[doc = concat!("\n\nOpen a ", stringify!($kind), " frame to write them into.")]
+        pub fn $open($($field: $ty,)*) -> OpenFrame<$rec> {
+            let mut header = [0; <($($ty,)*) as WireRecord>::STRIDE];
+            ($($field,)*).write(&mut header);
+            OpenFrame::new(packet::$kind, &header)
+        }
+    };
     (@append [$($doc:literal)+] $kind:ident [$($field:ident: $ty:ty),*] $rec:ty,) => {};
     (@append [$($doc:literal)+] $kind:ident [$($field:ident: $ty:ty),*] $rec:ty, $append:ident) => {
         $(#[doc = $doc])+
@@ -613,10 +645,12 @@ macro_rules! records_frames {
     ($(
         $(#[doc = $doc:literal])+
         $kind:ident $(($($field:ident: $ty:ty),+) as $view:ident)?: $rec:ty =>
-            $(append $append:ident,)? $(encode $encode:ident,)? decode $decode:ident;
+            $(append $append:ident,)? $(encode $encode:ident,)? $(open $open:ident,)?
+            decode $decode:ident;
     )*) => {$(
         records_frames!(@append [$($doc)+] $kind [$($($field: $ty),+)?] $rec, $($append)?);
         records_frames!(@encode [$($doc)+] $kind [$($($field: $ty),+)?] $rec, $($encode)?);
+        records_frames!(@open [$($doc)+] $kind [$($($field: $ty),+)?] $rec, $($open)?);
         records_frames!(@decode [$($doc)+] $kind [$($($field: $ty),+ as $view)?] $rec, $decode);
     )*};
 }
@@ -635,15 +669,11 @@ records_frames! {
     /// State broadcasts of a run's superstep, primary to replicas.
     STATE(run: u64, step: u32) as StatesView: StateRecord =>
         append append_states, encode encode_states, decode decode_states;
-    /// Edges moving to their new owner in a view change.
-    MIG_EDGES: MigEdge => append append_mig_edges, decode decode_mig_edges;
-    /// Replica snapshots of vertices whose edges are moving, ahead of
-    /// the edges.
-    MIG_STATE: MigState => append append_mig_states, decode decode_mig_states;
-    /// Primary metadata moving in a view change, under the sender's
-    /// serving-snapshot tag, which a joiner adopts with the snaps.
-    MIG_META(snap_run: u64, snap_watermark: u64) as MigMetaView: MetaRecord =>
-        append append_mig_meta, decode decode_mig_meta;
+    /// Vertices moving to a new owner in a view change, under the
+    /// sender's serving-snapshot tag, which a joiner adopts with the
+    /// snaps that primary meta brings.
+    MIG_VERTEX(snap_run: u64, snap_watermark: u64) as MigVertexView: MigVertex =>
+        open open_mig_vertex, decode decode_mig_vertex;
     /// `(vertex, out delta, in delta)` for the vertex's primary, which
     /// keeps its global degrees.
     DEG_DELTA: (VertexId, i64, i64) =>
@@ -673,7 +703,8 @@ records_frames! {
 /// payload.
 ///
 /// Construction checks the record count against the region length
-/// (exact multiple of the stride — trailing bytes are malformed, not
+/// (exact multiple of the stride, or for tailed records the heads and
+/// tails walked to the end — trailing bytes are malformed, not
 /// ignored) and validates every record once; iteration then parses in
 /// place with zero per-record allocation. The records live in the
 /// frame's pooled, `Arc`-shared receive buffer for as long as the
@@ -682,6 +713,7 @@ records_frames! {
 #[derive(Debug)]
 pub struct Records<'a, T> {
     buf: &'a [u8],
+    n: usize,
     _marker: std::marker::PhantomData<fn() -> T>,
 }
 
@@ -728,27 +760,51 @@ impl<T: WireRecord> DoubleEndedIterator for RecordsIter<'_, T> {
 }
 
 impl<'a, T: WireRecord> Records<'a, T> {
-    fn new(buf: &'a [u8], n: usize) -> Option<Self> {
-        if buf.len() != n.checked_mul(T::STRIDE)? {
-            return None;
-        }
-        if !buf.chunks_exact(T::STRIDE).all(T::validate) {
+    /// A view of the `n` records in `buf`, if that is what it holds.
+    pub(crate) fn new(buf: &'a [u8], n: usize) -> Option<Self> {
+        if T::TAILED {
+            let mut rest = buf;
+            for _ in 0..n {
+                let head = rest.get(..T::STRIDE).filter(|h| T::validate(h))?;
+                rest = rest.get(T::STRIDE.checked_add(T::parse(head).tail_len())?..)?;
+            }
+            if !rest.is_empty() {
+                return None;
+            }
+        } else if buf.len() != n.checked_mul(T::STRIDE)?
+            || !buf.chunks_exact(T::STRIDE).all(T::validate)
+        {
             return None;
         }
         Some(Records {
             buf,
+            n,
             _marker: std::marker::PhantomData,
         })
     }
 
     /// Record count.
     pub fn len(&self) -> usize {
-        self.buf.len() / T::STRIDE
+        self.n
     }
 
     /// True when the view holds no records.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.n == 0
+    }
+
+    /// Iterate tailed records: each head, parsed, with its tail in
+    /// place.
+    pub fn tailed(&self) -> impl Iterator<Item = (T, &'a [u8])> {
+        const { assert!(T::TAILED, "fixed-stride records have no tails") };
+        let mut rest = self.buf;
+        (0..self.n).map(move |_| {
+            let (head, tail) = rest.split_at(T::STRIDE);
+            let head = T::parse(head);
+            let (tail, next) = tail.split_at(head.tail_len());
+            rest = next;
+            (head, tail)
+        })
     }
 
     /// Iterate, parsing each record off the borrowed payload.
@@ -768,6 +824,7 @@ impl<'a, T: WireRecord> IntoIterator for Records<'a, T> {
     type IntoIter = RecordsIter<'a, T>;
 
     fn into_iter(self) -> Self::IntoIter {
+        const { assert!(!T::TAILED, "tailed records are read with `tailed`") };
         RecordsIter {
             chunks: self.buf.chunks_exact(T::STRIDE),
             _marker: std::marker::PhantomData,
@@ -1118,115 +1175,161 @@ impl Advance {
 }
 
 // ---------------------------------------------------------------------
-// Migration record streams
-//
-// A view change moves three kinds of fixed-stride records, each a
-// packed stream like every other data-plane packet: the sender
-// appends each kind's records as one run to the destination's open
-// coalescing frame (`append_mig_*`), frames leave by size or at the
-// migrate READY, and the receiver walks a borrowed [`Records`] view
-// (`decode_mig_*`).
+// Migration: one MIG_VERTEX record per moving (vertex, destination),
+// written from the vertex's entry straight into the destination's frame
+// and read back in place.
 
 record! {
-    /// One migrating edge: MIG_EDGES record, 17 bytes.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct MigEdge {
-        /// Which placement of the edge moves ([`Side::Out`]: the out-edge
-        /// stored on `src`; [`Side::In`]: the in-edge stored on `dst`).
-        pub side: Side,
-        /// Edge source.
-        pub src: VertexId,
-        /// Edge destination.
-        pub dst: VertexId,
+    /// The primary meta behind a MIG_VERTEX head when primaryship moves
+    /// with the vertex ([`MigVertex::META`]), 48 bytes: the global
+    /// degrees, and what else lives only at the primary — an async
+    /// waiting set's partial and progress (§3.2), a delta run's residual
+    /// and the served snapshot — so a view change mid-run loses none of
+    /// it. A field whose `HAS_*` flag is unset means nothing.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct MigMeta {
+        /// Global out-degree.
+        pub out_degree: u64,
+        /// Global in-degree.
+        pub in_degree: u64,
+        /// Pending combined partial of the async waiting set.
+        pub ppartial: u64,
+        /// Messages received toward the waiting set.
+        pub wait_recv: u64,
+        /// Unapplied residual of an incremental run.
+        pub residual: u64,
+        /// Value at the last completed run, served to queries.
+        pub snap: u64,
     }
 
-    /// The sender's replica copy of a vertex whose edges are moving:
-    /// MIG_STATE record, 34 bytes — a [`StateRecord`] (`aux` carries a
-    /// delta run's un-scattered pending delta, zero for none) plus whether
-    /// the state is initialized. Sent once per (vertex, destination),
-    /// ahead of the vertex's edges.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct MigState {
-        /// The replica snapshot.
-        pub rec: StateRecord,
-        /// Whether `rec.state` is initialized.
-        pub has_state: bool,
-    }
-}
-
-impl MigEdge {
-    /// The edge held in `key`'s adjacency on `side`, `other` being its
-    /// far endpoint.
-    #[inline]
-    pub fn held_by(side: Side, key: VertexId, other: VertexId) -> MigEdge {
-        let (src, dst) = match side {
-            Side::Out => (key, other),
-            Side::In => (other, key),
-        };
-        MigEdge { side, src, dst }
-    }
-
-    /// `(key, other)`: the vertex whose adjacency holds this edge, and
-    /// the far endpoint stored there.
-    #[inline]
-    pub fn endpoints(&self) -> (VertexId, VertexId) {
-        match self.side {
-            Side::Out => (self.src, self.dst),
-            Side::In => (self.dst, self.src),
-        }
-    }
-}
-
-record! {
-    /// Primary-side vertex metadata moved during migration: MIG_META
-    /// record, 71 bytes.
-    ///
-    /// Besides the meta payload (global out-degree, dirty flag), the record
-    /// carries the vertex's *async run state* — the §3.2 waiting-set
-    /// progress that lives only at the primary. Migrating it keeps an
-    /// asynchronous run correct across a mid-run view change: the new
-    /// primary resumes the waiting set exactly where the old one left off
-    /// instead of waiting forever for messages that were already consumed.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct MetaRecord {
+    /// One vertex moving to one destination: the head of a MIG_VERTEX
+    /// record, 41 bytes, which is the sender's replica snapshot. Behind
+    /// it come the [`MigMeta`] when [`MigVertex::META`] is set, then the
+    /// far endpoints of `n_out` out-edges and `n_in` in-edges as
+    /// little-endian `u64`s. The receiver takes the snapshot in with the
+    /// edges, so a record without edges hands over only its meta. A
+    /// vertex whose lists one frame cannot hold moves as consecutive
+    /// records, the meta on the last.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct MigVertex {
         /// The vertex.
         pub vertex: VertexId,
-        /// Encoded program state (meaningless when `has_state` is false).
+        /// [`MigVertex::HAS_STATE`] and the other flag bits.
+        pub flags: u8,
+        /// Encoded program state.
         pub state: u64,
-        /// Global out-degree accumulated at the primary.
+        /// The replica's global out-degree: scatter shares divide by it.
         pub out_degree: u64,
-        /// Global in-degree accumulated at the primary.
-        pub in_degree: u64,
-        /// Active flag.
-        pub active: bool,
-        /// Touched by changes since the last run.
-        pub dirty: bool,
-        /// Whether `state` is initialized.
-        pub has_state: bool,
-        /// Whether this record carries primary metadata (the degrees,
-        /// existence). False for records shipped solely to hand off async
-        /// run state for a vertex whose meta lives elsewhere.
-        pub has_meta: bool,
-        /// Pending combined partial of an async waiting set (meaningless
-        /// when `has_ppartial` is false).
-        pub ppartial: u64,
-        /// Whether `ppartial` holds a combined value.
-        pub has_ppartial: bool,
-        /// Messages received so far toward the vertex's waiting set.
-        pub wait_recv: u64,
-        /// Unapplied residual of an incremental run (meaningless when
-        /// `has_residual` is false). Residuals live only at the primary, so
-        /// migrating them with the meta bundle keeps delta runs exact
-        /// across a mid-run view change.
-        pub residual: u64,
-        /// Whether `residual` holds an accumulated delta.
-        pub has_residual: bool,
-        /// Query-serving snapshot (the vertex's value at the last completed
-        /// run; meaningless when `has_snap` is false). Moves with
-        /// primaryship so snapshot reads survive view changes.
-        pub snap: u64,
-        /// Whether `snap` holds a completed-run value.
-        pub has_snap: bool,
+        /// A delta run's un-scattered pending delta, which the new owner
+        /// pushes along the moved edges (0 = none).
+        pub aux: u64,
+        /// Out-edges behind the head.
+        pub n_out: u32,
+        /// In-edges behind those.
+        pub n_in: u32,
+    }
+    tail |h| 8 * (h.n_out as usize + h.n_in as usize)
+        + if h.has(MigVertex::META) { MigMeta::STRIDE } else { 0 };
+}
+
+/// The far endpoints of a MIG_VERTEX record's out- or in-edges.
+pub type Ids<'a> = Records<'a, VertexId>;
+
+impl MigVertex {
+    /// Flag: `state` is initialized.
+    pub const HAS_STATE: u8 = 1;
+    /// Flag: the vertex is active.
+    pub const ACTIVE: u8 = 1 << 1;
+    /// Flag: a [`MigMeta`] follows the head.
+    pub const META: u8 = 1 << 2;
+    /// Flag: the meta holds the primary record, not only run state.
+    pub const IS_META: u8 = 1 << 3;
+    /// Flag: the vertex was touched by changes since the last run.
+    pub const DIRTY: u8 = 1 << 4;
+    /// Flag: [`MigMeta::ppartial`] holds a value.
+    pub const HAS_PPARTIAL: u8 = 1 << 5;
+    /// Flag: [`MigMeta::residual`] holds a value.
+    pub const HAS_RESIDUAL: u8 = 1 << 6;
+    /// Flag: [`MigMeta::snap`] holds a value.
+    pub const HAS_SNAP: u8 = 1 << 7;
+
+    /// Whether `flag` is set.
+    #[inline]
+    pub fn has(&self, flag: u8) -> bool {
+        self.flags & flag != 0
+    }
+
+    /// Fill the record's tail: `meta`, then the ids.
+    pub fn write_tail<'a>(
+        tail: &mut [u8],
+        meta: Option<&MigMeta>,
+        ids: impl Iterator<Item = &'a VertexId>,
+    ) {
+        let at = meta.map_or(0, |m| {
+            m.write(tail);
+            MigMeta::STRIDE
+        });
+        for (slot, w) in tail[at..].chunks_exact_mut(8).zip(ids) {
+            slot.copy_from_slice(&w.to_le_bytes());
+        }
+    }
+
+    /// Read the record's tail: its meta, if it carries one, and the far
+    /// endpoints of its out- and in-edges.
+    pub fn read_tail<'a>(&self, tail: &'a [u8]) -> (Option<MigMeta>, Ids<'a>, Ids<'a>) {
+        let meta = self.has(Self::META).then(|| MigMeta::parse(tail));
+        let ids = &tail[meta.map_or(0, |_| MigMeta::STRIDE)..];
+        let (out, inn) = ids.split_at(8 * self.n_out as usize);
+        let ids = |buf: &'a [u8]| Records::new(buf, buf.len() / 8).expect("whole ids");
+        (meta, ids(out), ids(inn))
+    }
+}
+
+/// A record-bearing frame written one record at a time, in place, in
+/// its `records_frames!` row's layout: the kind byte, the header, the
+/// `u32` record count that [`OpenFrame::finish`] fills in, the records.
+/// It is how tailed records are sent: they have no fixed stride to
+/// append runs by.
+pub struct OpenFrame<T> {
+    buf: Vec<u8>,
+    count_at: usize,
+    records: u32,
+    _marker: std::marker::PhantomData<fn(&T)>,
+}
+
+impl<T: WireRecord> OpenFrame<T> {
+    fn new(kind: u8, header: &[u8]) -> Self {
+        let buf = [&[kind], header, &[0; 4]].concat();
+        let (count_at, _marker) = (buf.len() - 4, std::marker::PhantomData);
+        OpenFrame {
+            buf,
+            count_at,
+            records: 0,
+            _marker,
+        }
+    }
+
+    /// Bytes written, the kind byte included.
+    pub fn size(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// Write one record: `head`, then the `head.tail_len()` bytes of
+    /// its tail, filled in place by `tail`.
+    pub fn push(&mut self, head: &T, tail: impl FnOnce(&mut [u8])) {
+        let at = self.buf.len();
+        self.buf.resize(at + T::STRIDE + head.tail_len(), 0);
+        let (slot, rest) = self.buf[at..].split_at_mut(T::STRIDE);
+        head.write(slot);
+        tail(rest);
+        self.records += 1;
+    }
+
+    /// The finished frame.
+    pub fn finish(mut self) -> Frame {
+        let at = self.count_at;
+        self.buf[at..at + 4].copy_from_slice(&self.records.to_le_bytes());
+        Frame::from_bytes(self.buf.into())
     }
 }
 
@@ -1714,186 +1817,85 @@ mod tests {
         assert!(Counters::default().settled());
     }
 
-    fn sample_metas() -> Vec<MetaRecord> {
-        vec![
-            MetaRecord {
-                vertex: 3,
-                state: 99,
-                out_degree: 4,
-                in_degree: 6,
-                active: true,
-                dirty: false,
-                has_state: true,
-                has_meta: true,
-                ppartial: 0,
-                has_ppartial: false,
-                wait_recv: 0,
-                residual: 0.5f64.to_bits(),
-                has_residual: true,
-                snap: 98,
-                has_snap: true,
-            },
-            // Pure async-state handoff: no meta payload, but a live
-            // waiting set mid-accumulation.
-            MetaRecord {
-                vertex: 7,
-                state: 0,
-                out_degree: 0,
-                in_degree: 0,
-                active: false,
-                dirty: true,
-                has_state: false,
-                has_meta: false,
-                ppartial: 41,
-                has_ppartial: true,
-                wait_recv: 2,
-                residual: 0,
-                has_residual: false,
-                snap: 0,
-                has_snap: false,
-            },
-        ]
-    }
-
-    fn sample_mig_states() -> Vec<MigState> {
-        vec![
-            MigState {
-                rec: StateRecord {
-                    vertex: 5,
-                    state: 42,
-                    out_degree: 3,
-                    aux: 0.25f64.to_bits(),
-                    active: true,
-                },
-                has_state: true,
-            },
-            MigState {
-                rec: StateRecord {
-                    vertex: 9,
-                    state: 0,
-                    out_degree: 0,
-                    aux: 0,
-                    active: false,
-                },
-                has_state: false,
-            },
-        ]
-    }
-
-    fn sample_mig_edges() -> Vec<MigEdge> {
-        let edge = |side, src, dst| MigEdge { side, src, dst };
-        vec![
-            edge(Side::Out, 5, 6),
-            edge(Side::In, 1 << 40, 5),
-            edge(Side::Out, 5, 7),
-        ]
-    }
-
-    // The migration streams have no batch encoder in the library (the
-    // coalescer is the one encode path); these state the layout a
-    // second time, field by field, so the test pins the wire format.
-    fn batch_mig_states(recs: &[MigState]) -> Frame {
-        let mut b = Frame::builder(packet::MIG_STATE).u32(recs.len() as u32);
-        for s in recs {
-            b = b
-                .u64(s.rec.vertex)
-                .u64(s.rec.state)
-                .u64(s.rec.out_degree)
-                .u64(s.rec.aux)
-                .u8(s.rec.active as u8)
-                .u8(s.has_state as u8);
-        }
-        b.finish()
-    }
-
-    fn batch_mig_edges(recs: &[MigEdge]) -> Frame {
-        let mut b = Frame::builder(packet::MIG_EDGES).u32(recs.len() as u32);
-        for e in recs {
-            b = b.u8(e.side as u8).u64(e.src).u64(e.dst);
-        }
-        b.finish()
-    }
-
-    fn batch_mig_meta(recs: &[MetaRecord], snap_run: u64, snap_watermark: u64) -> Frame {
-        let mut b = Frame::builder(packet::MIG_META)
-            .u64(snap_run)
-            .u64(snap_watermark)
-            .u32(recs.len() as u32);
-        for m in recs {
-            b = b
-                .u64(m.vertex)
-                .u64(m.state)
-                .u64(m.out_degree)
-                .u64(m.in_degree)
-                .u8(m.active as u8)
-                .u8(m.dirty as u8)
-                .u8(m.has_state as u8)
-                .u8(m.has_meta as u8)
-                .u64(m.ppartial)
-                .u8(m.has_ppartial as u8)
-                .u64(m.wait_recv)
-                .u64(m.residual)
-                .u8(m.has_residual as u8)
-                .u64(m.snap)
-                .u8(m.has_snap as u8);
-        }
-        b.finish()
-    }
-
-    #[test]
-    fn mig_streams_match_batch_layout_and_roundtrip() {
-        let states = sample_mig_states();
-        let f = coalesced(|c| append_mig_states(c, &states));
-        assert_eq!(f, [batch_mig_states(&states)]);
-        assert_eq!(f[0].len(), 1 + 4 + states.len() * MigState::STRIDE);
-        assert_eq!(decode_mig_states(&f[0]).unwrap().to_vec(), states);
-
-        let edges = sample_mig_edges();
-        let f = coalesced(|c| append_mig_edges(c, &edges));
-        assert_eq!(f, [batch_mig_edges(&edges)]);
-        assert_eq!(f[0].len(), 1 + 4 + edges.len() * MigEdge::STRIDE);
-        assert_eq!(decode_mig_edges(&f[0]).unwrap().to_vec(), edges);
-
-        let metas = sample_metas();
-        let f = coalesced(|c| append_mig_meta(c, 6, 11, &metas));
-        assert_eq!(f, [batch_mig_meta(&metas, 6, 11)]);
-        assert_eq!(f[0].len(), 1 + 16 + 4 + metas.len() * MetaRecord::STRIDE);
-        let view = decode_mig_meta(&f[0]).unwrap();
-        assert_eq!((view.snap_run, view.snap_watermark), (6, 11));
-        assert_eq!(view.records.to_vec(), metas);
-    }
-
-    #[test]
-    fn mig_frames_reject_wrong_type_truncation_and_bad_side() {
-        let states = batch_mig_states(&sample_mig_states());
-        let edges = batch_mig_edges(&sample_mig_edges());
-        let metas = batch_mig_meta(&sample_metas(), 6, 11);
-        // Each decoder takes its own packet type only.
-        for f in [&edges, &metas] {
-            assert!(decode_mig_states(f).is_none());
-        }
-        for f in [&states, &metas] {
-            assert!(decode_mig_edges(f).is_none());
-        }
-        for f in [&states, &edges] {
-            assert!(decode_mig_meta(f).is_none());
-        }
-        // One byte short, or one byte over: the count no longer matches
-        // the record region.
-        let resized = |f: &Frame, by: isize| {
-            let mut bytes = f.as_bytes().to_vec();
-            bytes.resize((bytes.len() as isize + by) as usize, 0);
-            Frame::from_bytes(bytes.into())
+    /// Two records: a moving primary with its meta and both lists, and
+    /// a meta-only handoff of async run state.
+    fn sample_mig_vertex() -> Frame {
+        let mut f = open_mig_vertex(6, 11);
+        let head = MigVertex {
+            vertex: 5,
+            flags: MigVertex::HAS_STATE | MigVertex::META | MigVertex::IS_META,
+            state: 42,
+            out_degree: 3,
+            aux: 0.25f64.to_bits(),
+            n_out: 2,
+            n_in: 1,
         };
-        for by in [-1, 1] {
-            assert!(decode_mig_states(&resized(&states, by)).is_none());
-            assert!(decode_mig_edges(&resized(&edges, by)).is_none());
-            assert!(decode_mig_meta(&resized(&metas, by)).is_none());
+        let meta = MigMeta {
+            out_degree: 2,
+            in_degree: 1,
+            residual: 0.5f64.to_bits(),
+            snap: 41,
+            ..MigMeta::default()
+        };
+        f.push(&head, |t| {
+            MigVertex::write_tail(t, Some(&meta), [6, 7, 1 << 40].iter())
+        });
+        let (vertex, flags) = (9, MigVertex::META | MigVertex::HAS_PPARTIAL);
+        let handoff = MigVertex {
+            vertex,
+            flags,
+            ..MigVertex::default()
+        };
+        let (ppartial, wait_recv) = (41, 2);
+        let parked = MigMeta {
+            ppartial,
+            wait_recv,
+            ..MigMeta::default()
+        };
+        f.push(&handoff, |t| {
+            MigVertex::write_tail(t, Some(&parked), [].iter())
+        });
+        f.finish()
+    }
+
+    /// A MIG_VERTEX frame is its header, a count and the records, each
+    /// head, meta and lists field by field — the layout stated a second
+    /// time so the test pins it — and reads back as written. A list
+    /// length or record count that promises more than the frame holds
+    /// reads as nothing (truncations and a wrong kind: `tests/prop.rs`).
+    #[test]
+    fn mig_vertex_matches_its_layout_and_roundtrips() {
+        let f = sample_mig_vertex();
+        let meta = |b: FrameBuilder, m: [u64; 6]| m.iter().fold(b, |b, &x| b.u64(x));
+        let b = Frame::builder(packet::MIG_VERTEX).u64(6).u64(11).u32(2);
+        let b = b.u64(5).u8(1 | 4 | 8).u64(42).u64(3).u64(0.25f64.to_bits());
+        let b = meta(b.u32(2).u32(1), [2, 1, 0, 0, 0.5f64.to_bits(), 41]);
+        let b = b.u64(6).u64(7).u64(1 << 40);
+        let b = b.u64(9).u8(4 | 32).u64(0).u64(0).u64(0).u32(0).u32(0);
+        assert_eq!(f, meta(b, [0, 0, 41, 2, 0, 0]).finish());
+        let view = decode_mig_vertex(&f).unwrap();
+        assert_eq!((view.snap_run, view.snap_watermark), (6, 11));
+        let read = |(head, tail): (MigVertex, &[u8])| {
+            let (meta, out, inn) = head.read_tail(tail);
+            (
+                head.vertex,
+                meta.map(|m| m.snap),
+                out.to_vec(),
+                inn.to_vec(),
+            )
+        };
+        let got: Vec<_> = view.records.tailed().map(read).collect();
+        let want = [
+            (5, Some(41), vec![6, 7], vec![1 << 40]),
+            (9, Some(0), vec![], vec![]),
+        ];
+        assert_eq!(got, want);
+        let n_in_at = 1 + 16 + 4 + 8 + 1 + 24 + 4;
+        for (at, value) in [(n_in_at, 2u32), (n_in_at, u32::MAX), (17, 3)] {
+            let mut lying = f.as_bytes().to_vec();
+            lying[at..at + 4].copy_from_slice(&value.to_le_bytes());
+            assert!(decode_mig_vertex(&Frame::from_bytes(lying.into())).is_none());
         }
-        // A side byte other than 0 / 1 fails validation up front.
-        let mut bytes = edges.as_bytes().to_vec();
-        bytes[1 + 4] = 2;
-        assert!(decode_mig_edges(&Frame::from_bytes(bytes.into())).is_none());
     }
 
     /// `(NAME, byte)` of every table row `| `NAME` | byte | ...` in
@@ -1925,7 +1927,7 @@ mod tests {
                 Some((name.to_string(), byte.strip_suffix(';')?.parse().ok()?))
             })
             .collect();
-        assert_eq!(declared.len(), 36);
+        assert_eq!(declared.len(), 34);
         assert_eq!(kinds_listed(include_str!("../../../DESIGN.md")), declared);
     }
 
@@ -2046,9 +2048,7 @@ mod tests {
         assert!(decode_states(&junk).is_none());
         assert!(ReadyReport::decode(&junk).is_none());
         assert!(Advance::decode(&junk).is_none());
-        assert!(decode_mig_meta(&junk).is_none());
-        assert!(decode_mig_edges(&junk).is_none());
-        assert!(decode_mig_states(&junk).is_none());
+        assert!(decode_mig_vertex(&junk).is_none());
         assert!(decode_deg_deltas(&junk).is_none());
         assert!(JoinReply::decode(&junk).is_none());
         assert!(RunInfo::decode(&junk).is_none());
@@ -2133,8 +2133,8 @@ mod tests {
     /// A run under another header opens its own frame, however the
     /// two headers' fields relate, and records keep their append order
     /// within each frame. `(run 0, step 5)` and `(run 2^32, step 5)`
-    /// differ only in the high half of `run`; MIG_META's `(0, 2^32)` and
-    /// `(1, 0)` move a bit from one field to the other.
+    /// differ only in the high half of `run`; SUB_PUSH's `(0, 0, 2^32)`
+    /// and `(0, 1, 0)` move a bit from one field to the other.
     #[test]
     fn append_header_switch_preserves_record_order() {
         let frames = coalesced(|c| {
@@ -2159,19 +2159,18 @@ mod tests {
         ];
         assert_eq!(runs, want);
 
-        let metas = sample_metas();
         let frames = coalesced(|c| {
-            append_mig_meta(c, 0, 1 << 32, &metas[..1]);
-            append_mig_meta(c, 1, 0, &metas[1..]);
+            append_sub_pushes(c, 0, 0, 1 << 32, &[(3, 4)]);
+            append_sub_pushes(c, 0, 1, 0, &[(5, 6)]);
         });
         let runs: Vec<_> = frames
             .iter()
             .map(|f| {
-                let v = decode_mig_meta(f).unwrap();
-                ((v.snap_run, v.snap_watermark), v.records.to_vec())
+                let v = decode_sub_push(f).unwrap();
+                ((v.run, v.watermark), v.records.to_vec())
             })
             .collect();
-        let want = [((0, 1 << 32), vec![metas[0]]), ((1, 0), vec![metas[1]])];
+        let want = [((0, 1 << 32), vec![(3, 4)]), ((1, 0), vec![(5, 6)])];
         assert_eq!(runs, want);
     }
 }

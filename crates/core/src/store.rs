@@ -123,13 +123,8 @@ impl VertexStore {
         (entry, lists)
     }
 
-    /// Entry-or-default plus the tally its adjacency's mutators keep.
-    pub fn entry_and_tally(&mut self, v: VertexId) -> (&mut VertexEntry, &mut Tally) {
-        let (entry, _, tally) = self.entry_parts(v);
-        (entry, tally)
-    }
-
-    fn entry_parts(&mut self, v: VertexId) -> (&mut VertexEntry, &mut Worklists, &mut Tally) {
+    /// Entry-or-default with both: the shard's worklists and the tally.
+    pub fn entry_parts(&mut self, v: VertexId) -> (&mut VertexEntry, &mut Worklists, &mut Tally) {
         let VertexStore { shards, len, tally } = self;
         let Shard { map, lists } = &mut shards[shard_of(v)];
         let entry = map.entry(v).or_insert_with(|| {
@@ -221,6 +216,15 @@ impl VertexStore {
     #[cfg(any(test, debug_assertions))]
     pub fn shards(&self) -> &[Shard] {
         &self.shards
+    }
+}
+
+#[cfg(test)]
+impl VertexStore {
+    /// Entry-or-default plus the tally its adjacency's mutators keep.
+    pub fn entry_and_tally(&mut self, v: VertexId) -> (&mut VertexEntry, &mut Tally) {
+        let (entry, _, tally) = self.entry_parts(v);
+        (entry, tally)
     }
 }
 

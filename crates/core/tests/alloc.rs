@@ -28,10 +28,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 use elga_core::algorithms::PageRank;
 use elga_core::cluster::Cluster;
-use elga_core::msg::{self, MetaRecord, MigEdge, MigState, StateRecord};
+use elga_core::msg::{self, MigMeta, MigVertex, StateRecord};
 use elga_core::program::{ExecutionMode, RunOptions};
 use elga_graph::types::EdgeChange;
-use elga_net::{CoalesceConfig, CoalescingOutbox, Frame, InProcTransport, Transport};
+use elga_net::Frame;
 
 struct CountingAlloc;
 
@@ -83,61 +83,34 @@ fn min_allocations(runs: usize, mut f: impl FnMut()) -> u64 {
     (0..runs).map(|_| allocations_in(&mut f)).min().unwrap()
 }
 
-/// `n` records of each migration kind as the frames a sender's
-/// coalescing outbox builds (MIG_STATE, MIG_EDGES, MIG_META).
-fn mig_frames(n: u64) -> [Frame; 3] {
-    let t = InProcTransport::new();
-    let addr = elga_net::Addr::inproc("alloc-mig");
-    let mb = t.bind(&addr).unwrap();
-    let cfg = CoalesceConfig {
-        // One frame per kind, whatever `n`.
-        max_bytes: usize::MAX,
-        max_records: u32::MAX,
-        ..CoalesceConfig::default()
-    };
-    let mut c = CoalescingOutbox::new(t.sender(&addr).unwrap(), cfg);
+/// `n` moving vertices as one MIG_VERTEX frame, a meta on every
+/// other one and up to three ids on each side.
+fn mig_frame(n: u64) -> Frame {
+    let mut f = msg::open_mig_vertex(7, 3);
     for i in 0..n {
-        let rec = StateRecord {
+        let meta = (i % 2 == 0).then_some(MigMeta {
+            out_degree: i % 7,
+            in_degree: i % 11,
+            ppartial: i,
+            wait_recv: i % 2,
+            residual: i,
+            snap: i,
+        });
+        let head = MigVertex {
             vertex: i,
+            flags: (i as u8) & !MigVertex::META | if meta.is_some() { MigVertex::META } else { 0 },
             state: i ^ 0xbeef,
             out_degree: i % 13,
             aux: i,
-            active: i % 2 == 0,
+            n_out: (i % 4) as u32,
+            n_in: (i % 3) as u32,
         };
-        let has_state = i % 5 != 0;
-        msg::append_mig_states(&mut c, &[MigState { rec, has_state }]);
+        let ids: Vec<u64> = (i..).take((head.n_out + head.n_in) as usize).collect();
+        f.push(&head, |tail| {
+            MigVertex::write_tail(tail, meta.as_ref(), ids.iter())
+        });
     }
-    for i in 0..n {
-        let side = if i % 2 == 0 {
-            msg::Side::Out
-        } else {
-            msg::Side::In
-        };
-        let (src, dst) = (i, i + 1);
-        msg::append_mig_edges(&mut c, &[MigEdge { side, src, dst }]);
-    }
-    for i in 0..n {
-        let m = MetaRecord {
-            vertex: i,
-            state: i ^ 0xcafe,
-            out_degree: i % 7,
-            in_degree: i % 11,
-            active: i % 2 == 0,
-            dirty: i % 3 == 0,
-            has_state: true,
-            has_meta: true,
-            ppartial: i,
-            has_ppartial: i % 4 == 0,
-            wait_recv: i % 2,
-            residual: i,
-            has_residual: i % 5 == 0,
-            snap: i,
-            has_snap: true,
-        };
-        msg::append_mig_meta(&mut c, 7, 3, &[m]);
-    }
-    c.flush();
-    [(); 3].map(|_| mb.recv().unwrap().frame)
+    f.finish()
 }
 
 #[test]
@@ -170,7 +143,7 @@ fn decode_and_iterate_allocates_nothing() {
     let st = msg::encode_states(7, 3, &states);
     let ec = msg::encode_edge_changes(msg::Side::Out, 1, &changes);
     let dd = msg::encode_deg_deltas(&deltas);
-    let [ms, me, mm] = mig_frames(N as u64);
+    let mv = mig_frame(N as u64);
 
     // Warm up once so any lazy one-time setup isn't billed to decode.
     let mut sum = 0u64;
@@ -205,16 +178,14 @@ fn decode_and_iterate_allocates_nothing() {
                 .wrapping_add(dout as u64)
                 .wrapping_add(din as u64);
         }
-        for s in msg::decode_mig_states(&ms).unwrap() {
-            acc = acc.wrapping_add(s.rec.vertex ^ s.rec.aux ^ s.has_state as u64);
-        }
-        for e in msg::decode_mig_edges(&me).unwrap() {
-            acc = acc.wrapping_add(e.src ^ e.dst ^ (e.side == msg::Side::In) as u64);
-        }
-        let view = msg::decode_mig_meta(&mm).unwrap();
+        let view = msg::decode_mig_vertex(&mv).unwrap();
         acc = acc.wrapping_add(view.snap_run ^ view.snap_watermark);
-        for m in view.records {
-            acc = acc.wrapping_add(m.vertex ^ m.in_degree ^ m.residual ^ m.has_snap as u64);
+        for (head, tail) in view.records.tailed() {
+            let (meta, out, inn) = head.read_tail(tail);
+            acc = acc.wrapping_add(head.vertex ^ head.aux ^ meta.map_or(0, |m| m.residual));
+            for w in out.iter().chain(inn) {
+                acc = acc.wrapping_add(w);
+            }
         }
         black_box(acc);
     });

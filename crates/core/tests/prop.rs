@@ -3,8 +3,8 @@
 use elga_core::autoscale::{Autoscaler, EmaAutoscaler};
 use elga_core::metrics::{AgentMetrics, ClusterMetrics};
 use elga_core::msg::{
-    self, packet, Advance, AgentInfo, Counters, DirectoryView, Message, MetaRecord, MigEdge,
-    MigState, Phase, QueryAnswer, ReadyReport, RunInfo, RunStatus, StateRecord, WireRecord,
+    self, packet, Advance, AgentInfo, Counters, DirectoryView, Message, MigMeta, MigVertex, Phase,
+    QueryAnswer, ReadyReport, RunInfo, RunStatus, StateRecord, WireRecord,
 };
 use elga_graph::types::EdgeChange;
 use elga_net::{CoalesceConfig, CoalescingOutbox, Frame, InProcTransport, Transport};
@@ -12,54 +12,58 @@ use elga_sketch::{CountMinSketch, SketchDelta};
 use proptest::prelude::*;
 use std::time::{Duration, Instant};
 
-/// Migration records of each kind derived from `msgs`.
-fn mig_records(msgs: &[(u64, u64)]) -> (Vec<MigState>, Vec<MigEdge>, Vec<MetaRecord>) {
-    let states: Vec<MigState> = msgs
-        .iter()
-        .map(|&(v, x)| MigState {
-            rec: StateRecord {
+/// A moving vertex: its head, its meta, its out- and in-list.
+type Moving = (MigVertex, Option<MigMeta>, Vec<u64>, Vec<u64>);
+
+/// MIG_VERTEX records derived from `msgs`: random flags, a meta on
+/// about half, lists of up to three ids on either side, empty ones
+/// included.
+fn mig_records(msgs: &[(u64, u64)]) -> Vec<Moving> {
+    msgs.iter()
+        .map(|&(v, x)| {
+            let meta = (x & 1 == 0).then(|| MigMeta {
+                out_degree: v % 97,
+                in_degree: x % 89,
+                ppartial: v.wrapping_mul(x),
+                wait_recv: v % 5,
+                residual: x.rotate_left(13),
+                snap: v.rotate_left(29),
+            });
+            let (out, inn): (Vec<u64>, Vec<u64>) =
+                ((0..v % 4).collect(), (0..x % 4).map(|i| i ^ v).collect());
+            let head = MigVertex {
                 vertex: v,
+                flags: (x >> 8) as u8 & !MigVertex::META
+                    | if meta.is_some() { MigVertex::META } else { 0 },
                 state: x,
                 out_degree: v ^ x,
                 aux: x.rotate_left(7),
-                active: x % 2 == 0,
-            },
-            has_state: v % 2 == 0,
+                n_out: out.len() as u32,
+                n_in: inn.len() as u32,
+            };
+            (head, meta, out, inn)
         })
-        .collect();
-    let edges: Vec<MigEdge> = msgs
-        .iter()
-        .map(|&(src, dst)| MigEdge {
-            side: if dst % 2 == 0 {
-                msg::Side::Out
-            } else {
-                msg::Side::In
-            },
-            src,
-            dst,
-        })
-        .collect();
-    let metas: Vec<MetaRecord> = msgs
-        .iter()
-        .map(|&(v, x)| MetaRecord {
-            vertex: v,
-            state: x,
-            out_degree: v % 97,
-            in_degree: x % 89,
-            active: x & 1 != 0,
-            dirty: x & 2 != 0,
-            has_state: x & 4 != 0,
-            has_meta: x & 8 != 0,
-            ppartial: v.wrapping_mul(x),
-            has_ppartial: x & 16 != 0,
-            wait_recv: v % 5,
-            residual: x.rotate_left(13),
-            has_residual: x & 32 != 0,
-            snap: v.rotate_left(29),
-            has_snap: x & 64 != 0,
-        })
-        .collect();
-    (states, edges, metas)
+        .collect()
+}
+
+/// `recs` written as one MIG_VERTEX frame under `(run, watermark)`.
+fn mig_frame(run: u64, watermark: u64, recs: &[Moving]) -> Frame {
+    let mut f = msg::open_mig_vertex(run, watermark);
+    for (head, meta, out, inn) in recs {
+        let ids = out.iter().chain(inn);
+        f.push(head, |tail| MigVertex::write_tail(tail, meta.as_ref(), ids));
+    }
+    f.finish()
+}
+
+/// The records of a MIG_VERTEX view, read back.
+fn read_mig(records: msg::Records<'_, MigVertex>) -> Vec<Moving> {
+    let read = |(head, tail)| {
+        let (meta, out, inn): (_, msg::Records<'_, u64>, msg::Records<'_, u64>) =
+            MigVertex::read_tail(&head, tail);
+        (head, meta, out.to_vec(), inn.to_vec())
+    };
+    records.tailed().map(read).collect()
 }
 
 /// The one frame `append` leaves in a fresh coalescing outbox, if it
@@ -93,11 +97,12 @@ macro_rules! check {
 
 /// Every `records_frames!` row: its packet kind, a frame of it with
 /// records derived from `msgs` under a header of `(run, step, hop)`,
-/// and its [`Check`]. A row with an encoder is encoded; one with only
-/// an appender is appended through a coalescing outbox, so it is left
-/// out when `msgs` is empty — all 14 rows are there otherwise.
+/// and its [`Check`]. A row with an encoder is encoded, MIG_VERTEX is
+/// written through its open frame, and a row with only an appender is
+/// appended through a coalescing outbox, so it is left out when `msgs`
+/// is empty — all 12 rows are there otherwise.
 fn rows(run: u64, step: u32, hop: u8, msgs: &[(u64, u64)]) -> Vec<(u8, Frame, Check)> {
-    let (mig_states, mig_edges, metas) = mig_records(msgs);
+    let mig = mig_records(msgs);
     let vertices: Vec<u64> = msgs.iter().map(|m| m.0).collect();
     let answers: Vec<QueryAnswer> = msgs
         .iter()
@@ -174,24 +179,14 @@ fn rows(run: u64, step: u32, hop: u8, msgs: &[(u64, u64)]) -> Vec<(u8, Frame, Ch
             check!(msg::decode_reset_labels, vertices, |v, w| v.to_vec() == w),
         ),
     ];
+    rows.push((
+        packet::MIG_VERTEX,
+        mig_frame(run, watermark, &mig),
+        check!(msg::decode_mig_vertex, mig, |v, w| {
+            (v.snap_run, v.snap_watermark) == (run, watermark) && read_mig(v.records) == w
+        }),
+    ));
     let appended_rows = [
-        (
-            packet::MIG_STATE,
-            appended(|c| msg::append_mig_states(c, &mig_states)),
-            check!(msg::decode_mig_states, mig_states, |v, w| v.to_vec() == w),
-        ),
-        (
-            packet::MIG_EDGES,
-            appended(|c| msg::append_mig_edges(c, &mig_edges)),
-            check!(msg::decode_mig_edges, mig_edges, |v, w| v.to_vec() == w),
-        ),
-        (
-            packet::MIG_META,
-            appended(|c| msg::append_mig_meta(c, run, watermark, &metas)),
-            check!(msg::decode_mig_meta, metas, |v, w| {
-                (v.snap_run, v.snap_watermark) == (run, watermark) && v.records.to_vec() == w
-            }),
-        ),
         (
             packet::RESIDUAL,
             appended(|c| msg::append_residuals(c, msgs)),
@@ -215,7 +210,14 @@ fn rows(run: u64, step: u32, hop: u8, msgs: &[(u64, u64)]) -> Vec<(u8, Frame, Ch
 
 /// STATE records derived from `msgs`.
 fn state_records(msgs: &[(u64, u64)]) -> Vec<StateRecord> {
-    mig_records(msgs).0.iter().map(|s| s.rec).collect()
+    let state = |&(v, x): &(u64, u64)| StateRecord {
+        vertex: v,
+        state: x,
+        out_degree: v ^ x,
+        aux: x.rotate_left(7),
+        active: x % 2 == 0,
+    };
+    msgs.iter().map(state).collect()
 }
 
 /// EDGE_CHANGES records derived from `msgs`, both actions.
@@ -337,13 +339,13 @@ fn view_of(w: &[u64], members: &[u64]) -> DirectoryView {
 }
 
 proptest! {
-    /// Each of the nine record types has one layout: what `write` puts
+    /// Each of the eight record types has one layout: what `write` puts
     /// in a slot, `parse` reads back.
     #[test]
     fn write_then_parse_is_identity(
         msgs in prop::collection::vec((any::<u64>(), any::<u64>()), 1..24),
     ) {
-        let (mig_states, mig_edges, metas) = mig_records(&msgs);
+        let mig = mig_records(&msgs);
         let vertices: Vec<u64> = msgs.iter().map(|m| m.0).collect();
         let answers: Vec<QueryAnswer> = msgs
             .iter()
@@ -355,9 +357,8 @@ proptest! {
         assert_slot_roundtrip(&delta_records(&msgs));
         assert_slot_roundtrip(&vertices);
         assert_slot_roundtrip(&answers);
-        assert_slot_roundtrip(&mig_states);
-        assert_slot_roundtrip(&mig_edges);
-        assert_slot_roundtrip(&metas);
+        assert_slot_roundtrip(&mig.iter().map(|m| m.0).collect::<Vec<_>>());
+        assert_slot_roundtrip(&mig.iter().filter_map(|m| m.1).collect::<Vec<_>>());
     }
 
     /// Every stream the data plane appends, handed to the block writer
@@ -374,7 +375,6 @@ proptest! {
         let states = state_records(&msgs);
         let changes = change_records(&msgs);
         let deltas = delta_records(&msgs);
-        let (mig_states, mig_edges, metas) = mig_records(&msgs);
         let t = InProcTransport::new();
         let addr = elga_net::Addr::inproc("prop-blocks");
         let mb = t.bind(&addr).unwrap();
@@ -386,15 +386,11 @@ proptest! {
         in_blocks(&changes, &blocks, |r| msg::append_edge_changes(&mut c, msg::Side::In, 2, r));
         in_blocks(&deltas, &blocks, |r| msg::append_deg_deltas(&mut c, r));
         in_blocks(&msgs, &blocks, |r| msg::append_residuals(&mut c, r));
-        in_blocks(&mig_states, &blocks, |r| msg::append_mig_states(&mut c, r));
-        in_blocks(&mig_edges, &blocks, |r| msg::append_mig_edges(&mut c, r));
-        in_blocks(&metas, &blocks, |r| msg::append_mig_meta(&mut c, 5, 11, r));
         in_blocks(&msgs, &blocks, |r| msg::append_sub_pushes(&mut c, 42, 7, 500, r));
         c.flush();
 
         let mut got_pairs: [Vec<(u64, u64)>; 4] = Default::default();
         let (mut got_states, mut got_changes, mut got_deltas) = (vec![], vec![], vec![]);
-        let (mut got_mig_states, mut got_mig_edges, mut got_metas) = (vec![], vec![], vec![]);
         while let Some(d) = mb.try_recv().unwrap() {
             let f = &d.frame;
             let records = match f.packet_type() {
@@ -432,22 +428,6 @@ proptest! {
                     got_pairs[2].extend(recs);
                     recs.len()
                 }
-                packet::MIG_STATE => {
-                    let recs = msg::decode_mig_states(f).unwrap();
-                    got_mig_states.extend(recs);
-                    recs.len()
-                }
-                packet::MIG_EDGES => {
-                    let recs = msg::decode_mig_edges(f).unwrap();
-                    got_mig_edges.extend(recs);
-                    recs.len()
-                }
-                packet::MIG_META => {
-                    let view = msg::decode_mig_meta(f).unwrap();
-                    prop_assert_eq!((view.snap_run, view.snap_watermark), (5, 11));
-                    got_metas.extend(view.records);
-                    view.records.len()
-                }
                 packet::SUB_PUSH => {
                     let view = msg::decode_sub_push(f).unwrap();
                     prop_assert_eq!((view.sub, view.run, view.watermark), (42, 7, 500));
@@ -458,7 +438,7 @@ proptest! {
             };
             prop_assert!((1..=max_records as usize).contains(&records));
             // A frame closes on the record that reaches `max_bytes`.
-            prop_assert!(f.len() < max_bytes + MetaRecord::STRIDE || records == 1);
+            prop_assert!(f.len() < max_bytes + StateRecord::STRIDE || records == 1);
         }
         for got in &got_pairs {
             prop_assert_eq!(got, &msgs);
@@ -466,9 +446,6 @@ proptest! {
         prop_assert_eq!(got_states, states);
         prop_assert_eq!(got_changes, changes);
         prop_assert_eq!(got_deltas, deltas);
-        prop_assert_eq!(got_mig_states, mig_states);
-        prop_assert_eq!(got_mig_edges, mig_edges);
-        prop_assert_eq!(got_metas, metas);
     }
 
     /// One batch's signed delta folds to the same table — cells and
@@ -599,9 +576,8 @@ proptest! {
     /// A frame of one packet type must be rejected by every other
     /// type's decoder — the 1-byte type tag is load-bearing, so a
     /// misrouted frame surfaces as `None`, never as garbage records.
-    /// (MIG_EDGES shares EDGE_CHANGES' 17-byte stride, VMSG, PARTIAL,
-    /// RESIDUAL and DUMP share a 16-byte one: only the type byte tells
-    /// them apart.)
+    /// (VMSG, PARTIAL, RESIDUAL and DUMP share a 16-byte stride: only
+    /// the type byte tells them apart.)
     #[test]
     fn decoders_reject_wrong_packet_type(
         run in any::<u64>(),
@@ -610,7 +586,7 @@ proptest! {
         msgs in prop::collection::vec((any::<u64>(), any::<u64>()), 1..4),
     ) {
         let rows = rows(run, step, hop, &msgs);
-        prop_assert_eq!(rows.len(), 14);
+        prop_assert_eq!(rows.len(), 12);
         for (kind, frame, _) in &rows {
             for (other, _, check) in &rows {
                 let refused = other == kind || check(frame).is_none();
@@ -639,7 +615,7 @@ proptest! {
             Frame::from_bytes(frame.as_bytes()[..keep.min(n - 1)].to_vec().into())
         };
         let rows = rows(run, step, hop, &msgs);
-        prop_assert_eq!(rows.len(), 14);
+        prop_assert_eq!(rows.len(), 12);
         for (kind, frame, check) in &rows {
             prop_assert!(check(&cut(frame)).is_none(), "kind {}", kind);
         }
@@ -658,7 +634,7 @@ proptest! {
         pad in prop::collection::vec(any::<u8>(), 1..15),
     ) {
         let rows = rows(run, step, hop, &msgs);
-        prop_assert_eq!(rows.len(), 14);
+        prop_assert_eq!(rows.len(), 12);
         for (kind, frame, check) in &rows {
             let long = Frame::from_bytes([frame.as_bytes(), &pad].concat().into());
             prop_assert!(check(&long).is_none(), "kind {}", kind);
@@ -676,7 +652,7 @@ proptest! {
         msgs in prop::collection::vec((any::<u64>(), any::<u64>()), 0..64),
     ) {
         let rows = rows(run, step, hop, &msgs);
-        prop_assert_eq!(rows.len(), if msgs.is_empty() { 9 } else { 14 });
+        prop_assert_eq!(rows.len(), if msgs.is_empty() { 10 } else { 12 });
         for (kind, frame, check) in &rows {
             prop_assert_eq!(check(frame), Some(true), "kind {}", kind);
         }

@@ -302,7 +302,7 @@ fn tracing_captures_phases_views_and_migrations() {
         .expect("pagerank");
 
     // Scale up (join migration), run, then retire one agent (leave
-    // migration); the departer's buffer is salvaged before its LEAVE.
+    // migration); the departer's thread returns its buffer as it ends.
     cluster.add_agents(2);
     cluster
         .run(PageRank::new(0.85).with_max_iters(4))
@@ -320,9 +320,10 @@ fn tracing_captures_phases_views_and_migrations() {
         names.contains(&"streamer"),
         "streamer track missing: {names:?}"
     );
+    let departer = format!("agent-{}", removed[0]);
     assert!(
-        names.contains(&format!("agent-{}", removed[0]).as_str()),
-        "departed agent's salvaged track missing: {names:?}"
+        names.contains(&departer.as_str()),
+        "departed agent's track missing: {names:?}"
     );
     assert!(
         names.iter().filter(|n| n.starts_with("agent-")).count() >= 3,
@@ -346,10 +347,19 @@ fn tracing_captures_phases_views_and_migrations() {
     }
 
     // The placement sweep is a span of its own, `examined`/`moved`
-    // entries as arguments. A live agent's last one is the leave: a
-    // survivor examines its store and moves nothing (the departer's
-    // track was salvaged before it swept). On the join before it, each
-    // founder shipped a part of its store.
+    // entries as arguments. The departer's last one is its leave, which
+    // moved what it held and sent it; a live agent's last one is the
+    // same leave, where a survivor examines its store and moves
+    // nothing. On the join before it, each founder shipped a part of
+    // its store.
+    let (_, evs) = tracks.iter().find(|(n, _)| *n == departer).expect("track");
+    let last_sweep = evs.iter().rfind(|e| e.kind == EventKind::MigrateSweep);
+    let moved = last_sweep.map(|e| e.b).expect("the departer's leave sweep");
+    assert!(moved > 0, "the departer's leave moved nothing");
+    assert!(
+        evs.iter().any(|e| e.kind == EventKind::MigrateSend),
+        "the departer's leave sent nothing"
+    );
     let mut partial_moves = 0;
     for id in cluster.agent_ids() {
         let name = format!("agent-{id}");

@@ -38,7 +38,7 @@ struct Deployment {
     master: Addr,
     dir0: Addr,
     bus: Addr,
-    agents: Vec<std::thread::JoinHandle<()>>,
+    agents: Vec<std::thread::JoinHandle<Vec<elga::trace::TraceEvent>>>,
 }
 
 impl Deployment {
