@@ -12,9 +12,8 @@
 //!
 //! What never reaches an outbox: the records a run addresses to this
 //! agent itself. VMSG, PARTIAL and STATE records for the agent's own
-//! vertices are folded in place by the kernel that produced them, or
-//! in an async run delivered through its local queue (`superstep`),
-//! uncounted on both sides of the barrier sums.
+//! vertices are folded in place by the kernel that produced them
+//! (`superstep`), uncounted on both sides of the barrier sums.
 //!
 //! Flush discipline: the termination protocol (Mattern-style counter
 //! barriers) counts *records*, and a READY/DRAIN report must never

@@ -315,17 +315,6 @@ pub struct Agent {
     /// changes into residual corrections (§ DESIGN.md "Incremental
     /// execution"). Cleared by recovery resets and non-residual runs.
     delta_seed: Option<DeltaSeed>,
-    /// Primaries whose residual absorbed an async push since the last
-    /// round (`on_idle`). Folding once per round (instead of per arrival)
-    /// batches every queued push to a vertex into one apply+broadcast —
-    /// without it, tight tolerances turn the event-driven path into one
-    /// broadcast per message and the run's cost explodes from O(E) per
-    /// effective round toward the number of residual-carrying walks.
-    delta_hot: FxHashSet<VertexId>,
-    /// The live async run's own vertex messages, delivered in place a
-    /// round at a time (`Agent::deliver_local`): never framed, never
-    /// counted.
-    local: VecDeque<(VertexId, u64)>,
     /// Unreported local change in dangling mass (delta engine): state
     /// changes at sinks (applies, folds), ingest-time rescales, and
     /// vertex vanishes accumulate here until the next report drains it.
@@ -488,8 +477,6 @@ impl Agent {
             // An empty store's lists are complete.
             needs_sweep: false,
             delta_seed: None,
-            delta_hot: FxHashSet::default(),
-            local: VecDeque::new(),
             dangling_acc: 0.0,
             dangling_cum: 0.0,
             buffered_changes: Vec::new(),
@@ -735,44 +722,6 @@ impl Agent {
     fn dangling_report(&mut self) -> f64 {
         self.dangling_cum += std::mem::take(&mut self.dangling_acc);
         self.dangling_cum
-    }
-
-    /// Apply a dangling-redistribution round (async delta runs): merge
-    /// each primary's uniform share of `global` — the pending mass the
-    /// lead collected from cumulative reports — into its residual and
-    /// mark it hot, so the next drain folds shares above tolerance and
-    /// parks the rest.
-    fn dangling_redistribute(&mut self, global: f64) {
-        let Some(run) = self.run.as_ref() else {
-            return;
-        };
-        let program = Arc::clone(&run.program);
-        let n_vertices = run.n_vertices;
-        let id = self.id;
-        let locator = &self.locator;
-        let mut hot: Vec<VertexId> = Vec::new();
-        for (&v, e) in self.vertices.iter_mut() {
-            if !e.is_meta || locator.ring().owner(v) != Some(id) {
-                continue;
-            }
-            let ctx = VertexCtx {
-                out_degree: e.g_out.max(0) as u64,
-                in_degree: e.g_in.max(0) as u64,
-                n_vertices,
-                step: 1,
-                global,
-            };
-            if let Some(adj) = program.dangling_residual(&ctx) {
-                e.residual = if e.has_residual {
-                    program.merge_residual(e.residual, adj)
-                } else {
-                    adj
-                };
-                e.has_residual = true;
-                hot.push(v);
-            }
-        }
-        self.delta_hot.extend(hot);
     }
 
     // ------------------------------------------------------------------
@@ -1047,8 +996,6 @@ impl Agent {
         } else {
             None
         };
-        self.delta_hot.clear();
-        self.local.clear();
         self.buffered_frames.clear();
         // Rows of targets that no longer exist live until the next view
         // epoch unless they come to outnumber the edges held.
@@ -1109,15 +1056,17 @@ impl Agent {
                 self.async_rescatter();
                 self.replay_buffered();
             } else if adv.phase == Phase::Apply {
-                // Dangling-mass redistribution round: fold the uniform
-                // share of the published pending mass into every
-                // primary's residual. The round guard makes a
-                // re-published advance idempotent; dropping the idle
-                // snapshot forces a fresh report even when every share
-                // parks below tolerance, so the round always answers.
+                // Dangling-mass redistribution round: a round that
+                // sweeps every primary, folding its uniform share of
+                // the published pending mass into its residual. The
+                // round guard makes a re-published advance idempotent;
+                // dropping the idle snapshot forces a fresh report even
+                // when every share parks below tolerance, so the round
+                // always answers.
                 if adv.step > run.dangling_round {
-                    run.dangling_round = adv.step;
-                    self.dangling_redistribute(adv.global);
+                    (run.dangling_round, run.global) = (adv.step, adv.global);
+                    self.async_round(true);
+                    self.run.as_mut().expect("run").global = 0.0;
                     self.last_idle_counters = None;
                 }
             } else if pending {
@@ -1182,8 +1131,6 @@ impl Agent {
             }
         }
         self.run = None;
-        self.delta_hot.clear();
-        self.local.clear();
         self.reported = None;
         // Apply the changes that were buffered during the run. Their
         // receives were counted when they arrived; decode and apply

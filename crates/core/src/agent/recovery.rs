@@ -56,8 +56,6 @@ impl Agent {
         // sketch starts over at zero too.
         self.uncounted.clear();
         self.degrees.clear();
-        self.delta_hot.clear();
-        self.local.clear();
         self.dangling_acc = 0.0;
         self.dangling_cum = 0.0;
         self.reported = None;

@@ -2,14 +2,15 @@
 //! shard kernels, the message handlers that feed them, and the async
 //! event-driven mode.
 //!
-//! There is one engine. An async vertex fires through the same
-//! `scatter_vertex`, edge memo and target table as a sync scatter,
-//! flushed per vertex; a state goes to a replica set through the same
-//! `broadcast_state` as a sync apply, and arrives through the same
-//! `adopt_state`. Records an agent addresses to itself are never
-//! framed: a sync step folds them in place, an async run writes its own
-//! replica in place and delivers its own vertex messages through an
-//! agent-local queue, a round at a time.
+//! There is one engine. An async message folds into its primary's
+//! aggregate as a sync PARTIAL does ([`fold_ppartial`]), and a round
+//! applies what the messages listed with the same apply kernel as a
+//! sync step; a vertex fires through the same `scatter_vertex`, edge
+//! memo and target table as a sync scatter, flushed per vertex; a state
+//! goes to a replica set through the same `broadcast_state` and arrives
+//! through the same `adopt_state`. Records an agent addresses to itself
+//! are never framed: they are folded in place when sent, and what they
+//! cause in an async run waits for its next round.
 
 use super::*;
 
@@ -63,6 +64,10 @@ pub(super) struct KernelCtx<'a> {
     /// Residual delta run: frontier seeded from accumulated residuals,
     /// scatter pushes applied deltas instead of full states.
     delta: bool,
+    /// A live async run: a vertex whose §3.2 waiting set is not yet
+    /// full is skipped ([`apply_vertex`]), and the lists the kernel
+    /// reads are whatever the messages since the last round listed.
+    live: bool,
     /// Vertex count the carried-over residuals were computed under
     /// (0 = unknown); drives the step-0 teleport reseed.
     prev_n: u64,
@@ -229,6 +234,7 @@ impl Agent {
             reuse: run.info.reuse_state,
             global: run.global,
             delta: run.info.delta,
+            live: run.async_live,
             prev_n: self.delta_seed.as_ref().map_or(0, |s| s.n),
             dangling_base: run.info.dangling_base,
         };
@@ -315,25 +321,18 @@ impl Agent {
 
     /// Flush the target table and send each destination its run: one
     /// record per touched row, in first-touch order. This agent's own
-    /// run is delivered in place — folded into the step's partials
-    /// where it stands, as `take_vmsg` would on receipt, or queued for
-    /// [`Agent::deliver_local`] in a live async run — and is no VMSG
-    /// record, uncounted on both sides of the barrier sums. Returns
-    /// what went to each peer.
+    /// run is folded in place ([`Agent::fold_vmsgs`]), as `take_vmsg`
+    /// would on receipt, and is no VMSG record, uncounted on both sides
+    /// of the barrier sums. Returns what went to each peer.
     fn send_scatter(&mut self) -> msg::StepCounts {
         let (run_id, step) = self.run_step();
-        let live = self.run.as_ref().is_some_and(|r| r.async_live);
         self.targets.flush();
         let mut sent = msg::StepCounts::new();
         for dst in 0..self.targets.members().len() {
             let run = self.targets.take_run(dst);
             let agent = self.targets.members()[dst];
             if agent == self.id {
-                if live {
-                    self.local.extend(run.iter().copied());
-                } else {
-                    self.fold_vmsgs(run.iter().copied());
-                }
+                self.fold_vmsgs(run.iter().copied());
             } else if !run.is_empty() {
                 self.counters.vmsg_sent += run.len() as u64;
                 sent.push((agent, run.len() as u64));
@@ -390,12 +389,19 @@ impl Agent {
     }
 
     /// Fold the current step's vertex messages into their targets'
-    /// scatter partials: the receive side of VMSG, for a peer's frame
-    /// (parsed in place off its buffer) and for this agent's own
-    /// scatter output (never framed) alike.
+    /// scatter partials — in a live async run, into their primaries'
+    /// aggregates ([`Agent::async_apply`]), which the next round
+    /// applies: the receive side of VMSG, for a peer's frame (parsed in
+    /// place off its buffer) and for this agent's own scatter output
+    /// (never framed) alike.
     fn fold_vmsgs(&mut self, mut msgs: impl ExactSizeIterator<Item = (VertexId, u64)>) {
         self.metrics.vmsgs += msgs.len() as u64;
-        let program = self.run.as_ref().expect("run").program.clone();
+        let run = self.run.as_ref().expect("run");
+        if run.async_live {
+            msgs.for_each(|(v, value)| self.async_apply(v, value));
+            return;
+        }
+        let program = run.program.clone();
         loop {
             fold_partials(
                 &mut self.vertices,
@@ -447,11 +453,7 @@ impl Agent {
             self.counters.vmsg_recv += n;
         }
         if live {
-            // Async: apply immediately at the primary.
-            self.metrics.vmsgs += n;
-            for (v, value) in view.records {
-                self.async_apply(v, value);
-            }
+            self.fold_vmsgs(view.records.iter());
         } else if cur_step == view.step && cur_phase == Phase::Scatter {
             let run = self.run.as_mut().expect("run");
             run.taken_in = (cur_step, run.taken_in(cur_step) + n);
@@ -480,13 +482,7 @@ impl Agent {
             let program = self.run.as_ref().expect("run").program.clone();
             for (v, value) in view.records {
                 let (e, lists) = self.vertices.entry_and_lists(v);
-                if e.has_ppartial {
-                    e.ppartial = program.combine(e.ppartial, value);
-                } else {
-                    e.ppartial = value;
-                    e.has_ppartial = true;
-                    lists.apply.push(v);
-                }
+                fold_ppartial(&*program, v, e, &mut lists.apply, value);
             }
         } else {
             self.buffered_frames.push(frame);
@@ -545,8 +541,10 @@ impl Agent {
     /// Initial scatter when entering async mode: every entry goes
     /// through the scatter kernel once — the active ones fire, or on a
     /// delta run those holding the pending delta the step-0 apply
-    /// broadcast — then execution is event-driven.
+    /// broadcast — then execution is event-driven, its lists holding
+    /// only what the run's messages list.
     pub(super) fn async_initial_scatter(&mut self) {
+        self.vertices.clear_worklists();
         for v in self.vertices.keys().collect::<Vec<_>>() {
             self.fire(v);
         }
@@ -569,12 +567,10 @@ impl Agent {
         }
     }
 
-    /// Write `rec`, a new state of a vertex that is primary here, to
-    /// its replica set ([`broadcast_state`]) and send the other
-    /// replicas their STATE records. This agent's copy adopts it in
-    /// place and scatters at once: no frame is handled between a commit
-    /// and that scatter, so a VIEW cannot move the out-list from under
-    /// the push.
+    /// Write `rec`, the state of a vertex that is primary here, to its
+    /// replica set ([`broadcast_state`]) and send the other replicas
+    /// their STATE records. This agent's copy adopts it in place and
+    /// scatters at once, as a round's does.
     fn async_broadcast(&mut self, rec: StateRecord) {
         let v = rec.vertex;
         let own = {
@@ -589,28 +585,39 @@ impl Agent {
         }
     }
 
-    /// Deliver the own vertex messages that were queued before this
-    /// round, oldest first, as a peer's are ([`Agent::async_apply`]),
-    /// looking at the mailbox for reads every [`READ_YIELD`]. What
-    /// they cause waits for the next round: a label running down a
-    /// chain held here takes a round a hop and never recurses.
-    pub(super) fn deliver_local(&mut self) {
-        for i in 0..self.local.len() {
-            if i > 0 && i % READ_YIELD == 0 {
-                self.serve_reads();
-            }
-            let (v, value) = self.local.pop_front().expect("queued");
-            self.metrics.vmsgs += 1;
-            self.async_apply(v, value);
-        }
+    /// Whether the live async run has work of its own no counter shows:
+    /// vertices listed for its next round, which a paused run holds.
+    pub(super) fn local_work(&self) -> bool {
+        self.run.as_ref().is_some_and(|r| r.async_live && !r.paused)
+            && self
+                .vertices
+                .shards()
+                .iter()
+                .any(|s| !s.lists.apply.is_empty())
     }
 
-    /// Whether the live async run has work of its own no counter shows:
-    /// own messages to deliver, or residuals to fold (left alone while
-    /// the run is paused).
-    pub(super) fn local_work(&self) -> bool {
-        !self.local.is_empty()
-            || (!self.delta_hot.is_empty() && !self.run.as_ref().is_some_and(|r| r.paused))
+    /// One round of a live async run: the apply kernel over what the
+    /// messages since the last round listed — over every entry on a
+    /// `sweep` — so each primary applies once, its messages combined,
+    /// and then a scatter of each vertex the kernel left on the scatter
+    /// list. Holding every message that lands before the round to one
+    /// apply is what keeps a burst from costing one broadcast each. What
+    /// the scatter sends this agent is folded at once and waits for the
+    /// next round; what the kernel listed again (an aggregate parked
+    /// away from its primary, meta that waits for the next run) waits
+    /// for the message, migration or resume that lists it.
+    pub(super) fn async_round(&mut self, sweep: bool) {
+        self.run_kernel(Phase::Apply, sweep);
+        let mut fired = Vec::new();
+        for shard in self.vertices.shards_mut() {
+            shard.lists.apply.clear();
+            fired.append(&mut shard.lists.scatter);
+        }
+        fired.sort_unstable();
+        fired.dedup();
+        for v in fired {
+            self.fire(v);
+        }
     }
 
     /// Resume after a mid-run view change: every primary re-broadcasts
@@ -623,21 +630,13 @@ impl Agent {
     /// initialization — and keeps §3.2 waiting sets aligned, since
     /// every receiver sees exactly one message per in-edge.
     pub(super) fn async_rescatter(&mut self) {
-        // Waiting sets completed by a migration merge (the final
-        // message landed at the old primary) have no further incoming
-        // message to trigger their apply; drain them first so their
-        // progress is not held against the fresh round.
-        let waiting: Vec<VertexId> = self
-            .vertices
-            .iter()
-            .filter(|(_, e)| e.has_ppartial && e.wait_recv > 0)
-            .map(|(&v, _)| v)
-            .collect();
-        for v in waiting {
-            self.async_try_complete(v);
-        }
-        if self.run.is_none() {
-            return;
+        // Aggregates and residuals the pause held, or that migrated in
+        // with their vertices, have no arriving message left to list
+        // them: the next round looks at them.
+        for shard in self.vertices.shards_mut() {
+            let Shard { map, lists } = shard;
+            let held = map.iter().filter(|(_, e)| e.has_ppartial || e.has_residual);
+            lists.apply.extend(held.map(|(&v, _)| v));
         }
         let owned: Vec<StateRecord> = self
             .vertices
@@ -660,264 +659,44 @@ impl Agent {
         }
         self.tracer
             .instant(EventKind::AsyncRescatter, self.view.epoch, count);
-        // Delta runs: residuals that were hot when the pause hit — or
-        // that migrated in with their vertices — have no arriving
-        // message left to re-trigger them. Mark every above-zero parked
-        // residual hot so the next idle drain folds it.
-        if self.run.as_ref().is_some_and(|r| r.info.delta) {
-            let parked: Vec<VertexId> = self
-                .vertices
-                .iter()
-                .filter(|&(&v, e)| e.is_meta && e.has_residual && self.is_primary(v))
-                .map(|(&v, _)| v)
-                .collect();
-            self.delta_hot.extend(parked);
-        }
     }
 
-    /// Complete `v`'s waiting set if the program's requirement is
-    /// already met — possible after a migration merged two primaries'
-    /// progress, leaving no further message to trigger the apply.
-    fn async_try_complete(&mut self, v: VertexId) {
-        let Some(run) = self.run.as_ref() else {
-            return;
-        };
-        let program = run.program.clone();
-        let n_vertices = run.n_vertices;
-        let Some(e) = self.vertices.get_mut(&v) else {
-            return;
-        };
-        if !(e.has_ppartial && e.wait_recv > 0) {
-            return;
-        }
-        let ctx = VertexCtx {
-            out_degree: e.g_out.max(0) as u64,
-            in_degree: e.g_in.max(0) as u64,
-            n_vertices,
-            step: 1,
-            global: 0.0,
-        };
-        let needed = program.waits_for(v, &ctx);
-        if needed == 0 || e.wait_recv < needed {
-            return;
-        }
-        let agg = e.ppartial;
-        e.has_ppartial = false;
-        e.ppartial = 0;
-        e.wait_recv = 0;
-        self.async_commit(v, agg);
-    }
-
-    /// Async apply-at-primary: combine the incoming value, apply, and
-    /// broadcast on change.
+    /// Take in one vertex message of a live async run: fold it into
+    /// `v`'s aggregate where `v` is primary here — the next round
+    /// applies it — or forward it to the primary. Every message lists
+    /// `v`: a round skips a vertex whose §3.2 waiting set is not yet
+    /// full and does not list it again.
     pub(super) fn async_apply(&mut self, v: VertexId, value: u64) {
-        let Some(run) = self.run.as_ref() else {
-            return;
-        };
-        let program = run.program.clone();
-        let (n_vertices, run_id, delta) = (run.n_vertices, run.info.run_id, run.info.delta);
-        let primary = {
-            let (ctx, cache, _, store, _) = self.kernel_parts(false);
-            primary_of(ctx, cache, v, store.get_mut(&v))
-        };
-        if primary != Some(self.id) {
+        let (run_id, _) = self.run_step();
+        let (ctx, cache, _, store, _) = self.kernel_parts(false);
+        match primary_of(ctx, cache, v, store.get_mut(&v)) {
+            Some(primary) if primary == ctx.my_id => {
+                let (e, lists) = store.entry_and_lists(v);
+                e.wait_recv += 1;
+                if !fold_ppartial(ctx.program, v, e, &mut lists.apply, value) {
+                    lists.apply.push(v);
+                }
+            }
             // Not ours to apply: the sender resolved `v` under an older
             // view, or `v` is split and this is the replica its edge
             // aggregates at. Forward to the current primary.
-            if let Some(primary) = primary {
+            Some(primary) => {
                 self.counters.vmsg_sent += 1;
                 self.with_outbox(primary, |out| {
                     msg::append_vmsgs(out, run_id, 1, &[(v, value)])
                 });
             }
-            return;
-        }
-        let e = self.vertices.entry_or_default(v);
-        if delta {
-            // Residual pushes accumulate commutatively; the §3.2
-            // waiting-set machinery (which exists to impose rounds on
-            // non-commutative programs) does not apply. The fold and
-            // broadcast wait for [`Self::drain_delta_hot`] at the next
-            // round, so every push queued behind this one lands in the
-            // same fold: one broadcast per vertex per round instead of
-            // one per arriving message.
-            e.residual = if e.has_residual {
-                program.merge_residual(e.residual, value)
-            } else {
-                value
-            };
-            e.has_residual = true;
-            self.delta_hot.insert(v);
-            return;
-        }
-        let ctx = VertexCtx {
-            out_degree: e.g_out.max(0) as u64,
-            in_degree: e.g_in.max(0) as u64,
-            n_vertices,
-            step: 1,
-            global: 0.0,
-        };
-        if !e.has_state {
-            e.state = program.init(v, &ctx);
-            e.has_state = true;
-        }
-        // §3.2 waiting set: collect messages until the program's
-        // requirement is met, then process once with the combined
-        // aggregate.
-        let needed = program.waits_for(v, &ctx);
-        let value = if needed > 0 {
-            if e.has_ppartial {
-                e.ppartial = program.combine(e.ppartial, value);
-            } else {
-                e.ppartial = value;
-                e.has_ppartial = true;
-            }
-            e.wait_recv += 1;
-            if e.wait_recv < needed {
-                return; // still waiting on specific messages
-            }
-            let agg = e.ppartial;
-            e.has_ppartial = false;
-            e.ppartial = 0;
-            e.wait_recv = 0;
-            agg
-        } else {
-            value
-        };
-        self.async_commit(v, value);
-    }
-
-    /// Fold every hot residual, once, and broadcast the applied deltas.
-    ///
-    /// Opens each round at mailbox-idle, *before* the idle READY: the
-    /// termination barrier only ever sees counters taken with an empty
-    /// hot set, so it cannot settle while an above-tolerance residual
-    /// is still waiting to fire. During a mid-run pause the hot set is
-    /// left alone — the migrate machinery moves parked residuals with
-    /// their vertices and [`Self::async_rescatter`] re-marks them on
-    /// resume.
-    pub(super) fn drain_delta_hot(&mut self) {
-        if self.delta_hot.is_empty() {
-            return;
-        }
-        let Some(run) = self.run.as_ref() else {
-            self.delta_hot.clear();
-            return;
-        };
-        if !run.info.delta || !run.async_live {
-            self.delta_hot.clear();
-            return;
-        }
-        if run.paused {
-            return;
-        }
-        let program = run.program.clone();
-        let n_vertices = run.n_vertices;
-        let dangling_base = run.info.dangling_base;
-        let hot: Vec<VertexId> = self.delta_hot.drain().collect();
-        let mut dangling = 0.0;
-        for v in hot {
-            let rec = {
-                let Some(e) = self.vertices.get_mut(&v) else {
-                    continue;
-                };
-                let ctx = VertexCtx {
-                    out_degree: e.g_out.max(0) as u64,
-                    in_degree: e.g_in.max(0) as u64,
-                    n_vertices,
-                    step: 1,
-                    global: 0.0,
-                };
-                if !e.has_state {
-                    let (s, mut r0) = program.delta_init(v, &ctx);
-                    // Same newcomer seeding as the sync step-0 apply.
-                    if let Some(seed) = program.dangling_seed_residual(dangling_base, &ctx) {
-                        r0 = program.merge_residual(r0, seed);
-                    }
-                    e.state = s;
-                    e.has_state = true;
-                    e.residual = if e.has_residual {
-                        program.merge_residual(r0, e.residual)
-                    } else {
-                        r0
-                    };
-                    e.has_residual = true;
-                }
-                if !e.has_residual {
-                    continue;
-                }
-                match program.fold_residual(v, e.state, e.residual, &ctx) {
-                    Some((new, applied)) => {
-                        // Folds at sinks move global dangling mass;
-                        // the change rides the next idle report.
-                        let g_out = e.g_out.max(0) as u64;
-                        dangling += program.dangling_mass(new, g_out)
-                            - program.dangling_mass(e.state, g_out);
-                        e.state = new;
-                        e.residual = 0;
-                        e.has_residual = false;
-                        e.active = true;
-                        StateRecord {
-                            vertex: v,
-                            state: new,
-                            out_degree: e.g_out.max(0) as u64,
-                            aux: applied,
-                            active: true,
-                        }
-                    }
-                    None => {
-                        // Below tolerance: stays parked in `e.residual`
-                        // for the next batch.
-                        e.active = false;
-                        continue;
-                    }
-                }
-            };
-            self.async_broadcast(rec);
-        }
-        self.dangling_acc += dangling;
-    }
-
-    /// The apply-and-broadcast tail of the async path: run the
-    /// program's apply with the combined `value` and, on change,
-    /// broadcast the new state to the vertex's replica set.
-    fn async_commit(&mut self, v: VertexId, value: u64) {
-        let Some(run) = self.run.as_ref() else {
-            return;
-        };
-        let program = run.program.clone();
-        let n_vertices = run.n_vertices;
-        let e = self.vertices.entry_or_default(v);
-        let ctx = VertexCtx {
-            out_degree: e.g_out.max(0) as u64,
-            in_degree: e.g_in.max(0) as u64,
-            n_vertices,
-            step: 1,
-            global: 0.0,
-        };
-        let (new, changed) = program.apply(v, e.state, Some(value), &ctx);
-        if changed {
-            e.state = new;
-            e.active = true;
-            let out_degree = e.g_out.max(0) as u64;
-            self.async_broadcast(StateRecord {
-                vertex: v,
-                state: new,
-                out_degree,
-                aux: 0,
-                active: true,
-            });
+            None => {}
         }
     }
 
     pub(super) fn on_idle(&mut self) {
-        // One round of the live async run's own work: fold the
-        // residuals that accumulated since the last round, then deliver
-        // the own messages queued before it. Both precede the flush and
-        // the idle report: they append records, and the barrier may
-        // only see counters taken with no own work left.
-        self.drain_delta_hot();
-        self.deliver_local();
+        // The live async run's round precedes the flush and the idle
+        // report: it appends records, and the barrier may only see
+        // counters taken with no own work left.
+        if self.local_work() {
+            self.async_round(false);
+        }
         // The mailbox drained: whatever the handlers appended must
         // reach the wire now — peers (and the termination barrier)
         // cannot make progress on records parked in open frames. A
@@ -1028,7 +807,7 @@ fn kernel_shard(
     // A list-driven scatter or apply is exact only if the lists are
     // complete; debug builds (the whole test suite) prove it each time.
     #[cfg(debug_assertions)]
-    if !ctx.sweep && phase != Phase::Combine {
+    if !ctx.sweep && !ctx.live && phase != Phase::Combine {
         shard.assert_worklists_complete();
     }
     match phase {
@@ -1241,13 +1020,7 @@ fn combine_shard(
             // `take_partial` would on receipt, and is no PARTIAL record —
             // uncounted on both sides of the barrier sums.
             Some(primary) if primary == ctx.my_id => {
-                if e.has_ppartial {
-                    e.ppartial = ctx.program.combine(e.ppartial, partial);
-                } else {
-                    e.ppartial = partial;
-                    e.has_ppartial = true;
-                    lists.apply.push(v);
-                }
+                fold_ppartial(ctx.program, v, e, &mut lists.apply, partial);
             }
             Some(primary) => out.entry(primary).or_default().push((v, partial)),
             None => {}
@@ -1255,6 +1028,27 @@ fn combine_shard(
     }
     // Hand the (drained) buffer back so its capacity is reused.
     lists.partial_dirty = dirty;
+}
+
+/// Fold `value` into `v`'s aggregate at its primary — a PARTIAL record,
+/// this agent's own combined partial, or an async message — and list
+/// `v` for the apply kernel on the aggregate's first value. Returns
+/// whether it listed `v`.
+#[inline]
+fn fold_ppartial(
+    program: &dyn VertexProgram,
+    v: VertexId,
+    e: &mut VertexEntry,
+    apply: &mut Vec<VertexId>,
+    value: u64,
+) -> bool {
+    if e.has_ppartial {
+        e.ppartial = program.combine(e.ppartial, value);
+        return false;
+    }
+    (e.ppartial, e.has_ppartial) = (value, true);
+    apply.push(v);
+    true
 }
 
 /// Apply one shard's primaries and queue state broadcasts to their
@@ -1296,7 +1090,9 @@ fn apply_shard(
 /// again (same residual, same tolerance), and a monotone-run primary
 /// without messages would only clear an `active` flag the scatter
 /// already cleared; and so would one with state, neither dirty nor
-/// active, at step 0 of a run that kept its lists.
+/// active, at step 0 of a run that kept its lists. A vertex with no
+/// state is initialized as at step 0, at any step: an async message
+/// can reach a primary before any state has.
 fn apply_vertex(
     ctx: KernelCtx<'_>,
     cache: &mut OwnerCache,
@@ -1326,13 +1122,20 @@ fn apply_vertex(
         step: ctx.step,
         global: ctx.global,
     };
+    // §3.2 waiting set: an async vertex applies once its program's
+    // count of messages is in. Until then it is skipped, not listed
+    // again: its next message lists it.
+    if ctx.live && e.wait_recv < program.waits_for(v, &vctx) {
+        return;
+    }
+    let fresh = !e.has_state;
     let mut broadcast = false;
     let mut aux = 0u64;
     if ctx.delta {
         // Residual formulation: the frontier is whatever carries an
-        // above-tolerance residual, regardless of step. Step 0
-        // additionally folds in new-vertex seeds and the teleport
-        // reseed; later steps merge the combined pushed deltas.
+        // above-tolerance residual, regardless of step. A new vertex
+        // is seeded at any step; step 0 additionally folds in the
+        // teleport reseed, later steps the combined pushed deltas.
         let mut residual = e.has_residual.then_some(e.residual);
         // The global reduce carries this step's reported
         // dangling-mass change; every primary owes/receives its
@@ -1345,22 +1148,21 @@ fn apply_vertex(
                 });
             }
         }
-        if ctx.step == 0 {
-            let fresh = !e.has_state;
-            if fresh {
-                let (s, mut r0) = program.delta_init(v, &vctx);
-                // A newcomer never baked the pre-run d·S/n term
-                // into its state; hand it the equivalent residual.
-                if let Some(seed) = program.dangling_seed_residual(ctx.dangling_base, &vctx) {
-                    r0 = program.merge_residual(r0, seed);
-                }
-                e.state = s;
-                e.has_state = true;
-                residual = Some(match residual {
-                    Some(r) => program.merge_residual(r0, r),
-                    None => r0,
-                });
+        if fresh {
+            let (s, mut r0) = program.delta_init(v, &vctx);
+            // A newcomer never baked the pre-run d·S/n term into its
+            // state; hand it the equivalent residual.
+            if let Some(seed) = program.dangling_seed_residual(ctx.dangling_base, &vctx) {
+                r0 = program.merge_residual(r0, seed);
             }
+            e.state = s;
+            e.has_state = true;
+            residual = Some(match residual {
+                Some(r) => program.merge_residual(r0, r),
+                None => r0,
+            });
+        }
+        if ctx.step == 0 {
             // The teleport reseed corrects *carried* state; a vertex
             // just seeded by `delta_init` already used the new n.
             if ctx.prev_n != 0 && !fresh {
@@ -1407,7 +1209,7 @@ fn apply_vertex(
         }
     } else if ctx.step == 0 {
         // Initialization (fresh) / activation (incremental).
-        if !e.has_state {
+        if fresh {
             e.state = program.init(v, &vctx);
             e.has_state = true;
             e.active = if ctx.reuse {
@@ -1422,6 +1224,9 @@ fn apply_vertex(
         }
         e.dirty = false;
     } else {
+        if fresh {
+            (e.state, e.has_state) = (program.init(v, &vctx), true);
+        }
         let has_msgs = e.has_ppartial;
         if has_msgs || program.applies_without_messages() {
             let agg = has_msgs.then_some(e.ppartial);
@@ -1435,8 +1240,7 @@ fn apply_vertex(
             e.active = false;
         }
     }
-    e.has_ppartial = false;
-    e.ppartial = 0;
+    (e.has_ppartial, e.ppartial, e.wait_recv) = (false, 0, 0);
     if broadcast {
         let rec = StateRecord {
             vertex: v,
@@ -1643,6 +1447,7 @@ mod tests {
             reuse: true,
             global: 0.0,
             delta: program.delta_kind() == DeltaKind::Residual,
+            live: false,
             prev_n: N,
             dangling_base: 0.0,
         }
@@ -2273,6 +2078,8 @@ mod tests {
         assert!(rig.agent.buffered_frames.is_empty());
         assert_eq!(rig.agent.metrics.vmsgs, 2);
         assert_eq!(rig.agent.counters.vmsg_recv, 2);
+        // Folded on replay, applied by the next round.
+        rig.agent.on_idle();
         for &v in &rig.mine[..2] {
             assert_eq!(rig.agent.vertices.get(&v).expect("entry").state, 1);
         }
@@ -2742,16 +2549,18 @@ mod tests {
         let (v, w) = (9, 10);
         agent.insert_out_edge(v, w);
         let state_of = |agent: &Agent, v| agent.vertices.get(&v).expect("entry").state;
+        // One message and the round that applies it.
         let message = |agent: &mut Agent, label: u64| {
             agent.async_apply(v, label);
-            agent.flush_outboxes();
+            agent.on_idle();
             assert!(agent.mailbox.try_recv().expect("open").is_none());
         };
         message(&mut agent, 4);
         assert_eq!(state_of(&agent, v), 4);
-        // The scatter of the own replica went out in place: `w` hears
-        // of label 4 through the local queue, in the next round.
-        assert_eq!(agent.local, [(w, 4)]);
+        // The scatter of the own replica went out in place: `w` holds
+        // label 4 as its aggregate, applied in the next round.
+        let e = agent.vertices.get(&w).expect("entry");
+        assert_eq!((e.has_state, e.has_ppartial, e.ppartial), (false, true, 4));
         agent.on_idle();
         assert_eq!((state_of(&agent, w), agent.metrics.vmsgs), (4, 1));
         message(&mut agent, 0);
@@ -2767,7 +2576,7 @@ mod tests {
         message(&mut agent, 3); // no improvement on 0
         assert_eq!(state_of(&agent, v), 0);
         agent.on_idle();
-        assert!(agent.local.is_empty());
+        assert!(!agent.local_work());
         assert_eq!(state_of(&agent, w), 0);
         let sent = (agent.counters.vmsg_sent, agent.counters.state_sent);
         assert_eq!(sent, (0, 0), "a record was framed");
@@ -2777,7 +2586,7 @@ mod tests {
     /// at `on_idle`, and the very next frame the agent handles is a VIEW
     /// that moves the folded vertex's out-edges to another agent. The
     /// applied delta must already have reached every out-neighbour —
-    /// as VMSG records toward a peer's primaries, as a residual in
+    /// as VMSG records toward a peer's primaries, as an aggregate in
     /// place at this agent's. (While the primary sent its `STATE(aux)`
     /// to itself, the record waited in the mailbox behind the VIEW and
     /// then scattered over an emptied out-list.)
@@ -2848,8 +2657,62 @@ mod tests {
             assert_eq!(got.get(&w), Some(&want), "out-neighbour {w} on agent 2");
         }
         let e = agent.vertices.get(&here);
-        let held = e.filter(|e| e.has_residual).map(|e| e.residual);
+        let held = e.filter(|e| e.has_ppartial).map(|e| e.ppartial);
         assert_eq!(held, Some(want), "out-neighbour {here} on this agent");
+    }
+
+    /// An async round applies a primary once, whatever number of its
+    /// messages landed before it: three labels in one frame leave as one
+    /// record, the best of them. A §3.2 waiting set that one message
+    /// half fills is skipped by the round, which sends nothing and
+    /// leaves the agent free to sleep; the message that fills it lists
+    /// it for the next round.
+    #[test]
+    fn an_async_round_applies_a_vertex_once() {
+        let live = |rig: &mut Rig, spec: ProgramSpec| {
+            let (tag, params) = spec.encode();
+            rig.agent.begin_run(RunInfo {
+                tag,
+                params,
+                ..run_info(true)
+            });
+            let run = rig.agent.run.as_mut().expect("run");
+            (run.step, run.async_live) = (1, true);
+        };
+        let sent = |peer: &Mailbox| -> Vec<(VertexId, u64)> {
+            let mut recs = Vec::new();
+            while let Ok(Some(d)) = peer.try_recv() {
+                if let Some(view) = msg::decode_vmsgs(&d.frame) {
+                    recs.extend(view.records.iter());
+                }
+            }
+            recs
+        };
+
+        let mut rig = rig();
+        let peer = rig.transport.bind(&agent_addr(2)).expect("bind");
+        let (v, w) = (rig.mine[0], rig.theirs[0]);
+        live(&mut rig, ProgramSpec::Wcc);
+        rig.deliver(msg::encode_vmsgs(RUN, 1, &[(v, 9), (v, 5), (v, 7)]));
+        rig.agent.on_idle();
+        assert_eq!(rig.agent.vertices.get(&v).expect("entry").state, 5);
+        assert_eq!(sent(&peer), [(w, 5)]);
+        assert!(!rig.agent.local_work());
+
+        let mut rig = self::rig();
+        let peer = rig.transport.bind(&agent_addr(2)).expect("bind");
+        let (v, w) = (rig.mine[0], rig.theirs[0]);
+        rig.agent.vertices.entry_or_default(v).g_in = 2;
+        live(&mut rig, ProgramSpec::DagLevel);
+        rig.deliver(msg::encode_vmsgs(RUN, 1, &[(v, 3)]));
+        rig.agent.on_idle();
+        assert_eq!(sent(&peer), []);
+        assert!(!rig.agent.local_work());
+        rig.deliver(msg::encode_vmsgs(RUN, 1, &[(v, 5)]));
+        assert!(rig.agent.local_work());
+        rig.agent.on_idle();
+        assert_eq!(rig.agent.vertices.get(&v).expect("entry").state, 5);
+        assert_eq!(sent(&peer), [(w, 6)]);
     }
 
     // ------------------------------------------------------------------

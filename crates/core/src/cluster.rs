@@ -565,8 +565,8 @@ impl Cluster {
     /// one hop longer and may land after the next request.)
     ///
     /// Bounded by `SystemConfig::quiesce_deadline`; a wedged system
-    /// (e.g. a dead peer with failure detection off) yields
-    /// `NetError::Timeout` instead of blocking forever.
+    /// (e.g. a dead peer not yet evicted) yields `NetError::Timeout`
+    /// instead of blocking forever.
     pub fn quiesce(&self) -> Result<(), NetError> {
         let deadline = Instant::now() + self.cfg.quiesce_deadline;
         // What a wave waits for is usually one hop between two agents

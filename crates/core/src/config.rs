@@ -36,12 +36,8 @@ pub struct SystemConfig {
     /// directory.
     pub heartbeat_interval: Duration,
     /// Consecutive missed heartbeat intervals before the lead declares
-    /// an agent dead.
+    /// an agent dead, evicts it and broadcasts RECOVER.
     pub heartbeat_misses: u32,
-    /// Whether the lead evicts unresponsive agents and broadcasts
-    /// RECOVER. Off, a crashed agent wedges the barrier (the
-    /// pre-chaos behavior).
-    pub failure_detection: bool,
     /// Deadline for `Cluster::quiesce`; exceeded, it returns
     /// `NetError::Timeout` instead of blocking forever.
     pub quiesce_deadline: Duration,
@@ -95,7 +91,6 @@ impl Default for SystemConfig {
             send_policy: SendPolicy::default(),
             heartbeat_interval: Duration::from_millis(100),
             heartbeat_misses: 50,
-            failure_detection: true,
             quiesce_deadline: Duration::from_secs(60),
             run_deadline: Duration::from_secs(300),
             workers: 1,
@@ -136,7 +131,6 @@ mod tests {
     #[test]
     fn failure_detection_defaults_are_sane() {
         let c = SystemConfig::default();
-        assert!(c.failure_detection);
         // Detection latency must stay well under the quiesce deadline,
         // or a dead agent stalls every barrier past its budget.
         let detect = c.heartbeat_interval * c.heartbeat_misses;

@@ -191,9 +191,8 @@ pub(crate) struct Lead {
     /// How often a tick looks for dead agents and repeats an open
     /// barrier's broadcast.
     heartbeat_interval: Duration,
-    /// Silence after which a watched agent is declared dead; `None`
-    /// with failure detection off.
-    failure_window: Option<Duration>,
+    /// Silence after which a watched agent is declared dead.
+    failure_window: Duration,
     /// When failure detection last looked.
     checked: Instant,
     effects: Vec<Effect>,
@@ -260,9 +259,7 @@ impl Lead {
             },
             now,
             heartbeat_interval: cfg.heartbeat_interval,
-            failure_window: cfg
-                .failure_detection
-                .then(|| cfg.heartbeat_interval * cfg.heartbeat_misses),
+            failure_window: cfg.heartbeat_interval * cfg.heartbeat_misses,
             checked: now,
             effects: Vec::new(),
         }
@@ -401,18 +398,17 @@ impl Lead {
     /// stall report.
     pub(crate) fn on_tick(&mut self, now: Instant) {
         self.now = now;
-        if let Some(window) = self.failure_window {
-            if now.saturating_duration_since(self.checked) >= self.heartbeat_interval {
-                self.checked = now;
-                for dead in self.dead_agents(window) {
-                    self.tracer.instant_at(
-                        EventKind::HeartbeatMiss,
-                        now,
-                        dead,
-                        window.as_millis() as u64,
-                    );
-                    self.recover(dead);
-                }
+        if now.saturating_duration_since(self.checked) >= self.heartbeat_interval {
+            self.checked = now;
+            let window = self.failure_window;
+            for dead in self.dead_agents(window) {
+                self.tracer.instant_at(
+                    EventKind::HeartbeatMiss,
+                    now,
+                    dead,
+                    window.as_millis() as u64,
+                );
+                self.recover(dead);
             }
         }
         self.republish_barrier();
@@ -2560,7 +2556,6 @@ mod tests {
         let cfg = SystemConfig {
             heartbeat_interval: Duration::from_millis(100),
             heartbeat_misses: 3,
-            failure_detection: true,
             ..SystemConfig::default()
         };
         Lead::new(&cfg, Instant::now())
@@ -2754,8 +2749,11 @@ mod tests {
     /// however long it stands after; the next barrier gets its own.
     #[test]
     fn the_stall_line_is_queued_once_per_barrier() {
+        // The joiners never send a heartbeat: a failure window of 100 s,
+        // longer than the test's 50, keeps them in the view.
         let cfg = SystemConfig {
-            failure_detection: false,
+            heartbeat_interval: Duration::from_millis(100),
+            heartbeat_misses: 1_000,
             ..SystemConfig::default()
         };
         let mut lead = Lead::new(&cfg, Instant::now());
@@ -2842,7 +2840,6 @@ mod tests {
             let cfg = SystemConfig {
                 heartbeat_interval: Duration::from_millis(50),
                 heartbeat_misses: 4,
-                failure_detection: true,
                 sketch_width: 64,
                 sketch_depth: 4,
                 replication_threshold: 64,

@@ -212,8 +212,7 @@ impl VertexStore {
         &mut self.shards
     }
 
-    /// Read-only shards, for the worklist assertions.
-    #[cfg(any(test, debug_assertions))]
+    /// Read-only shards, in index order.
     pub fn shards(&self) -> &[Shard] {
         &self.shards
     }

@@ -211,10 +211,12 @@ fn async_run_survives_scale_up_batched_scale_down_and_crash() {
 #[test]
 fn metrics_reports_partial_when_drain_target_unreachable() {
     let cfg = SystemConfig {
-        // No eviction: the dead agent must stay in the view so the
-        // DRAIN retry exercises the partial path rather than the
-        // member-departed path.
-        failure_detection: false,
+        // No eviction: a failure window (10 min) longer than the test
+        // keeps the dead agent in the view, so the DRAIN retry
+        // exercises the partial path rather than the member-departed
+        // path.
+        heartbeat_interval: Duration::from_millis(100),
+        heartbeat_misses: 6_000,
         request_timeout: Duration::from_millis(500),
         send_policy: SendPolicy {
             retries: 1,
