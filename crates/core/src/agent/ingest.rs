@@ -155,7 +155,7 @@ impl Agent {
                     if let Some(seed) = &self.delta_seed {
                         if let Some(e) = self.vertices.get(&u) {
                             if e.has_state {
-                                if let Some(delta) = seed.program.edge_change_residual(
+                                if let Some(delta) = seed.program.as_dyn().edge_change_residual(
                                     u,
                                     e.state,
                                     e.rep_out_degree,
@@ -216,7 +216,8 @@ impl Agent {
     /// reset) the values are summed as f64 bits — the encoding every
     /// residual program in this workspace uses.
     pub(super) fn apply_residuals(&mut self, recs: impl IntoIterator<Item = (VertexId, u64)>) {
-        let program = self.delta_seed.as_ref().map(|s| Arc::clone(&s.program));
+        let program = self.delta_seed.as_ref().map(|s| s.program.clone());
+        let program = program.as_ref().map(Program::as_dyn);
         for (v, delta) in recs {
             let e = self.vertices.entry_or_default(v);
             e.residual = if e.has_residual {
@@ -250,7 +251,8 @@ impl Agent {
             return;
         };
         self.counters.chg_recv += deltas.len() as u64;
-        let program = self.delta_seed.as_ref().map(|s| Arc::clone(&s.program));
+        let program = self.delta_seed.as_ref().map(|s| s.program.clone());
+        let program = program.as_ref().map(Program::as_dyn);
         let mut dangling = 0.0;
         for (v, dout, din) in deltas {
             let (e, lists) = self.vertices.entry_and_lists(v);

@@ -381,7 +381,7 @@ impl Agent {
         // armed delta seed covers the between-runs window.
         let merger = program
             .clone()
-            .or_else(|| self.delta_seed.as_ref().map(|s| Arc::clone(&s.program)));
+            .or_else(|| self.delta_seed.as_ref().map(|s| s.program.clone()));
         for (head, tail) in records.tailed() {
             let (meta, out, inn) = head.read_tail(tail);
             let v = head.vertex;
@@ -442,7 +442,7 @@ impl Agent {
                     // combined partial into ours (both sides may have
                     // collected messages for the same waiting set).
                     e.ppartial = match (&program, e.has_ppartial) {
-                        (Some(p), true) => p.combine(e.ppartial, m.ppartial),
+                        (Some(p), true) => p.as_dyn().combine(e.ppartial, m.ppartial),
                         _ => m.ppartial,
                     };
                     e.has_ppartial = true;
@@ -450,7 +450,7 @@ impl Agent {
                 }
                 if head.has(MigVertex::HAS_RESIDUAL) {
                     e.residual = match (&merger, e.has_residual) {
-                        (Some(p), true) => p.merge_residual(e.residual, m.residual),
+                        (Some(p), true) => p.as_dyn().merge_residual(e.residual, m.residual),
                         (None, true) => {
                             (f64::from_bits(e.residual) + f64::from_bits(m.residual)).to_bits()
                         }

@@ -54,7 +54,7 @@ use crate::msg::{
     self, packet, AgentInfo, Counters, DirectoryView, Message, Phase, ReadyReport, RunInfo, Side,
     StateRecord,
 };
-use crate::program::{DeltaKind, ProgramSpec, VertexCtx, VertexProgram};
+use crate::program::{dispatch, DeltaKind, Program, ProgramSpec, VertexCtx, VertexProgram};
 use crate::store::{Shard, VertexStore, Worklists, SHARDS};
 use crate::targets::{EdgeSlots, TargetTable, NO_SLOT};
 use elga_graph::types::{Action, EdgeChange, VertexId};
@@ -203,7 +203,7 @@ struct Subscription {
 /// Per-run execution state.
 struct AgentRun {
     info: RunInfo,
-    program: Arc<dyn VertexProgram>,
+    program: Program,
     /// Latest directive from the directory.
     step: u32,
     phase: Phase,
@@ -258,7 +258,7 @@ impl AgentRun {
 pub(crate) struct DeltaSeed {
     /// The residual program (its `merge_residual`,
     /// `rescale_on_degree_change`, `edge_change_residual` hooks).
-    pub(crate) program: Arc<dyn VertexProgram>,
+    pub(crate) program: Program,
     /// `n_vertices` the last run converged under; 0 = unknown (no run
     /// finished yet), in which case the teleport reseed is skipped.
     pub(crate) n: u64,
@@ -694,6 +694,7 @@ impl Agent {
         let mut contrib = 0.0;
         let mut n_primary = 0;
         let generation = self.targets.generation();
+        let program = run.program.as_dyn();
         for (&v, e) in self.vertices.iter() {
             if e.is_meta && (e.is_stamped_home(generation) || self.is_primary(v)) {
                 n_primary += 1;
@@ -705,7 +706,7 @@ impl Agent {
                         step: run.step,
                         global: 0.0,
                     };
-                    contrib += run.program.global_contrib(v, e.state, &ctx);
+                    contrib += program.global_contrib(v, e.state, &ctx);
                 }
             }
         }
@@ -938,7 +939,7 @@ impl Agent {
         let keep = !self.needs_sweep
             && info.reuse_state
             && !info.asynchronous
-            && program.delta_kind() != DeltaKind::Residual
+            && program.as_dyn().delta_kind() != DeltaKind::Residual
             && self.vertices.lists_settled();
         if !keep {
             let mut stale = Vec::new();
@@ -987,10 +988,10 @@ impl Agent {
         // previous seed's `n` survives for the same program: it is the
         // vertex count the carried-over residuals were computed under,
         // needed for the step-0 teleport reseed.
-        self.delta_seed = if program.delta_kind() == DeltaKind::Residual {
+        self.delta_seed = if program.as_dyn().delta_kind() == DeltaKind::Residual {
             let prev_n = self.delta_seed.as_ref().map_or(0, |s| s.n);
             Some(DeltaSeed {
-                program: Arc::clone(&program),
+                program: program.clone(),
                 n: prev_n,
             })
         } else {

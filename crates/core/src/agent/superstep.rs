@@ -43,10 +43,11 @@ pub(super) struct StepScratch {
 /// loops that can run long without returning to `run_loop`.
 const READ_YIELD: usize = 1024;
 
-/// Read-only context of one kernel call.
-#[derive(Clone, Copy)]
-pub(super) struct KernelCtx<'a> {
-    program: &'a dyn VertexProgram,
+/// Read-only context of one kernel call, for the program type `P` the
+/// kernel is compiled for: a built-in's own type, so its per-edge calls
+/// inline, or a custom program's trait object.
+pub(super) struct KernelCtx<'a, P: VertexProgram + ?Sized> {
+    program: &'a P,
     locator: &'a EdgeLocator,
     sketch: &'a CountMinSketch,
     my_id: AgentId,
@@ -77,6 +78,14 @@ pub(super) struct KernelCtx<'a> {
     dangling_base: f64,
 }
 
+// Copy for any `P`: the context only borrows the program.
+impl<P: VertexProgram + ?Sized> Clone for KernelCtx<'_, P> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+impl<P: VertexProgram + ?Sized> Copy for KernelCtx<'_, P> {}
+
 impl Agent {
     // ------------------------------------------------------------------
     // Sync phases
@@ -91,7 +100,7 @@ impl Agent {
         // stale flag (`needs_sweep`); `scatter_all` programs visit
         // every vertex by definition (delta runs scatter pending
         // deltas, never full states, so the hint does not apply).
-        let sweep = self.needs_sweep || (!delta && run.program.scatter_all());
+        let sweep = self.needs_sweep || (!delta && run.program.as_dyn().scatter_all());
         // Step 0 is preparation: it only reports the primary vertex
         // count so the directory can hand `n` to initialization.
         if step > 0 {
@@ -135,7 +144,7 @@ impl Agent {
             || if run.info.delta {
                 run.global != 0.0
             } else {
-                run.program.applies_without_messages()
+                run.program.as_dyn().applies_without_messages()
             };
         self.run_kernel(Phase::Apply, sweep)
     }
@@ -209,18 +218,18 @@ impl Agent {
     /// its current step — and what it writes: the owner memo, the
     /// target table, the store and the step's scratch. Sync steps and
     /// async handlers alike run their kernels on these.
-    fn kernel_parts(
-        &mut self,
+    fn kernel_parts<'a, P: VertexProgram + ?Sized>(
+        &'a mut self,
+        program: &'a P,
         sweep: bool,
     ) -> (
-        KernelCtx<'_>,
-        &mut OwnerCache,
-        &mut TargetTable,
-        &mut VertexStore,
-        &mut StepScratch,
+        KernelCtx<'a, P>,
+        &'a mut OwnerCache,
+        &'a mut TargetTable,
+        &'a mut VertexStore,
+        &'a mut StepScratch,
     ) {
         let run = self.run.as_ref().expect("kernel without run");
-        let program = &*run.program;
         let ctx = KernelCtx {
             program,
             locator: &self.locator,
@@ -249,20 +258,25 @@ impl Agent {
     /// work (DESIGN.md "Reads inside kernels"). Returns the number of
     /// primaries an apply kernel left active.
     fn run_kernel(&mut self, phase: Phase, sweep: bool) -> u64 {
-        let program = self
-            .run
-            .as_ref()
-            .expect("kernel without run")
-            .program
-            .clone();
+        let program = self.program();
+        dispatch!(&program, p => self.run_kernel_with(p, phase, sweep))
+    }
+
+    /// [`Agent::run_kernel`] compiled for the run's program type.
+    fn run_kernel_with<P: VertexProgram + ?Sized>(
+        &mut self,
+        program: &P,
+        phase: Phase,
+        sweep: bool,
+    ) -> u64 {
         let mut dangling = 0.0;
         for i in 0..SHARDS {
-            let (ctx, cache, table, store, out) = self.kernel_parts(sweep);
+            let (ctx, cache, table, store, out) = self.kernel_parts(program, sweep);
             let shard = &mut store.shards_mut()[i];
             let busy = sweep || worklist_len(phase, &shard.lists) > 0;
             kernel_shard(phase, ctx, cache, table, shard, out);
             if phase == Phase::Scatter {
-                self.fold_scatter_run(&*program);
+                self.fold_scatter_run(program);
             }
             // Summed within the shard, then across shards: the
             // association PageRank's bits are pinned under.
@@ -283,13 +297,19 @@ impl Agent {
             Phase::Apply => self.send_states(),
             Phase::Scatter => {
                 // What the step's READY tells the lead was sent.
-                let mut sent = self.send_scatter();
+                let mut sent = self.send_scatter(program);
                 sent.sort_unstable();
                 self.run.as_mut().expect("run").scatter_sent = sent;
             }
             _ => self.send_batches(|s| &mut s.msgs, |c| &mut c.part_sent, msg::append_partials),
         }
         active
+    }
+
+    /// The current run's program, to dispatch on ([`dispatch!`]) once
+    /// per kernel call or frame.
+    fn program(&self) -> Program {
+        self.run.as_ref().expect("run").program.clone()
     }
 
     /// The current run's id and step, which every data record carries.
@@ -303,7 +323,7 @@ impl Agent {
     /// count the slots the kernel filled (`memo_fills`), and credit the
     /// owner cache with the edges served from their memos: a slot is
     /// the cache's answer kept beside the edge.
-    fn fold_scatter_run(&mut self, program: &dyn VertexProgram) {
+    fn fold_scatter_run<P: VertexProgram + ?Sized>(&mut self, program: &P) {
         let mut run = std::mem::take(&mut self.scratch.slots);
         let filled = std::mem::take(&mut self.scratch.refreshed);
         self.metrics.memo_fills += filled;
@@ -324,7 +344,7 @@ impl Agent {
     /// run is folded in place ([`Agent::fold_vmsgs`]), as `take_vmsg`
     /// would on receipt, and is no VMSG record, uncounted on both sides
     /// of the barrier sums. Returns what went to each peer.
-    fn send_scatter(&mut self) -> msg::StepCounts {
+    fn send_scatter<P: VertexProgram + ?Sized>(&mut self, program: &P) -> msg::StepCounts {
         let (run_id, step) = self.run_step();
         self.targets.flush();
         let mut sent = msg::StepCounts::new();
@@ -332,7 +352,7 @@ impl Agent {
             let run = self.targets.take_run(dst);
             let agent = self.targets.members()[dst];
             if agent == self.id {
-                self.fold_vmsgs(run.iter().copied());
+                self.fold_vmsgs_with(program, run.iter().copied());
             } else if !run.is_empty() {
                 self.counters.vmsg_sent += run.len() as u64;
                 sent.push((agent, run.len() as u64));
@@ -394,20 +414,24 @@ impl Agent {
     /// applies: the receive side of VMSG, for a peer's frame (parsed in
     /// place off its buffer) and for this agent's own scatter output
     /// (never framed) alike.
-    fn fold_vmsgs(&mut self, mut msgs: impl ExactSizeIterator<Item = (VertexId, u64)>) {
+    fn fold_vmsgs(&mut self, msgs: impl ExactSizeIterator<Item = (VertexId, u64)>) {
+        let program = self.program();
+        dispatch!(&program, p => self.fold_vmsgs_with(p, msgs))
+    }
+
+    /// [`Agent::fold_vmsgs`] compiled for the run's program type.
+    fn fold_vmsgs_with<P: VertexProgram + ?Sized>(
+        &mut self,
+        program: &P,
+        mut msgs: impl ExactSizeIterator<Item = (VertexId, u64)>,
+    ) {
         self.metrics.vmsgs += msgs.len() as u64;
-        let run = self.run.as_ref().expect("run");
-        if run.async_live {
-            msgs.for_each(|(v, value)| self.async_apply(v, value));
+        if self.run.as_ref().expect("run").async_live {
+            msgs.for_each(|(v, value)| self.async_apply(program, v, value));
             return;
         }
-        let program = run.program.clone();
         loop {
-            fold_partials(
-                &mut self.vertices,
-                &*program,
-                msgs.by_ref().take(READ_YIELD),
-            );
+            fold_partials(&mut self.vertices, program, msgs.by_ref().take(READ_YIELD));
             if msgs.len() == 0 {
                 return;
             }
@@ -479,11 +503,11 @@ impl Agent {
             self.counters.part_recv += view.records.len() as u64;
         }
         if !live && cur_step == view.step && cur_phase == Phase::Combine {
-            let program = self.run.as_ref().expect("run").program.clone();
-            for (v, value) in view.records {
-                let (e, lists) = self.vertices.entry_and_lists(v);
-                fold_ppartial(&*program, v, e, &mut lists.apply, value);
-            }
+            let (program, store) = (self.program(), &mut self.vertices);
+            dispatch!(&program, p => for (v, value) in view.records {
+                let (e, lists) = store.entry_and_lists(v);
+                fold_ppartial(p, v, e, &mut lists.apply, value);
+            });
         } else {
             self.buffered_frames.push(frame);
         }
@@ -507,8 +531,20 @@ impl Agent {
             self.buffered_frames.push(frame);
             return;
         }
+        let program = self.program();
+        dispatch!(&program, p => self.adopt_states(p, view.records.iter(), live));
+    }
+
+    /// Adopt the records of a STATE frame of the current step into the
+    /// replica copies here; in a live async run each scatters at once.
+    fn adopt_states<P: VertexProgram + ?Sized>(
+        &mut self,
+        program: &P,
+        records: impl Iterator<Item = StateRecord>,
+        live: bool,
+    ) {
         let delta_run = self.run.as_ref().is_some_and(|r| r.info.delta);
-        for mut rec in view.records {
+        for mut rec in records {
             // Async: a primary keeps the state it holds. Its own commits
             // never come back as frames, but an old primary's broadcast
             // can land after a view change (a split vertex's replica set
@@ -526,7 +562,7 @@ impl Agent {
                 // Scatter right away; a delta run pushes the applied
                 // delta the record carries (zero aux — a rescatter
                 // refresh — pushes nothing).
-                self.fire(rec.vertex);
+                self.fire(program, rec.vertex);
             } else if !listed && (e.active || e.has_pending_delta) {
                 // Scattered at the next Scatter phase.
                 lists.scatter.push(rec.vertex);
@@ -545,9 +581,14 @@ impl Agent {
     /// only what the run's messages list.
     pub(super) fn async_initial_scatter(&mut self) {
         self.vertices.clear_worklists();
-        for v in self.vertices.keys().collect::<Vec<_>>() {
-            self.fire(v);
-        }
+        let all = self.vertices.keys().collect::<Vec<_>>();
+        self.fire_all(all);
+    }
+
+    /// [`Agent::fire`] each of `vertices` in order.
+    fn fire_all(&mut self, vertices: Vec<VertexId>) {
+        let program = self.program();
+        dispatch!(&program, p => vertices.into_iter().for_each(|v| self.fire(p, v)))
     }
 
     /// Scatter `v` through the sync kernel — its edge memo, its target
@@ -555,15 +596,14 @@ impl Agent {
     /// keeps one record per edge, which §3.2 waiting sets count (rows
     /// are keyed `(target, destination)`, so a vertex's edges never
     /// share one), and leaves no row touched when the handler returns.
-    fn fire(&mut self, v: VertexId) {
-        let (ctx, cache, table, store, out) = self.kernel_parts(false);
+    fn fire<P: VertexProgram + ?Sized>(&mut self, program: &P, v: VertexId) {
+        let (ctx, cache, table, store, out) = self.kernel_parts(program, false);
         if let Some(e) = store.get_mut(&v) {
             scatter_vertex(ctx, cache, table, v, e, out);
         }
         if !self.scratch.slots.is_empty() {
-            let program = self.run.as_ref().expect("run").program.clone();
-            self.fold_scatter_run(&*program);
-            self.send_scatter();
+            self.fold_scatter_run(program);
+            self.send_scatter(program);
         }
     }
 
@@ -571,17 +611,17 @@ impl Agent {
     /// replica set ([`broadcast_state`]) and send the other replicas
     /// their STATE records. This agent's copy adopts it in place and
     /// scatters at once, as a round's does.
-    fn async_broadcast(&mut self, rec: StateRecord) {
+    fn async_broadcast<P: VertexProgram + ?Sized>(&mut self, program: &P, rec: StateRecord) {
         let v = rec.vertex;
         let own = {
-            let (ctx, cache, _, store, out) = self.kernel_parts(false);
+            let (ctx, cache, _, store, out) = self.kernel_parts(program, false);
             let e = store.entry_or_default(v);
             let home = at_home(ctx, cache, v, e);
             broadcast_state(ctx, cache, home, v, e, &rec, &mut out.states)
         };
         self.send_states();
         if own {
-            self.fire(v);
+            self.fire(program, v);
         }
     }
 
@@ -615,9 +655,7 @@ impl Agent {
         }
         fired.sort_unstable();
         fired.dedup();
-        for v in fired {
-            self.fire(v);
-        }
+        self.fire_all(fired);
     }
 
     /// Resume after a mid-run view change: every primary re-broadcasts
@@ -654,9 +692,10 @@ impl Agent {
             })
             .collect();
         let count = owned.len() as u64;
-        for rec in owned {
-            self.async_broadcast(rec);
-        }
+        let program = self.program();
+        dispatch!(&program, p => {
+            owned.into_iter().for_each(|rec| self.async_broadcast(p, rec))
+        });
         self.tracer
             .instant(EventKind::AsyncRescatter, self.view.epoch, count);
     }
@@ -666,9 +705,14 @@ impl Agent {
     /// applies it — or forward it to the primary. Every message lists
     /// `v`: a round skips a vertex whose §3.2 waiting set is not yet
     /// full and does not list it again.
-    pub(super) fn async_apply(&mut self, v: VertexId, value: u64) {
+    pub(super) fn async_apply<P: VertexProgram + ?Sized>(
+        &mut self,
+        program: &P,
+        v: VertexId,
+        value: u64,
+    ) {
         let (run_id, _) = self.run_step();
-        let (ctx, cache, _, store, _) = self.kernel_parts(false);
+        let (ctx, cache, _, store, _) = self.kernel_parts(program, false);
         match primary_of(ctx, cache, v, store.get_mut(&v)) {
             Some(primary) if primary == ctx.my_id => {
                 let (e, lists) = store.entry_and_lists(v);
@@ -767,9 +811,9 @@ impl Agent {
 /// Fold `(target, value)` messages into the targets' scatter
 /// partials, listing each target on its first partial since the last
 /// combine so the combine kernel only walks receivers.
-fn fold_partials(
+fn fold_partials<P: VertexProgram + ?Sized>(
     store: &mut VertexStore,
-    program: &dyn VertexProgram,
+    program: &P,
     msgs: impl Iterator<Item = (VertexId, u64)>,
 ) {
     for (v, value) in msgs {
@@ -796,9 +840,9 @@ fn worklist_len(phase: Phase, lists: &Worklists) -> usize {
 
 /// Dispatch one shard through the kernel for `phase`; only a scatter
 /// touches the target table.
-fn kernel_shard(
+fn kernel_shard<P: VertexProgram + ?Sized>(
     phase: Phase,
-    ctx: KernelCtx<'_>,
+    ctx: KernelCtx<'_, P>,
     cache: &mut OwnerCache,
     table: &mut TargetTable,
     shard: &mut Shard,
@@ -820,8 +864,8 @@ fn kernel_shard(
 
 /// Scatter messages for one shard's eligible vertices: every entry on
 /// a sweep, the sorted scatter worklist otherwise.
-fn scatter_shard(
-    ctx: KernelCtx<'_>,
+fn scatter_shard<P: VertexProgram + ?Sized>(
+    ctx: KernelCtx<'_, P>,
     cache: &mut OwnerCache,
     table: &mut TargetTable,
     shard: &mut Shard,
@@ -855,8 +899,8 @@ fn scatter_shard(
 /// sides that fire. The one place scatter asks where an edge's message
 /// goes: the edges past the memo's prefix — all of them under a new
 /// generation — are resolved through the owner cache into `table`.
-fn scatter_values(
-    ctx: KernelCtx<'_>,
+fn scatter_values<P: VertexProgram + ?Sized>(
+    ctx: KernelCtx<'_, P>,
     cache: &mut OwnerCache,
     table: &mut TargetTable,
     v: VertexId,
@@ -925,8 +969,8 @@ fn scatter_values(
 /// into the shard's output run, the slot being the target-table row the
 /// edge's message is combined in — and clear the flags that made it
 /// eligible (they are re-armed by STATE broadcasts at the next apply).
-fn scatter_vertex(
-    ctx: KernelCtx<'_>,
+fn scatter_vertex<P: VertexProgram + ?Sized>(
+    ctx: KernelCtx<'_, P>,
     cache: &mut OwnerCache,
     table: &mut TargetTable,
     v: VertexId,
@@ -957,7 +1001,12 @@ fn scatter_vertex(
 /// Bring `e` under the table's generation if it is not: drop the edge
 /// memo of another epoch and stamp where the vertex lives now.
 #[inline]
-fn restamp(ctx: KernelCtx<'_>, cache: &mut OwnerCache, v: VertexId, e: &mut VertexEntry) -> bool {
+fn restamp<P: VertexProgram + ?Sized>(
+    ctx: KernelCtx<'_, P>,
+    cache: &mut OwnerCache,
+    v: VertexId,
+    e: &mut VertexEntry,
+) -> bool {
     e.is_home(ctx.generation, || {
         let p = cache.placement(ctx.locator, v, || ctx.sketch.estimate(v));
         p.k == 1 && p.primary == Some(ctx.my_id)
@@ -971,7 +1020,12 @@ fn restamp(ctx: KernelCtx<'_>, cache: &mut OwnerCache, v: VertexId, e: &mut Vert
 /// served from the stamp is the cache's own, kept beside the vertex,
 /// and counts as the hit it replaces.
 #[inline]
-fn at_home(ctx: KernelCtx<'_>, cache: &mut OwnerCache, v: VertexId, e: &mut VertexEntry) -> bool {
+fn at_home<P: VertexProgram + ?Sized>(
+    ctx: KernelCtx<'_, P>,
+    cache: &mut OwnerCache,
+    v: VertexId,
+    e: &mut VertexEntry,
+) -> bool {
     let served = e.is_stamped_home(ctx.generation);
     cache.count_hits(u64::from(served));
     served || restamp(ctx, cache, v, e)
@@ -980,8 +1034,8 @@ fn at_home(ctx: KernelCtx<'_>, cache: &mut OwnerCache, v: VertexId, e: &mut Vert
 /// `v`'s primary: this agent where the entry held here says home
 /// ([`at_home`]), the owner cache's answer otherwise.
 #[inline]
-fn primary_of(
-    ctx: KernelCtx<'_>,
+fn primary_of<P: VertexProgram + ?Sized>(
+    ctx: KernelCtx<'_, P>,
     cache: &mut OwnerCache,
     v: VertexId,
     e: Option<&mut VertexEntry>,
@@ -996,8 +1050,8 @@ fn primary_of(
 /// only the shard's dirty list — vertices that actually received
 /// messages — instead of scanning the whole map; sorts it so the sent
 /// order is deterministic regardless of arrival order.
-fn combine_shard(
-    ctx: KernelCtx<'_>,
+fn combine_shard<P: VertexProgram + ?Sized>(
+    ctx: KernelCtx<'_, P>,
     cache: &mut OwnerCache,
     shard: &mut Shard,
     out: &mut FxHashMap<AgentId, Vec<(VertexId, u64)>>,
@@ -1035,8 +1089,8 @@ fn combine_shard(
 /// `v` for the apply kernel on the aggregate's first value. Returns
 /// whether it listed `v`.
 #[inline]
-fn fold_ppartial(
-    program: &dyn VertexProgram,
+fn fold_ppartial<P: VertexProgram + ?Sized>(
+    program: &P,
     v: VertexId,
     e: &mut VertexEntry,
     apply: &mut Vec<VertexId>,
@@ -1054,8 +1108,8 @@ fn fold_ppartial(
 /// Apply one shard's primaries and queue state broadcasts to their
 /// replica sets: every entry on a sweep, the sorted apply worklist
 /// (the vertices that received partials) otherwise.
-fn apply_shard(
-    ctx: KernelCtx<'_>,
+fn apply_shard<P: VertexProgram + ?Sized>(
+    ctx: KernelCtx<'_, P>,
     cache: &mut OwnerCache,
     shard: &mut Shard,
     out: &mut StepScratch,
@@ -1093,8 +1147,8 @@ fn apply_shard(
 /// active, at step 0 of a run that kept its lists. A vertex with no
 /// state is initialized as at step 0, at any step: an async message
 /// can reach a primary before any state has.
-fn apply_vertex(
-    ctx: KernelCtx<'_>,
+fn apply_vertex<P: VertexProgram + ?Sized>(
+    ctx: KernelCtx<'_, P>,
     cache: &mut OwnerCache,
     v: VertexId,
     e: &mut VertexEntry,
@@ -1269,8 +1323,8 @@ fn apply_vertex(
 /// this agent alone (`home`: the stamp answers for the cache, as in
 /// [`at_home`]). Returns whether this agent holds a replica.
 #[inline]
-fn broadcast_state(
-    ctx: KernelCtx<'_>,
+fn broadcast_state<P: VertexProgram + ?Sized>(
+    ctx: KernelCtx<'_, P>,
     cache: &mut OwnerCache,
     home: bool,
     v: VertexId,
@@ -1432,7 +1486,7 @@ mod tests {
         locator: &'a EdgeLocator,
         sketch: &'a CountMinSketch,
         sweep: bool,
-    ) -> KernelCtx<'a> {
+    ) -> KernelCtx<'a, dyn VertexProgram + 'a> {
         KernelCtx {
             program,
             locator,
@@ -2551,7 +2605,8 @@ mod tests {
         let state_of = |agent: &Agent, v| agent.vertices.get(&v).expect("entry").state;
         // One message and the round that applies it.
         let message = |agent: &mut Agent, label: u64| {
-            agent.async_apply(v, label);
+            let program = agent.program();
+            agent.async_apply(program.as_dyn(), v, label);
             agent.on_idle();
             assert!(agent.mailbox.try_recv().expect("open").is_none());
         };
@@ -2627,7 +2682,8 @@ mod tests {
         (e.state, e.has_state) = (state, true);
 
         let push = (100.0 * TOL).to_bits();
-        agent.async_apply(u, push);
+        let program = agent.program();
+        agent.async_apply(program.as_dyn(), u, push);
         agent.on_idle();
         // Before anything else: the VIEW.
         assert!(agent.handle(Delivery::push(after.encode())));

@@ -1194,6 +1194,7 @@ impl Cluster {
 /// async path committing directly onto primaries.
 fn run_info(spec: &ProgramSpec, options: RunOptions) -> RunInfo {
     let program = spec.instantiate();
+    let program = program.as_dyn();
     let asynchronous =
         matches!(options.mode, crate::program::ExecutionMode::Async) && program.supports_async();
     let delta = program.delta_kind() == crate::program::DeltaKind::Residual

@@ -1247,10 +1247,10 @@ impl Lead {
         info.watermark = self.view.batch_id;
         let spec = crate::program::ProgramSpec::decode(info.tag, info.params);
         let prog = spec.as_ref().map(|s| s.instantiate());
-        let max_steps = prog.as_ref().and_then(|p| p.max_steps());
+        let max_steps = prog.as_ref().and_then(|p| p.as_dyn().max_steps());
         let dangling_eps = prog
             .as_ref()
-            .map_or(f64::INFINITY, |p| p.dangling_epsilon());
+            .map_or(f64::INFINITY, |p| p.as_dyn().dangling_epsilon());
         if !info.delta {
             // A full run recomputes every vertex from scratch; mass
             // handed over by past departures is subsumed by it.

@@ -15,6 +15,7 @@
 //! wire format copy-through (§3.5). `f64` state (PageRank) is stored
 //! via `to_bits`/`from_bits`.
 
+use crate::algorithms;
 use elga_graph::types::VertexId;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -69,6 +70,8 @@ pub trait VertexProgram: Send + Sync {
     fn identity(&self) -> u64;
 
     /// Commutative, associative combination of two message values.
+    /// Runs on the per-edge path: once per edge a scatter fires (the
+    /// target-table row's fold) and once per message record received.
     fn combine(&self, a: u64, b: u64) -> u64;
 
     /// Compute the new state from the old state and the aggregate of
@@ -87,7 +90,8 @@ pub trait VertexProgram: Send + Sync {
     }
 
     /// Per-edge transform of a scattered value (e.g. SSSP adds the
-    /// edge weight).
+    /// edge weight). Runs on the per-edge path, once per edge a scatter
+    /// fires.
     fn along_edge(&self, _from: VertexId, _to: VertexId, value: u64) -> u64 {
         value
     }
@@ -389,29 +393,28 @@ impl std::fmt::Debug for ProgramSpec {
 
 impl ProgramSpec {
     /// Build the executable program.
-    pub fn instantiate(&self) -> Arc<dyn VertexProgram> {
-        use crate::algorithms;
+    pub fn instantiate(&self) -> Program {
         match self {
             ProgramSpec::PageRank {
                 damping,
                 max_iters,
                 tolerance,
-            } => Arc::new(
+            } => Program::PageRank(
                 algorithms::PageRank::new(*damping)
                     .with_max_iters(*max_iters)
                     .with_tolerance(*tolerance),
             ),
-            ProgramSpec::Wcc => Arc::new(algorithms::Wcc::new()),
-            ProgramSpec::Bfs { source } => Arc::new(algorithms::Bfs::new(*source)),
-            ProgramSpec::Sssp { source } => Arc::new(algorithms::Sssp::new(*source)),
-            ProgramSpec::Degree => Arc::new(algorithms::Degree::new()),
-            ProgramSpec::DagLevel => Arc::new(algorithms::DagLevel::new()),
+            ProgramSpec::Wcc => Program::Wcc(algorithms::Wcc::new()),
+            ProgramSpec::Bfs { source } => Program::Bfs(algorithms::Bfs::new(*source)),
+            ProgramSpec::Sssp { source } => Program::Sssp(algorithms::Sssp::new(*source)),
+            ProgramSpec::Degree => Program::Degree(algorithms::Degree::new()),
+            ProgramSpec::DagLevel => Program::DagLevel(algorithms::DagLevel::new()),
             ProgramSpec::Ppr {
                 source,
                 damping,
                 max_iters,
-            } => Arc::new(algorithms::Ppr::new(*source, *damping).with_max_iters(*max_iters)),
-            ProgramSpec::Custom(p) => p.clone(),
+            } => Program::Ppr(algorithms::Ppr::new(*source, *damping).with_max_iters(*max_iters)),
+            ProgramSpec::Custom(p) => Program::Custom(p.clone()),
         }
     }
 
@@ -465,6 +468,62 @@ impl ProgramSpec {
             },
             _ => return None,
         })
+    }
+}
+
+/// An executable program: each built-in by value, so that code generic
+/// over [`VertexProgram`] is compiled for its concrete type and its
+/// per-edge methods inline (`dispatch!`), and any other program
+/// behind a trait object.
+#[derive(Clone)]
+pub enum Program {
+    /// [`algorithms::PageRank`].
+    PageRank(algorithms::PageRank),
+    /// [`algorithms::Wcc`].
+    Wcc(algorithms::Wcc),
+    /// [`algorithms::Bfs`].
+    Bfs(algorithms::Bfs),
+    /// [`algorithms::Sssp`].
+    Sssp(algorithms::Sssp),
+    /// [`algorithms::Degree`].
+    Degree(algorithms::Degree),
+    /// [`algorithms::DagLevel`].
+    DagLevel(algorithms::DagLevel),
+    /// [`algorithms::Ppr`].
+    Ppr(algorithms::Ppr),
+    /// A [`ProgramSpec::Custom`] program.
+    Custom(Arc<dyn VertexProgram>),
+}
+
+/// `dispatch!(program, p => body)`: evaluate `body` with `p` bound to
+/// the program a `&Program` holds, as a reference to its concrete type
+/// (`&dyn VertexProgram` for [`Program::Custom`]). A generic function
+/// called in `body` is compiled once per built-in; the match is the one
+/// dynamic choice, made per call of the macro.
+macro_rules! dispatch {
+    ($program:expr, $p:ident => $body:expr) => {
+        match $program {
+            $crate::program::Program::PageRank($p) => $body,
+            $crate::program::Program::Wcc($p) => $body,
+            $crate::program::Program::Bfs($p) => $body,
+            $crate::program::Program::Sssp($p) => $body,
+            $crate::program::Program::Degree($p) => $body,
+            $crate::program::Program::DagLevel($p) => $body,
+            $crate::program::Program::Ppr($p) => $body,
+            $crate::program::Program::Custom(custom) => {
+                let $p: &dyn $crate::program::VertexProgram = &**custom;
+                $body
+            }
+        }
+    };
+}
+pub(crate) use dispatch;
+
+impl Program {
+    /// The program as a trait object, for the paths that call it once
+    /// per run, batch or migrated vertex rather than once per edge.
+    pub fn as_dyn(&self) -> &dyn VertexProgram {
+        dispatch!(self, p => p)
     }
 }
 
@@ -545,7 +604,7 @@ mod tests {
         let (tag, params) = spec.encode();
         assert_eq!(tag, 5);
         let back = ProgramSpec::decode(tag, params).unwrap();
-        assert_eq!(back.instantiate().name(), "noop");
+        assert_eq!(back.instantiate().as_dyn().name(), "noop");
     }
 
     #[test]

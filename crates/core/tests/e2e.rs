@@ -529,3 +529,108 @@ fn personalized_pagerank_matches_reference_and_dump_extracts_all() {
     assert!((mass - 1.0).abs() < 1e-9, "ppr mass {mass}");
     cluster.shutdown();
 }
+
+/// A built-in program runs the superstep kernels compiled for its own
+/// type, and the same program wrapped whole in `ProgramSpec::Custom`
+/// runs the same kernels through a trait object. Either way every run lands on
+/// the same bits, and a sync run sends the same records in the same
+/// frames over the same steps. PageRank's sums are bit-exact only under
+/// a fixed arrival order, so the f64 programs run on one agent.
+#[test]
+fn built_in_and_custom_programs_agree() {
+    use elga_core::algorithms::{DagLevel, Ppr};
+    use elga_core::msg::packet;
+    use elga_core::program::{ProgramSpec, VertexProgram};
+    use elga_gen::{rmat, RmatParams};
+    use std::sync::Arc;
+
+    /// `program` as its spec, and wrapped in `ProgramSpec::Custom`.
+    fn specs<P>(program: P) -> [ProgramSpec; 2]
+    where
+        P: VertexProgram + Into<ProgramSpec> + Copy + 'static,
+    {
+        [program.into(), ProgramSpec::Custom(Arc::new(program))]
+    }
+
+    let mut edges = rmat(10, 6000, RmatParams::GRAPH500, 0xC0DE);
+    edges.retain(|&(u, v)| u != v);
+    edges.sort_unstable();
+    edges.dedup();
+    // The same graph as a DAG for the waiting sets: every edge from the
+    // smaller id to the larger.
+    let mut dag: Vec<(u64, u64)> = edges.iter().map(|&(u, v)| (u.min(v), u.max(v))).collect();
+    dag.sort_unstable();
+    dag.dedup();
+    // The delta run's batch: every 16th edge goes, new ones arrive.
+    let batch: Vec<EdgeChange> = (edges.iter().step_by(16))
+        .map(|&(u, v)| EdgeChange::delete(u, v))
+        .chain((0..200u64).map(|i| EdgeChange::insert(i * 5 % 1024, (i * 37 + 11) % 1024)))
+        .filter(|c| !c.edge.is_loop())
+        .collect();
+    let source = edges[0].0;
+    let sync = RunOptions::default();
+    let asynchronous = RunOptions {
+        reuse_state: false,
+        mode: ExecutionMode::Async,
+    };
+    let pagerank = PageRank::new(0.85).with_max_iters(40).with_tolerance(1e-9);
+    let ppr = Ppr::new(source, 0.85).with_max_iters(20);
+    // (program, agents, graph, options, a delta run after the batch)
+    let cases = [
+        (specs(pagerank), 1, &edges, sync, true),
+        (specs(Wcc::new()), 2, &edges, sync, false),
+        (specs(Bfs::new(source)), 2, &edges, sync, false),
+        (specs(Sssp::new(source)), 2, &edges, sync, false),
+        (specs(Degree::new()), 2, &edges, sync, false),
+        (specs(ppr), 1, &edges, sync, false),
+        (specs(Wcc::new()), 2, &edges, asynchronous, false),
+        (specs(DagLevel::new()), 2, &dag, asynchronous, false),
+    ];
+    // VMSG frames the sync runs sent between agents.
+    let mut framed = 0;
+    for ([spec, custom], agents, graph, options, delta) in cases {
+        let what = format!("{spec:?} on {agents} agent(s), {:?}", options.mode);
+        let run = |spec: ProgramSpec| {
+            let mut cluster = Cluster::builder().agents(agents).build();
+            cluster.ingest_edges(graph.iter().copied());
+            let mut runs = Vec::new();
+            let stats = cluster.run_with(spec.clone(), options).expect("run");
+            runs.push((cluster.dump_states(), stats.steps));
+            if delta {
+                cluster.ingest(batch.iter().copied());
+                let reuse = RunOptions {
+                    reuse_state: true,
+                    ..options
+                };
+                let stats = cluster.run_with(spec, reuse).expect("delta run");
+                runs.push((cluster.dump_states(), stats.steps));
+            }
+            let net = cluster.transport().net_stats().expect("in-process stats");
+            let sent = (cluster.metrics().vmsgs, net.sent(packet::VMSG).0);
+            cluster.shutdown();
+            (runs, sent)
+        };
+        let (built_in, built_in_sent) = run(spec);
+        let (wrapped, wrapped_sent) = run(custom);
+        assert!(!built_in[0].0.is_empty(), "{what}: no states");
+        for (i, (a, b)) in built_in.iter().zip(&wrapped).enumerate() {
+            let differ = a.0.iter().filter(|(v, s)| b.0.get(v) != Some(s)).count();
+            assert!(
+                differ == 0 && a.0.len() == b.0.len(),
+                "{what}, run {i}: {differ} of {} states differ",
+                a.0.len()
+            );
+            if options.mode == ExecutionMode::Sync {
+                assert_eq!(a.1, b.1, "{what}, run {i}: steps differ");
+            }
+        }
+        if options.mode == ExecutionMode::Sync {
+            framed += built_in_sent.1;
+            assert_eq!(
+                built_in_sent, wrapped_sent,
+                "{what}: records or frames differ"
+            );
+        }
+    }
+    assert!(framed > 0, "no sync run framed a vertex message");
+}
