@@ -179,12 +179,10 @@ impl Agent {
         active: u64,
         contrib: f64,
     ) {
-        // A run's Scatter report says what the step's scatter sent to
-        // whom; the lead closes the barrier on it.
+        // A sync run's report says what its last phase sent to whom;
+        // the lead closes the barrier on it.
         let sent = match self.run.as_mut() {
-            Some(r) if phase == Phase::Scatter && r.info.run_id == run => {
-                std::mem::take(&mut r.scatter_sent)
-            }
+            Some(r) if !r.async_live && r.info.run_id == run => std::mem::take(&mut r.sent),
             _ => Vec::new(),
         };
         self.push_ready(ReadyReport {

@@ -226,25 +226,26 @@ struct AgentRun {
     /// runs); rounds arrive as `Phase::Apply` advances and a
     /// retransmitting bus may repeat them.
     dangling_round: u32,
-    /// VMSG records the current step's scatter put on the wire, per
-    /// destination, sorted by it; the step's Scatter READY takes it.
-    scatter_sent: msg::StepCounts,
-    /// `(step, n)`: `n` VMSG records of `step` from peers have been
-    /// folded so far — what an advance's expected count is held
-    /// against. Counted at fold time, unlike `counters.vmsg_recv`,
-    /// which counts a frame of a later step when it arrives.
-    taken_in: (u32, u64),
-    /// An answer to a Scatter barrier that ran ahead of the last VMSG
-    /// frame it counts; the frame that completes the count releases it
-    /// ([`Agent::release_parked_advance`]). Gone with the run, so an
-    /// aborted run's advance can never fire into its restart.
+    /// Records the last sync phase put on the wire, per destination,
+    /// sorted by it; the phase's READY takes it.
+    sent: msg::StepCounts,
+    /// `((step, phase), n)`: `n` records that `phase` of `step` sent
+    /// from peers have been taken in — what an advance's expected count
+    /// is held against. Counted at fold time, unlike the `*_recv`
+    /// counters, which count a frame of a later phase on arrival.
+    taken_in: ((u32, Phase), u64),
+    /// An answer to a barrier that ran ahead of the last record frame
+    /// it counts, released by the frame that completes the count, and
+    /// a view that arrived behind it ([`Agent::take_view`]). Gone with
+    /// the run, so an aborted run's advance never fires into its restart.
     parked_advance: Option<msg::Advance>,
+    parked_view: Option<DirectoryView>,
 }
 
 impl AgentRun {
-    /// VMSG records of `step` taken in from peers so far.
-    fn taken_in(&self, step: u32) -> u64 {
-        if self.taken_in.0 == step {
+    /// Records of `(step, phase)` taken in from peers so far.
+    fn taken_in(&self, key: (u32, Phase)) -> u64 {
+        if self.taken_in.0 == key {
             self.taken_in.1
         } else {
             0
@@ -575,7 +576,7 @@ impl Agent {
         match frame.packet_type() {
             packet::VIEW => {
                 if let Some(view) = DirectoryView::decode(&frame) {
-                    self.on_view(view);
+                    self.take_view(view);
                 }
             }
             packet::START => {
@@ -591,12 +592,10 @@ impl Agent {
             // Data-plane receives: time decode + consume together (a
             // borrowed view makes them inseparable) so the per-agent
             // cost of the hot path is observable as `decode_nanos`.
-            packet::VMSG => {
-                self.timed_data_plane(frame, |a, f| a.take_vmsg(f, true));
+            packet::VMSG | packet::PARTIAL | packet::STATE => {
+                self.timed_data_plane(frame, |a, f| a.take_records(f, true));
                 self.release_parked_advance();
             }
-            packet::PARTIAL => self.timed_data_plane(frame, |a, f| a.take_partial(f, true)),
-            packet::STATE => self.timed_data_plane(frame, |a, f| a.take_state(f, true)),
             packet::EDGE_CHANGES => self.timed_data_plane(frame, Self::on_changes),
             packet::DEG_DELTA => self.timed_data_plane(frame, Self::on_deg_delta),
             packet::RESIDUAL => self.timed_data_plane(frame, Self::on_residual),
@@ -784,9 +783,9 @@ impl Agent {
     /// Safe at any point of a run: answers come from the snapshot
     /// buffer and its tag, which nothing writes between one
     /// `finish_run` and the next, and a read moves no barrier counter.
-    /// Called where a step used to wait at a barrier (between chained
-    /// phases) and inside the loops that can run long — so a chained
-    /// step does not starve the serving plane.
+    /// Called where a step used to wait at a barrier (between the
+    /// phases of one advance) and inside the loops that can run long —
+    /// so a step does not starve the serving plane.
     fn serve_reads(&mut self) {
         // Parked frames no longer count against their senders' credit
         // ([`CoalescingOutbox`] watches the queue depth); stop looking
@@ -1013,9 +1012,10 @@ impl Agent {
             async_live: false,
             paused: false,
             dangling_round: 0,
-            scatter_sent: Vec::new(),
-            taken_in: (0, 0),
+            sent: Vec::new(),
+            taken_in: ((0, Phase::Scatter), 0),
             parked_advance: None,
+            parked_view: None,
         });
         self.reported = None;
         self.last_idle_counters = None;
@@ -1029,18 +1029,21 @@ impl Agent {
         if adv.run != run.info.run_id {
             return;
         }
-        // An answer to a Scatter barrier — the run-ending one included
-        // — was decided on what the senders reported, and says how many
-        // VMSG records of that scatter are addressed here. Until they
-        // are all folded the advance waits; reads and every other frame
-        // are served from `run_loop` meanwhile.
-        if !run.async_live && run.taken_in(adv.scatter_step()) < adv.expected_by(self.id) {
+        // An answer to a sync barrier — `done` included — says how many
+        // records of that barrier's phase are addressed here. Until they
+        // are all taken in it waits; reads and every other frame but a
+        // VIEW are served from `run_loop` meanwhile.
+        let owed = adv.expected_by(self.id);
+        if !run.async_live && owed > 0 && run.taken_in(adv.answers()) < owed {
             run.parked_advance = Some(adv);
             return;
         }
         if adv.done {
             self.finish_run();
             return;
+        }
+        if adv.phase == Phase::Migrate {
+            return; // the step's STATE is in: the view may follow
         }
         if run.async_live {
             if adv.phase == Phase::Scatter {
@@ -1163,25 +1166,32 @@ impl Agent {
     }
 
     /// Act on the parked advance if the frame just handled completed
-    /// its count ([`Agent::on_advance`] parks it again if not). Outside
-    /// the frame's `decode_nanos` clock: what runs is a superstep.
+    /// its count ([`Agent::on_advance`] parks it again if not), then on
+    /// a view that waited for it. Outside the frame's `decode_nanos`
+    /// clock: what runs is a superstep.
     fn release_parked_advance(&mut self) {
-        if let Some(adv) = self.run.as_mut().and_then(|r| r.parked_advance.take()) {
-            self.on_advance(adv);
+        let Some(run) = self.run.as_mut().filter(|r| r.parked_advance.is_some()) else {
+            return;
+        };
+        let (adv, view) = (run.parked_advance.take(), run.parked_view.take());
+        self.on_advance(adv.expect("parked"));
+        view.into_iter().for_each(|view| self.take_view(view));
+    }
+
+    /// Take `view` on, or — while an advance is parked — keep it until
+    /// the advance has run: its records were placed under the view before.
+    fn take_view(&mut self, view: DirectoryView) {
+        match self.run.as_mut().filter(|r| r.parked_advance.is_some()) {
+            Some(run) => run.parked_view = Some(view),
+            None => self.on_view(view),
         }
     }
 
     /// Re-dispatch buffered frames that now match the current phase.
     /// Their receives were counted when they arrived.
     fn replay_buffered(&mut self) {
-        let frames: Vec<Frame> = std::mem::take(&mut self.buffered_frames);
-        for frame in frames {
-            match frame.packet_type() {
-                packet::VMSG => self.take_vmsg(frame, false),
-                packet::PARTIAL => self.take_partial(frame, false),
-                packet::STATE => self.take_state(frame, false),
-                _ => {}
-            }
+        for frame in std::mem::take(&mut self.buffered_frames) {
+            self.take_records(frame, false);
         }
     }
 

@@ -26,8 +26,6 @@ pub(super) struct StepScratch {
     /// Edges of `slots` whose memo slot was filled this step (their
     /// owner lookups were counted by the cache itself).
     refreshed: u64,
-    /// `(vertex, value)` batches (combine partials).
-    msgs: FxHashMap<AgentId, Vec<(VertexId, u64)>>,
     /// State broadcasts (apply).
     states: FxHashMap<AgentId, Vec<StateRecord>>,
     /// Dangling-mass change from the shard's folds (delta apply).
@@ -149,9 +147,8 @@ impl Agent {
         self.run_kernel(Phase::Apply, sweep)
     }
 
-    /// Run `phase` of the current step under its clock: the phase's
-    /// `metrics.*_nanos` and trace span cover exactly this call, inside
-    /// a chain as in a three-barrier step. Returns `(active,
+    /// Run `phase` of the current step under its clock, which its
+    /// `metrics.*_nanos` and trace span cover. Returns `(active,
     /// global_contrib)` for the READY that reports the phase.
     fn timed_phase(&mut self, phase: Phase) -> (u64, f64) {
         let run = self.run.as_mut().expect("phase without run");
@@ -178,36 +175,44 @@ impl Agent {
     }
 
     /// Execute a sync ADVANCE (the run's step, vertex count and global
-    /// are already adopted) and answer it with exactly one READY.
-    ///
-    /// A plain advance runs its one phase. A chained `Combine` advance
-    /// — the lead saw that no vertex can be split, so Combine and Apply
-    /// exchange nothing between agents — runs combine → apply → the
-    /// next step's scatter back to back and reports `(step + 1,
-    /// Scatter)`, with the apply's `active` beside the scatter's
-    /// contribution: the one barrier of the step. Reads are served
-    /// between the phases, which used to be barrier waits.
+    /// are already adopted) and answer it with exactly one READY: the
+    /// step loop combine → apply → the next step's scatter, from the
+    /// advance's phase through its `until`, serving reads between the
+    /// phases. The READY reports the last phase, with the `active` of
+    /// the apply and the contribution of the scatter it ran.
     pub(super) fn run_phases(&mut self, adv: &msg::Advance) {
         let t0 = Instant::now();
-        let replica_sent = (self.counters.part_sent, self.counters.state_sent);
-        let (mut active, mut contrib) = self.timed_phase(adv.phase);
-        if adv.chain {
-            self.serve_reads();
-            active = self.timed_phase(Phase::Apply).0;
-            // The promise the chain rests on: every PARTIAL and STATE
-            // of the step was this agent's own, delivered in place.
+        let (mut phase, mut active, mut contrib) = (adv.phase, 0, 0.0);
+        loop {
+            let replica_sent = (self.counters.part_sent, self.counters.state_sent);
+            let (a, c) = self.timed_phase(phase);
+            match phase {
+                Phase::Apply => active = a,
+                Phase::Scatter => contrib = c,
+                _ => {}
+            }
+            if phase == adv.until {
+                break;
+            }
+            // What a phase the loop runs past sent was this agent's own,
+            // delivered in place.
             debug_assert_eq!(
                 replica_sent,
                 (self.counters.part_sent, self.counters.state_sent),
-                "a chained step put PARTIAL/STATE records on the wire"
+                "{phase:?} put PARTIAL/STATE records on the wire inside the loop"
             );
             self.serve_reads();
-            self.run.as_mut().expect("run").step = adv.step + 1;
-            contrib = self.timed_phase(Phase::Scatter).1;
+            phase = match phase {
+                Phase::Combine => Phase::Apply,
+                Phase::Apply => {
+                    self.run.as_mut().expect("run").step += 1;
+                    Phase::Scatter
+                }
+                _ => Phase::Combine,
+            };
         }
-        // Frames that ran ahead of this advance — a fast peer's
-        // `VMSG(step + 1)` — are folded now that their step has come,
-        // and count toward what the next advance will expect.
+        // A fast peer's records of the phase reached, which ran ahead of
+        // this advance, are taken in now and count toward the next one.
         self.replay_buffered();
         self.metrics.last_step_nanos = t0.elapsed().as_nanos() as u64;
         let run = self.run.as_ref().expect("run");
@@ -252,7 +257,8 @@ impl Agent {
     }
 
     /// Run one superstep kernel over the vertex shards in index order,
-    /// then send what it emitted. With `sweep` the kernel visits every
+    /// then send what it emitted and keep the per-destination counts for
+    /// the phase's READY. With `sweep` the kernel visits every
     /// entry; otherwise it drains the phase's worklist, so the step
     /// costs O(frontier). Reads are served after every shard that had
     /// work (DESIGN.md "Reads inside kernels"). Returns the number of
@@ -293,16 +299,11 @@ impl Agent {
         // Each destination's batch holds its records in shard order and
         // leaves as runs through its coalescing outbox, which keeps that
         // order exactly.
-        match phase {
+        let sent = match phase {
             Phase::Apply => self.send_states(),
-            Phase::Scatter => {
-                // What the step's READY tells the lead was sent.
-                let mut sent = self.send_scatter(program);
-                sent.sort_unstable();
-                self.run.as_mut().expect("run").scatter_sent = sent;
-            }
-            _ => self.send_batches(|s| &mut s.msgs, |c| &mut c.part_sent, msg::append_partials),
-        }
+            _ => self.send_table(program, phase),
+        };
+        self.run.as_mut().expect("run").sent = sent;
         active
     }
 
@@ -339,59 +340,67 @@ impl Agent {
         self.scratch.slots = run;
     }
 
-    /// Flush the target table and send each destination its run: one
-    /// record per touched row, in first-touch order. This agent's own
-    /// run is folded in place ([`Agent::fold_vmsgs`]), as `take_vmsg`
-    /// would on receipt, and is no VMSG record, uncounted on both sides
-    /// of the barrier sums. Returns what went to each peer.
-    fn send_scatter<P: VertexProgram + ?Sized>(&mut self, program: &P) -> msg::StepCounts {
+    /// Flush the target table and send each peer its run — one record
+    /// per touched row, in first-touch order — as `phase`'s records:
+    /// VMSG after a scatter, PARTIAL after a combine. A scatter's run to
+    /// this agent is folded in place, as on receipt, and is no record
+    /// (a combine's kernel folds its own partials). Returns what went to
+    /// each peer, sorted by it.
+    fn send_table<P: VertexProgram + ?Sized>(
+        &mut self,
+        program: &P,
+        phase: Phase,
+    ) -> msg::StepCounts {
         let (run_id, step) = self.run_step();
+        let scatter = phase == Phase::Scatter;
+        let append = if scatter {
+            msg::append_vmsgs
+        } else {
+            msg::append_partials
+        };
         self.targets.flush();
         let mut sent = msg::StepCounts::new();
         for dst in 0..self.targets.members().len() {
             let run = self.targets.take_run(dst);
             let agent = self.targets.members()[dst];
             if agent == self.id {
+                debug_assert!(scatter || run.is_empty());
                 self.fold_vmsgs_with(program, run.iter().copied());
             } else if !run.is_empty() {
-                self.counters.vmsg_sent += run.len() as u64;
-                sent.push((agent, run.len() as u64));
-                self.send_records(agent, &run, |out, block| {
-                    msg::append_vmsgs(out, run_id, step, block)
-                });
+                let n = run.len() as u64;
+                let counter = if scatter {
+                    &mut self.counters.vmsg_sent
+                } else {
+                    &mut self.counters.part_sent
+                };
+                *counter += n;
+                sent.push((agent, n));
+                self.send_records(agent, &run, |out, block| append(out, run_id, step, block));
             }
             self.targets.recycle(dst, run);
         }
+        sent.sort_unstable();
         sent
     }
 
     /// Send the STATE records [`broadcast_state`] queued for other
-    /// replicas.
-    fn send_states(&mut self) {
-        self.send_batches(|s| &mut s.states, |c| &mut c.state_sent, msg::append_states);
-    }
-
-    /// Send the records a kernel queued per destination in a scratch
-    /// map — a combine's PARTIALs, or STATEs — each destination's in
-    /// the order they were queued, counted into the `sent` counter; the
-    /// emptied batches go back to scratch with their capacity.
-    fn send_batches<T>(
-        &mut self,
-        batches: fn(&mut StepScratch) -> &mut FxHashMap<AgentId, Vec<T>>,
-        sent: fn(&mut Counters) -> &mut u64,
-        append: fn(&mut CoalescingOutbox, u64, u32, &[T]),
-    ) {
+    /// replicas, in the order queued, keeping the emptied batches'
+    /// capacity. Returns what went to each peer, sorted by it.
+    fn send_states(&mut self) -> msg::StepCounts {
         let (run_id, step) = self.run_step();
-        let mut map = std::mem::take(batches(&mut self.scratch));
-        for (&agent, recs) in map.iter_mut() {
-            if recs.is_empty() {
-                continue;
-            }
-            *sent(&mut self.counters) += recs.len() as u64;
-            self.send_records(agent, recs, |out, block| append(out, run_id, step, block));
+        let mut map = std::mem::take(&mut self.scratch.states);
+        let mut sent = msg::StepCounts::new();
+        for (&agent, recs) in map.iter_mut().filter(|(_, recs)| !recs.is_empty()) {
+            self.counters.state_sent += recs.len() as u64;
+            sent.push((agent, recs.len() as u64));
+            self.send_records(agent, recs, |out, block| {
+                msg::append_states(out, run_id, step, block)
+            });
             recs.clear();
         }
-        *batches(&mut self.scratch) = map;
+        self.scratch.states = map;
+        sent.sort_unstable();
+        sent
     }
 
     /// Hand `recs` to `agent`'s outbox a block at a time, looking at
@@ -414,12 +423,6 @@ impl Agent {
     /// applies: the receive side of VMSG, for a peer's frame (parsed in
     /// place off its buffer) and for this agent's own scatter output
     /// (never framed) alike.
-    fn fold_vmsgs(&mut self, msgs: impl ExactSizeIterator<Item = (VertexId, u64)>) {
-        let program = self.program();
-        dispatch!(&program, p => self.fold_vmsgs_with(p, msgs))
-    }
-
-    /// [`Agent::fold_vmsgs`] compiled for the run's program type.
     fn fold_vmsgs_with<P: VertexProgram + ?Sized>(
         &mut self,
         program: &P,
@@ -443,8 +446,9 @@ impl Agent {
     // Message handlers (sync + async)
     // ------------------------------------------------------------------
 
-    /// Take in a VMSG frame: off the mailbox (`arrival`), or replayed
-    /// from `buffered_frames` once its step has come.
+    /// Take in a VMSG, PARTIAL or STATE frame: off the mailbox
+    /// (`arrival`), or replayed from `buffered_frames` once its phase
+    /// has come.
     ///
     /// The rule all three record kinds follow: a frame of the current
     /// run is counted as received when it arrives, whatever is done
@@ -454,85 +458,70 @@ impl Agent {
     /// precedes that advance only settles once the records paused
     /// agents sent it are counted: buffering them uncounted would wedge
     /// the barrier.
-    pub(super) fn take_vmsg(&mut self, frame: Frame, arrival: bool) {
-        // The decoded view borrows the frame's pooled receive buffer;
-        // records are parsed in place as the loops below consume them,
-        // with no intermediate Vec.
-        let Some(view) = msg::decode_vmsgs(&frame) else {
+    pub(super) fn take_records(&mut self, frame: Frame, arrival: bool) {
+        // A view borrows the frame's pooled receive buffer: records are
+        // parsed in place as they are consumed, with no Vec.
+        let kind = frame.packet_type();
+        let head = match kind {
+            packet::VMSG => msg::decode_vmsgs(&frame).map(|v| (v.run, v.step, v.records.len())),
+            packet::PARTIAL => {
+                msg::decode_partials(&frame).map(|v| (v.run, v.step, v.records.len()))
+            }
+            _ => msg::decode_states(&frame).map(|v| (v.run, v.step, v.records.len())),
+        };
+        let Some((run, step, n)) = head else {
             return;
         };
-        let n = view.records.len() as u64;
-        let Some((_, cur_step, cur_phase, live)) =
-            self.current_phase().filter(|cur| cur.0 == view.run)
+        let Some((_, cur_step, cur_phase, live)) = self.current_phase().filter(|cur| cur.0 == run)
         else {
-            // Stale run: the sender had not yet seen our RECOVER when
-            // it flushed, and the reset zeroed the counters this frame
-            // would have moved. (A finished run leaves none behind: no
-            // agent acts on a `done` advance before it has taken in
-            // what that advance counts.)
+            // Stale run: sent before our RECOVER, whose reset zeroed the
+            // counters it would move. (No agent acts on a `done` before
+            // it has taken in what it counts.)
             self.metrics.stale_frames += 1;
             return;
         };
+        let (phase, recv) = match kind {
+            packet::VMSG => (Phase::Scatter, &mut self.counters.vmsg_recv),
+            packet::PARTIAL => (Phase::Combine, &mut self.counters.part_recv),
+            _ => (Phase::Apply, &mut self.counters.state_recv),
+        };
         if arrival {
-            self.counters.vmsg_recv += n;
+            *recv += n as u64;
         }
-        if live {
-            self.fold_vmsgs(view.records.iter());
-        } else if cur_step == view.step && cur_phase == Phase::Scatter {
+        // A sync run takes a frame in at its step and phase, a live
+        // async run its VMSG and STATE frames at once; the rest waits.
+        let now = if live {
+            phase != Phase::Combine
+        } else {
+            (cur_step, cur_phase) == (step, phase)
+        };
+        if !now {
+            self.buffered_frames.push(frame);
+            return;
+        }
+        if !live {
             let run = self.run.as_mut().expect("run");
-            run.taken_in = (cur_step, run.taken_in(cur_step) + n);
-            self.fold_vmsgs(view.records.iter());
-        } else {
-            // Future step or wrong phase: store until we catch up.
-            self.buffered_frames.push(frame);
-        }
-    }
-
-    /// Take in a PARTIAL frame, as [`Agent::take_vmsg`] a VMSG frame.
-    pub(super) fn take_partial(&mut self, frame: Frame, arrival: bool) {
-        let Some(view) = msg::decode_partials(&frame) else {
-            return;
-        };
-        let Some((_, cur_step, cur_phase, live)) =
-            self.current_phase().filter(|cur| cur.0 == view.run)
-        else {
-            self.metrics.stale_frames += 1; // stale run: drop
-            return;
-        };
-        if arrival {
-            self.counters.part_recv += view.records.len() as u64;
-        }
-        if !live && cur_step == view.step && cur_phase == Phase::Combine {
-            let (program, store) = (self.program(), &mut self.vertices);
-            dispatch!(&program, p => for (v, value) in view.records {
-                let (e, lists) = store.entry_and_lists(v);
-                fold_ppartial(p, v, e, &mut lists.apply, value);
-            });
-        } else {
-            self.buffered_frames.push(frame);
-        }
-    }
-
-    /// Take in a STATE frame, as [`Agent::take_vmsg`] a VMSG frame.
-    pub(super) fn take_state(&mut self, frame: Frame, arrival: bool) {
-        let Some(view) = msg::decode_states(&frame) else {
-            return;
-        };
-        let Some((_, cur_step, cur_phase, live)) =
-            self.current_phase().filter(|cur| cur.0 == view.run)
-        else {
-            self.metrics.stale_frames += 1; // stale run: drop
-            return;
-        };
-        if arrival {
-            self.counters.state_recv += view.records.len() as u64;
-        }
-        if !live && (cur_step, cur_phase) != (view.step, Phase::Apply) {
-            self.buffered_frames.push(frame);
-            return;
+            run.taken_in = ((step, phase), run.taken_in((step, phase)) + n as u64);
         }
         let program = self.program();
-        dispatch!(&program, p => self.adopt_states(p, view.records.iter(), live));
+        match kind {
+            packet::VMSG => {
+                let view = msg::decode_vmsgs(&frame).expect("decoded above");
+                dispatch!(&program, p => self.fold_vmsgs_with(p, view.records.iter()));
+            }
+            packet::PARTIAL => {
+                let view = msg::decode_partials(&frame).expect("decoded above");
+                let store = &mut self.vertices;
+                dispatch!(&program, p => for (v, value) in view.records {
+                    let (e, lists) = store.entry_and_lists(v);
+                    fold_ppartial(p, v, e, &mut lists.apply, value);
+                });
+            }
+            _ => {
+                let view = msg::decode_states(&frame).expect("decoded above");
+                dispatch!(&program, p => self.adopt_states(p, view.records.iter(), live));
+            }
+        }
     }
 
     /// Adopt the records of a STATE frame of the current step into the
@@ -603,7 +592,7 @@ impl Agent {
         }
         if !self.scratch.slots.is_empty() {
             self.fold_scatter_run(program);
-            self.send_scatter(program);
+            self.send_table(program, Phase::Scatter);
         }
     }
 
@@ -758,17 +747,18 @@ impl Agent {
             // and re-evaluates its barrier, so a barrier stays live on
             // O(drains) READYs however many frames a drain held.
             //
-            // The exception is `vmsg_recv` in a sync run: its Scatter
-            // barriers close on what the senders reported, every
-            // receiver waits for its own count, and by a Combine, Apply
-            // or Migrate report the step's messages are all in — no
-            // barrier of the run is waiting to hear that a VMSG frame
-            // arrived, and the report would only wake the lead.
+            // The exception is a record received in a sync run: its
+            // barriers close on what the senders reported and each
+            // receiver waits for its own count, so no barrier of the run
+            // is waiting to hear of it, and the report would only wake
+            // the lead.
             let sync_run = self.run.as_ref().is_some_and(|r| !r.info.asynchronous);
             let moved = self.reported.as_ref().is_some_and(|r| {
                 let mut claimed = r.counters;
                 if sync_run {
                     claimed.vmsg_recv = self.counters.vmsg_recv;
+                    claimed.part_recv = self.counters.part_recv;
+                    claimed.state_recv = self.counters.state_recv;
                 }
                 claimed != self.counters
             });
@@ -838,8 +828,8 @@ fn worklist_len(phase: Phase, lists: &Worklists) -> usize {
     }
 }
 
-/// Dispatch one shard through the kernel for `phase`; only a scatter
-/// touches the target table.
+/// Dispatch one shard through the kernel for `phase`; a scatter and a
+/// combine fill the target table.
 fn kernel_shard<P: VertexProgram + ?Sized>(
     phase: Phase,
     ctx: KernelCtx<'_, P>,
@@ -856,7 +846,7 @@ fn kernel_shard<P: VertexProgram + ?Sized>(
     }
     match phase {
         Phase::Scatter => scatter_shard(ctx, cache, table, shard, out),
-        Phase::Combine => combine_shard(ctx, cache, shard, &mut out.msgs),
+        Phase::Combine => combine_shard(ctx, cache, table, shard),
         Phase::Apply => apply_shard(ctx, cache, shard, out),
         Phase::Migrate => {}
     }
@@ -1046,15 +1036,16 @@ fn primary_of<P: VertexProgram + ?Sized>(
     cache.primary(ctx.locator, v, || ctx.sketch.estimate(v))
 }
 
-/// Forward one shard's scatter partials to their primaries. Touches
-/// only the shard's dirty list — vertices that actually received
-/// messages — instead of scanning the whole map; sorts it so the sent
-/// order is deterministic regardless of arrival order.
+/// Forward one shard's scatter partials to their primaries, each
+/// remote one through its `(vertex, primary)` row of the target table.
+/// Touches only the shard's dirty list — vertices that actually
+/// received messages — instead of scanning the whole map; sorts it so
+/// the sent order is deterministic regardless of arrival order.
 fn combine_shard<P: VertexProgram + ?Sized>(
     ctx: KernelCtx<'_, P>,
     cache: &mut OwnerCache,
+    table: &mut TargetTable,
     shard: &mut Shard,
-    out: &mut FxHashMap<AgentId, Vec<(VertexId, u64)>>,
 ) {
     let Shard { map, lists } = shard;
     let mut dirty = std::mem::take(&mut lists.partial_dirty);
@@ -1071,12 +1062,15 @@ fn combine_shard<P: VertexProgram + ?Sized>(
         match primary_of(ctx, cache, v, Some(e)) {
             // This agent is the primary (always, for a vertex that is
             // not split): the partial is delivered in place, as
-            // `take_partial` would on receipt, and is no PARTIAL record —
+            // `take_records` would on receipt, and is no PARTIAL record —
             // uncounted on both sides of the barrier sums.
             Some(primary) if primary == ctx.my_id => {
                 fold_ppartial(ctx.program, v, e, &mut lists.apply, partial);
             }
-            Some(primary) => out.entry(primary).or_default().push((v, partial)),
+            Some(primary) => {
+                let slot = table.intern(v, primary);
+                table.accumulate(&[(slot, partial)], |a, b| ctx.program.combine(a, b));
+            }
             None => {}
         }
     }
@@ -1525,9 +1519,6 @@ mod tests {
             out.slots.clear();
         }
         let mut msgs: Msgs = table.flushed();
-        for (agent, recs) in out.msgs {
-            msgs.extend(recs.into_iter().map(|(v, x)| (agent, v, x)));
-        }
         let mut states: States = (out.states.into_iter())
             .flat_map(|(agent, recs)| {
                 recs.into_iter()
@@ -1915,7 +1906,7 @@ mod tests {
             assert!(self.agent.handle(Delivery::push(frame)));
         }
 
-        fn advance(&mut self, step: u32, phase: Phase, chain: bool, expect: u64) {
+        fn advance(&mut self, step: u32, phase: Phase, until: Phase, expect: u64) {
             let advance = msg::Advance {
                 run: RUN,
                 step,
@@ -1923,7 +1914,7 @@ mod tests {
                 n_vertices: 8,
                 global: 0.0,
                 done: false,
-                chain,
+                until,
                 expect: if expect == 0 {
                     Vec::new()
                 } else {
@@ -1948,8 +1939,8 @@ mod tests {
         /// `READY(1, Scatter)`, four records sent to agent 2.
         fn reach_step_one(&mut self) -> ReadyReport {
             self.agent.begin_run(run_info(false));
-            self.advance(0, Phase::Scatter, false, 0);
-            self.advance(0, Phase::Combine, true, 0);
+            self.advance(0, Phase::Scatter, Phase::Scatter, 0);
+            self.advance(0, Phase::Combine, Phase::Scatter, 0);
             let readys = self.readys();
             assert_eq!(readys.len(), 2);
             let rep = ReadyReport::decode(&readys[1]).expect("ready");
@@ -1993,7 +1984,7 @@ mod tests {
         let (two, one) = (first.vmsgs(1, 2), first.vmsgs(1, 1));
         first.deliver(two);
         first.deliver(one);
-        first.advance(1, Phase::Combine, true, 3);
+        first.advance(1, Phase::Combine, Phase::Scatter, 3);
         assert_eq!(first.at(), (2, Phase::Scatter));
         let frames_first = out(&first);
         assert_eq!(frames_first.0.len(), 1);
@@ -2003,7 +1994,7 @@ mod tests {
         late.reach_step_one();
         let (two, one) = (late.vmsgs(1, 2), late.vmsgs(1, 1));
         late.deliver(two);
-        late.advance(1, Phase::Combine, true, 3);
+        late.advance(1, Phase::Combine, Phase::Scatter, 3);
         assert_eq!(late.at(), (1, Phase::Scatter), "a phase ran");
         assert!(late.readys().is_empty());
         assert!(late.agent.run.as_ref().unwrap().parked_advance.is_some());
@@ -2042,20 +2033,25 @@ mod tests {
         rig.reach_step_one();
         let early = rig.vmsgs(2, 2);
         rig.deliver(early);
-        let run = rig.agent.run.as_ref().unwrap();
-        assert_eq!((run.taken_in(1), run.taken_in(2)), (0, 0));
+        let taken = |rig: &Rig, step| {
+            rig.agent
+                .run
+                .as_ref()
+                .unwrap()
+                .taken_in((step, Phase::Scatter))
+        };
+        assert_eq!((taken(&rig, 1), taken(&rig, 2)), (0, 0));
         assert_eq!(rig.agent.counters.vmsg_recv, 2);
         assert_eq!(rig.agent.buffered_frames.len(), 1);
         // Two records are in, one of step 1 is expected: not the same.
-        rig.advance(1, Phase::Combine, true, 1);
+        rig.advance(1, Phase::Combine, Phase::Scatter, 1);
         assert_eq!(rig.at(), (1, Phase::Scatter));
         let own = rig.vmsgs(1, 1);
         rig.deliver(own);
-        // Released; the chain reached step 2 and replayed the early
+        // Released; the loop reached step 2 and replayed the early
         // frame there, without counting its receive again.
         assert_eq!(rig.at(), (2, Phase::Scatter));
-        let run = rig.agent.run.as_ref().unwrap();
-        assert_eq!((run.taken_in(1), run.taken_in(2)), (0, 2));
+        assert_eq!((taken(&rig, 1), taken(&rig, 2)), (0, 2));
         assert_eq!(rig.agent.counters.vmsg_recv, 3);
         assert!(rig.agent.buffered_frames.is_empty());
         let readys = rig.readys();
@@ -2127,7 +2123,7 @@ mod tests {
         assert_eq!((rep.phase, rep.counters.vmsg_recv), (Phase::Migrate, 2));
         assert_eq!(rig.agent.metrics.vmsgs, 0, "applied ahead of its step");
         // The resume advance replays it into the async handlers.
-        rig.advance(1, Phase::Scatter, false, 0);
+        rig.advance(1, Phase::Scatter, Phase::Scatter, 0);
         assert!(rig.agent.run.as_ref().unwrap().async_live);
         assert!(rig.agent.buffered_frames.is_empty());
         assert_eq!(rig.agent.metrics.vmsgs, 2);
@@ -2139,73 +2135,82 @@ mod tests {
         }
     }
 
-    /// The same hole for the other two kinds (ROADMAP item 1(d)): a
-    /// PARTIAL frame that runs ahead of its phase is counted when it
-    /// arrives — so a Mattern-summed barrier hears of it with the next
-    /// report — and applied once, uncounted, when its phase comes.
+    /// The same hole for the other two kinds (ROADMAP item 1(d)), and
+    /// the barriers that close on them. A PARTIAL or STATE frame that
+    /// runs ahead of its phase is counted when it arrives — with no
+    /// report for it alone — and taken in once, uncounted, when its
+    /// phase comes. An Apply advance waits for the PARTIAL records of
+    /// its step, a Scatter advance for the STATE records of the apply
+    /// before it, and a `Migrate` advance for the same, the view change
+    /// behind it waiting with it.
     #[test]
-    fn a_partial_frame_ahead_of_its_phase_is_counted_when_it_arrives() {
-        let mut rig = rig();
-        rig.reach_step_one();
-        let parts: Vec<(VertexId, u64)> = rig.mine[..2].iter().map(|&v| (v, 7)).collect();
-        rig.deliver(msg::encode_partials(RUN, 1, &parts));
-        assert_eq!(rig.agent.buffered_frames.len(), 1);
-        assert_eq!(rig.agent.counters.part_recv, 2, "buffered uncounted");
-        rig.agent.on_idle();
-        let readys = rig.readys();
-        assert_eq!(readys.len(), 1, "no report of the frame");
-        let rep = ReadyReport::decode(&readys[0]).expect("ready");
-        assert_eq!((rep.phase, rep.counters.part_recv), (Phase::Scatter, 2));
-        let held = |rig: &Rig, v| rig.agent.vertices.get(&v).map(|e| e.has_ppartial);
-        assert_eq!(held(&rig, rig.mine[0]), Some(false), "applied early");
-        // Its phase comes: applied from the buffer, not counted again.
-        rig.advance(1, Phase::Combine, false, 0);
-        assert!(rig.agent.buffered_frames.is_empty());
-        assert_eq!(rig.agent.counters.part_recv, 2);
-        for &v in &rig.mine[..2] {
-            let e = rig.agent.vertices.get(&v).expect("entry");
-            assert_eq!((e.has_ppartial, e.ppartial), (true, 7));
-        }
-        assert_eq!(held(&rig, rig.mine[2]), Some(false));
-        let readys = rig.readys();
-        let rep = ReadyReport::decode(&readys[0]).expect("ready");
-        assert_eq!((rep.phase, rep.counters.part_recv), (Phase::Combine, 2));
-    }
-
-    /// And STATE: counted on arrival, carried past a phase that is not
-    /// its own without being counted again, applied once in Apply.
-    #[test]
-    fn a_state_frame_ahead_of_its_phase_is_counted_when_it_arrives() {
-        let mut rig = rig();
-        rig.reach_step_one();
-        let rec = StateRecord {
-            vertex: rig.theirs[0],
-            state: 5,
-            out_degree: 3,
-            aux: 0,
-            active: true,
+    fn an_advance_waits_for_the_records_of_the_barrier_it_answers() {
+        let parked = |rig: &Rig| rig.agent.run.as_ref().unwrap().parked_advance.is_some();
+        let partial = |rig: &Rig, i: usize| msg::encode_partials(RUN, 1, &[(rig.mine[i], 7)]);
+        let state = |rig: &Rig, i: usize| {
+            let rec = StateRecord {
+                vertex: rig.theirs[i],
+                state: 5,
+                out_degree: 3,
+                aux: 0,
+                active: true,
+            };
+            msg::encode_states(RUN, 1, &[rec])
         };
-        rig.deliver(msg::encode_states(RUN, 1, &[rec]));
-        assert_eq!(rig.agent.buffered_frames.len(), 1);
-        assert_eq!(rig.agent.counters.state_recv, 1, "buffered uncounted");
+        let mut rig = rig();
+        rig.reach_step_one();
+        let (early_part, early_state) = (partial(&rig, 0), state(&rig, 0));
+        rig.deliver(early_part);
+        rig.deliver(early_state);
+        assert_eq!(rig.agent.buffered_frames.len(), 2);
+        let c = rig.agent.counters;
+        assert_eq!((c.part_recv, c.state_recv), (1, 1), "buffered uncounted");
         rig.agent.on_idle();
-        let readys = rig.readys();
-        assert_eq!(readys.len(), 1, "no report of the frame");
-        let rep = ReadyReport::decode(&readys[0]).expect("ready");
-        assert_eq!(rep.counters.state_recv, 1);
-        // Combine is not its phase either: kept, not counted again.
-        rig.advance(1, Phase::Combine, false, 0);
-        assert_eq!(rig.agent.buffered_frames.len(), 1);
-        assert!(rig.agent.vertices.get(&rec.vertex).is_none());
-        rig.advance(1, Phase::Apply, false, 0);
-        assert!(rig.agent.buffered_frames.is_empty());
-        assert_eq!(rig.agent.counters.state_recv, 1);
-        let e = rig.agent.vertices.get(&rec.vertex).expect("adopted");
+        assert!(rig.readys().is_empty(), "a report of a record frame");
+        let held = |rig: &Rig, i: usize| rig.agent.vertices.get(&rig.mine[i]).unwrap().has_ppartial;
+        assert!(!held(&rig, 0), "applied early");
+        // Combine takes the PARTIAL in and keeps the STATE.
+        rig.advance(1, Phase::Combine, Phase::Combine, 0);
+        assert!(held(&rig, 0) && rig.agent.buffered_frames.len() == 1);
+        assert!(rig.agent.vertices.get(&rig.theirs[0]).is_none());
+        let rep = ReadyReport::decode(&rig.readys()[0]).expect("ready");
+        assert_eq!((rep.phase, rep.counters.part_recv), (Phase::Combine, 1));
+        // Two PARTIAL records of step 1 are addressed here.
+        rig.advance(1, Phase::Apply, Phase::Apply, 2);
+        assert!(parked(&rig) && rig.at() == (1, Phase::Combine));
+        let run = rig.agent.run.as_ref().unwrap();
+        assert_eq!(run.taken_in((1, Phase::Combine)), 1);
+        let part = partial(&rig, 1);
+        rig.deliver(part);
+        assert!(!parked(&rig) && rig.at() == (1, Phase::Apply));
+        // The apply took the STATE in, once.
+        let e = rig.agent.vertices.get(&rig.theirs[0]).expect("adopted");
         assert_eq!((e.state, e.rep_out_degree, e.active), (5, 3, true));
-        let readys = rig.readys();
-        assert_eq!(readys.len(), 2);
-        let rep = ReadyReport::decode(&readys[1]).expect("ready");
+        let rep = ReadyReport::decode(&rig.readys()[0]).expect("ready");
         assert_eq!((rep.phase, rep.counters.state_recv), (Phase::Apply, 1));
+        // The next step's scatter waits for the apply's second STATE.
+        rig.advance(2, Phase::Scatter, Phase::Scatter, 2);
+        assert!(parked(&rig) && rig.at() == (1, Phase::Apply));
+        let frame = state(&rig, 1);
+        rig.deliver(frame);
+        assert_eq!(rig.at(), (2, Phase::Scatter));
+        assert_eq!(rig.readys().len(), 1);
+
+        // A view change after the apply: the view waits for the STATE
+        // records the `Migrate` advance counts, and nothing is reported.
+        let mut rig = self::rig();
+        rig.reach_step_one();
+        rig.advance(1, Phase::Combine, Phase::Apply, 0);
+        rig.readys();
+        rig.advance(1, Phase::Migrate, Phase::Migrate, 1);
+        rig.deliver(view(2, &[ME, 2], &[]).encode());
+        assert!(parked(&rig) && rig.agent.view.epoch == 1);
+        let frame = state(&rig, 0);
+        rig.deliver(frame);
+        assert!(!parked(&rig) && rig.at() == (1, Phase::Apply));
+        assert_eq!(rig.agent.view.epoch, 2);
+        let phase = |f: &Frame| ReadyReport::decode(f).unwrap().phase;
+        assert!(rig.readys().iter().all(|f| phase(f) == Phase::Migrate));
     }
 
     // ------------------------------------------------------------------
@@ -2566,9 +2571,9 @@ mod tests {
         rig.reach_step_one();
         let one = rig.vmsgs(1, 1);
         rig.deliver(one);
-        rig.advance(1, Phase::Combine, true, 2);
+        rig.advance(1, Phase::Combine, Phase::Scatter, 2);
         let run = rig.agent.run.as_ref().unwrap();
-        assert!(run.parked_advance.is_some() && run.taken_in(1) == 1);
+        assert!(run.parked_advance.is_some() && run.taken_in((1, Phase::Scatter)) == 1);
         assert!(rig.agent.on_recover(msg::Recover {
             epoch: 2,
             dead_agent: 2,
@@ -2580,7 +2585,7 @@ mod tests {
         // record of the aborted run's step 1 completes nothing.
         rig.agent.begin_run(run_info(false));
         let run = rig.agent.run.as_ref().unwrap();
-        assert!(run.parked_advance.is_none() && run.taken_in(1) == 0);
+        assert!(run.parked_advance.is_none() && run.taken_in((1, Phase::Scatter)) == 0);
         rig.readys();
         let stale = rig.vmsgs(1, 1);
         rig.deliver(stale);
@@ -2824,7 +2829,7 @@ mod tests {
 
         /// A sync run of `spec` driven as a lead alone with this agent
         /// drives it: one barrier per step until the agent reports
-        /// nothing active, or three and a cut at step 0's apply.
+        /// nothing active, or step 0 to its apply and a cut there.
         fn run(&mut self, run_id: u64, spec: ProgramSpec, reuse: bool, cut: bool) {
             let (tag, params) = spec.encode();
             self.agent.begin_run(RunInfo {
@@ -2837,7 +2842,7 @@ mod tests {
                 dangling_base: 0.0,
                 watermark: 0,
             });
-            let advance = |step, phase, chain, done| {
+            let advance = |step, phase, until, done| {
                 let (n_vertices, global, expect) = (M, 0.0, Vec::new());
                 msg::Advance {
                     run: run_id,
@@ -2846,26 +2851,26 @@ mod tests {
                     n_vertices,
                     global,
                     done,
-                    chain,
+                    until,
                     expect,
                 }
                 .encode()
             };
-            self.deliver(advance(0, Phase::Scatter, false, false));
+            self.deliver(advance(0, Phase::Scatter, Phase::Scatter, false));
             let mut step = 0;
             if cut {
-                self.deliver(advance(0, Phase::Combine, false, false));
-                self.deliver(advance(0, Phase::Apply, false, false));
+                self.deliver(advance(0, Phase::Combine, Phase::Apply, false));
             } else {
                 loop {
-                    self.deliver(advance(step, Phase::Combine, true, false));
+                    self.deliver(advance(step, Phase::Combine, Phase::Scatter, false));
                     step += 1;
                     if self.active == 0 {
                         break;
                     }
                 }
             }
-            self.deliver(advance(step, Phase::Scatter, false, true));
+            let last = if cut { Phase::Apply } else { Phase::Scatter };
+            self.deliver(advance(step, last, last, true));
             assert!(self.agent.run.is_none());
         }
     }

@@ -660,6 +660,11 @@ impl Cluster {
         Ok(self.ckpt_store.as_mut().expect("just set"))
     }
 
+    /// Checkpoint generations retained on disk. Older generations are
+    /// pruned after each successful commit; keeping two means a corrupt
+    /// newest generation still has a fallback.
+    pub const CHECKPOINT_KEEP: usize = 2;
+
     /// Take a durable checkpoint: quiesce, have every agent write its
     /// shard of a new generation at the current change-stream
     /// watermark, scrub the shards back through checksum validation,
@@ -711,7 +716,6 @@ impl Cluster {
             return Ok(report);
         }
         let agents: Vec<u64> = view.agents.iter().map(|a| a.id).collect();
-        let keep = self.cfg.checkpoint_keep.max(1);
         let store = self.driver_store()?;
         if store
             .commit(generation, view.epoch, watermark, &agents)
@@ -720,7 +724,7 @@ impl Cluster {
             return Ok(report);
         }
         report.committed = true;
-        let _ = store.prune(keep);
+        let _ = store.prune(Self::CHECKPOINT_KEEP);
         // The log must still reach back to every retained generation's
         // watermark, or the fallback ladder would leave a replay gap.
         let oldest = store

@@ -64,10 +64,6 @@ pub struct SystemConfig {
     /// batches (0 disables the automatic trigger; explicit
     /// `Cluster::checkpoint` calls still work).
     pub checkpoint_interval_batches: u64,
-    /// Checkpoint generations retained on disk. Older generations are
-    /// pruned after each successful commit; keeping ≥2 means a
-    /// corrupt newest generation still has a fallback.
-    pub checkpoint_keep: usize,
     /// Disk-fault injection applied to checkpoint writes (chaos
     /// testing only). `None` outside chaos runs.
     pub disk_fault: Option<DiskFault>,
@@ -97,7 +93,6 @@ impl Default for SystemConfig {
             tracing: false,
             checkpoint_dir: None,
             checkpoint_interval_batches: 0,
-            checkpoint_keep: 2,
             disk_fault: None,
             disk_fault_seed: 0,
         }
@@ -144,8 +139,9 @@ mod tests {
         let c = SystemConfig::default();
         assert!(c.checkpoint_dir.is_none(), "checkpointing is opt-in");
         assert_eq!(c.checkpoint_interval_batches, 0);
+        let keep = crate::cluster::Cluster::CHECKPOINT_KEEP;
         assert!(
-            c.checkpoint_keep >= 2,
+            keep >= 2,
             "must retain a fallback generation for corrupt-newest recovery"
         );
         assert!(c.disk_fault.is_none(), "no fault injection outside chaos");

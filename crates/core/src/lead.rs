@@ -8,16 +8,14 @@
 //! carries out in the order they were queued (`directory::lead_loop`).
 //! Nothing here opens a socket, reads the clock or writes a log.
 //!
-//! A barrier is met when all its members have reported the current
-//! (run, step, phase) *and* the summed cumulative counters are settled
-//! (every sent counter equals its received counter) — Mattern-style
-//! double counting, which makes in-flight and out-of-order messages
-//! harmless. The one exception is a run's Scatter barrier, which closes
-//! on what the senders say they sent: its reports list the step's VMSG
-//! records per destination, the lead sums them per receiver into the
-//! ADVANCE that answers the barrier, and a receiver acts on that
-//! advance once it has taken in its count (DESIGN.md "The superstep
-//! barrier").
+//! A run's sync barrier is met when all its members have reported it:
+//! each report lists the records its last phase put on the wire per
+//! destination, the lead sums them per receiver into the ADVANCE that
+//! answers the barrier, and a receiver acts on that advance once it has
+//! taken in its count (DESIGN.md "The superstep"). A migrate barrier
+//! and an async run's termination also need the summed counters settled
+//! (every sent counter equal to its received one): Mattern-style double
+//! counting, which makes in-flight and out-of-order messages harmless.
 
 use crate::config::SystemConfig;
 use crate::directory::agent_addr;
@@ -79,15 +77,15 @@ struct Run {
     dangling_round: u32,
     /// Threshold below which redistribution stops (from the program).
     dangling_eps: f64,
-    /// The outstanding `(step, Scatter)` barrier was reached through a
-    /// chained advance: its reports carry apply(`step − 1`)'s `active`,
-    /// and settling it is that step's Apply verdict first.
-    chained: bool,
+    /// The outstanding `(step, Scatter)` barrier was reached through an
+    /// advance that ran apply(`step − 1`): its reports carry that apply's
+    /// `active`, and settling it is that step's Apply verdict first.
+    verdict_pending: bool,
 }
 
 impl Run {
-    /// This run's advance to `(step, phase)` under its vertex count;
-    /// every other field at its plain value.
+    /// This run's advance to `(step, phase)` under its vertex count,
+    /// running that phase alone; every other field at its plain value.
     fn advance(&self, step: u32, phase: Phase) -> Advance {
         Advance {
             run: self.info.run_id,
@@ -96,7 +94,7 @@ impl Run {
             n_vertices: self.n_vertices,
             global: 0.0,
             done: false,
-            chain: false,
+            until: phase,
             expect: Vec::new(),
         }
     }
@@ -181,10 +179,10 @@ pub(crate) struct Lead {
     /// the sketch per view epoch, read once per superstep. A quiet fold
     /// moves no counter across a factor boundary, so it cannot change it.
     may_split: bool,
-    /// The counts the last Scatter barrier's advance told the members
-    /// to take in, and the step they are of; only
+    /// The counts the last barrier's answer told the members to take
+    /// in, and the barrier they are of ([`Advance::answers`]); only
     /// [`Lead::waiting_on`] reads them.
-    expected: (u32, StepCounts),
+    expected: ((u32, Phase), StepCounts),
     stall: Stall,
     /// The time of the input being handled.
     now: Instant,
@@ -211,6 +209,13 @@ struct Stall {
 /// A barrier that has stood this long gets one log line saying who it
 /// waits on.
 const STALL_REPORT_AFTER: Duration = Duration::from_secs(10);
+
+/// Whether a barrier waits for the counter pair `pair` to balance: a
+/// `mattern` one (migrate, async) for every pair, a sync barrier for all
+/// but the records, which the receivers count.
+fn sums(mattern: bool, pair: &str) -> bool {
+    mattern || !matches!(pair, "vmsg" | "part" | "state")
+}
 
 impl Lead {
     pub(crate) fn new(cfg: &SystemConfig, now: Instant) -> Self {
@@ -251,7 +256,7 @@ impl Lead {
             dangling_n: 0,
             tracer: Tracer::from_flag(cfg.tracing),
             may_split: false,
-            expected: (0, Vec::new()),
+            expected: ((0, Phase::Scatter), Vec::new()),
             stall: Stall {
                 barrier: None,
                 since: now,
@@ -506,16 +511,13 @@ impl Lead {
         Some(total)
     }
 
-    /// All members reported the given context and the counts the
-    /// phase's barrier rests on are settled: every pair, except that a
-    /// Scatter barrier leaves the VMSG pair to the receivers — each
-    /// waits for the count its advance carries
-    /// ([`Lead::scatter_expectations`]).
+    /// All members reported the given context and every counter pair
+    /// the barrier sums ([`sums`]) is settled.
     fn barrier_met(&self, members: &[AgentId], run: u64, step: u32, phase: Phase) -> bool {
+        let mattern = phase == Phase::Migrate;
         self.all_answered(members, (run, step, phase))
-            && self.summed(members).is_some_and(|c| match phase {
-                Phase::Scatter => c.settled_but_vmsg(),
-                _ => c.settled(),
+            && self.summed(members).is_some_and(|c| {
+                (c.pairs().iter()).all(|&(pair, sent, recv)| sent == recv || !sums(mattern, pair))
             })
     }
 
@@ -542,14 +544,13 @@ impl Lead {
         })
     }
 
-    /// What the members' Scatter reports say they sent, summed per
+    /// What the members' reports say their last phase sent, summed per
     /// receiver and sorted by it: the counts the advance that answers
     /// the barrier carries. Read from the reports the barrier was met
     /// on, so a re-sent report replaces its share instead of adding to
     /// it. One `(receiver, records)` entry per non-empty
-    /// sender→receiver pair goes in — the order of the VMSG frames the
-    /// step put on the wire.
-    fn scatter_expectations(&self, members: &[AgentId]) -> StepCounts {
+    /// sender→receiver pair goes in.
+    fn expectations(&self, members: &[AgentId]) -> StepCounts {
         let mut pairs: StepCounts = members
             .iter()
             .flat_map(|id| self.reports[id].sent.iter().copied())
@@ -586,10 +587,10 @@ impl Lead {
 
     /// Who the outstanding barrier is waiting on, from what the lead
     /// holds: the members that have not reported it and what they
-    /// reported last, every counter pair its sums leave unbalanced, and
-    /// what the last Scatter advance told each member to take in — a
-    /// member missing from the barrier after such an advance is short
-    /// of its count or still computing.
+    /// reported last, every counter pair it sums that is unbalanced,
+    /// and how many records of which kind and step the last answer told
+    /// each member to take in — a member missing from the barrier after
+    /// such an advance is short of its count or still computing.
     fn waiting_on(&self) -> String {
         use std::fmt::Write;
         let Some(barrier @ (run, step, phase)) = self.open_barrier() else {
@@ -621,15 +622,23 @@ impl Lead {
                 None => write!(out, "; agent {id} has reported nothing"),
             }
             .expect("write to a String");
-            let (of_step, expect) = &self.expected;
+            let ((of_step, of_phase), expect) = &self.expected;
             if let Some((_, n)) = expect.iter().find(|(to, _)| to == id) {
-                write!(out, ", told to take in {n} VMSG records of step {of_step}")
-                    .expect("write to a String");
+                let kind = match of_phase {
+                    Phase::Scatter => "VMSG",
+                    Phase::Combine => "PARTIAL",
+                    _ => "STATE",
+                };
+                write!(
+                    out,
+                    ", told to take in {n} {kind} records of step {of_step}"
+                )
+                .expect("write to a String");
             }
         }
+        let mattern = phase == Phase::Migrate || self.run.as_ref().is_some_and(|r| r.async_live);
         for (pair, sent, recv) in total.pairs() {
-            // A Scatter barrier does not wait for the VMSG pair.
-            if sent != recv && !(phase == Phase::Scatter && pair == "vmsg") {
+            if sent != recv && sums(mattern, pair) {
                 write!(
                     out,
                     "; {pair} sent − recv = {}",
@@ -687,7 +696,7 @@ impl Lead {
     /// names — is the one every participant already holds (DESIGN.md
     /// "Degrees come from the agents"). Such a fold is *quiet*: complete
     /// on return, with no epoch, no VIEW, no barrier and nothing pending
-    /// that a chained step or an async run would stop for. Any other
+    /// that a step or an async run would stop for. Any other
     /// fold gets its epoch the way a membership change does: now, or at
     /// the run's next boundary.
     fn fold_sketch(&mut self, delta: &SketchDeltaView<'_>) -> bool {
@@ -711,24 +720,24 @@ impl Lead {
         true
     }
 
-    /// Whether the step whose Scatter barrier just settled may run its
-    /// Combine and Apply without barriers of their own (DESIGN.md "One
-    /// barrier when nothing is split"). Decided per step from state the
-    /// lead already holds; any `false` falls back to three barriers for
-    /// that step only.
-    fn can_chain(&self) -> bool {
+    /// How far the advance that answers the step's Scatter barrier runs
+    /// (DESIGN.md "The superstep"): to `Combine` while a vertex can be
+    /// split, as PARTIAL records can cross; to `Apply` where nothing
+    /// crosses but the step must end on a clean Apply barrier — a
+    /// `max_steps` run's last step, a pending view change, an async
+    /// run's step 0; to the next step's `Scatter` otherwise.
+    fn until(&self) -> Phase {
         let run = self.run.as_ref().expect("run");
-        // Async handlers and the idle protocol have no phases to chain.
-        !run.info.asynchronous
-            // The last step's verdict ends the run: a chained scatter
-            // of step `max + 1` would be thrown away.
-            && run.max_steps.is_none_or(|m| run.step < m)
-            // A view change must land on a clean Apply boundary, before
-            // the next step's messages exist.
-            && !self.membership_pending()
-            // With a vertex split across agents, PARTIAL and STATE
-            // records cross the wire and need their own barriers.
-            && !self.may_split
+        if self.may_split {
+            Phase::Combine
+        } else if run.info.asynchronous
+            || run.max_steps.is_some_and(|m| run.step >= m)
+            || self.membership_pending()
+        {
+            Phase::Apply
+        } else {
+            Phase::Scatter
+        }
     }
 
     /// Fold the queued joins and leaves into the view: a joiner is
@@ -963,31 +972,26 @@ impl Lead {
         true
     }
 
-    /// Handle completion of the current sync phase.
+    /// Handle completion of the current sync phase: answer it with the
+    /// counts of what it sent.
     fn on_phase_complete(&mut self) {
         let members = self.member_ids();
+        let expect = self.expectations(&members);
         let phase = self.run.as_ref().expect("run").phase;
         match phase {
             Phase::Scatter => {
-                // Reached through a chain, this barrier is the previous
-                // step's Apply verdict before it is anything else.
-                let expect = self.scatter_expectations(&members);
-                if std::mem::take(&mut self.run.as_mut().expect("run").chained)
+                // Reached past the previous step's apply, this barrier
+                // is that step's Apply verdict before anything else.
+                if std::mem::take(&mut self.run.as_mut().expect("run").verdict_pending)
                     && self.step_verdict(&members)
                 {
-                    let run = self.run.as_mut().expect("run");
-                    // The agents scattered `step` already, and the run
-                    // ended at the step the verdict is for. A program
-                    // that scatters whatever is active (full PageRank,
-                    // converged by tolerance) sent that whole scatter:
-                    // the `done` advance carries its counts like any
-                    // other answer to a Scatter barrier, so no agent
-                    // leaves the run with records of it still on their
-                    // way — they would be dropped as stale and no later
-                    // `quiesce` could balance the VMSG sums.
-                    run.step -= 1;
-                    run.phase = Phase::Apply;
-                    self.finish_run(expect);
+                    // The run ended at the step before, and the `done`
+                    // carries the counts of the scatter sent since, so no
+                    // agent leaves the run with records of it on their
+                    // way: dropped as stale, no later `quiesce` could
+                    // balance the VMSG sums.
+                    let steps = self.run.as_ref().expect("run").step - 1;
+                    self.finish_run(steps, expect);
                     return;
                 }
                 let mut n = 0;
@@ -1019,41 +1023,41 @@ impl Lead {
                     self.dangling_mass += delta_s;
                 }
                 self.view.n_vertices = n;
-                let chain = self.can_chain();
+                let until = self.until();
                 let run = self.run.as_mut().expect("run");
                 run.n_vertices = n;
                 run.global = global;
                 let adv = Advance {
                     global,
-                    chain,
+                    until,
                     expect,
                     ..run.advance(run.step, Phase::Combine)
                 };
-                if chain {
-                    // One handler call runs combine → apply → the next
-                    // scatter; the next report is `(step + 1, Scatter)`.
+                // The next report is `until`'s, of the next step past
+                // apply.
+                if until == Phase::Scatter {
                     run.step += 1;
-                    run.chained = true;
-                } else {
-                    run.phase = Phase::Combine;
+                    run.verdict_pending = true;
                 }
-                self.publish(adv.encode());
-                self.expected = (adv.step, adv.expect);
+                run.phase = until;
+                self.answer(adv);
             }
             Phase::Combine => {
                 let run = self.run.as_mut().expect("run");
                 run.phase = Phase::Apply;
                 let adv = Advance {
                     global: run.global,
+                    expect,
                     ..run.advance(run.step, Phase::Apply)
                 };
-                self.publish(adv.encode());
+                self.answer(adv);
             }
             Phase::Apply => {
                 let converged = self.step_verdict(&members);
                 let run = self.run.as_ref().expect("run");
                 if converged || run.max_steps.is_some_and(|m| run.step >= m) {
-                    self.finish_run(Vec::new());
+                    let steps = run.step;
+                    self.finish_run(steps, expect);
                     return;
                 }
                 let next = run.advance(run.step + 1, Phase::Scatter);
@@ -1064,8 +1068,14 @@ impl Lead {
                 // initialization migrates now; the resume then doubles
                 // as the async release (`next` is exactly the step-1
                 // scatter advance, and the resume path re-arms
-                // `async_live`).
+                // `async_live`). A `Migrate` advance carries the counts
+                // of the step's STATE records, and an agent takes the
+                // view on once it has them.
                 if self.membership_pending() {
+                    if !expect.is_empty() {
+                        let drain = run.advance(run.step, Phase::Migrate);
+                        self.answer(Advance { expect, ..drain });
+                    }
                     self.resume = Some(next);
                     self.apply_membership();
                     return;
@@ -1076,14 +1086,21 @@ impl Lead {
                 // An async run's initialization is step 0: this advance
                 // releases its agents into event-driven execution.
                 run.async_live = run.info.asynchronous;
-                self.publish(next.encode());
+                self.answer(Advance { expect, ..next });
             }
             Phase::Migrate => unreachable!("migrate handled separately"),
         }
     }
 
+    /// Publish `adv`, the answer to the barrier that closed, and keep
+    /// what it told the members to take in.
+    fn answer(&mut self, adv: Advance) {
+        self.expected = (adv.answers(), adv.expect.clone());
+        self.publish(adv.encode());
+    }
+
     /// Close a superstep's books at its Apply verdict — reached as an
-    /// Apply barrier or riding a chained Scatter barrier: one
+    /// Apply barrier or riding the next step's Scatter barrier: one
     /// `step_nanos` entry, and whether the step converged (no member
     /// left a vertex active).
     fn step_verdict(&mut self, members: &[AgentId]) -> bool {
@@ -1141,7 +1158,8 @@ impl Lead {
         }
         let sums = self.summed(&members).expect("every member reported");
         if probe > 0 && sums.settled() && last_sums == Some(sums) {
-            self.finish_run(Vec::new());
+            let steps = self.run.as_ref().expect("run").step;
+            self.finish_run(steps, Vec::new());
             return true;
         }
         if probe == 0 && !sums.settled() {
@@ -1172,10 +1190,9 @@ impl Lead {
         self.publish(adv.encode());
     }
 
-    /// End the run at `(step, phase)`. `expect` is what the `done`
-    /// advance tells each member to take in first: the counts of the
-    /// scatter a chained verdict was reported with, nothing otherwise.
-    fn finish_run(&mut self, expect: StepCounts) {
+    /// End the run after `steps` supersteps with a `done` advance that
+    /// answers the open barrier with its counts, `expect`.
+    fn finish_run(&mut self, steps: u32, expect: StepCounts) {
         let run = self.run.take().expect("finishing without run");
         if !run.info.delta {
             // A full run's final scatter reduce summed the dangling
@@ -1184,16 +1201,15 @@ impl Lead {
             self.dangling_mass = run.global;
         }
         self.dangling_n = run.n_vertices;
-        let adv = Advance {
+        self.answer(Advance {
             done: true,
             expect,
             ..run.advance(run.step, run.phase)
-        };
-        self.publish(adv.encode());
+        });
         self.last_status = RunStatus {
             run_id: run.info.run_id,
             done: true,
-            steps: run.step,
+            steps,
             step_nanos: if run.info.asynchronous {
                 vec![self.now.saturating_duration_since(run.started).as_nanos() as u64]
             } else {
@@ -1274,7 +1290,7 @@ impl Lead {
             dangling_seen: HashMap::new(),
             dangling_round: 0,
             dangling_eps,
-            chained: false,
+            verdict_pending: false,
         };
         self.publish(info.encode());
         self.publish(run.advance(0, Phase::Scatter).encode());
@@ -1349,9 +1365,10 @@ mod tests {
         }
     }
 
-    /// One rule per phase, chosen by the phase alone: every member has
-    /// reported the context, and every counter pair is settled — except
-    /// that a Scatter barrier does not ask about the VMSG pair.
+    /// One rule per kind of barrier, chosen by the phase alone: every
+    /// member has reported the context, and every counter pair is
+    /// settled — except that a sync barrier does not ask about the
+    /// record pairs, which the receivers count.
     #[test]
     fn barrier_requires_all_members_and_the_sums_its_phase_rests_on() {
         let mut lead = test_lead();
@@ -1383,7 +1400,7 @@ mod tests {
                     .insert(1, ready(1, 7, 2, phase, in_flight(pair)));
                 assert_eq!(
                     lead.barrier_met(&members, 7, 2, phase),
-                    phase == Phase::Scatter && pair == "vmsg",
+                    phase != Phase::Migrate && matches!(pair, "vmsg" | "part" | "state"),
                     "{phase:?} with {pair} records in flight"
                 );
             }
@@ -1672,7 +1689,11 @@ mod tests {
         report_all(&mut lead, run, 1, Phase::Scatter, 3);
         let adv = advances(&mut lead);
         assert_eq!(adv.len(), 1);
-        assert!(adv[0].chain, "the next step still chains");
+        assert_eq!(
+            adv[0].until,
+            Phase::Scatter,
+            "the next step still runs whole"
+        );
         assert_eq!(expects(&lead), (2, Phase::Scatter, true));
     }
 
@@ -1761,36 +1782,14 @@ mod tests {
         assert_eq!(flags(fresh), (false, true, 0.0));
     }
 
-    /// `(step, phase, chained)` the lead waits for.
+    /// `(step, phase, verdict_pending)` the lead waits for.
     fn expects(lead: &Lead) -> (u32, Phase, bool) {
         let run = lead.run.as_ref().expect("run");
-        (run.step, run.phase, run.chained)
+        (run.step, run.phase, run.verdict_pending)
     }
 
     #[test]
-    fn settled_scatter_barrier_chains_when_nothing_can_split() {
-        let (mut lead, run) = lead_mid_run(WCC.0, WCC.1, false);
-        assert_eq!(advances(&mut lead).len(), 1, "the launch advance");
-        report_all(&mut lead, run, 0, Phase::Scatter, 0);
-        let adv = advances(&mut lead);
-        assert_eq!(adv.len(), 1);
-        assert_eq!((adv[0].step, adv[0].phase), (0, Phase::Combine));
-        assert!(adv[0].chain && !adv[0].done);
-        assert_eq!(expects(&lead), (1, Phase::Scatter, true));
-        // The next report is the chain's one READY: apply(0)'s active
-        // count on a `(1, Scatter)` report. Not converged: step 1 is
-        // chained the same way, with one `step_nanos` entry behind it.
-        report_all(&mut lead, run, 1, Phase::Scatter, 3);
-        let adv = advances(&mut lead);
-        assert_eq!(adv.len(), 1);
-        assert_eq!((adv[0].step, adv[0].phase), (1, Phase::Combine));
-        assert!(adv[0].chain);
-        assert_eq!(expects(&lead), (2, Phase::Scatter, true));
-        assert_eq!(lead.run.as_ref().unwrap().step_nanos.len(), 1);
-    }
-
-    #[test]
-    fn chained_barrier_with_nothing_active_finishes_at_the_applied_step() {
+    fn a_scatter_verdict_with_nothing_active_finishes_at_the_applied_step() {
         let (mut lead, run) = lead_mid_run(WCC.0, WCC.1, false);
         report_all(&mut lead, run, 0, Phase::Scatter, 0);
         report_all(&mut lead, run, 1, Phase::Scatter, 2);
@@ -1805,96 +1804,83 @@ mod tests {
         assert!(st.done && !st.running);
         assert_eq!(st.steps, 2);
         assert_eq!(st.step_nanos.len(), 3, "one entry per superstep 0..=2");
+        // The `done` names the barrier it answers.
         let adv = advances(&mut lead);
         assert_eq!(adv.len(), 1);
-        assert!(adv[0].done && !adv[0].chain);
-        assert_eq!((adv[0].step, adv[0].phase), (2, Phase::Apply));
+        assert!(adv[0].done);
+        assert_eq!((adv[0].step, adv[0].phase), (3, Phase::Scatter));
     }
 
-    /// Each fall-back condition, alone, gets the step three barriers.
+    /// A lead whose sketch holds one vertex `over` the replication
+    /// threshold, folded quietly as an agent's counts are (nothing can
+    /// be split over no agents); the joins' epoch reads the bound.
+    fn hub_lead(over: i32) -> Lead {
+        let mut lead = test_lead();
+        let delta = hub_delta(&lead, over);
+        assert!(!fold(delta, &mut lead));
+        lead
+    }
+
+    /// Each condition, alone, picks how far the advance that answers a
+    /// step's Scatter barrier runs, and so the barrier that follows.
     #[test]
-    fn no_chain_when_chaining_would_be_wrong() {
-        let unchained = |lead: &mut Lead, run: u64, step: u32, why: &str| {
-            advances(lead);
-            report_all(lead, run, step, Phase::Scatter, 1);
-            let adv = advances(lead);
-            assert_eq!(adv.len(), 1, "{why}");
-            assert_eq!((adv[0].step, adv[0].phase), (step, Phase::Combine));
-            assert!(!adv[0].chain, "{why}: chained");
-            assert_eq!(expects(lead), (step, Phase::Combine, false), "{why}");
-        };
-        let joiner = AgentInfo {
-            id: 3,
-            addr: agent_addr(3),
-        };
-
-        let (mut lead, run) = lead_mid_run(WCC.0, WCC.1, false);
-        lead.pending_joins.push(joiner.clone());
-        unchained(&mut lead, run, 0, "join pending");
-        // The change then lands on the step's Apply boundary, as ever.
-        report_all(&mut lead, run, 0, Phase::Combine, 0);
-        report_all(&mut lead, run, 0, Phase::Apply, 1);
-        assert!(lead.migrate_epoch.is_some() && lead.resume.is_some());
-
-        let (mut lead, run) = lead_mid_run(WCC.0, WCC.1, false);
-        lead.pending_leaves.push(2);
-        unchained(&mut lead, run, 0, "leave pending");
-
-        // A fold that moves a counter over the threshold waits for the
-        // Apply boundary like a join: merged, but not yet an epoch.
-        let (mut lead, run) = lead_mid_run(WCC.0, WCC.1, false);
-        let epoch = lead.view.epoch;
-        assert!(fold(hub_delta(&lead, 1), &mut lead));
-        assert!(lead.pending_sketch && lead.view.epoch == epoch);
-        unchained(&mut lead, run, 0, "sketch fold pending");
-        report_all(&mut lead, run, 0, Phase::Combine, 0);
-        report_all(&mut lead, run, 0, Phase::Apply, 1);
-        assert_eq!(lead.migrate_epoch, Some(epoch + 1));
-        assert!(!lead.pending_sketch && lead.may_split);
-
-        // A membership change queued *during* a chained step waits one
-        // step: the barrier it arrives at is not a clean boundary.
-        let (mut lead, run) = lead_mid_run(WCC.0, WCC.1, false);
-        report_all(&mut lead, run, 0, Phase::Scatter, 0);
-        assert_eq!(expects(&lead), (1, Phase::Scatter, true));
-        lead.pending_joins.push(joiner);
-        unchained(&mut lead, run, 1, "join arrived mid-chain");
-        assert!(lead.migrate_epoch.is_none());
-
-        // PageRank, two iterations: step 1 chains, step 2 is the last.
+    fn each_condition_alone_picks_its_until() {
         let pagerank = [0.85f64.to_bits(), 2, 0f64.to_bits()];
-        let (mut lead, run) = lead_mid_run(0, pagerank, false);
-        report_all(&mut lead, run, 0, Phase::Scatter, 0);
-        report_all(&mut lead, run, 1, Phase::Scatter, 5);
-        assert_eq!(expects(&lead), (2, Phase::Scatter, true));
-        unchained(&mut lead, run, 2, "step == max_steps");
-        report_all(&mut lead, run, 2, Phase::Combine, 0);
-        report_all(&mut lead, run, 2, Phase::Apply, 5);
-        assert_eq!(lead.status().steps, 2);
-        assert!(lead.status().done);
-
-        let (mut lead, run) = lead_mid_run(WCC.0, WCC.1, true);
-        unchained(&mut lead, run, 0, "async run");
-
-        // One estimate over the threshold is enough; which vertex it
-        // belongs to is never looked up. The sketch reaches the view
-        // the way an agent's counts do, as a delta — folded quietly, as
-        // nothing can be split over no agents — and the lead reads the
-        // bound when the joins open the epoch.
-        let hub = |over: i32| {
-            let mut lead = test_lead();
-            let delta = hub_delta(&lead, over);
-            assert!(!fold(delta, &mut lead));
-            lead
-        };
-        let (mut lead, run) = lead_mid_run_on(hub(0), WCC.0, WCC.1, false);
-        assert!(!lead.view.may_split(), "at the threshold k is still 1");
-        report_all(&mut lead, run, 0, Phase::Scatter, 1);
-        assert!(advances(&mut lead).last().unwrap().chain);
-        let (mut lead, run) = lead_mid_run_on(hub(1), WCC.0, WCC.1, false);
-        assert!(lead.view.may_split());
-        unchained(&mut lead, run, 0, "sketch bound over the threshold");
+        for (why, until) in [
+            ("nothing pending", Phase::Scatter),
+            ("join pending", Phase::Apply),
+            ("leave pending", Phase::Apply),
+            ("sketch fold pending", Phase::Apply),
+            ("join arrived mid-step", Phase::Apply),
+            ("step == max_steps", Phase::Apply),
+            ("async run", Phase::Apply),
+            ("sketch bound at the threshold", Phase::Scatter),
+            ("sketch bound over the threshold", Phase::Combine),
+        ] {
+            let base = match why {
+                "sketch bound at the threshold" => hub_lead(0),
+                "sketch bound over the threshold" => hub_lead(1),
+                _ => test_lead(),
+            };
+            let (mut lead, run) = match why {
+                "step == max_steps" => lead_mid_run_on(base, 0, pagerank, false),
+                _ => lead_mid_run_on(base, WCC.0, WCC.1, why == "async run"),
+            };
+            let joiner = AgentInfo {
+                id: 3,
+                addr: agent_addr(3),
+            };
+            let mut step = 0;
+            match why {
+                "join pending" => lead.pending_joins.push(joiner),
+                "leave pending" => lead.pending_leaves.push(2),
+                "sketch fold pending" => assert!(fold(hub_delta(&lead, 1), &mut lead)),
+                "join arrived mid-step" => {
+                    report_all(&mut lead, run, 0, Phase::Scatter, 0);
+                    lead.pending_joins.push(joiner);
+                    step = 1;
+                }
+                "step == max_steps" => {
+                    report_all(&mut lead, run, 0, Phase::Scatter, 0);
+                    report_all(&mut lead, run, 1, Phase::Scatter, 5);
+                    step = 2;
+                }
+                _ => {}
+            }
+            advances(&mut lead);
+            report_all(&mut lead, run, step, Phase::Scatter, 1);
+            let adv = advances(&mut lead);
+            assert_eq!(adv.len(), 1, "{why}");
+            let got = (adv[0].step, adv[0].phase, adv[0].until);
+            assert_eq!(got, (step, Phase::Combine, until), "{why}");
+            let next = match until {
+                Phase::Scatter => (step + 1, until, true),
+                _ => (step, until, false),
+            };
+            assert_eq!(expects(&lead), next, "{why}");
+        }
         // Capped at one replica, the same sketch splits nothing.
+        let mut lead = hub_lead(1);
         lead.view.max_replicas = 1;
         assert!(!lead.view.may_split());
     }
@@ -1908,18 +1894,35 @@ mod tests {
         active: u64,
         sent: &[(AgentId, u64)],
     ) -> ReadyReport {
-        let counters = Counters {
-            vmsg_sent: sent.iter().map(|s| s.1).sum(),
-            ..Default::default()
+        sent_report(agent, run, step, Phase::Scatter, active, sent)
+    }
+
+    /// A `(run, step, phase)` report of `agent` whose phase put `sent`
+    /// on the wire — VMSG, PARTIAL or STATE records by the phase — and
+    /// left `active` vertices active.
+    fn sent_report(
+        agent: AgentId,
+        run: u64,
+        step: u32,
+        phase: Phase,
+        active: u64,
+        sent: &[(AgentId, u64)],
+    ) -> ReadyReport {
+        let mut c = Counters::default();
+        let records = match phase {
+            Phase::Scatter => &mut c.vmsg_sent,
+            Phase::Combine => &mut c.part_sent,
+            _ => &mut c.state_sent,
         };
+        *records = sent.iter().map(|s| s.1).sum();
         ReadyReport {
             active,
             sent: sent.to_vec(),
-            ..ready(agent, run, step, Phase::Scatter, counters)
+            ..ready(agent, run, step, phase, c)
         }
     }
 
-    /// Three members in a sync WCC run at its first chained barrier.
+    /// Three members in a sync WCC run at the Scatter barrier of step 1.
     fn three_mid_run() -> (Lead, u64) {
         let mut lead = test_lead();
         lead.pending_joins.push(AgentInfo {
@@ -1956,9 +1959,10 @@ mod tests {
         let adv = advances(&mut lead);
         assert_eq!(adv.len(), 1);
         assert_eq!((adv[0].step, adv[0].phase), (1, Phase::Combine));
-        assert!(adv[0].chain && !adv[0].done);
+        assert!(adv[0].until == Phase::Scatter && !adv[0].done);
         assert_eq!(adv[0].expect, [(1, 4), (2, 12), (3, 3)]);
-        assert_eq!(lead.expected, (1, vec![(1, 4), (2, 12), (3, 3)]));
+        let expected = ((1, Phase::Scatter), vec![(1, 4), (2, 12), (3, 3)]);
+        assert_eq!(lead.expected, expected);
         assert_eq!(expects(&lead), (2, Phase::Scatter, true));
     }
 
@@ -1966,38 +1970,21 @@ mod tests {
     /// a forwarded change or a migration record in flight.
     #[test]
     fn scatter_barrier_waits_for_every_other_pair() {
-        for (pair, in_flight) in [
-            (
-                "chg",
-                Counters {
-                    chg_sent: 1,
-                    ..Default::default()
-                },
-            ),
-            (
-                "mig",
-                Counters {
-                    mig_sent: 1,
-                    ..Default::default()
-                },
-            ),
-        ] {
+        for pair in ["chg", "mig"] {
             let (mut lead, run) = three_mid_run();
-            let settled = Counters {
-                chg_recv: in_flight.chg_sent,
-                mig_recv: in_flight.mig_sent,
-                ..Default::default()
+            let (mut third, mut second) =
+                (scattered(3, run, 1, 1, &[]), scattered(2, run, 1, 1, &[]));
+            let (sent, recv) = match pair {
+                "chg" => (&mut third.counters.chg_sent, &mut second.counters.chg_recv),
+                _ => (&mut third.counters.mig_sent, &mut second.counters.mig_recv),
             };
+            (*sent, *recv) = (1, 1);
             lead.reports.insert(1, scattered(1, run, 1, 1, &[(2, 5)]));
             lead.reports.insert(2, scattered(2, run, 1, 1, &[]));
-            let mut third = scattered(3, run, 1, 1, &[]);
-            third.counters = third.counters.add(&in_flight);
             lead.reports.insert(3, third);
             lead.evaluate();
             assert!(advances(&mut lead).is_empty(), "{pair} in flight");
             // The receiver's idle re-report settles the pair.
-            let mut second = scattered(2, run, 1, 1, &[]);
-            second.counters = second.counters.add(&settled);
             lead.reports.insert(2, second);
             lead.evaluate();
             let adv = advances(&mut lead);
@@ -2041,10 +2028,10 @@ mod tests {
     }
 
     /// A program that scatters whatever is active (full PageRank) and
-    /// converges by tolerance ends on a chained verdict with the next
-    /// step's messages already sent. The `done` advance answers a
-    /// Scatter barrier like any other: it carries their counts, or an
-    /// agent would finish the run ahead of them.
+    /// converges by tolerance ends on a Scatter barrier's verdict with
+    /// the next step's messages already sent. The `done` advance answers
+    /// that barrier like any other: it carries their counts, or an agent
+    /// would finish the run ahead of them.
     #[test]
     fn a_chained_verdict_that_ends_the_run_puts_the_counts_on_done() {
         let (mut lead, run) = three_mid_run();
@@ -2056,76 +2043,86 @@ mod tests {
         assert_eq!(lead.status().steps, 0);
         let adv = advances(&mut lead);
         assert_eq!(adv.len(), 1);
-        assert!(adv[0].done && !adv[0].chain);
-        assert_eq!((adv[0].step, adv[0].phase), (0, Phase::Apply));
-        assert_eq!(adv[0].scatter_step(), 1);
+        assert!(adv[0].done);
+        assert_eq!(adv[0].answers(), (1, Phase::Scatter));
         assert_eq!(adv[0].expect, [(1, 4), (2, 5), (3, 1)]);
         // A run that ends at an Apply barrier has no scatter behind it.
         let pagerank = [0.85f64.to_bits(), 1, 0f64.to_bits()];
         let (mut lead, run) = lead_mid_run(0, pagerank, false);
         report_all(&mut lead, run, 0, Phase::Scatter, 0);
         report_all(&mut lead, run, 1, Phase::Scatter, 5);
-        report_all(&mut lead, run, 1, Phase::Combine, 0);
         report_all(&mut lead, run, 1, Phase::Apply, 5);
         let adv = advances(&mut lead);
         let last = adv.last().unwrap();
         assert!(last.done && last.expect.is_empty());
+        assert_eq!(last.answers(), (1, Phase::Apply));
     }
 
-    /// The barriers that exchange replica records, and the one that
-    /// moves the graph, are Mattern barriers as before.
+    /// The Combine and Apply barriers close on what was sent as the
+    /// Scatter barrier does, and their answers carry the counts. An
+    /// Apply barrier that a view change follows sends its counts on a
+    /// `Migrate` advance ahead of the VIEW; the migrate barrier still
+    /// sums every pair.
     #[test]
-    fn combine_apply_and_migrate_barriers_still_require_settled_sums() {
-        let in_flight = |c: Counters| Counters { vmsg_sent: 2, ..c };
-        // Three barriers a step: a join is pending.
-        let (mut lead, run) = lead_mid_run(WCC.0, WCC.1, false);
+    fn every_sync_barrier_closes_on_what_was_sent() {
+        // A view that can split a vertex: three barriers a step.
+        let (mut lead, run) = lead_mid_run_on(hub_lead(1), WCC.0, WCC.1, false);
+        report_all(&mut lead, run, 0, Phase::Scatter, 0);
+        assert_eq!(expects(&lead), (0, Phase::Combine, false));
+        advances(&mut lead);
+        for (id, sent) in [(1, &[(2, 3)][..]), (2, &[])] {
+            assert!(advances(&mut lead).is_empty(), "before agent {id}");
+            lead.reports
+                .insert(id, sent_report(id, run, 0, Phase::Combine, 0, sent));
+            lead.evaluate();
+        }
+        assert!(!lead.summed(&[1, 2]).unwrap().settled());
+        let adv = advances(&mut lead);
+        assert_eq!(adv.len(), 1);
+        assert_eq!(
+            (adv[0].step, adv[0].phase, adv[0].until),
+            (0, Phase::Apply, Phase::Apply)
+        );
+        assert_eq!(adv[0].expect, [(2, 3)]);
+        assert_eq!(lead.expected, ((0, Phase::Combine), vec![(2, 3)]));
+        // A join arrives during the apply; the apply sent STATE records.
         lead.pending_joins.push(AgentInfo {
             id: 3,
             addr: agent_addr(3),
         });
-        report_all(&mut lead, run, 0, Phase::Scatter, 0);
-        assert_eq!(expects(&lead), (0, Phase::Combine, false));
-        for phase in [Phase::Combine, Phase::Apply] {
-            advances(&mut lead);
-            let report = |id, counters| ReadyReport {
-                active: 1,
-                ..ready(id, run, 0, phase, counters)
-            };
-            lead.reports
-                .insert(1, report(1, in_flight(Counters::default())));
-            lead.reports.insert(2, report(2, Counters::default()));
-            lead.evaluate();
-            let waiting = (expects(&lead), lead.migrate_epoch);
-            assert_eq!(waiting, ((0, phase, false), None), "VMSGs in flight");
-            assert!(advances(&mut lead).is_empty());
-            let received = Counters {
-                vmsg_recv: 2,
-                ..Default::default()
-            };
-            lead.reports.insert(2, report(2, received));
-            lead.evaluate();
-            assert_ne!((expects(&lead), lead.migrate_epoch), waiting);
-        }
-        // The Apply barrier opened the join's migrate barrier.
+        lead.evaluate();
+        lead.reports
+            .insert(1, sent_report(1, run, 0, Phase::Apply, 1, &[]));
+        lead.reports
+            .insert(2, sent_report(2, run, 0, Phase::Apply, 1, &[(1, 2)]));
+        lead.evaluate();
+        let published: Vec<u8> = drained(&mut lead)
+            .iter()
+            .filter_map(|e| match e {
+                Effect::Publish(f) => Some(f.packet_type()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(published, [packet::ADVANCE, packet::VIEW]);
+        assert_eq!(lead.expected, ((0, Phase::Apply), vec![(1, 2)]));
         let epoch = lead.migrate_epoch.expect("migrate barrier") as u32;
-        for id in [1, 2] {
-            let c = Counters {
-                vmsg_sent: if id == 1 { 3 } else { 0 },
-                vmsg_recv: if id == 2 { 2 } else { 0 },
-                ..Default::default()
-            };
+        assert!(lead.resume.is_some());
+        // The migrate barrier sums every pair: a VMSG to the joiner is
+        // in flight until the joiner counts it and re-reports.
+        let in_flight = Counters {
+            vmsg_sent: 1,
+            ..Default::default()
+        };
+        for (id, c) in [
+            (1, in_flight),
+            (2, Counters::default()),
+            (3, Counters::default()),
+        ] {
             lead.reports
                 .insert(id, ready(id, 0, epoch, Phase::Migrate, c));
         }
-        let joiner = Counters::default();
-        lead.reports
-            .insert(3, ready(3, 0, epoch, Phase::Migrate, joiner));
         lead.evaluate();
-        assert!(
-            lead.migrate_epoch.is_some(),
-            "a VMSG to the joiner is in flight"
-        );
-        // The joiner counts it on arrival and re-reports.
+        assert!(lead.migrate_epoch.is_some(), "a VMSG in flight");
         let counted = Counters {
             vmsg_recv: 1,
             ..Default::default()
@@ -3020,9 +3017,10 @@ mod tests {
                     }
                     packet::ADVANCE => {
                         let adv = Advance::decode(f).unwrap();
-                        // A chained step only with no membership change
-                        // pending.
-                        assert!(!adv.chain || !lead.membership_pending());
+                        // A step runs whole only with no membership
+                        // change pending.
+                        let whole = (adv.phase, adv.until) == (Phase::Combine, Phase::Scatter);
+                        assert!(!whole || !lead.membership_pending());
                         if !self.async_runs.contains(&adv.run) {
                             continue;
                         }

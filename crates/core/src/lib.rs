@@ -30,7 +30,7 @@
 //!
 //! ## Execution model
 //!
-//! A synchronous superstep is three barriered phases (a faithful
+//! A synchronous superstep is one loop of three phases (a faithful
 //! factoring of the paper's Figure 2 round plus its replica
 //! synchronization, §3.4):
 //!
@@ -42,15 +42,15 @@
 //! 3. **Apply** — primaries run the program's `apply`, then broadcast
 //!    changed state to the vertex's replica set.
 //!
-//! Each barrier is enforced by the directory with Mattern-style
-//! double counting (all agents ready *and* global sent == received), so
-//! out-of-order and in-flight messages are handled exactly as the
-//! paper describes (§3: "ElGA is flexible with receiving messages
-//! out-of-order...").
+//! The directory's ADVANCE names the phase an agent runs to — the
+//! whole loop to the next scatter when no vertex can be split — and
+//! every sync barrier closes on what was sent: the ADVANCE carries each
+//! receiver's count of records, taken in before it acts (§3: "ElGA is
+//! flexible with receiving messages out-of-order...").
 //!
 //! Asynchronous mode (for monotone programs such as WCC/BFS/SSSP)
 //! processes vertices the moment updates arrive and terminates through
-//! the same counting argument.
+//! Mattern-style double counting (global sent == received).
 
 #![warn(missing_docs)]
 

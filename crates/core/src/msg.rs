@@ -238,26 +238,17 @@ pub trait Message: Wire {
 
 /// Declare control structs once: each struct, its [`Wire`] layout —
 /// the fields in declaration order — and, when a packet kind follows
-/// the name, its [`Message`] impl. Two `bool` fields joined by `|`
-/// share one flags byte: bit 0 the first, bit 1 the second. A field
-/// marked `as frame` travels as its whole [`Message`] frame,
-/// length-prefixed.
+/// the name, its [`Message`] impl. A field marked `as frame` travels as
+/// its whole [`Message`] frame, length-prefixed.
 macro_rules! wire {
     (@put $s:ident $b:ident $field:ident) => {
         $crate::msg::Wire::put(&$s.$field, $b)
-    };
-    (@put $s:ident $b:ident $field:ident | $bit:ident) => {
-        $b.u8(u8::from($s.$field) | u8::from($s.$bit) << 1)
     };
     (@put $s:ident $b:ident $field:ident as frame) => {
         $b.bytes($crate::msg::Message::encode(&$s.$field).as_bytes())
     };
     (@take $r:ident $field:ident: $ty:ty) => {
         let $field = <$ty as $crate::msg::Wire>::take($r)?;
-    };
-    (@take $r:ident $field:ident: $ty:ty | $bit:ident) => {
-        let flags = $r.u8()?;
-        let ($field, $bit) = (flags & 1 != 0, flags & 2 != 0);
     };
     (@take $r:ident $field:ident: $ty:ty as frame) => {
         let $field = <$ty as $crate::msg::Message>::decode_bytes($r.bytes()?)?;
@@ -268,7 +259,6 @@ macro_rules! wire {
             $(
                 $(#[$fmeta:meta])*
                 pub $field:ident: $ty:ty
-                $(| $(#[$bmeta:meta])* pub $bit:ident: bool)?
                 $(as $nested:ident)?,
             )*
         }
@@ -278,19 +268,18 @@ macro_rules! wire {
             $(
                 $(#[$fmeta])*
                 pub $field: $ty,
-                $($(#[$bmeta])* pub $bit: bool,)?
             )*
         }
 
         impl $crate::msg::Wire for $name {
             fn put(&self, b: elga_net::frame::FrameBuilder) -> elga_net::frame::FrameBuilder {
-                $(let b = wire!(@put self b $field $(| $bit)? $(as $nested)?);)*
+                $(let b = wire!(@put self b $field $(as $nested)?);)*
                 b
             }
 
             fn take(r: &mut elga_net::FrameReader<'_>) -> Option<Self> {
-                $(wire!(@take r $field: $ty $(| $bit)? $(as $nested)?);)*
-                Some($name { $($field, $($bit,)?)* })
+                $(wire!(@take r $field: $ty $(as $nested)?);)*
+                Some($name { $($field,)* })
             }
         }
 
@@ -384,17 +373,6 @@ impl Counters {
     /// no-messages-in-flight condition.
     pub fn settled(&self) -> bool {
         self.pairs().iter().all(|&(_, sent, recv)| sent == recv)
-    }
-
-    /// [`Counters::settled`] for every pair but the vertex messages: a
-    /// Scatter barrier closes on the senders' reports, and each
-    /// receiver waits for its own count of them.
-    pub fn settled_but_vmsg(&self) -> bool {
-        Counters {
-            vmsg_recv: self.vmsg_sent,
-            ..*self
-        }
-        .settled()
     }
 
     /// The `(name, sent, received)` pairs, in wire order.
@@ -1079,13 +1057,13 @@ record! {
     }
 }
 
-/// VMSG record counts of one step's scatter, keyed by agent and sorted
-/// by it: what one sender put on the wire per destination (READY), or
-/// what each receiver has to take in (ADVANCE). Only non-zero entries
-/// are listed. Always the last field of its frame, so a frame from
-/// before the list ends where its length would be and is refused: read
-/// as "nothing sent" it would release a Scatter barrier ahead of its
-/// messages.
+/// Record counts of one sync phase — VMSG of a scatter, PARTIAL of a
+/// combine, STATE of an apply — keyed by agent and sorted by it: what
+/// one sender put on the wire per destination (READY), or what each
+/// receiver has to take in (ADVANCE). Only non-zero entries are listed.
+/// Always the last field of its frame, so a frame from before the list
+/// ends where its length would be and is refused: read as "nothing
+/// sent" it would release a barrier ahead of its records.
 pub type StepCounts = Vec<(AgentId, u64)>;
 
 wire! {
@@ -1119,10 +1097,10 @@ wire! {
         /// predating a mid-run migration can never settle the restarted
         /// termination detector against post-migration counters.
         pub epoch: u64,
-        /// Only on a sync run's `phase == Scatter`: the VMSG records this
-        /// step's scatter put on the wire, per destination it sent to. The
-        /// lead sums them per receiver and closes the Scatter barrier on
-        /// what was sent; a re-sent report repeats the list as it was.
+        /// Only in a sync run: the records — VMSG, PARTIAL or STATE — the
+        /// report's phase put on the wire, per destination. The lead sums
+        /// them per receiver and closes the barrier on what was sent; a
+        /// re-sent report repeats the list as it was.
         pub sent: StepCounts,
     }
 
@@ -1139,33 +1117,37 @@ wire! {
         pub n_vertices: u64,
         /// Global reduce value (Σ `global_contrib`).
         pub global: f64,
-        /// When set, the run is complete; `step`/`phase` are final.
-        pub done: bool |
-        /// Only on `phase == Combine`: nothing is split under the run's
-        /// view, so Combine and Apply exchange nothing between agents. Run
-        /// combine → apply → the next step's scatter in one go and answer
-        /// with one `READY(step + 1, Scatter)` carrying the apply's
-        /// `active`.
-        pub chain: bool,
-        /// On an advance that answers a Scatter barrier — `phase ==
-        /// Combine`, or `done` after a chained verdict — what the members
-        /// reported sent in that scatter, summed per receiver: an agent
-        /// acts on the advance once it has taken in that many VMSG records
-        /// of [`Advance::scatter_step`]. Empty on every other advance.
+        /// When set, the run is complete, and `step`/`phase` name the
+        /// barrier this advance answers.
+        pub done: bool,
+        /// The phase whose READY the advance asks for. The agent runs
+        /// the loop combine → apply → scatter(`step + 1`) from `phase`
+        /// and stops after `until`, serving reads between phases.
+        pub until: Phase,
+        /// What the members reported the barrier this advance answers
+        /// sent, summed per receiver: an agent acts on the advance once
+        /// it has taken in that many records of [`Advance::answers`].
         pub expect: StepCounts,
     }
 }
 
 impl Advance {
-    /// The step whose scatter `expect` counts: the advance's own, or —
-    /// a `done` advance names the step the run's verdict was for — the
-    /// one the agents scattered ahead of that verdict.
-    pub fn scatter_step(&self) -> u32 {
-        self.step + u32::from(self.done)
+    /// The `(step, phase)` of the barrier this advance answers, whose
+    /// records — VMSG, PARTIAL, STATE by the phase — `expect` counts: a
+    /// `done` names it, others follow it in the step loop. A `Migrate`
+    /// advance announces a view change after an apply.
+    pub fn answers(&self) -> (u32, Phase) {
+        match (self.done, self.phase) {
+            (true, phase) => (self.step, phase),
+            (false, Phase::Combine) => (self.step, Phase::Scatter),
+            (false, Phase::Apply) => (self.step, Phase::Combine),
+            (false, Phase::Scatter) => (self.step.wrapping_sub(1), Phase::Apply),
+            (false, Phase::Migrate) => (self.step, Phase::Apply),
+        }
     }
 
-    /// VMSG records of [`Advance::scatter_step`] that `agent` has to
-    /// take in before it acts on this advance.
+    /// Records of [`Advance::answers`] that `agent` has to take in
+    /// before it acts on this advance.
     pub fn expected_by(&self, agent: AgentId) -> u64 {
         self.expect
             .iter()
@@ -1707,7 +1689,7 @@ mod tests {
             n_vertices: 100,
             global: 1.5,
             done: false,
-            chain: true,
+            until: Phase::Scatter,
             expect: vec![(2, 5), (9, 1)],
         };
         for expect in [Vec::new(), adv.expect.clone()] {
@@ -1721,18 +1703,31 @@ mod tests {
             (adv.expected_by(2), adv.expected_by(9), adv.expected_by(3)),
             (5, 1, 0)
         );
-        // A `done` advance names the step of the verdict; what it
-        // counts is the scatter the agents ran ahead of it.
-        assert_eq!(adv.scatter_step(), 9);
-        assert_eq!(Advance { done: true, ..adv }.scatter_step(), 10);
+        // The counts are the records of the barrier answered: the phase
+        // before the advance's own in the step loop, or the one a `done`
+        // names; a `Migrate` advance's are its step's STATE.
+        for (phase, done, answers) in [
+            (Phase::Combine, false, (9, Phase::Scatter)),
+            (Phase::Apply, false, (9, Phase::Combine)),
+            (Phase::Scatter, false, (8, Phase::Apply)),
+            (Phase::Migrate, false, (9, Phase::Apply)),
+            (Phase::Scatter, true, (9, Phase::Scatter)),
+        ] {
+            let adv = Advance {
+                phase,
+                done,
+                ..adv.clone()
+            };
+            assert_eq!(adv.answers(), answers);
+        }
     }
 
-    /// `done` and `chain` share the flags byte, and the counts come
-    /// last in both frames. A frame in the layout from before them ends
-    /// where the list's length would be and is refused: read as an
-    /// empty list, an old READY would tell the lead nothing was sent
-    /// and an old ADVANCE would tell an agent to expect nothing — a
-    /// Scatter barrier released ahead of its messages either way.
+    /// `done` and `until` have a byte each, and the counts come last in
+    /// both frames. A frame in the layout from before them ends where
+    /// the list's length would be and is refused: read as an empty list,
+    /// an old READY would tell the lead nothing was sent and an old
+    /// ADVANCE would tell an agent to expect nothing — a barrier
+    /// released ahead of its records either way.
     #[test]
     fn advance_flags_and_counts_and_old_layouts_refused() {
         let base = Advance {
@@ -1742,29 +1737,22 @@ mod tests {
             n_vertices: 9,
             global: -0.25,
             done: false,
-            chain: false,
+            until: Phase::Combine,
             expect: vec![(1, 3)],
         };
-        for (done, chain) in [(false, false), (true, false), (false, true), (true, true)] {
+        for (done, until) in [(false, Phase::Apply), (true, Phase::Scatter)] {
             let adv = Advance {
                 done,
-                chain,
+                until,
                 ..base.clone()
             };
             let frame = adv.encode();
-            let flags = frame.as_bytes()[frame.len() - 4 - 16 - 1];
-            assert_eq!(flags, u8::from(done) | u8::from(chain) << 1);
+            let at = frame.len() - 4 - 16 - 2;
+            assert_eq!(frame.as_bytes()[at..at + 2], [u8::from(done), until as u8]);
             assert_eq!(Advance::decode(&frame).unwrap(), adv);
-            // As the parent's encoder wrote it.
-            let old = Frame::builder(packet::ADVANCE)
-                .u64(base.run)
-                .u32(base.step)
-                .u8(base.phase as u8)
-                .u64(base.n_vertices)
-                .f64(base.global)
-                .u8(flags)
-                .finish();
-            assert_eq!(Advance::decode(&old), None);
+            // As an encoder without the list wrote it.
+            let old = bytes::Bytes::copy_from_slice(&frame.as_bytes()[..at + 2]);
+            assert_eq!(Advance::decode(&Frame::from_bytes(old)), None);
         }
         let rep = ReadyReport {
             agent: 1,

@@ -108,7 +108,7 @@ fn frames() -> Vec<(&'static str, Frame)> {
         n_vertices: 100,
         global: 1.5,
         done: true,
-        chain: true,
+        until: Phase::Apply,
         expect: vec![(2, 5), (9, 1)],
     };
     let status = msg::RunStatus {
@@ -247,9 +247,9 @@ const GOLDEN: &[(&str, u8, &str)] = &[
     (
         "advance",
         packet::ADVANCE,
-        "020000000000000009000000016400000000000000000000000000f83f030200\
-         0000020000000000000005000000000000000900000000000000010000000000\
-         0000",
+        "020000000000000009000000016400000000000000000000000000f83f010202\
+         0000000200000000000000050000000000000009000000000000000100000000\
+         000000",
     ),
     (
         "start",

@@ -536,10 +536,10 @@ proptest! {
         let _ = ClusterMetrics::decode(&frame);
     }
 
-    /// ADVANCE round-trips with both flag bits independent and any
-    /// list of expected counts, and a frame that ends at the flags byte
-    /// — the layout before the counts — is refused: read as "expect
-    /// nothing" it would let an agent combine ahead of its messages.
+    /// ADVANCE round-trips with `done` and `until` independent and any
+    /// list of expected counts, and a frame that ends at `until` — the
+    /// layout before the counts — is refused: read as "expect nothing"
+    /// it would let an agent run a phase ahead of its records.
     #[test]
     fn advance_round_trips_and_old_frames_are_refused(
         run in any::<u64>(),
@@ -548,11 +548,11 @@ proptest! {
         n_vertices in any::<u64>(),
         global in -1e12f64..1e12,
         done in any::<bool>(),
-        chain in any::<bool>(),
+        until in 0u8..4,
         expect in prop::collection::vec((any::<u64>(), any::<u64>()), 0..9),
     ) {
-        let phase = Phase::parse(&[phase]);
-        let adv = msg::Advance { run, step, phase, n_vertices, global, done, chain, expect };
+        let (phase, until) = (Phase::parse(&[phase]), Phase::parse(&[until]));
+        let adv = msg::Advance { run, step, phase, n_vertices, global, done, until, expect };
         let frame = adv.encode();
         prop_assert_eq!(Advance::decode(&frame), Some(adv.clone()));
         let old = Frame::builder(msg::packet::ADVANCE)
@@ -561,7 +561,8 @@ proptest! {
             .u8(phase as u8)
             .u64(n_vertices)
             .f64(global)
-            .u8(done as u8 | (chain as u8) << 1)
+            .u8(done as u8)
+            .u8(until as u8)
             .finish();
         prop_assert_eq!(Advance::decode(&old), None);
         prop_assert_eq!(frame.len(), old.len() + 4 + 16 * adv.expect.len());
@@ -768,7 +769,7 @@ proptest! {
         });
         assert_round_trip(Advance {
             run: w[18], step: w[19] as u32, phase, n_vertices: w[24], global: -x,
-            done: bit(3), chain: bit(4), expect: list.clone(),
+            done: bit(3), until: phase, expect: list.clone(),
         });
         assert_round_trip(run);
         assert_round_trip(RunStatus {

@@ -1,14 +1,12 @@
 //! Core data model: directed edges, turnstile changes, and batches
 //! (paper Definitions 2.1–2.5).
 
-use serde::{Deserialize, Serialize};
-
 /// Vertex identifier. The paper configures all systems with 64-bit
 /// vertex ids (§4); we do the same.
 pub type VertexId = u64;
 
 /// A directed edge `(src, dst)` (Definition 2.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Edge {
     /// Source vertex.
     pub src: VertexId,
@@ -46,7 +44,7 @@ impl From<(VertexId, VertexId)> for Edge {
 }
 
 /// The action of a turnstile change (Definition 2.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Action {
     /// Insert the edge.
     Insert,
@@ -56,7 +54,7 @@ pub enum Action {
 
 /// One element of a dynamic graph's change stream: an action plus the
 /// edge it applies to (Definition 2.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EdgeChange {
     /// Insert or delete.
     pub action: Action,
@@ -92,7 +90,7 @@ impl EdgeChange {
 
 /// A contiguous segment of the change stream (Definition 2.4). ElGA
 /// applies batches atomically between algorithm executions (§3.4).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Batch {
     /// Monotonically increasing batch identifier ("a monotonically
     /// increasing clock used to bootstrap Agents and ensure

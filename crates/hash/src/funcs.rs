@@ -6,8 +6,6 @@
 //! seeded hash, and CRC64. All four are reproduced here so the Figure 5
 //! experiment can be regenerated.
 
-use serde::{Deserialize, Serialize};
-
 /// Thomas Wang's 64-bit integer hash (1997), the function ElGA ships with.
 ///
 /// Full-avalanche mix of a 64-bit key using shifts, adds and xors only.
@@ -114,7 +112,7 @@ pub fn crc64(key: u64) -> u64 {
 }
 
 /// The hash-function choices evaluated in the paper's Figure 5.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum HashKind {
     /// Thomas Wang's 64-bit hash — ElGA's default.
     #[default]

@@ -18,10 +18,9 @@
 
 use crate::funcs::HashKind;
 use crate::ring::{AgentId, Ring};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the locator's replication behaviour.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct LocatorConfig {
     /// Estimated degree at which a vertex is split across one more
     /// agent. The paper uses thresholds in the millions (§3.3.1); tests
@@ -58,7 +57,7 @@ impl Default for LocatorConfig {
 }
 
 /// Resolves edges and vertices to owning agents.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EdgeLocator {
     ring: Ring,
     config: LocatorConfig,

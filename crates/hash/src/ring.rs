@@ -9,7 +9,6 @@
 //! (Figure 16).
 
 use crate::funcs::HashKind;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of an Agent (one per core in the paper's deployment).
 pub type AgentId = u64;
@@ -18,7 +17,7 @@ pub type AgentId = u64;
 const VIRT_SALT: u64 = 0x0100_0000_01B3;
 
 /// A consistent-hash ring over agents.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Ring {
     kind: HashKind,
     virtual_per_agent: u32,

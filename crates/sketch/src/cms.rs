@@ -19,7 +19,6 @@
 //! in 8 MB.
 
 use elga_hash::funcs::wang64;
-use serde::{Deserialize, Serialize};
 
 /// Where a key's counters are, one per row: the cell layout
 /// [`CountMinSketch`] and [`SketchDelta`](crate::SketchDelta) share,
@@ -73,7 +72,7 @@ impl Rows {
 }
 
 /// A count-min sketch over `u64` keys with saturating `u32` counters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CountMinSketch {
     rows: Rows,
     /// Row-major `depth × width` counter table.

@@ -9,10 +9,9 @@
 //! safe direction for replication.
 
 use crate::cms::{CountMinSketch, DimensionMismatch};
-use serde::{Deserialize, Serialize};
 
 /// Counts edge endpoints and answers degree queries.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DegreeEstimator {
     sketch: CountMinSketch,
 }
