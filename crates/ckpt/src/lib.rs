@@ -43,10 +43,11 @@ use std::fs;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
-/// Magic + version tag opening every shard file. Version 2 dropped
-/// the parked residuals from the payload; a version-1 shard fails
-/// validation instead of misparsing.
-const SHARD_MAGIC: &[u8; 8] = b"ELGACKP2";
+/// Magic + version tag opening every shard file. Version 3's payload
+/// is MIG_VERTEX frames, as a view change sends them; an older shard
+/// fails validation instead of misparsing, so the fallback ladder skips
+/// its generation.
+const SHARD_MAGIC: &[u8; 8] = b"ELGACKP3";
 /// Magic + version tag opening every manifest file. Version 3 dropped
 /// version 2's dangling-mass book; an older manifest fails validation,
 /// so the fallback ladder skips its generation.
@@ -660,7 +661,7 @@ mod tests {
     #[test]
     fn an_older_format_fails_validation_and_the_ladder_skips_it() {
         let mut s = tmp_store("oldmagic");
-        for g in 1..=3u64 {
+        for g in 1..=4u64 {
             s.write_shard(g, 1, 0, g, &[g as u8; 8]).unwrap();
             s.commit(g, 1, g, &[0]).unwrap();
         }
@@ -670,15 +671,17 @@ mod tests {
             bytes[..8].copy_from_slice(magic);
             fs::write(&path, bytes).unwrap();
         };
-        retag(manifest_name(3), b"ELGAMAN2");
+        retag(manifest_name(4), b"ELGAMAN2");
+        retag(shard_name(3, 0), b"ELGACKP2");
         retag(shard_name(2, 0), b"ELGACKP1");
         assert!(matches!(
-            s.manifest(3),
+            s.manifest(4),
             Err(CkptError::Corrupt("bad manifest magic"))
         ));
+        assert!(matches!(s.validate_shard(3, 0), Err(CkptError::Corrupt(_))));
         assert!(matches!(s.validate_shard(2, 0), Err(CkptError::Corrupt(_))));
         let v = s.latest_valid(0).unwrap();
-        assert_eq!((v.manifest.generation, v.fallbacks), (1, 2));
+        assert_eq!((v.manifest.generation, v.fallbacks), (1, 3));
         teardown(s);
     }
 

@@ -1,26 +1,64 @@
-//! Elasticity: view adoption and vertex migration (§3.4.3).
+//! Elasticity: view adoption and vertex migration (§3.4.3), and both
+//! ends of the MIG_VERTEX record a checkpoint shard shares:
+//! [`vertex_record`] and [`Agent::merge_records`].
 
 use super::*;
 use msg::{MigMeta, MigVertex, WireRecord};
 
-/// The MIG_VERTEX frames of one sweep to one destination, each moving
-/// vertex written straight from its lists. A frame closes before the
-/// record that would take it past `max_bytes`, so no record straddles
-/// two frames; lists longer than a fresh frame holds are cut across
-/// consecutive records of their vertex, the meta riding the last.
+/// The MIG_VERTEX frames of one sweep to one destination, or of one
+/// checkpoint shard, each vertex written straight from its lists. A
+/// frame closes before the record that would take it past `max_bytes`,
+/// so no record straddles two frames; lists longer than a fresh frame
+/// holds are cut across consecutive records of their vertex, the meta
+/// riding the last.
 #[derive(Default)]
-struct MigFrames {
+pub(super) struct MigFrames {
     snap: (u64, u64),
     max_bytes: usize,
     open: Option<msg::OpenFrame<MigVertex>>,
-    frames: Vec<Frame>,
+    pub(super) frames: Vec<Frame>,
     records: u64,
+}
+
+/// The record `v`'s entry `e` moves or is saved with: the head, which is
+/// the replica snapshot (state, out-degree, active flag, pending delta);
+/// the meta, which is what lives only at the primary (the global
+/// degrees, signed, and the run state); and the head flags that say
+/// which parts of that meta hold something.
+pub(super) fn vertex_record(v: VertexId, e: &VertexEntry) -> (MigVertex, MigMeta, u8) {
+    let flag = |set: bool, bit: u8| if set { bit } else { 0 };
+    let head = MigVertex {
+        vertex: v,
+        flags: flag(e.has_state, MigVertex::HAS_STATE) | flag(e.active, MigVertex::ACTIVE),
+        state: e.state,
+        out_degree: e.rep_out_degree,
+        aux: if e.has_pending_delta {
+            e.pending_delta
+        } else {
+            0
+        },
+        ..MigVertex::default()
+    };
+    let meta = MigMeta {
+        out_degree: e.g_out as u64,
+        in_degree: e.g_in as u64,
+        ppartial: e.ppartial,
+        wait_recv: e.wait_recv,
+        residual: e.residual,
+        snap: e.snap,
+    };
+    let flags = flag(e.is_meta, MigVertex::IS_META)
+        | flag(e.dirty, MigVertex::DIRTY)
+        | flag(e.has_ppartial, MigVertex::HAS_PPARTIAL)
+        | flag(e.has_residual, MigVertex::HAS_RESIDUAL)
+        | flag(e.has_snap, MigVertex::HAS_SNAP);
+    (head, meta, flags)
 }
 
 impl MigFrames {
     /// Frames under the sender's serving-snapshot tag, closed at the
     /// outboxes' `max_bytes`.
-    fn new(snap: (u64, u64)) -> Self {
+    pub(super) fn new(snap: (u64, u64)) -> Self {
         let max_bytes = CoalesceConfig::default().max_bytes;
         MigFrames {
             snap,
@@ -33,7 +71,7 @@ impl MigFrames {
     /// and [`MigVertex::META`] are set here), the `meta` when its
     /// primaryship moves too, and the far endpoints of the out- and
     /// in-edges that go.
-    fn push(
+    pub(super) fn push(
         &mut self,
         head: MigVertex,
         meta: Option<&MigMeta>,
@@ -73,7 +111,7 @@ impl MigFrames {
         }
     }
 
-    fn close(&mut self) {
+    pub(super) fn close(&mut self) {
         if let Some(frame) = self.open.take() {
             self.frames.push(frame.finish());
         }
@@ -207,24 +245,6 @@ impl Agent {
             let Some((e, tally)) = self.vertices.get_mut_and_tally(&v) else {
                 continue;
             };
-            // The replica snapshot travels with the edges, to each
-            // destination they go to. A delta run's un-scattered
-            // pending delta moves with them so the new owner pushes it
-            // for the migrated edges.
-            let flag = |set: bool, bit: u8| if set { bit } else { 0 };
-            let aux = if e.has_pending_delta {
-                e.pending_delta
-            } else {
-                0
-            };
-            let head = MigVertex {
-                vertex: v,
-                flags: flag(e.has_state, MigVertex::HAS_STATE) | flag(e.active, MigVertex::ACTIVE),
-                state: e.state,
-                out_degree: e.rep_out_degree,
-                aux,
-                ..MigVertex::default()
-            };
             // The primary meta moves with primaryship (never on
             // sketch-only changes: the ring did not move) — and so does
             // the async run state (a pending combined partial and its
@@ -235,30 +255,18 @@ impl Agent {
             let hands_over = !sketch_only
                 && primary != my_id
                 && (e.is_meta || e.has_ppartial || e.wait_recv > 0 || e.has_residual);
+            let (head, meta, meta_flags) = vertex_record(v, e);
             let meta = hands_over.then(|| {
-                let meta = MigMeta {
-                    out_degree: e.g_out.max(0) as u64,
-                    in_degree: e.g_in.max(0) as u64,
-                    ppartial: e.ppartial,
-                    wait_recv: e.wait_recv,
-                    residual: e.residual,
-                    snap: e.snap,
-                };
-                let flags = flag(e.is_meta, MigVertex::IS_META)
-                    | flag(e.dirty, MigVertex::DIRTY)
-                    | flag(e.has_ppartial, MigVertex::HAS_PPARTIAL)
-                    | flag(e.has_residual, MigVertex::HAS_RESIDUAL)
-                    | flag(e.has_snap, MigVertex::HAS_SNAP);
                 (e.is_meta, e.g_out, e.g_in, e.dirty) = (false, 0, 0, false);
                 (e.has_ppartial, e.ppartial, e.wait_recv) = (false, 0, 0);
                 (e.residual, e.has_residual) = (0, false);
-                (meta, flags)
+                meta
             });
             let primary_head = MigVertex {
-                flags: head.flags | meta.map_or(0, |m| m.1),
+                flags: head.flags | if hands_over { meta_flags } else { 0 },
                 ..head
             };
-            let meta = meta.as_ref().map(|m| &m.0);
+            let meta = meta.as_ref();
             let mut sent = hands_over;
             if k == 1 {
                 if !e.adj.is_empty() || hands_over {
@@ -372,17 +380,28 @@ impl Agent {
         let Some(view) = msg::decode_mig_vertex(&frame) else {
             return;
         };
-        let (records, snap) = (view.records, (view.snap_run, view.snap_watermark));
-        self.counters.mig_recv += records.len() as u64;
-        self.tracer
-            .instant(EventKind::MigrateRecv, records.len() as u64, 0);
+        let n = view.records.len() as u64;
+        self.counters.mig_recv += n;
+        self.tracer.instant(EventKind::MigrateRecv, n, 0);
+        self.merge_records(view, false);
+    }
+
+    /// Take MIG_VERTEX records into the store, from a peer's sweep or,
+    /// with `restore`, from a checkpoint shard. The head's snapshot
+    /// fills in where no state is held yet; a meta brings the primary's
+    /// state, which wins, its degrees, which add, and its run state. A
+    /// restore serves each state (a shard holds a completed run's, its
+    /// id unrecorded: tag 0) and counts the placements it inserts for
+    /// the lead's sketch, which the recovery reset zeroed.
+    pub(super) fn merge_records(&mut self, view: msg::MigVertexView<'_>, restore: bool) {
+        let snap = (view.snap_run, view.snap_watermark);
         let program = self.run.as_ref().map(|r| r.program.clone());
         // Residuals merge with the residual program's own rule; the
         // armed delta seed covers the between-runs window.
         let merger = program
             .clone()
             .or_else(|| self.delta_seed.as_ref().map(|s| s.program.clone()));
-        for (head, tail) in records.tailed() {
+        for (head, tail) in view.records.tailed() {
             let (meta, out, inn) = head.read_tail(tail);
             let v = head.vertex;
             // Adopt the sender's serving-snapshot tag with the snaps
@@ -393,49 +412,43 @@ impl Agent {
                 (self.snap_run, self.snap_watermark) = snap;
             }
             let (e, lists, tally) = self.vertices.entry_parts(v);
-            let scattered = e.active || e.has_pending_delta;
+            let (scattered, applies) = (e.active || e.has_pending_delta, e.wants_apply());
             let has_state = head.has(MigVertex::HAS_STATE);
-            // The snapshot, with the edges it describes.
-            if !out.is_empty() || !inn.is_empty() {
-                if has_state && !e.has_state {
+            if has_state {
+                if !e.has_state {
                     (e.state, e.has_state) = (head.state, true);
                     e.active = e.active || head.has(MigVertex::ACTIVE);
                 }
-                if has_state {
-                    // The snapshot's out-degree is the vertex's global
-                    // out-degree; adopt it even when the state itself
-                    // arrived first with a meta (scatter shares divide
-                    // by it).
-                    e.rep_out_degree = e.rep_out_degree.max(head.out_degree);
-                }
-                if head.aux != 0 && !e.has_pending_delta {
-                    // If we already hold the same broadcast
-                    // (has_pending_delta), our copy covers the
-                    // migrated-in edges too — adopting again would
-                    // double-push.
-                    (e.pending_delta, e.has_pending_delta) = (head.aux, true);
-                }
-                // The edge memo stays a prefix of the lists
-                // ([`Agent::insert_edges`]).
-                let outs = e.adj.out().len();
-                let added = e.adj.extend(Side::Out, out.iter(), tally)
-                    + e.adj.extend(Side::In, inn.iter(), tally);
-                if added > 0 {
-                    e.slots.truncate(outs);
-                }
+                // The snapshot's out-degree is the global out-degree
+                // scatter shares divide by: adopt it even when the state
+                // itself arrived first with a meta.
+                e.rep_out_degree = e.rep_out_degree.max(head.out_degree);
+            }
+            if head.aux != 0 && !e.has_pending_delta && !(out.is_empty() && inn.is_empty()) {
+                // If we already hold the same broadcast
+                // (has_pending_delta), our copy covers the migrated-in
+                // edges too — adopting again would double-push.
+                (e.pending_delta, e.has_pending_delta) = (head.aux, true);
+            }
+            // The edge memo stays a prefix of the lists
+            // ([`Agent::insert_edges`]).
+            let outs = e.adj.out().len();
+            let added = e.adj.extend(Side::Out, out.iter(), tally)
+                + e.adj.extend(Side::In, inn.iter(), tally);
+            if added > 0 {
+                e.slots.truncate(outs);
             }
             if let Some(m) = meta {
-                let applies = e.wants_apply();
-                if head.has(MigVertex::IS_META) {
-                    e.g_out += m.out_degree as i64;
-                    e.g_in += m.in_degree as i64;
-                    e.is_meta = true;
-                    e.dirty = e.dirty || head.has(MigVertex::DIRTY);
-                }
-                e.active = e.active || head.has(MigVertex::ACTIVE);
+                // Exactly one sender held each degree change: add them.
+                e.g_out += m.out_degree as i64;
+                e.g_in += m.in_degree as i64;
+                e.is_meta |= head.has(MigVertex::IS_META);
+                e.dirty |= head.has(MigVertex::DIRTY);
+                e.active |= head.has(MigVertex::ACTIVE);
                 if has_state {
                     (e.state, e.has_state) = (head.state, true);
-                    e.rep_out_degree = e.rep_out_degree.max(m.out_degree);
+                    let out_degree = (m.out_degree as i64).max(0) as u64;
+                    e.rep_out_degree = e.rep_out_degree.max(out_degree);
                 }
                 if head.has(MigVertex::HAS_PPARTIAL) {
                     // Async run state handoff: fold the sender's pending
@@ -466,9 +479,15 @@ impl Agent {
                     // unconditionally.
                     (e.snap, e.has_snap) = (m.snap, true);
                 }
-                if !applies && e.wants_apply() {
-                    lists.apply.push(v);
+            }
+            if restore {
+                if has_state {
+                    (e.snap, e.has_snap) = (e.state, true);
                 }
+                self.degrees.add(v, added as i32);
+            }
+            if !applies && e.wants_apply() {
+                lists.apply.push(v);
             }
             if !scattered && (e.active || e.has_pending_delta) {
                 lists.scatter.push(v);

@@ -281,6 +281,28 @@ struct Roster {
     last_wave: Option<Counters>,
 }
 
+/// The stderr line of a `quiesce` that gave up: the lead's last
+/// `migrating` (`None`: no answer) and, from the last DRAIN wave, the
+/// counter sums and the agents whose DRAIN failed.
+fn stall_line(migrating: Option<bool>, drained: &Option<(Counters, Vec<AgentId>)>) -> String {
+    let mut line = match migrating {
+        Some(true) => "elga quiesce: gave up: the lead still reported migrating",
+        Some(false) => "elga quiesce: gave up: the lead reported no migration",
+        None => "elga quiesce: gave up: the lead did not answer RUN_STATUS",
+    }
+    .to_string();
+    let Some((sum, failed)) = drained else {
+        return line + "; no DRAIN wave";
+    };
+    for (name, sent, recv) in sum.pairs().into_iter().filter(|p| p.1 != p.2) {
+        line += &format!("; {name} {sent} sent, {recv} received");
+    }
+    if !failed.is_empty() {
+        line += &format!("; DRAIN failed at agents {failed:?}");
+    }
+    line
+}
+
 /// Driver-side recovery and checkpoint-restore accounting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
@@ -566,9 +588,11 @@ impl Cluster {
     ///
     /// Bounded by `SystemConfig::quiesce_deadline`; a wedged system
     /// (e.g. a dead peer not yet evicted) yields `NetError::Timeout`
-    /// instead of blocking forever.
+    /// instead of blocking forever, after one stderr line that says what
+    /// the last wave waited for ([`stall_line`]).
     pub fn quiesce(&self) -> Result<(), NetError> {
         let deadline = Instant::now() + self.cfg.quiesce_deadline;
+        let (mut migrating, mut drained) = (None, None);
         // What a wave waits for is usually one hop between two agents
         // (tens of microseconds), sometimes a migration (milliseconds):
         // the pause starts short and doubles up to 200 µs.
@@ -579,6 +603,7 @@ impl Cluster {
         };
         loop {
             if Instant::now() >= deadline {
+                eprintln!("{}", stall_line(migrating, &drained));
                 return Err(NetError::Timeout);
             }
             // A wave proves something only if its DRAINs queue behind
@@ -599,6 +624,7 @@ impl Cluster {
                 .request(Frame::signal(packet::RUN_STATUS))
                 .ok()
                 .and_then(|f| msg::RunStatus::decode(&f));
+            migrating = status.as_ref().map(|s| s.migrating);
             let Some(status) = status.filter(|s| !s.migrating) else {
                 pause();
                 continue;
@@ -614,14 +640,20 @@ impl Cluster {
             }
             // Departed agents' final totals (kept by the lead) balance
             // the sums of the survivors.
-            let mut sum = Some(status.departed);
-            let mut pushed = false;
-            for rep in self.request_agents(&roster.agents, Frame::signal(packet::DRAIN)) {
-                let report = rep.ok().and_then(|rep| msg::DrainReport::decode(&rep));
-                pushed |= report.is_some_and(|report| report.degrees);
-                let counters = report.map(|report| report.counters);
-                sum = sum.zip(counters).map(|(sum, c)| sum.add(&c));
+            let (mut sum, mut failed, mut pushed) = (status.departed, Vec::new(), false);
+            let replies = self.request_agents(&roster.agents, Frame::signal(packet::DRAIN));
+            for (agent, rep) in roster.agents.iter().zip(replies) {
+                match rep.ok().and_then(|rep| msg::DrainReport::decode(&rep)) {
+                    Some(report) => {
+                        pushed |= report.degrees;
+                        sum = sum.add(&report.counters);
+                    }
+                    None => failed.push(agent.id),
+                }
             }
+            let every = failed.is_empty();
+            drained = Some((sum, failed));
+            let sum = every.then_some(sum);
             let settled = sum.is_some_and(|sum| sum.settled());
             let confirmed = settled && roster.last_wave == sum && !pushed;
             roster.last_wave = sum;
@@ -1221,5 +1253,32 @@ fn run_info(spec: &ProgramSpec, options: RunOptions) -> RunInfo {
 impl Drop for Cluster {
     fn drop(&mut self) {
         self.shutdown_inner();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The line names what the last wave waited for: the lead's
+    /// migration, each pair whose counts differ, and the agents whose
+    /// DRAIN failed.
+    #[test]
+    fn a_stalled_quiesce_says_what_it_waited_for() {
+        assert_eq!(
+            stall_line(Some(true), &None),
+            "elga quiesce: gave up: the lead still reported migrating; no DRAIN wave"
+        );
+        let mut sum = Counters::default();
+        (sum.mig_sent, sum.mig_recv, sum.chg_sent, sum.chg_recv) = (12, 9, 4, 5);
+        assert_eq!(
+            stall_line(Some(false), &Some((sum, vec![2, 5]))),
+            "elga quiesce: gave up: the lead reported no migration; \
+             mig 12 sent, 9 received; chg 4 sent, 5 received; DRAIN failed at agents [2, 5]"
+        );
+        assert_eq!(
+            stall_line(None, &Some((Counters::default(), Vec::new()))),
+            "elga quiesce: gave up: the lead did not answer RUN_STATUS"
+        );
     }
 }

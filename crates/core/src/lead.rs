@@ -18,7 +18,6 @@
 //! counting, which makes in-flight and out-of-order messages harmless.
 
 use crate::config::SystemConfig;
-use crate::directory::agent_addr;
 use crate::metrics::{AgentMetrics, ClusterMetrics};
 use crate::msg::{
     self, packet, Advance, AgentInfo, Counters, DirectoryView, Message, Phase, ReadyReport,
@@ -132,8 +131,9 @@ pub(crate) struct Lead {
     /// Members of the outstanding migrate barrier (view agents plus
     /// departers).
     migrate_members: Vec<AgentId>,
-    /// Agents currently draining before departure.
-    departing: Vec<AgentId>,
+    /// Agents currently draining before departure, at the addresses
+    /// they registered: the OK that releases one goes there.
+    departing: Vec<AgentInfo>,
     /// Final counter totals of agents that already departed; included
     /// in every sum so cumulative counts stay balanced.
     ghost: Counters,
@@ -361,7 +361,8 @@ impl Lead {
                     // A straggler from an agent that already left must
                     // not re-enter the map: its report is in the
                     // departed totals.
-                    if self.view.addr_of(m.agent).is_some() || self.departing.contains(&m.agent) {
+                    let departing = self.departing.iter().any(|a| a.id == m.agent);
+                    if self.view.addr_of(m.agent).is_some() || departing {
                         self.metrics.insert(m.agent, m);
                     }
                 }
@@ -750,8 +751,7 @@ impl Lead {
         }
         for l in self.pending_leaves.drain(..) {
             if let Some(pos) = self.view.agents.iter().position(|a| a.id == l) {
-                self.view.agents.remove(pos);
-                self.departing.push(l);
+                self.departing.push(self.view.agents.remove(pos));
             }
         }
     }
@@ -773,7 +773,8 @@ impl Lead {
             self.view.agents.len() as u64,
         );
         self.migrate_members = self.member_ids();
-        self.migrate_members.extend(self.departing.iter().copied());
+        self.migrate_members
+            .extend(self.departing.iter().map(|a| a.id));
         let frame = self.view.encode();
         self.open_migrate_barrier(frame);
     }
@@ -790,7 +791,7 @@ impl Lead {
     /// Send the post-drain OK to departed agents, absorb their final
     /// counters into the ghost totals and stop watching them.
     fn release_departers(&mut self) {
-        for id in self.departing.drain(..) {
+        for AgentInfo { id, addr } in self.departing.drain(..) {
             if let Some(rep) = self.reports.remove(&id) {
                 self.ghost = self.ghost.add(&rep.counters);
                 // A departer's final READY carries its dangling-mass
@@ -811,10 +812,10 @@ impl Lead {
                 self.departed_metrics.absorb_departed(&m);
             }
             self.last_seen.remove(&id);
-            // A departer is out of the view; its mailbox address is
-            // the conventional one.
+            // A departer is out of the view: its OK goes to the
+            // address it registered.
             self.effects
-                .push(Effect::Send(agent_addr(id), Frame::signal(packet::OK)));
+                .push(Effect::Send(addr, Frame::signal(packet::OK)));
         }
     }
 
@@ -825,7 +826,9 @@ impl Lead {
     /// heartbeat is due.
     fn dead_agents(&mut self, window: Duration) -> Vec<AgentId> {
         let mut dead = Vec::new();
-        for id in self.member_ids().into_iter().chain(self.departing.clone()) {
+        let departing = self.departing.iter().map(|a| a.id);
+        let watched: Vec<AgentId> = self.member_ids().into_iter().chain(departing).collect();
+        for id in watched {
             match self.last_seen.get(&id) {
                 Some(&t) if self.now.saturating_duration_since(t) > window => dead.push(id),
                 Some(_) => {}
@@ -851,8 +854,8 @@ impl Lead {
         // exit on receipt of RECOVER — after the reset they hold no
         // data worth draining.
         self.fold_membership();
-        for id in self.departing.drain(..) {
-            self.last_seen.remove(&id);
+        for a in self.departing.drain(..) {
+            self.last_seen.remove(&a.id);
         }
         self.view.agents.retain(|a| a.id != dead);
         self.last_seen.remove(&dead);
@@ -1322,6 +1325,7 @@ impl Lead {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::directory::agent_addr;
     use elga_sketch::SketchDelta;
 
     fn test_lead() -> Lead {
@@ -2277,7 +2281,7 @@ mod tests {
         lead.pending_leaves.push(3);
         lead.apply_membership();
         assert!(lead.view.agents.is_empty());
-        assert_eq!(lead.departing, vec![3]);
+        assert_eq!(Vec::from_iter(lead.departing.iter().map(|a| a.id)), [3]);
         assert!(lead.migrate_members.contains(&3), "departer must drain");
     }
 
@@ -2672,6 +2676,25 @@ mod tests {
     /// member: one that dies before its final READY is evicted and the
     /// barrier reopens over the survivors. One that drains and is
     /// released is not watched any more.
+    /// A departer's OK goes to the address it registered, not the
+    /// in-process name of its id: over TCP that name reaches nobody,
+    /// and the departer would run on until SHUTDOWN.
+    #[test]
+    fn a_departer_is_released_at_its_registered_address() {
+        let (mut lead, id) = (test_lead(), 4);
+        let addr = || Addr::parse("tcp://127.0.0.1:40001").expect("addr");
+        let t0 = lead.now;
+        lead.on_frame(t0, &AgentInfo { id, addr: addr() }.encode());
+        settle(&mut lead, t0);
+        lead.on_frame(t0, &leave(id));
+        settle(&mut lead, t0);
+        let sends = drained(&mut lead).into_iter().filter_map(|e| match e {
+            Effect::Send(to, f) => Some((to, f.packet_type())),
+            _ => None,
+        });
+        assert_eq!(Vec::from_iter(sends), [(addr(), packet::OK)]);
+    }
+
     #[test]
     fn a_departer_that_dies_mid_drain_is_evicted() {
         let mut lead = watching_lead();
@@ -2902,7 +2925,7 @@ mod tests {
                     // Everyone watched heartbeats but the one `a` picks
                     // (or nobody is left out).
                     let mut watched = self.lead.member_ids();
-                    watched.extend(self.lead.departing.iter().copied());
+                    watched.extend(self.lead.departing.iter().map(|a| a.id));
                     let silent = usize::from(a) % (watched.len() + 1);
                     for (i, &agent) in watched.iter().enumerate() {
                         if i != silent {

@@ -58,7 +58,6 @@ mod adjacency;
 pub mod agent;
 pub mod algorithms;
 pub mod autoscale;
-pub mod ckpt_codec;
 pub mod cluster;
 pub mod config;
 pub mod directory;

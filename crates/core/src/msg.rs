@@ -1267,6 +1267,26 @@ impl MigVertex {
     }
 }
 
+/// A checkpoint shard's payload: the MIG_VERTEX frames an agent's whole
+/// store is written into, as a `u32` frame count and each frame behind
+/// its `u32` byte length.
+pub fn shard_payload(frames: &[Frame]) -> Vec<u8> {
+    let mut b = (frames.len() as u32).to_le_bytes().to_vec();
+    for f in frames {
+        b.extend((f.len() as u32).to_le_bytes().iter().chain(f.as_bytes()));
+    }
+    b
+}
+
+/// The frames of a shard payload ([`shard_payload`]); `None` when it is
+/// cut short or runs on past them.
+pub fn shard_frames(payload: &[u8]) -> Option<Vec<Frame>> {
+    let mut r = FrameReader::new(payload);
+    let frame = |f: &[u8]| (!f.is_empty()).then(|| Frame::from_bytes(f.into()));
+    let frames: Option<Vec<Frame>> = (0..r.u32()?).map(|_| r.bytes().and_then(frame)).collect();
+    frames.filter(|_| r.remaining() == 0)
+}
+
 /// A record-bearing frame written one record at a time, in place, in
 /// its `records_frames!` row's layout: the kind byte, the header, the
 /// `u32` record count that [`OpenFrame::finish`] fills in, the records.

@@ -5,10 +5,12 @@
 //! (Artifact Description: "The experiments were run by using pdsh to
 //! start ElGA executables on each node").
 //!
-//! The coordinator streams a graph in, runs WCC and PageRank across
-//! the processes, and queries every vertex's rank: it exits non-zero
-//! when a rank is missing or differs from the single-threaded
-//! reference.
+//! The coordinator streams a graph in and runs WCC across the
+//! processes. Then one agent process leaves gracefully: its data moves
+//! to the others and the process must exit cleanly within 20 s. The
+//! coordinator runs PageRank on the three agents left and queries every
+//! vertex's rank: it exits non-zero when a rank is missing or differs
+//! from the single-threaded reference.
 //!
 //! ```sh
 //! cargo run --release --example distributed_tcp            # coordinator
@@ -275,8 +277,28 @@ fn coordinator() {
 
     let dt = run(Wcc::new().into());
     println!("WCC across processes: {dt:?}");
+
+    // A graceful leave: the lead releases the departer once its data
+    // has moved, and the process ends on its own.
+    let leave = Frame::builder(packet::LEAVE).u64(AGENTS).finish();
+    transport
+        .request(&dir_addr, leave, Duration::from_secs(5))
+        .expect("leave");
+    let departer = children.0.last_mut().expect("the last agent");
+    let mut status = None;
+    wait_until("the departing agent to exit", || {
+        status = departer.try_wait().expect("departer status");
+        status.is_some()
+    });
+    let status = status.expect("exited");
+    assert!(status.success(), "the departing agent exited with {status}");
+    println!("agent {AGENTS} left gracefully and exited");
+
     let dt = run(PageRank::new(0.85).with_max_iters(10).into());
-    println!("PageRank (10 iters) across processes: {dt:?}");
+    println!(
+        "PageRank (10 iters) across the {} agents left: {dt:?}",
+        AGENTS - 1
+    );
 
     // Validate against the local reference: every vertex answers, with
     // the rank 10 reference iterations give on the distinct edges.

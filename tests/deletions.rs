@@ -12,8 +12,8 @@
 //! deletes in a crossing batch must not race the re-placement the
 //! crossing causes.
 
-use elga::ckpt::CheckpointStore;
-use elga::core::ckpt_codec;
+mod common;
+
 use elga::graph::reference;
 use elga::prelude::*;
 use std::collections::HashSet;
@@ -133,18 +133,9 @@ fn hub_deletion_storm_leaves_a_consistent_graph() {
 
 /// Every out-placement the agents hold, read back through a checkpoint.
 fn held_out_edges(cluster: &mut Cluster) -> Vec<(u64, u64)> {
-    let report = cluster.checkpoint().expect("checkpoint");
-    assert!(report.committed, "checkpoint must commit");
-    let dir = cluster.config().checkpoint_dir.clone().expect("dir");
-    let store = CheckpointStore::open(dir).expect("open store");
     let mut out = Vec::new();
-    for agent in cluster.agent_ids() {
-        let (_, payload) = store
-            .read_shard(report.generation, agent)
-            .expect("read shard");
-        for r in ckpt_codec::decode_payload(&payload).expect("decode shard") {
-            out.extend(r.out.iter().map(|&w| (r.vertex, w)));
-        }
+    for r in common::checkpointed(cluster) {
+        out.extend(r.out.iter().map(|&w| (r.head.vertex, w)));
     }
     out.sort_unstable();
     out

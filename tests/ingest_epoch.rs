@@ -12,8 +12,8 @@
 //! scheduler-sensitive async tests of the other binaries (ROADMAP
 //! item 2).
 
-use elga::ckpt::CheckpointStore;
-use elga::core::ckpt_codec;
+mod common;
+
 use elga::core::program::RunOptions;
 use elga::core::streamer::Streamer;
 use elga::graph::csr::Csr;
@@ -167,19 +167,10 @@ fn small_batches_fold_at_the_lead_and_every_memo_survives_them() {
 
 /// Both placements' edge multisets, read back through a checkpoint.
 fn held_edges(cluster: &mut Cluster) -> (Edges, Edges) {
-    let report = cluster.checkpoint().expect("checkpoint");
-    assert!(report.committed, "checkpoint must commit");
-    let dir = cluster.config().checkpoint_dir.clone().expect("dir");
-    let store = CheckpointStore::open(dir).expect("open store");
     let (mut out, mut inn) = (Vec::new(), Vec::new());
-    for agent in cluster.agent_ids() {
-        let (_, payload) = store
-            .read_shard(report.generation, agent)
-            .expect("read shard");
-        for r in ckpt_codec::decode_payload(&payload).expect("decode shard") {
-            out.extend(r.out.iter().map(|&w| (r.vertex, w)));
-            inn.extend(r.inn.iter().map(|&u| (u, r.vertex)));
-        }
+    for r in common::checkpointed(cluster) {
+        out.extend(r.out.iter().map(|&w| (r.head.vertex, w)));
+        inn.extend(r.inn.iter().map(|&u| (u, r.head.vertex)));
     }
     out.sort_unstable();
     inn.sort_unstable();

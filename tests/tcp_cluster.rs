@@ -320,3 +320,40 @@ fn a_tolerance_converged_run_over_tcp_leaves_no_vmsg_behind() {
     }
     tcp.shutdown();
 }
+
+/// A graceful leave over sockets: the lead releases the departer at the
+/// address it registered, so the departing agent's thread ends once its
+/// data has moved, and the two agents left answer for all of it.
+#[test]
+fn a_graceful_leave_over_tcp_finishes() {
+    let mut tcp = Deployment::start();
+    let edges: Vec<(u64, u64)> = (0..60).map(|i| (i, (i * 7 + 1) % 60)).collect();
+    let mut streamer = Streamer::connect(tcp.transport.clone(), tcp.cfg.clone(), tcp.dir0.clone())
+        .expect("streamer");
+    tcp.ingest(&mut streamer, &edges);
+    let leave = Frame::builder(packet::LEAVE).u64(3).finish();
+    let wait = Duration::from_secs(5);
+    tcp.transport
+        .request(&tcp.dir0, leave, wait)
+        .expect("leave");
+    let departer = tcp.agents.pop().expect("agent 3");
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while !departer.is_finished() {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the departer never got its OK"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    departer.join().expect("the departer");
+
+    let run = tcp.run_to_done(Wcc::new().into(), false);
+    let client = QueryClient::connect(tcp.transport.clone(), tcp.cfg.clone(), tcp.dir0.clone())
+        .expect("query client");
+    let expect = reference::wcc(edges.iter().copied());
+    let vertices: Vec<u64> = expect.keys().copied().collect();
+    for (v, label) in vertices.iter().zip(query_run(&client, &vertices, run)) {
+        assert_eq!(label, expect[v], "vertex {v} after the leave");
+    }
+    tcp.shutdown();
+}

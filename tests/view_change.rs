@@ -7,9 +7,9 @@
 //! `tests/elastic.rs` took its load-sensitive async storm test
 //! (ROADMAP item 2) from failing one run in five to one in two.
 
-use elga::ckpt::CheckpointStore;
-use elga::core::ckpt_codec;
-use elga::core::msg::{packet, DirectoryView};
+mod common;
+
+use elga::core::msg::{packet, DirectoryView, MigVertex};
 use elga::net::CoalesceConfig;
 use elga::prelude::*;
 use elga::trace::{EventKind, TraceEvent};
@@ -29,27 +29,21 @@ struct Holdings {
 /// agent's whole partition, edge lists and primary meta included) and
 /// the serving snapshot (one batched query over the primaries).
 fn holdings(cluster: &mut Cluster) -> Holdings {
-    let report = cluster.checkpoint().expect("checkpoint");
-    assert!(report.committed, "checkpoint must commit");
-    let dir = cluster.config().checkpoint_dir.clone().expect("dir");
-    let store = CheckpointStore::open(dir).expect("open store");
     let mut h = Holdings {
         out_edges: Vec::new(),
         in_edges: Vec::new(),
         primaries: BTreeMap::new(),
     };
-    for agent in cluster.agent_ids() {
-        let (_, payload) = store
-            .read_shard(report.generation, agent)
-            .expect("read shard");
-        for r in ckpt_codec::decode_payload(&payload).expect("decode shard") {
-            h.out_edges.extend(r.out.iter().map(|&w| (r.vertex, w)));
-            h.in_edges.extend(r.inn.iter().map(|&u| (u, r.vertex)));
-            if r.is_meta {
-                let state = r.has_state.then_some(r.state);
-                let dup = h.primaries.insert(r.vertex, (r.g_out, r.g_in, state, None));
-                assert!(dup.is_none(), "two primaries hold v{}", r.vertex);
-            }
+    for r in common::checkpointed(cluster) {
+        let v = r.head.vertex;
+        h.out_edges.extend(r.out.iter().map(|&w| (v, w)));
+        h.in_edges.extend(r.inn.iter().map(|&u| (u, v)));
+        if r.head.has(MigVertex::IS_META) {
+            let state = r.head.has(MigVertex::HAS_STATE).then_some(r.head.state);
+            let meta = r.meta.unwrap_or_default();
+            let degrees = (meta.out_degree as i64, meta.in_degree as i64);
+            let dup = h.primaries.insert(v, (degrees.0, degrees.1, state, None));
+            assert!(dup.is_none(), "two primaries hold v{v}");
         }
     }
     h.out_edges.sort_unstable();
