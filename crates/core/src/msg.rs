@@ -20,84 +20,82 @@ use elga_net::{Addr, CoalescingOutbox, Frame, FrameReader};
 use elga_sketch::cms::DimensionMismatch;
 use elga_sketch::{CountMinSketch, SketchDelta};
 
-/// Packet-type bytes. Each kind's payload is documented on the type or
-/// function that encodes it; DESIGN.md tables them all.
+/// Packet-type bytes, the first byte of every frame (§3.5). Each doc
+/// names the pattern in parentheses — REQ, push or PUB — and what no
+/// declaration below shows; DESIGN.md's wire tables render from them.
 pub mod packet {
-    /// Agent joins (REQ to a Directory): [`super::AgentInfo`], answered
-    /// by [`super::JoinReply`].
+    /// Agent joins (REQ, agent → directory), answered by the view.
     pub const JOIN: u8 = 1;
-    /// Agents depart (push to a Directory): their ids.
+    /// Agents depart (REQ, driver → lead): a `u64` id each; `OK`.
     pub const LEAVE: u8 = 2;
-    /// Directory view broadcast (PUB topic): [`super::DirectoryView`].
+    /// Directory view (PUB topic, and a reply to GET_VIEW).
     pub const VIEW: u8 = 3;
-    /// Count-min sketch delta (push, Agent → lead): the degree changes
-    /// it applied, [`super::encode_sketch_delta`].
+    /// Applied degree changes (push, agent → directory → lead):
+    /// `u64 epoch, u8 form, u32 width, u32 depth, i64 items`, then the
+    /// dense `i32` table or the sparse `(u32 index, i32 count)` cells
+    /// ([`super::encode_sketch_delta`]).
     pub const SKETCH_DELTA: u8 = 4;
-    /// Edge changes (push, Streamer → Agent, or forwarded Agent → Agent).
+    /// Edge changes (push, streamer or forwarding agent → agent).
     pub const EDGE_CHANGES: u8 = 5;
-    /// Vertex messages (push, Agent → Agent, scatter phase).
+    /// Vertex messages of a scatter (push, agent → agent).
     pub const VMSG: u8 = 6;
-    /// Partial aggregates (push, replica → primary, combine phase).
+    /// Partial aggregates of a combine (push, replica → primary).
     pub const PARTIAL: u8 = 7;
-    /// State broadcast (push, primary → replicas, apply phase).
+    /// State broadcast of an apply (push, primary → replicas).
     pub const STATE: u8 = 8;
-    /// Barrier report (push, Agent → Directory): [`super::ReadyReport`].
+    /// Barrier report (push, agent → lead).
     pub const READY: u8 = 9;
-    /// Barrier advance (PUB topic): [`super::Advance`].
+    /// Barrier advance (PUB topic).
     pub const ADVANCE: u8 = 10;
-    /// Algorithm start (REQ to the lead, then PUB): [`super::RunInfo`].
+    /// Algorithm start (REQ, driver → lead, then PUB); `OK(run id)`.
     pub const START: u8 = 11;
-    /// Vertices moving in a view change (push, Agent → Agent):
-    /// [`super::MigVertex`] records, each with its lists.
+    /// Vertices moving in a view change (push, agent → agent); shards.
     pub const MIG_VERTEX: u8 = 12;
-    /// Drain request (REQ to an Agent), answered by
-    /// [`super::DrainReport`].
+    /// Drain (REQ, driver → agent): empty; answered once flushed.
     pub const DRAIN: u8 = 16;
-    /// Get current view (REQ to a Directory). A Streamer's carries the
-    /// epoch it routes by: one tick of the batch clock, answered by
+    /// Get the view (REQ, → directory): empty, answered by VIEW; or a
+    /// streamer's `u64` epoch, a batch-clock tick answered by
     /// `OK(epoch)` while that epoch is current.
     pub const GET_VIEW: u8 = 18;
-    /// Run status (REQ to a Directory), answered by [`super::RunStatus`].
+    /// Run status (REQ, driver → lead): empty.
     pub const RUN_STATUS: u8 = 19;
-    /// Metric report (push, Agent → Directory).
+    /// Metric report (push, agent → directory).
     pub const METRICS: u8 = 21;
-    /// Aggregated metrics (REQ to a Directory + its reply).
+    /// Aggregated metrics (REQ, driver → lead): empty.
     pub const GET_METRICS: u8 = 22;
-    /// Shutdown broadcast (PUB topic).
+    /// Shutdown (REQ, driver → lead, then PUB): empty; `OK`.
     pub const SHUTDOWN: u8 = 23;
-    /// Bootstrap: ask the DirectoryMaster for a Directory (REQ).
+    /// Bootstrap (REQ, → DirectoryMaster): empty; a directory's address.
     pub const GET_DIRECTORY: u8 = 25;
-    /// Directory registers itself with the DirectoryMaster (REQ).
+    /// A directory registers (REQ, → DirectoryMaster): its address; `OK`.
     pub const DIR_REGISTER: u8 = 26;
-    /// Generic reply: bare, or carrying one `u64`.
+    /// Generic reply (reply to a REQ): bare, or one `u64`.
     pub const OK: u8 = 27;
-    /// WCC-style label reset broadcast (PUB topic).
+    /// WCC label reset (REQ, driver → lead, then PUB); `OK`.
     pub const RESET_LABELS: u8 = 28;
-    /// Global degree deltas (push, Agent → primary Agent).
+    /// Global degree deltas (push, agent → primary).
     pub const DEG_DELTA: u8 = 29;
-    /// Bulk state dump (REQ to an Agent; the reply lists its primaries).
+    /// State dump (REQ, driver → agent): empty; its primaries' states.
     pub const DUMP: u8 = 31;
-    /// Liveness heartbeat (push, Agent → Directory → lead).
+    /// Liveness (push, agent → directory → lead).
     pub const HEARTBEAT: u8 = 32;
-    /// Failure-recovery broadcast (PUB topic): [`super::Recover`].
+    /// Failure recovery (PUB topic).
     pub const RECOVER: u8 = 33;
-    /// Test-harness kill switch (push to an Agent): die without LEAVE.
+    /// Test kill switch (push, → agent): empty; dies without a LEAVE.
     pub const KILL: u8 = 34;
-    /// Drain a participant's trace ring buffer (REQ + its reply).
+    /// Trace dump (REQ, → any participant): empty; its encoded events.
     pub const TRACE_DUMP: u8 = 35;
-    /// Write a checkpoint shard (REQ to an Agent): [`super::CkptSave`],
-    /// answered by [`super::CkptSaveReport`].
+    /// Write a checkpoint shard (REQ, driver → agent).
     pub const CKPT_SAVE: u8 = 36;
-    /// Load checkpoint shards and sweep them (REQ driver → Agent):
-    /// [`super::CkptLoad`], answered by [`super::CkptLoadReport`].
+    /// Load shards, then sweep (REQ, driver → agent); answered flushed.
     pub const CKPT_LOAD: u8 = 37;
-    /// Ingest-time residual corrections (push, to each vertex's primary).
+    /// Ingest-time residual corrections (push, agent → primary).
     pub const RESIDUAL: u8 = 39;
-    /// Vertex read (REQ, client → Agent) + its reply.
+    /// Vertex read (REQ, client → agent), answered in kind.
     pub const QUERY_BATCH: u8 = 40;
-    /// Standing-subscription registration (REQ, client → Agent).
+    /// Standing-subscription registration (REQ, client → agent); `OK`.
     pub const SUB_REG: u8 = 42;
-    /// Subscription push (Agent → client), uncounted.
+    /// Subscription push (push, agent → client), uncounted.
     pub const SUB_PUSH: u8 = 43;
 }
 
@@ -1906,37 +1904,263 @@ mod tests {
         }
     }
 
-    /// `(NAME, byte)` of every table row `| `NAME` | byte | ...` in
-    /// `text`.
-    fn kinds_listed(text: &str) -> Vec<(String, u8)> {
-        let row = |line: &str| {
-            let (name, rest) = line.strip_prefix("| `")?.split_once("` | ")?;
-            let byte = rest.split_once(" |")?.0.parse().ok()?;
-            let kind = name.bytes().all(|b| b.is_ascii_uppercase() || b == b'_');
-            kind.then(|| (name.to_string(), byte))
+    /// The markers DESIGN.md's rendered wire tables sit between.
+    const WIRE_BEGIN: &str = "<!-- wire tables: rendered from msg.rs by its \
+        `design_md_holds_the_rendered_wire_tables` test; edit the declarations, \
+        not this block -->";
+    const WIRE_END: &str = "<!-- end of the rendered wire tables -->";
+
+    /// The bodies of the `name! { ... }` invocations at the start of a
+    /// line in `source`.
+    fn invocations<'a>(source: &'a str, name: &str) -> Vec<&'a str> {
+        let open = format!("\n{name} {{\n");
+        let body = |(at, _): (usize, &str)| {
+            let body = &source[at + open.len()..];
+            &body[..body.find("\n}\n").expect("a closed invocation")]
         };
-        text.lines().filter_map(row).collect()
+        source.match_indices(&open).map(body).collect()
     }
 
-    /// DESIGN.md's packet table lists exactly the kinds of [`packet`],
-    /// by name and byte.
-    #[test]
-    fn design_packet_table_lists_every_kind() {
-        let source = include_str!("msg.rs");
-        let module = source.split("pub mod packet {").nth(1).unwrap();
-        let module = &module[..module.find("\n}\n").unwrap()];
-        let declared: Vec<(String, u8)> = module
-            .lines()
-            .filter_map(|line| {
-                let (name, byte) = line
-                    .trim()
-                    .strip_prefix("pub const ")?
-                    .split_once(": u8 = ")?;
-                Some((name.to_string(), byte.strip_suffix(';')?.parse().ok()?))
+    /// Each code line of `block`, trimmed, with the `///` doc above it
+    /// joined into one line; attributes are skipped.
+    fn documented(block: &str) -> Vec<(String, &str)> {
+        let (mut doc, mut out) = (Vec::new(), Vec::new());
+        for line in block.lines().map(str::trim) {
+            if let Some(text) = line.strip_prefix("///") {
+                doc.push(text.trim());
+            } else if !line.is_empty() && !line.starts_with("#[") {
+                out.push((doc.join(" "), line));
+                doc.clear();
+            }
+        }
+        out
+    }
+
+    /// A struct of a `wire!` or `record!` table, or a hand-written
+    /// record.
+    struct Decl<'a> {
+        name: &'a str,
+        kind: Option<&'a str>,
+        /// `field: Type` in declaration order; a hand-written record's
+        /// one entry is the tuple its `write` writes.
+        fields: Vec<String>,
+        /// A tailed record's tail length, as written.
+        tail: Option<String>,
+        /// A hand-written record's literal stride.
+        stride: Option<usize>,
+    }
+
+    fn decls<'a>(blocks: &[&'a str]) -> Vec<Decl<'a>> {
+        let chunks = blocks.iter().flat_map(|b| b.split("pub struct ").skip(1));
+        let decl = |chunk: &'a str| {
+            let (head, body) = chunk.split_once(" {\n").unwrap();
+            let (name, kind) = head
+                .split_once(": ")
+                .map_or((head, None), |(n, k)| (n, Some(k)));
+            let field = |(_, l): (String, &str)| {
+                Some(l.strip_prefix("pub ")?.trim_end_matches(',').to_string())
+            };
+            let fields = documented(body).into_iter().filter_map(field).collect();
+            let tail = body.split_once("tail |").map(|(_, t)| {
+                let t = t.split_once("| ").unwrap().1.split_once(';').unwrap().0;
+                t.split_whitespace().collect::<Vec<_>>().join(" ")
+            });
+            Decl {
+                name,
+                kind,
+                fields,
+                tail,
+                stride: None,
+            }
+        };
+        chunks.map(decl).collect()
+    }
+
+    /// The records whose `WireRecord` impl is written by hand: a literal
+    /// stride, the fields written as one tuple.
+    fn hand_records(source: &'static str) -> Vec<Decl<'static>> {
+        let decl = |imp: &'static str| {
+            let imp = imp.split_once("\n}\n")?.0;
+            let stride = imp
+                .split_once("const STRIDE: usize = ")?
+                .1
+                .split_once(';')?
+                .0;
+            let written = imp.split_once(".write(slot);")?.0.rsplit_once("(self.")?.1;
+            let fields = vec![format!("({}", written.replace("self.", ""))];
+            let (name, stride) = (imp.split_once(" {")?.0, Some(stride.parse().ok()?));
+            Some(Decl {
+                name,
+                kind: None,
+                fields,
+                tail: None,
+                stride,
             })
+        };
+        source
+            .split("\nimpl WireRecord for ")
+            .filter_map(decl)
+            .collect()
+    }
+
+    /// Bytes of a fixed-width type on the wire: primitives, one-byte
+    /// enums, tuples, arrays and `records`.
+    fn width(ty: &str, records: &[Decl]) -> Option<usize> {
+        if let Some(inner) = ty.strip_prefix('(').and_then(|t| t.strip_suffix(')')) {
+            return inner.split(", ").map(|t| width(t, records)).sum();
+        }
+        if let Some(inner) = ty.strip_prefix('[').and_then(|t| t.strip_suffix(']')) {
+            let (t, n) = inner.split_once("; ")?;
+            return Some(width(t, records)? * n.parse::<usize>().ok()?);
+        }
+        match ty {
+            "u8" | "bool" | "Phase" | "Side" | "Action" | "HashKind" => Some(1),
+            "u32" => Some(4),
+            "u64" | "i64" | "f64" | "VertexId" | "AgentId" => Some(8),
+            _ => {
+                let d = records.iter().find(|d| d.name == ty)?;
+                let fields = d
+                    .fields
+                    .iter()
+                    .map(|f| width(f.split_once(": ")?.1, records));
+                d.stride.or_else(|| fields.sum())
+            }
+        }
+    }
+
+    /// DESIGN.md's wire tables, rendered from this file's declarations
+    /// (and the metrics structs' kinds in `metrics`), with the stride of
+    /// each record type the tables list.
+    fn render_wire_tables(msg: &'static str, metrics: &str) -> (String, Vec<(String, usize)>) {
+        let structs = decls(&invocations(msg, "wire!"));
+        let mut records = decls(&invocations(msg, "record!"));
+        records.extend(hand_records(msg));
+        let metric_kinds: Vec<(&str, &str)> = invocations(metrics, "metrics!")
+            .iter()
+            .flat_map(|b| b.lines())
+            .filter_map(|l| l.trim().strip_prefix("pub struct ")?.split_once(": "))
+            .map(|(name, kind)| (name, kind.trim_end_matches([',', ' ', '{'])))
             .collect();
-        assert_eq!(declared.len(), 34);
-        assert_eq!(kinds_listed(include_str!("../../../DESIGN.md")), declared);
+        // `(kind, header fields, record type)` of every records_frames! row.
+        let row = |(_, line): (String, &'static str)| {
+            let (lhs, rec) = line.split_once(" =>")?.0.rsplit_once(": ")?;
+            let (kind, header) = lhs
+                .split_once('(')
+                .map_or((lhs, None), |(k, h)| (k, h.split_once(')')));
+            Some((kind, header.map(|h| h.0), rec))
+        };
+        let rows: Vec<_> = documented(invocations(msg, "records_frames!")[0])
+            .into_iter()
+            .filter_map(row)
+            .collect();
+
+        let module = msg.split_once("pub mod packet {\n").unwrap().1;
+        let module = &module[..module.find("\n}\n").unwrap()];
+        let mut out = String::from("\n| byte | kind | pattern | what | declared |\n");
+        out += "|---:|---|---|---|---|\n";
+        for (doc, line) in documented(module) {
+            let line = line
+                .strip_prefix("pub const ")
+                .unwrap()
+                .trim_end_matches(';');
+            let (name, byte) = line.split_once(": u8 = ").unwrap();
+            let (open, close) = (doc.find(" (").unwrap(), doc.find(')').unwrap());
+            let pattern = &doc[open + 2..close];
+            assert!(
+                ["REQ", "push", "PUB", "reply"]
+                    .iter()
+                    .any(|p| pattern.starts_with(p)),
+                "packet::{name}'s doc names no pattern: {doc}"
+            );
+            let what = format!("{}{}", &doc[..open], &doc[close + 1..]);
+            let what = what.replace("[`super::", "`").replace(['[', ']'], "");
+            let structs = structs.iter().filter(|d| d.kind == Some(name));
+            let structs = structs.map(|d| format!("`{}`", d.name));
+            let metrics = metric_kinds.iter().filter(|m| m.1 == name);
+            let metrics = metrics.map(|m| format!("`{}` (`metrics!`)", m.0));
+            let rows = rows
+                .iter()
+                .filter(|r| r.0 == name)
+                .map(|&(_, header, rec)| match header {
+                    Some(h) => {
+                        let bytes = h
+                            .split(", ")
+                            .map(|f| width(f.split_once(": ")?.1, &records));
+                        let bytes = bytes.sum::<Option<usize>>().unwrap();
+                        format!("`{h}` ({bytes} B), `{rec}` records")
+                    }
+                    None => format!("`{rec}` records"),
+                });
+            let declared: Vec<String> = structs.chain(metrics).chain(rows).collect();
+            let declared = if declared.is_empty() {
+                "—".to_string()
+            } else {
+                declared.join("; ")
+            };
+            out += &format!("| {byte} | `{name}` | {pattern} | {what} | {declared} |\n");
+        }
+
+        out += "\n| struct | kind | fields |\n|---|---|---|\n";
+        for d in &structs {
+            let kind = d.kind.map_or("—".to_string(), |k| format!("`{k}`"));
+            out += &format!("| `{}` | {kind} | `{}` |\n", d.name, d.fields.join(", "));
+        }
+
+        out += "\n| record | stride | fields | tail |\n|---|---:|---|---|\n";
+        let mut strides: Vec<(String, usize)> = Vec::new();
+        let declared = records
+            .iter()
+            .filter(|d| d.stride.is_none())
+            .map(|d| d.name);
+        for ty in rows.iter().map(|r| r.2).chain(declared) {
+            if strides.iter().any(|(t, _)| t == ty) {
+                continue;
+            }
+            let stride = width(ty, &records).unwrap_or_else(|| panic!("no width for {ty}"));
+            let decl = records.iter().find(|d| d.name == ty);
+            let fields = decl.map_or("—".to_string(), |d| format!("`{}`", d.fields.join(", ")));
+            let tail = decl.and_then(|d| d.tail.as_deref());
+            let tail = tail.map_or("—".to_string(), |t| format!("`{t}`"));
+            out += &format!("| `{ty}` | {stride} | {fields} | {tail} |\n");
+            strides.push((ty.to_string(), stride));
+        }
+        (out, strides)
+    }
+
+    /// DESIGN.md holds, between its two markers, exactly the wire tables
+    /// this file's declarations render: every kind with its byte, the
+    /// pattern its doc names and what declares its payload, every
+    /// control struct's fields, and every record type's stride, fields
+    /// and tail. The strides are the ones the records really have.
+    #[test]
+    fn design_md_holds_the_rendered_wire_tables() {
+        let (block, strides) =
+            render_wire_tables(include_str!("msg.rs"), include_str!("metrics.rs"));
+        let real = [
+            ("EdgeChange", EdgeChange::STRIDE),
+            ("(VertexId, u64)", <(VertexId, u64)>::STRIDE),
+            ("StateRecord", StateRecord::STRIDE),
+            ("MigVertex", MigVertex::STRIDE),
+            ("(VertexId, i64, i64)", <(VertexId, i64, i64)>::STRIDE),
+            ("VertexId", VertexId::STRIDE),
+            ("QueryAnswer", QueryAnswer::STRIDE),
+            ("u64", u64::STRIDE),
+            ("MigMeta", MigMeta::STRIDE),
+        ];
+        let real: Vec<(String, usize)> = real.iter().map(|&(t, s)| (t.to_string(), s)).collect();
+        assert_eq!(
+            strides, real,
+            "a record type's stride, or a new record type"
+        );
+        let design = include_str!("../../../DESIGN.md");
+        let held = design
+            .split_once(WIRE_BEGIN)
+            .and_then(|(_, rest)| rest.split_once(WIRE_END));
+        assert!(
+            held.is_some_and(|(held, _)| held == block),
+            "DESIGN.md's wire tables differ from what msg.rs declares; \
+             paste this in their place:\n{WIRE_BEGIN}{block}{WIRE_END}\n"
+        );
     }
 
     #[test]

@@ -26,7 +26,6 @@
 pub mod adjacency;
 pub mod changelog;
 pub mod csr;
-pub mod io;
 pub mod reference;
 pub mod stats;
 pub mod stream;

@@ -122,11 +122,6 @@ impl EdgeLocator {
         &self.ring
     }
 
-    /// Mutable access to the ring (used when agents join or leave).
-    pub fn ring_mut(&mut self) -> &mut Ring {
-        &mut self.ring
-    }
-
     /// The replication settings.
     pub fn config(&self) -> LocatorConfig {
         self.config

@@ -292,12 +292,6 @@ impl CoalescingOutbox {
         &self.stats
     }
 
-    /// Bytes currently counted against the in-flight credit budget.
-    pub fn in_flight_bytes(&mut self) -> usize {
-        self.reclaim();
-        self.in_flight
-    }
-
     /// Frames the transport refused, for the owner's retry path.
     pub fn take_failed(&mut self) -> Vec<Frame> {
         std::mem::take(&mut self.failed)

@@ -26,6 +26,7 @@ use crate::transport::{
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::convert::identity;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -40,15 +41,23 @@ const OP_SUB: u8 = 4;
 /// in a single syscall.
 const WRITE_BATCH: usize = 32;
 
-/// Drain `rx` and write everything queued as gather-batches until the
-/// channel closes or the peer goes away.
-fn run_writer(mut stream: TcpStream, rx: Receiver<Frame>, op: u8, what: &str, peer: &str) {
+/// Drain `rx` and write everything queued, each item's `frame`, as
+/// gather-batches until the channel closes or the peer goes away: a
+/// coalesced flush (or a burst of them) is one `writev`.
+fn run_writer<T>(
+    mut stream: TcpStream,
+    rx: Receiver<T>,
+    frame: fn(T) -> Frame,
+    op: u8,
+    what: &str,
+    peer: &str,
+) {
     let mut batch: Vec<Frame> = Vec::with_capacity(WRITE_BATCH);
-    while let Ok(frame) = rx.recv() {
-        batch.push(frame);
+    while let Ok(item) = rx.recv() {
+        batch.push(frame(item));
         while batch.len() < WRITE_BATCH {
             match rx.try_recv() {
-                Ok(f) => batch.push(f),
+                Ok(item) => batch.push(frame(item)),
                 Err(_) => break,
             }
         }
@@ -193,7 +202,16 @@ fn serve_conn(mut stream: TcpStream, inbox: Sender<Delivery>, stats: Arc<NetStat
     };
     let (rep_tx, rep_rx) = unbounded::<Frame>();
     let writer_peer = peer.clone();
-    std::thread::spawn(move || run_writer(writer, rep_rx, OP_REP, "write reply", &writer_peer));
+    std::thread::spawn(move || {
+        run_writer(
+            writer,
+            rep_rx,
+            identity,
+            OP_REP,
+            "write reply",
+            &writer_peer,
+        )
+    });
     let mut rbuf = RecvBuf::new(Some(stats));
     loop {
         let (op, payload) = match rbuf.read_msg(&mut stream) {
@@ -247,28 +265,12 @@ impl Transport for TcpTransport {
 
     fn sender(&self, addr: &Addr) -> Result<Outbox, NetError> {
         let sock = Self::tcp_addr(addr)?;
-        let mut stream = TcpStream::connect(sock)?;
+        let stream = TcpStream::connect(sock)?;
         stream.set_nodelay(true)?;
         let (tx, rx) = unbounded::<Delivery>();
         let peer = sock.to_string();
         std::thread::spawn(move || {
-            // Gather everything queued behind a send into one writev:
-            // a coalesced flush (or a burst of them) is one syscall.
-            let mut batch: Vec<Frame> = Vec::with_capacity(WRITE_BATCH);
-            while let Ok(d) = rx.recv() {
-                batch.push(d.frame);
-                while batch.len() < WRITE_BATCH {
-                    match rx.try_recv() {
-                        Ok(d) => batch.push(d.frame),
-                        Err(_) => break,
-                    }
-                }
-                if let Err(e) = write_frame_batch(&mut stream, OP_PUSH, &batch) {
-                    log_conn_error("write push", &peer, &e);
-                    break;
-                }
-                batch.clear();
-            }
+            run_writer(stream, rx, |d| d.frame, OP_PUSH, "write push", &peer)
         });
         Ok(Outbox {
             tx,
@@ -362,7 +364,7 @@ impl Transport for TcpTransport {
                         .unwrap_or_else(|_| "<unknown>".into());
                     let (tx, rx) = unbounded::<Frame>();
                     subs.lock().push((topics.to_vec(), tx));
-                    run_writer(stream, rx, OP_PUSH, "write publication", &peer);
+                    run_writer(stream, rx, identity, OP_PUSH, "write publication", &peer);
                 });
             }
         });

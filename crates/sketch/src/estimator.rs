@@ -1,12 +1,14 @@
 //! Degree estimation on top of the count-min sketch.
 //!
-//! ElGA counts every edge endpoint it ingests into a local sketch;
-//! directories merge agent sketches and broadcast the result, so every
-//! Participant can estimate any vertex's degree in `O(d)` (§3.4.1,
-//! "Querying the degree estimate takes O(d), where d is typically 8").
-//! Because the sketch only grows, deletions leave estimates in place —
-//! the estimate remains an upper bound on the true degree, which is the
-//! safe direction for replication.
+//! Every Participant can estimate any vertex's degree in `O(d)` from the
+//! sketch its directory broadcasts (§3.4.1, "Querying the degree
+//! estimate takes O(d), where d is typically 8"). In a cluster that
+//! sketch is the lead's table, which folds the signed degree changes
+//! the agents applied ([`crate::SketchDelta`]): an insert raises the
+//! estimates of both endpoints and a delete lowers them again, and every
+//! estimate stays an upper bound on the degree the agents hold.
+//! [`DegreeEstimator`] is the insert-only counter over the same sketch,
+//! for estimating the degrees of an edge list.
 
 use crate::cms::{CountMinSketch, DimensionMismatch};
 
@@ -22,11 +24,6 @@ impl DegreeEstimator {
         DegreeEstimator {
             sketch: CountMinSketch::new(width, depth),
         }
-    }
-
-    /// Wrap an existing sketch (e.g. one received from a directory).
-    pub fn from_sketch(sketch: CountMinSketch) -> Self {
-        DegreeEstimator { sketch }
     }
 
     /// Record the insertion of edge `(u, v)`: both endpoints gain a
@@ -49,13 +46,6 @@ impl DegreeEstimator {
     #[inline]
     pub fn degree(&self, v: u64) -> u64 {
         self.sketch.estimate(v)
-    }
-
-    /// Batched [`DegreeEstimator::degree`]: one estimate per vertex, in
-    /// order (see [`CountMinSketch::estimate_many`]).
-    #[inline]
-    pub fn degrees_many(&self, vs: &[u64]) -> Vec<u64> {
-        self.sketch.estimate_many(vs)
     }
 
     /// Total endpoint count seen (2× the number of non-loop edges).
