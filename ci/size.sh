@@ -19,6 +19,11 @@
 #                           to this file a reviewer sees
 #   bench_lines             every line of every .rs file under
 #                           crates/bench: the one paper-figure driver
+#   agent_clock_reads       `Instant::now` in the non-test part of
+#                           crates/core/src/agent/*.rs: the agent's
+#                           one time-based decision takes the time as
+#                           an input (`Agent::on_tick(now)`); what is
+#                           left are stopwatches and the thread shell
 #   kernel_dyn_calls        `dyn VertexProgram` mentions in the
 #                           non-test part of agent/superstep.rs: the
 #                           kernels are generic over the program type,
@@ -43,6 +48,8 @@ knobs=$(awk '/^pub struct SystemConfig/ { on = 1; next }
     on && /#\[deprecated/ { old = 1; next }
     on && /^    pub [a-z_0-9]+:/ { if (!old) n++; old = 0 }
     END { print n + 0 }' crates/core/src/config.rs)
+agent_clock=$(find crates/core/src/agent -name '*.rs' -print0 |
+    xargs -0 awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 } !test && /Instant::now/ { n++ } END { print n + 0 }')
 bench=$(find crates/bench -name '*.rs' -print0 | xargs -0 cat | wc -l)
 kernel_dyn=$(awk '/^#\[cfg\(test\)\]/ { exit } { print }' crates/core/src/agent/superstep.rs |
     grep -c 'dyn VertexProgram' || true)
@@ -57,6 +64,7 @@ while read -r name ceiling; do
         packet_kinds) got=$kinds ;;
         lead_io_sites) got=$lead_io ;;
         config_knobs) got=$knobs ;;
+        agent_clock_reads) got=$agent_clock ;;
         bench_lines) got=$bench ;;
         kernel_dyn_calls) got=$kernel_dyn ;;
         design_md_bytes) got=$design_bytes ;;

@@ -93,7 +93,7 @@ impl Agent {
             let bytes = bytes.or_else(|| self.load_shard(generation, agent));
             report.ok &= bytes.is_some();
             report.bytes += bytes.unwrap_or(0);
-            self.maybe_heartbeat();
+            self.push_metrics();
         }
         self.relocate(None);
         if let Some(reply) = reply {

@@ -166,9 +166,9 @@ impl Agent {
             // Membership changed: the cached senders' addresses are
             // stale. Flush what they hold (the old peers are still
             // alive and will forward) before dropping them.
-            self.tracer
-                .instant(EventKind::ViewRetire, epoch, self.outboxes.len() as u64);
-            self.retire_outboxes();
+            self.flush_outboxes();
+            let retired = self.outboxes.discard() as u64;
+            self.tracer.instant(EventKind::ViewRetire, epoch, retired);
         }
         if !self.departing && self.view.addr_of(self.id).is_none() {
             self.departing = true;
@@ -354,7 +354,7 @@ impl Agent {
             // report include the sends above. Its last degree changes
             // go too. Same push channel as the READY, so both arrive
             // first.
-            self.flush_metrics(true);
+            self.push_metrics();
             self.push_degrees();
         }
         self.send_ready(0, epoch as u32, Phase::Migrate, 0, contrib);

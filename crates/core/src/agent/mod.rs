@@ -29,15 +29,17 @@
 //! machine (join, dispatch, run lifecycle) and the submodules hold the
 //! rest:
 //!
-//! * [`comms`] — the send side: per-destination coalescing outboxes,
-//!   phase-end flushes, READY reports, and metrics publication.
+//! * [`comms`] — the send side: phase-end flushes of the outbox set,
+//!   READY reports, degree and metrics pushes.
 //! * [`ingest`] — graph changes: edge insert and removal, change
 //!   application and forwarding, degree deltas.
 //! * [`superstep`] — the sync phase kernels (scatter/combine/apply),
 //!   run shard by shard on the agent thread, and the async
 //!   event-driven mode.
 //! * [`migrate`] — view adoption and vertex migration.
-//! * [`recovery`] — heartbeats and the peer-loss reset.
+//! * [`recovery`] — the clock ([`Agent::on_tick`]: METRICS, the
+//!   liveness push, once per heartbeat interval) and the peer-loss
+//!   reset.
 
 mod checkpoint;
 mod comms;
@@ -54,14 +56,15 @@ use crate::msg::{
     self, packet, AgentInfo, Counters, DirectoryView, Message, Phase, ReadyReport, RunInfo, Side,
     StateRecord,
 };
+use crate::outboxes::Outboxes;
 use crate::program::{dispatch, DeltaKind, Program, ProgramSpec, VertexCtx, VertexProgram};
 use crate::store::{Shard, VertexStore, Worklists, SHARDS};
 use crate::targets::{EdgeSlots, TargetTable, NO_SLOT};
 use elga_graph::types::{Action, EdgeChange, VertexId};
 use elga_hash::{AgentId, EdgeLocator, FxHashMap, FxHashSet, OwnerCache};
 use elga_net::{
-    Addr, CoalesceConfig, CoalesceStats, CoalescingOutbox, Delivery, Frame, NetError, NetStats,
-    Outbox, ReplyHandle, Transport, TransportExt,
+    Addr, CoalesceConfig, CoalescingOutbox, Delivery, Frame, NetError, NetStats, Outbox,
+    ReplyHandle, Transport, TransportExt,
 };
 use elga_sketch::{CountMinSketch, SketchDelta};
 use elga_trace::{EventKind, Tracer};
@@ -276,10 +279,7 @@ pub struct Agent {
     locator: EdgeLocator,
     /// Per-destination coalescing outboxes. Sends accumulate into at
     /// most one open frame per destination; phase boundaries flush.
-    outboxes: FxHashMap<AgentId, CoalescingOutbox>,
-    /// Flush/volume counters of outboxes since retired (view changes,
-    /// dead peers); live outboxes are summed on top at snapshot time.
-    coalesce_retired: CoalesceStats,
+    outboxes: Outboxes,
     /// This agent's own data-plane traffic accounting (per packet
     /// type). Distinct from the transport's cluster-wide `NetStats`:
     /// every in-process participant shares that transport, so only a
@@ -343,9 +343,8 @@ pub struct Agent {
     departing: bool,
     /// Highest view epoch for which migration ran and was reported.
     migrated_epoch: u64,
-    metrics_flushed: Instant,
-    /// Last liveness heartbeat pushed to the directory.
-    heartbeat_sent: Instant,
+    /// When [`Agent::on_tick`] last pushed METRICS, or the start.
+    metrics_pushed: Instant,
     /// Monotone READY sequence, so the lead can discard reports a
     /// retransmitting transport delivered out of order. Never reset —
     /// not even by recovery — or stale pre-reset reports could
@@ -430,7 +429,7 @@ impl Agent {
         let msg::JoinReply { view, run } =
             msg::JoinReply::decode(&reply).ok_or(NetError::Protocol("bad join reply"))?;
         let dir_push = transport.sender(&directory)?;
-        let mut agent = Agent::new(transport, cfg, id, mailbox, dir_push, view);
+        let mut agent = Agent::new(transport, cfg, id, mailbox, dir_push, view, Instant::now());
         agent.metrics.retries_attempted = join_retries as u64;
         if let Some(info) = run {
             agent.begin_run(info);
@@ -438,7 +437,8 @@ impl Agent {
         Ok(agent)
     }
 
-    /// An agent holding nothing, under `view`; all I/O handles given.
+    /// An agent holding nothing, under `view`, started at `now`; all
+    /// I/O handles given.
     fn new(
         transport: Arc<dyn Transport>,
         cfg: SystemConfig,
@@ -446,22 +446,29 @@ impl Agent {
         mailbox: elga_net::Mailbox,
         dir_push: Outbox,
         view: DirectoryView,
+        now: Instant,
     ) -> Agent {
         let locator = view.locator();
         let mut route_cache = OwnerCache::new();
         view.advance_memo(&mut route_cache);
         let degrees = SketchDelta::new(view.sketch.width(), view.sketch.depth());
+        let tracer = Arc::new(Tracer::from_flag(cfg.tracing));
+        let net = Arc::new(NetStats::default());
         Agent {
             id,
             cfg: cfg.clone(),
+            outboxes: Outboxes::new(
+                transport.clone(),
+                cfg.send_policy,
+                &tracer,
+                Some((id, net.clone())),
+            ),
             transport,
             mailbox,
             dir_push,
             view,
             locator,
-            outboxes: FxHashMap::default(),
-            coalesce_retired: CoalesceStats::default(),
-            net: Arc::new(NetStats::default()),
+            net,
             vertices: VertexStore::default(),
             targets: TargetTable::default(),
             route_cache,
@@ -487,10 +494,9 @@ impl Agent {
             last_idle_counters: None,
             departing: false,
             migrated_epoch: 0,
-            metrics_flushed: Instant::now(),
-            heartbeat_sent: Instant::now(),
+            metrics_pushed: now,
             ready_seq: 0,
-            tracer: Arc::new(Tracer::from_flag(cfg.tracing)),
+            tracer,
             ckpt_store: None,
             loaded: FxHashMap::default(),
             snap_run: 0,
@@ -513,56 +519,42 @@ impl Agent {
             .expect("spawn agent")
     }
 
+    /// The agent's shell, as `directory::lead_loop` is the lead's: each
+    /// frame goes to [`Agent::handle`], each drained mailbox to
+    /// [`Agent::on_idle`], and the time after either to [`Agent::on_tick`].
     fn run_loop(mut self) {
+        // Frames were handled since the last idle pass: drain without
+        // waiting, so idle detection sees a truly empty mailbox. Frames
+        // that keep arriving faster than a starved agent handles them
+        // (the lead republishes an open barrier every heartbeat
+        // interval) hold it here, ticking, past the eviction window.
+        let mut draining = false;
         loop {
             // Frames parked by `serve_reads` arrived before anything
             // still in the mailbox. With own async work pending the
-            // agent does not wait for a frame: the next round is due.
-            let first = match self.parked.pop_front() {
-                Some(d) => Ok(d),
-                None if self.local_work() => self
+            // agent does not wait either: the next round is due.
+            let next = match self.parked.pop_front() {
+                Some(d) => Ok(Some(d)),
+                None if draining || self.local_work() => self.mailbox.try_recv(),
+                None => self
                     .mailbox
-                    .try_recv()
-                    .and_then(|d| d.ok_or(NetError::Timeout)),
-                None => self.mailbox.recv_timeout(Duration::from_millis(20)),
+                    .recv_timeout(Duration::from_millis(20))
+                    .map(Some),
             };
-            match first {
-                Ok(d) => {
+            match next {
+                Ok(Some(d)) => {
                     if !self.handle(d) {
-                        break;
+                        return;
                     }
-                    // Drain opportunistically so idle detection sees a
-                    // truly empty mailbox. Heartbeats go out as frames
-                    // are handled: frames that keep arriving faster than
-                    // a starved agent handles them (the lead republishes
-                    // an open barrier every heartbeat interval) hold it
-                    // here, alive, for longer than the eviction window.
-                    loop {
-                        let next = match self.parked.pop_front() {
-                            Some(d) => Ok(Some(d)),
-                            None => self.mailbox.try_recv(),
-                        };
-                        match next {
-                            Ok(Some(d)) => {
-                                if !self.handle(d) {
-                                    return;
-                                }
-                                self.maybe_heartbeat();
-                            }
-                            Ok(None) => break,
-                            Err(_) => return,
-                        }
-                    }
-                    self.on_idle();
-                    self.maybe_heartbeat();
+                    draining = true;
                 }
-                Err(NetError::Timeout) => {
+                Ok(None) | Err(NetError::Timeout) => {
                     self.on_idle();
-                    self.flush_metrics(false);
-                    self.maybe_heartbeat();
+                    draining = false;
                 }
-                Err(_) => break,
+                Err(_) => return,
             }
+            self.on_tick(Instant::now());
         }
     }
 
@@ -630,7 +622,7 @@ impl Agent {
                 // ahead of the reply, so whatever the driver asks the
                 // lead next queues behind them.
                 self.flush_outboxes();
-                self.flush_metrics(true);
+                self.push_metrics();
                 let degrees = self.push_degrees();
                 if let Some(reply) = d.reply {
                     let report = msg::DrainReport {
@@ -658,7 +650,7 @@ impl Agent {
             packet::KILL => {
                 // Crash simulation: die without LEAVE, drains, or
                 // goodbyes. Peers see a dead mailbox; the lead notices
-                // missing heartbeats.
+                // the METRICS pushes stop.
                 return false;
             }
             packet::OK
@@ -1155,7 +1147,7 @@ impl Agent {
             }
         }
         self.flush_outboxes();
-        self.flush_metrics(true);
+        self.push_metrics();
     }
 
     /// Run a data-plane frame handler under the `decode_nanos` clock.
@@ -1249,7 +1241,15 @@ pub(super) mod testkit {
             .sender(&Addr::inproc("nobody"))
             .expect("in-process sender");
         let cfg = SystemConfig::default();
-        let agent = Agent::new(transport.clone(), cfg, ME, mailbox, dir_push, view);
+        let agent = Agent::new(
+            transport.clone(),
+            cfg,
+            ME,
+            mailbox,
+            dir_push,
+            view,
+            Instant::now(),
+        );
         (transport, agent)
     }
 

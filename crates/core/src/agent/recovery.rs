@@ -1,18 +1,19 @@
-//! Liveness and failure recovery: heartbeats to the directory and the
-//! full-reset response to a peer's eviction.
+//! The agent's clock and failure recovery: METRICS pushed to the
+//! directory once per heartbeat interval — the liveness signal the
+//! lead's failure detector watches — and the full-reset response to a
+//! peer's eviction.
 
 use super::*;
 
 impl Agent {
-    /// Push a liveness heartbeat if one is due. Heartbeats are cheap
-    /// pushes; the lead directory evicts us after
-    /// `heartbeat_interval * heartbeat_misses` of silence.
-    pub(super) fn maybe_heartbeat(&mut self) {
-        if self.heartbeat_sent.elapsed() >= self.cfg.heartbeat_interval {
-            self.heartbeat_sent = Instant::now();
-            let _ = self
-                .dir_push
-                .send(msg::Heartbeat { agent: self.id }.encode());
+    /// The agent's one time-based decision, at `now`: push METRICS once
+    /// a heartbeat interval has passed since the last timed push. The
+    /// lead evicts an agent after `heartbeat_interval *
+    /// heartbeat_misses` of silence.
+    pub(super) fn on_tick(&mut self, now: Instant) {
+        if now.saturating_duration_since(self.metrics_pushed) >= self.cfg.heartbeat_interval {
+            self.metrics_pushed = now;
+            self.push_metrics();
         }
     }
 
@@ -44,7 +45,7 @@ impl Agent {
         // Open frames hold records counted under the pre-reset regime;
         // pushing them now would corrupt the fresh barrier sums, so
         // they are discarded along with the stale senders.
-        self.discard_outboxes();
+        self.outboxes.discard();
         self.counters = Counters::default();
         self.buffered_changes.clear();
         self.buffered_frames.clear();
@@ -70,5 +71,31 @@ impl Agent {
         self.migrated_epoch = epoch;
         self.send_ready(0, epoch as u32, Phase::Migrate, 0, 0.0);
         true
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::testkit::*;
+    use super::*;
+
+    /// On a virtual clock ticking every half interval, the directory
+    /// gets exactly one METRICS push per whole interval, and none at the
+    /// half steps, whatever the wall clock does meanwhile.
+    #[test]
+    fn on_tick_pushes_metrics_once_per_interval() {
+        let (transport, mut agent) = detached(view(1, &[ME], &[]));
+        let directory = transport.bind(&Addr::inproc("nobody")).expect("bind");
+        let (t0, half) = (agent.metrics_pushed, agent.cfg.heartbeat_interval / 2);
+        for k in 0..20 {
+            agent.on_tick(t0 + half * k);
+            let pushed = std::iter::from_fn(|| directory.try_recv().ok().flatten());
+            let metrics: Vec<_> = pushed
+                .filter_map(|d| AgentMetrics::decode(&d.frame))
+                .collect();
+            let whole = k > 0 && k % 2 == 0;
+            assert_eq!(metrics.len(), usize::from(whole), "tick {k}");
+            assert!(metrics.iter().all(|m| m.agent == ME));
+        }
     }
 }

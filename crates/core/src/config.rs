@@ -32,8 +32,8 @@ pub struct SystemConfig {
     /// Retry budget applied to control-plane REQ/REP and data-plane
     /// PUSH calls when a transient failure occurs.
     pub send_policy: SendPolicy,
-    /// How often each agent pushes a liveness heartbeat to its
-    /// directory.
+    /// How often each agent pushes its METRICS to its directory: the
+    /// liveness signal the lead's failure detection watches.
     pub heartbeat_interval: Duration,
     /// Consecutive missed heartbeat intervals before the lead declares
     /// an agent dead, evicts it and broadcasts RECOVER.

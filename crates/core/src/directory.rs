@@ -266,23 +266,20 @@ fn relay_loop(
             Err(NetError::Timeout) => continue,
             Err(_) => break,
         };
-        match d.frame.packet_type() {
-            // Pushes relay as pushes (Figure 2 step 4: re-broadcast
-            // ready messages among Directories).
-            packet::READY
-            | packet::LEAVE
-            | packet::METRICS
-            | packet::HEARTBEAT
-            | packet::SKETCH_DELTA => {
-                let _ = lead_push.send(d.frame);
-            }
-            packet::SHUTDOWN => break,
-            // Requests relay as requests.
-            _ => {
-                let rep = transport.request(&lead_addr, d.frame, cfg.request_timeout);
-                if let (Some(reply), Ok(frame)) = (d.reply, rep) {
+        if d.frame.packet_type() == packet::SHUTDOWN {
+            break;
+        }
+        // A frame relays as it was delivered: a request as a request,
+        // its answer back to the asker, and a push as a push (Figure 2
+        // step 4: re-broadcast ready messages among Directories).
+        match d.reply {
+            Some(reply) => {
+                if let Ok(frame) = transport.request(&lead_addr, d.frame, cfg.request_timeout) {
                     let _ = reply.send(frame);
                 }
+            }
+            None => {
+                let _ = lead_push.send(d.frame);
             }
         }
     }

@@ -143,7 +143,7 @@ pub(crate) struct Lead {
     /// barrier settles.
     pending_start: Option<RunInfo>,
     last_status: RunStatus,
-    /// Last heartbeat (or any agent-originated push) per watched agent:
+    /// Last METRICS push (or any other agent frame) per watched agent:
     /// view members and departers still draining.
     last_seen: HashMap<AgentId, Instant>,
     /// Agents declared dead and evicted by failure detection.
@@ -285,11 +285,6 @@ impl Lead {
             packet::READY => {
                 if let Some(rep) = ReadyReport::decode(frame) {
                     self.on_ready(rep);
-                }
-            }
-            packet::HEARTBEAT => {
-                if let Some(beat) = msg::Heartbeat::decode(frame) {
-                    self.saw(beat.agent);
                 }
             }
             packet::JOIN => {
@@ -823,7 +818,7 @@ impl Lead {
     /// whose last sign of life is older than `window`. An agent with no
     /// recorded liveness is stamped now rather than reported, so a
     /// freshly joined agent gets a full window before its first
-    /// heartbeat is due.
+    /// METRICS push is due.
     fn dead_agents(&mut self, window: Duration) -> Vec<AgentId> {
         let mut dead = Vec::new();
         let departing = self.departing.iter().map(|a| a.id);
@@ -2542,6 +2537,15 @@ mod tests {
         Frame::builder(packet::LEAVE).u64(id).finish()
     }
 
+    /// A METRICS push of `agent`: its liveness signal.
+    fn beat(agent: AgentId) -> Frame {
+        AgentMetrics {
+            agent,
+            ..AgentMetrics::default()
+        }
+        .encode()
+    }
+
     /// Every member of the open migrate barrier reports it at `at`.
     fn settle(lead: &mut Lead, at: Instant) {
         let epoch = lead.migrate_epoch.expect("a migrate barrier") as u32;
@@ -2672,7 +2676,7 @@ mod tests {
         assert!(advances(&mut lead).is_empty());
     }
 
-    /// A departer heartbeats while it drains and is watched like a
+    /// A departer pushes METRICS while it drains and is watched like a
     /// member: one that dies before its final READY is evicted and the
     /// barrier reopens over the survivors. One that drains and is
     /// released is not watched any more.
@@ -2718,17 +2722,17 @@ mod tests {
         assert_eq!(sends, [(agent_addr(3), packet::OK)]);
 
         // Agent 2 leaves and dies before its final READY; agent 1 has
-        // moved what it had to and keeps heartbeating.
+        // moved what it had to and keeps pushing METRICS.
         lead.on_frame(t0, &leave(2));
         let epoch = lead.migrate_epoch.expect("the leave's barrier");
         assert_eq!(lead.migrate_members, [1, 2]);
         let rep = ready(1, 0, epoch as u32, Phase::Migrate, Counters::default());
         lead.on_frame(t0, &rep.encode());
         drained(&mut lead);
-        let beat = Duration::from_millis(100);
+        let interval = Duration::from_millis(100);
         for k in 1..=4 {
-            lead.on_frame(t0 + beat * k, &msg::Heartbeat { agent: 1 }.encode());
-            lead.on_tick(t0 + beat * k);
+            lead.on_frame(t0 + interval * k, &beat(1));
+            lead.on_tick(t0 + interval * k);
         }
         let recovers = published(&mut lead, packet::RECOVER);
         assert_eq!(recovers.len(), 1);
@@ -2737,7 +2741,7 @@ mod tests {
         assert_eq!(lead.migrate_epoch, Some(epoch + 1));
         assert_eq!(lead.migrate_members, [1]);
         assert!(lead.departing.is_empty() && !lead.last_seen.contains_key(&2));
-        settle(&mut lead, t0 + beat * 4);
+        settle(&mut lead, t0 + interval * 4);
         assert_eq!(lead.migrate_epoch, None);
     }
 
@@ -2751,17 +2755,17 @@ mod tests {
         lead.on_frame(t0, &join(1));
         let opened = published(&mut lead, packet::VIEW);
         assert_eq!(opened.len(), 1);
-        let beat = Duration::from_millis(100);
+        let interval = Duration::from_millis(100);
         for k in 1..=3 {
-            lead.on_frame(t0 + beat * k, &msg::Heartbeat { agent: 1 }.encode());
-            lead.on_tick(t0 + beat * k - beat / 2);
+            lead.on_frame(t0 + interval * k, &beat(1));
+            lead.on_tick(t0 + interval * k - interval / 2);
             assert!(drained(&mut lead).is_empty(), "half an interval");
-            lead.on_tick(t0 + beat * k);
+            lead.on_tick(t0 + interval * k);
             assert_eq!(published(&mut lead, packet::VIEW), opened);
         }
-        settle(&mut lead, t0 + beat * 3);
+        settle(&mut lead, t0 + interval * 3);
         drained(&mut lead);
-        lead.on_tick(t0 + beat * 5);
+        lead.on_tick(t0 + interval * 5);
         assert!(drained(&mut lead).is_empty());
     }
 
@@ -2769,7 +2773,7 @@ mod tests {
     /// however long it stands after; the next barrier gets its own.
     #[test]
     fn the_stall_line_is_queued_once_per_barrier() {
-        // The joiners never send a heartbeat: a failure window of 100 s,
+        // The joiners never push METRICS: a failure window of 100 s,
         // longer than the test's 50, keeps them in the view.
         let cfg = SystemConfig {
             heartbeat_interval: Duration::from_millis(100),
@@ -2922,15 +2926,14 @@ mod tests {
                 }
                 9 => run_info(WCC.0, b % 2 == 1).encode(),
                 10 => {
-                    // Everyone watched heartbeats but the one `a` picks
+                    // Everyone watched pushes METRICS but the one `a` picks
                     // (or nobody is left out).
                     let mut watched = self.lead.member_ids();
                     watched.extend(self.lead.departing.iter().map(|a| a.id));
                     let silent = usize::from(a) % (watched.len() + 1);
                     for (i, &agent) in watched.iter().enumerate() {
                         if i != silent {
-                            let beat = msg::Heartbeat { agent }.encode();
-                            self.lead.on_frame(self.now, &beat);
+                            self.lead.on_frame(self.now, &beat(agent));
                         }
                     }
                     return self.check(kind, migrating);
@@ -3101,7 +3104,7 @@ mod tests {
         /// ROADMAP 3(a)'s invariants after every input of a random order
         /// of joins, leaves, settled READYs for whatever barrier is open,
         /// batch requests, quiet and factor-crossing sketch deltas, run
-        /// starts, heartbeats and ticks, over one to four agents.
+        /// starts, METRICS pushes and ticks, over one to four agents.
         #[test]
         fn invariants_hold_over_random_event_orders(
             inputs in proptest::collection::vec(

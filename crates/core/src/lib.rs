@@ -64,6 +64,7 @@ pub mod directory;
 mod lead;
 pub mod metrics;
 pub mod msg;
+mod outboxes;
 pub mod program;
 mod store;
 pub mod streamer;

@@ -77,8 +77,6 @@ pub mod packet {
     pub const DEG_DELTA: u8 = 29;
     /// State dump (REQ, driver → agent): empty; its primaries' states.
     pub const DUMP: u8 = 31;
-    /// Liveness (push, agent → directory → lead).
-    pub const HEARTBEAT: u8 = 32;
     /// Failure recovery (PUB topic).
     pub const RECOVER: u8 = 33;
     /// Test kill switch (push, → agent): empty; dies without a LEAVE.
@@ -1477,13 +1475,6 @@ wire! {
         pub bytes: u64,
     }
 
-    /// A liveness heartbeat pushed by an agent.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct Heartbeat: HEARTBEAT {
-        /// The agent.
-        pub agent: AgentId,
-    }
-
     /// Failure-recovery broadcast published by the lead directory after it
     /// declares an agent dead: survivors drop all graph state and counters,
     /// adopt the embedded view, and settle a fresh migrate barrier; the
@@ -2287,7 +2278,6 @@ mod tests {
         assert!(RunStatus::decode(&junk).is_none());
         assert!(decode_reset_labels(&junk).is_none());
         assert!(decode_sketch_delta(&junk).is_none());
-        assert!(Heartbeat::decode(&junk).is_none());
         assert!(Recover::decode(&junk).is_none());
     }
 

@@ -24,12 +24,11 @@
 
 use crate::config::SystemConfig;
 use crate::msg::{self, packet, DirectoryView, Message, Side};
+use crate::outboxes::Outboxes;
 use elga_graph::types::EdgeChange;
 use elga_graph::ChangeLog;
 use elga_hash::{AgentId, EdgeLocator, FxHashMap, OwnerCache};
-use elga_net::{
-    Addr, CoalesceConfig, CoalesceStats, CoalescingOutbox, Frame, NetError, Transport, TransportExt,
-};
+use elga_net::{Addr, Frame, NetError, Transport, TransportExt};
 use elga_trace::{EventKind, Tracer};
 use std::sync::Arc;
 use std::time::Instant;
@@ -61,10 +60,8 @@ pub struct Streamer {
     /// Per-agent coalescing outboxes: each destination's records go in
     /// as one run per placement side and leave in large frames, the
     /// last one at the end of every routed batch.
-    outboxes: FxHashMap<AgentId, CoalescingOutbox>,
+    outboxes: Outboxes,
     scratch: RouteScratch,
-    /// Counters of outboxes retired by view changes or dead peers.
-    coalesce_retired: CoalesceStats,
     /// What recovery replays, whole, so edges lost with a dead agent
     /// come back: each edge's last change since the oldest retained
     /// checkpoint (or since the empty graph), plus the changes since
@@ -99,14 +96,13 @@ impl Streamer {
         view.advance_memo(&mut cache);
         let tracer = Arc::new(Tracer::from_flag(cfg.tracing));
         Ok(Streamer {
+            outboxes: Outboxes::new(transport.clone(), cfg.send_policy, &tracer, None),
             transport,
             cfg,
             directory,
             view,
             locator,
-            outboxes: FxHashMap::default(),
             scratch: RouteScratch::default(),
-            coalesce_retired: CoalesceStats::default(),
             log: ChangeLog::default(),
             cache,
             tracer,
@@ -152,28 +148,9 @@ impl Streamer {
                 self.view.agents.len() as u64,
             );
             // Outboxes are always flushed by the end of route(), so
-            // retiring them here cannot strand records.
-            for (_, out) in self.outboxes.drain() {
-                self.coalesce_retired.absorb(out.stats());
-            }
+            // dropping them here cannot strand records.
+            self.outboxes.discard();
         }
-    }
-
-    fn outbox(&mut self, agent: AgentId) -> Option<&mut CoalescingOutbox> {
-        if !self.outboxes.contains_key(&agent) {
-            let addr = self.view.addr_of(agent)?.clone();
-            match self.transport.sender(&addr) {
-                Ok(out) => {
-                    let mut co = CoalescingOutbox::new(out, CoalesceConfig::default());
-                    if self.tracer.enabled() {
-                        co = co.with_tracer(self.tracer.clone());
-                    }
-                    self.outboxes.insert(agent, co);
-                }
-                Err(_) => return None,
-            }
-        }
-        self.outboxes.get_mut(&agent)
     }
 
     /// Send one batch of changes: tick the lead's batch clock, follow
@@ -229,16 +206,6 @@ impl Streamer {
         self.cache.stats()
     }
 
-    /// Lifetime coalescer counters (flush reasons, frames, records,
-    /// bytes) summed over all live and retired outboxes.
-    pub fn coalesce_stats(&self) -> CoalesceStats {
-        let mut total = self.coalesce_retired;
-        for out in self.outboxes.values() {
-            total.absorb(out.stats());
-        }
-        total
-    }
-
     /// Re-route the whole change log after a recovery reset: onto
     /// empty agents while its base is 0, onto the generation the
     /// driver restored after that. The reset wipes every survivor
@@ -285,7 +252,7 @@ impl Streamer {
         // A routed batch must be on the wire when send_batch returns:
         // callers quiesce against the agents right after, and records
         // parked in open frames would be invisible to them.
-        self.flush_outboxes();
+        self.outboxes.flush(&self.view);
         pushed
     }
 
@@ -317,74 +284,12 @@ impl Streamer {
         let mut pushed = 0;
         for (&agent, recs) in batches.iter_mut().filter(|(_, r)| !r.is_empty()) {
             pushed += recs.len();
-            self.append_to(agent, side, recs);
+            self.outboxes.with(agent, &self.view, |out| {
+                msg::append_edge_changes(out, side, 0, recs)
+            });
             recs.clear();
         }
         self.scratch = scratch;
         pushed
-    }
-
-    /// Append the records to `agent`'s open EDGE_CHANGES frame, then
-    /// hand any refused frames to the retry path.
-    fn append_to(&mut self, agent: AgentId, side: Side, recs: &[EdgeChange]) {
-        let failed = match self.outbox(agent) {
-            Some(out) => {
-                msg::append_edge_changes(out, side, 0, recs);
-                out.has_failed()
-            }
-            None => false,
-        };
-        if failed {
-            self.retry_failed(agent);
-        }
-    }
-
-    /// Close every destination's open frame and push it, retrying
-    /// whatever the transport refuses.
-    fn flush_outboxes(&mut self) {
-        let mut failed: Vec<AgentId> = Vec::new();
-        for (&agent, out) in self.outboxes.iter_mut() {
-            out.flush();
-            if out.has_failed() {
-                failed.push(agent);
-            }
-        }
-        for agent in failed {
-            self.retry_failed(agent);
-        }
-    }
-
-    /// The cached outbox to `agent` is dead: retire it, re-push the
-    /// refused frames with fresh senders, and re-cache a working one.
-    fn retry_failed(&mut self, agent: AgentId) {
-        let Some(mut dead) = self.outboxes.remove(&agent) else {
-            return;
-        };
-        dead.flush();
-        self.coalesce_retired.absorb(dead.stats());
-        let frames = dead.take_failed();
-        let Some(addr) = self.view.addr_of(agent).cloned() else {
-            return;
-        };
-        let mut all_ok = true;
-        for frame in frames {
-            if self
-                .transport
-                .push_with_retry(&addr, frame, &self.cfg.send_policy)
-                .is_err()
-            {
-                all_ok = false;
-                break;
-            }
-        }
-        if all_ok {
-            if let Ok(out) = self.transport.sender(&addr) {
-                let mut co = CoalescingOutbox::new(out, CoalesceConfig::default());
-                if self.tracer.enabled() {
-                    co = co.with_tracer(self.tracer.clone());
-                }
-                self.outboxes.insert(agent, co);
-            }
-        }
     }
 }

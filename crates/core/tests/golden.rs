@@ -200,7 +200,6 @@ fn frames() -> Vec<(&'static str, Frame)> {
             }
             .encode(),
         ),
-        ("heartbeat", msg::Heartbeat { agent: 17 }.encode()),
         (
             "recover",
             msg::Recover {
@@ -325,7 +324,6 @@ const GOLDEN: &[(&str, u8, &str)] = &[
          0500000000000000",
     ),
     ("ckpt load reply", packet::CKPT_LOAD, "010010000000000000"),
-    ("heartbeat", packet::HEARTBEAT, "1100000000000000"),
     (
         "recover",
         packet::RECOVER,

@@ -780,7 +780,6 @@ proptest! {
         assert_round_trip(msg::DrainReport { counters, epoch: w[29], degrees: bit(14) });
         assert_round_trip(msg::CkptSave { generation: w[30], epoch: w[31], watermark: w[32] });
         assert_round_trip(msg::CkptSaveReport { ok: bit(8), bytes: w[33], nanos: w[34] });
-        assert_round_trip(msg::Heartbeat { agent: w[41] });
         let addr = elga_net::Addr::inproc(format!("client-{}", w[57]));
         let vertices = list.iter().map(|p| p.1).collect();
         assert_round_trip(msg::SubReg { addr, sub: w[58], vertices });

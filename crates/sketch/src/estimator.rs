@@ -10,7 +10,7 @@
 //! [`DegreeEstimator`] is the insert-only counter over the same sketch,
 //! for estimating the degrees of an edge list.
 
-use crate::cms::{CountMinSketch, DimensionMismatch};
+use crate::cms::CountMinSketch;
 
 /// Counts edge endpoints and answers degree queries.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,41 +36,10 @@ impl DegreeEstimator {
         }
     }
 
-    /// Record `count` additional incident edges on a single vertex.
-    #[inline]
-    pub fn record_endpoint(&mut self, v: u64, count: u32) {
-        self.sketch.add(v, count);
-    }
-
     /// Estimated (never under-counted) degree of `v`.
     #[inline]
     pub fn degree(&self, v: u64) -> u64 {
         self.sketch.estimate(v)
-    }
-
-    /// Total endpoint count seen (2× the number of non-loop edges).
-    pub fn endpoints(&self) -> u64 {
-        self.sketch.items()
-    }
-
-    /// The wrapped sketch, for broadcast.
-    pub fn sketch(&self) -> &CountMinSketch {
-        &self.sketch
-    }
-
-    /// Merge another estimator's counts (agent → directory roll-up).
-    pub fn merge(&mut self, other: &DegreeEstimator) -> Result<(), DimensionMismatch> {
-        self.sketch.merge(&other.sketch)
-    }
-
-    /// Replace the sketch with a broadcast copy, keeping dimensions.
-    pub fn replace(&mut self, sketch: CountMinSketch) {
-        self.sketch = sketch;
-    }
-
-    /// Forget all counts.
-    pub fn clear(&mut self) {
-        self.sketch.clear();
     }
 }
 
@@ -87,7 +56,6 @@ mod tests {
         assert_eq!(d.degree(2), 1);
         assert_eq!(d.degree(3), 1);
         assert_eq!(d.degree(99), 0);
-        assert_eq!(d.endpoints(), 4);
     }
 
     #[test]
@@ -112,24 +80,5 @@ mod tests {
         for (v, &t) in truth.iter().enumerate() {
             assert!(d.degree(v as u64) >= t, "under-estimate at {v}");
         }
-    }
-
-    #[test]
-    fn merge_combines_agent_views() {
-        let mut a = DegreeEstimator::new(256, 4);
-        let mut b = DegreeEstimator::new(256, 4);
-        a.record_edge(1, 2);
-        b.record_edge(1, 3);
-        a.merge(&b).unwrap();
-        assert_eq!(a.degree(1), 2);
-    }
-
-    #[test]
-    fn replace_adopts_broadcast() {
-        let mut local = DegreeEstimator::new(256, 4);
-        let mut global = DegreeEstimator::new(256, 4);
-        global.record_endpoint(9, 55);
-        local.replace(global.sketch().clone());
-        assert_eq!(local.degree(9), 55);
     }
 }

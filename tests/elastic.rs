@@ -1,7 +1,7 @@
 //! Elasticity tests: the Figure 18 autoscaler loop end to end, batched
 //! scale-down cost (one view change, not n), honest partial-aware
-//! metrics aggregation, and the event-tracing layer across a full
-//! elastic lifecycle.
+//! metrics aggregation, a leave asked of a relay directory, and the
+//! event-tracing layer across a full elastic lifecycle.
 //!
 //! Result-stability contract across scale events follows
 //! `tests/determinism.rs`: WCC combines with `min` and is bit-exact in
@@ -9,10 +9,12 @@
 //! floats in scheduling-dependent arrival order, so it pins the usual
 //! 1e-9 agreement.
 
+use elga::core::directory::directory_addr;
 use elga::core::metrics::ClusterMetrics;
+use elga::core::msg::packet;
 use elga::core::program::RunOptions;
 use elga::graph::reference;
-use elga::net::SendPolicy;
+use elga::net::{Frame, SendPolicy};
 use elga::prelude::*;
 use elga::trace::EventKind;
 use std::collections::HashSet;
@@ -65,6 +67,20 @@ fn scale_down_by_n_is_one_view_change() {
         want,
         "WCC must be bit-exact across the batched leave"
     );
+    cluster.shutdown();
+}
+
+/// A relay directory relays a frame as it was delivered: a LEAVE
+/// asked of directory 1 as a request gets the lead's `OK` back, and the
+/// agent is out of the view.
+#[test]
+fn a_leave_asked_of_a_relay_directory_is_answered() {
+    let cluster = Cluster::builder().agents(3).directories(2).build();
+    let leave = Frame::builder(packet::LEAVE).u64(3).finish();
+    let wait = Duration::from_secs(5);
+    let reply = cluster.transport().request(&directory_addr(1), leave, wait);
+    assert_eq!(reply.expect("the lead's answer").packet_type(), packet::OK);
+    assert_eq!(cluster.agent_ids(), [1, 2]);
     cluster.shutdown();
 }
 
