@@ -6,7 +6,7 @@
 //! and runs the placement sweep. No residual is saved: the first
 //! residual run after a recovery starts from scratch.
 
-use super::migrate::{vertex_record, MigFrames};
+use super::migrate::{vertex_record, MigFrames, Sweep};
 use super::*;
 use elga_ckpt::CheckpointStore;
 use msg::MigVertex;
@@ -95,7 +95,8 @@ impl Agent {
             report.bytes += bytes.unwrap_or(0);
             self.push_metrics();
         }
-        self.relocate(None);
+        let strays = self.take_strays();
+        self.relocate(Sweep::All(strays));
         if let Some(reply) = reply {
             let _ = reply.send(report.encode());
         }
@@ -196,8 +197,9 @@ mod tests {
         for (v, [out, inn]) in ring() {
             agent.insert_edges(Side::Out, v, out.into_iter());
             agent.insert_edges(Side::In, v, inn.into_iter());
-            let e = agent.vertices.entry_or_default(v);
-            (e.state, e.has_state, e.is_meta, e.g_out, e.g_in) = (3 * v, true, true, 2, 1);
+            agent.edit(v, |e, _| {
+                (e.state, e.has_state, e.is_meta, e.g_out, e.g_in) = (3 * v, true, true, 2, 1);
+            });
         }
         save(&transport, &mut agent, dir)
     }
@@ -346,21 +348,22 @@ mod tests {
             }
             for v in (0..60).chain(hubs.iter().copied()) {
                 let r = rng.next_u64();
-                let e = saver.vertices.entry_or_default(v);
-                (e.is_meta, e.g_out, e.g_in) = (r & 4 != 0, (r % 5) as i64, (r % 3) as i64);
-                e.dirty = e.is_meta && r & 8 != 0;
-                if r & 16 != 0 {
-                    // A delete that beat its insert to the primary.
-                    (e.is_meta, e.dirty, e.g_out, e.g_in) = (false, false, -1, 0);
-                }
-                // A state, its out-degree no less than the primary's
-                // (a restore adopts the larger), and its activity.
-                if r & 1 != 0 {
-                    let out_degree = e.g_out.max(0) as u64 + r % 3;
-                    (e.state, e.has_state, e.rep_out_degree) = (r >> 8, true, out_degree);
-                    (e.active, e.snap, e.has_snap) = (r & 2 != 0, r >> 8, true);
-                }
-                if e.is_empty() {
+                saver.edit(v, |e, _| {
+                    (e.is_meta, e.g_out, e.g_in) = (r & 4 != 0, (r % 5) as i64, (r % 3) as i64);
+                    e.dirty = e.is_meta && r & 8 != 0;
+                    if r & 16 != 0 {
+                        // A delete that beat its insert to the primary.
+                        (e.is_meta, e.dirty, e.g_out, e.g_in) = (false, false, -1, 0);
+                    }
+                    // A state, its out-degree no less than the primary's
+                    // (a restore adopts the larger), and its activity.
+                    if r & 1 != 0 {
+                        let out_degree = e.g_out.max(0) as u64 + r % 3;
+                        (e.state, e.has_state, e.rep_out_degree) = (r >> 8, true, out_degree);
+                        (e.active, e.snap, e.has_snap) = (r & 2 != 0, r >> 8, true);
+                    }
+                });
+                if saver.vertices.get(&v).is_some_and(VertexEntry::is_empty) {
                     saver.vertices.remove(&v);
                 }
             }

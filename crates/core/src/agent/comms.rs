@@ -32,9 +32,8 @@ impl Agent {
         self.metrics.retries_attempted += self.outboxes.flush(&self.view);
     }
 
-    /// Send a READY for `(run, step, phase)`. The primary count rides
-    /// every report from the run's cache (0 outside a run, or before
-    /// the first count).
+    /// Send a READY for `(run, step, phase)`. The kept primary count
+    /// rides every report of a run (0 outside one).
     pub(super) fn send_ready(
         &mut self,
         run: u64,
@@ -57,7 +56,11 @@ impl Agent {
             counters: self.counters,
             active,
             global_contrib: contrib,
-            n_primary: self.run.as_ref().and_then(|r| r.n_primary).unwrap_or(0),
+            n_primary: if self.run.is_some() {
+                self.primaries
+            } else {
+                0
+            },
             seq: 0,
             epoch: 0,
             sent,
@@ -120,6 +123,7 @@ impl Agent {
         self.metrics.owner_cache_hits = hits;
         self.metrics.owner_cache_misses = misses;
         self.metrics.edges = self.vertices.held()[0] as u64;
+        self.metrics.primaries = self.primaries;
         self.metrics.store_bytes = self.vertices.heap_bytes() as u64;
         self.metrics.owner_cache_bytes = self.route_cache.heap_bytes() as u64;
         // Data-plane traffic: per-packet-type frames and bytes from the

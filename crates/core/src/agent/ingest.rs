@@ -214,12 +214,15 @@ impl Agent {
     /// primary). The program that defines the merge is the armed delta
     /// seed; without one (e.g. a correction straggling past a recovery
     /// reset) the values are summed as f64 bits — the encoding every
-    /// residual program in this workspace uses.
+    /// residual program in this workspace uses. A correction its
+    /// sender routed under another view than this agent's, to a vertex
+    /// with no meta here, lists a stray.
     pub(super) fn apply_residuals(&mut self, recs: impl IntoIterator<Item = (VertexId, u64)>) {
         let program = self.delta_seed.as_ref().map(|s| s.program.clone());
         let program = program.as_ref().map(Program::as_dyn);
         for (v, delta) in recs {
-            let e = self.vertices.entry_or_default(v);
+            let (e, _) = self.vertices.entry_and_lists(v);
+            let stray = !e.has_residual && !e.is_meta;
             e.residual = if e.has_residual {
                 match &program {
                     Some(p) => p.merge_residual(e.residual, delta),
@@ -229,6 +232,9 @@ impl Agent {
                 delta
             };
             e.has_residual = true;
+            if stray && !self.is_primary(v) {
+                self.vertices.list_stray(v);
+            }
         }
     }
 
@@ -254,9 +260,12 @@ impl Agent {
         let program = self.delta_seed.as_ref().map(|s| s.program.clone());
         let program = program.as_ref().map(Program::as_dyn);
         let mut dangling = 0.0;
+        let (ring, id) = (self.locator.ring(), self.id);
+        let mut strays = Vec::new();
         for (v, dout, din) in deltas {
             let (e, lists) = self.vertices.entry_and_lists(v);
             let listed = e.wants_apply();
+            let was_meta = e.is_meta;
             // Residual correction (delta engine): an out-degree change
             // rescales the primary's value so every surviving edge's
             // share is unchanged; the rescale remainder moves into the
@@ -286,6 +295,20 @@ impl Agent {
             e.g_in += din;
             e.dirty = true;
             e.is_meta = e.g_out > 0 || e.g_in > 0;
+            // The sender routed by its view: under this agent's, a meta
+            // that appears or goes is counted if the ring places it here,
+            // and one that appears elsewhere is a stray. (An entry left
+            // without one keeps no residual either.)
+            if e.is_meta != was_meta {
+                let owned = ring.owner(v) == Some(id);
+                if owned && e.is_meta {
+                    self.primaries += 1;
+                } else if owned {
+                    self.primaries -= 1;
+                } else if e.is_meta {
+                    strays.push(v);
+                }
+            }
             if !e.is_meta {
                 // Vertex vanished from the graph; any dangling mass it
                 // still held leaves with it.
@@ -306,6 +329,7 @@ impl Agent {
                 lists.apply.push(v);
             }
         }
+        strays.into_iter().for_each(|v| self.vertices.list_stray(v));
         self.dangling_acc += dangling;
     }
 
@@ -325,11 +349,13 @@ impl Agent {
     }
 }
 
-/// The single-edge mutators tests build stores with.
+/// The single-edge mutators tests build stores with. No owner check
+/// placed what they insert, so its vertex is listed as a possible stray.
 #[cfg(test)]
 impl Agent {
     /// Record out-edge `(u, v)`; false when already present.
     pub(super) fn insert_out_edge(&mut self, u: VertexId, v: VertexId) -> bool {
+        self.vertices.list_stray(u);
         self.insert_edges(Side::Out, u, std::iter::once(v)) == 1
     }
 
@@ -340,6 +366,7 @@ impl Agent {
 
     /// Record in-edge `(u, v)` (stored on `v`); false when present.
     pub(super) fn insert_in_edge(&mut self, u: VertexId, v: VertexId) -> bool {
+        self.vertices.list_stray(v);
         self.insert_edges(Side::In, v, std::iter::once(u)) == 1
     }
 

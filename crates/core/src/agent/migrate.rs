@@ -118,6 +118,31 @@ impl MigFrames {
     }
 }
 
+/// Which entries a placement sweep decides ([`Agent::sweep`]). The
+/// listed strays a membership change takes ([`Agent::take_strays`])
+/// ride along, in store order, each with whether the ring before the
+/// change placed it here.
+pub(super) enum Sweep {
+    /// Every resident entry.
+    All(Vec<(VertexId, bool)>),
+    /// A sketch-only epoch's: the entries whose replication factor it
+    /// changed.
+    Moved(FxHashSet<VertexId>),
+    /// A shrink's survivor's ([`survives_a_shrink`]): the strays alone.
+    Strays(Vec<(VertexId, bool)>),
+}
+
+/// Whether `me` stays in `new`, whose members are some of `old`'s and
+/// fewer, and neither view can split a vertex: then the ring only adds
+/// arcs to `me`, so what `old` placed here `new` does too.
+fn survives_a_shrink(old: &DirectoryView, new: &DirectoryView, me: AgentId) -> bool {
+    new.agents.len() < old.agents.len()
+        && new.agents.iter().all(|a| old.addr_of(a.id).is_some())
+        && new.addr_of(me).is_some()
+        && !old.may_split()
+        && !new.may_split()
+}
+
 impl Agent {
     /// The one place a view is taken on: the locator is rebuilt from it
     /// and the owner memo follows it to its epoch, so the memo's epoch
@@ -143,26 +168,37 @@ impl Agent {
             return;
         }
         let epoch = view.epoch;
-        // A sketch-only update (same membership, same ring parameters)
-        // cannot move primaries or k=1 placements: only vertices whose
-        // replication factor grew need re-placement. This keeps the
-        // per-batch cost proportional to affected vertices, not edges
-        // (§3.4.3's "graph changes enough to impact load balancing").
-        let membership_same = self.view.agents == view.agents
-            && self.view.hash == view.hash
-            && self.view.virtual_agents == view.virtual_agents
+        let ring_same =
+            self.view.hash == view.hash && self.view.virtual_agents == view.virtual_agents;
+        let scope = if ring_same
+            && self.view.agents == view.agents
             && self.view.replication_threshold == view.replication_threshold
-            && self.view.max_replicas == view.max_replicas;
-        let filter = (membership_same && !self.departing).then(|| {
+            && self.view.max_replicas == view.max_replicas
+            && !self.departing
+        {
+            // A sketch-only update (same membership, same ring
+            // parameters) cannot move primaries or k=1 placements: only
+            // vertices whose replication factor changed need
+            // re-placement. This keeps the per-batch cost proportional
+            // to affected vertices, not edges (§3.4.3's "graph changes
+            // enough to impact load balancing").
             let k =
                 |sketch: &CountMinSketch, v| self.locator.replication_factor(sketch.estimate(v));
             let moved = |&v: &VertexId| k(&self.view.sketch, v) != k(&view.sketch, v);
-            self.vertices.keys().filter(moved).collect()
-        });
+            Sweep::Moved(self.vertices.keys().filter(moved).collect())
+        } else if ring_same && survives_a_shrink(&self.view, &view, self.id) {
+            // A leave's survivor only gains arcs (§3.4.2): what the old
+            // ring placed here the new one does too, and with nothing
+            // split under either view every placement is the ring's.
+            // Only a stray can have to move.
+            Sweep::Strays(self.take_strays())
+        } else {
+            Sweep::All(self.take_strays())
+        };
         self.adopt_view(view);
         self.tracer
             .instant(EventKind::ViewAdopt, epoch, self.view.agents.len() as u64);
-        if filter.is_none() {
+        if !matches!(scope, Sweep::Moved(_)) {
             // Membership changed: the cached senders' addresses are
             // stale. Flush what they hold (the old peers are still
             // alive and will forward) before dropping them.
@@ -173,30 +209,36 @@ impl Agent {
         if !self.departing && self.view.addr_of(self.id).is_none() {
             self.departing = true;
         }
-        if let Some(run) = self.run.as_mut() {
-            if run.async_live {
-                // A view change landed mid-async-run. Pause: suppress
-                // idle reports (the directory's migrate barrier is the
-                // one consuming READYs now) while frames keep flowing
-                // under the adopted view. The directory re-publishes
-                // the async advance once the barrier settles; that
-                // resume re-scatters the surviving frontier.
-                run.paused = true;
-            }
-            // The primaries move: the next scatter counts them again.
-            run.n_primary = None;
+        if let Some(run) = self.run.as_mut().filter(|r| r.async_live) {
+            // A view change landed mid-async-run. Pause: suppress idle
+            // reports (the directory's migrate barrier is the one
+            // consuming READYs now) while frames keep flowing under the
+            // adopted view. The directory re-publishes the async
+            // advance once the barrier settles; that resume re-scatters
+            // the surviving frontier.
+            run.paused = true;
         }
         self.migrated_epoch = epoch;
-        self.migrate(epoch, filter);
+        self.migrate(epoch, scope);
     }
 
-    /// Decide, vertex by vertex, what no longer belongs here under the
-    /// adopted view, take it out of the store and write it into its
-    /// destination's frames (§3.4.3). With `filter = Some(vs)`, only the
-    /// placements of the given vertices are re-evaluated (sketch-only
-    /// view changes) and primary meta never moves (the ring is
-    /// unchanged). Returns the frames by destination, the entries whose
-    /// placement was decided, and those that shipped an edge or their
+    /// The listed strays ([`VertexStore::take_strays`]), each with
+    /// whether the adopted ring places it here.
+    pub(super) fn take_strays(&mut self) -> Vec<(VertexId, bool)> {
+        let strays = self.vertices.take_strays();
+        strays
+            .into_iter()
+            .map(|v| (v, self.is_primary(v)))
+            .collect()
+    }
+
+    /// Decide, vertex by vertex, what of `scope` no longer belongs here
+    /// under the adopted view, take it out of the store and hand it to
+    /// its destination's outbox, each MIG_VERTEX frame as soon as it
+    /// closes (§3.4.3); on a sketch-only change primary meta never
+    /// moves (the ring is unchanged). Keeps [`Agent::primaries`] and
+    /// returns the records sent by destination, then the entries whose
+    /// placement was decided and those that shipped an edge or their
     /// primary record.
     ///
     /// The rule is per vertex. With replication factor 1 a vertex's
@@ -206,10 +248,7 @@ impl Agent {
     /// Only a split vertex (`k > 1`) has its edges placed one by one.
     /// The sketch's bound is consulted for one thing: when it proves
     /// every `k` is 1, no estimate is computed.
-    fn sweep(
-        &mut self,
-        filter: Option<FxHashSet<VertexId>>,
-    ) -> (FxHashMap<AgentId, MigFrames>, u64, u64) {
+    fn sweep(&mut self, scope: Sweep) -> (FxHashMap<AgentId, u64>, u64, u64) {
         let mut frames: FxHashMap<AgentId, MigFrames> = FxHashMap::default();
         let snap = (self.snap_run, self.snap_watermark);
         let new = || MigFrames::new(snap);
@@ -217,11 +256,21 @@ impl Agent {
         let mut split: Vec<(AgentId, [Vec<VertexId>; 2])> = Vec::new();
         let mut moved = 0;
 
-        let sketch_only = filter.is_some();
-        let verts: Vec<VertexId> = match filter {
-            Some(set) => set.into_iter().collect(),
-            None => self.vertices.keys().collect(),
+        let (verts, mut strays, ring_moved): (Vec<VertexId>, _, _) = match scope {
+            Sweep::All(strays) => (self.vertices.keys().collect(), strays, true),
+            Sweep::Moved(set) => (set.into_iter().collect(), Vec::new(), false),
+            Sweep::Strays(strays) => (strays.iter().map(|&(v, _)| v).collect(), strays, true),
         };
+        // Where the ring moved, the primary count moves by what the
+        // sweep changes of it. A meta held before is counted if the old
+        // ring placed it here, which an entry no stray list holds is
+        // known to be: a meta arriving anywhere else is listed.
+        strays.sort_unstable();
+        let counted_before = |v, is_meta| {
+            let listed = strays.binary_search_by_key(&v, |&(s, _)| s);
+            ring_moved && is_meta && listed.map_or(true, |at| strays[at].1)
+        };
+        let mut primaries = 0i64;
         // Batch-estimate up front (one row-seed setup for the whole
         // sweep), unless no estimate can matter.
         let ests = if self.view.may_split() {
@@ -231,6 +280,13 @@ impl Agent {
         };
         let my_id = self.id;
         let ring = self.locator.ring();
+        let (outboxes, view) = (&mut self.outboxes, &self.view);
+        let retries = &mut self.metrics.retries_attempted;
+        let mut ship = |agent: AgentId, to: &mut MigFrames| {
+            for frame in to.frames.drain(..) {
+                *retries += outboxes.with(agent, view, |out| out.send(frame));
+            }
+        };
         for (i, &v) in verts.iter().enumerate() {
             // On an empty ring there is nowhere to move anything.
             let Some(primary) = ring.owner(v) else {
@@ -240,11 +296,17 @@ impl Agent {
             let est = ests.get(i).copied().unwrap_or(0);
             let k = self.locator.replication_factor(est);
             if k == 1 && primary == my_id {
+                // Kept as it is: only a stray's meta can be newly counted.
+                if ring_moved && !counted_before(v, true) {
+                    let meta = self.vertices.get(&v).is_some_and(|e| e.is_meta);
+                    primaries += i64::from(meta);
+                }
                 continue;
             }
             let Some((e, tally)) = self.vertices.get_mut_and_tally(&v) else {
                 continue;
             };
+            primaries -= i64::from(counted_before(v, e.is_meta));
             // The primary meta moves with primaryship (never on
             // sketch-only changes: the ring did not move) — and so does
             // the async run state (a pending combined partial and its
@@ -252,7 +314,7 @@ impl Agent {
             // record does (messages beat the meta to a previous
             // primary). `IS_META` tells the receiver which parts of the
             // meta to adopt.
-            let hands_over = !sketch_only
+            let hands_over = ring_moved
                 && primary != my_id
                 && (e.is_meta || e.has_ppartial || e.wait_recv > 0 || e.has_residual);
             let (head, meta, meta_flags) = vertex_record(v, e);
@@ -275,6 +337,7 @@ impl Agent {
                     // back, and its lists' buffers are still here.
                     let to = frames.entry(primary).or_insert_with(new);
                     to.push(primary_head, meta, e.adj.out(), e.adj.inn());
+                    ship(primary, to);
                     e.adj.clear(tally);
                 }
             } else {
@@ -311,26 +374,34 @@ impl Agent {
                     } else {
                         (head, None)
                     };
-                    frames
-                        .entry(*agent)
-                        .or_insert_with(new)
-                        .push(head, meta, out, inn);
+                    let to = frames.entry(*agent).or_insert_with(new);
+                    to.push(head, meta, out, inn);
+                    ship(*agent, to);
                 }
                 sent |= !split.is_empty();
             }
+            primaries += i64::from(ring_moved && e.is_meta && primary == my_id);
             moved += u64::from(sent);
             if e.is_empty() {
                 self.vertices.remove(&v);
             }
         }
-        (frames, verts.len() as u64, moved)
+        let mut records = FxHashMap::default();
+        for (agent, mut to) in frames {
+            to.close();
+            ship(agent, &mut to);
+            records.insert(agent, to.records);
+        }
+        // A fixture that wrote metas directly can take it below zero.
+        self.primaries = self.primaries.saturating_add_signed(primaries);
+        (records, verts.len() as u64, moved)
     }
 
     /// Re-evaluate the placement of local edges and primary meta
     /// records under the adopted view, forward whatever no longer
     /// belongs here and report to the migrate barrier.
-    pub(super) fn migrate(&mut self, epoch: u64, filter: Option<FxHashSet<VertexId>>) {
-        self.relocate(filter);
+    pub(super) fn migrate(&mut self, epoch: u64, scope: Sweep) {
+        self.relocate(scope);
         // Dangling-mass handoff (delta engine): while an async delta
         // run is live the migrate READY carries the cumulative report
         // (the lead folds a departer's final value before dropping its
@@ -360,18 +431,16 @@ impl Agent {
         self.send_ready(0, epoch as u32, Phase::Migrate, 0, contrib);
     }
 
-    /// Sweep ([`Agent::sweep`]) and send each destination its frames,
-    /// counted and in order.
-    pub(super) fn relocate(&mut self, filter: Option<FxHashSet<VertexId>>) {
+    /// Sweep ([`Agent::sweep`]), its frames sent as they close, and
+    /// count what went: every record before the READY that follows.
+    pub(super) fn relocate(&mut self, scope: Sweep) {
         let t0 = Instant::now();
-        let (frames, examined, moved) = self.sweep(filter);
+        let (sent, examined, moved) = self.sweep(scope);
+        self.metrics.sweep_visits += examined;
         self.tracer
             .span(EventKind::MigrateSweep, t0, examined, moved);
-        for (agent, mut sent) in frames {
-            sent.close();
-            let (frames, records) = (sent.frames, sent.records);
+        for (agent, records) in sent {
             self.counters.mig_sent += records;
-            self.with_outbox(agent, |out| frames.into_iter().for_each(|f| out.send(f)));
             self.tracer.instant(EventKind::MigrateSend, agent, records);
         }
     }
@@ -401,6 +470,8 @@ impl Agent {
         let merger = program
             .clone()
             .or_else(|| self.delta_seed.as_ref().map(|s| s.program.clone()));
+        let (ring, id) = (self.locator.ring(), self.id);
+        let mut strays = Vec::new();
         for (head, tail) in view.records.tailed() {
             let (meta, out, inn) = head.read_tail(tail);
             let v = head.vertex;
@@ -442,7 +513,17 @@ impl Agent {
                 // Exactly one sender held each degree change: add them.
                 e.g_out += m.out_degree as i64;
                 e.g_in += m.in_degree as i64;
-                e.is_meta |= head.has(MigVertex::IS_META);
+                if !e.is_meta && head.has(MigVertex::IS_META) {
+                    // The sender placed it by the view it swept under;
+                    // until this agent takes that view on too, its own
+                    // ring may say the meta is a stray.
+                    e.is_meta = true;
+                    if ring.owner(v) == Some(id) {
+                        self.primaries += 1;
+                    } else {
+                        strays.push(v);
+                    }
+                }
                 e.dirty |= head.has(MigVertex::DIRTY);
                 e.active |= head.has(MigVertex::ACTIVE);
                 if has_state {
@@ -493,6 +574,7 @@ impl Agent {
                 lists.scatter.push(v);
             }
         }
+        strays.into_iter().for_each(|v| self.vertices.list_stray(v));
     }
 }
 
@@ -545,6 +627,69 @@ mod tests {
         } else {
             set
         }
+    }
+
+    /// Agent [`ME`] of `old` holding what `old` places on it of a
+    /// small graph, put there by the handlers (the degree deltas it
+    /// sent itself delivered), peers 2 and 3 bound and drained; with
+    /// `stray`, a DEG_DELTA routed under another view leaves that
+    /// vertex's meta here too.
+    fn placed(old: &DirectoryView, stray: Option<VertexId>) -> (Agent, [elga_net::Mailbox; 2]) {
+        let (transport, mut agent) = detached(old.clone());
+        let peers = [2, 3].map(|id| transport.bind(&agent_addr(id)).expect("bind"));
+        let edges: Vec<EdgeChange> = (0..200)
+            .map(|i| EdgeChange::insert(i, (i * 7 + 1) % 200))
+            .collect();
+        agent.apply_changes(Side::Out, 0, edges.iter().copied());
+        agent.apply_changes(Side::In, 0, edges.iter().copied());
+        agent.flush_outboxes();
+        let own = std::iter::from_fn(|| agent.mailbox.try_recv().ok().flatten());
+        for d in own.collect::<Vec<_>>() {
+            assert!(agent.handle(d));
+        }
+        if let Some(v) = stray {
+            let frame = msg::encode_deg_deltas(&[(v, 1, 0)]);
+            assert!(agent.handle(Delivery::push(frame)));
+        }
+        for peer in &peers {
+            while let Ok(Some(_)) = peer.try_recv() {}
+        }
+        assert!(agent.primaries > 0);
+        assert_eq!(agent.primaries, agent.recount_primaries());
+        (agent, peers)
+    }
+
+    /// A leave's survivor decides its strays and nothing else: with
+    /// none, its sweep visits no entry and sends nothing; a meta that a
+    /// DEG_DELTA routed under another view left on a vertex agent 2
+    /// owns was listed on arrival, and is the one entry visited and
+    /// moved. The primary count stays the walk's throughout.
+    #[test]
+    fn a_leaves_survivor_decides_its_strays_only() {
+        let (old, new) = (view(1, &[ME, 2, 3], &[]), view(2, &[ME, 2], &[]));
+        let (agent, _peers) = &mut placed(&old, None);
+        let held = agent.vertices.len();
+        agent.on_view(new.clone());
+        assert_eq!(agent.metrics.sweep_visits, 0);
+        assert_eq!(agent.counters.mig_sent, 0);
+        assert_eq!(agent.vertices.len(), held);
+        assert_eq!(agent.primaries, agent.recount_primaries());
+
+        let theirs = (1_000..).find(|&v| old.locator().ring().owner(v) == Some(2));
+        let stray = theirs.expect("a vertex of agent 2");
+        let (agent, [to_two, _]) = &mut placed(&old, Some(stray));
+        agent.on_view(new);
+        assert_eq!(agent.metrics.sweep_visits, 1);
+        assert_eq!(agent.counters.mig_sent, 1);
+        let mut got = Vec::new();
+        while let Ok(Some(d)) = to_two.try_recv() {
+            join(&mut got, &d.frame);
+        }
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0].head.vertex, stray);
+        assert!(got[0].head.has(MigVertex::IS_META));
+        assert!(agent.vertices.get(&stray).is_none());
+        assert_eq!(agent.primaries, agent.recount_primaries());
     }
 
     proptest! {

@@ -203,6 +203,9 @@ struct Subscription {
     vertices: FxHashSet<VertexId>,
 }
 
+/// An agent's thread: joined, the events left in its trace buffer.
+pub type AgentThread = std::thread::JoinHandle<Vec<elga_trace::TraceEvent>>;
+
 /// Per-run execution state.
 struct AgentRun {
     info: RunInfo,
@@ -212,10 +215,6 @@ struct AgentRun {
     phase: Phase,
     n_vertices: u64,
     global: f64,
-    /// Vertices this agent is primary for, as every Scatter READY
-    /// reports. Constant while membership holds, so it is counted once
-    /// (`None` = not yet, or invalidated by a bulk write) and cached.
-    n_primary: Option<u64>,
     /// Async event-driven mode entered.
     async_live: bool,
     /// Async execution is paused for a mid-run view change: idle
@@ -286,6 +285,12 @@ pub struct Agent {
     /// per-agent sink attributes traffic to its sender/receiver.
     net: Arc<NetStats>,
     vertices: VertexStore,
+    /// The meta entries the adopted view's ring places here — the
+    /// primary count every READY of a run reports. Kept where `is_meta`
+    /// flips or the ring moves: MIG_VERTEX adoption, DEG_DELTA, the
+    /// placement sweep, the recovery reset ([`Agent::recount_primaries`]
+    /// is the walk it stands for).
+    primaries: u64,
     /// Where each local edge's scatter message lands, and this step's
     /// combined value per destination row (agent thread only).
     targets: TargetTable,
@@ -434,6 +439,14 @@ impl Agent {
         if let Some(info) = run {
             agent.begin_run(info);
         }
+        // A view that names the joiner is the one its VIEW will open the
+        // barrier with: holding nothing, it reports that migration now.
+        if agent.view.addr_of(id).is_some() {
+            let (epoch, members) = (agent.view.epoch, agent.view.agents.len() as u64);
+            agent.tracer.instant(EventKind::ViewAdopt, epoch, members);
+            agent.migrated_epoch = epoch;
+            agent.migrate(epoch, migrate::Sweep::All(Vec::new()));
+        }
         Ok(agent)
     }
 
@@ -470,6 +483,7 @@ impl Agent {
             locator,
             net,
             vertices: VertexStore::default(),
+            primaries: 0,
             targets: TargetTable::default(),
             route_cache,
             scratch: StepScratch::default(),
@@ -508,12 +522,52 @@ impl Agent {
 
     /// Spawn the agent's thread. Joined, it returns the events left in
     /// its trace buffer when it ended, a departer's last sweep included.
-    pub fn spawn(self) -> std::thread::JoinHandle<Vec<elga_trace::TraceEvent>> {
-        let tracer = self.tracer.clone();
+    pub fn spawn(self) -> AgentThread {
+        Agent::on_thread(self.id, move || Some(self))
+    }
+
+    /// [`Agent::join`] on the agent's own thread, which then runs it as
+    /// [`Agent::spawn`]'s does. Returns once the directory has answered
+    /// the JOIN: the thread is up before the view it joins is
+    /// published, and takes its first frames at once.
+    pub fn spawn_join(
+        transport: Arc<dyn Transport>,
+        cfg: SystemConfig,
+        id: AgentId,
+        directory: Addr,
+    ) -> Result<AgentThread, NetError> {
+        let (joined, answer) = std::sync::mpsc::sync_channel(1);
+        let thread = Agent::on_thread(id, move || {
+            let (answer, agent) = match Agent::join(transport, cfg, id, directory) {
+                Ok(agent) => (Ok(()), Some(agent)),
+                Err(e) => (Err(e), None),
+            };
+            let _ = joined.send(answer);
+            agent
+        });
+        match answer.recv().unwrap_or(Err(NetError::Disconnected)) {
+            Ok(()) => Ok(thread),
+            Err(e) => {
+                let _ = thread.join();
+                Err(e)
+            }
+        }
+    }
+
+    /// The thread `elga-agent-{id}` (a harness pins agents by that
+    /// name), running the agent `make` returns, if any.
+    fn on_thread(
+        id: AgentId,
+        make: impl FnOnce() -> Option<Agent> + Send + 'static,
+    ) -> AgentThread {
         std::thread::Builder::new()
-            .name(format!("elga-agent-{}", self.id))
+            .name(format!("elga-agent-{id}"))
             .spawn(move || {
-                self.run_loop();
+                let Some(agent) = make() else {
+                    return Vec::new();
+                };
+                let tracer = agent.tracer.clone();
+                agent.run_loop();
                 tracer.drain().0
             })
             .expect("spawn agent")
@@ -566,7 +620,9 @@ impl Agent {
         let frame = d.frame;
         self.net.record_recv(frame.packet_type(), frame.len());
         match frame.packet_type() {
-            packet::VIEW => {
+            // A view already migrated for (a republished barrier-open,
+            // or a joiner's own) is not decoded again.
+            packet::VIEW if frame.reader().u64() > Some(self.migrated_epoch) => {
                 if let Some(view) = DirectoryView::decode(&frame) {
                     self.take_view(view);
                 }
@@ -672,24 +728,38 @@ impl Agent {
         self.locator.ring().owner(v) == Some(self.id)
     }
 
-    /// Sweep the primaries: cache their count on the run and return
-    /// the sum of the program's `global_contrib` over them (0 on delta
-    /// runs, which report the *change* in dangling mass instead).
+    /// Whether `v`'s entry `e` is a primary meta here: an entry a
+    /// kernel stamped home under the table's generation is one without
+    /// a ring search; anything else asks the ring.
+    fn is_primary_meta(&self, v: VertexId, e: &VertexEntry) -> bool {
+        e.is_meta && (e.is_stamped_home(self.targets.generation()) || self.is_primary(v))
+    }
+
+    /// The walk [`Agent::primaries`] keeps the answer of: the meta
+    /// entries the adopted ring places here.
+    #[cfg(any(debug_assertions, test))]
+    fn recount_primaries(&self) -> u64 {
+        let primary = |(&v, e): (&VertexId, &VertexEntry)| self.is_primary_meta(v, e);
+        self.vertices.iter().filter(|&p| primary(p)).count() as u64
+    }
+
+    /// Sweep the primaries for the sum of the program's
+    /// `global_contrib` over them: a full run of a program with a
+    /// global term (PageRank's dangling mass) asks for it on the steps
+    /// that visit every vertex. Debug builds hold the kept primary
+    /// count to the walk's.
     fn primary_summary(&mut self) -> f64 {
         let Some(run) = self.run.as_ref() else {
             return 0.0;
         };
-        // Folded in shard order (VertexStore iteration). An entry a
-        // kernel stamped home is a primary without a ring search;
-        // anything else asks the ring.
+        // Folded in shard order (VertexStore iteration).
         let mut contrib = 0.0;
         let mut n_primary = 0;
-        let generation = self.targets.generation();
         let program = run.program.as_dyn();
         for (&v, e) in self.vertices.iter() {
-            if e.is_meta && (e.is_stamped_home(generation) || self.is_primary(v)) {
+            if self.is_primary_meta(v, e) {
                 n_primary += 1;
-                if e.has_state && !run.info.delta {
+                if e.has_state {
                     let ctx = VertexCtx {
                         out_degree: e.g_out.max(0) as u64,
                         in_degree: e.g_in.max(0) as u64,
@@ -701,10 +771,8 @@ impl Agent {
                 }
             }
         }
+        debug_assert_eq!(n_primary, self.primaries, "the kept primary count");
         self.metrics.kernel_visits += self.vertices.len() as u64;
-        if let Some(run) = self.run.as_mut() {
-            run.n_primary = Some(n_primary);
-        }
         contrib
     }
 
@@ -913,6 +981,9 @@ impl Agent {
         self.metrics.sub_pushes += pushed;
         for s in self.subs.values_mut() {
             s.outbox.flush();
+            // A client whose mailbox is gone refuses every push; the
+            // next run's values supersede these, so they are dropped.
+            s.outbox.take_failed();
         }
     }
 
@@ -1000,7 +1071,6 @@ impl Agent {
             phase: Phase::Scatter,
             n_vertices: self.view.n_vertices,
             global: 0.0,
-            n_primary: None,
             async_live: false,
             paused: false,
             dangling_round: 0,
@@ -1108,12 +1178,20 @@ impl Agent {
     }
 
     fn finish_run(&mut self) {
-        // Lists the run trusted must be complete at its end.
+        // Lists the run trusted must be complete at its end, and the
+        // primary count it reported true.
         #[cfg(debug_assertions)]
-        if !self.needs_sweep {
-            for shard in self.vertices.shards() {
-                shard.assert_worklists_complete();
+        {
+            if !self.needs_sweep {
+                for shard in self.vertices.shards() {
+                    shard.assert_worklists_complete();
+                }
             }
+            assert_eq!(
+                self.primaries,
+                self.recount_primaries(),
+                "the kept primary count"
+            );
         }
         // Flip the serving snapshot and notify subscribers before the
         // run is dropped (the sweep needs its id and program context).
@@ -1191,6 +1269,29 @@ impl Agent {
         self.run
             .as_ref()
             .map(|r| (r.info.run_id, r.step, r.phase, r.async_live))
+    }
+}
+
+/// The one way a unit-test fixture writes an entry directly.
+#[cfg(test)]
+impl Agent {
+    /// Write `v`'s entry (created if need be) with `f`, as a handler
+    /// would without being one: the primary count follows what `f` did
+    /// to `is_meta`, and the entry is listed as a possible stray, as no
+    /// owner check placed it.
+    pub(super) fn edit(&mut self, v: VertexId, f: impl FnOnce(&mut VertexEntry, &mut Worklists)) {
+        let owned = self.is_primary(v);
+        let (e, lists) = self.vertices.entry_and_lists(v);
+        let was = e.is_meta;
+        f(e, lists);
+        if owned && e.is_meta != was {
+            if e.is_meta {
+                self.primaries += 1;
+            } else {
+                self.primaries -= 1;
+            }
+        }
+        self.vertices.list_stray(v);
     }
 }
 

@@ -41,6 +41,7 @@ impl Agent {
         self.tracer
             .instant(EventKind::RecoveryTrigger, epoch, rec.dead_agent);
         self.vertices.clear();
+        self.primaries = 0;
         self.needs_sweep = true;
         // Open frames hold records counted under the pre-reset regime;
         // pushing them now would corrupt the fresh barrier sums, so

@@ -98,7 +98,8 @@ impl Agent {
         // stale flag (`needs_sweep`); `scatter_all` programs visit
         // every vertex by definition (delta runs scatter pending
         // deltas, never full states, so the hint does not apply).
-        let sweep = self.needs_sweep || (!delta && run.program.as_dyn().scatter_all());
+        let global_term = !delta && run.program.as_dyn().scatter_all();
+        let sweep = self.needs_sweep || global_term;
         // Step 0 is preparation: it only reports the primary vertex
         // count so the directory can hand `n` to initialization.
         if step > 0 {
@@ -107,11 +108,11 @@ impl Agent {
                 self.needs_sweep = false;
             }
         }
-        // Full runs recompute the global term (PageRank's dangling
-        // mass) from scratch on every step that sweeps anyway; the
-        // primary count rides the same pass and is otherwise cached.
-        let counted = self.run.as_ref().is_some_and(|r| r.n_primary.is_some());
-        let reduced = if !counted || (!delta && (step == 0 || sweep)) {
+        // Full runs of a program with a global term (PageRank's
+        // dangling mass) recompute it from scratch on every step, which
+        // sweeps anyway. The primary count the READY reports is kept
+        // ([`Agent::primaries`]), so no other run walks the store here.
+        let reduced = if global_term {
             self.primary_summary()
         } else {
             0.0
@@ -604,7 +605,7 @@ impl Agent {
         let v = rec.vertex;
         let own = {
             let (ctx, cache, _, store, out) = self.kernel_parts(program, false);
-            let e = store.entry_or_default(v);
+            let (e, _) = store.entry_and_lists(v);
             let home = at_home(ctx, cache, v, e);
             broadcast_state(ctx, cache, home, v, e, &rec, &mut out.states)
         };
@@ -1889,8 +1890,7 @@ mod tests {
         let (mine, theirs) = (owned_by(&agent, ME), owned_by(&agent, 2));
         for (&u, &w) in mine.iter().zip(&theirs) {
             agent.insert_out_edge(u, w);
-            let e = agent.vertices.entry_or_default(u);
-            (e.is_meta, e.g_out) = (true, 1);
+            agent.edit(u, |e, _| (e.is_meta, e.g_out) = (true, 1));
         }
         Rig {
             transport,
@@ -1961,6 +1961,35 @@ mod tests {
             let run = self.agent.run.as_ref().expect("run");
             (run.step, run.phase)
         }
+    }
+
+    /// A subscriber whose mailbox went away refuses its SUB_PUSH
+    /// frames. They are dropped, not kept until the subscription ends:
+    /// nothing re-sends a push, and the next run's value supersedes it.
+    #[test]
+    fn a_gone_subscribers_refused_pushes_are_dropped() {
+        let mut rig = rig();
+        let v = rig.mine[0];
+        let client = rig.transport.bind(&Addr::inproc("client")).expect("bind");
+        let reg = msg::SubReg {
+            addr: Addr::inproc("client"),
+            sub: 7,
+            vertices: vec![v],
+        };
+        rig.agent.on_sub_reg(reg);
+        drop(client);
+        for state in [3, 4] {
+            rig.agent.begin_run(run_info(false));
+            let e = rig.agent.vertices.get_mut(&v).expect("entry");
+            (e.state, e.has_state) = (state, true);
+            rig.agent.snapshot_states();
+            rig.agent.run = None;
+        }
+        assert_eq!(rig.agent.metrics.sub_pushes, 2);
+        assert!(
+            !rig.agent.subs[&7].outbox.has_failed(),
+            "refused pushes kept"
+        );
     }
 
     /// An ADVANCE that overtakes the last VMSG frame it counts runs
@@ -2514,9 +2543,10 @@ mod tests {
         let peer3 = agent.transport.bind(&agent_addr(3)).expect("bind");
         let hand_partials = |agent: &mut Agent| {
             for v in [stays, leaves] {
-                let (e, lists) = agent.vertices.entry_and_lists(v);
-                (e.is_meta, e.partial, e.has_partial) = (true, 4, true);
-                lists.partial_dirty.push(v);
+                agent.edit(v, |e, lists| {
+                    (e.is_meta, e.partial, e.has_partial) = (true, 4, true);
+                    lists.partial_dirty.push(v);
+                });
             }
             agent.run_kernel(Phase::Combine, false);
             agent.flush_outboxes();
@@ -2527,8 +2557,7 @@ mod tests {
             assert!(e.home && e.has_ppartial, "{v}: not delivered in place");
         }
         assert_eq!(agent.counters.part_sent, 0);
-        agent.primary_summary();
-        assert_eq!(agent.run.as_ref().unwrap().n_primary, Some(2));
+        assert_eq!(agent.recount_primaries(), 2);
         // Agent 3 joins and takes `leaves` (held here until the sweep).
         agent.adopt_view(joined);
         agent.vertices.get_mut(&leaves).unwrap().has_ppartial = false;
@@ -2543,17 +2572,17 @@ mod tests {
         let e = agent.vertices.get(&leaves).unwrap();
         assert!(!e.home && !e.has_ppartial);
         assert!(agent.vertices.get(&stays).unwrap().home);
-        agent.primary_summary();
-        assert_eq!(agent.run.as_ref().unwrap().n_primary, Some(1));
+        assert_eq!(agent.recount_primaries(), 1);
 
         // A hub with its primary here: delivered in place by the
         // cache's word, not the stamp's, and its STATE still goes out.
         let hub = owned(|v| vec![after.ring().owner(v).unwrap()], &[ME], 3)[2];
         agent.adopt_view(view(3, &[ME, 2, 3], &[hub]));
-        let (e, lists) = agent.vertices.entry_and_lists(hub);
-        (e.is_meta, e.has_state, e.state) = (true, true, hub);
-        (e.has_ppartial, e.ppartial) = (true, 0);
-        lists.apply.push(hub);
+        agent.edit(hub, |e, lists| {
+            (e.is_meta, e.has_state, e.state) = (true, true, hub);
+            (e.has_ppartial, e.ppartial) = (true, 0);
+            lists.apply.push(hub);
+        });
         agent.needs_sweep = false;
         agent.run_kernel(Phase::Apply, false);
         let e = agent.vertices.get(&hub).unwrap();
@@ -2682,9 +2711,10 @@ mod tests {
         }
         let k = targets.len() as u64;
         let state = 0.01f64.to_bits();
-        let e = agent.vertices.entry_or_default(u);
-        (e.is_meta, e.g_out, e.rep_out_degree) = (true, k as i64, k);
-        (e.state, e.has_state) = (state, true);
+        agent.edit(u, |e, _| {
+            (e.is_meta, e.g_out, e.rep_out_degree) = (true, k as i64, k);
+            (e.state, e.has_state) = (state, true);
+        });
 
         let push = (100.0 * TOL).to_bits();
         let program = agent.program();

@@ -303,6 +303,14 @@ fn stall_line(migrating: Option<bool>, drained: &Option<(Counters, Vec<AgentId>)
     line
 }
 
+/// The stderr line of a run that passed `run_deadline`: how long it
+/// was given and what the lead's open barrier waited on (`None`: the
+/// lead did not answer).
+fn run_stall_line(deadline: Duration, waiting_on: Option<&str>) -> String {
+    let waiting = waiting_on.unwrap_or("(the lead did not answer)");
+    format!("elga run: gave up after {deadline:?}: the lead is waiting on {waiting}")
+}
+
 /// Driver-side recovery and checkpoint-restore accounting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
@@ -408,6 +416,11 @@ impl Cluster {
 
     /// Spawn and join `n` new agents; returns their ids. During a run,
     /// they take effect at the next superstep boundary.
+    ///
+    /// Each joins from its own thread ([`Agent::spawn_join`]), so it is
+    /// running when the founders start to sweep, and this returns once
+    /// the lead has answered every JOIN: a `quiesce` that follows sees
+    /// the migration.
     pub fn add_agents(&mut self, n: usize) -> Vec<AgentId> {
         let mut ids = Vec::with_capacity(n);
         for _ in 0..n {
@@ -419,9 +432,8 @@ impl Cluster {
                 self.cfg.request_timeout,
             )
             .unwrap_or_else(|_| self.lead.clone());
-            let agent =
-                Agent::join(self.transport.clone(), self.cfg.clone(), id, dir).expect("agent join");
-            self.agent_handles.insert(id, agent.spawn());
+            let agent = Agent::spawn_join(self.transport.clone(), self.cfg.clone(), id, dir);
+            self.agent_handles.insert(id, agent.expect("agent join"));
             ids.push(id);
         }
         ids
@@ -928,15 +940,21 @@ impl Cluster {
     /// Block until the run completes and collect its statistics.
     ///
     /// Bounded by `SystemConfig::run_deadline` (yielding
-    /// `NetError::Timeout` past it). If an agent dies mid-run, the
-    /// lead's RECOVER broadcast arrives here; the driver waits out the
-    /// survivors' reset, replays the retained change log, and restarts
-    /// the aborted run — all under the same deadline.
+    /// `NetError::Timeout` past it, after one stderr line that says what
+    /// the lead waited on, [`run_stall_line`]). If an agent dies mid-run,
+    /// the lead's RECOVER broadcast arrives here; the driver waits out
+    /// the survivors' reset, replays the retained change log, and
+    /// restarts the aborted run — all under the same deadline.
     pub fn wait_run(&mut self, mut handle: RunHandle) -> Result<RunStats, NetError> {
         let deadline = handle.started + self.cfg.run_deadline;
         loop {
             let now = Instant::now();
             if now >= deadline {
+                let ask = Frame::builder(packet::RUN_STATUS).u64(0).finish();
+                let rep = self.request(ask).ok();
+                let text = rep.as_ref().and_then(|f| f.reader().bytes());
+                let waiting_on = text.and_then(|b| std::str::from_utf8(b).ok());
+                eprintln!("{}", run_stall_line(self.cfg.run_deadline, waiting_on));
                 return Err(NetError::Timeout);
             }
             let slice = (deadline - now).min(Duration::from_millis(100));
@@ -1279,6 +1297,22 @@ mod tests {
         assert_eq!(
             stall_line(None, &Some((Counters::default(), Vec::new()))),
             "elga quiesce: gave up: the lead did not answer RUN_STATUS"
+        );
+    }
+
+    /// A run past its deadline names the lead's open barrier as
+    /// `Lead::waiting_on` words it, or says the lead did not answer.
+    #[test]
+    fn a_run_past_its_deadline_says_what_the_lead_waited_on() {
+        let waited = "barrier (run 3, step 2, Scatter); agent 2 has reported nothing";
+        assert_eq!(
+            run_stall_line(Duration::from_secs(120), Some(waited)),
+            "elga run: gave up after 120s: the lead is waiting on \
+             barrier (run 3, step 2, Scatter); agent 2 has reported nothing"
+        );
+        assert_eq!(
+            run_stall_line(Duration::from_millis(5), None),
+            "elga run: gave up after 5ms: the lead is waiting on (the lead did not answer)"
         );
     }
 }

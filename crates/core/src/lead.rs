@@ -278,7 +278,8 @@ impl Lead {
 
     /// Take one frame from the lead's mailbox at `now`. A request's
     /// answer is queued as one [`Effect::Reply`], after everything its
-    /// handling published.
+    /// handling published — but for JOIN's, which goes ahead of the VIEW
+    /// it names.
     pub(crate) fn on_frame(&mut self, now: Instant, frame: &Frame) {
         self.now = now;
         match frame.packet_type() {
@@ -291,17 +292,21 @@ impl Lead {
                 let Some(info) = AgentInfo::decode(frame) else {
                     return self.reply(Frame::signal(packet::OK));
                 };
-                // The reply hands the joiner the view — after the VIEW
-                // that opens its barrier, if nothing was in flight —
-                // and the run in progress.
+                // The reply hands the joiner the view — the one that
+                // names it, if nothing was in flight — and the run in
+                // progress. It is queued ahead of that view's VIEW: the
+                // joiner's thread waits on it, while the founders start
+                // to sweep on the VIEW.
                 let run = self.run.as_ref().map(|r| r.info);
                 self.saw(info.id);
                 self.pending_joins.push(info);
+                let published = self.effects.len();
                 if !self.busy() {
                     self.apply_membership();
                 }
                 let view = self.view.clone();
-                self.reply(msg::JoinReply { view, run }.encode());
+                let reply = Effect::Reply(msg::JoinReply { view, run }.encode());
+                self.effects.insert(published, reply);
                 self.evaluate();
             }
             packet::LEAVE => {
@@ -349,7 +354,13 @@ impl Lead {
                     self.view.encode()
                 });
             }
-            packet::RUN_STATUS => self.reply(self.status().encode()),
+            // With a body, the question is what an open barrier waits on.
+            packet::RUN_STATUS if frame.payload().is_empty() => self.reply(self.status().encode()),
+            packet::RUN_STATUS => self.reply(
+                Frame::builder(packet::OK)
+                    .bytes(self.waiting_on().as_bytes())
+                    .finish(),
+            ),
             packet::METRICS => {
                 if let Some(m) = AgentMetrics::decode(frame) {
                     self.saw(m.agent);
@@ -2198,6 +2209,21 @@ mod tests {
         );
         assert!(said.contains("mig sent − recv = 9"), "{said}");
         assert!(said.contains("vmsg sent − recv = -1"), "{said}");
+
+        // A RUN_STATUS with a body asks for it; an empty one still gets
+        // the status.
+        let ask = Frame::builder(packet::RUN_STATUS).u64(0).finish();
+        lead.on_frame(lead.now, &ask);
+        let Some(Effect::Reply(rep)) = drained(&mut lead).pop() else {
+            panic!("no reply");
+        };
+        assert_eq!(rep.packet_type(), packet::OK);
+        assert_eq!(rep.reader().bytes(), Some(said.as_bytes()));
+        lead.on_frame(lead.now, &Frame::signal(packet::RUN_STATUS));
+        let Some(Effect::Reply(rep)) = drained(&mut lead).pop() else {
+            panic!("no reply");
+        };
+        assert!(RunStatus::decode(&rep).is_some_and(|s| s.migrating));
     }
 
     #[test]
@@ -2566,10 +2592,10 @@ mod tests {
         Lead::new(&cfg, Instant::now())
     }
 
-    /// A reply follows what its request published: the VIEW that opens
-    /// a joiner's barrier comes before the JOIN reply, START and the
+    /// A reply follows what its request published: START and the
     /// step-0 ADVANCE before the run id, the SHUTDOWN broadcast before
-    /// its `OK`.
+    /// its `OK`. A JOIN's reply goes first, ahead of the VIEW that opens
+    /// the joiner's barrier.
     #[test]
     fn a_reply_is_queued_after_what_its_request_published() {
         let mut lead = test_lead();
@@ -2577,7 +2603,7 @@ mod tests {
         lead.on_frame(now, &join(1));
         let effects = drained(&mut lead);
         let kinds: Vec<_> = effects.iter().map(kind).collect();
-        assert_eq!(kinds, [("publish", packet::VIEW), ("reply", packet::JOIN)]);
+        assert_eq!(kinds, [("reply", packet::JOIN), ("publish", packet::VIEW)]);
         settle(&mut lead, now);
         drained(&mut lead);
         lead.on_frame(now, &run_info(WCC.0, false).encode());

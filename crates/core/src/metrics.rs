@@ -351,6 +351,10 @@ metrics! {
             "Owner-memo heap bytes: map capacity and split placements.";
         memo_fills: u64 = sum(memo_fills) => "memo_fills_total" counter
             "Edge-memo slots scatter filled through the owner cache, on the sides it fired.";
+        sweep_visits: u64 = sum(sweep_visits) => "sweep_visits_total" counter
+            "Vertex entries whose placement a view change's sweep decided.";
+        primaries: u64 = gauge(primaries) => "primaries" gauge
+            "Primary vertices: the meta entries each agent's ring places on it.";
     }
 }
 
@@ -408,6 +412,8 @@ mod tests {
             subscriptions: 170,
             sub_pushes: 180,
             kernel_visits: 190,
+            sweep_visits: 200,
+            primaries: 210,
             comms: CommsMetrics {
                 vmsg: PacketStat {
                     frames_sent: 1,
@@ -454,6 +460,8 @@ mod tests {
             subscriptions: 1,
             sub_pushes: 4,
             kernel_visits: 50,
+            sweep_visits: 8,
+            primaries: 12,
             comms: CommsMetrics {
                 count_flushes: 4,
                 ..Default::default()
@@ -484,6 +492,8 @@ mod tests {
             subscriptions: 2,
             sub_pushes: 6,
             kernel_visits: 25,
+            sweep_visits: 3,
+            primaries: 14,
             comms: CommsMetrics {
                 count_flushes: 5,
                 ..Default::default()
@@ -513,6 +523,7 @@ mod tests {
         assert_eq!(c.comms.count_flushes, 9);
         assert_eq!(c.kernel_visits, 75);
         assert_eq!(c.memo_fills, 11);
+        assert_eq!((c.sweep_visits, c.primaries), (11, 26));
         // A departed agent keeps its counters in the totals; its
         // gauges leave with it.
         let before = c;
@@ -524,8 +535,11 @@ mod tests {
             owner_cache_bytes: 999,
             subscriptions: 9,
             last_step_nanos: 1_000_000,
+            sweep_visits: 5,
+            primaries: 40,
             ..Default::default()
         });
+        assert_eq!((c.sweep_visits, c.primaries), (16, 26));
         assert_eq!(c.vmsgs, before.vmsgs + 10);
         assert_eq!(
             (

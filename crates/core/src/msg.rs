@@ -57,7 +57,8 @@ pub mod packet {
     /// streamer's `u64` epoch, a batch-clock tick answered by
     /// `OK(epoch)` while that epoch is current.
     pub const GET_VIEW: u8 = 18;
-    /// Run status (REQ, driver → lead): empty.
+    /// Run status (REQ, driver → lead): empty; with any body, what an
+    /// open barrier waits on, as `OK` and its text.
     pub const RUN_STATUS: u8 = 19;
     /// Metric report (push, agent → directory).
     pub const METRICS: u8 = 21;

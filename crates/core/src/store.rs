@@ -85,6 +85,11 @@ pub(crate) struct VertexStore {
     /// mutators, which take it beside the entry
     /// ([`VertexStore::entry_and_tally`]), and by [`VertexStore::remove`].
     tally: Tally,
+    /// Entries that may hold edges or primary-only state the adopted
+    /// view does not place here (*strays*), listed when written and
+    /// taken by the next sweep under a new ring: a superset, repeats
+    /// and gone ids allowed ([`VertexStore::list_stray`]).
+    strays: Vec<VertexId>,
 }
 
 impl Default for VertexStore {
@@ -93,6 +98,7 @@ impl Default for VertexStore {
             shards: (0..SHARDS).map(|_| Shard::default()).collect(),
             len: 0,
             tally: Tally::default(),
+            strays: Vec::new(),
         }
     }
 }
@@ -110,11 +116,6 @@ impl VertexStore {
         self.shards[shard_of(*v)].map.get_mut(v)
     }
 
-    /// Entry-or-default, as `FxHashMap::entry(v).or_default()`.
-    pub fn entry_or_default(&mut self, v: VertexId) -> &mut VertexEntry {
-        self.entry_and_lists(v).0
-    }
-
     /// Entry-or-default plus the shard's worklists, for handlers that
     /// flip a kernel flag and must record the flip. One probe of the
     /// shard map: this is the per-message cost of every delivery.
@@ -125,7 +126,9 @@ impl VertexStore {
 
     /// Entry-or-default with both: the shard's worklists and the tally.
     pub fn entry_parts(&mut self, v: VertexId) -> (&mut VertexEntry, &mut Worklists, &mut Tally) {
-        let VertexStore { shards, len, tally } = self;
+        let VertexStore {
+            shards, len, tally, ..
+        } = self;
         let Shard { map, lists } = &mut shards[shard_of(v)];
         let entry = map.entry(v).or_insert_with(|| {
             *len += 1;
@@ -158,6 +161,35 @@ impl VertexStore {
         self.clear_worklists();
         self.len = 0;
         self.tally = Tally::default();
+        self.strays.clear();
+    }
+
+    /// List `v` as a possible stray. Past twice the store's size the
+    /// list drops its repeats and the ids no longer held, so it never
+    /// outgrows the store.
+    pub fn list_stray(&mut self, v: VertexId) {
+        self.strays.push(v);
+        if self.strays.len() > 2 * self.len + 64 {
+            self.strays.sort_unstable();
+            self.strays.dedup();
+            let shards = &self.shards;
+            self.strays
+                .retain(|v| shards[shard_of(*v)].map.contains_key(v));
+        }
+    }
+
+    /// Take the listed strays still held, once each, in store order —
+    /// the order a walk of the whole store meets them in.
+    pub fn take_strays(&mut self) -> Vec<VertexId> {
+        let mut listed = std::mem::take(&mut self.strays);
+        listed.sort_unstable_by_key(|&v| (shard_of(v), v));
+        listed.dedup();
+        let mut out = Vec::with_capacity(listed.len());
+        for run in listed.chunk_by(|a, b| shard_of(*a) == shard_of(*b)) {
+            let map = &self.shards[shard_of(run[0])].map;
+            out.extend(map.keys().copied().filter(|v| run.binary_search(v).is_ok()));
+        }
+        out
     }
 
     /// Edges held: out-placements, then in-placements.
@@ -220,6 +252,13 @@ impl VertexStore {
 
 #[cfg(test)]
 impl VertexStore {
+    /// Entry-or-default for a fixture's direct write, which no owner
+    /// check placed: the entry is listed as a possible stray.
+    pub fn entry_or_default(&mut self, v: VertexId) -> &mut VertexEntry {
+        self.list_stray(v);
+        self.entry_and_lists(v).0
+    }
+
     /// Entry-or-default plus the tally its adjacency's mutators keep.
     pub fn entry_and_tally(&mut self, v: VertexId) -> (&mut VertexEntry, &mut Tally) {
         let (entry, _, tally) = self.entry_parts(v);

@@ -429,6 +429,8 @@ fn agent_metrics() -> AgentMetrics {
         store_bytes: 53,
         owner_cache_bytes: 54,
         memo_fills: 55,
+        sweep_visits: 56,
+        primaries: 57,
     }
 }
 
@@ -496,6 +498,8 @@ fn cluster_metrics() -> ClusterMetrics {
         store_bytes: 63,
         owner_cache_bytes: 64,
         memo_fills: 65,
+        sweep_visits: 66,
+        primaries: 67,
     }
 }
 
@@ -512,7 +516,8 @@ const METRICS: &str = "010000000000000002000000000000000300000000000000040000000
      29000000000000002a000000000000002b000000000000002c00000000000000\
      2d000000000000002e000000000000002f000000000000003000000000000000\
      3100000000000000320000000000000033000000000000003400000000000000\
-     350000000000000036000000000000003700000000000000";
+     3500000000000000360000000000000037000000000000003800000000000000\
+     3900000000000000";
 
 const GET_METRICS: &str = "0100000000000000020000000000000003000000000000000400000000000000\
      0500000000000000060000000000000007000000000000000800000000000000\
@@ -529,7 +534,8 @@ const GET_METRICS: &str = "01000000000000000200000000000000030000000000000004000
      0032000000000000003300000000000000340000000000000035000000000000\
      0036000000000000003700000000000000380000000000000039000000000000\
      003a000000000000003b000000000000003c000000000000003d000000000000\
-     003e000000000000003f0000000000000040000000000000004100000000000000";
+     003e000000000000003f0000000000000040000000000000004100000000000000\
+     42000000000000004300000000000000";
 
 #[test]
 fn metrics_frames_are_pinned() {
@@ -702,4 +708,10 @@ elga_owner_cache_bytes 64
 # HELP elga_memo_fills_total Edge-memo slots scatter filled through the owner cache, on the sides it fired.
 # TYPE elga_memo_fills_total counter
 elga_memo_fills_total 65
+# HELP elga_sweep_visits_total Vertex entries whose placement a view change's sweep decided.
+# TYPE elga_sweep_visits_total counter
+elga_sweep_visits_total 66
+# HELP elga_primaries Primary vertices: the meta entries each agent's ring places on it.
+# TYPE elga_primaries gauge
+elga_primaries 67
 "#;

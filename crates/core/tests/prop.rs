@@ -803,11 +803,11 @@ proptest! {
         let words = |b: elga_net::frame::FrameBuilder, n: usize| {
             w.iter().cycle().take(n).fold(b, |b, &x| b.u64(x))
         };
-        let agent = words(Frame::builder(packet::METRICS), 55).finish();
-        assert_round_trip(AgentMetrics::decode(&agent).expect("55 words"));
+        let agent = words(Frame::builder(packet::METRICS), 57).finish();
+        assert_round_trip(AgentMetrics::decode(&agent).expect("57 words"));
         let cluster = words(Frame::builder(packet::GET_METRICS), 10).u8(u8::from(bit(10)));
-        let cluster = words(cluster, 54).finish();
-        assert_round_trip(ClusterMetrics::decode(&cluster).expect("64 words and a flag"));
+        let cluster = words(cluster, 56).finish();
+        assert_round_trip(ClusterMetrics::decode(&cluster).expect("66 words and a flag"));
     }
 
     /// Counters settle exactly when each pair matches, and `add` is

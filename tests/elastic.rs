@@ -367,9 +367,9 @@ fn tracing_captures_phases_views_and_migrations() {
     // The placement sweep is a span of its own, `examined`/`moved`
     // entries as arguments. The departer's last one is its leave, which
     // moved what it held and sent it; a live agent's last one is the
-    // same leave, where a survivor examines its store and moves
-    // nothing. On the join before it, each founder shipped a part of
-    // its store.
+    // same leave, where a survivor, whose ring only gained arcs,
+    // examines only its strays — none here — and moves nothing. On the
+    // join before it, each founder shipped a part of its store.
     let (_, evs) = tracks.iter().find(|(n, _)| *n == departer).expect("track");
     let last_sweep = evs.iter().rfind(|e| e.kind == EventKind::MigrateSweep);
     let moved = last_sweep.map(|e| e.b).expect("the departer's leave sweep");
@@ -387,7 +387,7 @@ fn tracing_captures_phases_views_and_migrations() {
             .filter(|e| e.kind == EventKind::MigrateSweep)
             .collect();
         let (examined, moved) = sweeps.last().map(|e| (e.a, e.b)).expect("a sweep");
-        assert!(examined > 0 && moved == 0, "{name}: {moved} of {examined}");
+        assert!(examined == 0 && moved == 0, "{name}: {moved} of {examined}");
         partial_moves += sweeps.iter().filter(|e| 0 < e.b && e.b < e.a).count();
     }
     assert!(
@@ -469,22 +469,50 @@ fn incremental_wcc_after_a_join_visits_the_batch_not_the_store() {
     assert_eq!(got.len(), truth.len());
     assert!(truth.iter().all(|(v, label)| got[v] == *label));
 
-    // The entries held: what the next join's placement sweeps examine
-    // (every founder sweeps its whole store; the joiner holds none).
-    cluster.collect_traces();
-    cluster.add_agents(1);
-    let held: u64 = cluster
-        .collect_traces()
-        .iter()
-        .flat_map(|(_, evs)| evs.iter().filter(|e| e.kind == EventKind::MigrateSweep))
-        .map(|e| e.a)
-        .sum();
-    cluster.shutdown();
-    assert!(held >= n, "{held} entries held");
-    let bound = held + 16 * batch.len() as u64;
+    // No store walk: step 0 reads the kept primary count, and the
+    // kernels visit what the batch listed.
     assert!(
-        visits <= bound,
-        "{visits} entries visited for {} changes, {held} held",
+        visits <= 16 * batch.len() as u64,
+        "{visits} entries visited for {} changes",
         batch.len()
     );
+
+    // The placement sweeps, by agent, of each view change: the next
+    // join's founders decide their whole store (the joiner holds
+    // none); a leave's survivors, whose rings only gain arcs, decide
+    // none, and the departer all of its own. `sweep_visits` counts the
+    // same entries.
+    let swept = |cluster: &mut Cluster| -> Vec<(String, u64)> {
+        let tracks = cluster.collect_traces();
+        let agents = tracks.into_iter().filter(|(n, _)| n.starts_with("agent-"));
+        let examined = |evs: Vec<elga::trace::TraceEvent>| {
+            let sweeps = evs
+                .into_iter()
+                .filter(|e| e.kind == EventKind::MigrateSweep);
+            sweeps.map(|e| e.a).sum()
+        };
+        agents.map(|(n, evs)| (n, examined(evs))).collect()
+    };
+    swept(&mut cluster);
+    let before = cluster.metrics().sweep_visits;
+    cluster.add_agents(1);
+    cluster.quiesce().expect("quiesce");
+    let joined = swept(&mut cluster);
+    let held: u64 = joined.iter().map(|&(_, a)| a).sum();
+    assert!(held >= n, "{held} entries held");
+    let gone = cluster.remove_agents(1);
+    cluster.quiesce().expect("quiesce");
+    let left = swept(&mut cluster);
+    let visits = cluster.metrics().sweep_visits - before;
+    cluster.shutdown();
+    let departer = format!("agent-{}", gone[0]);
+    for (name, examined) in &left {
+        if *name == departer {
+            assert!(*examined > 0, "the departer decided nothing");
+        } else {
+            assert_eq!(*examined, 0, "survivor {name}");
+        }
+    }
+    let left: u64 = left.iter().map(|&(_, a)| a).sum();
+    assert_eq!(visits, held + left);
 }
