@@ -24,6 +24,10 @@
 #                           one time-based decision takes the time as
 #                           an input (`Agent::on_tick(now)`); what is
 #                           left are stopwatches and the thread shell
+#   cluster_clock_sites     `Instant::now` and `thread::sleep` lines in
+#                           the non-test part of cluster.rs: the
+#                           driver waits on the lead's answers (a
+#                           `quiesce` is one request), not on its clock
 #   kernel_dyn_calls        `dyn VertexProgram` mentions in the
 #                           non-test part of agent/superstep.rs: the
 #                           kernels are generic over the program type,
@@ -51,6 +55,8 @@ knobs=$(awk '/^pub struct SystemConfig/ { on = 1; next }
 agent_clock=$(find crates/core/src/agent -name '*.rs' -print0 |
     xargs -0 awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 } !test && /Instant::now/ { n++ } END { print n + 0 }')
 bench=$(find crates/bench -name '*.rs' -print0 | xargs -0 cat | wc -l)
+cluster_clock=$(awk '/^#\[cfg\(test\)\]/ { exit } { print }' crates/core/src/cluster.rs |
+    grep -cE 'Instant::now|thread::sleep' || true)
 kernel_dyn=$(awk '/^#\[cfg\(test\)\]/ { exit } { print }' crates/core/src/agent/superstep.rs |
     grep -c 'dyn VertexProgram' || true)
 design_bytes=$(wc -c < DESIGN.md)
@@ -66,6 +72,7 @@ while read -r name ceiling; do
         config_knobs) got=$knobs ;;
         agent_clock_reads) got=$agent_clock ;;
         bench_lines) got=$bench ;;
+        cluster_clock_sites) got=$cluster_clock ;;
         kernel_dyn_calls) got=$kernel_dyn ;;
         design_md_bytes) got=$design_bytes ;;
         rust_lines) got=$rust ;;

@@ -26,7 +26,7 @@ impl Agent {
             return;
         };
         let t0 = Instant::now();
-        let mut frames = MigFrames::new((0, 0));
+        let mut frames = MigFrames::new((0, 0, self.id));
         for (&v, e) in self.vertices.iter() {
             let (mut head, meta, flags) = vertex_record(v, e);
             (head.flags, head.aux) = (head.flags | flags & !RUN_STATE, 0);
@@ -269,8 +269,8 @@ mod tests {
         }
         assert_eq!(sent.len(), all - kept, "a placement no shard held left");
         assert!(hub[0] > 0 && hub[1] > 0, "the hub is placed edge by edge");
-        assert_eq!(agent.counters.mig_sent, records);
-        assert_eq!(agent.counters.mig_recv, 0, "a load is not a receive");
+        assert_eq!(agent.total().mig_sent, records);
+        assert_eq!(agent.total().mig_recv, 0, "a load is not a receive");
         assert_eq!(agent.degrees.items(), all as i64);
     }
 
@@ -281,7 +281,7 @@ mod tests {
     fn a_retried_load_loads_nothing_twice() {
         let outcome = |(a, _, records): Loaded| {
             let store = BTreeMap::from_iter(a.vertices.iter().map(|(&v, e)| (v, e.clone())));
-            let counts = [a.counters.mig_sent, a.degrees.items() as u64];
+            let counts = [a.total().mig_sent, a.degrees.items() as u64];
             (store, records, counts)
         };
         assert!(outcome(loaded("once", 1)) == outcome(loaded("twice", 2)));
@@ -297,8 +297,8 @@ mod tests {
         let payload = save_ring(&dir);
         assert!(msg::shard_frames(&payload).is_some_and(|f| f.len() == 1));
         // The first record's flags: the frame count and length, the
-        // frame's kind, tag and record count, the vertex.
-        let flags_at = 4 + 4 + 1 + 16 + 4 + 8;
+        // frame's kind, tag, sender and record count, the vertex.
+        let flags_at = 4 + 4 + 1 + 24 + 4 + 8;
         let cuts = [0, 3, 4, 7, 8, 30, flags_at, payload.len() - 1];
         let mut damaged: Vec<Vec<u8>> = cuts.map(|cut| payload[..cut].to_vec()).to_vec();
         damaged.push([&payload[..], &[0]].concat());
@@ -378,7 +378,7 @@ mod tests {
             prop_assert_eq!(store(&agent), store(&saver));
             let held = saver.vertices.held();
             prop_assert_eq!(agent.degrees.items(), (held[0] + held[1]) as i64);
-            prop_assert_eq!((agent.counters.mig_sent, agent.counters.mig_recv), (0, 0));
+            prop_assert_eq!((agent.total().mig_sent, agent.total().mig_recv), (0, 0));
         }
     }
 }

@@ -9,12 +9,13 @@
 //! place by the kernel that produced them (`superstep`), uncounted on
 //! both sides of the barrier sums.
 //!
-//! Flush discipline: the termination protocol (Mattern-style counter
-//! barriers) counts *records*, and a READY/DRAIN report must never
-//! claim a record the wire has not seen. Hence [`Agent::send_ready`]
-//! and the DRAIN handler flush all open frames first, and
+//! Flush discipline: the termination protocol (Mattern's channel
+//! counting, per peer) counts *records*, and a READY/DRAIN report must
+//! never claim a record the wire has not seen. Hence [`Agent::send_ready`]
+//! and the DRAIN answers flush all open frames first, and
 //! [`Agent::on_idle`] flushes once the mailbox drains so async-mode
-//! traffic keeps moving between barriers.
+//! traffic keeps moving between barriers. A report carries only the
+//! peer rows that moved since the lead was last told ([`Agent::fresh_rows`]).
 
 use super::*;
 
@@ -53,7 +54,7 @@ impl Agent {
             run,
             step,
             phase,
-            counters: self.counters,
+            rows: Vec::new(),
             active,
             global_contrib: contrib,
             n_primary: if self.run.is_some() {
@@ -67,7 +68,7 @@ impl Agent {
         });
     }
 
-    /// Re-send the last READY with fresh counters ([`Agent::on_idle`]
+    /// Re-send the last READY with fresh rows ([`Agent::on_idle`]
     /// says when). The summary fields and the step's sent list are
     /// repeated as sent — nothing a late frame can do changes them —
     /// so the lead's per-receiver sums come out the same.
@@ -77,18 +78,72 @@ impl Agent {
         }
     }
 
-    /// Stamp `rep` with the current counters, sequence and epoch, and
-    /// push it to the directory.
+    /// Stamp `rep` with the fresh rows, sequence and epoch, and push it
+    /// to the directory.
     fn push_ready(&mut self, mut rep: ReadyReport) {
-        // The report's counters claim these records as sent; make it
-        // true before the directory can act on it.
+        // The report's rows claim these records as sent; make it true
+        // before the directory can act on it.
         self.flush_outboxes();
         self.ready_seq += 1;
-        rep.counters = self.counters;
+        rep.rows = self.fresh_rows();
         rep.seq = self.ready_seq;
         rep.epoch = self.view.epoch;
         let _ = self.dir_push.send(rep.encode());
         self.reported = Some(rep);
+    }
+
+    /// The channel pair with `peer`: what was sent to it and taken in
+    /// from it.
+    pub(super) fn peer(&mut self, peer: AgentId) -> &mut Counters {
+        self.channels.entry(peer).or_default()
+    }
+
+    /// The rows that moved since the lead was last told, now told.
+    pub(super) fn fresh_rows(&mut self) -> Rows {
+        let rows: Rows = (self.channels.iter())
+            .filter(|(p, c)| self.told.get(p) != Some(c))
+            .map(|(&p, &c)| (p, c))
+            .collect();
+        self.told.extend(rows.iter().copied());
+        rows
+    }
+
+    /// Whether a count moved since the lead was last told; without
+    /// `records`, taking in VMSG, PARTIAL or STATE records does not.
+    pub(super) fn moved(&self, records: bool) -> bool {
+        self.channels.iter().any(|(p, c)| {
+            let told = self.told.get(p).copied().unwrap_or_default();
+            let mut pairs = c.pairs().into_iter().zip(told.pairs()).enumerate();
+            pairs.any(|(i, (c, t))| c.1 != t.1 || c.2 != t.2 && (records || i > 2))
+        })
+    }
+
+    /// Answer the lead's parked DRAIN once every record it names has
+    /// been taken in — each peer's row is what that peer reported
+    /// sending here, peer 0's the streamers' records. The degree
+    /// changes applied so far go ahead of the report, on the same path,
+    /// so the lead has folded them when it reads it.
+    pub(super) fn answer_drain(&mut self) {
+        let streamed = Counters {
+            chg_recv: self.streamed,
+            ..Counters::default()
+        };
+        let owed = |(from, sent): &(AgentId, Counters)| {
+            let row = || self.channels.get(from).copied().unwrap_or_default();
+            let taken = if *from == 0 { streamed } else { row() };
+            (sent.pairs().iter().zip(taken.pairs())).any(|(s, t)| t.2 < s.1)
+        };
+        if self.drain.as_ref().is_none_or(|ask| ask.iter().any(owed)) {
+            return;
+        }
+        self.drain = None;
+        self.push_degrees();
+        let report = msg::DrainReport {
+            agent: self.id,
+            epoch: self.view.epoch,
+            rows: self.fresh_rows(),
+        };
+        let _ = self.dir_push.send(report.encode());
     }
 
     // ------------------------------------------------------------------
@@ -103,16 +158,14 @@ impl Agent {
     }
 
     /// Push the degree changes applied since the last push to the
-    /// directory, for the lead's sketch; whether there were any.
-    pub(super) fn push_degrees(&mut self) -> bool {
+    /// directory, for the lead's sketch.
+    pub(super) fn push_degrees(&mut self) {
         self.count_degrees();
-        if self.degrees.touched() == 0 {
-            return false;
+        if self.degrees.touched() > 0 {
+            let delta = msg::encode_sketch_delta(self.view.epoch, &self.degrees);
+            let _ = self.dir_push.send(delta);
+            self.degrees.clear();
         }
-        let delta = msg::encode_sketch_delta(self.view.epoch, &self.degrees);
-        let _ = self.dir_push.send(delta);
-        self.degrees.clear();
-        true
     }
 
     /// Push this agent's metrics to the directory: the report the

@@ -78,16 +78,15 @@ impl Agent {
         let Some(view) = msg::decode_edge_changes(&frame) else {
             return;
         };
-        let (side, hop) = (view.side, view.hop);
-        // Streamer-originated records (hop 0) are unmatched on the
-        // send side (Streamers do not participate in barriers); only
-        // agent-to-agent forwards are double counted. The receive is
-        // counted even when the apply is deferred below: the sender's
-        // chg_sent is already in the barrier sums, and deferring the
-        // matching count would hold settled() false for the whole run
-        // — no barrier (or async termination probe) could ever fire.
-        if hop > 0 {
-            self.counters.chg_recv += view.records.len() as u64;
+        let (side, hop, n) = (view.side, view.hop, view.records.len() as u64);
+        // Streamer-originated records (hop 0) are uncounted in the
+        // channels (Streamers do not report); a DRAIN may ask for a
+        // number of them first. A forward is taken in even when its
+        // apply is deferred below: its sender already reported it sent,
+        // and its channel would stay unbalanced for the whole run.
+        match hop {
+            0 => self.streamed += n,
+            _ => self.peer(view.from).chg_recv += n,
         }
         if self.run.is_some() {
             self.buffered_changes.push(frame);
@@ -171,10 +170,11 @@ impl Agent {
                 }
             }
         }
+        let me = self.id;
         for (&agent, fwd) in forwards.iter_mut().filter(|(_, fwd)| !fwd.is_empty()) {
-            self.counters.chg_sent += fwd.len() as u64;
+            self.peer(agent).chg_sent += fwd.len() as u64;
             self.with_outbox(agent, |out| {
-                msg::append_edge_changes(out, side, hop + 1, fwd)
+                msg::append_changes_from(out, side, hop + 1, me, fwd)
             });
             fwd.clear();
         }
@@ -193,16 +193,15 @@ impl Agent {
             }
         }
         for (&agent, ds) in delta_batches.iter_mut().filter(|(_, ds)| !ds.is_empty()) {
-            self.counters.chg_sent += ds.len() as u64;
-            self.with_outbox(agent, |out| msg::append_deg_deltas(out, ds));
+            self.peer(agent).chg_sent += ds.len() as u64;
+            self.with_outbox(agent, |out| msg::append_deg_deltas(out, me, ds));
             ds.clear();
         }
-        // Residual corrections ride the same chg_* counter class as
-        // the changes that caused them, so the ingest barrier settles
-        // only once every correction landed.
+        // Residual corrections are counted like the changes that caused
+        // them, so `quiesce` returns only once every correction landed.
         for (&agent, rs) in residuals.iter_mut().filter(|(_, rs)| !rs.is_empty()) {
-            self.counters.chg_sent += rs.len() as u64;
-            self.with_outbox(agent, |out| msg::append_residuals(out, rs));
+            self.peer(agent).chg_sent += rs.len() as u64;
+            self.with_outbox(agent, |out| msg::append_residuals(out, me, rs));
             rs.clear();
         }
         if seen <= SCRATCH_KEEP {
@@ -239,24 +238,24 @@ impl Agent {
     }
 
     pub(super) fn on_residual(&mut self, frame: Frame) {
-        let Some(recs) = msg::decode_residuals(&frame) else {
+        let Some(view) = msg::decode_residuals(&frame) else {
             return;
         };
-        // Counted on arrival even when buffered, like edge changes:
-        // the sender's chg_sent is already in the barrier sums.
-        self.counters.chg_recv += recs.len() as u64;
+        // Counted on arrival even when buffered, like edge changes.
+        self.peer(view.from).chg_recv += view.records.len() as u64;
         if self.run.is_some() {
             self.buffered_changes.push(frame);
             return;
         }
-        self.apply_residuals(recs);
+        self.apply_residuals(view.records);
     }
 
     pub(super) fn on_deg_delta(&mut self, frame: Frame) {
-        let Some(deltas) = msg::decode_deg_deltas(&frame) else {
+        let Some(view) = msg::decode_deg_deltas(&frame) else {
             return;
         };
-        self.counters.chg_recv += deltas.len() as u64;
+        let deltas = view.records;
+        self.peer(view.from).chg_recv += deltas.len() as u64;
         let program = self.delta_seed.as_ref().map(|s| s.program.clone());
         let program = program.as_ref().map(Program::as_dyn);
         let mut dangling = 0.0;

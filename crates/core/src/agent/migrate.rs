@@ -13,7 +13,8 @@ use msg::{MigMeta, MigVertex, WireRecord};
 /// riding the last.
 #[derive(Default)]
 pub(super) struct MigFrames {
-    snap: (u64, u64),
+    /// The frames' head: the serving-snapshot tag and the sender.
+    head: (u64, u64, AgentId),
     max_bytes: usize,
     open: Option<msg::OpenFrame<MigVertex>>,
     pub(super) frames: Vec<Frame>,
@@ -56,12 +57,12 @@ pub(super) fn vertex_record(v: VertexId, e: &VertexEntry) -> (MigVertex, MigMeta
 }
 
 impl MigFrames {
-    /// Frames under the sender's serving-snapshot tag, closed at the
-    /// outboxes' `max_bytes`.
-    pub(super) fn new(snap: (u64, u64)) -> Self {
+    /// Frames of sender `head.2` under its serving-snapshot tag, closed
+    /// at the outboxes' `max_bytes`.
+    pub(super) fn new(head: (u64, u64, AgentId)) -> Self {
         let max_bytes = CoalesceConfig::default().max_bytes;
         MigFrames {
-            snap,
+            head,
             max_bytes,
             ..MigFrames::default()
         }
@@ -83,11 +84,11 @@ impl MigFrames {
         loop {
             let whole = MigVertex::STRIDE + meta_len + 8 * (out.len() + inn.len());
             // Close the open frame (it holds a record) this one would overfill.
-            let (max, (run, watermark)) = (self.max_bytes, self.snap);
+            let (max, (run, watermark, from)) = (self.max_bytes, self.head);
             if self.open.as_ref().is_some_and(|f| f.size() + whole > max) {
                 self.close();
             }
-            let open = || msg::open_mig_vertex(run, watermark);
+            let open = || msg::open_mig_vertex(run, watermark, from);
             let frame = self.open.get_or_insert_with(open);
             let used = frame.size() + MigVertex::STRIDE + meta_len;
             let room = (max.saturating_sub(used) / 8).max(1);
@@ -153,6 +154,11 @@ impl Agent {
     /// sweep that follows a view — the only caller outside recovery —
     /// needs no invalidation of its own.
     pub(super) fn adopt_view(&mut self, view: DirectoryView) {
+        // A peer gone before this view left the lead's table when the
+        // barrier that released it balanced its channels.
+        let known = |p: &AgentId| self.view.addr_of(*p).is_some() || view.addr_of(*p).is_some();
+        self.channels.retain(|p, _| known(p));
+        self.told.retain(|p, _| known(p));
         self.targets.clear();
         self.locator = view.locator();
         view.advance_memo(&mut self.route_cache);
@@ -250,8 +256,8 @@ impl Agent {
     /// every `k` is 1, no estimate is computed.
     fn sweep(&mut self, scope: Sweep) -> (FxHashMap<AgentId, u64>, u64, u64) {
         let mut frames: FxHashMap<AgentId, MigFrames> = FxHashMap::default();
-        let snap = (self.snap_run, self.snap_watermark);
-        let new = || MigFrames::new(snap);
+        let head = (self.snap_run, self.snap_watermark, self.id);
+        let new = || MigFrames::new(head);
         // A split vertex's moving edges, by destination.
         let mut split: Vec<(AgentId, [Vec<VertexId>; 2])> = Vec::new();
         let mut moved = 0;
@@ -440,7 +446,7 @@ impl Agent {
         self.tracer
             .span(EventKind::MigrateSweep, t0, examined, moved);
         for (agent, records) in sent {
-            self.counters.mig_sent += records;
+            self.peer(agent).mig_sent += records;
             self.tracer.instant(EventKind::MigrateSend, agent, records);
         }
     }
@@ -450,7 +456,7 @@ impl Agent {
             return;
         };
         let n = view.records.len() as u64;
-        self.counters.mig_recv += n;
+        self.peer(view.from).mig_recv += n;
         self.tracer.instant(EventKind::MigrateRecv, n, 0);
         self.merge_records(view, false);
     }
@@ -648,7 +654,7 @@ mod tests {
             assert!(agent.handle(d));
         }
         if let Some(v) = stray {
-            let frame = msg::encode_deg_deltas(&[(v, 1, 0)]);
+            let frame = msg::encode_deg_deltas(2, &[(v, 1, 0)]);
             assert!(agent.handle(Delivery::push(frame)));
         }
         for peer in &peers {
@@ -671,7 +677,7 @@ mod tests {
         let held = agent.vertices.len();
         agent.on_view(new.clone());
         assert_eq!(agent.metrics.sweep_visits, 0);
-        assert_eq!(agent.counters.mig_sent, 0);
+        assert_eq!(agent.total().mig_sent, 0);
         assert_eq!(agent.vertices.len(), held);
         assert_eq!(agent.primaries, agent.recount_primaries());
 
@@ -680,7 +686,7 @@ mod tests {
         let (agent, [to_two, _]) = &mut placed(&old, Some(stray));
         agent.on_view(new);
         assert_eq!(agent.metrics.sweep_visits, 1);
-        assert_eq!(agent.counters.mig_sent, 1);
+        assert_eq!(agent.total().mig_sent, 1);
         let mut got = Vec::new();
         while let Ok(Some(d)) = to_two.try_recv() {
             join(&mut got, &d.frame);
@@ -864,7 +870,7 @@ mod tests {
                 prop_assert_eq!(&got, &want.remove(&d).unwrap_or_default(), "to agent {}", d);
             }
             prop_assert!(want.is_empty(), "records for agents off the view: {want:?}");
-            prop_assert_eq!(agent.counters.mig_sent, records, "no vertex is cut at this size");
+            prop_assert_eq!(agent.total().mig_sent, records, "no vertex is cut at this size");
             let kept = store(&agent);
             for v in 0..40 {
                 prop_assert_eq!(kept.get(&v), keep.get(&v), "entry of vertex {}", v);
@@ -898,7 +904,7 @@ mod tests {
                 let lists = [(0..n as u64).map(|w| w ^ r).collect(), (0..u64::from(ins)).collect()];
                 want.push(Moved { head, meta, lists });
             }
-            let mut written = MigFrames::new((3, 4));
+            let mut written = MigFrames::new((3, 4, ME));
             for Moved { head, meta, lists } in &want {
                 written.push(*head, meta.as_ref(), &lists[0], &lists[1]);
             }
@@ -939,7 +945,7 @@ mod tests {
                 let to_me = transport.sender(&agent_addr(ME)).expect("sender");
                 let mut out = CoalescingOutbox::new(to_me, CoalesceConfig::default());
                 for frame in frames {
-                    let mut f = msg::open_mig_vertex(0, 0);
+                    let mut f = msg::open_mig_vertex(0, 0, 2);
                     for (key, [outs, ins]) in frame {
                         let head = MigVertex {
                             vertex: *key,
@@ -956,7 +962,7 @@ mod tests {
                     prop_assert!(agent.handle(d));
                 }
                 assert_indexed(&agent);
-                prop_assert_eq!(agent.counters.mig_recv, records.len() as u64);
+                prop_assert_eq!(agent.total().mig_recv, records.len() as u64);
                 (store(&agent), agent.vertices.held())
             };
             let one_each = adopt(&mut records.chunks(1));

@@ -53,8 +53,8 @@ use crate::config::SystemConfig;
 use crate::directory::{agent_addr, bus_addr};
 use crate::metrics::{AgentMetrics, CommsMetrics};
 use crate::msg::{
-    self, packet, AgentInfo, Counters, DirectoryView, Message, Phase, ReadyReport, RunInfo, Side,
-    StateRecord,
+    self, packet, AgentInfo, Counters, DirectoryView, Message, Phase, ReadyReport, Rows, RunInfo,
+    Side, StateRecord,
 };
 use crate::outboxes::Outboxes;
 use crate::program::{dispatch, DeltaKind, Program, ProgramSpec, VertexCtx, VertexProgram};
@@ -68,7 +68,7 @@ use elga_net::{
 };
 use elga_sketch::{CountMinSketch, SketchDelta};
 use elga_trace::{EventKind, Tracer};
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -197,7 +197,7 @@ const _: () = assert!(std::mem::size_of::<VertexEntry>() <= 184);
 /// Value deltas ride a dedicated per-client [`CoalescingOutbox`] — the
 /// same credit/backpressure machinery as the agent planes — and are
 /// UNCOUNTED: like queries, subscription traffic is client-plane and
-/// must not move the Mattern barrier counters.
+/// must not move the channel counts.
 struct Subscription {
     outbox: CoalescingOutbox,
     vertices: FxHashSet<VertexId>,
@@ -308,7 +308,20 @@ pub struct Agent {
     /// records the changes caused are on the wire
     /// ([`Agent::count_degrees`]).
     uncounted: Vec<(VertexId, i32)>,
-    counters: Counters,
+    /// Counted records sent to and taken in from each peer (the lead's
+    /// channel table, this agent's rows of it), and the rows as the lead
+    /// was last told them: a report carries the ones that moved since.
+    channels: BTreeMap<AgentId, Counters>,
+    told: BTreeMap<AgentId, Counters>,
+    /// Streamer records (EDGE_CHANGES at hop 0) taken in: uncounted in
+    /// the channels, but a DRAIN can ask for a number of them first.
+    streamed: u64,
+    /// The lead's DRAIN, parked until this agent has taken in what its
+    /// rows say was sent here; answered from [`Agent::on_idle`].
+    drain: Option<Rows>,
+    /// The epoch of the last recovery reset: a DRAIN older than it asks
+    /// for counts the reset zeroed.
+    counted_since: u64,
     metrics: AgentMetrics,
     run: Option<AgentRun>,
     /// The worklists cannot be trusted: `begin_run` did not keep them
@@ -341,10 +354,11 @@ pub struct Agent {
     /// it looked for reads mid-superstep, oldest first.
     parked: VecDeque<Delivery>,
     /// The last READY sent; [`Agent::on_idle`] re-sends it when late
-    /// counted frames moved the counters since.
+    /// counted frames moved the counts since.
     reported: Option<ReadyReport>,
-    /// Counter snapshot at the last async idle report.
-    last_idle_counters: Option<Counters>,
+    /// A live async run's next idle report is due even if no count
+    /// moved since the last report.
+    idle_owed: bool,
     departing: bool,
     /// Highest view epoch for which migration ran and was reported.
     migrated_epoch: u64,
@@ -490,7 +504,11 @@ impl Agent {
             ingest_scratch: IngestScratch::default(),
             degrees,
             uncounted: Vec::new(),
-            counters: Counters::default(),
+            channels: BTreeMap::new(),
+            told: BTreeMap::new(),
+            streamed: 0,
+            drain: None,
+            counted_since: 0,
             metrics: AgentMetrics {
                 agent: id,
                 ..Default::default()
@@ -505,7 +523,7 @@ impl Agent {
             buffered_frames: Vec::new(),
             parked: VecDeque::new(),
             reported: None,
-            last_idle_counters: None,
+            idle_owed: false,
             departing: false,
             migrated_epoch: 0,
             metrics_pushed: now,
@@ -671,22 +689,26 @@ impl Agent {
                     let _ = reply.send(msg::encode_dump(&pairs));
                 }
             }
-            packet::DRAIN => {
-                // A drain round settles only once every counted record
-                // is on the wire; close the open frames first. The
-                // degree changes applied so far go to the directory
-                // ahead of the reply, so whatever the driver asks the
-                // lead next queues behind them.
-                self.flush_outboxes();
-                self.push_metrics();
-                let degrees = self.push_degrees();
-                if let Some(reply) = d.reply {
+            packet::DRAIN => match (msg::DrainReport::decode(&frame), d.reply) {
+                // Asked directly: every row, once every counted record
+                // is on the wire.
+                (_, Some(reply)) => {
+                    self.flush_outboxes();
+                    let rows = self.channels.iter().map(|(&p, &c)| (p, c)).collect();
                     let report = msg::DrainReport {
-                        counters: self.counters,
+                        agent: self.id,
                         epoch: self.view.epoch,
-                        degrees,
+                        rows,
                     };
                     let _ = reply.send(report.encode());
+                }
+                (Some(ask), None) if ask.epoch >= self.counted_since => self.drain = Some(ask.rows),
+                _ => {}
+            },
+            packet::METRICS => {
+                if let Some(reply) = d.reply {
+                    self.push_metrics();
+                    let _ = reply.send(Frame::signal(packet::OK));
                 }
             }
             packet::TRACE_DUMP => {
@@ -1080,11 +1102,10 @@ impl Agent {
             parked_view: None,
         });
         self.reported = None;
-        self.last_idle_counters = None;
+        self.idle_owed = true;
     }
 
     fn on_advance(&mut self, adv: msg::Advance) {
-        let pending = self.local_work();
         let Some(run) = self.run.as_mut() else {
             return;
         };
@@ -1118,7 +1139,7 @@ impl Agent {
                 run.step = adv.step;
                 run.phase = Phase::Scatter;
                 run.n_vertices = adv.n_vertices;
-                self.last_idle_counters = None;
+                self.idle_owed = true;
                 self.async_rescatter();
                 self.replay_buffered();
             } else if adv.phase == Phase::Apply {
@@ -1126,27 +1147,14 @@ impl Agent {
                 // sweeps every primary, folding its uniform share of
                 // the published pending mass into its residual. The
                 // round guard makes a re-published advance idempotent;
-                // dropping the idle snapshot forces a fresh report even
-                // when every share parks below tolerance, so the round
-                // always answers.
+                // an owed idle report answers the round even when every
+                // share parks below tolerance.
                 if adv.step > run.dangling_round {
                     (run.dangling_round, run.global) = (adv.step, adv.global);
                     self.async_round(true);
                     self.run.as_mut().expect("run").global = 0.0;
-                    self.last_idle_counters = None;
+                    self.idle_owed = true;
                 }
-            } else if pending {
-                // Probe, with own work pending that no counter shows:
-                // unanswered. The idle report after the work restarts
-                // it, sent even if no counter moved.
-                self.last_idle_counters = None;
-            } else {
-                // Probe: drain already happened (mailbox FIFO); answer
-                // with current counters (and the cumulative dangling
-                // report, so no fold's mass can slip past termination).
-                let delta = run.info.delta;
-                let contrib = if delta { self.dangling_report() } else { 0.0 };
-                self.send_ready(adv.run, adv.step, Phase::Combine, 0, contrib);
             }
             return;
         }
@@ -1213,8 +1221,8 @@ impl Agent {
         for frame in buffered {
             match frame.packet_type() {
                 packet::RESIDUAL => {
-                    if let Some(recs) = msg::decode_residuals(&frame) {
-                        self.apply_residuals(recs);
+                    if let Some(view) = msg::decode_residuals(&frame) {
+                        self.apply_residuals(view.records);
                     }
                 }
                 _ => {
@@ -1293,6 +1301,11 @@ impl Agent {
         }
         self.vertices.list_stray(v);
     }
+
+    /// Every peer's counts added up.
+    pub(super) fn total(&self) -> Counters {
+        testkit::sum(&self.channels.iter().map(|(&p, &c)| (p, c)).collect())
+    }
 }
 
 /// Agents for unit tests: built with [`Agent::new`], joined to nothing.
@@ -1305,6 +1318,24 @@ pub(super) mod testkit {
 
     /// The agent under test.
     pub const ME: AgentId = 1;
+
+    /// `rows`' counts added up, kind by kind.
+    pub fn sum(rows: &Rows) -> Counters {
+        let mut t = Counters::default();
+        for (_, c) in rows {
+            t.vmsg_sent += c.vmsg_sent;
+            t.vmsg_recv += c.vmsg_recv;
+            t.part_sent += c.part_sent;
+            t.part_recv += c.part_recv;
+            t.state_sent += c.state_sent;
+            t.state_recv += c.state_recv;
+            t.mig_sent += c.mig_sent;
+            t.mig_recv += c.mig_recv;
+            t.chg_sent += c.chg_sent;
+            t.chg_recv += c.chg_recv;
+        }
+        t
+    }
     /// Replication threshold of [`view`]; a hub is estimated at 3×.
     const THRESHOLD: u64 = 40;
 

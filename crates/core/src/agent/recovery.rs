@@ -17,12 +17,12 @@ impl Agent {
         }
     }
 
-    /// A peer was declared dead. Exact counter reconciliation is
-    /// impossible (messages in flight to/from the dead agent are
+    /// A peer was declared dead. Exact count reconciliation is
+    /// impossible (records in flight to/from the dead agent are
     /// unaccounted on one side), so recovery is a full reset: drop all
-    /// graph state and counters, adopt the post-eviction view, and
+    /// graph state and channel counts, adopt the post-eviction view, and
     /// settle the recovery migrate-barrier trivially with zeroed
-    /// counters. The driver then replays the retained change log and
+    /// counts. The driver then replays the retained change log and
     /// restarts any aborted run.
     pub(super) fn on_recover(&mut self, rec: msg::Recover) -> bool {
         if rec.view.addr_of(self.id).is_none() {
@@ -44,10 +44,14 @@ impl Agent {
         self.primaries = 0;
         self.needs_sweep = true;
         // Open frames hold records counted under the pre-reset regime;
-        // pushing them now would corrupt the fresh barrier sums, so
-        // they are discarded along with the stale senders.
+        // pushing them now would unbalance the fresh channel table, so
+        // they are discarded along with the stale senders, and so is a
+        // parked DRAIN: the lead asks again once the reset settles.
         self.outboxes.discard();
-        self.counters = Counters::default();
+        self.channels.clear();
+        self.told.clear();
+        self.drain = None;
+        self.counted_since = epoch;
         self.buffered_changes.clear();
         self.buffered_frames.clear();
         self.run = None;
@@ -61,7 +65,6 @@ impl Agent {
         self.dangling_acc = 0.0;
         self.dangling_cum = 0.0;
         self.reported = None;
-        self.last_idle_counters = None;
         // The serving snapshots died with the vertex entries; the tag
         // must not claim a run whose values are gone. (A checkpoint
         // restore re-seeds the snapshots, still under tag 0.)

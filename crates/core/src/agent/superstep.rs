@@ -184,8 +184,13 @@ impl Agent {
     pub(super) fn run_phases(&mut self, adv: &msg::Advance) {
         let t0 = Instant::now();
         let (mut phase, mut active, mut contrib) = (adv.phase, 0, 0.0);
+        let replica_sent = |a: &Agent| -> u64 {
+            (a.channels.values())
+                .map(|c| c.part_sent + c.state_sent)
+                .sum()
+        };
         loop {
-            let replica_sent = (self.counters.part_sent, self.counters.state_sent);
+            let before = replica_sent(self);
             let (a, c) = self.timed_phase(phase);
             match phase {
                 Phase::Apply => active = a,
@@ -198,8 +203,8 @@ impl Agent {
             // What a phase the loop runs past sent was this agent's own,
             // delivered in place.
             debug_assert_eq!(
-                replica_sent,
-                (self.counters.part_sent, self.counters.state_sent),
+                before,
+                replica_sent(self),
                 "{phase:?} put PARTIAL/STATE records on the wire inside the loop"
             );
             self.serve_reads();
@@ -352,7 +357,7 @@ impl Agent {
         program: &P,
         phase: Phase,
     ) -> msg::StepCounts {
-        let (run_id, step) = self.run_step();
+        let ((run_id, step), me) = (self.run_step(), self.id);
         let scatter = phase == Phase::Scatter;
         let append = if scatter {
             msg::append_vmsgs
@@ -369,14 +374,16 @@ impl Agent {
                 self.fold_vmsgs_with(program, run.iter().copied());
             } else if !run.is_empty() {
                 let n = run.len() as u64;
-                let counter = if scatter {
-                    &mut self.counters.vmsg_sent
+                let row = self.peer(agent);
+                *if scatter {
+                    &mut row.vmsg_sent
                 } else {
-                    &mut self.counters.part_sent
-                };
-                *counter += n;
+                    &mut row.part_sent
+                } += n;
                 sent.push((agent, n));
-                self.send_records(agent, &run, |out, block| append(out, run_id, step, block));
+                self.send_records(agent, &run, |out, block| {
+                    append(out, run_id, step, me, block)
+                });
             }
             self.targets.recycle(dst, run);
         }
@@ -388,14 +395,14 @@ impl Agent {
     /// replicas, in the order queued, keeping the emptied batches'
     /// capacity. Returns what went to each peer, sorted by it.
     fn send_states(&mut self) -> msg::StepCounts {
-        let (run_id, step) = self.run_step();
+        let ((run_id, step), me) = (self.run_step(), self.id);
         let mut map = std::mem::take(&mut self.scratch.states);
         let mut sent = msg::StepCounts::new();
         for (&agent, recs) in map.iter_mut().filter(|(_, recs)| !recs.is_empty()) {
-            self.counters.state_sent += recs.len() as u64;
+            self.peer(agent).state_sent += recs.len() as u64;
             sent.push((agent, recs.len() as u64));
             self.send_records(agent, recs, |out, block| {
-                msg::append_states(out, run_id, step, block)
+                msg::append_states(out, run_id, step, me, block)
             });
             recs.clear();
         }
@@ -464,30 +471,33 @@ impl Agent {
         // parsed in place as they are consumed, with no Vec.
         let kind = frame.packet_type();
         let head = match kind {
-            packet::VMSG => msg::decode_vmsgs(&frame).map(|v| (v.run, v.step, v.records.len())),
-            packet::PARTIAL => {
-                msg::decode_partials(&frame).map(|v| (v.run, v.step, v.records.len()))
+            packet::VMSG => {
+                msg::decode_vmsgs(&frame).map(|v| (v.run, v.step, v.from, v.records.len()))
             }
-            _ => msg::decode_states(&frame).map(|v| (v.run, v.step, v.records.len())),
+            packet::PARTIAL => {
+                msg::decode_partials(&frame).map(|v| (v.run, v.step, v.from, v.records.len()))
+            }
+            _ => msg::decode_states(&frame).map(|v| (v.run, v.step, v.from, v.records.len())),
         };
-        let Some((run, step, n)) = head else {
+        let Some((run, step, from, n)) = head else {
             return;
         };
         let Some((_, cur_step, cur_phase, live)) = self.current_phase().filter(|cur| cur.0 == run)
         else {
             // Stale run: sent before our RECOVER, whose reset zeroed the
-            // counters it would move. (No agent acts on a `done` before
-            // it has taken in what it counts.)
+            // counts it would move. (No agent acts on a `done` before it
+            // has taken in what it counts.)
             self.metrics.stale_frames += 1;
             return;
         };
-        let (phase, recv) = match kind {
-            packet::VMSG => (Phase::Scatter, &mut self.counters.vmsg_recv),
-            packet::PARTIAL => (Phase::Combine, &mut self.counters.part_recv),
-            _ => (Phase::Apply, &mut self.counters.state_recv),
+        let row = self.channels.entry(from).or_default();
+        let (phase, taken) = match kind {
+            packet::VMSG => (Phase::Scatter, &mut row.vmsg_recv),
+            packet::PARTIAL => (Phase::Combine, &mut row.part_recv),
+            _ => (Phase::Apply, &mut row.state_recv),
         };
         if arrival {
-            *recv += n as u64;
+            *taken += n as u64;
         }
         // A sync run takes a frame in at its step and phase, a live
         // async run its VMSG and STATE frames at once; the rest waits.
@@ -715,9 +725,10 @@ impl Agent {
             // view, or `v` is split and this is the replica its edge
             // aggregates at. Forward to the current primary.
             Some(primary) => {
-                self.counters.vmsg_sent += 1;
+                let me = self.id;
+                self.peer(primary).vmsg_sent += 1;
                 self.with_outbox(primary, |out| {
-                    msg::append_vmsgs(out, run_id, 1, &[(v, value)])
+                    msg::append_vmsgs(out, run_id, 1, me, &[(v, value)])
                 });
             }
             None => {}
@@ -726,8 +737,8 @@ impl Agent {
 
     pub(super) fn on_idle(&mut self) {
         // The live async run's round precedes the flush and the idle
-        // report: it appends records, and the barrier may only see
-        // counters taken with no own work left.
+        // report: it appends records, and the lead may only see counts
+        // taken with no own work left.
         if self.local_work() {
             self.async_round(false);
         }
@@ -738,64 +749,44 @@ impl Agent {
         // counted into the sketch delta, off the records' way.
         self.flush_outboxes();
         self.count_degrees();
+        if self.local_work() {
+            return;
+        }
+        self.answer_drain();
         let Some(run) = self.run.as_ref().filter(|r| r.async_live && !r.paused) else {
             // The one rule for late counted frames (a migration stream,
             // a forwarded change, a retransmit): handlers only move the
-            // counters, and the last READY is re-sent here, once per
-            // mailbox drain, whenever they differ from what it claimed
-            // — between runs, in a sync run, or in an async run paused
-            // for a view change alike. The lead replaces the old report
+            // counts, and the last READY is re-sent here, once per
+            // mailbox drain, whenever one moved since the lead was last
+            // told — between runs, in a sync run, or in an async run
+            // paused for a view change alike. The lead takes the rows in
             // and re-evaluates its barrier, so a barrier stays live on
             // O(drains) READYs however many frames a drain held.
             //
-            // The exception is a record received in a sync run: its
+            // The exception is a record taken in by a sync run: its
             // barriers close on what the senders reported and each
             // receiver waits for its own count, so no barrier of the run
             // is waiting to hear of it, and the report would only wake
             // the lead.
             let sync_run = self.run.as_ref().is_some_and(|r| !r.info.asynchronous);
-            let moved = self.reported.as_ref().is_some_and(|r| {
-                let mut claimed = r.counters;
-                if sync_run {
-                    claimed.vmsg_recv = self.counters.vmsg_recv;
-                    claimed.part_recv = self.counters.part_recv;
-                    claimed.state_recv = self.counters.state_recv;
-                }
-                claimed != self.counters
-            });
-            if moved {
+            if self.reported.is_some() && self.moved(!sync_run) {
                 self.re_report();
             }
             return;
         };
         // A live async run answers with idle reports instead, once it
-        // has no own work left: the counters differ from the last idle
-        // snapshot, and that difference triggers the one report per
-        // drain below.
-        if self.local_work() || self.last_idle_counters == Some(self.counters) {
+        // has no own work left and a count moved since the lead was last
+        // told (or a report is owed): one report per drain at most.
+        if !(self.idle_owed || self.moved(true)) {
             return;
         }
-        self.last_idle_counters = Some(self.counters);
-        let (run_id, delta) = (run.info.run_id, run.info.delta);
+        self.idle_owed = false;
+        let (run_id, delta, round) = (run.info.run_id, run.info.delta, run.dangling_round);
         // Async delta runs report the *cumulative* dangling-mass change
         // since release; the lead telescopes per-agent differences into
         // redistribution rounds, so stale or re-sent values self-correct.
         let global_contrib = if delta { self.dangling_report() } else { 0.0 };
-        self.ready_seq += 1;
-        let rep = ReadyReport {
-            agent: self.id,
-            run: run_id,
-            step: u32::MAX,
-            phase: Phase::Scatter,
-            counters: self.counters,
-            active: 0,
-            global_contrib,
-            n_primary: 0,
-            seq: self.ready_seq,
-            epoch: self.view.epoch,
-            sent: Vec::new(),
-        };
-        let _ = self.dir_push.send(rep.encode());
+        self.send_ready(run_id, u32::MAX - round, Phase::Scatter, 0, global_contrib);
     }
 }
 
@@ -1363,6 +1354,7 @@ fn adopt_state(e: &mut VertexEntry, rec: &StateRecord, delta: bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::agent::testkit::sum;
     use crate::algorithms::{PageRank, Wcc};
     use elga_hash::{HashKind, LocatorConfig, Ring};
 
@@ -1602,7 +1594,7 @@ mod tests {
             .chunk_by(|a, b| a.0 == b.0)
             .map(|run| {
                 let recs: Vec<(VertexId, u64)> = run.iter().map(|&(_, v, x)| (v, x)).collect();
-                (run[0].0, msg::encode_vmsgs(RUN, 3, &recs))
+                (run[0].0, msg::encode_vmsgs(RUN, 3, ME, &recs))
             })
             .collect()
     }
@@ -1779,7 +1771,7 @@ mod tests {
             };
             let (mut framed, mut in_place) = (receiver(), receiver());
             for chunk in own.chunks(64) {
-                let frame = msg::encode_vmsgs(9, 3, chunk);
+                let frame = msg::encode_vmsgs(9, 3, ME, chunk);
                 let view = msg::decode_vmsgs(&frame).expect("own frame");
                 fold_partials(&mut framed, program, view.records.iter());
             }
@@ -1946,7 +1938,7 @@ mod tests {
             let rep = ReadyReport::decode(&readys[1]).expect("ready");
             assert_eq!((rep.step, rep.phase), (1, Phase::Scatter));
             assert_eq!(rep.sent, [(2, 4)]);
-            assert_eq!((rep.counters.vmsg_sent, rep.n_primary), (4, 4));
+            assert_eq!((sum(&rep.rows).vmsg_sent, rep.n_primary), (4, 4));
             rep
         }
 
@@ -1954,7 +1946,7 @@ mod tests {
         /// this agent's vertices.
         fn vmsgs(&self, step: u32, n: usize) -> Frame {
             let recs: Vec<(VertexId, u64)> = self.mine[..n].iter().map(|&v| (v, 1)).collect();
-            msg::encode_vmsgs(RUN, step, &recs)
+            msg::encode_vmsgs(RUN, step, 2, &recs)
         }
 
         fn at(&self) -> (u32, Phase) {
@@ -2047,7 +2039,7 @@ mod tests {
 
         let rep = ReadyReport::decode(&advance_first.0[0]).expect("ready");
         assert_eq!((rep.step, rep.phase, rep.active), (2, Phase::Scatter, 2));
-        assert_eq!(rep.counters.vmsg_recv, 3);
+        assert_eq!(sum(&rep.rows).vmsg_recv, 3);
         // Three records for two vertices: both took label 1 and told
         // their neighbour.
         assert_eq!(rep.sent, [(2, 2)]);
@@ -2070,7 +2062,7 @@ mod tests {
                 .taken_in((step, Phase::Scatter))
         };
         assert_eq!((taken(&rig, 1), taken(&rig, 2)), (0, 0));
-        assert_eq!(rig.agent.counters.vmsg_recv, 2);
+        assert_eq!(rig.agent.total().vmsg_recv, 2);
         assert_eq!(rig.agent.buffered_frames.len(), 1);
         // Two records are in, one of step 1 is expected: not the same.
         rig.advance(1, Phase::Combine, Phase::Scatter, 1);
@@ -2081,12 +2073,12 @@ mod tests {
         // frame there, without counting its receive again.
         assert_eq!(rig.at(), (2, Phase::Scatter));
         assert_eq!((taken(&rig, 1), taken(&rig, 2)), (0, 2));
-        assert_eq!(rig.agent.counters.vmsg_recv, 3);
+        assert_eq!(rig.agent.total().vmsg_recv, 3);
         assert!(rig.agent.buffered_frames.is_empty());
         let readys = rig.readys();
         assert_eq!(readys.len(), 1);
         assert_eq!(
-            ReadyReport::decode(&readys[0]).unwrap().counters.vmsg_recv,
+            sum(&ReadyReport::decode(&readys[0]).unwrap().rows).vmsg_recv,
             3
         );
     }
@@ -2105,15 +2097,16 @@ mod tests {
         assert!(rig.readys().is_empty(), "a READY for a VMSG frame");
         // A change another agent forwarded here (hop 1: counted).
         let late = [EdgeChange::insert(rig.mine[0], rig.theirs[1])];
-        rig.deliver(msg::encode_edge_changes(Side::Out, 1, &late));
+        rig.deliver(msg::encode_changes_from(Side::Out, 1, 2, &late));
         rig.agent.on_idle();
         let readys = rig.readys();
         assert_eq!(readys.len(), 1);
         let again = ReadyReport::decode(&readys[0]).expect("ready");
-        assert_eq!((again.counters.chg_recv, again.counters.vmsg_recv), (1, 2));
+        let c = sum(&again.rows);
+        assert_eq!((c.chg_recv, c.vmsg_recv), (1, 2));
         assert_eq!(again.seq, first.seq + 1);
         let verbatim = ReadyReport {
-            counters: first.counters,
+            rows: first.rows.clone(),
             seq: first.seq,
             ..again.clone()
         };
@@ -2123,7 +2116,7 @@ mod tests {
         // Between runs every counter is news again (a migration's
         // barrier wants the VMSG pair settled too).
         rig.agent.run = None;
-        rig.agent.counters.vmsg_recv += 1;
+        rig.agent.peer(2).vmsg_recv += 1;
         rig.agent.on_idle();
         assert_eq!(rig.readys().len(), 1);
     }
@@ -2149,14 +2142,14 @@ mod tests {
         let readys = rig.readys();
         assert_eq!(readys.len(), 1, "the barrier never hears of the frame");
         let rep = ReadyReport::decode(&readys[0]).expect("ready");
-        assert_eq!((rep.phase, rep.counters.vmsg_recv), (Phase::Migrate, 2));
+        assert_eq!((rep.phase, sum(&rep.rows).vmsg_recv), (Phase::Migrate, 2));
         assert_eq!(rig.agent.metrics.vmsgs, 0, "applied ahead of its step");
         // The resume advance replays it into the async handlers.
         rig.advance(1, Phase::Scatter, Phase::Scatter, 0);
         assert!(rig.agent.run.as_ref().unwrap().async_live);
         assert!(rig.agent.buffered_frames.is_empty());
         assert_eq!(rig.agent.metrics.vmsgs, 2);
-        assert_eq!(rig.agent.counters.vmsg_recv, 2);
+        assert_eq!(rig.agent.total().vmsg_recv, 2);
         // Folded on replay, applied by the next round.
         rig.agent.on_idle();
         for &v in &rig.mine[..2] {
@@ -2175,7 +2168,7 @@ mod tests {
     #[test]
     fn an_advance_waits_for_the_records_of_the_barrier_it_answers() {
         let parked = |rig: &Rig| rig.agent.run.as_ref().unwrap().parked_advance.is_some();
-        let partial = |rig: &Rig, i: usize| msg::encode_partials(RUN, 1, &[(rig.mine[i], 7)]);
+        let partial = |rig: &Rig, i: usize| msg::encode_partials(RUN, 1, 2, &[(rig.mine[i], 7)]);
         let state = |rig: &Rig, i: usize| {
             let rec = StateRecord {
                 vertex: rig.theirs[i],
@@ -2184,7 +2177,7 @@ mod tests {
                 aux: 0,
                 active: true,
             };
-            msg::encode_states(RUN, 1, &[rec])
+            msg::encode_states(RUN, 1, 2, &[rec])
         };
         let mut rig = rig();
         rig.reach_step_one();
@@ -2192,7 +2185,7 @@ mod tests {
         rig.deliver(early_part);
         rig.deliver(early_state);
         assert_eq!(rig.agent.buffered_frames.len(), 2);
-        let c = rig.agent.counters;
+        let c = rig.agent.total();
         assert_eq!((c.part_recv, c.state_recv), (1, 1), "buffered uncounted");
         rig.agent.on_idle();
         assert!(rig.readys().is_empty(), "a report of a record frame");
@@ -2203,7 +2196,7 @@ mod tests {
         assert!(held(&rig, 0) && rig.agent.buffered_frames.len() == 1);
         assert!(rig.agent.vertices.get(&rig.theirs[0]).is_none());
         let rep = ReadyReport::decode(&rig.readys()[0]).expect("ready");
-        assert_eq!((rep.phase, rep.counters.part_recv), (Phase::Combine, 1));
+        assert_eq!((rep.phase, sum(&rep.rows).part_recv), (Phase::Combine, 1));
         // Two PARTIAL records of step 1 are addressed here.
         rig.advance(1, Phase::Apply, Phase::Apply, 2);
         assert!(parked(&rig) && rig.at() == (1, Phase::Combine));
@@ -2216,7 +2209,7 @@ mod tests {
         let e = rig.agent.vertices.get(&rig.theirs[0]).expect("adopted");
         assert_eq!((e.state, e.rep_out_degree, e.active), (5, 3, true));
         let rep = ReadyReport::decode(&rig.readys()[0]).expect("ready");
-        assert_eq!((rep.phase, rep.counters.state_recv), (Phase::Apply, 1));
+        assert_eq!((rep.phase, sum(&rep.rows).state_recv), (Phase::Apply, 1));
         // The next step's scatter waits for the apply's second STATE.
         rig.advance(2, Phase::Scatter, Phase::Scatter, 2);
         assert!(parked(&rig) && rig.at() == (1, Phase::Apply));
@@ -2556,13 +2549,13 @@ mod tests {
             let e = agent.vertices.get(&v).unwrap();
             assert!(e.home && e.has_ppartial, "{v}: not delivered in place");
         }
-        assert_eq!(agent.counters.part_sent, 0);
+        assert_eq!(agent.total().part_sent, 0);
         assert_eq!(agent.recount_primaries(), 2);
         // Agent 3 joins and takes `leaves` (held here until the sweep).
         agent.adopt_view(joined);
         agent.vertices.get_mut(&leaves).unwrap().has_ppartial = false;
         hand_partials(&mut agent);
-        assert_eq!(agent.counters.part_sent, 1);
+        assert_eq!(agent.total().part_sent, 1);
         let d = peer3
             .try_recv()
             .expect("open")
@@ -2587,7 +2580,7 @@ mod tests {
         agent.run_kernel(Phase::Apply, false);
         let e = agent.vertices.get(&hub).unwrap();
         assert_eq!((e.state, e.home), (0, false));
-        assert_eq!(agent.counters.state_sent, 2, "a replica was not told");
+        assert_eq!(agent.total().state_sent, 2, "a replica was not told");
         drop(peers);
     }
 
@@ -2660,14 +2653,14 @@ mod tests {
             aux: 0,
             active: true,
         };
-        agent.handle(Delivery::push(msg::encode_states(RUN, 1, &[old])));
+        agent.handle(Delivery::push(msg::encode_states(RUN, 1, 2, &[old])));
         assert_eq!(state_of(&agent, v), 0, "the commit of 0 was undone");
         message(&mut agent, 3); // no improvement on 0
         assert_eq!(state_of(&agent, v), 0);
         agent.on_idle();
         assert!(!agent.local_work());
         assert_eq!(state_of(&agent, w), 0);
-        let sent = (agent.counters.vmsg_sent, agent.counters.state_sent);
+        let sent = (agent.total().vmsg_sent, agent.total().state_sent);
         assert_eq!(sent, (0, 0), "a record was framed");
     }
 
@@ -2784,7 +2777,7 @@ mod tests {
         let peer = rig.transport.bind(&agent_addr(2)).expect("bind");
         let (v, w) = (rig.mine[0], rig.theirs[0]);
         live(&mut rig, ProgramSpec::Wcc);
-        rig.deliver(msg::encode_vmsgs(RUN, 1, &[(v, 9), (v, 5), (v, 7)]));
+        rig.deliver(msg::encode_vmsgs(RUN, 1, 2, &[(v, 9), (v, 5), (v, 7)]));
         rig.agent.on_idle();
         assert_eq!(rig.agent.vertices.get(&v).expect("entry").state, 5);
         assert_eq!(sent(&peer), [(w, 5)]);
@@ -2795,11 +2788,11 @@ mod tests {
         let (v, w) = (rig.mine[0], rig.theirs[0]);
         rig.agent.vertices.entry_or_default(v).g_in = 2;
         live(&mut rig, ProgramSpec::DagLevel);
-        rig.deliver(msg::encode_vmsgs(RUN, 1, &[(v, 3)]));
+        rig.deliver(msg::encode_vmsgs(RUN, 1, 2, &[(v, 3)]));
         rig.agent.on_idle();
         assert_eq!(sent(&peer), []);
         assert!(!rig.agent.local_work());
-        rig.deliver(msg::encode_vmsgs(RUN, 1, &[(v, 5)]));
+        rig.deliver(msg::encode_vmsgs(RUN, 1, 2, &[(v, 5)]));
         assert!(rig.agent.local_work());
         rig.agent.on_idle();
         assert_eq!(rig.agent.vertices.get(&v).expect("entry").state, 5);
@@ -2931,7 +2924,7 @@ mod tests {
                 0
             }
         };
-        let mut moving = msg::open_mig_vertex(0, 0);
+        let mut moving = msg::open_mig_vertex(0, 0, 2);
         let n = rng.below(6);
         for _ in 0..n {
             let meta = (rng.below(2) == 0).then(|| MigMeta {

@@ -33,7 +33,6 @@ use elga_net::{
     ReliableTransport, Transport, TransportExt,
 };
 use elga_trace::{EventKind, TraceEvent, Tracer};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -131,17 +130,16 @@ impl ClusterBuilder {
 
     /// Assemble and start the cluster.
     pub fn build(self) -> Cluster {
-        let (transport, chaos): (Arc<dyn Transport>, Option<ChaosStack>) = match self.chaos {
+        let (transport, fault): (Arc<dyn Transport>, _) = match self.chaos {
             Some((plan, seed)) => {
                 let fault = Arc::new(FaultyTransport::new(
                     Arc::new(InProcTransport::new()),
                     plan,
                     seed,
                 ));
-                let reliable = Arc::new(
-                    ReliableTransport::new(fault.clone()).expect("bind reliability ack mailbox"),
-                );
-                (reliable.clone(), Some(ChaosStack { fault, reliable }))
+                let reliable =
+                    ReliableTransport::new(fault.clone()).expect("bind reliability ack mailbox");
+                (Arc::new(reliable), Some(fault))
             }
             None => (Arc::new(InProcTransport::new()), None),
         };
@@ -158,13 +156,13 @@ impl ClusterBuilder {
         let tracer = Arc::new(Tracer::from_flag(self.config.tracing));
         let mut cluster = Cluster {
             transport,
-            chaos,
+            fault,
             cfg: self.config,
             lead: directory_addr(0),
             handles,
             agent_handles: HashMap::new(),
             next_agent: 1,
-            roster: Mutex::new(Roster::default()),
+            recovered_epoch: 0,
             streamer: None,
             alive: true,
             trace_tracks: Vec::new(),
@@ -217,23 +215,21 @@ pub struct RunHandle {
     started: Instant,
     spec: ProgramSpec,
     options: RunOptions,
-    /// Highest recovery epoch already handled for this run.
-    recovered_epoch: u64,
 }
 
 /// A fully assembled in-process ElGA deployment.
 pub struct Cluster {
     transport: Arc<dyn Transport>,
-    /// The decorators under `transport` when built with
+    /// The fault layer under `transport` when built with
     /// [`ClusterBuilder::chaos`].
-    chaos: Option<ChaosStack>,
+    fault: Option<Arc<FaultyTransport>>,
     cfg: SystemConfig,
     lead: Addr,
     handles: Vec<JoinHandle<()>>,
     agent_handles: HashMap<AgentId, JoinHandle<Vec<TraceEvent>>>,
     next_agent: u64,
-    /// What [`Cluster::quiesce`] keeps from one call to the next.
-    roster: Mutex<Roster>,
+    /// The epoch of the last recovery reset this driver rebuilt from.
+    recovered_epoch: u64,
     streamer: Option<Streamer>,
     alive: bool,
     /// Trace buffers of agents that already left, as their threads
@@ -254,61 +250,11 @@ pub struct Cluster {
     tracer: Arc<Tracer>,
 }
 
-/// Handles on the two layers of a chaos cluster's transport,
-/// `Reliable(Faulty(InProc))`.
-struct ChaosStack {
-    /// Drive disconnects, read drop/dup counts.
-    fault: Arc<FaultyTransport>,
-    /// Pushes still unacknowledged: over this stack a frame is relayed,
-    /// delayed and possibly retransmitted, so a request sent after it
-    /// can reach the mailbox first.
-    reliable: Arc<ReliableTransport>,
-}
-
-/// The registered agents, the view epoch they were read under, and the
-/// counter sums of the last complete DRAIN wave over them.
-///
-/// [`Cluster::quiesce`] learns the lead's epoch from RUN_STATUS and
-/// fetches a view — sketch and all — only when that epoch has moved.
-/// A join, a leave or a recovery moves it, and those are also the only
-/// events that change who is summed or reset an agent's counters, so
-/// the remembered sums are dropped with the member list: under one
-/// epoch every agent's counters only grow.
-#[derive(Default)]
-struct Roster {
-    epoch: u64,
-    agents: Vec<AgentInfo>,
-    last_wave: Option<Counters>,
-}
-
-/// The stderr line of a `quiesce` that gave up: the lead's last
-/// `migrating` (`None`: no answer) and, from the last DRAIN wave, the
-/// counter sums and the agents whose DRAIN failed.
-fn stall_line(migrating: Option<bool>, drained: &Option<(Counters, Vec<AgentId>)>) -> String {
-    let mut line = match migrating {
-        Some(true) => "elga quiesce: gave up: the lead still reported migrating",
-        Some(false) => "elga quiesce: gave up: the lead reported no migration",
-        None => "elga quiesce: gave up: the lead did not answer RUN_STATUS",
-    }
-    .to_string();
-    let Some((sum, failed)) = drained else {
-        return line + "; no DRAIN wave";
-    };
-    for (name, sent, recv) in sum.pairs().into_iter().filter(|p| p.1 != p.2) {
-        line += &format!("; {name} {sent} sent, {recv} received");
-    }
-    if !failed.is_empty() {
-        line += &format!("; DRAIN failed at agents {failed:?}");
-    }
-    line
-}
-
-/// The stderr line of a run that passed `run_deadline`: how long it
-/// was given and what the lead's open barrier waited on (`None`: the
-/// lead did not answer).
-fn run_stall_line(deadline: Duration, waiting_on: Option<&str>) -> String {
+/// The stderr line of a `what` (`run`, `quiesce`) that passed its
+/// `deadline`: what the lead waited on (`None`: the lead did not answer).
+fn stall_line(what: &str, deadline: Duration, waiting_on: Option<&str>) -> String {
     let waiting = waiting_on.unwrap_or("(the lead did not answer)");
-    format!("elga run: gave up after {deadline:?}: the lead is waiting on {waiting}")
+    format!("elga {what}: gave up after {deadline:?}: the lead is waiting on {waiting}")
 }
 
 /// Driver-side recovery and checkpoint-restore accounting.
@@ -316,8 +262,8 @@ fn run_stall_line(deadline: Duration, waiting_on: Option<&str>) -> String {
 pub struct RecoveryStats {
     /// Completed recoveries driven by this cluster handle.
     pub recoveries: u64,
-    /// Total recovery wall time, RECOVER receipt through restored
-    /// cluster (run restarted if one was aborted), in nanoseconds.
+    /// Total recovery wall time, from the reset through the restored
+    /// cluster, in nanoseconds.
     pub recovery_nanos: u64,
     /// Recoveries that restored from a checkpoint generation.
     pub ckpt_restores: u64,
@@ -502,7 +448,7 @@ impl Cluster {
     /// [`ClusterBuilder::chaos`] (drive disconnects, read drop/dup
     /// counts).
     pub fn fault(&self) -> Option<&Arc<FaultyTransport>> {
-        self.chaos.as_ref().map(|c| &c.fault)
+        self.fault.as_ref()
     }
 
     // ------------------------------------------------------------------
@@ -537,7 +483,7 @@ impl Cluster {
             self.streamer().send_batch(&buf).expect("ingest");
             batches += 1;
         }
-        self.quiesce().expect("quiesce after ingest");
+        self.settle().expect("quiesce after ingest");
         self.maybe_checkpoint(batches);
     }
 
@@ -569,117 +515,68 @@ impl Cluster {
         self.streamer().send_batch(changes).expect("ingest");
     }
 
-    /// Wait until no messages are in flight anywhere: DRAIN waves over
-    /// all agents until two consecutive waves — the second begun after
-    /// the first ended — read the same settled counter sums (Mattern's
-    /// four-counter rule), and the directory reports no outstanding
-    /// migration. A wave is one request to the lead (barrier state,
-    /// epoch, the departed agents' totals) and one fan-out of DRAINs,
-    /// all in flight together.
-    ///
-    /// The first of the two waves may be the last one of an earlier
-    /// call ([`Roster`]): a system that is still settled is confirmed
-    /// in one wave. Under one epoch every agent's counters only grow,
-    /// so sums equal to the remembered ones mean no agent has sent or
-    /// received anything since they were read — and whatever reached
-    /// an agent's mailbox before this call's DRAIN (a Streamer's
-    /// batch) was handled before the reply, where any forward it caused
-    /// is counted. A stale memory can only fail to match and cost the
-    /// second wave. (That ordering is the in-process transport's; a
-    /// chaos cluster waits for its reliability layer to drain before
-    /// each wave instead.)
-    ///
-    /// An agent answers a DRAIN after pushing the degree changes it
-    /// applied to its directory, and a wave in which one did confirms
-    /// nothing: the next wave's request to the lead queues behind the
-    /// pushes, so when `quiesce` returns the lead's sketch holds every
-    /// change applied before the call, and any epoch the fold opened
-    /// has settled. A batch moves the counters anyway, so its push
-    /// costs no wave of its own. (Through a relay directory the push is
-    /// one hop longer and may land after the next request.)
+    /// Wait until nothing counted is in flight anywhere: one request to
+    /// the lead, answered once its channel table balances at the current
+    /// epoch with no migration or run pending (DESIGN.md "Quiescence in
+    /// one wave"). It says what this cluster's streamer sent each agent,
+    /// which the agent takes in before it answers its DRAIN, pushing its
+    /// degree changes first: the lead's sketch then holds the batch.
     ///
     /// Bounded by `SystemConfig::quiesce_deadline`; a wedged system
     /// (e.g. a dead peer not yet evicted) yields `NetError::Timeout`
     /// instead of blocking forever, after one stderr line that says what
-    /// the last wave waited for ([`stall_line`]).
+    /// the lead waited on ([`stall_line`]).
     pub fn quiesce(&self) -> Result<(), NetError> {
-        let deadline = Instant::now() + self.cfg.quiesce_deadline;
-        let (mut migrating, mut drained) = (None, None);
-        // What a wave waits for is usually one hop between two agents
-        // (tens of microseconds), sometimes a migration (milliseconds):
-        // the pause starts short and doubles up to 200 µs.
-        let mut nap = Duration::from_micros(25);
-        let mut pause = || {
-            std::thread::sleep(nap);
-            nap = (2 * nap).min(Duration::from_micros(200));
-        };
-        loop {
-            if Instant::now() >= deadline {
-                eprintln!("{}", stall_line(migrating, &drained));
-                return Err(NetError::Timeout);
-            }
-            // A wave proves something only if its DRAINs queue behind
-            // every push that preceded them. The in-process channels
-            // give that for free; the chaos stack does not, so there a
-            // wave starts once every push has been acknowledged — has
-            // reached the relay that feeds its mailbox in order.
-            if self
-                .chaos
-                .as_ref()
-                .is_some_and(|c| c.reliable.in_flight() > 0)
-            {
-                pause();
-                continue;
-            }
-            // Outstanding migrate barrier / queued membership?
-            let status = self
-                .request(Frame::signal(packet::RUN_STATUS))
-                .ok()
-                .and_then(|f| msg::RunStatus::decode(&f));
-            migrating = status.as_ref().map(|s| s.migrating);
-            let Some(status) = status.filter(|s| !s.migrating) else {
-                pause();
-                continue;
+        self.quiesced().map(drop)
+    }
+
+    /// [`Cluster::quiesce`], returning the epoch of the lead's last
+    /// recovery reset.
+    fn quiesced(&self) -> Result<u64, NetError> {
+        let sent = |(&agent, &chg_sent): (&AgentId, &u64)| {
+            let counts = Counters {
+                chg_sent,
+                ..Counters::default()
             };
-            let mut roster = self.roster.lock();
-            if roster.epoch != status.epoch {
-                let view = self.view();
-                *roster = Roster {
-                    epoch: view.epoch,
-                    agents: view.agents,
-                    last_wave: None,
-                };
-            }
-            // Departed agents' final totals (kept by the lead) balance
-            // the sums of the survivors.
-            let (mut sum, mut failed, mut pushed) = (status.departed, Vec::new(), false);
-            let replies = self.request_agents(&roster.agents, Frame::signal(packet::DRAIN));
-            for (agent, rep) in roster.agents.iter().zip(replies) {
-                match rep.ok().and_then(|rep| msg::DrainReport::decode(&rep)) {
-                    Some(report) => {
-                        pushed |= report.degrees;
-                        sum = sum.add(&report.counters);
-                    }
-                    None => failed.push(agent.id),
-                }
-            }
-            let every = failed.is_empty();
-            drained = Some((sum, failed));
-            let sum = every.then_some(sum);
-            let settled = sum.is_some_and(|sum| sum.settled());
-            let confirmed = settled && roster.last_wave == sum && !pushed;
-            roster.last_wave = sum;
-            drop(roster);
-            if confirmed {
-                return Ok(());
-            }
-            // The confirming wave has only to start after this one
-            // ended: a settled wave is followed at once, an unsettled
-            // one after a pause for whatever is still in flight.
-            if !settled {
-                pause();
-            }
+            (agent, counts)
+        };
+        let rows = self.streamer.iter().flat_map(|s| s.sent().iter().map(sent));
+        let ask = msg::DrainReport {
+            agent: 0,
+            epoch: 0,
+            rows: rows.collect(),
+        };
+        let (deadline, policy) = (self.cfg.quiesce_deadline, &self.cfg.send_policy);
+        let reply = self
+            .transport
+            .request_with_retry(&self.lead, ask.encode(), deadline, policy);
+        match reply.map(|(rep, _)| rep.reader().u64()) {
+            Ok(reset) => reset.ok_or(NetError::Protocol("bad quiesce reply")),
+            Err(NetError::Timeout) => Err(self.gave_up("quiesce", deadline)),
+            Err(e) => Err(e),
         }
+    }
+
+    /// [`Cluster::quiesce`], and rebuild first if the lead reset the
+    /// survivors of a failure no one has rebuilt from: a kill between
+    /// runs is recovered by the next `ingest` or run.
+    fn settle(&mut self) -> Result<(), NetError> {
+        let reset = self.quiesced()?;
+        if reset > self.recovered_epoch {
+            self.recover(reset)?;
+        }
+        Ok(())
+    }
+
+    /// Print what the lead waits on after `what` passed `deadline`, and
+    /// the error to return.
+    fn gave_up(&self, what: &str, deadline: Duration) -> NetError {
+        let ask = Frame::builder(packet::RUN_STATUS).u64(0).finish();
+        let rep = self.request(ask).ok();
+        let text = rep.as_ref().and_then(|f| f.reader().bytes());
+        let waiting_on = text.and_then(|b| std::str::from_utf8(b).ok());
+        eprintln!("{}", stall_line(what, deadline, waiting_on));
+        NetError::Timeout
     }
 
     // ------------------------------------------------------------------
@@ -912,9 +809,9 @@ impl Cluster {
         options: RunOptions,
     ) -> Result<RunHandle, NetError> {
         // No changes or migrations may be in flight when a run starts:
-        // agents buffer edge changes during runs without counting them,
+        // agents buffer edge changes during runs without applying them,
         // so a pre-run in-flight forward would wedge the first barrier.
-        self.quiesce()?;
+        self.settle()?;
         let spec = spec.into();
         let info = run_info(&spec, options);
         // Subscribe before starting so neither the done-advance nor a
@@ -933,7 +830,6 @@ impl Cluster {
             started: Instant::now(),
             spec,
             options,
-            recovered_epoch: 0,
         })
     }
 
@@ -941,7 +837,7 @@ impl Cluster {
     ///
     /// Bounded by `SystemConfig::run_deadline` (yielding
     /// `NetError::Timeout` past it, after one stderr line that says what
-    /// the lead waited on, [`run_stall_line`]). If an agent dies mid-run,
+    /// the lead waited on, [`stall_line`]). If an agent dies mid-run,
     /// the lead's RECOVER broadcast arrives here; the driver waits out
     /// the survivors' reset, replays the retained change log, and
     /// restarts the aborted run — all under the same deadline.
@@ -950,12 +846,7 @@ impl Cluster {
         loop {
             let now = Instant::now();
             if now >= deadline {
-                let ask = Frame::builder(packet::RUN_STATUS).u64(0).finish();
-                let rep = self.request(ask).ok();
-                let text = rep.as_ref().and_then(|f| f.reader().bytes());
-                let waiting_on = text.and_then(|b| std::str::from_utf8(b).ok());
-                eprintln!("{}", run_stall_line(self.cfg.run_deadline, waiting_on));
-                return Err(NetError::Timeout);
+                return Err(self.gave_up("run", self.cfg.run_deadline));
             }
             let slice = (deadline - now).min(Duration::from_millis(100));
             let d = match handle.sub.recv_timeout(slice) {
@@ -995,12 +886,10 @@ impl Cluster {
         })
     }
 
-    /// Drive recovery after the lead evicted a dead agent: reap its
-    /// thread, wait for the survivors' reset barrier to settle, rebuild
-    /// state (a checkpoint restore, if the log has a base, and a replay
-    /// of the whole log — see [`Cluster::restore_state`]), and — when
-    /// the failure aborted this handle's run — restart it (the handle
-    /// adopts the new run id).
+    /// Drive recovery after the lead evicted a dead agent mid-run: reap
+    /// its thread, rebuild ([`Cluster::recover`]) unless that was done
+    /// for this reset already, and — when the failure aborted this
+    /// handle's run — restart it (the handle adopts the new run id).
     fn recover_and_restart(
         &mut self,
         handle: &mut RunHandle,
@@ -1009,16 +898,10 @@ impl Cluster {
         if let Some(h) = self.agent_handles.remove(&rec.dead_agent) {
             let _ = h.join();
         }
-        if rec.epoch <= handle.recovered_epoch {
+        if rec.epoch <= self.recovered_epoch {
             return Ok(());
         }
-        handle.recovered_epoch = rec.epoch;
-        let t0 = Instant::now();
-        // Survivors report the zeroed-counter migrate barrier; once it
-        // settles the system is empty and consistent.
-        self.quiesce()?;
-        let replayed = self.restore_state()?;
-        self.quiesce()?;
+        self.recover(rec.epoch)?;
         if rec.aborted_run == handle.run_id {
             let rep = self.request(run_info(&handle.spec, handle.options).encode())?;
             handle.run_id = rep
@@ -1026,11 +909,22 @@ impl Cluster {
                 .u64()
                 .ok_or(NetError::Protocol("bad start reply"))?;
         }
+        Ok(())
+    }
+
+    /// Rebuild after the recovery reset of `epoch`
+    /// ([`Cluster::restore_state`]) once the survivors have settled.
+    fn recover(&mut self, epoch: u64) -> Result<(), NetError> {
+        self.recovered_epoch = epoch;
+        let t0 = Instant::now();
+        self.quiesce()?;
+        let replayed = self.restore_state()?;
+        self.quiesce()?;
         self.recovery.recoveries += 1;
         self.recovery.recovery_nanos += t0.elapsed().as_nanos() as u64;
         self.recovery.replayed_records += replayed;
         self.tracer
-            .span(EventKind::RecoveryDone, t0, rec.epoch, replayed);
+            .span(EventKind::RecoveryDone, t0, epoch, replayed);
         Ok(())
     }
 
@@ -1087,9 +981,9 @@ impl Cluster {
     // Metrics and autoscaling
     // ------------------------------------------------------------------
 
-    /// Aggregated agent metrics from the directory. A DRAIN round
-    /// first forces every agent to flush its report, so the aggregate
-    /// reflects all work finished before this call.
+    /// Aggregated agent metrics from the directory. A METRICS round
+    /// first has every agent push its report, so the aggregate reflects
+    /// all work finished before this call.
     ///
     /// An unreachable agent is retried once against a re-fetched view
     /// (it may have moved or departed between the view fetch and the
@@ -1102,7 +996,8 @@ impl Cluster {
         let agents = self.view().agents;
         let mut failed: Vec<AgentId> = Vec::new();
         let mut drained: u64 = 0;
-        let replies = self.request_agents(&agents, Frame::signal(packet::DRAIN));
+        let ask = Frame::signal(packet::METRICS);
+        let replies = self.request_agents(&agents, ask.clone());
         for (a, rep) in agents.iter().zip(replies) {
             match rep {
                 Ok(_) => drained += 1,
@@ -1115,7 +1010,7 @@ impl Cluster {
             // any more, so its absence is not partiality.
             let mut again = self.view().agents;
             again.retain(|a| failed.contains(&a.id));
-            for rep in self.request_agents(&again, Frame::signal(packet::DRAIN)) {
+            for rep in self.request_agents(&again, ask.clone()) {
                 match rep {
                     Ok(_) => drained += 1,
                     Err(_) => partial = true,
@@ -1278,25 +1173,16 @@ impl Drop for Cluster {
 mod tests {
     use super::*;
 
-    /// The line names what the last wave waited for: the lead's
-    /// migration, each pair whose counts differ, and the agents whose
-    /// DRAIN failed.
+    /// A `quiesce` past its deadline names what the lead's held answer
+    /// waits on, as `Lead::waiting_on` words it.
     #[test]
     fn a_stalled_quiesce_says_what_it_waited_for() {
+        let waited = "quiesce of epoch 4; agent 2 owes a DRAIN answer, take in 3 mig from \
+                      agent 1; channel (1, 2, mig, 3)";
         assert_eq!(
-            stall_line(Some(true), &None),
-            "elga quiesce: gave up: the lead still reported migrating; no DRAIN wave"
-        );
-        let mut sum = Counters::default();
-        (sum.mig_sent, sum.mig_recv, sum.chg_sent, sum.chg_recv) = (12, 9, 4, 5);
-        assert_eq!(
-            stall_line(Some(false), &Some((sum, vec![2, 5]))),
-            "elga quiesce: gave up: the lead reported no migration; \
-             mig 12 sent, 9 received; chg 4 sent, 5 received; DRAIN failed at agents [2, 5]"
-        );
-        assert_eq!(
-            stall_line(None, &Some((Counters::default(), Vec::new()))),
-            "elga quiesce: gave up: the lead did not answer RUN_STATUS"
+            stall_line("quiesce", Duration::from_secs(60), Some(waited)),
+            "elga quiesce: gave up after 60s: the lead is waiting on quiesce of epoch 4; \
+             agent 2 owes a DRAIN answer, take in 3 mig from agent 1; channel (1, 2, mig, 3)"
         );
     }
 
@@ -1306,12 +1192,12 @@ mod tests {
     fn a_run_past_its_deadline_says_what_the_lead_waited_on() {
         let waited = "barrier (run 3, step 2, Scatter); agent 2 has reported nothing";
         assert_eq!(
-            run_stall_line(Duration::from_secs(120), Some(waited)),
+            stall_line("run", Duration::from_secs(120), Some(waited)),
             "elga run: gave up after 120s: the lead is waiting on \
              barrier (run 3, step 2, Scatter); agent 2 has reported nothing"
         );
         assert_eq!(
-            run_stall_line(Duration::from_millis(5), None),
+            stall_line("run", Duration::from_millis(5), None),
             "elga run: gave up after 5ms: the lead is waiting on (the lead did not answer)"
         );
     }

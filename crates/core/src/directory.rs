@@ -200,16 +200,17 @@ fn lead_loop(
     publisher: Publisher,
 ) {
     let mut lead = Lead::new(&cfg, Instant::now());
+    let mut held = Vec::new();
     loop {
         lead.on_tick(Instant::now());
-        carry_out(&mut lead, &*transport, &publisher, None);
+        carry_out(&mut lead, &*transport, &publisher, None, &mut held);
         let d = match mailbox.recv_timeout(Duration::from_millis(20)) {
             Ok(d) => d,
             Err(NetError::Timeout) => continue,
             Err(_) => break,
         };
         lead.on_frame(Instant::now(), &d.frame);
-        carry_out(&mut lead, &*transport, &publisher, d.reply);
+        carry_out(&mut lead, &*transport, &publisher, d.reply, &mut held);
         if d.frame.packet_type() == packet::SHUTDOWN {
             break;
         }
@@ -217,12 +218,14 @@ fn lead_loop(
 }
 
 /// Carry out the lead's effects in the order it queued them; `reply`
-/// answers the frame just handled, if its sender waits for one.
+/// answers the frame just handled, if its sender waits for one, and
+/// `held` keeps the answers the lead put off.
 fn carry_out(
     lead: &mut Lead,
     transport: &dyn Transport,
     publisher: &Publisher,
     mut reply: Option<ReplyHandle>,
+    held: &mut Vec<ReplyHandle>,
 ) {
     for effect in lead.effects() {
         match effect {
@@ -237,6 +240,12 @@ fn carry_out(
             Effect::Send(addr, frame) => {
                 if let Ok(out) = transport.sender(&addr) {
                     let _ = out.send(frame);
+                }
+            }
+            Effect::Hold => held.extend(reply.take()),
+            Effect::Answer(frame) => {
+                for reply in held.drain(..) {
+                    let _ = reply.send(frame.clone());
                 }
             }
             Effect::Log(line) => eprintln!("{line}"),

@@ -12,22 +12,24 @@
 //! each report lists the records its last phase put on the wire per
 //! destination, the lead sums them per receiver into the ADVANCE that
 //! answers the barrier, and a receiver acts on that advance once it has
-//! taken in its count (DESIGN.md "The superstep"). A migrate barrier
-//! and an async run's termination also need the summed counters settled
-//! (every sent counter equal to its received one): Mattern-style double
-//! counting, which makes in-flight and out-of-order messages harmless.
+//! taken in its count (DESIGN.md "The superstep"). Every barrier also
+//! closes on the channel table ([`Channels`]): each agent's counts per
+//! peer as it last reported them. A migrate barrier, an async run's
+//! termination and a `quiesce` need every channel balanced, a sync
+//! barrier all but its records, and one wave of reports decides it.
 
+use crate::channels::{owed, Channels};
 use crate::config::SystemConfig;
 use crate::metrics::{AgentMetrics, ClusterMetrics};
 use crate::msg::{
-    self, packet, Advance, AgentInfo, Counters, DirectoryView, Message, Phase, ReadyReport,
+    self, packet, Advance, AgentInfo, DirectoryView, DrainReport, Message, Phase, ReadyReport,
     RunInfo, RunStatus, SketchDeltaView, StepCounts,
 };
 use elga_hash::AgentId;
 use elga_net::{Addr, Frame};
 use elga_sketch::CountMinSketch;
 use elga_trace::{EventKind, Tracer};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::time::{Duration, Instant};
 
 /// What the lead asks of the world. Its owner carries the queue out in
@@ -42,6 +44,10 @@ pub(crate) enum Effect {
     Reply(Frame),
     /// Push to one participant's mailbox.
     Send(Addr, Frame),
+    /// Keep the frame being handled to answer later.
+    Hold,
+    /// Answer every held frame.
+    Answer(Frame),
     /// One line for the operator.
     Log(String),
 }
@@ -58,10 +64,6 @@ struct Run {
     started: Instant,
     step_started: Instant,
     step_nanos: Vec<u64>,
-    /// Async: id of the outstanding confirmation probe.
-    probe: u32,
-    /// Async: counter sums at the previous successful probe.
-    last_probe_sums: Option<Counters>,
     /// Async mode entered (after initialization phases).
     async_live: bool,
     /// Delta runs: dangling-mass change reported but not yet
@@ -97,12 +99,6 @@ impl Run {
             expect: Vec::new(),
         }
     }
-
-    /// Open the next async confirmation probe: its advance.
-    fn next_probe(&mut self) -> Advance {
-        self.probe += 1;
-        self.advance(self.probe, Phase::Combine)
-    }
 }
 
 /// The lead directory's full coordination state, driven by
@@ -134,9 +130,14 @@ pub(crate) struct Lead {
     /// Agents currently draining before departure, at the addresses
     /// they registered: the OK that releases one goes there.
     departing: Vec<AgentInfo>,
-    /// Final counter totals of agents that already departed; included
-    /// in every sum so cumulative counts stay balanced.
-    ghost: Counters,
+    /// Every member's counts per peer since the last recovery reset.
+    channels: Channels,
+    /// While a `quiesce` is held: the members a DRAIN of it has not
+    /// been answered by yet, with what each was told to take in first.
+    quiesce: Option<BTreeMap<AgentId, msg::Rows>>,
+    /// DRAIN fan-outs sent, the first of each `quiesce` and every one
+    /// that asked again.
+    quiesce_waves: u64,
     /// Resume point once a mid-run migrate barrier settles.
     resume: Option<Advance>,
     /// A run requested while the system was migrating; starts once the
@@ -210,13 +211,6 @@ struct Stall {
 /// waits on.
 const STALL_REPORT_AFTER: Duration = Duration::from_secs(10);
 
-/// Whether a barrier waits for the counter pair `pair` to balance: a
-/// `mattern` one (migrate, async) for every pair, a sync barrier for all
-/// but the records, which the receivers count.
-fn sums(mattern: bool, pair: &str) -> bool {
-    mattern || !matches!(pair, "vmsg" | "part" | "state")
-}
-
 impl Lead {
     pub(crate) fn new(cfg: &SystemConfig, now: Instant) -> Self {
         Lead {
@@ -243,7 +237,9 @@ impl Lead {
             migrate_epoch: None,
             migrate_members: Vec::new(),
             departing: Vec::new(),
-            ghost: Counters::default(),
+            channels: Channels::default(),
+            quiesce: None,
+            quiesce_waves: 0,
             resume: None,
             pending_start: None,
             last_status: RunStatus::default(),
@@ -326,6 +322,33 @@ impl Lead {
                 }
                 self.reply(Frame::signal(packet::OK));
             }
+            packet::DRAIN => match DrainReport::decode(frame) {
+                // The driver's `quiesce`, held until nothing counted is
+                // in flight; each member is told what the streamer sent it.
+                Some(ask) if ask.agent == 0 => {
+                    self.effects.push(Effect::Hold);
+                    if self.quiesce.is_none() {
+                        self.quiesce = Some(BTreeMap::new());
+                        let streamed =
+                            |id| ask.rows.iter().filter(move |r| r.0 == id).map(|r| (0, r.1));
+                        let asks = self
+                            .member_ids()
+                            .into_iter()
+                            .map(|id| (id, streamed(id).collect()));
+                        self.drain(asks.collect());
+                    }
+                    self.evaluate();
+                }
+                Some(rep) if rep.epoch >= self.counted_since => {
+                    self.saw(rep.agent);
+                    self.channels.report(rep.agent, &rep.rows);
+                    if let Some(asked) = self.quiesce.as_mut() {
+                        asked.remove(&rep.agent);
+                    }
+                    self.evaluate();
+                }
+                _ => {}
+            },
             packet::SKETCH_DELTA => {
                 if let Some(delta) = msg::decode_sketch_delta(frame) {
                     self.fold_sketch(&delta);
@@ -377,6 +400,7 @@ impl Lead {
                 let mut agg = ClusterMetrics {
                     agents: self.view.agents.len() as u64,
                     agents_recovered: self.agents_recovered,
+                    quiesce_waves: self.quiesce_waves,
                     ..self.departed_metrics
                 };
                 for m in self.metrics.values() {
@@ -435,9 +459,10 @@ impl Lead {
         self.effects.push(Effect::Reply(frame));
     }
 
-    /// Take in a barrier report. A retransmitting transport can reorder
-    /// pushes, so a report older than the one held (by `seq`) is
-    /// dropped rather than let overwrite a fresh one.
+    /// Take in a barrier report and its rows. A retransmitting
+    /// transport can reorder pushes, so a report older than the one held
+    /// (by `seq`) is dropped rather than let overwrite a fresh one, and
+    /// one counted before the last recovery reset has no rows to give.
     fn on_ready(&mut self, rep: ReadyReport) {
         self.saw(rep.agent);
         if self
@@ -447,20 +472,11 @@ impl Lead {
         {
             return;
         }
-        // Only idle reports from the current epoch can restart probes:
-        // a report that predates an adopted view describes traffic the
-        // resumed run has already re-scattered.
-        let probe_reset = rep.step == u32::MAX
-            && rep.epoch == self.view.epoch
-            && self
-                .run
-                .as_ref()
-                .is_some_and(|r| r.async_live && r.probe > 0 && r.info.run_id == rep.run);
+        if rep.epoch >= self.counted_since {
+            self.channels.report(rep.agent, &rep.rows);
+        }
         self.note_dangling(&rep);
         self.reports.insert(rep.agent, rep);
-        if probe_reset {
-            self.restart_probe();
-        }
         self.evaluate();
     }
 
@@ -508,38 +524,33 @@ impl Lead {
         self.run.is_some() || self.migrate_epoch.is_some()
     }
 
-    /// Sum counters over `members`, including ghosts of departed
-    /// agents.
-    fn summed(&self, members: &[AgentId]) -> Option<Counters> {
-        let mut total = self.ghost;
-        for id in members {
-            total = total.add(&self.reports.get(id)?.counters);
-        }
-        Some(total)
+    /// Whether the barrier `phase` closes on record channels too: a
+    /// sync barrier counts them per step instead.
+    fn all_records(&self, phase: Phase) -> bool {
+        phase == Phase::Migrate || self.run.as_ref().is_some_and(|r| r.async_live)
     }
 
-    /// All members reported the given context and every counter pair
-    /// the barrier sums ([`sums`]) is settled.
+    /// All members reported the given context and every channel the
+    /// barrier closes on is balanced.
     fn barrier_met(&self, members: &[AgentId], run: u64, step: u32, phase: Phase) -> bool {
-        let mattern = phase == Phase::Migrate;
         self.all_answered(members, (run, step, phase))
-            && self.summed(members).is_some_and(|c| {
-                (c.pairs().iter()).all(|&(pair, sent, recv)| sent == recv || !sums(mattern, pair))
-            })
+            && self.channels.gaps(self.all_records(phase)).is_empty()
     }
 
     /// Whether `r` answers the barrier `(run, step, phase)`: it reports
     /// that context, or — in an async run's idle round, `step` 0
     /// ([`Lead::open_barrier`]) — it is an idle report under the
-    /// current view epoch, so quiescence observed before a view change
-    /// can never terminate the run it resumed.
+    /// current view epoch sent after the last dangling-mass round, so
+    /// quiescence observed before a view change or a round can never
+    /// end the run that followed it.
     fn answers(&self, r: &ReadyReport, (run, step, phase): (u64, u32, Phase)) -> bool {
-        let idle_round = step == 0 && self.run.as_ref().is_some_and(|r| r.async_live);
+        let idle = (self.run.as_ref())
+            .filter(|r| r.async_live && step == 0)
+            .map(|r| u32::MAX - r.dangling_round);
         r.run == run
-            && if idle_round {
-                r.step == u32::MAX && r.epoch == self.view.epoch
-            } else {
-                r.step == step && r.phase == phase
+            && match idle {
+                Some(idle) => r.step == idle && r.epoch == self.view.epoch,
+                None => r.step == step && r.phase == phase,
             }
     }
 
@@ -578,30 +589,37 @@ impl Lead {
     }
 
     /// The `(run, step, phase)` the outstanding barrier's reports carry:
-    /// a migrate epoch, a sync phase, or — `Combine` with the probe
-    /// number, 0 before the first — an async run's idle round.
+    /// a migrate epoch, a sync phase, or — `(0, Combine)` — an async
+    /// run's idle round.
     fn open_barrier(&self) -> Option<(u64, u32, Phase)> {
         if let Some(epoch) = self.migrate_epoch {
             return Some((0, epoch as u32, Phase::Migrate));
         }
         let run = self.run.as_ref()?;
         Some(if run.async_live {
-            (run.info.run_id, run.probe, Phase::Combine)
+            (run.info.run_id, 0, Phase::Combine)
         } else {
             (run.info.run_id, run.step, run.phase)
         })
     }
 
-    /// Who the outstanding barrier is waiting on, from what the lead
-    /// holds: the members that have not reported it and what they
-    /// reported last, every counter pair it sums that is unbalanced,
-    /// and how many records of which kind and step the last answer told
-    /// each member to take in — a member missing from the barrier after
-    /// such an advance is short of its count or still computing.
+    /// What the lead waits on, from what it holds: the open barrier's
+    /// members that have not reported it, what they reported last and
+    /// how many records of which kind and step the last answer told each
+    /// to take in — a member missing after such an advance is short of
+    /// its count or still computing — or, with no barrier open, a held
+    /// `quiesce`'s members whose DRAIN answer is parked, with what each
+    /// was told to take in; then every channel the wait closes on that
+    /// is unbalanced, as `(from, to, kind, sent − taken in)`.
     fn waiting_on(&self) -> String {
-        use std::fmt::Write;
         let Some(barrier @ (run, step, phase)) = self.open_barrier() else {
-            return "no barrier open".into();
+            let Some(asked) = &self.quiesce else {
+                return "no barrier open".into();
+            };
+            let epoch = self.view.epoch;
+            return format!("quiesce of epoch {epoch}")
+                + &owed(asked)
+                + &self.channels.describe(true);
         };
         let idle_round = self.run.as_ref().is_some_and(|r| r.async_live) && step == 0;
         let members = match phase {
@@ -613,22 +631,18 @@ impl Lead {
             _ if idle_round => format!("run {run}, async idle round"),
             _ => format!("barrier (run {run}, step {step}, {phase:?})"),
         };
-        let mut total = self.ghost;
         for id in &members {
             let rep = self.reports.get(id);
-            total = total.add(&rep.map(|r| r.counters).unwrap_or_default());
             if rep.is_some_and(|r| self.answers(r, barrier)) {
                 continue;
             }
-            match rep {
-                Some(r) => write!(
-                    out,
+            out += &match rep {
+                Some(r) => format!(
                     "; agent {id} last reported (run {}, step {}, {:?}) under epoch {}",
                     r.run, r.step, r.phase, r.epoch
                 ),
-                None => write!(out, "; agent {id} has reported nothing"),
-            }
-            .expect("write to a String");
+                None => format!("; agent {id} has reported nothing"),
+            };
             let ((of_step, of_phase), expect) = &self.expected;
             if let Some((_, n)) = expect.iter().find(|(to, _)| to == id) {
                 let kind = match of_phase {
@@ -636,25 +650,10 @@ impl Lead {
                     Phase::Combine => "PARTIAL",
                     _ => "STATE",
                 };
-                write!(
-                    out,
-                    ", told to take in {n} {kind} records of step {of_step}"
-                )
-                .expect("write to a String");
+                out += &format!(", told to take in {n} {kind} records of step {of_step}");
             }
         }
-        let mattern = phase == Phase::Migrate || self.run.as_ref().is_some_and(|r| r.async_live);
-        for (pair, sent, recv) in total.pairs() {
-            if sent != recv && sums(mattern, pair) {
-                write!(
-                    out,
-                    "; {pair} sent − recv = {}",
-                    sent as i128 - recv as i128
-                )
-                .expect("write to a String");
-            }
-        }
-        out
+        out + &self.channels.describe(self.all_records(phase))
     }
 
     /// Called from the tick: one log line, once, for a barrier that has
@@ -794,12 +793,15 @@ impl Lead {
         self.publish(frame);
     }
 
-    /// Send the post-drain OK to departed agents, absorb their final
-    /// counters into the ghost totals and stop watching them.
+    /// Send the post-drain OK to departed agents, stop watching them
+    /// and drop their channels, which the barrier just balanced.
     fn release_departers(&mut self) {
         for AgentInfo { id, addr } in self.departing.drain(..) {
+            self.channels.forget(id);
+            if let Some(asked) = self.quiesce.as_mut() {
+                asked.remove(&id);
+            }
             if let Some(rep) = self.reports.remove(&id) {
-                self.ghost = self.ghost.add(&rep.counters);
                 // A departer's final READY carries its dangling-mass
                 // report. Mid-async-run it is the final cumulative
                 // value: telescope it against the seen-map entry being
@@ -848,9 +850,9 @@ impl Lead {
     /// — and rewind the whole system.
     ///
     /// Exact reconciliation is impossible after an unplanned loss:
-    /// messages in flight to or from the dead agent are unaccounted
+    /// records in flight to or from the dead agent are unaccounted
     /// for, and its primary vertex state is gone. Instead survivors
-    /// drop all graph state and zero their counters (so the fresh
+    /// drop all graph state and zero their counts (so the fresh
     /// migrate barrier settles trivially), any active run is aborted,
     /// and the driver replays the retained change log before
     /// restarting the run.
@@ -874,11 +876,15 @@ impl Lead {
         // dropped when it arrives.
         self.pending_sketch = false;
         self.view.sketch.clear();
-        // The reset rewinds every cumulative counter to zero,
-        // survivors and ghosts alike. Dangling carry describes
-        // pre-crash state the replay will regenerate.
+        // The reset rewinds every count to zero, and a survivor drops
+        // a DRAIN it has not answered: its recovery READY stands in for
+        // the answer. Dangling carry describes pre-crash state the
+        // replay will regenerate.
         self.reports.clear();
-        self.ghost = Counters::default();
+        self.channels.clear();
+        if let Some(asked) = self.quiesce.as_mut() {
+            asked.clear();
+        }
         self.dangling_carry = 0.0;
         // The dangling base describes state the reset wiped; unknown
         // (n = 0) until a finished run re-establishes it.
@@ -917,12 +923,50 @@ impl Lead {
     }
 
     /// Re-evaluate all outstanding barriers until no further progress
-    /// is possible; called on every READY (and after start/membership
-    /// changes, so zero-member edge cases cannot stall).
+    /// is possible, then a held `quiesce`; called on every report (and
+    /// after start/membership changes, so zero-member edge cases cannot
+    /// stall).
     fn evaluate(&mut self) {
         for _ in 0..1024 {
             if !self.evaluate_once() {
                 break;
+            }
+        }
+        self.evaluate_quiesce();
+    }
+
+    /// Answer a held `quiesce` — `OK` and the epoch of the last recovery
+    /// reset — once no migration or run is pending, every DRAIN of it is
+    /// answered and every channel balanced; else ask again whoever can
+    /// balance it ([`Channels::asks`]).
+    fn evaluate_quiesce(&mut self) {
+        let answered = self.quiesce.as_ref().is_some_and(BTreeMap::is_empty);
+        if !answered || self.busy() || self.membership_pending() || self.pending_start.is_some() {
+            return;
+        }
+        let asks = self.channels.asks();
+        if asks.is_empty() {
+            self.quiesce = None;
+            let answer = Frame::builder(packet::OK).u64(self.counted_since).finish();
+            self.effects.push(Effect::Answer(answer));
+        } else {
+            self.drain(asks);
+        }
+    }
+
+    /// One DRAIN wave: each member in `asks`, told what to take in
+    /// before it answers, owes an answer.
+    fn drain(&mut self, asks: BTreeMap<AgentId, msg::Rows>) {
+        self.quiesce_waves += 1;
+        for (id, rows) in asks {
+            if let Some(addr) = self.view.addr_of(id).cloned() {
+                let ask = DrainReport {
+                    agent: 0,
+                    epoch: self.view.epoch,
+                    rows,
+                };
+                self.effects.push(Effect::Send(addr, ask.encode()));
+                self.quiesce.as_mut().expect("held").insert(id, ask.rows);
             }
         }
     }
@@ -1122,19 +1166,15 @@ impl Lead {
         active == 0
     }
 
-    /// Async termination: all agents idle with settled counters twice
-    /// in a row. Returns true when it made progress.
+    /// Async termination: every member idle under the current epoch
+    /// with every channel balanced. Returns true when it made progress.
     fn evaluate_async(&mut self) -> bool {
         // A membership or sketch change arrived mid-async-run: pause
-        // the run behind a migrate barrier. Any outstanding probe is
-        // void (its responses predate the migration traffic), so the
-        // probe state resets; once the barrier settles, the resume
-        // advance re-releases the agents and termination detection
-        // starts over.
+        // the run behind a migrate barrier; once it settles, the resume
+        // advance re-releases the agents, whose idle reports under the
+        // new epoch are the only ones that can end the run.
         if self.membership_pending() {
-            let run = self.run.as_mut().expect("run");
-            run.probe = 0;
-            run.last_probe_sums = None;
+            let run = self.run.as_ref().expect("run");
             self.resume = Some(run.advance(1, Phase::Scatter));
             self.apply_membership();
             return true;
@@ -1148,8 +1188,6 @@ impl Lead {
         let run = self.run.as_mut().expect("run");
         if run.info.delta && run.dangling_pending.abs() > run.dangling_eps {
             run.dangling_round += 1;
-            run.probe = 0;
-            run.last_probe_sums = None;
             let adv = Advance {
                 global: std::mem::take(&mut run.dangling_pending),
                 ..run.advance(run.dangling_round, Phase::Apply)
@@ -1158,45 +1196,12 @@ impl Lead {
             self.publish(adv.encode());
             return false;
         }
-        // A round — every member idle, then every member answering the
-        // outstanding probe — is complete once all have reported it.
-        let (run_id, probe, last_sums) = (run.info.run_id, run.probe, run.last_probe_sums);
-        let members = self.member_ids();
-        if !self.all_answered(&members, (run_id, probe, Phase::Combine)) {
+        let (run_id, steps, members) = (run.info.run_id, run.step, self.member_ids());
+        if !self.barrier_met(&members, run_id, 0, Phase::Combine) {
             return false;
         }
-        let sums = self.summed(&members).expect("every member reported");
-        if probe > 0 && sums.settled() && last_sums == Some(sums) {
-            let steps = self.run.as_ref().expect("run").step;
-            self.finish_run(steps, Vec::new());
-            return true;
-        }
-        if probe == 0 && !sums.settled() {
-            return false;
-        }
-        // Probe again; an unsettled probe round starts the comparison
-        // over. Progress was made, but re-evaluating immediately cannot
-        // fire again until responses arrive.
-        let run = self.run.as_mut().expect("run");
-        run.last_probe_sums = sums.settled().then_some(sums);
-        let adv = run.next_probe();
-        self.publish(adv.encode());
-        false
-    }
-
-    /// An idle report accepted while a confirmation probe is
-    /// outstanding means an agent saw new traffic after (or instead
-    /// of) answering — its probe response is masked by the newer idle
-    /// report and will never be re-sent once the agent is quiescent.
-    /// The responses collected so far may also predate that activity.
-    /// Restart the double probe so both compared rounds postdate it.
-    fn restart_probe(&mut self) {
-        let Some(run) = self.run.as_mut() else {
-            return;
-        };
-        run.last_probe_sums = None;
-        let adv = run.next_probe();
-        self.publish(adv.encode());
+        self.finish_run(steps, Vec::new());
+        true
     }
 
     /// End the run after `steps` supersteps with a `done` advance that
@@ -1292,8 +1297,6 @@ impl Lead {
             started: self.now,
             step_started: self.now,
             step_nanos: Vec::new(),
-            probe: 0,
-            last_probe_sums: None,
             async_live: false,
             dangling_pending: 0.0,
             dangling_seen: HashMap::new(),
@@ -1308,7 +1311,7 @@ impl Lead {
     }
 
     fn status(&self) -> RunStatus {
-        let mut status = match &self.run {
+        match &self.run {
             Some(run) => RunStatus {
                 run_id: run.info.run_id,
                 running: true,
@@ -1318,13 +1321,7 @@ impl Lead {
                 ..RunStatus::default()
             },
             None => self.last_status.clone(),
-        };
-        status.migrating = self.migrate_epoch.is_some()
-            || self.membership_pending()
-            || self.pending_start.is_some();
-        status.epoch = self.view.epoch;
-        status.departed = self.ghost;
-        status
+        }
     }
 }
 
@@ -1332,6 +1329,7 @@ impl Lead {
 mod tests {
     use super::*;
     use crate::directory::agent_addr;
+    use crate::msg::Counters;
     use elga_sketch::SketchDelta;
 
     fn test_lead() -> Lead {
@@ -1352,13 +1350,22 @@ mod tests {
         }
     }
 
-    fn ready(agent: AgentId, run: u64, step: u32, phase: Phase, c: Counters) -> ReadyReport {
+    impl Lead {
+        /// Hold `rep` as its agent's report and its rows in the table,
+        /// without evaluating.
+        fn put(&mut self, rep: ReadyReport) {
+            self.channels.report(rep.agent, &rep.rows);
+            self.reports.insert(rep.agent, rep);
+        }
+    }
+
+    fn ready(agent: AgentId, run: u64, step: u32, phase: Phase, rows: msg::Rows) -> ReadyReport {
         ReadyReport {
             agent,
             run,
             step,
             phase,
-            counters: c,
+            rows,
             active: 0,
             global_contrib: 0.0,
             n_primary: 0,
@@ -1371,14 +1378,14 @@ mod tests {
     fn idle(agent: AgentId, run: u64, epoch: u64) -> ReadyReport {
         ReadyReport {
             epoch,
-            ..ready(agent, run, u32::MAX, Phase::Scatter, Counters::default())
+            ..ready(agent, run, u32::MAX, Phase::Scatter, Vec::new())
         }
     }
 
     /// One rule per kind of barrier, chosen by the phase alone: every
-    /// member has reported the context, and every counter pair is
-    /// settled — except that a sync barrier does not ask about the
-    /// record pairs, which the receivers count.
+    /// member has reported the context, and every channel is balanced —
+    /// except that a sync barrier does not ask about the record kinds,
+    /// which the receivers count.
     #[test]
     fn barrier_requires_all_members_and_the_sums_its_phase_rests_on() {
         let mut lead = test_lead();
@@ -1397,17 +1404,16 @@ mod tests {
         };
         for phase in [Phase::Scatter, Phase::Combine, Phase::Apply, Phase::Migrate] {
             lead.reports.clear();
-            lead.reports
-                .insert(1, ready(1, 7, 2, phase, Counters::default()));
+            lead.channels.clear();
+            lead.put(ready(1, 7, 2, phase, Vec::new()));
             assert!(!lead.barrier_met(&members, 7, 2, phase), "missing member");
-            lead.reports
-                .insert(2, ready(2, 7, 2, phase, Counters::default()));
+            lead.put(ready(2, 7, 2, phase, Vec::new()));
             assert!(lead.barrier_met(&members, 7, 2, phase));
             assert!(!lead.barrier_met(&members, 7, 3, phase), "wrong step");
             assert!(!lead.barrier_met(&members, 8, 2, phase), "wrong run");
             for pair in ["vmsg", "part", "state", "mig", "chg"] {
-                lead.reports
-                    .insert(1, ready(1, 7, 2, phase, in_flight(pair)));
+                lead.channels.clear();
+                lead.put(ready(1, 7, 2, phase, vec![(2, in_flight(pair))]));
                 assert_eq!(
                     lead.barrier_met(&members, 7, 2, phase),
                     phase != Phase::Migrate && matches!(pair, "vmsg" | "part" | "state"),
@@ -1463,9 +1469,9 @@ mod tests {
             _ => lead.member_ids(),
         };
         for id in members {
-            let mut rep = ready(id, run, step, phase, Counters::default());
+            let mut rep = ready(id, run, step, phase, Vec::new());
             rep.active = active;
-            lead.reports.insert(id, rep);
+            lead.put(rep);
             lead.evaluate();
         }
     }
@@ -1692,8 +1698,7 @@ mod tests {
         advances(&mut lead);
         let epoch = lead.view.epoch;
         assert!(!fold(ring_delta(&lead, 0, 64, 1), &mut lead));
-        assert!(!lead.membership_pending());
-        assert!(!lead.status().migrating);
+        assert!(!lead.membership_pending() && lead.migrate_epoch.is_none());
         assert_eq!(lead.view.epoch, epoch);
         assert!(advances(&mut lead).is_empty());
         report_all(&mut lead, run, 1, Phase::Scatter, 3);
@@ -1724,7 +1729,6 @@ mod tests {
         // run's tag, and a joiner is handed this run's.
         batch(&mut lead, epoch);
         assert_eq!(lead.run.as_ref().unwrap().info.watermark, 3);
-        assert_eq!(lead.status().epoch, lead.view.epoch);
     }
 
     /// A PageRank START that asks to reuse state: a residual run.
@@ -1755,9 +1759,9 @@ mod tests {
             };
             let (id, step, phase) = (run.info.run_id, run.step, run.phase);
             for m in lead.member_ids() {
-                let mut rep = ready(m, id, step, phase, Counters::default());
+                let mut rep = ready(m, id, step, phase, Vec::new());
                 rep.n_primary = n;
-                lead.reports.insert(m, rep);
+                lead.put(rep);
                 lead.evaluate();
             }
         }
@@ -1918,17 +1922,19 @@ mod tests {
         active: u64,
         sent: &[(AgentId, u64)],
     ) -> ReadyReport {
-        let mut c = Counters::default();
-        let records = match phase {
-            Phase::Scatter => &mut c.vmsg_sent,
-            Phase::Combine => &mut c.part_sent,
-            _ => &mut c.state_sent,
+        let row = |&(to, n): &(AgentId, u64)| {
+            let mut c = Counters::default();
+            *match phase {
+                Phase::Scatter => &mut c.vmsg_sent,
+                Phase::Combine => &mut c.part_sent,
+                _ => &mut c.state_sent,
+            } = n;
+            (to, c)
         };
-        *records = sent.iter().map(|s| s.1).sum();
         ReadyReport {
             active,
             sent: sent.to_vec(),
-            ..ready(agent, run, step, phase, c)
+            ..ready(agent, run, step, phase, sent.iter().map(row).collect())
         }
     }
 
@@ -1941,7 +1947,7 @@ mod tests {
         });
         let (mut lead, run) = lead_mid_run_on(lead, WCC.0, WCC.1, false);
         for id in [1, 2, 3] {
-            lead.reports.insert(id, scattered(id, run, 0, 0, &[]));
+            lead.put(scattered(id, run, 0, 0, &[]));
             lead.evaluate();
         }
         assert_eq!(expects(&lead), (1, Phase::Scatter, true));
@@ -1962,10 +1968,10 @@ mod tests {
             (3, &[(2, 7)]),
         ] {
             assert!(advances(&mut lead).is_empty(), "before agent {id} reported");
-            lead.reports.insert(id, scattered(id, run, 1, 1, sent));
+            lead.put(scattered(id, run, 1, 1, sent));
             lead.evaluate();
         }
-        assert!(!lead.summed(&[1, 2, 3]).unwrap().settled());
+        assert!(!lead.channels.gaps(true).is_empty());
         let adv = advances(&mut lead);
         assert_eq!(adv.len(), 1);
         assert_eq!((adv[0].step, adv[0].phase), (1, Phase::Combine));
@@ -1984,18 +1990,19 @@ mod tests {
             let (mut lead, run) = three_mid_run();
             let (mut third, mut second) =
                 (scattered(3, run, 1, 1, &[]), scattered(2, run, 1, 1, &[]));
-            let (sent, recv) = match pair {
-                "chg" => (&mut third.counters.chg_sent, &mut second.counters.chg_recv),
-                _ => (&mut third.counters.mig_sent, &mut second.counters.mig_recv),
-            };
-            (*sent, *recv) = (1, 1);
-            lead.reports.insert(1, scattered(1, run, 1, 1, &[(2, 5)]));
-            lead.reports.insert(2, scattered(2, run, 1, 1, &[]));
-            lead.reports.insert(3, third);
+            let (mut sent, mut taken) = (Counters::default(), Counters::default());
+            match pair {
+                "chg" => (sent.chg_sent, taken.chg_recv) = (1, 1),
+                _ => (sent.mig_sent, taken.mig_recv) = (1, 1),
+            }
+            (third.rows, second.rows) = (vec![(2, sent)], vec![(3, taken)]);
+            lead.put(scattered(1, run, 1, 1, &[(2, 5)]));
+            lead.put(scattered(2, run, 1, 1, &[]));
+            lead.put(third);
             lead.evaluate();
             assert!(advances(&mut lead).is_empty(), "{pair} in flight");
             // The receiver's idle re-report settles the pair.
-            lead.reports.insert(2, second);
+            lead.put(second);
             lead.evaluate();
             let adv = advances(&mut lead);
             assert_eq!(adv.len(), 1, "{pair} settled");
@@ -2006,20 +2013,24 @@ mod tests {
     #[test]
     fn resent_ready_reevaluates_a_chained_barrier_exactly_once() {
         let (mut lead, run) = three_mid_run();
-        lead.reports.insert(1, scattered(1, run, 1, 1, &[(2, 5)]));
+        lead.put(scattered(1, run, 1, 1, &[(2, 5)]));
         lead.evaluate();
-        lead.reports.insert(2, scattered(2, run, 1, 0, &[(1, 2)]));
+        lead.put(scattered(2, run, 1, 0, &[(1, 2)]));
         lead.evaluate();
         // Agent 1 re-reports for a late EDGE_CHANGES frame: the step's
         // list rides again, verbatim, and replaces the first copy.
         let mut again = scattered(1, run, 1, 1, &[(2, 5)]);
-        again.counters.chg_recv = 3;
-        again.counters.chg_sent = 3;
-        lead.reports.insert(1, again.clone());
+        let chg = Counters {
+            chg_sent: 3,
+            chg_recv: 3,
+            ..Counters::default()
+        };
+        again.rows.push((1, chg));
+        lead.put(again.clone());
         lead.evaluate();
         assert!(advances(&mut lead).is_empty(), "agent 3 has not reported");
         assert!(lead.run.as_ref().unwrap().step_nanos.is_empty());
-        lead.reports.insert(3, scattered(3, run, 1, 0, &[(2, 1)]));
+        lead.put(scattered(3, run, 1, 0, &[(2, 1)]));
         lead.evaluate();
         // Verdict of step 0 and reduce of step 1, once, and agent 1's
         // five counted once.
@@ -2030,7 +2041,7 @@ mod tests {
         assert_eq!(lead.run.as_ref().unwrap().step_nanos.len(), 1);
         // A straggling copy of the same report is for a barrier that is
         // gone.
-        lead.reports.insert(1, again);
+        lead.put(again);
         lead.evaluate();
         assert!(advances(&mut lead).is_empty());
         assert_eq!(expects(&lead), (2, Phase::Scatter, true));
@@ -2046,7 +2057,7 @@ mod tests {
     fn a_chained_verdict_that_ends_the_run_puts_the_counts_on_done() {
         let (mut lead, run) = three_mid_run();
         for (id, sent) in [(1, &[(2, 5), (3, 1)][..]), (2, &[(1, 4)]), (3, &[])] {
-            lead.reports.insert(id, scattered(id, run, 1, 0, sent));
+            lead.put(scattered(id, run, 1, 0, sent));
             lead.evaluate();
         }
         assert!(lead.run.is_none());
@@ -2072,7 +2083,7 @@ mod tests {
     /// Scatter barrier does, and their answers carry the counts. An
     /// Apply barrier that a view change follows sends its counts on a
     /// `Migrate` advance ahead of the VIEW; the migrate barrier still
-    /// sums every pair.
+    /// closes on every channel.
     #[test]
     fn every_sync_barrier_closes_on_what_was_sent() {
         // A view that can split a vertex: three barriers a step.
@@ -2082,11 +2093,10 @@ mod tests {
         advances(&mut lead);
         for (id, sent) in [(1, &[(2, 3)][..]), (2, &[])] {
             assert!(advances(&mut lead).is_empty(), "before agent {id}");
-            lead.reports
-                .insert(id, sent_report(id, run, 0, Phase::Combine, 0, sent));
+            lead.put(sent_report(id, run, 0, Phase::Combine, 0, sent));
             lead.evaluate();
         }
-        assert!(!lead.summed(&[1, 2]).unwrap().settled());
+        assert!(!lead.channels.gaps(true).is_empty());
         let adv = advances(&mut lead);
         assert_eq!(adv.len(), 1);
         assert_eq!(
@@ -2101,10 +2111,8 @@ mod tests {
             addr: agent_addr(3),
         });
         lead.evaluate();
-        lead.reports
-            .insert(1, sent_report(1, run, 0, Phase::Apply, 1, &[]));
-        lead.reports
-            .insert(2, sent_report(2, run, 0, Phase::Apply, 1, &[(1, 2)]));
+        lead.put(sent_report(1, run, 0, Phase::Apply, 1, &[]));
+        lead.put(sent_report(2, run, 0, Phase::Apply, 1, &[(1, 2)]));
         lead.evaluate();
         let published: Vec<u8> = drained(&mut lead)
             .iter()
@@ -2117,19 +2125,16 @@ mod tests {
         assert_eq!(lead.expected, ((0, Phase::Apply), vec![(1, 2)]));
         let epoch = lead.migrate_epoch.expect("migrate barrier") as u32;
         assert!(lead.resume.is_some());
-        // The migrate barrier sums every pair: a VMSG to the joiner is
+        // The migrate barrier closes on every channel: the run's records
+        // were all taken in (a clean table), but a VMSG to the joiner is
         // in flight until the joiner counts it and re-reports.
+        lead.channels.clear();
         let in_flight = Counters {
             vmsg_sent: 1,
             ..Default::default()
         };
-        for (id, c) in [
-            (1, in_flight),
-            (2, Counters::default()),
-            (3, Counters::default()),
-        ] {
-            lead.reports
-                .insert(id, ready(id, 0, epoch, Phase::Migrate, c));
+        for (id, rows) in [(1, vec![(3, in_flight)]), (2, vec![]), (3, vec![])] {
+            lead.put(ready(id, 0, epoch, Phase::Migrate, rows));
         }
         lead.evaluate();
         assert!(lead.migrate_epoch.is_some(), "a VMSG in flight");
@@ -2137,8 +2142,7 @@ mod tests {
             vmsg_recv: 1,
             ..Default::default()
         };
-        lead.reports
-            .insert(3, ready(3, 0, epoch, Phase::Migrate, counted));
+        lead.put(ready(3, 0, epoch, Phase::Migrate, vec![(1, counted)]));
         lead.evaluate();
         assert_eq!(lead.migrate_epoch, None);
     }
@@ -2151,19 +2155,23 @@ mod tests {
         assert_eq!(test_lead().waiting_on(), "no barrier open");
         let (mut lead, run) = three_mid_run();
         for (id, sent) in [(1, &[(2, 5), (3, 1)][..]), (2, &[(3, 2)]), (3, &[])] {
-            lead.reports.insert(id, scattered(id, run, 1, 1, sent));
+            lead.put(scattered(id, run, 1, 1, sent));
             lead.evaluate();
         }
         assert_eq!(expects(&lead), (2, Phase::Scatter, true));
         // Agents 1 and 2 finish step 1 and report step 2; agent 3 was
         // told to take in three records of step 1 and has not been
-        // heard from since. Agent 2 forwarded a change nobody has
+        // heard from since. Agent 2 forwarded a change agent 3 has not
         // counted yet.
-        lead.reports.insert(1, scattered(1, run, 2, 1, &[(3, 4)]));
+        lead.put(scattered(1, run, 2, 1, &[(3, 4)]));
         let mut second = scattered(2, run, 2, 1, &[]);
-        second.counters.chg_sent = 2;
+        let chg = Counters {
+            chg_sent: 2,
+            ..Default::default()
+        };
+        second.rows = vec![(3, chg)];
         second.epoch = 2;
-        lead.reports.insert(2, second);
+        lead.put(second);
         lead.evaluate();
         let said = lead.waiting_on();
         assert!(
@@ -2181,8 +2189,8 @@ mod tests {
             !said.contains("agent 1") && !said.contains("agent 2"),
             "{said}"
         );
-        assert!(said.contains("chg sent − recv = 2"), "{said}");
-        // The VMSG pair is open by design at a Scatter barrier.
+        assert!(said.contains("; channel (2, 3, chg, 2)"), "{said}");
+        // VMSG channels are open by design at a Scatter barrier.
         assert!(!said.contains("vmsg"), "{said}");
 
         // A migrate barrier waits on every pair and on departers too.
@@ -2195,8 +2203,7 @@ mod tests {
             vmsg_recv: 1,
             ..Default::default()
         };
-        lead.reports
-            .insert(2, ready(2, 0, epoch as u32, Phase::Migrate, moved));
+        lead.put(ready(2, 0, epoch as u32, Phase::Migrate, vec![(1, moved)]));
         lead.evaluate();
         let said = lead.waiting_on();
         assert!(
@@ -2207,8 +2214,8 @@ mod tests {
             said.contains("agent 1 last reported (run 0, step 2, Migrate)"),
             "{said}"
         );
-        assert!(said.contains("mig sent − recv = 9"), "{said}");
-        assert!(said.contains("vmsg sent − recv = -1"), "{said}");
+        assert!(said.contains("; channel (1, 2, vmsg, -1)"), "{said}");
+        assert!(said.contains("; channel (2, 1, mig, 9)"), "{said}");
 
         // A RUN_STATUS with a body asks for it; an empty one still gets
         // the status.
@@ -2223,50 +2230,40 @@ mod tests {
         let Some(Effect::Reply(rep)) = drained(&mut lead).pop() else {
             panic!("no reply");
         };
-        assert!(RunStatus::decode(&rep).is_some_and(|s| s.migrating));
+        assert!(RunStatus::decode(&rep).is_some());
     }
 
+    /// A departer is released once the survivors took in what it sent,
+    /// and its channels leave the table with it.
     #[test]
-    fn ghost_counters_keep_sums_balanced_after_departure() {
-        let mut lead = test_lead();
-        // Agent 9 departed having sent 4 messages that agent 1 received.
-        lead.ghost = Counters {
-            vmsg_sent: 4,
+    fn a_departer_leaves_the_table_once_its_channels_balance() {
+        let mut lead = lead_with_agents();
+        lead.pending_leaves.push(2);
+        lead.apply_membership();
+        let epoch = lead.view.epoch as u32;
+        let sent = Counters {
+            mig_sent: 4,
             ..Default::default()
         };
-        let c1 = Counters {
-            vmsg_recv: 4,
+        lead.on_frame(
+            lead.now,
+            &ready(2, 0, epoch, Phase::Migrate, vec![(1, sent)]).encode(),
+        );
+        let taken = Counters {
+            mig_recv: 4,
             ..Default::default()
         };
-        lead.reports.insert(1, ready(1, 1, 0, Phase::Scatter, c1));
-        assert!(lead.barrier_met(&[1], 1, 0, Phase::Scatter));
-    }
-
-    /// The RUN_STATUS reply is the one an outside quiescence check
-    /// needs from the lead: it carries the departed agents' totals, and
-    /// a reply in the layout that ended at the step list is refused —
-    /// read as zeros it would unbalance every sum after a departure.
-    #[test]
-    fn run_status_reply_carries_the_departed_totals() {
-        let mut lead = test_lead();
-        lead.ghost = Counters {
-            vmsg_sent: 4,
-            mig_recv: 7,
-            chg_sent: 1 << 40,
-            ..Default::default()
-        };
-        lead.last_status.step_nanos = vec![10, 20, 30];
-        let frame = lead.status().encode();
-        let status = RunStatus::decode(&frame).expect("current layout");
-        assert_eq!(status.departed, lead.ghost);
-        assert_eq!(status.epoch, lead.view.epoch);
-        assert_eq!(status.step_nanos, [10, 20, 30]);
-
-        let bytes = frame.as_bytes();
-        let old_layout = Frame::from_bytes(bytes::Bytes::copy_from_slice(
-            &bytes[..bytes.len() - 10 * 8],
-        ));
-        assert_eq!(RunStatus::decode(&old_layout), None);
+        assert!(
+            lead.migrate_epoch.is_some(),
+            "agent 1 has not taken them in"
+        );
+        lead.on_frame(
+            lead.now,
+            &ready(1, 0, epoch, Phase::Migrate, vec![(2, taken)]).encode(),
+        );
+        assert_eq!((lead.migrate_epoch, lead.departing.len()), (None, 0));
+        assert_eq!(lead.channels.row(1, 2), Counters::default());
+        assert_eq!(lead.channels.row(2, 1), Counters::default());
     }
 
     #[test]
@@ -2282,10 +2279,7 @@ mod tests {
         assert_eq!(lead.migrate_epoch, Some(e0 + 1));
         assert_eq!(lead.migrate_members, vec![5]);
         // The migrate barrier settles once agent 5 reports.
-        lead.reports.insert(
-            5,
-            ready(5, 0, (e0 + 1) as u32, Phase::Migrate, Counters::default()),
-        );
+        lead.put(ready(5, 0, (e0 + 1) as u32, Phase::Migrate, Vec::new()));
         lead.evaluate();
         assert_eq!(lead.migrate_epoch, None);
     }
@@ -2328,23 +2322,18 @@ mod tests {
         });
         lead.apply_membership();
         let epoch = lead.view.epoch;
-        lead.reports.insert(
-            1,
-            ready(1, 0, epoch as u32, Phase::Migrate, Counters::default()),
-        );
+        lead.put(ready(1, 0, epoch as u32, Phase::Migrate, Vec::new()));
         lead.evaluate();
         assert_eq!(lead.migrate_epoch, None);
         let run_id = lead.start_run(run_info(WCC.0, true));
         // Drive the sync initialization barriers (step 0).
-        lead.reports
-            .insert(1, ready(1, run_id, 0, Phase::Scatter, Counters::default()));
+        lead.put(ready(1, run_id, 0, Phase::Scatter, Vec::new()));
         lead.evaluate();
-        lead.reports
-            .insert(1, ready(1, run_id, 0, Phase::Combine, Counters::default()));
+        lead.put(ready(1, run_id, 0, Phase::Combine, Vec::new()));
         lead.evaluate();
-        let mut apply = ready(1, run_id, 0, Phase::Apply, Counters::default());
+        let mut apply = ready(1, run_id, 0, Phase::Apply, Vec::new());
         apply.active = 1; // not converged: release into async
-        lead.reports.insert(1, apply);
+        lead.put(apply);
         lead.evaluate();
         assert!(lead.run.as_ref().unwrap().async_live);
         // A joiner arrives mid-async-run: the run pauses behind a
@@ -2362,46 +2351,25 @@ mod tests {
             "paused run must carry a resume point"
         );
         assert!(lead.run.is_some(), "the run survives the view change");
-        lead.reports.insert(
-            1,
-            ready(1, 0, e2 as u32, Phase::Migrate, Counters::default()),
-        );
-        lead.reports.insert(
-            2,
-            ready(2, 0, e2 as u32, Phase::Migrate, Counters::default()),
-        );
+        lead.put(ready(1, 0, e2 as u32, Phase::Migrate, Vec::new()));
+        lead.put(ready(2, 0, e2 as u32, Phase::Migrate, Vec::new()));
         lead.evaluate();
         assert_eq!(lead.migrate_epoch, None);
         assert!(lead.resume.is_none());
-        {
-            let run = lead.run.as_ref().unwrap();
-            assert!(run.async_live, "resume re-releases async execution");
-            assert_eq!(run.probe, 0, "probe state resets across the pause");
-        }
-        // Idle reports from before the view change are not trusted.
-        lead.reports.insert(1, idle(1, run_id, epoch));
-        lead.reports.insert(2, idle(2, run_id, epoch));
-        lead.evaluate();
-        assert_eq!(
-            lead.run.as_ref().unwrap().probe,
-            0,
-            "stale-epoch idle reports must not start a probe"
-        );
-        // Fresh idle reports start the confirmation probe; two
-        // identical settled rounds finish the run.
-        lead.reports.insert(1, idle(1, run_id, e2));
-        lead.reports.insert(2, idle(2, run_id, e2));
-        lead.evaluate();
-        assert_eq!(lead.run.as_ref().unwrap().probe, 1);
-        lead.reports
-            .insert(1, ready(1, run_id, 1, Phase::Combine, Counters::default()));
-        lead.reports
-            .insert(2, ready(2, run_id, 1, Phase::Combine, Counters::default()));
-        lead.evaluate();
         assert!(
-            lead.run.is_none(),
-            "double-confirmed quiescence ends the run"
+            lead.run.as_ref().unwrap().async_live,
+            "resume re-releases async execution"
         );
+        // Idle reports from before the view change are not trusted.
+        lead.put(idle(1, run_id, epoch));
+        lead.put(idle(2, run_id, epoch));
+        lead.evaluate();
+        assert!(lead.run.is_some(), "stale-epoch idle reports end nothing");
+        // Fresh idle reports over a balanced table end the run.
+        lead.put(idle(1, run_id, e2));
+        lead.put(idle(2, run_id, e2));
+        lead.evaluate();
+        assert!(lead.run.is_none(), "balanced idle reports end the run");
         assert!(lead.status().done);
     }
 
@@ -2414,17 +2382,12 @@ mod tests {
         });
         lead.apply_membership();
         let epoch = lead.view.epoch;
-        lead.reports.insert(
-            1,
-            ready(1, 0, epoch as u32, Phase::Migrate, Counters::default()),
-        );
+        lead.put(ready(1, 0, epoch as u32, Phase::Migrate, Vec::new()));
         lead.evaluate();
         let run_id = lead.start_run(run_info(WCC.0, true));
-        lead.reports
-            .insert(1, ready(1, run_id, 0, Phase::Scatter, Counters::default()));
+        lead.put(ready(1, run_id, 0, Phase::Scatter, Vec::new()));
         lead.evaluate();
-        lead.reports
-            .insert(1, ready(1, run_id, 0, Phase::Combine, Counters::default()));
+        lead.put(ready(1, run_id, 0, Phase::Combine, Vec::new()));
         lead.evaluate();
         // Membership changes while step-0 initialization is finishing:
         // the migration must run before the async release.
@@ -2432,9 +2395,9 @@ mod tests {
             id: 2,
             addr: agent_addr(2),
         });
-        let mut apply = ready(1, run_id, 0, Phase::Apply, Counters::default());
+        let mut apply = ready(1, run_id, 0, Phase::Apply, Vec::new());
         apply.active = 1;
-        lead.reports.insert(1, apply);
+        lead.put(apply);
         lead.evaluate();
         let e2 = lead.view.epoch;
         assert_eq!(e2, epoch + 1);
@@ -2443,14 +2406,8 @@ mod tests {
             !lead.run.as_ref().unwrap().async_live,
             "release deferred until the migration settles"
         );
-        lead.reports.insert(
-            1,
-            ready(1, 0, e2 as u32, Phase::Migrate, Counters::default()),
-        );
-        lead.reports.insert(
-            2,
-            ready(2, 0, e2 as u32, Phase::Migrate, Counters::default()),
-        );
+        lead.put(ready(1, 0, e2 as u32, Phase::Migrate, Vec::new()));
+        lead.put(ready(2, 0, e2 as u32, Phase::Migrate, Vec::new()));
         lead.evaluate();
         assert_eq!(lead.migrate_epoch, None);
         let run = lead.run.as_ref().unwrap();
@@ -2471,30 +2428,24 @@ mod tests {
         });
         lead.apply_membership();
         let epoch = lead.view.epoch;
-        lead.reports.insert(
-            1,
-            ready(1, 0, epoch as u32, Phase::Migrate, Counters::default()),
-        );
-        lead.reports.insert(
-            2,
-            ready(2, 0, epoch as u32, Phase::Migrate, Counters::default()),
-        );
+        lead.put(ready(1, 0, epoch as u32, Phase::Migrate, Vec::new()));
+        lead.put(ready(2, 0, epoch as u32, Phase::Migrate, Vec::new()));
         lead.evaluate();
         assert_eq!(lead.migrate_epoch, None);
         let run_id = lead.start_run(run_info(WCC.0, false));
         assert!(lead.run.is_some());
-        lead.ghost = Counters {
+        let in_flight = Counters {
             vmsg_sent: 3,
             ..Default::default()
         };
+        lead.channels.report(2, &[(1, in_flight)]);
         lead.recover(2);
         assert_eq!(lead.member_ids(), vec![1]);
         assert_eq!(lead.agents_recovered, 1);
         assert!(lead.run.is_none(), "active run must abort");
-        assert_eq!(
-            lead.ghost,
-            Counters::default(),
-            "ghosts rewind with the reset"
+        assert!(
+            lead.channels.gaps(true).is_empty(),
+            "the table rewinds with the reset"
         );
         assert_eq!(lead.migrate_epoch, Some(epoch + 1));
         let st = lead.status();
@@ -2505,16 +2456,7 @@ mod tests {
         );
         // The lone survivor reports the recover barrier with zeroed
         // counters and the system unwedges.
-        lead.reports.insert(
-            1,
-            ready(
-                1,
-                0,
-                (epoch + 1) as u32,
-                Phase::Migrate,
-                Counters::default(),
-            ),
-        );
+        lead.put(ready(1, 0, (epoch + 1) as u32, Phase::Migrate, Vec::new()));
         lead.evaluate();
         assert_eq!(lead.migrate_epoch, None);
     }
@@ -2545,6 +2487,8 @@ mod tests {
             Effect::Publish(f) => ("publish", f.packet_type()),
             Effect::Reply(f) => ("reply", f.packet_type()),
             Effect::Send(_, f) => ("send", f.packet_type()),
+            Effect::Hold => ("hold", 0),
+            Effect::Answer(f) => ("answer", f.packet_type()),
             Effect::Log(_) => ("log", 0),
         }
     }
@@ -2576,7 +2520,7 @@ mod tests {
     fn settle(lead: &mut Lead, at: Instant) {
         let epoch = lead.migrate_epoch.expect("a migrate barrier") as u32;
         for id in lead.migrate_members.clone() {
-            let rep = ready(id, 0, epoch, Phase::Migrate, Counters::default());
+            let rep = ready(id, 0, epoch, Phase::Migrate, Vec::new());
             lead.on_frame(at, &rep.encode());
         }
     }
@@ -2629,6 +2573,142 @@ mod tests {
         );
     }
 
+    /// A lead with agents 1, 2 and 3 settled, holding a `quiesce` whose
+    /// request says the driver's streamer sent agent 1 five records; its
+    /// effects so far are taken off the queue.
+    fn quiescing() -> Lead {
+        let mut lead = test_lead();
+        for id in [3, 1, 2] {
+            lead.pending_joins.push(AgentInfo {
+                id,
+                addr: agent_addr(id),
+            });
+        }
+        lead.apply_membership();
+        let epoch = lead.view.epoch as u32;
+        report_all(&mut lead, 0, epoch, Phase::Migrate, 0);
+        drained(&mut lead);
+        lead.on_frame(lead.now, &drain(0, vec![(1, chg(5, 0))]).encode());
+        lead
+    }
+
+    fn chg(chg_sent: u64, chg_recv: u64) -> Counters {
+        Counters {
+            chg_sent,
+            chg_recv,
+            ..Counters::default()
+        }
+    }
+
+    fn drain(agent: AgentId, rows: msg::Rows) -> DrainReport {
+        DrainReport {
+            agent,
+            epoch: 2,
+            rows,
+        }
+    }
+
+    /// `effects` as bytes: what each does, where, with which frame.
+    fn wire(effects: &[Effect]) -> Vec<(&'static str, String, Vec<u8>)> {
+        let frame = |f: &Frame| f.as_bytes().to_vec();
+        effects
+            .iter()
+            .map(|e| match e {
+                Effect::Send(to, f) => ("send", to.to_string(), frame(f)),
+                Effect::Answer(f) => ("answer", String::new(), frame(f)),
+                other => (kind(other).0, String::new(), Vec::new()),
+            })
+            .collect()
+    }
+
+    /// A `quiesce` closes in the lead, on reports alone — no tick. Its
+    /// request is held and every member asked, agent 1 to take in the
+    /// streamer's five records first. The answer that leaves a channel
+    /// short asks its receiver again, with what it was sent; the answer
+    /// that balances the table releases the held request with the epoch
+    /// of the last recovery reset.
+    #[test]
+    fn a_quiesce_closes_on_the_report_that_balances_the_table() {
+        let mut lead = quiescing();
+        let asked = drained(&mut lead);
+        assert_eq!(wire(&asked)[0].0, "hold");
+        let sends: Vec<(String, DrainReport)> = (asked[1..].iter())
+            .map(|e| match e {
+                Effect::Send(to, f) => (to.to_string(), DrainReport::decode(f).expect("a DRAIN")),
+                other => panic!("{other:?}"),
+            })
+            .collect();
+        let want = |id, rows| {
+            (
+                agent_addr(id).to_string(),
+                DrainReport {
+                    agent: 0,
+                    epoch: 2,
+                    rows,
+                },
+            )
+        };
+        assert_eq!(
+            sends,
+            [
+                want(1, vec![(0, chg(5, 0))]),
+                want(2, vec![]),
+                want(3, vec![])
+            ]
+        );
+        assert_eq!(lead.quiesce_waves, 1);
+        // Agent 1 forwarded three changes to agent 2, which had answered
+        // having taken in one.
+        lead.on_frame(lead.now, &drain(1, vec![(2, chg(3, 0))]).encode());
+        lead.on_frame(lead.now, &drain(3, vec![]).encode());
+        assert!(drained(&mut lead).is_empty(), "agent 2 has not answered");
+        lead.on_frame(lead.now, &drain(2, vec![(1, chg(0, 1))]).encode());
+        let again = wire(&drained(&mut lead));
+        let ask = drain(0, vec![(1, chg(3, 0))]).encode();
+        assert_eq!(
+            again,
+            [("send", agent_addr(2).to_string(), ask.as_bytes().to_vec())]
+        );
+        assert_eq!(lead.quiesce_waves, 2);
+        assert_eq!(
+            lead.waiting_on(),
+            "quiesce of epoch 2; agent 2 owes a DRAIN answer, take in 3 chg from agent 1; \
+             channel (1, 2, chg, 2)"
+        );
+        lead.on_frame(lead.now, &drain(2, vec![(1, chg(0, 3))]).encode());
+        let answer = Frame::builder(packet::OK).u64(lead.counted_since).finish();
+        assert_eq!(
+            wire(&drained(&mut lead)),
+            [("answer", String::new(), answer.as_bytes().to_vec())]
+        );
+        assert!(lead.quiesce.is_none());
+        assert_eq!(lead.waiting_on(), "no barrier open");
+    }
+
+    /// The same reports in another order end in the same bytes: the
+    /// table and the fan-out go in agent-id order.
+    #[test]
+    fn the_same_reports_in_any_order_make_the_same_effects() {
+        let reports = [
+            drain(1, vec![(2, chg(3, 0)), (3, chg(1, 0))]),
+            drain(2, vec![(1, chg(0, 1)), (3, chg(2, 0))]),
+            drain(3, vec![(1, chg(0, 0)), (2, chg(0, 2))]),
+        ];
+        let run = |order: [usize; 3]| {
+            let mut lead = quiescing();
+            drained(&mut lead);
+            for i in order {
+                lead.on_frame(lead.now, &reports[i].encode());
+            }
+            (wire(&drained(&mut lead)), lead.waiting_on())
+        };
+        let first = run([0, 1, 2]);
+        assert_eq!(first.0.len(), 2, "agents 2 and 3 are asked again");
+        for order in [[2, 1, 0], [1, 2, 0], [2, 0, 1]] {
+            assert_eq!(run(order), first, "{order:?}");
+        }
+    }
+
     /// A retransmitting transport can deliver an agent's READYs out of
     /// order; the report with the higher `seq` stands.
     #[test]
@@ -2638,68 +2718,69 @@ mod tests {
         let newer = ReadyReport {
             seq: 5,
             active: 3,
-            ..ready(1, 0, 9, Phase::Apply, Counters::default())
+            ..ready(1, 0, 9, Phase::Apply, Vec::new())
         };
         lead.on_frame(now, &newer.encode());
         let older = ReadyReport {
             seq: 4,
-            ..ready(1, 0, 8, Phase::Scatter, Counters::default())
+            ..ready(1, 0, 8, Phase::Scatter, Vec::new())
         };
         lead.on_frame(now, &older.encode());
         assert_eq!(lead.reports[&1], newer);
     }
 
-    /// An async run of agents 1 and 2 with its first confirmation probe
-    /// out; its advance has been taken off the queue.
-    fn async_probing() -> (Lead, u64) {
+    /// An async run of agents 1 and 2, released into event-driven
+    /// execution; its advances have been taken off the queue.
+    fn async_live() -> (Lead, u64) {
         let (mut lead, run) = lead_mid_run(WCC.0, WCC.1, true);
         report_all(&mut lead, run, 0, Phase::Scatter, 0);
         report_all(&mut lead, run, 0, Phase::Combine, 0);
         report_all(&mut lead, run, 0, Phase::Apply, 1);
-        let epoch = lead.view.epoch;
-        for id in [1, 2] {
-            let rep = ReadyReport {
-                seq: 1,
-                ..idle(id, run, epoch)
-            };
-            lead.on_frame(lead.now, &rep.encode());
-        }
-        let r = lead.run.as_ref().unwrap();
-        assert!(r.async_live && r.probe == 1 && r.last_probe_sums.is_some());
+        assert!(lead.run.as_ref().unwrap().async_live);
         advances(&mut lead);
         (lead, run)
     }
 
-    /// An idle report under the current epoch while a probe is out
-    /// restarts the double probe; one from before the last view change
-    /// does not.
+    /// Idle reports end an async run in one round once the table they
+    /// fill balances — no probe, no second round — and not while a
+    /// record is in flight, nor on a report from before the last view
+    /// change.
     #[test]
-    fn an_idle_report_restarts_the_probe_only_under_the_current_epoch() {
-        let (mut lead, run) = async_probing();
+    fn idle_reports_that_balance_end_the_async_run() {
+        let (mut lead, run) = async_live();
         let epoch = lead.view.epoch;
-        let rep = ReadyReport {
-            seq: 2,
-            ..idle(1, run, epoch)
+        let vmsg = |vmsg_sent, vmsg_recv| Counters {
+            vmsg_sent,
+            vmsg_recv,
+            ..Counters::default()
         };
-        lead.on_frame(lead.now, &rep.encode());
-        let r = lead.run.as_ref().unwrap();
-        assert_eq!((r.probe, r.last_probe_sums), (2, None));
-        let adv = advances(&mut lead);
-        assert_eq!(adv.len(), 1);
-        assert_eq!(
-            (adv[0].run, adv[0].step, adv[0].phase),
-            (run, 2, Phase::Combine)
+        let idle_with = |agent, epoch, seq, rows| ReadyReport {
+            seq,
+            rows,
+            ..idle(agent, run, epoch)
+        };
+        lead.on_frame(
+            lead.now,
+            &idle_with(1, epoch, 1, vec![(2, vmsg(3, 0))]).encode(),
         );
-
-        let (mut lead, run) = async_probing();
-        let rep = ReadyReport {
-            seq: 2,
-            ..idle(1, run, epoch - 1)
-        };
-        lead.on_frame(lead.now, &rep.encode());
-        let r = lead.run.as_ref().unwrap();
-        assert!(r.probe == 1 && r.last_probe_sums.is_some());
-        assert!(advances(&mut lead).is_empty());
+        lead.on_frame(
+            lead.now,
+            &idle_with(2, epoch - 1, 1, vec![(1, vmsg(0, 3))]).encode(),
+        );
+        assert!(lead.run.is_some(), "agent 2's report predates the view");
+        lead.on_frame(
+            lead.now,
+            &idle_with(2, epoch, 2, vec![(1, vmsg(0, 2))]).encode(),
+        );
+        assert!(lead.run.is_some(), "a VMSG from 1 to 2 is in flight");
+        assert!(advances(&mut lead).is_empty(), "nothing is probed");
+        lead.on_frame(
+            lead.now,
+            &idle_with(2, epoch, 3, vec![(1, vmsg(0, 3))]).encode(),
+        );
+        let done = advances(&mut lead);
+        assert_eq!(done.len(), 1);
+        assert!(done[0].done && done[0].run == run);
     }
 
     /// A departer pushes METRICS while it drains and is watched like a
@@ -2752,7 +2833,7 @@ mod tests {
         lead.on_frame(t0, &leave(2));
         let epoch = lead.migrate_epoch.expect("the leave's barrier");
         assert_eq!(lead.migrate_members, [1, 2]);
-        let rep = ready(1, 0, epoch as u32, Phase::Migrate, Counters::default());
+        let rep = ready(1, 0, epoch as u32, Phase::Migrate, Vec::new());
         lead.on_frame(t0, &rep.encode());
         drained(&mut lead);
         let interval = Duration::from_millis(100);
@@ -2880,9 +2961,6 @@ mod tests {
         /// event-driven execution.
         async_runs: Vec<u64>,
         live: Vec<u64>,
-        /// Per async run: the last probe published, the view epoch and
-        /// the members' summed counters when it was.
-        probes: HashMap<u64, (u32, u64, Counters)>,
     }
 
     impl Harness {
@@ -2907,7 +2985,6 @@ mod tests {
                 openers: HashMap::new(),
                 async_runs: Vec::new(),
                 live: Vec::new(),
-                probes: HashMap::new(),
             }
         }
 
@@ -2994,11 +3071,14 @@ mod tests {
                 run,
                 step: if idle_round { u32::MAX } else { step },
                 phase: if idle_round { Phase::Scatter } else { phase },
-                counters: Counters {
-                    chg_sent: *traffic,
-                    chg_recv: *traffic,
-                    ..Counters::default()
-                },
+                rows: vec![(
+                    agent,
+                    Counters {
+                        chg_sent: *traffic,
+                        chg_recv: *traffic,
+                        ..Counters::default()
+                    },
+                )],
                 active: u64::from(b / 64),
                 global_contrib: 0.0,
                 n_primary: 1,
@@ -3008,15 +3088,6 @@ mod tests {
             };
             self.sent.insert(agent, rep.clone());
             Some(rep.encode())
-        }
-
-        /// The members' counters as their last READYs gave them.
-        fn member_sums(&self) -> Counters {
-            self.lead
-                .member_ids()
-                .iter()
-                .filter_map(|id| self.sent.get(id))
-                .fold(Counters::default(), |sum, r| sum.add(&r.counters))
         }
 
         fn check(&mut self, kind: u8, migrating_before: bool) {
@@ -3077,28 +3148,16 @@ mod tests {
                             continue;
                         }
                         if adv.done && self.live.contains(&adv.run) {
-                            // Two probe rounds at one epoch with equal
-                            // settled sums: the members answered the
-                            // last probe with what they reported when
-                            // it went out.
-                            let (probe, epoch, sums) = self.probes[&adv.run];
-                            assert_eq!(lead.view.epoch, epoch);
+                            // One round of idle reports under the epoch
+                            // the run ends in, over a balanced table.
                             for id in lead.member_ids() {
                                 let r = &self.sent[&id];
-                                assert_eq!(
-                                    (r.run, r.step, r.phase),
-                                    (adv.run, probe, Phase::Combine)
-                                );
+                                assert_eq!((r.run, r.step), (adv.run, u32::MAX));
+                                assert_eq!(r.epoch, lead.view.epoch);
                             }
-                            let now = self.member_sums();
-                            assert!(now.settled());
-                            assert_eq!(now, sums);
+                            assert!(lead.channels.gaps(true).is_empty());
                         } else if (adv.step, adv.phase) == (1, Phase::Scatter) {
                             self.live.push(adv.run);
-                        } else if adv.phase == Phase::Combine && adv.step > 0 {
-                            let sums = self.member_sums();
-                            self.probes
-                                .insert(adv.run, (adv.step, lead.view.epoch, sums));
                         }
                     }
                     _ => {}

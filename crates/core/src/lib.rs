@@ -49,8 +49,9 @@
 //! flexible with receiving messages out-of-order...").
 //!
 //! Asynchronous mode (for monotone programs such as WCC/BFS/SSSP)
-//! processes vertices the moment updates arrive and terminates through
-//! Mattern-style double counting (global sent == received).
+//! processes vertices the moment updates arrive and terminates once
+//! every agent's idle report balances the lead's channel table
+//! (Mattern's channel counting: per channel, sent == taken in).
 
 #![warn(missing_docs)]
 
@@ -58,6 +59,7 @@ mod adjacency;
 pub mod agent;
 pub mod algorithms;
 pub mod autoscale;
+mod channels;
 pub mod cluster;
 pub mod config;
 pub mod directory;

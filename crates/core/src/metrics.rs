@@ -355,6 +355,8 @@ metrics! {
             "Vertex entries whose placement a view change's sweep decided.";
         primaries: u64 = gauge(primaries) => "primaries" gauge
             "Primary vertices: the meta entries each agent's ring places on it.";
+        quiesce_waves: u64 = lead => "quiesce_waves_total" counter
+            "DRAIN fan-outs the lead sent to answer quiesce calls, one or more each.";
     }
 }
 

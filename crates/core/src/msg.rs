@@ -51,7 +51,11 @@ pub mod packet {
     pub const START: u8 = 11;
     /// Vertices moving in a view change (push, agent → agent); shards.
     pub const MIG_VERTEX: u8 = 12;
-    /// Drain (REQ, driver → agent): empty; answered once flushed.
+    /// Quiescence (REQ, driver → lead; push, lead → agent → directory):
+    /// what the driver's streamer sent, answered `OK(epoch of the last
+    /// recovery reset)` once nothing counted is in flight; the lead's ask,
+    /// what to take in first; the agent's answer, its moved rows. A REQ
+    /// to an agent is answered with all of its rows.
     pub const DRAIN: u8 = 16;
     /// Get the view (REQ, → directory): empty, answered by VIEW; or a
     /// streamer's `u64` epoch, a batch-clock tick answered by
@@ -60,7 +64,8 @@ pub mod packet {
     /// Run status (REQ, driver → lead): empty; with any body, what an
     /// open barrier waits on, as `OK` and its text.
     pub const RUN_STATUS: u8 = 19;
-    /// Metric report (push, agent → directory).
+    /// Metric report (push, agent → directory); empty, a REQ to an
+    /// agent, which pushes its report and answers `OK`.
     pub const METRICS: u8 = 21;
     /// Aggregated metrics (REQ, driver → lead): empty.
     pub const GET_METRICS: u8 = 22;
@@ -288,32 +293,6 @@ macro_rules! wire {
 pub(crate) use wire;
 
 wire! {
-    /// Cumulative per-agent message counters, compared pairwise by the
-    /// directory for Mattern-style termination/barrier detection.
-    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-    pub struct Counters {
-        /// Scatter messages sent (per record, not per frame).
-        pub vmsg_sent: u64,
-        /// Scatter messages received.
-        pub vmsg_recv: u64,
-        /// Partial aggregates sent.
-        pub part_sent: u64,
-        /// Partial aggregates received.
-        pub part_recv: u64,
-        /// State broadcasts sent.
-        pub state_sent: u64,
-        /// State broadcasts received.
-        pub state_recv: u64,
-        /// Migration records sent.
-        pub mig_sent: u64,
-        /// Migration records received.
-        pub mig_recv: u64,
-        /// Edge-change records sent onward (forwarding).
-        pub chg_sent: u64,
-        /// Edge-change records received.
-        pub chg_recv: u64,
-    }
-
     /// One agent's registration record in the view, and the JOIN
     /// request that asks for it.
     #[derive(Debug, Clone, PartialEq, Eq)]
@@ -346,41 +325,6 @@ wire! {
         pub agents: Vec<AgentInfo>,
         /// Degree sketch.
         pub sketch: CountMinSketch,
-    }
-}
-
-impl Counters {
-    /// Element-wise sum.
-    pub fn add(&self, other: &Counters) -> Counters {
-        Counters {
-            vmsg_sent: self.vmsg_sent + other.vmsg_sent,
-            vmsg_recv: self.vmsg_recv + other.vmsg_recv,
-            part_sent: self.part_sent + other.part_sent,
-            part_recv: self.part_recv + other.part_recv,
-            state_sent: self.state_sent + other.state_sent,
-            state_recv: self.state_recv + other.state_recv,
-            mig_sent: self.mig_sent + other.mig_sent,
-            mig_recv: self.mig_recv + other.mig_recv,
-            chg_sent: self.chg_sent + other.chg_sent,
-            chg_recv: self.chg_recv + other.chg_recv,
-        }
-    }
-
-    /// True when every sent counter equals its received counter — the
-    /// no-messages-in-flight condition.
-    pub fn settled(&self) -> bool {
-        self.pairs().iter().all(|&(_, sent, recv)| sent == recv)
-    }
-
-    /// The `(name, sent, received)` pairs, in wire order.
-    pub fn pairs(&self) -> [(&'static str, u64, u64); 5] {
-        [
-            ("vmsg", self.vmsg_sent, self.vmsg_recv),
-            ("part", self.part_sent, self.part_recv),
-            ("state", self.state_sent, self.state_recv),
-            ("mig", self.mig_sent, self.mig_recv),
-            ("chg", self.chg_sent, self.chg_recv),
-        ]
     }
 }
 
@@ -631,31 +575,34 @@ macro_rules! records_frames {
 }
 
 records_frames! {
-    /// Edge changes for one placement side, `hop` times forwarded.
-    EDGE_CHANGES(side: Side, hop: u8) as EdgeChangesView: EdgeChange =>
-        append append_edge_changes, encode encode_edge_changes, decode decode_edge_changes;
-    /// `(target, value)` vertex messages of a run's superstep.
-    VMSG(run: u64, step: u32) as VmsgsView: (VertexId, u64) =>
+    /// Edge changes for one placement side, `hop` times forwarded, the
+    /// last time by agent `from` (a streamer's, hop 0, are uncounted).
+    EDGE_CHANGES(side: Side, hop: u8, from: AgentId) as EdgeChangesView: EdgeChange =>
+        append append_changes_from, encode encode_changes_from, decode decode_edge_changes;
+    /// `(target, value)` vertex messages of a run's superstep, sent by
+    /// agent `from`.
+    VMSG(run: u64, step: u32, from: AgentId) as VmsgsView: (VertexId, u64) =>
         append append_vmsgs, encode encode_vmsgs, decode decode_vmsgs;
     /// `(vertex, aggregate)` partials of a run's superstep, for the
     /// vertex's primary.
-    PARTIAL(run: u64, step: u32) as PartialsView: (VertexId, u64) =>
+    PARTIAL(run: u64, step: u32, from: AgentId) as PartialsView: (VertexId, u64) =>
         append append_partials, encode encode_partials, decode decode_partials;
     /// State broadcasts of a run's superstep, primary to replicas.
-    STATE(run: u64, step: u32) as StatesView: StateRecord =>
+    STATE(run: u64, step: u32, from: AgentId) as StatesView: StateRecord =>
         append append_states, encode encode_states, decode decode_states;
     /// Vertices moving to a new owner in a view change, under the
     /// sender's serving-snapshot tag, which a joiner adopts with the
     /// snaps that primary meta brings.
-    MIG_VERTEX(snap_run: u64, snap_watermark: u64) as MigVertexView: MigVertex =>
+    MIG_VERTEX(snap_run: u64, snap_watermark: u64, from: AgentId) as MigVertexView: MigVertex =>
         open open_mig_vertex, decode decode_mig_vertex;
     /// `(vertex, out delta, in delta)` for the vertex's primary, which
     /// keeps its global degrees.
-    DEG_DELTA: (VertexId, i64, i64) =>
+    DEG_DELTA(from: AgentId) as DegDeltasView: (VertexId, i64, i64) =>
         append append_deg_deltas, encode encode_deg_deltas, decode decode_deg_deltas;
     /// `(vertex, residual)` corrections for the vertex's primary,
     /// counted like DEG_DELTA.
-    RESIDUAL: (VertexId, u64) => append append_residuals, decode decode_residuals;
+    RESIDUAL(from: AgentId) as ResidualsView: (VertexId, u64) =>
+        append append_residuals, decode decode_residuals;
     /// The vertices a QUERY_BATCH request reads.
     QUERY_BATCH: VertexId => encode encode_query_batch, decode decode_query_batch;
     /// A QUERY_BATCH reply: answers read from one snapshot, the last
@@ -867,7 +814,7 @@ macro_rules! record_tuple {
     )*};
 }
 
-record_tuple!((A 0, B 1) (A 0, B 1, C 2));
+record_tuple!((A 0) (A 0, B 1) (A 0, B 1, C 2));
 
 /// `N` records back to back.
 impl<T: WireRecord, const N: usize> WireRecord for [T; N] {
@@ -1031,6 +978,16 @@ pub enum Side {
     In,
 }
 
+/// Append a streamer's edge changes: [`append_changes_from`] agent 0.
+pub fn append_edge_changes(out: &mut CoalescingOutbox, side: Side, hop: u8, recs: &[EdgeChange]) {
+    append_changes_from(out, side, hop, 0, recs);
+}
+
+/// Encode a streamer's edge changes: [`encode_changes_from`] agent 0.
+pub fn encode_edge_changes(side: Side, hop: u8, recs: &[EdgeChange]) -> Frame {
+    encode_changes_from(side, hop, 0, recs)
+}
+
 /// Append one edge change: [`append_edge_changes`] of a slice of one.
 pub fn append_edge_change(out: &mut CoalescingOutbox, side: Side, hop: u8, change: &EdgeChange) {
     append_edge_changes(out, side, hop, std::slice::from_ref(change));
@@ -1052,7 +1009,51 @@ record! {
         /// Whether it is active next superstep.
         pub active: bool,
     }
+
+    /// The counted records of one channel pair, 80 bytes: what an agent
+    /// sent to one peer and took in from it, per record kind. Counts only
+    /// grow until a recovery reset.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct Counters {
+        /// Scatter messages sent (per record, not per frame).
+        pub vmsg_sent: u64,
+        /// Scatter messages taken in.
+        pub vmsg_recv: u64,
+        /// Partial aggregates sent.
+        pub part_sent: u64,
+        /// Partial aggregates taken in.
+        pub part_recv: u64,
+        /// State broadcasts sent.
+        pub state_sent: u64,
+        /// State broadcasts taken in.
+        pub state_recv: u64,
+        /// Migration records sent.
+        pub mig_sent: u64,
+        /// Migration records taken in.
+        pub mig_recv: u64,
+        /// Forwarded edge changes, degree deltas and residuals sent.
+        pub chg_sent: u64,
+        /// Forwarded edge changes, degree deltas and residuals taken in.
+        pub chg_recv: u64,
+    }
 }
+
+impl Counters {
+    /// The `(kind, sent, taken in)` pairs, in wire order.
+    pub fn pairs(&self) -> [(&'static str, u64, u64); 5] {
+        [
+            ("vmsg", self.vmsg_sent, self.vmsg_recv),
+            ("part", self.part_sent, self.part_recv),
+            ("state", self.state_sent, self.state_recv),
+            ("mig", self.mig_sent, self.mig_recv),
+            ("chg", self.chg_sent, self.chg_recv),
+        ]
+    }
+}
+
+/// An agent's [`Counters`] per peer, sorted by peer: a report's rows
+/// (READY, DRAIN) list the peers whose counts moved since its last one.
+pub type Rows = Vec<(AgentId, Counters)>;
 
 /// Record counts of one sync phase — VMSG of a scatter, PARTIAL of a
 /// combine, STATE of an apply — keyed by agent and sorted by it: what
@@ -1071,12 +1072,13 @@ wire! {
         pub agent: AgentId,
         /// Run id (0 when idle / migrating outside a run).
         pub run: u64,
-        /// Superstep.
+        /// Superstep; in an async idle report, `u32::MAX` less the
+        /// dangling-mass rounds the agent has applied.
         pub step: u32,
         /// Phase the agent finished local work for.
         pub phase: Phase,
-        /// Cumulative counters.
-        pub counters: Counters,
+        /// The peers whose counts moved since the agent's last report.
+        pub rows: Rows,
         /// Vertices active for the next step (phase Apply only).
         pub active: u64,
         /// Program's global-reduce contribution (e.g. dangling PageRank
@@ -1092,7 +1094,7 @@ wire! {
         /// The reporter's adopted view epoch. Async idle reports are only
         /// trusted when this matches the lead's current epoch, so a report
         /// predating a mid-run migration can never settle the restarted
-        /// termination detector against post-migration counters.
+        /// termination detector against post-migration counts.
         pub epoch: u64,
         /// Only in a sync run: the records — VMSG, PARTIAL or STATE — the
         /// report's phase put on the wire, per destination. The lead sums
@@ -1398,35 +1400,27 @@ wire! {
         pub running: bool,
         /// Whether the last run completed.
         pub done: bool,
-        /// Whether a migrate barrier is outstanding (elastic change or
-        /// sketch update still settling).
-        pub migrating: bool,
         /// Supersteps completed.
         pub steps: u32,
         /// Global vertex count at the last barrier.
         pub n_vertices: u64,
-        /// The lead's view epoch: a driver holding the member list of this
-        /// epoch need not fetch the view again.
-        pub epoch: u64,
         /// Per-superstep wall times in nanoseconds.
         pub step_nanos: Vec<u64>,
-        /// Final counter totals of the agents that left: what an outside
-        /// quiescence check adds to the live agents' DRAIN replies so the
-        /// cumulative sums balance.
-        pub departed: Counters,
     }
 
-    /// An agent's reply to DRAIN, sent once its open frames are on the
-    /// wire.
-    #[derive(Debug, Clone, Copy, PartialEq)]
+    /// Every DRAIN frame ([`packet::DRAIN`]): an agent's counts, sent
+    /// once its open frames are on the wire and its degree changes on
+    /// their way ahead of it, or — from the driver or the lead, agent 0 —
+    /// counts to wait for.
+    #[derive(Debug, Clone, PartialEq)]
     pub struct DrainReport: DRAIN {
-        /// Its cumulative counters.
-        pub counters: Counters,
-        /// Its adopted view epoch.
+        /// The reporting agent; 0 for the driver and the lead.
+        pub agent: AgentId,
+        /// Its adopted view epoch (the lead's, for a lead's DRAIN).
         pub epoch: u64,
-        /// It pushed a SKETCH_DELTA to its directory ahead of this
-        /// reply: no wave that saw one confirms a `quiesce`.
-        pub degrees: bool,
+        /// Its rows. In a lead's DRAIN, what each peer reported sending
+        /// the receiver, peer 0 the streamers' records (`chg_sent`).
+        pub rows: Rows,
     }
 
     /// A CKPT_SAVE request: write one shard of checkpoint `generation`
@@ -1477,7 +1471,7 @@ wire! {
     }
 
     /// Failure-recovery broadcast published by the lead directory after it
-    /// declares an agent dead: survivors drop all graph state and counters,
+    /// declares an agent dead: survivors drop all graph state and counts,
     /// adopt the embedded view, and settle a fresh migrate barrier; the
     /// driver replays the retained change log and restarts any aborted run.
     #[derive(Debug, Clone)]
@@ -1670,13 +1664,16 @@ mod tests {
             run: 2,
             step: 9,
             phase: Phase::Scatter,
-            counters: Counters {
-                vmsg_sent: 10,
-                vmsg_recv: 10,
-                part_sent: 3,
-                part_recv: 2,
-                ..Counters::default()
-            },
+            rows: vec![(
+                3,
+                Counters {
+                    vmsg_sent: 10,
+                    vmsg_recv: 10,
+                    part_sent: 3,
+                    part_recv: 2,
+                    ..Counters::default()
+                },
+            )],
             active: 4,
             global_contrib: 0.125,
             n_primary: 77,
@@ -1769,7 +1766,7 @@ mod tests {
             run: 4,
             step: 7,
             phase: Phase::Scatter,
-            counters: Counters::default(),
+            rows: Vec::new(),
             active: 0,
             global_contrib: 0.0,
             n_primary: 3,
@@ -1799,26 +1796,10 @@ mod tests {
         assert_eq!(ReadyReport::decode(&Frame::from_bytes(lying.into())), None);
     }
 
-    #[test]
-    fn counters_settled_and_add() {
-        let a = Counters {
-            vmsg_sent: 5,
-            vmsg_recv: 2,
-            ..Counters::default()
-        };
-        let b = Counters {
-            vmsg_recv: 3,
-            ..Counters::default()
-        };
-        assert!(!a.settled());
-        assert!(a.add(&b).settled());
-        assert!(Counters::default().settled());
-    }
-
     /// Two records: a moving primary with its meta and both lists, and
     /// a meta-only handoff of async run state.
     fn sample_mig_vertex() -> Frame {
-        let mut f = open_mig_vertex(6, 11);
+        let mut f = open_mig_vertex(6, 11, 3);
         let head = MigVertex {
             vertex: 5,
             flags: MigVertex::HAS_STATE | MigVertex::META | MigVertex::IS_META,
@@ -1856,7 +1837,8 @@ mod tests {
         f.finish()
     }
 
-    /// A MIG_VERTEX frame is its header, a count and the records, each
+    /// A MIG_VERTEX frame is its header (the snapshot tag and the
+    /// sender), a count and the records, each
     /// head, meta and lists field by field — the layout stated a second
     /// time so the test pins it — and reads back as written. A list
     /// length or record count that promises more than the frame holds
@@ -1865,14 +1847,18 @@ mod tests {
     fn mig_vertex_matches_its_layout_and_roundtrips() {
         let f = sample_mig_vertex();
         let meta = |b: FrameBuilder, m: [u64; 6]| m.iter().fold(b, |b, &x| b.u64(x));
-        let b = Frame::builder(packet::MIG_VERTEX).u64(6).u64(11).u32(2);
+        let b = Frame::builder(packet::MIG_VERTEX)
+            .u64(6)
+            .u64(11)
+            .u64(3)
+            .u32(2);
         let b = b.u64(5).u8(1 | 4 | 8).u64(42).u64(3).u64(0.25f64.to_bits());
         let b = meta(b.u32(2).u32(1), [2, 1, 0, 0, 0.5f64.to_bits(), 41]);
         let b = b.u64(6).u64(7).u64(1 << 40);
         let b = b.u64(9).u8(4 | 32).u64(0).u64(0).u64(0).u32(0).u32(0);
         assert_eq!(f, meta(b, [0, 0, 41, 2, 0, 0]).finish());
         let view = decode_mig_vertex(&f).unwrap();
-        assert_eq!((view.snap_run, view.snap_watermark), (6, 11));
+        assert_eq!((view.snap_run, view.snap_watermark, view.from), (6, 11, 3));
         let read = |(head, tail): (MigVertex, &[u8])| {
             let (meta, out, inn) = head.read_tail(tail);
             (
@@ -1888,8 +1874,8 @@ mod tests {
             (9, Some(0), vec![], vec![]),
         ];
         assert_eq!(got, want);
-        let n_in_at = 1 + 16 + 4 + 8 + 1 + 24 + 4;
-        for (at, value) in [(n_in_at, 2u32), (n_in_at, u32::MAX), (17, 3)] {
+        let n_in_at = 1 + 24 + 4 + 8 + 1 + 24 + 4;
+        for (at, value) in [(n_in_at, 2u32), (n_in_at, u32::MAX), (25, 3)] {
             let mut lying = f.as_bytes().to_vec();
             lying[at..at + 4].copy_from_slice(&value.to_le_bytes());
             assert!(decode_mig_vertex(&Frame::from_bytes(lying.into())).is_none());
@@ -2137,6 +2123,7 @@ mod tests {
             ("VertexId", VertexId::STRIDE),
             ("QueryAnswer", QueryAnswer::STRIDE),
             ("u64", u64::STRIDE),
+            ("Counters", Counters::STRIDE),
             ("MigMeta", MigMeta::STRIDE),
         ];
         let real: Vec<(String, usize)> = real.iter().map(|&(t, s)| (t.to_string(), s)).collect();
@@ -2265,8 +2252,8 @@ mod tests {
         // A VMSG payload under the PARTIAL packet type (and vice versa)
         // must be rejected even though the layouts agree.
         let msgs = vec![(1u64, 2u64)];
-        assert!(decode_partials(&encode_vmsgs(0, 0, &msgs)).is_none());
-        assert!(decode_vmsgs(&encode_partials(0, 0, &msgs)).is_none());
+        assert!(decode_partials(&encode_vmsgs(0, 0, 1, &msgs)).is_none());
+        assert!(decode_vmsgs(&encode_partials(0, 0, 1, &msgs)).is_none());
         let junk = Frame::signal(packet::OK);
         assert!(decode_edge_changes(&junk).is_none());
         assert!(decode_states(&junk).is_none());
@@ -2321,28 +2308,29 @@ mod tests {
         let deltas = vec![(5u64, -2i64, 3i64), (9, 1, -1)];
         // RESIDUAL has no batch encoder: its layout, stated again.
         let residuals = Frame::builder(packet::RESIDUAL)
+            .u64(8)
             .records(16, &msgs, <(VertexId, u64)>::write)
             .finish();
         type Case<'a> = (Frame, &'a dyn Fn(&mut CoalescingOutbox, usize));
         let cases: [Case<'_>; 6] = [
-            (encode_vmsgs(3, 4, &msgs), &|c, n| {
-                msgs.chunks(n).for_each(|r| append_vmsgs(c, 3, 4, r))
+            (encode_vmsgs(3, 4, 8, &msgs), &|c, n| {
+                msgs.chunks(n).for_each(|r| append_vmsgs(c, 3, 4, 8, r))
             }),
-            (encode_partials(5, 6, &msgs), &|c, n| {
-                msgs.chunks(n).for_each(|r| append_partials(c, 5, 6, r))
+            (encode_partials(5, 6, 8, &msgs), &|c, n| {
+                msgs.chunks(n).for_each(|r| append_partials(c, 5, 6, 8, r))
             }),
-            (encode_states(1, 2, &states), &|c, n| {
-                states.chunks(n).for_each(|r| append_states(c, 1, 2, r))
+            (encode_states(1, 2, 8, &states), &|c, n| {
+                states.chunks(n).for_each(|r| append_states(c, 1, 2, 8, r))
             }),
             (residuals, &|c, n| {
-                msgs.chunks(n).for_each(|r| append_residuals(c, r))
+                msgs.chunks(n).for_each(|r| append_residuals(c, 8, r))
             }),
-            (encode_edge_changes(Side::In, 2, &changes), &|c, n| {
-                let append = |r| append_edge_changes(c, Side::In, 2, r);
+            (encode_changes_from(Side::In, 2, 8, &changes), &|c, n| {
+                let append = |r| append_changes_from(c, Side::In, 2, 8, r);
                 changes.chunks(n).for_each(append)
             }),
-            (encode_deg_deltas(&deltas), &|c, n| {
-                deltas.chunks(n).for_each(|r| append_deg_deltas(c, r))
+            (encode_deg_deltas(8, &deltas), &|c, n| {
+                deltas.chunks(n).for_each(|r| append_deg_deltas(c, 8, r))
             }),
         ];
         for (batch, append) in cases {
@@ -2361,11 +2349,11 @@ mod tests {
     #[test]
     fn append_header_switch_preserves_record_order() {
         let frames = coalesced(|c| {
-            append_vmsgs(c, 1, 0, &[(100, 1)]);
-            append_vmsgs(c, 1, 0, &[(101, 2)]);
-            append_vmsgs(c, 1, 1, &[(102, 3)]);
-            append_vmsgs(c, 0, 5, &[(1, 1)]);
-            append_vmsgs(c, 1 << 32, 5, &[(2, 2)]);
+            append_vmsgs(c, 1, 0, 4, &[(100, 1)]);
+            append_vmsgs(c, 1, 0, 4, &[(101, 2)]);
+            append_vmsgs(c, 1, 1, 4, &[(102, 3)]);
+            append_vmsgs(c, 0, 5, 4, &[(1, 1)]);
+            append_vmsgs(c, 1 << 32, 5, 4, &[(2, 2)]);
         });
         let runs: Vec<_> = frames
             .iter()

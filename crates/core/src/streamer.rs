@@ -30,6 +30,7 @@ use elga_graph::ChangeLog;
 use elga_hash::{AgentId, EdgeLocator, FxHashMap, OwnerCache};
 use elga_net::{Addr, Frame, NetError, Transport, TransportExt};
 use elga_trace::{EventKind, Tracer};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -75,6 +76,8 @@ pub struct Streamer {
     /// Event recorder (view adoption, recovery replay, coalescer
     /// flushes); disabled unless `cfg.tracing`.
     tracer: Arc<Tracer>,
+    /// Records routed to each agent, ever.
+    sent: BTreeMap<AgentId, u64>,
 }
 
 impl Streamer {
@@ -106,7 +109,14 @@ impl Streamer {
             log: ChangeLog::default(),
             cache,
             tracer,
+            sent: BTreeMap::new(),
         })
+    }
+
+    /// The records this streamer has routed to each agent: what a
+    /// `quiesce` asks each to have taken in first.
+    pub fn sent(&self) -> &BTreeMap<AgentId, u64> {
+        &self.sent
     }
 
     /// The streamer's event recorder; the cluster drains it directly
@@ -284,6 +294,7 @@ impl Streamer {
         let mut pushed = 0;
         for (&agent, recs) in batches.iter_mut().filter(|(_, r)| !r.is_empty()) {
             pushed += recs.len();
+            *self.sent.entry(agent).or_default() += recs.len() as u64;
             self.outboxes.with(agent, &self.view, |out| {
                 msg::append_edge_changes(out, side, 0, recs)
             });

@@ -86,7 +86,7 @@ fn min_allocations(runs: usize, mut f: impl FnMut()) -> u64 {
 /// `n` moving vertices as one MIG_VERTEX frame, a meta on every
 /// other one and up to three ids on each side.
 fn mig_frame(n: u64) -> Frame {
-    let mut f = msg::open_mig_vertex(7, 3);
+    let mut f = msg::open_mig_vertex(7, 3, 2);
     for i in 0..n {
         let meta = (i % 2 == 0).then_some(MigMeta {
             out_degree: i % 7,
@@ -138,11 +138,11 @@ fn decode_and_iterate_allocates_nothing() {
     let deltas: Vec<(u64, i64, i64)> = (0..N as u64).map(|i| (i, i as i64, -(i as i64))).collect();
 
     // Encode outside the armed window — encoding allocates by design.
-    let vm = msg::encode_vmsgs(7, 3, &vmsgs);
-    let pt = msg::encode_partials(7, 3, &vmsgs);
-    let st = msg::encode_states(7, 3, &states);
-    let ec = msg::encode_edge_changes(msg::Side::Out, 1, &changes);
-    let dd = msg::encode_deg_deltas(&deltas);
+    let vm = msg::encode_vmsgs(7, 3, 2, &vmsgs);
+    let pt = msg::encode_partials(7, 3, 2, &vmsgs);
+    let st = msg::encode_states(7, 3, 2, &states);
+    let ec = msg::encode_changes_from(msg::Side::Out, 1, 2, &changes);
+    let dd = msg::encode_deg_deltas(2, &deltas);
     let mv = mig_frame(N as u64);
 
     // Warm up once so any lazy one-time setup isn't billed to decode.
@@ -172,7 +172,7 @@ fn decode_and_iterate_allocates_nothing() {
             acc = acc.wrapping_add(c.edge.src ^ c.edge.dst);
         }
         let view = msg::decode_deg_deltas(&dd).unwrap();
-        for (v, dout, din) in view {
+        for (v, dout, din) in view.records {
             acc = acc
                 .wrapping_add(v)
                 .wrapping_add(dout as u64)

@@ -87,13 +87,13 @@ fn live_replies() -> [Frame; 2] {
 
 /// Every pinned control frame, by name.
 fn frames() -> Vec<(&'static str, Frame)> {
-    let [drain, dump] = live_replies();
+    let [drain_reply, dump] = live_replies();
     let ready = msg::ReadyReport {
         agent: 5,
         run: 2,
         step: 9,
         phase: Phase::Apply,
-        counters: counters(0),
+        rows: vec![(4, counters(0))],
         active: 11,
         global_contrib: 0.125,
         n_primary: 12,
@@ -115,12 +115,18 @@ fn frames() -> Vec<(&'static str, Frame)> {
         run_id: 9,
         running: true,
         done: false,
-        migrating: true,
         steps: 4,
         step_nanos: vec![100, 200],
         n_vertices: 55,
-        epoch: 12,
-        departed: counters(20),
+    };
+    let streamed = Counters {
+        chg_sent: 12,
+        ..Counters::default()
+    };
+    let drain = msg::DrainReport {
+        agent: 0,
+        epoch: 9,
+        rows: vec![(0, streamed), (3, counters(20))],
     };
     let join = AgentInfo {
         id: 7,
@@ -165,7 +171,8 @@ fn frames() -> Vec<(&'static str, Frame)> {
             .encode(),
         ),
         ("run status reply", status.encode()),
-        ("drain reply", drain),
+        ("drain", drain.encode()),
+        ("drain reply", drain_reply),
         (
             "ckpt save",
             msg::CkptSave {
@@ -236,12 +243,12 @@ const GOLDEN: &[(&str, u8, &str)] = &[
     (
         "ready",
         packet::READY,
-        "0500000000000000020000000000000009000000020100000000000000020000\
-         0000000000030000000000000004000000000000000500000000000000060000\
-         00000000000700000000000000080000000000000009000000000000000a0000\
-         00000000000b00000000000000000000000000c03f0c000000000000000d0000\
-         00000000000e0000000000000002000000010000000000000007000000000000\
-         0003000000000000000000000000010000",
+        "0500000000000000020000000000000009000000020100000004000000000000\
+         0001000000000000000200000000000000030000000000000004000000000000\
+         0005000000000000000600000000000000070000000000000008000000000000\
+         0009000000000000000a000000000000000b00000000000000000000000000c0\
+         3f0c000000000000000d000000000000000e0000000000000002000000010000\
+         0000000000070000000000000003000000000000000000000000010000",
     ),
     (
         "advance",
@@ -294,18 +301,24 @@ const GOLDEN: &[(&str, u8, &str)] = &[
     (
         "run status reply",
         packet::RUN_STATUS,
-        "09000000000000000100010400000037000000000000000c0000000000000002\
-         0000006400000000000000c80000000000000015000000000000001600000000\
-         0000001700000000000000180000000000000019000000000000001a00000000\
-         0000001b000000000000001c000000000000001d000000000000001e00000000\
-         000000",
+        "0900000000000000010004000000370000000000000002000000640000000000\
+         0000c800000000000000",
+    ),
+    (
+        "drain",
+        packet::DRAIN,
+        "0000000000000000090000000000000002000000000000000000000000000000\
+         0000000000000000000000000000000000000000000000000000000000000000\
+         000000000000000000000000000000000000000000000000000000000c000000\
+         0000000000000000000000000300000000000000150000000000000016000000\
+         000000001700000000000000180000000000000019000000000000001a000000\
+         000000001b000000000000001c000000000000001d000000000000001e000000\
+         00000000",
     ),
     (
         "drain reply",
         packet::DRAIN,
-        "0000000000000000000000000000000000000000000000000000000000000000\
-         0000000000000000000000000000000000000000000000000000000000000000\
-         00000000000000000000000000000000020000000000000000",
+        "0100000000000000020000000000000000000000",
     ),
     (
         "ckpt save",
@@ -500,6 +513,7 @@ fn cluster_metrics() -> ClusterMetrics {
         memo_fills: 65,
         sweep_visits: 66,
         primaries: 67,
+        quiesce_waves: 68,
     }
 }
 
@@ -535,7 +549,7 @@ const GET_METRICS: &str = "01000000000000000200000000000000030000000000000004000
      0036000000000000003700000000000000380000000000000039000000000000\
      003a000000000000003b000000000000003c000000000000003d000000000000\
      003e000000000000003f0000000000000040000000000000004100000000000000\
-     42000000000000004300000000000000";
+     420000000000000043000000000000004400000000000000";
 
 #[test]
 fn metrics_frames_are_pinned() {
@@ -714,4 +728,7 @@ elga_sweep_visits_total 66
 # HELP elga_primaries Primary vertices: the meta entries each agent's ring places on it.
 # TYPE elga_primaries gauge
 elga_primaries 67
+# HELP elga_quiesce_waves_total DRAIN fan-outs the lead sent to answer quiesce calls, one or more each.
+# TYPE elga_quiesce_waves_total counter
+elga_quiesce_waves_total 68
 "#;

@@ -46,9 +46,10 @@ fn mig_records(msgs: &[(u64, u64)]) -> Vec<Moving> {
         .collect()
 }
 
-/// `recs` written as one MIG_VERTEX frame under `(run, watermark)`.
-fn mig_frame(run: u64, watermark: u64, recs: &[Moving]) -> Frame {
-    let mut f = msg::open_mig_vertex(run, watermark);
+/// `recs` written as one MIG_VERTEX frame of agent `from` under `(run,
+/// watermark)`.
+fn mig_frame(run: u64, watermark: u64, from: u64, recs: &[Moving]) -> Frame {
+    let mut f = msg::open_mig_vertex(run, watermark, from);
     for (head, meta, out, inn) in recs {
         let ids = out.iter().chain(inn);
         f.push(head, |tail| MigVertex::write_tail(tail, meta.as_ref(), ids));
@@ -118,42 +119,46 @@ fn rows(run: u64, step: u32, hop: u8, msgs: &[(u64, u64)]) -> Vec<(u8, Frame, Ch
         msg::Side::In
     };
     let (watermark, sub) = (u64::from(step), u64::from(hop));
+    // The sending agent of the counted rows.
+    let from = run.rotate_left(17) ^ sub;
     let changes = change_records(msgs);
     let states = state_records(msgs);
     let deltas = delta_records(msgs);
     let mut rows: Vec<(u8, Frame, Check)> = vec![
         (
             packet::EDGE_CHANGES,
-            msg::encode_edge_changes(side, hop, &changes),
+            msg::encode_changes_from(side, hop, from, &changes),
             check!(msg::decode_edge_changes, changes, |v, w| {
-                (v.side, v.hop) == (side, hop) && v.records.to_vec() == w
+                (v.side, v.hop, v.from) == (side, hop, from) && v.records.to_vec() == w
             }),
         ),
         (
             packet::VMSG,
-            msg::encode_vmsgs(run, step, msgs),
+            msg::encode_vmsgs(run, step, from, msgs),
             check!(msg::decode_vmsgs, msgs.to_vec(), |v, w| {
-                (v.run, v.step) == (run, step) && v.records.to_vec() == w
+                (v.run, v.step, v.from) == (run, step, from) && v.records.to_vec() == w
             }),
         ),
         (
             packet::PARTIAL,
-            msg::encode_partials(run, step, msgs),
+            msg::encode_partials(run, step, from, msgs),
             check!(msg::decode_partials, msgs.to_vec(), |v, w| {
-                (v.run, v.step) == (run, step) && v.records.to_vec() == w
+                (v.run, v.step, v.from) == (run, step, from) && v.records.to_vec() == w
             }),
         ),
         (
             packet::STATE,
-            msg::encode_states(run, step, &states),
+            msg::encode_states(run, step, from, &states),
             check!(msg::decode_states, states, |v, w| {
-                (v.run, v.step) == (run, step) && v.records.to_vec() == w
+                (v.run, v.step, v.from) == (run, step, from) && v.records.to_vec() == w
             }),
         ),
         (
             packet::DEG_DELTA,
-            msg::encode_deg_deltas(&deltas),
-            check!(msg::decode_deg_deltas, deltas, |v, w| v.to_vec() == w),
+            msg::encode_deg_deltas(from, &deltas),
+            check!(msg::decode_deg_deltas, deltas, |v, w| {
+                v.from == from && v.records.to_vec() == w
+            }),
         ),
         (
             packet::QUERY_BATCH,
@@ -181,16 +186,19 @@ fn rows(run: u64, step: u32, hop: u8, msgs: &[(u64, u64)]) -> Vec<(u8, Frame, Ch
     ];
     rows.push((
         packet::MIG_VERTEX,
-        mig_frame(run, watermark, &mig),
+        mig_frame(run, watermark, from, &mig),
         check!(msg::decode_mig_vertex, mig, |v, w| {
-            (v.snap_run, v.snap_watermark) == (run, watermark) && read_mig(v.records) == w
+            (v.snap_run, v.snap_watermark, v.from) == (run, watermark, from)
+                && read_mig(v.records) == w
         }),
     ));
     let appended_rows = [
         (
             packet::RESIDUAL,
-            appended(|c| msg::append_residuals(c, msgs)),
-            check!(msg::decode_residuals, msgs.to_vec(), |v, w| v.to_vec() == w),
+            appended(|c| msg::append_residuals(c, from, msgs)),
+            check!(msg::decode_residuals, msgs.to_vec(), |v, w| {
+                v.from == from && v.records.to_vec() == w
+            }),
         ),
         (
             packet::SUB_PUSH,
@@ -380,12 +388,12 @@ proptest! {
         let mb = t.bind(&addr).unwrap();
         let cfg = CoalesceConfig { max_records, max_bytes, credit_bytes: 0, ..CoalesceConfig::default() };
         let mut c = CoalescingOutbox::new(t.sender(&addr).unwrap(), cfg);
-        in_blocks(&msgs, &blocks, |r| msg::append_vmsgs(&mut c, 7, 3, r));
-        in_blocks(&msgs, &blocks, |r| msg::append_partials(&mut c, 7, 3, r));
-        in_blocks(&states, &blocks, |r| msg::append_states(&mut c, 7, 3, r));
-        in_blocks(&changes, &blocks, |r| msg::append_edge_changes(&mut c, msg::Side::In, 2, r));
-        in_blocks(&deltas, &blocks, |r| msg::append_deg_deltas(&mut c, r));
-        in_blocks(&msgs, &blocks, |r| msg::append_residuals(&mut c, r));
+        in_blocks(&msgs, &blocks, |r| msg::append_vmsgs(&mut c, 7, 3, 9, r));
+        in_blocks(&msgs, &blocks, |r| msg::append_partials(&mut c, 7, 3, 9, r));
+        in_blocks(&states, &blocks, |r| msg::append_states(&mut c, 7, 3, 9, r));
+        in_blocks(&changes, &blocks, |r| msg::append_changes_from(&mut c, msg::Side::In, 2, 9, r));
+        in_blocks(&deltas, &blocks, |r| msg::append_deg_deltas(&mut c, 9, r));
+        in_blocks(&msgs, &blocks, |r| msg::append_residuals(&mut c, 9, r));
         in_blocks(&msgs, &blocks, |r| msg::append_sub_pushes(&mut c, 42, 7, 500, r));
         c.flush();
 
@@ -396,35 +404,35 @@ proptest! {
             let records = match f.packet_type() {
                 packet::VMSG => {
                     let view = msg::decode_vmsgs(f).unwrap();
-                    prop_assert_eq!((view.run, view.step), (7, 3));
+                    prop_assert_eq!((view.run, view.step, view.from), (7, 3, 9));
                     got_pairs[0].extend(view.records);
                     view.records.len()
                 }
                 packet::PARTIAL => {
                     let view = msg::decode_partials(f).unwrap();
-                    prop_assert_eq!((view.run, view.step), (7, 3));
+                    prop_assert_eq!((view.run, view.step, view.from), (7, 3, 9));
                     got_pairs[1].extend(view.records);
                     view.records.len()
                 }
                 packet::STATE => {
                     let view = msg::decode_states(f).unwrap();
-                    prop_assert_eq!((view.run, view.step), (7, 3));
+                    prop_assert_eq!((view.run, view.step, view.from), (7, 3, 9));
                     got_states.extend(view.records);
                     view.records.len()
                 }
                 packet::EDGE_CHANGES => {
                     let view = msg::decode_edge_changes(f).unwrap();
-                    prop_assert_eq!((view.side, view.hop), (msg::Side::In, 2));
+                    prop_assert_eq!((view.side, view.hop, view.from), (msg::Side::In, 2, 9));
                     got_changes.extend(view.records);
                     view.records.len()
                 }
                 packet::DEG_DELTA => {
-                    let recs = msg::decode_deg_deltas(f).unwrap();
+                    let recs = msg::decode_deg_deltas(f).unwrap().records;
                     got_deltas.extend(recs);
                     recs.len()
                 }
                 packet::RESIDUAL => {
-                    let recs = msg::decode_residuals(f).unwrap();
+                    let recs = msg::decode_residuals(f).unwrap().records;
                     got_pairs[2].extend(recs);
                     recs.len()
                 }
@@ -680,7 +688,7 @@ proptest! {
             run,
             step,
             phase: Phase::parse(&[phase_byte]),
-            counters: Counters {
+            rows: vec![(agent, Counters {
                 vmsg_sent: counters[0],
                 vmsg_recv: counters[1],
                 part_sent: counters[2],
@@ -691,7 +699,7 @@ proptest! {
                 mig_recv: counters[7],
                 chg_sent: counters[8],
                 chg_recv: counters[9],
-            },
+            })],
             active,
             global_contrib: contrib,
             n_primary,
@@ -728,7 +736,7 @@ proptest! {
                 active,
             })
             .collect();
-        let frame = msg::encode_states(run, step, &records);
+        let frame = msg::encode_states(run, step, 3, &records);
         let view = msg::decode_states(&frame).unwrap();
         prop_assert_eq!((view.run, view.step), (run, step));
         let back: Vec<StateRecord> = view.records.into_iter().collect();
@@ -763,7 +771,7 @@ proptest! {
             watermark: w[16],
         };
         assert_round_trip(ReadyReport {
-            agent: w[17], run: w[18], step: w[19] as u32, phase, counters,
+            agent: w[17], run: w[18], step: w[19] as u32, phase, rows: vec![(w[24], counters)],
             active: w[20], global_contrib: x, n_primary: w[21], seq: w[22],
             epoch: w[23], sent: list.clone(),
         });
@@ -773,11 +781,12 @@ proptest! {
         });
         assert_round_trip(run);
         assert_round_trip(RunStatus {
-            run_id: w[25], running: bit(5), done: bit(6), migrating: bit(7),
-            steps: w[26] as u32, n_vertices: w[27], epoch: w[28],
-            step_nanos: list.iter().map(|p| p.0).collect(), departed: counters,
+            run_id: w[25], running: bit(5), done: bit(6),
+            steps: w[26] as u32, n_vertices: w[27],
+            step_nanos: list.iter().map(|p| p.0).collect(),
         });
-        assert_round_trip(msg::DrainReport { counters, epoch: w[29], degrees: bit(14) });
+        let rows = list.iter().map(|&(peer, _)| (peer, counters)).collect();
+        assert_round_trip(msg::DrainReport { agent: w[29], epoch: w[28], rows });
         assert_round_trip(msg::CkptSave { generation: w[30], epoch: w[31], watermark: w[32] });
         assert_round_trip(msg::CkptSaveReport { ok: bit(8), bytes: w[33], nanos: w[34] });
         let addr = elga_net::Addr::inproc(format!("client-{}", w[57]));
@@ -806,26 +815,8 @@ proptest! {
         let agent = words(Frame::builder(packet::METRICS), 57).finish();
         assert_round_trip(AgentMetrics::decode(&agent).expect("57 words"));
         let cluster = words(Frame::builder(packet::GET_METRICS), 10).u8(u8::from(bit(10)));
-        let cluster = words(cluster, 56).finish();
-        assert_round_trip(ClusterMetrics::decode(&cluster).expect("66 words and a flag"));
-    }
-
-    /// Counters settle exactly when each pair matches, and `add` is
-    /// commutative.
-    #[test]
-    fn counters_algebra(a in prop::collection::vec(0u64..1000, 10), b in prop::collection::vec(0u64..1000, 10)) {
-        let mk = |v: &[u64]| Counters {
-            vmsg_sent: v[0], vmsg_recv: v[1],
-            part_sent: v[2], part_recv: v[3],
-            state_sent: v[4], state_recv: v[5],
-            mig_sent: v[6], mig_recv: v[7],
-            chg_sent: v[8], chg_recv: v[9],
-        };
-        let ca = mk(&a);
-        let cb = mk(&b);
-        prop_assert_eq!(ca.add(&cb), cb.add(&ca));
-        let expected = a[0] == a[1] && a[2] == a[3] && a[4] == a[5] && a[6] == a[7] && a[8] == a[9];
-        prop_assert_eq!(ca.settled(), expected);
+        let cluster = words(cluster, 57).finish();
+        assert_round_trip(ClusterMetrics::decode(&cluster).expect("67 words and a flag"));
     }
 
     /// The EMA autoscaler's target is always within bounds and the EMA

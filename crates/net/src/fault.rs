@@ -391,11 +391,7 @@ impl Transport for FaultyTransport {
                 }
             }
         });
-        Ok(Outbox {
-            tx,
-            stats: None,
-            unacked: None,
-        })
+        Ok(Outbox { tx, stats: None })
     }
 
     fn request(&self, addr: &Addr, frame: Frame, timeout: Duration) -> Result<Frame, NetError> {

@@ -120,7 +120,6 @@ impl Transport for InProcTransport {
         Ok(Outbox {
             tx: hub.slot(name).tx.clone(),
             stats: Some(self.stats.clone()),
-            unacked: None,
         })
     }
 

@@ -36,7 +36,7 @@ use crate::transport::{Delivery, Mailbox, NetError, Outbox, Publisher, Transport
 use crossbeam::channel::unbounded;
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
@@ -194,10 +194,6 @@ struct Shared {
     route_out: Mutex<HashMap<u64, Outbox>>,
     /// Cached outboxes for sending ACKs back to each sender.
     ack_out: Mutex<HashMap<String, Outbox>>,
-    /// Pushes accepted and not yet retired: every outbox handed out by
-    /// `sender` adds one before it queues a frame, and whoever takes
-    /// the frame's envelope out of `pending` subtracts it.
-    unacked: Arc<AtomicUsize>,
 }
 
 impl Shared {
@@ -213,9 +209,7 @@ impl Shared {
 
     /// The envelope `(route, seq)` is acknowledged or abandoned.
     fn retire(&self, route: u64, seq: u64) {
-        if self.pending.lock().remove(&(route, seq)).is_some() {
-            self.unacked.fetch_sub(1, Ordering::SeqCst);
-        }
+        self.pending.lock().remove(&(route, seq));
     }
 }
 
@@ -251,7 +245,6 @@ impl ReliableTransport {
             next_seq: Mutex::new(HashMap::new()),
             route_out: Mutex::new(HashMap::new()),
             ack_out: Mutex::new(HashMap::new()),
-            unacked: Arc::new(AtomicUsize::new(0)),
         });
 
         // ACK sink: each acknowledgement retires one pending envelope.
@@ -283,17 +276,6 @@ impl ReliableTransport {
     pub fn stats(&self) -> &ReliableStats {
         &self.shared.stats
     }
-
-    /// Number of pushes not yet acknowledged (or abandoned after
-    /// [`GIVE_UP`]): one counter, raised by `Outbox::send` before the
-    /// frame is queued and lowered when its envelope leaves `pending`.
-    /// Zero means that every frame pushed before the call has reached
-    /// the relay thread of its destination mailbox, which hands frames
-    /// and requests on in the order it received them — a request sent
-    /// now is served after them.
-    pub fn in_flight(&self) -> usize {
-        self.shared.unacked.load(Ordering::SeqCst)
-    }
 }
 
 fn retransmit_loop(shared: Weak<Shared>) {
@@ -309,7 +291,6 @@ fn retransmit_loop(shared: Weak<Shared>) {
             pending.retain(|_, p| {
                 if now >= p.deadline {
                     shared.stats.gave_up.fetch_add(1, Ordering::Relaxed);
-                    shared.unacked.fetch_sub(1, Ordering::SeqCst);
                     return false;
                 }
                 if now >= p.next_retx {
@@ -421,11 +402,9 @@ impl Transport for ReliableTransport {
             .entry(route)
             .or_insert_with(|| inner_out.clone());
         let (tx, rx) = unbounded::<Delivery>();
-        let unacked = Some(self.shared.unacked.clone());
         let shared = Arc::downgrade(&self.shared);
         std::thread::spawn(move || {
-            // Runs until every clone of the outbox is gone: a frame
-            // that was counted is always taken and retired.
+            // Runs until every clone of the outbox is gone.
             while let Ok(d) = rx.recv() {
                 let Some(shared) = shared.upgrade() else {
                     break;
@@ -456,11 +435,7 @@ impl Transport for ReliableTransport {
                 }
             }
         });
-        Ok(Outbox {
-            tx,
-            stats: None,
-            unacked,
-        })
+        Ok(Outbox { tx, stats: None })
     }
 
     fn request(&self, addr: &Addr, frame: Frame, timeout: Duration) -> Result<Frame, NetError> {
@@ -663,67 +638,8 @@ mod tests {
         assert_eq!(tags(&w.admit(0, tagged(0), t0, h).unwrap()), [0, 1]);
     }
 
-    /// What `in_flight() == 0` promises: a request sent after it is
-    /// served after every frame pushed before it — the ordering a
-    /// quiescence wave needs from a transport whose pushes and requests
-    /// travel apart. `rounds` times: push, wait for zero, ask the server
-    /// how many pushes it has seen.
-    fn requests_follow_pushes(plan: FaultPlan, seed: u64, rounds: u64, nap: Duration) {
-        let t = Arc::new(reliable_over_faulty(plan, seed));
-        let addr = Addr::inproc("ordered");
-        let mb = t.bind(&addr).unwrap();
-        let server = std::thread::spawn(move || {
-            let mut pushed = 0u64;
-            while let Ok(d) = mb.recv() {
-                match d.reply {
-                    None => pushed += 1,
-                    Some(reply) => {
-                        let done = d.frame.packet_type() == 9;
-                        reply.send(Frame::builder(2).u64(pushed).finish()).unwrap();
-                        if done {
-                            return;
-                        }
-                    }
-                }
-            }
-        });
-        let out = t.sender(&addr).unwrap();
-        let policy = crate::retry::SendPolicy::default();
-        for round in 1..=rounds {
-            out.send(Frame::signal(1)).unwrap();
-            while t.in_flight() > 0 {
-                std::thread::sleep(nap);
-            }
-            let ask = Frame::signal(if round == rounds { 9 } else { 8 });
-            let (seen, _) =
-                crate::retry::TransportExt::request_with_retry(&*t, &addr, ask, STEP, &policy)
-                    .unwrap();
-            assert_eq!(seen.reader().u64(), Some(round), "round {round}");
-        }
-        server.join().unwrap();
-    }
-
-    const STEP: Duration = Duration::from_secs(5);
-
-    /// However long the substrate holds the pushes up.
     #[test]
-    fn a_request_sent_once_nothing_is_in_flight_follows_every_push() {
-        let plan = FaultPlan::uniform(0.1, 0.0, Duration::ZERO, Duration::from_millis(4));
-        // A seed under which the request route's own (fixed) roll is not
-        // a drop.
-        requests_follow_pushes(plan, 11, 60, Duration::from_micros(100));
-    }
-
-    /// And however soon after the push the count is read: a frame is
-    /// counted before it is queued, so zero is never read while a relay
-    /// thread holds a frame between its queue and `pending`.
-    #[test]
-    fn in_flight_never_reads_zero_over_a_frame_on_its_way() {
-        requests_follow_pushes(FaultPlan::default(), 0, 20_000, Duration::ZERO);
-    }
-
-    #[test]
-    fn in_flight_drains_after_acks() {
+    fn acks_retire_every_pending_frame() {
         let t = reliable_over_faulty(FaultPlan::default(), 0);
         let addr = Addr::inproc("drain");
         let mb = t.bind(&addr).unwrap();
@@ -733,9 +649,10 @@ mod tests {
         }
         let _ = collect(&mb, 20, Duration::from_secs(5));
         let deadline = Instant::now() + Duration::from_secs(5);
-        while t.in_flight() > 0 && Instant::now() < deadline {
+        let pending = || t.shared.pending.lock().len();
+        while pending() > 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(10));
         }
-        assert_eq!(t.in_flight(), 0, "ACKs must retire all pending frames");
+        assert_eq!(pending(), 0, "ACKs must retire all pending frames");
     }
 }

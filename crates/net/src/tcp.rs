@@ -275,7 +275,6 @@ impl Transport for TcpTransport {
         Ok(Outbox {
             tx,
             stats: Some(self.stats.clone()),
-            unacked: None,
         })
     }
 

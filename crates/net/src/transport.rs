@@ -4,7 +4,7 @@
 use crate::addr::Addr;
 use crate::frame::Frame;
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -347,11 +347,6 @@ pub struct Outbox {
     /// Send-side traffic counters of the owning transport, when the
     /// backend tracks them.
     pub(crate) stats: Option<Arc<NetStats>>,
-    /// The owning transport's count of pushes it has accepted and not
-    /// yet seen acknowledged ([`crate::ReliableTransport::in_flight`]);
-    /// a frame is counted before it is queued, so there is no moment
-    /// at which it is on its way and in nobody's count.
-    pub(crate) unacked: Option<Arc<AtomicUsize>>,
 }
 
 impl Outbox {
@@ -360,15 +355,9 @@ impl Outbox {
         if let Some(stats) = &self.stats {
             stats.record_sent(frame.packet_type(), frame.len());
         }
-        if let Some(unacked) = &self.unacked {
-            unacked.fetch_add(1, Ordering::SeqCst);
-        }
-        self.tx.send(Delivery::push(frame)).map_err(|_| {
-            if let Some(unacked) = &self.unacked {
-                unacked.fetch_sub(1, Ordering::SeqCst);
-            }
-            NetError::Disconnected
-        })
+        self.tx
+            .send(Delivery::push(frame))
+            .map_err(|_| NetError::Disconnected)
     }
 
     /// Frames queued behind this handle that the consumer has not yet

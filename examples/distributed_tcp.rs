@@ -145,18 +145,19 @@ fn view_agents(transport: &Arc<dyn Transport>, dir: &Addr) -> Option<Vec<Addr>> 
 }
 
 /// Whether the agents have applied `placements` edge placements and
-/// received every change they forwarded to each other. A DRAIN makes
-/// an agent report its metrics to the lead, so the lead's count is at
-/// most one round behind.
+/// received every change they forwarded to each other. A METRICS
+/// request makes an agent push its metrics to the lead before it
+/// answers, so the lead's count is at most one round behind.
 fn ingested(transport: &Arc<dyn Transport>, dir: &Addr, placements: u64) -> bool {
     let (mut sent, mut recv) = (0, 0);
     for agent in view_agents(transport, dir).expect("view") {
-        let rep = transport
-            .request(&agent, Frame::signal(packet::DRAIN), Duration::from_secs(5))
-            .expect("drain");
-        let counters = msg::DrainReport::decode(&rep).expect("drain").counters;
-        sent += counters.chg_sent;
-        recv += counters.chg_recv;
+        let ask = |kind| transport.request(&agent, Frame::signal(kind), Duration::from_secs(5));
+        ask(packet::METRICS).expect("metrics");
+        let rep = ask(packet::DRAIN).expect("drain");
+        for (_, c) in msg::DrainReport::decode(&rep).expect("drain").rows {
+            sent += c.chg_sent;
+            recv += c.chg_recv;
+        }
     }
     let metrics = Frame::signal(packet::GET_METRICS);
     let rep = transport

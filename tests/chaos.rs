@@ -164,11 +164,11 @@ fn done_overtaking_the_last_scatter_leaves_nothing_in_flight() {
 
 #[test]
 fn chaos_async_wcc_matches_reference() {
-    // The asynchronous engine's termination detection (idle reports +
-    // double probe) must hold over a transport that drops, delays and
-    // duplicates frames: the reliability layer recovers every frame,
-    // and the probe only confirms once the recovered counters settle
-    // twice with identical sums.
+    // The asynchronous engine's termination detection (one round of
+    // idle reports over the lead's channel table) must hold over a
+    // transport that drops, delays and duplicates frames: the
+    // reliability layer recovers every frame, and the table balances
+    // only once every recovered record has been taken in.
     let edges = chain_graph(120);
     let plan = FaultPlan::uniform(0.05, 0.01, Duration::ZERO, Duration::from_millis(5));
     let mut chaos = Cluster::builder()

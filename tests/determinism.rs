@@ -246,8 +246,8 @@ struct RunWire {
     replica_frames: u64,
     /// VMSG frames and their bytes, all agents.
     vmsg_wire: (u64, u64),
-    /// Σ `vmsg_sent` and Σ `vmsg_recv` over the agents' barrier
-    /// counters after the run: the records that crossed between agents.
+    /// Σ `vmsg_sent` and Σ `vmsg_recv` over the agents' per-peer rows
+    /// after the run: the records that crossed between agents.
     vmsg_counted: (u64, u64),
     /// Vertex messages delivered, however they travelled.
     vmsgs: u64,
@@ -278,8 +278,10 @@ fn run_wire(
         let drain = Frame::signal(packet::DRAIN);
         let rep = transport.request(&agent.addr, drain, Duration::from_secs(5));
         let report = msg::DrainReport::decode(&rep.expect("drain")).expect("drain reply");
-        vmsg_counted.0 += report.counters.vmsg_sent;
-        vmsg_counted.1 += report.counters.vmsg_recv;
+        for (_, c) in report.rows {
+            vmsg_counted.0 += c.vmsg_sent;
+            vmsg_counted.1 += c.vmsg_recv;
+        }
     }
     let wire = RunWire {
         steps: u64::from(stats.steps),
@@ -304,9 +306,9 @@ const SYNC: RunOptions = RunOptions {
     mode: ExecutionMode::Sync,
 };
 
-/// The on-wire size of a VMSG frame's type byte, `(run, step)` header
-/// and count field, and of one record.
-const VMSG_FRAME_HEAD: u64 = 1 + 12 + 4;
+/// The on-wire size of a VMSG frame's type byte, `(run, step, from)`
+/// header and count field, and of one record.
+const VMSG_FRAME_HEAD: u64 = 1 + 20 + 4;
 const VMSG_RECORD: u64 = 16;
 
 /// Both sides of the per-step barrier selection, by counts, not clocks.

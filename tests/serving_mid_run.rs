@@ -15,12 +15,12 @@ use std::time::Duration;
 /// a batch issued while a from-scratch PageRank is mid-run comes back
 /// under the previous run's tag, before the run is over. And what the
 /// agent takes off its mailbox while it looks for reads is handled in
-/// arrival order: a DRAIN sent behind a subscription registration
-/// publishes metrics that include it.
+/// arrival order: a METRICS request sent behind a subscription
+/// registration publishes metrics that include it.
 ///
 /// (A registration in front, not an EDGE_CHANGES frame: every frame
-/// that moves a counter DRAIN reports is one half of a barrier pair, and
-/// a lone half would wedge the run it is sent into.)
+/// that moves a count is one half of a channel, and a lone half would
+/// wedge the run it is sent into.)
 #[test]
 fn reads_are_served_mid_run_and_parked_frames_keep_their_order() {
     let edges = elga::gen::power_law(12_000, 60_000, 2.2, 11);
@@ -48,8 +48,8 @@ fn reads_are_served_mid_run_and_parked_frames_keep_their_order() {
     let mid = client.query_batch(&asked);
     assert_eq!(mid, s1, "mid-run reads serve the previous run's snapshot");
 
-    // Registration frames pushed at agent 1, each with a DRAIN request
-    // behind it, while kernels run and park what they find.
+    // Registration frames pushed at agent 1, each with a METRICS
+    // request behind it, while kernels run and park what they find.
     let transport = cluster.transport();
     let agent = cluster.view().agents[0].clone();
     let to_agent = transport.sender(&agent.addr).expect("agent sender");
@@ -69,16 +69,16 @@ fn reads_are_served_mid_run_and_parked_frames_keep_their_order() {
         transport
             .request(
                 &agent.addr,
-                elga::net::Frame::signal(packet::DRAIN),
+                elga::net::Frame::signal(packet::METRICS),
                 Duration::from_secs(30),
             )
-            .expect("DRAIN");
-        // The DRAIN handler publishes the agent's metrics before it
-        // replies, so the lead has them by now.
+            .expect("METRICS");
+        // The agent publishes its metrics before it answers, so the lead
+        // has them by now.
         assert_eq!(
             cluster.metrics().subscriptions,
             before + sub,
-            "DRAIN {sub} overtook the registration sent before it"
+            "METRICS {sub} overtook the registration sent before it"
         );
     }
 

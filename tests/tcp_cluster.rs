@@ -89,8 +89,9 @@ impl Deployment {
     /// it — a fixed sleep was not enough on a loaded host.
     fn ingest(&self, streamer: &mut Streamer, edges: &[(u64, u64)]) {
         // Changes applied so far, and whether the agents' forwards
-        // have all arrived. A DRAIN makes an agent push its metrics to
-        // the lead, so the count is at most one round behind.
+        // have all arrived. A METRICS request makes an agent push its
+        // metrics to the lead first, so the count is at most one round
+        // behind.
         let state = |tcp: &Deployment| {
             let (sent, recv) = tcp
                 .drain_all()
@@ -124,7 +125,8 @@ impl Deployment {
         }
     }
 
-    /// DRAIN every agent of the current view; their counters.
+    /// Have every agent of the current view push its metrics, then
+    /// DRAIN it; each one's counts summed over its peers.
     fn drain_all(&self) -> Vec<msg::Counters> {
         let view = self
             .transport
@@ -138,12 +140,25 @@ impl Deployment {
         view.agents
             .iter()
             .map(|agent| {
-                let drain = Frame::signal(packet::DRAIN);
-                let rep = self
-                    .transport
-                    .request(&agent.addr, drain, Duration::from_secs(5))
-                    .expect("drain");
-                msg::DrainReport::decode(&rep).expect("counters").counters
+                let ask = |kind| {
+                    let frame = Frame::signal(kind);
+                    let rep = self
+                        .transport
+                        .request(&agent.addr, frame, Duration::from_secs(5));
+                    rep.expect("answered")
+                };
+                ask(packet::METRICS);
+                let rows = msg::DrainReport::decode(&ask(packet::DRAIN))
+                    .expect("rows")
+                    .rows;
+                rows.iter()
+                    .fold(msg::Counters::default(), |t, (_, c)| msg::Counters {
+                        vmsg_sent: t.vmsg_sent + c.vmsg_sent,
+                        vmsg_recv: t.vmsg_recv + c.vmsg_recv,
+                        chg_sent: t.chg_sent + c.chg_sent,
+                        chg_recv: t.chg_recv + c.chg_recv,
+                        ..t
+                    })
             })
             .collect()
     }
