@@ -9,6 +9,9 @@
 #   core_src_nontest_lines  each file's lines above its first
 #                           `#[cfg(test)]`: mechanism, not unit tests
 #   graph_src_nontest_lines the same count under crates/graph/src
+#   net_src_nontest_lines   the same count under crates/net/src: the
+#                           substrate carries TCP's faults, not a
+#                           layer that masks faults of its own making
 #   packet_kinds            the `packet::` constants
 #   lead_io_sites           clock reads, threads, sockets and stderr
 #                           writes in the non-test part of `lead.rs`:
@@ -44,6 +47,7 @@ nontest() {
 }
 nontest=$(nontest crates/core/src)
 graph_nontest=$(nontest crates/graph/src)
+net_nontest=$(nontest crates/net/src)
 kinds=$(awk '/^pub mod packet/,/^}/' crates/core/src/msg.rs | grep -c 'pub const [A-Z_0-9]*: u8')
 lead_io=$(awk '/^#\[cfg\(test\)\]/ { exit } { print }' crates/core/src/lead.rs |
     grep -cE 'Instant::now|\.elapsed\(\)|std::thread|Transport|Publisher|Mailbox|eprintln!' || true)
@@ -67,6 +71,7 @@ while read -r name ceiling; do
         core_src_lines) got=$lines ;;
         core_src_nontest_lines) got=$nontest ;;
         graph_src_nontest_lines) got=$graph_nontest ;;
+        net_src_nontest_lines) got=$net_nontest ;;
         packet_kinds) got=$kinds ;;
         lead_io_sites) got=$lead_io ;;
         config_knobs) got=$knobs ;;

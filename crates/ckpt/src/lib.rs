@@ -30,24 +30,60 @@
 //!   corrupt file, never producing a wrong answer.
 //!
 //! Faults are injected with [`DiskFault`] below the write path, in the
-//! same seeded style as `elga-net`'s [`FaultyTransport`]: the writer is
+//! same seeded style as `elga-net`'s `FaultyTransport`: the writer is
 //! *not told* its bytes were torn or flipped — damage is only
 //! discoverable by reading back, which is exactly what scrub and
 //! restore do.
 
 #![warn(missing_docs)]
 
-use elga_net::{DiskFault, SplitMix64};
+use elga_net::SplitMix64;
 use std::fmt;
 use std::fs;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
+/// Storage-fault parameters for checkpoint writes — the disk analog of
+/// `elga_net::FaultPlan`. Probabilities are rolled once per file write
+/// from a seeded [`SplitMix64`], so a fixed seed makes the fault
+/// sequence on a given writer deterministic.
+///
+/// Faults model a *lying* disk: the writer is not told its file is
+/// damaged, exactly as a powered-off drive cache or a crash between
+/// `write` and `fsync` behaves. The damage is only discoverable by
+/// reading the file back and checking its length and checksum, which is
+/// precisely what the checkpoint commit scrub and the restore-time
+/// validation do.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct DiskFault {
+    /// Probability in `[0, 1]` that a write is torn: only a prefix of
+    /// the bytes reaches the file (a crash mid-write).
+    pub torn_write: f64,
+    /// Probability in `[0, 1]` that one byte of the written file is
+    /// flipped (silent media corruption).
+    pub corrupt: f64,
+}
+
+impl DiskFault {
+    /// A plan that tears and corrupts with the given probabilities.
+    pub fn new(torn_write: f64, corrupt: f64) -> Self {
+        Self {
+            torn_write,
+            corrupt,
+        }
+    }
+
+    /// True when no fault can ever fire.
+    pub fn is_benign(&self) -> bool {
+        self.torn_write <= 0.0 && self.corrupt <= 0.0
+    }
+}
+
 /// Magic + version tag opening every shard file. Version 3's payload
 /// is MIG_VERTEX frames, as a view change sends them; an older shard
 /// fails validation instead of misparsing, so the fallback ladder skips
 /// its generation.
-const SHARD_MAGIC: &[u8; 8] = b"ELGACKP3";
+const SHARD_MAGIC: &[u8; 8] = b"ELGACKP4";
 /// Magic + version tag opening every manifest file. Version 3 dropped
 /// version 2's dangling-mass book; an older manifest fails validation,
 /// so the fallback ladder skips its generation.

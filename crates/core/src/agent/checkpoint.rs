@@ -26,7 +26,7 @@ impl Agent {
             return;
         };
         let t0 = Instant::now();
-        let mut frames = MigFrames::new((0, 0, self.id));
+        let mut frames = MigFrames::new((self.view.epoch, 0, 0, self.id));
         for (&v, e) in self.vertices.iter() {
             let (mut head, meta, flags) = vertex_record(v, e);
             (head.flags, head.aux) = (head.flags | flags & !RUN_STATE, 0);
@@ -298,7 +298,7 @@ mod tests {
         assert!(msg::shard_frames(&payload).is_some_and(|f| f.len() == 1));
         // The first record's flags: the frame count and length, the
         // frame's kind, tag, sender and record count, the vertex.
-        let flags_at = 4 + 4 + 1 + 24 + 4 + 8;
+        let flags_at = 4 + 4 + 1 + 32 + 4 + 8;
         let cuts = [0, 3, 4, 7, 8, 30, flags_at, payload.len() - 1];
         let mut damaged: Vec<Vec<u8>> = cuts.map(|cut| payload[..cut].to_vec()).to_vec();
         damaged.push([&payload[..], &[0]].concat());

@@ -28,9 +28,16 @@ impl Agent {
     /// Phase-end flush: close every destination's open frame and push
     /// it, retrying whatever the transport refuses. Called before
     /// every READY/DRAIN report and at idle, so barrier counters never
-    /// run ahead of delivered frames.
+    /// run ahead of delivered frames. A route to a member that lost
+    /// frames is a broken link, told to the lead at once (DESIGN.md "A
+    /// broken link is a recovery").
     pub(super) fn flush_outboxes(&mut self) {
         self.metrics.retries_attempted += self.outboxes.flush(&self.view);
+        let broken = self.outboxes.take_broken();
+        if broken > 0 {
+            self.metrics.links_broken += broken;
+            self.push_metrics();
+        }
     }
 
     /// Send a READY for `(run, step, phase)`. The kept primary count
@@ -62,7 +69,6 @@ impl Agent {
             } else {
                 0
             },
-            seq: 0,
             epoch: 0,
             sent,
         });
@@ -78,15 +84,13 @@ impl Agent {
         }
     }
 
-    /// Stamp `rep` with the fresh rows, sequence and epoch, and push it
-    /// to the directory.
+    /// Stamp `rep` with the fresh rows and the epoch, and push it to the
+    /// directory.
     fn push_ready(&mut self, mut rep: ReadyReport) {
         // The report's rows claim these records as sent; make it true
         // before the directory can act on it.
         self.flush_outboxes();
-        self.ready_seq += 1;
         rep.rows = self.fresh_rows();
-        rep.seq = self.ready_seq;
         rep.epoch = self.view.epoch;
         let _ = self.dir_push.send(rep.encode());
         self.reported = Some(rep);
@@ -189,6 +193,7 @@ impl Agent {
             self.net.record_rx_pool(h, m);
         }
         self.metrics.comms = CommsMetrics::snapshot(&self.net, &self.outboxes.totals());
+        self.metrics.epoch = self.view.epoch;
         let _ = self.dir_push.send(self.metrics.encode());
     }
 }

@@ -13,8 +13,9 @@ use msg::{MigMeta, MigVertex, WireRecord};
 /// riding the last.
 #[derive(Default)]
 pub(super) struct MigFrames {
-    /// The frames' head: the serving-snapshot tag and the sender.
-    head: (u64, u64, AgentId),
+    /// The frames' head: the sender's epoch, its serving-snapshot tag
+    /// and its id.
+    head: (u64, u64, u64, AgentId),
     max_bytes: usize,
     open: Option<msg::OpenFrame<MigVertex>>,
     pub(super) frames: Vec<Frame>,
@@ -57,9 +58,9 @@ pub(super) fn vertex_record(v: VertexId, e: &VertexEntry) -> (MigVertex, MigMeta
 }
 
 impl MigFrames {
-    /// Frames of sender `head.2` under its serving-snapshot tag, closed
-    /// at the outboxes' `max_bytes`.
-    pub(super) fn new(head: (u64, u64, AgentId)) -> Self {
+    /// Frames of sender `head.3` under its epoch and serving-snapshot
+    /// tag, closed at the outboxes' `max_bytes`.
+    pub(super) fn new(head: (u64, u64, u64, AgentId)) -> Self {
         let max_bytes = CoalesceConfig::default().max_bytes;
         MigFrames {
             head,
@@ -84,11 +85,11 @@ impl MigFrames {
         loop {
             let whole = MigVertex::STRIDE + meta_len + 8 * (out.len() + inn.len());
             // Close the open frame (it holds a record) this one would overfill.
-            let (max, (run, watermark, from)) = (self.max_bytes, self.head);
+            let (max, (epoch, run, watermark, from)) = (self.max_bytes, self.head);
             if self.open.as_ref().is_some_and(|f| f.size() + whole > max) {
                 self.close();
             }
-            let open = || msg::open_mig_vertex(run, watermark, from);
+            let open = || msg::open_mig_vertex(epoch, run, watermark, from);
             let frame = self.open.get_or_insert_with(open);
             let used = frame.size() + MigVertex::STRIDE + meta_len;
             let room = (max.saturating_sub(used) / 8).max(1);
@@ -256,7 +257,7 @@ impl Agent {
     /// every `k` is 1, no estimate is computed.
     fn sweep(&mut self, scope: Sweep) -> (FxHashMap<AgentId, u64>, u64, u64) {
         let mut frames: FxHashMap<AgentId, MigFrames> = FxHashMap::default();
-        let head = (self.snap_run, self.snap_watermark, self.id);
+        let head = (self.view.epoch, self.snap_run, self.snap_watermark, self.id);
         let new = || MigFrames::new(head);
         // A split vertex's moving edges, by destination.
         let mut split: Vec<(AgentId, [Vec<VertexId>; 2])> = Vec::new();
@@ -455,6 +456,12 @@ impl Agent {
         let Some(view) = msg::decode_mig_vertex(&frame) else {
             return;
         };
+        // Swept before our last recovery reset, which zeroed the count
+        // it would move and the graph it would add to.
+        if view.epoch < self.counted_since {
+            self.metrics.stale_frames += 1;
+            return;
+        }
         let n = view.records.len() as u64;
         self.peer(view.from).mig_recv += n;
         self.tracer.instant(EventKind::MigrateRecv, n, 0);
@@ -904,7 +911,7 @@ mod tests {
                 let lists = [(0..n as u64).map(|w| w ^ r).collect(), (0..u64::from(ins)).collect()];
                 want.push(Moved { head, meta, lists });
             }
-            let mut written = MigFrames::new((3, 4, ME));
+            let mut written = MigFrames::new((1, 3, 4, ME));
             for Moved { head, meta, lists } in &want {
                 written.push(*head, meta.as_ref(), &lists[0], &lists[1]);
             }
@@ -945,7 +952,7 @@ mod tests {
                 let to_me = transport.sender(&agent_addr(ME)).expect("sender");
                 let mut out = CoalescingOutbox::new(to_me, CoalesceConfig::default());
                 for frame in frames {
-                    let mut f = msg::open_mig_vertex(0, 0, 2);
+                    let mut f = msg::open_mig_vertex(1, 0, 0, 2);
                     for (key, [outs, ins]) in frame {
                         let head = MigVertex {
                             vertex: *key,

@@ -225,8 +225,8 @@ struct AgentRun {
     /// the barrier's settled-counters check.
     paused: bool,
     /// Highest dangling-redistribution round applied (async delta
-    /// runs); rounds arrive as `Phase::Apply` advances and a
-    /// retransmitting bus may repeat them.
+    /// runs); rounds arrive as `Phase::Apply` advances, which the lead
+    /// may repeat.
     dangling_round: u32,
     /// Records the last sync phase put on the wire, per destination,
     /// sorted by it; the phase's READY takes it.
@@ -364,11 +364,6 @@ pub struct Agent {
     migrated_epoch: u64,
     /// When [`Agent::on_tick`] last pushed METRICS, or the start.
     metrics_pushed: Instant,
-    /// Monotone READY sequence, so the lead can discard reports a
-    /// retransmitting transport delivered out of order. Never reset —
-    /// not even by recovery — or stale pre-reset reports could
-    /// outrank fresh ones.
-    ready_seq: u64,
     /// Event recorder (phase spans, view changes, migrations,
     /// recoveries). Disabled unless `cfg.tracing`; drained over the
     /// wire by TRACE_DUMP.
@@ -527,7 +522,6 @@ impl Agent {
             departing: false,
             migrated_epoch: 0,
             metrics_pushed: now,
-            ready_seq: 0,
             tracer,
             ckpt_store: None,
             loaded: FxHashMap::default(),

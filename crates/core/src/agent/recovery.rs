@@ -1,7 +1,7 @@
 //! The agent's clock and failure recovery: METRICS pushed to the
 //! directory once per heartbeat interval — the liveness signal the
 //! lead's failure detector watches — and the full-reset response to a
-//! peer's eviction.
+//! peer's eviction or a broken link.
 
 use super::*;
 
@@ -17,9 +17,10 @@ impl Agent {
         }
     }
 
-    /// A peer was declared dead. Exact count reconciliation is
-    /// impossible (records in flight to/from the dead agent are
-    /// unaccounted on one side), so recovery is a full reset: drop all
+    /// A peer was declared dead, or a link broke. Exact count
+    /// reconciliation is impossible (records in flight to/from the dead
+    /// agent, or on the link, are unaccounted on one side), so recovery
+    /// is a full reset: drop all
     /// graph state and channel counts, adopt the post-eviction view, and
     /// settle the recovery migrate-barrier trivially with zeroed
     /// counts. The driver then replays the retained change log and
@@ -32,9 +33,8 @@ impl Agent {
             return false;
         }
         if rec.epoch <= self.migrated_epoch {
-            // Duplicate broadcast (chaos transport, or the lead
-            // re-publishing an open barrier): already handled; resetting
-            // again would wipe state replayed since.
+            // The lead re-publishing an open barrier: already handled;
+            // resetting again would wipe state replayed since.
             return true;
         }
         let epoch = rec.epoch;
@@ -46,8 +46,10 @@ impl Agent {
         // Open frames hold records counted under the pre-reset regime;
         // pushing them now would unbalance the fresh channel table, so
         // they are discarded along with the stale senders, and so is a
-        // parked DRAIN: the lead asks again once the reset settles.
+        // parked DRAIN: the lead asks again once the reset settles. The
+        // reset rebuilds what a broken link lost, so none is reported.
         self.outboxes.discard();
+        self.outboxes.take_broken();
         self.channels.clear();
         self.told.clear();
         self.drain = None;
@@ -82,6 +84,7 @@ impl Agent {
 mod tests {
     use super::super::testkit::*;
     use super::*;
+    use elga_net::{FaultPlan, FaultyTransport, InProcTransport};
 
     /// On a virtual clock ticking every half interval, the directory
     /// gets exactly one METRICS push per whole interval, and none at the
@@ -101,5 +104,51 @@ mod tests {
             assert_eq!(metrics.len(), usize::from(whole), "tick {k}");
             assert!(metrics.iter().all(|m| m.agent == ME));
         }
+    }
+
+    /// A route to a member that breaks — here by another sender's frame
+    /// into the peer — is found at the agent's next flush: it counts the
+    /// broken link and pushes METRICS at once, with no send to that
+    /// peer and no heartbeat due; the next flush finds nothing new.
+    #[test]
+    fn a_broken_route_is_reported_at_the_next_flush() {
+        let inproc = Arc::new(InProcTransport::new());
+        let plan = FaultPlan::default().break_link(agent_addr(2), packet::VMSG, 1);
+        let faulty = Arc::new(FaultyTransport::new(inproc.clone(), plan, 0));
+        let nobody = Addr::inproc("nobody");
+        let directory = inproc.bind(&nobody).expect("bind");
+        let mailbox = faulty.bind(&agent_addr(ME)).expect("bind");
+        let dir_push = inproc.sender(&nobody).expect("sender");
+        let (cfg, view, now) = (
+            SystemConfig::default(),
+            view(3, &[ME, 2], &[]),
+            Instant::now(),
+        );
+        let mut agent = Agent::new(faulty.clone(), cfg, ME, mailbox, dir_push, view, now);
+        let reports = || {
+            let frames = std::iter::from_fn(|| directory.try_recv().ok().flatten());
+            frames
+                .filter_map(|d| AgentMetrics::decode(&d.frame))
+                .collect::<Vec<_>>()
+        };
+        agent.with_outbox(2, |out| out.send(Frame::signal(packet::OK)));
+        agent.on_idle();
+        assert!(reports().is_empty(), "an open route is no news");
+
+        let other = faulty.sender(&agent_addr(2)).expect("sender");
+        other.send(Frame::signal(packet::VMSG)).expect("accepted");
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !other.lost() {
+            assert!(Instant::now() < deadline, "the link never broke");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        agent.on_idle();
+        let told: Vec<_> = reports()
+            .iter()
+            .map(|m| (m.links_broken, m.epoch))
+            .collect();
+        assert_eq!(told, [(1, 3)]);
+        agent.on_idle();
+        assert!(reports().is_empty());
     }
 }

@@ -24,13 +24,13 @@ use crate::metrics::ClusterMetrics;
 use crate::msg::{self, packet, AgentInfo, Counters, DirectoryView, Message, RunInfo};
 use crate::program::{ProgramSpec, RunOptions};
 use crate::streamer::Streamer;
-use elga_ckpt::CheckpointStore;
+use elga_ckpt::{CheckpointStore, DiskFault};
 use elga_graph::types::EdgeChange;
 use elga_graph::ChangeLogStats;
 use elga_hash::AgentId;
 use elga_net::{
-    Addr, DiskFault, FaultPlan, FaultyTransport, Frame, InProcTransport, Mailbox, NetError,
-    ReliableTransport, Transport, TransportExt,
+    Addr, FaultPlan, FaultyTransport, Frame, InProcTransport, Mailbox, NetError, Transport,
+    TransportExt,
 };
 use elga_trace::{EventKind, TraceEvent, Tracer};
 use std::collections::HashMap;
@@ -92,10 +92,10 @@ impl ClusterBuilder {
     }
 
     /// Run the whole cluster over a fault-injecting transport seeded
-    /// for determinism. The chaos stack is `Reliable(Faulty(InProc))`:
-    /// the reliability layer (sequence numbers, acknowledgements,
-    /// retransmits) recovers every frame the fault layer drops,
-    /// duplicates, or delays — including its own acknowledgements.
+    /// for determinism, `Faulty(InProc)`: frames straggle by the plan's
+    /// delays, and a link it schedules to break loses what it holds,
+    /// as a TCP connection does. The agents that lose a link report it
+    /// and the lead answers with one recovery, as for a kill.
     pub fn chaos(mut self, plan: FaultPlan, seed: u64) -> Self {
         self.chaos = Some((plan, seed));
         self
@@ -130,18 +130,13 @@ impl ClusterBuilder {
 
     /// Assemble and start the cluster.
     pub fn build(self) -> Cluster {
+        let inproc = Arc::new(InProcTransport::new());
         let (transport, fault): (Arc<dyn Transport>, _) = match self.chaos {
             Some((plan, seed)) => {
-                let fault = Arc::new(FaultyTransport::new(
-                    Arc::new(InProcTransport::new()),
-                    plan,
-                    seed,
-                ));
-                let reliable =
-                    ReliableTransport::new(fault.clone()).expect("bind reliability ack mailbox");
-                (Arc::new(reliable), Some(fault))
+                let fault = Arc::new(FaultyTransport::new(inproc, plan, seed));
+                (fault.clone(), Some(fault))
             }
-            None => (Arc::new(InProcTransport::new()), None),
+            None => (inproc, None),
         };
         let master = master_addr();
         let mut handles = vec![directory::spawn_master(transport.clone(), master.clone())];
@@ -445,8 +440,8 @@ impl Cluster {
     }
 
     /// The fault-injection handle, when built with
-    /// [`ClusterBuilder::chaos`] (drive disconnects, read drop/dup
-    /// counts).
+    /// [`ClusterBuilder::chaos`] (drive disconnects, read what the
+    /// plan delayed and lost).
     pub fn fault(&self) -> Option<&Arc<FaultyTransport>> {
         self.fault.as_ref()
     }
@@ -1024,10 +1019,6 @@ impl Cluster {
             .unwrap_or_default();
         agg.agents_drained = drained;
         agg.partial = partial;
-        // The fault layer is driver-owned; agents never see drops.
-        if let Some(fault) = self.fault() {
-            agg.messages_dropped = fault.stats().dropped();
-        }
         // Recovery is driven from here, so its accounting is too — the
         // directory aggregate cannot know it.
         agg.recoveries = self.recovery.recoveries;

@@ -1,7 +1,8 @@
 //! System-wide configuration.
 
+use elga_ckpt::DiskFault;
 use elga_hash::{HashKind, LocatorConfig};
-use elga_net::{DiskFault, SendPolicy};
+use elga_net::SendPolicy;
 use std::path::PathBuf;
 use std::time::Duration;
 

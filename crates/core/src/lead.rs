@@ -392,13 +392,22 @@ impl Lead {
                     // departed totals.
                     let departing = self.departing.iter().any(|a| a.id == m.agent);
                     if self.view.addr_of(m.agent).is_some() || departing {
+                        // A link broken since the last reset: reset
+                        // again, evicting no one (DESIGN.md "A broken
+                        // link is a recovery").
+                        let told = self.metrics.get(&m.agent).map_or(0, |p| p.links_broken);
+                        let broke = m.links_broken > told && m.epoch >= self.counted_since;
                         self.metrics.insert(m.agent, m);
+                        if broke {
+                            self.recover(0);
+                        }
                     }
                 }
             }
             packet::GET_METRICS => {
                 let mut agg = ClusterMetrics {
                     agents: self.view.agents.len() as u64,
+                    epoch: self.view.epoch,
                     agents_recovered: self.agents_recovered,
                     quiesce_waves: self.quiesce_waves,
                     ..self.departed_metrics
@@ -459,19 +468,11 @@ impl Lead {
         self.effects.push(Effect::Reply(frame));
     }
 
-    /// Take in a barrier report and its rows. A retransmitting
-    /// transport can reorder pushes, so a report older than the one held
-    /// (by `seq`) is dropped rather than let overwrite a fresh one, and
-    /// one counted before the last recovery reset has no rows to give.
+    /// Take in a barrier report and its rows. An agent's reports come
+    /// in the order sent (one FIFO route); one counted before the last
+    /// recovery reset has no rows to give.
     fn on_ready(&mut self, rep: ReadyReport) {
         self.saw(rep.agent);
-        if self
-            .reports
-            .get(&rep.agent)
-            .is_some_and(|old| old.seq > rep.seq)
-        {
-            return;
-        }
         if rep.epoch >= self.counted_since {
             self.channels.report(rep.agent, &rep.rows);
         }
@@ -847,11 +848,13 @@ impl Lead {
     }
 
     /// Evict a dead agent — a member, or a departer that died draining
-    /// — and rewind the whole system.
+    /// — and rewind the whole system; `dead` 0 evicts no one, after a
+    /// broken link.
     ///
     /// Exact reconciliation is impossible after an unplanned loss:
-    /// records in flight to or from the dead agent are unaccounted
-    /// for, and its primary vertex state is gone. Instead survivors
+    /// records in flight to or from the dead agent, or on the broken
+    /// link, are unaccounted for, and a dead agent's primary vertex
+    /// state is gone. Instead survivors
     /// drop all graph state and zero their counts (so the fresh
     /// migrate barrier settles trivially), any active run is aborted,
     /// and the driver replays the retained change log before
@@ -909,7 +912,7 @@ impl Lead {
         self.tracer
             .instant_at(EventKind::RecoveryTrigger, self.now, self.view.epoch, dead);
         self.migrate_members = self.member_ids();
-        self.agents_recovered += 1;
+        self.agents_recovered += u64::from(dead != 0);
         let frame = msg::Recover {
             epoch: self.view.epoch,
             dead_agent: dead,
@@ -1369,7 +1372,6 @@ mod tests {
             active: 0,
             global_contrib: 0.0,
             n_primary: 0,
-            seq: 0,
             epoch: 0,
             sent: Vec::new(),
         }
@@ -2709,26 +2711,6 @@ mod tests {
         }
     }
 
-    /// A retransmitting transport can deliver an agent's READYs out of
-    /// order; the report with the higher `seq` stands.
-    #[test]
-    fn a_ready_with_a_lower_seq_never_replaces_a_newer_report() {
-        let mut lead = lead_with_agents();
-        let now = lead.now;
-        let newer = ReadyReport {
-            seq: 5,
-            active: 3,
-            ..ready(1, 0, 9, Phase::Apply, Vec::new())
-        };
-        lead.on_frame(now, &newer.encode());
-        let older = ReadyReport {
-            seq: 4,
-            ..ready(1, 0, 8, Phase::Scatter, Vec::new())
-        };
-        lead.on_frame(now, &older.encode());
-        assert_eq!(lead.reports[&1], newer);
-    }
-
     /// An async run of agents 1 and 2, released into event-driven
     /// execution; its advances have been taken off the queue.
     fn async_live() -> (Lead, u64) {
@@ -2754,29 +2736,28 @@ mod tests {
             vmsg_recv,
             ..Counters::default()
         };
-        let idle_with = |agent, epoch, seq, rows| ReadyReport {
-            seq,
+        let idle_with = |agent, epoch, rows| ReadyReport {
             rows,
             ..idle(agent, run, epoch)
         };
         lead.on_frame(
             lead.now,
-            &idle_with(1, epoch, 1, vec![(2, vmsg(3, 0))]).encode(),
+            &idle_with(1, epoch, vec![(2, vmsg(3, 0))]).encode(),
         );
         lead.on_frame(
             lead.now,
-            &idle_with(2, epoch - 1, 1, vec![(1, vmsg(0, 3))]).encode(),
+            &idle_with(2, epoch - 1, vec![(1, vmsg(0, 3))]).encode(),
         );
         assert!(lead.run.is_some(), "agent 2's report predates the view");
         lead.on_frame(
             lead.now,
-            &idle_with(2, epoch, 2, vec![(1, vmsg(0, 2))]).encode(),
+            &idle_with(2, epoch, vec![(1, vmsg(0, 2))]).encode(),
         );
         assert!(lead.run.is_some(), "a VMSG from 1 to 2 is in flight");
         assert!(advances(&mut lead).is_empty(), "nothing is probed");
         lead.on_frame(
             lead.now,
-            &idle_with(2, epoch, 3, vec![(1, vmsg(0, 3))]).encode(),
+            &idle_with(2, epoch, vec![(1, vmsg(0, 3))]).encode(),
         );
         let done = advances(&mut lead);
         assert_eq!(done.len(), 1);
@@ -2940,6 +2921,42 @@ mod tests {
         assert!(lead.member_ids().is_empty());
     }
 
+    /// A METRICS report whose `links_broken` rose, made under an epoch
+    /// no reset has closed, is itself the trigger — no tick: one RECOVER
+    /// at the next epoch that evicts no one. The same report again, or
+    /// another agent's rise reported under the epoch that reset closed,
+    /// triggers nothing.
+    #[test]
+    fn a_broken_link_report_recovers_once_without_an_eviction() {
+        let mut lead = lead_with_agents();
+        drained(&mut lead);
+        let (epoch, now) = (lead.view.epoch, lead.now);
+        let report = |lead: &mut Lead, agent, links_broken, epoch| {
+            let metrics = AgentMetrics {
+                agent,
+                epoch,
+                links_broken,
+                ..AgentMetrics::default()
+            };
+            lead.on_frame(now, &metrics.encode());
+            published(lead, packet::RECOVER)
+        };
+        let recovers = report(&mut lead, 1, 1, epoch);
+        let rec = msg::Recover::decode(&recovers[0]).unwrap();
+        assert_eq!(
+            (recovers.len(), rec.dead_agent, rec.epoch),
+            (1, 0, epoch + 1)
+        );
+        assert_eq!((lead.member_ids(), lead.agents_recovered), (vec![1, 2], 0));
+        assert!(report(&mut lead, 1, 1, epoch + 1).is_empty(), "repeated");
+        assert!(
+            report(&mut lead, 2, 1, epoch).is_empty(),
+            "closed by the reset"
+        );
+        assert_eq!(report(&mut lead, 2, 2, epoch + 1).len(), 1, "a later break");
+        assert_eq!(lead.view.epoch, epoch + 2);
+    }
+
     /// Drives a lead through random inputs on a virtual clock and
     /// checks, after each, the invariants its effects keep.
     struct Harness {
@@ -2947,8 +2964,6 @@ mod tests {
         now: Instant,
         /// Agents that ever joined; each id joins once.
         joined: Vec<AgentId>,
-        /// The last READY sequence number handed out.
-        seq: u64,
         /// Each agent's settled traffic so far (its `chg` pair).
         traffic: HashMap<AgentId, u64>,
         /// The last READY each agent sent.
@@ -2979,7 +2994,6 @@ mod tests {
                 epoch: lead.view.epoch,
                 lead,
                 joined: Vec::new(),
-                seq: 0,
                 traffic: HashMap::new(),
                 sent: HashMap::new(),
                 openers: HashMap::new(),
@@ -3065,7 +3079,6 @@ mod tests {
             let idle_round = lead.run.as_ref().is_some_and(|r| r.async_live) && step == 0;
             let traffic = self.traffic.entry(agent).or_default();
             *traffic += u64::from(b % 2);
-            self.seq += 1;
             let rep = ReadyReport {
                 agent,
                 run,
@@ -3082,7 +3095,6 @@ mod tests {
                 active: u64::from(b / 64),
                 global_contrib: 0.0,
                 n_primary: 1,
-                seq: self.seq,
                 epoch: lead.view.epoch,
                 sent: Vec::new(),
             };

@@ -287,6 +287,8 @@ metrics! {
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
     pub struct AgentMetrics: METRICS {
         agents: u64 = lead(agent, "The reporting agent.") => "agents" gauge "Registered agents.";
+        epoch: u64 = lead(epoch, "The view epoch the report was made under.")
+            => "view_epoch" gauge "The lead's view epoch.";
         queries: u64 = sum(queries) => "queries_total" counter "Client queries served.";
         changes: u64 = sum(changes) => "changes_total" counter "Edge-change records applied.";
         vmsgs: u64 = sum(vmsgs) => "vmsgs_total" counter
@@ -296,8 +298,8 @@ metrics! {
             => "max_step_nanos" gauge "Slowest agent's last superstep (ns).";
         retries_attempted: u64 = sum(retries_attempted) => "retries_total" counter
             "Transient failures retried.";
-        messages_dropped: u64 = driver => "messages_dropped_total" counter
-            "Frames dropped by an injected fault layer.";
+        links_broken: u64 = sum(links_broken) => "links_broken_total" counter
+            "Routes to a member found broken: they lost frames they had accepted.";
         agents_recovered: u64 = lead => "agents_recovered_total" counter
             "Agents evicted by failure detection.";
         agents_drained: u64 = driver => "agents_drained" gauge
@@ -391,6 +393,7 @@ mod tests {
     fn agent_metrics_roundtrip() {
         let m = AgentMetrics {
             agent: 3,
+            epoch: 4,
             queries: 10,
             changes: 20,
             vmsgs: 30,
@@ -416,6 +419,7 @@ mod tests {
             kernel_visits: 190,
             sweep_visits: 200,
             primaries: 210,
+            links_broken: 220,
             comms: CommsMetrics {
                 vmsg: PacketStat {
                     frames_sent: 1,
@@ -439,6 +443,7 @@ mod tests {
         };
         c.absorb(&AgentMetrics {
             agent: 1,
+            epoch: 5,
             queries: 5,
             changes: 1,
             vmsgs: 2,
@@ -464,6 +469,7 @@ mod tests {
             kernel_visits: 50,
             sweep_visits: 8,
             primaries: 12,
+            links_broken: 2,
             comms: CommsMetrics {
                 count_flushes: 4,
                 ..Default::default()
@@ -471,6 +477,7 @@ mod tests {
         });
         c.absorb(&AgentMetrics {
             agent: 2,
+            epoch: 5,
             queries: 7,
             changes: 0,
             vmsgs: 1,
@@ -496,12 +503,12 @@ mod tests {
             kernel_visits: 25,
             sweep_visits: 3,
             primaries: 14,
+            links_broken: 1,
             comms: CommsMetrics {
                 count_flushes: 5,
                 ..Default::default()
             },
         });
-        c.messages_dropped = 9;
         c.agents_recovered = 1;
         c.agents_drained = 2;
         c.partial = true;
@@ -526,6 +533,7 @@ mod tests {
         assert_eq!(c.kernel_visits, 75);
         assert_eq!(c.memo_fills, 11);
         assert_eq!((c.sweep_visits, c.primaries), (11, 26));
+        assert_eq!(c.links_broken, 3);
         // A departed agent keeps its counters in the totals; its
         // gauges leave with it.
         let before = c;

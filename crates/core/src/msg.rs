@@ -590,10 +590,11 @@ records_frames! {
     /// State broadcasts of a run's superstep, primary to replicas.
     STATE(run: u64, step: u32, from: AgentId) as StatesView: StateRecord =>
         append append_states, encode encode_states, decode decode_states;
-    /// Vertices moving to a new owner in a view change, under the
-    /// sender's serving-snapshot tag, which a joiner adopts with the
-    /// snaps that primary meta brings.
-    MIG_VERTEX(snap_run: u64, snap_watermark: u64, from: AgentId) as MigVertexView: MigVertex =>
+    /// Vertices moving to a new owner in a view change, swept under the
+    /// sender's view `epoch` (one from before the receiver's last
+    /// recovery reset is stale) and its serving-snapshot tag, which a
+    /// joiner adopts with the snaps that primary meta brings.
+    MIG_VERTEX(epoch: u64, snap_run: u64, snap_watermark: u64, from: AgentId) as MigVertexView: MigVertex =>
         open open_mig_vertex, decode decode_mig_vertex;
     /// `(vertex, out delta, in delta)` for the vertex's primary, which
     /// keeps its global degrees.
@@ -814,7 +815,7 @@ macro_rules! record_tuple {
     )*};
 }
 
-record_tuple!((A 0) (A 0, B 1) (A 0, B 1, C 2));
+record_tuple!((A 0) (A 0, B 1) (A 0, B 1, C 2) (A 0, B 1, C 2, D 3));
 
 /// `N` records back to back.
 impl<T: WireRecord, const N: usize> WireRecord for [T; N] {
@@ -1086,11 +1087,6 @@ wire! {
         pub global_contrib: f64,
         /// Vertices this agent is primary for.
         pub n_primary: u64,
-        /// Per-agent monotone report sequence. A retransmitting transport
-        /// can reorder pushes; the lead discards any report older than the
-        /// one it already holds, so a stale snapshot can never overwrite a
-        /// fresh one and wedge a barrier.
-        pub seq: u64,
         /// The reporter's adopted view epoch. Async idle reports are only
         /// trusted when this matches the lead's current epoch, so a report
         /// predating a mid-run migration can never settle the restarted
@@ -1677,7 +1673,6 @@ mod tests {
             active: 4,
             global_contrib: 0.125,
             n_primary: 77,
-            seq: 12,
             epoch: 6,
             sent: vec![(1, 7), (3, 1 << 40)],
         };
@@ -1770,7 +1765,6 @@ mod tests {
             active: 0,
             global_contrib: 0.0,
             n_primary: 3,
-            seq: 1,
             epoch: 2,
             sent: vec![(2, 6)],
         };
@@ -1799,7 +1793,7 @@ mod tests {
     /// Two records: a moving primary with its meta and both lists, and
     /// a meta-only handoff of async run state.
     fn sample_mig_vertex() -> Frame {
-        let mut f = open_mig_vertex(6, 11, 3);
+        let mut f = open_mig_vertex(2, 6, 11, 3);
         let head = MigVertex {
             vertex: 5,
             flags: MigVertex::HAS_STATE | MigVertex::META | MigVertex::IS_META,
@@ -1848,6 +1842,7 @@ mod tests {
         let f = sample_mig_vertex();
         let meta = |b: FrameBuilder, m: [u64; 6]| m.iter().fold(b, |b, &x| b.u64(x));
         let b = Frame::builder(packet::MIG_VERTEX)
+            .u64(2)
             .u64(6)
             .u64(11)
             .u64(3)
@@ -1858,7 +1853,10 @@ mod tests {
         let b = b.u64(9).u8(4 | 32).u64(0).u64(0).u64(0).u32(0).u32(0);
         assert_eq!(f, meta(b, [0, 0, 41, 2, 0, 0]).finish());
         let view = decode_mig_vertex(&f).unwrap();
-        assert_eq!((view.snap_run, view.snap_watermark, view.from), (6, 11, 3));
+        assert_eq!(
+            (view.epoch, view.snap_run, view.snap_watermark, view.from),
+            (2, 6, 11, 3)
+        );
         let read = |(head, tail): (MigVertex, &[u8])| {
             let (meta, out, inn) = head.read_tail(tail);
             (
@@ -1874,8 +1872,8 @@ mod tests {
             (9, Some(0), vec![], vec![]),
         ];
         assert_eq!(got, want);
-        let n_in_at = 1 + 24 + 4 + 8 + 1 + 24 + 4;
-        for (at, value) in [(n_in_at, 2u32), (n_in_at, u32::MAX), (25, 3)] {
+        let n_in_at = 1 + 32 + 4 + 8 + 1 + 24 + 4;
+        for (at, value) in [(n_in_at, 2u32), (n_in_at, u32::MAX), (33, 3)] {
             let mut lying = f.as_bytes().to_vec();
             lying[at..at + 4].copy_from_slice(&value.to_le_bytes());
             assert!(decode_mig_vertex(&Frame::from_bytes(lying.into())).is_none());

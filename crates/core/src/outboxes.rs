@@ -6,7 +6,10 @@
 //! FIFO, whatever the frame boundaries. One the transport refused is
 //! retired, its refused frames re-pushed in order under the send
 //! policy, and a fresh one cached once they all went; a peer that is
-//! really gone is left to failure detection.
+//! really gone is left to failure detection. One whose route lost
+//! frames it had accepted ([`CoalescingOutbox::lost`]) is retired the
+//! same way, and counted as a broken link ([`Outboxes::take_broken`]):
+//! what it lost only a recovery brings back.
 
 use crate::msg::DirectoryView;
 use elga_hash::{AgentId, FxHashMap};
@@ -54,6 +57,9 @@ pub(crate) struct Outboxes {
     /// Counters of the outboxes dropped since; [`Outboxes::totals`]
     /// adds the open ones.
     retired: CoalesceStats,
+    /// Broken routes retired since [`Outboxes::take_broken`] last took
+    /// them: retried ones to members, and any [`Outboxes::discard`] drops.
+    broken: u64,
 }
 
 impl Outboxes {
@@ -75,6 +81,7 @@ impl Outboxes {
             },
             open: FxHashMap::default(),
             retired: CoalesceStats::default(),
+            broken: 0,
         }
     }
 
@@ -104,14 +111,14 @@ impl Outboxes {
     }
 
     /// Close and push every open frame, retrying what the transport
-    /// refuses. Returns the retries taken.
+    /// refuses and retiring a broken route. Returns the retries taken.
     pub(crate) fn flush(&mut self, view: &DirectoryView) -> u64 {
         let failed: Vec<AgentId> = self
             .open
             .iter_mut()
             .filter_map(|(&agent, out)| {
                 out.flush();
-                out.has_failed().then_some(agent)
+                (out.has_failed() || out.lost()).then_some(agent)
             })
             .collect();
         failed
@@ -120,12 +127,18 @@ impl Outboxes {
             .sum()
     }
 
-    /// Drop every outbox, open frames unsent, keeping its counters.
-    /// Returns how many there were.
+    /// The broken routes counted since the last call.
+    pub(crate) fn take_broken(&mut self) -> u64 {
+        std::mem::take(&mut self.broken)
+    }
+
+    /// Drop every outbox, open frames unsent, keeping its counters and
+    /// counting the broken ones. Returns how many there were.
     pub(crate) fn discard(&mut self) -> usize {
         let n = self.open.len();
         for (_, out) in self.open.drain() {
             self.retired.absorb(out.stats());
+            self.broken += u64::from(out.lost());
         }
         n
     }
@@ -139,10 +152,10 @@ impl Outboxes {
         total
     }
 
-    /// Retire `agent`'s refused outbox, re-push its refused frames in
-    /// order to the address `view` gives, and cache a fresh outbox once
-    /// they all went. Returns one retry for the retirement plus the
-    /// re-pushes' backoffs.
+    /// Retire `agent`'s refused or broken outbox, re-push its refused
+    /// frames in order to the address `view` gives, and cache a fresh
+    /// outbox once they all went. Returns one retry for the retirement
+    /// plus the re-pushes' backoffs.
     fn retry(&mut self, agent: AgentId, view: &DirectoryView) -> u64 {
         let Some(mut dead) = self.open.remove(&agent) else {
             return 0;
@@ -153,6 +166,7 @@ impl Outboxes {
         let Some(addr) = view.addr_of(agent) else {
             return 1;
         };
+        self.broken += u64::from(dead.lost());
         let (transport, policy) = (&self.settings.transport, &self.settings.policy);
         let mut retries = 1;
         for frame in dead.take_failed() {

@@ -86,7 +86,7 @@ fn min_allocations(runs: usize, mut f: impl FnMut()) -> u64 {
 /// `n` moving vertices as one MIG_VERTEX frame, a meta on every
 /// other one and up to three ids on each side.
 fn mig_frame(n: u64) -> Frame {
-    let mut f = msg::open_mig_vertex(7, 3, 2);
+    let mut f = msg::open_mig_vertex(1, 7, 3, 2);
     for i in 0..n {
         let meta = (i % 2 == 0).then_some(MigMeta {
             out_degree: i % 7,

@@ -97,7 +97,6 @@ fn frames() -> Vec<(&'static str, Frame)> {
         active: 11,
         global_contrib: 0.125,
         n_primary: 12,
-        seq: 13,
         epoch: 14,
         sent: vec![(1, 7), (3, 1 << 40)],
     };
@@ -247,8 +246,8 @@ const GOLDEN: &[(&str, u8, &str)] = &[
          0001000000000000000200000000000000030000000000000004000000000000\
          0005000000000000000600000000000000070000000000000008000000000000\
          0009000000000000000a000000000000000b00000000000000000000000000c0\
-         3f0c000000000000000d000000000000000e0000000000000002000000010000\
-         0000000000070000000000000003000000000000000000000000010000",
+         3f0c000000000000000e00000000000000020000000100000000000000070000\
+         000000000003000000000000000000000000010000",
     ),
     (
         "advance",
@@ -418,32 +417,34 @@ fn control_frame_payloads_are_pinned() {
 fn agent_metrics() -> AgentMetrics {
     AgentMetrics {
         agent: 1,
-        queries: 2,
-        changes: 3,
-        vmsgs: 4,
-        edges: 5,
-        last_step_nanos: 6,
-        retries_attempted: 7,
-        owner_cache_hits: 8,
-        owner_cache_misses: 9,
-        scatter_nanos: 10,
-        combine_nanos: 11,
-        apply_nanos: 12,
-        decode_nanos: 13,
-        stale_frames: 14,
-        ckpt_writes: 15,
-        ckpt_write_nanos: 16,
-        ckpt_bytes: 17,
-        query_batches: 18,
-        subscriptions: 19,
-        sub_pushes: 20,
-        kernel_visits: 21,
-        comms: comms(21),
-        store_bytes: 53,
-        owner_cache_bytes: 54,
-        memo_fills: 55,
-        sweep_visits: 56,
-        primaries: 57,
+        epoch: 2,
+        queries: 3,
+        changes: 4,
+        vmsgs: 5,
+        edges: 6,
+        last_step_nanos: 7,
+        retries_attempted: 8,
+        links_broken: 9,
+        owner_cache_hits: 10,
+        owner_cache_misses: 11,
+        scatter_nanos: 12,
+        combine_nanos: 13,
+        apply_nanos: 14,
+        decode_nanos: 15,
+        stale_frames: 16,
+        ckpt_writes: 17,
+        ckpt_write_nanos: 18,
+        ckpt_bytes: 19,
+        query_batches: 20,
+        subscriptions: 21,
+        sub_pushes: 22,
+        kernel_visits: 23,
+        comms: comms(23),
+        store_bytes: 55,
+        owner_cache_bytes: 56,
+        memo_fills: 57,
+        sweep_visits: 58,
+        primaries: 59,
     }
 }
 
@@ -477,43 +478,44 @@ fn comms(base: u64) -> CommsMetrics {
 fn cluster_metrics() -> ClusterMetrics {
     ClusterMetrics {
         agents: 1,
-        queries: 2,
-        changes: 3,
-        vmsgs: 4,
-        edges: 5,
-        max_step_nanos: 6,
-        retries_attempted: 7,
-        messages_dropped: 8,
-        agents_recovered: 9,
-        agents_drained: 10,
+        epoch: 2,
+        queries: 3,
+        changes: 4,
+        vmsgs: 5,
+        edges: 6,
+        max_step_nanos: 7,
+        retries_attempted: 8,
+        links_broken: 9,
+        agents_recovered: 10,
+        agents_drained: 11,
         partial: true,
-        owner_cache_hits: 12,
-        owner_cache_misses: 13,
-        scatter_nanos: 14,
-        combine_nanos: 15,
-        apply_nanos: 16,
-        decode_nanos: 17,
-        stale_frames: 18,
-        ckpt_writes: 19,
-        ckpt_write_nanos: 20,
-        ckpt_bytes: 21,
-        recoveries: 22,
-        recovery_nanos: 23,
-        ckpt_restores: 24,
-        ckpt_restore_nanos: 25,
-        ckpt_fallbacks: 26,
-        replayed_records: 27,
-        query_batches: 28,
-        subscriptions: 29,
-        sub_pushes: 30,
-        kernel_visits: 31,
-        comms: comms(31),
-        store_bytes: 63,
-        owner_cache_bytes: 64,
-        memo_fills: 65,
-        sweep_visits: 66,
-        primaries: 67,
-        quiesce_waves: 68,
+        owner_cache_hits: 13,
+        owner_cache_misses: 14,
+        scatter_nanos: 15,
+        combine_nanos: 16,
+        apply_nanos: 17,
+        decode_nanos: 18,
+        stale_frames: 19,
+        ckpt_writes: 20,
+        ckpt_write_nanos: 21,
+        ckpt_bytes: 22,
+        recoveries: 23,
+        recovery_nanos: 24,
+        ckpt_restores: 25,
+        ckpt_restore_nanos: 26,
+        ckpt_fallbacks: 27,
+        replayed_records: 28,
+        query_batches: 29,
+        subscriptions: 30,
+        sub_pushes: 31,
+        kernel_visits: 32,
+        comms: comms(32),
+        store_bytes: 64,
+        owner_cache_bytes: 65,
+        memo_fills: 66,
+        sweep_visits: 67,
+        primaries: 68,
+        quiesce_waves: 69,
     }
 }
 
@@ -531,11 +533,11 @@ const METRICS: &str = "010000000000000002000000000000000300000000000000040000000
      2d000000000000002e000000000000002f000000000000003000000000000000\
      3100000000000000320000000000000033000000000000003400000000000000\
      3500000000000000360000000000000037000000000000003800000000000000\
-     3900000000000000";
+     39000000000000003a000000000000003b00000000000000";
 
 const GET_METRICS: &str = "0100000000000000020000000000000003000000000000000400000000000000\
      0500000000000000060000000000000007000000000000000800000000000000\
-     09000000000000000a00000000000000010c000000000000000d000000000000\
+     09000000000000000a000000000000000b00000000000000010d000000000000\
      000e000000000000000f00000000000000100000000000000011000000000000\
      0012000000000000001300000000000000140000000000000015000000000000\
      0016000000000000001700000000000000180000000000000019000000000000\
@@ -548,8 +550,9 @@ const GET_METRICS: &str = "01000000000000000200000000000000030000000000000004000
      0032000000000000003300000000000000340000000000000035000000000000\
      0036000000000000003700000000000000380000000000000039000000000000\
      003a000000000000003b000000000000003c000000000000003d000000000000\
-     003e000000000000003f0000000000000040000000000000004100000000000000\
-     420000000000000043000000000000004400000000000000";
+     003e000000000000003f00000000000000400000000000000041000000000000\
+     0042000000000000004300000000000000440000000000000045000000000000\
+     00";
 
 #[test]
 fn metrics_frames_are_pinned() {
@@ -590,145 +593,148 @@ fn prometheus_text_is_pinned() {
 const PROMETHEUS: &str = r#"# HELP elga_agents Registered agents.
 # TYPE elga_agents gauge
 elga_agents 1
+# HELP elga_view_epoch The lead's view epoch.
+# TYPE elga_view_epoch gauge
+elga_view_epoch 2
+# HELP elga_queries_total Client queries served.
+# TYPE elga_queries_total counter
+elga_queries_total 3
+# HELP elga_changes_total Edge-change records applied.
+# TYPE elga_changes_total counter
+elga_changes_total 4
+# HELP elga_vmsgs_total Vertex-message records delivered, after sender-side combining.
+# TYPE elga_vmsgs_total counter
+elga_vmsgs_total 5
+# HELP elga_edges Out-placement edges held.
+# TYPE elga_edges gauge
+elga_edges 6
+# HELP elga_max_step_nanos Slowest agent's last superstep (ns).
+# TYPE elga_max_step_nanos gauge
+elga_max_step_nanos 7
+# HELP elga_retries_total Transient failures retried.
+# TYPE elga_retries_total counter
+elga_retries_total 8
+# HELP elga_links_broken_total Routes to a member found broken: they lost frames they had accepted.
+# TYPE elga_links_broken_total counter
+elga_links_broken_total 9
+# HELP elga_agents_recovered_total Agents evicted by failure detection.
+# TYPE elga_agents_recovered_total counter
+elga_agents_recovered_total 10
 # HELP elga_agents_drained Agents drained into this aggregate.
 # TYPE elga_agents_drained gauge
-elga_agents_drained 10
+elga_agents_drained 11
 # HELP elga_metrics_partial 1 when at least one live agent could not be drained.
 # TYPE elga_metrics_partial gauge
 elga_metrics_partial 1
-# HELP elga_queries_total Client queries served.
-# TYPE elga_queries_total counter
-elga_queries_total 2
-# HELP elga_query_batches_total Batched multi-vertex query frames served.
-# TYPE elga_query_batches_total counter
-elga_query_batches_total 28
-# HELP elga_subscriptions Standing vertex subscriptions registered.
-# TYPE elga_subscriptions gauge
-elga_subscriptions 29
-# HELP elga_sub_pushes_total Subscription value-delta records pushed.
-# TYPE elga_sub_pushes_total counter
-elga_sub_pushes_total 30
-# HELP elga_changes_total Edge-change records applied.
-# TYPE elga_changes_total counter
-elga_changes_total 3
-# HELP elga_vmsgs_total Vertex-message records delivered, after sender-side combining.
-# TYPE elga_vmsgs_total counter
-elga_vmsgs_total 4
-# HELP elga_edges Out-placement edges held.
-# TYPE elga_edges gauge
-elga_edges 5
-# HELP elga_max_step_nanos Slowest agent's last superstep (ns).
-# TYPE elga_max_step_nanos gauge
-elga_max_step_nanos 6
-# HELP elga_retries_total Transient failures retried.
-# TYPE elga_retries_total counter
-elga_retries_total 7
-# HELP elga_messages_dropped_total Frames dropped by an injected fault layer.
-# TYPE elga_messages_dropped_total counter
-elga_messages_dropped_total 8
-# HELP elga_agents_recovered_total Agents evicted by failure detection.
-# TYPE elga_agents_recovered_total counter
-elga_agents_recovered_total 9
 # HELP elga_owner_cache_hits_total Owner-cache hits.
 # TYPE elga_owner_cache_hits_total counter
-elga_owner_cache_hits_total 12
+elga_owner_cache_hits_total 13
 # HELP elga_owner_cache_misses_total Owner-cache misses.
 # TYPE elga_owner_cache_misses_total counter
-elga_owner_cache_misses_total 13
+elga_owner_cache_misses_total 14
 # HELP elga_scatter_nanos_total Scatter-kernel wall time (ns).
 # TYPE elga_scatter_nanos_total counter
-elga_scatter_nanos_total 14
+elga_scatter_nanos_total 15
 # HELP elga_combine_nanos_total Combine-kernel wall time (ns).
 # TYPE elga_combine_nanos_total counter
-elga_combine_nanos_total 15
+elga_combine_nanos_total 16
 # HELP elga_apply_nanos_total Apply-kernel wall time (ns).
 # TYPE elga_apply_nanos_total counter
-elga_apply_nanos_total 16
-# HELP elga_kernel_visits_total Vertex entries visited by superstep kernels and summaries.
-# TYPE elga_kernel_visits_total counter
-elga_kernel_visits_total 31
+elga_apply_nanos_total 17
 # HELP elga_decode_nanos_total Data-plane receive-handler wall time (ns).
 # TYPE elga_decode_nanos_total counter
-elga_decode_nanos_total 17
+elga_decode_nanos_total 18
 # HELP elga_stale_frames_total Stale-run data-plane frames dropped.
 # TYPE elga_stale_frames_total counter
-elga_stale_frames_total 18
+elga_stale_frames_total 19
 # HELP elga_ckpt_writes_total Checkpoint shards durably written.
 # TYPE elga_ckpt_writes_total counter
-elga_ckpt_writes_total 19
+elga_ckpt_writes_total 20
 # HELP elga_ckpt_write_nanos_total Wall time writing checkpoint shards (ns).
 # TYPE elga_ckpt_write_nanos_total counter
-elga_ckpt_write_nanos_total 20
+elga_ckpt_write_nanos_total 21
 # HELP elga_ckpt_bytes_total Checkpoint payload bytes written.
 # TYPE elga_ckpt_bytes_total counter
-elga_ckpt_bytes_total 21
+elga_ckpt_bytes_total 22
 # HELP elga_recoveries_total End-to-end recoveries completed.
 # TYPE elga_recoveries_total counter
-elga_recoveries_total 22
+elga_recoveries_total 23
 # HELP elga_recovery_nanos_total End-to-end recovery wall time (ns).
 # TYPE elga_recovery_nanos_total counter
-elga_recovery_nanos_total 23
+elga_recovery_nanos_total 24
 # HELP elga_ckpt_restores_total Recoveries restored from a checkpoint.
 # TYPE elga_ckpt_restores_total counter
-elga_ckpt_restores_total 24
+elga_ckpt_restores_total 25
 # HELP elga_ckpt_restore_nanos_total Wall time restoring checkpoint shards (ns).
 # TYPE elga_ckpt_restore_nanos_total counter
-elga_ckpt_restore_nanos_total 25
+elga_ckpt_restore_nanos_total 26
 # HELP elga_ckpt_fallbacks_total Damaged checkpoint generations skipped.
 # TYPE elga_ckpt_fallbacks_total counter
-elga_ckpt_fallbacks_total 26
+elga_ckpt_fallbacks_total 27
 # HELP elga_replayed_records_total Change records replayed during recovery.
 # TYPE elga_replayed_records_total counter
-elga_replayed_records_total 27
+elga_replayed_records_total 28
+# HELP elga_query_batches_total Batched multi-vertex query frames served.
+# TYPE elga_query_batches_total counter
+elga_query_batches_total 29
+# HELP elga_subscriptions Standing vertex subscriptions registered.
+# TYPE elga_subscriptions gauge
+elga_subscriptions 30
+# HELP elga_sub_pushes_total Subscription value-delta records pushed.
+# TYPE elga_sub_pushes_total counter
+elga_sub_pushes_total 31
+# HELP elga_kernel_visits_total Vertex entries visited by superstep kernels and summaries.
+# TYPE elga_kernel_visits_total counter
+elga_kernel_visits_total 32
+elga_frames_sent_total{type="vmsg"} 33
+elga_bytes_sent_total{type="vmsg"} 34
+elga_frames_sent_total{type="partial"} 37
+elga_bytes_sent_total{type="partial"} 38
+elga_frames_sent_total{type="state"} 41
+elga_bytes_sent_total{type="state"} 42
+elga_frames_sent_total{type="edge_changes"} 45
+elga_bytes_sent_total{type="edge_changes"} 46
+elga_frames_sent_total{type="deg_delta"} 49
+elga_bytes_sent_total{type="deg_delta"} 50
+elga_frames_sent_total{type="migration"} 53
+elga_bytes_sent_total{type="migration"} 54
 # HELP elga_coalesce_size_flushes_total Coalescer flushes at the byte threshold.
 # TYPE elga_coalesce_size_flushes_total counter
-elga_coalesce_size_flushes_total 56
+elga_coalesce_size_flushes_total 57
 # HELP elga_coalesce_count_flushes_total Coalescer flushes at the record threshold.
 # TYPE elga_coalesce_count_flushes_total counter
-elga_coalesce_count_flushes_total 57
+elga_coalesce_count_flushes_total 58
 # HELP elga_coalesce_explicit_flushes_total Explicit phase-end coalescer flushes.
 # TYPE elga_coalesce_explicit_flushes_total counter
-elga_coalesce_explicit_flushes_total 58
+elga_coalesce_explicit_flushes_total 59
 # HELP elga_coalesce_switch_flushes_total Coalescer flushes forced by a type/header switch.
 # TYPE elga_coalesce_switch_flushes_total counter
-elga_coalesce_switch_flushes_total 59
+elga_coalesce_switch_flushes_total 60
 # HELP elga_backpressure_waits_total Sends that waited on in-flight credit.
 # TYPE elga_backpressure_waits_total counter
-elga_backpressure_waits_total 60
+elga_backpressure_waits_total 61
 # HELP elga_rx_pool_hits_total Receives served from an existing pooled batch buffer.
 # TYPE elga_rx_pool_hits_total counter
-elga_rx_pool_hits_total 61
+elga_rx_pool_hits_total 62
 # HELP elga_rx_pool_misses_total Receives that allocated a fresh batch buffer.
 # TYPE elga_rx_pool_misses_total counter
-elga_rx_pool_misses_total 62
-elga_frames_sent_total{type="vmsg"} 32
-elga_bytes_sent_total{type="vmsg"} 33
-elga_frames_sent_total{type="partial"} 36
-elga_bytes_sent_total{type="partial"} 37
-elga_frames_sent_total{type="state"} 40
-elga_bytes_sent_total{type="state"} 41
-elga_frames_sent_total{type="edge_changes"} 44
-elga_bytes_sent_total{type="edge_changes"} 45
-elga_frames_sent_total{type="deg_delta"} 48
-elga_bytes_sent_total{type="deg_delta"} 49
-elga_frames_sent_total{type="migration"} 52
-elga_bytes_sent_total{type="migration"} 53
+elga_rx_pool_misses_total 63
 # HELP elga_store_bytes Vertex store heap bytes: map capacity, adjacency lists and their indexes.
 # TYPE elga_store_bytes gauge
-elga_store_bytes 63
+elga_store_bytes 64
 # HELP elga_owner_cache_bytes Owner-memo heap bytes: map capacity and split placements.
 # TYPE elga_owner_cache_bytes gauge
-elga_owner_cache_bytes 64
+elga_owner_cache_bytes 65
 # HELP elga_memo_fills_total Edge-memo slots scatter filled through the owner cache, on the sides it fired.
 # TYPE elga_memo_fills_total counter
-elga_memo_fills_total 65
+elga_memo_fills_total 66
 # HELP elga_sweep_visits_total Vertex entries whose placement a view change's sweep decided.
 # TYPE elga_sweep_visits_total counter
-elga_sweep_visits_total 66
+elga_sweep_visits_total 67
 # HELP elga_primaries Primary vertices: the meta entries each agent's ring places on it.
 # TYPE elga_primaries gauge
-elga_primaries 67
+elga_primaries 68
 # HELP elga_quiesce_waves_total DRAIN fan-outs the lead sent to answer quiesce calls, one or more each.
 # TYPE elga_quiesce_waves_total counter
-elga_quiesce_waves_total 68
+elga_quiesce_waves_total 69
 "#;

@@ -46,10 +46,10 @@ fn mig_records(msgs: &[(u64, u64)]) -> Vec<Moving> {
         .collect()
 }
 
-/// `recs` written as one MIG_VERTEX frame of agent `from` under `(run,
-/// watermark)`.
+/// `recs` written as one MIG_VERTEX frame of agent `from` under epoch
+/// `run + 1` and `(run, watermark)`.
 fn mig_frame(run: u64, watermark: u64, from: u64, recs: &[Moving]) -> Frame {
-    let mut f = msg::open_mig_vertex(run, watermark, from);
+    let mut f = msg::open_mig_vertex(run.wrapping_add(1), run, watermark, from);
     for (head, meta, out, inn) in recs {
         let ids = out.iter().chain(inn);
         f.push(head, |tail| MigVertex::write_tail(tail, meta.as_ref(), ids));
@@ -188,7 +188,8 @@ fn rows(run: u64, step: u32, hop: u8, msgs: &[(u64, u64)]) -> Vec<(u8, Frame, Ch
         packet::MIG_VERTEX,
         mig_frame(run, watermark, from, &mig),
         check!(msg::decode_mig_vertex, mig, |v, w| {
-            (v.snap_run, v.snap_watermark, v.from) == (run, watermark, from)
+            (v.epoch, v.snap_run, v.snap_watermark, v.from)
+                == (run.wrapping_add(1), run, watermark, from)
                 && read_mig(v.records) == w
         }),
     ));
@@ -678,7 +679,6 @@ proptest! {
         active in any::<u64>(),
         contrib in any::<f64>(),
         n_primary in any::<u64>(),
-        seq in any::<u64>(),
         epoch in any::<u64>(),
         sent in prop::collection::vec((any::<u64>(), any::<u64>()), 0..9),
     ) {
@@ -703,7 +703,6 @@ proptest! {
             active,
             global_contrib: contrib,
             n_primary,
-            seq,
             epoch,
             sent,
         };
@@ -772,7 +771,7 @@ proptest! {
         };
         assert_round_trip(ReadyReport {
             agent: w[17], run: w[18], step: w[19] as u32, phase, rows: vec![(w[24], counters)],
-            active: w[20], global_contrib: x, n_primary: w[21], seq: w[22],
+            active: w[20], global_contrib: x, n_primary: w[21],
             epoch: w[23], sent: list.clone(),
         });
         assert_round_trip(Advance {
@@ -812,11 +811,11 @@ proptest! {
         let words = |b: elga_net::frame::FrameBuilder, n: usize| {
             w.iter().cycle().take(n).fold(b, |b, &x| b.u64(x))
         };
-        let agent = words(Frame::builder(packet::METRICS), 57).finish();
-        assert_round_trip(AgentMetrics::decode(&agent).expect("57 words"));
-        let cluster = words(Frame::builder(packet::GET_METRICS), 10).u8(u8::from(bit(10)));
+        let agent = words(Frame::builder(packet::METRICS), 59).finish();
+        assert_round_trip(AgentMetrics::decode(&agent).expect("59 words"));
+        let cluster = words(Frame::builder(packet::GET_METRICS), 11).u8(u8::from(bit(10)));
         let cluster = words(cluster, 57).finish();
-        assert_round_trip(ClusterMetrics::decode(&cluster).expect("67 words and a flag"));
+        assert_round_trip(ClusterMetrics::decode(&cluster).expect("68 words and a flag"));
     }
 
     /// The EMA autoscaler's target is always within bounds and the EMA

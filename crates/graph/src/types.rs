@@ -116,7 +116,7 @@ impl Batch {
         self.changes.is_empty()
     }
 
-    /// Every vertex touched by the batch, deduplicated. These are the
+    /// Every vertex touched by the batch, each once. These are the
     /// vertices a dynamic algorithm re-activates (§4.3: "only vertices
     /// directly modified in the batch are activated").
     pub fn touched_vertices(&self) -> Vec<VertexId> {
@@ -152,7 +152,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_touched_vertices_deduplicated_and_sorted() {
+    fn batch_touched_vertices_sorted_each_once() {
         let b = Batch::new(
             7,
             vec![

@@ -23,7 +23,7 @@ pub struct Ring {
     virtual_per_agent: u32,
     /// `(position, agent)` pairs sorted by position (ties by agent id).
     positions: Vec<(u64, AgentId)>,
-    /// Sorted, deduplicated agent ids.
+    /// Agent ids, sorted, each once.
     agents: Vec<AgentId>,
 }
 

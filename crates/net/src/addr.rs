@@ -59,6 +59,17 @@ impl Addr {
             Addr::Tcp(a) => Some(*a),
         }
     }
+
+    /// FNV-1a over the display form: stable across runs and processes,
+    /// so it seeds an address's streams (fault delays, retry jitter).
+    pub(crate) fn stable_hash(&self) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for b in self.to_string().bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+        h
+    }
 }
 
 impl fmt::Display for Addr {

@@ -302,6 +302,11 @@ impl CoalescingOutbox {
         !self.failed.is_empty()
     }
 
+    /// Whether the route lost frames it had accepted ([`Outbox::lost`]).
+    pub fn lost(&self) -> bool {
+        self.outbox.lost()
+    }
+
     fn flush_open(&mut self) {
         let Some(mut open) = self.open.take() else {
             return;

@@ -1,62 +1,79 @@
 //! Fault injection below the [`Transport`] trait.
 //!
-//! [`FaultyTransport`] wraps any backend and perturbs point-to-point
-//! traffic according to a seeded [`FaultPlan`]: messages may be
-//! dropped, delayed, or duplicated, and whole endpoints can be cut off
-//! to simulate a crashed peer. Because the faults are injected *below*
-//! the trait, the in-process and TCP backends are exercised through
-//! exactly the same chaos machinery, and a fixed seed makes every run
-//! deterministic for a given interleaving of sends per route.
+//! [`FaultyTransport`] wraps any backend and perturbs its
+//! point-to-point traffic the way TCP can, by a [`FaultPlan`]. Every
+//! frame may be delayed, from a seeded stream per route: routes
+//! overtake one another, but each stays FIFO. A route *breaks* where
+//! the plan schedules it ([`LinkBreak`]) or on a push to a destination
+//! [`FaultyTransport::disconnect`] cut: like a TCP connection that
+//! resets, it loses the frames it holds, flags its outbox
+//! ([`Outbox::lost`]) and refuses every later send, so the sender
+//! reopens it with a fresh [`Transport::sender`]. Nothing is rolled
+//! but the delays, so a failing case replays from its plan and seed.
+//! The in-process and TCP backends go through the same machinery.
 //!
 //! Scope: faults apply to PUSH (`sender`) and REQ (`request`) traffic —
 //! the data plane. PUB/SUB subscriptions (`subscribe` /
 //! `subscribe_forward`) pass through unfaulted: the bus carries
 //! low-rate control broadcasts (views, barrier advances, shutdown) and
 //! ElGA's correctness argument assumes the directory broadcast channel
-//! is reliable, so chaos is focused on the high-volume vertex/edge
-//! traffic where loss actually happens in practice.
+//! is reliable.
 
 use crate::addr::Addr;
 use crate::frame::Frame;
 use crate::transport::{Delivery, Mailbox, NetError, Outbox, Publisher, Transport};
-use crossbeam::channel::{unbounded, RecvTimeoutError};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Fault parameters for one route (one destination address).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RouteFault {
-    /// Probability in `[0, 1]` that a pushed frame is silently dropped.
-    pub drop: f64,
-    /// Probability in `[0, 1]` that a pushed frame is delivered twice.
-    pub duplicate: f64,
+/// What a [`FaultyTransport`] does to the traffic it carries.
+#[derive(Debug, Clone, Default)]
+pub struct FaultPlan {
     /// Lower bound of the uniform per-frame delivery delay.
     pub delay_min: Duration,
-    /// Upper bound of the uniform per-frame delivery delay.
+    /// Upper bound of the uniform per-frame delivery delay; zero
+    /// delays nothing.
     pub delay_max: Duration,
+    /// The link break the plan schedules, if any.
+    pub link_break: Option<LinkBreak>,
 }
 
-impl Default for RouteFault {
-    fn default() -> Self {
+/// A scheduled link break: when the `nth` frame (counting from 1) of
+/// packet kind `kind` is pushed toward `to`, over whichever route,
+/// every route then open into `to` breaks. It happens once.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LinkBreak {
+    /// The destination whose link breaks.
+    pub to: Addr,
+    /// The packet kind whose frames are counted.
+    pub kind: u8,
+    /// The frame that breaks it.
+    pub nth: u64,
+}
+
+impl FaultPlan {
+    /// A plan that delays every frame and request uniformly in
+    /// `[min, max)`.
+    pub fn delays(min: Duration, max: Duration) -> Self {
         Self {
-            drop: 0.0,
-            duplicate: 0.0,
-            delay_min: Duration::ZERO,
-            delay_max: Duration::ZERO,
+            delay_min: min,
+            delay_max: max,
+            link_break: None,
         }
     }
-}
 
-impl RouteFault {
-    fn delays(&self) -> bool {
-        self.delay_max > Duration::ZERO
+    /// Schedule the link into `to` to break at its `nth` frame of
+    /// packet kind `kind` ([`LinkBreak`]).
+    pub fn break_link(mut self, to: Addr, kind: u8, nth: u64) -> Self {
+        self.link_break = Some(LinkBreak { to, kind, nth });
+        self
     }
 
-    fn is_benign(&self) -> bool {
-        *self == Self::default()
+    fn delays_frames(&self) -> bool {
+        self.delay_max > Duration::ZERO
     }
 
     fn sample_delay(&self, rng: &mut SplitMix64) -> Duration {
@@ -65,73 +82,32 @@ impl RouteFault {
     }
 }
 
-/// A plan describing which faults to inject where.
-///
-/// The base fault applies to every route; `per_route` entries override
-/// the base for specific destination addresses.
-#[derive(Debug, Clone, Default)]
-pub struct FaultPlan {
-    /// Fault applied to every route without a more specific entry.
-    pub base: RouteFault,
-    /// Per-destination overrides, matched by exact address.
-    pub per_route: Vec<(Addr, RouteFault)>,
-}
-
-impl FaultPlan {
-    /// A plan that drops/dups/delays uniformly on every route.
-    pub fn uniform(drop: f64, duplicate: f64, delay_min: Duration, delay_max: Duration) -> Self {
-        Self {
-            base: RouteFault {
-                drop,
-                duplicate,
-                delay_min,
-                delay_max,
-            },
-            per_route: Vec::new(),
-        }
-    }
-
-    /// Override the fault parameters for one destination address.
-    pub fn route(mut self, addr: Addr, fault: RouteFault) -> Self {
-        self.per_route.push((addr, fault));
-        self
-    }
-
-    fn for_addr(&self, addr: &Addr) -> RouteFault {
-        self.per_route
-            .iter()
-            .find(|(a, _)| a == addr)
-            .map(|(_, f)| *f)
-            .unwrap_or(self.base)
-    }
-}
-
 /// Counters describing what the fault layer actually did.
 #[derive(Debug, Default)]
 pub struct FaultStats {
-    dropped: AtomicU64,
-    duplicated: AtomicU64,
     delayed: AtomicU64,
+    broken: AtomicU64,
+    lost: AtomicU64,
     rejected: AtomicU64,
 }
 
 impl FaultStats {
-    /// Frames silently discarded.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Frames delivered twice.
-    pub fn duplicated(&self) -> u64 {
-        self.duplicated.load(Ordering::Relaxed)
-    }
-
-    /// Frames whose delivery was artificially delayed.
+    /// Frames and requests whose delivery was artificially delayed.
     pub fn delayed(&self) -> u64 {
         self.delayed.load(Ordering::Relaxed)
     }
 
-    /// Sends/requests refused because the destination was cut.
+    /// Routes a scheduled break or a cut broke.
+    pub fn broken(&self) -> u64 {
+        self.broken.load(Ordering::Relaxed)
+    }
+
+    /// Frames a broken route had accepted and lost.
+    pub fn lost(&self) -> u64 {
+        self.lost.load(Ordering::Relaxed)
+    }
+
+    /// Requests refused because the destination was cut.
     pub fn rejected(&self) -> u64 {
         self.rejected.load(Ordering::Relaxed)
     }
@@ -174,59 +150,23 @@ impl SplitMix64 {
     }
 }
 
-/// Storage-fault parameters for checkpoint writes — the disk analog of
-/// [`RouteFault`]. Probabilities are rolled once per file write from a
-/// seeded [`SplitMix64`], so a fixed seed makes the fault sequence on a
-/// given writer deterministic.
+/// The scheduled break's count, shared by the routes into its
+/// destination.
+#[derive(Default)]
+struct Schedule {
+    /// Frames of the break's kind pushed toward its destination so far.
+    seen: u64,
+    /// The lost flags of the routes open into it, until it breaks.
+    routes: Vec<Arc<AtomicBool>>,
+}
+
+/// A decorator that injects a [`FaultPlan`] into any [`Transport`].
 ///
-/// Faults model a *lying* disk: the writer is not told its file is
-/// damaged, exactly as a powered-off drive cache or a crash between
-/// `write` and `fsync` behaves. The damage is only discoverable by
-/// reading the file back and checking its length and checksum, which is
-/// precisely what the checkpoint commit scrub and the restore-time
-/// validation do.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct DiskFault {
-    /// Probability in `[0, 1]` that a write is torn: only a prefix of
-    /// the bytes reaches the file (a crash mid-write).
-    pub torn_write: f64,
-    /// Probability in `[0, 1]` that one byte of the written file is
-    /// flipped (silent media corruption).
-    pub corrupt: f64,
-}
-
-impl DiskFault {
-    /// A plan that tears and corrupts with the given probabilities.
-    pub fn new(torn_write: f64, corrupt: f64) -> Self {
-        Self {
-            torn_write,
-            corrupt,
-        }
-    }
-
-    /// True when no fault can ever fire.
-    pub fn is_benign(&self) -> bool {
-        self.torn_write <= 0.0 && self.corrupt <= 0.0
-    }
-}
-
-fn addr_hash(addr: &Addr) -> u64 {
-    // FNV-1a over the display form: stable across runs and processes.
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in addr.to_string().bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-/// A decorator that injects seeded faults into any [`Transport`].
-///
-/// Each route (destination address) gets its own PRNG stream seeded
-/// from `seed ^ hash(addr)`, so the fault sequence on a route depends
-/// only on the seed and the order of sends *on that route* — not on
-/// when other routes were created or used. Requests to a destination
-/// draw from a stream of their own, which each request advances.
+/// Each route (destination address) draws its delays from its own
+/// stream seeded from `seed ^ hash(addr)`, so they depend only on the
+/// seed and the order of sends *on that route*. Requests to a
+/// destination draw from a stream of their own, which each request
+/// advances.
 pub struct FaultyTransport {
     inner: Arc<dyn Transport>,
     plan: FaultPlan,
@@ -234,6 +174,7 @@ pub struct FaultyTransport {
     stats: Arc<FaultStats>,
     cut: Arc<Mutex<HashSet<Addr>>>,
     requests: Mutex<HashMap<Addr, SplitMix64>>,
+    schedule: Arc<Mutex<Schedule>>,
 }
 
 impl FaultyTransport {
@@ -246,6 +187,7 @@ impl FaultyTransport {
             stats: Arc::new(FaultStats::default()),
             cut: Arc::new(Mutex::new(HashSet::new())),
             requests: Mutex::new(HashMap::new()),
+            schedule: Arc::default(),
         }
     }
 
@@ -254,144 +196,166 @@ impl FaultyTransport {
         self.stats.clone()
     }
 
-    /// Simulate a crashed peer: all subsequent sends and requests to
-    /// `addr` fail (requests with [`NetError::Disconnected`], pushes by
-    /// silent discard, which is what a crashed TCP peer looks like to a
-    /// PUSH socket).
-    ///
-    /// Note: outboxes created by [`Transport::sender`] *before* the cut
-    /// honor it only if their route carries a non-benign fault (benign
-    /// routes hand out the raw inner outbox for speed).
+    /// Cut `addr` off, as a crashed host is: requests to it fail with
+    /// [`NetError::Disconnected`], and a push to it breaks its route.
     pub fn disconnect(&self, addr: &Addr) {
         self.cut.lock().insert(addr.clone());
     }
 
-    /// Undo [`FaultyTransport::disconnect`].
+    /// Undo [`FaultyTransport::disconnect`]; broken routes stay broken.
     pub fn reconnect(&self, addr: &Addr) {
         self.cut.lock().remove(addr);
     }
 
-    fn is_cut(&self, addr: &Addr) -> bool {
-        self.cut.lock().contains(addr)
-    }
-
     /// Let one REQ to `addr` meet the plan: `Disconnected` when the
-    /// destination is cut, `Timeout` when the request is dropped (the
-    /// caller owes the wait a lost request costs), otherwise the delay
-    /// to sleep before forwarding it. REQ/REP is at-most-once by
-    /// construction (one reply channel), so duplication does not
-    /// apply; a dropped request surfaces as a timeout the retry layer
-    /// must absorb.
-    fn roll_request(&self, addr: &Addr) -> Result<Duration, NetError> {
-        if self.is_cut(addr) {
+    /// destination is cut, otherwise the delay to sleep before
+    /// forwarding it.
+    fn request_delay(&self, addr: &Addr) -> Result<Duration, NetError> {
+        if self.cut.lock().contains(addr) {
             self.stats.rejected.fetch_add(1, Ordering::Relaxed);
             return Err(NetError::Disconnected);
         }
-        let fault = self.plan.for_addr(addr);
+        if !self.plan.delays_frames() {
+            return Ok(Duration::ZERO);
+        }
         let mut streams = self.requests.lock();
         let rng = streams
             .entry(addr.clone())
-            .or_insert_with(|| SplitMix64::new(self.seed ^ addr_hash(addr).rotate_left(17)));
-        if fault.drop > 0.0 && rng.next_f64() < fault.drop {
-            self.stats.dropped.fetch_add(1, Ordering::Relaxed);
-            return Err(NetError::Timeout);
-        }
-        if !fault.delays() {
-            return Ok(Duration::ZERO);
-        }
+            .or_insert_with(|| SplitMix64::new(self.seed ^ addr.stable_hash().rotate_left(17)));
         self.stats.delayed.fetch_add(1, Ordering::Relaxed);
-        Ok(fault.sample_delay(rng))
+        Ok(self.plan.sample_delay(rng))
     }
 }
 
-/// How long a dropped request keeps its caller waiting at most: the
-/// stand-in for the timeout a really lost request would run into.
-const DROPPED_REQ_WAIT: Duration = Duration::from_millis(10);
+/// One route's relay thread: it takes the sender's frames off `rx` and
+/// hands each to the inner outbox once its delay is up.
+struct Relay {
+    dest: Addr,
+    rx: Receiver<Delivery>,
+    inner: Outbox,
+    /// The route's broken flag: its outbox's [`Outbox::lost`].
+    lost: Arc<AtomicBool>,
+    plan: FaultPlan,
+    rng: SplitMix64,
+    stats: Arc<FaultStats>,
+    cut: Arc<Mutex<HashSet<Addr>>>,
+    schedule: Arc<Mutex<Schedule>>,
+}
+
+impl Relay {
+    /// Whether `frame` breaks the route: its destination is cut, or it
+    /// is the scheduled break's frame, which breaks every route open
+    /// into the destination.
+    fn breaks(&self, frame: &Frame) -> bool {
+        if self.cut.lock().contains(&self.dest) {
+            self.stats.broken.fetch_add(1, Ordering::Relaxed);
+            return true;
+        }
+        let Some(at) = (self.plan.link_break.as_ref())
+            .filter(|b| b.to == self.dest && b.kind == frame.packet_type())
+        else {
+            return false;
+        };
+        let mut schedule = self.schedule.lock();
+        schedule.seen += 1;
+        if schedule.seen != at.nth {
+            return false;
+        }
+        for route in schedule.routes.drain(..) {
+            route.store(true, Ordering::Release);
+            self.stats.broken.fetch_add(1, Ordering::Relaxed);
+        }
+        true
+    }
+
+    /// Delays are sampled when a frame *arrives* and delivery is due at
+    /// `arrival + delay`, so delays on different frames overlap (a
+    /// per-frame sleep would model a slow link, not latency); frames
+    /// leave in arrival order, so the route stays FIFO. Once the route
+    /// is broken, what it holds is lost, and returning drops `rx`, which
+    /// refuses every later send.
+    fn run(mut self) {
+        let mut pending: VecDeque<(Instant, Delivery)> = VecDeque::new();
+        while !self.lost.load(Ordering::Acquire) {
+            let now = Instant::now();
+            while pending.front().is_some_and(|(due, _)| *due <= now) {
+                let (_, d) = pending.pop_front().expect("checked front");
+                if self.inner.tx.send(d).is_err() {
+                    return;
+                }
+            }
+            let next = match pending.front() {
+                Some((due, _)) => self.rx.recv_timeout(due.saturating_duration_since(now)),
+                None => self.rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+            };
+            let d = match next {
+                Ok(d) => d,
+                Err(RecvTimeoutError::Timeout) => continue,
+                Err(RecvTimeoutError::Disconnected) => return self.finish(pending),
+            };
+            let mut due = Instant::now();
+            if self.breaks(&d.frame) {
+                self.lost.store(true, Ordering::Release);
+            } else if self.plan.delays_frames() {
+                due += self.plan.sample_delay(&mut self.rng);
+                self.stats.delayed.fetch_add(1, Ordering::Relaxed);
+            }
+            pending.push_back((due, d));
+        }
+        self.stats
+            .lost
+            .fetch_add(pending.len() as u64, Ordering::Relaxed);
+    }
+
+    /// Deliver `pending` on schedule after the sender went away, unless
+    /// the route breaks meanwhile.
+    fn finish(self, mut pending: VecDeque<(Instant, Delivery)>) {
+        while !self.lost.load(Ordering::Acquire) {
+            let Some((due, d)) = pending.pop_front() else {
+                return;
+            };
+            std::thread::sleep(due.saturating_duration_since(Instant::now()));
+            if self.inner.tx.send(d).is_err() {
+                return;
+            }
+        }
+        self.stats
+            .lost
+            .fetch_add(pending.len() as u64, Ordering::Relaxed);
+    }
+}
 
 impl Transport for FaultyTransport {
     fn bind(&self, addr: &Addr) -> Result<Mailbox, NetError> {
         self.inner.bind(addr)
     }
 
+    /// Every route gets a relay, so a break or a cut reaches all of
+    /// them.
     fn sender(&self, addr: &Addr) -> Result<Outbox, NetError> {
-        let fault = self.plan.for_addr(addr);
-        if fault.is_benign() {
-            // Nothing to inject on this route: hand out the raw outbox.
-            return self.inner.sender(addr);
-        }
-        let inner_out = self.inner.sender(addr)?;
+        let inner = self.inner.sender(addr)?;
         let (tx, rx) = unbounded::<Delivery>();
-        let mut rng = SplitMix64::new(self.seed ^ addr_hash(addr));
-        let stats = self.stats.clone();
-        let cut = self.cut.clone();
-        let dest = addr.clone();
-        std::thread::spawn(move || {
-            // Faults are rolled when a frame *arrives* and delivery is
-            // scheduled for `arrival + delay`, so delays on different
-            // frames overlap. Sleeping in-line per frame would cap the
-            // route's throughput at 1/mean-delay and congest under
-            // load, which is not the fault being modelled: the model
-            // is per-frame latency, not a slow link.
-            let mut pending: VecDeque<(Instant, Delivery)> = VecDeque::new();
-            'relay: loop {
-                let now = Instant::now();
-                while pending.front().is_some_and(|(due, _)| *due <= now) {
-                    let (_, d) = pending.pop_front().expect("checked front");
-                    if inner_out.tx.send(d).is_err() {
-                        break 'relay;
-                    }
-                }
-                let d = match pending.front() {
-                    Some((due, _)) => {
-                        let wait = due.saturating_duration_since(Instant::now());
-                        match rx.recv_timeout(wait) {
-                            Ok(d) => d,
-                            Err(RecvTimeoutError::Timeout) => continue,
-                            Err(RecvTimeoutError::Disconnected) => break,
-                        }
-                    }
-                    None => match rx.recv() {
-                        Ok(d) => d,
-                        Err(_) => break,
-                    },
-                };
-                if cut.lock().contains(&dest) {
-                    stats.rejected.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                if fault.drop > 0.0 && rng.next_f64() < fault.drop {
-                    stats.dropped.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                let mut due = Instant::now();
-                if fault.delays() {
-                    due += fault.sample_delay(&mut rng);
-                    stats.delayed.fetch_add(1, Ordering::Relaxed);
-                }
-                let dup = fault.duplicate > 0.0 && rng.next_f64() < fault.duplicate;
-                let frame = d.frame.clone();
-                // push_back keeps arrival order, so the route stays
-                // FIFO (a later frame never overtakes an earlier one,
-                // it just inherits at most the head's residual delay).
-                pending.push_back((due, d));
-                if dup {
-                    stats.duplicated.fetch_add(1, Ordering::Relaxed);
-                    pending.push_back((due, Delivery::push(frame)));
-                }
-            }
-            // Senders are gone; flush what is already scheduled so the
-            // tail of a burst is not silently lost on shutdown.
-            for (due, d) in pending {
-                let wait = due.saturating_duration_since(Instant::now());
-                if !wait.is_zero() {
-                    std::thread::sleep(wait);
-                }
-                if inner_out.tx.send(d).is_err() {
-                    break;
-                }
-            }
-        });
-        Ok(Outbox { tx, stats: None })
+        let lost = Arc::new(AtomicBool::new(false));
+        if self.plan.link_break.as_ref().is_some_and(|b| b.to == *addr) {
+            self.schedule.lock().routes.push(lost.clone());
+        }
+        let relay = Relay {
+            dest: addr.clone(),
+            rx,
+            inner,
+            lost: lost.clone(),
+            plan: self.plan.clone(),
+            rng: SplitMix64::new(self.seed ^ addr.stable_hash()),
+            stats: self.stats.clone(),
+            cut: self.cut.clone(),
+            schedule: self.schedule.clone(),
+        };
+        std::thread::spawn(move || relay.run());
+        Ok(Outbox {
+            tx,
+            stats: None,
+            lost: Some(lost),
+        })
     }
 
     fn request(&self, addr: &Addr, frame: Frame, timeout: Duration) -> Result<Frame, NetError> {
@@ -400,52 +364,28 @@ impl Transport for FaultyTransport {
     }
 
     /// Each request meets the plan on its own: a cut destination is
-    /// `Disconnected` and a dropped request a `Timeout` for that slot
-    /// only. The survivors are forwarded to
+    /// `Disconnected` for that slot only. The others are forwarded to
     /// the inner backend in one call, after the largest of their
     /// sampled delays has been slept once (their delays overlap, as
-    /// the requests do); a call that lost a request returns no sooner
-    /// than 10 ms (or `timeout`, if shorter), the wait a lost request costs.
+    /// the requests do).
     fn request_all(
         &self,
         requests: &[(&Addr, Frame)],
         timeout: Duration,
     ) -> Vec<Result<Frame, NetError>> {
-        let start = Instant::now();
-        // A forwarded slot is overwritten by the inner backend's reply.
-        let mut results: Vec<Result<Frame, NetError>> =
-            requests.iter().map(|_| Err(NetError::Timeout)).collect();
-        let mut forwarded = Vec::new();
-        let mut delay = Duration::ZERO;
-        let mut lost = false;
-        for (i, (addr, _)) in requests.iter().enumerate() {
-            match self.roll_request(addr) {
-                Ok(d) => {
-                    delay = delay.max(d);
-                    forwarded.push(i);
-                }
-                Err(e) => {
-                    lost |= matches!(e, NetError::Timeout);
-                    results[i] = Err(e);
-                }
-            }
-        }
-        std::thread::sleep(delay);
-        let survivors: Vec<_> = forwarded.iter().map(|&i| requests[i].clone()).collect();
-        for (i, reply) in forwarded
-            .into_iter()
-            .zip(self.inner.request_all(&survivors, timeout))
-        {
-            results[i] = reply;
-        }
-        if lost {
-            std::thread::sleep(
-                timeout
-                    .min(DROPPED_REQ_WAIT)
-                    .saturating_sub(start.elapsed()),
-            );
-        }
-        results
+        let delays: Vec<_> = requests
+            .iter()
+            .map(|(a, _)| self.request_delay(a))
+            .collect();
+        std::thread::sleep(delays.iter().flatten().max().copied().unwrap_or_default());
+        let forwarded: Vec<_> = (requests.iter().zip(&delays))
+            .filter(|(_, d)| d.is_ok())
+            .map(|(r, _)| r.clone())
+            .collect();
+        let mut replies = self.inner.request_all(&forwarded, timeout).into_iter();
+        (delays.into_iter())
+            .map(|d| d.and_then(|_| replies.next().expect("a reply per forwarded request")))
+            .collect()
     }
 
     fn bind_publisher(&self, addr: &Addr) -> Result<Publisher, NetError> {
@@ -477,34 +417,86 @@ mod tests {
         FaultyTransport::new(Arc::new(InProcTransport::new()), plan, seed)
     }
 
-    fn drain(mb: &Mailbox, wait: Duration) -> usize {
-        let mut n = 0;
-        while mb.recv_timeout(wait).is_ok() {
-            n += 1;
-        }
-        n
+    fn drain(mb: &Mailbox, wait: Duration) -> Vec<u64> {
+        std::iter::from_fn(|| mb.recv_timeout(wait).ok())
+            .map(|d| d.frame.reader().u64().expect("a numbered frame"))
+            .collect()
     }
 
+    fn numbered(k: u64) -> Frame {
+        Frame::builder(1).u64(k).finish()
+    }
+
+    /// Poll `done` for up to five seconds.
+    fn soon(done: impl Fn() -> bool) -> bool {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !done() {
+            if Instant::now() > deadline {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        true
+    }
+
+    /// A scheduled break is exact, run after run: the route into `sink`
+    /// delivers the frames before the 5th, loses that one and refuses
+    /// sends after it; the other route open into `sink` reads lost too
+    /// and delivers nothing more; a route elsewhere delivers.
     #[test]
-    fn drops_are_seeded_and_deterministic() {
-        let counts: Vec<usize> = (0..2)
-            .map(|_| {
-                let t = chaos(
-                    FaultPlan::uniform(0.3, 0.0, Duration::ZERO, Duration::ZERO),
-                    42,
+    fn a_scheduled_break_loses_the_same_frames_on_every_run() {
+        for _ in 0..2 {
+            let (sink, other) = (Addr::inproc("sink"), Addr::inproc("other"));
+            let t = chaos(FaultPlan::default().break_link(sink.clone(), 1, 5), 42);
+            let (mb, mb_other) = (t.bind(&sink).unwrap(), t.bind(&other).unwrap());
+            let (a, b) = (t.sender(&sink).unwrap(), t.sender(&sink).unwrap());
+            let elsewhere = t.sender(&other).unwrap();
+            for k in 0..5 {
+                a.send(numbered(k)).unwrap();
+            }
+            assert!(soon(|| a.lost()), "the 5th frame never broke the route");
+            assert!(b.lost(), "every route into the destination breaks");
+            assert!(
+                soon(|| a.send(numbered(9)).is_err()),
+                "a broken route refuses"
+            );
+            assert!(t.stats().lost() >= 1, "the 5th frame");
+            assert!(soon(|| b.send(numbered(9)).is_err()));
+            elsewhere.send(numbered(7)).unwrap();
+            assert_eq!(drain(&mb_other, Duration::from_millis(200)), [7]);
+            assert!(!elsewhere.lost());
+            assert_eq!(drain(&mb, Duration::from_millis(50)), [0, 1, 2, 3]);
+            assert_eq!(t.stats().broken(), 2);
+            // It happens once: a fresh route into `sink` delivers.
+            let fresh = t.sender(&sink).unwrap();
+            (10..20).for_each(|k| fresh.send(numbered(k)).unwrap());
+            assert_eq!(
+                drain(&mb, Duration::from_millis(200)),
+                (10..20).collect::<Vec<_>>()
+            );
+        }
+    }
+
+    /// With delays only, or none, each of several routes delivers
+    /// exactly its frames, in the order sent.
+    #[test]
+    fn delays_keep_every_route_whole_and_in_order() {
+        for (max, delayed) in [(Duration::ZERO, 0), (Duration::from_millis(2), 200)] {
+            let t = chaos(FaultPlan::delays(Duration::ZERO, max), 9);
+            let sinks = [Addr::inproc("s0"), Addr::inproc("s1")];
+            let mbs: Vec<_> = sinks.iter().map(|a| t.bind(a).unwrap()).collect();
+            let outs: Vec<_> = sinks.iter().map(|a| t.sender(a).unwrap()).collect();
+            for k in 0..100 {
+                outs.iter().for_each(|out| out.send(numbered(k)).unwrap());
+            }
+            for mb in &mbs {
+                assert_eq!(
+                    drain(mb, Duration::from_millis(200)),
+                    (0..100).collect::<Vec<_>>()
                 );
-                let addr = Addr::inproc("sink");
-                let mb = t.bind(&addr).unwrap();
-                let out = t.sender(&addr).unwrap();
-                for _ in 0..200 {
-                    out.send(Frame::signal(1)).unwrap();
-                }
-                drain(&mb, Duration::from_millis(200))
-            })
-            .collect();
-        assert_eq!(counts[0], counts[1]);
-        assert!(counts[0] < 200, "some frames must be dropped");
-        assert!(counts[0] > 100, "drop rate should be ~30%, not more");
+            }
+            assert_eq!((t.stats().delayed(), t.stats().lost()), (delayed, 0));
+        }
     }
 
     #[test]
@@ -512,40 +504,25 @@ mod tests {
         let addr = Addr::inproc("server");
         for seed in 0..8 {
             let t = chaos(
-                FaultPlan::uniform(0.5, 0.0, Duration::ZERO, Duration::ZERO),
+                FaultPlan::delays(Duration::ZERO, Duration::from_secs(1)),
                 seed,
             );
-            for _ in 0..64 {
-                let _ = t.request(&addr, Frame::signal(1), Duration::from_millis(1));
-            }
-            let dropped = t.stats().dropped();
+            let delays: HashSet<Duration> =
+                (0..64).map(|_| t.request_delay(&addr).unwrap()).collect();
             assert!(
-                dropped > 0 && dropped < 64,
-                "seed {seed}: {dropped} of 64 dropped"
+                delays.len() > 32,
+                "seed {seed}: {} distinct delays",
+                delays.len()
             );
         }
     }
 
+    /// A cut destination refuses requests, and a push to it breaks its
+    /// route; after the reconnect a fresh route delivers.
     #[test]
-    fn duplicates_deliver_twice() {
+    fn a_cut_refuses_requests_and_breaks_pushes() {
         let t = chaos(
-            FaultPlan::uniform(0.0, 1.0, Duration::ZERO, Duration::ZERO),
-            7,
-        );
-        let addr = Addr::inproc("dup");
-        let mb = t.bind(&addr).unwrap();
-        let out = t.sender(&addr).unwrap();
-        for _ in 0..10 {
-            out.send(Frame::signal(2)).unwrap();
-        }
-        assert_eq!(drain(&mb, Duration::from_millis(200)), 20);
-        assert_eq!(t.stats().duplicated(), 10);
-    }
-
-    #[test]
-    fn disconnect_rejects_requests_and_swallows_pushes() {
-        let t = chaos(
-            FaultPlan::uniform(0.0, 0.0, Duration::ZERO, Duration::from_micros(1)),
+            FaultPlan::delays(Duration::ZERO, Duration::from_micros(1)),
             1,
         );
         let addr = Addr::inproc("dead");
@@ -556,39 +533,12 @@ mod tests {
             Err(NetError::Disconnected)
         ));
         let out = t.sender(&addr).unwrap();
-        out.send(Frame::signal(1)).unwrap();
-        assert_eq!(drain(&mb, Duration::from_millis(100)), 0);
+        out.send(numbered(1)).unwrap();
+        assert!(soon(|| out.lost()));
         t.reconnect(&addr);
-        out.send(Frame::signal(1)).unwrap();
-        assert_eq!(drain(&mb, Duration::from_millis(200)), 1);
-        assert!(t.stats().rejected() >= 2);
-    }
-
-    #[test]
-    fn benign_routes_pass_through_untouched() {
-        let t = chaos(FaultPlan::default(), 0);
-        let addr = Addr::inproc("clean");
-        let mb = t.bind(&addr).unwrap();
-        let out = t.sender(&addr).unwrap();
-        for _ in 0..50 {
-            out.send(Frame::signal(1)).unwrap();
-        }
-        assert_eq!(mb.backlog(), 50);
-        assert_eq!(t.stats().dropped(), 0);
-    }
-
-    #[test]
-    fn per_route_overrides_beat_base() {
-        let spared = Addr::inproc("spared");
-        let plan = FaultPlan::uniform(1.0, 0.0, Duration::ZERO, Duration::ZERO)
-            .route(spared.clone(), RouteFault::default());
-        let t = chaos(plan, 3);
-        let doomed = Addr::inproc("doomed");
-        let mb_doomed = t.bind(&doomed).unwrap();
-        let mb_spared = t.bind(&spared).unwrap();
-        t.sender(&doomed).unwrap().send(Frame::signal(1)).unwrap();
-        t.sender(&spared).unwrap().send(Frame::signal(1)).unwrap();
-        assert_eq!(drain(&mb_spared, Duration::from_millis(100)), 1);
-        assert_eq!(drain(&mb_doomed, Duration::from_millis(100)), 0);
+        assert!(soon(|| out.send(numbered(2)).is_err()));
+        t.sender(&addr).unwrap().send(numbered(3)).unwrap();
+        assert_eq!(drain(&mb, Duration::from_millis(200)), [3]);
+        assert_eq!((t.stats().rejected(), t.stats().lost()), (1, 1));
     }
 }

@@ -120,6 +120,7 @@ impl Transport for InProcTransport {
         Ok(Outbox {
             tx: hub.slot(name).tx.clone(),
             stats: Some(self.stats.clone()),
+            lost: None,
         })
     }
 

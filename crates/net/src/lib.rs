@@ -35,7 +35,6 @@ pub mod coalesce;
 pub mod fault;
 pub mod frame;
 pub mod inproc;
-pub mod reliable;
 pub mod retry;
 mod rx;
 pub mod tcp;
@@ -43,10 +42,9 @@ pub mod transport;
 
 pub use addr::Addr;
 pub use coalesce::{CoalesceConfig, CoalesceStats, CoalescingOutbox};
-pub use fault::{DiskFault, FaultPlan, FaultStats, FaultyTransport, RouteFault, SplitMix64};
+pub use fault::{FaultPlan, FaultStats, FaultyTransport, LinkBreak, SplitMix64};
 pub use frame::{Frame, FrameReader};
 pub use inproc::InProcTransport;
-pub use reliable::ReliableTransport;
 pub use retry::{SendPolicy, TransportExt};
 pub use tcp::TcpTransport;
 pub use transport::{

@@ -71,15 +71,6 @@ impl SendPolicy {
     }
 }
 
-fn addr_salt(addr: &Addr) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in addr.to_string().bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 /// Retrying helpers over any [`Transport`]. Blanket-implemented, so
 /// `Arc<dyn Transport>` gets these for free.
 pub trait TransportExt: Transport {
@@ -96,7 +87,7 @@ pub trait TransportExt: Transport {
         policy: &SendPolicy,
     ) -> Result<(Frame, u32), NetError> {
         let start = Instant::now();
-        let salt = addr_salt(addr);
+        let salt = addr.stable_hash();
         let mut attempt = 0u32;
         loop {
             match self.request(addr, frame.clone(), timeout) {
@@ -135,7 +126,7 @@ pub trait TransportExt: Transport {
             let Some(&first) = failed.first() else {
                 break;
             };
-            let pause = policy.backoff(attempt, addr_salt(requests[first].0));
+            let pause = policy.backoff(attempt, requests[first].0.stable_hash());
             if start.elapsed() + pause >= policy.deadline {
                 break;
             }
@@ -160,7 +151,7 @@ pub trait TransportExt: Transport {
         policy: &SendPolicy,
     ) -> Result<u32, NetError> {
         let start = Instant::now();
-        let salt = addr_salt(addr);
+        let salt = addr.stable_hash();
         let mut attempt = 0u32;
         loop {
             let res = self.sender(addr).and_then(|out| out.send(frame.clone()));

@@ -28,6 +28,7 @@ use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::convert::identity;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -43,15 +44,17 @@ const WRITE_BATCH: usize = 32;
 
 /// Drain `rx` and write everything queued, each item's `frame`, as
 /// gather-batches until the channel closes or the peer goes away: a
-/// coalesced flush (or a burst of them) is one `writev`.
+/// coalesced flush (or a burst of them) is one `writev`. Returns false
+/// when a write failed: the batch and whatever is still queued are
+/// lost.
 fn run_writer<T>(
     mut stream: TcpStream,
-    rx: Receiver<T>,
+    rx: &Receiver<T>,
     frame: fn(T) -> Frame,
     op: u8,
     what: &str,
     peer: &str,
-) {
+) -> bool {
     let mut batch: Vec<Frame> = Vec::with_capacity(WRITE_BATCH);
     while let Ok(item) = rx.recv() {
         batch.push(frame(item));
@@ -63,10 +66,11 @@ fn run_writer<T>(
         }
         if let Err(e) = write_frame_batch(&mut stream, op, &batch) {
             log_conn_error(what, peer, &e);
-            return;
+            return false;
         }
         batch.clear();
     }
+    true
 }
 
 /// Connection teardowns that are part of normal peer lifecycle; not
@@ -205,7 +209,7 @@ fn serve_conn(mut stream: TcpStream, inbox: Sender<Delivery>, stats: Arc<NetStat
     std::thread::spawn(move || {
         run_writer(
             writer,
-            rep_rx,
+            &rep_rx,
             identity,
             OP_REP,
             "write reply",
@@ -269,12 +273,19 @@ impl Transport for TcpTransport {
         stream.set_nodelay(true)?;
         let (tx, rx) = unbounded::<Delivery>();
         let peer = sock.to_string();
+        let lost = Arc::new(AtomicBool::new(false));
+        let flag = lost.clone();
         std::thread::spawn(move || {
-            run_writer(stream, rx, |d| d.frame, OP_PUSH, "write push", &peer)
+            // The flag goes up before `rx` is dropped: a sender whose
+            // send is refused reads it set.
+            if !run_writer(stream, &rx, |d| d.frame, OP_PUSH, "write push", &peer) {
+                flag.store(true, Ordering::Release);
+            }
         });
         Ok(Outbox {
             tx,
             stats: Some(self.stats.clone()),
+            lost: Some(lost),
         })
     }
 
@@ -363,7 +374,7 @@ impl Transport for TcpTransport {
                         .unwrap_or_else(|_| "<unknown>".into());
                     let (tx, rx) = unbounded::<Frame>();
                     subs.lock().push((topics.to_vec(), tx));
-                    run_writer(stream, rx, identity, OP_PUSH, "write publication", &peer);
+                    run_writer(stream, &rx, identity, OP_PUSH, "write publication", &peer);
                 });
             }
         });
@@ -543,6 +554,36 @@ mod tests {
         while let Ok(Some(d)) = sub_7.try_recv() {
             assert_eq!(d.frame.packet_type(), 7);
         }
+    }
+
+    /// A push connection whose peer closed it reads `lost()` once a
+    /// write fails, and refuses sends from then on; a fresh sender to
+    /// a listener bound again at the address delivers.
+    #[test]
+    fn a_closed_peer_flags_the_outbox_lost_and_a_fresh_sender_delivers() {
+        let t = TcpTransport::new();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = Addr::Tcp(listener.local_addr().unwrap());
+        let out = t.sender(&addr).unwrap();
+        drop(listener.accept().unwrap());
+        drop(listener);
+        assert!(!out.lost());
+        // The first writes may land in the socket buffer; the reset
+        // the peer answers them with fails a later one, which takes
+        // the writer down.
+        let refused = (0..1_000_000).any(|_| {
+            std::thread::yield_now();
+            out.send(Frame::signal(5)).is_err()
+        });
+        assert!(refused, "the closed connection never failed a write");
+        assert!(out.lost(), "a refused sender reads its route lost");
+
+        let mb = t.bind(&addr).unwrap();
+        let fresh = t.sender(&addr).unwrap();
+        fresh.send(Frame::builder(5).u64(7).finish()).unwrap();
+        let d = mb.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(d.frame.reader().u64(), Some(7));
+        assert!(!fresh.lost());
     }
 
     #[test]

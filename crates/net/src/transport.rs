@@ -4,7 +4,7 @@
 use crate::addr::Addr;
 use crate::frame::Frame;
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -201,8 +201,8 @@ impl NetError {
     /// Whether retrying the operation could plausibly succeed.
     ///
     /// Timeouts and connection-level socket errors are transient: the
-    /// peer may be slow, restarting, or the message may have been
-    /// dropped by a lossy link. A closed mailbox
+    /// peer may be slow or restarting, or its connection may have
+    /// broken. A closed mailbox
     /// ([`NetError::Disconnected`]), a bind conflict, or a protocol
     /// violation will not heal on retry.
     pub fn is_transient(&self) -> bool {
@@ -347,6 +347,9 @@ pub struct Outbox {
     /// Send-side traffic counters of the owning transport, when the
     /// backend tracks them.
     pub(crate) stats: Option<Arc<NetStats>>,
+    /// Set by a backend whose route dropped frames it had already
+    /// accepted ([`Outbox::lost`]); `None` where that cannot happen.
+    pub(crate) lost: Option<Arc<AtomicBool>>,
 }
 
 impl Outbox {
@@ -367,6 +370,16 @@ impl Outbox {
     /// to bound in-flight bytes.
     pub fn queued(&self) -> usize {
         self.tx.len()
+    }
+
+    /// Whether the route lost frames [`Outbox::send`] had accepted (a
+    /// failed TCP write, a broken route of [`crate::FaultyTransport`]).
+    /// It refuses later sends, so the caller reopens it; what was lost
+    /// is the caller's to recover.
+    pub fn lost(&self) -> bool {
+        self.lost
+            .as_ref()
+            .is_some_and(|f| f.load(Ordering::Acquire))
     }
 }
 

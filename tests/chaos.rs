@@ -1,15 +1,19 @@
-//! Fault-injection tests: ElGA must produce fault-free results over a
-//! transport that drops, delays, and duplicates frames, and must
-//! detect, evict, and recover from an agent that dies mid-run without
-//! the LEAVE drain protocol.
+//! Fault-injection tests, under the faults TCP has: ElGA must produce
+//! fault-free results over a transport that delays every frame (routes
+//! overtake one another, each stays in order); a link that breaks and
+//! loses what it held must cost exactly one recovery, detected at once
+//! and evicting no one; and an agent that dies mid-run without the
+//! LEAVE drain protocol must be detected, evicted and recovered from.
 //!
-//! Every fault sequence is driven by a fixed seed, so failures here
-//! reproduce deterministically.
+//! The delays come from a fixed seed and a break is scheduled at a
+//! frame count, so a failing case replays from its plan.
 
+use elga::core::directory::agent_addr;
+use elga::core::msg::packet;
 use elga::core::program::{ExecutionMode, RunOptions};
 use elga::graph::csr::Csr;
 use elga::graph::reference;
-use elga::net::{FaultPlan, SendPolicy, SplitMix64};
+use elga::net::{FaultPlan, SplitMix64};
 use elga::prelude::*;
 use std::collections::HashSet;
 use std::time::Duration;
@@ -44,17 +48,31 @@ fn densify(edges: &[(u64, u64)]) -> (Vec<u64>, Vec<(u64, u64)>) {
     (ids, dense)
 }
 
-/// Config for runs over a faulty transport: a deeper retry budget (so
-/// driver REQ/REP survives repeated drop rolls) and deadlines that
-/// cover retransmission latency.
+/// Every vertex of `edges` reads its reference WCC label from `label`.
+fn assert_wcc(label: impl Fn(u64) -> Option<u64>, edges: &[(u64, u64)]) {
+    let truth = reference::wcc(edges.iter().copied());
+    for &(u, _) in edges {
+        assert_eq!(label(u), Some(truth[&u]), "wcc v{u}");
+    }
+}
+
+/// Every vertex of `edges` reads from `rank` its reference PageRank
+/// after `iters` iterations.
+fn assert_pagerank(rank: impl Fn(u64) -> Option<f64>, edges: &[(u64, u64)], iters: u32) {
+    let (ids, dense) = densify(edges);
+    let csr = Csr::from_edges(Some(ids.len()), &dense);
+    let want = reference::pagerank(&csr, 0.85, iters as usize);
+    for (i, &orig) in ids.iter().enumerate() {
+        let got = rank(orig).expect("rank");
+        let tol = reference::PAGERANK_TOLERANCE;
+        assert!((got - want[i]).abs() < tol, "v{orig}: {got} vs {}", want[i]);
+    }
+}
+
+/// Config for runs over a faulty transport: deadlines with room for
+/// the delays.
 fn chaos_config() -> SystemConfig {
     SystemConfig {
-        request_timeout: Duration::from_secs(5),
-        send_policy: SendPolicy {
-            retries: 6,
-            base_delay: Duration::from_millis(2),
-            deadline: Duration::from_secs(10),
-        },
         quiesce_deadline: Duration::from_secs(60),
         run_deadline: Duration::from_secs(120),
         ..SystemConfig::default()
@@ -64,8 +82,8 @@ fn chaos_config() -> SystemConfig {
 #[test]
 fn chaos_pagerank_and_wcc_match_fault_free_results() {
     let edges = chain_graph(120);
-    // 5% drop, 1% duplicate, 0-5ms delay on every data-plane route.
-    let plan = FaultPlan::uniform(0.05, 0.01, Duration::ZERO, Duration::from_millis(5));
+    // 0-5ms delay on every data-plane route.
+    let plan = FaultPlan::delays(Duration::ZERO, Duration::from_millis(5));
     let mut chaos = Cluster::builder()
         .agents(4)
         .config(chaos_config())
@@ -91,15 +109,14 @@ fn chaos_pagerank_and_wcc_match_fault_free_results() {
     }
 
     chaos.run(Wcc::new()).expect("chaos wcc");
-    let truth = reference::wcc(edges.iter().copied());
-    for &(u, _) in &edges {
-        assert_eq!(chaos.query_u64(u), Some(truth[&u]), "wcc v{u}");
-    }
+    assert_wcc(|v| chaos.query_u64(v), &edges);
 
-    // The fault layer must have actually interfered.
+    // The fault layer must have actually interfered, and delays alone
+    // break no link.
     let stats = chaos.fault().expect("chaos handle").stats();
-    assert!(stats.dropped() > 0, "no frames dropped — chaos was a no-op");
-    assert!(chaos.metrics().messages_dropped > 0);
+    assert!(stats.delayed() > 0, "no frame delayed — chaos was a no-op");
+    assert_eq!(chaos.metrics().links_broken, 0);
+    assert_eq!(chaos.recovery_stats().recoveries, 0);
 
     chaos.shutdown();
     clean.shutdown();
@@ -126,7 +143,7 @@ fn done_overtaking_the_last_scatter_leaves_nothing_in_flight() {
     };
     let batch = [(5, 77), (40, 3), (119, 60)];
     // Delays only: every frame arrives, in route order, late.
-    let plan = FaultPlan::uniform(0.0, 0.0, Duration::ZERO, Duration::from_millis(5));
+    let plan = FaultPlan::delays(Duration::ZERO, Duration::from_millis(5));
     let cfg = SystemConfig {
         quiesce_deadline: Duration::from_secs(20),
         ..chaos_config()
@@ -166,11 +183,10 @@ fn done_overtaking_the_last_scatter_leaves_nothing_in_flight() {
 fn chaos_async_wcc_matches_reference() {
     // The asynchronous engine's termination detection (one round of
     // idle reports over the lead's channel table) must hold over a
-    // transport that drops, delays and duplicates frames: the
-    // reliability layer recovers every frame, and the table balances
-    // only once every recovered record has been taken in.
+    // transport that delays every frame: the table balances only once
+    // every straggling record has been taken in.
     let edges = chain_graph(120);
-    let plan = FaultPlan::uniform(0.05, 0.01, Duration::ZERO, Duration::from_millis(5));
+    let plan = FaultPlan::delays(Duration::ZERO, Duration::from_millis(5));
     let mut chaos = Cluster::builder()
         .agents(4)
         .config(chaos_config())
@@ -186,13 +202,97 @@ fn chaos_async_wcc_matches_reference() {
             },
         )
         .expect("chaos async wcc");
-    let truth = reference::wcc(edges.iter().copied());
-    for &(u, _) in &edges {
-        assert_eq!(chaos.query_u64(u), Some(truth[&u]), "wcc v{u}");
-    }
+    assert_wcc(|v| chaos.query_u64(v), &edges);
     let stats = chaos.fault().expect("chaos handle").stats();
-    assert!(stats.dropped() > 0, "no frames dropped — chaos was a no-op");
+    assert!(stats.delayed() > 0, "no frame delayed — chaos was a no-op");
     chaos.shutdown();
+}
+
+/// Run `act` on 4 agents holding `edges`, over 0–5 ms delays and one
+/// scheduled link break: every route into agent `into` breaks at the
+/// `nth` frame of `kind` pushed toward it, losing the frames it holds.
+/// The break must cost one recovery that evicts no one, reported by
+/// the agents that lost the link however many routes into the agent it
+/// cut, in less time than an eviction takes. Returns the cluster.
+fn across_a_break(
+    edges: &[(u64, u64)],
+    (into, kind, nth): (u64, u8, u64),
+    act: impl FnOnce(&mut Cluster),
+) -> Cluster {
+    let plan = FaultPlan::delays(Duration::ZERO, Duration::from_millis(5));
+    let plan = plan.break_link(agent_addr(into), kind, nth);
+    let mut cluster = Cluster::builder()
+        .agents(4)
+        .config(chaos_config())
+        .chaos(plan, 0xB4EA)
+        .build();
+    cluster.ingest_edges(edges.iter().copied());
+    let t0 = std::time::Instant::now();
+    act(&mut cluster);
+    let took = t0.elapsed();
+    let window = cluster.config().heartbeat_interval * cluster.config().heartbeat_misses;
+    assert!(took < window, "{took:?}, not under the eviction window");
+    assert_eq!(cluster.recovery_stats().recoveries, 1);
+    let metrics = cluster.metrics();
+    assert!(metrics.links_broken >= 1, "no agent reported the break");
+    assert_eq!(metrics.agents_recovered, 0, "no one evicted");
+    let stats = cluster.fault().expect("chaos handle").stats();
+    assert!(stats.broken() >= 2, "{} routes cut", stats.broken());
+    assert!(stats.delayed() > 0, "no frame delayed");
+    cluster
+}
+
+/// A link into a live agent breaks mid-run and loses the VMSG frames
+/// it held, so that step's barrier can never close: its senders find
+/// the route broken, the lead resets once, and the restarted run ends
+/// on the reference ranks.
+#[test]
+fn a_link_broken_mid_sync_run_costs_one_recovery() {
+    let edges = chain_graph(120);
+    let cluster = across_a_break(&edges, (2, packet::VMSG, 6), |c| {
+        c.run(PageRank::new(0.85).with_max_iters(10))
+            .expect("pagerank");
+    });
+    let ranks = cluster.dump_states();
+    assert_pagerank(|v| ranks.get(&v).map(|&b| f64::from_bits(b)), &edges, 10);
+    assert_eq!(cluster.agent_count(), 4);
+    cluster.shutdown();
+}
+
+/// The same break in an async run: the channel table can never
+/// balance, so the run could never end; one recovery restarts it.
+#[test]
+fn a_link_broken_mid_async_run_costs_one_recovery() {
+    let edges = chain_graph(120);
+    let cluster = across_a_break(&edges, (2, packet::VMSG, 2), |c| {
+        let mode = ExecutionMode::Async;
+        let options = RunOptions {
+            reuse_state: false,
+            mode,
+        };
+        c.run_with(Wcc::new(), options).expect("async wcc");
+    });
+    let labels = cluster.dump_states();
+    assert_wcc(|v| labels.get(&v).copied(), &edges);
+    assert_eq!(cluster.agent_count(), 4);
+    cluster.shutdown();
+}
+
+/// A link into a joiner breaks at a MIG_VERTEX frame of the migration
+/// its join set off, cutting the routes of the founders sweeping to it:
+/// the migrate barrier can never close, and one recovery puts the
+/// graph back onto the grown membership.
+#[test]
+fn a_link_broken_mid_migration_costs_one_recovery() {
+    let edges = chain_graph(120);
+    let cluster = across_a_break(&edges, (5, packet::MIG_VERTEX, 2), |c| {
+        assert_eq!(c.add_agents(1), [5]);
+        c.run(Wcc::new()).expect("wcc after the join");
+    });
+    let labels = cluster.dump_states();
+    assert_wcc(|v| labels.get(&v).copied(), &edges);
+    assert_eq!(cluster.agent_count(), 5);
+    cluster.shutdown();
 }
 
 #[test]
@@ -231,10 +331,7 @@ fn killed_agent_mid_async_run_recovers_to_correct_results() {
 
     assert_eq!(cluster.agent_count(), 3, "victim evicted from the view");
     assert!(cluster.metrics().agents_recovered >= 1);
-    let truth = reference::wcc(edges.iter().copied());
-    for &(u, _) in &edges {
-        assert_eq!(cluster.query_u64(u), Some(truth[&u]), "wcc v{u}");
-    }
+    assert_wcc(|v| cluster.query_u64(v), &edges);
     cluster.shutdown();
 }
 
@@ -272,7 +369,7 @@ fn killed_agent_is_evicted_and_run_restarts_to_correct_results() {
         .wait_run(handle)
         .expect("run must complete despite the crash");
 
-    let (ids, dense) = densify(&edges);
+    let (ids, _) = densify(&edges);
     assert_eq!(
         stats.n_vertices,
         ids.len() as u64,
@@ -283,16 +380,7 @@ fn killed_agent_is_evicted_and_run_restarts_to_correct_results() {
     assert!(cluster.metrics().agents_recovered >= 1);
 
     // Results equal the fault-free single-threaded reference.
-    let csr = Csr::from_edges(Some(ids.len()), &dense);
-    let want = reference::pagerank(&csr, 0.85, iters as usize);
-    for (i, &orig) in ids.iter().enumerate() {
-        let got = cluster.query_f64(orig).expect("rank");
-        assert!(
-            (got - want[i]).abs() < reference::PAGERANK_TOLERANCE,
-            "v{orig}: {got} vs {}",
-            want[i]
-        );
-    }
+    assert_pagerank(|v| cluster.query_f64(v), &edges, iters);
     cluster.shutdown();
 }
 

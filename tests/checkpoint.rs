@@ -7,9 +7,10 @@
 //! Every fault sequence is either deterministic on-disk damage or a
 //! fixed-seed injector, so failures reproduce exactly.
 
+use elga::ckpt::DiskFault;
 use elga::core::program::{ExecutionMode, ProgramSpec, RunOptions};
 use elga::graph::reference;
-use elga::net::{DiskFault, FaultPlan, NetError, SendPolicy, SplitMix64};
+use elga::net::{FaultPlan, NetError, SplitMix64};
 use elga::prelude::*;
 use std::collections::HashSet;
 use std::fs;
@@ -214,20 +215,14 @@ fn restore_onto_a_membership_that_changed_after_the_cut() {
 
 #[test]
 fn restore_over_a_lossy_transport() {
-    // Requests and pushes drop, duplicate and straggle: the shard loads
-    // are retried, and their migration streams ride the reliability
-    // layer like any other, so `quiesce` still sees every record land.
+    // Requests and pushes straggle: the shard loads and their migration
+    // streams arrive late and in any order across routes, and `quiesce`
+    // still sees every record land.
     let dir = ckpt_dir("lossy");
     let edges = chain_graph(200);
     let (first, second) = edges.split_at(edges.len() / 2);
-    let plan = FaultPlan::uniform(0.05, 0.01, Duration::ZERO, Duration::from_millis(5));
+    let plan = FaultPlan::delays(Duration::ZERO, Duration::from_millis(5));
     let cfg = SystemConfig {
-        request_timeout: Duration::from_secs(5),
-        send_policy: SendPolicy {
-            retries: 6,
-            base_delay: Duration::from_millis(2),
-            deadline: Duration::from_secs(10),
-        },
         run_deadline: Duration::from_secs(120),
         ..recovery_config()
     };
@@ -257,7 +252,7 @@ fn restore_over_a_lossy_transport() {
         assert_eq!(cluster.query_u64(u), Some(truth[&u]), "wcc v{u}");
     }
     let stats = cluster.fault().expect("chaos handle").stats();
-    assert!(stats.dropped() > 0, "no frames dropped — chaos was a no-op");
+    assert!(stats.delayed() > 0, "no frame delayed — chaos was a no-op");
     cluster.shutdown();
     let _ = fs::remove_dir_all(&dir);
 }
