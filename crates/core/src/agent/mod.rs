@@ -493,7 +493,7 @@ impl Agent {
             net,
             vertices: VertexStore::default(),
             primaries: 0,
-            targets: TargetTable::default(),
+            targets: TargetTable::new(id),
             route_cache,
             scratch: StepScratch::default(),
             ingest_scratch: IngestScratch::default(),

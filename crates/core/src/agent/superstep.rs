@@ -89,9 +89,11 @@ impl Agent {
     // Sync phases
     // ------------------------------------------------------------------
 
-    /// Scatter the current step and return the Scatter report's
-    /// `global_contrib`.
-    fn phase_scatter(&mut self) -> f64 {
+    /// Scatter the current step, chasing its own records with `chase`
+    /// ([`Agent::chase`]), and return `(active, global_contrib)` for the
+    /// Scatter report: the primaries the chase left active, and the
+    /// reduce term.
+    fn phase_scatter(&mut self, chase: bool) -> (u64, f64) {
         let run = self.run.as_ref().expect("scatter without run");
         let (step, delta) = (run.step, run.info.delta);
         // The list is complete only once a sweep has cleared every
@@ -102,8 +104,9 @@ impl Agent {
         let sweep = self.needs_sweep || global_term;
         // Step 0 is preparation: it only reports the primary vertex
         // count so the directory can hand `n` to initialization.
+        let mut active = 0;
         if step > 0 {
-            self.run_kernel(Phase::Scatter, sweep);
+            active = self.run_kernel(Phase::Scatter, sweep, chase);
             if sweep {
                 self.needs_sweep = false;
             }
@@ -124,11 +127,8 @@ impl Agent {
         // non-destructively — a re-report repeats the same value — and
         // cleared when the Combine advance confirms the reduce absorbed
         // it.
-        if delta {
-            self.dangling_acc
-        } else {
-            reduced
-        }
+        let contrib = if delta { self.dangling_acc } else { reduced };
+        (active, contrib)
     }
 
     /// Apply the current step and return the number of primaries left
@@ -145,21 +145,22 @@ impl Agent {
             } else {
                 run.program.as_dyn().applies_without_messages()
             };
-        self.run_kernel(Phase::Apply, sweep)
+        self.run_kernel(Phase::Apply, sweep, false)
     }
 
     /// Run `phase` of the current step under its clock, which its
-    /// `metrics.*_nanos` and trace span cover. Returns `(active,
-    /// global_contrib)` for the READY that reports the phase.
-    fn timed_phase(&mut self, phase: Phase) -> (u64, f64) {
+    /// `metrics.*_nanos` and trace span cover (a scatter's chase
+    /// included). Returns `(active, global_contrib)` for the READY that
+    /// reports the phase.
+    fn timed_phase(&mut self, phase: Phase, chase: bool) -> (u64, f64) {
         let run = self.run.as_mut().expect("phase without run");
         run.phase = phase;
         let (run_id, step) = (run.info.run_id, run.step);
         let t0 = Instant::now();
         let (out, kind) = match phase {
-            Phase::Scatter => ((0, self.phase_scatter()), EventKind::PhaseScatter),
+            Phase::Scatter => (self.phase_scatter(chase), EventKind::PhaseScatter),
             Phase::Combine => {
-                self.run_kernel(Phase::Combine, false);
+                self.run_kernel(Phase::Combine, false, false);
                 ((0, 0.0), EventKind::PhaseCombine)
             }
             Phase::Apply => ((self.phase_apply(), 0.0), EventKind::PhaseApply),
@@ -180,10 +181,17 @@ impl Agent {
     /// step loop combine → apply → the next step's scatter, from the
     /// advance's phase through its `until`, serving reads between the
     /// phases. The READY reports the last phase, with the `active` of
-    /// the apply and the contribution of the scatter it ran.
+    /// the apply and the chase and the contribution of the scatter it
+    /// ran.
+    ///
+    /// An advance that runs the whole loop to the next scatter — the
+    /// lead asks for that only while no vertex can split — chases
+    /// that scatter's own records where the program allows it
+    /// ([`Agent::chases`]).
     pub(super) fn run_phases(&mut self, adv: &msg::Advance) {
         let t0 = Instant::now();
         let (mut phase, mut active, mut contrib) = (adv.phase, 0, 0.0);
+        let chase = adv.phase == Phase::Combine && adv.until == Phase::Scatter && self.chases();
         let replica_sent = |a: &Agent| -> u64 {
             (a.channels.values())
                 .map(|c| c.part_sent + c.state_sent)
@@ -191,10 +199,10 @@ impl Agent {
         };
         loop {
             let before = replica_sent(self);
-            let (a, c) = self.timed_phase(phase);
+            let (a, c) = self.timed_phase(phase, chase);
             match phase {
                 Phase::Apply => active = a,
-                Phase::Scatter => contrib = c,
+                Phase::Scatter => (active, contrib) = (active + a, c),
                 _ => {}
             }
             if phase == adv.until {
@@ -266,12 +274,14 @@ impl Agent {
     /// then send what it emitted and keep the per-destination counts for
     /// the phase's READY. With `sweep` the kernel visits every
     /// entry; otherwise it drains the phase's worklist, so the step
-    /// costs O(frontier). Reads are served after every shard that had
-    /// work (DESIGN.md "Reads inside kernels"). Returns the number of
-    /// primaries an apply kernel left active.
-    fn run_kernel(&mut self, phase: Phase, sweep: bool) -> u64 {
+    /// costs O(frontier). A scatter with `chase` runs its own records
+    /// to a local fixed point before it sends ([`Agent::chase`]). Reads
+    /// are served after every shard that had work (DESIGN.md "Reads
+    /// inside kernels"). Returns the number of primaries an apply
+    /// kernel or a chase left active.
+    fn run_kernel(&mut self, phase: Phase, sweep: bool, chase: bool) -> u64 {
         let program = self.program();
-        dispatch!(&program, p => self.run_kernel_with(p, phase, sweep))
+        dispatch!(&program, p => self.run_kernel_with(p, phase, sweep, chase))
     }
 
     /// [`Agent::run_kernel`] compiled for the run's program type.
@@ -280,6 +290,7 @@ impl Agent {
         program: &P,
         phase: Phase,
         sweep: bool,
+        chase: bool,
     ) -> u64 {
         let mut dangling = 0.0;
         for i in 0..SHARDS {
@@ -297,11 +308,14 @@ impl Agent {
                 self.serve_reads();
             }
         }
+        if chase {
+            self.chase(program);
+            dangling += std::mem::take(&mut self.scratch.dangling);
+        }
         self.metrics.kernel_visits += std::mem::take(&mut self.scratch.visits);
         let active = std::mem::take(&mut self.scratch.active);
-        if phase == Phase::Apply {
-            self.dangling_acc += dangling;
-        }
+        // Only applies fold: the kernel's, or the chase's.
+        self.dangling_acc += dangling;
         // Each destination's batch holds its records in shard order and
         // leaves as runs through its coalescing outbox, which keeps that
         // order exactly.
@@ -311,6 +325,86 @@ impl Agent {
         };
         self.run.as_mut().expect("run").sent = sent;
         active
+    }
+
+    /// Whether this step's scatter may chase its own records (DESIGN.md
+    /// "The superstep"): in a `Monotone` program's run without a step
+    /// cap, whose cap would count hops, and in a residual delta run,
+    /// whose cap only bounds a run that stops at its tolerance, while
+    /// the step hands out no dangling share: such a step's apply swept
+    /// every primary, and the next one will likely sweep again, so a
+    /// chased vertex would be applied twice instead of once. A program
+    /// with no delta formulation never chases, nor does an async run.
+    fn chases(&self) -> bool {
+        let run = self.run.as_ref().expect("run");
+        let program = run.program.as_dyn();
+        !run.info.asynchronous
+            && match program.delta_kind() {
+                DeltaKind::Monotone => program.max_steps().is_none(),
+                DeltaKind::Residual => run.info.delta && run.global == 0.0,
+                DeltaKind::None => false,
+            }
+    }
+
+    /// Run the scatter's records to this agent to a local fixed point,
+    /// round by round, before anything is sent: each round takes the
+    /// table's own rows ([`TargetTable::flush_own`]) in first-touch
+    /// order; a record whose target is home here and admitted by the
+    /// program's [`DeltaKind`] ([`chase_admits`]) is folded, applied and
+    /// scattered at once, the rest are folded for the next combine as
+    /// before. What the chased vertices send peers combines into the
+    /// rows the scatter touched, and leaves with them in the one send
+    /// that follows. Costs one apply and one scatter per vertex chased,
+    /// never a pass over the shards; `chased` counts them, and the
+    /// apply's `active` and dangling-mass change join the step's.
+    fn chase<P: VertexProgram + ?Sized>(&mut self, program: &P) {
+        let (kind, visited) = (program.delta_kind(), self.scratch.visits);
+        while let Some(me) = self.targets.flush_own() {
+            let own = self.targets.take_run(me);
+            if own.is_empty() {
+                self.targets.recycle(me, own);
+                break;
+            }
+            self.metrics.vmsgs += own.len() as u64;
+            for block in own.chunks(READ_YIELD) {
+                let (mut ctx, cache, table, store, out) = self.kernel_parts(program, false);
+                // Every primary took the step's global share in the apply.
+                ctx.global = 0.0;
+                let mut fired = 0;
+                for &(v, value) in block {
+                    let (e, lists) = store.entry_and_lists(v);
+                    if !(chase_admits(kind, e) && at_home(ctx, cache, v, e)) {
+                        fold_partial(program, v, e, lists, value);
+                        continue;
+                    }
+                    out.visits += 1;
+                    debug_assert!(!e.has_ppartial, "vertex {v} chased with a parked aggregate");
+                    (e.ppartial, e.has_ppartial) = (value, true);
+                    apply_vertex(ctx, cache, v, e, lists, out);
+                    if !(e.active || e.has_pending_delta) {
+                        continue;
+                    }
+                    scatter_vertex(ctx, cache, table, v, e, out);
+                    // Scattered now, not at the next step: off the list
+                    // the apply put it on.
+                    if lists.scatter.last() == Some(&v) {
+                        lists.scatter.pop();
+                    }
+                    // Into the rows at once, so the run stays one
+                    // vertex long.
+                    fired += out.slots.len() as u64;
+                    table.accumulate(&out.slots, |a, b| program.combine(a, b));
+                    out.slots.clear();
+                }
+                // The accounting of `fold_scatter_run`, for the block.
+                let filled = std::mem::take(&mut self.scratch.refreshed);
+                self.metrics.memo_fills += filled;
+                self.route_cache.count_hits(fired - filled);
+                self.serve_reads();
+            }
+            self.targets.recycle(me, own);
+        }
+        self.metrics.chased += self.scratch.visits - visited;
     }
 
     /// The current run's program, to dispatch on ([`dispatch!`]) once
@@ -647,7 +741,7 @@ impl Agent {
     /// away from its primary, meta that waits for the next run) waits
     /// for the message, migration or resume that lists it.
     pub(super) fn async_round(&mut self, sweep: bool) {
-        self.run_kernel(Phase::Apply, sweep);
+        self.run_kernel(Phase::Apply, sweep, false);
         let mut fired = Vec::new();
         for shard in self.vertices.shards_mut() {
             shard.lists.apply.clear();
@@ -800,13 +894,42 @@ fn fold_partials<P: VertexProgram + ?Sized>(
 ) {
     for (v, value) in msgs {
         let (e, lists) = store.entry_and_lists(v);
-        if e.has_partial {
-            e.partial = program.combine(e.partial, value);
-        } else {
-            e.partial = value;
-            e.has_partial = true;
-            lists.partial_dirty.push(v);
-        }
+        fold_partial(program, v, e, lists, value);
+    }
+}
+
+/// Fold one message into `v`'s scatter partial ([`fold_partials`]).
+#[inline]
+fn fold_partial<P: VertexProgram + ?Sized>(
+    program: &P,
+    v: VertexId,
+    e: &mut VertexEntry,
+    lists: &mut Worklists,
+    value: u64,
+) {
+    if e.has_partial {
+        e.partial = program.combine(e.partial, value);
+    } else {
+        e.partial = value;
+        e.has_partial = true;
+        lists.partial_dirty.push(v);
+    }
+}
+
+/// Whether a chase applies an own record's target at once, the target
+/// being home here (DESIGN.md "The superstep"). A `Monotone` program's
+/// fold is a min or a max, so applying a record early lands where the
+/// barrier would have, and every target is admitted; its apply keeps
+/// what improves. A `Residual` program's apply sums what arrived, so
+/// only a target with a single in-edge — this record's — is admitted:
+/// its input for the step is complete, and its one push moves earlier
+/// instead of becoming two.
+#[inline]
+fn chase_admits(kind: DeltaKind, e: &VertexEntry) -> bool {
+    match kind {
+        DeltaKind::Monotone => true,
+        DeltaKind::Residual => e.is_meta && e.g_in == 1,
+        DeltaKind::None => false,
     }
 }
 
@@ -1480,7 +1603,7 @@ mod tests {
             sketch,
             my_id: ME,
             // A fresh table's.
-            generation: TargetTable::default().generation(),
+            generation: TargetTable::new(0).generation(),
             n_vertices: N,
             step: 3,
             sweep,
@@ -1504,7 +1627,7 @@ mod tests {
     ) -> (Msgs, States, u64, u64) {
         let (locator, sketch) = placement();
         let ctx = kernel_ctx(program, &locator, &sketch, sweep);
-        let (mut cache, mut table) = (OwnerCache::new(), TargetTable::default());
+        let (mut cache, mut table) = (OwnerCache::new(), TargetTable::new(0));
         let mut out = StepScratch::default();
         for shard in store.shards_mut() {
             kernel_shard(phase, ctx, &mut cache, &mut table, shard, &mut out);
@@ -1670,7 +1793,7 @@ mod tests {
             // table — sends nothing.
             for sweep in [false, true] {
                 let mut store = flagged_store(Phase::Scatter, delta);
-                let mut table = TargetTable::default();
+                let mut table = TargetTable::new(0);
                 let first = scatter_frames(sweep, program, &mut store, &mut table);
                 assert!(!first.is_empty(), "{what}: nothing was sent, sweep {sweep}");
                 assert!(table.len() >= model.len());
@@ -1740,7 +1863,7 @@ mod tests {
             let mut scattered = flagged_store(Phase::Scatter, delta);
             let (locator, sketch) = placement();
             let ctx = kernel_ctx(program, &locator, &sketch, false);
-            let (mut cache, mut table) = (OwnerCache::new(), TargetTable::default());
+            let (mut cache, mut table) = (OwnerCache::new(), TargetTable::new(0));
             let mut out = StepScratch::default();
             for shard in scattered.shards_mut() {
                 kernel_shard(Phase::Scatter, ctx, &mut cache, &mut table, shard, &mut out);
@@ -2233,6 +2356,114 @@ mod tests {
         assert!(rig.readys().iter().all(|f| phase(f) == Phase::Migrate));
     }
 
+    /// Agent `ME` of two at `READY(1, Scatter)` of a delta PageRank run
+    /// whose step-0 advance carried `global`: `a` folded a residual and
+    /// pushed along `a → b → c → x` and `a → d`, where `b` and `c` have
+    /// a single in-edge, `d` has two and `x` lives on agent 2. Returns
+    /// the hub, the agent, the READYs it sent and `[a, b, c, d, x]`.
+    fn delta_chain(global: f64) -> (Arc<InProcTransport>, Agent, Vec<ReadyReport>, [VertexId; 5]) {
+        let (transport, mut agent) = detached(view(1, &[ME, 2], &[]));
+        let lead = transport.bind(&Addr::inproc("nobody")).expect("bind");
+        let owner = |v| {
+            agent
+                .locator
+                .ring()
+                .owner(v)
+                .into_iter()
+                .collect::<Vec<_>>()
+        };
+        let mine = owned(owner, &[ME], 4);
+        let x = owned(owner, &[2], 1)[0];
+        let (a, b, c, d) = (mine[0], mine[1], mine[2], mine[3]);
+        for (u, w) in [(a, b), (a, d), (b, c), (c, x)] {
+            agent.insert_out_edge(u, w);
+        }
+        for (v, g_out, g_in) in [(a, 2, 0), (b, 1, 1), (c, 1, 1), (d, 0, 2)] {
+            agent.edit(v, |e, _| {
+                (e.is_meta, e.g_out, e.g_in) = (true, g_out, g_in);
+                (e.state, e.has_state) = (0f64.to_bits(), true);
+            });
+        }
+        // `a` holds a residual above the tolerance: step 0 folds it.
+        agent.edit(a, |e, _| {
+            (e.residual, e.has_residual) = (0.5f64.to_bits(), true)
+        });
+        let spec = ProgramSpec::PageRank {
+            damping: 0.85,
+            max_iters: 100,
+            tolerance: 1e-6,
+        };
+        let (tag, params) = spec.encode();
+        agent.begin_run(RunInfo {
+            tag,
+            params,
+            reuse_state: true,
+            delta: true,
+            ..run_info(false)
+        });
+        for (phase, global) in [(Phase::Scatter, 0.0), (Phase::Combine, global)] {
+            let advance = msg::Advance {
+                run: RUN,
+                step: 0,
+                phase,
+                n_vertices: 5,
+                global,
+                done: false,
+                until: Phase::Scatter,
+                expect: Vec::new(),
+            };
+            assert!(agent.handle(Delivery::push(advance.encode())));
+        }
+        let mut readys = Vec::new();
+        while let Ok(Some(del)) = lead.try_recv() {
+            if del.frame.packet_type() == packet::READY {
+                readys.push(ReadyReport::decode(&del.frame).expect("ready"));
+            }
+        }
+        (transport, agent, readys, [a, b, c, d, x])
+    }
+
+    /// The chase under delta PageRank: `a`'s push runs down a local
+    /// chain of single-in-edge vertices, `a → b → c`, within the step
+    /// that scatters it, and `c`'s push to agent 2 leaves with that
+    /// step's records; `d`, whose second in-edge could still bring more
+    /// this step, keeps its partial for the barrier. The READY reports
+    /// the chased vertices as active and their remote records as sent.
+    /// A step that hands out a dangling share swept every primary and
+    /// chases nothing.
+    #[test]
+    fn a_delta_step_chases_single_in_edge_vertices_and_no_other() {
+        let (transport, mut agent, readys, [a, b, c, d, x]) = delta_chain(0.0);
+        let rank = |agent: &Agent, v| f64::from_bits(agent.vertices.get(&v).expect("entry").state);
+        let pushed = 0.85 * 0.5 / 2.0;
+        assert_eq!(rank(&agent, a), 0.5);
+        assert_eq!(rank(&agent, b), pushed, "b applied inside step 1");
+        assert_eq!(rank(&agent, c), 0.85 * pushed, "c applied inside step 1");
+        let e = agent.vertices.get(&d).expect("d");
+        assert_eq!((rank(&agent, d), e.has_partial), (0.0, true), "d waits");
+        assert_eq!(agent.metrics.chased, 2);
+        let rep = readys.last().expect("a READY");
+        assert_eq!((rep.step, rep.phase), (1, Phase::Scatter));
+        assert_eq!(rep.sent, [(2, 1)], "c's push, sent by the chase");
+        assert_eq!(rep.active, 3, "a, and the two chased vertices");
+        agent.flush_outboxes();
+        let peer = transport.bind(&agent_addr(2)).expect("bind");
+        let d = peer.try_recv().expect("recv").expect("a frame");
+        let recs: Vec<_> = msg::decode_vmsgs(&d.frame)
+            .expect("vmsg")
+            .records
+            .iter()
+            .collect();
+        assert_eq!(recs, [(x, (0.85 * 0.85 * pushed).to_bits())]);
+        for shard in agent.vertices.shards() {
+            shard.assert_worklists_complete();
+        }
+
+        let (_transport, agent, _, [_, b, ..]) = delta_chain(1e-3);
+        assert_eq!(agent.metrics.chased, 0);
+        assert!(agent.vertices.get(&b).expect("b").has_partial, "b waits");
+    }
+
     // ------------------------------------------------------------------
     // What an edge remembers, and what makes it forget.
     // ------------------------------------------------------------------
@@ -2268,7 +2499,7 @@ mod tests {
     ) -> Vec<(AgentId, Vec<(VertexId, u64)>)> {
         let e = agent.vertices.entry_or_default(u);
         (e.state, e.has_state, e.active) = (u, true, true);
-        agent.run_kernel(Phase::Scatter, true);
+        agent.run_kernel(Phase::Scatter, true, false);
         agent.flush_outboxes();
         let mut got = Vec::new();
         for (peer, mailbox) in peers {
@@ -2441,7 +2672,7 @@ mod tests {
                     e.rep_out_degree = outs.len() as u64;
                 }
                 let before = agent.metrics.memo_fills;
-                agent.run_kernel(Phase::Scatter, true);
+                agent.run_kernel(Phase::Scatter, true, false);
                 agent.flush_outboxes();
                 let sent: Vec<Vec<(VertexId, u64)>> = peers
                     .iter()
@@ -2539,7 +2770,7 @@ mod tests {
                     lists.partial_dirty.push(v);
                 });
             }
-            agent.run_kernel(Phase::Combine, false);
+            agent.run_kernel(Phase::Combine, false, false);
             agent.flush_outboxes();
         };
         hand_partials(&mut agent);
@@ -2575,7 +2806,7 @@ mod tests {
             lists.apply.push(hub);
         });
         agent.needs_sweep = false;
-        agent.run_kernel(Phase::Apply, false);
+        agent.run_kernel(Phase::Apply, false, false);
         let e = agent.vertices.get(&hub).unwrap();
         assert_eq!((e.state, e.home), (0, false));
         assert_eq!(agent.total().state_sent, 2, "a replica was not told");

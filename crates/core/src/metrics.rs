@@ -357,6 +357,8 @@ metrics! {
             "Vertex entries whose placement a view change's sweep decided.";
         primaries: u64 = gauge(primaries) => "primaries" gauge
             "Primary vertices: the meta entries each agent's ring places on it.";
+        chased: u64 = sum(chased) => "chased_total" counter
+            "Vertices a superstep applied without a barrier, chasing its own records.";
         quiesce_waves: u64 = lead => "quiesce_waves_total" counter
             "DRAIN fan-outs the lead sent to answer quiesce calls, one or more each.";
     }
@@ -419,6 +421,7 @@ mod tests {
             kernel_visits: 190,
             sweep_visits: 200,
             primaries: 210,
+            chased: 215,
             links_broken: 220,
             comms: CommsMetrics {
                 vmsg: PacketStat {
@@ -469,6 +472,7 @@ mod tests {
             kernel_visits: 50,
             sweep_visits: 8,
             primaries: 12,
+            chased: 9,
             links_broken: 2,
             comms: CommsMetrics {
                 count_flushes: 4,
@@ -503,6 +507,7 @@ mod tests {
             kernel_visits: 25,
             sweep_visits: 3,
             primaries: 14,
+            chased: 4,
             links_broken: 1,
             comms: CommsMetrics {
                 count_flushes: 5,
@@ -533,6 +538,7 @@ mod tests {
         assert_eq!(c.kernel_visits, 75);
         assert_eq!(c.memo_fills, 11);
         assert_eq!((c.sweep_visits, c.primaries), (11, 26));
+        assert_eq!(c.chased, 13);
         assert_eq!(c.links_broken, 3);
         // A departed agent keeps its counters in the totals; its
         // gauges leave with it.

@@ -139,29 +139,39 @@ pub(crate) struct TargetTable {
     /// dst)`: the key lives in the row only, a bucket is four bytes.
     /// A power of two at least twice `rows.len()`, or empty.
     index: Vec<u32>,
-    /// Rows with `has` set, in the order they were first touched.
+    /// Rows with `has` set, in the order they were first touched: those
+    /// of other destinations here, this agent's own in `own_touched`,
+    /// so that its own records can be taken alone
+    /// ([`TargetTable::flush_own`]).
     touched: Vec<u32>,
+    own_touched: Vec<u32>,
+    /// The agent the table belongs to, and its index in `members` once
+    /// a row names it.
+    me: AgentId,
+    own: Option<u16>,
     /// Destination agents, by the `dst` index rows carry.
     members: Vec<AgentId>,
     /// One record run per member, filled by [`TargetTable::flush`].
     runs: Vec<Vec<(VertexId, u64)>>,
 }
 
-impl Default for TargetTable {
-    fn default() -> Self {
+impl TargetTable {
+    /// The empty table of agent `me`.
+    pub fn new(me: AgentId) -> Self {
         TargetTable {
             // Entries start at stamp 0: never a live generation.
             generation: 1,
             rows: Vec::new(),
             index: Vec::new(),
             touched: Vec::new(),
+            own_touched: Vec::new(),
+            me,
+            own: None,
             members: Vec::new(),
             runs: Vec::new(),
         }
     }
-}
 
-impl TargetTable {
     /// The generation slots and placement stamps are valid under.
     pub fn generation(&self) -> u32 {
         self.generation
@@ -176,11 +186,15 @@ impl TargetTable {
     /// Forget every row and invalidate every slot handed out. Called
     /// between steps only: no accumulator holds a value.
     pub fn clear(&mut self) {
-        debug_assert!(self.touched.is_empty(), "cleared mid-step");
+        debug_assert!(
+            self.touched.is_empty() && self.own_touched.is_empty(),
+            "cleared mid-step"
+        );
         self.generation += 1;
         self.rows.clear();
         self.index.fill(EMPTY);
         self.members.clear();
+        self.own = None;
     }
 
     /// The garbage rule, applied at a run's start: rows outnumbering
@@ -199,6 +213,9 @@ impl TargetTable {
         let dst = match self.members.iter().position(|&a| a == agent) {
             Some(i) => i,
             None => {
+                if agent == self.me {
+                    self.own = Some(self.members.len() as u16);
+                }
                 self.members.push(agent);
                 self.members.len() - 1
             }
@@ -251,7 +268,11 @@ impl TargetTable {
             } else {
                 row.acc = value;
                 row.has = true;
-                self.touched.push(slot);
+                if Some(row.dst) == self.own {
+                    self.own_touched.push(slot);
+                } else {
+                    self.touched.push(slot);
+                }
             }
         }
     }
@@ -260,11 +281,28 @@ impl TargetTable {
     /// run, in first-touch order, and leave the rows empty.
     pub fn flush(&mut self) {
         self.runs.resize_with(self.members.len(), Vec::new);
-        for slot in self.touched.drain(..) {
+        let touched = self.own_touched.drain(..).chain(self.touched.drain(..));
+        for slot in touched {
             let row = &mut self.rows[slot as usize];
             row.has = false;
             self.runs[usize::from(row.dst)].push((row.vertex, row.acc));
         }
+    }
+
+    /// Move this agent's own touched rows — its records to itself —
+    /// into its run, in first-touch order, and leave those rows empty;
+    /// the other destinations' rows stay touched and keep combining.
+    /// Returns the agent's member index (its run is
+    /// [`TargetTable::take_run`]'s), `None` while no row names it.
+    pub fn flush_own(&mut self) -> Option<usize> {
+        let own = usize::from(self.own?);
+        self.runs.resize_with(self.members.len(), Vec::new);
+        for slot in self.own_touched.drain(..) {
+            let row = &mut self.rows[slot as usize];
+            row.has = false;
+            self.runs[own].push((row.vertex, row.acc));
+        }
+        Some(own)
     }
 
     /// Flush, and drain every run: `(agent, vertex, value)` in the
@@ -330,7 +368,7 @@ mod tests {
 
     #[test]
     fn interning_is_idempotent_per_vertex_and_destination() {
-        let mut table = TargetTable::default();
+        let mut table = TargetTable::new(0);
         let a = table.intern(7, 1);
         let b = table.intern(7, 2);
         let c = table.intern(8, 1);
@@ -349,7 +387,7 @@ mod tests {
 
     #[test]
     fn flush_emits_each_touched_row_once_in_first_touch_order() {
-        let mut table = TargetTable::default();
+        let mut table = TargetTable::new(0);
         let slots: Vec<u32> = (0..5).map(|v| table.intern(v, 1 + v % 2)).collect();
         let add = |a: u64, b: u64| a + b;
         table.accumulate(&[(slots[3], 10), (slots[0], 1), (slots[3], 5)], add);
@@ -364,8 +402,36 @@ mod tests {
     }
 
     #[test]
+    fn own_rows_are_taken_alone_and_the_rest_keep_combining() {
+        // The table of agent 2, whose rows are the odd vertices.
+        let mut table = TargetTable::new(2);
+        assert_eq!(table.flush_own(), None);
+        let slots: Vec<u32> = (0..5).map(|v| table.intern(v, 1 + v % 2)).collect();
+        let add = |a: u64, b: u64| a + b;
+        table.accumulate(&[(slots[3], 10), (slots[0], 1), (slots[1], 7)], add);
+        let own = table.flush_own().expect("agent 2 is a member");
+        assert_eq!(table.members()[own], 2);
+        let run = table.take_run(own);
+        assert_eq!(run, [(3, 10), (1, 7)]);
+        table.recycle(own, run);
+        // A second round: the peer's row combines with the first one's,
+        // the own row starts over.
+        table.accumulate(&[(slots[0], 1), (slots[3], 5), (slots[2], 4)], add);
+        table.flush_own();
+        assert_eq!(table.take_run(own), [(3, 5)]);
+        assert_eq!(table.flushed(), [(1, 0, 2), (1, 2, 4)]);
+        // A clear forgets which member is this agent until a row names it.
+        table.clear();
+        assert_eq!(table.flush_own(), None);
+        let slot = table.intern(9, 2);
+        table.accumulate(&[(slot, 3)], add);
+        let own = table.flush_own().expect("named again");
+        assert_eq!(table.take_run(own), [(9, 3)]);
+    }
+
+    #[test]
     fn the_garbage_rule_clears_and_bumps() {
-        let mut table = TargetTable::default();
+        let mut table = TargetTable::new(0);
         let first = table.generation();
         for v in 0..(GARBAGE_SLACK as u64 + 21) {
             table.intern(v, 1);

@@ -445,6 +445,7 @@ fn agent_metrics() -> AgentMetrics {
         memo_fills: 57,
         sweep_visits: 58,
         primaries: 59,
+        chased: 60,
     }
 }
 
@@ -515,7 +516,8 @@ fn cluster_metrics() -> ClusterMetrics {
         memo_fills: 66,
         sweep_visits: 67,
         primaries: 68,
-        quiesce_waves: 69,
+        chased: 69,
+        quiesce_waves: 70,
     }
 }
 
@@ -533,7 +535,7 @@ const METRICS: &str = "010000000000000002000000000000000300000000000000040000000
      2d000000000000002e000000000000002f000000000000003000000000000000\
      3100000000000000320000000000000033000000000000003400000000000000\
      3500000000000000360000000000000037000000000000003800000000000000\
-     39000000000000003a000000000000003b00000000000000";
+     39000000000000003a000000000000003b000000000000003c00000000000000";
 
 const GET_METRICS: &str = "0100000000000000020000000000000003000000000000000400000000000000\
      0500000000000000060000000000000007000000000000000800000000000000\
@@ -552,7 +554,7 @@ const GET_METRICS: &str = "01000000000000000200000000000000030000000000000004000
      003a000000000000003b000000000000003c000000000000003d000000000000\
      003e000000000000003f00000000000000400000000000000041000000000000\
      0042000000000000004300000000000000440000000000000045000000000000\
-     00";
+     004600000000000000";
 
 #[test]
 fn metrics_frames_are_pinned() {
@@ -734,7 +736,10 @@ elga_sweep_visits_total 67
 # HELP elga_primaries Primary vertices: the meta entries each agent's ring places on it.
 # TYPE elga_primaries gauge
 elga_primaries 68
+# HELP elga_chased_total Vertices a superstep applied without a barrier, chasing its own records.
+# TYPE elga_chased_total counter
+elga_chased_total 69
 # HELP elga_quiesce_waves_total DRAIN fan-outs the lead sent to answer quiesce calls, one or more each.
 # TYPE elga_quiesce_waves_total counter
-elga_quiesce_waves_total 69
+elga_quiesce_waves_total 70
 "#;

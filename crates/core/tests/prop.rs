@@ -811,11 +811,11 @@ proptest! {
         let words = |b: elga_net::frame::FrameBuilder, n: usize| {
             w.iter().cycle().take(n).fold(b, |b, &x| b.u64(x))
         };
-        let agent = words(Frame::builder(packet::METRICS), 59).finish();
-        assert_round_trip(AgentMetrics::decode(&agent).expect("59 words"));
+        let agent = words(Frame::builder(packet::METRICS), 60).finish();
+        assert_round_trip(AgentMetrics::decode(&agent).expect("60 words"));
         let cluster = words(Frame::builder(packet::GET_METRICS), 11).u8(u8::from(bit(10)));
-        let cluster = words(cluster, 57).finish();
-        assert_round_trip(ClusterMetrics::decode(&cluster).expect("68 words and a flag"));
+        let cluster = words(cluster, 58).finish();
+        assert_round_trip(ClusterMetrics::decode(&cluster).expect("69 words and a flag"));
     }
 
     /// The EMA autoscaler's target is always within bounds and the EMA

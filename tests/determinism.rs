@@ -251,7 +251,10 @@ struct RunWire {
     vmsg_counted: (u64, u64),
     /// Vertex messages delivered, however they travelled.
     vmsgs: u64,
+    /// Vertices applied inside a step without a barrier.
+    chased: u64,
     may_split: bool,
+    view: DirectoryView,
 }
 
 /// Ingest `edges` into `agents` agents under `threshold`, run `spec`
@@ -293,7 +296,9 @@ fn run_wire(
         vmsg_wire: net.sent(packet::VMSG),
         vmsg_counted,
         vmsgs: cluster.metrics().vmsgs,
+        chased: cluster.metrics().chased,
         may_split: cluster.view().may_split(),
+        view: cluster.view(),
         states: cluster.dump_states(),
     };
     cluster.shutdown();
@@ -412,6 +417,56 @@ fn one_barrier_per_step_unless_a_vertex_is_split() {
     }
     assert_eq!(split.steps, pr2.steps);
     assert_ranks_close(&split.states, &pr2.states, "pagerank split vs whole");
+}
+
+/// ROADMAP item 10's ring: sync WCC on an `n`-vertex ring, whose
+/// labels cross the ring hop by hop. A step chases its agent's own
+/// records to a local fixed point, so the minimum label crosses one
+/// *agent boundary* a step, not one edge: at 2, 4 and 8 agents the run
+/// takes about as many steps as the most boundaries the label needs to
+/// reach a vertex (133, 220 and 264 here, where every run took 301:
+/// `n / 2` hops), and the labels are the reference's to the bit, at
+/// one READY per agent per step.
+#[test]
+fn ring_wcc_steps_follow_the_agent_boundaries_a_label_crosses() {
+    let n = 600u64;
+    let edges: Vec<(u64, u64)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
+    let labels = reference::wcc(edges.iter().copied());
+    for agents in [2, 4, 8] {
+        let w = run_wire(agents, 1 << 20, &edges, Wcc::new(), SYNC);
+        for (v, &label) in &labels {
+            assert_eq!(w.states[v], label, "{agents} agents: vertex {v}");
+        }
+        // Boundaries on the way from vertex 0, the minimum, to each
+        // vertex, around either side of the ring: a label takes the
+        // shorter.
+        let ring = w.view.locator();
+        let owner = |v: u64| ring.ring().owner(v % n).expect("owner");
+        let cut: Vec<u64> = (0..n)
+            .map(|i| u64::from(owner(i) != owner(i + 1)))
+            .collect();
+        let total: u64 = cut.iter().sum();
+        let mut before = 0;
+        let mut crossings = 0;
+        for v in 0..n {
+            crossings = crossings.max(before.min(total - before));
+            before += cut[v as usize];
+        }
+        assert!(w.chased > 0, "{agents} agents: nothing chased");
+        // One boundary a step, and the step that finds nothing left
+        // to improve.
+        assert!(
+            crossings <= w.steps && w.steps <= crossings + 2,
+            "{agents} agents: {} steps for a label crossing {crossings} boundaries",
+            w.steps
+        );
+        assert!(
+            w.readys <= w.steps + 2,
+            "{agents} agents: {} READY frames per agent for {} steps",
+            w.readys,
+            w.steps
+        );
+    }
 }
 
 /// A join and a leave while a split run is in flight land on Apply

@@ -3,10 +3,11 @@
 //! against the references. These are the heaviest invariants in the
 //! suite, so case counts are modest.
 
-use elga::core::program::{ExecutionMode, RunOptions};
-use elga::graph::reference;
+use elga::core::program::{ExecutionMode, ProgramSpec, RunOptions};
+use elga::graph::{csr::Csr, reference};
 use elga::prelude::*;
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 fn apply_model(model: &mut std::collections::HashSet<(u64, u64)>, c: &EdgeChange) {
     let e = (c.edge.src, c.edge.dst);
@@ -201,5 +202,109 @@ proptest! {
         prop_assert_eq!(cluster.metrics().primaries, vertices(&model));
         cluster.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Run `spec` from scratch on `base`, then once per batch on the state
+/// the last run left, in sync mode; `check` sees the graph so far and
+/// the states after every run.
+fn incremental_runs(
+    agents: usize,
+    spec: impl Into<ProgramSpec> + Copy,
+    base: &[(u64, u64)],
+    batches: &[Vec<EdgeChange>],
+    mut check: impl FnMut(&std::collections::HashSet<(u64, u64)>, &HashMap<u64, u64>),
+) {
+    let mut cluster = Cluster::builder().agents(agents).build();
+    let mut model: std::collections::HashSet<(u64, u64)> = base.iter().copied().collect();
+    cluster.ingest_edges(base.iter().copied());
+    cluster.run(spec).expect("first run");
+    check(&model, &cluster.dump_states());
+    for batch in batches {
+        batch.iter().for_each(|c| apply_model(&mut model, c));
+        cluster.ingest(batch.iter().copied());
+        let opts = RunOptions {
+            reuse_state: true,
+            mode: ExecutionMode::Sync,
+        };
+        cluster.run_with(spec, opts).expect("incremental run");
+        check(&model, &cluster.dump_states());
+    }
+    cluster.shutdown();
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 8,
+        ..ProptestConfig::default()
+    })]
+
+    /// Sync steps chase their own records to a local fixed point at
+    /// every agent count, one agent (everything local) included: over
+    /// random graphs and change streams, each run on the state of the
+    /// last, WCC and SSSP stay bit-exact against the references
+    /// (insert-only streams, where their reuse runs are exact) and
+    /// delta PageRank, deletes included, within `tests/incremental.rs`'s
+    /// agreement bound of a full recompute of the same edges.
+    #[test]
+    fn chasing_sync_runs_agree_with_the_references(
+        base in prop::collection::hash_set((0u64..48, 0u64..48), 10..80),
+        batches in prop::collection::vec(
+            prop::collection::vec((0u64..56, 0u64..56, any::<bool>()), 1..12),
+            1..4,
+        ),
+        agents in 1usize..5,
+    ) {
+        // Vertex 0, SSSP's source, is in the graph.
+        let base: Vec<(u64, u64)> = base.into_iter().chain([(0, 1)]).filter(|&(u, v)| u != v).collect();
+        let inserts: Vec<Vec<EdgeChange>> = batches
+            .iter()
+            .map(|b| b.iter().filter(|c| c.0 != c.1).map(|&(u, v, _)| EdgeChange::insert(u, v)).collect())
+            .collect();
+        incremental_runs(agents, Wcc::new(), &base, &inserts, |model, states| {
+            let truth = reference::wcc(model.iter().copied());
+            assert_eq!(states.len(), truth.len(), "wcc: vertex sets");
+            for (v, &label) in &truth {
+                assert_eq!(states[v], label, "wcc: vertex {v}");
+            }
+        });
+        incremental_runs(agents, Sssp::new(0), &base, &inserts, |model, states| {
+            let edges: Vec<(u64, u64)> = model.iter().copied().collect();
+            let truth = reference::sssp(&Csr::from_edges(None, &edges), 0);
+            for (&v, &state) in states {
+                assert_eq!(Sssp::decode(state), truth.get(&v).copied(), "sssp: vertex {v}");
+            }
+        });
+        // Deletes of held edges, inserts otherwise.
+        let mut held: std::collections::HashSet<(u64, u64)> = base.iter().copied().collect();
+        let changes: Vec<Vec<EdgeChange>> = batches
+            .iter()
+            .map(|b| {
+                b.iter()
+                    .filter(|c| c.0 != c.1)
+                    .map(|&(u, v, delete)| {
+                        if delete && held.remove(&(u, v)) {
+                            EdgeChange::delete(u, v)
+                        } else {
+                            held.insert((u, v));
+                            EdgeChange::insert(u, v)
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let pagerank = PageRank::new(0.85).with_max_iters(300).with_tolerance(1e-10);
+        incremental_runs(agents, pagerank, &base, &changes, |model, states| {
+            let mut full = Cluster::builder().agents(agents).build();
+            full.ingest_edges(model.iter().copied());
+            full.run(pagerank).expect("full recompute");
+            let want = full.dump_states();
+            full.shutdown();
+            assert_eq!(states.len(), want.len(), "pagerank: vertex sets");
+            for (v, &bits) in &want {
+                let (a, b) = (f64::from_bits(bits), f64::from_bits(states[v]));
+                assert!((a - b).abs() < 1e-5, "pagerank: v{v}: full {a}, incremental {b}");
+            }
+        });
     }
 }
