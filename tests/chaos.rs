@@ -314,6 +314,7 @@ fn killed_agent_mid_async_run_recovers_to_correct_results() {
     let mut cluster = Cluster::builder().agents(4).config(cfg).build();
     cluster.ingest_edges(edges.iter().copied());
 
+    let victim = cluster.agent_ids()[1];
     let handle = cluster
         .start_run(
             Wcc::new(),
@@ -323,7 +324,6 @@ fn killed_agent_mid_async_run_recovers_to_correct_results() {
             },
         )
         .expect("start async run");
-    let victim = cluster.agent_ids()[1];
     cluster.kill_agent(victim);
     cluster
         .wait_run(handle)
@@ -442,10 +442,10 @@ fn killed_agent_after_compactions_recovers_the_final_edge_set() {
     assert_eq!(log.ingested, stream.len() as u64);
     assert!(log.retained < log.ingested, "the log never compacted");
 
+    let victim = cluster.agent_ids()[1];
     let handle = cluster
         .start_run(Wcc::new(), RunOptions::default())
         .expect("start run");
-    let victim = cluster.agent_ids()[1];
     cluster.kill_agent(victim);
     cluster
         .wait_run(handle)

@@ -138,10 +138,10 @@ fn crash_after_checkpoint_replays_only_the_suffix() {
     assert!(cluster.checkpoint().expect("checkpoint").committed);
     cluster.ingest_edges(second.iter().copied());
 
+    let victim = cluster.agent_ids()[1];
     let handle = cluster
         .start_run(Wcc::new(), RunOptions::default())
         .expect("start run");
-    let victim = cluster.agent_ids()[1];
     cluster.kill_agent(victim);
     cluster
         .wait_run(handle)
@@ -236,10 +236,10 @@ fn restore_over_a_lossy_transport() {
     assert!(cluster.checkpoint().expect("checkpoint").committed);
     cluster.ingest_edges(second.iter().copied());
 
+    let victim = cluster.agent_ids()[1];
     let handle = cluster
         .start_run(Wcc::new(), RunOptions::default())
         .expect("start run");
-    let victim = cluster.agent_ids()[1];
     cluster.kill_agent(victim);
     cluster
         .wait_run(handle)
@@ -287,8 +287,8 @@ fn torn_generation_falls_back(mode: ExecutionMode, tag: &str) {
     // Generation 2 committed, then its shards were damaged on disk.
     tear_generation(&dir, 2);
 
-    let handle = cluster.start_run(Wcc::new(), opts).expect("start run");
     let victim = cluster.agent_ids()[1];
+    let handle = cluster.start_run(Wcc::new(), opts).expect("start run");
     cluster.kill_agent(victim);
     cluster
         .wait_run(handle)
@@ -357,10 +357,10 @@ fn injected_torn_writes_refuse_to_commit_and_recovery_survives() {
         "a refused commit must not truncate the log"
     );
 
+    let victim = cluster.agent_ids()[1];
     let handle = cluster
         .start_run(Wcc::new(), RunOptions::default())
         .expect("start run");
-    let victim = cluster.agent_ids()[1];
     cluster.kill_agent(victim);
     cluster
         .wait_run(handle)
@@ -402,10 +402,10 @@ fn all_generations_damaged_with_truncated_log_fails_fast() {
     tear_generation(&dir, 1);
     tear_generation(&dir, 2);
 
+    let victim = cluster.agent_ids()[1];
     let handle = cluster
         .start_run(Wcc::new(), RunOptions::default())
         .expect("start run");
-    let victim = cluster.agent_ids()[1];
     cluster.kill_agent(victim);
     let err = cluster.wait_run(handle).expect_err("recovery must fail");
     assert!(
@@ -502,6 +502,7 @@ fn residual_run_after_a_restore(cut_after_batch: bool) {
         cluster.ingest(batch.iter().copied());
     }
 
+    let victim = cluster.agent_ids()[1];
     let handle = cluster
         .start_run(
             pr,
@@ -511,7 +512,6 @@ fn residual_run_after_a_restore(cut_after_batch: bool) {
             },
         )
         .expect("start incremental run");
-    let victim = cluster.agent_ids()[1];
     cluster.kill_agent(victim);
     cluster
         .wait_run(handle)
@@ -635,8 +635,8 @@ fn churn_past_a_checkpoint_then_kill(
         "the log never compacted"
     );
 
-    let handle = cluster.start_run(program, options).expect("start run");
     let victim = cluster.agent_ids()[1];
+    let handle = cluster.start_run(program, options).expect("start run");
     cluster.kill_agent(victim);
     cluster
         .wait_run(handle)

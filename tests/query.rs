@@ -463,10 +463,10 @@ fn snapshots_survive_elasticity_and_recovery() {
     // equal the finished run's states exactly — one tag, no mixture.
     assert!(cluster.checkpoint().expect("checkpoint").committed);
     cluster.ingest_edges((0..30u64).map(|i| (i * 7 % n, (i * 13 + 1) % n)));
+    let victim = cluster.agent_ids()[1];
     let handle = cluster
         .start_run(pr, RunOptions::default())
         .expect("start post-checkpoint run");
-    let victim = cluster.agent_ids()[1];
     cluster.kill_agent(victim);
     cluster.wait_run(handle).expect("run survives the crash");
     assert_eq!(cluster.metrics().recoveries, 1);
