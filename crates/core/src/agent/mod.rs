@@ -353,6 +353,9 @@ pub struct Agent {
     /// Deliveries taken off the mailbox by [`Agent::serve_reads`] while
     /// it looked for reads mid-superstep, oldest first.
     parked: VecDeque<Delivery>,
+    /// Reads that asked for the run this agent holds open, answered
+    /// when it ends ([`Agent::answer_reads`]).
+    reads: Vec<(Frame, ReplyHandle)>,
     /// The last READY sent; [`Agent::on_idle`] re-sends it when late
     /// counted frames moved the counts since.
     reported: Option<ReadyReport>,
@@ -517,6 +520,7 @@ impl Agent {
             buffered_changes: Vec::new(),
             buffered_frames: Vec::new(),
             parked: VecDeque::new(),
+            reads: Vec::new(),
             reported: None,
             idle_owed: false,
             departing: false,
@@ -663,7 +667,7 @@ impl Agent {
             packet::CKPT_SAVE => self.on_ckpt_save(&frame, d.reply),
             packet::CKPT_LOAD => self.on_ckpt_load(&frame, d.reply),
             packet::RESET_LABELS => self.on_reset_labels(frame),
-            packet::QUERY_BATCH => self.answer_read(&frame, d.reply),
+            packet::QUERY_BATCH => self.answer_read(frame, d.reply),
             packet::SUB_REG => {
                 if let Some(reg) = msg::SubReg::decode(&frame) {
                     self.on_sub_reg(reg);
@@ -807,48 +811,51 @@ impl Agent {
     /// Answer a point query from the snapshot buffer. Live `state` is
     /// never served: mid-run it is torn (some vertices stepped, some
     /// not), and the snapshot is exactly the last completed run's
-    /// values. A vertex with no entry at the agent that owns its meta
-    /// record does not exist — that answer is authoritative
+    /// values. Only the vertex's primary under the adopted view answers
+    /// a hit: a husk that moved away keeps its `snap` until the next run
+    /// completes, and answers a miss. A vertex with no entry at its
+    /// primary does not exist — that answer is authoritative
     /// ([`msg::ANSWER_GONE`]) and lets clients stop searching.
     fn answer_query(&self, v: VertexId) -> msg::QueryAnswer {
-        match self.vertices.get(&v) {
-            Some(e) if e.has_snap => msg::QueryAnswer {
-                vertex: v,
-                state: e.snap,
-                found: msg::ANSWER_HIT,
-            },
-            Some(_) => msg::QueryAnswer {
-                vertex: v,
-                state: 0,
-                found: msg::ANSWER_MISS,
-            },
-            None => msg::QueryAnswer {
-                vertex: v,
-                state: 0,
-                found: if self.is_primary(v) {
-                    msg::ANSWER_GONE
-                } else {
-                    msg::ANSWER_MISS
-                },
-            },
+        let (state, found) = match self.vertices.get(&v) {
+            Some(e) if e.has_snap && self.is_primary_meta(v, e) => (e.snap, msg::ANSWER_HIT),
+            None if self.is_primary(v) => (0, msg::ANSWER_GONE),
+            _ => (0, msg::ANSWER_MISS),
+        };
+        msg::QueryAnswer {
+            vertex: v,
+            state,
+            found,
         }
     }
 
-    /// Answer a QUERY_BATCH request from the snapshot buffer.
-    fn answer_read(&mut self, frame: &Frame, reply: Option<ReplyHandle>) {
-        let Some(reply) = reply else {
+    /// Answer a QUERY_BATCH request from the snapshot buffer, or — when
+    /// it asks for the run this agent still holds open — park it until
+    /// that run's snapshot flip ([`Agent::answer_reads`]).
+    fn answer_read(&mut self, frame: Frame, reply: Option<ReplyHandle>) {
+        let (Some(reply), Some(ask)) = (reply, msg::decode_query_batch(&frame)) else {
             return;
         };
-        if let Some(recs) = msg::decode_query_batch(frame) {
-            self.metrics.queries += recs.len() as u64;
-            self.metrics.query_batches += 1;
-            let answers: Vec<msg::QueryAnswer> =
-                recs.iter().map(|v| self.answer_query(v)).collect();
-            let _ = reply.send(msg::encode_query_batch_rep(
-                self.snap_run,
-                self.snap_watermark,
-                &answers,
-            ));
+        if self.run.as_ref().map(|r| r.info.run_id) == Some(ask.min_run) {
+            self.reads.push((frame, reply));
+            return;
+        }
+        self.metrics.queries += ask.records.len() as u64;
+        self.metrics.query_batches += 1;
+        let answers: Vec<msg::QueryAnswer> =
+            ask.records.iter().map(|v| self.answer_query(v)).collect();
+        let _ = reply.send(msg::encode_query_batch_rep(
+            self.snap_run,
+            self.snap_watermark,
+            &answers,
+        ));
+    }
+
+    /// Answer the parked reads: the run they wait for ended here, by its
+    /// snapshot flip or a recovery reset.
+    fn answer_reads(&mut self) {
+        for (frame, reply) in std::mem::take(&mut self.reads) {
+            self.answer_read(frame, Some(reply));
         }
     }
 
@@ -874,7 +881,7 @@ impl Agent {
             match d.frame.packet_type() {
                 packet::QUERY_BATCH => {
                     self.net.record_recv(d.frame.packet_type(), d.frame.len());
-                    self.answer_read(&d.frame, d.reply);
+                    self.answer_read(d.frame, d.reply);
                 }
                 _ => self.parked.push_back(d),
             }
@@ -1208,6 +1215,7 @@ impl Agent {
         }
         self.run = None;
         self.reported = None;
+        self.answer_reads();
         // Apply the changes that were buffered during the run. Their
         // receives were counted when they arrived; decode and apply
         // directly so they are not counted twice.

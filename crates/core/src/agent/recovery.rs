@@ -74,6 +74,8 @@ impl Agent {
         self.snap_watermark = 0;
         self.loaded.clear();
         self.adopt_view(rec.view);
+        // A read parked for the aborted run gets the reset's tag.
+        self.answer_reads();
         self.migrated_epoch = epoch;
         self.send_ready(0, epoch as u32, Phase::Migrate, 0, 0.0);
         true

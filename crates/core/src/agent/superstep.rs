@@ -2107,6 +2107,48 @@ mod tests {
         );
     }
 
+    /// A read that asks for the run the agent holds open waits for the
+    /// run's done advance and is answered from the flipped snapshot with
+    /// its tag; a read that asks for no run is answered at once.
+    #[test]
+    fn a_read_for_the_open_run_waits_for_its_snapshot_flip() {
+        let mut rig = rig();
+        rig.reach_step_one();
+        let v = rig.mine[0];
+        let ask = |min_run| {
+            let client = rig.transport.clone();
+            std::thread::spawn(move || {
+                let read = msg::encode_query_batch(min_run, &[v]);
+                client.request(&agent_addr(ME), read, Duration::from_secs(30))
+            })
+        };
+        let (at_once, after) = (ask(0), ask(RUN));
+        for _ in 0..2 {
+            let d = rig.agent.mailbox.recv().expect("a read");
+            assert!(rig.agent.handle(d));
+        }
+        assert_eq!(rig.agent.reads.len(), 1, "the read for the open run waits");
+        let answer = |read: std::thread::JoinHandle<Result<Frame, NetError>>| {
+            let rep = read.join().expect("join").expect("answered");
+            let rep = msg::decode_query_batch_rep(&rep).expect("a reply");
+            (rep.run, rep.records.iter().next().expect("one").found)
+        };
+        assert_eq!(answer(at_once), (0, msg::ANSWER_MISS));
+        let done = msg::Advance {
+            run: RUN,
+            step: 1,
+            phase: Phase::Scatter,
+            n_vertices: 8,
+            global: 0.0,
+            done: true,
+            until: Phase::Scatter,
+            expect: Vec::new(),
+        };
+        rig.deliver(done.encode());
+        assert!(rig.agent.run.is_none() && rig.agent.reads.is_empty());
+        assert_eq!(answer(after), (RUN, msg::ANSWER_HIT));
+    }
+
     /// An ADVANCE that overtakes the last VMSG frame it counts runs
     /// nothing; reads are answered meanwhile; the frame that completes
     /// the count releases it, and what the agent then puts on the wire
@@ -2145,7 +2187,7 @@ mod tests {
         // A read is served while the advance is parked.
         let (client, v) = (late.transport.clone(), late.mine[0]);
         let ask = std::thread::spawn(move || {
-            let query = msg::encode_query_batch(&[v]);
+            let query = msg::encode_query_batch(0, &[v]);
             client.request(&agent_addr(ME), query, Duration::from_secs(30))
         });
         let d = late.agent.mailbox.recv().expect("the read");
@@ -2828,7 +2870,6 @@ mod tests {
         assert!(rig.agent.on_recover(msg::Recover {
             epoch: 2,
             dead_agent: 2,
-            aborted_run: RUN,
             view: view(2, &[ME], &[]),
         }));
         assert!(rig.agent.run.is_none());

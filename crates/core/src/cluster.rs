@@ -19,18 +19,18 @@
 use crate::agent::Agent;
 use crate::autoscale::Autoscaler;
 use crate::config::SystemConfig;
-use crate::directory::{self, bus_addr, directory_addr, master_addr};
+use crate::directory::{self, directory_addr, master_addr};
 use crate::metrics::ClusterMetrics;
 use crate::msg::{self, packet, AgentInfo, Counters, DirectoryView, Message, RunInfo};
 use crate::program::{ProgramSpec, RunOptions};
+use crate::read::{Reader, SnapshotValue};
 use crate::streamer::Streamer;
 use elga_ckpt::{CheckpointStore, DiskFault};
 use elga_graph::types::EdgeChange;
 use elga_graph::ChangeLogStats;
 use elga_hash::AgentId;
 use elga_net::{
-    Addr, FaultPlan, FaultyTransport, Frame, InProcTransport, Mailbox, NetError, Transport,
-    TransportExt,
+    Addr, FaultPlan, FaultyTransport, Frame, InProcTransport, NetError, Transport, TransportExt,
 };
 use elga_trace::{EventKind, TraceEvent, Tracer};
 use std::collections::HashMap;
@@ -149,11 +149,16 @@ impl ClusterBuilder {
             ));
         }
         let tracer = Arc::new(Tracer::from_flag(self.config.tracing));
+        let lead = directory_addr(0);
+        let reader = Reader::connect(transport.clone(), self.config.clone(), lead.clone())
+            .expect("directory unavailable");
         let mut cluster = Cluster {
             transport,
             fault,
             cfg: self.config,
-            lead: directory_addr(0),
+            lead,
+            reader,
+            last_run: 0,
             handles,
             agent_handles: HashMap::new(),
             next_agent: 1,
@@ -206,7 +211,6 @@ impl RunStats {
 /// mid-run agent failure aborts it.
 pub struct RunHandle {
     run_id: u64,
-    sub: Mailbox,
     started: Instant,
     spec: ProgramSpec,
     options: RunOptions,
@@ -220,6 +224,10 @@ pub struct Cluster {
     fault: Option<Arc<FaultyTransport>>,
     cfg: SystemConfig,
     lead: Addr,
+    /// The point reader: its kept view outlives every read.
+    reader: Reader,
+    /// The last run [`Cluster::wait_run`] returned; reads wait for it.
+    last_run: u64,
     handles: Vec<JoinHandle<()>>,
     agent_handles: HashMap<AgentId, JoinHandle<Vec<TraceEvent>>>,
     next_agent: u64,
@@ -335,10 +343,8 @@ impl Cluster {
 
     /// Current directory view.
     pub fn view(&self) -> DirectoryView {
-        let rep = self
-            .request(Frame::signal(packet::GET_VIEW))
-            .expect("directory unavailable");
-        DirectoryView::decode(&rep).expect("bad view")
+        directory::fetch_view(&*self.transport, &self.cfg, &self.lead)
+            .expect("directory unavailable")
     }
 
     /// Registered agent count.
@@ -429,7 +435,8 @@ impl Cluster {
     /// Crash an agent without the LEAVE drain protocol: it dies
     /// holding its share of the graph and whatever was in flight.
     /// Failure detection must notice the silence, evict it, and
-    /// broadcast RECOVER (handled by [`Cluster::wait_run`]).
+    /// broadcast RECOVER; the driver rebuilds in [`Cluster::wait_run`]
+    /// or the next call that settles.
     pub fn kill_agent(&mut self, id: AgentId) {
         if let Ok(out) = self.transport.sender(&directory::agent_addr(id)) {
             let _ = out.send(Frame::signal(packet::KILL));
@@ -553,14 +560,26 @@ impl Cluster {
     }
 
     /// [`Cluster::quiesce`], and rebuild first if the lead reset the
-    /// survivors of a failure no one has rebuilt from: a kill between
-    /// runs is recovered by the next `ingest` or run.
+    /// survivors of a failure no one has rebuilt from
+    /// ([`Cluster::restore_state`]), as often as a reset follows the
+    /// rebuild: a kill between runs is recovered by the next `ingest`
+    /// or run, and a kill mid-run by `wait_run`.
     fn settle(&mut self) -> Result<(), NetError> {
-        let reset = self.quiesced()?;
-        if reset > self.recovered_epoch {
-            self.recover(reset)?;
+        loop {
+            let t0 = Instant::now();
+            let reset = self.quiesced()?;
+            if reset <= self.recovered_epoch {
+                return Ok(());
+            }
+            self.recovered_epoch = reset;
+            let replayed = self.restore_state()?;
+            self.quiesce()?;
+            self.recovery.recoveries += 1;
+            self.recovery.recovery_nanos += t0.elapsed().as_nanos() as u64;
+            self.recovery.replayed_records += replayed;
+            self.tracer
+                .span(EventKind::RecoveryDone, t0, reset, replayed);
         }
-        Ok(())
     }
 
     /// Print what the lead waits on after `what` passed `deadline`, and
@@ -808,66 +827,55 @@ impl Cluster {
         // so a pre-run in-flight forward would wedge the first barrier.
         self.settle()?;
         let spec = spec.into();
-        let info = run_info(&spec, options);
-        // Subscribe before starting so neither the done-advance nor a
-        // mid-run recovery broadcast can be missed.
-        let sub = self
-            .transport
-            .subscribe(&bus_addr(), &[packet::ADVANCE, packet::RECOVER])?;
-        let rep = self.request(info.encode())?;
-        let run_id = rep
-            .reader()
-            .u64()
-            .ok_or(NetError::Protocol("bad start reply"))?;
         Ok(RunHandle {
-            run_id,
-            sub,
+            run_id: self.launch(&spec, options)?,
             started: Instant::now(),
             spec,
             options,
         })
     }
 
-    /// Block until the run completes and collect its statistics.
+    /// Ask the lead to start `spec`; returns the run id it assigned.
+    fn launch(&self, spec: &ProgramSpec, options: RunOptions) -> Result<u64, NetError> {
+        let rep = self.request(run_info(spec, options).encode())?;
+        rep.reader()
+            .u64()
+            .ok_or(NetError::Protocol("bad start reply"))
+    }
+
+    /// Block until the run completes and collect its statistics: one
+    /// RUN_STATUS request the lead holds until the run ends.
     ///
     /// Bounded by `SystemConfig::run_deadline` (yielding
     /// `NetError::Timeout` past it, after one stderr line that says what
     /// the lead waited on, [`stall_line`]). If an agent dies mid-run,
-    /// the lead's RECOVER broadcast arrives here; the driver waits out
-    /// the survivors' reset, replays the retained change log, and
-    /// restarts the aborted run — all under the same deadline.
+    /// the lead answers with the recovery that aborted the run: the
+    /// driver reaps the dead agent, rebuilds (as `ingest` does) and
+    /// restarts the run, all under the same deadline.
     pub fn wait_run(&mut self, mut handle: RunHandle) -> Result<RunStats, NetError> {
-        let deadline = handle.started + self.cfg.run_deadline;
-        loop {
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(self.gave_up("run", self.cfg.run_deadline));
-            }
-            let slice = (deadline - now).min(Duration::from_millis(100));
-            let d = match handle.sub.recv_timeout(slice) {
-                Ok(d) => d,
-                Err(NetError::Timeout) => continue,
+        let (deadline, policy) = (self.cfg.run_deadline, self.cfg.send_policy);
+        let status = loop {
+            let ask = Frame::builder(packet::RUN_STATUS).u64(handle.run_id);
+            let left = deadline.saturating_sub(handle.started.elapsed());
+            let reply = self
+                .transport
+                .request_with_retry(&self.lead, ask.finish(), left, &policy);
+            let status = match reply {
+                Ok((rep, _)) => msg::RunStatus::decode(&rep),
+                Err(NetError::Timeout) => return Err(self.gave_up("run", deadline)),
                 Err(e) => return Err(e),
             };
-            match d.frame.packet_type() {
-                packet::ADVANCE => {
-                    if let Some(adv) = msg::Advance::decode(&d.frame) {
-                        if adv.run == handle.run_id && adv.done {
-                            break;
-                        }
-                    }
-                }
-                packet::RECOVER => {
-                    if let Some(rec) = msg::Recover::decode(&d.frame) {
-                        self.recover_and_restart(&mut handle, rec)?;
-                    }
-                }
-                _ => {}
+            let status = status.ok_or(NetError::Protocol("bad run status"))?;
+            if status.run_id == handle.run_id && status.done {
+                break status;
             }
-        }
-        let total = handle.started.elapsed();
-        let rep = self.request(Frame::signal(packet::RUN_STATUS))?;
-        let status = msg::RunStatus::decode(&rep).ok_or(NetError::Protocol("bad run status"))?;
+            if let Some(h) = self.agent_handles.remove(&status.dead_agent) {
+                let _ = h.join();
+            }
+            self.settle()?;
+            handle.run_id = self.launch(&handle.spec, handle.options)?;
+        };
+        self.last_run = handle.run_id;
         Ok(RunStats {
             run_id: handle.run_id,
             steps: status.steps,
@@ -877,50 +885,8 @@ impl Cluster {
                 .map(|&ns| Duration::from_nanos(ns))
                 .collect(),
             n_vertices: status.n_vertices,
-            total,
+            total: handle.started.elapsed(),
         })
-    }
-
-    /// Drive recovery after the lead evicted a dead agent mid-run: reap
-    /// its thread, rebuild ([`Cluster::recover`]) unless that was done
-    /// for this reset already, and — when the failure aborted this
-    /// handle's run — restart it (the handle adopts the new run id).
-    fn recover_and_restart(
-        &mut self,
-        handle: &mut RunHandle,
-        rec: msg::Recover,
-    ) -> Result<(), NetError> {
-        if let Some(h) = self.agent_handles.remove(&rec.dead_agent) {
-            let _ = h.join();
-        }
-        if rec.epoch <= self.recovered_epoch {
-            return Ok(());
-        }
-        self.recover(rec.epoch)?;
-        if rec.aborted_run == handle.run_id {
-            let rep = self.request(run_info(&handle.spec, handle.options).encode())?;
-            handle.run_id = rep
-                .reader()
-                .u64()
-                .ok_or(NetError::Protocol("bad start reply"))?;
-        }
-        Ok(())
-    }
-
-    /// Rebuild after the recovery reset of `epoch`
-    /// ([`Cluster::restore_state`]) once the survivors have settled.
-    fn recover(&mut self, epoch: u64) -> Result<(), NetError> {
-        self.recovered_epoch = epoch;
-        let t0 = Instant::now();
-        self.quiesce()?;
-        let replayed = self.restore_state()?;
-        self.quiesce()?;
-        self.recovery.recoveries += 1;
-        self.recovery.recovery_nanos += t0.elapsed().as_nanos() as u64;
-        self.recovery.replayed_records += replayed;
-        self.tracer
-            .span(EventKind::RecoveryDone, t0, epoch, replayed);
-        Ok(())
     }
 
     /// Broadcast a label-reset (incremental WCC deletion handling):
@@ -935,23 +901,18 @@ impl Cluster {
     // ------------------------------------------------------------------
 
     /// Read `v` from the snapshot of the last completed run: a
-    /// QUERY_BATCH of one to its primary under the current view.
-    /// `None` when the vertex does not exist or has no completed-run
-    /// value yet.
+    /// QUERY_BATCH of one to its primary under the reader's kept view
+    /// ([`Reader::read`]), no older than the last run `wait_run`
+    /// returned. `None` when the vertex does not exist or has no
+    /// completed-run value yet.
     pub fn query_u64(&self, v: u64) -> Option<u64> {
-        let view = self.view();
-        let primary = view.locator().ring().owner(v)?;
-        let (rep, _) = self
-            .transport
-            .request_with_retry(
-                view.addr_of(primary)?,
-                msg::encode_query_batch(&[v]),
-                self.cfg.request_timeout,
-                &self.cfg.send_policy,
-            )
-            .ok()?;
-        let answer = msg::decode_query_batch_rep(&rep)?.records.iter().next()?;
-        (answer.found == msg::ANSWER_HIT).then_some(answer.state)
+        self.query(&[v])[0].map(|s| s.state)
+    }
+
+    /// [`Cluster::query_u64`] for many vertices, each answer with the
+    /// tag of the run it was read from.
+    pub fn query(&self, vertices: &[u64]) -> Vec<Option<SnapshotValue>> {
+        self.reader.read(vertices, self.last_run)
     }
 
     /// [`Cluster::query_u64`] decoded as `f64` (PageRank).

@@ -18,10 +18,10 @@
 //! 2, step 4).
 
 use crate::config::SystemConfig;
-use crate::lead::{Effect, Lead};
-use crate::msg::packet;
+use crate::lead::{Effect, Held, Lead};
+use crate::msg::{packet, DirectoryView, Message};
 use elga_hash::AgentId;
-use elga_net::{Addr, Frame, Mailbox, NetError, Publisher, ReplyHandle, Transport};
+use elga_net::{Addr, Frame, Mailbox, NetError, Publisher, ReplyHandle, Transport, TransportExt};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -107,6 +107,18 @@ pub fn bootstrap_directory(
         .ok_or(NetError::Protocol("no directory registered"))?;
     let s = std::str::from_utf8(bytes).map_err(|_| NetError::Protocol("bad directory addr"))?;
     Addr::parse(s).map_err(|_| NetError::Protocol("bad directory addr"))
+}
+
+/// Ask a directory for its view.
+pub fn fetch_view(
+    transport: &dyn Transport,
+    cfg: &SystemConfig,
+    directory: &Addr,
+) -> Result<DirectoryView, NetError> {
+    let ask = Frame::signal(packet::GET_VIEW);
+    let (rep, _) =
+        transport.request_with_retry(directory, ask, cfg.request_timeout, &cfg.send_policy)?;
+    DirectoryView::decode(&rep).ok_or(NetError::Protocol("bad view"))
 }
 
 /// Spawn a Directory entity using the in-process address conventions.
@@ -219,13 +231,13 @@ fn lead_loop(
 
 /// Carry out the lead's effects in the order it queued them; `reply`
 /// answers the frame just handled, if its sender waits for one, and
-/// `held` keeps the answers the lead put off.
+/// `held` keeps the answers the lead put off, under their keys.
 fn carry_out(
     lead: &mut Lead,
     transport: &dyn Transport,
     publisher: &Publisher,
     mut reply: Option<ReplyHandle>,
-    held: &mut Vec<ReplyHandle>,
+    held: &mut Vec<(Held, ReplyHandle)>,
 ) {
     for effect in lead.effects() {
         match effect {
@@ -242,9 +254,12 @@ fn carry_out(
                     let _ = out.send(frame);
                 }
             }
-            Effect::Hold => held.extend(reply.take()),
-            Effect::Answer(frame) => {
-                for reply in held.drain(..) {
+            Effect::Hold(key) => held.extend(reply.take().map(|r| (key, r))),
+            Effect::Answer(key, frame) => {
+                let (answered, kept): (Vec<_>, Vec<_>) =
+                    held.drain(..).partition(|(k, _)| *k == key);
+                *held = kept;
+                for (_, reply) in answered {
                     let _ = reply.send(frame.clone());
                 }
             }

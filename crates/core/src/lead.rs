@@ -44,12 +44,20 @@ pub(crate) enum Effect {
     Reply(Frame),
     /// Push to one participant's mailbox.
     Send(Addr, Frame),
-    /// Keep the frame being handled to answer later.
-    Hold,
-    /// Answer every held frame.
-    Answer(Frame),
+    /// Keep the frame being handled to answer later, under a key.
+    Hold(Held),
+    /// Answer every frame held under the key.
+    Answer(Held, Frame),
     /// One line for the operator.
     Log(String),
+}
+
+/// What a held request waits for: a `quiesce`, nothing counted in
+/// flight; a `wait_run`, the end of the run in progress or pending.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Held {
+    Quiesce,
+    Run(u64),
 }
 
 /// Coordination state for an in-progress run.
@@ -326,7 +334,7 @@ impl Lead {
                 // The driver's `quiesce`, held until nothing counted is
                 // in flight; each member is told what the streamer sent it.
                 Some(ask) if ask.agent == 0 => {
-                    self.effects.push(Effect::Hold);
+                    self.effects.push(Effect::Hold(Held::Quiesce));
                     if self.quiesce.is_none() {
                         self.quiesce = Some(BTreeMap::new());
                         let streamed =
@@ -377,13 +385,17 @@ impl Lead {
                     self.view.encode()
                 });
             }
-            // With a body, the question is what an open barrier waits on.
-            packet::RUN_STATUS if frame.payload().is_empty() => self.reply(self.status().encode()),
-            packet::RUN_STATUS => self.reply(
-                Frame::builder(packet::OK)
-                    .bytes(self.waiting_on().as_bytes())
-                    .finish(),
-            ),
+            // A run id asks to be answered when that run ends; 0, what
+            // an open barrier waits on.
+            packet::RUN_STATUS => match frame.reader().u64() {
+                Some(0) => self.reply(
+                    Frame::builder(packet::OK)
+                        .bytes(self.waiting_on().as_bytes())
+                        .finish(),
+                ),
+                Some(run) if self.runs(run) => self.effects.push(Effect::Hold(Held::Run(run))),
+                _ => self.reply(self.status().encode()),
+            },
             packet::METRICS => {
                 if let Some(m) = AgentMetrics::decode(frame) {
                     self.saw(m.agent);
@@ -900,15 +912,17 @@ impl Lead {
             .map(|r| r.info.run_id)
             .or_else(|| self.pending_start.take().map(|i| i.run_id))
             .unwrap_or(0);
+        self.next_epoch();
+        self.counted_since = self.view.epoch;
         if aborted != 0 {
             self.last_status = RunStatus {
                 run_id: aborted,
                 n_vertices: self.view.n_vertices,
+                reset: self.counted_since,
+                dead_agent: dead,
                 ..RunStatus::default()
             };
         }
-        self.next_epoch();
-        self.counted_since = self.view.epoch;
         self.tracer
             .instant_at(EventKind::RecoveryTrigger, self.now, self.view.epoch, dead);
         self.migrate_members = self.member_ids();
@@ -916,11 +930,15 @@ impl Lead {
         let frame = msg::Recover {
             epoch: self.view.epoch,
             dead_agent: dead,
-            aborted_run: aborted,
             view: self.view.clone(),
         }
         .encode();
         self.open_migrate_barrier(frame);
+        if aborted != 0 {
+            let status = self.last_status.encode();
+            self.effects
+                .push(Effect::Answer(Held::Run(aborted), status));
+        }
         // Zero survivors: the barrier is trivially met.
         self.evaluate();
     }
@@ -951,7 +969,7 @@ impl Lead {
         if asks.is_empty() {
             self.quiesce = None;
             let answer = Frame::builder(packet::OK).u64(self.counted_since).finish();
-            self.effects.push(Effect::Answer(answer));
+            self.effects.push(Effect::Answer(Held::Quiesce, answer));
         } else {
             self.drain(asks);
         }
@@ -1235,6 +1253,9 @@ impl Lead {
             n_vertices: run.n_vertices,
             ..RunStatus::default()
         };
+        let status = self.last_status.encode();
+        let held = Held::Run(run.info.run_id);
+        self.effects.push(Effect::Answer(held, status));
         // Any membership changes queued during the run apply now.
         self.apply_membership();
     }
@@ -1325,6 +1346,12 @@ impl Lead {
             },
             None => self.last_status.clone(),
         }
+    }
+
+    /// Whether run `id` is in progress or waits to launch.
+    fn runs(&self, id: u64) -> bool {
+        self.run.as_ref().map(|r| r.info.run_id) == Some(id)
+            || self.pending_start.as_ref().map(|i| i.run_id) == Some(id)
     }
 }
 
@@ -2463,6 +2490,94 @@ mod tests {
         assert_eq!(lead.migrate_epoch, None);
     }
 
+    /// A RUN_STATUS that waits for run `id` to end.
+    fn run_wait(id: u64) -> Frame {
+        Frame::builder(packet::RUN_STATUS).u64(id).finish()
+    }
+
+    /// The held requests and the answers to them queued since the last
+    /// call, in order: each one's key, and the status an answer carries.
+    fn holds(lead: &mut Lead) -> Vec<(Held, Option<RunStatus>)> {
+        let held = |e| match e {
+            Effect::Hold(key) => Some((key, None)),
+            Effect::Answer(key, f) => Some((key, RunStatus::decode(&f))),
+            _ => None,
+        };
+        lead.effects().filter_map(held).collect()
+    }
+
+    /// A held `quiesce` and a held `wait_run` are answered separately:
+    /// the run's end answers the wait alone, and the balanced table,
+    /// once the run is over, the `quiesce`.
+    #[test]
+    fn a_held_quiesce_and_a_held_run_wait_are_answered_separately() {
+        let (mut lead, run) = lead_mid_run(WCC.0, WCC.1, false);
+        lead.on_frame(lead.now, &run_wait(run));
+        lead.on_frame(lead.now, &drain(0, vec![]).encode());
+        assert_eq!(
+            holds(&mut lead),
+            [(Held::Run(run), None), (Held::Quiesce, None)]
+        );
+        finish(&mut lead, 1);
+        let answered = holds(&mut lead);
+        let [(Held::Run(answered_run), Some(status))] = &answered[..] else {
+            panic!("{answered:?}");
+        };
+        assert_eq!(
+            (*answered_run, status.run_id, status.done),
+            (run, run, true)
+        );
+        for id in [1, 2] {
+            lead.on_frame(lead.now, &drain(id, vec![]).encode());
+        }
+        let answered = holds(&mut lead);
+        assert!(
+            matches!(answered[..], [(Held::Quiesce, None)]),
+            "{answered:?}"
+        );
+    }
+
+    /// A wait for a run that has already ended is answered at once, with
+    /// that run's status.
+    #[test]
+    fn a_wait_for_an_ended_run_is_answered_at_once() {
+        let (mut lead, run) = lead_mid_run(WCC.0, WCC.1, false);
+        finish(&mut lead, 1);
+        drained(&mut lead);
+        lead.on_frame(lead.now, &run_wait(run));
+        let effects = drained(&mut lead);
+        let [Effect::Reply(reply)] = &effects[..] else {
+            panic!("{effects:?}");
+        };
+        let status = RunStatus::decode(reply).unwrap();
+        assert_eq!((status.run_id, status.done), (run, true));
+    }
+
+    /// A wait across a recovery is answered by it: the aborted run,
+    /// neither running nor done, the reset epoch and the dead agent. A
+    /// wait that comes later is answered the same, at once.
+    #[test]
+    fn a_wait_across_a_recovery_is_answered_with_the_reset() {
+        let (mut lead, run) = lead_mid_run(WCC.0, WCC.1, false);
+        lead.on_frame(lead.now, &run_wait(run));
+        drained(&mut lead);
+        lead.recover(2);
+        let want = RunStatus {
+            run_id: run,
+            n_vertices: lead.view.n_vertices,
+            reset: lead.view.epoch,
+            dead_agent: 2,
+            ..RunStatus::default()
+        };
+        assert_eq!(holds(&mut lead), [(Held::Run(run), Some(want.clone()))]);
+        lead.on_frame(lead.now, &run_wait(run));
+        let effects = drained(&mut lead);
+        let [Effect::Reply(reply)] = &effects[..] else {
+            panic!("{effects:?}");
+        };
+        assert_eq!(RunStatus::decode(reply), Some(want));
+    }
+
     #[test]
     fn silent_agents_are_detected_after_the_window() {
         let mut lead = test_lead();
@@ -2489,8 +2604,8 @@ mod tests {
             Effect::Publish(f) => ("publish", f.packet_type()),
             Effect::Reply(f) => ("reply", f.packet_type()),
             Effect::Send(_, f) => ("send", f.packet_type()),
-            Effect::Hold => ("hold", 0),
-            Effect::Answer(f) => ("answer", f.packet_type()),
+            Effect::Hold(_) => ("hold", 0),
+            Effect::Answer(_, f) => ("answer", f.packet_type()),
             Effect::Log(_) => ("log", 0),
         }
     }
@@ -2617,7 +2732,7 @@ mod tests {
             .iter()
             .map(|e| match e {
                 Effect::Send(to, f) => ("send", to.to_string(), frame(f)),
-                Effect::Answer(f) => ("answer", String::new(), frame(f)),
+                Effect::Answer(_, f) => ("answer", String::new(), frame(f)),
                 other => (kind(other).0, String::new(), Vec::new()),
             })
             .collect()

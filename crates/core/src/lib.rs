@@ -11,7 +11,8 @@
 //!   system;
 //! * end-user queries, the paper's client proxy role, are QUERY_BATCH
 //!   reads every agent answers from the snapshot of its last completed
-//!   run (`elga_query::QueryClient`, [`cluster::Cluster::query_u64`]);
+//!   run, through one [`read::Reader`] (`elga_query::QueryClient`,
+//!   [`cluster::Cluster::query_u64`]);
 //! * the **directory system** ([`directory`]) — Directories plus a
 //!   DirectoryMaster bootstrap — broadcasts membership, the count-min
 //!   sketch, and synchronization barriers.
@@ -68,6 +69,7 @@ pub mod metrics;
 pub mod msg;
 mod outboxes;
 pub mod program;
+pub mod read;
 mod store;
 pub mod streamer;
 mod targets;

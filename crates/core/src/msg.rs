@@ -61,8 +61,9 @@ pub mod packet {
     /// streamer's `u64` epoch, a batch-clock tick answered by
     /// `OK(epoch)` while that epoch is current.
     pub const GET_VIEW: u8 = 18;
-    /// Run status (REQ, driver → lead): empty; with any body, what an
-    /// open barrier waits on, as `OK` and its text.
+    /// Run status (REQ, driver → lead): empty, the status now; a `u64`
+    /// run id, held until that run ends or a recovery aborts it; `u64`
+    /// 0, what an open barrier waits on, as `OK` and its text.
     pub const RUN_STATUS: u8 = 19;
     /// Metric report (push, agent → directory); empty, a REQ to an
     /// agent, which pushes its report and answers `OK`.
@@ -604,8 +605,10 @@ records_frames! {
     /// counted like DEG_DELTA.
     RESIDUAL(from: AgentId) as ResidualsView: (VertexId, u64) =>
         append append_residuals, decode decode_residuals;
-    /// The vertices a QUERY_BATCH request reads.
-    QUERY_BATCH: VertexId => encode encode_query_batch, decode decode_query_batch;
+    /// The vertices a QUERY_BATCH request reads, answered once the agent
+    /// holds run `min_run` open no longer (0: at once).
+    QUERY_BATCH(min_run: u64) as QueryAskView: VertexId =>
+        encode encode_query_batch, decode decode_query_batch;
     /// A QUERY_BATCH reply: answers read from one snapshot, the last
     /// completed `run` (0 before any) and the ingest watermark it finished at.
     QUERY_BATCH(run: u64, watermark: u64) as QueryReplyView: QueryAnswer =>
@@ -922,11 +925,13 @@ impl WireRecord for EdgeChange {
     }
 }
 
-/// Answer code in a query reply: the responding replica holds no state
-/// for the vertex. Not authoritative — the caller should try another
-/// replica.
+/// Answer code in a query reply: the responding agent holds no
+/// completed-run value for the vertex as its primary under the view it
+/// adopted. Not authoritative — the caller should ask the primary of a
+/// newer view.
 pub const ANSWER_MISS: u8 = 0;
-/// Answer code in a query reply: vertex found, its state is valid.
+/// Answer code in a query reply: the responding agent holds the
+/// vertex's primary meta and a completed-run value, which is valid.
 pub const ANSWER_HIT: u8 = 1;
 /// Answer code in a query reply: the responding agent is the vertex's
 /// primary under the current view and the vertex does not exist. An
@@ -1402,6 +1407,11 @@ wire! {
         pub n_vertices: u64,
         /// Per-superstep wall times in nanoseconds.
         pub step_nanos: Vec<u64>,
+        /// The recovery that aborted `run_id`: its reset epoch (0: none)
+        /// and the agent it evicted (0: none).
+        pub reset: u64,
+        /// See `reset`.
+        pub dead_agent: AgentId,
     }
 
     /// Every DRAIN frame ([`packet::DRAIN`]): an agent's counts, sent
@@ -1468,16 +1478,15 @@ wire! {
 
     /// Failure-recovery broadcast published by the lead directory after it
     /// declares an agent dead: survivors drop all graph state and counts,
-    /// adopt the embedded view, and settle a fresh migrate barrier; the
-    /// driver replays the retained change log and restarts any aborted run.
+    /// adopt the embedded view, and settle a fresh migrate barrier. The
+    /// driver hears of it from the run wait it aborted or the next
+    /// `quiesce`.
     #[derive(Debug, Clone)]
     pub struct Recover: RECOVER {
         /// The post-eviction view epoch.
         pub epoch: u64,
         /// The agent declared dead.
         pub dead_agent: AgentId,
-        /// Run id aborted by the failure (0 when no run was active).
-        pub aborted_run: u64,
         /// The post-eviction directory view.
         pub view: DirectoryView as frame,
     }

@@ -23,6 +23,7 @@
 //! applied.
 
 use crate::config::SystemConfig;
+use crate::directory::fetch_view;
 use crate::msg::{self, packet, DirectoryView, Message, Side};
 use crate::outboxes::Outboxes;
 use elga_graph::types::EdgeChange;
@@ -87,13 +88,7 @@ impl Streamer {
         cfg: SystemConfig,
         directory: Addr,
     ) -> Result<Streamer, NetError> {
-        let (rep, _) = transport.request_with_retry(
-            &directory,
-            Frame::signal(packet::GET_VIEW),
-            cfg.request_timeout,
-            &cfg.send_policy,
-        )?;
-        let view = DirectoryView::decode(&rep).ok_or(NetError::Protocol("bad view"))?;
+        let view = fetch_view(&*transport, &cfg, &directory)?;
         let locator = view.locator();
         let mut cache = OwnerCache::new();
         view.advance_memo(&mut cache);
@@ -132,13 +127,7 @@ impl Streamer {
 
     /// Refresh the view from the directory.
     pub fn refresh(&mut self) -> Result<(), NetError> {
-        let (rep, _) = self.transport.request_with_retry(
-            &self.directory,
-            Frame::signal(packet::GET_VIEW),
-            self.cfg.request_timeout,
-            &self.cfg.send_policy,
-        )?;
-        self.adopt(DirectoryView::decode(&rep).ok_or(NetError::Protocol("bad view"))?);
+        self.adopt(fetch_view(&*self.transport, &self.cfg, &self.directory)?);
         Ok(())
     }
 

@@ -372,7 +372,7 @@ fn queries_run_concurrently_with_computation() {
         while !stop2.load(std::sync::atomic::Ordering::Relaxed) {
             let v = served % 100;
             let primary = view.addr_of(ring.ring().owner(v).unwrap()).unwrap();
-            let ask = elga_core::msg::encode_query_batch(&[v]);
+            let ask = elga_core::msg::encode_query_batch(0, &[v]);
             let rep = transport.request(primary, ask, std::time::Duration::from_secs(5));
             let hit = rep.ok().is_some_and(|rep| {
                 elga_core::msg::decode_query_batch_rep(&rep)

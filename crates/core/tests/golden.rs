@@ -117,6 +117,8 @@ fn frames() -> Vec<(&'static str, Frame)> {
         steps: 4,
         step_nanos: vec![100, 200],
         n_vertices: 55,
+        reset: 6,
+        dead_agent: 3,
     };
     let streamed = Counters {
         chg_sent: 12,
@@ -170,6 +172,10 @@ fn frames() -> Vec<(&'static str, Frame)> {
             .encode(),
         ),
         ("run status reply", status.encode()),
+        (
+            "run wait",
+            Frame::builder(packet::RUN_STATUS).u64(9).finish(),
+        ),
         ("drain", drain.encode()),
         ("drain reply", drain_reply),
         (
@@ -211,14 +217,13 @@ fn frames() -> Vec<(&'static str, Frame)> {
             msg::Recover {
                 epoch: 8,
                 dead_agent: 3,
-                aborted_run: 2,
                 view: view(),
             }
             .encode(),
         ),
         ("reset labels", msg::encode_reset_labels(&[1, 5, 1 << 40])),
         ("dump reply", dump),
-        ("query batch", msg::encode_query_batch(&[3, 99])),
+        ("query batch", msg::encode_query_batch(7, &[3, 99])),
         (
             "query batch reply",
             msg::encode_query_batch_rep(7, 120_000, &answers),
@@ -301,8 +306,9 @@ const GOLDEN: &[(&str, u8, &str)] = &[
         "run status reply",
         packet::RUN_STATUS,
         "0900000000000000010004000000370000000000000002000000640000000000\
-         0000c800000000000000",
+         0000c80000000000000006000000000000000300000000000000",
     ),
+    ("run wait", packet::RUN_STATUS, "0900000000000000"),
     (
         "drain",
         packet::DRAIN,
@@ -339,12 +345,12 @@ const GOLDEN: &[(&str, u8, &str)] = &[
     (
         "recover",
         packet::RECOVER,
-        "0800000000000000030000000000000002000000000000009e000000032a0000\
-         00000000000700000000000000e8030000000000000364000000001000000000\
-         00001000000002000000010000000000000010000000696e70726f633a2f2f61\
-         67656e742d310900000000000000140000007463703a2f2f3132372e302e302e\
-         313a373030310400000002000000030000000000000020000000000000000300\
-         0000000000000000000000000000030000000000000000000000",
+        "080000000000000003000000000000009e000000032a00000000000000070000\
+         0000000000e80300000000000003640000000010000000000000100000000200\
+         0000010000000000000010000000696e70726f633a2f2f6167656e742d310900\
+         000000000000140000007463703a2f2f3132372e302e302e313a373030310400\
+         0000020000000300000000000000200000000000000003000000000000000000\
+         000000000000030000000000000000000000",
     ),
     (
         "reset labels",
@@ -360,7 +366,7 @@ const GOLDEN: &[(&str, u8, &str)] = &[
     (
         "query batch",
         packet::QUERY_BATCH,
-        "0200000003000000000000006300000000000000",
+        "07000000000000000200000003000000000000006300000000000000",
     ),
     (
         "query batch reply",

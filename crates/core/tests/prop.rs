@@ -162,9 +162,10 @@ fn rows(run: u64, step: u32, hop: u8, msgs: &[(u64, u64)]) -> Vec<(u8, Frame, Ch
         ),
         (
             packet::QUERY_BATCH,
-            msg::encode_query_batch(&vertices),
-            check!(msg::decode_query_batch, vertices.clone(), |v, w| v.to_vec()
-                == w),
+            msg::encode_query_batch(run, &vertices),
+            check!(msg::decode_query_batch, vertices.clone(), |v, w| {
+                v.min_run == run && v.records.to_vec() == w
+            }),
         ),
         (
             packet::QUERY_BATCH,
@@ -782,7 +783,7 @@ proptest! {
         assert_round_trip(RunStatus {
             run_id: w[25], running: bit(5), done: bit(6),
             steps: w[26] as u32, n_vertices: w[27],
-            step_nanos: list.iter().map(|p| p.0).collect(),
+            step_nanos: list.iter().map(|p| p.0).collect(), reset: w[61], dead_agent: w[62],
         });
         let rows = list.iter().map(|&(peer, _)| (peer, counters)).collect();
         assert_round_trip(msg::DrainReport { agent: w[29], epoch: w[28], rows });
@@ -804,7 +805,7 @@ proptest! {
         prop_assert_eq!(back.run, bit(9).then_some(run));
         prop_assert_eq!(back.view.agents, view.agents.clone());
         let back = assert_frame_round_trip(&msg::Recover {
-            epoch: w[54], dead_agent: w[55], aborted_run: w[56], view: view.clone(),
+            epoch: w[54], dead_agent: w[55], view: view.clone(),
         });
         prop_assert_eq!((back.epoch, back.view.sketch), (w[54], view.sketch));
         // The metrics reports: every field a word of `w`, the flag a bit.

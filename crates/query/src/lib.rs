@@ -1,29 +1,37 @@
 //! Continuous-query serving plane.
 //!
 //! The paper's low-latency client path (§3.5) asks one vertex per
-//! blocking round trip; here a read is always a `QUERY_BATCH`
-//! (`elga_core::cluster::Cluster::query_u64` is a batch of one). This
+//! blocking round trip; here a read is always a `QUERY_BATCH`, and
+//! there is one read path, `elga_core::read::Reader`, which
+//! `elga_core::cluster::Cluster::query_u64` asks a batch of one. This
 //! crate is the front for *serving workloads*: many clients, many
 //! vertices per question, answers flowing continuously as the graph
 //! computes. Three mechanisms, all riding the existing comms plane:
 //!
 //! * **Batched point reads.** [`QueryClient::query_batch`] groups the
-//!   asked vertices by primary agent, ships one `QUERY_BATCH` frame
-//!   per agent (borrowed-view wire records, zero-copy decode on the
-//!   agent), and has the per-agent requests in flight together — one
-//!   scatter–gather on the caller's thread, one round trip per
-//!   *agent*, not per vertex.
+//!   asked vertices by primary agent under the view the reader keeps,
+//!   ships one `QUERY_BATCH` frame per agent (borrowed-view wire
+//!   records, zero-copy decode on the agent), and has the per-agent
+//!   requests in flight together — one scatter–gather on the caller's
+//!   thread, one round trip per *agent*, not per vertex. The reader
+//!   fetches a newer view only when an answer tells it to: a miss or a
+//!   failed request.
 //! * **Standing subscriptions.** [`QueryClient::subscribe`] registers
 //!   vertex interest with every agent; after each completed run the
 //!   vertices' primaries push only the values that changed, coalesced
 //!   per client through the same credit/backpressure-bounded
 //!   [`elga_net::CoalescingOutbox`] the data plane uses. Polling
-//!   becomes push.
+//!   becomes push. [`QueryClient::refresh`] moves the registrations to
+//!   the agents of a newer view; reads need no refresh.
 //! * **Snapshot consistency.** Agents double-buffer the last
 //!   *completed* run's values and serve queries exclusively from that
 //!   buffer, tagged with the run id and the ingest batch watermark it
-//!   was taken at. A reader never observes torn mid-superstep state —
-//!   across live runs, elastic view changes, and crash recovery.
+//!   was taken at. Only a vertex's primary under the agent's adopted
+//!   view answers a hit, so a reader holding an old view is sent on,
+//!   never served a moved-away copy. A reader never observes torn
+//!   mid-superstep state — across live runs, elastic view changes, and
+//!   crash recovery. A client reads with `min_run` 0: agents never
+//!   hold its reads for a run to end.
 //!
 //! Query traffic is uncounted in the Mattern barrier sums, so serving
 //! load never perturbs run termination.
@@ -32,30 +40,14 @@
 
 use elga_core::config::SystemConfig;
 use elga_core::msg::{self, packet, DirectoryView, Message, SubReg};
+use elga_core::read::Reader;
+pub use elga_core::read::SnapshotValue;
 use elga_graph::types::VertexId;
-use elga_hash::{AgentId, EdgeLocator};
 use elga_net::{Addr, Frame, Mailbox, NetError, Transport, TransportExt};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// One served value: the snapshot the answering agent holds for the
-/// vertex, plus the consistency tag identifying which completed run
-/// (and which ingest watermark) it belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SnapshotValue {
-    /// Encoded program state (decode with the algorithm's `decode`).
-    pub state: u64,
-    /// Id of the completed run the snapshot was taken from (0 when the
-    /// values were restored from a checkpoint, whose run id went
-    /// unrecorded).
-    pub run: u64,
-    /// The snapshot's ingest batch watermark: the batches folded before
-    /// its run was launched, the same on every agent — the staleness
-    /// handle of Definition 2.6.
-    pub watermark: u64,
-}
 
 /// One subscription push: a watched vertex whose value changed in the
 /// run that just completed.
@@ -83,9 +75,7 @@ static CLIENT_SEQ: AtomicU64 = AtomicU64::new(0);
 pub struct QueryClient {
     transport: Arc<dyn Transport>,
     cfg: SystemConfig,
-    directory: Addr,
-    view: DirectoryView,
-    locator: EdgeLocator,
+    reader: Reader,
     /// Bound lazily on the first `subscribe`: the address agents push
     /// `SUB_PUSH` frames to.
     mailbox: Option<Mailbox>,
@@ -103,64 +93,42 @@ impl QueryClient {
         cfg: SystemConfig,
         directory: Addr,
     ) -> Result<QueryClient, NetError> {
-        let rep = transport.request(
-            &directory,
-            Frame::signal(packet::GET_VIEW),
-            cfg.request_timeout,
-        )?;
-        let view = DirectoryView::decode(&rep).ok_or(NetError::Protocol("bad view"))?;
-        let locator = view.locator();
+        let reader = Reader::connect(transport.clone(), cfg.clone(), directory)?;
         Ok(QueryClient {
             transport,
             cfg,
-            directory,
-            view,
-            locator,
+            reader,
             mailbox: None,
             subs: HashMap::new(),
             next_sub: 1,
         })
     }
 
-    /// Refresh the view (after elasticity events) and replay every
+    /// Fetch the view (after elasticity events) and replay every
     /// standing subscription at the agents of the new view, so vertex
     /// interest follows primaryship.
     pub fn refresh(&mut self) -> Result<(), NetError> {
-        let (rep, _) = self.transport.request_with_retry(
-            &self.directory,
-            Frame::signal(packet::GET_VIEW),
-            self.cfg.request_timeout,
-            &self.cfg.send_policy,
-        )?;
-        let view = DirectoryView::decode(&rep).ok_or(NetError::Protocol("bad view"))?;
-        if view.epoch >= self.view.epoch {
-            self.locator = view.locator();
-            self.view = view;
-        }
+        self.reader.refresh()?;
         if let Some(addr) = self.mailbox.as_ref().map(|m| m.addr().clone()) {
-            let frames: Vec<Frame> = self
-                .subs
-                .iter()
-                .map(|(&sub, vertices)| {
-                    let vertices = vertices.clone();
-                    SubReg {
-                        addr: addr.clone(),
-                        sub,
-                        vertices,
-                    }
-                    .encode()
-                })
-                .collect();
-            let _ = self.register(&frames);
+            let reg = |(&sub, vertices): (&u64, &Vec<VertexId>)| {
+                let (addr, vertices) = (addr.clone(), vertices.clone());
+                SubReg {
+                    addr,
+                    sub,
+                    vertices,
+                }
+                .encode()
+            };
+            let _ = self.register(&self.subs.iter().map(reg).collect::<Vec<_>>());
         }
         Ok(())
     }
 
-    /// Send every registration frame to every agent of the view, all
-    /// in one scatter–gather; replies agent-major, in `frames` order.
+    /// Send every registration frame to every agent of the kept view,
+    /// all in one scatter–gather; replies agent-major, in `frames` order.
     fn register(&self, frames: &[Frame]) -> Vec<Result<Frame, NetError>> {
-        let requests: Vec<(&Addr, Frame)> = self
-            .view
+        let view = self.reader.view();
+        let requests: Vec<(&Addr, Frame)> = view
             .agents
             .iter()
             .flat_map(|a| frames.iter().map(move |f| (&a.addr, f.clone())))
@@ -172,18 +140,18 @@ impl QueryClient {
         )
     }
 
-    /// The client's current view.
-    pub fn view(&self) -> &DirectoryView {
-        &self.view
+    /// The view the client's reader keeps.
+    pub fn view(&self) -> DirectoryView {
+        self.reader.view()
     }
 
     // ------------------------------------------------------------------
     // Batched point reads
     // ------------------------------------------------------------------
 
-    /// Query many vertices in one sweep: one `QUERY_BATCH` round trip
-    /// per distinct primary agent, all in flight together
-    /// ([`Transport::request_all`]) and encoded, sent and decoded on
+    /// Query many vertices in one sweep ([`Reader::read`] with
+    /// `min_run` 0): one `QUERY_BATCH` round trip per distinct primary
+    /// agent, all in flight together and encoded, sent and decoded on
     /// the caller's thread. Answers come back in the order asked;
     /// `None` marks a vertex the primary authoritatively does not hold
     /// (never created, or deleted), a vertex with no completed-run
@@ -194,57 +162,7 @@ impl QueryClient {
     /// agents (and therefore runs, briefly, while a flip propagates),
     /// but never a superstep.
     pub fn query_batch(&self, vertices: &[VertexId]) -> Vec<Option<SnapshotValue>> {
-        let mut answers: Vec<Option<SnapshotValue>> = vec![None; vertices.len()];
-        // Group positions by primary agent.
-        let mut by_agent: HashMap<AgentId, Vec<usize>> = HashMap::new();
-        for (i, &v) in vertices.iter().enumerate() {
-            if let Some(primary) = self.locator.ring().owner(v) {
-                by_agent.entry(primary).or_default().push(i);
-            }
-        }
-        // One REQ per agent, all in flight at once.
-        let groups: Vec<(&Addr, Vec<usize>)> = by_agent
-            .into_iter()
-            .filter_map(|(agent, positions)| Some((self.view.addr_of(agent)?, positions)))
-            .collect();
-        let requests: Vec<(&Addr, Frame)> = groups
-            .iter()
-            .map(|(addr, positions)| {
-                let asked: Vec<VertexId> = positions.iter().map(|&i| vertices[i]).collect();
-                (*addr, msg::encode_query_batch(&asked))
-            })
-            .collect();
-        let replies = self.transport.request_all_with_retry(
-            &requests,
-            self.cfg.request_timeout,
-            &self.cfg.send_policy,
-        );
-        for ((_, positions), reply) in groups.iter().zip(replies) {
-            // An unreachable agent or a malformed reply leaves its
-            // slice unanswered.
-            let Ok(reply) = reply else { continue };
-            let Some(msg::QueryReplyView {
-                run,
-                watermark,
-                records: recs,
-            }) = msg::decode_query_batch_rep(&reply)
-            else {
-                continue;
-            };
-            if recs.len() != positions.len() {
-                continue;
-            }
-            for (&i, a) in positions.iter().zip(recs.iter()) {
-                if a.found == msg::ANSWER_HIT {
-                    answers[i] = Some(SnapshotValue {
-                        state: a.state,
-                        run,
-                        watermark,
-                    });
-                }
-            }
-        }
-        answers
+        self.reader.read(vertices, 0)
     }
 
     // ------------------------------------------------------------------
@@ -294,8 +212,7 @@ impl QueryClient {
         if self.subs.remove(&sub).is_none() {
             return Ok(());
         }
-        let addr = self.mailbox_addr()?;
-        let vertices = Vec::new();
+        let (addr, vertices) = (self.mailbox_addr()?, Vec::new());
         let _ = self.register(&[SubReg {
             addr,
             sub,
@@ -313,41 +230,18 @@ impl QueryClient {
             return Vec::new();
         };
         let mut out = Vec::new();
-        let mut first = true;
-        loop {
-            let d = if first {
-                match mb.recv_timeout(wait) {
-                    Ok(d) => d,
-                    Err(_) => break,
-                }
-            } else {
-                match mb.try_recv() {
-                    Ok(Some(d)) => d,
-                    _ => break,
-                }
-            };
-            first = false;
-            if d.frame.packet_type() != packet::SUB_PUSH {
-                continue;
-            }
-            let Some(msg::SubPushView {
-                sub,
-                run,
-                watermark,
-                records: recs,
-            }) = msg::decode_sub_push(&d.frame)
-            else {
-                continue;
-            };
-            for (vertex, state) in recs.iter() {
-                out.push(SubUpdate {
-                    sub,
+        let mut next = mb.recv_timeout(wait).ok();
+        while let Some(d) = next {
+            if let Some(push) = msg::decode_sub_push(&d.frame) {
+                out.extend(push.records.iter().map(|(vertex, state)| SubUpdate {
+                    sub: push.sub,
                     vertex,
                     state,
-                    run,
-                    watermark,
-                });
+                    run: push.run,
+                    watermark: push.watermark,
+                }));
             }
+            next = mb.try_recv().ok().flatten();
         }
         out
     }
@@ -356,21 +250,16 @@ impl QueryClient {
     /// vertex (pushes from successive runs may be queued together).
     pub fn latest_for(&mut self, sub: u64, wait: Duration) -> HashMap<VertexId, SnapshotValue> {
         let mut latest: HashMap<VertexId, SnapshotValue> = HashMap::new();
-        for u in self.poll_updates(wait) {
-            if u.sub != sub {
-                continue;
-            }
-            let e = latest.entry(u.vertex).or_insert(SnapshotValue {
-                state: u.state,
-                run: u.run,
-                watermark: u.watermark,
-            });
-            if u.run >= e.run {
-                *e = SnapshotValue {
-                    state: u.state,
-                    run: u.run,
-                    watermark: u.watermark,
-                };
+        for u in self.poll_updates(wait).into_iter().filter(|u| u.sub == sub) {
+            let (state, run, watermark) = (u.state, u.run, u.watermark);
+            let snap = SnapshotValue {
+                state,
+                run,
+                watermark,
+            };
+            let kept = latest.entry(u.vertex).or_insert(snap);
+            if run >= kept.run {
+                *kept = snap;
             }
         }
         latest

@@ -21,6 +21,7 @@ use elga::core::agent::Agent;
 use elga::core::directory::{self, DirectoryRole};
 use elga::core::metrics::ClusterMetrics;
 use elga::core::msg::{self, packet, Message, RunInfo};
+use elga::core::read::Reader;
 use elga::core::streamer::Streamer;
 use elga::graph::csr::Csr;
 use elga::graph::reference;
@@ -210,7 +211,6 @@ fn coordinator() {
     let transport: Arc<dyn Transport> = Arc::new(TcpTransport::new());
     let cfg = SystemConfig::default();
     let dir_addr = tcp(dir);
-    let bus_addr = tcp(bus);
     wait_until("every agent to join", || {
         view_agents(&transport, &dir_addr).is_some_and(|a| a.len() == AGENTS as usize)
     });
@@ -242,11 +242,10 @@ fn coordinator() {
         distinct.len()
     );
 
+    // Start a run and wait for it: one RUN_STATUS request the lead holds
+    // until the run is over. Returns its id and how long it took.
     let run = |spec: elga::core::program::ProgramSpec| {
         let (tag, params) = spec.encode();
-        let sub = transport
-            .subscribe(&bus_addr, &[packet::ADVANCE])
-            .expect("subscribe");
         let rep = transport
             .request(
                 &dir_addr,
@@ -266,17 +265,14 @@ fn coordinator() {
             .expect("start run");
         let run_id = rep.reader().u64().expect("run id");
         let t0 = Instant::now();
-        loop {
-            let d = sub.recv_timeout(Duration::from_secs(60)).expect("advance");
-            if let Some(adv) = msg::Advance::decode(&d.frame) {
-                if adv.run == run_id && adv.done {
-                    return t0.elapsed();
-                }
-            }
-        }
+        let wait = Frame::builder(packet::RUN_STATUS).u64(run_id).finish();
+        let rep = transport.request(&dir_addr, wait, Duration::from_secs(60));
+        let status = msg::RunStatus::decode(&rep.expect("run status")).expect("a status");
+        assert!(status.run_id == run_id && status.done, "{status:?}");
+        (run_id, t0.elapsed())
     };
 
-    let dt = run(Wcc::new().into());
+    let (_, dt) = run(Wcc::new().into());
     println!("WCC across processes: {dt:?}");
 
     // A graceful leave: the lead releases the departer once its data
@@ -295,7 +291,7 @@ fn coordinator() {
     assert!(status.success(), "the departing agent exited with {status}");
     println!("agent {AGENTS} left gracefully and exited");
 
-    let dt = run(PageRank::new(0.85).with_max_iters(10).into());
+    let (pagerank, dt) = run(PageRank::new(0.85).with_max_iters(10).into());
     println!(
         "PageRank (10 iters) across the {} agents left: {dt:?}",
         AGENTS - 1
@@ -312,8 +308,10 @@ fn coordinator() {
         .map(|&(u, v)| (dense_id(u), dense_id(v)))
         .collect();
     let want = reference::pagerank(&Csr::from_edges(Some(ids.len()), &dense), 0.85, 10);
-    let client = QueryClient::connect(transport.clone(), cfg, dir_addr.clone()).expect("client");
-    let answers = client.query_batch(&ids);
+    // The read names the run it watched finish: an agent that has not
+    // yet taken the run's end off its bus connection answers at its flip.
+    let reader = Reader::connect(transport.clone(), cfg, dir_addr.clone()).expect("reader");
+    let answers = reader.read(&ids, pagerank);
     let (mut wrong, mut worst) = (0usize, 0.0f64);
     for ((v, answer), want) in ids.iter().zip(answers).zip(want) {
         let rank = answer.map(|a| f64::from_bits(a.state));

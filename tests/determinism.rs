@@ -288,8 +288,8 @@ fn run_wire(
     }
     let wire = RunWire {
         steps: u64::from(stats.steps),
-        // The bus reaches every agent and the driver waiting on the run.
-        advances: (frames(&[packet::ADVANCE]) - before[0]) / (agents as u64 + 1),
+        // The bus reaches every agent; the driver waits on the lead.
+        advances: (frames(&[packet::ADVANCE]) - before[0]) / agents as u64,
         readys: (frames(&[packet::READY]) - before[1]) / agents as u64,
         // Nothing but a run sends either kind.
         replica_frames: frames(&[packet::PARTIAL, packet::STATE]),

@@ -6,9 +6,11 @@
 //! does not exist.
 
 use elga::core::msg::{packet, CkptSave, Message};
-use elga::core::program::RunOptions;
+use elga::core::program::{ProgramSpec, RunOptions};
+use elga::net::FaultPlan;
 use elga::prelude::*;
-use std::collections::HashMap;
+use proptest::prelude::*;
+use std::collections::{BTreeSet, HashMap};
 use std::fs;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -292,6 +294,140 @@ fn negative_answer_is_authoritative_and_cheap() {
         "authoritative miss must not burn a view refresh"
     );
     cluster.shutdown();
+}
+
+/// In steady state a `Cluster::query_u64` is one QUERY_BATCH request
+/// to the vertex's primary and fetches no view. (The driver's reader
+/// learns the view the agents joined under from its first read.)
+#[test]
+fn a_steady_read_is_one_request_and_fetches_no_view() {
+    let n = 120u64;
+    let mut cluster = Cluster::builder().agents(3).build();
+    cluster.ingest_edges(chain_graph(n).iter().copied());
+    cluster.run(Wcc::new()).expect("wcc");
+    assert_eq!(cluster.query_u64(0), Some(0));
+    let stats = cluster
+        .transport()
+        .net_stats()
+        .expect("in-process counters");
+    let sent = || {
+        (
+            stats.sent(packet::GET_VIEW).0,
+            stats.sent(packet::QUERY_BATCH).0,
+        )
+    };
+    let before = sent();
+    for v in 0..n {
+        assert_eq!(cluster.query_u64(v), Some(0), "v{v}");
+    }
+    let (views, reads) = sent();
+    assert_eq!(views - before.0, 0, "a steady read fetched the view");
+    assert_eq!(reads - before.1, n, "one request per read");
+    cluster.shutdown();
+}
+
+/// A client keeps the view it connected with while the cluster grows
+/// from two agents to four and an incremental WCC relabels a chain.
+/// The old owners keep moved-away husks that hold the previous run's
+/// snaps under the newest tag; a husk answers a miss, which sends the
+/// client to the vertex's new primary. Every answer equals the dump and
+/// carries the run's tag.
+#[test]
+fn a_reader_with_an_old_view_is_never_served_a_husk() {
+    let mut cluster = Cluster::builder().agents(2).build();
+    let chain = (100..399u64).map(|i| (i, i + 1));
+    cluster.ingest_edges(chain.chain([(0, 1)]));
+    cluster.run(Wcc::new()).expect("wcc");
+    let client = query_client(&cluster);
+    cluster.add_agents(2);
+    cluster.quiesce().expect("join settles");
+    cluster.ingest_edges([(1, 150)]);
+    let incremental = RunOptions {
+        reuse_state: true,
+        ..RunOptions::default()
+    };
+    let stats = cluster.run_with(Wcc::new(), incremental).expect("wcc");
+    let truth = cluster.dump_states();
+    let asked: Vec<u64> = (100..400).collect();
+    let stale: Vec<(u64, Option<(u64, u64)>)> = asked
+        .iter()
+        .zip(client.query_batch(&asked))
+        .map(|(&v, got)| (v, got.map(|s| (s.state, s.run))))
+        .filter(|&(v, got)| got != Some((truth[&v], stats.run_id)))
+        .collect();
+    assert!(asked.iter().all(|v| truth[v] == 0), "the chain relabelled");
+    assert!(stale.is_empty(), "{} stale answers: {stale:?}", stale.len());
+    cluster.shutdown();
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 6,
+        ..ProptestConfig::default()
+    })]
+
+    /// Read-your-run: every read issued right after `wait_run` answers
+    /// from the run it returned or a later one, with the dump's value,
+    /// though frames straggle, so that an agent's done advance often
+    /// waits for records after the lead has answered the wait. After a
+    /// join or a leave, then `quiesce`, the driver's reader and a
+    /// client, both with the old view, read every vertex's value.
+    #[test]
+    fn reads_follow_the_last_run_and_outlive_the_view(
+        edges in prop::collection::vec((0u64..60, 0u64..60), 1..80),
+        agents in 1usize..4,
+        join in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let edges: Vec<(u64, u64)> = edges.into_iter().filter(|&(u, v)| u != v).collect();
+        let vertices: Vec<u64> = edges
+            .iter()
+            .flat_map(|&(u, v)| [u, v])
+            .collect::<BTreeSet<u64>>()
+            .into_iter()
+            .collect();
+        let straggle = FaultPlan::delays(Duration::ZERO, Duration::from_millis(3));
+        let mut cluster = Cluster::builder().agents(agents).chaos(straggle, seed).build();
+        cluster.ingest_edges(edges.iter().copied());
+        let client = query_client(&cluster);
+        // A delta PageRank after a batch ends on a step whose records can
+        // still be on their way when the lead answers.
+        let pagerank = PageRank::new(0.85).with_max_iters(300).with_tolerance(1e-10);
+        let delta = RunOptions { reuse_state: true, ..RunOptions::default() };
+        let runs = [
+            (ProgramSpec::from(Wcc::new()), RunOptions::default()),
+            (pagerank.into(), RunOptions::default()),
+            (pagerank.into(), delta),
+        ];
+        for (spec, options) in runs {
+            if options.reuse_state {
+                cluster.ingest_edges(edges.iter().map(|&(u, v)| (v, u)).take(3));
+            }
+            let handle = cluster.start_run(spec, options).expect("start");
+            let run = cluster.wait_run(handle).expect("run").run_id;
+            let read = cluster.query(&vertices);
+            let truth = cluster.dump_states();
+            for (v, got) in vertices.iter().zip(read) {
+                prop_assert!(got.is_some_and(|s| s.run >= run), "v{}: {:?} after run {}", v, got, run);
+                prop_assert_eq!(got.map(|s| s.state), truth.get(v).copied(), "v{}", v);
+            }
+        }
+        if join || agents == 1 {
+            cluster.add_agents(1);
+        } else {
+            cluster.remove_agents(1);
+        }
+        cluster.quiesce().expect("the view change settles");
+        let truth = cluster.dump_states();
+        let by_driver = cluster.query(&vertices);
+        let by_client = client.query_batch(&vertices);
+        for (i, v) in vertices.iter().enumerate() {
+            let want = truth.get(v).copied();
+            prop_assert_eq!(by_driver[i].map(|s| s.state), want, "driver, v{}", v);
+            prop_assert_eq!(by_client[i].map(|s| s.state), want, "client, v{}", v);
+        }
+        cluster.shutdown();
+    }
 }
 
 /// Push equals poll: the first completed run pushes every watched

@@ -8,6 +8,7 @@ use elga::core::directory::{self, DirectoryRole};
 use elga::core::metrics::ClusterMetrics;
 use elga::core::msg::{self, packet, Message, RunInfo};
 use elga::core::program::ProgramSpec;
+use elga::core::read::Reader;
 use elga::core::streamer::Streamer;
 use elga::graph::csr::Csr;
 use elga::graph::reference;
@@ -37,7 +38,6 @@ struct Deployment {
     cfg: SystemConfig,
     master: Addr,
     dir0: Addr,
-    bus: Addr,
     agents: Vec<std::thread::JoinHandle<Vec<elga::trace::TraceEvent>>>,
 }
 
@@ -76,7 +76,6 @@ impl Deployment {
             cfg,
             master,
             dir0,
-            bus,
             agents,
         }
     }
@@ -163,15 +162,11 @@ impl Deployment {
             .collect()
     }
 
-    /// Drive a run: subscribe to the bus for the done signal, then REQ
-    /// the start. `incremental` carries state over (and, for PageRank,
-    /// runs the delta engine).
+    /// Drive a run: REQ the start, then one RUN_STATUS request the lead
+    /// holds until the run is over. `incremental` carries state over
+    /// (and, for PageRank, runs the delta engine).
     fn run_to_done(&self, spec: ProgramSpec, incremental: bool) -> u64 {
         let (tag, params) = spec.encode();
-        let sub = self
-            .transport
-            .subscribe(&self.bus, &[packet::ADVANCE])
-            .expect("subscribe");
         let rep = self
             .transport
             .request(
@@ -191,14 +186,13 @@ impl Deployment {
             )
             .expect("start");
         let run_id = rep.reader().u64().expect("run id");
-        loop {
-            let d = sub.recv_timeout(Duration::from_secs(60)).expect("advance");
-            if let Some(adv) = msg::Advance::decode(&d.frame) {
-                if adv.run == run_id && adv.done {
-                    return run_id;
-                }
-            }
-        }
+        let wait = Frame::builder(packet::RUN_STATUS).u64(run_id).finish();
+        let rep = self
+            .transport
+            .request(&self.dir0, wait, Duration::from_secs(60));
+        let status = msg::RunStatus::decode(&rep.expect("run status")).expect("a status");
+        assert!(status.run_id == run_id && status.done, "{status:?}");
+        run_id
     }
 
     /// Σ `vmsg_sent` and Σ `vmsg_recv` over the agents, as DRAIN reads
@@ -226,23 +220,17 @@ impl Deployment {
 }
 
 /// Agents flip their double-buffered serving snapshot when *they*
-/// process the done broadcast — a read racing straight off the bus can
-/// still see the previous snapshot (or a miss). An answer's run tag
-/// says which completed run it belongs to; poll until every answer is
-/// from the one we watched finish.
-fn query_run(client: &QueryClient, vertices: &[u64], run: u64) -> Vec<u64> {
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    loop {
-        let answers = client.query_batch(vertices);
-        if answers.iter().all(|a| a.is_some_and(|a| a.run == run)) {
-            return answers.into_iter().flatten().map(|a| a.state).collect();
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "no run-{run} answers over tcp (last: {answers:?})"
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
+/// process the done broadcast, and over sockets that broadcast can
+/// reach an agent after the lead's answer reached the driver. A read
+/// that names the run it watched finish (`min_run`) waits at such an
+/// agent for its flip: every answer is from that run, at once.
+fn query_run(reader: &Reader, vertices: &[u64], run: u64) -> Vec<u64> {
+    let answers = reader.read(vertices, run);
+    assert!(
+        answers.iter().all(|a| a.is_some_and(|a| a.run == run)),
+        "not every answer is from run {run} over tcp: {answers:?}"
+    );
+    answers.into_iter().flatten().map(|a| a.state).collect()
 }
 
 #[test]
@@ -263,8 +251,8 @@ fn wcc_and_pagerank_over_tcp_sockets() {
     tcp.ingest(&mut streamer, &edges);
     let wcc_run = tcp.run_to_done(Wcc::new().into(), false);
 
-    let client = QueryClient::connect(tcp.transport.clone(), tcp.cfg.clone(), tcp.dir0.clone())
-        .expect("query client");
+    let client =
+        Reader::connect(tcp.transport.clone(), tcp.cfg.clone(), tcp.dir0.clone()).expect("reader");
     let expect = reference::wcc(edges.iter().copied());
     let vertices: Vec<u64> = expect.keys().copied().collect();
     let labels = query_run(&client, &vertices, wcc_run);
@@ -326,8 +314,8 @@ fn a_tolerance_converged_run_over_tcp_leaves_no_vmsg_behind() {
     edges.extend(extra);
 
     let want = reference::pagerank(&Csr::from_edges(Some(n as usize), &edges), 0.85, 300);
-    let client = QueryClient::connect(tcp.transport.clone(), tcp.cfg.clone(), tcp.dir0.clone())
-        .expect("query client");
+    let client =
+        Reader::connect(tcp.transport.clone(), tcp.cfg.clone(), tcp.dir0.clone()).expect("reader");
     let vertices: Vec<u64> = (0..n).collect();
     for (v, rank) in vertices.iter().zip(query_run(&client, &vertices, run)) {
         let (rank, want) = (f64::from_bits(rank), want[*v as usize]);
@@ -363,8 +351,8 @@ fn a_graceful_leave_over_tcp_finishes() {
     departer.join().expect("the departer");
 
     let run = tcp.run_to_done(Wcc::new().into(), false);
-    let client = QueryClient::connect(tcp.transport.clone(), tcp.cfg.clone(), tcp.dir0.clone())
-        .expect("query client");
+    let client =
+        Reader::connect(tcp.transport.clone(), tcp.cfg.clone(), tcp.dir0.clone()).expect("reader");
     let expect = reference::wcc(edges.iter().copied());
     let vertices: Vec<u64> = expect.keys().copied().collect();
     for (v, label) in vertices.iter().zip(query_run(&client, &vertices, run)) {

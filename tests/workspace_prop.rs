@@ -193,8 +193,9 @@ proptest! {
             cluster.add_agents(1);
         }
         let long = PageRank::new(0.85).with_max_iters(100).with_tolerance(0.0);
+        let victim = cluster.agent_ids()[0];
         let handle = cluster.start_run(long, RunOptions::default()).expect("start");
-        cluster.kill_agent(cluster.agent_ids()[0]);
+        cluster.kill_agent(victim);
         let stats = cluster.wait_run(handle).expect("the run outlives the kill");
         prop_assert_eq!(cluster.recovery_stats().ckpt_restores, 1, "{:?}", cluster.recovery_stats());
         prop_assert_eq!(stats.n_vertices, vertices(&model));
