@@ -30,6 +30,11 @@ impl Agent {
         for (&v, e) in self.vertices.iter() {
             let (mut head, meta, flags) = vertex_record(v, e);
             (head.flags, head.aux) = (head.flags | flags & !RUN_STATE, 0);
+            // What a restore serves is what was served: a delta run's
+            // states are unnormalized, its snaps are not.
+            if e.has_snap {
+                head.state = e.snap;
+            }
             // A meta where there are degrees to keep; its run-state
             // fields, their flags unset, mean nothing.
             let meta = (e.is_meta || e.g_out != 0 || e.g_in != 0).then_some(meta);

@@ -151,10 +151,10 @@ impl Agent {
                 // invariant, so any broadcast-consistent pair yields
                 // the same share.
                 if side == Side::Out {
-                    if let Some(seed) = &self.delta_seed {
+                    if let Some(program) = &self.delta_program {
                         if let Some(e) = self.vertices.get(&u) {
                             if e.has_state {
-                                if let Some(delta) = seed.program.as_dyn().edge_change_residual(
+                                if let Some(delta) = program.as_dyn().edge_change_residual(
                                     u,
                                     e.state,
                                     e.rep_out_degree,
@@ -211,16 +211,22 @@ impl Agent {
 
     /// Merge residual corrections into their vertices (at the
     /// primary). The program that defines the merge is the armed delta
-    /// seed; without one (e.g. a correction straggling past a recovery
+    /// program; without one (e.g. a correction straggling past a recovery
     /// reset) the values are summed as f64 bits — the encoding every
     /// residual program in this workspace uses. A correction its
     /// sender routed under another view than this agent's, to a vertex
     /// with no meta here, lists a stray.
     pub(super) fn apply_residuals(&mut self, recs: impl IntoIterator<Item = (VertexId, u64)>) {
-        let program = self.delta_seed.as_ref().map(|s| s.program.clone());
+        let program = self.delta_program.clone();
         let program = program.as_ref().map(Program::as_dyn);
         for (v, delta) in recs {
-            let (e, _) = self.vertices.entry_and_lists(v);
+            let (e, lists) = self.vertices.entry_and_lists(v);
+            // Listed for the next run's step 0, which folds it or parks
+            // it again (a run that keeps its lists purges it there if it
+            // addressed a dead incarnation).
+            if !e.wants_apply() {
+                lists.apply.push(v);
+            }
             let stray = !e.has_residual && !e.is_meta;
             e.residual = if e.has_residual {
                 match &program {
@@ -256,9 +262,9 @@ impl Agent {
         };
         let deltas = view.records;
         self.peer(view.from).chg_recv += deltas.len() as u64;
-        let program = self.delta_seed.as_ref().map(|s| s.program.clone());
+        let program = self.delta_program.clone();
         let program = program.as_ref().map(Program::as_dyn);
-        let mut dangling = 0.0;
+        let mut sum = 0.0;
         let (ring, id) = (self.locator.ring(), self.id);
         let mut strays = Vec::new();
         for (v, dout, din) in deltas {
@@ -275,10 +281,7 @@ impl Agent {
                     let d0 = e.g_out.max(0) as u64;
                     let d1 = (e.g_out + dout).max(0) as u64;
                     if let Some((new_state, radj)) = p.rescale_on_degree_change(e.state, d0, d1) {
-                        // A sink gaining edges stops holding dangling
-                        // mass (and vice versa); the change folds into
-                        // the run-level redistribution accumulator.
-                        dangling += p.dangling_mass(new_state, d1) - p.dangling_mass(e.state, d0);
+                        sum += f64::from_bits(new_state) - f64::from_bits(e.state);
                         e.state = new_state;
                         e.residual = if e.has_residual {
                             p.merge_residual(e.residual, radj)
@@ -309,12 +312,10 @@ impl Agent {
                 }
             }
             if !e.is_meta {
-                // Vertex vanished from the graph; any dangling mass it
-                // still held leaves with it.
-                if e.has_state {
-                    if let Some(p) = &program {
-                        dangling -= p.dangling_mass(e.state, e.g_out.max(0) as u64);
-                    }
+                // Vertex vanished from the graph; its mass leaves the
+                // sum with it.
+                if e.has_state && program.is_some() {
+                    sum -= f64::from_bits(e.state);
                 }
                 e.has_state = false;
                 e.active = false;
@@ -329,7 +330,7 @@ impl Agent {
             }
         }
         strays.into_iter().for_each(|v| self.vertices.list_stray(v));
-        self.dangling_acc += dangling;
+        self.unreported_sum += sum;
     }
 
     pub(super) fn on_reset_labels(&mut self, frame: Frame) {

@@ -409,20 +409,10 @@ impl Agent {
     /// belongs here and report to the migrate barrier.
     pub(super) fn migrate(&mut self, epoch: u64, scope: Sweep) {
         self.relocate(scope);
-        // Dangling-mass handoff (delta engine): while an async delta
-        // run is live the migrate READY carries the cumulative report
-        // (the lead folds a departer's final value before dropping its
-        // seen entry); a departer outside such a run hands its
-        // unreported accumulator over for the lead to carry into the
-        // next delta run's Scatter reduce.
-        let async_delta = self
-            .run
-            .as_ref()
-            .is_some_and(|r| r.async_live && r.info.delta);
-        let contrib = if async_delta {
-            self.dangling_report()
-        } else if self.departing {
-            std::mem::take(&mut self.dangling_acc)
+        // A departer hands over the change of its primaries' sum it has
+        // not seen a `done` take in; the lead adds it at the next one.
+        let contrib = if self.departing {
+            std::mem::take(&mut self.unreported_sum)
         } else {
             0.0
         };
@@ -479,10 +469,8 @@ impl Agent {
         let snap = (view.snap_run, view.snap_watermark);
         let program = self.run.as_ref().map(|r| r.program.clone());
         // Residuals merge with the residual program's own rule; the
-        // armed delta seed covers the between-runs window.
-        let merger = program
-            .clone()
-            .or_else(|| self.delta_seed.as_ref().map(|s| s.program.clone()));
+        // armed delta program covers the between-runs window.
+        let merger = program.clone().or_else(|| self.delta_program.clone());
         let (ring, id) = (self.locator.ring(), self.id);
         let mut strays = Vec::new();
         for (head, tail) in view.records.tailed() {

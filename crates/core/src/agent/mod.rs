@@ -200,7 +200,8 @@ const _: () = assert!(std::mem::size_of::<VertexEntry>() <= 184);
 /// must not move the channel counts.
 struct Subscription {
     outbox: CoalescingOutbox,
-    vertices: FxHashSet<VertexId>,
+    /// Each watched vertex and the served value last pushed for it.
+    vertices: FxHashMap<VertexId, Option<u64>>,
 }
 
 /// An agent's thread: joined, the events left in its trace buffer.
@@ -224,10 +225,6 @@ struct AgentRun {
     /// processed — buffering them would strand counted sends and wedge
     /// the barrier's settled-counters check.
     paused: bool,
-    /// Highest dangling-redistribution round applied (async delta
-    /// runs); rounds arrive as `Phase::Apply` advances, which the lead
-    /// may repeat.
-    dangling_round: u32,
     /// Records the last sync phase put on the wire, per destination,
     /// sorted by it; the phase's READY takes it.
     sent: msg::StepCounts,
@@ -253,18 +250,6 @@ impl AgentRun {
             0
         }
     }
-}
-
-/// What the agent remembers about the last residual-capable program
-/// between runs, so ingest-time corrections can be computed while no
-/// run is in flight (that is exactly when batches are applied).
-pub(crate) struct DeltaSeed {
-    /// The residual program (its `merge_residual`,
-    /// `rescale_on_degree_change`, `edge_change_residual` hooks).
-    pub(crate) program: Program,
-    /// `n_vertices` the last run converged under; 0 = unknown (no run
-    /// finished yet), in which case the teleport reseed is skipped.
-    pub(crate) n: u64,
 }
 
 /// One ElGA agent. Spawned on its own thread by the cluster driver.
@@ -329,20 +314,18 @@ pub struct Agent {
     /// outside the flag handlers (restore, label reset, recovery). Step
     /// 0's apply and the next scatter sweep, re-establishing them.
     needs_sweep: bool,
-    /// Armed by `begin_run` for residual-kind programs and kept after
-    /// the run finishes: between runs, ingest uses it to turn edge
-    /// changes into residual corrections (§ DESIGN.md "Incremental
-    /// execution"). Cleared by recovery resets and non-residual runs.
-    delta_seed: Option<DeltaSeed>,
-    /// Unreported local change in dangling mass (delta engine): state
-    /// changes at sinks (applies, folds), ingest-time rescales, and
-    /// vertex vanishes accumulate here until the next report drains it.
-    dangling_acc: f64,
-    /// Cumulative dangling mass reported for the current async delta
-    /// run. Every READY sent while such a run is live carries it, so
-    /// the lead can telescope per-report differences into a pending
-    /// redistribution — idempotent under re-sends and reorderings.
-    dangling_cum: f64,
+    /// The last residual-kind program, armed by `begin_run` and kept
+    /// after the run finishes: between runs, ingest uses its
+    /// `merge_residual`, `rescale_on_degree_change` and
+    /// `edge_change_residual` to turn edge changes into residual
+    /// corrections (§ DESIGN.md "Incremental execution"). Cleared by
+    /// recovery resets and non-residual runs.
+    delta_program: Option<Program>,
+    /// The change in the sum of the primaries' states (delta engine)
+    /// since the last `done`: folds, ingest-time rescales and vanished
+    /// vertices. Every READY carries it; the lead adds the members'
+    /// last reports to its sum S when it ends the run.
+    unreported_sum: f64,
     /// Changes received while a run was active (§3.4: "While a batch is
     /// running, the graph does not change: any edge changes are
     /// buffered").
@@ -514,9 +497,8 @@ impl Agent {
             run: None,
             // An empty store's lists are complete.
             needs_sweep: false,
-            delta_seed: None,
-            dangling_acc: 0.0,
-            dangling_cum: 0.0,
+            delta_program: None,
+            unreported_sum: 0.0,
             buffered_changes: Vec::new(),
             buffered_frames: Vec::new(),
             parked: VecDeque::new(),
@@ -680,8 +662,8 @@ impl Agent {
                 if let Some(reply) = d.reply {
                     let mut pairs: Vec<(VertexId, u64)> = Vec::new();
                     for (&v, e) in self.vertices.iter() {
-                        if e.is_meta && e.has_state && self.is_primary(v) {
-                            pairs.push((v, e.state));
+                        if e.is_meta && e.has_snap && self.is_primary(v) {
+                            pairs.push((v, e.snap));
                         }
                     }
                     let _ = reply.send(msg::encode_dump(&pairs));
@@ -796,14 +778,6 @@ impl Agent {
         contrib
     }
 
-    /// Cumulative dangling-mass report for async delta runs: fold the
-    /// unreported accumulator into the per-run running total and
-    /// return it. Carried by every READY while such a run is live.
-    fn dangling_report(&mut self) -> f64 {
-        self.dangling_cum += std::mem::take(&mut self.dangling_acc);
-        self.dangling_cum
-    }
-
     // ------------------------------------------------------------------
     // Query serving
     // ------------------------------------------------------------------
@@ -901,7 +875,7 @@ impl Agent {
         }: msg::SubReg,
     ) {
         if let Some(old) = self.subs.remove(&sub) {
-            for v in old.vertices {
+            for v in old.vertices.into_keys() {
                 let emptied = match self.watchers.get_mut(&v) {
                     Some(ids) => {
                         ids.retain(|&s| s != sub);
@@ -930,30 +904,39 @@ impl Agent {
             sub,
             Subscription {
                 outbox,
-                vertices: vertices.into_iter().collect(),
+                vertices: vertices.into_iter().map(|v| (v, None)).collect(),
             },
         );
         self.metrics.subscriptions = self.subs.len() as u64;
     }
 
     /// Publish a completed run to the serving plane: copy every
-    /// settled state into its query snapshot buffer, advance the
-    /// agent-wide snapshot tag, and push value deltas to matching
-    /// subscriptions. Runs at ADVANCE(done): the termination barrier
-    /// already confirmed every STATE broadcast of the run was received
-    /// and processed, so `state` holds the completed value on replicas
-    /// too — and since queries are handled on this same thread, the
-    /// buffer flip is atomic with respect to readers.
-    fn snapshot_states(&mut self) {
+    /// settled state's served value into its query snapshot buffer,
+    /// advance the agent-wide snapshot tag, and push moved values to
+    /// matching subscriptions. Runs at ADVANCE(done): the termination
+    /// barrier already confirmed every STATE broadcast of the run was
+    /// received and processed, so `state` holds the completed value on
+    /// replicas too — and since queries are handled on this same
+    /// thread, the buffer flip is atomic with respect to readers.
+    ///
+    /// A residual program's served value is `y / sum`, over the sum S
+    /// the `done` carried: a delta run's states are the unnormalized
+    /// `y`, and a full run's normalized ones are scaled to `y` here, in
+    /// the same walk, for the delta runs that follow.
+    fn snapshot_states(&mut self, sum: f64) {
         let Some(run) = self.run.as_ref() else {
             return;
         };
         let run_id = run.info.run_id;
         self.snap_run = run_id;
         self.snap_watermark = run.info.watermark;
+        let program = run.program.as_dyn();
+        let residual = program.delta_kind() == DeltaKind::Residual;
+        let (normalize, rescale) = (residual && run.info.delta, residual && !run.info.delta);
+        let tolerance = program.tolerance();
         let id = self.id;
         let locator = &self.locator;
-        let track = !self.subs.is_empty();
+        let watchers = &self.watchers;
         let mut changed: Vec<(VertexId, u64)> = Vec::new();
         let mut emptied: Vec<VertexId> = Vec::new();
         for (&v, e) in self.vertices.iter_mut() {
@@ -970,14 +953,29 @@ impl Agent {
                 }
                 continue;
             }
-            let moved = !e.has_snap || e.snap != e.state;
-            e.snap = e.state;
+            let served = if normalize {
+                (f64::from_bits(e.state) / sum).to_bits()
+            } else {
+                e.state
+            };
+            if rescale {
+                e.state = (f64::from_bits(e.state) * sum).to_bits();
+                // What the final scatter sent, which no apply takes in:
+                // cleared, the lists stay settled for the delta run.
+                (e.has_partial, e.has_ppartial) = (false, false);
+            }
+            let moved = !e.has_snap || e.snap != served;
+            e.snap = served;
             e.has_snap = true;
             // Collect from the primary only, so a subscriber hears
             // each change exactly once no matter how many replicas
             // hold state copies.
-            if track && moved && e.is_meta && locator.ring().owner(v) == Some(id) {
-                changed.push((v, e.state));
+            if moved
+                && e.is_meta
+                && watchers.contains_key(&v)
+                && locator.ring().owner(v) == Some(id)
+            {
+                changed.push((v, served));
             }
         }
         for v in emptied {
@@ -986,19 +984,32 @@ impl Agent {
         if changed.is_empty() {
             return;
         }
+        // A served value is pushed once it moved by more than the
+        // program's tolerance since its last push: S moves every delta
+        // run, and so does every served value, by a little.
+        let far = |last: u64, served: u64| {
+            if tolerance > 0.0 {
+                (f64::from_bits(served) - f64::from_bits(last)).abs() > tolerance
+            } else {
+                served != last
+            }
+        };
         // Deterministic push order regardless of map iteration.
         changed.sort_unstable();
         let mut pushed = 0u64;
-        for (v, state) in changed {
-            let Some(ids) = self.watchers.get(&v) else {
-                continue;
-            };
-            for &sub in ids {
-                if let Some(s) = self.subs.get_mut(&sub) {
-                    let push = [(v, state)];
-                    msg::append_sub_pushes(&mut s.outbox, sub, run_id, self.snap_watermark, &push);
-                    pushed += 1;
+        for (v, served) in changed {
+            for sub in &self.watchers[&v] {
+                let Some(s) = self.subs.get_mut(sub) else {
+                    continue;
+                };
+                let last = s.vertices.get_mut(&v).expect("a watched vertex");
+                if last.is_some_and(|last| !far(last, served)) {
+                    continue;
                 }
+                *last = Some(served);
+                let push = [(v, served)];
+                msg::append_sub_pushes(&mut s.outbox, *sub, run_id, self.snap_watermark, &push);
+                pushed += 1;
             }
         }
         self.metrics.sub_pushes += pushed;
@@ -1014,19 +1025,37 @@ impl Agent {
     // Run lifecycle
     // ------------------------------------------------------------------
 
+    /// Drop the residuals ingest left on dead incarnations
+    /// ([`drop_stale_residual`]) where a run that keeps its lists finds
+    /// them: on the apply lists, as ingest lists every entry it corrects.
+    fn purge_stale_residuals(&mut self) {
+        let mut stale = Vec::new();
+        for shard in self.vertices.shards_mut() {
+            for v in &shard.lists.apply {
+                if shard.map.get_mut(v).is_some_and(drop_stale_residual) {
+                    stale.push(*v);
+                }
+            }
+        }
+        for v in stale {
+            self.vertices.remove(&v);
+        }
+    }
+
     fn begin_run(&mut self, info: RunInfo) {
         let Some(spec) = ProgramSpec::decode(info.tag, info.params) else {
             return;
         };
         let program = spec.instantiate();
-        // A sync monotone reuse run starts from the lists the last run
-        // left if trusted and settled; any other resets every entry.
+        // A sync reuse run starts from the lists the last run left if
+        // trusted and settled; any other resets every entry.
         let keep = !self.needs_sweep
             && info.reuse_state
             && !info.asynchronous
-            && program.as_dyn().delta_kind() != DeltaKind::Residual
             && self.vertices.lists_settled();
-        if !keep {
+        if keep {
+            self.purge_stale_residuals();
+        } else {
             let mut stale = Vec::new();
             for (&v, e) in self.vertices.iter_mut() {
                 if !info.reuse_state {
@@ -1041,18 +1070,8 @@ impl Agent {
                 e.wait_recv = 0;
                 e.pending_delta = 0;
                 e.has_pending_delta = false;
-                // A parked correction addressed to a vertex with no edges
-                // and no state belongs to a dead incarnation: within its
-                // (now settled) batch, the deg-delta that vanished the
-                // vertex raced ahead of the correction, which then landed
-                // on the emptied entry. Purge it, or a later re-created
-                // vertex inherits mass owed to its predecessor.
-                if e.has_residual && !e.is_meta && !e.has_state {
-                    e.residual = 0;
-                    e.has_residual = false;
-                    if e.is_empty() {
-                        stale.push(v);
-                    }
+                if drop_stale_residual(e) {
+                    stale.push(v);
                 }
             }
             for v in stale {
@@ -1062,26 +1081,14 @@ impl Agent {
             self.needs_sweep = true;
         }
         if !info.reuse_state {
-            // A from-scratch run recomputes every vertex; dangling-mass
-            // deltas accumulated against the discarded states are moot.
-            self.dangling_acc = 0.0;
+            // A from-scratch run recomputes every vertex; changes to the
+            // sum of the discarded states are moot.
+            self.unreported_sum = 0.0;
         }
-        // The cumulative report is per-run by construction.
-        self.dangling_cum = 0.0;
         // Remember the residual program across the run so ingest can
-        // turn the next batch's edge changes into corrections. The
-        // previous seed's `n` survives for the same program: it is the
-        // vertex count the carried-over residuals were computed under,
-        // needed for the step-0 teleport reseed.
-        self.delta_seed = if program.as_dyn().delta_kind() == DeltaKind::Residual {
-            let prev_n = self.delta_seed.as_ref().map_or(0, |s| s.n);
-            Some(DeltaSeed {
-                program: program.clone(),
-                n: prev_n,
-            })
-        } else {
-            None
-        };
+        // turn the next batch's edge changes into corrections.
+        self.delta_program =
+            (program.as_dyn().delta_kind() == DeltaKind::Residual).then(|| program.clone());
         self.buffered_frames.clear();
         // Rows of targets that no longer exist live until the next view
         // epoch unless they come to outnumber the edges held.
@@ -1096,7 +1103,6 @@ impl Agent {
             global: 0.0,
             async_live: false,
             paused: false,
-            dangling_round: 0,
             sent: Vec::new(),
             taken_in: ((0, Phase::Scatter), 0),
             parked_advance: None,
@@ -1123,7 +1129,7 @@ impl Agent {
             return;
         }
         if adv.done {
-            self.finish_run();
+            self.finish_run(adv.global);
             return;
         }
         if adv.phase == Phase::Migrate {
@@ -1143,19 +1149,6 @@ impl Agent {
                 self.idle_owed = true;
                 self.async_rescatter();
                 self.replay_buffered();
-            } else if adv.phase == Phase::Apply {
-                // Dangling-mass redistribution round: a round that
-                // sweeps every primary, folding its uniform share of
-                // the published pending mass into its residual. The
-                // round guard makes a re-published advance idempotent;
-                // an owed idle report answers the round even when every
-                // share parks below tolerance.
-                if adv.step > run.dangling_round {
-                    (run.dangling_round, run.global) = (adv.step, adv.global);
-                    self.async_round(true);
-                    self.run.as_mut().expect("run").global = 0.0;
-                    self.idle_owed = true;
-                }
             }
             return;
         }
@@ -1163,12 +1156,6 @@ impl Agent {
         run.phase = adv.phase;
         run.n_vertices = adv.n_vertices;
         run.global = adv.global;
-        if run.info.delta && adv.phase == Phase::Combine {
-            // The step's Scatter reduce absorbed the reported
-            // dangling-mass accumulator into `global`; clear it so the
-            // next step reports only new changes.
-            self.dangling_acc = 0.0;
-        }
         if run.info.asynchronous && adv.step == 1 && adv.phase == Phase::Scatter {
             run.async_live = true;
             let t0 = Instant::now();
@@ -1186,7 +1173,9 @@ impl Agent {
         self.run_phases(&adv);
     }
 
-    fn finish_run(&mut self) {
+    /// End the run at its `done`, whose `global` is the sum S of a
+    /// residual program's states ([`Agent::snapshot_states`]).
+    fn finish_run(&mut self, sum: f64) {
         // Lists the run trusted must be complete at its end, and the
         // primary count it reported true.
         #[cfg(debug_assertions)]
@@ -1204,15 +1193,9 @@ impl Agent {
         }
         // Flip the serving snapshot and notify subscribers before the
         // run is dropped (the sweep needs its id and program context).
-        self.snapshot_states();
-        // Pin the vertex count the surviving residuals were computed
-        // under: the next run's step-0 reseed shifts the teleport term
-        // if the count moved. 0 stays "unknown" (reseed skipped).
-        if let (Some(run), Some(seed)) = (self.run.as_ref(), self.delta_seed.as_mut()) {
-            if run.n_vertices != 0 {
-                seed.n = run.n_vertices;
-            }
-        }
+        self.snapshot_states(sum);
+        // The lead took the sum's change in with the members' reports.
+        self.unreported_sum = 0.0;
         self.run = None;
         self.reported = None;
         self.answer_reads();
@@ -1280,6 +1263,20 @@ impl Agent {
             .as_ref()
             .map(|r| (r.info.run_id, r.step, r.phase, r.async_live))
     }
+}
+
+/// A parked correction addressed to a vertex with no edges and no state
+/// belongs to a dead incarnation: within its (now settled) batch, the
+/// deg-delta that vanished the vertex raced ahead of the correction,
+/// which then landed on the emptied entry. Drop it, or a later
+/// re-created vertex inherits mass owed to its predecessor. True when
+/// that left the entry empty.
+fn drop_stale_residual(e: &mut VertexEntry) -> bool {
+    if !(e.has_residual && !e.is_meta && !e.has_state) {
+        return false;
+    }
+    (e.residual, e.has_residual) = (0, false);
+    e.is_empty()
 }
 
 /// The one way a unit-test fixture writes an entry directly.

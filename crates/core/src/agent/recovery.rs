@@ -57,15 +57,14 @@ impl Agent {
         self.buffered_changes.clear();
         self.buffered_frames.clear();
         self.run = None;
-        // Residual seed dies with the state it described; the lead
-        // turns the next residual run into a full recompute.
-        self.delta_seed = None;
+        // The residual program dies with the state it described; the
+        // lead turns the next residual run into a full recompute.
+        self.delta_program = None;
         // Unpushed degree changes counted the wiped graph; the lead's
         // sketch starts over at zero too.
         self.uncounted.clear();
         self.degrees.clear();
-        self.dangling_acc = 0.0;
-        self.dangling_cum = 0.0;
+        self.unreported_sum = 0.0;
         self.reported = None;
         // The serving snapshots died with the vertex entries; the tag
         // must not claim a run whose values are gone. (A checkpoint

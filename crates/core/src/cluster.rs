@@ -720,7 +720,7 @@ impl Cluster {
     /// could only be wrong.
     ///
     /// Only the graph comes back: the recovery reset left the lead's
-    /// dangling book unknown, so the next residual run recomputes.
+    /// served sum unknown, so the next residual run recomputes.
     fn restore_state(&mut self) -> Result<u64, NetError> {
         if self.streamer.is_none() || self.streamer().log().end() == 0 {
             // Nothing was ever ingested; nothing to rebuild.
@@ -1108,9 +1108,7 @@ fn run_info(spec: &ProgramSpec, options: RunOptions) -> RunInfo {
         reuse_state: options.reuse_state,
         asynchronous,
         delta,
-        // Both filled in by the lead at launch, from its tracked mass
-        // and its batch clock.
-        dangling_base: 0.0,
+        // Filled in by the lead at launch, from its batch clock.
         watermark: 0,
     }
 }

@@ -256,7 +256,6 @@ fn coordinator() {
                     reuse_state: false,
                     asynchronous: false,
                     delta: false,
-                    dangling_base: 0.0,
                     watermark: 0,
                 }
                 .encode(),

@@ -758,7 +758,6 @@ fn tcp_states(edges: &[(u64, u64)]) -> Vec<HashMap<u64, u64>> {
                     reuse_state: false,
                     asynchronous: false,
                     delta: false,
-                    dangling_base: 0.0,
                     watermark: 0,
                 }
                 .encode(),

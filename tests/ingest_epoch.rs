@@ -416,13 +416,14 @@ proptest! {
         assert_table_counts(&cluster, &held, "after a join");
         cluster.remove_agents(1);
         assert_table_counts(&cluster, &held, "after a leave");
-        // Killed before its first barrier can settle: the run waits for
-        // the eviction, and the driver recovers and restarts it.
+        // Killed before the run starts: the run cannot pass its first
+        // barrier until the lead evicts the victim, and the driver
+        // recovers and restarts it.
         let victim = cluster.agent_ids()[1];
+        cluster.kill_agent(victim);
         let handle = cluster
             .start_run(PageRank::new(0.85).with_max_iters(30), RunOptions::default())
             .expect("start run");
-        cluster.kill_agent(victim);
         cluster.wait_run(handle).expect("the run survives the crash");
         prop_assert_eq!(cluster.agent_count(), agents - 1);
         assert_table_counts(&cluster, &held, "after a recovery");

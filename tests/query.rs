@@ -507,6 +507,59 @@ fn subscriptions_match_polled_batches() {
     cluster.shutdown();
 }
 
+/// A delta run's served values all move a little with the sum they are
+/// normalized by, so a watched vertex is pushed once its served value
+/// moved by more than the program's tolerance since its last push: a
+/// batch far from every watched vertex, which moves only the sum,
+/// pushes nothing but the vertex it creates, and that vertex once.
+#[test]
+fn a_push_waits_for_a_served_value_to_move_past_the_tolerance() {
+    let n = 200u64;
+    let mut cluster = Cluster::builder().agents(3).build();
+    cluster.ingest_edges(chain_graph(n).iter().copied());
+    let tolerance = 1e-4;
+    let pr = PageRank::new(0.85)
+        .with_max_iters(300)
+        .with_tolerance(tolerance);
+    let mut client = query_client(&cluster);
+    let (a, b) = (1_000, 1_001);
+    let mut watched: Vec<u64> = (0..n).collect();
+    watched.push(b);
+    let sub = client.subscribe(&watched).expect("subscribe");
+    cluster.run(pr).expect("full run");
+    cluster.quiesce().expect("quiesce flushes sub pushes");
+    let first = client.poll_updates(Duration::from_secs(5));
+    assert_eq!(first.len(), n as usize, "the first run pushes every vertex");
+
+    let delta = RunOptions {
+        reuse_state: true,
+        ..RunOptions::default()
+    };
+    let before = client.query_batch(&watched[..n as usize]);
+    cluster.ingest_edges([(a, b)]);
+    cluster.run_with(pr, delta).expect("a far batch");
+    cluster.quiesce().expect("quiesce flushes sub pushes");
+    let after = client.query_batch(&watched[..n as usize]);
+    let moved = before.iter().zip(&after).filter(|(x, y)| x != y).count();
+    assert!(moved > 0, "the sum did not move");
+    for (x, y) in before.iter().zip(&after) {
+        let (x, y) = (x.expect("served").state, y.expect("served").state);
+        assert!((f64::from_bits(x) - f64::from_bits(y)).abs() <= tolerance);
+    }
+    let pushed: Vec<(u64, u64)> = (client.poll_updates(Duration::from_millis(500)).iter())
+        .map(|u| (u.sub, u.vertex))
+        .collect();
+    assert_eq!(pushed, [(sub, b)], "only the new vertex is pushed");
+
+    cluster.run_with(pr, delta).expect("a run with no batch");
+    cluster.quiesce().expect("quiesce");
+    assert!(
+        client.poll_updates(Duration::from_millis(200)).is_empty(),
+        "a vertex is pushed once"
+    );
+    cluster.shutdown();
+}
+
 /// Readers racing a live run never observe torn mid-superstep state:
 /// every answer is exactly the previous completed run's value (tagged
 /// with that run) or exactly the new run's value (tagged with it) —

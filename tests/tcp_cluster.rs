@@ -178,7 +178,6 @@ impl Deployment {
                     reuse_state: incremental,
                     asynchronous: false,
                     delta: incremental,
-                    dangling_base: 0.0,
                     watermark: 0,
                 }
                 .encode(),
