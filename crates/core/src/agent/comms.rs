@@ -41,7 +41,8 @@ impl Agent {
     }
 
     /// Send a READY for `(run, step, phase)`. The kept primary count
-    /// rides every report of a run (0 outside one).
+    /// rides every report of a run (0 outside one), and a sync step's
+    /// report takes the residual its folds pushed on.
     pub(super) fn send_ready(
         &mut self,
         run: u64,
@@ -52,9 +53,12 @@ impl Agent {
     ) {
         // A sync run's report says what its last phase sent to whom;
         // the lead closes the barrier on it.
-        let sent = match self.run.as_mut() {
-            Some(r) if !r.async_live && r.info.run_id == run => std::mem::take(&mut r.sent),
-            _ => Vec::new(),
+        let (sent, pushed) = match self.run.as_mut() {
+            Some(r) if !r.async_live && r.info.run_id == run => (
+                std::mem::take(&mut r.sent),
+                std::mem::take(&mut self.scratch.pushed),
+            ),
+            _ => (Vec::new(), 0.0),
         };
         self.push_ready(ReadyReport {
             agent: self.id,
@@ -64,6 +68,7 @@ impl Agent {
             rows: Vec::new(),
             active,
             global_contrib: contrib,
+            pushed,
             n_primary: if self.run.is_some() {
                 self.primaries
             } else {
