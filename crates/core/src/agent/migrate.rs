@@ -152,7 +152,7 @@ impl Agent {
     /// across the change is its own to say ([`OwnerCache::adopt_epoch`]).
     /// The target table keeps nothing: its generation bump outdates
     /// every edge memo and placement stamp at once, and the migration
-    /// sweep that follows a view — the only caller outside recovery —
+    /// sweep that follows a view — the only caller outside tests —
     /// needs no invalidation of its own.
     pub(super) fn adopt_view(&mut self, view: DirectoryView) {
         // A peer gone before this view left the lead's table when the
@@ -448,7 +448,7 @@ impl Agent {
         };
         // Swept before our last recovery reset, which zeroed the count
         // it would move and the graph it would add to.
-        if view.epoch < self.counted_since {
+        if view.epoch < self.view.reset {
             self.metrics.stale_frames += 1;
             return;
         }

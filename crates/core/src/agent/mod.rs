@@ -304,9 +304,6 @@ pub struct Agent {
     /// The lead's DRAIN, parked until this agent has taken in what its
     /// rows say was sent here; answered from [`Agent::on_idle`].
     drain: Option<Rows>,
-    /// The epoch of the last recovery reset: a DRAIN older than it asks
-    /// for counts the reset zeroed.
-    counted_since: u64,
     metrics: AgentMetrics,
     run: Option<AgentRun>,
     /// The worklists cannot be trusted: `begin_run` did not keep them
@@ -415,7 +412,6 @@ impl Agent {
                 packet::START,
                 packet::SHUTDOWN,
                 packet::RESET_LABELS,
-                packet::RECOVER,
             ],
             &addr,
         )?;
@@ -489,7 +485,6 @@ impl Agent {
             told: BTreeMap::new(),
             streamed: 0,
             drain: None,
-            counted_since: 0,
             metrics: AgentMetrics {
                 agent: id,
                 ..Default::default()
@@ -622,7 +617,7 @@ impl Agent {
             // or a joiner's own) is not decoded again.
             packet::VIEW if frame.reader().u64() > Some(self.migrated_epoch) => {
                 if let Some(view) = DirectoryView::decode(&frame) {
-                    self.take_view(view);
+                    return self.take_view(view);
                 }
             }
             packet::START => {
@@ -682,7 +677,7 @@ impl Agent {
                     };
                     let _ = reply.send(report.encode());
                 }
-                (Some(ask), None) if ask.epoch >= self.counted_since => self.drain = Some(ask.rows),
+                (Some(ask), None) if ask.epoch >= self.view.reset => self.drain = Some(ask.rows),
                 _ => {}
             },
             packet::METRICS => {
@@ -700,22 +695,12 @@ impl Agent {
                     let _ = reply.send(rep);
                 }
             }
-            packet::RECOVER => {
-                if let Some(rec) = msg::Recover::decode(&frame) {
-                    return self.on_recover(rec);
-                }
-            }
-            packet::KILL => {
-                // Crash simulation: die without LEAVE, drains, or
-                // goodbyes. Peers see a dead mailbox; the lead notices
-                // the METRICS pushes stop.
-                return false;
-            }
             packet::OK
                 // Departure confirmed by the directory.
                 if self.departing => {
                     return false;
                 }
+            // From the bus, or alone from `Cluster::kill_agent`: no LEAVE.
             packet::SHUTDOWN => return false,
             _ => {}
         }
@@ -1238,16 +1223,35 @@ impl Agent {
         };
         let (adv, view) = (run.parked_advance.take(), run.parked_view.take());
         self.on_advance(adv.expect("parked"));
-        view.into_iter().for_each(|view| self.take_view(view));
+        if let Some(view) = view {
+            let stays = self.take_view(view);
+            debug_assert!(stays, "a parked view opened a reset: take_view parks none");
+        }
     }
 
     /// Take `view` on, or — while an advance is parked — keep it until
-    /// the advance has run: its records were placed under the view before.
-    fn take_view(&mut self, view: DirectoryView) {
+    /// the advance has run: its records were placed under the view
+    /// before. A view opening a newer recovery reset is never parked:
+    /// the agent wipes itself ([`Agent::wipe`], the run goes too) and
+    /// migrates at once, or exits (false) if the view omits it — it was
+    /// evicted or departing, and after the reset holds nothing to drain.
+    fn take_view(&mut self, view: DirectoryView) -> bool {
+        if view.reset > self.view.reset {
+            if view.addr_of(self.id).is_none() {
+                return false;
+            }
+            self.wipe();
+            self.on_view(view);
+            // A read parked for the aborted run is answered under the
+            // view that reset it, with the reset's tag.
+            self.answer_reads();
+            return true;
+        }
         match self.run.as_mut().filter(|r| r.parked_advance.is_some()) {
             Some(run) => run.parked_view = Some(view),
             None => self.on_view(view),
         }
+        true
     }
 
     /// Re-dispatch buffered frames that now match the current phase.
@@ -1346,6 +1350,7 @@ pub(super) mod testkit {
         }
         DirectoryView {
             epoch,
+            reset: 0,
             batch_id: 0,
             n_vertices: 0,
             agents: members
@@ -1360,6 +1365,14 @@ pub(super) mod testkit {
             virtual_agents: 8,
             replication_threshold: THRESHOLD,
             max_replicas: 3,
+        }
+    }
+
+    /// [`view`] as a recovery publishes it: its `reset` is its epoch.
+    pub fn reset_view(epoch: u64, members: &[AgentId]) -> DirectoryView {
+        DirectoryView {
+            reset: epoch,
+            ..view(epoch, members, &[])
         }
     }
 

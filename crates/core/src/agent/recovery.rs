@@ -1,7 +1,7 @@
 //! The agent's clock and failure recovery: METRICS pushed to the
 //! directory once per heartbeat interval — the liveness signal the
-//! lead's failure detector watches — and the full-reset response to a
-//! peer's eviction or a broken link.
+//! lead's failure detector watches — and the full reset a recovery's
+//! VIEW (one whose `reset` is its own epoch) asks of every member.
 
 use super::*;
 
@@ -17,29 +17,11 @@ impl Agent {
         }
     }
 
-    /// A peer was declared dead, or a link broke. Exact count
-    /// reconciliation is impossible (records in flight to/from the dead
-    /// agent, or on the link, are unaccounted on one side), so recovery
-    /// is a full reset: drop all
-    /// graph state and channel counts, adopt the post-eviction view, and
-    /// settle the recovery migrate-barrier trivially with zeroed
-    /// counts. The driver then replays the retained change log and
-    /// restarts any aborted run.
-    pub(super) fn on_recover(&mut self, rec: msg::Recover) -> bool {
-        if rec.view.addr_of(self.id).is_none() {
-            // We were the one evicted (a false positive if we are still
-            // alive). Fail-stop: exiting keeps the cluster's view of
-            // the world consistent.
-            return false;
-        }
-        if rec.epoch <= self.migrated_epoch {
-            // The lead re-publishing an open barrier: already handled;
-            // resetting again would wipe state replayed since.
-            return true;
-        }
-        let epoch = rec.epoch;
-        self.tracer
-            .instant(EventKind::RecoveryTrigger, epoch, rec.dead_agent);
+    /// Drop what a recovery reset wipes before its VIEW is adopted
+    /// ([`Agent::take_view`]). A peer died or a link broke, so records
+    /// in flight are unaccounted on one side: all graph state and counts
+    /// go, and the driver replays the change log and restarts the run.
+    pub(super) fn wipe(&mut self) {
         self.vertices.clear();
         self.primaries = 0;
         self.needs_sweep = true;
@@ -53,9 +35,9 @@ impl Agent {
         self.channels.clear();
         self.told.clear();
         self.drain = None;
-        self.counted_since = epoch;
         self.buffered_changes.clear();
         self.buffered_frames.clear();
+        // The run goes, and with it a parked advance and view.
         self.run = None;
         // The residual program dies with the state it described; the
         // lead turns the next residual run into a full recompute.
@@ -72,12 +54,6 @@ impl Agent {
         self.snap_run = 0;
         self.snap_watermark = 0;
         self.loaded.clear();
-        self.adopt_view(rec.view);
-        // A read parked for the aborted run gets the reset's tag.
-        self.answer_reads();
-        self.migrated_epoch = epoch;
-        self.send_ready(0, epoch as u32, Phase::Migrate, 0, 0.0);
-        true
     }
 }
 
@@ -85,7 +61,7 @@ impl Agent {
 mod tests {
     use super::super::testkit::*;
     use super::*;
-    use elga_net::{FaultPlan, FaultyTransport, InProcTransport};
+    use elga_net::{FaultPlan, FaultyTransport, InProcTransport, Mailbox};
 
     /// On a virtual clock ticking every half interval, the directory
     /// gets exactly one METRICS push per whole interval, and none at the
@@ -97,14 +73,73 @@ mod tests {
         let (t0, half) = (agent.metrics_pushed, agent.cfg.heartbeat_interval / 2);
         for k in 0..20 {
             agent.on_tick(t0 + half * k);
-            let pushed = std::iter::from_fn(|| directory.try_recv().ok().flatten());
-            let metrics: Vec<_> = pushed
-                .filter_map(|d| AgentMetrics::decode(&d.frame))
+            let metrics: Vec<_> = pushed(&directory)
+                .iter()
+                .filter_map(AgentMetrics::decode)
                 .collect();
             let whole = k > 0 && k % 2 == 0;
             assert_eq!(metrics.len(), usize::from(whole), "tick {k}");
             assert!(metrics.iter().all(|m| m.agent == ME));
         }
+    }
+
+    /// The frames pushed to `directory` since the last call.
+    fn pushed(directory: &Mailbox) -> Vec<Frame> {
+        let pushed = std::iter::from_fn(|| directory.try_recv().ok().flatten());
+        pushed.map(|d| d.frame).collect()
+    }
+
+    /// A VIEW whose `reset` is its own epoch wipes the agent — store,
+    /// primaries, channel counts — and the migration it opens sends
+    /// nothing and reports the barrier with no rows and no primaries. A
+    /// copy the lead republishes after the replay began wipes nothing.
+    #[test]
+    fn a_reset_view_wipes_the_agent_once_and_reports_a_zeroed_migrate_ready() {
+        let (transport, mut agent) = detached(view(1, &[ME, 2], &[]));
+        let directory = transport.bind(&Addr::inproc("nobody")).expect("bind");
+        let peer = transport.bind(&agent_addr(2)).expect("bind");
+        for v in 100..108 {
+            agent.insert_out_edge(v, v + 1);
+            agent.edit(v, |e, _| (e.is_meta, e.g_out) = (true, 1));
+        }
+        agent.peer(2).vmsg_sent = 3;
+        let reset = reset_view(2, &[ME, 2]).encode();
+        assert!(agent.handle(Delivery::push(reset.clone())));
+        assert_eq!((agent.vertices.len(), agent.primaries), (0, 0));
+        assert!(agent.channels.is_empty() && agent.needs_sweep);
+        assert_eq!((agent.view.epoch, agent.view.reset), (2, 2));
+        let frames = pushed(&directory);
+        assert_eq!(frames.len(), 1, "{frames:?}");
+        let ready = ReadyReport::decode(&frames[0]).expect("a READY");
+        let at = (ready.run, ready.step, ready.phase, ready.epoch);
+        assert_eq!(at, (0, 2, Phase::Migrate, 2));
+        assert!(ready.rows.is_empty() && ready.n_primary == 0);
+        assert!(peer.try_recv().expect("open").is_none(), "nothing moved");
+
+        agent.insert_out_edge(5, 6);
+        assert!(agent.handle(Delivery::push(reset)));
+        assert!(agent.vertices.get(&5).is_some() && pushed(&directory).is_empty());
+    }
+
+    /// A view that omits the agent: a reset one makes it exit at once,
+    /// sending nothing; a plain one starts its departure, which moves
+    /// what it holds and reports the barrier.
+    #[test]
+    fn a_view_that_omits_the_agent_ends_it_only_after_a_reset() {
+        let (transport, mut agent) = detached(view(1, &[ME, 2], &[]));
+        let directory = transport.bind(&Addr::inproc("nobody")).expect("bind");
+        agent.insert_out_edge(5, 6);
+        assert!(!agent.handle(Delivery::push(reset_view(2, &[2]).encode())));
+        assert!(pushed(&directory).is_empty());
+
+        let (transport, mut agent) = detached(view(1, &[ME, 2], &[]));
+        let directory = transport.bind(&Addr::inproc("nobody")).expect("bind");
+        agent.insert_out_edge(5, 6);
+        assert!(agent.handle(Delivery::push(view(2, &[2], &[]).encode())));
+        assert!(agent.departing);
+        assert_eq!(agent.vertices.len(), 0, "moved to agent 2");
+        let last = pushed(&directory).pop().expect("pushed");
+        assert!(ReadyReport::decode(&last).is_some_and(|r| r.phase == Phase::Migrate));
     }
 
     /// A route to a member that breaks — here by another sender's frame

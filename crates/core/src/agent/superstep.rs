@@ -568,7 +568,7 @@ impl Agent {
         };
         let Some((_, cur_step, cur_phase, live)) = self.current_phase().filter(|cur| cur.0 == run)
         else {
-            // Stale run: sent before our RECOVER, whose reset zeroed the
+            // Stale run: sent before our recovery reset, which zeroed the
             // counts it would move. (No agent acts on a `done` before it
             // has taken in what it counts.)
             self.metrics.stale_frames += 1;
@@ -1928,7 +1928,7 @@ mod tests {
     // waited for, what an idle drain re-reports.
     // ------------------------------------------------------------------
 
-    use super::super::testkit::{detached, view};
+    use super::super::testkit::{detached, reset_view, view};
     use crate::msg::{MigMeta, MigVertex};
     use elga_net::{InProcTransport, Mailbox, SplitMix64};
 
@@ -2867,8 +2867,9 @@ mod tests {
     }
 
     /// The parked advance and the per-step counts live and die with the
-    /// run: a restart after RECOVER — or any `begin_run`, or the run's
-    /// own end — finds neither.
+    /// run: a restart after a recovery reset — or any `begin_run`, or
+    /// the run's own end — finds neither. The reset's VIEW is not parked
+    /// behind the advance: it drops the run and is adopted at once.
     #[test]
     fn a_parked_advance_does_not_outlive_its_run() {
         let mut rig = rig();
@@ -2878,12 +2879,11 @@ mod tests {
         rig.advance(1, Phase::Combine, Phase::Scatter, 2);
         let run = rig.agent.run.as_ref().unwrap();
         assert!(run.parked_advance.is_some() && run.taken_in((1, Phase::Scatter)) == 1);
-        assert!(rig.agent.on_recover(msg::Recover {
-            epoch: 2,
-            dead_agent: 2,
-            view: view(2, &[ME], &[]),
-        }));
+        rig.readys();
+        rig.deliver(reset_view(2, &[ME]).encode());
         assert!(rig.agent.run.is_none());
+        let ready = ReadyReport::decode(&rig.readys()[0]).unwrap();
+        assert_eq!((ready.run, ready.step, ready.phase), (0, 2, Phase::Migrate));
         // The driver restarts the run; what was parked is gone, and a
         // record of the aborted run's step 1 completes nothing.
         rig.agent.begin_run(run_info(false));

@@ -432,14 +432,15 @@ impl Cluster {
         Some(id)
     }
 
-    /// Crash an agent without the LEAVE drain protocol: it dies
-    /// holding its share of the graph and whatever was in flight.
-    /// Failure detection must notice the silence, evict it, and
-    /// broadcast RECOVER; the driver rebuilds in [`Cluster::wait_run`]
-    /// or the next call that settles.
+    /// Crash an agent without the LEAVE drain protocol: a SHUTDOWN in
+    /// its mailbox alone, and it dies holding its share of the graph
+    /// and whatever was in flight. Failure detection must notice the
+    /// silence, evict it, and publish the recovery's reset VIEW; the
+    /// driver rebuilds in [`Cluster::wait_run`] or the next call that
+    /// settles.
     pub fn kill_agent(&mut self, id: AgentId) {
         if let Ok(out) = self.transport.sender(&directory::agent_addr(id)) {
-            let _ = out.send(Frame::signal(packet::KILL));
+            let _ = out.send(Frame::signal(packet::SHUTDOWN));
         }
         if let Some(handle) = self.agent_handles.remove(&id) {
             let _ = handle.join();

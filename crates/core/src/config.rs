@@ -37,7 +37,7 @@ pub struct SystemConfig {
     /// liveness signal the lead's failure detection watches.
     pub heartbeat_interval: Duration,
     /// Consecutive missed heartbeat intervals before the lead declares
-    /// an agent dead, evicts it and broadcasts RECOVER.
+    /// an agent dead, evicts it and publishes a reset VIEW.
     pub heartbeat_misses: u32,
     /// Deadline for `Cluster::quiesce`; exceeded, it returns
     /// `NetError::Timeout` instead of blocking forever.

@@ -141,9 +141,6 @@ pub(crate) struct Lead {
     /// replication factor may have changed, and the epoch that
     /// publishes it has not been opened yet.
     pending_sketch: bool,
-    /// The epoch the last recovery reset opened: a sketch delta counted
-    /// under an earlier one describes a graph the reset wiped.
-    counted_since: u64,
     /// Epoch of the outstanding migrate barrier, if any.
     migrate_epoch: Option<u64>,
     /// Members of the outstanding migrate barrier (view agents plus
@@ -171,11 +168,11 @@ pub(crate) struct Lead {
     last_seen: HashMap<AgentId, Instant>,
     /// Agents declared dead and evicted by failure detection.
     agents_recovered: u64,
-    /// The broadcast that opened the outstanding migrate barrier
-    /// (VIEW or RECOVER), kept for re-publication: a joiner whose bus
-    /// subscription registers a moment after its JOIN is handled
-    /// misses the original broadcast, and without a repeat it can
-    /// never send the READY that settles the barrier.
+    /// The VIEW that opened the outstanding migrate barrier, kept for
+    /// re-publication: a joiner whose bus subscription registers a
+    /// moment after its JOIN is handled misses the original broadcast,
+    /// and without a repeat it can never send the READY that settles
+    /// the barrier.
     barrier_broadcast: Option<Frame>,
     /// When the barrier broadcast was last published.
     barrier_published: Instant,
@@ -230,6 +227,7 @@ impl Lead {
         Lead {
             view: DirectoryView {
                 epoch: 1,
+                reset: 0,
                 batch_id: 0,
                 n_vertices: 0,
                 agents: Vec::new(),
@@ -247,7 +245,6 @@ impl Lead {
             pending_joins: Vec::new(),
             pending_leaves: Vec::new(),
             pending_sketch: false,
-            counted_since: 0,
             migrate_epoch: None,
             migrate_members: Vec::new(),
             departing: Vec::new(),
@@ -352,7 +349,7 @@ impl Lead {
                     }
                     self.evaluate();
                 }
-                Some(rep) if rep.epoch >= self.counted_since => {
+                Some(rep) if rep.epoch >= self.view.reset => {
                     self.saw(rep.agent);
                     self.channels.report(rep.agent, &rep.rows);
                     if let Some(asked) = self.quiesce.as_mut() {
@@ -413,7 +410,7 @@ impl Lead {
                         // again, evicting no one (DESIGN.md "A broken
                         // link is a recovery").
                         let told = self.metrics.get(&m.agent).map_or(0, |p| p.links_broken);
-                        let broke = m.links_broken > told && m.epoch >= self.counted_since;
+                        let broke = m.links_broken > told && m.epoch >= self.view.reset;
                         self.metrics.insert(m.agent, m);
                         if broke {
                             self.recover(0);
@@ -490,7 +487,7 @@ impl Lead {
     /// recovery reset has no rows to give.
     fn on_ready(&mut self, rep: ReadyReport) {
         self.saw(rep.agent);
-        if rep.epoch >= self.counted_since {
+        if rep.epoch >= self.view.reset {
             self.channels.report(rep.agent, &rep.rows);
         }
         self.reports.insert(rep.agent, rep);
@@ -703,7 +700,7 @@ impl Lead {
     fn fold_sketch(&mut self, delta: &SketchDeltaView<'_>) -> bool {
         // Counted before the last recovery reset: the replay recounts
         // what is left of it.
-        if delta.epoch < self.counted_since {
+        if delta.epoch < self.view.reset {
             return false;
         }
         let (config, agents) = (self.view.locator_config(), self.view.agents.len());
@@ -775,13 +772,12 @@ impl Lead {
         self.migrate_members = self.member_ids();
         self.migrate_members
             .extend(self.departing.iter().map(|a| a.id));
-        let frame = self.view.encode();
-        self.open_migrate_barrier(frame);
+        self.open_migrate_barrier();
     }
 
-    /// Open the migrate barrier of the current epoch with `frame` (a
-    /// VIEW or a RECOVER) as its broadcast.
-    fn open_migrate_barrier(&mut self, frame: Frame) {
+    /// Open the migrate barrier of the current epoch: publish its VIEW.
+    fn open_migrate_barrier(&mut self) {
+        let frame = self.view.encode();
         self.migrate_epoch = Some(self.view.epoch);
         self.barrier_broadcast = Some(frame.clone());
         self.barrier_published = self.now;
@@ -846,8 +842,8 @@ impl Lead {
     fn recover(&mut self, dead: AgentId) {
         // Fold queued joins in so a joiner racing the recovery is not
         // evicted by the broadcast view; queued leaves and departers
-        // exit on receipt of RECOVER — after the reset they hold no
-        // data worth draining.
+        // exit on receipt of a reset view that omits them — after the
+        // reset they hold no data worth draining.
         self.fold_membership();
         for a in self.departing.drain(..) {
             self.last_seen.remove(&a.id);
@@ -882,12 +878,11 @@ impl Lead {
             .or_else(|| self.pending_start.take().map(|i| i.run_id))
             .unwrap_or(0);
         self.next_epoch();
-        self.counted_since = self.view.epoch;
+        self.view.reset = self.view.epoch;
         if aborted != 0 {
             self.last_status = RunStatus {
                 run_id: aborted,
                 n_vertices: self.view.n_vertices,
-                reset: self.counted_since,
                 dead_agent: dead,
                 ..RunStatus::default()
             };
@@ -896,13 +891,7 @@ impl Lead {
             .instant_at(EventKind::RecoveryTrigger, self.now, self.view.epoch, dead);
         self.migrate_members = self.member_ids();
         self.agents_recovered += u64::from(dead != 0);
-        let frame = msg::Recover {
-            epoch: self.view.epoch,
-            dead_agent: dead,
-            view: self.view.clone(),
-        }
-        .encode();
-        self.open_migrate_barrier(frame);
+        self.open_migrate_barrier();
         if aborted != 0 {
             let status = self.last_status.encode();
             self.effects
@@ -937,7 +926,7 @@ impl Lead {
         let asks = self.channels.asks();
         if asks.is_empty() {
             self.quiesce = None;
-            let answer = Frame::builder(packet::OK).u64(self.counted_since).finish();
+            let answer = Frame::builder(packet::OK).u64(self.view.reset).finish();
             self.effects.push(Effect::Answer(Held::Quiesce, answer));
         } else {
             self.drain(asks);
@@ -1644,31 +1633,6 @@ mod tests {
         assert!(!fold(hub(&lead, 5), &mut lead), "k stays 2");
         assert_eq!(lead.view.epoch, epoch + 3);
         assert!(published(&mut lead, packet::VIEW).is_empty());
-    }
-
-    #[test]
-    fn a_recovery_zeroes_the_table_and_drops_deltas_counted_before_it() {
-        let mut lead = lead_with_agents();
-        fold(ring_delta(&lead, 0, 8, 1), &mut lead);
-        let before = lead.view.epoch;
-        let mut early = SketchDelta::new(lead.view.sketch.width(), lead.view.sketch.depth());
-        early.add(5, 3);
-        let early = msg::encode_sketch_delta(before, &early);
-        lead.recover(2);
-        assert!(lead.view.sketch.is_empty());
-        assert!(lead.view.sketch.estimate_bound() == 0 && !lead.may_split);
-        let recover = published(&mut lead, packet::RECOVER);
-        let view = msg::Recover::decode(&recover[0]).unwrap().view;
-        assert!(
-            view.sketch.is_empty(),
-            "the reset view carries the zero table"
-        );
-        // Counted under the epoch before the reset: dropped.
-        lead.on_frame(lead.now, &early);
-        assert!(lead.view.sketch.is_empty());
-        // Counted since: folded.
-        fold(ring_delta(&lead, 0, 8, 1), &mut lead);
-        assert_eq!(lead.view.sketch.estimate(3), 2);
     }
 
     #[test]
@@ -2557,31 +2521,6 @@ mod tests {
         assert_eq!((status.run_id, status.done), (run, true));
     }
 
-    /// A wait across a recovery is answered by it: the aborted run,
-    /// neither running nor done, the reset epoch and the dead agent. A
-    /// wait that comes later is answered the same, at once.
-    #[test]
-    fn a_wait_across_a_recovery_is_answered_with_the_reset() {
-        let (mut lead, run) = lead_mid_run(WCC.0, WCC.1, false);
-        lead.on_frame(lead.now, &run_wait(run));
-        drained(&mut lead);
-        lead.recover(2);
-        let want = RunStatus {
-            run_id: run,
-            n_vertices: lead.view.n_vertices,
-            reset: lead.view.epoch,
-            dead_agent: 2,
-            ..RunStatus::default()
-        };
-        assert_eq!(holds(&mut lead), [(Held::Run(run), Some(want.clone()))]);
-        lead.on_frame(lead.now, &run_wait(run));
-        let effects = drained(&mut lead);
-        let [Effect::Reply(reply)] = &effects[..] else {
-            panic!("{effects:?}");
-        };
-        assert_eq!(RunStatus::decode(reply), Some(want));
-    }
-
     #[test]
     fn silent_agents_are_detected_after_the_window() {
         let mut lead = test_lead();
@@ -2797,7 +2736,7 @@ mod tests {
              channel (1, 2, chg, 2)"
         );
         lead.on_frame(lead.now, &drain(2, vec![(1, chg(0, 3))]).encode());
-        let answer = Frame::builder(packet::OK).u64(lead.counted_since).finish();
+        let answer = Frame::builder(packet::OK).u64(lead.view.reset).finish();
         assert_eq!(
             wire(&drained(&mut lead)),
             [("answer", String::new(), answer.as_bytes().to_vec())]
@@ -2883,13 +2822,10 @@ mod tests {
         assert!(done[0].done && done[0].run == run);
     }
 
-    /// A departer pushes METRICS while it drains and is watched like a
-    /// member: one that dies before its final READY is evicted and the
-    /// barrier reopens over the survivors. One that drains and is
-    /// released is not watched any more.
     /// A departer's OK goes to the address it registered, not the
     /// in-process name of its id: over TCP that name reaches nobody,
-    /// and the departer would run on until SHUTDOWN.
+    /// and the departer would run on until SHUTDOWN. Once released it
+    /// is not watched any more.
     #[test]
     fn a_departer_is_released_at_its_registered_address() {
         let (mut lead, id) = (test_lead(), 4);
@@ -2904,52 +2840,7 @@ mod tests {
             _ => None,
         });
         assert_eq!(Vec::from_iter(sends), [(addr(), packet::OK)]);
-    }
-
-    #[test]
-    fn a_departer_that_dies_mid_drain_is_evicted() {
-        let mut lead = watching_lead();
-        let t0 = lead.now;
-        for id in [1, 2, 3] {
-            lead.on_frame(t0, &join(id));
-            settle(&mut lead, t0);
-        }
-        assert_eq!(lead.member_ids(), [1, 2, 3]);
-        lead.on_frame(t0, &leave(3));
-        settle(&mut lead, t0);
-        assert_eq!(lead.migrate_epoch, None);
-        assert!(!lead.last_seen.contains_key(&3), "a released departer");
-        let sends: Vec<_> = drained(&mut lead)
-            .into_iter()
-            .filter_map(|e| match e {
-                Effect::Send(to, f) => Some((to, f.packet_type())),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(sends, [(agent_addr(3), packet::OK)]);
-
-        // Agent 2 leaves and dies before its final READY; agent 1 has
-        // moved what it had to and keeps pushing METRICS.
-        lead.on_frame(t0, &leave(2));
-        let epoch = lead.migrate_epoch.expect("the leave's barrier");
-        assert_eq!(lead.migrate_members, [1, 2]);
-        let rep = ready(1, 0, epoch as u32, Phase::Migrate, Vec::new());
-        lead.on_frame(t0, &rep.encode());
-        drained(&mut lead);
-        let interval = Duration::from_millis(100);
-        for k in 1..=4 {
-            lead.on_frame(t0 + interval * k, &beat(1));
-            lead.on_tick(t0 + interval * k);
-        }
-        let recovers = published(&mut lead, packet::RECOVER);
-        assert_eq!(recovers.len(), 1);
-        let rec = msg::Recover::decode(&recovers[0]).unwrap();
-        assert_eq!((rec.dead_agent, rec.epoch), (2, epoch + 1));
-        assert_eq!(lead.migrate_epoch, Some(epoch + 1));
-        assert_eq!(lead.migrate_members, [1]);
-        assert!(lead.departing.is_empty() && !lead.last_seen.contains_key(&2));
-        settle(&mut lead, t0 + interval * 4);
-        assert_eq!(lead.migrate_epoch, None);
+        assert!(!lead.last_seen.contains_key(&id));
     }
 
     /// While a migrate barrier stands, the broadcast that opened it goes
@@ -3033,47 +2924,123 @@ mod tests {
         // 70 and 99 ms after that look: past the window, but not looked.
         lead.on_tick(t0 + ms(320));
         lead.on_tick(t0 + ms(349));
-        assert!(published(&mut lead, packet::RECOVER).is_empty());
+        assert!(published(&mut lead, packet::VIEW).is_empty());
         assert_eq!(lead.member_ids(), [1]);
         lead.on_tick(t0 + ms(350));
-        assert_eq!(published(&mut lead, packet::RECOVER).len(), 1);
+        assert_eq!(published(&mut lead, packet::VIEW).len(), 1);
         assert!(lead.member_ids().is_empty());
     }
 
-    /// A METRICS report whose `links_broken` rose, made under an epoch
-    /// no reset has closed, is itself the trigger — no tick: one RECOVER
-    /// at the next epoch that evicts no one. The same report again, or
-    /// another agent's rise reported under the epoch that reset closed,
-    /// triggers nothing.
+    /// Each recovery trigger — a member a tick finds silent, a departer
+    /// that dies while it drains (departers push METRICS and are watched
+    /// like members), a `links_broken` rise reported under an epoch no
+    /// reset has closed — publishes one frame: a VIEW whose `reset` is
+    /// its own epoch, which opens the barrier. It omits the dead member
+    /// and every departer, who are no longer watched, folds in the
+    /// queued join and carries the zero table: a delta counted before
+    /// it is dropped, one counted since is folded. The held wait for the
+    /// run the recovery aborted is answered with it, and so is a later
+    /// one, at once. A link's rise is news once: a later one resets
+    /// again.
     #[test]
-    fn a_broken_link_report_recovers_once_without_an_eviction() {
-        let mut lead = lead_with_agents();
-        drained(&mut lead);
-        let (epoch, now) = (lead.view.epoch, lead.now);
-        let report = |lead: &mut Lead, agent, links_broken, epoch| {
-            let metrics = AgentMetrics {
-                agent,
-                epoch,
-                links_broken,
-                ..AgentMetrics::default()
-            };
-            lead.on_frame(now, &metrics.encode());
-            published(lead, packet::RECOVER)
+    fn each_recovery_trigger_publishes_one_reset_view() {
+        let interval = Duration::from_millis(100);
+        let metrics = |agent, links_broken, epoch| AgentMetrics {
+            agent,
+            epoch,
+            links_broken,
+            ..AgentMetrics::default()
         };
-        let recovers = report(&mut lead, 1, 1, epoch);
-        let rec = msg::Recover::decode(&recovers[0]).unwrap();
-        assert_eq!(
-            (recovers.len(), rec.dead_agent, rec.epoch),
-            (1, 0, epoch + 1)
-        );
-        assert_eq!((lead.member_ids(), lead.agents_recovered), (vec![1, 2], 0));
-        assert!(report(&mut lead, 1, 1, epoch + 1).is_empty(), "repeated");
-        assert!(
-            report(&mut lead, 2, 1, epoch).is_empty(),
-            "closed by the reset"
-        );
-        assert_eq!(report(&mut lead, 2, 2, epoch + 1).len(), 1, "a later break");
-        assert_eq!(lead.view.epoch, epoch + 2);
+        for trigger in ["silent member", "dead departer", "broken link"] {
+            let mut lead = watching_lead();
+            let t0 = lead.now;
+            for id in [1, 2, 3] {
+                lead.on_frame(t0, &join(id));
+                settle(&mut lead, t0);
+            }
+            let early = msg::encode_sketch_delta(lead.view.epoch, &ring_delta(&lead, 0, 8, 1));
+            lead.on_frame(t0, &early);
+            assert!(lead.view.sketch.estimate_bound() > 0, "{trigger}");
+            if trigger == "dead departer" {
+                // The run waits for the leave's barrier, which agent 2
+                // never reports.
+                lead.on_frame(t0, &leave(2));
+            }
+            let run = lead.start_run(run_info(WCC.0, false));
+            lead.on_frame(t0, &run_wait(run));
+            // Queued behind the run or the barrier.
+            lead.on_frame(t0, &join(4));
+            lead.on_frame(t0, &leave(3));
+            let (dead, at) = if trigger == "broken link" {
+                drained(&mut lead);
+                lead.on_frame(t0, &metrics(1, 1, lead.view.epoch).encode());
+                (0, t0)
+            } else {
+                for k in 1..=4 {
+                    // The open barrier's republished VIEWs go first.
+                    drained(&mut lead);
+                    for id in [1, 3] {
+                        lead.on_frame(t0 + interval * k, &beat(id));
+                    }
+                    lead.on_tick(t0 + interval * k);
+                }
+                (2, t0 + interval * 4)
+            };
+            let effects = drained(&mut lead);
+            let frames = effects.iter().filter_map(|e| match e {
+                Effect::Publish(f) => Some(f),
+                _ => None,
+            });
+            let [reset] = &frames.collect::<Vec<_>>()[..] else {
+                panic!("{trigger}: {effects:?}");
+            };
+            let view = DirectoryView::decode(reset).expect(trigger);
+            let opened = (view.reset, lead.migrate_epoch);
+            assert_eq!(opened, (view.epoch, Some(view.epoch)), "{trigger}");
+            let members: Vec<_> = view.agents.iter().map(|a| a.id).collect();
+            let survivors = if dead == 0 { vec![1, 2, 4] } else { vec![1, 4] };
+            assert_eq!((&members, &lead.migrate_members), (&survivors, &survivors));
+            assert!(lead.departing.is_empty() && !lead.last_seen.contains_key(&3));
+            assert_eq!(lead.last_seen.contains_key(&2), dead == 0, "{trigger}");
+            assert_eq!(lead.agents_recovered, u64::from(dead != 0), "{trigger}");
+            assert!(view.sketch.is_empty() && !lead.may_split, "{trigger}");
+            assert_eq!(lead.view.sketch.estimate_bound(), 0, "{trigger}");
+            let answers: Vec<_> = effects
+                .iter()
+                .filter_map(|e| match e {
+                    Effect::Answer(key, f) => Some((*key, RunStatus::decode(f))),
+                    _ => None,
+                })
+                .collect();
+            let aborted = RunStatus {
+                run_id: run,
+                n_vertices: view.n_vertices,
+                dead_agent: dead,
+                ..RunStatus::default()
+            };
+            assert_eq!(answers, [(Held::Run(run), Some(aborted.clone()))]);
+            lead.on_frame(at, &run_wait(run));
+            let effects = drained(&mut lead);
+            let [Effect::Reply(reply)] = &effects[..] else {
+                panic!("{trigger}: {effects:?}");
+            };
+            assert_eq!(RunStatus::decode(reply), Some(aborted), "{trigger}");
+            lead.on_frame(at, &early);
+            assert!(lead.view.sketch.is_empty(), "{trigger}: counted before");
+            fold(ring_delta(&lead, 0, 8, 1), &mut lead);
+            assert_eq!(lead.view.sketch.estimate(3), 2, "{trigger}: counted since");
+            if trigger == "broken link" {
+                // The same rise again, or one counted under an epoch
+                // the reset closed, is no news.
+                lead.on_frame(at, &metrics(1, 1, view.epoch).encode());
+                lead.on_frame(at, &metrics(2, 1, view.epoch - 1).encode());
+                assert!(drained(&mut lead).is_empty());
+                lead.on_frame(at, &metrics(2, 2, view.epoch).encode());
+                assert_eq!(published(&mut lead, packet::VIEW).len(), 1, "a later break");
+            }
+            settle(&mut lead, at);
+            assert_eq!(lead.migrate_epoch, None, "{trigger}");
+        }
     }
 
     /// Drives a lead through random inputs on a virtual clock and
@@ -3228,21 +3195,15 @@ mod tests {
             // The view epoch never decreases.
             assert!(lead.view.epoch >= self.epoch);
             self.epoch = lead.view.epoch;
-            let opens_barrier = |e: &Effect| {
-                matches!(e, Effect::Publish(f)
-                    if matches!(f.packet_type(), packet::VIEW | packet::RECOVER))
-            };
+            let opens_barrier =
+                |e: &Effect| matches!(e, Effect::Publish(f) if f.packet_type() == packet::VIEW);
             for (i, effect) in effects.iter().enumerate() {
                 let Effect::Publish(f) = effect else {
                     continue;
                 };
                 match f.packet_type() {
-                    ty @ (packet::VIEW | packet::RECOVER) => {
-                        let epoch = if ty == packet::VIEW {
-                            DirectoryView::decode(f).unwrap().epoch
-                        } else {
-                            msg::Recover::decode(f).unwrap().epoch
-                        };
+                    packet::VIEW => {
+                        let epoch = DirectoryView::decode(f).unwrap().epoch;
                         match self.openers.get(&epoch) {
                             // A republished barrier frame is the one
                             // that opened the barrier, and the barrier

@@ -28,7 +28,8 @@ pub mod packet {
     pub const JOIN: u8 = 1;
     /// Agents depart (REQ, driver → lead): a `u64` id each; `OK`.
     pub const LEAVE: u8 = 2;
-    /// Directory view (PUB topic, and a reply to GET_VIEW).
+    /// Directory view (PUB topic, and a reply to GET_VIEW); a
+    /// recovery's too, its `reset` its own epoch.
     pub const VIEW: u8 = 3;
     /// Applied degree changes (push, agent → directory → lead):
     /// `u64 epoch, u8 form, u32 width, u32 depth, i64 items`, then the
@@ -84,10 +85,6 @@ pub mod packet {
     pub const DEG_DELTA: u8 = 29;
     /// State dump (REQ, driver → agent): empty; its primaries' states.
     pub const DUMP: u8 = 31;
-    /// Failure recovery (PUB topic).
-    pub const RECOVER: u8 = 33;
-    /// Test kill switch (push, → agent): empty; dies without a LEAVE.
-    pub const KILL: u8 = 34;
     /// Trace dump (REQ, → any participant): empty; its encoded events.
     pub const TRACE_DUMP: u8 = 35;
     /// Write a checkpoint shard (REQ, driver → agent).
@@ -310,6 +307,11 @@ wire! {
     pub struct DirectoryView: VIEW {
         /// Monotone version; bumped on membership or sketch change.
         pub epoch: u64,
+        /// The epoch of the last recovery reset (0: none). A view whose
+        /// `reset` is its own epoch publishes a recovery: its members
+        /// drop all graph state and counts before they adopt it, and
+        /// anything counted under an earlier epoch is stale.
+        pub reset: u64,
         /// Current batch clock (§3.3).
         pub batch_id: u64,
         /// Latest known global vertex count (for programs needing `n`).
@@ -1404,10 +1406,8 @@ wire! {
         pub n_vertices: u64,
         /// Per-superstep wall times in nanoseconds.
         pub step_nanos: Vec<u64>,
-        /// The recovery that aborted `run_id`: its reset epoch (0: none)
-        /// and the agent it evicted (0: none).
-        pub reset: u64,
-        /// See `reset`.
+        /// The agent evicted by the recovery that aborted `run_id` (0:
+        /// none, or no recovery).
         pub dead_agent: AgentId,
     }
 
@@ -1471,21 +1471,6 @@ wire! {
         pub ok: bool,
         /// Payload bytes loaded.
         pub bytes: u64,
-    }
-
-    /// Failure-recovery broadcast published by the lead directory after it
-    /// declares an agent dead: survivors drop all graph state and counts,
-    /// adopt the embedded view, and settle a fresh migrate barrier. The
-    /// driver hears of it from the run wait it aborted or the next
-    /// `quiesce`.
-    #[derive(Debug, Clone)]
-    pub struct Recover: RECOVER {
-        /// The post-eviction view epoch.
-        pub epoch: u64,
-        /// The agent declared dead.
-        pub dead_agent: AgentId,
-        /// The post-eviction directory view.
-        pub view: DirectoryView as frame,
     }
 }
 
@@ -1610,6 +1595,7 @@ mod tests {
         sketch.add(6, 7);
         DirectoryView {
             epoch: 42,
+            reset: 40,
             batch_id: 7,
             n_vertices: 1000,
             agents: vec![
@@ -1634,7 +1620,7 @@ mod tests {
     fn view_roundtrip() {
         let v = sample_view();
         let decoded = DirectoryView::decode(&v.encode()).unwrap();
-        assert_eq!(decoded.epoch, 42);
+        assert_eq!((decoded.epoch, decoded.reset), (42, 40));
         assert_eq!(decoded.batch_id, 7);
         assert_eq!(decoded.n_vertices, 1000);
         assert_eq!(decoded.agents, v.agents);
@@ -2272,7 +2258,6 @@ mod tests {
         assert!(RunStatus::decode(&junk).is_none());
         assert!(decode_reset_labels(&junk).is_none());
         assert!(decode_sketch_delta(&junk).is_none());
-        assert!(Recover::decode(&junk).is_none());
     }
 
     /// Run `f` against a fresh coalescing outbox and return the frames

@@ -33,6 +33,7 @@ fn view() -> DirectoryView {
     sketch.add(5, 3);
     DirectoryView {
         epoch: 42,
+        reset: 40,
         batch_id: 7,
         n_vertices: 1000,
         agents: vec![
@@ -117,7 +118,6 @@ fn frames() -> Vec<(&'static str, Frame)> {
         steps: 4,
         step_nanos: vec![100, 200],
         n_vertices: 55,
-        reset: 6,
         dead_agent: 3,
     };
     let streamed = Counters {
@@ -212,15 +212,6 @@ fn frames() -> Vec<(&'static str, Frame)> {
             }
             .encode(),
         ),
-        (
-            "recover",
-            msg::Recover {
-                epoch: 8,
-                dead_agent: 3,
-                view: view(),
-            }
-            .encode(),
-        ),
         ("reset labels", msg::encode_reset_labels(&[1, 5, 1 << 40])),
         ("dump reply", dump),
         ("query batch", msg::encode_query_batch(7, &[3, 99])),
@@ -270,11 +261,12 @@ const GOLDEN: &[(&str, u8, &str)] = &[
     (
         "view",
         packet::VIEW,
-        "2a000000000000000700000000000000e8030000000000000364000000001000\
-         00000000001000000002000000010000000000000010000000696e70726f633a\
-         2f2f6167656e742d310900000000000000140000007463703a2f2f3132372e30\
-         2e302e313a373030310400000002000000030000000000000020000000000000\
-         0003000000000000000000000000000000030000000000000000000000",
+        "2a0000000000000028000000000000000700000000000000e803000000000000\
+         0364000000001000000000000010000000020000000100000000000000100000\
+         00696e70726f633a2f2f6167656e742d31090000000000000014000000746370\
+         3a2f2f3132372e302e302e313a37303031040000000200000003000000000000\
+         0020000000000000000300000000000000000000000000000003000000000000\
+         0000000000",
     ),
     (
         "join",
@@ -284,29 +276,29 @@ const GOLDEN: &[(&str, u8, &str)] = &[
     (
         "join reply, run",
         packet::JOIN,
-        "9e000000032a000000000000000700000000000000e803000000000000036400\
-         000000100000000000001000000002000000010000000000000010000000696e\
-         70726f633a2f2f6167656e742d310900000000000000140000007463703a2f2f\
-         3132372e302e302e313a37303031040000000200000003000000000000002000\
-         0000000000000300000000000000000000000000000003000000000000000000\
-         0000010300000000000000010400000000000000050000000000000006000000\
-         000000000100012900000000000000",
+        "a6000000032a0000000000000028000000000000000700000000000000e80300\
+         0000000000036400000000100000000000001000000002000000010000000000\
+         000010000000696e70726f633a2f2f6167656e742d3109000000000000001400\
+         00007463703a2f2f3132372e302e302e313a3730303104000000020000000300\
+         0000000000002000000000000000030000000000000000000000000000000300\
+         0000000000000000000001030000000000000001040000000000000005000000\
+         0000000006000000000000000100012900000000000000",
     ),
     (
         "join reply, idle",
         packet::JOIN,
-        "9e000000032a000000000000000700000000000000e803000000000000036400\
-         000000100000000000001000000002000000010000000000000010000000696e\
-         70726f633a2f2f6167656e742d310900000000000000140000007463703a2f2f\
-         3132372e302e302e313a37303031040000000200000003000000000000002000\
-         0000000000000300000000000000000000000000000003000000000000000000\
-         000000",
+        "a6000000032a0000000000000028000000000000000700000000000000e80300\
+         0000000000036400000000100000000000001000000002000000010000000000\
+         000010000000696e70726f633a2f2f6167656e742d3109000000000000001400\
+         00007463703a2f2f3132372e302e302e313a3730303104000000020000000300\
+         0000000000002000000000000000030000000000000000000000000000000300\
+         0000000000000000000000",
     ),
     (
         "run status reply",
         packet::RUN_STATUS,
         "0900000000000000010004000000370000000000000002000000640000000000\
-         0000c80000000000000006000000000000000300000000000000",
+         0000c8000000000000000300000000000000",
     ),
     ("run wait", packet::RUN_STATUS, "0900000000000000"),
     (
@@ -342,16 +334,6 @@ const GOLDEN: &[(&str, u8, &str)] = &[
          0500000000000000",
     ),
     ("ckpt load reply", packet::CKPT_LOAD, "010010000000000000"),
-    (
-        "recover",
-        packet::RECOVER,
-        "080000000000000003000000000000009e000000032a00000000000000070000\
-         0000000000e80300000000000003640000000010000000000000100000000200\
-         0000010000000000000010000000696e70726f633a2f2f6167656e742d310900\
-         000000000000140000007463703a2f2f3132372e302e302e313a373030310400\
-         0000020000000300000000000000200000000000000003000000000000000000\
-         000000000000030000000000000000000000",
-    ),
     (
         "reset labels",
         packet::RESET_LABELS,

@@ -329,6 +329,7 @@ fn view_of(w: &[u64], members: &[u64]) -> DirectoryView {
     sketch.add(w[2], w[3] as u32);
     let mut view = elga_core::msg::DirectoryView {
         epoch: w[4],
+        reset: w[10],
         batch_id: w[5],
         n_vertices: w[6],
         agents: Vec::new(),
@@ -538,7 +539,6 @@ proptest! {
         let _ = msg::JoinReply::decode(&frame);
         let _ = RunInfo::decode(&frame);
         let _ = RunStatus::decode(&frame);
-        let _ = msg::Recover::decode(&frame);
         let _ = msg::CkptLoad::decode(&frame);
         let _ = msg::CkptLoadReport::decode(&frame);
         let _ = msg::decode_sketch_delta(&frame);
@@ -783,7 +783,7 @@ proptest! {
         assert_round_trip(RunStatus {
             run_id: w[25], running: bit(5), done: bit(6),
             steps: w[26] as u32, n_vertices: w[27],
-            step_nanos: list.iter().map(|p| p.0).collect(), reset: w[61], dead_agent: w[62],
+            step_nanos: list.iter().map(|p| p.0).collect(), dead_agent: w[62],
         });
         let rows = list.iter().map(|&(peer, _)| (peer, counters)).collect();
         assert_round_trip(msg::DrainReport { agent: w[29], epoch: w[28], rows });
@@ -804,10 +804,8 @@ proptest! {
         });
         prop_assert_eq!(back.run, bit(9).then_some(run));
         prop_assert_eq!(back.view.agents, view.agents.clone());
-        let back = assert_frame_round_trip(&msg::Recover {
-            epoch: w[54], dead_agent: w[55], view: view.clone(),
-        });
-        prop_assert_eq!((back.epoch, back.view.sketch), (w[54], view.sketch));
+        let back = assert_frame_round_trip(&view);
+        prop_assert_eq!((back.epoch, back.reset, back.sketch), (w[48], w[54], view.sketch));
         // The metrics reports: every field a word of `w`, the flag a bit.
         let words = |b: elga_net::frame::FrameBuilder, n: usize| {
             w.iter().cycle().take(n).fold(b, |b, &x| b.u64(x))

@@ -413,7 +413,7 @@ impl Transport for TcpTransport {
         let peer = sock.to_string();
         std::thread::spawn(move || {
             // No pool stats: subscriptions carry sporadic control-plane
-            // broadcasts (ADVANCE/RECOVER), inherently one per refill.
+            // broadcasts (ADVANCE/VIEW), inherently one per refill.
             let mut rbuf = RecvBuf::new(None);
             loop {
                 let payload = match rbuf.read_msg(&mut stream) {

@@ -574,6 +574,7 @@ mod tests {
         s.clear();
         assert!(s.is_empty());
         assert_eq!(s.estimate(1), 0);
+        assert_eq!(s.estimate_bound(), 0);
     }
 
     #[test]

@@ -1,14 +1,19 @@
 //! Durable checkpoints and bounded recovery: cut checkpoints at batch
-//! boundaries, crash an agent mid-run, and recover by restoring the
+//! boundaries, crash an agent before a run, and recover by restoring the
 //! latest valid generation and replaying the change log, which reaches
 //! back to the oldest retained generation.
 //! Then damage the newest generation on disk and show the fallback
 //! ladder landing on the older one — never on a wrong answer.
 //!
+//! Each crash is followed by a check of every label against reference
+//! WCC and of the recovery counts: the example exits 1 if either is off.
+//!
 //! ```sh
 //! cargo run --release --example recovery_checkpoint
 //! ```
 
+use elga::graph::reference;
+use elga::hash::{AgentId, FxHashMap};
 use elga::prelude::*;
 use std::time::Duration;
 
@@ -26,13 +31,43 @@ fn band(lo: u64, n: u64) -> Vec<EdgeChange> {
         .collect()
 }
 
+/// Kill `victim` and run WCC in `mode`, which starts after the recovery
+/// (a kill after the start can miss a short run); return the wrong labels.
+fn crash_then_run(
+    cluster: &mut Cluster,
+    victim: AgentId,
+    mode: ExecutionMode,
+    truth: &FxHashMap<u64, u64>,
+) -> usize {
+    let options = elga::core::program::RunOptions {
+        reuse_state: false,
+        mode,
+    };
+    cluster.kill_agent(victim);
+    let handle = cluster.start_run(Wcc::new(), options).expect("start wcc");
+    cluster.wait_run(handle).expect("run survives the crash");
+    let states = cluster.dump_states();
+    let differs = |(v, l): (&u64, &u64)| truth.get(v) != Some(l);
+    let wrong = states.iter().filter(|&e| differs(e)).count() + truth.len();
+    let wrong = wrong - states.keys().filter(|&v| truth.contains_key(v)).count();
+    println!(
+        "  agent {victim} killed; vertex 0 -> component {:?}, vertex 250 -> component {:?}; \
+         {wrong} of {} labels differ from the reference",
+        cluster.query_u64(0),
+        cluster.query_u64(250),
+        truth.len()
+    );
+    wrong
+}
+
 fn main() {
     let dir = std::env::temp_dir().join(format!("elga-recovery-example-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
     let config = SystemConfig {
+        // 1 s of silence, as in tests/chaos.rs: a load spike evicts no one.
         heartbeat_interval: Duration::from_millis(25),
-        heartbeat_misses: 12,
+        heartbeat_misses: 40,
         ..SystemConfig::default()
     };
     let mut cluster = Cluster::builder()
@@ -40,6 +75,10 @@ fn main() {
         .config(config)
         .checkpoints(&dir)
         .build();
+    // The victims are chosen while all four agents are members.
+    let victims = cluster.agent_ids();
+    let bands = (0..3).flat_map(|b| band(b * 100, 100));
+    let truth = reference::wcc(bands.map(|c| (c.edge.src, c.edge.dst)));
 
     // Two ingest batches with a checkpoint after each: the change log's
     // base moves to the oldest kept generation's watermark.
@@ -62,34 +101,18 @@ fn main() {
     // A third batch arrives after the last checkpoint.
     cluster.ingest(band(200, 100));
 
-    // Crash an agent mid-run. The driver restores the newest generation
-    // and replays the log since the oldest kept one (the second and
-    // third batches), not all three batches.
-    let handle = cluster
-        .start_run(
-            Wcc::new(),
-            elga::core::program::RunOptions {
-                reuse_state: false,
-                mode: ExecutionMode::Async,
-            },
-        )
-        .expect("start wcc");
-    let victim = cluster.agent_ids()[1];
-    cluster.kill_agent(victim);
-    cluster.wait_run(handle).expect("run survives the crash");
-    let rec = cluster.recovery_stats();
+    // Crash an agent. The driver restores the newest generation and
+    // replays the log since the oldest kept one (the second and third
+    // batches), not all three batches.
+    let mut wrong = crash_then_run(&mut cluster, victims[1], ExecutionMode::Async, &truth);
+    let first = cluster.recovery_stats();
     println!(
         "recovered in {:.1} ms: restored generation from disk ({} restore), \
          replayed {} records, {} fallbacks",
-        rec.recovery_nanos as f64 / 1e6,
-        rec.ckpt_restores,
-        rec.replayed_records,
-        rec.ckpt_fallbacks
-    );
-    println!(
-        "  vertex 0 -> component {}, vertex 250 -> component {}",
-        cluster.query_u64(0).expect("label"),
-        cluster.query_u64(250).expect("label")
+        first.recovery_nanos as f64 / 1e6,
+        first.ckpt_restores,
+        first.replayed_records,
+        first.ckpt_fallbacks
     );
 
     // Now damage the newest generation on disk (torn shard write) and
@@ -107,24 +130,23 @@ fn main() {
             file.set_len(len / 2).expect("tear shard");
         }
     }
-    let handle = cluster
-        .start_run(Wcc::new(), elga::core::program::RunOptions::default())
-        .expect("start wcc");
-    let victim = cluster.agent_ids()[2];
-    cluster.kill_agent(victim);
-    cluster.wait_run(handle).expect("run survives the crash");
+    wrong += crash_then_run(&mut cluster, victims[2], ExecutionMode::Sync, &truth);
     let rec = cluster.recovery_stats();
     println!(
         "after tearing generation 2: {} recoveries total, {} fallback, \
          {} records replayed cumulatively (generation 1 + the same log)",
         rec.recoveries, rec.ckpt_fallbacks, rec.replayed_records
     );
-    println!(
-        "  vertex 0 -> component {}, vertex 250 -> component {}",
-        cluster.query_u64(0).expect("label"),
-        cluster.query_u64(250).expect("label")
-    );
 
     cluster.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+    let counts = |r: elga::core::RecoveryStats| (r.recoveries, r.ckpt_restores, r.ckpt_fallbacks);
+    let counts = [counts(first), counts(rec)];
+    if wrong > 0 || counts != [(1, 1, 0), (2, 2, 1)] {
+        eprintln!(
+            "{wrong} wrong labels; (recoveries, restores, fallbacks) after each crash \
+             {counts:?}, want [(1, 1, 0), (2, 2, 1)]"
+        );
+        std::process::exit(1);
+    }
 }

@@ -299,10 +299,10 @@ fn a_link_broken_mid_migration_costs_one_recovery() {
 fn killed_agent_mid_async_run_recovers_to_correct_results() {
     // An agent dying mid-async-run leaves its primaries unprocessed,
     // so the run cannot quiesce until failure detection evicts it and
-    // RECOVER aborts the run; the driver then replays the retained
-    // change log and restarts the run — still asynchronous. The graph
-    // is large enough that the KILL (sent the instant the run starts)
-    // always lands while the run is live.
+    // the recovery's reset VIEW aborts the run; the driver then replays
+    // the retained change log and restarts the run — still
+    // asynchronous. The graph is large enough that the kill (sent the
+    // instant the run starts) always lands while the run is live.
     let edges = chain_graph(2000);
     let cfg = SystemConfig {
         heartbeat_interval: Duration::from_millis(25),
@@ -361,8 +361,8 @@ fn killed_agent_is_evicted_and_run_restarts_to_correct_results() {
         )
         .expect("start run");
     // Crash an agent mid-run: the barrier wedges on its silence until
-    // the lead evicts it and broadcasts RECOVER; wait_run then replays
-    // the change log and restarts the run.
+    // the lead evicts it and publishes a reset VIEW; wait_run then
+    // replays the change log and restarts the run.
     let victim = cluster.agent_ids()[1];
     cluster.kill_agent(victim);
     let stats = cluster
